@@ -1,7 +1,8 @@
 //! Criterion benchmarks of the algorithm kernels underlying each
 //! experiment: the multilevel partitioner and diffusive repartitioner
 //! (Fig. 6), the three reassignment mappers (Table 2), marking propagation
-//! and subdivision (Fig. 4 / Table 1), and the migration codec (Fig. 5).
+//! and subdivision (Fig. 4 / Table 1), the migration codec (Fig. 5), and
+//! the simulator's own layers (session step, large-payload collectives).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -10,7 +11,7 @@ use plum_bench::{initial_mesh, marked_problem, Scale, CASES};
 use plum_core::{CommBreakdown, Ownership};
 use plum_mesh::DualGraph;
 use plum_parsim::{MachineModel, Session, TraceLog};
-use plum_partition::{partition_kway, repartition_kway, Graph, PartitionConfig};
+use plum_partition::{inflow_quota, partition_kway, repartition_kway, Graph, PartitionConfig};
 use plum_reassign::{greedy_mwbg, optimal_bmcm, optimal_mwbg, SimilarityMatrix};
 use plum_remap::{Packer, Unpacker};
 
@@ -205,6 +206,66 @@ fn bench_session_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// Host cost of the replicating collectives when the payload is as large
+/// as its declared size — the shapes the multilevel refinement uses at
+/// P = 256 (a `P × nparts`-word demand allgather, an `nparts`-word weight
+/// allreduce, a full-partition broadcast). One call per session step; the
+/// step's own cost is `session_step/compute_step_p256`. The 1-word probes
+/// of the e2e benchmark cannot see a per-forward payload copy; these can.
+fn bench_collectives_payload(c: &mut Criterion) {
+    const P: usize = 256;
+    let mut group = c.benchmark_group("collectives_payload");
+    group.sample_size(20);
+    let mut session = Session::new(P, MachineModel::sp2());
+    group.bench_function("allgather_p256_w256", |b| {
+        b.iter(|| {
+            session.run(vec![(); P], |comm, ()| {
+                black_box(comm.allgather(256, vec![comm.rank() as u64; 256]));
+            })
+        })
+    });
+    group.bench_function("bcast_p256_w65536", |b| {
+        b.iter(|| {
+            session.run(vec![(); P], |comm, ()| {
+                let value = (comm.rank() == 0).then(|| vec![7u64; 65_536]);
+                black_box(comm.bcast(0, 65_536, value));
+            })
+        })
+    });
+    group.bench_function("allreduce_p256_w256", |b| {
+        b.iter(|| {
+            session.run(vec![(); P], |comm, ()| {
+                black_box(comm.allreduce(256, vec![1u64; 256], |mut a, b| {
+                    for (x, y) in a.iter_mut().zip(&b) {
+                        *x += y;
+                    }
+                    a
+                }));
+            })
+        })
+    });
+
+    // The inflow quota of one refinement stage, summed over all 256 ranks:
+    // every rank asks for weight in the six parts around its own.
+    let max_w = vec![1_000u64; P];
+    let w: Vec<u64> = (0..P as u64).map(|q| 900 + q % 150).collect();
+    let demand: Vec<Vec<(u32, u64)>> = (0..P)
+        .map(|r| {
+            (0..6)
+                .map(|k| (((r + k) % P) as u32, 10 + k as u64))
+                .collect()
+        })
+        .collect();
+    group.bench_function("refine_quota_p256", |b| {
+        b.iter(|| {
+            (0..P)
+                .map(|rank| inflow_quota(black_box(&demand), rank, &max_w, &w)[rank])
+                .sum::<u64>()
+        })
+    });
+    group.finish();
+}
+
 fn bench_trace_aggregation(c: &mut Criterion) {
     let log = synthetic_session(8);
 
@@ -245,6 +306,7 @@ criterion_group!(
     bench_ownership,
     bench_codec,
     bench_session_step,
+    bench_collectives_payload,
     bench_trace_aggregation
 );
 criterion_main!(benches);

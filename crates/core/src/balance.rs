@@ -110,7 +110,8 @@ pub struct BalanceDecision {
     pub predicted_partition_time: f64,
     /// Event trace of the distributed repartitioner (engine path only;
     /// `None` when the balancer short-circuited or the serial reference
-    /// ran).
+    /// ran). The cycle drivers move it into [`crate::CycleTraces::partition`],
+    /// so it is `None` in a [`crate::CycleReport`]'s decision.
     pub partition_trace: Option<TraceLog>,
     /// Real measured wall time of the reassignment algorithm (Table 2).
     pub reassign_seconds: f64,
@@ -118,7 +119,9 @@ pub struct BalanceDecision {
     /// around the mapper (§4.3 — "a minuscule amount of time").
     pub reassign_comm_time: f64,
     /// Event trace of the reassignment protocol (`None` when the balancer
-    /// short-circuited without repartitioning).
+    /// short-circuited without repartitioning). Moved into
+    /// [`crate::CycleTraces::reassign`] by the cycle drivers, like
+    /// `partition_trace`.
     pub reassign_trace: Option<TraceLog>,
     /// Movement statistics of the proposed mapping.
     pub stats: Option<RemapStats>,

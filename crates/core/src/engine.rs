@@ -18,6 +18,8 @@
 //! assignments, migration volumes) are bit-identical. The golden tests at
 //! the bottom of this file pin that equivalence at several processor counts.
 
+use std::sync::Arc;
+
 use plum_adapt::{AdaptiveMesh, RefineDelta};
 use plum_parsim::{Comm, RankResult, Session, TraceLog};
 use plum_solver::{edge_error_indicator, solve};
@@ -28,7 +30,7 @@ use crate::balance::{
 };
 use crate::config::{PlumConfig, RemapPolicy};
 use crate::framework::{CycleReport, CycleTraces, PhaseTimes, Plum};
-use crate::marking::{mark_body, merge_marks, MarkValue, Ownership};
+use crate::marking::{mark_body, merge_marks, Ownership};
 use crate::migrate::{migrate_body, migration_outcome_from};
 use crate::reassign_par::collect_reassign;
 use crate::timing::CommBreakdown;
@@ -108,11 +110,16 @@ impl CycleEngine {
     }
 }
 
-/// Append each rank's step events to the session-wide timeline.
-fn absorb<T>(slog: &mut TraceLog, results: &[RankResult<T>]) {
-    for r in results {
-        slog.events[r.rank].extend(r.events.iter().cloned());
-    }
+/// Move each rank's step events onto the session-wide timeline and hand
+/// back the rank values (in rank order).
+fn absorb<T>(slog: &mut TraceLog, results: Vec<RankResult<T>>) -> Vec<T> {
+    results
+        .into_iter()
+        .map(|mut r| {
+            slog.events[r.rank].append(&mut r.events);
+            r.value
+        })
+        .collect()
 }
 
 /// Observed per-rank solver rates and the capacity weights derived from
@@ -221,7 +228,7 @@ fn balance_on_session(
     // `resolve_replicated` in plum-partition). The dual kernels delegate
     // bit-exactly on a uniform second vector, so the hoist covers both
     // regimes with one call.
-    let sfc_hoist: Option<Vec<u32>> = match method {
+    let sfc_hoist: Option<Arc<Vec<u32>>> = match method {
         BalanceMethod::Sfc => Some(match w2 {
             None => {
                 plum_partition::sfc_partition(&p.sfc_keys, &p.dual.wcomp, pcfg.nparts, &part_caps)
@@ -299,7 +306,8 @@ fn balance_on_session(
             ),
         }),
         _ => None,
-    };
+    }
+    .map(Arc::new);
     let t0 = session.now();
     let results = {
         let graph = plum_partition::Graph::view(&p.dual.xadj, &p.dual.adjncy, &p.dual.wcomp);
@@ -307,7 +315,7 @@ fn balance_on_session(
         let part_caps = &part_caps;
         let keys = &p.sfc_keys;
         let vwgt = &p.dual.wcomp;
-        let sfc_hoist = sfc_hoist.as_deref();
+        let sfc_hoist = sfc_hoist.as_ref();
         session.run(vec![(); cfg.nproc], move |comm, ()| {
             comm.phase("partition", |c| match (method, w2) {
                 (BalanceMethod::Multilevel, None) => plum_partition::repartition_body(
@@ -440,20 +448,21 @@ fn balance_on_session(
     decision.method = Some(method);
     decision.predicted_partition_time = predicted_time(method, &p.work, p.dual.n(), cfg.nproc);
     decision.partition_time = session.now() - t0;
-    let new_part = results[0].value.clone();
+    // Every rank returns the one shared partition; keep a single handle.
+    let new_part = Arc::clone(&results[0].value);
     debug_assert!(
         results.iter().all(|r| r.value == new_part),
         "ranks disagree on the distributed partition"
     );
     decision.partition_trace = Some(TraceLog::from_results(&results));
-    absorb(slog, &results);
+    absorb(slog, results);
 
     // Distributed reassignment: rows, gather, host mapper, scatter.
     let t0 = session.now();
     let results = {
         let wremap = &p.dual.wremap;
         let old_proc = &p.proc_of_root;
-        let new_part = &new_part;
+        let new_part = &new_part[..];
         session.run(vec![(); cfg.nproc], move |comm, ()| {
             crate::reassign_par::reassign_body(
                 comm,
@@ -467,8 +476,7 @@ fn balance_on_session(
     };
     decision.reassign_comm_time = session.now() - t0;
     decision.reassign_trace = Some(TraceLog::from_results(&results));
-    absorb(slog, &results);
-    let (sm, assignment, mapper_seconds) = collect_reassign(results.into_iter().map(|r| r.value));
+    let (sm, assignment, mapper_seconds) = collect_reassign(absorb(slog, results).into_iter());
     decision.reassign_seconds = mapper_seconds;
 
     apply_reassignment(
@@ -505,10 +513,51 @@ fn migrate_on_session(
         })
     };
     let out = migration_outcome_from(&results, nproc, session.now() - t0);
-    absorb(slog, &results);
+    absorb(slog, results);
     p.engine.apply_migration(&p.am, &p.proc_of_root, new_proc);
     p.proc_of_root = new_proc.to_vec();
     out
+}
+
+/// Assemble a cycle's traces. One streaming pass over the session timeline
+/// yields every phase's communication split; the cached `*_comm` fields are
+/// lookups into it. Events after a phase closes (step-boundary syncs) are
+/// attributed to that phase, matching what the standalone per-step traces
+/// contain. The decision's step logs move into the traces rather than being
+/// copied.
+fn cycle_traces(
+    slog: TraceLog,
+    marking_phase: &str,
+    mark_trace: TraceLog,
+    decision: &mut BalanceDecision,
+    migration: Option<&crate::migrate::MigrationOutcome>,
+) -> CycleTraces {
+    let phase_comm: Vec<(String, CommBreakdown)> = slog
+        .phase_breakdowns()
+        .iter()
+        .map(|agg| (agg.name.clone(), CommBreakdown::from_agg(agg)))
+        .collect();
+    let comm_of = |name: &str| {
+        phase_comm
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, c)| *c)
+            .unwrap_or_default()
+    };
+    let partition = decision.partition_trace.take();
+    let reassign = decision.reassign_trace.take();
+    CycleTraces {
+        marking_comm: comm_of(marking_phase),
+        marking: mark_trace,
+        partition_comm: partition.is_some().then(|| comm_of("partition")),
+        partition,
+        reassign_comm: reassign.is_some().then(|| comm_of("reassignment")),
+        reassign,
+        remap_comm: migration.is_some().then(|| comm_of("remap")),
+        remap: migration.map(|m| m.trace.clone()),
+        session: slog,
+        phase_comm,
+    }
 }
 
 /// Run one full Fig.-1 cycle on the rank-resident engine: one [`Session`]
@@ -556,7 +605,7 @@ pub fn run_cycle(p: &mut Plum, refine_frac: f64, dt: f64) -> CycleReport {
         .collect();
     let t0 = session.now();
     let results = session.modeled_phase("solver", &solver_secs);
-    absorb(&mut slog, &results);
+    absorb(&mut slog, results);
     times.solver = session.now() - t0;
 
     // Observe this cycle's per-rank rates; the derived capacity weights
@@ -582,9 +631,7 @@ pub fn run_cycle(p: &mut Plum, refine_frac: f64, dt: f64) -> CycleReport {
     };
     times.marking = session.now() - t0;
     let mark_trace = TraceLog::from_results(&results);
-    absorb(&mut slog, &results);
-    let values: Vec<MarkValue> = results.into_iter().map(|r| r.value).collect();
-    let (marks, marking_sweeps, _comm_words) = merge_marks(&p.am, values.iter());
+    let (marks, marking_sweeps, _comm_words) = merge_marks(&p.am, absorb(&mut slog, results));
 
     // --- exact prediction of the refined mesh -------------------------------
     let pred = p.am.predict(&marks);
@@ -592,7 +639,7 @@ pub fn run_cycle(p: &mut Plum, refine_frac: f64, dt: f64) -> CycleReport {
         .map(|v| pred.wremap[v] - wremap_now[v])
         .collect();
 
-    let (decision, migration) = match p.cfg.policy {
+    let (mut decision, migration) = match p.cfg.policy {
         RemapPolicy::BeforeRefinement => {
             // Weights as though subdivision already happened — scaled by the
             // estimated per-root cost, so the partitioner balances measured
@@ -618,7 +665,7 @@ pub fn run_cycle(p: &mut Plum, refine_frac: f64, dt: f64) -> CycleReport {
                 .collect();
             let t0 = session.now();
             let results = session.modeled_phase("subdivide", &secs);
-            absorb(&mut slog, &results);
+            absorb(&mut slog, results);
             times.subdivide = session.now() - t0;
             (decision, migration)
         }
@@ -635,7 +682,7 @@ pub fn run_cycle(p: &mut Plum, refine_frac: f64, dt: f64) -> CycleReport {
                 .collect();
             let t0 = session.now();
             let results = session.modeled_phase("subdivide", &secs);
-            absorb(&mut slog, &results);
+            absorb(&mut slog, results);
             times.subdivide = session.now() - t0;
 
             let (wcomp_after, wremap_after) = p.am.weights();
@@ -671,44 +718,14 @@ pub fn run_cycle(p: &mut Plum, refine_frac: f64, dt: f64) -> CycleReport {
         );
     }
 
-    // One streaming pass over the session timeline yields every phase's
-    // communication split; the cached `*_comm` fields are lookups into it.
-    // Events after a phase closes (step-boundary syncs) are attributed to
-    // that phase, matching what the standalone per-step traces contain.
-    let phase_comm: Vec<(String, CommBreakdown)> = slog
-        .phase_breakdowns()
-        .iter()
-        .map(|agg| (agg.name.clone(), CommBreakdown::from_agg(agg)))
-        .collect();
-    let comm_of = |name: &str| {
-        phase_comm
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, c)| *c)
-            .unwrap_or_default()
-    };
-
-    let traces = CycleTraces {
-        marking_comm: comm_of("marking"),
-        marking: mark_trace,
-        partition_comm: decision
-            .partition_trace
-            .is_some()
-            .then(|| comm_of("partition")),
-        partition: decision.partition_trace.clone(),
-        reassign_comm: decision
-            .reassign_trace
-            .is_some()
-            .then(|| comm_of("reassignment")),
-        reassign: decision.reassign_trace.clone(),
-        remap_comm: migration.is_some().then(|| comm_of("remap")),
-        remap: migration.as_ref().map(|m| m.trace.clone()),
-        session: slog,
-        phase_comm,
-    };
-
     CycleReport {
-        traces,
+        traces: cycle_traces(
+            slog,
+            "marking",
+            mark_trace,
+            &mut decision,
+            migration.as_ref(),
+        ),
         counts: p.am.mesh.counts(),
         growth: pred.growth_factor,
         marking_sweeps,
@@ -775,7 +792,7 @@ pub fn run_coarsen_cycle(p: &mut Plum, coarse_frac: f64, dt: f64) -> CycleReport
         .collect();
     let t0 = session.now();
     let results = session.modeled_phase("solver", &solver_secs);
-    absorb(&mut slog, &results);
+    absorb(&mut slog, results);
     times.solver = session.now() - t0;
 
     let (rate, capacity) = observe_capacity(&units, &p.work, &p.chaos.profile);
@@ -798,7 +815,7 @@ pub fn run_coarsen_cycle(p: &mut Plum, coarse_frac: f64, dt: f64) -> CycleReport
     };
     times.marking = session.now() - t0;
     let mark_trace = TraceLog::from_results(&results);
-    absorb(&mut slog, &results);
+    absorb(&mut slog, results);
 
     // --- host-side de-refinement + modeled coarsen phase -------------------
     let _stats = p.am.coarsen(&cmarks, std::slice::from_mut(&mut p.field));
@@ -817,14 +834,14 @@ pub fn run_coarsen_cycle(p: &mut Plum, coarse_frac: f64, dt: f64) -> CycleReport
         .collect();
     let t0 = session.now();
     let results = session.modeled_phase("coarsen", &secs);
-    absorb(&mut slog, &results);
+    absorb(&mut slog, results);
     times.coarsen = session.now() - t0;
 
     // --- rebalance the shrunken mesh, remap --------------------------------
     p.dual.wcomp = p.cost_est.weights(&wcomp_after);
     p.dual.wremap = wremap_after;
     let refine_work = vec![0; p.dual.n()];
-    let decision = balance_on_session(&mut session, &mut slog, p, &refine_work);
+    let mut decision = balance_on_session(&mut session, &mut slog, p, &refine_work);
     times.partition = decision.partition_time;
     times.reassign = decision.reassign_seconds;
     let migration = decision.accepted.then(|| {
@@ -845,40 +862,14 @@ pub fn run_coarsen_cycle(p: &mut Plum, coarse_frac: f64, dt: f64) -> CycleReport
         );
     }
 
-    let phase_comm: Vec<(String, CommBreakdown)> = slog
-        .phase_breakdowns()
-        .iter()
-        .map(|agg| (agg.name.clone(), CommBreakdown::from_agg(agg)))
-        .collect();
-    let comm_of = |name: &str| {
-        phase_comm
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, c)| *c)
-            .unwrap_or_default()
-    };
-
-    let traces = CycleTraces {
-        marking_comm: comm_of("coarsen_mark"),
-        marking: mark_trace,
-        partition_comm: decision
-            .partition_trace
-            .is_some()
-            .then(|| comm_of("partition")),
-        partition: decision.partition_trace.clone(),
-        reassign_comm: decision
-            .reassign_trace
-            .is_some()
-            .then(|| comm_of("reassignment")),
-        reassign: decision.reassign_trace.clone(),
-        remap_comm: migration.is_some().then(|| comm_of("remap")),
-        remap: migration.as_ref().map(|m| m.trace.clone()),
-        session: slog,
-        phase_comm,
-    };
-
     CycleReport {
-        traces,
+        traces: cycle_traces(
+            slog,
+            "coarsen_mark",
+            mark_trace,
+            &mut decision,
+            migration.as_ref(),
+        ),
         counts: p.am.mesh.counts(),
         growth: p.am.mesh.n_elems() as f64 / elems_before as f64,
         marking_sweeps: 1,

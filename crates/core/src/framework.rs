@@ -514,7 +514,7 @@ impl Plum {
         // --- rebalance the shrunken mesh, remap --------------------------
         self.dual.wcomp = self.cost_est.weights(&wcomp_after);
         self.dual.wremap = wremap_after;
-        let decision = balance_step_dual(
+        let mut decision = balance_step_dual(
             &self.dual,
             &self.proc_of_root,
             &vec![0; self.dual.n()],
@@ -569,7 +569,7 @@ impl Plum {
             partition: None,
             partition_comm: None,
             reassign_comm,
-            reassign: decision.reassign_trace.clone(),
+            reassign: decision.reassign_trace.take(),
             remap_comm,
             remap: migration.as_ref().map(|m| m.trace.clone()),
             session: TraceLog::default(),
@@ -646,7 +646,7 @@ impl Plum {
             .map(|v| pred.wremap[v] - wremap_now[v])
             .collect();
 
-        let (decision, migration) = match self.cfg.policy {
+        let (mut decision, migration) = match self.cfg.policy {
             RemapPolicy::BeforeRefinement => {
                 // Weights as though subdivision already happened — scaled by
                 // the estimated per-root cost, so the partitioner balances
@@ -759,7 +759,7 @@ impl Plum {
             partition: None,
             partition_comm: None,
             reassign_comm,
-            reassign: decision.reassign_trace.clone(),
+            reassign: decision.reassign_trace.take(),
             remap_comm,
             remap: migration.as_ref().map(|m| m.trace.clone()),
             session: TraceLog::default(),

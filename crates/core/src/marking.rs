@@ -8,6 +8,8 @@
 //! protocol ("the process may continue for several iterations, and edge
 //! markings could propagate back and forth across partitions").
 
+use std::collections::BTreeMap;
+
 use plum_adapt::{AdaptiveMesh, EdgeMarks, RefineDelta, RefineEvent};
 use plum_mesh::{EdgeId, ElemId, SharedEdgeTracker};
 use plum_parsim::{makespan, spmd, Comm, MachineModel, TraceLog};
@@ -173,9 +175,10 @@ pub struct MarkResult {
     pub trace: TraceLog,
 }
 
-/// Per-rank value produced by the marking stage body: local marks, sweep
-/// count, and words this rank sent during propagation.
-pub(crate) type MarkValue = (EdgeMarks, usize, u64);
+/// Per-rank value produced by the marking stage body: the edges this rank
+/// marked (locally or on a peer's word), sweep count, and words this rank
+/// sent during propagation.
+pub(crate) type MarkValue = (Vec<EdgeId>, usize, u64);
 
 /// The marking stage body for one rank. Runs under either [`spmd`] (the
 /// standalone [`parallel_mark`] wrapper) or a [`plum_parsim::Session`] step
@@ -190,11 +193,13 @@ pub(crate) fn mark_body(
     threshold: f64,
 ) -> MarkValue {
     let words0 = comm.sent_words();
-    let nproc = comm.nranks();
     comm.phase_begin("marking");
     let rank = comm.rank();
     let my_elems = &own.elems_of_rank[rank];
+    // Dense working set for the pattern lookups; what the rank reports is
+    // the list of edges it set.
     let mut marks = EdgeMarks::new(&am.mesh);
+    let mut marked: Vec<EdgeId> = Vec::new();
 
     // Initial marking: my elements' edges above threshold. Shared edges
     // get the same decision on all owners because the error values are
@@ -202,8 +207,8 @@ pub(crate) fn mark_body(
     // information regardless of their processor number").
     for &e in my_elems {
         for ed in am.mesh.elem_edges(e) {
-            if error.get(ed.idx()).copied().unwrap_or(0.0) > threshold {
-                marks.mark(ed);
+            if error.get(ed.idx()).copied().unwrap_or(0.0) > threshold && marks.mark(ed) {
+                marked.push(ed);
             }
         }
     }
@@ -227,19 +232,18 @@ pub(crate) fn mark_body(
         }
         comm.advance(my_elems.len() as f64 * work.t_mark_elem);
 
-        // Ship newly marked *shared* edges to their other owners.
-        let mut outgoing: Vec<Vec<u32>> = vec![Vec::new(); nproc];
+        // Ship newly marked *shared* edges to their other owners (keyed by
+        // destination: a rank borders a handful of others, not all P).
+        let mut outgoing: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
         for &ed in &newly {
             for r in own.ranks_of(ed) {
                 if r as usize != rank {
-                    outgoing[r as usize].push(ed.0);
+                    outgoing.entry(r as usize).or_default().push(ed.0);
                 }
             }
         }
         let items: Vec<(usize, u64, Vec<u32>)> = outgoing
             .into_iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
             .map(|(dst, v)| (dst, v.len() as u64, v))
             .collect();
         let incoming = comm.alltoallv_sparse(items);
@@ -247,36 +251,38 @@ pub(crate) fn mark_body(
         for (_src, batch) in incoming {
             for id in batch {
                 if marks.mark(EdgeId(id)) {
+                    marked.push(EdgeId(id));
                     received_new = true;
                 }
             }
         }
 
         let changed = comm.allreduce_or(!newly.is_empty() || received_new);
+        marked.extend(newly);
         sweeps += 1;
         if !changed {
             break;
         }
     }
     comm.phase_end("marking");
-    (marks, sweeps, comm.sent_words() - words0)
+    (marked, sweeps, comm.sent_words() - words0)
 }
 
 /// Merge per-rank marking results: union of all ranks' marks (identical on
 /// shared edges at fixpoint; the union is what a global observer sees),
 /// maximum sweep count, total propagation words.
-pub(crate) fn merge_marks<'a>(
+pub(crate) fn merge_marks(
     am: &AdaptiveMesh,
-    values: impl Iterator<Item = &'a MarkValue>,
+    values: impl IntoIterator<Item = MarkValue>,
 ) -> (EdgeMarks, usize, u64) {
     let mut merged = EdgeMarks::new(&am.mesh);
     let mut sweeps = 0;
     let mut comm_words = 0;
-    for (marks, rank_sweeps, words) in values {
-        for e in marks.iter() {
+    for (marked, rank_sweeps, words) in values {
+        for e in marked {
             merged.mark(e);
         }
-        sweeps = sweeps.max(*rank_sweeps);
+        sweeps = sweeps.max(rank_sweeps);
         comm_words += words;
     }
     debug_assert!(
@@ -303,8 +309,7 @@ pub fn parallel_mark(
     });
     let trace = TraceLog::from_results(&results);
     let time = makespan(&results);
-    let values: Vec<MarkValue> = results.into_iter().map(|r| r.value).collect();
-    let (marks, sweeps, comm_words) = merge_marks(am, values.iter());
+    let (marks, sweeps, comm_words) = merge_marks(am, results.into_iter().map(|r| r.value));
 
     MarkResult {
         marks,

@@ -10,6 +10,8 @@
 //! one row of the matrix (P×F integers) needs to be communicated" — the
 //! virtual times measured here confirm exactly that.
 
+use std::sync::Arc;
+
 use plum_parsim::{makespan, spmd, Comm, MachineModel, TraceLog};
 use plum_reassign::{Assignment, SimilarityMatrix};
 
@@ -17,7 +19,7 @@ use crate::config::Mapper;
 
 /// Per-rank value of the reassignment stage body: the host triple (only on
 /// rank 0) and the scattered partition→processor solution.
-pub(crate) type ReassignValue = (Option<(SimilarityMatrix, Assignment, f64)>, Vec<u32>);
+pub(crate) type ReassignValue = (Option<(SimilarityMatrix, Assignment, f64)>, Arc<Vec<u32>>);
 
 /// The reassignment stage body for one rank: compute my similarity row,
 /// gather on the host, run the mapper there (wall-clocked, no virtual
@@ -63,7 +65,7 @@ pub(crate) fn reassign_body(
 
     // Scatter the solution back (each rank gets the full P·F-entry
     // mapping — still "a minuscule amount" of data).
-    let proc_of_part: Vec<u32> = comm.bcast(
+    let proc_of_part = comm.bcast(
         0,
         nparts as u64,
         host.as_ref().map(|(_, a, _)| a.proc_of_part.clone()),
@@ -80,7 +82,7 @@ pub(crate) fn collect_reassign(
     let mut matrix = None;
     let mut assignment = None;
     let mut mapper_seconds = 0.0;
-    let mut scattered: Vec<Vec<u32>> = Vec::new();
+    let mut scattered: Vec<Arc<Vec<u32>>> = Vec::new();
     for (host, proc_of_part) in values {
         scattered.push(proc_of_part);
         if let Some((sm, a, secs)) = host {
@@ -92,7 +94,7 @@ pub(crate) fn collect_reassign(
     let assignment = assignment.expect("host must produce an assignment");
     // Every rank received the same solution.
     for s in &scattered {
-        assert_eq!(*s, assignment.proc_of_part, "scatter diverged");
+        assert_eq!(**s, assignment.proc_of_part, "scatter diverged");
     }
     (
         matrix.expect("host must produce the matrix"),

@@ -19,6 +19,14 @@
 //!   `ceil(log2 P)` rounds of one combined message per rank per round,
 //!   `P·ceil(log2 P)` messages total regardless of how dense the traffic
 //!   pattern is.
+//!
+//! `words` is the model; the payload is host data. A value every rank
+//! receives (`bcast`, `allgather`, `allreduce`) is stored once and handed
+//! out as an [`Arc`]: the tree forwards pointer clones, so host time and
+//! memory do not grow with `P × payload` while every declared message size,
+//! tag and timestamp is what a copying implementation would record.
+
+use std::sync::Arc;
 
 use crate::comm::{Comm, Tag};
 use crate::trace::CollectiveKind;
@@ -55,18 +63,18 @@ impl Comm {
     /// Binomial-tree broadcast of `value` (size `words`) from `root`.
     ///
     /// Non-root ranks pass `None` and receive the broadcast value; the root
-    /// passes `Some(value)`.
-    pub fn bcast<T: Clone + Send + 'static>(
+    /// passes `Some(value)`. Every rank gets the same allocation.
+    pub fn bcast<T: Send + Sync + 'static>(
         &mut self,
         root: usize,
         words: u64,
         value: Option<T>,
-    ) -> T {
+    ) -> Arc<T> {
         self.collective_enter(CollectiveKind::Bcast);
         let p = self.nranks();
         let vrank = (self.rank() + p - root) % p;
-        let mut have: Option<T> = if vrank == 0 {
-            Some(value.expect("bcast root must supply a value"))
+        let mut have: Option<Arc<T>> = if vrank == 0 {
+            Some(Arc::new(value.expect("bcast root must supply a value")))
         } else {
             None
         };
@@ -75,14 +83,14 @@ impl Comm {
         while mask < p {
             if vrank >= mask && vrank < 2 * mask && have.is_none() {
                 let src = ((vrank - mask) + root) % p;
-                have = Some(self.recv::<T>(src, TAG_BCAST));
+                have = Some(self.recv::<Arc<T>>(src, TAG_BCAST));
             }
             if vrank < mask {
                 let dst_v = vrank + mask;
                 if dst_v < p {
                     let dst = (dst_v + root) % p;
-                    let v = have.clone().expect("bcast internal: no value to forward");
-                    self.send(dst, TAG_BCAST, words, v);
+                    let v = have.as_ref().expect("bcast internal: no value to forward");
+                    self.send(dst, TAG_BCAST, words, Arc::clone(v));
                 }
             }
             mask <<= 1;
@@ -220,8 +228,13 @@ impl Comm {
         out
     }
 
-    /// Allgather (tree gather to rank 0, broadcast the vector).
-    pub fn allgather<T: Clone + Send + 'static>(&mut self, words_each: u64, value: T) -> Vec<T> {
+    /// Allgather (tree gather to rank 0, broadcast the vector). Every rank
+    /// gets the same allocation.
+    pub fn allgather<T: Send + Sync + 'static>(
+        &mut self,
+        words_each: u64,
+        value: T,
+    ) -> Arc<Vec<T>> {
         self.collective_enter(CollectiveKind::Allgather);
         let gathered = self.gather(0, words_each, value);
         let total_words = words_each * self.nranks() as u64;
@@ -235,10 +248,11 @@ impl Comm {
     ///
     /// The raw values ride a binomial tree to rank 0 and are folded there in
     /// ascending rank order (`((v0 op v1) op v2) op ...`), so floating-point
-    /// results are deterministic and independent of the tree shape.
-    pub fn allreduce<T, F>(&mut self, words: u64, value: T, op: F) -> T
+    /// results are deterministic and independent of the tree shape. Every
+    /// rank gets the same allocation.
+    pub fn allreduce<T, F>(&mut self, words: u64, value: T, op: F) -> Arc<T>
     where
-        T: Clone + Send + 'static,
+        T: Send + Sync + 'static,
         F: Fn(T, T) -> T,
     {
         self.collective_enter(CollectiveKind::Allreduce);
@@ -254,27 +268,27 @@ impl Comm {
 
     /// Allreduce with `f64` addition.
     pub fn allreduce_sum_f64(&mut self, value: f64) -> f64 {
-        self.allreduce(1, value, |a, b| a + b)
+        *self.allreduce(1, value, |a, b| a + b)
     }
 
     /// Allreduce with `f64` maximum.
     pub fn allreduce_max_f64(&mut self, value: f64) -> f64 {
-        self.allreduce(1, value, f64::max)
+        *self.allreduce(1, value, f64::max)
     }
 
     /// Allreduce with `u64` addition.
     pub fn allreduce_sum_u64(&mut self, value: u64) -> u64 {
-        self.allreduce(1, value, |a, b| a + b)
+        *self.allreduce(1, value, |a, b| a + b)
     }
 
     /// Allreduce with `u64` maximum.
     pub fn allreduce_max_u64(&mut self, value: u64) -> u64 {
-        self.allreduce(1, value, u64::max)
+        *self.allreduce(1, value, u64::max)
     }
 
     /// Logical OR allreduce (any rank true ⇒ all ranks true).
     pub fn allreduce_or(&mut self, value: bool) -> bool {
-        self.allreduce(1, value, |a, b| a || b)
+        *self.allreduce(1, value, |a, b| a || b)
     }
 
     /// Bruck-style store-and-forward exchange: `ceil(log2 P)` rounds; in
@@ -419,10 +433,72 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
-    use crate::{spmd, MachineModel, RankResult};
+    use std::sync::Arc;
+
+    use crate::{spmd, MachineModel, RankResult, Session, TraceLog};
 
     fn total_msgs<T>(results: &[RankResult<T>]) -> u64 {
         results.iter().map(|r| r.sent_messages).sum()
+    }
+
+    /// The replicated result of a collective is one allocation, not one per
+    /// rank.
+    #[test]
+    fn replicated_results_share_one_allocation() {
+        for p in [2usize, 7, 16] {
+            let r = spmd(p, MachineModel::sp2(), |comm| {
+                let root = comm.nranks() - 1;
+                let b = comm.bcast(root, 8, (comm.rank() == root).then(|| vec![3u64; 8]));
+                let g = comm.allgather(4, vec![comm.rank() as u64; 4]);
+                let s = comm.allreduce(2, vec![1u64, comm.rank() as u64], |a, b| {
+                    vec![a[0] + b[0], a[1].max(b[1])]
+                });
+                (b, g, s)
+            });
+            let (b0, g0, s0) = &r[0].value;
+            assert_eq!(**b0, vec![3u64; 8], "bcast p={p}");
+            assert_eq!(g0.len(), p, "allgather p={p}");
+            assert!(g0.iter().enumerate().all(|(i, v)| *v == vec![i as u64; 4]));
+            assert_eq!(**s0, vec![p as u64, p as u64 - 1], "allreduce p={p}");
+            for x in &r[1..] {
+                let (b, g, s) = &x.value;
+                assert!(Arc::ptr_eq(b, b0), "bcast p={p} rank {}", x.rank);
+                assert!(Arc::ptr_eq(g, g0), "allgather p={p} rank {}", x.rank);
+                assert!(Arc::ptr_eq(s, s0), "allreduce p={p} rank {}", x.rank);
+            }
+        }
+    }
+
+    /// Sharing the payload is invisible to the modeled machine: the trace of
+    /// a session running the three replicating collectives with large
+    /// declared sizes equals, event for event (peer, tag, words and every
+    /// timestamp bit), the trace recorded when each forward deep-copied.
+    #[test]
+    fn shared_payload_trace_matches_copying_golden() {
+        let p = 7;
+        let mut session = Session::new(p, MachineModel::sp2());
+        let results = session.run(vec![(); p], |comm, ()| {
+            comm.compute(10.0 * (comm.rank() + 1) as f64);
+            comm.allgather(256, vec![comm.rank() as u64; 256]);
+            comm.bcast(0, 4096, (comm.rank() == 0).then(|| vec![7u64; 4096]));
+            comm.allreduce(64, vec![1u64; 64], |a, b| {
+                a.iter().zip(&b).map(|(x, y)| x + y).collect()
+            });
+        });
+        let log = TraceLog::from_results(&results);
+        let lines: Vec<String> = log
+            .events
+            .iter()
+            .enumerate()
+            .flat_map(|(rank, events)| events.iter().map(move |ev| format!("{rank} {ev:?}")))
+            .collect();
+        let golden: Vec<&str> = include_str!("../testdata/collectives_p7.trace")
+            .lines()
+            .collect();
+        assert_eq!(lines.len(), golden.len(), "event count");
+        for (i, (got, want)) in lines.iter().zip(&golden).enumerate() {
+            assert_eq!(got, want, "event {i}");
+        }
     }
 
     #[test]
@@ -461,7 +537,7 @@ mod tests {
                     comm.bcast::<u64>(root, 1, (comm.rank() == root).then_some(root as u64))
                 });
                 assert!(
-                    r.iter().all(|x| x.value == root as u64),
+                    r.iter().all(|x| *x.value == root as u64),
                     "bcast p={p} root={root}"
                 );
                 assert_eq!(r[root].sent_messages > 0, p > 1);
@@ -511,7 +587,7 @@ mod tests {
             });
             assert!(r
                 .iter()
-                .all(|x| x.value == (0..p as u64).collect::<Vec<_>>()));
+                .all(|x| *x.value == (0..p as u64).collect::<Vec<_>>()));
             assert_eq!(total_msgs(&r), 2 * (p - 1) as u64, "allgather p={p}");
         }
     }

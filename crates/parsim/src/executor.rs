@@ -5,10 +5,10 @@ use std::rc::Rc;
 
 use crate::chaos::{Fault, FaultAction, FaultPlan, Perturbation};
 use crate::comm::Comm;
+use crate::deadlock::DeadlockError;
 use crate::fiber::{Fiber, FiberStack};
 use crate::sched::SchedState;
 use crate::trace::TraceEvent;
-use crate::watchdog::DeadlockError;
 use crate::MachineModel;
 
 /// Result of one rank's execution: its return value plus communication and
@@ -476,7 +476,7 @@ pub fn makespan<T>(results: &[RankResult<T>]) -> f64 {
 mod tests {
     use super::*;
     use crate::chaos::{FaultPlan, Perturbation, RankProfile};
-    use crate::watchdog::RankActivity;
+    use crate::deadlock::RankActivity;
     use crate::TraceLog;
 
     #[test]
@@ -565,7 +565,7 @@ mod tests {
                 comm.bcast(root, 3, v)
             });
             for res in &r {
-                assert_eq!(res.value, vec![root as u32; 3]);
+                assert_eq!(*res.value, vec![root as u32; 3]);
             }
         }
     }
@@ -643,7 +643,7 @@ mod tests {
             comm.allgather(1, comm.rank() as u32)
         });
         for res in &r {
-            assert_eq!(res.value, (0..7u32).collect::<Vec<_>>());
+            assert_eq!(*res.value, (0..7u32).collect::<Vec<_>>());
         }
     }
 
@@ -930,8 +930,8 @@ mod tests {
     fn mismatched_collective_sequence_fails_with_deadlock_error_at_p8() {
         // Rank 3 skips the barrier the other seven ranks enter: the
         // dissemination rounds starve and the step can never finish. The
-        // watchdog must convert the hang into a structured error naming the
-        // blocked ranks, bounded by its tick (not by any CI timeout).
+        // scheduler must convert the hang into a structured error naming the
+        // blocked ranks the moment the run queue empties.
         let err = try_spmd(8, MachineModel::sp2(), |comm| {
             if comm.rank() != 3 {
                 comm.barrier();

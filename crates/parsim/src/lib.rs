@@ -35,6 +35,7 @@ pub mod chaos;
 mod clock;
 mod collectives;
 mod comm;
+mod deadlock;
 mod executor;
 mod fiber;
 pub mod metrics;
@@ -43,11 +44,11 @@ mod model;
 mod proptests;
 mod sched;
 pub mod trace;
-mod watchdog;
 
 pub use chaos::{ChaosRng, Fault, FaultAction, FaultKind, FaultPlan, Perturbation, RankProfile};
 pub use clock::VirtualClock;
 pub use comm::{Comm, Tag};
+pub use deadlock::{DeadlockError, RankActivity};
 pub use executor::{makespan, spmd, spmd_with_args, try_spmd, RankResult, Session};
 pub use metrics::MetricsSink;
 pub use model::MachineModel;
@@ -56,7 +57,6 @@ pub use trace::{
     PhaseRankAgg, ProtocolViolation, RankPhaseSplit, RankSummary, TraceEvent, TraceLog,
     TraceSummary, COLLECTIVE_KINDS,
 };
-pub use watchdog::{DeadlockError, RankActivity};
 
 /// Convenience: number of 8-byte words needed to hold `bytes` bytes.
 #[inline]

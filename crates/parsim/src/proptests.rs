@@ -17,7 +17,7 @@ proptest! {
         });
         let expect: Vec<u64> = (0..nranks as u64).map(|i| base + i).collect();
         for res in &r {
-            prop_assert_eq!(&res.value, &expect);
+            prop_assert_eq!(&*res.value, &expect);
         }
     }
 
@@ -29,7 +29,7 @@ proptest! {
             comm.bcast(root, 1, v)
         });
         for res in &r {
-            prop_assert_eq!(res.value, payload);
+            prop_assert_eq!(*res.value, payload);
         }
     }
 

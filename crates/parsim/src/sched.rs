@@ -31,7 +31,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use crate::comm::{Envelope, Tag};
-use crate::watchdog::{DeadlockError, RankActivity};
+use crate::deadlock::{DeadlockError, RankActivity};
 
 /// Scheduler state shared between the session and every rank's `Comm`.
 pub(crate) struct SchedState {

@@ -33,6 +33,8 @@
 //! real traffic (the load-vector allreduce plus the moved-triple
 //! exchange).
 
+use std::sync::Arc;
+
 use plum_parsim::{makespan, spmd, Comm, MachineModel, TraceLog};
 
 use crate::distributed::DistPartition;
@@ -362,8 +364,8 @@ pub fn diffusion2_body(
     nparts: usize,
     caps: &[f64],
     vertex_units: f64,
-    precomputed: Option<&[u32]>,
-) -> Vec<u32> {
+    precomputed: Option<&Arc<Vec<u32>>>,
+) -> Arc<Vec<u32>> {
     let rank = comm.rank();
     let part = resolve_replicated(precomputed, || diffusion2_balance(g, prev, nparts, caps));
     // Local work: boundary scan + selection sweeps over the local block.
@@ -395,8 +397,8 @@ pub fn diffusion2_body_dual(
     nparts: usize,
     caps: &[f64],
     vertex_units: f64,
-    precomputed: Option<&[u32]>,
-) -> Vec<u32> {
+    precomputed: Option<&Arc<Vec<u32>>>,
+) -> Arc<Vec<u32>> {
     if dual_uniform(w2) {
         return diffusion2_body(
             comm,
@@ -442,16 +444,16 @@ pub fn diffusion2_distributed(
     model: MachineModel,
     vertex_units: f64,
 ) -> DistPartition {
-    let hoisted = diffusion2_balance(g, prev, nparts, caps);
+    let hoisted = Arc::new(diffusion2_balance(g, prev, nparts, caps));
     let hoisted = &hoisted;
     let results = spmd(nranks, model, move |comm| {
         comm.phase("partition", |c| {
             diffusion2_body(c, g, owner, prev, nparts, caps, vertex_units, Some(hoisted))
         })
     });
-    let part = results[0].value.clone();
+    let part = results[0].value.to_vec();
     for r in &results {
-        assert_eq!(r.value, part, "rank {} disagrees on the partition", r.rank);
+        assert_eq!(*r.value, part, "rank {} disagrees on the partition", r.rank);
     }
     DistPartition {
         part,

@@ -21,6 +21,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use plum_parsim::{makespan, spmd, words_for_bytes, Comm, MachineModel, TraceLog};
 
@@ -731,7 +732,7 @@ fn refine_distributed(
         // Propose moves against tentative weights.
         let mut order: Vec<u32> = (0..nloc as u32).collect();
         stage_rng(seed, level, 16 + stage as u64, rank).shuffle(&mut order);
-        let mut wt = w.clone();
+        let mut wt = w.to_vec();
         let mut conn = vec![0i64; nparts];
         let mut touched: Vec<u32> = Vec::new();
         let mut proposals: Vec<(u32, u32)> = Vec::new(); // (local idx, to)
@@ -830,23 +831,19 @@ fn refine_distributed(
             }
         }
 
-        // Inflow quota: every rank computes the identical greedy allocation
-        // of each part's headroom across ranks (in rank order), from the
-        // allgathered demand. Outflow is ignored, so the allocation is
-        // conservative and the ceilings hold unconditionally.
-        let all_desired = comm.allgather(nparts as u64, desired);
-        let mut quota = vec![0u64; nparts];
-        for q in 0..nparts {
-            let mut avail = max_w[q].saturating_sub(w[q]);
-            for (r, d) in all_desired.iter().enumerate() {
-                let grant = d[q].min(avail);
-                avail -= grant;
-                if r == rank {
-                    quota[q] = grant;
-                    break;
-                }
-            }
-        }
+        // Inflow quota: each part's headroom is allocated greedily across
+        // ranks (in rank order) from the allgathered demand. Outflow is
+        // ignored, so the allocation is conservative and the ceilings hold
+        // unconditionally. The modeled message is the dense `nparts`-word
+        // demand row; the host payload carries only its non-zeros.
+        let demand: Vec<(u32, u64)> = desired
+            .iter()
+            .enumerate()
+            .filter(|&(_, &d)| d > 0)
+            .map(|(q, &d)| (q as u32, d))
+            .collect();
+        let all_demand = comm.allgather(nparts as u64, demand);
+        let mut quota = inflow_quota(&all_demand, rank, max_w, &w);
 
         // Commit in proposal order while quota lasts.
         let mut moves = 0u64;
@@ -871,6 +868,54 @@ fn refine_distributed(
     }
 }
 
+/// Rank `rank`'s share of every part's headroom `max_w[q] - w[q]` when the
+/// ranks' demands (`demand[r]` = rank `r`'s non-zero `(part, weight)` asks)
+/// are granted greedily in rank order: `grant_r = min(demand_r, what is
+/// left)`. The grants to the ranks below telescope to `min(Σ_{r' < rank}
+/// demand_{r'}, headroom)`, so one pass over the lower ranks' non-zeros
+/// replaces the per-part walk over all of them.
+pub fn inflow_quota(demand: &[Vec<(u32, u64)>], rank: usize, max_w: &[u64], w: &[u64]) -> Vec<u64> {
+    let mut below = vec![0u64; max_w.len()];
+    for row in &demand[..rank] {
+        for &(q, d) in row {
+            below[q as usize] = below[q as usize].saturating_add(d);
+        }
+    }
+    let mut quota = vec![0u64; max_w.len()];
+    for &(q, d) in &demand[rank] {
+        let q = q as usize;
+        let headroom = max_w[q].saturating_sub(w[q]);
+        quota[q] = d.min(headroom.saturating_sub(below[q]));
+    }
+    quota
+}
+
+/// The quota as first written — per part, walk the dense demand of every
+/// rank up to `rank`, granting `min(demand, what is left)`. Test oracle for
+/// [`inflow_quota`].
+#[cfg(test)]
+pub(crate) fn inflow_quota_greedy(
+    all_desired: &[Vec<u64>],
+    rank: usize,
+    max_w: &[u64],
+    w: &[u64],
+) -> Vec<u64> {
+    let nparts = max_w.len();
+    let mut quota = vec![0u64; nparts];
+    for q in 0..nparts {
+        let mut avail = max_w[q].saturating_sub(w[q]);
+        for (r, d) in all_desired.iter().enumerate() {
+            let grant = d[q].min(avail);
+            avail -= grant;
+            if r == rank {
+                quota[q] = grant;
+                break;
+            }
+        }
+    }
+    quota
+}
+
 // ---------------------------------------------------------------------------
 // Exact-serial small-graph path
 // ---------------------------------------------------------------------------
@@ -886,7 +931,7 @@ fn exact_serial(
     cfg: &PartitionConfig,
     frac: Option<&[f64]>,
     vertex_units: f64,
-) -> Vec<u32> {
+) -> Arc<Vec<u32>> {
     let rank = comm.rank();
     let p = comm.nranks();
     let n = g.n();
@@ -948,11 +993,11 @@ pub fn repartition_body_dual(
     cfg: &PartitionConfig,
     caps: &[f64],
     vertex_units: f64,
-) -> Vec<u32> {
+) -> Arc<Vec<u32>> {
     let n = g.n();
     assert_eq!(w2.len(), n, "one second weight per vertex");
     if cfg.nparts == 1 {
-        return vec![0; n];
+        return Arc::new(vec![0; n]);
     }
     if dual_uniform(w2) {
         return repartition_body(comm, g, owner, prev, cfg, caps, vertex_units);
@@ -1023,7 +1068,7 @@ pub fn repartition_body_dual(
 ///   (matching, contraction, each refinement round); pass 0 for free
 ///   compute.
 ///
-/// Every rank returns the identical full partition vector. The result is
+/// Every rank returns the same shared full partition vector. The result is
 /// deterministic in the inputs — independent of the machine model and of
 /// any chaos perturbation, which only stretch the virtual clocks.
 pub fn repartition_body(
@@ -1034,10 +1079,10 @@ pub fn repartition_body(
     cfg: &PartitionConfig,
     caps: &[f64],
     vertex_units: f64,
-) -> Vec<u32> {
+) -> Arc<Vec<u32>> {
     let n = g.n();
     if cfg.nparts == 1 {
-        return vec![0; n];
+        return Arc::new(vec![0; n]);
     }
     let frac = capacity_fractions(caps, cfg.nparts);
     let frac = frac.as_deref();
@@ -1141,9 +1186,9 @@ pub fn repartition_distributed(
             repartition_body(c, g, owner, prev, cfg, caps, vertex_units)
         })
     });
-    let part = results[0].value.clone();
+    let part = results[0].value.to_vec();
     for r in &results {
-        assert_eq!(r.value, part, "rank {} disagrees on the partition", r.rank);
+        assert_eq!(*r.value, part, "rank {} disagrees on the partition", r.rank);
     }
     DistPartition {
         part,

@@ -12,6 +12,8 @@
 //! contract: replicated control flow, machine-model-independent result,
 //! virtual time from compute charges plus real collective traffic.
 
+use std::sync::Arc;
+
 use plum_parsim::{makespan, spmd, words_for_bytes, Comm, MachineModel, TraceLog};
 
 use crate::distributed::DistPartition;
@@ -126,7 +128,7 @@ pub fn knapsack_body(
     nparts: usize,
     caps: &[f64],
     vertex_units: f64,
-) -> Vec<u32> {
+) -> Arc<Vec<u32>> {
     let rank = comm.rank();
     let nranks = comm.nranks();
     let part = knapsack_partition(vwgt, nparts, caps);
@@ -163,7 +165,7 @@ pub fn knapsack_body(
         vwgt.iter().sum::<u64>(),
         "allreduce'd bin loads diverged"
     );
-    part
+    Arc::new(part)
 }
 
 /// Dual-constraint SPMD body: the same exchange as [`knapsack_body`] but
@@ -178,7 +180,7 @@ pub fn knapsack_body_dual(
     nparts: usize,
     caps: &[f64],
     vertex_units: f64,
-) -> Vec<u32> {
+) -> Arc<Vec<u32>> {
     if dual_uniform(w2) {
         return knapsack_body(comm, w1, owner, nparts, caps, vertex_units);
     }
@@ -221,7 +223,7 @@ pub fn knapsack_body_dual(
         w2.iter().sum::<u64>(),
         "allreduce'd bin loads diverged (constraint 2)"
     );
-    part
+    Arc::new(part)
 }
 
 /// Standalone harness for [`knapsack_body`], mirroring
@@ -241,9 +243,9 @@ pub fn knapsack_distributed(
             knapsack_body(c, vwgt, owner, nparts, caps, vertex_units)
         })
     });
-    let part = results[0].value.clone();
+    let part = results[0].value.to_vec();
     for r in &results {
-        assert_eq!(r.value, part, "rank {} disagrees on the partition", r.rank);
+        assert_eq!(*r.value, part, "rank {} disagrees on the partition", r.rank);
     }
     DistPartition {
         part,
@@ -352,9 +354,9 @@ mod tests {
                     knapsack_body_dual(c, &w1, &w2, &owner, 8, &caps, units)
                 })
             });
-            let part = results[0].value.clone();
+            let part = results[0].value.to_vec();
             for r in &results {
-                assert_eq!(r.value, part, "rank {} disagrees", r.rank);
+                assert_eq!(*r.value, part, "rank {} disagrees", r.rank);
             }
             (part, makespan(&results))
         };

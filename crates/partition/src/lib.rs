@@ -43,7 +43,7 @@ pub use diffusion2::{
     diffusion2_distributed, rank_adjacency, solve_flows, FlowSolve, DIFFUSION2_MAX_ROUNDS,
 };
 pub use distributed::{
-    repartition_body, repartition_body_dual, repartition_distributed, DistPartition,
+    inflow_quota, repartition_body, repartition_body_dual, repartition_distributed, DistPartition,
 };
 pub use graph::{Graph, GraphView};
 pub use knapsack::{

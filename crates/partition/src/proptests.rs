@@ -9,7 +9,9 @@ use proptest::prelude::*;
 
 use plum_parsim::{spmd, MachineModel};
 
-use crate::distributed::{build_level0, contract_distributed, parallel_hem, DistGraph};
+use crate::distributed::{
+    build_level0, contract_distributed, inflow_quota, inflow_quota_greedy, parallel_hem, DistGraph,
+};
 use crate::graph::Graph;
 use crate::kway::{capacity_fractions, part_ceilings, partition_kway, PartitionConfig};
 use crate::metrics::part_weights;
@@ -677,5 +679,52 @@ proptest! {
             "effective max load {} beyond the LPT bound ({} ideal + {} slack)",
             worst, total as f64 / csum, maxv as f64 / cmin
         );
+    }
+
+    /// (g) The rescan-free inflow quota equals the greedy rank-order
+    /// allocation it replaces, on every rank — with no demand at all, with
+    /// parts already at or over their ceiling (zero headroom), with demand
+    /// far beyond the headroom, and with a sparse mix of all three.
+    #[test]
+    fn inflow_quota_matches_greedy_rank_order(
+        p in 1usize..33,
+        nparts in 1usize..65,
+        mode in 0u8..4,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = crate::rng::Rng::new(seed);
+        let max_w: Vec<u64> = (0..nparts).map(|_| 50 + rng.below(200) as u64).collect();
+        let w: Vec<u64> = (0..nparts)
+            .map(|q| match mode {
+                1 => max_w[q] + rng.below(3) as u64,
+                3 if rng.below(4) == 0 => max_w[q],
+                _ => rng.below(max_w[q] as usize + 1) as u64,
+            })
+            .collect();
+        let dense: Vec<Vec<u64>> = (0..p)
+            .map(|_| {
+                (0..nparts)
+                    .map(|_| match mode {
+                        0 => 0,
+                        2 => 100 + rng.below(400) as u64,
+                        _ if rng.below(5) == 0 => 1 + rng.below(120) as u64,
+                        _ => 0,
+                    })
+                    .collect()
+            })
+            .collect();
+        let sparse: Vec<Vec<(u32, u64)>> = dense
+            .iter()
+            .map(|row| {
+                (0..nparts).filter(|&q| row[q] > 0).map(|q| (q as u32, row[q])).collect()
+            })
+            .collect();
+        for rank in 0..p {
+            prop_assert_eq!(
+                inflow_quota(&sparse, rank, &max_w, &w),
+                inflow_quota_greedy(&dense, rank, &max_w, &w),
+                "rank {} of {}", rank, p
+            );
+        }
     }
 }

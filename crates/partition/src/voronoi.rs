@@ -25,6 +25,8 @@
 //! model; virtual time comes from the per-vertex assignment charge and
 //! the real moved-triple exchange + part-weight allreduce.
 
+use std::sync::Arc;
+
 use plum_parsim::{makespan, spmd, Comm, MachineModel, TraceLog};
 
 use crate::distributed::DistPartition;
@@ -241,8 +243,8 @@ pub fn voronoi_body(
     nparts: usize,
     caps: &[f64],
     vertex_units: f64,
-    precomputed: Option<&[u32]>,
-) -> Vec<u32> {
+    precomputed: Option<&Arc<Vec<u32>>>,
+) -> Arc<Vec<u32>> {
     let rank = comm.rank();
     let part = resolve_replicated(precomputed, || match prev {
         Some(prev) => voronoi_balance(keys, vwgt, prev, nparts, caps),
@@ -267,8 +269,8 @@ pub fn voronoi_body_dual(
     nparts: usize,
     caps: &[f64],
     vertex_units: f64,
-    precomputed: Option<&[u32]>,
-) -> Vec<u32> {
+    precomputed: Option<&Arc<Vec<u32>>>,
+) -> Arc<Vec<u32>> {
     if dual_uniform(w2) {
         return voronoi_body(
             comm,
@@ -315,10 +317,10 @@ pub fn voronoi_distributed(
     model: MachineModel,
     vertex_units: f64,
 ) -> DistPartition {
-    let hoisted = match prev {
+    let hoisted = Arc::new(match prev {
         Some(prev) => voronoi_balance(keys, vwgt, prev, nparts, caps),
         None => voronoi_partition(keys, vwgt, nparts, caps),
-    };
+    });
     let hoisted = &hoisted;
     let results = spmd(nranks, model, move |comm| {
         comm.phase("partition", |c| {
@@ -335,9 +337,9 @@ pub fn voronoi_distributed(
             )
         })
     });
-    let part = results[0].value.clone();
+    let part = results[0].value.to_vec();
     for r in &results {
-        assert_eq!(r.value, part, "rank {} disagrees on the partition", r.rank);
+        assert_eq!(*r.value, part, "rank {} disagrees on the partition", r.rank);
     }
     DistPartition {
         part,

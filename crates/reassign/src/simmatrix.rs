@@ -66,6 +66,10 @@ impl SimilarityMatrix {
 
     /// Build from explicit rows (used in tests and by the gather step).
     pub fn from_rows(rows: Vec<Vec<u64>>) -> Self {
+        assert!(
+            !rows.is_empty(),
+            "a similarity matrix needs at least one processor row"
+        );
         let nproc = rows.len();
         let nparts = rows[0].len();
         let mut m = Self::zeros(nproc, nparts);
@@ -182,6 +186,12 @@ mod tests {
         let id = Assignment::identity(2, 1);
         assert_eq!(m.objective(&id.proc_of_part), 30);
         assert_eq!(m.objective(&[1, 0]), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one processor row")]
+    fn from_rows_rejects_an_empty_matrix() {
+        SimilarityMatrix::from_rows(Vec::new());
     }
 
     #[test]

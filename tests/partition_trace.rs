@@ -100,3 +100,26 @@ fn full_session_trace_with_distributed_partitioning_passes_protocol_check() {
         .any(|ev| matches!(ev, TraceEvent::PhaseBegin { name, .. } if name == "partition"));
     assert!(has_phase, "session timeline lost the partition phase span");
 }
+
+/// "Virtual unchanged" under the tier-1 command: host-side optimisations of
+/// the simulator or the partitioner (shared collective payloads, the
+/// rescan-free inflow quota) must leave the modeled machine's view of the
+/// partition phase exactly as it was — same events, same declared words,
+/// same phase time to the bit. The values were recorded before payloads
+/// were shared; a change here is a change to the model, not to the host.
+#[test]
+fn partition_phase_virtual_footprint_is_pinned() {
+    let report = multilevel_p64_report();
+    let trace = report.traces.partition.as_ref().unwrap();
+    let events: usize = trace.events.iter().map(Vec::len).sum();
+    let summary = trace.summary();
+    assert_eq!(events, 27_488, "partition-phase event count");
+    assert_eq!(summary.total_msgs(), 8_016, "partition-phase messages");
+    assert_eq!(summary.total_words(), 2_143_763, "partition-phase Σ words");
+    assert_eq!(
+        report.times.partition.to_bits(),
+        0x3fb4_1abe_474d_f22d,
+        "partition-phase makespan {} s",
+        report.times.partition
+    );
+}
