@@ -38,6 +38,4 @@ fn main() {
     ablation::print_ablate_seeding(&ablation::ablate_seeding(scale, &procs));
     println!();
     ablation::print_ablate_metric(&ablation::ablate_metric(scale, &procs));
-    println!();
-    baseline::print_baseline(&baseline::baseline_comparison(scale, &procs));
 }

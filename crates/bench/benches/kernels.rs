@@ -11,7 +11,10 @@ use plum_bench::{initial_mesh, marked_problem, Scale, CASES};
 use plum_core::{CommBreakdown, Ownership};
 use plum_mesh::DualGraph;
 use plum_parsim::{MachineModel, Session, TraceLog};
-use plum_partition::{inflow_quota, partition_kway, repartition_kway, Graph, PartitionConfig};
+use plum_partition::{
+    balance_body, inflow_quota, partition_kway, repartition_kway, BalanceMethod, Graph,
+    PartitionConfig, Problem, RankLists,
+};
 use plum_reassign::{greedy_mwbg, optimal_bmcm, optimal_mwbg, SimilarityMatrix};
 use plum_remap::{Packer, Unpacker};
 
@@ -266,6 +269,47 @@ fn bench_collectives_payload(c: &mut Criterion) {
     group.finish();
 }
 
+/// One replicated-arithmetic balancer body — SFC boundary diffusion, the
+/// `weak_p2048` workload's method — as a session step at P = 2048 over
+/// N = 32 768 vertices (16 per rank), partition hoisted outside the timed
+/// region. Each rank's host work is the step itself plus what it does to
+/// find its 16 vertices, which is what this case puts a number on: with a
+/// replicated owner array every rank scanned all N (P·N = 67 M reads per
+/// step); with rank lists it reads its own. Compare against
+/// `session_step/compute_step_p256` scaled by 8 for the step's own cost.
+fn bench_replicated_body(c: &mut Criterion) {
+    const P: usize = 2048;
+    const N: usize = 32_768;
+    let vwgt: Vec<u64> = (0..N).map(|v| if v < N / 5 { 17 } else { 16 }).collect();
+    let g = Graph::from_csr(vec![0; N + 1], Vec::new(), vwgt);
+    let keys: Vec<u64> = (0..N as u64).collect();
+    let prev: Vec<u32> = (0..N).map(|v| (v * P / N) as u32).collect();
+    let caps = vec![1.0; P];
+    let cfg = PartitionConfig::new(P);
+    let problem = Problem::new(&g, None, Some(&keys), Some(&prev), &caps, &cfg);
+    let method = BalanceMethod::SfcDiffusion;
+    let lists = RankLists::build(&prev, P);
+    let hoisted = method.hoist(&problem);
+    let mut session = Session::new(P, MachineModel::sp2());
+    let mut group = c.benchmark_group("balance_body");
+    group.sample_size(10);
+    group.bench_function("replicated_body_p2048", |b| {
+        b.iter(|| {
+            session.run(vec![(); P], |comm, ()| {
+                black_box(balance_body(
+                    method,
+                    comm,
+                    &problem,
+                    &lists,
+                    16.0,
+                    hoisted.as_ref(),
+                ));
+            })
+        })
+    });
+    group.finish();
+}
+
 fn bench_trace_aggregation(c: &mut Criterion) {
     let log = synthetic_session(8);
 
@@ -307,6 +351,7 @@ criterion_group!(
     bench_codec,
     bench_session_step,
     bench_collectives_payload,
+    bench_replicated_body,
     bench_trace_aggregation
 );
 criterion_main!(benches);

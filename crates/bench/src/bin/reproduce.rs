@@ -57,9 +57,7 @@
 //! `--quick` shape change). `rematch --chaos <seed>` runs the recovery
 //! variant of the nightly matrix instead: P = 64, policy-selected method,
 //! effective imbalance must reach ≤ 1.1 within three cycles, with a
-//! `chaos-failure-rematch-seed-<seed>.json` artifact on failure. It
-//! replaces the old serial `baseline` subcommand, which now forwards here
-//! with a deprecation note.
+//! `chaos-failure-rematch-seed-<seed>.json` artifact on failure.
 //!
 //! `hotspot`, `dual`, and `cascade` are the workload-scenario conformance
 //! experiments (see `plum_bench::scenarios`): measured inhomogeneous cost
@@ -296,16 +294,6 @@ fn main() {
             use plum_bench::multicycle::*;
             let nproc = if quick { 8 } else { 32 };
             print_multicycle(&multicycle(scale, nproc, if quick { 3 } else { 5 }));
-        }
-        "baseline" => {
-            eprintln!(
-                "# `baseline` is deprecated: the serial diffusion comparison was \
-                 superseded by `rematch` (SPMD bodies in-simulator at P = 64/256/1024); \
-                 running `rematch` instead"
-            );
-            let (bench, analysis) = rematch::rematch_bench();
-            print!("{analysis}");
-            write_bench("BENCH_rematch.json", &bench);
         }
         "ablation" => {
             use plum_bench::ablation::*;

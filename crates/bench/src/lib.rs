@@ -7,7 +7,6 @@
 //! figure at reduced scale under `cargo bench`.
 
 pub mod ablation;
-pub mod baseline;
 pub mod chaos;
 pub mod multicycle;
 pub mod rematch;

@@ -1,11 +1,8 @@
 //! Global-vs-local rematch at scale: `reproduce -- rematch`.
 //!
-//! The modern successor of the old serial `baseline` comparison (see
-//! [`crate::baseline`]): instead of running one serial Cybenko sweep against
-//! the global kernel on a static graph, every contender now executes its
-//! real SPMD body inside the event-driven simulator, across full adaption
-//! cycles, at P = 64 / 256 / 1024 — with and without an injected 2× rank
-//! slowdown. Contenders:
+//! Every contender executes its real SPMD body inside the event-driven
+//! simulator, across full adaption cycles, at P = 64 / 256 / 1024 — with
+//! and without an injected 2× rank slowdown. Contenders:
 //!
 //! * **multilevel** — PLUM's global repartitioner (the paper's position),
 //! * **sfc_diffusion** — first-order SFC boundary diffusion (PR 6),

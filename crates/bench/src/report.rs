@@ -140,8 +140,8 @@ pub fn fig6_mild_bench(scale: Scale) -> (BenchReport, String) {
     use plum_core::{select_method, BalanceMethod, PlumConfig, WorkModel};
     use plum_mesh::{DualGraph, SfcCurve};
     use plum_partition::{
-        imbalance_weighted, part_weights, partition_kway, repartition_distributed, sfc_distributed,
-        Graph, PartitionConfig,
+        balance_distributed, imbalance_weighted, part_weights, partition_kway, Graph,
+        PartitionConfig, Problem, Weights,
     };
 
     let p = FIG6_BENCH_NPROC;
@@ -160,7 +160,7 @@ pub fn fig6_mild_bench(scale: Scale) -> (BenchReport, String) {
     let mut cfg = PlumConfig::new(p);
     cfg.imbalance_trigger = 1.02;
     let caps = vec![1.0; p];
-    let method = select_method(&vwgt, &prev, &cfg, &caps, true, true);
+    let method = select_method(Weights::new(&vwgt, None), &prev, &cfg, &caps, true, true);
     assert_eq!(
         method,
         BalanceMethod::SfcDiffusion,
@@ -171,27 +171,10 @@ pub fn fig6_mild_bench(scale: Scale) -> (BenchReport, String) {
     let vertex_units = work.t_part_vertex / cfg.machine.t_flop / 4.0;
     let mut pcfg = cfg.partition;
     pcfg.nparts = p;
-    let diff = sfc_distributed(
-        &keys,
-        &vwgt,
-        &prev,
-        Some(&prev),
-        p,
-        &caps,
-        p,
-        cfg.machine,
-        vertex_units,
-    );
-    let ml = repartition_distributed(
-        &g,
-        &prev,
-        Some(&prev),
-        &pcfg,
-        &caps,
-        p,
-        cfg.machine,
-        vertex_units,
-    );
+    let problem = Problem::new(&g, None, Some(&keys), Some(&prev), &caps, &pcfg);
+    let run = |m| balance_distributed(m, &problem, &prev, p, cfg.machine, vertex_units);
+    let diff = run(method);
+    let ml = run(BalanceMethod::Multilevel);
 
     let imb_old = imbalance_weighted(&part_weights(&g, &prev, p), &caps);
     let imb_new = imbalance_weighted(&part_weights(&g, &diff.part, p), &caps);

@@ -5,13 +5,8 @@ use std::time::Instant;
 
 use plum_mesh::DualGraph;
 use plum_parsim::TraceLog;
-use plum_partition::{
-    diffusion2_balance, diffusion2_balance_dual, dual_uniform, imbalance_weighted,
-    knapsack_partition, knapsack_partition_dual, partition_kway, partition_kway_dual,
-    repartition_kway_dual, repartition_kway_weighted, sfc_diffuse, sfc_diffuse_dual, sfc_partition,
-    sfc_partition_dual, voronoi_balance, voronoi_balance_dual, voronoi_partition,
-    voronoi_partition_dual, Graph,
-};
+pub use plum_partition::BalanceMethod;
+use plum_partition::{balance, imbalance, imbalance_weighted, weights_of, Graph, Problem, Weights};
 use plum_reassign::{
     greedy_mwbg, optimal_bmcm, optimal_mwbg, remap_stats, Assignment, RemapStats, SimilarityMatrix,
 };
@@ -19,60 +14,6 @@ use plum_remap::RemapMetric;
 
 use crate::config::{Mapper, PlumConfig};
 use crate::timing::WorkModel;
-
-/// Which repartitioning method the portfolio policy chose for a cycle.
-///
-/// The portfolio spans the spectrum production AMR stacks use: the paper's
-/// multilevel diffusive repartitioner for heavy, locality-sensitive
-/// rebalances; a full SFC split when geometry suffices; SFC boundary
-/// diffusion when the imbalance is mild enough that shifting a few range
-/// boundaries repairs it (Cubism's rule); LPT knapsack packing for the
-/// extreme-imbalance, locality-insensitive regime (AMReX's `makeKnapSack`);
-/// plus the two classical local schemes the paper rematches against:
-/// second-order diffusion over the rank-adjacency graph and Voronoi
-/// cell-growth on the SFC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BalanceMethod {
-    /// Multilevel diffusive graph repartitioning (the paper's §4.2 kernel).
-    Multilevel,
-    /// 1D-SFC boundary diffusion from the previous partition.
-    SfcDiffusion,
-    /// Full SFC key-sort/split into capacity-weighted contiguous ranges.
-    Sfc,
-    /// LPT greedy knapsack packing by weight alone.
-    Knapsack,
-    /// Second-order (Chebyshev-accelerated) diffusion over the
-    /// rank-adjacency graph, seeded from the previous partition.
-    Diffusion2,
-    /// Voronoi / centroid-shift balancing in SFC key space.
-    Voronoi,
-}
-
-impl BalanceMethod {
-    pub fn name(self) -> &'static str {
-        match self {
-            BalanceMethod::Multilevel => "multilevel",
-            BalanceMethod::SfcDiffusion => "sfc_diffusion",
-            BalanceMethod::Sfc => "sfc",
-            BalanceMethod::Knapsack => "knapsack",
-            BalanceMethod::Diffusion2 => "diffusion2",
-            BalanceMethod::Voronoi => "voronoi",
-        }
-    }
-
-    /// Stable numeric code for metrics (`balance.method` gauge); 0 means no
-    /// repartition happened.
-    pub fn code(self) -> u32 {
-        match self {
-            BalanceMethod::Multilevel => 1,
-            BalanceMethod::SfcDiffusion => 2,
-            BalanceMethod::Sfc => 3,
-            BalanceMethod::Knapsack => 4,
-            BalanceMethod::Diffusion2 => 5,
-            BalanceMethod::Voronoi => 6,
-        }
-    }
-}
 
 /// Everything the load balancer decided and measured in one invocation.
 #[derive(Debug, Clone)]
@@ -131,22 +72,6 @@ pub struct BalanceDecision {
     pub cost: f64,
 }
 
-fn per_proc_wcomp(wcomp: &[u64], proc: &[u32], nproc: usize) -> Vec<u64> {
-    let mut w = vec![0u64; nproc];
-    for v in 0..wcomp.len() {
-        w[proc[v] as usize] += wcomp[v];
-    }
-    w
-}
-
-fn imbalance(weights: &[u64]) -> f64 {
-    let total: u64 = weights.iter().sum();
-    if total == 0 {
-        return 1.0;
-    }
-    *weights.iter().max().unwrap() as f64 / (total as f64 / weights.len() as f64)
-}
-
 /// True when every capacity equals the first — the homogeneous machine, for
 /// which the balancer must take the historical integer path bit-exactly.
 fn caps_uniform(caps: &[f64]) -> bool {
@@ -197,7 +122,7 @@ pub(crate) fn evaluate_balance(
     let nproc = cfg.nproc;
     assert_eq!(caps.len(), nproc, "one capacity per processor");
     let uniform = caps_uniform(caps);
-    let w_old = per_proc_wcomp(&dual.wcomp, old_proc, nproc);
+    let w_old = weights_of(&dual.wcomp, old_proc, nproc);
     let (imb_old, wmax_old) = if uniform {
         (imbalance(&w_old), *w_old.iter().max().unwrap())
     } else {
@@ -208,7 +133,7 @@ pub(crate) fn evaluate_balance(
     };
     // Second constraint: its own max/avg imbalance under the same caps.
     let imb_old2 = w2.map(|w2| {
-        let w2_old = per_proc_wcomp(w2, old_proc, nproc);
+        let w2_old = weights_of(w2, old_proc, nproc);
         if uniform {
             imbalance(&w2_old)
         } else {
@@ -250,30 +175,9 @@ pub(crate) fn evaluate_balance(
     (decision, true)
 }
 
-/// The repartitioning mode shared by the serial reference and the
-/// distributed engine kernel: the previous assignment seeds the diffusion
-/// only under F = 1 (partition ids == processor ids), and heterogeneous
-/// capacities apply only in that same regime — partition j must be sized
-/// for processor j, which F > 1 breaks, so the capacity-aware path degrades
-/// to uniform there.
-pub(crate) fn partition_mode<'a>(
-    cfg: &PlumConfig,
-    old_proc: &'a [u32],
-    caps: &[f64],
-) -> (Option<&'a [u32]>, Vec<f64>) {
-    let seeded = cfg.partitions_per_proc == 1;
-    let weighted = seeded && !caps_uniform(caps);
-    let part_caps = if weighted {
-        caps.to_vec()
-    } else {
-        vec![1.0; cfg.nparts()]
-    };
-    (seeded.then_some(old_proc), part_caps)
-}
-
 /// Per-cycle portfolio selection, shared verbatim by the serial reference
-/// path and every rank of the engine's SPMD session (all inputs are
-/// replicated, so every caller lands on the same method).
+/// path and the engine (all inputs are replicated, so both land on the same
+/// method).
 ///
 /// The policy is two-tier, following the production pattern:
 ///
@@ -288,46 +192,54 @@ pub(crate) fn partition_mode<'a>(
 ///    heavy-but-seeded cycles keep choosing multilevel, exactly as the
 ///    committed fig6 baseline expects.
 ///
+/// Under two constraints the scores run on the *binding* one — whichever
+/// weight vector is further from balance is the one a repartition must fix,
+/// so its per-vertex weights drive the method choice.
+///
 /// `cfg.force_method` pins the choice (degrading to the nearest runnable
 /// method when the pinned one needs keys or a seed that is absent).
 pub fn select_method(
-    wcomp: &[u64],
+    w: Weights,
     old_proc: &[u32],
     cfg: &PlumConfig,
     caps: &[f64],
     has_keys: bool,
     seeded: bool,
 ) -> BalanceMethod {
+    let runnable = |m: BalanceMethod| (has_keys || !m.needs_keys()) && (seeded || !m.needs_seed());
     if let Some(forced) = cfg.force_method {
         return match forced {
-            BalanceMethod::SfcDiffusion if !(has_keys && seeded) => {
-                if has_keys {
-                    BalanceMethod::Sfc
-                } else {
-                    BalanceMethod::Multilevel
-                }
-            }
-            BalanceMethod::Sfc if !has_keys => BalanceMethod::Multilevel,
-            BalanceMethod::Diffusion2 if !seeded => BalanceMethod::Multilevel,
-            BalanceMethod::Voronoi if !has_keys => BalanceMethod::Multilevel,
-            m => m,
+            m if runnable(m) => m,
+            BalanceMethod::SfcDiffusion if has_keys => BalanceMethod::Sfc,
+            _ => BalanceMethod::Multilevel,
         };
     }
 
     let nproc = cfg.nproc;
-    let w_old = per_proc_wcomp(wcomp, old_proc, nproc);
     let uniform = caps_uniform(caps);
-    let (w_eff, imb_old) = if uniform {
-        (w_old.clone(), imbalance(&w_old))
-    } else {
-        (
-            effective_weights(&w_old, caps),
-            imbalance_weighted(&w_old, caps),
-        )
+    let imb_of = |per: &[u64]| -> f64 {
+        if uniform {
+            imbalance(per)
+        } else {
+            imbalance_weighted(per, caps)
+        }
     };
-    if has_keys && seeded && imb_old <= cfg.sfc_threshold {
+    let mut wcomp = w.w1();
+    let mut w_old = weights_of(wcomp, old_proc, nproc);
+    if let Some(w2) = w.w2() {
+        let w2_old = weights_of(w2, old_proc, nproc);
+        if imb_of(&w2_old) > imb_of(&w_old) {
+            (wcomp, w_old) = (w2, w2_old);
+        }
+    }
+    if has_keys && seeded && imb_of(&w_old) <= cfg.sfc_threshold {
         return BalanceMethod::SfcDiffusion;
     }
+    let w_eff = if uniform {
+        w_old
+    } else {
+        effective_weights(&w_old, caps)
+    };
 
     let total: u64 = w_eff.iter().sum();
     let wmax_old = *w_eff.iter().max().unwrap();
@@ -346,97 +258,43 @@ pub fn select_method(
             .computational_gain(wmax_old, wmax_pred.ceil() as u64, 0, 0);
         gain - cfg.cost.redistribution_cost(moved_pred, nproc as u64)
     };
-    // Achievable-wmax predictors: element-granular assignment (multilevel
-    // boundary refinement, LPT packing) lands within about half a heaviest
-    // element of the average; an SFC cut rounds a whole element at each
-    // range boundary. With gains this close, the movement term decides —
-    // which is exactly the seeded multilevel kernel's edge.
+    // (method, achievable wmax, expected movement). Achievable-wmax
+    // predictors: element-granular assignment (multilevel boundary
+    // refinement, LPT packing) lands within about half a heaviest element
+    // of the average; an SFC cut rounds a whole element at each range
+    // boundary. With gains this close, the movement term decides — which is
+    // exactly the seeded multilevel kernel's edge.
     // The rematch candidates score with deliberately conservative
     // predictors (boundary-granular wmax, like the SFC cut): each ties or
     // trails an earlier method on both terms, and ties keep the earlier
     // entry, so adding them leaves every committed selection baseline
     // bit-identical. They compete via `force_method` and the `rematch`
     // experiment, whose verdict decides whether to promote them.
-    let candidates: [(BalanceMethod, f64); 5] = [
+    let fine = avg + wv_max as f64 / 2.0;
+    let coarse = avg + wv_max as f64;
+    let candidates = [
         (
             BalanceMethod::Multilevel,
-            score(
-                avg + wv_max as f64 / 2.0,
-                if seeded { overflow } else { reshuffle },
-            ),
+            fine,
+            if seeded { overflow } else { reshuffle },
         ),
-        (
-            BalanceMethod::Sfc,
-            if has_keys {
-                score(avg + wv_max as f64, reshuffle)
-            } else {
-                f64::NEG_INFINITY
-            },
-        ),
-        (
-            BalanceMethod::Knapsack,
-            score(avg + wv_max as f64 / 2.0, reshuffle),
-        ),
-        (
-            BalanceMethod::Diffusion2,
-            if seeded {
-                score(avg + wv_max as f64, overflow)
-            } else {
-                f64::NEG_INFINITY
-            },
-        ),
-        (
-            BalanceMethod::Voronoi,
-            if has_keys {
-                score(avg + wv_max as f64, reshuffle)
-            } else {
-                f64::NEG_INFINITY
-            },
-        ),
+        (BalanceMethod::Sfc, coarse, reshuffle),
+        (BalanceMethod::Knapsack, fine, reshuffle),
+        (BalanceMethod::Diffusion2, coarse, overflow),
+        (BalanceMethod::Voronoi, coarse, reshuffle),
     ];
     // Strictly-better-wins in preference order: ties keep the earlier
-    // (better-studied) method.
-    let mut best = candidates[0];
-    for &c in &candidates[1..] {
-        if c.1 > best.1 {
-            best = c;
+    // (better-studied) method; multilevel always runs.
+    let mut best = (candidates[0].0, score(candidates[0].1, candidates[0].2));
+    for &(m, wmax_pred, moved_pred) in &candidates[1..] {
+        if runnable(m) {
+            let s = score(wmax_pred, moved_pred);
+            if s > best.1 {
+                best = (m, s);
+            }
         }
     }
     best.0
-}
-
-/// [`select_method`] under dual-constraint balancing: the gain/cost scores
-/// run on the *binding* constraint — whichever weight vector is further from
-/// balance is the one a repartition must fix, so its per-vertex weights
-/// drive the method choice. `None` or a uniform second vector reduces to
-/// [`select_method`] bit-exactly.
-pub fn select_method_dual(
-    wcomp: &[u64],
-    w2: Option<&[u64]>,
-    old_proc: &[u32],
-    cfg: &PlumConfig,
-    caps: &[f64],
-    has_keys: bool,
-    seeded: bool,
-) -> BalanceMethod {
-    let Some(w2) = w2.filter(|w| !dual_uniform(w)) else {
-        return select_method(wcomp, old_proc, cfg, caps, has_keys, seeded);
-    };
-    let nproc = cfg.nproc;
-    let uniform = caps_uniform(caps);
-    let imb_of = |w: &[u64]| -> f64 {
-        let per = per_proc_wcomp(w, old_proc, nproc);
-        if uniform {
-            imbalance(&per)
-        } else {
-            imbalance_weighted(&per, caps)
-        }
-    };
-    if imb_of(w2) > imb_of(wcomp) {
-        select_method(w2, old_proc, cfg, caps, has_keys, seeded)
-    } else {
-        select_method(wcomp, old_proc, cfg, caps, has_keys, seeded)
-    }
 }
 
 /// The [`WorkModel`] prediction matching a portfolio method.
@@ -451,10 +309,48 @@ pub(crate) fn predicted_time(method: BalanceMethod, work: &WorkModel, n: usize, 
     }
 }
 
+/// Pose the cycle's balancing problem and pick its method — the one
+/// preamble the serial reference and the engine's distributed kernel share,
+/// so both run the same method on the same problem. The previous assignment
+/// seeds the diffusion only under F = 1 (partition ids == processor ids),
+/// and heterogeneous capacities apply only in that same regime — partition
+/// j must be sized for processor j, which F > 1 breaks, so the
+/// capacity-aware path degrades to uniform there.
+pub(crate) fn with_problem<R>(
+    dual: &DualGraph,
+    old_proc: &[u32],
+    cfg: &PlumConfig,
+    caps: &[f64],
+    keys: Option<&[u64]>,
+    w2: Option<&[u64]>,
+    run: impl FnOnce(BalanceMethod, &Problem) -> R,
+) -> R {
+    let mut pcfg = cfg.partition;
+    pcfg.nparts = cfg.nparts();
+    let seeded = cfg.partitions_per_proc == 1;
+    let part_caps = if seeded && !caps_uniform(caps) {
+        caps.to_vec()
+    } else {
+        vec![1.0; cfg.nparts()]
+    };
+    let graph = Graph::view(&dual.xadj, &dual.adjncy, &dual.wcomp);
+    let seed = seeded.then_some(old_proc);
+    let problem = Problem::new(&graph, w2, keys, seed, &part_caps, &pcfg);
+    let method = select_method(
+        problem.weights(),
+        old_proc,
+        cfg,
+        caps,
+        keys.is_some(),
+        seeded,
+    );
+    run(method, &problem)
+}
+
 /// Stage 1 of the load balancer on the *reference* path (host side):
 /// [`evaluate_balance`], then the portfolio method [`select_method`] picked,
 /// run serially with its modeled wall time. The engine instead executes the
-/// matching distributed kernel inside its session (see
+/// same method's distributed body inside its session (see
 /// `engine::balance_on_session`); the differential test battery pins the
 /// two against each other.
 pub(crate) fn evaluate_and_repartition(
@@ -470,95 +366,9 @@ pub(crate) fn evaluate_and_repartition(
     if !go {
         return (decision, None);
     }
-
-    let mut pcfg = cfg.partition;
-    pcfg.nparts = cfg.nparts();
-    let (prev, part_caps) = partition_mode(cfg, old_proc, caps);
-    let method = select_method_dual(
-        &dual.wcomp,
-        w2,
-        old_proc,
-        cfg,
-        caps,
-        keys.is_some(),
-        prev.is_some(),
-    );
-    if let Some(keys) = keys {
-        assert_eq!(keys.len(), dual.n(), "one SFC key per dual vertex");
-    }
-    // The dual kernels delegate bit-exactly when the second vector is
-    // uniform, so `Some(uniform)` and `None` produce the same partition.
-    let new_part = match (method, w2) {
-        (BalanceMethod::Multilevel, None) => {
-            // Serial repartitioning on the dual graph with the new W_comp.
-            let graph = Graph::view(&dual.xadj, &dual.adjncy, &dual.wcomp);
-            match prev {
-                // Seed with the previous assignment (partition ids ==
-                // processor ids).
-                Some(prev) => repartition_kway_weighted(&graph, &pcfg, prev, &part_caps),
-                None => partition_kway(&graph, &pcfg),
-            }
-        }
-        (BalanceMethod::Multilevel, Some(w2)) => {
-            let graph = Graph::view(&dual.xadj, &dual.adjncy, &dual.wcomp);
-            match prev {
-                Some(prev) => repartition_kway_dual(&graph, w2, &pcfg, prev, &part_caps),
-                None => partition_kway_dual(&graph, w2, &pcfg, &part_caps),
-            }
-        }
-        (BalanceMethod::SfcDiffusion, None) => {
-            let prev = prev.expect("selection guarantees a seed for diffusion");
-            sfc_diffuse(keys.unwrap(), &dual.wcomp, prev, pcfg.nparts, &part_caps)
-        }
-        (BalanceMethod::SfcDiffusion, Some(w2)) => {
-            let prev = prev.expect("selection guarantees a seed for diffusion");
-            sfc_diffuse_dual(
-                keys.unwrap(),
-                &dual.wcomp,
-                w2,
-                prev,
-                pcfg.nparts,
-                &part_caps,
-            )
-        }
-        (BalanceMethod::Sfc, None) => {
-            sfc_partition(keys.unwrap(), &dual.wcomp, pcfg.nparts, &part_caps)
-        }
-        (BalanceMethod::Sfc, Some(w2)) => {
-            sfc_partition_dual(keys.unwrap(), &dual.wcomp, w2, pcfg.nparts, &part_caps)
-        }
-        (BalanceMethod::Knapsack, None) => knapsack_partition(&dual.wcomp, pcfg.nparts, &part_caps),
-        (BalanceMethod::Knapsack, Some(w2)) => {
-            knapsack_partition_dual(&dual.wcomp, w2, pcfg.nparts, &part_caps)
-        }
-        (BalanceMethod::Diffusion2, None) => {
-            let prev = prev.expect("selection guarantees a seed for diffusion2");
-            let graph = Graph::view(&dual.xadj, &dual.adjncy, &dual.wcomp);
-            diffusion2_balance(&graph, prev, pcfg.nparts, &part_caps)
-        }
-        (BalanceMethod::Diffusion2, Some(w2)) => {
-            let prev = prev.expect("selection guarantees a seed for diffusion2");
-            let graph = Graph::view(&dual.xadj, &dual.adjncy, &dual.wcomp);
-            diffusion2_balance_dual(&graph, w2, prev, pcfg.nparts, &part_caps)
-        }
-        (BalanceMethod::Voronoi, None) => match prev {
-            Some(prev) => {
-                voronoi_balance(keys.unwrap(), &dual.wcomp, prev, pcfg.nparts, &part_caps)
-            }
-            None => voronoi_partition(keys.unwrap(), &dual.wcomp, pcfg.nparts, &part_caps),
-        },
-        (BalanceMethod::Voronoi, Some(w2)) => match prev {
-            Some(prev) => voronoi_balance_dual(
-                keys.unwrap(),
-                &dual.wcomp,
-                w2,
-                prev,
-                pcfg.nparts,
-                &part_caps,
-            ),
-            None => voronoi_partition_dual(keys.unwrap(), &dual.wcomp, w2, pcfg.nparts, &part_caps),
-        },
-    };
+    let (method, new_part) = with_problem(dual, old_proc, cfg, caps, keys, w2, |m, p| {
+        (m, balance(m, p))
+    });
     decision.method = Some(method);
     decision.predicted_partition_time = predicted_time(method, work, dual.n(), cfg.nproc);
     decision.partition_time = decision.predicted_partition_time;
@@ -605,7 +415,7 @@ pub(crate) fn apply_reassignment(
         .map(|&j| assignment.proc_of_part[j as usize])
         .collect();
 
-    let w_new = per_proc_wcomp(&dual.wcomp, &new_proc, nproc);
+    let w_new = weights_of(&dual.wcomp, &new_proc, nproc);
     if uniform {
         decision.imbalance_new = imbalance(&w_new);
         decision.wmax_new = *w_new.iter().max().unwrap();
@@ -614,7 +424,7 @@ pub(crate) fn apply_reassignment(
         decision.wmax_new = *effective_weights(&w_new, caps).iter().max().unwrap();
     }
     decision.imbalance_new2 = w2.map(|w2| {
-        let w2_new = per_proc_wcomp(w2, &new_proc, nproc);
+        let w2_new = weights_of(w2, &new_proc, nproc);
         if uniform {
             imbalance(&w2_new)
         } else {
@@ -634,8 +444,8 @@ pub(crate) fn apply_reassignment(
             *effective_weights(w, caps).iter().max().unwrap()
         }
     };
-    let rmax_old = eff_max(&per_proc_wcomp(refine_work, old_proc, nproc));
-    let rmax_new = eff_max(&per_proc_wcomp(refine_work, &new_proc, nproc));
+    let rmax_old = eff_max(&weights_of(refine_work, old_proc, nproc));
+    let rmax_new = eff_max(&weights_of(refine_work, &new_proc, nproc));
     decision.gain =
         cfg.cost
             .computational_gain(decision.wmax_old, decision.wmax_new, rmax_old, rmax_new);
@@ -662,39 +472,16 @@ pub(crate) fn apply_reassignment(
 ///   applies at the moment data would move;
 /// * `old_proc` is the current per-dual-vertex processor assignment;
 /// * `refine_work[v]` is the number of new elements subdivision will create
-///   in tree `v` (for the refinement term of the gain).
+///   in tree `v` (for the refinement term of the gain);
+/// * `keys` carries one curve key per dual vertex and makes the portfolio's
+///   geometric methods eligible; with `None` the policy can only pick the
+///   multilevel kernel (or knapsack);
+/// * `w2` carries a second per-dual-vertex weight vector (e.g. particle
+///   counts): the balancer then holds *both* imbalances down
+///   (max-of-imbalances objective), reporting the second constraint in
+///   [`BalanceDecision::imbalance_old2`]/[`BalanceDecision::imbalance_new2`].
+///   `None` (or a uniform `w2`) is the single-constraint step.
 pub fn balance_step(
-    dual: &DualGraph,
-    old_proc: &[u32],
-    refine_work: &[u64],
-    cfg: &PlumConfig,
-    work: &WorkModel,
-) -> BalanceDecision {
-    balance_step_keyed(dual, old_proc, refine_work, cfg, work, None)
-}
-
-/// [`balance_step`] with SFC keys: when `keys` carries one curve key per
-/// dual vertex the portfolio's geometric methods become eligible; with
-/// `None` the policy can only pick the multilevel kernel (or knapsack).
-pub fn balance_step_keyed(
-    dual: &DualGraph,
-    old_proc: &[u32],
-    refine_work: &[u64],
-    cfg: &PlumConfig,
-    work: &WorkModel,
-    keys: Option<&[u64]>,
-) -> BalanceDecision {
-    balance_step_dual(dual, old_proc, refine_work, cfg, work, keys, None)
-}
-
-/// [`balance_step_keyed`] under dual-constraint balancing: `w2` carries a
-/// second per-dual-vertex weight vector (e.g. particle counts) and the
-/// balancer holds *both* imbalances down (max-of-imbalances objective),
-/// reporting the second constraint in
-/// [`BalanceDecision::imbalance_old2`]/[`BalanceDecision::imbalance_new2`].
-/// `None` (or a uniform `w2`) reduces to the single-constraint step
-/// bit-exactly.
-pub fn balance_step_dual(
     dual: &DualGraph,
     old_proc: &[u32],
     refine_work: &[u64],
@@ -745,7 +532,7 @@ pub fn balance_step_dual(
 mod tests {
     use super::*;
     use plum_mesh::generate::unit_box_mesh;
-    use plum_mesh::DualGraph;
+    use plum_partition::partition_kway;
 
     fn dual_with_hotspot(n: usize, factor: u64) -> (DualGraph, Vec<u32>) {
         let mesh = unit_box_mesh(n);
@@ -776,6 +563,8 @@ mod tests {
             &vec![0; dual.n()],
             &cfg,
             &WorkModel::default(),
+            None,
+            None,
         );
         assert!(!d.repartitioned, "balanced mesh must not repartition");
         assert!(!d.accepted);
@@ -787,7 +576,15 @@ mod tests {
         let (dual, part) = dual_with_hotspot(4, 8);
         let cfg = PlumConfig::new(4);
         let refine_work: Vec<u64> = dual.wcomp.iter().map(|&w| w - 1).collect();
-        let d = balance_step(&dual, &part, &refine_work, &cfg, &WorkModel::default());
+        let d = balance_step(
+            &dual,
+            &part,
+            &refine_work,
+            &cfg,
+            &WorkModel::default(),
+            None,
+            None,
+        );
         assert!(d.repartitioned);
         assert!(d.accepted, "large imbalance must be worth fixing: {d:?}");
         assert!(d.imbalance_new < d.imbalance_old);
@@ -815,6 +612,8 @@ mod tests {
             &vec![0; dual.n()],
             &cfg,
             &WorkModel::default(),
+            None,
+            None,
         );
         assert!(d.repartitioned);
         assert!(
@@ -833,20 +632,21 @@ mod tests {
         let (dual, part) = dual_with_hotspot(4, 8);
         let mut cfg = PlumConfig::new(4);
         let caps = vec![1.0; 4];
+        let w = Weights::new(&dual.wcomp, None);
         // Below the (raised) SFC threshold: the mild rule fires — but only
         // when keys and a seedable previous partition are both available.
         cfg.sfc_threshold = 100.0;
         assert_eq!(
-            select_method(&dual.wcomp, &part, &cfg, &caps, true, true),
+            select_method(w, &part, &cfg, &caps, true, true),
             BalanceMethod::SfcDiffusion
         );
         assert_ne!(
-            select_method(&dual.wcomp, &part, &cfg, &caps, false, true),
+            select_method(w, &part, &cfg, &caps, false, true),
             BalanceMethod::SfcDiffusion,
             "no keys, no geometric method"
         );
         assert_ne!(
-            select_method(&dual.wcomp, &part, &cfg, &caps, true, false),
+            select_method(w, &part, &cfg, &caps, true, false),
             BalanceMethod::SfcDiffusion,
             "no seed, no diffusion"
         );
@@ -860,8 +660,9 @@ mod tests {
         let (dual, part) = dual_with_hotspot(4, 8);
         let cfg = PlumConfig::new(4);
         let caps = vec![1.0; 4];
+        let w = Weights::new(&dual.wcomp, None);
         assert_eq!(
-            select_method(&dual.wcomp, &part, &cfg, &caps, true, true),
+            select_method(w, &part, &cfg, &caps, true, true),
             BalanceMethod::Multilevel
         );
     }
@@ -871,6 +672,7 @@ mod tests {
         let (dual, part) = dual_with_hotspot(4, 8);
         let mut cfg = PlumConfig::new(4);
         let caps = vec![1.0; 4];
+        let w = Weights::new(&dual.wcomp, None);
         for (forced, has_keys, seeded, expect) in [
             (
                 BalanceMethod::Knapsack,
@@ -922,7 +724,7 @@ mod tests {
         ] {
             cfg.force_method = Some(forced);
             assert_eq!(
-                select_method(&dual.wcomp, &part, &cfg, &caps, has_keys, seeded),
+                select_method(w, &part, &cfg, &caps, has_keys, seeded),
                 expect,
                 "force {forced:?} keys={has_keys} seeded={seeded}"
             );
@@ -942,13 +744,14 @@ mod tests {
             let mut cfg = PlumConfig::new(4);
             cfg.force_method = Some(method);
             let refine_work: Vec<u64> = dual.wcomp.iter().map(|&w| w - 1).collect();
-            let d = balance_step_keyed(
+            let d = balance_step(
                 &dual,
                 &part,
                 &refine_work,
                 &cfg,
                 &WorkModel::default(),
                 Some(&keys),
+                None,
             );
             assert!(d.repartitioned);
             assert_eq!(d.method, Some(method), "{method:?}");
@@ -974,7 +777,7 @@ mod tests {
         let graph = Graph::from_csr(dual.xadj.clone(), dual.adjncy.clone(), dual.wcomp.clone());
         let part = partition_kway(&graph, &plum_partition::PartitionConfig::new(4));
         let keys: Vec<u64> = (0..dual.n() as u64).collect();
-        let w = per_proc_wcomp(&dual.wcomp, &part, 4);
+        let w = weights_of(&dual.wcomp, &part, 4);
         let caps: Vec<f64> = w.iter().map(|&x| x as f64).collect();
         let gview = Graph::view(&dual.xadj, &dual.adjncy, &dual.wcomp);
         let imb = imbalance_weighted(&w, &caps);
@@ -982,16 +785,15 @@ mod tests {
             imb <= 1.0 + 1e-12,
             "effective imbalance must be exactly 1: {imb}"
         );
-        assert_eq!(
-            diffusion2_balance(&gview, &part, 4, &caps),
-            part,
-            "diffusion2 must be a no-op on a balanced partition"
-        );
-        assert_eq!(
-            voronoi_balance(&keys, &dual.wcomp, &part, 4, &caps),
-            part,
-            "voronoi must be a no-op on a balanced partition"
-        );
+        let pcfg = plum_partition::PartitionConfig::new(4);
+        let problem = Problem::new(&gview, None, Some(&keys), Some(&part), &caps, &pcfg);
+        for method in [BalanceMethod::Diffusion2, BalanceMethod::Voronoi] {
+            assert_eq!(
+                balance(method, &problem),
+                part,
+                "{method:?} must be a no-op on a balanced partition"
+            );
+        }
     }
 
     #[test]
@@ -1006,6 +808,8 @@ mod tests {
                 &vec![0; dual.n()],
                 &cfg,
                 &WorkModel::default(),
+                None,
+                None,
             );
             assert!(d.repartitioned);
             assert!(d.reassign_seconds >= 0.0);

@@ -20,37 +20,29 @@
 
 use std::sync::Arc;
 
-use plum_adapt::{AdaptiveMesh, RefineDelta};
+use plum_adapt::{AdaptiveMesh, EdgeMarks, RefineDelta};
 use plum_parsim::{Comm, RankResult, Session, TraceLog};
+use plum_partition::{balance_body, RankLists};
 use plum_solver::{edge_error_indicator, solve};
 
 use crate::balance::{
-    apply_reassignment, evaluate_balance, partition_mode, predicted_time, select_method_dual,
-    BalanceDecision, BalanceMethod,
+    apply_reassignment, evaluate_balance, predicted_time, with_problem, BalanceDecision,
 };
-use crate::config::{PlumConfig, RemapPolicy};
+use crate::config::RemapPolicy;
 use crate::framework::{CycleReport, CycleTraces, PhaseTimes, Plum};
 use crate::marking::{mark_body, merge_marks, Ownership};
-use crate::migrate::{migrate_body, migration_outcome_from};
-use crate::reassign_par::collect_reassign;
+use crate::migrate::{migrate_body, migration_outcome_from, MigrationOutcome};
+use crate::reassign_par::{collect_reassign, reassign_body};
 use crate::timing::CommBreakdown;
-
-/// State resident on one virtual rank between cycles.
-#[derive(Debug, Clone, Default)]
-pub struct RankState {
-    /// The rank id.
-    pub rank: u32,
-    /// Refinement-tree roots (dual-graph vertices) living on this rank.
-    pub roots: Vec<u32>,
-}
 
 /// Per-rank resident state plus the incrementally maintained ownership
 /// maps. Lives inside [`Plum`] and survives from cycle to cycle — migrations
 /// and refinements update it in place instead of rebuilding from the global
 /// mesh (the reference driver's per-cycle `Ownership::build` walk).
 pub struct CycleEngine {
-    /// One entry per rank.
-    pub ranks: Vec<RankState>,
+    /// Refinement-tree roots (dual-graph vertices) living on each rank,
+    /// ascending: the lists the session's SPMD bodies work from.
+    pub roots: RankLists,
     /// Element/edge ownership, maintained incrementally.
     pub own: Ownership,
 }
@@ -59,17 +51,8 @@ impl CycleEngine {
     /// Build the resident state from scratch (startup, or after the
     /// reference driver mutated the mesh behind the engine's back).
     pub fn new(am: &AdaptiveMesh, proc_of_root: &[u32], nproc: usize) -> Self {
-        let mut ranks: Vec<RankState> = (0..nproc)
-            .map(|r| RankState {
-                rank: r as u32,
-                roots: Vec::new(),
-            })
-            .collect();
-        for (v, &r) in proc_of_root.iter().enumerate() {
-            ranks[r as usize].roots.push(v as u32);
-        }
         CycleEngine {
-            ranks,
+            roots: RankLists::build(proc_of_root, nproc),
             own: Ownership::build(am, proc_of_root, nproc),
         }
     }
@@ -77,30 +60,17 @@ impl CycleEngine {
     /// Per-rank sums of a per-root weight vector, from the resident root
     /// lists — each rank sums only what it owns.
     pub fn per_rank_load(&self, w: &[u64]) -> Vec<u64> {
-        self.ranks
-            .iter()
-            .map(|rs| rs.roots.iter().map(|&v| w[v as usize]).sum())
+        (0..self.roots.nranks())
+            .map(|r| self.roots.mine(r).iter().map(|&v| w[v as usize]).sum())
             .collect()
     }
 
-    /// Apply an adopted migration: move reassigned roots between resident
-    /// lists and update the ownership maps incrementally.
+    /// Apply an adopted migration: regroup the roots by their new rank (one
+    /// counting sort, so every list stays ascending) and update the
+    /// ownership maps incrementally.
     pub fn apply_migration(&mut self, am: &AdaptiveMesh, old_proc: &[u32], new_proc: &[u32]) {
         self.own.apply_migration(am, old_proc, new_proc);
-        let mut touched = vec![false; self.ranks.len()];
-        for (v, (&old, &new)) in old_proc.iter().zip(new_proc).enumerate() {
-            if old != new {
-                touched[old as usize] = true;
-                self.ranks[new as usize].roots.push(v as u32);
-            }
-        }
-        for (r, dirty) in touched.iter().enumerate() {
-            if *dirty {
-                self.ranks[r]
-                    .roots
-                    .retain(|&v| new_proc[v as usize] == r as u32);
-            }
-        }
+        self.roots = RankLists::build(new_proc, self.roots.nranks());
     }
 
     /// Apply a refinement change log. Root residency is untouched —
@@ -184,7 +154,7 @@ fn partition_vertex_units(
 }
 
 /// The balancer on the running session: host-side evaluation, then the
-/// distributed multilevel repartitioner and the distributed reassignment
+/// selected method's distributed body and the distributed reassignment
 /// protocol as real session steps (instead of a flat modeled charge and the
 /// standalone `parallel_reassign` program).
 fn balance_on_session(
@@ -193,258 +163,41 @@ fn balance_on_session(
     p: &Plum,
     refine_work: &[u64],
 ) -> BalanceDecision {
-    let cfg: &PlumConfig = &p.cfg;
+    let cfg = &p.cfg;
     let w2 = p.wcomp2.as_deref();
     let (mut decision, go) = evaluate_balance(&p.dual, &p.proc_of_root, cfg, &p.capacity, w2);
     if !go {
         return decision;
     }
 
-    // The repartitioner executes inside the session: parallel HEM
-    // coarsening, rank-0 coarsest solve, distributed refinement — virtual
-    // time comes from per-rank compute charges and real message traffic.
-    // The result is deterministic in the graph/weights/seed (independent of
-    // the machine model and any chaos perturbation), so the discrete
-    // outputs match run-to-run even though the measured times vary.
-    let mut pcfg = cfg.partition;
-    pcfg.nparts = cfg.nparts();
-    let (prev, part_caps) = partition_mode(cfg, &p.proc_of_root, &p.capacity);
+    // The repartitioner executes inside the session — virtual time comes
+    // from per-rank compute charges and real message traffic. Its result is
+    // deterministic in the problem (independent of the machine model and
+    // any chaos perturbation), so the discrete outputs match run-to-run
+    // even though the measured times vary. Method selection and the hoist
+    // of replicated arithmetic run host-side on replicated inputs, through
+    // the same call the serial reference makes.
     let vertex_units = partition_vertex_units(&p.work, &cfg.machine);
-    // Portfolio selection runs host-side on replicated inputs — the same
-    // call the serial reference makes, so both paths pick the same method
-    // and stay bit-identical.
-    let method = select_method_dual(
-        &p.dual.wcomp,
-        w2,
+    let keys = (!p.sfc_keys.is_empty()).then_some(&p.sfc_keys[..]);
+    let lists = &p.engine.roots;
+    let t0 = session.now();
+    let (method, results) = with_problem(
+        &p.dual,
         &p.proc_of_root,
         cfg,
         &p.capacity,
-        !p.sfc_keys.is_empty(),
-        prev.is_some(),
+        keys,
+        w2,
+        |method, problem| {
+            let hoisted = method.hoist(problem);
+            let results = session.run(vec![(); cfg.nproc], |comm, ()| {
+                comm.phase("partition", |c| {
+                    balance_body(method, c, problem, lists, vertex_units, hoisted.as_ref())
+                })
+            });
+            (method, results)
+        },
     );
-    // The SFC paths run replicated arithmetic on replicated inputs; compute
-    // the partition once host-side and hand it to every rank instead of
-    // recomputing it P times (virtual charges are unaffected — see
-    // `resolve_replicated` in plum-partition). The dual kernels delegate
-    // bit-exactly on a uniform second vector, so the hoist covers both
-    // regimes with one call.
-    let sfc_hoist: Option<Arc<Vec<u32>>> = match method {
-        BalanceMethod::Sfc => Some(match w2 {
-            None => {
-                plum_partition::sfc_partition(&p.sfc_keys, &p.dual.wcomp, pcfg.nparts, &part_caps)
-            }
-            Some(w2) => plum_partition::sfc_partition_dual(
-                &p.sfc_keys,
-                &p.dual.wcomp,
-                w2,
-                pcfg.nparts,
-                &part_caps,
-            ),
-        }),
-        BalanceMethod::SfcDiffusion => {
-            let prev = prev.expect("selection guarantees a seed for diffusion");
-            Some(match w2 {
-                None => plum_partition::sfc_diffuse(
-                    &p.sfc_keys,
-                    &p.dual.wcomp,
-                    prev,
-                    pcfg.nparts,
-                    &part_caps,
-                ),
-                Some(w2) => plum_partition::sfc_diffuse_dual(
-                    &p.sfc_keys,
-                    &p.dual.wcomp,
-                    w2,
-                    prev,
-                    pcfg.nparts,
-                    &part_caps,
-                ),
-            })
-        }
-        BalanceMethod::Diffusion2 => {
-            let prev = prev.expect("selection guarantees a seed for diffusion2");
-            let graph = plum_partition::Graph::view(&p.dual.xadj, &p.dual.adjncy, &p.dual.wcomp);
-            Some(match w2 {
-                None => plum_partition::diffusion2_balance(&graph, prev, pcfg.nparts, &part_caps),
-                Some(w2) => plum_partition::diffusion2_balance_dual(
-                    &graph,
-                    w2,
-                    prev,
-                    pcfg.nparts,
-                    &part_caps,
-                ),
-            })
-        }
-        BalanceMethod::Voronoi => Some(match (prev, w2) {
-            (Some(prev), None) => plum_partition::voronoi_balance(
-                &p.sfc_keys,
-                &p.dual.wcomp,
-                prev,
-                pcfg.nparts,
-                &part_caps,
-            ),
-            (Some(prev), Some(w2)) => plum_partition::voronoi_balance_dual(
-                &p.sfc_keys,
-                &p.dual.wcomp,
-                w2,
-                prev,
-                pcfg.nparts,
-                &part_caps,
-            ),
-            (None, None) => plum_partition::voronoi_partition(
-                &p.sfc_keys,
-                &p.dual.wcomp,
-                pcfg.nparts,
-                &part_caps,
-            ),
-            (None, Some(w2)) => plum_partition::voronoi_partition_dual(
-                &p.sfc_keys,
-                &p.dual.wcomp,
-                w2,
-                pcfg.nparts,
-                &part_caps,
-            ),
-        }),
-        _ => None,
-    }
-    .map(Arc::new);
-    let t0 = session.now();
-    let results = {
-        let graph = plum_partition::Graph::view(&p.dual.xadj, &p.dual.adjncy, &p.dual.wcomp);
-        let owner = &p.proc_of_root;
-        let part_caps = &part_caps;
-        let keys = &p.sfc_keys;
-        let vwgt = &p.dual.wcomp;
-        let sfc_hoist = sfc_hoist.as_ref();
-        session.run(vec![(); cfg.nproc], move |comm, ()| {
-            comm.phase("partition", |c| match (method, w2) {
-                (BalanceMethod::Multilevel, None) => plum_partition::repartition_body(
-                    c,
-                    &graph,
-                    owner,
-                    prev,
-                    &pcfg,
-                    part_caps,
-                    vertex_units,
-                ),
-                (BalanceMethod::Multilevel, Some(w2)) => plum_partition::repartition_body_dual(
-                    c,
-                    &graph,
-                    w2,
-                    owner,
-                    prev,
-                    &pcfg,
-                    part_caps,
-                    vertex_units,
-                ),
-                (BalanceMethod::SfcDiffusion, None) => plum_partition::sfc_diffuse_body(
-                    c,
-                    keys,
-                    vwgt,
-                    owner,
-                    prev.expect("selection guarantees a seed for diffusion"),
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                    sfc_hoist,
-                ),
-                (BalanceMethod::SfcDiffusion, Some(w2)) => plum_partition::sfc_diffuse_body_dual(
-                    c,
-                    keys,
-                    vwgt,
-                    w2,
-                    owner,
-                    prev.expect("selection guarantees a seed for diffusion"),
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                    sfc_hoist,
-                ),
-                (BalanceMethod::Sfc, None) => plum_partition::sfc_body(
-                    c,
-                    keys,
-                    vwgt,
-                    owner,
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                    sfc_hoist,
-                ),
-                (BalanceMethod::Sfc, Some(w2)) => plum_partition::sfc_body_dual(
-                    c,
-                    keys,
-                    vwgt,
-                    w2,
-                    owner,
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                    sfc_hoist,
-                ),
-                (BalanceMethod::Knapsack, None) => plum_partition::knapsack_body(
-                    c,
-                    vwgt,
-                    owner,
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                ),
-                (BalanceMethod::Knapsack, Some(w2)) => plum_partition::knapsack_body_dual(
-                    c,
-                    vwgt,
-                    w2,
-                    owner,
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                ),
-                (BalanceMethod::Diffusion2, None) => plum_partition::diffusion2_body(
-                    c,
-                    &graph,
-                    owner,
-                    prev.expect("selection guarantees a seed for diffusion2"),
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                    sfc_hoist,
-                ),
-                (BalanceMethod::Diffusion2, Some(w2)) => plum_partition::diffusion2_body_dual(
-                    c,
-                    &graph,
-                    w2,
-                    owner,
-                    prev.expect("selection guarantees a seed for diffusion2"),
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                    sfc_hoist,
-                ),
-                (BalanceMethod::Voronoi, None) => plum_partition::voronoi_body(
-                    c,
-                    keys,
-                    vwgt,
-                    owner,
-                    prev,
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                    sfc_hoist,
-                ),
-                (BalanceMethod::Voronoi, Some(w2)) => plum_partition::voronoi_body_dual(
-                    c,
-                    keys,
-                    vwgt,
-                    w2,
-                    owner,
-                    prev,
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                    sfc_hoist,
-                ),
-            })
-        })
-    };
     decision.method = Some(method);
     decision.predicted_partition_time = predicted_time(method, &p.work, p.dual.n(), cfg.nproc);
     decision.partition_time = session.now() - t0;
@@ -461,17 +214,10 @@ fn balance_on_session(
     let t0 = session.now();
     let results = {
         let wremap = &p.dual.wremap;
-        let old_proc = &p.proc_of_root;
         let new_part = &new_part[..];
         session.run(vec![(); cfg.nproc], move |comm, ()| {
-            crate::reassign_par::reassign_body(
-                comm,
-                wremap,
-                old_proc,
-                new_part,
-                cfg.nparts(),
-                cfg.mapper,
-            )
+            let mine = lists.mine(comm.rank());
+            reassign_body(comm, wremap, mine, new_part, cfg.nparts(), cfg.mapper)
         })
     };
     decision.reassign_comm_time = session.now() - t0;
@@ -501,15 +247,15 @@ fn migrate_on_session(
     slog: &mut TraceLog,
     p: &mut Plum,
     new_proc: &[u32],
-) -> crate::migrate::MigrationOutcome {
+) -> MigrationOutcome {
     let nproc = p.cfg.nproc;
     let t0 = session.now();
     let results = {
         let am = &p.am;
         let field = &p.field;
-        let old_proc = &p.proc_of_root;
+        let lists = &p.engine.roots;
         session.run(vec![(); nproc], move |comm, ()| {
-            migrate_body(comm, am, field, old_proc, new_proc)
+            migrate_body(comm, am, field, lists.mine(comm.rank()), new_proc)
         })
     };
     let out = migration_outcome_from(&results, nproc, session.now() - t0);
@@ -530,7 +276,7 @@ fn cycle_traces(
     marking_phase: &str,
     mark_trace: TraceLog,
     decision: &mut BalanceDecision,
-    migration: Option<&crate::migrate::MigrationOutcome>,
+    migration: Option<&MigrationOutcome>,
 ) -> CycleTraces {
     let phase_comm: Vec<(String, CommBreakdown)> = slog
         .phase_breakdowns()
@@ -560,183 +306,238 @@ fn cycle_traces(
     }
 }
 
+/// One cycle in flight on the rank-resident engine: the [`Session`] that
+/// carries the virtual clocks through every phase, the timeline it has
+/// produced so far, and what the solver phase observed. Both cycle kinds
+/// open with [`Cycle::open`], rebalance with [`Cycle::balance_and_migrate`]
+/// and end with [`Cycle::close`]; they differ in what happens in between.
+struct Cycle {
+    session: Session,
+    slog: TraceLog,
+    times: PhaseTimes,
+    /// Per-root weights of the mesh the solver ran on.
+    wcomp_now: Vec<u64>,
+    wremap_now: Vec<u64>,
+    rate: Vec<f64>,
+    capacity: Vec<f64>,
+}
+
+impl Cycle {
+    /// Advance the physical time and run the flow-solver phase: real field
+    /// update; virtual time charged per rank from the resident loads and
+    /// halo sizes, inside the session timeline. Observes this cycle's
+    /// per-rank rates and costs for the balancer.
+    fn open(p: &mut Plum, dt: f64) -> Cycle {
+        let nproc = p.cfg.nproc;
+        p.time += dt;
+        solve(&p.am.mesh, &mut p.field, &p.wave, p.time, &p.solver_cfg);
+        let (wcomp_now, wremap_now) = p.am.weights();
+
+        // The cycle's SPMD session runs on the (possibly) perturbed machine:
+        // per-rank compute multipliers and link jitter from the chaos
+        // profile, plus any transient faults scheduled for this cycle. A
+        // `ChaosConfig::none` profile makes this identical to `Session::new`.
+        let perturb = p.chaos.perturbation();
+        let plan = p.chaos.plan_for_cycle(p.cycles_run);
+        p.cycles_run += 1;
+
+        // Loads are element units: leaf counts weighted by the true cost
+        // field, via the v-ordered accumulator shared with the reference
+        // driver. The derived capacity weights feed the balancer (and the
+        // report); the cost multiplier stretches units and seconds alike,
+        // so a hotspot does not masquerade as a slow processor — only
+        // genuine rank slowdowns move the capacity.
+        let mult = p.true_cost();
+        let units = Plum::solver_units(&wcomp_now, &p.proc_of_root, nproc, mult.as_deref());
+        let (rate, capacity) = observe_capacity(&units, &p.work, &p.chaos.profile);
+        let mut cycle = Cycle {
+            session: Session::with_chaos(nproc, p.cfg.machine, &perturb, plan),
+            slog: TraceLog {
+                events: vec![Vec::new(); nproc],
+            },
+            times: PhaseTimes::default(),
+            wcomp_now,
+            wremap_now,
+            rate,
+            capacity,
+        };
+
+        // Modeled phases charge host-computed seconds (`advance`), so the
+        // chaos multiplier is applied here, to the compute share only — the
+        // halo exchange is wire time, which slow processors do not stretch.
+        let solver_secs: Vec<f64> = (0..nproc)
+            .map(|r| {
+                let iter = p.work.solver_compute_units_time(units[r]) * p.chaos.profile[r]
+                    + p.work.solver_halo_time(
+                        p.engine.own.shared_edges_of_rank(r as u32),
+                        &p.cfg.machine,
+                    );
+                iter * p.cfg.cost.n_adapt as f64
+            })
+            .collect();
+        cycle.times.solver = cycle.modeled_phase("solver", &solver_secs);
+        p.capacity = cycle.capacity.clone();
+        p.observe_costs(mult.as_deref());
+        cycle
+    }
+
+    /// Charge a modeled phase on the session timeline; returns its duration.
+    fn modeled_phase(&mut self, name: &str, secs: &[f64]) -> f64 {
+        let t0 = self.session.now();
+        let results = self.session.modeled_phase(name, secs);
+        absorb(&mut self.slog, results);
+        self.session.now() - t0
+    }
+
+    /// Run an executed phase body on every rank; returns the rank values,
+    /// the step's own trace, and its duration.
+    fn run<T: Send>(
+        &mut self,
+        body: impl Fn(&mut Comm) -> T + Send + Sync,
+    ) -> (Vec<T>, TraceLog, f64) {
+        let t0 = self.session.now();
+        let results = self
+            .session
+            .run(vec![(); self.slog.nranks()], |comm, ()| body(comm));
+        let trace = TraceLog::from_results(&results);
+        (
+            absorb(&mut self.slog, results),
+            trace,
+            self.session.now() - t0,
+        )
+    }
+
+    /// The modeled phase in which each rank creates (or removes) the
+    /// `changed_per_root` elements of its own trees and sweeps the elements
+    /// it held when the solver ran.
+    fn tree_work_phase(&mut self, p: &Plum, name: &str, changed_per_root: &[u64]) -> f64 {
+        let changed = p.engine.per_rank_load(changed_per_root);
+        let sweep = p.engine.per_rank_load(&self.wcomp_now);
+        let secs: Vec<f64> = (0..p.cfg.nproc)
+            .map(|r| p.work.subdivision_time(changed[r], sweep[r]) * p.chaos.profile[r])
+            .collect();
+        self.modeled_phase(name, &secs)
+    }
+
+    /// Subdivide the marked mesh and charge the modeled `subdivide` phase.
+    fn subdivide(&mut self, p: &mut Plum, marks: &EdgeMarks, children_per_root: &[u64]) {
+        let (_stats, delta) =
+            p.am.refine_with_delta(marks, std::slice::from_mut(&mut p.field));
+        p.engine.apply_refinement(&delta, &p.proc_of_root);
+        self.times.subdivide = self.tree_work_phase(p, "subdivide", children_per_root);
+    }
+
+    /// Balance `p.dual` on the session; when the new mapping is accepted,
+    /// remap and adopt it.
+    fn balance_and_migrate(
+        &mut self,
+        p: &mut Plum,
+        refine_work: &[u64],
+    ) -> (BalanceDecision, Option<MigrationOutcome>) {
+        let decision = balance_on_session(&mut self.session, &mut self.slog, p, refine_work);
+        self.times.partition = decision.partition_time;
+        self.times.reassign = decision.reassign_seconds;
+        let migration = decision.accepted.then(|| {
+            let out = migrate_on_session(&mut self.session, &mut self.slog, p, &decision.new_proc);
+            self.times.remap = out.time;
+            out
+        });
+        (decision, migration)
+    }
+
+    /// Finish the cycle: Fig. 8 bookkeeping, protocol audit, report.
+    fn close(
+        self,
+        p: &Plum,
+        (marking_phase, mark_trace, marking_sweeps): (&str, TraceLog, usize),
+        growth: f64,
+        (mut decision, migration): (BalanceDecision, Option<MigrationOutcome>),
+    ) -> CycleReport {
+        // Post-adaption solver load with and without the rebalance
+        // (prediction is exact, so `decision.wmax_old` is precisely the "no
+        // load balancing" workload).
+        let (wcomp_final, _) = p.am.weights();
+        let wmax_balanced = *p.engine.per_rank_load(&wcomp_final).iter().max().unwrap();
+
+        // Debug builds re-check SPMD discipline on the full session timeline
+        // after every cycle, so each engine test doubles as a protocol audit.
+        #[cfg(debug_assertions)]
+        {
+            let violations = plum_parsim::check_protocol(&self.slog);
+            assert!(
+                violations.is_empty(),
+                "session trace violates the SPMD protocol: {violations:?}"
+            );
+        }
+
+        CycleReport {
+            traces: cycle_traces(
+                self.slog,
+                marking_phase,
+                mark_trace,
+                &mut decision,
+                migration.as_ref(),
+            ),
+            counts: p.am.mesh.counts(),
+            growth,
+            marking_sweeps,
+            wmax_unbalanced: decision.wmax_old,
+            wmax_balanced,
+            migration,
+            decision,
+            times: self.times,
+            rate: self.rate,
+            capacity: self.capacity,
+        }
+    }
+}
+
 /// Run one full Fig.-1 cycle on the rank-resident engine: one [`Session`]
 /// carries the virtual clocks through every phase, and the persistent
 /// [`CycleEngine`] supplies (and incrementally absorbs) the ownership state
 /// the phases need. Equivalent to [`Plum::adaption_cycle_reference`] up to
 /// floating-point rounding of the virtual times.
 pub fn run_cycle(p: &mut Plum, refine_frac: f64, dt: f64) -> CycleReport {
-    let nproc = p.cfg.nproc;
-    let mut times = PhaseTimes::default();
-    p.time += dt;
-
-    // --- FLOW SOLVER -------------------------------------------------------
-    // Real field update; virtual time charged per rank from the resident
-    // loads and halo sizes, inside the session timeline.
-    solve(&p.am.mesh, &mut p.field, &p.wave, p.time, &p.solver_cfg);
-    let (wcomp_now, wremap_now) = p.am.weights();
-
-    // The cycle's SPMD session runs on the (possibly) perturbed machine:
-    // per-rank compute multipliers and link jitter from the chaos profile,
-    // plus any transient faults scheduled for this cycle. A `ChaosConfig::
-    // none` profile makes this identical to `Session::new`.
-    let perturb = p.chaos.perturbation();
-    let plan = p.chaos.plan_for_cycle(p.cycles_run);
-    p.cycles_run += 1;
-    let mut session = Session::with_chaos(nproc, p.cfg.machine, &perturb, plan);
-    let mut slog = TraceLog {
-        events: vec![Vec::new(); nproc],
-    };
-
-    // Modeled phases charge host-computed seconds (`advance`), so the chaos
-    // multiplier is applied here, to the compute share only — the halo
-    // exchange is wire time, which slow processors do not stretch. Loads
-    // are element units: leaf counts weighted by the true cost field, via
-    // the v-ordered accumulator shared with the reference driver.
-    let mult = p.true_cost();
-    let units = Plum::solver_units(&wcomp_now, &p.proc_of_root, nproc, mult.as_deref());
-    let solver_secs: Vec<f64> = (0..nproc)
-        .map(|r| {
-            let iter = p.work.solver_compute_units_time(units[r]) * p.chaos.profile[r]
-                + p.work
-                    .solver_halo_time(p.engine.own.shared_edges_of_rank(r as u32), &p.cfg.machine);
-            iter * p.cfg.cost.n_adapt as f64
-        })
-        .collect();
-    let t0 = session.now();
-    let results = session.modeled_phase("solver", &solver_secs);
-    absorb(&mut slog, results);
-    times.solver = session.now() - t0;
-
-    // Observe this cycle's per-rank rates; the derived capacity weights
-    // feed the balancer below (and the report). The cost multiplier
-    // stretches units and seconds alike, so a hotspot does not masquerade
-    // as a slow processor — only genuine rank slowdowns move the capacity.
-    let (rate, capacity) = observe_capacity(&units, &p.work, &p.chaos.profile);
-    p.capacity = capacity.clone();
-    p.observe_costs(mult.as_deref());
+    let mut cycle = Cycle::open(p, dt);
 
     // --- MESH ADAPTOR: edge marking (executed, with propagation) -----------
     let error = edge_error_indicator(&p.am.mesh, &p.field);
     let threshold = p.am.threshold_for_final_fraction(&error, refine_frac);
-    let t0 = session.now();
-    let results = {
-        let am = &p.am;
-        let own = &p.engine.own;
-        let work = &p.work;
-        let error = &error;
-        session.run(vec![(); nproc], move |comm, ()| {
-            mark_body(comm, am, own, work, error, threshold)
-        })
-    };
-    times.marking = session.now() - t0;
-    let mark_trace = TraceLog::from_results(&results);
-    let (marks, marking_sweeps, _comm_words) = merge_marks(&p.am, absorb(&mut slog, results));
+    let (values, mark_trace, t_mark) =
+        cycle.run(|comm| mark_body(comm, &p.am, &p.engine.own, &p.work, &error, threshold));
+    cycle.times.marking = t_mark;
+    let (marks, marking_sweeps, _comm_words) = merge_marks(&p.am, values);
 
     // --- exact prediction of the refined mesh -------------------------------
     let pred = p.am.predict(&marks);
     let children_per_root: Vec<u64> = (0..p.dual.n())
-        .map(|v| pred.wremap[v] - wremap_now[v])
+        .map(|v| pred.wremap[v] - cycle.wremap_now[v])
         .collect();
 
-    let (mut decision, migration) = match p.cfg.policy {
+    let outcome = match p.cfg.policy {
         RemapPolicy::BeforeRefinement => {
             // Weights as though subdivision already happened — scaled by the
             // estimated per-root cost, so the partitioner balances measured
             // load; the data that moves is still the small, unrefined grid.
             p.dual.wcomp = p.cost_est.weights(&pred.wcomp);
-            p.dual.wremap = wremap_now.clone();
-            let decision = balance_on_session(&mut session, &mut slog, p, &children_per_root);
-            times.partition = decision.partition_time;
-            times.reassign = decision.reassign_seconds;
-            let migration = decision.accepted.then(|| {
-                let out = migrate_on_session(&mut session, &mut slog, p, &decision.new_proc);
-                times.remap = out.time;
-                out
-            });
+            p.dual.wremap = cycle.wremap_now.clone();
+            let outcome = cycle.balance_and_migrate(p, &children_per_root);
             // Subdivide on the (re)balanced partitions.
-            let (_stats, delta) =
-                p.am.refine_with_delta(&marks, std::slice::from_mut(&mut p.field));
-            p.engine.apply_refinement(&delta, &p.proc_of_root);
-            let kids = p.engine.per_rank_load(&children_per_root);
-            let sweep = p.engine.per_rank_load(&wcomp_now);
-            let secs: Vec<f64> = (0..nproc)
-                .map(|r| p.work.subdivision_time(kids[r], sweep[r]) * p.chaos.profile[r])
-                .collect();
-            let t0 = session.now();
-            let results = session.modeled_phase("subdivide", &secs);
-            absorb(&mut slog, results);
-            times.subdivide = session.now() - t0;
-            (decision, migration)
+            cycle.subdivide(p, &marks, &children_per_root);
+            outcome
         }
         RemapPolicy::AfterRefinement => {
             // Baseline: subdivide first (unbalanced), then move the grown
             // mesh.
-            let kids = p.engine.per_rank_load(&children_per_root);
-            let sweep = p.engine.per_rank_load(&wcomp_now);
-            let (_stats, delta) =
-                p.am.refine_with_delta(&marks, std::slice::from_mut(&mut p.field));
-            p.engine.apply_refinement(&delta, &p.proc_of_root);
-            let secs: Vec<f64> = (0..nproc)
-                .map(|r| p.work.subdivision_time(kids[r], sweep[r]) * p.chaos.profile[r])
-                .collect();
-            let t0 = session.now();
-            let results = session.modeled_phase("subdivide", &secs);
-            absorb(&mut slog, results);
-            times.subdivide = session.now() - t0;
-
+            cycle.subdivide(p, &marks, &children_per_root);
             let (wcomp_after, wremap_after) = p.am.weights();
             p.dual.wcomp = p.cost_est.weights(&wcomp_after);
             p.dual.wremap = wremap_after;
-            let refine_work = vec![0; p.dual.n()];
-            let decision = balance_on_session(&mut session, &mut slog, p, &refine_work);
-            times.partition = decision.partition_time;
-            times.reassign = decision.reassign_seconds;
-            let migration = decision.accepted.then(|| {
-                let out = migrate_on_session(&mut session, &mut slog, p, &decision.new_proc);
-                times.remap = out.time;
-                out
-            });
-            (decision, migration)
+            cycle.balance_and_migrate(p, &vec![0; p.dual.n()])
         }
     };
-
-    // Fig. 8 bookkeeping: post-refinement solver load with and without the
-    // rebalance (prediction is exact, so `decision.wmax_old` is precisely
-    // the "no load balancing" workload).
-    let (wcomp_final, _) = p.am.weights();
-    let wmax_balanced = *p.engine.per_rank_load(&wcomp_final).iter().max().unwrap();
-
-    // Debug builds re-check SPMD discipline on the full session timeline
-    // after every cycle, so each engine test doubles as a protocol audit.
-    #[cfg(debug_assertions)]
-    {
-        let violations = plum_parsim::check_protocol(&slog);
-        assert!(
-            violations.is_empty(),
-            "session trace violates the SPMD protocol: {violations:?}"
-        );
-    }
-
-    CycleReport {
-        traces: cycle_traces(
-            slog,
-            "marking",
-            mark_trace,
-            &mut decision,
-            migration.as_ref(),
-        ),
-        counts: p.am.mesh.counts(),
-        growth: pred.growth_factor,
-        marking_sweeps,
-        wmax_unbalanced: decision.wmax_old,
-        wmax_balanced,
-        migration,
-        decision,
-        times,
-        rate,
-        capacity,
-    }
+    let marking = ("marking", mark_trace, marking_sweeps);
+    cycle.close(p, marking, pred.growth_factor, outcome)
 }
 
 /// The coarse-marking phase body, shared by the session engine and the
@@ -765,62 +566,23 @@ pub(crate) fn coarsen_mark_body(
 /// virtual times.
 pub fn run_coarsen_cycle(p: &mut Plum, coarse_frac: f64, dt: f64) -> CycleReport {
     let nproc = p.cfg.nproc;
-    let mut times = PhaseTimes::default();
-    p.time += dt;
-
-    // --- FLOW SOLVER (identical to the refinement cycle) -------------------
-    solve(&p.am.mesh, &mut p.field, &p.wave, p.time, &p.solver_cfg);
-    let (wcomp_now, _wremap_now) = p.am.weights();
-
-    let perturb = p.chaos.perturbation();
-    let plan = p.chaos.plan_for_cycle(p.cycles_run);
-    p.cycles_run += 1;
-    let mut session = Session::with_chaos(nproc, p.cfg.machine, &perturb, plan);
-    let mut slog = TraceLog {
-        events: vec![Vec::new(); nproc],
-    };
-
-    let mult = p.true_cost();
-    let units = Plum::solver_units(&wcomp_now, &p.proc_of_root, nproc, mult.as_deref());
-    let solver_secs: Vec<f64> = (0..nproc)
-        .map(|r| {
-            let iter = p.work.solver_compute_units_time(units[r]) * p.chaos.profile[r]
-                + p.work
-                    .solver_halo_time(p.engine.own.shared_edges_of_rank(r as u32), &p.cfg.machine);
-            iter * p.cfg.cost.n_adapt as f64
-        })
-        .collect();
-    let t0 = session.now();
-    let results = session.modeled_phase("solver", &solver_secs);
-    absorb(&mut slog, results);
-    times.solver = session.now() - t0;
-
-    let (rate, capacity) = observe_capacity(&units, &p.work, &p.chaos.profile);
-    p.capacity = capacity.clone();
-    p.observe_costs(mult.as_deref());
+    let mut cycle = Cycle::open(p, dt);
 
     // --- COARSE MARKING (executed) -----------------------------------------
     let error = edge_error_indicator(&p.am.mesh, &p.field);
     let cmarks = crate::framework::coarse_marks(&p.am, &error, coarse_frac);
     let marked = cmarks.count() as u64;
     let elems_before = p.am.mesh.n_elems();
-    let sweep = p.engine.per_rank_load(&wcomp_now);
-    let t0 = session.now();
-    let results = {
-        let work = &p.work;
-        let sweep = &sweep;
-        session.run(vec![(); nproc], move |comm, ()| {
-            coarsen_mark_body(comm, work, sweep[comm.rank()], marked)
-        })
-    };
-    times.marking = session.now() - t0;
-    let mark_trace = TraceLog::from_results(&results);
-    absorb(&mut slog, results);
+    let sweep = p.engine.per_rank_load(&cycle.wcomp_now);
+    let (_, mark_trace, t_mark) =
+        cycle.run(|comm| coarsen_mark_body(comm, &p.work, sweep[comm.rank()], marked));
+    cycle.times.marking = t_mark;
 
     // --- host-side de-refinement + modeled coarsen phase -------------------
     let _stats = p.am.coarsen(&cmarks, std::slice::from_mut(&mut p.field));
     let (wcomp_after, wremap_after) = p.am.weights();
-    let removed: Vec<u64> = wcomp_now
+    let removed: Vec<u64> = cycle
+        .wcomp_now
         .iter()
         .zip(&wcomp_after)
         .map(|(&b, &a)| b.saturating_sub(a))
@@ -828,65 +590,22 @@ pub fn run_coarsen_cycle(p: &mut Plum, coarse_frac: f64, dt: f64) -> CycleReport
     // Coarsening returns no change log (unlike `refine_with_delta`), so the
     // resident ownership state is rebuilt rather than patched.
     p.engine = CycleEngine::new(&p.am, &p.proc_of_root, nproc);
-    let rem = p.engine.per_rank_load(&removed);
-    let secs: Vec<f64> = (0..nproc)
-        .map(|r| p.work.subdivision_time(rem[r], sweep[r]) * p.chaos.profile[r])
-        .collect();
-    let t0 = session.now();
-    let results = session.modeled_phase("coarsen", &secs);
-    absorb(&mut slog, results);
-    times.coarsen = session.now() - t0;
+    cycle.times.coarsen = cycle.tree_work_phase(p, "coarsen", &removed);
 
     // --- rebalance the shrunken mesh, remap --------------------------------
     p.dual.wcomp = p.cost_est.weights(&wcomp_after);
     p.dual.wremap = wremap_after;
-    let refine_work = vec![0; p.dual.n()];
-    let mut decision = balance_on_session(&mut session, &mut slog, p, &refine_work);
-    times.partition = decision.partition_time;
-    times.reassign = decision.reassign_seconds;
-    let migration = decision.accepted.then(|| {
-        let out = migrate_on_session(&mut session, &mut slog, p, &decision.new_proc);
-        times.remap = out.time;
-        out
-    });
+    let outcome = cycle.balance_and_migrate(p, &vec![0; p.dual.n()]);
 
-    let (wcomp_final, _) = p.am.weights();
-    let wmax_balanced = *p.engine.per_rank_load(&wcomp_final).iter().max().unwrap();
-
-    #[cfg(debug_assertions)]
-    {
-        let violations = plum_parsim::check_protocol(&slog);
-        assert!(
-            violations.is_empty(),
-            "coarsen-cycle session trace violates the SPMD protocol: {violations:?}"
-        );
-    }
-
-    CycleReport {
-        traces: cycle_traces(
-            slog,
-            "coarsen_mark",
-            mark_trace,
-            &mut decision,
-            migration.as_ref(),
-        ),
-        counts: p.am.mesh.counts(),
-        growth: p.am.mesh.n_elems() as f64 / elems_before as f64,
-        marking_sweeps: 1,
-        wmax_unbalanced: decision.wmax_old,
-        wmax_balanced,
-        migration,
-        decision,
-        times,
-        rate,
-        capacity,
-    }
+    let growth = p.am.mesh.n_elems() as f64 / elems_before as f64;
+    cycle.close(p, ("coarsen_mark", mark_trace, 1), growth, outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chaos::ChaosConfig;
+    use crate::{BalanceMethod, PlumConfig};
     use plum_mesh::generate::unit_box_mesh;
     use plum_parsim::{Fault, FaultAction, TraceEvent};
     use plum_solver::{CostField, WaveField};
@@ -1643,28 +1362,37 @@ mod tests {
 
     #[test]
     fn engine_state_stays_consistent_across_cycles() {
-        // Three engine cycles without any from-scratch rebuild: the
-        // resident root lists and ownership must keep matching a fresh
-        // build after every cycle.
+        // refine → refine → coarsen → refine without any from-scratch
+        // rebuild of the refine cycles' state: the resident root lists
+        // (ascending, compared as they are) and ownership must keep
+        // matching a fresh build after every cycle.
         let mut p = plum(4, 3, RemapPolicy::BeforeRefinement);
-        for _ in 0..3 {
-            p.adaption_cycle(0.2, 0.4);
+        let mut migrated = false;
+        for step in 0..4 {
+            let report = if step == 2 {
+                p.coarsen_cycle(0.6, 0.3)
+            } else {
+                p.adaption_cycle(0.2, 0.4)
+            };
+            migrated |= report.migration.is_some();
             let fresh = CycleEngine::new(&p.am, &p.proc_of_root, p.cfg.nproc);
-            for (resident, rebuilt) in p.engine.ranks.iter().zip(&fresh.ranks) {
-                let mut a = resident.roots.clone();
-                let mut b = rebuilt.roots.clone();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "resident roots of rank {} drifted", resident.rank);
-            }
             for r in 0..p.cfg.nproc {
+                assert_eq!(
+                    p.engine.roots.mine(r),
+                    fresh.roots.mine(r),
+                    "resident roots of rank {r} drifted after step {step}"
+                );
                 assert_eq!(
                     p.engine.own.shared_edges_of_rank(r as u32),
                     fresh.own.shared_edges_of_rank(r as u32),
-                    "shared-edge count of rank {r} drifted"
+                    "shared-edge count of rank {r} drifted after step {step}"
                 );
             }
         }
+        assert!(
+            migrated,
+            "no cycle remapped: the lists were never regrouped"
+        );
         p.am.validate();
     }
 }

@@ -3,14 +3,14 @@
 
 use plum_adapt::{AdaptiveMesh, EdgeMarks};
 use plum_mesh::{DualGraph, MeshCounts, TetMesh, VertexField};
-use plum_partition::{partition_kway, Graph};
+use plum_partition::{partition_kway, weights_of, Graph};
 use plum_solver::{
     edge_error_indicator, initialize_solution, solve, CostField, SolverConfig, WaveField, NCOMP,
 };
 
 use plum_parsim::{makespan, spmd, TraceLog};
 
-use crate::balance::{balance_step_dual, BalanceDecision};
+use crate::balance::{balance_step, BalanceDecision};
 use crate::chaos::ChaosConfig;
 use crate::config::{PlumConfig, RemapPolicy};
 use crate::costs::CostEstimator;
@@ -325,15 +325,6 @@ impl Plum {
         self.dual.n()
     }
 
-    /// Per-processor sums of a per-root weight vector.
-    fn per_proc(&self, w: &[u64], proc: &[u32]) -> Vec<u64> {
-        let mut out = vec![0u64; self.cfg.nproc];
-        for v in 0..w.len() {
-            out[proc[v] as usize] += w[v];
-        }
-        out
-    }
-
     /// True per-root cost multipliers at the current physical time, `None`
     /// under the uniform field (the fast path every historical scenario
     /// takes — no f64 weighting enters the cycle at all).
@@ -410,8 +401,8 @@ impl Plum {
     /// Modeled subdivision time: each rank creates the children of its own
     /// trees and sweeps its own elements.
     fn subdivide_time(&self, children_per_root: &[u64], wcomp: &[u64], proc: &[u32]) -> f64 {
-        let kids = self.per_proc(children_per_root, proc);
-        let sweep = self.per_proc(wcomp, proc);
+        let kids = weights_of(children_per_root, proc, self.cfg.nproc);
+        let sweep = weights_of(wcomp, proc, self.cfg.nproc);
         (0..self.cfg.nproc)
             .map(|r| self.work.subdivision_time(kids[r], sweep[r]))
             .fold(0.0, f64::max)
@@ -458,10 +449,49 @@ impl Plum {
     /// [`Plum::adaption_cycle_reference`]: isolated `spmd` phases with fresh
     /// clocks, from-scratch ownership, and a final engine resync.
     pub fn coarsen_cycle_reference(&mut self, coarse_frac: f64, dt: f64) -> CycleReport {
-        let mut times = PhaseTimes::default();
-        self.time += dt;
+        let mut cycle = self.open_reference(dt);
 
-        // --- FLOW SOLVER (same modeled charge as the refinement cycle) -----
+        // --- coarse marking: one sweep over owned elements + one reduction -
+        let error = edge_error_indicator(&self.am.mesh, &self.field);
+        let cmarks = coarse_marks(&self.am, &error, coarse_frac);
+        let marked = cmarks.count() as u64;
+        let elems_before = self.am.mesh.n_elems();
+        let sweep = weights_of(&cycle.wcomp_now, &self.proc_of_root, self.cfg.nproc);
+        let results = spmd(self.cfg.nproc, self.cfg.machine, |comm| {
+            crate::engine::coarsen_mark_body(comm, &self.work, sweep[comm.rank()], marked)
+        });
+        cycle.times.marking = makespan(&results);
+        let mark_trace = TraceLog::from_results(&results);
+
+        // --- host-side de-refinement -------------------------------------
+        let _stats = self
+            .am
+            .coarsen(&cmarks, std::slice::from_mut(&mut self.field));
+        let (wcomp_after, wremap_after) = self.am.weights();
+        let removed: Vec<u64> = cycle
+            .wcomp_now
+            .iter()
+            .zip(&wcomp_after)
+            .map(|(&b, &a)| b.saturating_sub(a))
+            .collect();
+        cycle.times.coarsen = self.subdivide_time(&removed, &cycle.wcomp_now, &self.proc_of_root);
+
+        // --- rebalance the shrunken mesh, remap --------------------------
+        self.dual.wcomp = self.cost_est.weights(&wcomp_after);
+        self.dual.wremap = wremap_after;
+        let outcome = self.balance_and_migrate_reference(&vec![0; self.dual.n()], &mut cycle.times);
+
+        let growth = self.am.mesh.n_elems() as f64 / elems_before as f64;
+        self.close_reference(cycle, ("coarsen_mark", mark_trace, 1), growth, outcome)
+    }
+
+    /// Open a reference cycle: advance the physical time and take the
+    /// flow-solver phase — real field update (a few iterations suffice to
+    /// track the wave), virtual time charged for the full N_adapt
+    /// iterations from a from-scratch [`Ownership`] — then observe rates
+    /// and costs on the nominal (chaos-free) machine.
+    fn open_reference(&mut self, dt: f64) -> ReferenceCycle {
+        self.time += dt;
         solve(
             &self.am.mesh,
             &mut self.field,
@@ -469,7 +499,7 @@ impl Plum {
             self.time,
             &self.solver_cfg,
         );
-        let (wcomp_now, _wremap_now) = self.am.weights();
+        let (wcomp_now, wremap_now) = self.am.weights();
         let own = Ownership::build(&self.am, &self.proc_of_root, self.cfg.nproc);
         let mult = self.true_cost();
         let units = Self::solver_units(
@@ -478,46 +508,34 @@ impl Plum {
             self.cfg.nproc,
             mult.as_deref(),
         );
-        times.solver = self.solver_time_units(&units, &own);
+        let times = PhaseTimes {
+            solver: self.solver_time_units(&units, &own),
+            ..PhaseTimes::default()
+        };
         let nominal = vec![1.0; self.cfg.nproc];
         let (rate, capacity) = crate::engine::observe_capacity(&units, &self.work, &nominal);
         self.observe_costs(mult.as_deref());
+        ReferenceCycle {
+            times,
+            wcomp_now,
+            wremap_now,
+            own,
+            rate,
+            capacity,
+        }
+    }
 
-        // --- coarse marking: one sweep over owned elements + one reduction -
-        let error = edge_error_indicator(&self.am.mesh, &self.field);
-        let cmarks = coarse_marks(&self.am, &error, coarse_frac);
-        let marked = cmarks.count() as u64;
-        let elems_before = self.am.mesh.n_elems();
-        let sweep = self.per_proc(&wcomp_now, &self.proc_of_root);
-        let results = {
-            let work = &self.work;
-            let sweep = &sweep;
-            spmd(self.cfg.nproc, self.cfg.machine, move |comm| {
-                crate::engine::coarsen_mark_body(comm, work, sweep[comm.rank()], marked)
-            })
-        };
-        times.marking = makespan(&results);
-        let mark_trace = TraceLog::from_results(&results);
-
-        // --- host-side de-refinement -------------------------------------
-        let _stats = self
-            .am
-            .coarsen(&cmarks, std::slice::from_mut(&mut self.field));
-        let (wcomp_after, wremap_after) = self.am.weights();
-        let removed: Vec<u64> = wcomp_now
-            .iter()
-            .zip(&wcomp_after)
-            .map(|(&b, &a)| b.saturating_sub(a))
-            .collect();
-        times.coarsen = self.subdivide_time(&removed, &wcomp_now, &self.proc_of_root);
-
-        // --- rebalance the shrunken mesh, remap --------------------------
-        self.dual.wcomp = self.cost_est.weights(&wcomp_after);
-        self.dual.wremap = wremap_after;
-        let mut decision = balance_step_dual(
+    /// Balance `self.dual` with the serial kernels; when the new mapping is
+    /// accepted, remap (as a standalone `spmd` program) and adopt it.
+    fn balance_and_migrate_reference(
+        &mut self,
+        refine_work: &[u64],
+        times: &mut PhaseTimes,
+    ) -> (BalanceDecision, Option<MigrationOutcome>) {
+        let decision = balance_step(
             &self.dual,
             &self.proc_of_root,
-            &vec![0; self.dual.n()],
+            refine_work,
             &self.cfg,
             &self.work,
             Some(&self.sfc_keys),
@@ -525,7 +543,7 @@ impl Plum {
         );
         times.partition = decision.partition_time;
         times.reassign = decision.reassign_seconds;
-        let migration = if decision.accepted {
+        let migration = decision.accepted.then(|| {
             let out = parallel_migrate(
                 &self.am,
                 &self.field,
@@ -536,14 +554,26 @@ impl Plum {
             );
             times.remap = out.time;
             self.proc_of_root = decision.new_proc.clone();
-            Some(out)
-        } else {
-            None
-        };
+            out
+        });
+        (decision, migration)
+    }
 
+    /// Finish a reference cycle: Fig. 8 bookkeeping, traces from the
+    /// standalone per-phase programs, engine resync, report.
+    fn close_reference(
+        &mut self,
+        cycle: ReferenceCycle,
+        (marking_phase, mark_trace, marking_sweeps): (&str, TraceLog, usize),
+        growth: f64,
+        (mut decision, migration): (BalanceDecision, Option<MigrationOutcome>),
+    ) -> CycleReport {
+        // Post-adaption solver load with and without the rebalance.
+        // Prediction is exact, so `decision.wmax_old` (the per-processor
+        // maximum of the post-refinement W_comp under the old assignment)
+        // is precisely the "no load balancing" workload.
         let (wcomp_final, _) = self.am.weights();
-        let wmax_balanced = *self
-            .per_proc(&wcomp_final, &self.proc_of_root)
+        let wmax_balanced = *weights_of(&wcomp_final, &self.proc_of_root, self.cfg.nproc)
             .iter()
             .max()
             .unwrap();
@@ -556,7 +586,7 @@ impl Plum {
         let remap_comm = migration
             .as_ref()
             .map(|m| CommBreakdown::from_trace(&m.trace));
-        let mut phase_comm = vec![("coarsen_mark".to_string(), marking_comm)];
+        let mut phase_comm = vec![(marking_phase.to_string(), marking_comm)];
         if let Some(c) = reassign_comm {
             phase_comm.push(("reassignment".to_string(), c));
         }
@@ -576,20 +606,23 @@ impl Plum {
             phase_comm,
         };
 
+        // The reference path mutates the mesh and assignment without
+        // incremental updates — resynchronize the resident engine state so
+        // the two drivers can be interleaved freely.
         self.engine = CycleEngine::new(&self.am, &self.proc_of_root, self.cfg.nproc);
 
         CycleReport {
             traces,
             counts: self.am.mesh.counts(),
-            growth: self.am.mesh.n_elems() as f64 / elems_before as f64,
-            marking_sweeps: 1,
+            growth,
+            marking_sweeps,
             wmax_unbalanced: decision.wmax_old,
             wmax_balanced,
             migration,
             decision,
-            times,
-            rate,
-            capacity,
+            times: cycle.times,
+            rate: cycle.rate,
+            capacity: cycle.capacity,
         }
     }
 
@@ -599,192 +632,73 @@ impl Plum {
     /// report as [`Plum::adaption_cycle`] up to floating-point rounding of
     /// the virtual times (and without the session timeline).
     pub fn adaption_cycle_reference(&mut self, refine_frac: f64, dt: f64) -> CycleReport {
-        let mut times = PhaseTimes::default();
-        self.time += dt;
-
-        // --- FLOW SOLVER ---------------------------------------------------
-        // Real field update (a few iterations suffice to track the wave);
-        // virtual time charged for the full N_adapt iterations.
-        solve(
-            &self.am.mesh,
-            &mut self.field,
-            &self.wave,
-            self.time,
-            &self.solver_cfg,
-        );
-        let (wcomp_now, wremap_now) = self.am.weights();
-        let own = Ownership::build(&self.am, &self.proc_of_root, self.cfg.nproc);
-        let mult = self.true_cost();
-        let units = Self::solver_units(
-            &wcomp_now,
-            &self.proc_of_root,
-            self.cfg.nproc,
-            mult.as_deref(),
-        );
-        times.solver = self.solver_time_units(&units, &own);
-        let nominal = vec![1.0; self.cfg.nproc];
-        let (rate, capacity) = crate::engine::observe_capacity(&units, &self.work, &nominal);
-        self.observe_costs(mult.as_deref());
+        let mut cycle = self.open_reference(dt);
 
         // --- MESH ADAPTOR: edge marking (parallel, with propagation) -------
         let error = edge_error_indicator(&self.am.mesh, &self.field);
         let threshold = self.am.threshold_for_final_fraction(&error, refine_frac);
         let mark = parallel_mark(
             &self.am,
-            &own,
+            &cycle.own,
             self.cfg.nproc,
             self.cfg.machine,
             &self.work,
             &error,
             threshold,
         );
-        times.marking = mark.time;
+        cycle.times.marking = mark.time;
 
         // --- exact prediction of the refined mesh ---------------------------
         let pred = self.am.predict(&mark.marks);
         let children_per_root: Vec<u64> = (0..self.dual.n())
-            .map(|v| pred.wremap[v] - wremap_now[v])
+            .map(|v| pred.wremap[v] - cycle.wremap_now[v])
             .collect();
 
-        let (mut decision, migration) = match self.cfg.policy {
+        let outcome = match self.cfg.policy {
             RemapPolicy::BeforeRefinement => {
                 // Weights as though subdivision already happened — scaled by
                 // the estimated per-root cost, so the partitioner balances
                 // measured load; the data that moves is still the small,
                 // unrefined grid.
                 self.dual.wcomp = self.cost_est.weights(&pred.wcomp);
-                self.dual.wremap = wremap_now.clone();
-                let decision = balance_step_dual(
-                    &self.dual,
-                    &self.proc_of_root,
-                    &children_per_root,
-                    &self.cfg,
-                    &self.work,
-                    Some(&self.sfc_keys),
-                    self.wcomp2.as_deref(),
-                );
-                times.partition = decision.partition_time;
-                times.reassign = decision.reassign_seconds;
-                let migration = if decision.accepted {
-                    let out = parallel_migrate(
-                        &self.am,
-                        &self.field,
-                        &self.proc_of_root,
-                        &decision.new_proc,
-                        self.cfg.nproc,
-                        self.cfg.machine,
-                    );
-                    times.remap = out.time;
-                    self.proc_of_root = decision.new_proc.clone();
-                    Some(out)
-                } else {
-                    None
-                };
+                self.dual.wremap = cycle.wremap_now.clone();
+                let outcome =
+                    self.balance_and_migrate_reference(&children_per_root, &mut cycle.times);
                 // Subdivide on the (re)balanced partitions.
                 self.am
                     .refine(&mark.marks, std::slice::from_mut(&mut self.field));
-                times.subdivide =
-                    self.subdivide_time(&children_per_root, &wcomp_now, &self.proc_of_root);
-                (decision, migration)
+                cycle.times.subdivide =
+                    self.subdivide_time(&children_per_root, &cycle.wcomp_now, &self.proc_of_root);
+                outcome
             }
             RemapPolicy::AfterRefinement => {
                 // Baseline: subdivide first (unbalanced), then move the
                 // grown mesh.
                 self.am
                     .refine(&mark.marks, std::slice::from_mut(&mut self.field));
-                times.subdivide =
-                    self.subdivide_time(&children_per_root, &wcomp_now, &self.proc_of_root);
+                cycle.times.subdivide =
+                    self.subdivide_time(&children_per_root, &cycle.wcomp_now, &self.proc_of_root);
                 let (wcomp_after, wremap_after) = self.am.weights();
                 self.dual.wcomp = self.cost_est.weights(&wcomp_after);
                 self.dual.wremap = wremap_after;
-                let decision = balance_step_dual(
-                    &self.dual,
-                    &self.proc_of_root,
-                    &vec![0; self.dual.n()],
-                    &self.cfg,
-                    &self.work,
-                    Some(&self.sfc_keys),
-                    self.wcomp2.as_deref(),
-                );
-                times.partition = decision.partition_time;
-                times.reassign = decision.reassign_seconds;
-                let migration = if decision.accepted {
-                    let out = parallel_migrate(
-                        &self.am,
-                        &self.field,
-                        &self.proc_of_root,
-                        &decision.new_proc,
-                        self.cfg.nproc,
-                        self.cfg.machine,
-                    );
-                    times.remap = out.time;
-                    self.proc_of_root = decision.new_proc.clone();
-                    Some(out)
-                } else {
-                    None
-                };
-                (decision, migration)
+                self.balance_and_migrate_reference(&vec![0; self.dual.n()], &mut cycle.times)
             }
         };
-
-        // Fig. 8 bookkeeping: post-refinement solver load with and without
-        // the rebalance. Prediction is exact, so `decision.wmax_old` (the
-        // per-processor maximum of the post-refinement W_comp under the old
-        // assignment) is precisely the "no load balancing" workload.
-        let (wcomp_final, _) = self.am.weights();
-        let wmax_balanced = *self
-            .per_proc(&wcomp_final, &self.proc_of_root)
-            .iter()
-            .max()
-            .unwrap();
-
-        let marking_comm = CommBreakdown::from_trace(&mark.trace);
-        let reassign_comm = decision
-            .reassign_trace
-            .as_ref()
-            .map(CommBreakdown::from_trace);
-        let remap_comm = migration
-            .as_ref()
-            .map(|m| CommBreakdown::from_trace(&m.trace));
-        let mut phase_comm = vec![("marking".to_string(), marking_comm)];
-        if let Some(c) = reassign_comm {
-            phase_comm.push(("reassignment".to_string(), c));
-        }
-        if let Some(c) = remap_comm {
-            phase_comm.push(("remap".to_string(), c));
-        }
-        let traces = CycleTraces {
-            marking_comm,
-            marking: mark.trace,
-            partition: None,
-            partition_comm: None,
-            reassign_comm,
-            reassign: decision.reassign_trace.take(),
-            remap_comm,
-            remap: migration.as_ref().map(|m| m.trace.clone()),
-            session: TraceLog::default(),
-            phase_comm,
-        };
-
-        // The reference path mutates the mesh and assignment without
-        // incremental updates — resynchronize the resident engine state so
-        // the two drivers can be interleaved freely.
-        self.engine = CycleEngine::new(&self.am, &self.proc_of_root, self.cfg.nproc);
-
-        CycleReport {
-            traces,
-            counts: self.am.mesh.counts(),
-            growth: pred.growth_factor,
-            marking_sweeps: mark.sweeps,
-            wmax_unbalanced: decision.wmax_old,
-            wmax_balanced,
-            migration,
-            decision,
-            times,
-            rate,
-            capacity,
-        }
+        let marking = ("marking", mark.trace, mark.sweeps);
+        self.close_reference(cycle, marking, pred.growth_factor, outcome)
     }
+}
+
+/// What a reference cycle carries from its solver phase to its report.
+struct ReferenceCycle {
+    times: PhaseTimes,
+    /// Per-root weights of the mesh the solver ran on.
+    wcomp_now: Vec<u64>,
+    wremap_now: Vec<u64>,
+    /// From-scratch ownership under the assignment the solver ran on.
+    own: Ownership,
+    rate: Vec<f64>,
+    capacity: Vec<f64>,
 }
 
 /// Threshold such that roughly `frac` of the live edges exceed it.
@@ -880,7 +794,7 @@ mod tests {
     #[test]
     fn initialization_balances_the_initial_mesh() {
         let p = plum(4, 4);
-        let per = p.per_proc(&vec![1; p.dual.n()], &p.proc_of_root);
+        let per = weights_of(&vec![1; p.dual.n()], &p.proc_of_root, 4);
         let total: u64 = per.iter().sum();
         assert_eq!(total as usize, p.dual.n());
         let max = *per.iter().max().unwrap() as f64;

@@ -45,15 +45,12 @@ mod reassign_par;
 mod snapshot;
 mod timing;
 
-pub use balance::{
-    balance_step, balance_step_dual, balance_step_keyed, run_mapper, select_method,
-    select_method_dual, BalanceDecision, BalanceMethod,
-};
+pub use balance::{balance_step, run_mapper, select_method, BalanceDecision, BalanceMethod};
 pub use chaos::ChaosConfig;
 pub use config::{Mapper, PlumConfig, RemapPolicy};
 pub use costs::CostEstimator;
 pub use dmesh::{distribute, finalize, DistributedMesh, FinalizedMesh};
-pub use engine::{run_coarsen_cycle, run_cycle, CycleEngine, RankState};
+pub use engine::{run_coarsen_cycle, run_cycle, CycleEngine};
 pub use framework::{coarse_marks, fraction_threshold, CycleReport, CycleTraces, PhaseTimes, Plum};
 pub use marking::{parallel_mark, MarkResult, Ownership};
 pub use migrate::{parallel_migrate, MigrationOutcome};

@@ -7,11 +7,12 @@
 //! node is: root id, level, subdivision pattern, the four vertex ids, and
 //! the four vertices' solution vectors.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use plum_adapt::AdaptiveMesh;
 use plum_mesh::VertexField;
 use plum_parsim::{makespan, spmd, Comm, MachineModel, RankResult, TraceLog};
+use plum_partition::RankLists;
 use plum_remap::{Packer, Unpacker};
 
 /// Outcome of a parallel migration phase.
@@ -38,30 +39,30 @@ pub struct MigrationOutcome {
 /// can run under a [`plum_parsim::Session`] step with cumulative counters.
 pub(crate) type MigrateValue = (u64, u64, u64, u64);
 
-/// The remap stage body for one rank: pack my departing trees, exchange
-/// buffers, unpack and validate arrivals.
+/// The remap stage body for one rank, which currently owns the trees
+/// `mine`: pack my departing trees, exchange buffers, unpack and validate
+/// arrivals.
 pub(crate) fn migrate_body(
     comm: &mut Comm,
     am: &AdaptiveMesh,
     field: &VertexField,
-    old_proc: &[u32],
+    mine: &[u32],
     new_proc: &[u32],
 ) -> MigrateValue {
     let ncomp = field.ncomp();
-    let nproc = comm.nranks();
     let words0 = comm.sent_words();
     {
         comm.phase_begin("remap");
         let rank = comm.rank() as u32;
 
-        // Pack: one buffer per destination rank.
-        let mut packers: Vec<Packer> = (0..nproc).map(|_| Packer::new()).collect();
+        // Pack: one buffer per destination rank that gets anything, keyed
+        // so the send order stays ascending.
+        let mut packers: BTreeMap<usize, Packer> = BTreeMap::new();
         let mut packed_elems = 0u64;
-        for v in 0..old_proc.len() {
-            if old_proc[v] == rank && new_proc[v] != rank {
-                let dst = new_proc[v] as usize;
-                let p = &mut packers[dst];
-                for node_id in am.forest().subtree_of_root(v as u32) {
+        for &v in mine {
+            if new_proc[v as usize] != rank {
+                let p = packers.entry(new_proc[v as usize] as usize).or_default();
+                for node_id in am.forest().subtree_of_root(v) {
                     let node = am.forest().node(node_id);
                     p.put_u32(node.root);
                     p.put_u8(node.level);
@@ -78,7 +79,6 @@ pub(crate) fn migrate_body(
         let mut msgs = 0u64;
         let items: Vec<(usize, u64, Vec<u8>)> = packers
             .into_iter()
-            .enumerate()
             .filter_map(|(dst, p)| {
                 let words = p.words().max(1);
                 let buf = p.finish();
@@ -171,8 +171,9 @@ pub fn parallel_migrate(
     nproc: usize,
     machine: MachineModel,
 ) -> MigrationOutcome {
+    let lists = RankLists::build(old_proc, nproc);
     let results = spmd(nproc, machine, |comm| {
-        migrate_body(comm, am, field, old_proc, new_proc)
+        migrate_body(comm, am, field, lists.mine(comm.rank()), new_proc)
     });
     let time = makespan(&results);
     migration_outcome_from(&results, nproc, time)

@@ -13,39 +13,36 @@
 use std::sync::Arc;
 
 use plum_parsim::{makespan, spmd, Comm, MachineModel, TraceLog};
+use plum_partition::RankLists;
 use plum_reassign::{Assignment, SimilarityMatrix};
 
+use crate::balance::run_mapper;
 use crate::config::Mapper;
 
 /// Per-rank value of the reassignment stage body: the host triple (only on
 /// rank 0) and the scattered partition→processor solution.
 pub(crate) type ReassignValue = (Option<(SimilarityMatrix, Assignment, f64)>, Arc<Vec<u32>>);
 
-/// The reassignment stage body for one rank: compute my similarity row,
-/// gather on the host, run the mapper there (wall-clocked, no virtual
-/// charge), scatter the solution. Runs under [`spmd`] or a
-/// [`plum_parsim::Session`] step.
+/// The reassignment stage body for one rank, which currently owns the dual
+/// vertices `mine`: compute my similarity row, gather on the host, run the
+/// mapper there (wall-clocked, no virtual charge), scatter the solution.
+/// Runs under [`spmd`] or a [`plum_parsim::Session`] step.
 pub(crate) fn reassign_body(
     comm: &mut Comm,
     wremap: &[u64],
-    old_proc: &[u32],
+    mine: &[u32],
     new_part: &[u32],
     nparts: usize,
     mapper: Mapper,
 ) -> ReassignValue {
     comm.phase_begin("reassignment");
-    let rank = comm.rank() as u32;
     // Local row: weights of my dual vertices per new partition. Each
     // rank touches only its own subdomain — O(n/P) work.
     let mut row = vec![0u64; nparts];
-    let mut mine = 0usize;
-    for v in 0..wremap.len() {
-        if old_proc[v] == rank {
-            row[new_part[v] as usize] += wremap[v];
-            mine += 1;
-        }
+    for &v in mine {
+        row[new_part[v as usize] as usize] += wremap[v as usize];
     }
-    comm.compute(mine as f64);
+    comm.compute(mine.len() as f64);
 
     // Gather rows on the host (rank 0): one row of P·F integers each.
     let gathered = comm.gather(0, nparts as u64, row);
@@ -53,13 +50,7 @@ pub(crate) fn reassign_body(
     // Host builds the matrix and runs the mapper.
     let host = gathered.map(|rows| {
         let sm = SimilarityMatrix::from_rows(rows);
-        let t0 = std::time::Instant::now();
-        let assignment = match mapper {
-            Mapper::GreedyMwbg => plum_reassign::greedy_mwbg(&sm),
-            Mapper::OptimalMwbg => plum_reassign::optimal_mwbg(&sm),
-            Mapper::OptimalBmcm => plum_reassign::optimal_bmcm(&sm, 1.0, 1.0),
-        };
-        let mapper_seconds = t0.elapsed().as_secs_f64();
+        let (assignment, mapper_seconds) = run_mapper(&sm, mapper);
         (sm, assignment, mapper_seconds)
     });
 
@@ -135,8 +126,10 @@ pub fn parallel_reassign(
 ) -> ParallelReassign {
     assert_eq!(wremap.len(), old_proc.len());
     assert_eq!(wremap.len(), new_part.len());
+    let lists = RankLists::build(old_proc, nproc);
     let results = spmd(nproc, machine, |comm| {
-        reassign_body(comm, wremap, old_proc, new_part, nparts, mapper)
+        let mine = lists.mine(comm.rank());
+        reassign_body(comm, wremap, mine, new_part, nparts, mapper)
     });
 
     let time = makespan(&results);
@@ -191,7 +184,7 @@ mod tests {
         for mapper in [Mapper::GreedyMwbg, Mapper::OptimalMwbg, Mapper::OptimalBmcm] {
             let par = parallel_reassign(&wremap, &old, &new, 4, 4, mapper, MachineModel::zero());
             // Objectives must match (ties may be broken differently).
-            let serial_assign = crate::balance::run_mapper(&serial, mapper).0;
+            let serial_assign = run_mapper(&serial, mapper).0;
             assert_eq!(
                 serial.objective(&par.assignment.proc_of_part),
                 serial.objective(&serial_assign.proc_of_part),

@@ -1,0 +1,545 @@
+//! The balancer portfolio behind one call shape: a borrowed [`Problem`] in,
+//! a partition out — serially ([`balance`]: reference path, host hoist, test
+//! oracle), as an SPMD body inside a running session ([`balance_body`]), or
+//! on a session of its own ([`balance_distributed`]). The method is a value
+//! ([`BalanceMethod`]), and [`balance`] is the one place that maps it to a
+//! kernel.
+//!
+//! Contract of the SPMD bodies: all control flow branches on replicated
+//! data only, so the partition is a deterministic function of the problem —
+//! bit-identical on every rank and under every machine model, chaos
+//! perturbation and link jitter; virtual time comes from per-vertex compute
+//! charges and real message traffic. A body finds its vertices in its
+//! rank's list of the [`RankLists`], never by scanning a replicated owner
+//! array: per-rank host work stays proportional to what the rank owns.
+
+use std::sync::Arc;
+
+use plum_parsim::{makespan, spmd, words_for_bytes, Comm, MachineModel, TraceLog};
+
+use crate::diffusion2::diffusion2_balance;
+use crate::distributed::{charge, multilevel_body};
+use crate::graph::Graph;
+use crate::knapsack::knapsack_partition;
+use crate::kway::{
+    capacity_fractions, combined_view, dual_repair, partition_kway_impl, PartitionConfig,
+};
+use crate::metrics::weights_of;
+use crate::repart::{repartition_diffuse, repartition_kway_impl};
+use crate::sfc::{sfc_diffuse, sfc_partition};
+use crate::voronoi::voronoi;
+use crate::weights::Weights;
+
+/// The methods of the portfolio.
+///
+/// They span the spectrum production AMR stacks use: the paper's multilevel
+/// diffusive repartitioner for heavy, locality-sensitive rebalances; a full
+/// SFC split when geometry suffices; SFC boundary diffusion when the
+/// imbalance is mild enough that shifting a few range boundaries repairs it
+/// (Cubism's rule); LPT knapsack packing for the extreme-imbalance,
+/// locality-insensitive regime (AMReX's `makeKnapSack`); plus the two
+/// classical local schemes the paper rematches against: second-order
+/// diffusion over the rank-adjacency graph and Voronoi cell-growth on the
+/// SFC.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BalanceMethod {
+    /// Multilevel diffusive graph repartitioning (the paper's §4.2 kernel);
+    /// partitions fresh without a seed. The one genuinely distributed body.
+    Multilevel,
+    /// 1D-SFC boundary diffusion from the seed partition. Needs keys and a
+    /// seed.
+    SfcDiffusion,
+    /// Full SFC key-sort/split into capacity-weighted contiguous ranges.
+    /// Needs keys.
+    Sfc,
+    /// LPT greedy knapsack packing by weight alone.
+    Knapsack,
+    /// Second-order (Chebyshev-accelerated) diffusion over the
+    /// rank-adjacency graph. Needs a seed.
+    Diffusion2,
+    /// Voronoi / centroid-shift balancing in SFC key space, from the seed
+    /// when there is one. Needs keys.
+    Voronoi,
+}
+
+/// What distinguishes the SPMD bodies of the five methods whose arithmetic
+/// is replicated: the partition itself is computed once on the host, and
+/// every rank charges its local share and runs the exchange tail.
+struct ReplicatedBody {
+    /// A rank charges `ceil(owned / charge_div)` vertex visits: a full key
+    /// sort or assignment scan visits every vertex, boundary sweeps a
+    /// fraction.
+    charge_div: usize,
+    /// Only vertices that left their seed part cost wire traffic.
+    moved_only: bool,
+    /// Bytes per shipped item under one / two constraints: a (key, id,
+    /// weight[, weight2]) tuple, or knapsack's keyless (id, weight[,
+    /// weight2]).
+    item_bytes: [usize; 2],
+    /// Whether the sent/received item counts are allreduced and compared.
+    conservation: bool,
+}
+
+impl BalanceMethod {
+    pub const ALL: [BalanceMethod; 6] = [
+        BalanceMethod::Multilevel,
+        BalanceMethod::SfcDiffusion,
+        BalanceMethod::Sfc,
+        BalanceMethod::Knapsack,
+        BalanceMethod::Diffusion2,
+        BalanceMethod::Voronoi,
+    ];
+
+    pub fn name(self) -> &'static str {
+        match self {
+            BalanceMethod::Multilevel => "multilevel",
+            BalanceMethod::SfcDiffusion => "sfc_diffusion",
+            BalanceMethod::Sfc => "sfc",
+            BalanceMethod::Knapsack => "knapsack",
+            BalanceMethod::Diffusion2 => "diffusion2",
+            BalanceMethod::Voronoi => "voronoi",
+        }
+    }
+
+    /// Stable numeric code for metrics (`balance.method` gauge); 0 means no
+    /// repartition happened.
+    pub fn code(self) -> u32 {
+        match self {
+            BalanceMethod::Multilevel => 1,
+            BalanceMethod::SfcDiffusion => 2,
+            BalanceMethod::Sfc => 3,
+            BalanceMethod::Knapsack => 4,
+            BalanceMethod::Diffusion2 => 5,
+            BalanceMethod::Voronoi => 6,
+        }
+    }
+
+    /// Whether the method reads [`Problem::keys`].
+    pub fn needs_keys(self) -> bool {
+        use BalanceMethod::*;
+        matches!(self, SfcDiffusion | Sfc | Voronoi)
+    }
+
+    /// Whether the method can only run from a [`Problem::seed`].
+    pub fn needs_seed(self) -> bool {
+        matches!(
+            self,
+            BalanceMethod::SfcDiffusion | BalanceMethod::Diffusion2
+        )
+    }
+
+    fn replicated_body(self) -> Option<ReplicatedBody> {
+        let row = |charge_div, moved_only| ReplicatedBody {
+            charge_div,
+            moved_only,
+            item_bytes: [20, 28],
+            conservation: true,
+        };
+        match self {
+            BalanceMethod::Multilevel => None,
+            BalanceMethod::SfcDiffusion => Some(row(4, true)),
+            BalanceMethod::Sfc => Some(row(1, false)),
+            BalanceMethod::Knapsack => Some(ReplicatedBody {
+                item_bytes: [12, 20],
+                conservation: false,
+                ..row(1, false)
+            }),
+            BalanceMethod::Diffusion2 => Some(row(2, true)),
+            BalanceMethod::Voronoi => Some(row(1, true)),
+        }
+    }
+
+    /// The replicated partition of a replicated-arithmetic method, computed
+    /// once on the host for every rank of [`balance_body`] to share; `None`
+    /// for the multilevel kernel, which has nothing to hoist. The *virtual*
+    /// compute charge is taken in the body either way, so modeled times do
+    /// not depend on who did the arithmetic.
+    pub fn hoist(self, p: &Problem) -> Option<Arc<Vec<u32>>> {
+        self.replicated_body().map(|_| Arc::new(balance(self, p)))
+    }
+}
+
+/// One balancing problem, borrowed: the weighted graph, an optional second
+/// constraint, and what the geometric and diffusive methods additionally
+/// need. `cfg.nparts` parts are sized proportionally to `caps` (one
+/// relative capacity per part; uniform capacities take the bit-exact
+/// unweighted paths).
+#[derive(Debug, Clone, Copy)]
+pub struct Problem<'a> {
+    pub graph: &'a Graph<'a>,
+    /// `graph.vwgt`, plus the second constraint if it is one; private so
+    /// the two cannot be set apart.
+    weights: Weights<'a>,
+    /// One space-filling-curve key per vertex.
+    pub keys: Option<&'a [u64]>,
+    /// The partition to diffuse from.
+    pub seed: Option<&'a [u32]>,
+    pub caps: &'a [f64],
+    pub cfg: &'a PartitionConfig,
+}
+
+impl<'a> Problem<'a> {
+    pub fn new(
+        graph: &'a Graph<'a>,
+        w2: Option<&'a [u64]>,
+        keys: Option<&'a [u64]>,
+        seed: Option<&'a [u32]>,
+        caps: &'a [f64],
+        cfg: &'a PartitionConfig,
+    ) -> Self {
+        let n = graph.n();
+        assert!(
+            w2.is_none_or(|w| w.len() == n),
+            "one second weight per vertex"
+        );
+        assert!(keys.is_none_or(|k| k.len() == n), "one SFC key per vertex");
+        assert!(
+            seed.is_none_or(|s| s.len() == n),
+            "one seed part per vertex"
+        );
+        Problem {
+            graph,
+            weights: Weights::new(&graph.vwgt, w2),
+            keys,
+            seed,
+            caps,
+            cfg,
+        }
+    }
+
+    /// The constraints the balancer holds down.
+    pub fn weights(&self) -> Weights<'a> {
+        self.weights
+    }
+
+    fn keys(&self) -> &'a [u64] {
+        self.keys.expect("method needs SFC keys")
+    }
+
+    fn seed(&self) -> &'a [u32] {
+        self.seed.expect("method needs a seed partition")
+    }
+}
+
+/// Vertices grouped by owning rank, each list ascending — the one
+/// replicated structure the SPMD bodies read ownership from. Build it once
+/// per ownership change and share it.
+#[derive(Debug, Clone)]
+pub struct RankLists {
+    /// Rank `r` owns `verts[off[r]..off[r + 1]]`.
+    pub(crate) off: Vec<u32>,
+    verts: Vec<u32>,
+    /// Rank-major numbering (inverse of `verts`): the level-0 global id of
+    /// each vertex in the distributed multilevel kernel.
+    pub(crate) newid: Vec<u32>,
+}
+
+impl RankLists {
+    /// One O(N + P) counting sort of the replicated `owner` array.
+    pub fn build(owner: &[u32], nranks: usize) -> Self {
+        let mut off = vec![0u32; nranks + 1];
+        for &o in owner {
+            off[o as usize + 1] += 1;
+        }
+        for r in 0..nranks {
+            off[r + 1] += off[r];
+        }
+        let mut next = off.clone();
+        let mut verts = vec![0u32; owner.len()];
+        let mut newid = vec![0u32; owner.len()];
+        for (v, &o) in owner.iter().enumerate() {
+            let slot = &mut next[o as usize];
+            verts[*slot as usize] = v as u32;
+            newid[v] = *slot;
+            *slot += 1;
+        }
+        RankLists { off, verts, newid }
+    }
+
+    pub fn nranks(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// Number of vertices over all ranks.
+    pub fn n(&self) -> usize {
+        self.verts.len()
+    }
+
+    /// The vertices rank `rank` owns, ascending.
+    pub fn mine(&self, rank: usize) -> &[u32] {
+        &self.verts[self.off[rank] as usize..self.off[rank + 1] as usize]
+    }
+}
+
+/// Run `method`'s serial kernel.
+pub fn balance(method: BalanceMethod, p: &Problem) -> Vec<u32> {
+    let (w, nparts, caps) = (p.weights, p.cfg.nparts, p.caps);
+    match method {
+        BalanceMethod::Multilevel => multilevel(p.graph, w, p.cfg, p.seed, caps),
+        BalanceMethod::SfcDiffusion => sfc_diffuse(p.keys(), w, p.seed(), nparts, caps),
+        BalanceMethod::Sfc => sfc_partition(p.keys(), w, nparts, caps),
+        BalanceMethod::Knapsack => knapsack_partition(w, nparts, caps),
+        BalanceMethod::Diffusion2 => diffusion2_balance(p.graph, w, p.seed(), nparts, caps),
+        BalanceMethod::Voronoi => voronoi(p.keys(), w, p.seed, nparts, caps),
+    }
+}
+
+/// The serial multilevel kernel in all its regimes: diffuse from `seed`
+/// (falling back to a fresh partition when diffusion cannot reach the
+/// tolerance) or partition fresh; under two constraints run on the combined
+/// totals-normalized weight (so the cut-aware machinery sees one scalar
+/// field and most vertices stay where they were), then repair the true
+/// weight pair under the max-of-imbalances objective via [`dual_repair`].
+/// `w.w1()` must be `g.vwgt`.
+pub(crate) fn multilevel(
+    g: &Graph,
+    w: Weights,
+    cfg: &PartitionConfig,
+    seed: Option<&[u32]>,
+    caps: &[f64],
+) -> Vec<u32> {
+    let frac = capacity_fractions(caps, cfg.nparts);
+    let frac = frac.as_deref();
+    let Some(w2) = w.w2() else {
+        return match seed {
+            Some(prev) => repartition_kway_impl(g, cfg, prev, frac),
+            None => partition_kway_impl(g, cfg, frac),
+        };
+    };
+    if cfg.nparts == 1 {
+        return vec![0; g.n()];
+    }
+    let combined = combined_view(g, w2);
+    let part = match seed {
+        Some(prev) => repartition_diffuse(&combined, cfg, prev, frac),
+        None => partition_kway_impl(&combined, cfg, frac),
+    };
+    dual_repair(g, w2, cfg, frac, caps, part)
+}
+
+/// Rank that owns part `p` when `nparts` parts are folded onto `nranks`
+/// ranks (block mapping, the same fold the engine uses).
+fn part_home(p: usize, nparts: usize, nranks: usize) -> usize {
+    p * nranks / nparts
+}
+
+/// Shared tail of the replicated-arithmetic bodies: ship one item per
+/// (moved) owned vertex to its destination part's home rank, then
+/// cross-check allreduce'd part weights — one allreduce per constraint —
+/// against the replicated result.
+fn exchange_and_check(
+    comm: &mut Comm,
+    p: &Problem,
+    mine: &[u32],
+    part: &[u32],
+    body: &ReplicatedBody,
+) {
+    let rank = comm.rank();
+    let nranks = comm.nranks();
+    let nparts = p.cfg.nparts;
+    let (w1, w2) = (p.weights.w1(), p.weights.w2());
+    let moved_only = p.seed.filter(|_| body.moved_only);
+    let mut counts = vec![0u64; nranks];
+    let mut local_w = vec![0u64; nparts];
+    let mut local_w2 = vec![0u64; w2.map_or(0, |_| nparts)];
+    for &v in mine {
+        let v = v as usize;
+        local_w[part[v] as usize] += w1[v];
+        if let Some(w2) = w2 {
+            local_w2[part[v] as usize] += w2[v];
+        }
+        if moved_only.is_some_and(|prev| prev[v] == part[v]) {
+            continue; // unmoved vertices cost no traffic in diffusion
+        }
+        counts[part_home(part[v] as usize, nparts, nranks)] += 1;
+    }
+    let item_bytes = body.item_bytes[w2.is_some() as usize];
+    let items: Vec<(usize, u64, u64)> = counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c > 0)
+        .map(|(dst, &c)| (dst, words_for_bytes(item_bytes * c as usize), c))
+        .collect();
+    let received = comm.alltoallv_sparse(items);
+    let sum = |a: Vec<u64>, b: Vec<u64>| a.iter().zip(&b).map(|(x, y)| x + y).collect();
+    let global_w = comm.allreduce(nparts as u64, local_w, sum);
+    // Every rank holds the same allocation of the allreduce'd weights, so
+    // one rank checking them against the replicated result checks them all.
+    if rank == 0 {
+        assert_eq!(
+            *global_w,
+            weights_of(w1, part, nparts),
+            "allreduce'd part weights diverged"
+        );
+    }
+    if let Some(w2) = w2 {
+        let global_w2 = comm.allreduce(nparts as u64, local_w2, sum);
+        if rank == 0 {
+            assert_eq!(
+                *global_w2,
+                weights_of(w2, part, nparts),
+                "allreduce'd second-constraint part weights diverged"
+            );
+        }
+    }
+    if body.conservation {
+        // Every item sent somewhere was received by exactly one home rank.
+        let received_total: u64 = received.iter().map(|&(_, c)| c).sum();
+        let sent_here: u64 = comm.allreduce_sum_u64(counts.iter().sum::<u64>());
+        let recv_all: u64 = comm.allreduce_sum_u64(received_total);
+        assert_eq!(sent_here, recv_all, "item exchange lost items");
+    }
+}
+
+/// The SPMD body of `method`: call from every rank of a session (or
+/// [`spmd`] run) at the same program point; every rank returns the same
+/// shared full partition vector, equal to [`balance`]'s.
+///
+/// * `lists` — who owns which vertex (the previous processor assignment);
+///   a rank reads its own list.
+/// * `vertex_units` — compute units charged per owned vertex per stage;
+///   pass 0 for free compute.
+/// * `hoisted` — [`BalanceMethod::hoist`] of the same method and problem,
+///   computed once outside the session.
+pub fn balance_body(
+    method: BalanceMethod,
+    comm: &mut Comm,
+    p: &Problem,
+    lists: &RankLists,
+    vertex_units: f64,
+    hoisted: Option<&Arc<Vec<u32>>>,
+) -> Arc<Vec<u32>> {
+    let Some(body) = method.replicated_body() else {
+        return multilevel_body(comm, p, lists, vertex_units);
+    };
+    let part = Arc::clone(hoisted.expect("replicated-arithmetic methods are hoisted"));
+    // One allocation is shared by all ranks, so one rank's check covers it.
+    if comm.rank() == 0 {
+        debug_assert_eq!(
+            *part,
+            balance(method, p),
+            "hoisted partition diverges from the replicated arithmetic"
+        );
+    }
+    let mine = lists.mine(comm.rank());
+    charge(comm, mine.len().div_ceil(body.charge_div), vertex_units);
+    exchange_and_check(comm, p, mine, &part, &body);
+    part
+}
+
+/// Result of a standalone [`balance_distributed`] run.
+#[derive(Debug, Clone)]
+pub struct DistPartition {
+    /// The partition (one part id per vertex of the input graph).
+    pub part: Vec<u32>,
+    /// Virtual-time makespan of the partitioning step.
+    pub makespan: f64,
+    /// Full per-rank event trace of the run.
+    pub trace: TraceLog,
+}
+
+/// Run [`balance_body`] on its own `nranks`-rank SPMD session, vertices
+/// distributed by `owner` — the standalone harness the differential tests
+/// use. Panics if the ranks disagree on the result (they cannot, by
+/// construction — the check is the point).
+pub fn balance_distributed(
+    method: BalanceMethod,
+    p: &Problem,
+    owner: &[u32],
+    nranks: usize,
+    model: MachineModel,
+    vertex_units: f64,
+) -> DistPartition {
+    assert_eq!(owner.len(), p.graph.n(), "need one owner per vertex");
+    let lists = RankLists::build(owner, nranks);
+    let hoisted = method.hoist(p);
+    let results = spmd(nranks, model, |comm| {
+        comm.phase("partition", |c| {
+            balance_body(method, c, p, &lists, vertex_units, hoisted.as_ref())
+        })
+    });
+    let part = results[0].value.to_vec();
+    for r in &results {
+        assert_eq!(*r.value, part, "rank {} disagrees on the partition", r.rank);
+    }
+    DistPartition {
+        part,
+        makespan: makespan(&results),
+        trace: TraceLog::from_results(&results),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kway::tests::grid3d;
+
+    #[test]
+    fn rank_lists_are_ascending_and_invert_to_the_rank_major_numbering() {
+        let owner = [2u32, 0, 2, 1, 0, 2, 2, 0];
+        let lists = RankLists::build(&owner, 4);
+        assert_eq!(lists.nranks(), 4);
+        assert_eq!(lists.mine(0), [1, 4, 7]);
+        assert_eq!(lists.mine(1), [3]);
+        assert_eq!(lists.mine(2), [0, 2, 5, 6]);
+        assert!(lists.mine(3).is_empty());
+        assert_eq!(lists.newid, [4, 0, 5, 3, 1, 6, 7, 2]);
+    }
+
+    /// Every method's SPMD body returns its serial kernel's partition —
+    /// one or two constraints, seeded or fresh, block or scattered
+    /// ownership (an empty rank included) — and only the clock depends on
+    /// the machine model.
+    #[test]
+    fn every_body_matches_its_serial_kernel_and_is_model_invariant() {
+        let mut g = grid3d(8, 8, 4);
+        let n = g.n();
+        for v in 0..n / 4 {
+            g.vwgt.to_mut()[v] = 1 + (v as u64 * 7) % 5;
+        }
+        let keys: Vec<u64> = (0..n as u64)
+            .map(|v| v.wrapping_mul(0x9E37) % 8192)
+            .collect();
+        let w2: Vec<u64> = (0..n as u64)
+            .map(|v| if v % 29 == 0 { 40 } else { 1 })
+            .collect();
+        let mut cfg = PartitionConfig::new(4);
+        cfg.coarsen_to = 64; // 256 vertices: the multilevel body really coarsens
+        let prev = sfc_partition(&keys, Weights::new(&g.vwgt, None), 4, &[2.0, 1.0, 1.0, 1.0]);
+        let caps = [1.0; 4];
+        let owners: [Vec<u32>; 2] = [
+            (0..n).map(|v| (v * 4 / n) as u32).collect(),
+            (0..n).map(|v| [0u32, 2, 3][v % 3]).collect(),
+        ];
+        for method in BalanceMethod::ALL {
+            for w2 in [None, Some(&w2[..])] {
+                for seed in [Some(&prev[..]), None] {
+                    if method.needs_seed() && seed.is_none() {
+                        continue;
+                    }
+                    let p = Problem::new(&g, w2, Some(&keys), seed, &caps, &cfg);
+                    let what =
+                        format!("{method:?} dual={} seeded={}", w2.is_some(), seed.is_some());
+                    let serial = balance(method, &p);
+                    assert!(serial.iter().all(|&q| q < 4), "{what}");
+                    for owner in &owners {
+                        let a =
+                            balance_distributed(method, &p, owner, 4, MachineModel::sp2(), 16.0);
+                        let b =
+                            balance_distributed(method, &p, owner, 4, MachineModel::zero(), 0.0);
+                        assert_eq!(a.part, b.part, "{what}: partition depends on the model");
+                        assert!(
+                            a.makespan > b.makespan,
+                            "{what}: sp2 must cost virtual time"
+                        );
+                        // Past the coarsening target the one-constraint
+                        // multilevel body takes its own matching decisions.
+                        if method != BalanceMethod::Multilevel || w2.is_some() {
+                            assert_eq!(a.part, serial, "{what}: body diverged from serial");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -1,9 +1,8 @@
 //! Second-order (Chebyshev-accelerated) diffusion over the rank-adjacency
-//! graph: the classical local balancer the paper positions PLUM against,
-//! upgraded from the serial first-order approximation in
-//! [`crate::diffusion`] to the second-order scheme (SOS) of the diffusive
-//! load-balancing literature, and given a bit-identical SPMD body so it
-//! competes inside the simulator on equal footing.
+//! graph: the classical local balancer the paper positions PLUM against, in
+//! the second-order scheme (SOS) of the diffusive load-balancing
+//! literature, run by [`crate::balance_body`] as a bit-identical SPMD body
+//! so it competes inside the simulator on equal footing.
 //!
 //! The scheme has two stages. The *flow solve* works on the replicated
 //! per-part load vector: with `L` the Laplacian of the rank-adjacency
@@ -26,23 +25,15 @@
 //! the realized moves fail to improve the effective imbalance, which makes
 //! an already-balanced partition an exact fixed point.
 //!
-//! The SPMD body follows the [`crate::sfc`] contract: all control flow
-//! branches on replicated data, so the partition is a deterministic
-//! function of `(graph, prev, nparts, caps)` and independent of the
-//! machine model; virtual time comes from per-vertex compute charges and
-//! real traffic (the load-vector allreduce plus the moved-triple
-//! exchange).
+//! The load vector is replicated by the part-weight allreduce and the flow
+//! solve is local replicated arithmetic, so — unlike a real per-round
+//! implementation — one allreduce plus the moved-triple exchange is the
+//! *entire* traffic of the SPMD body.
 
-use std::sync::Arc;
-
-use plum_parsim::{makespan, spmd, Comm, MachineModel, TraceLog};
-
-use crate::distributed::DistPartition;
 use crate::graph::Graph;
-use crate::metrics::{combine_dual, dual_uniform, imbalance_dual, imbalance_weighted, weights_of};
-use crate::sfc::{
-    cap_fractions, charge, exchange_and_check, resolve_replicated, DUAL_TRIPLE_BYTES, TRIPLE_BYTES,
-};
+use crate::metrics::weights_of;
+use crate::sfc::cap_fractions;
+use crate::weights::Weights;
 
 /// Cap on flow-solve rounds. The Chebyshev recurrence converges in
 /// O(diam·√cond) rounds on the graphs we see; 64 is comfortably past that
@@ -313,158 +304,26 @@ fn diffusion2_core(
     part
 }
 
-/// Serial kernel: rebalance `prev` by second-order diffusion of the vertex
-/// weights over the rank-adjacency graph, capacity-aware via the deviation
-/// target `total·c_p/Σc`. Never worsens the effective imbalance; a
-/// balanced input is returned unchanged.
-pub fn diffusion2_balance(g: &Graph<'_>, prev: &[u32], nparts: usize, caps: &[f64]) -> Vec<u32> {
-    let judge = |part: &[u32]| imbalance_weighted(&weights_of(&g.vwgt, part, nparts), caps);
-    diffusion2_core(g, &g.vwgt, prev, nparts, caps, judge)
-}
-
-/// Dual-constraint serial kernel: diffuse the combined weight
-/// (max-normalized sum of both constraints) and judge the monotone guard
-/// on the dual effective imbalance. A uniform second weight vector reduces
-/// bit-exactly to [`diffusion2_balance`].
-pub fn diffusion2_balance_dual(
+/// Rebalance `prev` by second-order diffusion over the rank-adjacency
+/// graph of `g`: diffuse [`Weights::drive`], judge the monotone guard on
+/// [`Weights::imbalance`]. Capacity-aware via the deviation target
+/// `total·c_p/Σc`; never worsens the effective imbalance, and a balanced
+/// input is returned unchanged.
+pub(crate) fn diffusion2_balance(
     g: &Graph<'_>,
-    w2: &[u64],
+    w: Weights,
     prev: &[u32],
     nparts: usize,
     caps: &[f64],
 ) -> Vec<u32> {
-    if dual_uniform(w2) {
-        return diffusion2_balance(g, prev, nparts, caps);
-    }
-    assert_eq!(g.n(), w2.len(), "one second weight per vertex");
-    let combined = combine_dual(&g.vwgt, w2);
-    let judge = |part: &[u32]| {
-        imbalance_dual(
-            &weights_of(&g.vwgt, part, nparts),
-            &weights_of(w2, part, nparts),
-            caps,
-        )
-    };
-    diffusion2_core(g, &combined, prev, nparts, caps, judge)
-}
-
-/// SPMD body of the second-order diffusion balancer. The load vector is
-/// replicated by the part-weight allreduce and the flow solve is local
-/// replicated arithmetic, so — unlike a real per-round implementation —
-/// one allreduce plus the moved-triple exchange is the *entire* traffic;
-/// the per-vertex charge covers the local boundary scan and selection
-/// sweeps. Bit-identical to [`diffusion2_balance`] on every rank under
-/// every machine model.
-#[allow(clippy::too_many_arguments)]
-pub fn diffusion2_body(
-    comm: &mut Comm,
-    g: &Graph<'_>,
-    owner: &[u32],
-    prev: &[u32],
-    nparts: usize,
-    caps: &[f64],
-    vertex_units: f64,
-    precomputed: Option<&Arc<Vec<u32>>>,
-) -> Arc<Vec<u32>> {
-    let rank = comm.rank();
-    let part = resolve_replicated(precomputed, || diffusion2_balance(g, prev, nparts, caps));
-    // Local work: boundary scan + selection sweeps over the local block.
-    let n_local = owner.iter().filter(|&&o| o as usize == rank).count();
-    charge(comm, n_local.div_ceil(2), vertex_units);
-    exchange_and_check(
-        comm,
-        &g.vwgt,
-        None,
-        owner,
-        &part,
-        Some(prev),
-        nparts,
-        TRIPLE_BYTES,
-    );
-    part
-}
-
-/// Dual-constraint SPMD body: the same structure with the wider payload
-/// and a second cross-checked weight allreduce. A uniform second weight
-/// vector delegates to [`diffusion2_body`], leaving its traffic untouched.
-#[allow(clippy::too_many_arguments)]
-pub fn diffusion2_body_dual(
-    comm: &mut Comm,
-    g: &Graph<'_>,
-    w2: &[u64],
-    owner: &[u32],
-    prev: &[u32],
-    nparts: usize,
-    caps: &[f64],
-    vertex_units: f64,
-    precomputed: Option<&Arc<Vec<u32>>>,
-) -> Arc<Vec<u32>> {
-    if dual_uniform(w2) {
-        return diffusion2_body(
-            comm,
-            g,
-            owner,
-            prev,
-            nparts,
-            caps,
-            vertex_units,
-            precomputed,
-        );
-    }
-    let rank = comm.rank();
-    let part = resolve_replicated(precomputed, || {
-        diffusion2_balance_dual(g, w2, prev, nparts, caps)
-    });
-    let n_local = owner.iter().filter(|&&o| o as usize == rank).count();
-    charge(comm, n_local.div_ceil(2), vertex_units);
-    exchange_and_check(
-        comm,
-        &g.vwgt,
-        Some(w2),
-        owner,
-        &part,
-        Some(prev),
-        nparts,
-        DUAL_TRIPLE_BYTES,
-    );
-    part
-}
-
-/// Standalone distributed harness (mirrors [`crate::sfc::sfc_distributed`]):
-/// hoist the replicated arithmetic once, run the body on every rank, check
-/// agreement, and return the partition with its modeled makespan and trace.
-#[allow(clippy::too_many_arguments)]
-pub fn diffusion2_distributed(
-    g: &Graph<'_>,
-    owner: &[u32],
-    prev: &[u32],
-    nparts: usize,
-    caps: &[f64],
-    nranks: usize,
-    model: MachineModel,
-    vertex_units: f64,
-) -> DistPartition {
-    let hoisted = Arc::new(diffusion2_balance(g, prev, nparts, caps));
-    let hoisted = &hoisted;
-    let results = spmd(nranks, model, move |comm| {
-        comm.phase("partition", |c| {
-            diffusion2_body(c, g, owner, prev, nparts, caps, vertex_units, Some(hoisted))
-        })
-    });
-    let part = results[0].value.to_vec();
-    for r in &results {
-        assert_eq!(*r.value, part, "rank {} disagrees on the partition", r.rank);
-    }
-    DistPartition {
-        part,
-        makespan: makespan(&results),
-        trace: TraceLog::from_results(&results),
-    }
+    let judge = |part: &[u32]| w.imbalance(part, nparts, caps);
+    diffusion2_core(g, &w.drive(), prev, nparts, caps, judge)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::imbalance_weighted;
 
     /// Ring of n vertices with the given weights.
     fn ring(n: usize, vwgt: Vec<u64>) -> (Vec<u32>, Vec<u32>, Vec<u64>) {
@@ -485,7 +344,10 @@ mod tests {
         let g = Graph::view(&xadj, &adjncy, &vwgt);
         let prev: Vec<u32> = (0..64).map(|v| (v / 16) as u32).collect();
         let caps = vec![1.0; 4];
-        assert_eq!(diffusion2_balance(&g, &prev, 4, &caps), prev);
+        assert_eq!(
+            diffusion2_balance(&g, Weights::new(&vwgt, None), &prev, 4, &caps),
+            prev
+        );
     }
 
     #[test]
@@ -499,7 +361,7 @@ mod tests {
         let g = Graph::view(&xadj, &adjncy, &vwgt);
         let prev: Vec<u32> = (0..n).map(|v| (v / 16) as u32).collect();
         let caps = vec![1.0; 4];
-        let part = diffusion2_balance(&g, &prev, 4, &caps);
+        let part = diffusion2_balance(&g, Weights::new(&vwgt, None), &prev, 4, &caps);
         let total_before: u64 = weights_of(&vwgt, &prev, 4).iter().sum();
         let total_after: u64 = weights_of(&vwgt, &part, 4).iter().sum();
         assert_eq!(total_before, total_after, "moves must conserve weight");
@@ -518,7 +380,7 @@ mod tests {
         // target is 30, so diffusion should push load *toward* part 0.
         let prev: Vec<u32> = (0..n).map(|v| (v / 20) as u32).collect();
         let caps = vec![2.0, 1.0, 1.0];
-        let part = diffusion2_balance(&g, &prev, 3, &caps);
+        let part = diffusion2_balance(&g, Weights::new(&vwgt, None), &prev, 3, &caps);
         let w = weights_of(&vwgt, &part, 3);
         let old = imbalance_weighted(&weights_of(&vwgt, &prev, 3), &caps);
         let new = imbalance_weighted(&w, &caps);
@@ -527,24 +389,6 @@ mod tests {
             "capacity-weighted imbalance must drop: {new} vs {old}"
         );
         assert!(w[0] > 20, "double-capacity part must gain load: {w:?}");
-    }
-
-    #[test]
-    fn dual_uniform_reduces_bit_exactly() {
-        let n = 48;
-        let mut vwgt = vec![1u64; n];
-        for w in vwgt.iter_mut().take(12) {
-            *w = 5;
-        }
-        let (xadj, adjncy, vwgt) = ring(n, vwgt);
-        let g = Graph::view(&xadj, &adjncy, &vwgt);
-        let prev: Vec<u32> = (0..n).map(|v| (v / 12) as u32).collect();
-        let caps = vec![1.0; 4];
-        let w2 = vec![3u64; n];
-        assert_eq!(
-            diffusion2_balance_dual(&g, &w2, &prev, 4, &caps),
-            diffusion2_balance(&g, &prev, 4, &caps)
-        );
     }
 
     #[test]

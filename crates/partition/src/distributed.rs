@@ -8,31 +8,32 @@
 //! and the result is refined in parallel during uncoarsening with
 //! boundary-greedy moves under allreduce'd part weights. All control flow
 //! branches on replicated data only, so the partition is a deterministic
-//! function of `(graph, owner, prev, cfg, caps)` — independent of the
+//! function of `(problem, ownership)` — independent of the
 //! machine model, chaos perturbations, and link jitter. Virtual time, by
 //! contrast, comes entirely from real message traffic plus per-vertex
 //! compute charges, which is what the engine reports as the partition phase.
 //!
-//! Graphs at or below the configured coarsening target skip the multilevel
-//! machinery: the rank-local weights (and previous parts) are gathered to
-//! rank 0, which runs the serial kernel on the original vertex numbering and
-//! broadcasts the answer — bit-identical to the host-side reference, which
-//! is the determinism anchor of the differential test battery.
+//! Graphs at or below the configured coarsening target, and every
+//! two-constraint problem, skip the multilevel machinery: the rank-local
+//! weights (and previous parts) are gathered to rank 0, which runs the
+//! serial kernel on the original vertex numbering and broadcasts the answer
+//! — bit-identical to the host-side reference, which is the determinism
+//! anchor of the differential test battery.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use plum_parsim::{makespan, spmd, words_for_bytes, Comm, MachineModel, TraceLog};
+use plum_parsim::{words_for_bytes, Comm};
 
+use crate::balance::{multilevel, Problem, RankLists};
 use crate::graph::Graph;
 use crate::kway::{
-    capacity_fractions, part_ceilings, partition_kway_dual, partition_kway_impl, rel_lt,
-    PartitionConfig,
+    capacity_fractions, part_ceilings, partition_kway_impl, rel_lt, PartitionConfig,
 };
-use crate::metrics::dual_uniform;
-use crate::repart::{repartition_diffuse, repartition_kway_dual, repartition_kway_impl};
+use crate::repart::repartition_diffuse;
 use crate::rng::Rng;
+use crate::weights::Weights;
 
 /// Sparse alltoallv send list: `(destination, words, (u32, u32) payload)`.
 type PairItems = Vec<(usize, u64, Vec<(u32, u32)>)>;
@@ -52,7 +53,7 @@ fn stage_rng(seed: u64, level: usize, stage: u64, rank: usize) -> Rng {
 }
 
 /// Charge `vertices` stage-visits of local partitioning work.
-fn charge(comm: &mut Comm, vertices: usize, vertex_units: f64) {
+pub(crate) fn charge(comm: &mut Comm, vertices: usize, vertex_units: f64) {
     let units = vertex_units * vertices as f64;
     if units > 0.0 {
         comm.compute(units);
@@ -126,43 +127,25 @@ pub(crate) struct LevelLink {
     proj_in: Vec<Vec<u32>>,
 }
 
-/// Build the level-0 distributed graph. The rank-major renumbering is
-/// derived from the replicated `owner` array (stable within each rank), so
-/// every rank computes the same numbering without communication.
+/// Build the level-0 distributed graph from this rank's vertex list and
+/// the replicated rank-major numbering ([`RankLists`], stable within each
+/// rank), so every rank agrees on the numbering without communication.
 pub(crate) fn build_level0(
     rank: usize,
-    nranks: usize,
     g: &Graph,
-    owner: &[u32],
+    lists: &RankLists,
     prev: Option<&[u32]>,
 ) -> DistGraph {
-    let n = g.n();
-    assert_eq!(owner.len(), n, "need one owner per vertex");
-    let mut off = vec![0u32; nranks + 1];
-    for &o in owner {
-        off[o as usize + 1] += 1;
-    }
-    for r in 0..nranks {
-        off[r + 1] += off[r];
-    }
-    let mut next = off.clone();
-    let mut newid = vec![0u32; n];
-    for v in 0..n {
-        let r = owner[v] as usize;
-        newid[v] = next[r];
-        next[r] += 1;
-    }
+    assert_eq!(lists.n(), g.n(), "need one owner per vertex");
     let mut xadj = vec![0u32];
     let mut adjncy = Vec::new();
     let mut adjwgt = Vec::new();
     let mut vwgt = Vec::new();
     let mut seed = Vec::new();
-    for v in 0..n {
-        if owner[v] as usize != rank {
-            continue;
-        }
+    for &v in lists.mine(rank) {
+        let v = v as usize;
         for (u, w) in g.edges(v) {
-            adjncy.push(newid[u as usize]);
+            adjncy.push(lists.newid[u as usize]);
             adjwgt.push(w);
         }
         xadj.push(adjncy.len() as u32);
@@ -172,7 +155,7 @@ pub(crate) fn build_level0(
         }
     }
     DistGraph {
-        off,
+        off: lists.off.clone(),
         xadj,
         adjncy,
         adjwgt,
@@ -917,182 +900,97 @@ pub(crate) fn inflow_quota_greedy(
 }
 
 // ---------------------------------------------------------------------------
-// Exact-serial small-graph path
+// Gather-solve-broadcast path
 // ---------------------------------------------------------------------------
 
-/// Graphs at or below the coarsening target: gather the owned weights (and
-/// previous parts) to rank 0, run the serial kernel on the original vertex
-/// numbering, broadcast. Bit-identical to the host-side serial reference.
-fn exact_serial(
+/// Gather the owned `(w1, w2, seed)` rows to rank 0, run the serial
+/// multilevel kernel there on the original vertex numbering, broadcast.
+/// Bit-identical to the host-side serial reference. Serves graphs at or
+/// below the coarsening target and the whole two-constraint path: the dual
+/// graph the engine balances is the root-element graph, which is at the
+/// scale this path already serves, and the gather and broadcast cost real
+/// collective traffic either way.
+fn gather_solve(
     comm: &mut Comm,
-    g: &Graph,
-    owner: &[u32],
-    prev: Option<&[u32]>,
-    cfg: &PartitionConfig,
-    frac: Option<&[f64]>,
+    p: &Problem,
+    lists: &RankLists,
     vertex_units: f64,
 ) -> Arc<Vec<u32>> {
     let rank = comm.rank();
-    let p = comm.nranks();
+    let g = p.graph;
     let n = g.n();
-    let mut vw: Vec<u64> = Vec::new();
-    let mut pv: Vec<u32> = Vec::new();
-    for v in 0..n {
-        if owner[v] as usize == rank {
-            vw.push(g.vwgt[v]);
-            if let Some(pp) = prev {
-                pv.push(pp[v]);
-            }
-        }
-    }
-    charge(comm, vw.len(), vertex_units);
-    let bytes = 8 * vw.len() + 4 * pv.len();
-    let pieces = comm.gatherv(0, words_for_bytes(bytes), (vw, pv));
-    let full = if rank == 0 {
-        let pieces = pieces.unwrap();
-        let mut vwgt = vec![0u64; n];
-        let mut prev_full = prev.map(|_| vec![0u32; n]);
-        let mut idx = vec![0usize; p];
-        for v in 0..n {
-            let r = owner[v] as usize;
-            vwgt[v] = pieces[r].0[idx[r]];
-            if let Some(pf) = &mut prev_full {
-                pf[v] = pieces[r].1[idx[r]];
-            }
-            idx[r] += 1;
-        }
-        debug_assert_eq!(&vwgt[..], &g.vwgt[..], "gathered weights must round-trip");
-        let mut host = g.clone();
-        host.vwgt = Cow::Owned(vwgt);
-        charge(comm, HOST_UNITS_PER_VERTEX as usize * n, vertex_units);
-        Some(match prev_full {
-            Some(pf) => repartition_kway_impl(&host, cfg, &pf, frac),
-            None => partition_kway_impl(&host, cfg, frac),
-        })
-    } else {
-        None
+    let mine = lists.mine(rank);
+    let pick = |w: &[u64]| -> Vec<u64> { mine.iter().map(|&v| w[v as usize]).collect() };
+    let vw = pick(&g.vwgt);
+    let v2 = p.weights().w2().map(pick).unwrap_or_default();
+    let pv: Vec<u32> = match p.seed {
+        Some(prev) => mine.iter().map(|&v| prev[v as usize]).collect(),
+        None => Vec::new(),
     };
-    comm.bcast(0, words_for_bytes(4 * n), full)
-}
-
-/// Dual-constraint SPMD body: gather the owned `(w1, w2, prev)` rows to
-/// rank 0, run the serial dual multilevel kernel there on the original
-/// numbering, and broadcast — the exact-serial pattern applied to the whole
-/// dual path. The dual graph the engine balances is the root-element graph,
-/// which is at the scale the exact-serial path already serves; the gather
-/// and broadcast cost real collective traffic either way. A uniform second
-/// weight vector delegates to [`repartition_body`], keeping the
-/// single-constraint traffic (and virtual times) untouched.
-#[allow(clippy::too_many_arguments)]
-pub fn repartition_body_dual(
-    comm: &mut Comm,
-    g: &Graph,
-    w2: &[u64],
-    owner: &[u32],
-    prev: Option<&[u32]>,
-    cfg: &PartitionConfig,
-    caps: &[f64],
-    vertex_units: f64,
-) -> Arc<Vec<u32>> {
-    let n = g.n();
-    assert_eq!(w2.len(), n, "one second weight per vertex");
-    if cfg.nparts == 1 {
-        return Arc::new(vec![0; n]);
-    }
-    if dual_uniform(w2) {
-        return repartition_body(comm, g, owner, prev, cfg, caps, vertex_units);
-    }
-    let rank = comm.rank();
-    let p = comm.nranks();
-    let mut vw: Vec<u64> = Vec::new();
-    let mut v2: Vec<u64> = Vec::new();
-    let mut pv: Vec<u32> = Vec::new();
-    for v in 0..n {
-        if owner[v] as usize == rank {
-            vw.push(g.vwgt[v]);
-            v2.push(w2[v]);
-            if let Some(pp) = prev {
-                pv.push(pp[v]);
-            }
-        }
-    }
     charge(comm, vw.len(), vertex_units);
-    let bytes = 16 * vw.len() + 4 * pv.len();
+    let bytes = 8 * (vw.len() + v2.len()) + 4 * pv.len();
     let pieces = comm.gatherv(0, words_for_bytes(bytes), (vw, v2, pv));
-    let full = if rank == 0 {
-        let pieces = pieces.unwrap();
+    let full = pieces.map(|pieces| {
         let mut vwgt = vec![0u64; n];
-        let mut w2_full = vec![0u64; n];
-        let mut prev_full = prev.map(|_| vec![0u32; n]);
-        let mut idx = vec![0usize; p];
-        for v in 0..n {
-            let r = owner[v] as usize;
-            vwgt[v] = pieces[r].0[idx[r]];
-            w2_full[v] = pieces[r].1[idx[r]];
-            if let Some(pf) = &mut prev_full {
-                pf[v] = pieces[r].2[idx[r]];
+        let mut w2_full = p.weights().w2().map(|_| vec![0u64; n]);
+        let mut prev_full = p.seed.map(|_| vec![0u32; n]);
+        for (r, (vw, v2, pv)) in pieces.iter().enumerate() {
+            for (k, &v) in lists.mine(r).iter().enumerate() {
+                vwgt[v as usize] = vw[k];
+                if let Some(w2) = &mut w2_full {
+                    w2[v as usize] = v2[k];
+                }
+                if let Some(pf) = &mut prev_full {
+                    pf[v as usize] = pv[k];
+                }
             }
-            idx[r] += 1;
         }
         debug_assert_eq!(&vwgt[..], &g.vwgt[..], "gathered weights must round-trip");
-        debug_assert_eq!(&w2_full[..], w2, "gathered second weights must round-trip");
+        debug_assert_eq!(
+            w2_full.as_deref(),
+            p.weights().w2(),
+            "gathered second weights must round-trip"
+        );
         let mut host = g.clone();
         host.vwgt = Cow::Owned(vwgt);
         charge(comm, HOST_UNITS_PER_VERTEX as usize * n, vertex_units);
-        Some(match prev_full {
-            Some(pf) => repartition_kway_dual(&host, &w2_full, cfg, &pf, caps),
-            None => partition_kway_dual(&host, &w2_full, cfg, caps),
-        })
-    } else {
-        None
-    };
+        let w = Weights::new(&host.vwgt, w2_full.as_deref());
+        multilevel(&host, w, p.cfg, prev_full.as_deref(), p.caps)
+    });
     comm.bcast(0, words_for_bytes(4 * n), full)
 }
 
 // ---------------------------------------------------------------------------
-// Entry points
+// Entry point
 // ---------------------------------------------------------------------------
 
-/// The SPMD body of the distributed repartitioner: call from every rank of a
-/// session (or [`spmd`] run) at the same program point.
-///
-/// * `g` — the full dual graph (a replicated substrate; each rank reads only
-///   its owned rows plus the replicated `owner`/offset arrays for routing).
-/// * `owner` — owning rank of each vertex (the previous processor
-///   assignment); defines the distribution of rows across ranks.
-/// * `prev` — previous partition to diffuse from (`None` partitions fresh,
-///   e.g. when `nparts` differs from the number of ranks).
-/// * `caps` — one relative capacity per part; uniform capacities take the
-///   bit-exact unweighted path.
-/// * `vertex_units` — compute units charged per owned vertex per stage
-///   (matching, contraction, each refinement round); pass 0 for free
-///   compute.
-///
-/// Every rank returns the same shared full partition vector. The result is
-/// deterministic in the inputs — independent of the machine model and of
-/// any chaos perturbation, which only stretch the virtual clocks.
-pub fn repartition_body(
+/// The SPMD body of the distributed multilevel repartitioner (see
+/// [`crate::balance_body`] for the calling contract). Each rank reads only
+/// its owned rows of the replicated graph plus the replicated
+/// [`RankLists`] for routing; a seed partition is diffused from, no seed
+/// partitions fresh (e.g. when `nparts` differs from the number of ranks);
+/// uniform capacities take the bit-exact unweighted path. `vertex_units`
+/// is charged per owned vertex per stage (matching, contraction, each
+/// refinement round).
+pub(crate) fn multilevel_body(
     comm: &mut Comm,
-    g: &Graph,
-    owner: &[u32],
-    prev: Option<&[u32]>,
-    cfg: &PartitionConfig,
-    caps: &[f64],
+    p: &Problem,
+    lists: &RankLists,
     vertex_units: f64,
 ) -> Arc<Vec<u32>> {
+    let (g, cfg) = (p.graph, p.cfg);
     let n = g.n();
     if cfg.nparts == 1 {
         return Arc::new(vec![0; n]);
     }
-    let frac = capacity_fractions(caps, cfg.nparts);
-    let frac = frac.as_deref();
-    if n <= cfg.coarsen_target() {
-        return exact_serial(comm, g, owner, prev, cfg, frac, vertex_units);
+    if p.weights().w2().is_some() || n <= cfg.coarsen_target() {
+        return gather_solve(comm, p, lists, vertex_units);
     }
+    let frac = capacity_fractions(p.caps, cfg.nparts);
+    let frac = frac.as_deref();
 
     let rank = comm.rank();
-    let p = comm.nranks();
-    let mut cur = build_level0(rank, p, g, owner, prev);
+    let mut cur = build_level0(rank, g, lists, p.seed);
     charge(comm, cur.local_n(), vertex_units);
 
     // Coarsening: parallel HEM + negotiated contraction per level.
@@ -1142,67 +1040,35 @@ pub fn repartition_body(
     let pieces = comm.gatherv(0, nwords, part);
     let full = pieces.map(|pieces| {
         let mut out = vec![0u32; n];
-        let mut idx = vec![0usize; p];
-        for v in 0..n {
-            let r = owner[v] as usize;
-            out[v] = pieces[r][idx[r]];
-            idx[r] += 1;
+        for (r, piece) in pieces.iter().enumerate() {
+            for (&v, &q) in lists.mine(r).iter().zip(piece) {
+                out[v as usize] = q;
+            }
         }
         out
     });
     comm.bcast(0, words_for_bytes(4 * n), full)
 }
 
-/// Result of a standalone [`repartition_distributed`] run.
-#[derive(Debug, Clone)]
-pub struct DistPartition {
-    /// The partition (one part id per vertex of the input graph).
-    pub part: Vec<u32>,
-    /// Virtual-time makespan of the partitioning step.
-    pub makespan: f64,
-    /// Full per-rank event trace of the run.
-    pub trace: TraceLog,
-}
-
-/// Run the distributed repartitioner on its own `nranks`-rank SPMD session.
-///
-/// This is the standalone harness the differential tests use; the adaption
-/// engine instead calls [`repartition_body`] inside its persistent session.
-/// Panics if the ranks disagree on the result (they cannot, by
-/// construction — the check is the point).
-#[allow(clippy::too_many_arguments)]
-pub fn repartition_distributed(
-    g: &Graph,
-    owner: &[u32],
-    prev: Option<&[u32]>,
-    cfg: &PartitionConfig,
-    caps: &[f64],
-    nranks: usize,
-    model: MachineModel,
-    vertex_units: f64,
-) -> DistPartition {
-    let results = spmd(nranks, model, |comm| {
-        comm.phase("partition", |c| {
-            repartition_body(c, g, owner, prev, cfg, caps, vertex_units)
-        })
-    });
-    let part = results[0].value.to_vec();
-    for r in &results {
-        assert_eq!(*r.value, part, "rank {} disagrees on the partition", r.rank);
-    }
-    DistPartition {
-        part,
-        makespan: makespan(&results),
-        trace: TraceLog::from_results(&results),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::balance::{balance_distributed, BalanceMethod, DistPartition};
     use crate::kway::{partition_kway, quality, tests::grid3d};
     use crate::metrics::{imbalance_weighted, part_weights};
     use crate::repart::repartition_kway;
+    use plum_parsim::MachineModel;
+
+    /// The multilevel kernel on its own `p`-rank session.
+    fn dist(
+        problem: &Problem,
+        owner: &[u32],
+        p: usize,
+        model: MachineModel,
+        units: f64,
+    ) -> DistPartition {
+        balance_distributed(BalanceMethod::Multilevel, problem, owner, p, model, units)
+    }
 
     fn block_owner(n: usize, p: usize) -> Vec<u32> {
         (0..n).map(|v| (v * p / n) as u32).collect()
@@ -1222,12 +1088,9 @@ mod tests {
         let serial = repartition_kway(&g, &cfg, &prev);
         for p in [2usize, 4, 8] {
             let owner = block_owner(g.n(), p);
-            let d = repartition_distributed(
-                &g,
+            let d = dist(
+                &Problem::new(&g, None, None, Some(&prev), &[1.0; 4], &cfg),
                 &owner,
-                Some(&prev),
-                &cfg,
-                &[1.0; 4],
                 p,
                 MachineModel::zero(),
                 0.0,
@@ -1248,12 +1111,9 @@ mod tests {
         }
         let owner: Vec<u32> = prev.clone();
         let run = || {
-            repartition_distributed(
-                &g,
+            dist(
+                &Problem::new(&g, None, None, Some(&prev), &[1.0; 8], &cfg),
                 &owner,
-                Some(&prev),
-                &cfg,
-                &[1.0; 8],
                 8,
                 MachineModel::sp2(),
                 0.5,
@@ -1278,22 +1138,16 @@ mod tests {
         let cfg = PartitionConfig::new(4);
         let prev = partition_kway(&g, &cfg);
         let owner = block_owner(g.n(), 4);
-        let fast = repartition_distributed(
-            &g,
+        let fast = dist(
+            &Problem::new(&g, None, None, Some(&prev), &[1.0; 4], &cfg),
             &owner,
-            Some(&prev),
-            &cfg,
-            &[1.0; 4],
             4,
             MachineModel::zero(),
             0.0,
         );
-        let slow = repartition_distributed(
-            &g,
+        let slow = dist(
+            &Problem::new(&g, None, None, Some(&prev), &[1.0; 4], &cfg),
             &owner,
-            Some(&prev),
-            &cfg,
-            &[1.0; 4],
             4,
             MachineModel::sp2(),
             3.0,
@@ -1312,12 +1166,9 @@ mod tests {
         let prev = partition_kway(&g, &cfg);
         let caps = [2.0, 1.0, 1.0, 1.0];
         let owner = block_owner(g.n(), 4);
-        let d = repartition_distributed(
-            &g,
+        let d = dist(
+            &Problem::new(&g, None, None, Some(&prev), &caps, &cfg),
             &owner,
-            Some(&prev),
-            &cfg,
-            &caps,
             4,
             MachineModel::zero(),
             0.0,
@@ -1340,12 +1191,9 @@ mod tests {
         let g = grid3d(12, 12, 8);
         let cfg = PartitionConfig::new(6);
         let owner = block_owner(g.n(), 3);
-        let d = repartition_distributed(
-            &g,
+        let d = dist(
+            &Problem::new(&g, None, None, None, &[1.0; 6], &cfg),
             &owner,
-            None,
-            &cfg,
-            &[1.0; 6],
             3,
             MachineModel::zero(),
             0.0,

@@ -7,11 +7,10 @@ use std::borrow::Cow;
 use crate::bisect::bisect;
 use crate::coarsen::coarsen_once;
 use crate::graph::Graph;
-use crate::knapsack::knapsack_partition_dual;
-use crate::metrics::{
-    combine_dual, dual_uniform, imbalance_dual, part_weights, partition_imbalance, weights_of,
-};
+use crate::knapsack::knapsack_partition;
+use crate::metrics::{combine_dual, imbalance_dual, part_weights, partition_imbalance, weights_of};
 use crate::rng::Rng;
+use crate::weights::Weights;
 
 /// Relative-load comparison under per-part ceilings in exact integer
 /// arithmetic: `a/ca < b/cb  ⟺  a·cb < b·ca`. With uniform ceilings this is
@@ -445,7 +444,7 @@ pub(crate) fn kway_refine_pass_dual(
     moves
 }
 
-/// Shared tail of the dual multilevel entry points: balance/refine rounds
+/// Tail of the dual multilevel kernel: balance/refine rounds
 /// on the true weight pair, then — when the graph moves alone cannot bring
 /// the binding constraint near tolerance — fall back to the dual LPT
 /// packing if that packing is strictly better. Balance beats locality at
@@ -489,7 +488,7 @@ pub(crate) fn dual_repair(
     }
     let achieved = imbalance_dual(&wt1, &wt2, caps);
     if achieved > cfg.imbalance_tol * 1.10 {
-        let knap = knapsack_partition_dual(&g.vwgt, w2, cfg.nparts, caps);
+        let knap = knapsack_partition(Weights::new(&g.vwgt, Some(w2)), cfg.nparts, caps);
         let kimb = imbalance_dual(
             &weights_of(&g.vwgt, &knap, cfg.nparts),
             &weights_of(w2, &knap, cfg.nparts),
@@ -513,39 +512,10 @@ pub(crate) fn combined_view<'a>(g: &'a Graph, w2: &[u64]) -> Graph<'a> {
     }
 }
 
-/// Dual-constraint multilevel k-way partition: the multilevel kernel runs
-/// on the combined totals-normalized weight (so the cut-aware machinery
-/// sees one scalar field), then [`dual_repair`] balances the true weight
-/// pair under the max-of-imbalances objective. A uniform second weight
-/// vector delegates to [`partition_kway_weighted`] bit-exactly.
-pub fn partition_kway_dual(g: &Graph, w2: &[u64], cfg: &PartitionConfig, caps: &[f64]) -> Vec<u32> {
-    assert_eq!(w2.len(), g.n(), "one second weight per vertex");
-    if dual_uniform(w2) {
-        return partition_kway_weighted(g, cfg, caps);
-    }
-    if cfg.nparts == 1 {
-        return vec![0; g.n()];
-    }
-    let frac = capacity_fractions(caps, cfg.nparts);
-    let part = partition_kway_impl(&combined_view(g, w2), cfg, frac.as_deref());
-    dual_repair(g, w2, cfg, frac.as_deref(), caps, part)
-}
-
 /// Multilevel k-way partition of `g`. Returns the part assignment
 /// (`0..nparts` per vertex).
 pub fn partition_kway(g: &Graph, cfg: &PartitionConfig) -> Vec<u32> {
     partition_kway_impl(g, cfg, None)
-}
-
-/// Capacity-weighted multilevel k-way partition: part `p` is assigned vertex
-/// weight proportional to `caps[p]` (relative processor capacities, any
-/// common scale). Uniform capacities delegate to [`partition_kway`] exactly,
-/// so a chaos-free run is bit-identical to the unweighted partitioner.
-pub fn partition_kway_weighted(g: &Graph, cfg: &PartitionConfig, caps: &[f64]) -> Vec<u32> {
-    match capacity_fractions(caps, cfg.nparts) {
-        None => partition_kway(g, cfg),
-        Some(frac) => partition_kway_impl(g, cfg, Some(&frac)),
-    }
 }
 
 pub(crate) fn partition_kway_impl(
@@ -630,6 +600,18 @@ pub fn quality(g: &Graph, part: &[u32], nparts: usize) -> PartitionQuality {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    /// The multilevel kernel on `g`'s own weights plus an optional second
+    /// constraint.
+    pub(crate) fn ml(
+        g: &Graph,
+        w2: Option<&[u64]>,
+        cfg: &PartitionConfig,
+        seed: Option<&[u32]>,
+        caps: &[f64],
+    ) -> Vec<u32> {
+        crate::balance::multilevel(g, Weights::new(&g.vwgt, w2), cfg, seed, caps)
+    }
 
     pub(crate) fn grid3d(nx: usize, ny: usize, nz: usize) -> Graph<'static> {
         let id = |x: usize, y: usize, z: usize| (z * ny + y) * nx + x;
@@ -737,7 +719,7 @@ pub(crate) mod tests {
         let g = grid3d(12, 12, 12);
         let caps = [2.0, 1.0, 1.0, 1.0];
         let cfg = PartitionConfig::new(caps.len());
-        let part = partition_kway_weighted(&g, &cfg, &caps);
+        let part = ml(&g, None, &cfg, None, &caps);
         let w = part_weights(&g, &part, caps.len());
         let eff = imbalance_weighted(&w, &caps);
         assert!(
@@ -760,7 +742,7 @@ pub(crate) mod tests {
         let plain = partition_kway(&g, &cfg);
         for c in [1.0, 2.5] {
             let caps = vec![c; 4];
-            assert_eq!(partition_kway_weighted(&g, &cfg, &caps), plain);
+            assert_eq!(ml(&g, None, &cfg, None, &caps), plain);
         }
     }
 
@@ -787,7 +769,7 @@ pub(crate) mod tests {
         let single = partition_kway(&g, &cfg);
         let w2_single = imbalance_weighted(&weights_of(&w2, &single, k), &caps);
         assert!(w2_single > 1.5, "corner load should skew w2: {w2_single}");
-        let dual = partition_kway_dual(&g, &w2, &cfg, &caps);
+        let dual = ml(&g, Some(&w2), &cfg, None, &caps);
         let i1 = imbalance_weighted(&part_weights(&g, &dual, k), &caps);
         let i2 = imbalance_weighted(&weights_of(&w2, &dual, k), &caps);
         assert!(i1 <= 1.15, "dual w1 imbalance {i1}");
@@ -795,23 +777,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn dual_partition_reduces_to_weighted_when_uniform() {
-        let g = grid3d(8, 8, 2);
-        let cfg = PartitionConfig::new(4);
-        for caps in [vec![1.0; 4], vec![2.0, 1.0, 1.0, 1.0]] {
-            let single = partition_kway_weighted(&g, &cfg, &caps);
-            for c in [1u64, 5] {
-                let w2 = vec![c; g.n()];
-                assert_eq!(partition_kway_dual(&g, &w2, &cfg, &caps), single);
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "finite and positive")]
     fn weighted_partition_rejects_nonpositive_capacity() {
         let g = grid3d(4, 4, 1);
-        partition_kway_weighted(&g, &PartitionConfig::new(2), &[1.0, 0.0]);
+        ml(&g, None, &PartitionConfig::new(2), None, &[1.0, 0.0]);
     }
 
     #[test]

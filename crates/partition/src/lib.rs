@@ -18,10 +18,32 @@
 //! let q = quality(&g, &part, 2);
 //! assert_eq!(q.cut, 2); // a ring's optimal bisection cuts exactly 2 edges
 //! ```
+//!
+//! The multilevel kernel is one method of a six-method balancer portfolio
+//! with one call shape — a [`Problem`] in, a partition out: [`balance`]
+//! runs a method's serial kernel, [`balance_body`] its SPMD body inside a
+//! simulator session, [`balance_distributed`] the body on a session of its
+//! own.
+//!
+//! ```
+//! use plum_partition::{balance, BalanceMethod, Graph, PartitionConfig, Problem};
+//!
+//! // The same ring, vertices 0–3 four times heavier, rebalanced from the
+//! // half/half split by shifting the boundary along the curve 0..8.
+//! let xadj = vec![0, 2, 4, 6, 8, 10, 12, 14, 16];
+//! let adjncy = vec![7, 1, 0, 2, 1, 3, 2, 4, 3, 5, 4, 6, 5, 7, 6, 0];
+//! let g = Graph::from_csr(xadj, adjncy, vec![4, 4, 4, 4, 1, 1, 1, 1]);
+//! let keys: Vec<u64> = (0..8).collect();
+//! let seed = [0, 0, 0, 0, 1, 1, 1, 1];
+//! let (caps, cfg) = ([1.0, 1.0], PartitionConfig::new(2));
+//! let problem = Problem::new(&g, None, Some(&keys), Some(&seed), &caps, &cfg);
+//! let part = balance(BalanceMethod::SfcDiffusion, &problem);
+//! assert_eq!(part, [0, 0, 0, 1, 1, 1, 1, 1]); // 12 | 8 instead of 16 | 4
+//! ```
 
+mod balance;
 mod bisect;
 mod coarsen;
-mod diffusion;
 mod diffusion2;
 mod distributed;
 mod graph;
@@ -34,38 +56,23 @@ mod repart;
 mod rng;
 mod sfc;
 mod voronoi;
+mod weights;
 
+pub use balance::{
+    balance, balance_body, balance_distributed, BalanceMethod, DistPartition, Problem, RankLists,
+};
 pub use bisect::{bisect, grow_bisection, refine_bisection};
 pub use coarsen::{coarsen_once, contract, heavy_edge_matching};
-pub use diffusion::{diffuse, DiffusionConfig, DiffusionResult};
-pub use diffusion2::{
-    diffusion2_balance, diffusion2_balance_dual, diffusion2_body, diffusion2_body_dual,
-    diffusion2_distributed, rank_adjacency, solve_flows, FlowSolve, DIFFUSION2_MAX_ROUNDS,
-};
-pub use distributed::{
-    inflow_quota, repartition_body, repartition_body_dual, repartition_distributed, DistPartition,
-};
+pub use diffusion2::{rank_adjacency, solve_flows, FlowSolve, DIFFUSION2_MAX_ROUNDS};
+pub use distributed::inflow_quota;
 pub use graph::{Graph, GraphView};
-pub use knapsack::{
-    knapsack_body, knapsack_body_dual, knapsack_distributed, knapsack_partition,
-    knapsack_partition_dual,
-};
-pub use kway::{
-    partition_kway, partition_kway_dual, partition_kway_weighted, quality, PartitionConfig,
-    PartitionQuality,
-};
+pub use kway::{partition_kway, quality, PartitionConfig, PartitionQuality};
 pub use metrics::{
     dual_uniform, edge_cut, imbalance, imbalance_dual, imbalance_weighted, migration, part_weights,
     partition_imbalance, weights_of,
 };
-pub use repart::{repartition_kway, repartition_kway_dual, repartition_kway_weighted};
+pub use repart::repartition_kway;
 pub use rng::Rng;
-pub use sfc::{
-    sfc_body, sfc_body_dual, sfc_diffuse, sfc_diffuse_body, sfc_diffuse_body_dual,
-    sfc_diffuse_dual, sfc_distributed, sfc_effective_imbalance, sfc_effective_imbalance_dual,
-    sfc_order, sfc_partition, sfc_partition_dual, sfc_split, sfc_split_dual,
-};
-pub use voronoi::{
-    voronoi_balance, voronoi_balance_dual, voronoi_body, voronoi_body_dual, voronoi_distributed,
-    voronoi_partition, voronoi_partition_dual, VORONOI_ROUNDS,
-};
+pub use sfc::sfc_order;
+pub use voronoi::VORONOI_ROUNDS;
+pub use weights::Weights;

@@ -9,13 +9,14 @@ use proptest::prelude::*;
 
 use plum_parsim::{spmd, MachineModel};
 
+use crate::balance::{balance, balance_distributed, multilevel, BalanceMethod, Problem, RankLists};
 use crate::distributed::{
     build_level0, contract_distributed, inflow_quota, inflow_quota_greedy, parallel_hem, DistGraph,
 };
 use crate::graph::Graph;
 use crate::kway::{capacity_fractions, part_ceilings, partition_kway, PartitionConfig};
 use crate::metrics::part_weights;
-use crate::repartition_distributed;
+use crate::weights::Weights;
 
 /// Random connected symmetric graph: a ring plus `extra` chords, with
 /// deterministic non-uniform vertex and edge weights derived from the ids
@@ -58,27 +59,6 @@ fn random_graph(n: usize, extra: &[(u32, u32)]) -> Graph<'static> {
     g
 }
 
-/// Rank-major renumbering, mirroring `build_level0`: original id → level-0
-/// global id.
-fn renumber(owner: &[u32], nranks: usize) -> Vec<u32> {
-    let n = owner.len();
-    let mut off = vec![0u32; nranks + 1];
-    for &o in owner {
-        off[o as usize + 1] += 1;
-    }
-    for r in 0..nranks {
-        off[r + 1] += off[r];
-    }
-    let mut next = off;
-    let mut newid = vec![0u32; n];
-    for v in 0..n {
-        let r = owner[v] as usize;
-        newid[v] = next[r];
-        next[r] += 1;
-    }
-    newid
-}
-
 /// Global edge weight between owned local vertex `i` and global id `m`.
 fn row_weight_to(dg: &DistGraph, i: usize, m: u32) -> u64 {
     dg.row(i)
@@ -104,9 +84,9 @@ proptest! {
         let g = random_graph(n, &extra);
         let owner: Vec<u32> = (0..n).map(|v| owners[v % owners.len()] % p as u32).collect();
         let gref = &g;
-        let ownref = &owner;
+        let lists = &RankLists::build(&owner, p);
         let results = spmd(p, MachineModel::zero(), move |comm| {
-            let dg = build_level0(comm.rank(), p, gref, ownref, None);
+            let dg = build_level0(comm.rank(), gref, lists, None);
             let partner = parallel_hem(comm, &dg, 0x9e37, level);
             (dg.off.clone(), partner)
         });
@@ -118,7 +98,7 @@ proptest! {
                 mate[base + i] = m;
             }
         }
-        let newid = renumber(&owner, p);
+        let newid = &lists.newid;
         let mut neighbors = vec![Vec::new(); n];
         for v in 0..n {
             for (u, _) in g.edges(v) {
@@ -152,9 +132,9 @@ proptest! {
         let g = random_graph(n, &extra);
         let owner: Vec<u32> = (0..n).map(|v| owners[v % owners.len()] % p as u32).collect();
         let gref = &g;
-        let ownref = &owner;
+        let lists = &RankLists::build(&owner, p);
         let results = spmd(p, MachineModel::zero(), move |comm| {
-            let mut cur = build_level0(comm.rank(), p, gref, ownref, None);
+            let mut cur = build_level0(comm.rank(), gref, lists, None);
             // (vertex total, edge total, matched internal edge weight ×2)
             let mut ledger: Vec<(u64, u64, u64)> = Vec::new();
             let vtot = |c: &mut plum_parsim::Comm, dg: &DistGraph| {
@@ -223,12 +203,12 @@ proptest! {
         let mut cfg = PartitionConfig::new(p);
         cfg.coarsen_to = 24; // force the multilevel path on these small graphs
         let prev = partition_kway(&g, &cfg);
-        let d = repartition_distributed(
-            &g,
+        let seed = use_prev.then_some(&prev[..]);
+        let problem = Problem::new(&g, None, None, seed, &caps[..p], &cfg);
+        let d = balance_distributed(
+            BalanceMethod::Multilevel,
+            &problem,
             &owner,
-            if use_prev { Some(&prev) } else { None },
-            &cfg,
-            &caps[..p],
             p,
             MachineModel::zero(),
             0.0,
@@ -298,11 +278,12 @@ proptest! {
         let keys = &keyseed[..n];
         let vwgt = &wseed[..n];
         let prev: Vec<u32> = (0..n).map(|v| prevseed[v] % p as u32).collect();
-        let out = crate::sfc::sfc_diffuse(keys, vwgt, &prev, p, &caps[..p]);
+        let w = Weights::new(vwgt, None);
+        let out = crate::sfc::sfc_diffuse(keys, w, &prev, p, &caps[..p]);
         prop_assert_eq!(out.len(), n);
         prop_assert!(out.iter().all(|&q| (q as usize) < p));
-        let before = crate::sfc::sfc_effective_imbalance(vwgt, &prev, p, &caps[..p]);
-        let after = crate::sfc::sfc_effective_imbalance(vwgt, &out, p, &caps[..p]);
+        let before = w.imbalance(&prev, p, &caps[..p]);
+        let after = w.imbalance(&out, p, &caps[..p]);
         prop_assert!(
             after <= before + 1e-9,
             "diffusion worsened imbalance: {} -> {}",
@@ -328,7 +309,7 @@ proptest! {
         use crate::metrics::{imbalance_weighted, weights_of};
         let w1 = &w1seed[..n];
         let w2 = &w2seed[..n];
-        let part = crate::knapsack::knapsack_partition_dual(w1, w2, p, &caps[..p]);
+        let part = crate::knapsack::knapsack_partition(Weights::new(w1, Some(w2)), p, &caps[..p]);
         prop_assert_eq!(part.len(), n);
         prop_assert!(part.iter().all(|&q| (q as usize) < p));
         let t1: u64 = w1.iter().sum();
@@ -366,12 +347,9 @@ proptest! {
         let w2 = &w2seed[..n];
         let mut cfg = PartitionConfig::new(p);
         cfg.coarsen_to = 24;
-        let part = if reseed {
-            let prev: Vec<u32> = (0..n).map(|v| prevseed[v] % p as u32).collect();
-            crate::repart::repartition_kway_dual(&g, w2, &cfg, &prev, &caps[..p])
-        } else {
-            crate::kway::partition_kway_dual(&g, w2, &cfg, &caps[..p])
-        };
+        let prev: Vec<u32> = (0..n).map(|v| prevseed[v] % p as u32).collect();
+        let seed = reseed.then_some(&prev[..]);
+        let part = multilevel(&g, Weights::new(&g.vwgt, Some(w2)), &cfg, seed, &caps[..p]);
         prop_assert_eq!(part.len(), n);
         prop_assert!(part.iter().all(|&q| (q as usize) < p));
         let t1 = g.total_vwgt();
@@ -388,12 +366,13 @@ proptest! {
         prop_assert!(i2 <= bound, "constraint 2 imbalance {} beyond ceiling {}", i2, bound);
     }
 
-    /// (i) Every dual kernel reduces *bit-exactly* to its single-constraint
-    /// counterpart when the second weight vector is uniform — the session
-    /// engine can therefore route everything through the dual entry points
-    /// without perturbing single-constraint goldens.
+    /// (i) A uniform second weight vector constrains nothing: [`Weights`]
+    /// drops it, so every method of the portfolio — seeded and fresh —
+    /// returns bit-exactly its single-constraint partition, and the session
+    /// engine can pass a second vector unconditionally without perturbing
+    /// single-constraint goldens.
     #[test]
-    fn dual_kernels_reduce_bit_exactly_when_uniform(
+    fn uniform_second_weights_reduce_bit_exactly_to_single(
         n in 30usize..100,
         extra in proptest::collection::vec((0u32..1024, 0u32..1024), 24),
         keyseed in proptest::collection::vec(any::<u64>(), 100),
@@ -404,34 +383,23 @@ proptest! {
     ) {
         let g = random_graph(n, &extra);
         let w2 = vec![c; n];
-        let keys = &keyseed[..n];
+        prop_assert!(Weights::new(&g.vwgt, Some(&w2)).w2().is_none());
+        let keys = Some(&keyseed[..n]);
         let prev: Vec<u32> = (0..n).map(|v| prevseed[v] % p as u32).collect();
         let mut cfg = PartitionConfig::new(p);
         cfg.coarsen_to = 24;
-        prop_assert_eq!(
-            crate::knapsack::knapsack_partition_dual(&g.vwgt, &w2, p, &caps[..p]),
-            crate::knapsack::knapsack_partition(&g.vwgt, p, &caps[..p])
-        );
-        prop_assert_eq!(
-            crate::sfc::sfc_split_dual(keys, &g.vwgt, &w2, p, &caps[..p]),
-            crate::sfc::sfc_split(keys, &g.vwgt, p, &caps[..p])
-        );
-        prop_assert_eq!(
-            crate::sfc::sfc_diffuse_dual(keys, &g.vwgt, &w2, &prev, p, &caps[..p]),
-            crate::sfc::sfc_diffuse(keys, &g.vwgt, &prev, p, &caps[..p])
-        );
-        prop_assert_eq!(
-            crate::sfc::sfc_partition_dual(keys, &g.vwgt, &w2, p, &caps[..p]),
-            crate::sfc::sfc_partition(keys, &g.vwgt, p, &caps[..p])
-        );
-        prop_assert_eq!(
-            crate::kway::partition_kway_dual(&g, &w2, &cfg, &caps[..p]),
-            crate::kway::partition_kway_weighted(&g, &cfg, &caps[..p])
-        );
-        prop_assert_eq!(
-            crate::repart::repartition_kway_dual(&g, &w2, &cfg, &prev, &caps[..p]),
-            crate::repart::repartition_kway_weighted(&g, &cfg, &prev, &caps[..p])
-        );
+        for method in BalanceMethod::ALL {
+            for seed in [Some(&prev[..]), None] {
+                if method.needs_seed() && seed.is_none() {
+                    continue;
+                }
+                prop_assert_eq!(
+                    balance(method, &Problem::new(&g, Some(&w2), keys, seed, &caps[..p], &cfg)),
+                    balance(method, &Problem::new(&g, None, keys, seed, &caps[..p], &cfg)),
+                    "{:?} seeded={}", method, seed.is_some()
+                );
+            }
+        }
     }
 
     /// (j) Dual boundary diffusion is monotone in the *binding* constraint:
@@ -451,11 +419,12 @@ proptest! {
         let w1 = &w1seed[..n];
         let w2 = &w2seed[..n];
         let prev: Vec<u32> = (0..n).map(|v| prevseed[v] % p as u32).collect();
-        let out = crate::sfc::sfc_diffuse_dual(keys, w1, w2, &prev, p, &caps[..p]);
+        let w = Weights::new(w1, Some(w2));
+        let out = crate::sfc::sfc_diffuse(keys, w, &prev, p, &caps[..p]);
         prop_assert_eq!(out.len(), n);
         prop_assert!(out.iter().all(|&q| (q as usize) < p));
-        let before = crate::sfc::sfc_effective_imbalance_dual(w1, w2, &prev, p, &caps[..p]);
-        let after = crate::sfc::sfc_effective_imbalance_dual(w1, w2, &out, p, &caps[..p]);
+        let before = w.imbalance(&prev, p, &caps[..p]);
+        let after = w.imbalance(&out, p, &caps[..p]);
         prop_assert!(
             after <= before + 1e-9,
             "dual diffusion worsened the binding imbalance: {} -> {}",
@@ -535,7 +504,7 @@ proptest! {
         use crate::metrics::{imbalance_weighted, weights_of};
         let g = random_graph(n, &extra);
         let prev: Vec<u32> = (0..n).map(|v| prevseed[v % prevseed.len()] % p as u32).collect();
-        let part = diffusion2_balance(&g, &prev, p, &caps[..p]);
+        let part = diffusion2_balance(&g, Weights::new(&g.vwgt, None), &prev, p, &caps[..p]);
         prop_assert_eq!(part.len(), n);
         prop_assert!(part.iter().all(|&q| (q as usize) < p));
         let before_w = weights_of(&g.vwgt, &prev, p);
@@ -598,11 +567,12 @@ proptest! {
         caps in proptest::collection::vec(0.5f64..2.0, 8),
     ) {
         use crate::metrics::{imbalance_weighted, weights_of};
-        use crate::voronoi::{voronoi_balance, voronoi_partition};
+        use crate::voronoi::voronoi;
         let keys = &keyseed[..n];
         let vwgt = &wseed[..n];
         let prev: Vec<u32> = (0..n).map(|v| prevseed[v] % p as u32).collect();
-        let out = voronoi_balance(keys, vwgt, &prev, p, &caps[..p]);
+        let w = Weights::new(vwgt, None);
+        let out = voronoi(keys, w, Some(&prev), p, &caps[..p]);
         prop_assert_eq!(out.len(), n);
         prop_assert!(out.iter().all(|&q| (q as usize) < p));
         let before = imbalance_weighted(&weights_of(vwgt, &prev, p), &caps[..p]);
@@ -611,44 +581,9 @@ proptest! {
             after <= before + 1e-9,
             "voronoi worsened imbalance: {} -> {}", before, after
         );
-        let fresh = voronoi_partition(keys, vwgt, p, &caps[..p]);
+        let fresh = voronoi(keys, w, None, p, &caps[..p]);
         prop_assert_eq!(fresh.len(), n);
         prop_assert!(fresh.iter().all(|&q| (q as usize) < p));
-    }
-
-    /// (n) The new balancers' dual kernels reduce bit-exactly to their
-    /// single-constraint counterparts when the second weight vector is
-    /// uniform — same contract as test (i) for the PR 6 portfolio.
-    #[test]
-    fn new_balancer_duals_reduce_bit_exactly_when_uniform(
-        n in 24usize..80,
-        extra in proptest::collection::vec((0u32..1024, 0u32..1024), 24),
-        keyseed in proptest::collection::vec(any::<u64>(), 80),
-        prevseed in proptest::collection::vec(0u32..8, 80),
-        c in 1u64..9,
-        p in 2usize..6,
-        caps in proptest::collection::vec(0.5f64..2.0, 8),
-    ) {
-        use crate::diffusion2::{diffusion2_balance, diffusion2_balance_dual};
-        use crate::voronoi::{
-            voronoi_balance, voronoi_balance_dual, voronoi_partition, voronoi_partition_dual,
-        };
-        let g = random_graph(n, &extra);
-        let w2 = vec![c; n];
-        let keys = &keyseed[..n];
-        let prev: Vec<u32> = (0..n).map(|v| prevseed[v] % p as u32).collect();
-        prop_assert_eq!(
-            diffusion2_balance_dual(&g, &w2, &prev, p, &caps[..p]),
-            diffusion2_balance(&g, &prev, p, &caps[..p])
-        );
-        prop_assert_eq!(
-            voronoi_balance_dual(keys, &g.vwgt, &w2, &prev, p, &caps[..p]),
-            voronoi_balance(keys, &g.vwgt, &prev, p, &caps[..p])
-        );
-        prop_assert_eq!(
-            voronoi_partition_dual(keys, &g.vwgt, &w2, p, &caps[..p]),
-            voronoi_partition(keys, &g.vwgt, p, &caps[..p])
-        );
     }
 
     /// (f) LPT knapsack packing: exact cover, and the heaviest effective
@@ -662,7 +597,7 @@ proptest! {
         caps in proptest::collection::vec(0.5f64..2.0, 8),
     ) {
         let vwgt = &wseed[..n];
-        let part = crate::knapsack::knapsack_partition(vwgt, p, &caps[..p]);
+        let part = crate::knapsack::knapsack_partition(Weights::new(vwgt, None), p, &caps[..p]);
         prop_assert_eq!(part.len(), n);
         prop_assert!(part.iter().all(|&q| (q as usize) < p));
         let mut w = vec![0u64; p];

@@ -10,10 +10,9 @@
 
 use crate::graph::Graph;
 use crate::kway::{
-    capacity_fractions, combined_view, dual_repair, kway_balance, kway_refine_pass, part_ceilings,
-    partition_kway_impl, PartitionConfig,
+    kway_balance, kway_refine_pass, part_ceilings, partition_kway_impl, PartitionConfig,
 };
-use crate::metrics::{dual_uniform, imbalance_weighted, part_weights, partition_imbalance};
+use crate::metrics::{imbalance_weighted, part_weights, partition_imbalance};
 use crate::rng::Rng;
 
 /// Repartition `g` starting from `prev`. Falls back to a fresh multilevel
@@ -21,45 +20,6 @@ use crate::rng::Rng;
 /// partition is pathologically concentrated).
 pub fn repartition_kway(g: &Graph, cfg: &PartitionConfig, prev: &[u32]) -> Vec<u32> {
     repartition_kway_impl(g, cfg, prev, None)
-}
-
-/// Capacity-weighted repartitioning: diffuse from `prev` toward per-part
-/// loads proportional to `caps` (relative processor capacities). Uniform
-/// capacities delegate to [`repartition_kway`] exactly.
-pub fn repartition_kway_weighted(
-    g: &Graph,
-    cfg: &PartitionConfig,
-    prev: &[u32],
-    caps: &[f64],
-) -> Vec<u32> {
-    match capacity_fractions(caps, cfg.nparts) {
-        None => repartition_kway_impl(g, cfg, prev, None),
-        Some(frac) => repartition_kway_impl(g, cfg, prev, Some(&frac)),
-    }
-}
-
-/// Dual-constraint repartitioning: diffuse from `prev` on the combined
-/// totals-normalized weight (keeping most vertices where they were), then
-/// repair the true weight pair under the max-of-imbalances objective via
-/// [`dual_repair`]. A uniform second weight vector delegates to
-/// [`repartition_kway_weighted`] bit-exactly.
-pub fn repartition_kway_dual(
-    g: &Graph,
-    w2: &[u64],
-    cfg: &PartitionConfig,
-    prev: &[u32],
-    caps: &[f64],
-) -> Vec<u32> {
-    assert_eq!(w2.len(), g.n(), "one second weight per vertex");
-    if dual_uniform(w2) {
-        return repartition_kway_weighted(g, cfg, prev, caps);
-    }
-    if cfg.nparts == 1 {
-        return vec![0; g.n()];
-    }
-    let frac = capacity_fractions(caps, cfg.nparts);
-    let part = repartition_diffuse(&combined_view(g, w2), cfg, prev, frac.as_deref());
-    dual_repair(g, w2, cfg, frac.as_deref(), caps, part)
 }
 
 /// The diffusion core: balance/refine rounds from `prev`, *without* the
@@ -123,7 +83,7 @@ pub(crate) fn repartition_kway_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kway::{partition_kway, quality};
+    use crate::kway::{partition_kway, quality, tests::ml};
     use crate::metrics::migration;
 
     fn grid(nx: usize, ny: usize) -> Graph<'static> {
@@ -195,7 +155,7 @@ mod tests {
         let prev = partition_kway(&g, &cfg);
         // Part 0's processor just slowed to half speed; the others are fine.
         let caps = [0.5, 1.0, 1.0, 1.0];
-        let next = repartition_kway_weighted(&g, &cfg, &prev, &caps);
+        let next = ml(&g, None, &cfg, Some(&prev), &caps);
         let w = part_weights(&g, &next, 4);
         let eff = imbalance_weighted(&w, &caps);
         assert!(
@@ -228,24 +188,23 @@ mod tests {
             }
         }
         let plain = repartition_kway(&g, &cfg, &prev);
-        let weighted = repartition_kway_weighted(&g, &cfg, &prev, &[1.0; 4]);
+        let weighted = ml(&g, None, &cfg, Some(&prev), &[1.0; 4]);
         assert_eq!(plain, weighted);
     }
 
     #[test]
     fn dual_repartition_balances_both_and_keeps_most_in_place() {
-        use crate::kway::partition_kway_dual;
         use crate::metrics::{imbalance_weighted, weights_of};
         let g = grid(16, 16);
         let cfg = PartitionConfig::new(4);
         let caps = vec![1.0; 4];
         // Particles drift into part 0's region after the initial balance.
         let w2_init = vec![1u64; g.n()];
-        let prev = partition_kway_dual(&g, &w2_init, &cfg, &caps);
+        let prev = ml(&g, Some(&w2_init), &cfg, None, &caps);
         let w2: Vec<u64> = (0..g.n())
             .map(|v| if prev[v] == 0 { 3 } else { 1 })
             .collect();
-        let next = repartition_kway_dual(&g, &w2, &cfg, &prev, &caps);
+        let next = ml(&g, Some(&w2), &cfg, Some(&prev), &caps);
         let i1 = imbalance_weighted(&part_weights(&g, &next, 4), &caps);
         let i2 = imbalance_weighted(&weights_of(&w2, &next, 4), &caps);
         assert!(i1 <= 1.25, "dual repartition w1 imbalance {i1}");
@@ -256,22 +215,6 @@ mod tests {
             "dual repartition moved {moved}/{} vertices",
             g.n()
         );
-    }
-
-    #[test]
-    fn dual_repartition_reduces_to_weighted_when_uniform() {
-        let mut g = grid(12, 12);
-        let cfg = PartitionConfig::new(4);
-        let prev = partition_kway(&g, &cfg);
-        for v in 0..g.n() {
-            if prev[v] == 2 {
-                g.vwgt.to_mut()[v] = 5;
-            }
-        }
-        let caps = [1.0, 2.0, 1.0, 1.0];
-        let single = repartition_kway_weighted(&g, &cfg, &prev, &caps);
-        let w2 = vec![3u64; g.n()];
-        assert_eq!(repartition_kway_dual(&g, &w2, &cfg, &prev, &caps), single);
     }
 
     #[test]

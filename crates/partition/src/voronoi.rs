@@ -19,22 +19,13 @@
 //! imbalance than the seed and an already-balanced partition is an exact
 //! fixed point.
 //!
-//! The SPMD body follows the [`crate::sfc`] contract: replicated
-//! arithmetic only, so the partition is a deterministic function of
-//! `(keys, vwgt, prev, nparts, caps)` and independent of the machine
-//! model; virtual time comes from the per-vertex assignment charge and
-//! the real moved-triple exchange + part-weight allreduce.
+//! This is the serial kernel; [`crate::balance_body`] runs it as replicated
+//! arithmetic inside the simulator (the Lloyd rounds work on the
+//! allreduce-replicated part weights and centroids).
 
-use std::sync::Arc;
-
-use plum_parsim::{makespan, spmd, Comm, MachineModel, TraceLog};
-
-use crate::distributed::DistPartition;
-use crate::metrics::{combine_dual, dual_uniform, imbalance_dual, imbalance_weighted, weights_of};
-use crate::sfc::{
-    cap_fractions, charge, exchange_and_check, resolve_replicated, sfc_split, DUAL_TRIPLE_BYTES,
-    TRIPLE_BYTES,
-};
+use crate::metrics::weights_of;
+use crate::sfc::{cap_fractions, sfc_split};
+use crate::weights::Weights;
 
 /// Lloyd rounds. Generators converge geometrically on the 1D curve; the
 /// best-seen assignment is kept, so extra rounds can only help quality.
@@ -156,201 +147,26 @@ fn voronoi_core(
     best.expect("nparts ≥ 2 runs at least one round").1
 }
 
-/// Serial kernel, from-scratch flavor: partition by Voronoi cell growth
-/// seeded from the capacity-weighted SFC split.
-pub fn voronoi_partition(keys: &[u64], vwgt: &[u64], nparts: usize, caps: &[f64]) -> Vec<u32> {
-    let judge = |part: &[u32]| imbalance_weighted(&weights_of(vwgt, part, nparts), caps);
-    voronoi_core(keys, vwgt, None, nparts, caps, judge)
-}
-
-/// Serial kernel, rebalance flavor: seed the generators from the previous
-/// partition's centroids and keep the previous partition as the incumbent
-/// — never worsens the effective imbalance, and a balanced input is
-/// returned unchanged.
-pub fn voronoi_balance(
+/// The Voronoi balancer: cells driven by [`Weights::drive`], judged on
+/// [`Weights::imbalance`]. With a seed the generators start at the previous
+/// partition's centroids and the seed is the incumbent — the result never
+/// judges worse and a balanced input is returned unchanged; without one the
+/// capacity-weighted SFC split seeds the generators.
+pub(crate) fn voronoi(
     keys: &[u64],
-    vwgt: &[u64],
-    prev: &[u32],
+    w: Weights,
+    seed: Option<&[u32]>,
     nparts: usize,
     caps: &[f64],
 ) -> Vec<u32> {
-    let judge = |part: &[u32]| imbalance_weighted(&weights_of(vwgt, part, nparts), caps);
-    voronoi_core(keys, vwgt, Some(prev), nparts, caps, judge)
-}
-
-/// Dual-constraint from-scratch kernel: drive the cells with the combined
-/// weight, judge on the dual effective imbalance. A uniform second weight
-/// vector reduces bit-exactly to [`voronoi_partition`].
-pub fn voronoi_partition_dual(
-    keys: &[u64],
-    w1: &[u64],
-    w2: &[u64],
-    nparts: usize,
-    caps: &[f64],
-) -> Vec<u32> {
-    if dual_uniform(w2) {
-        return voronoi_partition(keys, w1, nparts, caps);
-    }
-    let combined = combine_dual(w1, w2);
-    let judge = |part: &[u32]| {
-        imbalance_dual(
-            &weights_of(w1, part, nparts),
-            &weights_of(w2, part, nparts),
-            caps,
-        )
-    };
-    voronoi_core(keys, &combined, None, nparts, caps, judge)
-}
-
-/// Dual-constraint rebalance kernel; uniform `w2` reduces bit-exactly to
-/// [`voronoi_balance`].
-pub fn voronoi_balance_dual(
-    keys: &[u64],
-    w1: &[u64],
-    w2: &[u64],
-    prev: &[u32],
-    nparts: usize,
-    caps: &[f64],
-) -> Vec<u32> {
-    if dual_uniform(w2) {
-        return voronoi_balance(keys, w1, prev, nparts, caps);
-    }
-    let combined = combine_dual(w1, w2);
-    let judge = |part: &[u32]| {
-        imbalance_dual(
-            &weights_of(w1, part, nparts),
-            &weights_of(w2, part, nparts),
-            caps,
-        )
-    };
-    voronoi_core(keys, &combined, Some(prev), nparts, caps, judge)
-}
-
-/// SPMD body of the Voronoi balancer: the Lloyd rounds are replicated
-/// arithmetic on the (allreduce-replicated) part weights and centroids, so
-/// the real traffic is the moved-triple exchange plus the part-weight
-/// allreduce; the per-vertex charge covers the local assignment scans.
-/// Bit-identical to the serial kernel on every rank under every machine
-/// model. `prev = None` runs the from-scratch flavor (and ships every
-/// local triple); `Some` runs the rebalance flavor (moved triples only).
-#[allow(clippy::too_many_arguments)]
-pub fn voronoi_body(
-    comm: &mut Comm,
-    keys: &[u64],
-    vwgt: &[u64],
-    owner: &[u32],
-    prev: Option<&[u32]>,
-    nparts: usize,
-    caps: &[f64],
-    vertex_units: f64,
-    precomputed: Option<&Arc<Vec<u32>>>,
-) -> Arc<Vec<u32>> {
-    let rank = comm.rank();
-    let part = resolve_replicated(precomputed, || match prev {
-        Some(prev) => voronoi_balance(keys, vwgt, prev, nparts, caps),
-        None => voronoi_partition(keys, vwgt, nparts, caps),
-    });
-    let n_local = owner.iter().filter(|&&o| o as usize == rank).count();
-    charge(comm, n_local, vertex_units);
-    exchange_and_check(comm, vwgt, None, owner, &part, prev, nparts, TRIPLE_BYTES);
-    part
-}
-
-/// Dual-constraint SPMD body; uniform `w2` delegates to [`voronoi_body`],
-/// leaving its traffic untouched.
-#[allow(clippy::too_many_arguments)]
-pub fn voronoi_body_dual(
-    comm: &mut Comm,
-    keys: &[u64],
-    w1: &[u64],
-    w2: &[u64],
-    owner: &[u32],
-    prev: Option<&[u32]>,
-    nparts: usize,
-    caps: &[f64],
-    vertex_units: f64,
-    precomputed: Option<&Arc<Vec<u32>>>,
-) -> Arc<Vec<u32>> {
-    if dual_uniform(w2) {
-        return voronoi_body(
-            comm,
-            keys,
-            w1,
-            owner,
-            prev,
-            nparts,
-            caps,
-            vertex_units,
-            precomputed,
-        );
-    }
-    let rank = comm.rank();
-    let part = resolve_replicated(precomputed, || match prev {
-        Some(prev) => voronoi_balance_dual(keys, w1, w2, prev, nparts, caps),
-        None => voronoi_partition_dual(keys, w1, w2, nparts, caps),
-    });
-    let n_local = owner.iter().filter(|&&o| o as usize == rank).count();
-    charge(comm, n_local, vertex_units);
-    exchange_and_check(
-        comm,
-        w1,
-        Some(w2),
-        owner,
-        &part,
-        prev,
-        nparts,
-        DUAL_TRIPLE_BYTES,
-    );
-    part
-}
-
-/// Standalone distributed harness (mirrors [`crate::sfc::sfc_distributed`]).
-#[allow(clippy::too_many_arguments)]
-pub fn voronoi_distributed(
-    keys: &[u64],
-    vwgt: &[u64],
-    owner: &[u32],
-    prev: Option<&[u32]>,
-    nparts: usize,
-    caps: &[f64],
-    nranks: usize,
-    model: MachineModel,
-    vertex_units: f64,
-) -> DistPartition {
-    let hoisted = Arc::new(match prev {
-        Some(prev) => voronoi_balance(keys, vwgt, prev, nparts, caps),
-        None => voronoi_partition(keys, vwgt, nparts, caps),
-    });
-    let hoisted = &hoisted;
-    let results = spmd(nranks, model, move |comm| {
-        comm.phase("partition", |c| {
-            voronoi_body(
-                c,
-                keys,
-                vwgt,
-                owner,
-                prev,
-                nparts,
-                caps,
-                vertex_units,
-                Some(hoisted),
-            )
-        })
-    });
-    let part = results[0].value.to_vec();
-    for r in &results {
-        assert_eq!(*r.value, part, "rank {} disagrees on the partition", r.rank);
-    }
-    DistPartition {
-        part,
-        makespan: makespan(&results),
-        trace: TraceLog::from_results(&results),
-    }
+    let judge = |part: &[u32]| w.imbalance(part, nparts, caps);
+    voronoi_core(keys, &w.drive(), seed, nparts, caps, judge)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::imbalance_weighted;
 
     #[test]
     fn balanced_partition_is_exact_fixed_point() {
@@ -358,7 +174,10 @@ mod tests {
         let vwgt = vec![1u64; 64];
         let prev: Vec<u32> = (0..64).map(|v| (v / 16) as u32).collect();
         let caps = vec![1.0; 4];
-        assert_eq!(voronoi_balance(&keys, &vwgt, &prev, 4, &caps), prev);
+        assert_eq!(
+            voronoi(&keys, Weights::new(&vwgt, None), Some(&prev), 4, &caps),
+            prev
+        );
     }
 
     #[test]
@@ -370,7 +189,7 @@ mod tests {
         }
         let prev: Vec<u32> = (0..64).map(|v| (v / 16) as u32).collect();
         let caps = vec![1.0; 4];
-        let part = voronoi_balance(&keys, &vwgt, &prev, 4, &caps);
+        let part = voronoi(&keys, Weights::new(&vwgt, None), Some(&prev), 4, &caps);
         let old = imbalance_weighted(&weights_of(&vwgt, &prev, 4), &caps);
         let new = imbalance_weighted(&weights_of(&vwgt, &part, 4), &caps);
         assert!(new < old, "hot block must shed: {new} vs {old}");
@@ -385,7 +204,7 @@ mod tests {
             .collect();
         let vwgt = vec![1u64; 100];
         let caps = vec![1.0; 4];
-        let part = voronoi_partition(&keys, &vwgt, 4, &caps);
+        let part = voronoi(&keys, Weights::new(&vwgt, None), None, 4, &caps);
         assert_eq!(part.len(), 100);
         assert!(part.iter().all(|&p| p < 4));
         let imb = imbalance_weighted(&weights_of(&vwgt, &part, 4), &caps);
@@ -400,7 +219,7 @@ mod tests {
         // Part 0 has double capacity: equal thirds are imbalanced in
         // effective terms, and the balancer must feed part 0.
         let caps = vec![2.0, 1.0, 1.0];
-        let part = voronoi_balance(&keys, &vwgt, &prev, 3, &caps);
+        let part = voronoi(&keys, Weights::new(&vwgt, None), Some(&prev), 3, &caps);
         let old = imbalance_weighted(&weights_of(&vwgt, &prev, 3), &caps);
         let new = imbalance_weighted(&weights_of(&vwgt, &part, 3), &caps);
         assert!(
@@ -409,25 +228,5 @@ mod tests {
         );
         let w = weights_of(&vwgt, &part, 3);
         assert!(w[0] > 30, "double-capacity cell must grow: {w:?}");
-    }
-
-    #[test]
-    fn dual_uniform_reduces_bit_exactly() {
-        let keys: Vec<u64> = (0..48).map(|v| v * 7).collect();
-        let mut vwgt = vec![1u64; 48];
-        for w in vwgt.iter_mut().take(12) {
-            *w = 5;
-        }
-        let prev: Vec<u32> = (0..48).map(|v| (v / 12) as u32).collect();
-        let caps = vec![1.0; 4];
-        let w2 = vec![2u64; 48];
-        assert_eq!(
-            voronoi_balance_dual(&keys, &vwgt, &w2, &prev, 4, &caps),
-            voronoi_balance(&keys, &vwgt, &prev, 4, &caps)
-        );
-        assert_eq!(
-            voronoi_partition_dual(&keys, &vwgt, &w2, 4, &caps),
-            voronoi_partition(&keys, &vwgt, 4, &caps)
-        );
     }
 }

@@ -1,8 +1,9 @@
-//! Differential battery: the distributed multilevel repartitioner versus the
-//! retained serial reference kernel, at P ∈ {2, 8, 64} on a quick-scale
-//! Fig-6 mesh.
+//! Differential battery: every balancer's SPMD body ([`balance_distributed`])
+//! versus its retained serial kernel ([`balance`]), at P ∈ {2, 8, 64} on a
+//! quick-scale Fig-6 mesh, under one and two weight constraints.
 //!
-//! Two regimes are pinned. On the exact-serial path (coarsest graph = input
+//! The five replicated-arithmetic methods must match their kernels bit for
+//! bit. For the multilevel repartitioner two regimes are pinned. On the exact-serial path (coarsest graph = input
 //! graph) the distributed kernel gathers the problem to rank 0 and runs the
 //! very same serial kernel, so the result must be *bit-identical*. On the
 //! genuinely multilevel path the two kernels take discretely different
@@ -14,10 +15,8 @@ use plum_mesh::generate::{box_dims_for_elements, box_mesh};
 use plum_mesh::{DualGraph, SfcCurve};
 use plum_parsim::{check_protocol, MachineModel};
 use plum_partition::{
-    diffusion2_balance, diffusion2_distributed, imbalance_weighted, knapsack_distributed,
-    knapsack_partition, part_weights, partition_kway, quality, repartition_distributed,
-    repartition_kway_weighted, sfc_diffuse, sfc_distributed, sfc_partition, voronoi_balance,
-    voronoi_distributed, voronoi_partition, Graph, PartitionConfig,
+    balance, balance_distributed, imbalance_weighted, part_weights, partition_kway, quality,
+    BalanceMethod, DistPartition, Graph, PartitionConfig, Problem,
 };
 
 const PROC_COUNTS: [usize; 3] = [2, 8, 64];
@@ -59,9 +58,23 @@ fn seed_partition(g: &Graph, nparts: usize) -> Vec<u32> {
     partition_kway(&uniform, &PartitionConfig::new(nparts))
 }
 
+/// A non-uniform second constraint: every 29th element carries a clump of
+/// 40 particles.
+fn particles(n: usize) -> Vec<u64> {
+    (0..n).map(|v| if v % 29 == 0 { 40 } else { 1 }).collect()
+}
+
+/// The body on its own session, one rank per part, every vertex owned by
+/// the rank of its seed part — the state the engine repartitions from.
+fn dist(method: BalanceMethod, problem: &Problem, owner: &[u32]) -> DistPartition {
+    let p = problem.cfg.nparts;
+    balance_distributed(method, problem, owner, p, MachineModel::sp2(), VERTEX_UNITS)
+}
+
 #[test]
 fn exact_path_is_bit_identical_to_serial_at_all_proc_counts() {
     let g = fig6_quick_graph();
+    let w2 = particles(g.n());
     for &p in &PROC_COUNTS {
         let mut cfg = PartitionConfig::new(p);
         // Stop coarsening immediately: the coarsest graph is the input graph,
@@ -69,19 +82,21 @@ fn exact_path_is_bit_identical_to_serial_at_all_proc_counts() {
         cfg.coarsen_to = g.n();
         let prev = seed_partition(&g, p);
         let caps = vec![1.0; p];
-        let serial = repartition_kway_weighted(&g, &cfg, &prev, &caps);
-        let dist = repartition_distributed(
-            &g,
-            &prev,
-            Some(&prev),
-            &cfg,
-            &caps,
-            p,
-            MachineModel::sp2(),
-            VERTEX_UNITS,
-        );
-        assert_eq!(dist.part, serial, "P={p}: exact path diverged from serial");
-        assert!(dist.makespan > 0.0, "P={p}: partitioning took no time");
+        // Two constraints take the gather-solve path at any size.
+        for (w2, cfg) in [(None, cfg), (Some(&w2[..]), PartitionConfig::new(p))] {
+            let problem = Problem::new(&g, w2, None, Some(&prev), &caps, &cfg);
+            let serial = balance(BalanceMethod::Multilevel, &problem);
+            let dist = dist(BalanceMethod::Multilevel, &problem, &prev);
+            let dual = w2.is_some();
+            assert_eq!(
+                dist.part, serial,
+                "P={p} dual={dual}: exact path diverged from serial"
+            );
+            assert!(
+                dist.makespan > 0.0,
+                "P={p} dual={dual}: partitioning took no time"
+            );
+        }
     }
 }
 
@@ -92,17 +107,9 @@ fn multilevel_cut_and_balance_track_the_serial_reference() {
         let cfg = PartitionConfig::new(p);
         let prev = seed_partition(&g, p);
         let caps = vec![1.0; p];
-        let serial = repartition_kway_weighted(&g, &cfg, &prev, &caps);
-        let dist = repartition_distributed(
-            &g,
-            &prev,
-            Some(&prev),
-            &cfg,
-            &caps,
-            p,
-            MachineModel::sp2(),
-            VERTEX_UNITS,
-        );
+        let problem = Problem::new(&g, None, None, Some(&prev), &caps, &cfg);
+        let serial = balance(BalanceMethod::Multilevel, &problem);
+        let dist = dist(BalanceMethod::Multilevel, &problem, &prev);
         let qs = quality(&g, &serial, p);
         let qd = quality(&g, &dist.part, p);
         eprintln!(
@@ -132,27 +139,11 @@ fn multilevel_result_is_deterministic_and_machine_independent() {
     let cfg = PartitionConfig::new(p);
     let prev = seed_partition(&g, p);
     let caps = vec![1.0; p];
-    let a = repartition_distributed(
-        &g,
-        &prev,
-        Some(&prev),
-        &cfg,
-        &caps,
-        p,
-        MachineModel::sp2(),
-        VERTEX_UNITS,
-    );
+    let problem = Problem::new(&g, None, None, Some(&prev), &caps, &cfg);
+    let a = dist(BalanceMethod::Multilevel, &problem, &prev);
     // Different machine model, different compute charge: same partition.
-    let b = repartition_distributed(
-        &g,
-        &prev,
-        Some(&prev),
-        &cfg,
-        &caps,
-        p,
-        MachineModel::zero(),
-        0.0,
-    );
+    let zero = MachineModel::zero();
+    let b = balance_distributed(BalanceMethod::Multilevel, &problem, &prev, p, zero, 0.0);
     assert_eq!(a.part, b.part, "partition depends on the machine model");
     assert!(a.makespan > b.makespan, "sp2 run should cost virtual time");
 }
@@ -165,16 +156,8 @@ fn weighted_capacities_shift_load_and_respect_ceilings() {
     let prev = seed_partition(&g, p);
     // Two double-capacity processors, as after a chaos slowdown elsewhere.
     let caps: Vec<f64> = (0..p).map(|r| if r < 2 { 2.0 } else { 1.0 }).collect();
-    let dist = repartition_distributed(
-        &g,
-        &prev,
-        Some(&prev),
-        &cfg,
-        &caps,
-        p,
-        MachineModel::sp2(),
-        VERTEX_UNITS,
-    );
+    let problem = Problem::new(&g, None, None, Some(&prev), &caps, &cfg);
+    let dist = dist(BalanceMethod::Multilevel, &problem, &prev);
     assert_eq!(dist.part.len(), g.n(), "every vertex assigned exactly once");
     assert!(dist.part.iter().all(|&q| (q as usize) < p));
     let w = part_weights(&g, &dist.part, p);
@@ -194,79 +177,85 @@ fn weighted_capacities_shift_load_and_respect_ceilings() {
 }
 
 // ---------------------------------------------------------------------------
-// Portfolio battery: the geometric methods against their serial kernels.
+// Replicated-arithmetic battery: the geometric, packing and diffusive
+// methods against their serial kernels — serial ≡ SPMD at every P, under one
+// and two constraints, seeded and fresh; machine-model invariance.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn portfolio_distributed_kernels_match_serial_at_all_proc_counts() {
+fn bodies_match_serial_at_all_proc_counts(methods: &[BalanceMethod]) {
+    use BalanceMethod::*;
     let (g, keys) = fig6_quick_graph_with_keys();
-    let vwgt: &[u64] = &g.vwgt;
+    let w2 = particles(g.n());
     for &p in &PROC_COUNTS {
         let prev = seed_partition(&g, p);
         let caps = vec![1.0; p];
-
-        let serial_sfc = sfc_partition(&keys, vwgt, p, &caps);
-        let dist_sfc = sfc_distributed(
-            &keys,
-            vwgt,
-            &prev,
-            None,
-            p,
-            &caps,
-            p,
-            MachineModel::sp2(),
-            VERTEX_UNITS,
-        );
-        assert_eq!(dist_sfc.part, serial_sfc, "P={p}: SFC split diverged");
-
-        let serial_diff = sfc_diffuse(&keys, vwgt, &prev, p, &caps);
-        let dist_diff = sfc_distributed(
-            &keys,
-            vwgt,
-            &prev,
-            Some(&prev),
-            p,
-            &caps,
-            p,
-            MachineModel::sp2(),
-            VERTEX_UNITS,
-        );
-        assert_eq!(dist_diff.part, serial_diff, "P={p}: diffusion diverged");
-
-        let serial_knap = knapsack_partition(vwgt, p, &caps);
-        let dist_knap =
-            knapsack_distributed(vwgt, &prev, p, &caps, p, MachineModel::sp2(), VERTEX_UNITS);
-        assert_eq!(dist_knap.part, serial_knap, "P={p}: knapsack diverged");
-
-        // Machine-model invariance: the zero model changes only the clock.
-        let zero = sfc_distributed(
-            &keys,
-            vwgt,
-            &prev,
-            None,
-            p,
-            &caps,
-            p,
-            MachineModel::zero(),
-            0.0,
-        );
-        assert_eq!(zero.part, serial_sfc, "P={p}: SFC depends on the model");
-        assert!(
-            dist_sfc.makespan > zero.makespan,
-            "P={p}: sp2 must cost time"
-        );
+        let cfg = PartitionConfig::new(p);
+        for &method in methods {
+            for w2 in [None, Some(&w2[..])] {
+                for seed in [Some(&prev[..]), None] {
+                    if method.needs_seed() && seed.is_none() {
+                        continue;
+                    }
+                    let what = format!(
+                        "P={p}: {} dual={} seeded={}",
+                        method.name(),
+                        w2.is_some(),
+                        seed.is_some()
+                    );
+                    let problem = Problem::new(&g, w2, Some(&keys), seed, &caps, &cfg);
+                    let serial = balance(method, &problem);
+                    let dist = dist(method, &problem, &prev);
+                    assert_eq!(dist.part, serial, "{what}: body diverged from serial");
+                    assert!(dist.makespan > 0.0, "{what}: partitioning took no time");
+                    // Machine-model invariance: the zero model changes only
+                    // the clock.
+                    let zero = MachineModel::zero();
+                    let zero = balance_distributed(method, &problem, &prev, p, zero, 0.0);
+                    assert_eq!(zero.part, serial, "{what}: depends on the model");
+                    assert!(dist.makespan > zero.makespan, "{what}: sp2 must cost time");
+                    // A balancer that diffuses from its seed must not worsen
+                    // the seeded hotspot.
+                    let diffusive = matches!(method, SfcDiffusion | Diffusion2 | Voronoi);
+                    if diffusive && seed.is_some() {
+                        let before = problem.weights().imbalance(&prev, p, &caps);
+                        let after = problem.weights().imbalance(&serial, p, &caps);
+                        assert!(
+                            after <= before + 1e-9,
+                            "{what}: worsened imbalance {before:.4} -> {after:.4}"
+                        );
+                    }
+                }
+            }
+        }
     }
+}
+
+#[test]
+fn portfolio_distributed_kernels_match_serial_at_all_proc_counts() {
+    use BalanceMethod::{Knapsack, Sfc, SfcDiffusion};
+    bodies_match_serial_at_all_proc_counts(&[Sfc, SfcDiffusion, Knapsack]);
+}
+
+#[test]
+fn diffusion2_distributed_matches_serial_at_all_proc_counts() {
+    bodies_match_serial_at_all_proc_counts(&[BalanceMethod::Diffusion2]);
+}
+
+#[test]
+fn voronoi_distributed_matches_serial_at_all_proc_counts() {
+    bodies_match_serial_at_all_proc_counts(&[BalanceMethod::Voronoi]);
 }
 
 #[test]
 fn sfc_split_respects_capacity_shares_on_fig6() {
     let (g, keys) = fig6_quick_graph_with_keys();
-    let vwgt: &[u64] = &g.vwgt;
-    let total: u64 = vwgt.iter().sum();
-    let maxv = *vwgt.iter().max().unwrap();
+    let total: u64 = g.vwgt.iter().sum();
+    let maxv = *g.vwgt.iter().max().unwrap();
     for &p in &PROC_COUNTS {
         let caps: Vec<f64> = (0..p).map(|r| if r == 0 { 2.0 } else { 1.0 }).collect();
-        let part = sfc_partition(&keys, vwgt, p, &caps);
+        let cfg = PartitionConfig::new(p);
+        let problem = Problem::new(&g, None, Some(&keys), None, &caps, &cfg);
+        let part = balance(BalanceMethod::Sfc, &problem);
         let w = part_weights(&g, &part, p);
         let csum: f64 = caps.iter().sum();
         for q in 0..p {
@@ -280,157 +269,45 @@ fn sfc_split_respects_capacity_shares_on_fig6() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Rematch battery: the second-order diffusion and Voronoi balancers
-// against their serial kernels — serial ≡ SPMD at every P, machine-model
-// invariance, and the P=64 trace invariants.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn diffusion2_distributed_matches_serial_at_all_proc_counts() {
-    let (g, _keys) = fig6_quick_graph_with_keys();
-    for &p in &PROC_COUNTS {
-        let prev = seed_partition(&g, p);
-        let caps = vec![1.0; p];
-        let serial = diffusion2_balance(&g, &prev, p, &caps);
-        let dist = diffusion2_distributed(
-            &g,
-            &prev,
-            &prev,
-            p,
-            &caps,
-            p,
-            MachineModel::sp2(),
-            VERTEX_UNITS,
-        );
-        assert_eq!(dist.part, serial, "P={p}: diffusion2 diverged");
-        assert!(dist.makespan > 0.0, "P={p}: partitioning took no time");
-        // Machine-model invariance: the zero model changes only the clock.
-        let zero = diffusion2_distributed(&g, &prev, &prev, p, &caps, p, MachineModel::zero(), 0.0);
-        assert_eq!(zero.part, serial, "P={p}: diffusion2 depends on the model");
-        assert!(dist.makespan > zero.makespan, "P={p}: sp2 must cost time");
-        // The balancer must actually improve the seeded hotspot.
-        let before = imbalance_weighted(&part_weights(&g, &prev, p), &caps);
-        let after = imbalance_weighted(&part_weights(&g, &dist.part, p), &caps);
-        assert!(
-            after <= before + 1e-9,
-            "P={p}: diffusion2 worsened imbalance {before:.4} -> {after:.4}"
-        );
-    }
-}
-
-#[test]
-fn voronoi_distributed_matches_serial_at_all_proc_counts() {
-    let (g, keys) = fig6_quick_graph_with_keys();
-    let vwgt: &[u64] = &g.vwgt;
-    for &p in &PROC_COUNTS {
-        let prev = seed_partition(&g, p);
-        let caps = vec![1.0; p];
-
-        // Rebalance flavor (seeded with the previous partition).
-        let serial = voronoi_balance(&keys, vwgt, &prev, p, &caps);
-        let dist = voronoi_distributed(
-            &keys,
-            vwgt,
-            &prev,
-            Some(&prev),
-            p,
-            &caps,
-            p,
-            MachineModel::sp2(),
-            VERTEX_UNITS,
-        );
-        assert_eq!(dist.part, serial, "P={p}: voronoi balance diverged");
-        assert!(dist.makespan > 0.0, "P={p}: partitioning took no time");
-
-        // From-scratch flavor.
-        let serial_fresh = voronoi_partition(&keys, vwgt, p, &caps);
-        let dist_fresh = voronoi_distributed(
-            &keys,
-            vwgt,
-            &prev,
-            None,
-            p,
-            &caps,
-            p,
-            MachineModel::sp2(),
-            VERTEX_UNITS,
-        );
-        assert_eq!(
-            dist_fresh.part, serial_fresh,
-            "P={p}: voronoi partition diverged"
-        );
-
-        // Machine-model invariance.
-        let zero = voronoi_distributed(
-            &keys,
-            vwgt,
-            &prev,
-            Some(&prev),
-            p,
-            &caps,
-            p,
-            MachineModel::zero(),
-            0.0,
-        );
-        assert_eq!(zero.part, serial, "P={p}: voronoi depends on the model");
-        assert!(dist.makespan > zero.makespan, "P={p}: sp2 must cost time");
-    }
-}
-
-/// Trace invariants of the new SPMD bodies at P = 64: the protocol checker
-/// finds nothing, and every rank's virtual time is fully accounted by the
-/// partition phase breakdown to 1e-9 relative.
+/// Trace invariants of every SPMD body at P = 64, under one and two
+/// constraints: the protocol checker finds nothing, and every rank's
+/// virtual time is fully accounted by the partition phase breakdown to 1e-9
+/// relative.
 #[test]
 fn rematch_bodies_are_protocol_clean_and_account_to_1e9_at_p64() {
     let (g, keys) = fig6_quick_graph_with_keys();
-    let vwgt: &[u64] = &g.vwgt;
+    let w2 = particles(g.n());
     let p = 64;
     let prev = seed_partition(&g, p);
     let caps = vec![1.0; p];
-    let d2 = diffusion2_distributed(
-        &g,
-        &prev,
-        &prev,
-        p,
-        &caps,
-        p,
-        MachineModel::sp2(),
-        VERTEX_UNITS,
-    );
-    let vor = voronoi_distributed(
-        &keys,
-        vwgt,
-        &prev,
-        Some(&prev),
-        p,
-        &caps,
-        p,
-        MachineModel::sp2(),
-        VERTEX_UNITS,
-    );
-    for (name, dist) in [("diffusion2", &d2), ("voronoi", &vor)] {
-        let violations = check_protocol(&dist.trace);
-        assert!(
-            violations.is_empty(),
-            "{name}: protocol violations: {violations:?}"
-        );
-        let summary = dist.trace.summary();
-        let full: f64 = summary.ranks.iter().map(|r| r.total()).sum();
-        let agg: f64 = dist
-            .trace
-            .phase_breakdowns()
-            .iter()
-            .map(|ph| ph.total())
-            .sum();
-        assert!(
-            (full - agg).abs() <= 1e-9 * full.max(1.0),
-            "{name}: phase accounting {agg} vs rank accounting {full}"
-        );
-        // Real traffic flowed: the moved-triple exchange and the weight
-        // allreduce are actual messages, not injected time.
-        assert!(summary.total_msgs() > 0, "{name}: no messages at P=64");
-        assert!(summary.total_words() > 0, "{name}: no words at P=64");
+    let cfg = PartitionConfig::new(p);
+    for method in BalanceMethod::ALL {
+        for w2 in [None, Some(&w2[..])] {
+            let name = format!("{} dual={}", method.name(), w2.is_some());
+            let problem = Problem::new(&g, w2, Some(&keys), Some(&prev), &caps, &cfg);
+            let dist = dist(method, &problem, &prev);
+            let violations = check_protocol(&dist.trace);
+            assert!(
+                violations.is_empty(),
+                "{name}: protocol violations: {violations:?}"
+            );
+            let summary = dist.trace.summary();
+            let full: f64 = summary.ranks.iter().map(|r| r.total()).sum();
+            let agg: f64 = dist
+                .trace
+                .phase_breakdowns()
+                .iter()
+                .map(|ph| ph.total())
+                .sum();
+            assert!(
+                (full - agg).abs() <= 1e-9 * full.max(1.0),
+                "{name}: phase accounting {agg} vs rank accounting {full}"
+            );
+            // Real traffic flowed: the item exchange and the weight
+            // allreduce are actual messages, not injected time.
+            assert!(summary.total_msgs() > 0, "{name}: no messages at P=64");
+            assert!(summary.total_words() > 0, "{name}: no words at P=64");
+        }
     }
 }
 
@@ -440,32 +317,13 @@ fn rematch_bodies_are_protocol_clean_and_account_to_1e9_at_p64() {
 #[test]
 fn diffusion_makespan_undercuts_multilevel_5x_at_p64() {
     let (g, keys) = fig6_quick_graph_with_keys();
-    let vwgt: &[u64] = &g.vwgt;
     let p = 64;
     let cfg = PartitionConfig::new(p);
     let prev = seed_partition(&g, p);
     let caps = vec![1.0; p];
-    let ml = repartition_distributed(
-        &g,
-        &prev,
-        Some(&prev),
-        &cfg,
-        &caps,
-        p,
-        MachineModel::sp2(),
-        VERTEX_UNITS,
-    );
-    let diff = sfc_distributed(
-        &keys,
-        vwgt,
-        &prev,
-        Some(&prev),
-        p,
-        &caps,
-        p,
-        MachineModel::sp2(),
-        VERTEX_UNITS,
-    );
+    let problem = Problem::new(&g, None, Some(&keys), Some(&prev), &caps, &cfg);
+    let ml = dist(BalanceMethod::Multilevel, &problem, &prev);
+    let diff = dist(BalanceMethod::SfcDiffusion, &problem, &prev);
     eprintln!(
         "P=64 makespans: multilevel {:.6}s, diffusion {:.6}s",
         ml.makespan, diff.makespan

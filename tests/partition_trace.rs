@@ -6,7 +6,7 @@
 //! reconstruct the measured phase time exactly, and the protocol checker
 //! must accept both the partition trace and the full session timeline.
 
-use plum_core::{Plum, PlumConfig};
+use plum_core::{BalanceMethod, Plum, PlumConfig};
 use plum_mesh::generate::unit_box_mesh;
 use plum_parsim::{check_protocol, TraceEvent};
 use plum_solver::WaveField;
@@ -101,25 +101,69 @@ fn full_session_trace_with_distributed_partitioning_passes_protocol_check() {
     assert!(has_phase, "session timeline lost the partition phase span");
 }
 
-/// "Virtual unchanged" under the tier-1 command: host-side optimisations of
-/// the simulator or the partitioner (shared collective payloads, the
-/// rescan-free inflow quota) must leave the modeled machine's view of the
-/// partition phase exactly as it was — same events, same declared words,
-/// same phase time to the bit. The values were recorded before payloads
-/// were shared; a change here is a change to the model, not to the host.
+/// FNV-1a over a `u32` slice (the hash `plum-e2e` prints per cycle).
+fn fnv(xs: &[u32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in xs.iter().flat_map(|x| x.to_le_bytes()) {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// "Virtual unchanged" under the tier-1 command, per method: host-side
+/// changes to the simulator or the balancers (shared collective payloads,
+/// the rescan-free inflow quota, rank-local root lists, the single
+/// `balance_body`) must leave the modeled machine's view of the partition
+/// phase exactly as it was — same events, same declared words, same phase
+/// time to the bit, same adopted assignment. One P = 64 cycle per method,
+/// with and without a non-uniform second weight (a particle band near the
+/// x = 0 face). The multilevel row predates shared payloads; the rest were
+/// recorded before the balancers were folded into one entry point. A change
+/// here is a change to the model, not to the host.
 #[test]
 fn partition_phase_virtual_footprint_is_pinned() {
-    let report = multilevel_p64_report();
-    let trace = report.traces.partition.as_ref().unwrap();
-    let events: usize = trace.events.iter().map(Vec::len).sum();
-    let summary = trace.summary();
-    assert_eq!(events, 27_488, "partition-phase event count");
-    assert_eq!(summary.total_msgs(), 8_016, "partition-phase messages");
-    assert_eq!(summary.total_words(), 2_143_763, "partition-phase Σ words");
-    assert_eq!(
-        report.times.partition.to_bits(),
-        0x3fb4_1abe_474d_f22d,
-        "partition-phase makespan {} s",
-        report.times.partition
-    );
+    use BalanceMethod::*;
+    // (method, dual, events, msgs, Σ words, makespan bits, FNV of new_proc)
+    #[rustfmt::skip]
+    let table: [(BalanceMethod, bool, usize, u64, u64, u64, u64); 12] = [
+        (Multilevel, false, 27_488, 8_016, 2_143_763, 0x3fb4_1abe_474d_f22d, 0xae41_4218_d5da_80a4),
+        (Multilevel, true, 764, 126, 50_586, 0x3f8b_b813_574a_bf91, 0xea3f_6f8b_b965_6fe8),
+        (SfcDiffusion, false, 3_059, 762, 24_023, 0x3f66_9f89_72af_f5e0, 0x5c9f_72cc_10de_c84c),
+        (SfcDiffusion, true, 3_695, 888, 42_673, 0x3f71_733c_e38b_2a44, 0x8eb5_cc6c_3e2e_dc69),
+        (Sfc, false, 3_059, 762, 27_416, 0x3f67_6ed1_c4d9_387c, 0x0a65_9e45_24ab_c58f),
+        (Sfc, true, 3_695, 888, 48_762, 0x3f72_3d09_4ad7_69b8, 0xf5e2_e5ce_2a56_1fc3),
+        (Knapsack, false, 1_787, 510, 24_071, 0x3f5d_540e_4a1a_ab40, 0x57cb_cf43_ea29_fcff),
+        (Knapsack, true, 2_423, 636, 44_313, 0x3f6a_fc70_2887_07bc, 0xea3f_6f8b_b965_6fe8),
+        (Diffusion2, false, 3_059, 762, 23_639, 0x3f66_b060_857b_d570, 0xc06d_033b_6536_d07f),
+        (Diffusion2, true, 3_695, 888, 43_322, 0x3f71_793f_0625_3318, 0x982e_3686_dbd7_d2c4),
+        (Voronoi, false, 3_059, 762, 25_996, 0x3f66_f69c_5409_16bc, 0x7a6b_c4f1_7b9f_7546),
+        (Voronoi, true, 3_695, 888, 33_534, 0x3f71_66d2_9cf0_6636, 0xb2d6_cc51_3eac_cad0),
+    ];
+    for (method, dual, events, msgs, words, bits, hash) in table {
+        let mut cfg = PlumConfig::new(64);
+        cfg.force_method = Some(method);
+        let mut plum = Plum::new(unit_box_mesh(6), WaveField::unit_box(), cfg);
+        if dual {
+            let band = |c: &[f64; 3]| if c[0] < 0.3 { 200 } else { 1 };
+            plum.wcomp2 = Some(plum.root_centroid.iter().map(band).collect());
+        }
+        let report = plum.adaption_cycle(0.2, 0.1);
+        let what = format!("{} dual={dual}", method.name());
+        assert_eq!(report.decision.method, Some(method), "{what}");
+        let trace = report.traces.partition.as_ref().unwrap();
+        let summary = trace.summary();
+        let got = (
+            trace.events.iter().map(Vec::len).sum::<usize>(),
+            summary.total_msgs(),
+            summary.total_words(),
+            report.times.partition.to_bits(),
+            fnv(&report.decision.new_proc),
+        );
+        assert_eq!(
+            got,
+            (events, msgs, words, bits, hash),
+            "{what}: (events, msgs, Σ words, makespan bits, FNV of new_proc); makespan {} s",
+            report.times.partition
+        );
+    }
 }
