@@ -170,31 +170,6 @@ impl AdaptiveMesh {
         marks
     }
 
-    /// Mark approximately `frac` of the edges — the ones with the largest
-    /// error values (how the Real_1/2/3 strategies target 5%, 33%, 60% of
-    /// edges).
-    pub fn mark_fraction(&self, error: &[f64], frac: f64) -> EdgeMarks {
-        assert!((0.0..=1.0).contains(&frac));
-        let mut vals: Vec<f64> = self
-            .mesh
-            .edges()
-            .map(|e| error.get(e.idx()).copied().unwrap_or(0.0))
-            .collect();
-        let n = vals.len();
-        let k = ((n as f64) * frac).round() as usize;
-        if k == 0 {
-            return EdgeMarks::new(&self.mesh);
-        }
-        let idx = n - k;
-        vals.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
-        let threshold = if idx == 0 {
-            f64::NEG_INFINITY
-        } else {
-            vals[idx - 1]
-        };
-        self.mark_above(error, threshold)
-    }
-
     /// Find an error threshold such that, *after* upgrade propagation,
     /// approximately `frac` of the live edges end up marked — how the
     /// paper's Real_1/2/3 strategies are defined ("subdivided 5%, 33%, and

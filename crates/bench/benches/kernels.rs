@@ -4,11 +4,11 @@
 //! and subdivision (Fig. 4 / Table 1), the migration codec (Fig. 5), and
 //! the simulator's own layers (session step, large-payload collectives).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
 use plum_bench::{initial_mesh, marked_problem, Scale, CASES};
-use plum_core::{CommBreakdown, Ownership};
+use plum_core::Ownership;
 use plum_mesh::DualGraph;
 use plum_parsim::{MachineModel, Session, TraceLog};
 use plum_partition::{
@@ -147,8 +147,8 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
-/// A synthetic multi-phase P = 8 session timeline: per-phase compute, a
-/// ring exchange, and a barrier — the event mix of a real cycle log.
+/// A synthetic multi-phase session timeline: per-phase compute, a ring
+/// exchange, and a barrier — the event mix of a real cycle log.
 fn synthetic_session(nranks: usize) -> TraceLog {
     let mut session = Session::new(nranks, MachineModel::sp2());
     let mut log = TraceLog {
@@ -168,8 +168,8 @@ fn synthetic_session(nranks: usize) -> TraceLog {
                 c.barrier();
             });
         });
-        for r in &results {
-            log.events[r.rank].extend(r.events.iter().cloned());
+        for mut r in results {
+            log.events[r.rank].append(&mut r.events);
         }
     }
     log
@@ -310,35 +310,25 @@ fn bench_replicated_body(c: &mut Criterion) {
     group.finish();
 }
 
+/// What reading a session log costs per recorded event, reader by reader —
+/// the number to hold against the cost of recording it (ROADMAP item 4).
 fn bench_trace_aggregation(c: &mut Criterion) {
-    let log = synthetic_session(8);
-
-    // Setup sanity: the accounting invariant the one-pass aggregation
-    // relies on — every charged second is attributed to exactly one phase.
-    let aggs = log.phase_breakdowns();
-    assert_eq!(aggs.len(), 3);
-    let full: f64 = log.summary().ranks.iter().map(|r| r.total()).sum();
-    let agg_total: f64 = aggs.iter().map(|a| a.total()).sum();
-    assert!(
-        (full - agg_total).abs() < 1e-9,
-        "one-pass aggregation must account every second: {agg_total} vs {full}"
-    );
-    let names: Vec<String> = aggs.iter().map(|a| a.name.clone()).collect();
+    let log = synthetic_session(256);
+    // Setup sanity: every reader below assumes a log that passes its audit.
+    log.audit().expect("synthetic session must pass its audit");
+    assert_eq!(log.phase_breakdowns().len(), 3);
+    let events: usize = log.events.iter().map(Vec::len).sum();
 
     let mut group = c.benchmark_group("trace_aggregation");
+    group.throughput(Throughput::Elements(events as u64));
+    group.bench_function("summary", |b| b.iter(|| black_box(&log).summary()));
     group.bench_function("one_pass_phase_breakdowns", |b| {
         b.iter(|| black_box(&log).phase_breakdowns())
     });
-    // The path the one-pass aggregation replaced: re-slice the log once
-    // per phase, then summarize each slice.
-    group.bench_function("per_phase_slice_and_summarize", |b| {
-        b.iter(|| {
-            names
-                .iter()
-                .map(|n| CommBreakdown::from_trace(&black_box(&log).phase_slice(n)))
-                .collect::<Vec<_>>()
-        })
+    group.bench_function("phase_rank_breakdowns", |b| {
+        b.iter(|| black_box(&log).phase_rank_breakdowns())
     });
+    group.bench_function("audit", |b| b.iter(|| black_box(&log).audit()));
     group.finish();
 }
 

@@ -119,14 +119,7 @@ fn run_recovery(scale: Scale, seed: u64, hotspot: bool) -> ChaosRun {
         } else {
             r.effective_imbalance(&load)
         };
-        let makespan = r
-            .traces
-            .session
-            .summary()
-            .ranks
-            .iter()
-            .map(|s| s.total())
-            .fold(0.0, f64::max);
+        let makespan = r.traces.session.summary().makespan();
         rows.push(ChaosRow {
             cycle,
             makespan,

@@ -16,9 +16,10 @@ pub mod scenarios;
 use std::time::Instant;
 
 use plum_adapt::AdaptiveMesh;
-use plum_core::{CommBreakdown, Plum, PlumConfig, RemapPolicy};
+use plum_core::{Plum, PlumConfig, RemapPolicy};
 use plum_mesh::generate::{box_dims_for_elements, box_mesh};
 use plum_mesh::{DualGraph, TetMesh, VertexField};
+use plum_parsim::PhaseAgg;
 use plum_partition::{partition_kway, repartition_kway, Graph, PartitionConfig};
 use plum_reassign::{greedy_mwbg, optimal_bmcm, optimal_mwbg, remap_stats, SimilarityMatrix};
 use plum_remap::max_balancing_improvement;
@@ -302,7 +303,7 @@ pub struct SweepPoint {
     pub remap_time: f64,
     pub partition_time: f64,
     /// Wait/compute/wire split of the marking phase (from its trace).
-    pub marking_comm: CommBreakdown,
+    pub marking_comm: PhaseAgg,
     pub growth: f64,
     pub wmax_unbalanced: u64,
     pub wmax_balanced: u64,
@@ -323,7 +324,7 @@ pub fn sweep(scale: Scale) -> Vec<SweepPoint> {
                     adaption_time: r.times.adaption(),
                     remap_time: r.times.remap,
                     partition_time: r.times.partition,
-                    marking_comm: r.traces.marking_comm,
+                    marking_comm: r.traces.phase("marking").cloned().unwrap_or_default(),
                     growth: r.growth,
                     wmax_unbalanced: r.wmax_unbalanced,
                     wmax_balanced: r.wmax_balanced,

@@ -60,9 +60,9 @@ pub fn cycle_bench(
             .set("critical_path.seconds", cp.length())
             .set("critical_path.wait_seconds", cp.wait)
             .set("critical_path.wire_seconds", cp.wire);
-        for (name, _) in &report.traces.phase_comm {
-            let pcp = phase_critical_path(session, name);
-            bench.set(&format!("critical_path.{name}.seconds"), pcp.length());
+        for agg in &report.traces.phases {
+            let pcp = phase_critical_path(session, &agg.name);
+            bench.set(&format!("critical_path.{}.seconds", agg.name), pcp.length());
         }
         // The per-(phase, rank) digest powers `plum-bench explain`: when a
         // later run regresses against this report, the diff engine can say
@@ -316,20 +316,8 @@ pub fn weakscale_point(nproc: usize, elems_per_rank: usize, reps: usize) -> Weak
         wall_seconds = wall_seconds.min(w2);
     }
 
-    let session = &r.traces.session;
-    let violations = plum_parsim::check_protocol(session);
-    assert!(
-        violations.is_empty(),
-        "weakscale cycle at P={nproc} violates SPMD discipline: {violations:?}"
-    );
-    let summary = session.summary();
-    let full: f64 = summary.ranks.iter().map(|r| r.total()).sum();
-    let agg: f64 = session.phase_breakdowns().iter().map(|a| a.total()).sum();
-    assert!(
-        (full - agg).abs() <= 1e-9 * full.max(1.0),
-        "weakscale cycle at P={nproc}: phase accounting {agg} != summary {full}"
-    );
-    let virtual_seconds = summary.ranks.iter().map(|r| r.total()).fold(0.0, f64::max);
+    let audit = r.traces.session.audit();
+    let virtual_seconds = audit.unwrap_or_else(|e| panic!("weakscale cycle at P={nproc}: {e}"));
 
     let (allreduce_seconds, bcast_seconds, barrier_seconds) = one_word_collectives(nproc);
 

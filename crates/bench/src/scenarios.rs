@@ -201,32 +201,19 @@ pub fn dual_bench(scale: Scale) -> (BenchReport, String) {
     (b, analysis)
 }
 
-/// Protocol and accounting invariants of one cycle's session timeline:
-/// SPMD-clean, and the one-pass per-phase aggregates account for the whole
-/// log to 1e-9. On violation the session's Chrome trace is written to
-/// `scenario-failure-<what>.json` (the artifact CI uploads) before the
-/// panic. Returns the session's virtual makespan.
+/// The trace audit of one cycle's session timeline (SPMD-clean, phase
+/// accounting closed to 1e-9). On violation the session's Chrome trace is
+/// written to `scenario-failure-<what>.json` (the artifact CI uploads)
+/// before the panic. Returns the session's virtual makespan.
 fn check_session(r: &CycleReport, what: &str) -> f64 {
     let session = &r.traces.session;
-    let dump = || {
+    session.audit().unwrap_or_else(|e| {
         let artifact = format!("scenario-failure-{}.json", what.replace(' ', "-"));
         if std::fs::write(&artifact, session.chrome_json()).is_ok() {
             eprintln!("# wrote failing session trace to {artifact}");
         }
-    };
-    let violations = plum_parsim::check_protocol(session);
-    if !violations.is_empty() {
-        dump();
-        panic!("{what}: session violates SPMD discipline: {violations:?}");
-    }
-    let summary = session.summary();
-    let full: f64 = summary.ranks.iter().map(|s| s.total()).sum();
-    let agg: f64 = session.phase_breakdowns().iter().map(|a| a.total()).sum();
-    if (full - agg).abs() > 1e-9 * full.max(1.0) {
-        dump();
-        panic!("{what}: phase accounting {agg} != summary {full}");
-    }
-    summary.ranks.iter().map(|s| s.total()).fold(0.0, f64::max)
+        panic!("{what}: {e}")
+    })
 }
 
 /// The cascade BENCH run: two refinement cycles as the shock passes, two

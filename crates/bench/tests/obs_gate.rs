@@ -1,12 +1,16 @@
-//! End-to-end observability gate on a real P = 64 adaption cycle: the
-//! cross-rank critical path must tile the measured phase times exactly,
-//! the BENCH report must round-trip schema-valid, and the regression gate
-//! must pass against itself and fail on an injected slowdown.
+//! End-to-end observability gate on real adaption cycles: the cross-rank
+//! critical path must tile the measured phase times exactly, the BENCH
+//! report must round-trip schema-valid, the regression gate must pass
+//! against itself and fail on an injected slowdown, every reader of the
+//! event log is pinned to the bit, and the fig6 run must reproduce its
+//! committed baseline.
 
-use plum_bench::report::cycle_bench;
+use plum_bench::report::{cycle_bench, fig6_bench};
+use plum_bench::Scale;
 use plum_core::{CycleReport, Plum, PlumConfig, RemapPolicy};
 use plum_mesh::generate::unit_box_mesh;
-use plum_obs::{compare, critical_path, phase_critical_path, BenchReport};
+use plum_obs::{compare, critical_path, phase_critical_path, BenchReport, TraceDigest};
+use plum_parsim::CollectiveStats;
 use plum_solver::WaveField;
 
 const TOL: f64 = 1e-9;
@@ -101,4 +105,128 @@ fn bench_report_roundtrips_and_gates() {
     assert!(!cmp.passed(), "10% slowdown must trip the 5% gate");
     assert_eq!(cmp.regressions.len(), 1);
     assert_eq!(cmp.regressions[0].name, "phase.marking.seconds");
+}
+
+/// 64-bit FNV-1a, fed word by word.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn u(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
+    }
+    fn f(&mut self, x: f64) {
+        self.u(x.to_bits());
+    }
+    fn collectives(&mut self, stats: &[CollectiveStats]) {
+        for c in stats {
+            self.u(c.calls);
+            self.u(c.msgs);
+            self.u(c.words);
+            self.f(c.seconds);
+        }
+    }
+}
+
+/// Every reader of the event log, pinned to the bit on a real session (one
+/// remap-before P = 8 cycle): each f64 (`to_bits`) and counter that
+/// `summary()`, `phase_breakdowns()` and `phase_rank_breakdowns()` produce,
+/// and the serialized digest. The four constants were recorded before the
+/// readers were folded onto one attribution walk; a change here means the
+/// walk changed what it attributes or the order it accumulates in.
+#[test]
+fn trace_readers_are_pinned_to_the_bit() {
+    let mut cfg = PlumConfig::new(8);
+    cfg.policy = RemapPolicy::BeforeRefinement;
+    let mut p = Plum::new(unit_box_mesh(4), WaveField::unit_box(), cfg);
+    let r = p.adaption_cycle(0.33, 0.1);
+    let log = &r.traces.session;
+
+    let mut h = Fnv::new();
+    for s in &log.summary().ranks {
+        h.u(s.rank as u64);
+        for x in [s.compute, s.wire, s.wait, s.injected] {
+            h.f(x);
+        }
+        for x in [s.msgs_sent, s.words_sent, s.rewinds_blocked] {
+            h.u(x);
+        }
+        h.collectives(&s.collectives);
+    }
+    let summary = h.0;
+
+    let mut h = Fnv::new();
+    for a in &log.phase_breakdowns() {
+        h.bytes(a.name.as_bytes());
+        for x in [a.compute, a.wire, a.wait, a.injected, a.start, a.end] {
+            h.f(x);
+        }
+        h.u(a.msgs);
+        h.u(a.words);
+    }
+    let phases = h.0;
+
+    let mut h = Fnv::new();
+    for a in &log.phase_rank_breakdowns() {
+        h.bytes(a.name.as_bytes());
+        h.f(a.start);
+        h.f(a.end);
+        for s in &a.ranks {
+            for x in [s.compute, s.wire, s.wait, s.injected] {
+                h.f(x);
+            }
+            h.u(s.msgs);
+            h.u(s.words);
+        }
+        h.collectives(&a.collectives);
+    }
+    let phase_ranks = h.0;
+
+    let mut json = String::new();
+    TraceDigest::from_log(log).write_json(&mut json);
+    let mut h = Fnv::new();
+    h.bytes(json.as_bytes());
+    let digest = h.0;
+
+    assert_eq!(
+        (summary, phases, phase_ranks, digest),
+        (
+            0xfa96_1a64_3358_7186,
+            0xeffa_62df_12c3_399a,
+            0x1c37_8882_8897_b9e4,
+            0x82ff_c414_a102_4805
+        ),
+        "(summary, phase_breakdowns, phase_rank_breakdowns, digest JSON) FNV-1a: \
+         ({summary:#018x}, {phases:#018x}, {phase_ranks:#018x}, {digest:#018x})"
+    );
+}
+
+/// "Baselines unchanged" as a test: the fig6 BENCH run, in-process, equals
+/// the committed `benchmarks/baseline/BENCH_fig6.json` exactly — every
+/// gated metric (the `info.` ones are host wall-clock) and the embedded
+/// digest. It reads the committed file, so a deliberate re-baseline
+/// updates the expectation for free.
+#[test]
+fn fig6_bench_reproduces_the_committed_baseline_exactly() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../benchmarks/baseline/BENCH_fig6.json"
+    );
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let baseline = BenchReport::from_json(&text).expect("committed baseline parses");
+    let (current, _) = fig6_bench(Scale::Quick);
+
+    let gated = |r: &BenchReport| -> Vec<(String, u64)> {
+        let gated = r.metrics.iter().filter(|(k, _)| !k.starts_with("info."));
+        gated.map(|(k, v)| (k.clone(), v.to_bits())).collect()
+    };
+    assert_eq!(gated(&current), gated(&baseline), "gated metrics");
+    assert_eq!(current.digest, baseline.digest, "embedded digest");
 }

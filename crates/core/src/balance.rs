@@ -4,7 +4,6 @@
 use std::time::Instant;
 
 use plum_mesh::DualGraph;
-use plum_parsim::TraceLog;
 pub use plum_partition::BalanceMethod;
 use plum_partition::{balance, imbalance, imbalance_weighted, weights_of, Graph, Problem, Weights};
 use plum_reassign::{
@@ -49,21 +48,11 @@ pub struct BalanceDecision {
     /// policy believed before running it (equals `partition_time` on the
     /// reference path, where the model *is* the measurement).
     pub predicted_partition_time: f64,
-    /// Event trace of the distributed repartitioner (engine path only;
-    /// `None` when the balancer short-circuited or the serial reference
-    /// ran). The cycle drivers move it into [`crate::CycleTraces::partition`],
-    /// so it is `None` in a [`crate::CycleReport`]'s decision.
-    pub partition_trace: Option<TraceLog>,
     /// Real measured wall time of the reassignment algorithm (Table 2).
     pub reassign_seconds: f64,
     /// Virtual time of the distributed row-gather/solution-scatter protocol
     /// around the mapper (§4.3 — "a minuscule amount of time").
     pub reassign_comm_time: f64,
-    /// Event trace of the reassignment protocol (`None` when the balancer
-    /// short-circuited without repartitioning). Moved into
-    /// [`crate::CycleTraces::reassign`] by the cycle drivers, like
-    /// `partition_trace`.
-    pub reassign_trace: Option<TraceLog>,
     /// Movement statistics of the proposed mapping.
     pub stats: Option<RemapStats>,
     /// Computational gain and redistribution cost compared by the
@@ -154,10 +143,8 @@ pub(crate) fn evaluate_balance(
         method: None,
         partition_time: 0.0,
         predicted_partition_time: 0.0,
-        partition_trace: None,
         reassign_seconds: 0.0,
         reassign_comm_time: 0.0,
-        reassign_trace: None,
         stats: None,
         gain: 0.0,
         cost: 0.0,
@@ -351,7 +338,7 @@ pub(crate) fn with_problem<R>(
 /// [`evaluate_balance`], then the portfolio method [`select_method`] picked,
 /// run serially with its modeled wall time. The engine instead executes the
 /// same method's distributed body inside its session (see
-/// `engine::balance_on_session`); the differential test battery pins the
+/// `engine::Cycle::balance`); the differential test battery pins the
 /// two against each other.
 pub(crate) fn evaluate_and_repartition(
     dual: &DualGraph,
@@ -511,7 +498,6 @@ pub fn balance_step(
     );
     decision.reassign_seconds = par.mapper_seconds;
     decision.reassign_comm_time = par.time;
-    decision.reassign_trace = Some(par.trace);
 
     apply_reassignment(
         &mut decision,

@@ -18,8 +18,6 @@
 //! assignments, migration volumes) are bit-identical. The golden tests at
 //! the bottom of this file pin that equivalence at several processor counts.
 
-use std::sync::Arc;
-
 use plum_adapt::{AdaptiveMesh, EdgeMarks, RefineDelta};
 use plum_parsim::{Comm, RankResult, Session, TraceLog};
 use plum_partition::{balance_body, RankLists};
@@ -33,7 +31,6 @@ use crate::framework::{CycleReport, CycleTraces, PhaseTimes, Plum};
 use crate::marking::{mark_body, merge_marks, Ownership};
 use crate::migrate::{migrate_body, migration_outcome_from, MigrationOutcome};
 use crate::reassign_par::{collect_reassign, reassign_body};
-use crate::timing::CommBreakdown;
 
 /// Per-rank resident state plus the incrementally maintained ownership
 /// maps. Lives inside [`Plum`] and survives from cycle to cycle — migrations
@@ -153,159 +150,6 @@ fn partition_vertex_units(
     }
 }
 
-/// The balancer on the running session: host-side evaluation, then the
-/// selected method's distributed body and the distributed reassignment
-/// protocol as real session steps (instead of a flat modeled charge and the
-/// standalone `parallel_reassign` program).
-fn balance_on_session(
-    session: &mut Session,
-    slog: &mut TraceLog,
-    p: &Plum,
-    refine_work: &[u64],
-) -> BalanceDecision {
-    let cfg = &p.cfg;
-    let w2 = p.wcomp2.as_deref();
-    let (mut decision, go) = evaluate_balance(&p.dual, &p.proc_of_root, cfg, &p.capacity, w2);
-    if !go {
-        return decision;
-    }
-
-    // The repartitioner executes inside the session — virtual time comes
-    // from per-rank compute charges and real message traffic. Its result is
-    // deterministic in the problem (independent of the machine model and
-    // any chaos perturbation), so the discrete outputs match run-to-run
-    // even though the measured times vary. Method selection and the hoist
-    // of replicated arithmetic run host-side on replicated inputs, through
-    // the same call the serial reference makes.
-    let vertex_units = partition_vertex_units(&p.work, &cfg.machine);
-    let keys = (!p.sfc_keys.is_empty()).then_some(&p.sfc_keys[..]);
-    let lists = &p.engine.roots;
-    let t0 = session.now();
-    let (method, results) = with_problem(
-        &p.dual,
-        &p.proc_of_root,
-        cfg,
-        &p.capacity,
-        keys,
-        w2,
-        |method, problem| {
-            let hoisted = method.hoist(problem);
-            let results = session.run(vec![(); cfg.nproc], |comm, ()| {
-                comm.phase("partition", |c| {
-                    balance_body(method, c, problem, lists, vertex_units, hoisted.as_ref())
-                })
-            });
-            (method, results)
-        },
-    );
-    decision.method = Some(method);
-    decision.predicted_partition_time = predicted_time(method, &p.work, p.dual.n(), cfg.nproc);
-    decision.partition_time = session.now() - t0;
-    // Every rank returns the one shared partition; keep a single handle.
-    let new_part = Arc::clone(&results[0].value);
-    debug_assert!(
-        results.iter().all(|r| r.value == new_part),
-        "ranks disagree on the distributed partition"
-    );
-    decision.partition_trace = Some(TraceLog::from_results(&results));
-    absorb(slog, results);
-
-    // Distributed reassignment: rows, gather, host mapper, scatter.
-    let t0 = session.now();
-    let results = {
-        let wremap = &p.dual.wremap;
-        let new_part = &new_part[..];
-        session.run(vec![(); cfg.nproc], move |comm, ()| {
-            let mine = lists.mine(comm.rank());
-            reassign_body(comm, wremap, mine, new_part, cfg.nparts(), cfg.mapper)
-        })
-    };
-    decision.reassign_comm_time = session.now() - t0;
-    decision.reassign_trace = Some(TraceLog::from_results(&results));
-    let (sm, assignment, mapper_seconds) = collect_reassign(absorb(slog, results).into_iter());
-    decision.reassign_seconds = mapper_seconds;
-
-    apply_reassignment(
-        &mut decision,
-        &p.dual,
-        &p.proc_of_root,
-        refine_work,
-        cfg,
-        &new_part,
-        &sm,
-        &assignment,
-        &p.capacity,
-        w2,
-    );
-    decision
-}
-
-/// The remap phase on the running session. Adopts the new assignment into
-/// both `proc_of_root` and the resident engine state.
-fn migrate_on_session(
-    session: &mut Session,
-    slog: &mut TraceLog,
-    p: &mut Plum,
-    new_proc: &[u32],
-) -> MigrationOutcome {
-    let nproc = p.cfg.nproc;
-    let t0 = session.now();
-    let results = {
-        let am = &p.am;
-        let field = &p.field;
-        let lists = &p.engine.roots;
-        session.run(vec![(); nproc], move |comm, ()| {
-            migrate_body(comm, am, field, lists.mine(comm.rank()), new_proc)
-        })
-    };
-    let out = migration_outcome_from(&results, nproc, session.now() - t0);
-    absorb(slog, results);
-    p.engine.apply_migration(&p.am, &p.proc_of_root, new_proc);
-    p.proc_of_root = new_proc.to_vec();
-    out
-}
-
-/// Assemble a cycle's traces. One streaming pass over the session timeline
-/// yields every phase's communication split; the cached `*_comm` fields are
-/// lookups into it. Events after a phase closes (step-boundary syncs) are
-/// attributed to that phase, matching what the standalone per-step traces
-/// contain. The decision's step logs move into the traces rather than being
-/// copied.
-fn cycle_traces(
-    slog: TraceLog,
-    marking_phase: &str,
-    mark_trace: TraceLog,
-    decision: &mut BalanceDecision,
-    migration: Option<&MigrationOutcome>,
-) -> CycleTraces {
-    let phase_comm: Vec<(String, CommBreakdown)> = slog
-        .phase_breakdowns()
-        .iter()
-        .map(|agg| (agg.name.clone(), CommBreakdown::from_agg(agg)))
-        .collect();
-    let comm_of = |name: &str| {
-        phase_comm
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, c)| *c)
-            .unwrap_or_default()
-    };
-    let partition = decision.partition_trace.take();
-    let reassign = decision.reassign_trace.take();
-    CycleTraces {
-        marking_comm: comm_of(marking_phase),
-        marking: mark_trace,
-        partition_comm: partition.is_some().then(|| comm_of("partition")),
-        partition,
-        reassign_comm: reassign.is_some().then(|| comm_of("reassignment")),
-        reassign,
-        remap_comm: migration.is_some().then(|| comm_of("remap")),
-        remap: migration.map(|m| m.trace.clone()),
-        session: slog,
-        phase_comm,
-    }
-}
-
 /// One cycle in flight on the rank-resident engine: the [`Session`] that
 /// carries the virtual clocks through every phase, the timeline it has
 /// produced so far, and what the solver phase observed. Both cycle kinds
@@ -389,22 +233,14 @@ impl Cycle {
         self.session.now() - t0
     }
 
-    /// Run an executed phase body on every rank; returns the rank values,
-    /// the step's own trace, and its duration.
-    fn run<T: Send>(
-        &mut self,
-        body: impl Fn(&mut Comm) -> T + Send + Sync,
-    ) -> (Vec<T>, TraceLog, f64) {
+    /// Run an executed phase body on every rank; returns the rank values
+    /// and the step's duration.
+    fn run<T: Send>(&mut self, body: impl Fn(&mut Comm) -> T + Send + Sync) -> (Vec<T>, f64) {
         let t0 = self.session.now();
         let results = self
             .session
             .run(vec![(); self.slog.nranks()], |comm, ()| body(comm));
-        let trace = TraceLog::from_results(&results);
-        (
-            absorb(&mut self.slog, results),
-            trace,
-            self.session.now() - t0,
-        )
+        (absorb(&mut self.slog, results), self.session.now() - t0)
     }
 
     /// The modeled phase in which each rank creates (or removes) the
@@ -427,31 +263,111 @@ impl Cycle {
         self.times.subdivide = self.tree_work_phase(p, "subdivide", children_per_root);
     }
 
+    /// The balancer on the running session: host-side evaluation, then the
+    /// selected method's distributed body and the distributed reassignment
+    /// protocol as real session steps (instead of a flat modeled charge and
+    /// the standalone `parallel_reassign` program).
+    fn balance(&mut self, p: &Plum, refine_work: &[u64]) -> BalanceDecision {
+        let cfg = &p.cfg;
+        let w2 = p.wcomp2.as_deref();
+        let (mut decision, go) = evaluate_balance(&p.dual, &p.proc_of_root, cfg, &p.capacity, w2);
+        if !go {
+            return decision;
+        }
+
+        // The repartitioner executes inside the session — virtual time comes
+        // from per-rank compute charges and real message traffic. Its result
+        // is deterministic in the problem (independent of the machine model
+        // and any chaos perturbation), so the discrete outputs match
+        // run-to-run even though the measured times vary. Method selection
+        // and the hoist of replicated arithmetic run host-side on replicated
+        // inputs, through the same call the serial reference makes.
+        let vertex_units = partition_vertex_units(&p.work, &cfg.machine);
+        let keys = (!p.sfc_keys.is_empty()).then_some(&p.sfc_keys[..]);
+        let lists = &p.engine.roots;
+        let (method, (parts, partition_time)) = with_problem(
+            &p.dual,
+            &p.proc_of_root,
+            cfg,
+            &p.capacity,
+            keys,
+            w2,
+            |method, problem| {
+                let hoisted = method.hoist(problem);
+                let step = self.run(|comm| {
+                    comm.phase("partition", |c| {
+                        balance_body(method, c, problem, lists, vertex_units, hoisted.as_ref())
+                    })
+                });
+                (method, step)
+            },
+        );
+        decision.method = Some(method);
+        decision.predicted_partition_time = predicted_time(method, &p.work, p.dual.n(), cfg.nproc);
+        decision.partition_time = partition_time;
+        // Every rank returns the one shared partition.
+        debug_assert!(
+            parts.iter().all(|part| *part == parts[0]),
+            "ranks disagree on the distributed partition"
+        );
+        let new_part = &parts[0][..];
+
+        // Distributed reassignment: rows, gather, host mapper, scatter.
+        let wremap = &p.dual.wremap;
+        let (values, reassign_comm_time) = self.run(|comm| {
+            let mine = lists.mine(comm.rank());
+            reassign_body(comm, wremap, mine, new_part, cfg.nparts(), cfg.mapper)
+        });
+        decision.reassign_comm_time = reassign_comm_time;
+        let (sm, assignment, mapper_seconds) = collect_reassign(values.into_iter());
+        decision.reassign_seconds = mapper_seconds;
+
+        apply_reassignment(
+            &mut decision,
+            &p.dual,
+            &p.proc_of_root,
+            refine_work,
+            cfg,
+            new_part,
+            &sm,
+            &assignment,
+            &p.capacity,
+            w2,
+        );
+        decision
+    }
+
     /// Balance `p.dual` on the session; when the new mapping is accepted,
-    /// remap and adopt it.
+    /// run the remap phase and adopt the mapping into both `proc_of_root`
+    /// and the resident engine state.
     fn balance_and_migrate(
         &mut self,
         p: &mut Plum,
         refine_work: &[u64],
     ) -> (BalanceDecision, Option<MigrationOutcome>) {
-        let decision = balance_on_session(&mut self.session, &mut self.slog, p, refine_work);
+        let decision = self.balance(p, refine_work);
         self.times.partition = decision.partition_time;
         self.times.reassign = decision.reassign_seconds;
         let migration = decision.accepted.then(|| {
-            let out = migrate_on_session(&mut self.session, &mut self.slog, p, &decision.new_proc);
-            self.times.remap = out.time;
-            out
+            let new_proc = &decision.new_proc[..];
+            let (am, field, lists) = (&p.am, &p.field, &p.engine.roots);
+            let (values, time) =
+                self.run(|comm| migrate_body(comm, am, field, lists.mine(comm.rank()), new_proc));
+            self.times.remap = time;
+            p.engine.apply_migration(&p.am, &p.proc_of_root, new_proc);
+            p.proc_of_root = new_proc.to_vec();
+            migration_outcome_from(values, time)
         });
         (decision, migration)
     }
 
-    /// Finish the cycle: Fig. 8 bookkeeping, protocol audit, report.
+    /// Finish the cycle: Fig. 8 bookkeeping, trace audit, report.
     fn close(
         self,
         p: &Plum,
-        (marking_phase, mark_trace, marking_sweeps): (&str, TraceLog, usize),
+        marking_sweeps: usize,
         growth: f64,
-        (mut decision, migration): (BalanceDecision, Option<MigrationOutcome>),
+        (decision, migration): (BalanceDecision, Option<MigrationOutcome>),
     ) -> CycleReport {
         // Post-adaption solver load with and without the rebalance
         // (prediction is exact, so `decision.wmax_old` is precisely the "no
@@ -459,25 +375,19 @@ impl Cycle {
         let (wcomp_final, _) = p.am.weights();
         let wmax_balanced = *p.engine.per_rank_load(&wcomp_final).iter().max().unwrap();
 
-        // Debug builds re-check SPMD discipline on the full session timeline
-        // after every cycle, so each engine test doubles as a protocol audit.
+        // Debug builds audit the full session timeline after every cycle
+        // (SPMD discipline and phase accounting), so each engine test
+        // doubles as a check of the invariants every trace reader assumes.
         #[cfg(debug_assertions)]
-        {
-            let violations = plum_parsim::check_protocol(&self.slog);
-            assert!(
-                violations.is_empty(),
-                "session trace violates the SPMD protocol: {violations:?}"
-            );
+        if let Err(e) = self.slog.audit() {
+            panic!("session trace fails its audit: {e}");
         }
 
         CycleReport {
-            traces: cycle_traces(
-                self.slog,
-                marking_phase,
-                mark_trace,
-                &mut decision,
-                migration.as_ref(),
-            ),
+            traces: CycleTraces {
+                phases: self.slog.phase_breakdowns(),
+                session: self.slog,
+            },
             counts: p.am.mesh.counts(),
             growth,
             marking_sweeps,
@@ -503,7 +413,7 @@ pub fn run_cycle(p: &mut Plum, refine_frac: f64, dt: f64) -> CycleReport {
     // --- MESH ADAPTOR: edge marking (executed, with propagation) -----------
     let error = edge_error_indicator(&p.am.mesh, &p.field);
     let threshold = p.am.threshold_for_final_fraction(&error, refine_frac);
-    let (values, mark_trace, t_mark) =
+    let (values, t_mark) =
         cycle.run(|comm| mark_body(comm, &p.am, &p.engine.own, &p.work, &error, threshold));
     cycle.times.marking = t_mark;
     let (marks, marking_sweeps, _comm_words) = merge_marks(&p.am, values);
@@ -536,8 +446,7 @@ pub fn run_cycle(p: &mut Plum, refine_frac: f64, dt: f64) -> CycleReport {
             cycle.balance_and_migrate(p, &vec![0; p.dual.n()])
         }
     };
-    let marking = ("marking", mark_trace, marking_sweeps);
-    cycle.close(p, marking, pred.growth_factor, outcome)
+    cycle.close(p, marking_sweeps, pred.growth_factor, outcome)
 }
 
 /// The coarse-marking phase body, shared by the session engine and the
@@ -574,7 +483,7 @@ pub fn run_coarsen_cycle(p: &mut Plum, coarse_frac: f64, dt: f64) -> CycleReport
     let marked = cmarks.count() as u64;
     let elems_before = p.am.mesh.n_elems();
     let sweep = p.engine.per_rank_load(&cycle.wcomp_now);
-    let (_, mark_trace, t_mark) =
+    let (_, t_mark) =
         cycle.run(|comm| coarsen_mark_body(comm, &p.work, sweep[comm.rank()], marked));
     cycle.times.marking = t_mark;
 
@@ -598,7 +507,7 @@ pub fn run_coarsen_cycle(p: &mut Plum, coarse_frac: f64, dt: f64) -> CycleReport
     let outcome = cycle.balance_and_migrate(p, &vec![0; p.dual.n()]);
 
     let growth = p.am.mesh.n_elems() as f64 / elems_before as f64;
-    cycle.close(p, ("coarsen_mark", mark_trace, 1), growth, outcome)
+    cycle.close(p, 1, growth, outcome)
 }
 
 #[cfg(test)]
@@ -754,48 +663,18 @@ mod tests {
         golden(8, 4, RemapPolicy::AfterRefinement, true);
     }
 
-    /// The cached `*_comm` splits come from one streaming pass over the
-    /// session timeline; re-deriving each from its standalone per-step
-    /// trace must agree — same event set, only the summation order may
-    /// differ.
+    /// The cached per-phase aggregates come from one streaming pass over
+    /// the session timeline; re-deriving each from its phase's own log
+    /// (the slice of the steps that ran it) must agree — same event set,
+    /// only the summation order may differ.
     #[test]
     fn one_pass_phase_comm_matches_per_step_traces() {
         let mut p = plum(8, 4, RemapPolicy::BeforeRefinement);
         let report = p.adaption_cycle(0.33, 0.1);
         let tr = &report.traces;
 
-        let mut pairs = vec![(
-            "marking",
-            tr.marking_comm,
-            CommBreakdown::from_trace(&tr.marking),
-        )];
-        if let (Some(c), Some(t)) = (&tr.partition_comm, &tr.partition) {
-            pairs.push(("partition", *c, CommBreakdown::from_trace(t)));
-        }
-        if let (Some(c), Some(t)) = (&tr.reassign_comm, &tr.reassign) {
-            pairs.push(("reassignment", *c, CommBreakdown::from_trace(t)));
-        }
-        if let (Some(c), Some(t)) = (&tr.remap_comm, &tr.remap) {
-            pairs.push(("remap", *c, CommBreakdown::from_trace(t)));
-        }
-        assert!(pairs.len() >= 3, "cycle should have balanced and remapped");
-        for (name, one_pass, per_step) in pairs {
-            assert_eq!(one_pass.msgs, per_step.msgs, "{name}: msgs");
-            assert_eq!(one_pass.words, per_step.words, "{name}: words");
-            for (what, a, b) in [
-                ("compute", one_pass.compute, per_step.compute),
-                ("wire", one_pass.wire, per_step.wire),
-                ("wait", one_pass.wait, per_step.wait),
-            ] {
-                assert!(
-                    (a - b).abs() < TOL,
-                    "{name}: {what} diverged: one-pass {a} vs per-step {b}"
-                );
-            }
-        }
-
-        // The cache covers the modeled phases too, in timeline order.
-        let names: Vec<&str> = tr.phase_comm.iter().map(|(n, _)| n.as_str()).collect();
+        // Modeled and executed phases alike, in timeline order.
+        let names: Vec<&str> = tr.phases.iter().map(|a| a.name.as_str()).collect();
         assert_eq!(
             names,
             [
@@ -807,6 +686,22 @@ mod tests {
                 "subdivide"
             ]
         );
+        for one_pass in &tr.phases {
+            let name = &one_pass.name;
+            let per_step = tr.session.phase_slice(name).summary();
+            assert_eq!(one_pass.msgs, per_step.total_msgs(), "{name}: msgs");
+            assert_eq!(one_pass.words, per_step.total_words(), "{name}: words");
+            for (what, a, b) in [
+                ("compute", one_pass.compute, per_step.total_compute()),
+                ("wire", one_pass.wire, per_step.total_wire()),
+                ("wait", one_pass.wait, per_step.total_wait()),
+            ] {
+                assert!(
+                    (a - b).abs() < TOL,
+                    "{name}: {what} diverged: one-pass {a} vs per-step {b}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -839,16 +734,12 @@ mod tests {
                 ra.times.partition > 0.0,
                 "executed partitioning must take virtual time"
             );
-            let tr = ra
+            let partition = ra
                 .traces
-                .partition
-                .as_ref()
-                .expect("engine path must record a partition trace");
+                .phase("partition")
+                .expect("engine path must record a partition phase");
             assert!(
-                tr.events
-                    .iter()
-                    .flatten()
-                    .any(|ev| matches!(ev, TraceEvent::Send { .. } | TraceEvent::Recv { .. })),
+                partition.msgs > 0,
                 "distributed partitioning must exchange real messages"
             );
             // The proposed partition obeys the serial kernels' tolerance
@@ -1032,6 +923,18 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::Fault { .. }))
             .collect();
         assert_eq!(faults.len(), 1, "exactly one injected fault on rank 2");
+        // A step-0 fault fires before the first phase opens: its seconds
+        // belong to the outside-phase row, so the phases still account for
+        // every rank's time.
+        let outside = rc.traces.session.phase_rank_breakdowns();
+        let outside = outside
+            .iter()
+            .find(|a| a.name == plum_parsim::OUTSIDE_PHASE)
+            .expect("pre-phase stall must have a row");
+        assert_eq!(outside.ranks[2].injected, 0.25);
+        assert_eq!(outside.total(), 0.25);
+        rc.traces.session.audit().unwrap();
+        assert!(rr.traces.phase(plum_parsim::OUTSIDE_PHASE).is_none());
         // The stalled rank need not have been the phase's slowest, so part
         // of the stall hides in the sync spread — but the bulk must show.
         assert!(

@@ -8,7 +8,7 @@ use plum_solver::{
     edge_error_indicator, initialize_solution, solve, CostField, SolverConfig, WaveField, NCOMP,
 };
 
-use plum_parsim::{makespan, spmd, TraceLog};
+use plum_parsim::{makespan, spmd, PhaseAgg, TraceLog};
 
 use crate::balance::{balance_step, BalanceDecision};
 use crate::chaos::ChaosConfig;
@@ -17,7 +17,7 @@ use crate::costs::CostEstimator;
 use crate::engine::CycleEngine;
 use crate::marking::{parallel_mark, Ownership};
 use crate::migrate::{parallel_migrate, MigrationOutcome};
-use crate::timing::{CommBreakdown, WorkModel};
+use crate::timing::WorkModel;
 
 /// Virtual wall time spent in each phase of one adaption cycle.
 #[derive(Debug, Clone, Copy, Default)]
@@ -60,46 +60,26 @@ impl PhaseTimes {
     }
 }
 
-/// Event traces and aggregate communication metrics of the parsim-executed
-/// phases of one cycle (the modeled phases — solver, subdivision — have no
-/// event detail; their virtual times live in [`PhaseTimes`]).
+/// The event log of one cycle and its per-phase aggregates (engine path
+/// only; both are empty under the reference drivers, whose phases run as
+/// isolated programs).
 #[derive(Debug, Clone, Default)]
 pub struct CycleTraces {
-    /// Edge-marking phase trace and its wait/compute/wire split.
-    pub marking: TraceLog,
-    pub marking_comm: CommBreakdown,
-    /// Distributed repartitioner trace (engine path, when the balancer
-    /// repartitioned; the reference driver runs the serial kernel and has
-    /// no partition trace).
-    pub partition: Option<TraceLog>,
-    pub partition_comm: Option<CommBreakdown>,
-    /// Reassignment protocol trace (when the balancer repartitioned).
-    pub reassign: Option<TraceLog>,
-    pub reassign_comm: Option<CommBreakdown>,
-    /// Data-remapping trace (when a new mapping was adopted).
-    pub remap: Option<TraceLog>,
-    pub remap_comm: Option<CommBreakdown>,
-    /// The whole cycle on one continuous virtual timeline (engine path
-    /// only; empty under [`Plum::adaption_cycle_reference`]). Event times
-    /// are absolute session times, so phases follow one another without
-    /// per-phase clock resets.
+    /// The whole cycle on one continuous virtual timeline. Event times are
+    /// absolute session times, so phases follow one another without
+    /// per-phase clock resets. A phase's own log is
+    /// `session.phase_slice(name)`.
     pub session: TraceLog,
-    /// Per-phase communication splits in phase-appearance order. On the
-    /// engine path this comes from **one** streaming pass over
-    /// [`CycleTraces::session`] ([`TraceLog::phase_breakdowns`]) and is
-    /// the source of the cached `*_comm` fields above; the reference path
-    /// fills it from its standalone per-phase traces (so only the
-    /// parsim-executed phases appear there).
-    pub phase_comm: Vec<(String, CommBreakdown)>,
+    /// [`TraceLog::phase_breakdowns`] of `session`, computed once: every
+    /// phase's compute/wire/wait/injected split and traffic, in
+    /// phase-appearance order (modeled phases included).
+    pub phases: Vec<PhaseAgg>,
 }
 
 impl CycleTraces {
-    /// The cached communication split of a named phase, if it ran.
-    pub fn phase(&self, name: &str) -> Option<&CommBreakdown> {
-        self.phase_comm
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, c)| c)
+    /// The aggregate of a named phase, if it ran.
+    pub fn phase(&self, name: &str) -> Option<&PhaseAgg> {
+        self.phases.iter().find(|agg| agg.name == name)
     }
 }
 
@@ -107,7 +87,7 @@ impl CycleTraces {
 #[derive(Debug, Clone)]
 pub struct CycleReport {
     pub times: PhaseTimes,
-    /// Per-phase event traces and communication breakdowns.
+    /// The cycle's event log and per-phase aggregates.
     pub traces: CycleTraces,
     /// Mesh counts after the cycle.
     pub counts: MeshCounts,
@@ -200,12 +180,13 @@ impl CycleReport {
         sink.set_gauge("info.balance.wmax_unbalanced", self.wmax_unbalanced as f64);
         sink.set_gauge("info.cycle.growth", self.growth);
 
-        for (name, c) in &self.traces.phase_comm {
-            sink.set_gauge(&format!("phase.{name}.compute_seconds"), c.compute);
-            sink.set_gauge(&format!("phase.{name}.wire_seconds"), c.wire);
-            sink.set_gauge(&format!("phase.{name}.wait_seconds"), c.wait);
-            sink.inc_by(&format!("phase.{name}.msgs"), c.msgs);
-            sink.inc_by(&format!("phase.{name}.words"), c.words);
+        for agg in &self.traces.phases {
+            let name = &agg.name;
+            sink.set_gauge(&format!("phase.{name}.compute_seconds"), agg.compute);
+            sink.set_gauge(&format!("phase.{name}.wire_seconds"), agg.wire);
+            sink.set_gauge(&format!("phase.{name}.wait_seconds"), agg.wait);
+            sink.inc_by(&format!("phase.{name}.msgs"), agg.msgs);
+            sink.inc_by(&format!("phase.{name}.words"), agg.words);
         }
         if !self.traces.session.events.is_empty() {
             self.traces.session.summary().emit_metrics("session", sink);
@@ -461,7 +442,6 @@ impl Plum {
             crate::engine::coarsen_mark_body(comm, &self.work, sweep[comm.rank()], marked)
         });
         cycle.times.marking = makespan(&results);
-        let mark_trace = TraceLog::from_results(&results);
 
         // --- host-side de-refinement -------------------------------------
         let _stats = self
@@ -482,7 +462,7 @@ impl Plum {
         let outcome = self.balance_and_migrate_reference(&vec![0; self.dual.n()], &mut cycle.times);
 
         let growth = self.am.mesh.n_elems() as f64 / elems_before as f64;
-        self.close_reference(cycle, ("coarsen_mark", mark_trace, 1), growth, outcome)
+        self.close_reference(cycle, 1, growth, outcome)
     }
 
     /// Open a reference cycle: advance the physical time and take the
@@ -559,14 +539,13 @@ impl Plum {
         (decision, migration)
     }
 
-    /// Finish a reference cycle: Fig. 8 bookkeeping, traces from the
-    /// standalone per-phase programs, engine resync, report.
+    /// Finish a reference cycle: Fig. 8 bookkeeping, engine resync, report.
     fn close_reference(
         &mut self,
         cycle: ReferenceCycle,
-        (marking_phase, mark_trace, marking_sweeps): (&str, TraceLog, usize),
+        marking_sweeps: usize,
         growth: f64,
-        (mut decision, migration): (BalanceDecision, Option<MigrationOutcome>),
+        (decision, migration): (BalanceDecision, Option<MigrationOutcome>),
     ) -> CycleReport {
         // Post-adaption solver load with and without the rebalance.
         // Prediction is exact, so `decision.wmax_old` (the per-processor
@@ -578,41 +557,13 @@ impl Plum {
             .max()
             .unwrap();
 
-        let marking_comm = CommBreakdown::from_trace(&mark_trace);
-        let reassign_comm = decision
-            .reassign_trace
-            .as_ref()
-            .map(CommBreakdown::from_trace);
-        let remap_comm = migration
-            .as_ref()
-            .map(|m| CommBreakdown::from_trace(&m.trace));
-        let mut phase_comm = vec![(marking_phase.to_string(), marking_comm)];
-        if let Some(c) = reassign_comm {
-            phase_comm.push(("reassignment".to_string(), c));
-        }
-        if let Some(c) = remap_comm {
-            phase_comm.push(("remap".to_string(), c));
-        }
-        let traces = CycleTraces {
-            marking_comm,
-            marking: mark_trace,
-            partition: None,
-            partition_comm: None,
-            reassign_comm,
-            reassign: decision.reassign_trace.take(),
-            remap_comm,
-            remap: migration.as_ref().map(|m| m.trace.clone()),
-            session: TraceLog::default(),
-            phase_comm,
-        };
-
         // The reference path mutates the mesh and assignment without
         // incremental updates — resynchronize the resident engine state so
         // the two drivers can be interleaved freely.
         self.engine = CycleEngine::new(&self.am, &self.proc_of_root, self.cfg.nproc);
 
         CycleReport {
-            traces,
+            traces: CycleTraces::default(),
             counts: self.am.mesh.counts(),
             growth,
             marking_sweeps,
@@ -684,8 +635,7 @@ impl Plum {
                 self.balance_and_migrate_reference(&vec![0; self.dual.n()], &mut cycle.times)
             }
         };
-        let marking = ("marking", mark.trace, mark.sweeps);
-        self.close_reference(cycle, marking, pred.growth_factor, outcome)
+        self.close_reference(cycle, mark.sweeps, pred.growth_factor, outcome)
     }
 }
 
@@ -699,27 +649,6 @@ struct ReferenceCycle {
     own: Ownership,
     rate: Vec<f64>,
     capacity: Vec<f64>,
-}
-
-/// Threshold such that roughly `frac` of the live edges exceed it.
-pub fn fraction_threshold(am: &AdaptiveMesh, error: &[f64], frac: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&frac));
-    let mut vals: Vec<f64> = am
-        .mesh
-        .edges()
-        .map(|e| error.get(e.idx()).copied().unwrap_or(0.0))
-        .collect();
-    let n = vals.len();
-    let k = ((n as f64) * frac).round() as usize;
-    if k == 0 {
-        return f64::INFINITY;
-    }
-    vals.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
-    if k >= n {
-        f64::NEG_INFINITY
-    } else {
-        vals[n - k - 1]
-    }
 }
 
 /// Coarse marks: the roughly `frac` lowest-error live edges, marked for
@@ -739,7 +668,7 @@ pub fn coarse_marks(am: &AdaptiveMesh, error: &[f64], frac: f64) -> EdgeMarks {
     if k == 0 {
         return marks;
     }
-    vals.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+    vals.sort_unstable_by(f64::total_cmp);
     let th = vals[(k - 1).min(n - 1)];
     for e in am.mesh.edges() {
         if error.get(e.idx()).copied().unwrap_or(0.0) <= th {
@@ -777,18 +706,22 @@ mod tests {
         assert!((t.total() - 7.9375).abs() < 1e-15);
     }
 
+    /// A NaN error value (a diverged solver) sorts last — never marked
+    /// for coarsening — instead of panicking the threshold sort.
     #[test]
-    fn fraction_threshold_marks_requested_share() {
+    fn coarse_marks_tolerate_nan_errors() {
         let p = plum(1, 3);
-        let error: Vec<f64> = (0..p.am.mesh.edge_slots()).map(|i| i as f64).collect();
-        let th = fraction_threshold(&p.am, &error, 0.25);
-        let marks = p.am.mark_above(&error, th);
+        let mut error: Vec<f64> = (0..p.am.mesh.edge_slots()).map(|i| i as f64).collect();
+        let nan_edge = p.am.mesh.edges().next().unwrap();
+        error[nan_edge.idx()] = f64::NAN;
+        let marks = coarse_marks(&p.am, &error, 0.25);
         let n = p.am.mesh.n_edges();
         let k = marks.count();
         assert!(
             (k as f64 - n as f64 * 0.25).abs() <= 2.0,
             "marked {k} of {n}"
         );
+        assert!(!marks.is_marked(nan_edge));
     }
 
     #[test]
@@ -823,65 +756,67 @@ mod tests {
     fn cycle_traces_match_phase_times_and_pass_protocol_check() {
         let mut p = plum(4, 4);
         let report = p.adaption_cycle(0.33, 0.1);
+        let session = &report.traces.session;
+        let split = session.phase_rank_breakdowns();
+        let ranks_of = |name: &str| {
+            let agg = split.iter().find(|a| a.name == name);
+            &agg.unwrap_or_else(|| panic!("no {name} phase")).ranks
+        };
 
-        // The marking makespan is the slowest rank's accounted trace time.
-        let summary = report.traces.marking.summary();
-        let slowest = summary.ranks.iter().map(|r| r.total()).fold(0.0, f64::max);
-        assert!(
-            (slowest - report.times.marking).abs() < 1e-9,
-            "marking trace accounts {slowest}, phase time {}",
-            report.times.marking
-        );
-        assert!(
-            (report.traces.marking_comm.total()
-                - summary.ranks.iter().map(|r| r.total()).sum::<f64>())
-            .abs()
-                < 1e-9
-        );
-
-        // The distributed repartitioner's step: its measured phase time is
-        // the slowest rank's accounted trace time, and every rank accounts
-        // the same span (the step boundary syncs the clocks).
-        if let Some(tr) = &report.traces.partition {
-            let s = tr.summary();
-            for r in &s.ranks {
-                assert!(
-                    (r.total() - report.times.partition).abs() < 1e-9,
-                    "rank {} accounts {}, partition phase time {}",
-                    r.rank,
-                    r.total(),
-                    report.times.partition
-                );
-            }
-            let comm = report.traces.partition_comm.as_ref().unwrap();
-            assert!(comm.msgs > 0, "executed partitioning sends real messages");
+        // Each phase's measured time is the slowest rank's accounted time
+        // in that phase.
+        let mut measured = vec![
+            ("solver", report.times.solver),
+            ("marking", report.times.marking),
+            ("subdivide", report.times.subdivide),
+        ];
+        if report.decision.repartitioned {
+            measured.push(("partition", report.times.partition));
+            measured.push(("reassignment", report.decision.reassign_comm_time));
+        }
+        if let Some(mig) = &report.migration {
+            measured.push(("remap", mig.time));
+        }
+        assert!(measured.len() >= 5, "cycle should have balanced");
+        for (name, time) in measured {
+            let slowest = ranks_of(name).iter().map(|r| r.total()).fold(0.0, f64::max);
+            assert!(
+                (slowest - time).abs() < 1e-9,
+                "{name}: trace accounts {slowest}, phase time {time}"
+            );
+            // The cached aggregate is the same attribution, summed over ranks.
+            let agg = report.traces.phase(name).unwrap();
+            let by_rank: f64 = ranks_of(name).iter().map(|r| r.total()).sum();
+            assert!((agg.total() - by_rank).abs() < 1e-9, "{name}");
         }
 
-        // Same for the reassignment protocol and the remap, when they ran.
-        if let Some(tr) = &report.traces.reassign {
-            let s = tr.summary();
-            let max = s.ranks.iter().map(|r| r.total()).fold(0.0, f64::max);
-            assert!((max - report.decision.reassign_comm_time).abs() < 1e-9);
+        // The distributed repartitioner's step: every rank accounts the
+        // same span (the step boundary syncs the clocks), and it sends
+        // real messages.
+        for (rank, r) in ranks_of("partition").iter().enumerate() {
+            assert!(
+                (r.total() - report.times.partition).abs() < 1e-9,
+                "rank {rank} accounts {}, partition phase time {}",
+                r.total(),
+                report.times.partition
+            );
         }
-        if let (Some(tr), Some(mig)) = (&report.traces.remap, &report.migration) {
-            let s = tr.summary();
-            let max = s.ranks.iter().map(|r| r.total()).fold(0.0, f64::max);
-            assert!((max - mig.time).abs() < 1e-9);
-            let comm = report.traces.remap_comm.unwrap();
+        assert!(report.traces.phase("partition").unwrap().msgs > 0);
+        if let Some(mig) = &report.migration {
             assert_eq!(
-                comm.words, mig.words_moved,
+                report.traces.phase("remap").unwrap().words,
+                mig.words_moved,
                 "trace traffic == migration traffic"
             );
         }
 
-        // Every phase obeys SPMD discipline.
-        assert!(plum_parsim::check_protocol(&report.traces.marking).is_empty());
-        for tr in [&report.traces.reassign, &report.traces.remap]
-            .into_iter()
-            .flatten()
-        {
-            assert!(plum_parsim::check_protocol(tr).is_empty());
+        // Every phase obeys SPMD discipline on its own, and the session as
+        // a whole passes the audit.
+        for agg in &report.traces.phases {
+            let violations = plum_parsim::check_protocol(&session.phase_slice(&agg.name));
+            assert!(violations.is_empty(), "{}: {violations:?}", agg.name);
         }
+        session.audit().unwrap();
     }
 
     #[test]

@@ -51,9 +51,9 @@ pub use config::{Mapper, PlumConfig, RemapPolicy};
 pub use costs::CostEstimator;
 pub use dmesh::{distribute, finalize, DistributedMesh, FinalizedMesh};
 pub use engine::{run_coarsen_cycle, run_cycle, CycleEngine};
-pub use framework::{coarse_marks, fraction_threshold, CycleReport, CycleTraces, PhaseTimes, Plum};
+pub use framework::{coarse_marks, CycleReport, CycleTraces, PhaseTimes, Plum};
 pub use marking::{parallel_mark, MarkResult, Ownership};
 pub use migrate::{parallel_migrate, MigrationOutcome};
 pub use reassign_par::{parallel_reassign, ParallelReassign};
 pub use snapshot::{read_snapshot, snapshot_words, write_snapshot, SnapshotError};
-pub use timing::{CommBreakdown, WorkModel};
+pub use timing::WorkModel;

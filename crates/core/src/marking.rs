@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use plum_adapt::{AdaptiveMesh, EdgeMarks, RefineDelta, RefineEvent};
 use plum_mesh::{EdgeId, ElemId, SharedEdgeTracker};
-use plum_parsim::{makespan, spmd, Comm, MachineModel, TraceLog};
+use plum_parsim::{makespan, spmd, Comm, MachineModel};
 
 use crate::timing::WorkModel;
 
@@ -171,8 +171,6 @@ pub struct MarkResult {
     pub time: f64,
     /// Total words exchanged during propagation.
     pub comm_words: u64,
-    /// Structured event trace of the phase (one stream per rank).
-    pub trace: TraceLog,
 }
 
 /// Per-rank value produced by the marking stage body: the edges this rank
@@ -307,7 +305,6 @@ pub fn parallel_mark(
     let results = spmd(nproc, machine, |comm| {
         mark_body(comm, am, own, work, error, threshold)
     });
-    let trace = TraceLog::from_results(&results);
     let time = makespan(&results);
     let (marks, sweeps, comm_words) = merge_marks(am, results.into_iter().map(|r| r.value));
 
@@ -316,7 +313,6 @@ pub fn parallel_mark(
         sweeps,
         time,
         comm_words,
-        trace,
     }
 }
 

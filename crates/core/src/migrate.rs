@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use plum_adapt::AdaptiveMesh;
 use plum_mesh::VertexField;
-use plum_parsim::{makespan, spmd, Comm, MachineModel, RankResult, TraceLog};
+use plum_parsim::{makespan, spmd, Comm, MachineModel};
 use plum_partition::RankLists;
 use plum_remap::{Packer, Unpacker};
 
@@ -30,8 +30,6 @@ pub struct MigrationOutcome {
     /// Elements received per rank (for auditing against the similarity
     /// matrix).
     pub received_per_rank: Vec<u64>,
-    /// Structured event trace of the phase (one stream per rank).
-    pub trace: TraceLog,
 }
 
 /// Per-rank value of the remap stage body: `(packed tree nodes, received
@@ -130,11 +128,11 @@ pub(crate) fn migrate_body(
 }
 
 /// Assemble a [`MigrationOutcome`] (with conservation check) out of the
-/// per-rank stage results. `time` is the caller's phase duration — the
-/// makespan under [`spmd`], or the session-step duration under the engine.
+/// per-rank stage values, in rank order. `time` is the caller's phase
+/// duration — the makespan under [`spmd`], or the session-step duration
+/// under the engine.
 pub(crate) fn migration_outcome_from(
-    results: &[RankResult<MigrateValue>],
-    nproc: usize,
+    values: impl IntoIterator<Item = MigrateValue>,
     time: f64,
 ) -> MigrationOutcome {
     let mut outcome = MigrationOutcome {
@@ -142,14 +140,13 @@ pub(crate) fn migration_outcome_from(
         elems_moved: 0,
         words_moved: 0,
         msgs: 0,
-        received_per_rank: vec![0; nproc],
-        trace: TraceLog::from_results(results),
+        received_per_rank: Vec::new(),
     };
-    for r in results {
-        outcome.elems_moved += r.value.0;
-        outcome.received_per_rank[r.rank] = r.value.1;
-        outcome.msgs += r.value.2;
-        outcome.words_moved += r.value.3;
+    for (packed, received, msgs, words) in values {
+        outcome.elems_moved += packed;
+        outcome.received_per_rank.push(received);
+        outcome.msgs += msgs;
+        outcome.words_moved += words;
     }
     // Conservation: everything packed is received somewhere.
     let total_received: u64 = outcome.received_per_rank.iter().sum();
@@ -176,7 +173,7 @@ pub fn parallel_migrate(
         migrate_body(comm, am, field, lists.mine(comm.rank()), new_proc)
     });
     let time = makespan(&results);
-    migration_outcome_from(&results, nproc, time)
+    migration_outcome_from(results.into_iter().map(|r| r.value), time)
 }
 
 #[cfg(test)]

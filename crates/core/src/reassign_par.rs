@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use plum_parsim::{makespan, spmd, Comm, MachineModel, TraceLog};
+use plum_parsim::{makespan, spmd, Comm, MachineModel};
 use plum_partition::RankLists;
 use plum_reassign::{Assignment, SimilarityMatrix};
 
@@ -106,9 +106,6 @@ pub struct ParallelReassign {
     pub time: f64,
     /// Real measured seconds the host spent in the mapper.
     pub mapper_seconds: f64,
-    /// Structured event trace of the protocol (one stream per rank). Only
-    /// virtual quantities — the wall-clocked mapper run leaves no events.
-    pub trace: TraceLog,
 }
 
 /// Run the reassignment the way the paper does: every rank computes its own
@@ -133,7 +130,6 @@ pub fn parallel_reassign(
     });
 
     let time = makespan(&results);
-    let trace = TraceLog::from_results(&results);
     let (matrix, assignment, mapper_seconds) =
         collect_reassign(results.into_iter().map(|r| r.value));
     ParallelReassign {
@@ -141,7 +137,6 @@ pub fn parallel_reassign(
         assignment,
         time,
         mapper_seconds,
-        trace,
     }
 }
 

@@ -8,7 +8,7 @@
 //! counts with the per-unit constants below, calibrated so the 64-processor
 //! figures land in the regime the paper reports (see EXPERIMENTS.md).
 
-use plum_parsim::{MachineModel, TraceLog};
+use plum_parsim::MachineModel;
 
 /// Work-unit constants for the modeled phases (seconds per unit).
 #[derive(Debug, Clone, Copy)]
@@ -171,59 +171,6 @@ impl WorkModel {
         machine: &MachineModel,
     ) -> f64 {
         self.solver_compute_time(wcomp) + self.solver_halo_time(shared_edges, machine)
-    }
-}
-
-/// Aggregate virtual-time split of one parsim-executed phase, summed over
-/// ranks and derived from its trace: where the phase's virtual seconds went
-/// (local work vs. send startup vs. idling for in-flight data) and how much
-/// traffic it generated. `compute + wire + wait` equals the sum of the
-/// per-rank elapsed times (not the makespan, which is the max).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CommBreakdown {
-    /// Seconds of local computation charges.
-    pub compute: f64,
-    /// Seconds of message startup charges (the sender's wire share).
-    pub wire: f64,
-    /// Seconds receivers idled waiting for in-flight data.
-    pub wait: f64,
-    /// Point-to-point messages sent.
-    pub msgs: u64,
-    /// Words sent.
-    pub words: u64,
-}
-
-impl CommBreakdown {
-    /// Aggregate a phase's trace.
-    pub fn from_trace(log: &TraceLog) -> Self {
-        let s = log.summary();
-        CommBreakdown {
-            compute: s.total_compute(),
-            wire: s.total_wire(),
-            wait: s.total_wait(),
-            msgs: s.total_msgs(),
-            words: s.total_words(),
-        }
-    }
-
-    /// Build from a one-pass per-phase aggregate (see
-    /// [`TraceLog::phase_breakdowns`](plum_parsim::TraceLog::phase_breakdowns)):
-    /// the streaming-friendly path that avoids re-slicing the session log
-    /// per phase. Like [`CommBreakdown::from_trace`], injected fault time
-    /// is excluded (it is chaos accounting, not phase communication).
-    pub fn from_agg(agg: &plum_parsim::PhaseAgg) -> Self {
-        CommBreakdown {
-            compute: agg.compute,
-            wire: agg.wire,
-            wait: agg.wait,
-            msgs: agg.msgs,
-            words: agg.words,
-        }
-    }
-
-    /// Total accounted rank-seconds of the phase.
-    pub fn total(&self) -> f64 {
-        self.compute + self.wire + self.wait
     }
 }
 

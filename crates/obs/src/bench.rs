@@ -525,14 +525,14 @@ mod tests {
     #[test]
     fn v2_payloads_roundtrip_bit_identically() {
         use plum_parsim::{spmd, MachineModel, TraceLog};
-        let runs = spmd(3, MachineModel::sp2(), |comm| {
+        let mut runs = spmd(3, MachineModel::sp2(), |comm| {
             comm.phase("work", |c| {
                 c.compute(10.0 * (c.rank() + 1) as f64);
                 c.barrier();
             });
         });
         let mut r = sample();
-        r.digest = Some(TraceDigest::from_log(&TraceLog::from_results(&runs)));
+        r.digest = Some(TraceDigest::from_log(&TraceLog::from_results(&mut runs)));
         let mut t = Timeline::new();
         t.record_cycle([("balance.method", 2.0), ("cycle.virtual_seconds", 1.5)]);
         t.record_cycle([("balance.method", 1.0), ("cycle.virtual_seconds", 1.2)]);

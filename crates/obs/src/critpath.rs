@@ -372,9 +372,8 @@ pub fn heaviest_edges(log: &TraceLog, k: usize) -> Vec<MessageEdge> {
         .collect();
     edges.sort_by(|a, b| {
         b.wait
-            .partial_cmp(&a.wait)
-            .unwrap()
-            .then(a.recv_completed.partial_cmp(&b.recv_completed).unwrap())
+            .total_cmp(&a.wait)
+            .then(a.recv_completed.total_cmp(&b.recv_completed))
             .then(a.src.cmp(&b.src))
             .then(a.dst.cmp(&b.dst))
     });
@@ -397,7 +396,7 @@ pub fn render_heaviest_edges(edges: &[MessageEdge]) -> String {
             e.tag,
             e.words,
             e.wait * 1e6,
-            e.phase.as_deref().unwrap_or("-"),
+            e.phase,
         ));
     }
     out
@@ -592,14 +591,14 @@ mod tests {
     /// and the path length equals the makespan to the accounting tolerance.
     #[test]
     fn barrier_path_length_is_makespan_and_compute_is_the_slow_rank() {
-        let results = spmd(4, MachineModel::sp2(), |comm| {
+        let mut results = spmd(4, MachineModel::sp2(), |comm| {
             if comm.rank() == 2 {
                 comm.advance(5.0);
             }
             comm.barrier();
         });
         let makespan = plum_parsim::makespan(&results);
-        let log = TraceLog::from_results(&results);
+        let log = TraceLog::from_results(&mut results);
         let path = critical_path(&log);
         assert!(
             (path.length() - makespan).abs() < 1e-9,
@@ -651,13 +650,13 @@ mod tests {
     /// Phase slices: per-phase path length equals the phase's elapsed time.
     #[test]
     fn phase_critical_path_matches_phase_elapsed() {
-        let results = spmd(3, MachineModel::sp2(), |comm| {
+        let mut results = spmd(3, MachineModel::sp2(), |comm| {
             comm.phase("work", |c| {
                 c.compute(100.0 * (c.rank() + 1) as f64);
                 c.barrier();
             });
         });
-        let log = TraceLog::from_results(&results);
+        let log = TraceLog::from_results(&mut results);
         let aggs = log.phase_breakdowns();
         let agg = aggs.iter().find(|a| a.name == "work").unwrap();
         let path = phase_critical_path(&log, "work");
@@ -689,6 +688,27 @@ mod tests {
         assert!(text.contains("0 -> 1"), "{text}");
         let empty = render_heaviest_edges(&[]);
         assert!(empty.contains("none"));
+    }
+
+    /// A NaN timestamp (a corrupted log) is ordered, not a panic.
+    #[test]
+    fn heaviest_edges_tolerate_nan_times() {
+        let nan_recv = TraceEvent::Recv {
+            posted: 1.0,
+            completed: f64::NAN,
+            peer: 0,
+            tag: 2,
+            words: 10,
+            wait: 1.0,
+        };
+        let log = TraceLog {
+            events: vec![
+                vec![send(0.0, 0.1, 1, 1, 1.0), send(0.1, 0.2, 1, 2, 2.0)],
+                vec![recv(0.0, 1.0, 0, 1), nan_recv],
+            ],
+        };
+        let edges = heaviest_edges(&log, 5);
+        assert_eq!(edges.iter().map(|e| e.tag).collect::<Vec<_>>(), [1, 2]);
     }
 
     #[test]

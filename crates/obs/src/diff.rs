@@ -469,7 +469,7 @@ mod tests {
         /// traffic so the critical path crosses ranks.
         fn perturbed_log(factors: [f64; 4]) -> TraceLog {
             let mut sess = Session::new(4, MachineModel::sp2());
-            let r = sess.run(factors.to_vec(), |comm, f| {
+            let mut r = sess.run(factors.to_vec(), |comm, f| {
                 comm.phase("solver", |c| {
                     c.compute(100.0 * (c.rank() + 1) as f64 * f);
                     c.allreduce_sum_f64(c.rank() as f64);
@@ -481,7 +481,7 @@ mod tests {
                     c.compute(20.0 * f);
                 });
             });
-            TraceLog::from_results(&r)
+            TraceLog::from_results(&mut r)
         }
 
         proptest! {

@@ -22,17 +22,14 @@
 
 use std::collections::BTreeMap;
 
-use plum_parsim::{TraceEvent, TraceLog};
+use plum_parsim::TraceLog;
+pub use plum_parsim::OUTSIDE_PHASE;
 
 use crate::critpath::critical_path;
 use crate::json::{escape, fmt_f64, Value};
 
 /// Schema tag embedded in every serialized digest.
 pub const DIGEST_SCHEMA: &str = "plum-digest/v1";
-
-/// Phase name used for activity outside any phase marker (and for the
-/// slack bucket).
-pub const OUTSIDE_PHASE: &str = "-";
 
 /// The cause label of the slack bucket: makespan minus critical-path
 /// length, i.e. idle time on the makespan-defining rank that the backward
@@ -68,13 +65,6 @@ pub struct PhaseDigest {
     pub collectives: Vec<CollectiveDigest>,
 }
 
-impl PhaseDigest {
-    /// Total accounted seconds of `rank` inside this phase.
-    pub fn rank_total(&self, rank: usize) -> f64 {
-        self.compute[rank] + self.wire[rank] + self.wait[rank] + self.injected[rank]
-    }
-}
-
 /// One (phase, rank, kind) unit of critical-path time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathBucket {
@@ -99,43 +89,6 @@ pub struct TraceDigest {
     pub path: Vec<PathBucket>,
 }
 
-/// Per-rank phase changepoints: `(time, phase)` entries such that the
-/// phase current at time `t` is the last entry with `time <= t`. Mirrors
-/// the carry rule of `phase_breakdowns`: closing an innermost phase keeps
-/// it current until the next `PhaseBegin`.
-fn phase_changepoints(log: &TraceLog) -> Vec<Vec<(f64, String)>> {
-    let mut all = Vec::with_capacity(log.nranks());
-    for stream in &log.events {
-        let mut changes: Vec<(f64, String)> = vec![(f64::NEG_INFINITY, OUTSIDE_PHASE.to_string())];
-        let mut stack: Vec<&str> = Vec::new();
-        for ev in stream {
-            match ev {
-                TraceEvent::PhaseBegin { name, start } => {
-                    stack.push(name);
-                    changes.push((*start, name.clone()));
-                }
-                TraceEvent::PhaseEnd { name: _, end } => {
-                    stack.pop();
-                    if let Some(outer) = stack.last() {
-                        changes.push((*end, outer.to_string()));
-                    }
-                    // Carry rule: with no outer phase open, the closed
-                    // phase stays current — no changepoint.
-                }
-                _ => {}
-            }
-        }
-        all.push(changes);
-    }
-    all
-}
-
-/// Phase current at time `t` on one rank's changepoint list.
-fn phase_at(changes: &[(f64, String)], t: f64) -> &str {
-    let idx = changes.partition_point(|(ct, _)| *ct <= t);
-    &changes[idx - 1].1
-}
-
 impl TraceDigest {
     /// Digest a trace log: per-(phase, rank) breakdowns plus the critical
     /// path folded into (phase, rank, kind) buckets summing to the
@@ -143,7 +96,7 @@ impl TraceDigest {
     pub fn from_log(log: &TraceLog) -> TraceDigest {
         let nranks = log.nranks();
         let summary = log.summary();
-        let makespan = summary.ranks.iter().map(|s| s.total()).fold(0.0, f64::max);
+        let makespan = summary.makespan();
         let max_rank = summary
             .ranks
             .iter()
@@ -187,12 +140,12 @@ impl TraceDigest {
         // midpoints decide the phase: spans never straddle phase markers
         // (markers are instants between accountable events), so any point
         // strictly inside the span works.
-        let changes = phase_changepoints(log);
+        let timeline = log.phase_timeline();
         let cp = critical_path(log);
         let mut buckets: BTreeMap<(String, usize, String), f64> = BTreeMap::new();
         for seg in &cp.segments {
             let mid = 0.5 * (seg.start + seg.end);
-            let phase = phase_at(&changes[seg.rank], mid).to_string();
+            let phase = timeline.at(seg.rank, mid).to_string();
             *buckets
                 .entry((phase, seg.rank, seg.kind.name().to_string()))
                 .or_insert(0.0) += seg.duration();
@@ -429,7 +382,7 @@ mod tests {
 
     fn phased_log() -> TraceLog {
         let mut sess = Session::new(4, MachineModel::sp2());
-        let r = sess.run(vec![(); 4], |comm, ()| {
+        let mut r = sess.run(vec![(); 4], |comm, ()| {
             comm.phase("solver", |c| {
                 c.compute(100.0 * (c.rank() + 1) as f64);
                 c.allreduce_sum_f64(c.rank() as f64);
@@ -440,7 +393,7 @@ mod tests {
                 c.alltoallv(items);
             });
         });
-        TraceLog::from_results(&r)
+        TraceLog::from_results(&mut r)
     }
 
     #[test]
@@ -515,11 +468,11 @@ mod tests {
 
     #[test]
     fn activity_outside_phases_lands_in_the_sentinel() {
-        let r = spmd(2, MachineModel::sp2(), |comm| {
+        let mut r = spmd(2, MachineModel::sp2(), |comm| {
             comm.compute(50.0); // before any phase
             comm.phase("p", |c| c.compute(10.0));
         });
-        let d = TraceDigest::from_log(&TraceLog::from_results(&r));
+        let d = TraceDigest::from_log(&TraceLog::from_results(&mut r));
         assert!(
             d.path
                 .iter()
@@ -528,5 +481,25 @@ mod tests {
             d.path
         );
         assert!((d.bucket_sum() - d.makespan).abs() <= 1e-9);
+        // The per-(phase, rank) breakdowns agree with the path: the same
+        // seconds sit in the sentinel's row, not nowhere.
+        let outside = d
+            .phases
+            .iter()
+            .find(|p| p.name == OUTSIDE_PHASE)
+            .expect("pre-phase activity must have a phases row");
+        let on_path: f64 = d
+            .path
+            .iter()
+            .filter(|b| b.phase == OUTSIDE_PHASE)
+            .map(|b| b.seconds)
+            .sum();
+        assert!((outside.compute[0] - on_path).abs() <= 1e-12);
+        let accounted: f64 = d
+            .phases
+            .iter()
+            .map(|p| p.compute[0] + p.wire[0] + p.wait[0] + p.injected[0])
+            .sum();
+        assert!((accounted - d.makespan).abs() <= 1e-9);
     }
 }

@@ -271,11 +271,6 @@ impl Comm {
         *self.allreduce(1, value, |a, b| a + b)
     }
 
-    /// Allreduce with `f64` maximum.
-    pub fn allreduce_max_f64(&mut self, value: f64) -> f64 {
-        *self.allreduce(1, value, f64::max)
-    }
-
     /// Allreduce with `u64` addition.
     pub fn allreduce_sum_u64(&mut self, value: u64) -> u64 {
         *self.allreduce(1, value, |a, b| a + b)
@@ -477,7 +472,7 @@ mod tests {
     fn shared_payload_trace_matches_copying_golden() {
         let p = 7;
         let mut session = Session::new(p, MachineModel::sp2());
-        let results = session.run(vec![(); p], |comm, ()| {
+        let mut results = session.run(vec![(); p], |comm, ()| {
             comm.compute(10.0 * (comm.rank() + 1) as f64);
             comm.allgather(256, vec![comm.rank() as u64; 256]);
             comm.bcast(0, 4096, (comm.rank() == 0).then(|| vec![7u64; 4096]));
@@ -485,7 +480,7 @@ mod tests {
                 a.iter().zip(&b).map(|(x, y)| x + y).collect()
             });
         });
-        let log = TraceLog::from_results(&results);
+        let log = TraceLog::from_results(&mut results);
         let lines: Vec<String> = log
             .events
             .iter()

@@ -114,14 +114,6 @@ impl Comm {
         self.sent_words
     }
 
-    /// Push this rank's cumulative communication counters and elapsed
-    /// virtual time into a metrics sink (see [`crate::MetricsSink`]).
-    pub fn emit_metrics(&self, sink: &mut dyn crate::MetricsSink) {
-        sink.inc_by("comm.msgs_sent", self.sent_messages);
-        sink.inc_by("comm.words_sent", self.sent_words);
-        sink.observe("comm.rank_elapsed_seconds", self.clock.now());
-    }
-
     /// Charge `units` units of local computation to the virtual clock.
     /// Scaled by the rank's chaos compute multiplier (1.0 on the
     /// unperturbed machine).

@@ -222,27 +222,6 @@ impl Session {
         self.step
     }
 
-    /// Emit session-level gauges plus every rank's cumulative communication
-    /// counters into a metrics sink. Call between steps (the host owns the
-    /// `Comm`s then).
-    pub fn emit_metrics(&self, sink: &mut dyn crate::MetricsSink) {
-        sink.set_gauge("session.now_seconds", self.now());
-        sink.set_gauge("session.nranks", self.nranks as f64);
-        sink.set_gauge("session.steps", self.step as f64);
-        for c in &self.comms {
-            c.emit_metrics(sink);
-        }
-    }
-
-    /// Advance every rank's clock by `seconds` of modeled (not executed)
-    /// work — e.g. a solver phase whose cost comes from the work model
-    /// rather than from running real code. Recorded as compute on each rank.
-    pub fn advance_all(&mut self, seconds: f64) {
-        for c in &mut self.comms {
-            c.advance(seconds);
-        }
-    }
-
     /// Run a *modeled* phase without spawning threads: rank `r`'s clock is
     /// charged `seconds[r]` inside a phase span named `name`, then all
     /// clocks align to the slowest rank (the sync idle lands inside the
@@ -792,10 +771,6 @@ mod tests {
         });
         assert_eq!(r[1].value, 41);
         assert_eq!(r[0].sent_words, 25, "counters are cumulative");
-        // Modeled (host-charged) work advances every rank uniformly.
-        let t = sess.now();
-        sess.advance_all(2.0);
-        assert!((sess.now() - (t + 2.0)).abs() < 1e-12);
     }
 
     // --- chaos ------------------------------------------------------------
@@ -824,8 +799,8 @@ mod tests {
     fn stall_fault_charges_injected_time() {
         let plan = FaultPlan::none().stall(1, 0, 2.5);
         let mut sess = Session::with_chaos(2, MachineModel::sp2(), &Perturbation::none(2), plan);
-        let r = sess.run(vec![(), ()], |comm, ()| comm.barrier());
-        let summary = TraceLog::from_results(&r).summary();
+        let mut r = sess.run(vec![(), ()], |comm, ()| comm.barrier());
+        let summary = TraceLog::from_results(&mut r).summary();
         assert!((summary.ranks[1].injected - 2.5).abs() < 1e-12);
         assert_eq!(summary.ranks[0].injected, 0.0);
         assert!(makespan(&r) >= 2.5, "the stall delays the whole step");
@@ -1003,11 +978,11 @@ mod tests {
         let mut sess = Session::new(3, MachineModel::sp2());
         let mut accounted = [0.0; 3];
         for step in 0..3 {
-            let r = sess.run(vec![(), (), ()], move |comm, ()| {
+            let mut r = sess.run(vec![(), (), ()], move |comm, ()| {
                 comm.advance(((comm.rank() + step) % 3) as f64 * 0.5);
                 comm.barrier();
             });
-            let summary = TraceLog::from_results(&r).summary();
+            let summary = TraceLog::from_results(&mut r).summary();
             for (s, res) in summary.ranks.iter().zip(&r) {
                 accounted[s.rank] += s.total();
                 assert!(

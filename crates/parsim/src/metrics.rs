@@ -3,11 +3,11 @@
 //! [`MetricsSink`] is the narrow interface the simulator pushes its counters
 //! and virtual-time gauges through. The sink lives downstream (the
 //! `plum-obs` registry implements it); the simulator only depends on the
-//! trait, so the hook points in [`Comm`](crate::Comm) /
-//! [`Session`](crate::Session) cost nothing unless a sink is attached.
+//! trait. Everything it emits comes from a trace summary
+//! ([`TraceSummary::emit_metrics`]), so nothing is counted while ranks run.
 //!
 //! Naming convention: dot-separated lowercase paths
-//! (`comm.msgs_sent`, `session.now_seconds`, `collective.barrier.calls`).
+//! (`session.msgs`, `session.wait_seconds`, `session.collective.barrier.calls`).
 //! Counters are monotonically increasing integers, gauges are
 //! last-write-wins `f64`s, observations feed a histogram.
 
@@ -92,12 +92,12 @@ mod tests {
 
     #[test]
     fn summary_emits_totals_and_collectives() {
-        let results = spmd(4, MachineModel::sp2(), |comm| {
+        let mut results = spmd(4, MachineModel::sp2(), |comm| {
             comm.compute(100.0);
             comm.barrier();
             comm.allreduce_sum_u64(comm.rank() as u64);
         });
-        let summary = TraceLog::from_results(&results).summary();
+        let summary = TraceLog::from_results(&mut results).summary();
         let mut sink = TestSink::default();
         summary.emit_metrics("s", &mut sink);
         assert_eq!(sink.counters["s.msgs"], summary.total_msgs());

@@ -142,12 +142,12 @@ proptest! {
         let mut sess = Session::with_chaos(nranks, MachineModel::sp2(), &perturb, plan);
         let mut accounted = vec![0.0; nranks];
         for step in 0..3u64 {
-            let r = sess.run(vec![(); nranks], |comm, ()| {
+            let mut r = sess.run(vec![(); nranks], |comm, ()| {
                 comm.allgather(1, comm.rank() as u64);
                 comm.compute(50.0);
                 comm.barrier();
             });
-            let summary = TraceLog::from_results(&r).summary();
+            let summary = TraceLog::from_results(&mut r).summary();
             for (s, res) in summary.ranks.iter().zip(&r) {
                 accounted[s.rank] += s.total();
                 prop_assert!(

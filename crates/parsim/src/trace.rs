@@ -10,14 +10,18 @@
 //! * **aggregation** ([`TraceLog::summary`]): per-rank wait / compute /
 //!   wire / injected split (which reconstructs each rank's elapsed virtual
 //!   time exactly: `compute + wire + wait + injected == elapsed`) and
-//!   message/word counters per collective kind;
+//!   message/word counters per collective kind; the same split per phase
+//!   ([`TraceLog::phase_breakdowns`] and friends), all accumulated over
+//!   one walk that owns the phase-attribution rule;
 //! * **export**: Chrome-trace JSON ([`TraceLog::chrome_json`], loadable in
 //!   `chrome://tracing` or Perfetto) and a plain-text timeline
 //!   ([`TraceLog::text_timeline`]);
 //! * **protocol checking** ([`check_protocol`]): replaying the log to flag
 //!   SPMD discipline violations — mismatched collective sequences across
 //!   ranks, tag-order inconsistencies on a channel, and clock-rewind
-//!   attempts — before they surface as opaque cross-rank panics.
+//!   attempts — before they surface as opaque cross-rank panics;
+//!   [`TraceLog::audit`] adds the accounting invariant and returns the
+//!   makespan.
 //!
 //! Virtual timestamps are deterministic, so two runs of the same program
 //! produce byte-identical exports.
@@ -43,7 +47,7 @@ pub enum CollectiveKind {
     Reduce,
 }
 
-/// All kinds, in counter-array order.
+/// All kinds, in counter-array (= declaration) order.
 pub const COLLECTIVE_KINDS: [CollectiveKind; 8] = [
     CollectiveKind::Barrier,
     CollectiveKind::Bcast,
@@ -71,7 +75,7 @@ impl CollectiveKind {
     }
 
     fn index(self) -> usize {
-        COLLECTIVE_KINDS.iter().position(|&k| k == self).unwrap()
+        self as usize
     }
 }
 
@@ -262,13 +266,22 @@ impl TraceSummary {
     pub fn total_words(&self) -> u64 {
         self.ranks.iter().map(|r| r.words_sent).sum()
     }
+
+    /// The log's virtual makespan: the slowest rank's accounted time.
+    pub fn makespan(&self) -> f64 {
+        self.ranks.iter().map(|r| r.total()).fold(0.0, f64::max)
+    }
 }
 
 impl TraceLog {
-    /// Gather the per-rank event streams out of `spmd` results.
-    pub fn from_results<T>(results: &[RankResult<T>]) -> Self {
+    /// Gather the per-rank event streams out of `spmd` results. The streams
+    /// move: each result's `events` is left empty, nothing is copied.
+    pub fn from_results<T>(results: &mut [RankResult<T>]) -> Self {
         TraceLog {
-            events: results.iter().map(|r| r.events.clone()).collect(),
+            events: results
+                .iter_mut()
+                .map(|r| std::mem::take(&mut r.events))
+                .collect(),
         }
     }
 
@@ -279,52 +292,28 @@ impl TraceLog {
 
     /// Compute the per-rank aggregate metrics.
     pub fn summary(&self) -> TraceSummary {
-        let mut ranks = Vec::with_capacity(self.events.len());
-        for (rank, stream) in self.events.iter().enumerate() {
-            let mut s = RankSummary {
+        let mut splits = vec![RankPhaseSplit::default(); self.nranks()];
+        let mut ranks: Vec<RankSummary> = (0..self.nranks())
+            .map(|rank| RankSummary {
                 rank,
                 ..RankSummary::default()
-            };
-            // Stack of enclosing collective kinds; index 0 = top level.
-            let mut coll_stack: Vec<CollectiveKind> = Vec::new();
-            for ev in stream {
-                match *ev {
-                    TraceEvent::Compute { start, end } => s.compute += end - start,
-                    TraceEvent::Send {
-                        start, end, words, ..
-                    } => {
-                        s.wire += end - start;
-                        s.msgs_sent += 1;
-                        s.words_sent += words;
-                        if let Some(&top) = coll_stack.first() {
-                            let c = &mut s.collectives[top.index()];
-                            c.msgs += 1;
-                            c.words += words;
-                        }
-                    }
-                    TraceEvent::Recv { wait, .. } => s.wait += wait,
-                    TraceEvent::CollectiveEnter { kind, start, .. } => {
-                        if coll_stack.is_empty() {
-                            let c = &mut s.collectives[kind.index()];
-                            c.calls += 1;
-                            c.seconds -= start; // paired with += end below
-                        }
-                        coll_stack.push(kind);
-                    }
-                    TraceEvent::CollectiveExit { kind, end, .. } => {
-                        let popped = coll_stack.pop();
-                        debug_assert_eq!(popped, Some(kind), "unbalanced collective markers");
-                        if coll_stack.is_empty() {
-                            s.collectives[kind.index()].seconds += end;
-                        }
-                    }
-                    TraceEvent::PhaseBegin { .. } | TraceEvent::PhaseEnd { .. } => {}
-                    TraceEvent::RewindBlocked { .. } => s.rewinds_blocked += 1,
-                    TraceEvent::Sync { start, end } => s.wait += end - start,
-                    TraceEvent::Fault { start, end, .. } => s.injected += end - start,
-                }
+            })
+            .collect();
+        self.walk(|v| {
+            splits[v.rank].charge(v.ev);
+            let s = &mut ranks[v.rank];
+            tally_collective(&mut s.collectives, &v);
+            if let TraceEvent::RewindBlocked { .. } = v.ev {
+                s.rewinds_blocked += 1;
             }
-            ranks.push(s);
+        });
+        for (s, split) in ranks.iter_mut().zip(splits) {
+            s.compute = split.compute;
+            s.wire = split.wire;
+            s.wait = split.wait;
+            s.injected = split.injected;
+            s.msgs_sent = split.msgs;
+            s.words_sent = split.words;
         }
         TraceSummary { ranks }
     }
@@ -746,122 +735,34 @@ pub fn check_protocol(log: &TraceLog) -> Vec<ProtocolViolation> {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Multi-log merging (phase-by-phase export of a whole adaption cycle)
-// ---------------------------------------------------------------------------
-
-/// Builds one merged Chrome trace out of several [`TraceLog`]s (each offset
-/// on the global timeline) plus synthetic spans for phases that run outside
-/// the simulator (modeled costs). Used by the `reproduce -- fig6 --trace`
-/// exporter to lay out a whole adaption cycle.
-#[derive(Debug, Clone, Default)]
-pub struct MergedTrace {
-    log: TraceLog,
-}
-
-impl MergedTrace {
-    /// A merged trace over `nranks` tracks.
-    pub fn new(nranks: usize) -> Self {
-        MergedTrace {
-            log: TraceLog {
-                events: vec![Vec::new(); nranks],
-            },
+impl TraceLog {
+    /// The invariants every consumer of a log relies on, checked together:
+    /// the log is protocol-clean ([`check_protocol`]) and its per-phase
+    /// aggregates account for every rank's time,
+    /// `|Σ phases − Σ ranks| ≤ 1e-9 · max(Σ ranks, 1)`. Returns the log's
+    /// virtual makespan, or what is wrong with it.
+    pub fn audit(&self) -> Result<f64, String> {
+        let violations = check_protocol(self);
+        if !violations.is_empty() {
+            return Err(format!("log violates SPMD discipline: {violations:?}"));
         }
-    }
-
-    /// Append every event of `log`, shifted by `offset` seconds, wrapped in
-    /// a phase span named `phase` covering each rank's local activity. A
-    /// stream that already opens with its own `phase`-named span is not
-    /// wrapped again.
-    pub fn add_log(&mut self, phase: &str, log: &TraceLog, offset: f64) {
-        for (rank, stream) in log.events.iter().enumerate() {
-            if rank >= self.log.events.len() {
-                break;
-            }
-            let wrapped = matches!(
-                stream.first(),
-                Some(TraceEvent::PhaseBegin { name, .. }) if name == phase
-            );
-            let end = stream.iter().map(|e| e.end_time()).fold(0.0, f64::max);
-            let dst = &mut self.log.events[rank];
-            if !wrapped {
-                dst.push(TraceEvent::PhaseBegin {
-                    name: phase.to_string(),
-                    start: offset,
-                });
-            }
-            for ev in stream {
-                dst.push(shift(ev, offset));
-            }
-            if !wrapped {
-                dst.push(TraceEvent::PhaseEnd {
-                    name: phase.to_string(),
-                    end: offset + end,
-                });
-            }
+        let summary = self.summary();
+        let ranks: f64 = summary.ranks.iter().map(|r| r.total()).sum();
+        let phases: f64 = self.phase_breakdowns().iter().map(|a| a.total()).sum();
+        if (ranks - phases).abs() > 1e-9 * ranks.max(1.0) {
+            return Err(format!("phase accounting {phases} != summary {ranks}"));
         }
-    }
-
-    /// Add the same synthetic span on every rank (modeled phases with no
-    /// per-rank event detail).
-    pub fn add_uniform_span(&mut self, phase: &str, start: f64, end: f64) {
-        for stream in &mut self.log.events {
-            stream.push(TraceEvent::PhaseBegin {
-                name: phase.to_string(),
-                start,
-            });
-            stream.push(TraceEvent::PhaseEnd {
-                name: phase.to_string(),
-                end,
-            });
-        }
-    }
-
-    /// The merged log (for export or checking).
-    pub fn log(&self) -> &TraceLog {
-        &self.log
+        Ok(summary.makespan())
     }
 }
 
-fn shift(ev: &TraceEvent, dt: f64) -> TraceEvent {
-    let mut out = ev.clone();
-    match &mut out {
-        TraceEvent::Compute { start, end } => {
-            *start += dt;
-            *end += dt;
-        }
-        TraceEvent::Send {
-            start,
-            end,
-            arrival,
-            ..
-        } => {
-            *start += dt;
-            *end += dt;
-            *arrival += dt;
-        }
-        TraceEvent::Recv {
-            posted, completed, ..
-        } => {
-            *posted += dt;
-            *completed += dt;
-        }
-        TraceEvent::CollectiveEnter { start, .. } => *start += dt,
-        TraceEvent::CollectiveExit { end, .. } => *end += dt,
-        TraceEvent::PhaseBegin { start, .. } => *start += dt,
-        TraceEvent::PhaseEnd { end, .. } => *end += dt,
-        TraceEvent::RewindBlocked { at, .. } => *at += dt,
-        TraceEvent::Sync { start, end } | TraceEvent::Fault { start, end, .. } => {
-            *start += dt;
-            *end += dt;
-        }
-    }
-    out
-}
+// ---------------------------------------------------------------------------
+// Phase attribution: one walk, and the aggregates that accumulate over it
+// ---------------------------------------------------------------------------
 
-// ---------------------------------------------------------------------------
-// Happens-before edges & one-pass phase aggregation
-// ---------------------------------------------------------------------------
+/// Phase name of activity recorded before a rank's first phase marker. The
+/// row exists in an aggregate only when some event landed there.
+pub const OUTSIDE_PHASE: &str = "-";
 
 /// One matched send/recv pair: the cross-rank happens-before edge induced by
 /// a message. Channels are FIFO per `(src, dst)` pair, so the `i`-th send on
@@ -884,8 +785,8 @@ pub struct MessageEdge {
     pub recv_completed: f64,
     /// Receiver idle time paid on this edge (`Recv::wait`).
     pub wait: f64,
-    /// Innermost phase open on the receiver when the receive completed.
-    pub phase: Option<String>,
+    /// Phase the receive is attributed to on the receiver.
+    pub phase: String,
 }
 
 /// Per-phase aggregate built in a single pass over a [`TraceLog`]
@@ -922,8 +823,9 @@ impl PhaseAgg {
     }
 }
 
-/// One rank's share of a phase: the accounted-seconds split plus message
-/// counters, as attributed by [`TraceLog::phase_rank_breakdowns`].
+/// The accounted-seconds split plus message counters of a set of events —
+/// one rank's share of a phase in [`TraceLog::phase_rank_breakdowns`], and
+/// the accumulator behind every other aggregate of this module.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RankPhaseSplit {
     /// Compute seconds inside the phase on this rank.
@@ -944,12 +846,30 @@ impl RankPhaseSplit {
     pub fn total(&self) -> f64 {
         self.compute + self.wire + self.wait + self.injected
     }
+
+    /// Account one event: every clock charge is exactly one of compute,
+    /// wire, wait or injected, so the four sums reconstruct elapsed time.
+    fn charge(&mut self, ev: &TraceEvent) {
+        match *ev {
+            TraceEvent::Compute { start, end } => self.compute += end - start,
+            TraceEvent::Send {
+                start, end, words, ..
+            } => {
+                self.wire += end - start;
+                self.msgs += 1;
+                self.words += words;
+            }
+            TraceEvent::Recv { wait, .. } => self.wait += wait,
+            TraceEvent::Sync { start, end } => self.wait += end - start,
+            TraceEvent::Fault { start, end, .. } => self.injected += end - start,
+            _ => {}
+        }
+    }
 }
 
 /// Per-(phase, rank) aggregation: the same attribution as
-/// [`TraceLog::phase_breakdowns`] (innermost open phase, carry into the
-/// last closed phase), but split per rank and extended with the phase's
-/// top-level collective counters.
+/// [`TraceLog::phase_breakdowns`], but split per rank and extended with the
+/// phase's top-level collective counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseRankAgg {
     pub name: String,
@@ -977,13 +897,175 @@ impl PhaseRankAgg {
     }
 }
 
+/// Which phase each rank was in at any virtual time, under the attribution
+/// rule of [`TraceLog::phase_breakdowns`] (see [`TraceLog::phase_timeline`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhaseTimeline {
+    names: Vec<String>,
+    /// Per rank: `(time, phase)` changepoints in time order.
+    changes: Vec<Vec<(f64, usize)>>,
+}
+
+impl PhaseTimeline {
+    /// The phase current on `rank` at time `t`: the last changepoint at or
+    /// before `t`, [`OUTSIDE_PHASE`] before the first.
+    pub fn at(&self, rank: usize, t: f64) -> &str {
+        let changes = &self.changes[rank];
+        match changes.partition_point(|&(at, _)| at <= t) {
+            0 => OUTSIDE_PHASE,
+            i => &self.names[changes[i - 1].1],
+        }
+    }
+}
+
+/// A phase as [`TraceLog::walk`] saw it: its name and marker extents.
+struct PhaseSpan<'a> {
+    name: &'a str,
+    /// Earliest `PhaseBegin` / latest `PhaseEnd` across ranks.
+    start: f64,
+    end: f64,
+}
+
+/// What [`TraceLog::walk`] knows about one event.
+struct Visit<'a> {
+    rank: usize,
+    /// Position of `ev` in its rank's stream.
+    index: usize,
+    ev: &'a TraceEvent,
+    /// The phase `ev` is attributed to (a marker to its own): its position
+    /// in the walk's phase table (appearance order) and its name.
+    phase: usize,
+    name: &'a str,
+    /// The top-level collective enclosing `ev` (its own markers included)
+    /// and the phase that owns it: the one current when it was entered.
+    coll: Option<(CollectiveKind, usize)>,
+    /// `ev` is that top-level collective's own enter or exit marker.
+    top: bool,
+}
+
+/// Count `v` towards its enclosing top-level collective: one call and the
+/// enter-to-exit seconds per top-level invocation, every message sent
+/// inside it (nested sub-collectives included).
+fn tally_collective(stats: &mut [CollectiveStats; COLLECTIVE_KINDS.len()], v: &Visit) {
+    let Some((kind, _)) = v.coll else { return };
+    let c = &mut stats[kind.index()];
+    match *v.ev {
+        TraceEvent::CollectiveEnter { start, .. } if v.top => {
+            c.calls += 1;
+            c.seconds -= start; // paired with += end at the exit
+        }
+        TraceEvent::CollectiveExit { end, .. } if v.top => c.seconds += end,
+        TraceEvent::Send { words, .. } => {
+            c.msgs += 1;
+            c.words += words;
+        }
+        _ => {}
+    }
+}
+
 impl TraceLog {
+    /// The one walk every aggregate of this module accumulates over: visit
+    /// each event, rank by rank in stream order, with the phase and the
+    /// top-level collective it belongs to. The attribution rule:
+    ///
+    /// 1. an event belongs to the innermost phase open on its rank (a
+    ///    marker to the phase it opens or closes);
+    /// 2. after a phase closes with no outer phase open, it stays current
+    ///    until the next one opens — the step-boundary `Sync` a
+    ///    [`crate::Session`] records after the rank body returns is part of
+    ///    the phase that step ran;
+    /// 3. events before a rank's first phase belong to [`OUTSIDE_PHASE`].
+    ///
+    /// Every event therefore lands in exactly one phase, which is what
+    /// makes `Σ phases == Σ ranks` ([`TraceLog::audit`]). Returns the phase
+    /// table in order of first appearance.
+    fn walk<'a>(&'a self, mut visit: impl FnMut(Visit<'a>)) -> Vec<PhaseSpan<'a>> {
+        let mut ids: HashMap<&'a str, usize> = HashMap::new();
+        let mut spans: Vec<PhaseSpan<'a>> = Vec::new();
+        let mut intern = |name: &'a str, spans: &mut Vec<PhaseSpan<'a>>| {
+            *ids.entry(name).or_insert_with(|| {
+                spans.push(PhaseSpan {
+                    name,
+                    start: f64::INFINITY,
+                    end: f64::NEG_INFINITY,
+                });
+                spans.len() - 1
+            })
+        };
+        for (rank, stream) in self.events.iter().enumerate() {
+            // Open phases, innermost last; `current` outlives the stack
+            // (rule 2) and is `None` before the first phase (rule 3).
+            let mut stack: Vec<usize> = Vec::new();
+            let mut current: Option<usize> = None;
+            // The open top-level collective and its owner.
+            let mut coll: Option<(CollectiveKind, usize)> = None;
+            for (index, ev) in stream.iter().enumerate() {
+                if let TraceEvent::PhaseBegin { name, start } = ev {
+                    let id = intern(name, &mut spans);
+                    spans[id].start = spans[id].start.min(*start);
+                    stack.push(id);
+                    current = Some(id);
+                }
+                let phase = current.unwrap_or_else(|| {
+                    let id = intern(OUTSIDE_PHASE, &mut spans);
+                    spans[id].start = spans[id].start.min(ev.time());
+                    spans[id].end = spans[id].end.max(ev.end_time());
+                    id
+                });
+                let top = match ev {
+                    TraceEvent::CollectiveEnter { kind, depth: 0, .. } => {
+                        coll = Some((*kind, phase));
+                        true
+                    }
+                    TraceEvent::CollectiveExit { kind, depth: 0, .. } => {
+                        let open = coll.map(|(open, _)| open);
+                        debug_assert_eq!(open, Some(*kind), "unbalanced collective markers");
+                        true
+                    }
+                    _ => false,
+                };
+                visit(Visit {
+                    rank,
+                    index,
+                    ev,
+                    phase,
+                    name: spans[phase].name,
+                    coll,
+                    top,
+                });
+                match ev {
+                    TraceEvent::PhaseEnd { name, end } => {
+                        let popped = stack.pop();
+                        debug_assert_eq!(
+                            popped.map(|id| spans[id].name),
+                            Some(name.as_str()),
+                            "unbalanced phase markers"
+                        );
+                        if let Some(id) = popped {
+                            spans[id].end = spans[id].end.max(*end);
+                            current = stack.last().copied().or(Some(id));
+                        }
+                    }
+                    TraceEvent::CollectiveExit { depth: 0, .. } => coll = None,
+                    _ => {}
+                }
+            }
+        }
+        // A phase opened and never closed (a truncated log) has no extent.
+        for span in &mut spans {
+            if !span.end.is_finite() {
+                span.end = span.start;
+            }
+        }
+        spans
+    }
+
     /// Match every `Send` to its `Recv` by FIFO channel order and return
     /// the resulting happens-before edges, grouped by receiver rank in
     /// stream order (deterministic). Unmatched sends or receives (a
     /// protocol violation) produce no edge.
     pub fn message_edges(&self) -> Vec<MessageEdge> {
-        use std::collections::{HashMap, VecDeque};
+        use std::collections::VecDeque;
         // Per (src, dst) channel: queued sends in send order.
         struct PendingSend {
             event: usize,
@@ -1009,260 +1091,131 @@ impl TraceLog {
             }
         }
         let mut edges = Vec::new();
-        for (dst, stream) in self.events.iter().enumerate() {
-            let mut phase_stack: Vec<&str> = Vec::new();
-            for (i, ev) in stream.iter().enumerate() {
-                match ev {
-                    TraceEvent::PhaseBegin { name, .. } => phase_stack.push(name),
-                    TraceEvent::PhaseEnd { .. } => {
-                        phase_stack.pop();
-                    }
-                    TraceEvent::Recv {
-                        posted,
-                        completed,
-                        peer,
-                        tag,
-                        words,
-                        wait,
-                    } => {
-                        if let Some(send) =
-                            channels.get_mut(&(*peer, dst)).and_then(|q| q.pop_front())
-                        {
-                            edges.push(MessageEdge {
-                                src: *peer,
-                                dst,
-                                tag: *tag,
-                                words: *words,
-                                send_event: send.event,
-                                recv_event: i,
-                                send_start: send.start,
-                                send_end: send.end,
-                                recv_posted: *posted,
-                                recv_completed: *completed,
-                                wait: *wait,
-                                phase: phase_stack.last().map(|s| s.to_string()),
-                            });
-                        }
-                    }
-                    _ => {}
-                }
+        self.walk(|v| {
+            let TraceEvent::Recv {
+                posted,
+                completed,
+                peer,
+                tag,
+                words,
+                wait,
+            } = *v.ev
+            else {
+                return;
+            };
+            if let Some(send) = channels
+                .get_mut(&(peer, v.rank))
+                .and_then(|q| q.pop_front())
+            {
+                edges.push(MessageEdge {
+                    src: peer,
+                    dst: v.rank,
+                    tag,
+                    words,
+                    send_event: send.event,
+                    recv_event: v.index,
+                    send_start: send.start,
+                    send_end: send.end,
+                    recv_posted: posted,
+                    recv_completed: completed,
+                    wait,
+                    phase: v.name.to_string(),
+                });
             }
-        }
+        });
         edges
     }
 
-    /// One-pass per-phase aggregation. Each accountable event is attributed
-    /// to the innermost phase open on its rank; events occurring *after* a
-    /// phase closed but before the next one opens (e.g. the step-boundary
-    /// `Sync` a [`crate::Session`] records after the rank body returns) are
-    /// carried into the last closed phase, matching the per-step trace
-    /// capture the engine uses. Events before any phase has opened on a
-    /// rank are dropped. Phases are returned in order of first appearance.
+    /// Per-phase aggregation in one pass, under the attribution rule of the
+    /// module's one walk (innermost open phase; a closed phase stays
+    /// current until the next opens; [`OUTSIDE_PHASE`] before a rank's
+    /// first). Phases are returned in order of first appearance.
     pub fn phase_breakdowns(&self) -> Vec<PhaseAgg> {
-        use std::collections::HashMap;
-        let mut index: HashMap<String, usize> = HashMap::new();
-        let mut aggs: Vec<PhaseAgg> = Vec::new();
-        for stream in &self.events {
-            // Indices into `aggs` of the open phases; `current` falls back
-            // to the last closed phase when the stack empties (carry rule).
-            let mut stack: Vec<usize> = Vec::new();
-            let mut current: Option<usize> = None;
-            for ev in stream {
-                match ev {
-                    TraceEvent::PhaseBegin { name, start } => {
-                        let idx = *index.entry(name.clone()).or_insert_with(|| {
-                            aggs.push(PhaseAgg {
-                                name: name.clone(),
-                                start: f64::INFINITY,
-                                end: f64::NEG_INFINITY,
-                                ..PhaseAgg::default()
-                            });
-                            aggs.len() - 1
-                        });
-                        aggs[idx].start = aggs[idx].start.min(*start);
-                        stack.push(idx);
-                        current = Some(idx);
-                    }
-                    TraceEvent::PhaseEnd { name, end } => {
-                        let popped = stack.pop();
-                        debug_assert_eq!(
-                            popped.map(|i| aggs[i].name.as_str()),
-                            Some(name.as_str()),
-                            "unbalanced phase markers"
-                        );
-                        if let Some(idx) = popped {
-                            aggs[idx].end = aggs[idx].end.max(*end);
-                            // Carry: `current` stays on the phase just
-                            // closed unless an outer phase is still open.
-                            current = stack.last().copied().or(Some(idx));
-                        }
-                    }
-                    _ => {
-                        let Some(idx) = current else { continue };
-                        let a = &mut aggs[idx];
-                        match *ev {
-                            TraceEvent::Compute { start, end } => a.compute += end - start,
-                            TraceEvent::Send {
-                                start, end, words, ..
-                            } => {
-                                a.wire += end - start;
-                                a.msgs += 1;
-                                a.words += words;
-                            }
-                            TraceEvent::Recv { wait, .. } => a.wait += wait,
-                            TraceEvent::Sync { start, end } => a.wait += end - start,
-                            TraceEvent::Fault { start, end, .. } => a.injected += end - start,
-                            _ => {}
-                        }
-                    }
-                }
+        let mut splits: Vec<RankPhaseSplit> = Vec::new();
+        let spans = self.walk(|v| {
+            if v.phase == splits.len() {
+                splits.push(RankPhaseSplit::default());
             }
-        }
-        for a in &mut aggs {
-            if !a.start.is_finite() {
-                a.start = 0.0;
-            }
-            if !a.end.is_finite() {
-                a.end = a.start;
-            }
-        }
-        aggs
+            splits[v.phase].charge(v.ev);
+        });
+        spans
+            .into_iter()
+            .zip(splits)
+            .map(|(span, split)| PhaseAgg {
+                name: span.name.to_string(),
+                compute: split.compute,
+                wire: split.wire,
+                wait: split.wait,
+                injected: split.injected,
+                msgs: split.msgs,
+                words: split.words,
+                start: span.start,
+                end: span.end,
+            })
+            .collect()
     }
 
     /// The per-(phase, rank) refinement of [`TraceLog::phase_breakdowns`]:
-    /// identical attribution rules (innermost open phase; events after a
-    /// close carry into the last closed phase; events before any phase are
-    /// dropped), but the accounted split is kept per rank, and each phase
-    /// additionally collects the top-level collective counters of calls
-    /// entered while it was current. Summing a phase's rank splits
+    /// identical attribution, but the accounted split is kept per rank, and
+    /// each phase additionally collects the top-level collective counters
+    /// of calls entered while it was current. Summing a phase's rank splits
     /// reproduces the corresponding [`PhaseAgg`] fields (up to float
-    /// reassociation — the counters match exactly). Phases are returned in
-    /// order of first appearance.
+    /// reassociation — the counters match exactly).
     pub fn phase_rank_breakdowns(&self) -> Vec<PhaseRankAgg> {
-        use std::collections::HashMap;
-        let nranks = self.events.len();
-        let mut index: HashMap<String, usize> = HashMap::new();
+        let nranks = self.nranks();
         let mut aggs: Vec<PhaseRankAgg> = Vec::new();
-        for (rank, stream) in self.events.iter().enumerate() {
-            let mut stack: Vec<usize> = Vec::new();
-            let mut current: Option<usize> = None;
-            // Enclosing collectives: (kind, phase current at top-level enter).
-            let mut coll_stack: Vec<(CollectiveKind, Option<usize>)> = Vec::new();
-            for ev in stream {
-                match ev {
-                    TraceEvent::PhaseBegin { name, start } => {
-                        let idx = *index.entry(name.clone()).or_insert_with(|| {
-                            aggs.push(PhaseRankAgg {
-                                name: name.clone(),
-                                start: f64::INFINITY,
-                                end: f64::NEG_INFINITY,
-                                ranks: vec![RankPhaseSplit::default(); nranks],
-                                collectives: Default::default(),
-                            });
-                            aggs.len() - 1
-                        });
-                        aggs[idx].start = aggs[idx].start.min(*start);
-                        stack.push(idx);
-                        current = Some(idx);
-                    }
-                    TraceEvent::PhaseEnd { name, end } => {
-                        let popped = stack.pop();
-                        debug_assert_eq!(
-                            popped.map(|i| aggs[i].name.as_str()),
-                            Some(name.as_str()),
-                            "unbalanced phase markers"
-                        );
-                        if let Some(idx) = popped {
-                            aggs[idx].end = aggs[idx].end.max(*end);
-                            current = stack.last().copied().or(Some(idx));
-                        }
-                    }
-                    TraceEvent::CollectiveEnter { kind, start, .. } => {
-                        let owner = if coll_stack.is_empty() { current } else { None };
-                        if let Some(idx) = owner {
-                            let c = &mut aggs[idx].collectives[kind.index()];
-                            c.calls += 1;
-                            c.seconds -= start; // paired with += end at exit
-                        }
-                        coll_stack.push((*kind, owner));
-                    }
-                    TraceEvent::CollectiveExit { kind, end, .. } => {
-                        let popped = coll_stack.pop();
-                        debug_assert_eq!(
-                            popped.map(|(k, _)| k),
-                            Some(*kind),
-                            "unbalanced collective markers"
-                        );
-                        if let Some((_, Some(idx))) = popped {
-                            aggs[idx].collectives[kind.index()].seconds += end;
-                        }
-                    }
-                    _ => {
-                        if let TraceEvent::Send { words, .. } = *ev {
-                            if let Some(&(top, Some(idx))) = coll_stack.first() {
-                                let c = &mut aggs[idx].collectives[top.index()];
-                                c.msgs += 1;
-                                c.words += words;
-                            }
-                        }
-                        let Some(idx) = current else { continue };
-                        let r = &mut aggs[idx].ranks[rank];
-                        match *ev {
-                            TraceEvent::Compute { start, end } => r.compute += end - start,
-                            TraceEvent::Send {
-                                start, end, words, ..
-                            } => {
-                                r.wire += end - start;
-                                r.msgs += 1;
-                                r.words += words;
-                            }
-                            TraceEvent::Recv { wait, .. } => r.wait += wait,
-                            TraceEvent::Sync { start, end } => r.wait += end - start,
-                            TraceEvent::Fault { start, end, .. } => r.injected += end - start,
-                            _ => {}
-                        }
-                    }
-                }
+        let spans = self.walk(|v| {
+            if v.phase == aggs.len() {
+                aggs.push(PhaseRankAgg {
+                    name: v.name.to_string(),
+                    start: 0.0,
+                    end: 0.0,
+                    ranks: vec![RankPhaseSplit::default(); nranks],
+                    collectives: Default::default(),
+                });
             }
-        }
-        for a in &mut aggs {
-            if !a.start.is_finite() {
-                a.start = 0.0;
+            aggs[v.phase].ranks[v.rank].charge(v.ev);
+            if let Some((_, owner)) = v.coll {
+                tally_collective(&mut aggs[owner].collectives, &v);
             }
-            if !a.end.is_finite() {
-                a.end = a.start;
-            }
+        });
+        for (agg, span) in aggs.iter_mut().zip(spans) {
+            agg.start = span.start;
+            agg.end = span.end;
         }
         aggs
     }
 
-    /// Extract the events inside every `name` phase span (markers included)
-    /// as a log of the same rank count. Same-name nesting is handled by
-    /// depth counting. Events outside the span — including trailing
-    /// step-boundary syncs — are excluded.
+    /// The log of one phase: its markers plus every event attributed to it
+    /// (so `phase_slice(name).summary()` totals equal the phase's
+    /// aggregate), as a log of the same rank count.
     pub fn phase_slice(&self, name: &str) -> TraceLog {
         let mut out = TraceLog {
-            events: vec![Vec::new(); self.events.len()],
+            events: vec![Vec::new(); self.nranks()],
         };
-        for (rank, stream) in self.events.iter().enumerate() {
-            let dst = &mut out.events[rank];
-            let mut depth = 0usize;
-            for ev in stream {
-                match ev {
-                    TraceEvent::PhaseBegin { name: n, .. } if n == name => {
-                        depth += 1;
-                        dst.push(ev.clone());
-                    }
-                    TraceEvent::PhaseEnd { name: n, .. } if n == name && depth > 0 => {
-                        depth -= 1;
-                        dst.push(ev.clone());
-                    }
-                    _ if depth > 0 => dst.push(ev.clone()),
-                    _ => {}
-                }
+        self.walk(|v| {
+            if v.name == name {
+                out.events[v.rank].push(v.ev.clone());
             }
-        }
+        });
         out
+    }
+
+    /// Per-rank phase changepoints, for looking up the phase of a point in
+    /// time (the digest's critical-path buckets) under the same rule as the
+    /// aggregates.
+    pub fn phase_timeline(&self) -> PhaseTimeline {
+        let mut changes: Vec<Vec<(f64, usize)>> = vec![Vec::new(); self.nranks()];
+        let spans = self.walk(|v| {
+            let rank = &mut changes[v.rank];
+            if rank.last().map(|&(_, phase)| phase) != Some(v.phase) {
+                rank.push((v.ev.time(), v.phase));
+            }
+        });
+        PhaseTimeline {
+            names: spans.iter().map(|span| span.name.to_string()).collect(),
+            changes,
+        }
     }
 }
 
@@ -1291,8 +1244,8 @@ mod tests {
 
     #[test]
     fn summary_reconstructs_elapsed_exactly() {
-        let results = run_workload();
-        let log = TraceLog::from_results(&results);
+        let mut results = run_workload();
+        let log = TraceLog::from_results(&mut results);
         let summary = log.summary();
         for (r, s) in results.iter().zip(&summary.ranks) {
             assert!(
@@ -1307,8 +1260,8 @@ mod tests {
 
     #[test]
     fn summary_counters_match_comm_statistics() {
-        let results = run_workload();
-        let summary = TraceLog::from_results(&results).summary();
+        let mut results = run_workload();
+        let summary = TraceLog::from_results(&mut results).summary();
         for (r, s) in results.iter().zip(&summary.ranks) {
             assert_eq!(s.msgs_sent, r.sent_messages, "rank {}", r.rank);
             assert_eq!(s.words_sent, r.sent_words, "rank {}", r.rank);
@@ -1332,15 +1285,15 @@ mod tests {
 
     #[test]
     fn exports_are_deterministic_across_runs() {
-        let a = TraceLog::from_results(&run_workload());
-        let b = TraceLog::from_results(&run_workload());
+        let a = TraceLog::from_results(&mut run_workload());
+        let b = TraceLog::from_results(&mut run_workload());
         assert_eq!(a.chrome_json(), b.chrome_json());
         assert_eq!(a.text_timeline(), b.text_timeline());
     }
 
     #[test]
     fn chrome_json_is_wellformed_and_has_rank_tracks() {
-        let json = TraceLog::from_results(&run_workload()).chrome_json();
+        let json = TraceLog::from_results(&mut run_workload()).chrome_json();
         assert!(json.starts_with("{\"displayTimeUnit\""));
         assert!(json.trim_end().ends_with("]}"));
         for rank in 0..5 {
@@ -1358,14 +1311,15 @@ mod tests {
 
     #[test]
     fn clean_run_passes_protocol_check() {
-        let log = TraceLog::from_results(&run_workload());
+        let log = TraceLog::from_results(&mut run_workload());
         let violations = check_protocol(&log);
         assert!(violations.is_empty(), "unexpected: {violations:?}");
+        assert_eq!(log.audit(), Ok(log.summary().makespan()));
     }
 
     #[test]
     fn checker_flags_corrupted_collective_sequence() {
-        let mut log = TraceLog::from_results(&run_workload());
+        let mut log = TraceLog::from_results(&mut run_workload());
         // Corrupt rank 3: swap its barrier for a bcast, as if one rank took
         // a different branch and called a different collective.
         let stream = &mut log.events[3];
@@ -1401,7 +1355,7 @@ mod tests {
 
     #[test]
     fn checker_flags_tag_order_mismatch() {
-        let mut log = TraceLog::from_results(&run_workload());
+        let mut log = TraceLog::from_results(&mut run_workload());
         // Corrupt one send tag on rank 0 so the sender/receiver tag
         // sequences on that channel disagree.
         let ev = log.events[0]
@@ -1419,11 +1373,12 @@ mod tests {
                 .any(|v| matches!(v, ProtocolViolation::TagOrderMismatch { src: 0, .. })),
             "checker missed the tag corruption: {violations:?}"
         );
+        assert!(log.audit().unwrap_err().contains("TagOrderMismatch"));
     }
 
     #[test]
     fn rewind_attempt_is_traced_and_flagged() {
-        let results = spmd(2, MachineModel::sp2(), |comm| {
+        let mut results = spmd(2, MachineModel::sp2(), |comm| {
             comm.advance(1.0);
             comm.advance(-0.5); // cost-model bug: blocked, not applied
             comm.now()
@@ -1431,7 +1386,7 @@ mod tests {
         for r in &results {
             assert!((r.value - 1.0).abs() < 1e-15, "clock must saturate");
         }
-        let log = TraceLog::from_results(&results);
+        let log = TraceLog::from_results(&mut results);
         assert_eq!(log.summary().ranks[0].rewinds_blocked, 1);
         let violations = check_protocol(&log);
         assert_eq!(
@@ -1445,13 +1400,13 @@ mod tests {
 
     #[test]
     fn phase_spans_nest_and_export() {
-        let results = spmd(2, MachineModel::sp2(), |comm| {
+        let mut results = spmd(2, MachineModel::sp2(), |comm| {
             comm.phase("outer", |c| {
                 c.compute(10.0);
                 c.phase("inner", |c| c.barrier());
             });
         });
-        let log = TraceLog::from_results(&results);
+        let log = TraceLog::from_results(&mut results);
         let json = log.chrome_json();
         assert!(json.contains("\"name\":\"outer\""));
         assert!(json.contains("\"name\":\"inner\""));
@@ -1462,8 +1417,7 @@ mod tests {
 
     #[test]
     fn message_edges_pair_fifo_and_honor_causality() {
-        let results = run_workload();
-        let log = TraceLog::from_results(&results);
+        let log = TraceLog::from_results(&mut run_workload());
         let edges = log.message_edges();
         let summary = log.summary();
         // Every send in this clean run is received, so edge count == total
@@ -1486,14 +1440,14 @@ mod tests {
                 TraceEvent::Recv { peer, .. } if peer == e.src
             ));
         }
-        // The setup phase sends nothing; the first edges belong to the
-        // barrier, which runs outside any phase span.
-        assert!(edges.iter().all(|e| e.phase.is_none()));
+        // The setup phase sends nothing itself, but it is the only phase:
+        // everything after it closes is carried into it.
+        assert!(edges.iter().all(|e| e.phase == "setup"));
     }
 
     #[test]
     fn message_edges_record_receiver_phase() {
-        let results = spmd(2, MachineModel::sp2(), |comm| {
+        let mut results = spmd(2, MachineModel::sp2(), |comm| {
             comm.phase("exchange", |c| {
                 if c.rank() == 0 {
                     c.send(1, 7, 10, 3u8);
@@ -1502,9 +1456,9 @@ mod tests {
                 }
             });
         });
-        let edges = TraceLog::from_results(&results).message_edges();
+        let edges = TraceLog::from_results(&mut results).message_edges();
         assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0].phase.as_deref(), Some("exchange"));
+        assert_eq!(edges[0].phase, "exchange");
         assert_eq!((edges[0].src, edges[0].dst), (0, 1));
         assert_eq!(edges[0].words, 10);
     }
@@ -1513,7 +1467,7 @@ mod tests {
     fn phase_breakdowns_match_per_phase_summaries() {
         // Two phases per rank with disjoint activity; the one-pass
         // aggregation must reproduce what slicing + summary() computes.
-        let results = spmd(3, MachineModel::sp2(), |comm| {
+        let mut results = spmd(3, MachineModel::sp2(), |comm| {
             comm.phase("a", |c| {
                 c.compute(40.0 * (c.rank() + 1) as f64);
                 c.barrier();
@@ -1524,7 +1478,7 @@ mod tests {
                 c.alltoallv(items);
             });
         });
-        let log = TraceLog::from_results(&results);
+        let log = TraceLog::from_results(&mut results);
         let aggs = log.phase_breakdowns();
         assert_eq!(
             aggs.iter().map(|a| a.name.as_str()).collect::<Vec<_>>(),
@@ -1533,20 +1487,18 @@ mod tests {
         );
         for agg in &aggs {
             let sliced = log.phase_slice(&agg.name).summary();
-            let compute: f64 = sliced.ranks.iter().map(|r| r.compute).sum();
-            let wire: f64 = sliced.ranks.iter().map(|r| r.wire).sum();
-            assert!((agg.compute - compute).abs() < 1e-12, "{agg:?}");
-            assert!((agg.wire - wire).abs() < 1e-12, "{agg:?}");
-            // Wait can only exceed the slice by carried step-boundary syncs
-            // (the last phase absorbs the trailing alignment idle).
-            let wait: f64 = sliced.ranks.iter().map(|r| r.wait).sum();
-            assert!(agg.wait >= wait - 1e-12, "{agg:?}");
+            assert!(
+                (agg.compute - sliced.total_compute()).abs() < 1e-12,
+                "{agg:?}"
+            );
+            assert!((agg.wire - sliced.total_wire()).abs() < 1e-12, "{agg:?}");
+            assert!((agg.wait - sliced.total_wait()).abs() < 1e-12, "{agg:?}");
             assert_eq!(agg.msgs, sliced.total_msgs());
             assert_eq!(agg.words, sliced.total_words());
             assert!(agg.elapsed() > 0.0);
         }
-        // Everything in this run happens inside a phase (plus carried
-        // syncs), so summing the aggs reproduces the full summary exactly.
+        // Every event lands in exactly one phase, so summing the aggs
+        // reproduces the full summary.
         let full = log.summary();
         let agg_total: f64 = aggs.iter().map(|a| a.total()).sum();
         let full_total: f64 = full.ranks.iter().map(|r| r.total()).sum();
@@ -1558,11 +1510,8 @@ mod tests {
     fn phase_rank_breakdowns_refine_phase_breakdowns() {
         // The per-(phase, rank) split must sum back to phase_breakdowns
         // field-for-field, report the same phase order/extents, and its
-        // collective counters must sum to the full summary's (every
-        // collective in this workload is entered inside a phase or its
-        // carried tail).
-        let results = run_workload();
-        let log = TraceLog::from_results(&results);
+        // collective counters must sum to the full summary's.
+        let log = TraceLog::from_results(&mut run_workload());
         let flat = log.phase_breakdowns();
         let split = log.phase_rank_breakdowns();
         assert_eq!(flat.len(), split.len());
@@ -1599,13 +1548,14 @@ mod tests {
     #[test]
     fn phase_breakdowns_carry_trailing_syncs_into_last_phase() {
         // A Session step whose body is one phase: the step-boundary Sync
-        // falls after PhaseEnd but must be carried into that phase, so the
-        // per-phase totals match the full per-step accounting.
+        // falls after PhaseEnd but is carried into that phase, so the
+        // per-phase totals match the full per-step accounting — and the
+        // phase's slice, which follows the same rule, carries it too.
         let mut sess = crate::Session::new(3, MachineModel::sp2());
-        let r = sess.run(vec![(); 3], |comm, ()| {
+        let mut r = sess.run(vec![(); 3], |comm, ()| {
             comm.phase("work", |c| c.advance(c.rank() as f64));
         });
-        let log = TraceLog::from_results(&r);
+        let log = TraceLog::from_results(&mut r);
         let aggs = log.phase_breakdowns();
         assert_eq!(aggs.len(), 1);
         let full = log.summary();
@@ -1616,59 +1566,46 @@ mod tests {
             aggs[0].total(),
             total
         );
-        // The slice (which excludes trailing syncs) accounts for less.
-        let sliced: f64 = log
-            .phase_slice("work")
-            .summary()
-            .ranks
-            .iter()
-            .map(|s| s.total())
-            .sum();
-        assert!(sliced < total - 0.5);
+        let slice = log.phase_slice("work");
+        assert!(matches!(
+            slice.events[0].last(),
+            Some(TraceEvent::Sync { .. })
+        ));
+        assert_eq!(slice.summary(), full);
     }
 
     #[test]
-    fn phase_slice_extracts_only_span_events() {
-        let results = spmd(2, MachineModel::sp2(), |comm| {
-            comm.compute(10.0); // outside any phase
+    fn phase_slice_follows_the_attribution_rule() {
+        let mut results = spmd(2, MachineModel::sp2(), |comm| {
+            comm.compute(10.0); // before the first phase: the sentinel's
             comm.phase("p", |c| c.compute(20.0));
-            comm.compute(30.0); // outside again
+            comm.compute(30.0); // after it closed: carried into "p"
         });
-        let log = TraceLog::from_results(&results);
-        let sliced = log.phase_slice("p");
-        assert_eq!(sliced.nranks(), 2);
-        for stream in &sliced.events {
-            assert_eq!(stream.len(), 3, "begin + compute + end");
-            assert!(matches!(stream[0], TraceEvent::PhaseBegin { .. }));
-            assert!(matches!(stream[2], TraceEvent::PhaseEnd { .. }));
-        }
-        let s = sliced.summary();
+        let log = TraceLog::from_results(&mut results);
         let model = MachineModel::sp2();
-        for r in &s.ranks {
-            assert!((r.compute - model.compute_time(20.0)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn merged_trace_offsets_and_wraps_phases() {
-        let results = spmd(2, MachineModel::sp2(), |comm| comm.barrier());
-        let log = TraceLog::from_results(&results);
-        let mut merged = MergedTrace::new(2);
-        merged.add_uniform_span("solver", 0.0, 1.0);
-        merged.add_log("marking", &log, 1.0);
-        let mlog = merged.log();
-        assert_eq!(mlog.nranks(), 2);
-        // Every shifted event sits at or after the offset.
-        for stream in &mlog.events {
-            for ev in stream {
-                assert!(ev.time() >= 0.0);
+        let aggs = log.phase_breakdowns();
+        assert_eq!(
+            aggs.iter().map(|a| a.name.as_str()).collect::<Vec<_>>(),
+            vec![OUTSIDE_PHASE, "p"]
+        );
+        for (agg, units, events) in [(&aggs[0], 10.0, 1), (&aggs[1], 50.0, 4)] {
+            let sliced = log.phase_slice(&agg.name);
+            assert_eq!(sliced.nranks(), 2);
+            for stream in &sliced.events {
+                assert_eq!(stream.len(), events, "{}: {stream:?}", agg.name);
             }
-            assert!(stream.iter().any(
-                |ev| matches!(ev, TraceEvent::PhaseBegin { name, start } if name == "marking" && *start == 1.0)
-            ));
+            let s = sliced.summary();
+            assert!((s.total_compute() - agg.compute).abs() < 1e-12);
+            assert!((agg.compute - 2.0 * model.compute_time(units)).abs() < 1e-12);
         }
-        // The merged log still passes the protocol check (tag sequences are
-        // preserved by shifting).
-        assert!(check_protocol(mlog).is_empty());
+        let p = &log.phase_slice("p").events[0];
+        assert!(matches!(p[0], TraceEvent::PhaseBegin { .. }));
+        assert!(matches!(p[2], TraceEvent::PhaseEnd { .. }));
+        assert!(matches!(p[3], TraceEvent::Compute { .. }));
+        // The sentinel has no markers; its extent is that of its events.
+        assert_eq!(aggs[0].start, 0.0);
+        assert!((aggs[0].elapsed() - model.compute_time(10.0)).abs() < 1e-12);
+        // Nothing is dropped, so the audit's accounting closes.
+        assert_eq!(log.audit(), Ok(log.summary().makespan()));
     }
 }

@@ -453,7 +453,7 @@ pub fn balance_distributed(
     assert_eq!(owner.len(), p.graph.n(), "need one owner per vertex");
     let lists = RankLists::build(owner, nranks);
     let hoisted = method.hoist(p);
-    let results = spmd(nranks, model, |comm| {
+    let mut results = spmd(nranks, model, |comm| {
         comm.phase("partition", |c| {
             balance_body(method, c, p, &lists, vertex_units, hoisted.as_ref())
         })
@@ -465,7 +465,7 @@ pub fn balance_distributed(
     DistPartition {
         part,
         makespan: makespan(&results),
-        trace: TraceLog::from_results(&results),
+        trace: TraceLog::from_results(&mut results),
     }
 }
 

@@ -37,11 +37,7 @@ fn partition_phase_trace_carries_real_traffic_and_accounts_exactly() {
     );
     assert!(report.times.partition > 0.0);
 
-    let trace = report
-        .traces
-        .partition
-        .as_ref()
-        .expect("engine path must record the partition trace");
+    let trace = &report.traces.session.phase_slice("partition");
     assert_eq!(trace.nranks(), 64);
 
     // Real per-rank message traffic: sends, receives, collectives, and the
@@ -150,7 +146,7 @@ fn partition_phase_virtual_footprint_is_pinned() {
         let report = plum.adaption_cycle(0.2, 0.1);
         let what = format!("{} dual={dual}", method.name());
         assert_eq!(report.decision.method, Some(method), "{what}");
-        let trace = report.traces.partition.as_ref().unwrap();
+        let trace = report.traces.session.phase_slice("partition");
         let summary = trace.summary();
         let got = (
             trace.events.iter().map(Vec::len).sum::<usize>(),
