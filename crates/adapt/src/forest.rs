@@ -181,23 +181,6 @@ impl Forest {
         out
     }
 
-    /// The live computational-mesh elements (leaves) of the tree rooted at
-    /// dual vertex `root` — the rank-local element set a processor owning
-    /// that root iterates over.
-    pub fn leaf_elems_of_root(&self, root: u32) -> Vec<ElemId> {
-        let mut out = Vec::new();
-        let mut stack = vec![self.roots[root as usize]];
-        while let Some(id) = stack.pop() {
-            let n = self.node(id);
-            if n.children.is_empty() {
-                out.push(n.mesh_elem.expect("leaf without mesh element"));
-            } else {
-                stack.extend_from_slice(&n.children);
-            }
-        }
-        out
-    }
-
     /// Maximum refinement level over live nodes.
     pub fn max_level(&self) -> u8 {
         self.iter().map(|id| self.node(id).level).max().unwrap_or(0)

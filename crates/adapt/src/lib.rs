@@ -36,4 +36,3 @@ pub use adaptive::{AdaptiveMesh, EdgeMarks, Prediction, RefineStats};
 pub use coarsen::CoarsenStats;
 pub use forest::{Forest, Node, NodeId};
 pub use pattern::{classify, upgrade, SubdivKind, FACE_MASKS, FULL_MASK};
-pub use refine::{RefineDelta, RefineEvent};

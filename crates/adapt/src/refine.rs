@@ -1,38 +1,10 @@
 //! Mesh refinement: subdivide every leaf element according to its (legal)
 //! marking pattern.
 
-use plum_mesh::{EdgeId, ElemId, VertId, VertexField};
+use plum_mesh::{VertId, VertexField};
 
 use crate::adaptive::{AdaptiveMesh, EdgeMarks, RefineStats};
 use crate::pattern::classify;
-
-/// One element-level change made by refinement, in execution order.
-#[derive(Debug, Clone, Copy)]
-pub enum RefineEvent {
-    /// A parent left the computational mesh and became an interior forest
-    /// node. Its edge references are captured at retirement time — the mesh
-    /// no longer knows them afterwards.
-    Retired {
-        elem: ElemId,
-        root: u32,
-        edges: [EdgeId; 6],
-    },
-    /// A child entered the computational mesh as a new leaf.
-    Created {
-        elem: ElemId,
-        root: u32,
-        edges: [EdgeId; 6],
-    },
-}
-
-/// The ordered element-level change log of one [`AdaptiveMesh::refine`]
-/// call. Consumers (e.g. incremental ownership maintenance) replay the
-/// events in order; an element that is created and later subdivided in a
-/// deeper conforming round appears as both `Created` and `Retired`.
-#[derive(Debug, Clone, Default)]
-pub struct RefineDelta {
-    pub events: Vec<RefineEvent>,
-}
 
 impl AdaptiveMesh {
     /// Subdivide the mesh according to `marks`, which must be at an upgrade
@@ -48,19 +20,7 @@ impl AdaptiveMesh {
     /// still-bisected pairs; those hanging edges are marked and subdivided in
     /// further rounds until the mesh conforms.
     pub fn refine(&mut self, marks: &EdgeMarks, fields: &mut [VertexField]) -> RefineStats {
-        self.refine_with_delta(marks, fields).0
-    }
-
-    /// Like [`AdaptiveMesh::refine`], but also return the ordered
-    /// element-level change log, which is what incremental ownership
-    /// maintenance replays instead of rebuilding from the global mesh.
-    pub fn refine_with_delta(
-        &mut self,
-        marks: &EdgeMarks,
-        fields: &mut [VertexField],
-    ) -> (RefineStats, RefineDelta) {
         let mut total = RefineStats::default();
-        let mut delta = RefineDelta::default();
         let mut current = marks.clone();
         let mut round = 0;
         loop {
@@ -69,7 +29,7 @@ impl AdaptiveMesh {
                 round <= 64,
                 "refinement did not converge to a conforming mesh"
             );
-            let stats = self.refine_pass(&current, fields, &mut delta);
+            let stats = self.refine_pass(&current, fields);
             total.elems_subdivided += stats.elems_subdivided;
             total.elems_created += stats.elems_created;
             total.edges_bisected += stats.edges_bisected;
@@ -93,15 +53,10 @@ impl AdaptiveMesh {
             self.upgrade_to_fixpoint(&mut next);
             current = next;
         }
-        (total, delta)
+        total
     }
 
-    fn refine_pass(
-        &mut self,
-        marks: &EdgeMarks,
-        fields: &mut [VertexField],
-        delta: &mut RefineDelta,
-    ) -> RefineStats {
+    fn refine_pass(&mut self, marks: &EdgeMarks, fields: &mut [VertexField]) -> RefineStats {
         let mut stats = RefineStats::default();
 
         // Snapshot the work list: live elements with non-empty patterns.
@@ -140,15 +95,8 @@ impl AdaptiveMesh {
             debug_assert_eq!(children.len(), kind.n_children());
 
             // Retire the parent from the computational mesh; keep it in the
-            // forest as an interior node. Edge references must be captured
-            // before removal for the change log.
+            // forest as an interior node.
             let node = self.node_of_elem[elem.idx()];
-            let root = self.forest.node(node).root;
-            delta.events.push(RefineEvent::Retired {
-                elem,
-                root,
-                edges: self.mesh.elem_edges(elem),
-            });
             self.mesh.remove_elem(elem);
             self.node_of_elem[elem.idx()] = u32::MAX;
             {
@@ -161,11 +109,6 @@ impl AdaptiveMesh {
                 let ce = self.mesh.add_elem(cv);
                 let cnode = self.forest.add_child(node, cv, ce);
                 self.set_node_of_elem(ce, cnode);
-                delta.events.push(RefineEvent::Created {
-                    elem: ce,
-                    root,
-                    edges: self.mesh.elem_edges(ce),
-                });
                 stats.elems_created += 1;
             }
             stats.elems_subdivided += 1;
@@ -182,18 +125,6 @@ impl AdaptiveMesh {
             }
         }
         stats
-    }
-
-    /// Convenience: mark, upgrade to fixpoint, and refine in one call.
-    /// Returns the stats and the number of propagation sweeps.
-    pub fn refine_marked(
-        &mut self,
-        mut marks: EdgeMarks,
-        fields: &mut [VertexField],
-    ) -> (RefineStats, usize) {
-        let sweeps = self.upgrade_to_fixpoint(&mut marks);
-        let stats = self.refine(&marks, fields);
-        (stats, sweeps)
     }
 }
 

@@ -98,10 +98,9 @@ fn bench_adaption(c: &mut Criterion) {
 }
 
 fn bench_ownership(c: &mut Criterion) {
-    // From-scratch ownership construction on a refined mesh — the walk the
-    // cycle engine's incremental maintenance avoids. `build` feeds the
-    // shared-edge tracker rank by rank, so insertions hit the sorted
-    // last-entry fast path; this pins that cost.
+    // Ownership construction on a refined mesh: what every cycle, on either
+    // driver, pays once when it opens (one pass over the elements for the
+    // per-rank lists, one over the edge slots for the shared-edge lists).
     let mut group = c.benchmark_group("ownership");
     let mut p = marked_problem(Scale::Quick, CASES[1].1);
     p.am.refine(&p.marks, std::slice::from_mut(&mut p.field));
@@ -112,6 +111,15 @@ fn bench_ownership(c: &mut Criterion) {
             b.iter(|| Ownership::build(black_box(&p.am), black_box(&proc), nproc))
         });
     }
+    group.finish();
+
+    // What a cycle report reads (three counters) against what Table 1 adds
+    // to it (a hash map over every face of the same mesh).
+    let mut group = c.benchmark_group("mesh_counts");
+    group.bench_function("counts", |b| b.iter(|| black_box(&p.am.mesh).counts()));
+    group.bench_function("boundary_faces_len", |b| {
+        b.iter(|| black_box(&p.am.mesh).boundary_faces().len())
+    });
     group.finish();
 }
 

@@ -9,7 +9,7 @@
 //! virtual-time schedule while the discrete results stay deterministic.
 
 use plum_core::{ChaosConfig, Plum, PlumConfig};
-use plum_partition::imbalance;
+use plum_partition::{imbalance, weights_of};
 use plum_solver::{CostField, WaveField};
 
 use crate::{initial_mesh, Scale, CASES};
@@ -97,7 +97,7 @@ fn run_recovery(scale: Scale, seed: u64, hotspot: bool) -> ChaosRun {
             gap_before = r.decision.imbalance_old - 1.0;
         }
         let (wcomp, _) = plum.am.weights();
-        let load = plum.engine.per_rank_load(&wcomp);
+        let load = weights_of(&wcomp, &plum.proc_of_root, plum.cfg.nproc);
         let eff = if hotspot {
             // Capacity-weighted imbalance of *true-cost* units: the run
             // only counts as recovered if the real work (not the element

@@ -134,7 +134,7 @@ pub fn table1(scale: Scale) -> Vec<Table1Row> {
         vertices: c.vertices,
         elements: c.elements,
         edges: c.edges,
-        bdy_faces: c.boundary_faces,
+        bdy_faces: base.boundary_faces().len(),
         growth: 1.0,
     });
     for (name, frac) in CASES {
@@ -148,7 +148,7 @@ pub fn table1(scale: Scale) -> Vec<Table1Row> {
             vertices: c.vertices,
             elements: c.elements,
             edges: c.edges,
-            bdy_faces: c.boundary_faces,
+            bdy_faces: p.am.mesh.boundary_faces().len(),
             growth: c.elements as f64 / n0 as f64,
         });
     }

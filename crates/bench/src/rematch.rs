@@ -42,6 +42,7 @@
 use plum_core::{BalanceMethod, ChaosConfig, Plum, PlumConfig, RemapPolicy};
 use plum_mesh::generate::{box_dims_for_elements, box_mesh};
 use plum_obs::BenchReport;
+use plum_partition::weights_of;
 use plum_solver::WaveField;
 
 use crate::report::git_sha;
@@ -127,7 +128,7 @@ fn rematch_plum(method: Option<BalanceMethod>, nproc: usize, chaos: bool) -> Plu
 /// Capacity-weighted effective imbalance of the adopted assignment.
 fn effective_imbalance(plum: &Plum, r: &plum_core::CycleReport) -> f64 {
     let (wcomp, _) = plum.am.weights();
-    let load = plum.engine.per_rank_load(&wcomp);
+    let load = weights_of(&wcomp, &plum.proc_of_root, plum.cfg.nproc);
     r.effective_imbalance(&load)
 }
 
@@ -169,7 +170,7 @@ pub fn rematch_cell(method: BalanceMethod, nproc: usize, chaos: bool) -> Rematch
     // iterations. Uses the final observed capacities, so a slowed rank's
     // leftover load is priced at its real speed.
     let (wcomp, _) = plum.am.weights();
-    let load = plum.engine.per_rank_load(&wcomp);
+    let load = weights_of(&wcomp, &plum.proc_of_root, plum.cfg.nproc);
     let eff_max = load
         .iter()
         .zip(&capacity)

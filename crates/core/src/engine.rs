@@ -1,15 +1,16 @@
-//! The rank-resident cycle engine: one long-lived SPMD [`Session`] per
-//! adaption cycle, with per-rank state that persists *across* cycles.
+//! The session cycle engine: one long-lived SPMD [`Session`] per adaption
+//! cycle.
 //!
 //! The reference driver ([`Plum::adaption_cycle_reference`]) runs each
-//! parallel phase as an isolated `spmd` program: fresh rank clocks, fresh
-//! channels, and a from-scratch [`Ownership`] rebuild every cycle. The
-//! engine instead keeps a [`CycleEngine`] inside [`Plum`] — resident root
-//! lists plus the incrementally maintained ownership maps — and threads a
-//! single [`Session`] through solver → marking → balancing → remap →
-//! subdivision, so virtual clocks flow continuously from phase to phase
-//! and the cycle produces one gap-free timeline
-//! ([`crate::CycleTraces::session`]).
+//! parallel phase as an isolated `spmd` program: fresh rank clocks and
+//! fresh channels per phase. The engine threads a single [`Session`]
+//! through solver → marking → balancing → remap → subdivision, so virtual
+//! clocks flow continuously from phase to phase and the cycle produces one
+//! gap-free timeline ([`crate::CycleTraces::session`]). Both drivers derive
+//! their rank-local view of the mesh the same way: once per cycle, when it
+//! opens, from the mesh and the assignment the cycle starts from
+//! ([`CycleEngine::new`] here, a bare [`Ownership::build`] there). Nothing
+//! but the mesh, the solution and the assignment survives between cycles.
 //!
 //! Because the machine model is time-shift invariant (message arrivals are
 //! offsets from the send end, never absolute times), running a phase from
@@ -18,9 +19,9 @@
 //! assignments, migration volumes) are bit-identical. The golden tests at
 //! the bottom of this file pin that equivalence at several processor counts.
 
-use plum_adapt::{AdaptiveMesh, EdgeMarks, RefineDelta};
+use plum_adapt::{AdaptiveMesh, EdgeMarks};
 use plum_parsim::{Comm, RankResult, Session, TraceLog};
-use plum_partition::{balance_body, RankLists};
+use plum_partition::{balance_body, weights_of, RankLists};
 use plum_solver::{edge_error_indicator, solve};
 
 use crate::balance::{
@@ -32,48 +33,26 @@ use crate::marking::{mark_body, merge_marks, Ownership};
 use crate::migrate::{migrate_body, migration_outcome_from, MigrationOutcome};
 use crate::reassign_par::{collect_reassign, reassign_body};
 
-/// Per-rank resident state plus the incrementally maintained ownership
-/// maps. Lives inside [`Plum`] and survives from cycle to cycle — migrations
-/// and refinements update it in place instead of rebuilding from the global
-/// mesh (the reference driver's per-cycle `Ownership::build` walk).
+/// What every rank knows of the mesh while one cycle runs: a view of one
+/// mesh under one assignment. A cycle builds it when it opens, for the
+/// assignment it starts from, and its SPMD bodies read it; whatever runs
+/// after the cycle adopts a new assignment sums host-side over
+/// `proc_of_root` instead.
 pub struct CycleEngine {
     /// Refinement-tree roots (dual-graph vertices) living on each rank,
     /// ascending: the lists the session's SPMD bodies work from.
     pub roots: RankLists,
-    /// Element/edge ownership, maintained incrementally.
+    /// Element/edge ownership.
     pub own: Ownership,
 }
 
 impl CycleEngine {
-    /// Build the resident state from scratch (startup, or after the
-    /// reference driver mutated the mesh behind the engine's back).
+    /// Derive the view of `am` under `proc_of_root`.
     pub fn new(am: &AdaptiveMesh, proc_of_root: &[u32], nproc: usize) -> Self {
         CycleEngine {
             roots: RankLists::build(proc_of_root, nproc),
             own: Ownership::build(am, proc_of_root, nproc),
         }
-    }
-
-    /// Per-rank sums of a per-root weight vector, from the resident root
-    /// lists — each rank sums only what it owns.
-    pub fn per_rank_load(&self, w: &[u64]) -> Vec<u64> {
-        (0..self.roots.nranks())
-            .map(|r| self.roots.mine(r).iter().map(|&v| w[v as usize]).sum())
-            .collect()
-    }
-
-    /// Apply an adopted migration: regroup the roots by their new rank (one
-    /// counting sort, so every list stays ascending) and update the
-    /// ownership maps incrementally.
-    pub fn apply_migration(&mut self, am: &AdaptiveMesh, old_proc: &[u32], new_proc: &[u32]) {
-        self.own.apply_migration(am, old_proc, new_proc);
-        self.roots = RankLists::build(new_proc, self.roots.nranks());
-    }
-
-    /// Apply a refinement change log. Root residency is untouched —
-    /// subdivision never moves a tree — so only the ownership maps change.
-    pub fn apply_refinement(&mut self, delta: &RefineDelta, proc_of_root: &[u32]) {
-        self.own.apply_refinement(delta, proc_of_root);
     }
 }
 
@@ -150,14 +129,15 @@ fn partition_vertex_units(
     }
 }
 
-/// One cycle in flight on the rank-resident engine: the [`Session`] that
-/// carries the virtual clocks through every phase, the timeline it has
-/// produced so far, and what the solver phase observed. Both cycle kinds
+/// One cycle in flight: the [`Session`] that carries the virtual clocks
+/// through every phase, the timeline it has produced so far, the ranks'
+/// view of the mesh, and what the solver phase observed. Both cycle kinds
 /// open with [`Cycle::open`], rebalance with [`Cycle::balance_and_migrate`]
 /// and end with [`Cycle::close`]; they differ in what happens in between.
 struct Cycle {
     session: Session,
     slog: TraceLog,
+    engine: CycleEngine,
     times: PhaseTimes,
     /// Per-root weights of the mesh the solver ran on.
     wcomp_now: Vec<u64>,
@@ -168,14 +148,15 @@ struct Cycle {
 
 impl Cycle {
     /// Advance the physical time and run the flow-solver phase: real field
-    /// update; virtual time charged per rank from the resident loads and
-    /// halo sizes, inside the session timeline. Observes this cycle's
-    /// per-rank rates and costs for the balancer.
+    /// update; virtual time charged per rank from its load and halo size,
+    /// inside the session timeline. Observes this cycle's per-rank rates
+    /// and costs for the balancer.
     fn open(p: &mut Plum, dt: f64) -> Cycle {
         let nproc = p.cfg.nproc;
         p.time += dt;
         solve(&p.am.mesh, &mut p.field, &p.wave, p.time, &p.solver_cfg);
         let (wcomp_now, wremap_now) = p.am.weights();
+        let engine = CycleEngine::new(&p.am, &p.proc_of_root, nproc);
 
         // The cycle's SPMD session runs on the (possibly) perturbed machine:
         // per-rank compute multipliers and link jitter from the chaos
@@ -199,6 +180,7 @@ impl Cycle {
             slog: TraceLog {
                 events: vec![Vec::new(); nproc],
             },
+            engine,
             times: PhaseTimes::default(),
             wcomp_now,
             wremap_now,
@@ -213,7 +195,7 @@ impl Cycle {
             .map(|r| {
                 let iter = p.work.solver_compute_units_time(units[r]) * p.chaos.profile[r]
                     + p.work.solver_halo_time(
-                        p.engine.own.shared_edges_of_rank(r as u32),
+                        cycle.engine.own.shared_edges_of_rank(r as u32),
                         &p.cfg.machine,
                     );
                 iter * p.cfg.cost.n_adapt as f64
@@ -233,22 +215,27 @@ impl Cycle {
         self.session.now() - t0
     }
 
-    /// Run an executed phase body on every rank; returns the rank values
-    /// and the step's duration.
-    fn run<T: Send>(&mut self, body: impl Fn(&mut Comm) -> T + Send + Sync) -> (Vec<T>, f64) {
+    /// Run an executed phase body on every rank, each with the cycle's
+    /// view of the mesh; returns the rank values and the step's duration.
+    fn run<T: Send>(
+        &mut self,
+        body: impl Fn(&mut Comm, &CycleEngine) -> T + Send + Sync,
+    ) -> (Vec<T>, f64) {
         let t0 = self.session.now();
+        let engine = &self.engine;
         let results = self
             .session
-            .run(vec![(); self.slog.nranks()], |comm, ()| body(comm));
+            .run(vec![(); self.slog.nranks()], |comm, ()| body(comm, engine));
         (absorb(&mut self.slog, results), self.session.now() - t0)
     }
 
     /// The modeled phase in which each rank creates (or removes) the
     /// `changed_per_root` elements of its own trees and sweeps the elements
-    /// it held when the solver ran.
+    /// it held when the solver ran — "its own" under the assignment in
+    /// force now, which a migration may have changed since the cycle opened.
     fn tree_work_phase(&mut self, p: &Plum, name: &str, changed_per_root: &[u64]) -> f64 {
-        let changed = p.engine.per_rank_load(changed_per_root);
-        let sweep = p.engine.per_rank_load(&self.wcomp_now);
+        let changed = weights_of(changed_per_root, &p.proc_of_root, p.cfg.nproc);
+        let sweep = weights_of(&self.wcomp_now, &p.proc_of_root, p.cfg.nproc);
         let secs: Vec<f64> = (0..p.cfg.nproc)
             .map(|r| p.work.subdivision_time(changed[r], sweep[r]) * p.chaos.profile[r])
             .collect();
@@ -257,9 +244,7 @@ impl Cycle {
 
     /// Subdivide the marked mesh and charge the modeled `subdivide` phase.
     fn subdivide(&mut self, p: &mut Plum, marks: &EdgeMarks, children_per_root: &[u64]) {
-        let (_stats, delta) =
-            p.am.refine_with_delta(marks, std::slice::from_mut(&mut p.field));
-        p.engine.apply_refinement(&delta, &p.proc_of_root);
+        p.am.refine(marks, std::slice::from_mut(&mut p.field));
         self.times.subdivide = self.tree_work_phase(p, "subdivide", children_per_root);
     }
 
@@ -284,7 +269,6 @@ impl Cycle {
         // inputs, through the same call the serial reference makes.
         let vertex_units = partition_vertex_units(&p.work, &cfg.machine);
         let keys = (!p.sfc_keys.is_empty()).then_some(&p.sfc_keys[..]);
-        let lists = &p.engine.roots;
         let (method, (parts, partition_time)) = with_problem(
             &p.dual,
             &p.proc_of_root,
@@ -294,8 +278,9 @@ impl Cycle {
             w2,
             |method, problem| {
                 let hoisted = method.hoist(problem);
-                let step = self.run(|comm| {
+                let step = self.run(|comm, engine| {
                     comm.phase("partition", |c| {
+                        let lists = &engine.roots;
                         balance_body(method, c, problem, lists, vertex_units, hoisted.as_ref())
                     })
                 });
@@ -314,8 +299,8 @@ impl Cycle {
 
         // Distributed reassignment: rows, gather, host mapper, scatter.
         let wremap = &p.dual.wremap;
-        let (values, reassign_comm_time) = self.run(|comm| {
-            let mine = lists.mine(comm.rank());
+        let (values, reassign_comm_time) = self.run(|comm, engine| {
+            let mine = engine.roots.mine(comm.rank());
             reassign_body(comm, wremap, mine, new_part, cfg.nparts(), cfg.mapper)
         });
         decision.reassign_comm_time = reassign_comm_time;
@@ -338,8 +323,7 @@ impl Cycle {
     }
 
     /// Balance `p.dual` on the session; when the new mapping is accepted,
-    /// run the remap phase and adopt the mapping into both `proc_of_root`
-    /// and the resident engine state.
+    /// run the remap phase and adopt the mapping as `proc_of_root`.
     fn balance_and_migrate(
         &mut self,
         p: &mut Plum,
@@ -350,11 +334,11 @@ impl Cycle {
         self.times.reassign = decision.reassign_seconds;
         let migration = decision.accepted.then(|| {
             let new_proc = &decision.new_proc[..];
-            let (am, field, lists) = (&p.am, &p.field, &p.engine.roots);
-            let (values, time) =
-                self.run(|comm| migrate_body(comm, am, field, lists.mine(comm.rank()), new_proc));
+            let (am, field) = (&p.am, &p.field);
+            let (values, time) = self.run(|comm, engine| {
+                migrate_body(comm, am, field, engine.roots.mine(comm.rank()), new_proc)
+            });
             self.times.remap = time;
-            p.engine.apply_migration(&p.am, &p.proc_of_root, new_proc);
             p.proc_of_root = new_proc.to_vec();
             migration_outcome_from(values, time)
         });
@@ -373,7 +357,10 @@ impl Cycle {
         // (prediction is exact, so `decision.wmax_old` is precisely the "no
         // load balancing" workload).
         let (wcomp_final, _) = p.am.weights();
-        let wmax_balanced = *p.engine.per_rank_load(&wcomp_final).iter().max().unwrap();
+        let wmax_balanced = *weights_of(&wcomp_final, &p.proc_of_root, p.cfg.nproc)
+            .iter()
+            .max()
+            .unwrap();
 
         // Debug builds audit the full session timeline after every cycle
         // (SPMD discipline and phase accounting), so each engine test
@@ -402,11 +389,10 @@ impl Cycle {
     }
 }
 
-/// Run one full Fig.-1 cycle on the rank-resident engine: one [`Session`]
-/// carries the virtual clocks through every phase, and the persistent
-/// [`CycleEngine`] supplies (and incrementally absorbs) the ownership state
-/// the phases need. Equivalent to [`Plum::adaption_cycle_reference`] up to
-/// floating-point rounding of the virtual times.
+/// Run one full Fig.-1 cycle on the session engine: one [`Session`] carries
+/// the virtual clocks through every phase. Equivalent to
+/// [`Plum::adaption_cycle_reference`] up to floating-point rounding of the
+/// virtual times.
 pub fn run_cycle(p: &mut Plum, refine_frac: f64, dt: f64) -> CycleReport {
     let mut cycle = Cycle::open(p, dt);
 
@@ -414,7 +400,7 @@ pub fn run_cycle(p: &mut Plum, refine_frac: f64, dt: f64) -> CycleReport {
     let error = edge_error_indicator(&p.am.mesh, &p.field);
     let threshold = p.am.threshold_for_final_fraction(&error, refine_frac);
     let (values, t_mark) =
-        cycle.run(|comm| mark_body(comm, &p.am, &p.engine.own, &p.work, &error, threshold));
+        cycle.run(|comm, engine| mark_body(comm, &p.am, &engine.own, &p.work, &error, threshold));
     cycle.times.marking = t_mark;
     let (marks, marking_sweeps, _comm_words) = merge_marks(&p.am, values);
 
@@ -467,7 +453,7 @@ pub(crate) fn coarsen_mark_body(
     })
 }
 
-/// Run one *coarsening* cycle on the rank-resident engine: solve, mark the
+/// Run one *coarsening* cycle on the session engine: solve, mark the
 /// lowest-error edges, de-refine eligible families host-side, charge the
 /// modeled `coarsen` phase, then rebalance the shrunken mesh and remap —
 /// all on one continuous session timeline. Equivalent to
@@ -482,9 +468,9 @@ pub fn run_coarsen_cycle(p: &mut Plum, coarse_frac: f64, dt: f64) -> CycleReport
     let cmarks = crate::framework::coarse_marks(&p.am, &error, coarse_frac);
     let marked = cmarks.count() as u64;
     let elems_before = p.am.mesh.n_elems();
-    let sweep = p.engine.per_rank_load(&cycle.wcomp_now);
+    let sweep = weights_of(&cycle.wcomp_now, &p.proc_of_root, nproc);
     let (_, t_mark) =
-        cycle.run(|comm| coarsen_mark_body(comm, &p.work, sweep[comm.rank()], marked));
+        cycle.run(|comm, _| coarsen_mark_body(comm, &p.work, sweep[comm.rank()], marked));
     cycle.times.marking = t_mark;
 
     // --- host-side de-refinement + modeled coarsen phase -------------------
@@ -496,9 +482,6 @@ pub fn run_coarsen_cycle(p: &mut Plum, coarse_frac: f64, dt: f64) -> CycleReport
         .zip(&wcomp_after)
         .map(|(&b, &a)| b.saturating_sub(a))
         .collect();
-    // Coarsening returns no change log (unlike `refine_with_delta`), so the
-    // resident ownership state is rebuilt rather than patched.
-    p.engine = CycleEngine::new(&p.am, &p.proc_of_root, nproc);
     cycle.times.coarsen = cycle.tree_work_phase(p, "coarsen", &removed);
 
     // --- rebalance the shrunken mesh, remap --------------------------------
@@ -885,7 +868,7 @@ mod tests {
             }
             rebalanced |= report.decision.accepted;
             let (wcomp, _) = p.am.weights();
-            let load = p.engine.per_rank_load(&wcomp);
+            let load = weights_of(&wcomp, &p.proc_of_root, nproc);
             eff_after = report.effective_imbalance(&load);
             if eff_after - 1.0 <= 0.2 * gap_before.unwrap() {
                 break;
@@ -1038,12 +1021,16 @@ mod tests {
             let e = engine.adaption_cycle(0.3, 0.1);
             let r = reference.adaption_cycle_reference(0.3, 0.1);
             assert_equivalent(&e, &r, &format!("cascade P={nproc} refine {cycle}"));
+            assert_eq!(e.counts, engine.am.mesh.counts());
+            assert_eq!(r.counts, reference.am.mesh.counts());
         }
         let mut removed_any = false;
         for cycle in 0..2 {
             let e = engine.coarsen_cycle(0.6, 0.3);
             let r = reference.coarsen_cycle_reference(0.6, 0.3);
             assert_equivalent(&e, &r, &format!("cascade P={nproc} coarsen {cycle}"));
+            assert_eq!(e.counts, engine.am.mesh.counts());
+            assert_eq!(r.counts, reference.am.mesh.counts());
             assert!(e.growth <= 1.0, "coarsen cycle must not grow: {}", e.growth);
             assert_eq!(e.times.subdivide, 0.0, "no subdivision in a coarsen cycle");
             removed_any |= e.growth < 1.0;
@@ -1261,41 +1248,5 @@ mod tests {
             "not recovered within 3 cycles: settled {settled}, jumped {jumped}, \
              after {recovered} (target {target})"
         );
-    }
-
-    #[test]
-    fn engine_state_stays_consistent_across_cycles() {
-        // refine → refine → coarsen → refine without any from-scratch
-        // rebuild of the refine cycles' state: the resident root lists
-        // (ascending, compared as they are) and ownership must keep
-        // matching a fresh build after every cycle.
-        let mut p = plum(4, 3, RemapPolicy::BeforeRefinement);
-        let mut migrated = false;
-        for step in 0..4 {
-            let report = if step == 2 {
-                p.coarsen_cycle(0.6, 0.3)
-            } else {
-                p.adaption_cycle(0.2, 0.4)
-            };
-            migrated |= report.migration.is_some();
-            let fresh = CycleEngine::new(&p.am, &p.proc_of_root, p.cfg.nproc);
-            for r in 0..p.cfg.nproc {
-                assert_eq!(
-                    p.engine.roots.mine(r),
-                    fresh.roots.mine(r),
-                    "resident roots of rank {r} drifted after step {step}"
-                );
-                assert_eq!(
-                    p.engine.own.shared_edges_of_rank(r as u32),
-                    fresh.own.shared_edges_of_rank(r as u32),
-                    "shared-edge count of rank {r} drifted after step {step}"
-                );
-            }
-        }
-        assert!(
-            migrated,
-            "no cycle remapped: the lists were never regrouped"
-        );
-        p.am.validate();
     }
 }

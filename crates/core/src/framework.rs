@@ -14,7 +14,6 @@ use crate::balance::{balance_step, BalanceDecision};
 use crate::chaos::ChaosConfig;
 use crate::config::{PlumConfig, RemapPolicy};
 use crate::costs::CostEstimator;
-use crate::engine::CycleEngine;
 use crate::marking::{parallel_mark, Ownership};
 use crate::migrate::{parallel_migrate, MigrationOutcome};
 use crate::timing::WorkModel;
@@ -119,8 +118,8 @@ impl CycleReport {
     /// assignment's `max(w_r/c_r)/(Σw/Σc)` over the post-refinement leaf
     /// loads. 1.0 means every processor finishes its solver share
     /// simultaneously *given its observed speed*.
-    pub fn effective_imbalance(&self, per_rank_load: &[u64]) -> f64 {
-        plum_partition::imbalance_weighted(per_rank_load, &self.capacity)
+    pub fn effective_imbalance(&self, load_of_rank: &[u64]) -> f64 {
+        plum_partition::imbalance_weighted(load_of_rank, &self.capacity)
     }
 
     /// Emit this cycle's counters and gauges into a metrics sink (e.g. the
@@ -214,9 +213,6 @@ pub struct Plum {
     pub proc_of_root: Vec<u32>,
     /// Physical simulation time.
     pub time: f64,
-    /// Rank-resident state: per-rank root lists and incrementally
-    /// maintained ownership, persisting across cycles.
-    pub engine: CycleEngine,
     /// Chaos injected into engine cycles (the reference driver ignores it
     /// and stays the clean golden baseline).
     pub chaos: ChaosConfig,
@@ -276,7 +272,6 @@ impl Plum {
         let am = AdaptiveMesh::new(mesh);
         let mut field = VertexField::new(NCOMP, am.mesh.vert_slots());
         initialize_solution(&am.mesh, &mut field, &wave, 0.0);
-        let engine = CycleEngine::new(&am, &proc_of_root, cfg.nproc);
         Plum {
             chaos: ChaosConfig::none(cfg.nproc),
             capacity: vec![1.0; cfg.nproc],
@@ -296,7 +291,6 @@ impl Plum {
             wave,
             proc_of_root,
             time: 0.0,
-            engine,
             solver_cfg: SolverConfig::default(),
         }
     }
@@ -394,9 +388,9 @@ impl Plum {
     /// error indicator targets; `dt` advances the physical time (moving the
     /// wave so successive cycles refine different regions).
     ///
-    /// Runs on the rank-resident [`CycleEngine`]: one SPMD session per
-    /// cycle, incrementally maintained ownership, and a continuous virtual
-    /// timeline in [`CycleTraces::session`].
+    /// Runs on the session engine ([`crate::run_cycle`]): one SPMD session
+    /// per cycle and a continuous virtual timeline in
+    /// [`CycleTraces::session`].
     pub fn adaption_cycle(&mut self, refine_frac: f64, dt: f64) -> CycleReport {
         let report = crate::engine::run_cycle(self, refine_frac, dt);
         self.record_timeline_row(&report);
@@ -428,7 +422,7 @@ impl Plum {
 
     /// The per-phase golden reference for [`Plum::coarsen_cycle`], mirroring
     /// [`Plum::adaption_cycle_reference`]: isolated `spmd` phases with fresh
-    /// clocks, from-scratch ownership, and a final engine resync.
+    /// clocks.
     pub fn coarsen_cycle_reference(&mut self, coarse_frac: f64, dt: f64) -> CycleReport {
         let mut cycle = self.open_reference(dt);
 
@@ -468,8 +462,8 @@ impl Plum {
     /// Open a reference cycle: advance the physical time and take the
     /// flow-solver phase — real field update (a few iterations suffice to
     /// track the wave), virtual time charged for the full N_adapt
-    /// iterations from a from-scratch [`Ownership`] — then observe rates
-    /// and costs on the nominal (chaos-free) machine.
+    /// iterations from this cycle's [`Ownership`] — then observe rates and
+    /// costs on the nominal (chaos-free) machine.
     fn open_reference(&mut self, dt: f64) -> ReferenceCycle {
         self.time += dt;
         solve(
@@ -539,9 +533,9 @@ impl Plum {
         (decision, migration)
     }
 
-    /// Finish a reference cycle: Fig. 8 bookkeeping, engine resync, report.
+    /// Finish a reference cycle: Fig. 8 bookkeeping, report.
     fn close_reference(
-        &mut self,
+        &self,
         cycle: ReferenceCycle,
         marking_sweeps: usize,
         growth: f64,
@@ -556,11 +550,6 @@ impl Plum {
             .iter()
             .max()
             .unwrap();
-
-        // The reference path mutates the mesh and assignment without
-        // incremental updates — resynchronize the resident engine state so
-        // the two drivers can be interleaved freely.
-        self.engine = CycleEngine::new(&self.am, &self.proc_of_root, self.cfg.nproc);
 
         CycleReport {
             traces: CycleTraces::default(),
@@ -579,9 +568,9 @@ impl Plum {
 
     /// The original per-phase driver, kept as the golden reference for the
     /// engine: every parallel phase is its own `spmd` program with fresh
-    /// clocks, and ownership is rebuilt from scratch. Produces the same
-    /// report as [`Plum::adaption_cycle`] up to floating-point rounding of
-    /// the virtual times (and without the session timeline).
+    /// clocks. Produces the same report as [`Plum::adaption_cycle`] up to
+    /// floating-point rounding of the virtual times (and without the
+    /// session timeline).
     pub fn adaption_cycle_reference(&mut self, refine_frac: f64, dt: f64) -> CycleReport {
         let mut cycle = self.open_reference(dt);
 
@@ -645,7 +634,7 @@ struct ReferenceCycle {
     /// Per-root weights of the mesh the solver ran on.
     wcomp_now: Vec<u64>,
     wremap_now: Vec<u64>,
-    /// From-scratch ownership under the assignment the solver ran on.
+    /// Ownership under the assignment the solver ran on.
     own: Ownership,
     rate: Vec<f64>,
     capacity: Vec<f64>,

@@ -15,6 +15,10 @@
 //! 5. accepted mappings **remap** the still-unrefined data
 //!    ([`parallel_migrate`]) and only then does subdivision grow the mesh.
 //!
+//! Between two cycles the state is the mesh, the solution and the
+//! root→processor assignment ([`Plum`]); each cycle derives its rank-local
+//! view of them ([`CycleEngine`], [`Ownership`]) once, when it opens.
+//!
 //! Parallel execution is simulated by `plum_parsim`: every rank is a real
 //! thread exchanging real messages, with virtual time charged from an
 //! SP2-class machine model (see DESIGN.md).

@@ -10,153 +10,55 @@
 
 use std::collections::BTreeMap;
 
-use plum_adapt::{AdaptiveMesh, EdgeMarks, RefineDelta, RefineEvent};
-use plum_mesh::{EdgeId, ElemId, SharedEdgeTracker};
+use plum_adapt::{AdaptiveMesh, EdgeMarks};
+use plum_mesh::{EdgeId, EdgeParts, ElemId};
 use plum_parsim::{makespan, spmd, Comm, MachineModel};
 
 use crate::timing::WorkModel;
 
-/// Ownership maps derived from the root→processor assignment.
-///
-/// Built once from the global mesh and then maintained *incrementally*: a
-/// migration moves whole root subtrees between ranks
-/// ([`Ownership::apply_migration`]) and refinement replays the element
-/// change log ([`Ownership::apply_refinement`]) — no per-cycle walk over
-/// every element×edge.
+/// Ownership maps derived from the root→processor assignment: a value built
+/// for one mesh and one assignment, read by that cycle's solver and marking
+/// phases, and dropped. [`Ownership::build`] is the only way to make one.
 pub struct Ownership {
-    /// Elements owned by each rank.
+    /// Elements owned by each rank, ascending by slot — the marking
+    /// protocol visits elements in list order, and its per-sweep message
+    /// sizes depend on that order.
     pub elems_of_rank: Vec<Vec<ElemId>>,
-    /// Per element slot: owning rank (`u32::MAX` for dead slots).
-    elem_rank: Vec<u32>,
-    /// Refcounted per-edge rank lists with cached shared counts.
-    tracker: SharedEdgeTracker,
+    /// Per edge, the ranks owning a copy, with per-rank shared counts.
+    edges: EdgeParts,
 }
 
 impl Ownership {
     /// Compute ownership from the current assignment.
+    ///
+    /// Panics if a root is assigned to a rank not below `nproc`.
     pub fn build(am: &AdaptiveMesh, proc_of_root: &[u32], nproc: usize) -> Self {
-        let mut elems_of_rank: Vec<Vec<ElemId>> = vec![Vec::new(); nproc];
-        let mut elem_rank = vec![u32::MAX; am.mesh.elem_slots()];
+        let mut rank_of_elem = vec![u32::MAX; am.mesh.elem_slots()];
         for e in am.mesh.elems() {
-            let r = proc_of_root[am.root_of_elem(e) as usize];
-            elems_of_rank[r as usize].push(e);
-            elem_rank[e.idx()] = r;
+            rank_of_elem[e.idx()] = proc_of_root[am.root_of_elem(e) as usize];
         }
-        // Feed the tracker rank by rank so every edge's rank list grows in
-        // ascending order and insertion hits the O(1) last-entry fast path.
-        let mut tracker = SharedEdgeTracker::new(am.mesh.edge_slots(), nproc);
-        for (r, elems) in elems_of_rank.iter().enumerate() {
-            for &e in elems {
-                for ed in am.mesh.elem_edges(e) {
-                    tracker.add(ed.idx(), r as u32);
-                }
-            }
+        // The edge builder range-checks every live element's rank, so the
+        // indexing below cannot go out of bounds.
+        let edges = EdgeParts::build(&am.mesh, &rank_of_elem, nproc);
+        let mut elems_of_rank: Vec<Vec<ElemId>> = vec![Vec::new(); nproc];
+        for e in am.mesh.elems() {
+            elems_of_rank[rank_of_elem[e.idx()] as usize].push(e);
         }
         Ownership {
             elems_of_rank,
-            elem_rank,
-            tracker,
+            edges,
         }
     }
 
     /// Ranks owning a copy of `edge`, ascending (len > 1 ⇒ shared edge).
     #[inline]
     pub fn ranks_of(&self, edge: EdgeId) -> impl Iterator<Item = u32> + '_ {
-        self.tracker.ranks_of(edge.idx())
+        self.edges.parts_of(edge).iter().copied()
     }
 
     /// Number of shared edges a rank touches (for halo-cost modeling).
-    /// O(1) — the tracker caches per-rank counts.
     pub fn shared_edges_of_rank(&self, rank: u32) -> u64 {
-        self.tracker.shared_edges_of_rank(rank)
-    }
-
-    /// Owning rank of a live element.
-    #[inline]
-    pub fn rank_of_elem(&self, e: ElemId) -> u32 {
-        self.elem_rank[e.idx()]
-    }
-
-    /// Restore the per-rank list invariants on every `touched` rank: drop
-    /// stale entries (an entry survives iff the element still maps to that
-    /// rank and was not already kept — slot reuse can otherwise leave
-    /// duplicates), then re-sort to ascending slot order. Canonical order
-    /// matters beyond aesthetics: the marking protocol visits elements in
-    /// list order, and its per-sweep message sizes depend on that order, so
-    /// incremental maintenance must leave exactly the lists a from-scratch
-    /// [`Ownership::build`] would produce.
-    fn sweep_ranks(&mut self, touched: &[bool]) {
-        let mut kept = vec![u32::MAX; self.elem_rank.len()];
-        for (r, dirty) in touched.iter().enumerate() {
-            if !dirty {
-                continue;
-            }
-            let elem_rank = &self.elem_rank;
-            self.elems_of_rank[r].retain(|&e| {
-                let keep = elem_rank[e.idx()] == r as u32 && kept[e.idx()] != r as u32;
-                if keep {
-                    kept[e.idx()] = r as u32;
-                }
-                keep
-            });
-            self.elems_of_rank[r].sort_unstable_by_key(|e| e.idx());
-        }
-    }
-
-    /// Apply a migration: every root whose processor changed moves its whole
-    /// subtree of live elements from the old rank to the new one.
-    pub fn apply_migration(&mut self, am: &AdaptiveMesh, old_proc: &[u32], new_proc: &[u32]) {
-        let nproc = self.elems_of_rank.len();
-        let mut touched = vec![false; nproc];
-        for (root, (&old, &new)) in old_proc.iter().zip(new_proc).enumerate() {
-            if old == new {
-                continue;
-            }
-            touched[old as usize] = true;
-            touched[new as usize] = true;
-            for e in am.forest().leaf_elems_of_root(root as u32) {
-                self.elem_rank[e.idx()] = new;
-                self.elems_of_rank[new as usize].push(e);
-                for ed in am.mesh.elem_edges(e) {
-                    self.tracker.remove(ed.idx(), old);
-                    self.tracker.add(ed.idx(), new);
-                }
-            }
-        }
-        self.sweep_ranks(&touched);
-    }
-
-    /// Apply a refinement change log: retired parents leave their rank,
-    /// created children join the rank of their root.
-    pub fn apply_refinement(&mut self, delta: &RefineDelta, proc_of_root: &[u32]) {
-        let nproc = self.elems_of_rank.len();
-        let mut touched = vec![false; nproc];
-        for ev in &delta.events {
-            match *ev {
-                RefineEvent::Retired { elem, root, edges } => {
-                    let r = proc_of_root[root as usize];
-                    debug_assert_eq!(self.elem_rank[elem.idx()], r);
-                    self.elem_rank[elem.idx()] = u32::MAX;
-                    touched[r as usize] = true;
-                    for ed in edges {
-                        self.tracker.remove(ed.idx(), r);
-                    }
-                }
-                RefineEvent::Created { elem, root, edges } => {
-                    let r = proc_of_root[root as usize];
-                    if elem.idx() >= self.elem_rank.len() {
-                        self.elem_rank.resize(elem.idx() + 1, u32::MAX);
-                    }
-                    self.elem_rank[elem.idx()] = r;
-                    self.elems_of_rank[r as usize].push(elem);
-                    touched[r as usize] = true;
-                    for ed in edges {
-                        self.tracker.add(ed.idx(), r);
-                    }
-                }
-            }
-        }
-        self.sweep_ranks(&touched);
+        self.edges.shared_edges_of_part(rank)
     }
 }
 
@@ -344,6 +246,14 @@ mod tests {
         // Slab boundaries create shared edges.
         assert!(own.shared_edges_of_rank(0) > 0);
         assert!(own.shared_edges_of_rank(1) > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "has part 3 ≥ 3")]
+    fn a_root_assigned_past_the_last_rank_is_rejected() {
+        let (am, mut proc) = setup(3, 3);
+        proc[0] = 3;
+        Ownership::build(&am, &proc, 3);
     }
 
     #[test]

@@ -138,7 +138,7 @@ mod tests {
         assert_eq!(c.vertices, 27);
         assert_eq!(c.elements, 48);
         // Boundary of a 2x2x2 cube: 6 sides * 4 cells * 2 triangles = 48.
-        assert_eq!(c.boundary_faces, 48);
+        assert_eq!(m.boundary_faces().len(), 48);
         m.validate();
     }
 
@@ -174,9 +174,10 @@ mod tests {
         let m = unit_box_mesh(3);
         let c = m.counts();
         let total_face_slots = 4 * c.elements;
-        let interior = (total_face_slots - c.boundary_faces) / 2;
+        let boundary_faces = m.boundary_faces().len();
+        let interior = (total_face_slots - boundary_faces) / 2;
         assert_eq!(
-            interior * 2 + c.boundary_faces,
+            interior * 2 + boundary_faces,
             total_face_slots,
             "face parity broken ⇒ non-conforming"
         );

@@ -34,6 +34,6 @@ pub use field::VertexField;
 pub use ids::{EdgeId, ElemId, VertId};
 pub use pairmap::PairMap;
 pub use sfc::SfcCurve;
-pub use shared::SharedEdgeTracker;
+pub use shared::EdgeParts;
 pub use submesh::{extract_submeshes, SubMesh};
 pub use tetmesh::{MeshCounts, TetMesh, LOCAL_EDGE_VERTS, LOCAL_FACE_EDGES, LOCAL_FACE_VERTS};

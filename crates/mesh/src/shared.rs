@@ -1,131 +1,76 @@
-//! Reference-counted shared-edge (SPL) bookkeeping.
+//! Shared-processor lists (SPLs) of mesh edges, derived from a part array.
 //!
 //! The paper's parallel framework keeps, for every mesh edge, the list of
-//! processors owning a copy — the shared-processor list. The naive way to
-//! obtain it is a full walk over every element×edge each cycle; the
-//! [`SharedEdgeTracker`] instead maintains per-edge rank lists with
-//! *reference counts* (how many of a rank's elements touch the edge), so
-//! ownership can be updated incrementally when elements migrate to another
-//! rank or are retired/created by refinement. A cached per-rank shared-edge
-//! count makes the halo-size query O(1).
+//! processors owning a copy — the shared-processor list — initialized "by
+//! searching for elements on partition boundaries". [`EdgeParts`] is that
+//! search: one pass over the edge slots, reading each edge's incident
+//! elements. It is a value, built where it is needed and never updated; a
+//! mesh or assignment change means building a new one.
 
-/// Per-edge rank lists with reference counts and a cached per-rank count of
-/// shared edges.
+use crate::ids::EdgeId;
+use crate::tetmesh::TetMesh;
+
+/// Per edge slot, the distinct parts whose elements touch the edge, plus
+/// each part's number of shared edges.
 ///
-/// An edge is *shared* when elements of more than one rank touch it. Slots
-/// are plain `usize` indexes (edge slot ids), so the tracker is independent
-/// of any particular mesh representation and grows on demand.
-#[derive(Debug, Clone)]
-pub struct SharedEdgeTracker {
-    /// Per edge slot: `(rank, refcount)` sorted by rank.
-    ranks: Vec<Vec<(u32, u32)>>,
-    /// Per rank: number of edge slots whose rank list has length > 1 and
-    /// contains this rank.
-    shared_per_rank: Vec<u64>,
+/// An edge is *shared* when elements of more than one part touch it.
+#[derive(Debug)]
+pub struct EdgeParts {
+    /// Edge slot `e`'s parts are `parts[start[e]..start[e + 1]]`, ascending.
+    start: Vec<usize>,
+    parts: Vec<u32>,
+    /// Per part: number of edge slots with more than one part, this one
+    /// among them.
+    shared_per_part: Vec<u64>,
 }
 
-impl SharedEdgeTracker {
-    /// An empty tracker covering `slots` edge slots and `nranks` ranks.
-    pub fn new(slots: usize, nranks: usize) -> Self {
-        SharedEdgeTracker {
-            ranks: vec![Vec::new(); slots],
-            shared_per_rank: vec![0; nranks],
-        }
-    }
-
-    /// Number of edge slots currently covered.
-    pub fn n_slots(&self) -> usize {
-        self.ranks.len()
-    }
-
-    /// Record one more element of `rank` touching edge `slot`. Grows the
-    /// slot table on demand (refinement creates new edges).
-    pub fn add(&mut self, slot: usize, rank: u32) {
-        if slot >= self.ranks.len() {
-            self.ranks.resize(slot + 1, Vec::new());
-        }
-        let list = &mut self.ranks[slot];
-        // Fast path: during a grouped (rank-by-rank) build the rank being
-        // added is always the last entry, so no search is needed.
-        if let Some(last) = list.last_mut() {
-            if last.0 == rank {
-                last.1 += 1;
-                return;
-            }
-        }
-        match list.binary_search_by_key(&rank, |&(r, _)| r) {
-            Ok(i) => list[i].1 += 1,
-            Err(i) => {
-                list.insert(i, (rank, 1));
-                match list.len() {
-                    0 | 1 => {}
-                    2 => {
-                        // The edge just became shared: both owners gain one.
-                        for &(r, _) in list.iter() {
-                            self.shared_per_rank[r as usize] += 1;
-                        }
-                    }
-                    _ => self.shared_per_rank[rank as usize] += 1,
-                }
-            }
-        }
-    }
-
-    /// Record that one element of `rank` no longer touches edge `slot`.
+impl EdgeParts {
+    /// Derive every edge's part list from `part` (indexed by element slot
+    /// id; entries for dead slots are ignored).
     ///
-    /// Panics if `rank` has no elements on the edge — that is a bookkeeping
-    /// bug in the caller.
-    pub fn remove(&mut self, slot: usize, rank: u32) {
-        let list = &mut self.ranks[slot];
-        let i = list
-            .binary_search_by_key(&rank, |&(r, _)| r)
-            .unwrap_or_else(|_| panic!("rank {rank} does not own edge slot {slot}"));
-        list[i].1 -= 1;
-        if list[i].1 == 0 {
-            list.remove(i);
-            match list.len() {
-                1 => {
-                    // The edge stopped being shared: both the departed rank
-                    // and the sole remaining owner lose one.
-                    self.shared_per_rank[rank as usize] -= 1;
-                    self.shared_per_rank[list[0].0 as usize] -= 1;
+    /// Panics if a live element's part is not below `nparts`.
+    pub fn build(mesh: &TetMesh, part: &[u32], nparts: usize) -> Self {
+        let slots = mesh.edge_slots();
+        let mut start = Vec::with_capacity(slots + 1);
+        let mut parts = Vec::with_capacity(slots);
+        let mut shared_per_part = vec![0u64; nparts];
+        start.push(0);
+        for slot in 0..slots {
+            let first = parts.len();
+            for &e in mesh.edge_elems(EdgeId::from_idx(slot)) {
+                let p = part[e.idx()];
+                assert!((p as usize) < nparts, "element {e} has part {p} ≥ {nparts}");
+                if !parts[first..].contains(&p) {
+                    parts.push(p);
                 }
-                0 => {}
-                _ => self.shared_per_rank[rank as usize] -= 1,
             }
+            let touching = &mut parts[first..];
+            touching.sort_unstable();
+            if touching.len() > 1 {
+                for &p in touching.iter() {
+                    shared_per_part[p as usize] += 1;
+                }
+            }
+            start.push(parts.len());
+        }
+        EdgeParts {
+            start,
+            parts,
+            shared_per_part,
         }
     }
 
-    /// Ranks owning a copy of edge `slot`, in ascending order.
+    /// Parts owning a copy of `edge`, in ascending order (more than one ⇒
+    /// shared edge; none ⇒ dead slot).
     #[inline]
-    pub fn ranks_of(&self, slot: usize) -> impl Iterator<Item = u32> + '_ {
-        self.ranks.get(slot).into_iter().flatten().map(|&(r, _)| r)
+    pub fn parts_of(&self, edge: EdgeId) -> &[u32] {
+        &self.parts[self.start[edge.idx()]..self.start[edge.idx() + 1]]
     }
 
-    /// Is the edge owned by more than one rank?
+    /// Number of shared edges `part` owns a copy of.
     #[inline]
-    pub fn is_shared(&self, slot: usize) -> bool {
-        self.ranks.get(slot).is_some_and(|l| l.len() > 1)
-    }
-
-    /// Number of shared edges `rank` owns a copy of — O(1) via the cached
-    /// per-rank counters.
-    #[inline]
-    pub fn shared_edges_of_rank(&self, rank: u32) -> u64 {
-        self.shared_per_rank[rank as usize]
-    }
-
-    /// Recompute the per-rank shared counts from scratch (test oracle).
-    pub fn recount_shared(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.shared_per_rank.len()];
-        for list in &self.ranks {
-            if list.len() > 1 {
-                for &(r, _) in list {
-                    out[r as usize] += 1;
-                }
-            }
-        }
-        out
+    pub fn shared_edges_of_part(&self, part: u32) -> u64 {
+        self.shared_per_part[part as usize]
     }
 }
 
@@ -134,71 +79,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn refcounts_and_shared_transitions() {
-        let mut t = SharedEdgeTracker::new(4, 3);
-        // Two elements of rank 0 touch edge 0: still unshared.
-        t.add(0, 0);
-        t.add(0, 0);
-        assert!(!t.is_shared(0));
-        assert_eq!(t.shared_edges_of_rank(0), 0);
-        // Rank 2 arrives: shared for both.
-        t.add(0, 2);
-        assert!(t.is_shared(0));
-        assert_eq!(t.shared_edges_of_rank(0), 1);
-        assert_eq!(t.shared_edges_of_rank(2), 1);
-        assert_eq!(t.ranks_of(0).collect::<Vec<_>>(), vec![0, 2]);
-        // Rank 1 inserts *between* the existing entries.
-        t.add(0, 1);
-        assert_eq!(t.ranks_of(0).collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(t.shared_edges_of_rank(1), 1);
-        // Dropping one of rank 0's two references changes nothing.
-        t.remove(0, 0);
-        assert_eq!(t.shared_edges_of_rank(0), 1);
-        // Dropping the second removes rank 0 from the edge.
-        t.remove(0, 0);
-        assert_eq!(t.shared_edges_of_rank(0), 0);
-        assert_eq!(t.ranks_of(0).collect::<Vec<_>>(), vec![1, 2]);
-        // Down to one owner: unshared again for everyone.
-        t.remove(0, 1);
-        assert!(!t.is_shared(0));
-        assert_eq!(t.shared_edges_of_rank(1), 0);
-        assert_eq!(t.shared_edges_of_rank(2), 0);
-        t.remove(0, 2);
-        assert_eq!(t.ranks_of(0).count(), 0);
-        assert_eq!(t.recount_shared(), vec![0, 0, 0]);
-    }
+    fn two_tets_sharing_a_face_share_its_three_edges() {
+        let mut m = TetMesh::new();
+        let v: Vec<_> = [
+            [0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [1.0, 1.0, 1.0],
+        ]
+        .into_iter()
+        .map(|p| m.add_vertex(p))
+        .collect();
+        m.add_elem([v[0], v[1], v[2], v[3]]);
+        m.add_elem([v[1], v[2], v[3], v[4]]);
 
-    #[test]
-    fn grows_on_demand_and_counts_match_oracle() {
-        let mut t = SharedEdgeTracker::new(0, 4);
-        for slot in 0..16 {
-            for r in 0..=(slot % 4) as u32 {
-                t.add(slot, r);
-            }
-        }
-        assert_eq!(t.n_slots(), 16);
-        assert_eq!(t.recount_shared(), {
-            let mut v = vec![0u64; 4];
-            for slot in 0..16usize {
-                let owners = slot % 4 + 1;
-                if owners > 1 {
-                    for r in v.iter_mut().take(owners) {
-                        *r += 1;
-                    }
-                }
-            }
-            v
-        });
-        for r in 0..4 {
-            assert_eq!(t.shared_edges_of_rank(r), t.recount_shared()[r as usize]);
-        }
-    }
+        // Same part on both sides: nothing is shared.
+        let one = EdgeParts::build(&m, &[1, 1], 3);
+        assert_eq!([0, 1, 2].map(|p| one.shared_edges_of_part(p)), [0, 0, 0]);
+        assert!(m.edges().all(|e| one.parts_of(e) == [1]));
 
-    #[test]
-    #[should_panic(expected = "does not own edge slot")]
-    fn removing_an_absent_rank_panics() {
-        let mut t = SharedEdgeTracker::new(1, 2);
-        t.add(0, 0);
-        t.remove(0, 1);
+        // Parts listed in descending element order come out ascending.
+        let two = EdgeParts::build(&m, &[2, 0], 3);
+        assert_eq!([0, 1, 2].map(|p| two.shared_edges_of_part(p)), [3, 0, 3]);
+        let face = m.edge_between(v[1], v[2]).unwrap();
+        assert_eq!(two.parts_of(face), [0, 2]);
+        let apex = m.edge_between(v[0], v[1]).unwrap();
+        assert_eq!(two.parts_of(apex), [2]);
     }
 }

@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 
 use crate::ids::{EdgeId, ElemId, VertId};
-use crate::shared::SharedEdgeTracker;
+use crate::shared::EdgeParts;
 use crate::tetmesh::TetMesh;
 
 /// One processor's piece of a distributed mesh.
@@ -48,17 +48,13 @@ impl SubMesh {
 pub fn extract_submeshes(mesh: &TetMesh, part: &[u32], nparts: usize) -> Vec<SubMesh> {
     assert!(part.len() >= mesh.elem_slots());
 
-    // Which parts touch each global edge / vertex. Edges go through the
-    // refcounted tracker (the same structure the engine maintains
-    // incrementally across cycles); vertex SPLs are only needed here.
-    let mut edge_parts = SharedEdgeTracker::new(mesh.edge_slots(), nparts);
+    // Which parts touch each global edge / vertex. Edge lists come from the
+    // builder the cycle drivers use (it also rejects a part id ≥ `nparts`);
+    // vertex SPLs are only needed here.
+    let edge_parts = EdgeParts::build(mesh, part, nparts);
     let mut vert_parts: Vec<Vec<u32>> = vec![Vec::new(); mesh.vert_slots()];
     for e in mesh.elems() {
         let p = part[e.idx()];
-        assert!((p as usize) < nparts, "element {e} has part {p} ≥ {nparts}");
-        for ed in mesh.elem_edges(e) {
-            edge_parts.add(ed.idx(), p);
-        }
         for v in mesh.elem_verts(e) {
             let list = &mut vert_parts[v.idx()];
             if !list.contains(&p) {
@@ -114,7 +110,9 @@ pub fn extract_submeshes(mesh: &TetMesh, part: &[u32], nparts: usize) -> Vec<Sub
                 .edge_between(ga, gb)
                 .expect("local edge must exist globally");
             sub.edge_spl[le.idx()] = edge_parts
-                .ranks_of(gedge.idx())
+                .parts_of(gedge)
+                .iter()
+                .copied()
                 .filter(|&q| q as usize != p)
                 .collect();
         }

@@ -51,13 +51,13 @@ struct Elem {
     alive: bool,
 }
 
-/// Counts of live mesh entities (the numbers Table 1 reports).
+/// Counts of live mesh entities (Table 1's columns, except boundary faces:
+/// that one is a walk over the mesh, `boundary_faces().len()`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeshCounts {
     pub vertices: usize,
     pub elements: usize,
     pub edges: usize,
-    pub boundary_faces: usize,
 }
 
 /// A mutable tetrahedral mesh with full vertex/edge/element incidence.
@@ -181,13 +181,12 @@ impl TetMesh {
         self.verts.get(v.idx()).is_some_and(|x| x.alive)
     }
 
-    /// Entity counts, including derived boundary faces.
+    /// Entity counts, read from the maintained counters.
     pub fn counts(&self) -> MeshCounts {
         MeshCounts {
             vertices: self.n_verts,
             elements: self.n_elems,
             edges: self.n_edges,
-            boundary_faces: self.boundary_faces().len(),
         }
     }
 
@@ -247,11 +246,6 @@ impl TetMesh {
         self.edge_lookup
             .get(PairMap::pair_key(a.0, b.0))
             .map(EdgeId)
-    }
-
-    /// Local index (0..6) of `edge` within `elem`.
-    pub fn edge_local_index(&self, elem: ElemId, edge: EdgeId) -> Option<usize> {
-        self.elem_edges(elem).iter().position(|&e| e == edge)
     }
 
     /// Midpoint of an edge.
@@ -446,23 +440,6 @@ impl TetMesh {
         out
     }
 
-    /// The set of boundary edges (edges lying on at least one boundary face).
-    pub fn boundary_edges(&self) -> Vec<EdgeId> {
-        let mut flag = vec![false; self.edges.len()];
-        for (tri, _) in self.boundary_faces() {
-            for (a, b) in [(0, 1), (0, 2), (1, 2)] {
-                if let Some(e) = self.edge_between(tri[a], tri[b]) {
-                    flag[e.idx()] = true;
-                }
-            }
-        }
-        flag.iter()
-            .enumerate()
-            .filter(|(_, &f)| f)
-            .map(|(i, _)| EdgeId::from_idx(i))
-            .collect()
-    }
-
     /// Exhaustive consistency check of all incidence structure. Panics with a
     /// description on the first violation. Intended for tests and debug runs.
     pub fn validate(&self) {
@@ -573,7 +550,7 @@ mod tests {
         assert_eq!(c.vertices, 4);
         assert_eq!(c.edges, 6);
         assert_eq!(c.elements, 1);
-        assert_eq!(c.boundary_faces, 4);
+        assert_eq!(m.boundary_faces().len(), 4);
         m.validate();
     }
 
@@ -587,7 +564,7 @@ mod tests {
         assert_eq!(c.elements, 2);
         // 6 + 6 edges, but face (v1,v2,v3) shares 3.
         assert_eq!(c.edges, 9);
-        assert_eq!(c.boundary_faces, 6);
+        assert_eq!(m.boundary_faces().len(), 6);
         m.validate();
         // The shared edges list both elements.
         let shared = m.edge_between(v[1], v[2]).unwrap();
@@ -636,11 +613,5 @@ mod tests {
         let e = m.edge_between(v[0], v[1]).unwrap();
         assert_eq!(m.edge_midpoint(e), [0.5, 0.0, 0.0]);
         assert!((m.edge_len2(e) - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn boundary_edges_of_single_tet_is_all() {
-        let (m, _, _) = single_tet();
-        assert_eq!(m.boundary_edges().len(), 6);
     }
 }

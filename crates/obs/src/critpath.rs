@@ -1,6 +1,6 @@
 //! Cross-rank critical-path analysis.
 //!
-//! A [`TraceLog`](plum_parsim::TraceLog) induces a happens-before graph:
+//! A [`TraceLog`] induces a happens-before graph:
 //! each rank's events are serially ordered on its own virtual clock, and
 //! every matched send/recv pair adds a cross-rank edge (the receive cannot
 //! complete before the payload left the sender). The **critical path** is

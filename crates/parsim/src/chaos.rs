@@ -176,8 +176,8 @@ pub(crate) fn jitter_factor(seed: u64, src: usize, dst: usize, k: u64, amplitude
     1.0 + amplitude * (2.0 * u - 1.0)
 }
 
-/// The kind of an injected fault (used in [`TraceEvent::Fault`]
-/// (crate::TraceEvent) records and exports).
+/// The kind of an injected fault (used in [`crate::TraceEvent::Fault`]
+/// records and exports).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     Stall,

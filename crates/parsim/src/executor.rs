@@ -47,7 +47,7 @@ pub struct RankResult<T> {
 ///
 /// ## Execution model
 ///
-/// Each rank body runs as a stackful fiber (see [`crate::fiber`]) on the
+/// Each rank body runs as a stackful fiber (see `fiber.rs`) on the
 /// calling thread; a central run queue keyed by virtual time (ties broken
 /// by rank id) dispatches whichever rank is runnable next, and a blocking
 /// receive suspends the fiber instead of parking an OS thread. Memory and

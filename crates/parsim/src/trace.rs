@@ -880,7 +880,7 @@ pub struct PhaseRankAgg {
     /// One entry per rank (length == `TraceLog::nranks`).
     pub ranks: Vec<RankPhaseSplit>,
     /// Top-level collective stats summed over ranks, indexed by
-    /// [`CollectiveKind::index`]. A collective is attributed to the phase
+    /// `CollectiveKind::index`. A collective is attributed to the phase
     /// that was current on the rank when it was *entered*.
     pub collectives: [CollectiveStats; COLLECTIVE_KINDS.len()],
 }

@@ -114,13 +114,13 @@ impl BalanceMethod {
         }
     }
 
-    /// Whether the method reads [`Problem::keys`].
+    /// Whether the method reads [`field@Problem::keys`].
     pub fn needs_keys(self) -> bool {
         use BalanceMethod::*;
         matches!(self, SfcDiffusion | Sfc | Voronoi)
     }
 
-    /// Whether the method can only run from a [`Problem::seed`].
+    /// Whether the method can only run from a [`field@Problem::seed`].
     pub fn needs_seed(self) -> bool {
         matches!(
             self,
@@ -254,10 +254,6 @@ impl RankLists {
             *slot += 1;
         }
         RankLists { off, verts, newid }
-    }
-
-    pub fn nranks(&self) -> usize {
-        self.off.len() - 1
     }
 
     /// Number of vertices over all ranks.
@@ -478,7 +474,6 @@ mod tests {
     fn rank_lists_are_ascending_and_invert_to_the_rank_major_numbering() {
         let owner = [2u32, 0, 2, 1, 0, 2, 2, 0];
         let lists = RankLists::build(&owner, 4);
-        assert_eq!(lists.nranks(), 4);
         assert_eq!(lists.mine(0), [1, 4, 7]);
         assert_eq!(lists.mine(1), [3]);
         assert_eq!(lists.mine(2), [0, 2, 5, 6]);
