@@ -8,47 +8,61 @@ use plum_mesh::{EdgeId, ElemId, PairMap, TetMesh, VertId, LOCAL_EDGE_VERTS};
 use crate::forest::{Forest, NodeId};
 use crate::pattern::{classify, upgrade, SubdivKind};
 
-/// Per-edge refinement marks, indexed by edge slot id of the current mesh.
+/// Per-edge refinement marks, indexed by edge slot id of the current mesh:
+/// one bit per edge slot.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeMarks {
-    bits: Vec<bool>,
+    words: Vec<u64>,
 }
 
 impl EdgeMarks {
     /// No edges marked, sized for `mesh`.
     pub fn new(mesh: &TetMesh) -> Self {
         EdgeMarks {
-            bits: vec![false; mesh.edge_slots()],
+            words: vec![0; mesh.edge_slots().div_ceil(64)],
         }
     }
 
     /// Is `e` marked?
     #[inline]
     pub fn is_marked(&self, e: EdgeId) -> bool {
-        self.bits.get(e.idx()).copied().unwrap_or(false)
+        let i = e.idx();
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 != 0)
     }
 
     /// Mark `e`; returns true if it was newly marked.
     #[inline]
     pub fn mark(&mut self, e: EdgeId) -> bool {
-        if e.idx() >= self.bits.len() {
-            self.bits.resize(e.idx() + 1, false);
+        let i = e.idx();
+        if i / 64 >= self.words.len() {
+            self.words.resize(i / 64 + 1, 0);
         }
-        !std::mem::replace(&mut self.bits[e.idx()], true)
+        let bit = 1u64 << (i % 64);
+        let word = &mut self.words[i / 64];
+        let newly = *word & bit == 0;
+        *word |= bit;
+        newly
     }
 
     /// Number of marked edges.
     pub fn count(&self) -> usize {
-        self.bits.iter().filter(|&&b| b).count()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Iterate marked edge ids.
+    /// Iterate marked edge ids, ascending.
     pub fn iter(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.bits
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| EdgeId::from_idx(i))
+        self.words.iter().enumerate().flat_map(|(wi, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    EdgeId::from_idx(wi * 64 + bit)
+                })
+            })
+        })
     }
 }
 
@@ -182,7 +196,7 @@ impl AdaptiveMesh {
             .edges()
             .map(|e| error.get(e.idx()).copied().unwrap_or(0.0))
             .collect();
-        vals.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+        vals.sort_unstable_by(f64::total_cmp);
         let n = vals.len();
         let target = (n as f64 * frac).round() as usize;
         if target == 0 {
@@ -412,9 +426,7 @@ impl AdaptiveMesh {
                 let (&(p, q), cycle) = options
                     .iter()
                     .map(|(d, c)| (d, c))
-                    .min_by(|(d1, _), (d2, _)| {
-                        len2(d1.0, d1.1).partial_cmp(&len2(d2.0, d2.1)).unwrap()
-                    })
+                    .min_by(|(d1, _), (d2, _)| len2(d1.0, d1.1).total_cmp(&len2(d2.0, d2.1)))
                     .unwrap();
                 for k in 0..4 {
                     out.push([p, q, cycle[k], cycle[(k + 1) % 4]]);
@@ -462,5 +474,44 @@ impl AdaptiveMesh {
             );
             assert_eq!(self.mid_parent.get(&VertId(m)), Some(&(a, b)));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use plum_mesh::generate::unit_box_mesh;
+
+    #[test]
+    fn edge_marks_cross_word_boundaries_and_grow() {
+        let mesh = unit_box_mesh(1);
+        let slots = mesh.edge_slots();
+        assert!(slots < 63, "the test wants ids past the initial size");
+        let mut marks = EdgeMarks::new(&mesh);
+        let ids = [0usize, 5, 63, 64, 65, 127, 128, 1000];
+        for &i in ids.iter().rev() {
+            assert!(!marks.is_marked(EdgeId::from_idx(i)), "edge {i} before");
+            assert!(marks.mark(EdgeId::from_idx(i)), "edge {i} newly marked");
+            assert!(!marks.mark(EdgeId::from_idx(i)), "edge {i} marked twice");
+        }
+        assert_eq!(marks.count(), ids.len());
+        let seen: Vec<usize> = marks.iter().map(|e| e.idx()).collect();
+        assert_eq!(seen, ids, "ascending, nothing else set");
+        assert!(!marks.is_marked(EdgeId::from_idx(62)));
+        assert!(!marks.is_marked(EdgeId::from_idx(100_000)), "past the end");
+    }
+
+    #[test]
+    fn nan_error_value_does_not_panic_the_threshold_search() {
+        let am = AdaptiveMesh::new(unit_box_mesh(2));
+        let mut error: Vec<f64> = (0..am.mesh.edge_slots()).map(|i| i as f64).collect();
+        error[3] = f64::NAN;
+        let t = am.threshold_for_final_fraction(&error, 0.3);
+        assert!(
+            !t.is_nan(),
+            "a NaN edge sorts above every threshold candidate"
+        );
+        let marked = am.mark_above(&error, t).count();
+        assert!(marked > 0 && marked < am.mesh.n_edges(), "marked {marked}");
     }
 }

@@ -12,7 +12,7 @@ use plum_core::Ownership;
 use plum_mesh::DualGraph;
 use plum_parsim::{MachineModel, Session, TraceLog};
 use plum_partition::{
-    balance_body, inflow_quota, partition_kway, repartition_kway, BalanceMethod, Graph,
+    balance_body, inflow_quota, merge_add, partition_kway, repartition_kway, BalanceMethod, Graph,
     PartitionConfig, Problem, RankLists,
 };
 use plum_reassign::{greedy_mwbg, optimal_bmcm, optimal_mwbg, SimilarityMatrix};
@@ -219,8 +219,9 @@ fn bench_session_step(c: &mut Criterion) {
 
 /// Host cost of the replicating collectives when the payload is as large
 /// as its declared size — the shapes the multilevel refinement uses at
-/// P = 256 (a `P × nparts`-word demand allgather, an `nparts`-word weight
-/// allreduce, a full-partition broadcast). One call per session step; the
+/// P = 256 (an `nparts`-word demand exscan, an `nparts`-word weight
+/// allreduce, a full-partition broadcast) beside the `P × nparts`-word
+/// allgather the exscan replaced. One call per session step; the
 /// step's own cost is `session_step/compute_step_p256`. The 1-word probes
 /// of the e2e benchmark cannot see a per-forward payload copy; these can.
 fn bench_collectives_payload(c: &mut Criterion) {
@@ -256,8 +257,19 @@ fn bench_collectives_payload(c: &mut Criterion) {
         })
     });
 
+    group.bench_function("exscan_p256_w256", |b| {
+        b.iter(|| {
+            session.run(vec![(); P], |comm, ()| {
+                black_box(comm.exscan(256, vec![1u64; 256], |a, b| {
+                    a.iter().zip(b).map(|(x, y)| x + y).collect()
+                }));
+            })
+        })
+    });
+
     // The inflow quota of one refinement stage, summed over all 256 ranks:
-    // every rank asks for weight in the six parts around its own.
+    // every rank asks for weight in the six parts around its own, and reads
+    // the exclusive scan of the asks below it.
     let max_w = vec![1_000u64; P];
     let w: Vec<u64> = (0..P as u64).map(|q| 900 + q % 150).collect();
     let demand: Vec<Vec<(u32, u64)>> = (0..P)
@@ -267,10 +279,14 @@ fn bench_collectives_payload(c: &mut Criterion) {
                 .collect()
         })
         .collect();
+    let mut below: Vec<Vec<(u32, u64)>> = vec![Vec::new()];
+    for r in 1..P {
+        below.push(merge_add(&below[r - 1], &demand[r - 1]));
+    }
     group.bench_function("refine_quota_p256", |b| {
         b.iter(|| {
             (0..P)
-                .map(|rank| inflow_quota(black_box(&demand), rank, &max_w, &w)[rank])
+                .map(|rank| inflow_quota(black_box(&below[rank]), &demand[rank], &max_w, &w)[rank])
                 .sum::<u64>()
         })
     });

@@ -71,6 +71,12 @@ pub const REMATCH_CYCLES: usize = 3;
 /// bring the effective imbalance at or below this within three cycles.
 pub const REMATCH_IMBALANCE_TARGET: f64 = 1.1;
 
+/// Ceiling on multilevel's summed partition seconds at P = 1024 over P =
+/// 256 (unperturbed arm). Every collective on its path costs `O(words ·
+/// log P)`, so 4× the ranks may cost a small multiple; a `P · nparts`-word
+/// collective back on the critical path reads ≈ 1 000× and fails the run.
+pub const REMATCH_CLIFF_FACTOR: f64 = 10.0;
+
 /// Fixed seed of the chaos arm (slow rank = seed mod P, plus the link
 /// jitter stream) — pinned so the BENCH report is deterministic.
 pub const REMATCH_CHAOS_SEED: u64 = 5;
@@ -214,6 +220,20 @@ pub fn rematch_bench() -> (BenchReport, String) {
             }
         }
     }
+
+    let multilevel_partition = |nproc: usize| {
+        let cell = cells
+            .iter()
+            .find(|c| c.method == BalanceMethod::Multilevel && c.nproc == nproc && !c.chaos);
+        cell.expect("the grid has a multilevel cell per P")
+            .partition_seconds
+    };
+    let (at_256, at_1024) = (multilevel_partition(256), multilevel_partition(1024));
+    assert!(
+        at_1024 <= REMATCH_CLIFF_FACTOR * at_256,
+        "multilevel partition seconds fall off a cliff: {at_1024:.3} s at P=1024 vs \
+         {at_256:.3} s at P=256 (> {REMATCH_CLIFF_FACTOR}x)"
+    );
 
     let mut b = BenchReport::new("rematch");
     b.meta_str("git_sha", &git_sha())

@@ -138,9 +138,10 @@ impl Fnv {
 /// Every reader of the event log, pinned to the bit on a real session (one
 /// remap-before P = 8 cycle): each f64 (`to_bits`) and counter that
 /// `summary()`, `phase_breakdowns()` and `phase_rank_breakdowns()` produce,
-/// and the serialized digest. The four constants were recorded before the
-/// readers were folded onto one attribution walk; a change here means the
-/// walk changed what it attributes or the order it accumulates in.
+/// and the serialized digest. A change here means the walk changed what it
+/// attributes or the order it accumulates in — or, as when the constants
+/// were last re-recorded (in-tree `allreduce`, `exscan` as a ninth
+/// collective kind), that the modeled machine itself changed.
 #[test]
 fn trace_readers_are_pinned_to_the_bit() {
     let mut cfg = PlumConfig::new(8);
@@ -198,10 +199,10 @@ fn trace_readers_are_pinned_to_the_bit() {
     assert_eq!(
         (summary, phases, phase_ranks, digest),
         (
-            0xfa96_1a64_3358_7186,
-            0xeffa_62df_12c3_399a,
-            0x1c37_8882_8897_b9e4,
-            0x82ff_c414_a102_4805
+            0x547d_22fc_b866_781d,
+            0x1bce_1fd1_6a86_3142,
+            0x7766_6da4_17b7_0f4e,
+            0xd33e_3f04_5a90_24e8
         ),
         "(summary, phase_breakdowns, phase_rank_breakdowns, digest JSON) FNV-1a: \
          ({summary:#018x}, {phases:#018x}, {phase_ranks:#018x}, {digest:#018x})"

@@ -192,7 +192,7 @@ mod tests {
         let min_idx = times
             .iter()
             .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .min_by(|a, b| a.1.total_cmp(b.1))
             .unwrap()
             .0;
         assert!(

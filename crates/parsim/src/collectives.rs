@@ -6,14 +6,23 @@
 //! count scale as `O(log P)`:
 //!
 //! * `bcast` — binomial tree, `P-1` messages total.
-//! * `gather` / `gatherv` / `reduce` — binomial tree toward the root,
-//!   `P-1` messages total. Reductions carry the raw per-rank values up the
-//!   tree and fold them once at the root in ascending rank order, so the
-//!   floating-point result is independent of the tree shape (and identical
-//!   to the historical flat implementation bit for bit).
+//! * `gather` / `gatherv` — binomial tree toward the root, `P-1` messages
+//!   total; a message carries (and charges for) the raw entries of its
+//!   whole subtree, which is the contract of a gather.
+//! * `reduce` — the same tree, reduced *in the tree*: every interior rank
+//!   folds its children into its own value and sends one `words`-word
+//!   message up, `P-1` messages of exactly `words` words. Values combine in
+//!   ascending (virtual) rank order, each child's contiguous subtree
+//!   associated first — the flat left fold's value for every associative
+//!   `op`, commutative or not.
 //! * `scatter` — binomial tree away from the root, `P-1` messages total.
-//! * `allgather` / `allreduce` — tree gather to rank 0 plus binomial
-//!   broadcast, `2(P-1)` messages total.
+//! * `allgather` — tree gather to rank 0 plus binomial broadcast of the
+//!   `P × words` table, `2(P-1)` messages total.
+//! * `allreduce` — `reduce` to rank 0 plus binomial broadcast, `2(P-1)`
+//!   messages of exactly `words` words.
+//! * `exscan` — exclusive prefix: an up-sweep of subtree totals and a
+//!   down-sweep of prefixes on the same tree, `2(P-1)` messages of exactly
+//!   `words` words.
 //! * `barrier` — dissemination, `P·ceil(log2 P)` one-word messages.
 //! * `alltoallv` / `alltoallv_sparse` — Bruck-style store-and-forward in
 //!   `ceil(log2 P)` rounds of one combined message per rank per round,
@@ -38,6 +47,8 @@ const TAG_SCATTER: Tag = (1 << 60) + 3;
 const TAG_REDUCE: Tag = (1 << 60) + 4;
 // Bruck all-to-all uses one tag per round: TAG_A2A, TAG_A2A+1, ...
 const TAG_A2A: Tag = (1 << 60) + 5;
+// Above every Bruck round tag.
+const TAG_EXSCAN: Tag = (1 << 60) + (1 << 32);
 
 impl Comm {
     /// Dissemination barrier: `ceil(log2 P)` rounds of one-word messages.
@@ -244,26 +255,69 @@ impl Comm {
     }
 
     /// Generic allreduce: combine one value per rank with `op` (must be
-    /// associative and commutative), result available on all ranks.
+    /// associative), result available on all ranks.
     ///
-    /// The raw values ride a binomial tree to rank 0 and are folded there in
-    /// ascending rank order (`((v0 op v1) op v2) op ...`), so floating-point
-    /// results are deterministic and independent of the tree shape. Every
-    /// rank gets the same allocation.
+    /// [`Comm::reduce`] to rank 0 plus [`Comm::bcast`]: `2(P-1)` messages of
+    /// exactly `words` words, in the fold order `reduce` documents — a
+    /// deterministic function of `P` alone. Every rank gets the same
+    /// allocation.
     pub fn allreduce<T, F>(&mut self, words: u64, value: T, op: F) -> Arc<T>
     where
         T: Send + Sync + 'static,
         F: Fn(T, T) -> T,
     {
         self.collective_enter(CollectiveKind::Allreduce);
-        let out = if let Some(all) = self.gather(0, words, value) {
-            let reduced = all.into_iter().reduce(&op).expect("at least one rank");
-            self.bcast(0, words, Some(reduced))
-        } else {
-            self.bcast::<T>(0, words, None)
-        };
+        let reduced = self.reduce(0, words, value, op);
+        let out = self.bcast(0, words, reduced);
         self.collective_exit(CollectiveKind::Allreduce);
         out
+    }
+
+    /// Exclusive prefix scan: rank `r` gets `v0 op v1 op … op v(r-1)` (`op`
+    /// must be associative), rank 0 gets `None`.
+    ///
+    /// Up-sweep: subtree totals ride the binomial tree to rank 0, each
+    /// interior rank keeping, per child, the fold of everything in its
+    /// subtree below that child. Down-sweep: a rank combines the prefix it
+    /// received with those kept folds and hands every child its prefix,
+    /// largest subtree first so the longest chain starts earliest. `2(P-1)`
+    /// messages of exactly `words` words; values are moved, never cloned.
+    pub fn exscan<T, F>(&mut self, words: u64, value: T, op: F) -> Option<T>
+    where
+        T: Send + 'static,
+        F: Fn(&T, &T) -> T,
+    {
+        self.collective_enter(CollectiveKind::Exscan);
+        let p = self.nranks();
+        let rank = self.rank();
+        // `below[k]` folds ranks `rank .. rank + 2^k`: what precedes child
+        // `rank + 2^k` inside this subtree. Children are `k = 0, 1, …` while
+        // `rank + 2^k < p`, so the vector index is the child index.
+        let mut below: Vec<T> = Vec::new();
+        let mut total = value;
+        let mut mask = 1;
+        while mask < p && rank & mask == 0 {
+            if rank + mask < p {
+                let child: T = self.recv(rank + mask, TAG_EXSCAN);
+                let with_child = op(&total, &child);
+                below.push(std::mem::replace(&mut total, with_child));
+            }
+            mask <<= 1;
+        }
+        // `mask` is now the lowest set bit of a non-zero rank.
+        let prefix: Option<T> = (rank != 0).then(|| {
+            self.send(rank - mask, TAG_EXSCAN, words, total);
+            self.recv(rank - mask, TAG_EXSCAN)
+        });
+        for (k, kept) in below.into_iter().enumerate().rev() {
+            let down = match &prefix {
+                Some(before) => op(before, &kept),
+                None => kept,
+            };
+            self.send(rank + (1 << k), TAG_EXSCAN, words, down);
+        }
+        self.collective_exit(CollectiveKind::Exscan);
+        prefix
     }
 
     /// Allreduce with `f64` addition.
@@ -393,12 +447,15 @@ impl Comm {
         out
     }
 
-    /// Reduce to root only (others get `None`).
+    /// Reduce to root only (others get `None`), in the tree.
     ///
-    /// Raw values ride a binomial tree to the root and are folded there with
-    /// the root's own value first, then ascending rank order — the exact
-    /// fold order of the historical flat implementation, so floating-point
-    /// results are bit-identical to it.
+    /// Each rank folds its children's subtree results into its own value —
+    /// children in ascending virtual-rank order (`vrank = (rank - root) mod
+    /// P`), so child `v + mask` contributes the already-folded contiguous
+    /// range `[v + mask, v + 2·mask)` — and sends one `words`-word message
+    /// to its parent. The result is the values in ascending virtual-rank
+    /// order, associated by subtree: for every associative `op` the value
+    /// of the flat left fold from the root. `P-1` messages.
     pub fn reduce<T, F>(&mut self, root: usize, words: u64, value: T, op: F) -> Option<T>
     where
         T: Send + 'static,
@@ -406,21 +463,25 @@ impl Comm {
     {
         self.collective_enter(CollectiveKind::Reduce);
         let p = self.nranks();
-        let out = self
-            .tree_gather(root, words, value, TAG_REDUCE)
-            .map(|mut entries| {
-                entries.sort_unstable_by_key(|e| e.0);
-                debug_assert_eq!(entries.len(), p, "reduce: missing contributions");
-                let mut vals: Vec<Option<T>> =
-                    entries.into_iter().map(|(_, _, v)| Some(v)).collect();
-                let mut acc = vals[root].take().expect("reduce: root value present");
-                for (s, v) in vals.into_iter().enumerate() {
-                    if s != root {
-                        acc = op(acc, v.expect("reduce: rank value present"));
-                    }
-                }
-                acc
-            });
+        let vrank = (self.rank() + p - root) % p;
+        let mut acc = value;
+        let mut mask = 1;
+        let out = loop {
+            if mask >= p {
+                break Some(acc);
+            }
+            if vrank & mask != 0 {
+                // Lowest set bit of vrank: hand the subtree's fold to the parent.
+                let dst = ((vrank - mask) + root) % p;
+                self.send(dst, TAG_REDUCE, words, acc);
+                break None;
+            }
+            if vrank + mask < p {
+                let src = ((vrank + mask) + root) % p;
+                acc = op(acc, self.recv(src, TAG_REDUCE));
+            }
+            mask <<= 1;
+        };
         self.collective_exit(CollectiveKind::Reduce);
         out
     }
@@ -430,7 +491,7 @@ impl Comm {
 mod tests {
     use std::sync::Arc;
 
-    use crate::{spmd, MachineModel, RankResult, Session, TraceLog};
+    use crate::{spmd, MachineModel, RankResult, Session, TraceEvent, TraceLog};
 
     fn total_msgs<T>(results: &[RankResult<T>]) -> u64 {
         results.iter().map(|r| r.sent_messages).sum()
@@ -467,7 +528,9 @@ mod tests {
     /// Sharing the payload is invisible to the modeled machine: the trace of
     /// a session running the three replicating collectives with large
     /// declared sizes equals, event for event (peer, tag, words and every
-    /// timestamp bit), the trace recorded when each forward deep-copied.
+    /// timestamp bit), the trace recorded when each forward deep-copied. (The
+    /// allreduce lines were re-recorded when the reduction moved into the
+    /// tree; the allgather and bcast lines are the originals.)
     #[test]
     fn shared_payload_trace_matches_copying_golden() {
         let p = 7;
@@ -520,12 +583,25 @@ mod tests {
         assert_eq!(results[3].sent_words, 4);
     }
 
-    /// Satellite check: every tree collective's *total* message count is
-    /// exact — `P-1` for one-way trees, `2(P-1)` for gather+bcast combos —
-    /// across powers of two, non-powers of two, and non-zero roots.
+    /// Every message rank bodies sent, as `words`, from a finished run.
+    fn sent_words<T>(results: &[RankResult<T>]) -> Vec<u64> {
+        let events = results.iter().flat_map(|r| &r.events);
+        let sends = events.filter_map(|ev| match ev {
+            TraceEvent::Send { words, .. } => Some(*words),
+            _ => None,
+        });
+        sends.collect()
+    }
+
+    /// Every tree collective's *total* message count is exact — `P-1` for
+    /// one-way trees, `2(P-1)` for the two-sweep combos — across powers of
+    /// two, non-powers of two, and non-zero roots; and the reducing ones
+    /// (`reduce`, `allreduce`, `exscan`) put exactly the declared `words`
+    /// in every message, however many ranks' values it folds.
     #[test]
     fn tree_collectives_use_exact_message_counts() {
-        for &p in &[2usize, 3, 5, 7, 8, 64, 100, 256] {
+        const W: u64 = 5;
+        for &p in &[1usize, 2, 3, 5, 7, 8, 64, 100, 256] {
             for root in [0, p - 1, p / 2] {
                 // bcast: P-1 messages, every rank sees the value.
                 let r = spmd(p, MachineModel::sp2(), move |comm| {
@@ -538,14 +614,14 @@ mod tests {
                 assert_eq!(r[root].sent_messages > 0, p > 1);
                 assert_eq!(total_msgs(&r), (p - 1) as u64, "bcast p={p} root={root}");
 
-                // reduce: P-1 messages, root-only result.
+                // reduce: P-1 messages of W words, root-only result.
                 let r = spmd(p, MachineModel::sp2(), move |comm| {
-                    comm.reduce(root, 1, comm.rank() as u64, |a, b| a + b)
+                    comm.reduce(root, W, comm.rank() as u64, |a, b| a + b)
                 });
                 let expect: u64 = (0..p as u64).sum();
                 assert_eq!(r[root].value, Some(expect), "reduce p={p} root={root}");
                 assert!(r.iter().all(|x| x.rank == root || x.value.is_none()));
-                assert_eq!(total_msgs(&r), (p - 1) as u64, "reduce p={p} root={root}");
+                assert_eq!(sent_words(&r), vec![W; p - 1], "reduce p={p} root={root}");
 
                 // gather: P-1 messages, rank-ordered vector on the root.
                 let r = spmd(p, MachineModel::sp2(), move |comm| {
@@ -568,15 +644,26 @@ mod tests {
                 assert_eq!(total_msgs(&r), (p - 1) as u64, "scatter p={p} root={root}");
             }
 
-            // allreduce: gather + bcast = 2(P-1) messages, all ranks agree.
+            // allreduce: reduce + bcast = 2(P-1) messages of W words, all
+            // ranks agree.
             let r = spmd(p, MachineModel::sp2(), |comm| {
-                comm.allreduce_sum_u64(comm.rank() as u64)
+                comm.allreduce(W, comm.rank() as u64, |a, b| a + b)
             });
             let expect: u64 = (0..p as u64).sum();
-            assert!(r.iter().all(|x| x.value == expect), "allreduce p={p}");
-            assert_eq!(total_msgs(&r), 2 * (p - 1) as u64, "allreduce p={p}");
+            assert!(r.iter().all(|x| *x.value == expect), "allreduce p={p}");
+            assert_eq!(sent_words(&r), vec![W; 2 * (p - 1)], "allreduce p={p}");
 
-            // allgather: same gather + bcast skeleton.
+            // exscan: up-sweep + down-sweep = 2(P-1) messages of W words.
+            let r = spmd(p, MachineModel::sp2(), |comm| {
+                comm.exscan(W, comm.rank() as u64, |a, b| a + b)
+            });
+            for x in &r {
+                let below = (x.rank > 0).then(|| (0..x.rank as u64).sum::<u64>());
+                assert_eq!(x.value, below, "exscan p={p} rank={}", x.rank);
+            }
+            assert_eq!(sent_words(&r), vec![W; 2 * (p - 1)], "exscan p={p}");
+
+            // allgather: gather + bcast skeleton, raw entries on the wire.
             let r = spmd(p, MachineModel::sp2(), |comm| {
                 comm.allgather(1, comm.rank() as u64)
             });
@@ -587,23 +674,71 @@ mod tests {
         }
     }
 
+    /// Joins two space-separated rank lists: associative, not commutative,
+    /// so the result spells out the order values were combined in.
+    fn join(a: String, b: String) -> String {
+        format!("{a} {b}")
+    }
+
+    /// All `p` ranks, space-separated, starting at `first` and wrapping.
+    fn ranks_from(first: usize, p: usize) -> String {
+        let names: Vec<String> = (0..p).map(|k| ((first + k) % p).to_string()).collect();
+        names.join(" ")
+    }
+
+    /// The in-tree fold combines values in ascending virtual-rank order
+    /// from the root — whatever the tree shape — and `allreduce` hands that
+    /// one value to every rank.
     #[test]
-    fn reduce_fold_order_matches_flat_reference() {
-        // Subtraction is neither associative nor commutative, so the result
-        // pins the exact fold order: root's value first, then ascending
-        // rank order skipping the root.
-        for &p in &[4usize, 7] {
-            for root in [0, 2, p - 1] {
+    fn reduce_folds_in_ascending_virtual_rank_order() {
+        for &p in &[1usize, 2, 4, 7, 13, 64] {
+            for root in [0, p / 2, p - 1] {
                 let r = spmd(p, MachineModel::sp2(), move |comm| {
-                    comm.reduce(root, 1, comm.rank() as i64, |a, b| a - b)
+                    comm.reduce(root, 1, comm.rank().to_string(), join)
                 });
-                let mut expect = root as i64;
-                for s in 0..p {
-                    if s != root {
-                        expect -= s as i64;
-                    }
-                }
-                assert_eq!(r[root].value, Some(expect), "p={p} root={root}");
+                let expect = ranks_from(root, p);
+                assert_eq!(r[root].value.as_ref(), Some(&expect), "p={p} root={root}");
+            }
+            let r = spmd(p, MachineModel::sp2(), |comm| {
+                comm.allreduce(1, comm.rank().to_string(), join)
+            });
+            assert!(
+                r.iter().all(|x| *x.value == ranks_from(0, p)),
+                "allreduce p={p}"
+            );
+        }
+    }
+
+    /// DESIGN.md's bound, in the form it states: with all ranks entering at
+    /// the same virtual time, every rank has left an `allreduce` or `exscan`
+    /// of `W` words within `2·ceil(log2 P)·(t_setup + W·t_word)`, and no
+    /// rank has sent more than `ceil(log2 P)·W` words.
+    #[test]
+    fn reducing_collectives_stay_within_the_log_p_bound() {
+        let model = MachineModel::sp2();
+        for p in [64usize, 256, 1024] {
+            let hops = p.next_power_of_two().trailing_zeros() as u64;
+            for w in [1u64, p as u64] {
+                let bound = (2 * hops) as f64 * model.transfer_time(w) * (1.0 + 1e-12);
+                let check = |what: &str, r: &[RankResult<f64>]| {
+                    let latest = r.iter().map(|x| x.value).fold(0.0, f64::max);
+                    assert!(
+                        latest <= bound,
+                        "{what} p={p} w={w}: {latest} s > bound {bound} s"
+                    );
+                    let most = r.iter().map(|x| x.sent_words).max().unwrap();
+                    assert!(most <= hops * w, "{what} p={p} w={w}: {most} words sent");
+                };
+                let r = spmd(p, model, move |comm| {
+                    comm.allreduce(w, comm.rank() as u64, u64::max);
+                    comm.now()
+                });
+                check("allreduce", &r);
+                let r = spmd(p, model, move |comm| {
+                    comm.exscan(w, comm.rank() as u64, |a, b| *a.max(b));
+                    comm.now()
+                });
+                check("exscan", &r);
             }
         }
     }

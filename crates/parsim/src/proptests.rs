@@ -46,6 +46,25 @@ proptest! {
         }
     }
 
+    /// `exscan` equals the serial exclusive prefix under an associative,
+    /// non-commutative `op` (concatenation), so both the set of ranks folded
+    /// into each prefix and their order are checked.
+    #[test]
+    fn exscan_matches_serial_exclusive_prefix(
+        values in proptest::collection::vec(0u64..1000, 1..41),
+    ) {
+        let n = values.len();
+        let words: Vec<String> = values.iter().map(u64::to_string).collect();
+        let vals = words.clone();
+        let r = spmd(n, MachineModel::sp2(), move |comm| {
+            comm.exscan(1, vals[comm.rank()].clone(), |a, b| format!("{a} {b}"))
+        });
+        prop_assert_eq!(&r[0].value, &None);
+        for res in &r[1..] {
+            prop_assert_eq!(res.value.as_ref(), Some(&words[..res.rank].join(" ")));
+        }
+    }
+
     #[test]
     fn alltoallv_is_a_transpose(nranks in 1usize..8) {
         let r = spmd(nranks, MachineModel::sp2(), move |comm| {
@@ -85,7 +104,7 @@ proptest! {
     fn each_collective_is_time_deterministic(
         nranks in 2usize..8,
         root_sel in 0usize..8,
-        which in 0usize..8,
+        which in 0usize..9,
     ) {
         let root = root_sel % nranks;
         let run = move || -> Vec<f64> {
@@ -113,8 +132,11 @@ proptest! {
                             (0..comm.nranks()).map(|d| (1, d as u64)).collect();
                         comm.alltoallv(items);
                     }
-                    _ => {
+                    7 => {
                         comm.reduce(root, 1, comm.rank() as u64, |a, b| a + b);
+                    }
+                    _ => {
+                        comm.exscan(1, comm.rank() as u64, |a, b| a + b);
                     }
                 }
             });

@@ -21,6 +21,7 @@
 //! anchor of the differential test battery.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -617,9 +618,9 @@ const MAX_BALANCE_STAGES: usize = 32;
 /// Distributed refinement of one level, in stages. Each stage: exchange
 /// ghost parts with neighbouring ranks, allreduce the global part weights,
 /// propose moves locally, then commit them under a per-rank inflow quota
-/// that every rank computes identically from an allgather of the per-part
-/// demand — so the ceilings can never be exceeded even though ranks move
-/// vertices concurrently.
+/// computed from an exclusive scan of the per-part demand — each part's
+/// headroom is granted in rank order, so the ceilings can never be exceeded
+/// even though ranks move vertices concurrently.
 ///
 /// When some part is over its ceiling (the coarsest solve can be forced
 /// over by vertex granularity, and the overshoot survives projection
@@ -815,18 +816,19 @@ fn refine_distributed(
         }
 
         // Inflow quota: each part's headroom is allocated greedily across
-        // ranks (in rank order) from the allgathered demand. Outflow is
-        // ignored, so the allocation is conservative and the ceilings hold
-        // unconditionally. The modeled message is the dense `nparts`-word
-        // demand row; the host payload carries only its non-zeros.
+        // ranks (in rank order), which needs only the summed demand of the
+        // ranks below — an exclusive scan. Outflow is ignored, so the
+        // allocation is conservative and the ceilings hold unconditionally.
+        // The modeled message is the dense `nparts`-word demand row; the
+        // host payload carries only its non-zeros.
         let demand: Vec<(u32, u64)> = desired
             .iter()
             .enumerate()
             .filter(|&(_, &d)| d > 0)
             .map(|(q, &d)| (q as u32, d))
             .collect();
-        let all_demand = comm.allgather(nparts as u64, demand);
-        let mut quota = inflow_quota(&all_demand, rank, max_w, &w);
+        let below = comm.exscan(nparts as u64, demand.clone(), |a, b| merge_add(a, b));
+        let mut quota = inflow_quota(below.as_deref().unwrap_or(&[]), &demand, max_w, &w);
 
         // Commit in proposal order while quota lasts.
         let mut moves = 0u64;
@@ -851,24 +853,54 @@ fn refine_distributed(
     }
 }
 
-/// Rank `rank`'s share of every part's headroom `max_w[q] - w[q]` when the
-/// ranks' demands (`demand[r]` = rank `r`'s non-zero `(part, weight)` asks)
-/// are granted greedily in rank order: `grant_r = min(demand_r, what is
-/// left)`. The grants to the ranks below telescope to `min(Σ_{r' < rank}
-/// demand_{r'}, headroom)`, so one pass over the lower ranks' non-zeros
-/// replaces the per-part walk over all of them.
-pub fn inflow_quota(demand: &[Vec<(u32, u64)>], rank: usize, max_w: &[u64], w: &[u64]) -> Vec<u64> {
-    let mut below = vec![0u64; max_w.len()];
-    for row in &demand[..rank] {
-        for &(q, d) in row {
-            below[q as usize] = below[q as usize].saturating_add(d);
+/// Saturating sum of two sparse demand rows (`(part, weight)` ascending by
+/// part): the `op` of the demand [`Comm::exscan`].
+pub fn merge_add(a: &[(u32, u64)], b: &[(u32, u64)]) -> Vec<(u32, u64)> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.push((a[i].0, a[i].1.saturating_add(b[j].1)));
+                i += 1;
+                j += 1;
+            }
         }
     }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// This rank's share of every part's headroom `max_w[q] - w[q]` when the
+/// ranks' demands (non-zero `(part, weight)` asks, ascending by part) are
+/// granted greedily in rank order: `grant_r = min(demand_r, what is left)`.
+/// The grants to the ranks below telescope to `min(Σ_{r' < rank}
+/// demand_{r'}, headroom)`, so `below` — the exclusive scan of the demand
+/// rows under [`merge_add`] — and this rank's own row `mine` are all it
+/// reads.
+pub fn inflow_quota(
+    below: &[(u32, u64)],
+    mine: &[(u32, u64)],
+    max_w: &[u64],
+    w: &[u64],
+) -> Vec<u64> {
     let mut quota = vec![0u64; max_w.len()];
-    for &(q, d) in &demand[rank] {
+    let mut below = below.iter().peekable();
+    for &(q, d) in mine {
+        while below.next_if(|&&(b, _)| b < q).is_some() {}
+        let granted_below = below.next_if(|&&(b, _)| b == q).map_or(0, |&(_, g)| g);
         let q = q as usize;
         let headroom = max_w[q].saturating_sub(w[q]);
-        quota[q] = d.min(headroom.saturating_sub(below[q]));
+        quota[q] = d.min(headroom.saturating_sub(granted_below));
     }
     quota
 }

@@ -11,7 +11,8 @@ use plum_parsim::{spmd, MachineModel};
 
 use crate::balance::{balance, balance_distributed, multilevel, BalanceMethod, Problem, RankLists};
 use crate::distributed::{
-    build_level0, contract_distributed, inflow_quota, inflow_quota_greedy, parallel_hem, DistGraph,
+    build_level0, contract_distributed, inflow_quota, inflow_quota_greedy, merge_add, parallel_hem,
+    DistGraph,
 };
 use crate::graph::Graph;
 use crate::kway::{capacity_fractions, part_ceilings, partition_kway, PartitionConfig};
@@ -616,10 +617,11 @@ proptest! {
         );
     }
 
-    /// (g) The rescan-free inflow quota equals the greedy rank-order
-    /// allocation it replaces, on every rank — with no demand at all, with
-    /// parts already at or over their ceiling (zero headroom), with demand
-    /// far beyond the headroom, and with a sparse mix of all three.
+    /// (g) The inflow quota, fed the demand rows' exclusive scan by a real
+    /// `exscan` session, equals the greedy rank-order allocation it
+    /// replaces, on every rank — with no demand at all, with parts already
+    /// at or over their ceiling (zero headroom), with demand far beyond the
+    /// headroom, and with a sparse mix of all three.
     #[test]
     fn inflow_quota_matches_greedy_rank_order(
         p in 1usize..33,
@@ -654,11 +656,16 @@ proptest! {
                 (0..nparts).filter(|&q| row[q] > 0).map(|q| (q as u32, row[q])).collect()
             })
             .collect();
-        for rank in 0..p {
+        let quotas = spmd(p, MachineModel::zero(), |comm| {
+            let mine = &sparse[comm.rank()];
+            let below = comm.exscan(nparts as u64, mine.clone(), |a, b| merge_add(a, b));
+            inflow_quota(below.as_deref().unwrap_or(&[]), mine, &max_w, &w)
+        });
+        for r in &quotas {
             prop_assert_eq!(
-                inflow_quota(&sparse, rank, &max_w, &w),
-                inflow_quota_greedy(&dense, rank, &max_w, &w),
-                "rank {} of {}", rank, p
+                &r.value,
+                &inflow_quota_greedy(&dense, r.rank, &max_w, &w),
+                "rank {} of {}", r.rank, p
             );
         }
     }

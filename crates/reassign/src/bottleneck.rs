@@ -105,7 +105,7 @@ pub fn optimal_bmcm(sm: &SimilarityMatrix, alpha: f64, beta: f64) -> Assignment 
             costs.push(bottleneck_cost(sm, i, j, alpha, beta));
         }
     }
-    costs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    costs.sort_by(f64::total_cmp);
     costs.dedup();
 
     // Binary search the smallest feasible threshold.

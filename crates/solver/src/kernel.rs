@@ -154,7 +154,7 @@ mod tests {
         // The highest-error edge should be near the tip blob.
         let best = mesh
             .edges()
-            .max_by(|&a, &b| err[a.idx()].partial_cmp(&err[b.idx()]).unwrap())
+            .max_by(|&a, &b| err[a.idx()].total_cmp(&err[b.idx()]))
             .unwrap();
         let mp = mesh.edge_midpoint(best);
         let d =
