@@ -1,8 +1,9 @@
 //! Criterion benchmarks of the algorithm kernels underlying each
 //! experiment: the multilevel partitioner and diffusive repartitioner
-//! (Fig. 6), the three reassignment mappers (Table 2), marking propagation
-//! and subdivision (Fig. 4 / Table 1), the migration codec (Fig. 5), and
-//! the simulator's own layers (session step, large-payload collectives).
+//! (Fig. 6), the reassignment layer (Table 2 and the weak-scaling shape),
+//! marking propagation and subdivision (Fig. 4 / Table 1), the migration
+//! codec (Fig. 5), and the simulator's own layers (session step,
+//! large-payload collectives).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
@@ -15,7 +16,7 @@ use plum_partition::{
     balance_body, inflow_quota, merge_add, partition_kway, repartition_kway, BalanceMethod, Graph,
     PartitionConfig, Problem, RankLists,
 };
-use plum_reassign::{greedy_mwbg, optimal_bmcm, optimal_mwbg, SimilarityMatrix};
+use plum_reassign::{greedy_mwbg, optimal_bmcm, optimal_mwbg, remap_stats, SimilarityMatrix};
 use plum_remap::{Packer, Unpacker};
 
 fn dual_graph_of(scale: Scale) -> (DualGraph, Graph<'static>) {
@@ -47,7 +48,9 @@ fn bench_partitioner(c: &mut Criterion) {
     group.finish();
 }
 
-fn table2_matrix(nproc: usize) -> SimilarityMatrix {
+/// Table 2's reassignment inputs at quick scale: `(wremap, old_proc,
+/// new_part)` of the Real_2 case repartitioned over `nproc` processors.
+fn table2_inputs(nproc: usize) -> (Vec<u64>, Vec<u32>, Vec<u32>) {
     let p = marked_problem(Scale::Quick, CASES[1].1);
     let pred = p.am.predict(&p.marks);
     let (_, wremap) = p.am.weights();
@@ -59,22 +62,55 @@ fn table2_matrix(nproc: usize) -> SimilarityMatrix {
     let old = partition_kway(&unit, &PartitionConfig::new(nproc));
     let g = Graph::from_csr(p.dual.xadj.clone(), p.dual.adjncy.clone(), pred.wcomp);
     let new = repartition_kway(&g, &PartitionConfig::new(nproc), &old);
-    SimilarityMatrix::from_assignments(&wremap, &old, &new, nproc, nproc)
+    (wremap, old, new)
 }
 
-fn bench_mappers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table2_mappers");
-    for nproc in [16usize, 64] {
-        let sm = table2_matrix(nproc);
-        group.bench_function(format!("greedy_mwbg_p{nproc}"), |b| {
+/// The weak-scaling reassignment shape: 16 dual vertices per rank, 12 of
+/// which stay on their rank's part and 4 move to the next one — two
+/// non-zeros per similarity row however large `nproc` is.
+fn weak_inputs(nproc: usize) -> (Vec<u64>, Vec<u32>, Vec<u32>) {
+    let n = 16 * nproc;
+    let wremap = (0..n).map(|v| (v % 5 + 1) as u64).collect();
+    let old = (0..n).map(|v| (v / 16) as u32).collect();
+    let new = (0..n)
+        .map(|v| ((v / 16 + usize::from(v % 16 >= 12)) % nproc) as u32)
+        .collect();
+    (wremap, old, new)
+}
+
+/// The host's whole reassignment layer — matrix build, greedy mapper,
+/// movement statistics — at the paper's shape (P = 64, a dense-ish Table 2
+/// matrix) and at the weak-scaling one (P = 2048, two non-zeros per row),
+/// where anything that walks `P × nparts` cells instead of the non-zeros
+/// shows. The optimal mappers run at P = 64 only: they are `O(P³)` and
+/// work from a dense table of their own.
+fn bench_reassign_scale(c: &mut Criterion) {
+    let mut group = c.benchmark_group("reassign_scale");
+    for (shape, nproc, (wremap, old, new)) in [
+        ("table2_p64", 64usize, table2_inputs(64)),
+        ("weak_p2048", 2048, weak_inputs(2048)),
+    ] {
+        group.bench_function(format!("from_assignments_{shape}"), |b| {
+            b.iter(|| {
+                SimilarityMatrix::from_assignments(black_box(&wremap), &old, &new, nproc, nproc)
+            })
+        });
+        let sm = SimilarityMatrix::from_assignments(&wremap, &old, &new, nproc, nproc);
+        group.bench_function(format!("greedy_mwbg_{shape}"), |b| {
             b.iter(|| greedy_mwbg(black_box(&sm)))
         });
-        group.bench_function(format!("optimal_mwbg_p{nproc}"), |b| {
-            b.iter(|| optimal_mwbg(black_box(&sm)))
+        let assignment = greedy_mwbg(&sm);
+        group.bench_function(format!("remap_stats_{shape}"), |b| {
+            b.iter(|| remap_stats(black_box(&sm), &assignment))
         });
-        group.bench_function(format!("optimal_bmcm_p{nproc}"), |b| {
-            b.iter(|| optimal_bmcm(black_box(&sm), 1.0, 1.0))
-        });
+        if nproc == 64 {
+            group.bench_function(format!("optimal_mwbg_{shape}"), |b| {
+                b.iter(|| optimal_mwbg(black_box(&sm)))
+            });
+            group.bench_function(format!("optimal_bmcm_{shape}"), |b| {
+                b.iter(|| optimal_bmcm(black_box(&sm), 1.0, 1.0))
+            });
+        }
     }
     group.finish();
 }
@@ -359,7 +395,7 @@ fn bench_trace_aggregation(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_partitioner,
-    bench_mappers,
+    bench_reassign_scale,
     bench_adaption,
     bench_ownership,
     bench_codec,

@@ -216,6 +216,10 @@ pub const WEAKSCALE_PROCS: [usize; 3] = [256, 1024, 4096];
 /// or collective overhead.
 pub const WEAKSCALE_ELEMS_PER_RANK: usize = 16;
 
+/// Most a weak-scaling cycle's virtual seconds may grow from P = 256 to
+/// P = 1024 (`weakscale_bench` panics beyond it).
+pub const WEAKSCALE_CYCLE_FACTOR: f64 = 2.0;
+
 /// Everything measured at one weak-scaling processor count.
 #[derive(Debug, Clone)]
 pub struct WeakscalePoint {
@@ -229,6 +233,10 @@ pub struct WeakscalePoint {
     /// Modeled phase times (deterministic).
     pub partition_seconds: f64,
     pub remap_seconds: f64,
+    /// The reassignment phase of the session trace: its span on the virtual
+    /// clock and the words every rank put on the wire inside it.
+    pub reassign_seconds: f64,
+    pub reassign_words: u64,
     /// Virtual time of single collectives at this P (deterministic).
     pub collectives: CollectiveProbes,
 }
@@ -349,6 +357,8 @@ pub fn weakscale_point(nproc: usize, elems_per_rank: usize, reps: usize) -> Weak
 
     let audit = r.traces.session.audit();
     let virtual_seconds = audit.unwrap_or_else(|e| panic!("weakscale cycle at P={nproc}: {e}"));
+    let reassign = r.traces.phases.iter().find(|a| a.name == "reassignment");
+    let reassign = reassign.expect("the trigger is low enough that every cycle reassigns");
 
     WeakscalePoint {
         nproc,
@@ -358,6 +368,8 @@ pub fn weakscale_point(nproc: usize, elems_per_rank: usize, reps: usize) -> Weak
         virtual_seconds,
         partition_seconds: r.times.partition,
         remap_seconds: r.times.remap,
+        reassign_seconds: reassign.elapsed(),
+        reassign_words: reassign.words,
         collectives: collective_probes(nproc),
     }
 }
@@ -366,8 +378,10 @@ pub fn weakscale_point(nproc: usize, elems_per_rank: usize, reps: usize) -> Weak
 /// (P = 4096 skipped under `quick`), ~[`WEAKSCALE_ELEMS_PER_RANK`] initial
 /// elements per rank.
 ///
-/// Deterministic gates: the cycle's virtual makespan, the modeled partition
-/// and remap phase times, the 1-word collective costs per P, the
+/// Deterministic gates: the cycle's virtual makespan (and its P = 1024 /
+/// P = 256 ratio, asserted ≤ [`WEAKSCALE_CYCLE_FACTOR`]), the modeled
+/// partition and remap phase times, the reassignment phase's seconds and
+/// words, the 1-word collective costs per P, the
 /// `collective.*.logp_ratio` metrics — cost(1024)/cost(256), which sit at
 /// log₂ 1024 / log₂ 256 = 10/8 for the 1-word tree collectives (≈ 4 under
 /// flat O(P) implementations) and under 4 × 10/8 for the `words = P`
@@ -424,6 +438,11 @@ pub fn weakscale_bench(quick: bool) -> (BenchReport, String) {
                 pt.partition_seconds,
             )
             .set(&format!("phase.remap.p{p}.seconds"), pt.remap_seconds)
+            .set(&format!("phase.reassign.p{p}.seconds"), pt.reassign_seconds)
+            .set(
+                &format!("phase.reassign.p{p}.words"),
+                pt.reassign_words as f64,
+            )
             .set(
                 &format!("collective.allreduce_1word.p{p}.seconds"),
                 pt.collectives.allreduce,
@@ -451,9 +470,25 @@ pub fn weakscale_bench(quick: bool) -> (BenchReport, String) {
         points.push(pt);
     }
 
-    // Collective scaling across the first two P (always present): the ratio
-    // of collective costs must track `words · log₂ P`, not `words · P`.
+    // Weak scaling across the first two P (always present). The cycle: with
+    // fixed work per rank only the tree depth may grow, so a phase that
+    // ships `O(P)` words per rank through one host (dense similarity rows
+    // read 8.7 here) trips this.
     let (a, b2) = (&points[0], &points[1]);
+    let cycle_ratio = b2.virtual_seconds / a.virtual_seconds;
+    assert!(
+        cycle_ratio <= WEAKSCALE_CYCLE_FACTOR,
+        "cycle virtual seconds grew {cycle_ratio:.2}x from P={} to P={} (> {WEAKSCALE_CYCLE_FACTOR}x)",
+        a.nproc,
+        b2.nproc
+    );
+    analysis.push_str(&format!(
+        "cycle: virtual s(P={}) / virtual s(P={}) = {cycle_ratio:.3} (gate {WEAKSCALE_CYCLE_FACTOR})\n",
+        b2.nproc, a.nproc
+    ));
+
+    // The collectives: the ratio of their costs must track `words · log₂ P`,
+    // not `words · P`.
     let logp = (b2.nproc as f64).log2() / (a.nproc as f64).log2();
     for ((name, lo), (_, hi)) in a
         .collectives

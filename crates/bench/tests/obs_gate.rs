@@ -140,8 +140,8 @@ impl Fnv {
 /// `summary()`, `phase_breakdowns()` and `phase_rank_breakdowns()` produce,
 /// and the serialized digest. A change here means the walk changed what it
 /// attributes or the order it accumulates in — or, as when the constants
-/// were last re-recorded (in-tree `allreduce`, `exscan` as a ninth
-/// collective kind), that the modeled machine itself changed.
+/// were last re-recorded (similarity rows gathered as non-zeros instead of
+/// `nparts` dense words), that the modeled protocol itself changed.
 #[test]
 fn trace_readers_are_pinned_to_the_bit() {
     let mut cfg = PlumConfig::new(8);
@@ -199,10 +199,10 @@ fn trace_readers_are_pinned_to_the_bit() {
     assert_eq!(
         (summary, phases, phase_ranks, digest),
         (
-            0x547d_22fc_b866_781d,
-            0x1bce_1fd1_6a86_3142,
-            0x7766_6da4_17b7_0f4e,
-            0xd33e_3f04_5a90_24e8
+            0x4dfe_25b4_b95f_9ff8,
+            0x7369_55b6_42e4_211d,
+            0x59f6_bf56_6eca_3d3b,
+            0x422a_920d_091a_c93b
         ),
         "(summary, phase_breakdowns, phase_rank_breakdowns, digest JSON) FNV-1a: \
          ({summary:#018x}, {phases:#018x}, {phase_ranks:#018x}, {digest:#018x})"

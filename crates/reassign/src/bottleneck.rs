@@ -83,13 +83,24 @@ pub fn hopcroft_karp(n: usize, adj: &[Vec<u32>]) -> (usize, Vec<Option<u32>>) {
     (size, out)
 }
 
+/// `max(α·sent, β·received)` for a processor holding `proc_total`, taking a
+/// partition of `part_total`, of which `s` is already in place.
+fn flow_cost(s: u64, proc_total: u64, part_total: u64, alpha: f64, beta: f64) -> f64 {
+    let sent = (proc_total - s) as f64;
+    let recv = (part_total - s) as f64;
+    (alpha * sent).max(beta * recv)
+}
+
 /// The per-pair bottleneck cost of assigning partition `j` to processor `i`:
 /// `max(α·sent_i, β·received_i)`.
 pub fn bottleneck_cost(sm: &SimilarityMatrix, i: usize, j: usize, alpha: f64, beta: f64) -> f64 {
-    let s = sm.get(i, j);
-    let sent = (sm.proc_totals[i] - s) as f64;
-    let recv = (sm.part_totals[j] - s) as f64;
-    (alpha * sent).max(beta * recv)
+    flow_cost(
+        sm.get(i, j),
+        sm.proc_totals[i],
+        sm.part_totals[j],
+        alpha,
+        beta,
+    )
 }
 
 /// The optimal BMCM mapper for `F = 1` (as implemented in the paper):
@@ -98,13 +109,21 @@ pub fn optimal_bmcm(sm: &SimilarityMatrix, alpha: f64, beta: f64) -> Assignment 
     assert_eq!(sm.f, 1, "BMCM is implemented for F = 1, as in the paper");
     let n = sm.nproc;
 
-    // Candidate thresholds: the distinct pairwise costs.
-    let mut costs: Vec<f64> = Vec::with_capacity(n * n);
+    // The threshold search probes every pair `O(log P)` times, so the dense
+    // `P × P` cost table is materialised here, once: the zero-similarity
+    // cost everywhere, then the non-zeros.
+    let mut cost = vec![0.0f64; n * n];
     for i in 0..n {
         for j in 0..n {
-            costs.push(bottleneck_cost(sm, i, j, alpha, beta));
+            cost[i * n + j] = flow_cost(0, sm.proc_totals[i], sm.part_totals[j], alpha, beta);
+        }
+        for (j, s) in sm.row(i) {
+            cost[i * n + j] = flow_cost(s, sm.proc_totals[i], sm.part_totals[j], alpha, beta);
         }
     }
+
+    // Candidate thresholds: the distinct pairwise costs.
+    let mut costs = cost.clone();
     costs.sort_by(f64::total_cmp);
     costs.dedup();
 
@@ -113,7 +132,7 @@ pub fn optimal_bmcm(sm: &SimilarityMatrix, alpha: f64, beta: f64) -> Assignment 
         let adj: Vec<Vec<u32>> = (0..n)
             .map(|j| {
                 (0..n as u32)
-                    .filter(|&i| bottleneck_cost(sm, i as usize, j, alpha, beta) <= t)
+                    .filter(|&i| cost[i as usize * n + j] <= t)
                     .collect()
             })
             .collect();

@@ -87,14 +87,14 @@ pub fn min_cost_assignment(cost: &[Vec<i64>]) -> (i64, Vec<usize>) {
 pub fn optimal_mwbg(sm: &SimilarityMatrix) -> Assignment {
     let (p, n, f) = (sm.nproc, sm.nparts, sm.f);
     // Rows = partitions, columns = processor slots (each processor F times).
-    // Maximize by minimizing the negated weights.
-    let cost: Vec<Vec<i64>> = (0..n)
-        .map(|j| {
-            (0..p * f)
-                .map(|slot| -(sm.get(slot / f, j) as i64))
-                .collect()
-        })
-        .collect();
+    // Maximize by minimizing the negated weights. The algorithm is dense by
+    // nature, so the `nparts × P·F` table is materialised here, once.
+    let mut cost = vec![vec![0i64; p * f]; n];
+    for i in 0..p {
+        for (j, w) in sm.row(i) {
+            cost[j][i * f..(i + 1) * f].fill(-(w as i64));
+        }
+    }
     let (_, col_of_row) = min_cost_assignment(&cost);
     let proc_of_part: Vec<u32> = col_of_row.iter().map(|&slot| (slot / f) as u32).collect();
     let a = Assignment { proc_of_part };

@@ -5,9 +5,14 @@
 //! describes how well each possible partition→processor mapping avoids data
 //! movement.
 
-/// A dense `P × (P·F)` similarity matrix plus the marginals needed for cost
-/// computation.
-#[derive(Debug, Clone)]
+/// A `P × (P·F)` similarity matrix in compressed-sparse-row form, plus the
+/// marginals needed for cost computation.
+///
+/// A processor that owns `n/P` dual vertices has at most `n/P` non-zero
+/// entries in its row, so only those are stored: memory is
+/// `O(P + nparts + nnz)` with `nnz ≤ min(N, P·nparts)`, however large `P`
+/// grows.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimilarityMatrix {
     /// Number of processors `P`.
     pub nproc: usize,
@@ -15,8 +20,11 @@ pub struct SimilarityMatrix {
     pub nparts: usize,
     /// Partitions per processor `F`.
     pub f: usize,
-    /// Row-major entries.
-    s: Vec<u64>,
+    /// Row `i`'s non-zeros are `cols/vals[row_ptr[i]..row_ptr[i + 1]]`,
+    /// columns ascending.
+    row_ptr: Vec<usize>,
+    cols: Vec<u32>,
+    vals: Vec<u64>,
     /// Total remapping weight of each new partition (column sums).
     pub part_totals: Vec<u64>,
     /// Total remapping weight currently on each processor (row sums).
@@ -25,7 +33,10 @@ pub struct SimilarityMatrix {
 
 impl SimilarityMatrix {
     /// Build from per-dual-vertex data: `wremap[v]`, the current processor
-    /// `old_proc[v]`, and the new partition `new_part[v]`.
+    /// `old_proc[v]`, and the new partition `new_part[v]`. One counting sort
+    /// groups the vertices by processor; each processor's weights are then
+    /// summed per partition in a scratch row that only its touched columns
+    /// clear: `O(N + P + nparts + nnz log nnz)`.
     pub fn from_assignments(
         wremap: &[u64],
         old_proc: &[u32],
@@ -36,82 +47,144 @@ impl SimilarityMatrix {
         assert_eq!(wremap.len(), old_proc.len());
         assert_eq!(wremap.len(), new_part.len());
         assert!(
-            nparts.is_multiple_of(nproc),
-            "nparts must be a multiple of nproc"
+            u32::try_from(wremap.len()).is_ok(),
+            "dual vertex ids are u32"
         );
-        let mut m = Self::zeros(nproc, nparts);
-        for v in 0..wremap.len() {
-            let i = old_proc[v] as usize;
-            let j = new_part[v] as usize;
-            assert!(i < nproc && j < nparts);
-            m.s[i * nparts + j] += wremap[v];
+        assert!(
+            old_proc.iter().all(|&i| (i as usize) < nproc)
+                && new_part.iter().all(|&j| (j as usize) < nparts),
+            "processor or partition id out of range"
+        );
+        let mut m = Self::empty(nproc, nparts);
+
+        // `by_proc[start[i]..start[i + 1]]` are processor `i`'s vertices.
+        let mut start = vec![0usize; nproc + 1];
+        for &i in old_proc {
+            start[i as usize + 1] += 1;
         }
-        m.recompute_totals();
-        m
+        for i in 0..nproc {
+            start[i + 1] += start[i];
+        }
+        let mut by_proc = vec![0u32; wremap.len()];
+        let mut next = start.clone();
+        for (v, &i) in old_proc.iter().enumerate() {
+            by_proc[next[i as usize]] = v as u32;
+            next[i as usize] += 1;
+        }
+
+        let mut row = vec![0u64; nparts];
+        let mut touched: Vec<u32> = Vec::new();
+        for i in 0..nproc {
+            for &v in &by_proc[start[i]..start[i + 1]] {
+                let (j, w) = (new_part[v as usize], wremap[v as usize]);
+                if row[j as usize] == 0 && w > 0 {
+                    touched.push(j);
+                }
+                row[j as usize] += w;
+            }
+            touched.sort_unstable();
+            for j in touched.drain(..) {
+                m.push(i, j, std::mem::take(&mut row[j as usize]));
+            }
+        }
+        m.finish()
     }
 
-    /// An all-zero matrix (fill with [`SimilarityMatrix::set`], then call
-    /// [`SimilarityMatrix::recompute_totals`]).
-    pub fn zeros(nproc: usize, nparts: usize) -> Self {
-        assert!(nproc >= 1 && nparts >= nproc && nparts.is_multiple_of(nproc));
-        SimilarityMatrix {
-            nproc,
-            nparts,
-            f: nparts / nproc,
-            s: vec![0; nproc * nparts],
-            part_totals: vec![0; nparts],
-            proc_totals: vec![0; nproc],
-        }
-    }
-
-    /// Build from explicit rows (used in tests and by the gather step).
+    /// Build from explicit dense rows (tests and examples).
     pub fn from_rows(rows: Vec<Vec<u64>>) -> Self {
         assert!(
             !rows.is_empty(),
             "a similarity matrix needs at least one processor row"
         );
-        let nproc = rows.len();
-        let nparts = rows[0].len();
-        let mut m = Self::zeros(nproc, nparts);
-        for (i, row) in rows.into_iter().enumerate() {
-            assert_eq!(row.len(), nparts);
-            for (j, v) in row.into_iter().enumerate() {
-                m.s[i * nparts + j] = v;
+        let mut m = Self::empty(rows.len(), rows[0].len());
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), m.nparts);
+            for (j, &w) in row.iter().enumerate() {
+                m.push(i, j as u32, w);
             }
         }
-        m.recompute_totals();
-        m
+        m.finish()
     }
 
-    /// Entry `S[i][j]`.
-    #[inline]
+    /// Build from one `(part, weight)` list per processor, parts strictly
+    /// ascending — what each rank computes locally and ships to the host in
+    /// the distributed construction.
+    pub fn from_sparse_rows(rows: &[Vec<(u32, u64)>], nparts: usize) -> Self {
+        let mut m = Self::empty(rows.len(), nparts);
+        for (i, row) in rows.iter().enumerate() {
+            for &(j, w) in row {
+                m.push(i, j, w);
+            }
+        }
+        m.finish()
+    }
+
+    /// A matrix with no entries yet, row 0 open: [`Self::push`] the cells in
+    /// row-major order, then [`Self::finish`].
+    fn empty(nproc: usize, nparts: usize) -> Self {
+        assert!(
+            nproc >= 1 && nparts >= nproc && nparts.is_multiple_of(nproc),
+            "nparts must be a positive multiple of nproc"
+        );
+        SimilarityMatrix {
+            nproc,
+            nparts,
+            f: nparts / nproc,
+            row_ptr: vec![0],
+            cols: Vec::new(),
+            vals: Vec::new(),
+            part_totals: vec![0; nparts],
+            proc_totals: vec![0; nproc],
+        }
+    }
+
+    /// Append `S[i][j] = w` behind every cell pushed so far (zeros are not
+    /// stored).
+    fn push(&mut self, i: usize, j: u32, w: u64) {
+        assert!(i < self.nproc && (j as usize) < self.nparts);
+        if w == 0 {
+            return;
+        }
+        assert!(i + 1 >= self.row_ptr.len(), "rows must arrive in order");
+        self.row_ptr.resize(i + 1, self.cols.len());
+        assert!(
+            self.cols.len() == self.row_ptr[i] || self.cols[self.cols.len() - 1] < j,
+            "a row's partitions must arrive strictly ascending"
+        );
+        self.cols.push(j);
+        self.vals.push(w);
+        self.part_totals[j as usize] += w;
+        self.proc_totals[i] += w;
+    }
+
+    /// Close the last row and every empty one behind it.
+    fn finish(mut self) -> Self {
+        self.row_ptr.resize(self.nproc + 1, self.cols.len());
+        self
+    }
+
+    /// Entry `S[i][j]` (a binary search of row `i`'s non-zeros).
     pub fn get(&self, i: usize, j: usize) -> u64 {
-        self.s[i * self.nparts + j]
-    }
-
-    /// Set entry `S[i][j]` (call [`SimilarityMatrix::recompute_totals`]
-    /// afterwards).
-    pub fn set(&mut self, i: usize, j: usize, v: u64) {
-        self.s[i * self.nparts + j] = v;
-    }
-
-    /// Row `i` as a slice (what rank `i` computes locally and sends to the
-    /// host in the distributed construction).
-    pub fn row(&self, i: usize) -> &[u64] {
-        &self.s[i * self.nparts..(i + 1) * self.nparts]
-    }
-
-    /// Recompute row/column marginals after direct `set` calls.
-    pub fn recompute_totals(&mut self) {
-        self.part_totals = vec![0; self.nparts];
-        self.proc_totals = vec![0; self.nproc];
-        for i in 0..self.nproc {
-            for j in 0..self.nparts {
-                let v = self.get(i, j);
-                self.part_totals[j] += v;
-                self.proc_totals[i] += v;
-            }
+        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+        assert!(j < self.nparts);
+        match self.cols[lo..hi].binary_search(&(j as u32)) {
+            Ok(k) => self.vals[lo + k],
+            Err(_) => 0,
         }
+    }
+
+    /// The non-zero entries `(j, S[i][j])` of row `i`, `j` ascending.
+    pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+        self.cols[lo..hi]
+            .iter()
+            .zip(&self.vals[lo..hi])
+            .map(|(&j, &w)| (j as usize, w))
+    }
+
+    /// Number of stored (non-zero) entries.
+    pub fn nnz(&self) -> usize {
+        self.cols.len()
     }
 
     /// Total remapping weight in the system.
@@ -205,8 +278,8 @@ mod tests {
 
     #[test]
     fn f_greater_than_one() {
-        let m = SimilarityMatrix::zeros(2, 6);
-        assert_eq!(m.f, 3);
+        let m = SimilarityMatrix::from_rows(vec![vec![0; 6]; 2]);
+        assert_eq!((m.f, m.nnz()), (3, 0));
         let id = Assignment::identity(2, 3);
         id.validate(2, 3);
         assert_eq!(id.proc_of_part, vec![0, 0, 0, 1, 1, 1]);

@@ -25,9 +25,9 @@ pub struct RemapStats {
 /// Compute movement statistics for `assignment` over `sm`.
 ///
 /// Partition `j` assigned to processor `i` keeps `S[i][j]` elements in place;
-/// every other processor `p` ships its `S[p][j]` elements to `i`. Rows are
-/// walked once, and only the non-zero off-assignment entries — a few per
-/// row, however large `P` is — leave anything behind.
+/// every other processor `p` ships its `S[p][j]` elements to `i`. Only the
+/// non-zero entries are walked — a few per row, however large `P` is —
+/// so this is `O(P + nnz log nnz)`.
 pub fn remap_stats(sm: &SimilarityMatrix, assignment: &Assignment) -> RemapStats {
     let p = sm.nproc;
     let mut sent = vec![0u64; p];
@@ -36,9 +36,9 @@ pub fn remap_stats(sm: &SimilarityMatrix, assignment: &Assignment) -> RemapStats
     // partitions is still one transfer (a "set of elements").
     let mut transfers: Vec<(u32, u32)> = Vec::new();
     for src in 0..p {
-        for (j, &amount) in sm.row(src).iter().enumerate() {
+        for (j, amount) in sm.row(src) {
             let dst = assignment.proc_of_part[j] as usize;
-            if amount > 0 && dst != src {
+            if dst != src {
                 sent[src] += amount;
                 received[dst] += amount;
                 transfers.push((src as u32, dst as u32));
@@ -66,13 +66,13 @@ pub fn remap_stats(sm: &SimilarityMatrix, assignment: &Assignment) -> RemapStats
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
     /// The dense `P × P` transfer-matrix formulation `remap_stats` replaced,
     /// kept as its oracle.
-    fn remap_stats_dense(sm: &SimilarityMatrix, assignment: &Assignment) -> RemapStats {
+    pub(crate) fn remap_stats_dense(sm: &SimilarityMatrix, assignment: &Assignment) -> RemapStats {
         let p = sm.nproc;
         let n = sm.nparts;
         let mut sent = vec![0u64; p];
