@@ -2,19 +2,21 @@
 //! experiment: the multilevel partitioner and diffusive repartitioner
 //! (Fig. 6), the reassignment layer (Table 2 and the weak-scaling shape),
 //! marking propagation and subdivision (Fig. 4 / Table 1), the migration
-//! codec (Fig. 5), and the simulator's own layers (session step,
-//! large-payload collectives).
+//! codec (Fig. 5), the simulator's own layers (session step, large-payload
+//! and sparse-row collectives), and one whole multilevel repartition at the
+//! `multilevel_p256` shape.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
 use plum_bench::{initial_mesh, marked_problem, Scale, CASES};
-use plum_core::Ownership;
+use plum_core::{Ownership, WorkModel};
+use plum_mesh::generate::box_mesh;
 use plum_mesh::DualGraph;
-use plum_parsim::{MachineModel, Session, TraceLog};
+use plum_parsim::{CollectiveKind, Comm, MachineModel, Session, TraceLog};
 use plum_partition::{
-    balance_body, inflow_quota, merge_add, partition_kway, repartition_kway, BalanceMethod, Graph,
-    PartitionConfig, Problem, RankLists,
+    balance_body, balance_distributed, inflow_quota, merge_add, partition_kway, repartition_kway,
+    BalanceMethod, Graph, PartitionConfig, Problem, RankLists,
 };
 use plum_reassign::{greedy_mwbg, optimal_bmcm, optimal_mwbg, remap_stats, SimilarityMatrix};
 use plum_remap::{Packer, Unpacker};
@@ -253,13 +255,57 @@ fn bench_session_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// One forced-multilevel repartition at the `multilevel_p256` shape — 11³
+/// cells = 7 986 dual vertices over P = 256 ranks (31 per rank), every
+/// fifth part grown 8× heavier — on its own session: coarsening, the
+/// coarsest solve, and the refinement stages whose per-stage collectives
+/// `collectives_payload` prices one call at a time. The timer reports host
+/// µs per repartition; the modeled partition seconds, stages and words are
+/// deterministic and printed once.
+fn bench_multilevel_stage(c: &mut Criterion) {
+    const P: usize = 256;
+    let dual = DualGraph::build(&box_mesh(11, 11, 11, [0.0; 3], [1.0; 3]));
+    let n = dual.n();
+    let cfg = PartitionConfig::new(P);
+    let unit = Graph::from_csr(dual.xadj.clone(), dual.adjncy.clone(), vec![1; n]);
+    let prev = partition_kway(&unit, &cfg);
+    let vwgt = prev.iter().map(|&q| if q % 5 == 0 { 8 } else { 1 });
+    let g = Graph::from_csr(dual.xadj.clone(), dual.adjncy.clone(), vwgt.collect());
+    let caps = vec![1.0; P];
+    let problem = Problem::new(&g, None, None, Some(&prev), &caps, &cfg);
+    let model = MachineModel::sp2();
+    let vertex_units = WorkModel::default().t_part_vertex / model.t_flop / 4.0;
+    let run = || {
+        let method = BalanceMethod::Multilevel;
+        balance_distributed(method, &problem, &prev, P, model, vertex_units)
+    };
+    let d = run();
+    let summary = d.trace.summary();
+    println!(
+        "multilevel_stage: N={n} P={P}: virtual partition {:.6} s, {} stages, {} msgs, {} words",
+        d.makespan,
+        summary.ranks[0].collective(CollectiveKind::Exscan).calls,
+        summary.total_msgs(),
+        summary.total_words(),
+    );
+    let mut group = c.benchmark_group("multilevel_stage");
+    group.sample_size(10);
+    group.bench_function("balance_distributed_p256_n8k", |b| {
+        b.iter(|| black_box(run()))
+    });
+    group.finish();
+}
+
 /// Host cost of the replicating collectives when the payload is as large
-/// as its declared size — the shapes the multilevel refinement uses at
-/// P = 256 (an `nparts`-word demand exscan, an `nparts`-word weight
-/// allreduce, a full-partition broadcast) beside the `P × nparts`-word
-/// allgather the exscan replaced. One call per session step; the
-/// step's own cost is `session_step/compute_step_p256`. The 1-word probes
-/// of the e2e benchmark cannot see a per-forward payload copy; these can.
+/// as its declared size — a full-partition broadcast, the dense
+/// `nparts`-word rows the multilevel refinement's per-stage exscan and
+/// allreduce carried at P = 256 (`w256`), the 8-entry sparse rows they
+/// carry now (`nnz8`: every rank asks for the same eight parts, so the fold
+/// stays eight entries and every message declares 17 words) — beside the
+/// `P × nparts`-word allgather the exscan replaced. One call per session
+/// step; the step's own cost is `session_step/compute_step_p256`. The
+/// 1-word probes of the e2e benchmark cannot see a per-forward payload
+/// copy; these can.
 fn bench_collectives_payload(c: &mut Criterion) {
     const P: usize = 256;
     let mut group = c.benchmark_group("collectives_payload");
@@ -280,28 +326,35 @@ fn bench_collectives_payload(c: &mut Criterion) {
             })
         })
     });
-    group.bench_function("allreduce_p256_w256", |b| {
-        b.iter(|| {
-            session.run(vec![(); P], |comm, ()| {
-                black_box(comm.allreduce(256, vec![1u64; 256], |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(&b) {
-                        *x += y;
-                    }
-                    a
-                }));
-            })
-        })
-    });
-
-    group.bench_function("exscan_p256_w256", |b| {
-        b.iter(|| {
-            session.run(vec![(); P], |comm, ()| {
-                black_box(comm.exscan(256, vec![1u64; 256], |a, b| {
-                    a.iter().zip(b).map(|(x, y)| x + y).collect()
-                }));
-            })
-        })
-    });
+    // The reducing collectives of a refinement stage, dense and sparse. The
+    // modeled cost of one call (fresh session, all ranks entering at zero)
+    // is deterministic and printed once; the timer reports the host's.
+    let hot: Vec<(u32, u64)> = (100..108).map(|q| (q, 3)).collect();
+    let row_words = |row: &Vec<(u32, u64)>| 1 + 2 * row.len() as u64;
+    let add = |a: &Vec<u64>, b: &Vec<u64>| a.iter().zip(b).map(|(x, y)| x + y).collect();
+    type Probe<'a> = &'a (dyn Fn(&mut Comm) + Send + Sync);
+    let probes: [(&str, Probe); 4] = [
+        ("allreduce_p256_w256", &|comm| {
+            black_box(comm.allreduce(|_| 256, vec![1u64; 256], |a, b| add(&a, &b)));
+        }),
+        ("exscan_p256_w256", &|comm| {
+            black_box(comm.exscan(|_| 256, vec![1u64; 256], add));
+        }),
+        ("allreduce_p256_nnz8", &|comm| {
+            black_box(comm.allreduce(row_words, hot.clone(), |a, b| merge_add(&a, &b)));
+        }),
+        ("exscan_p256_nnz8", &|comm| {
+            black_box(comm.exscan(row_words, hot.clone(), |a, b| merge_add(a, b)));
+        }),
+    ];
+    for (name, probe) in probes {
+        let mut fresh = Session::new(P, MachineModel::sp2());
+        fresh.run(vec![(); P], |comm, ()| probe(comm));
+        println!("  {name}: {:.1} virtual us per call", fresh.now() * 1e6);
+        group.bench_function(name, |b| {
+            b.iter(|| session.run(vec![(); P], |comm, ()| probe(comm)))
+        });
+    }
 
     // The inflow quota of one refinement stage, summed over all 256 ranks:
     // every rank asks for weight in the six parts around its own, and reads
@@ -400,6 +453,7 @@ criterion_group!(
     bench_ownership,
     bench_codec,
     bench_session_step,
+    bench_multilevel_stage,
     bench_collectives_payload,
     bench_replicated_body,
     bench_trace_aggregation

@@ -45,7 +45,7 @@ use plum_obs::BenchReport;
 use plum_partition::weights_of;
 use plum_solver::WaveField;
 
-use crate::report::git_sha;
+use crate::report::{git_sha, MultilevelShape};
 
 /// Processor counts of the rematch grid.
 pub const REMATCH_PROCS: [usize; 3] = [64, 256, 1024];
@@ -73,9 +73,11 @@ pub const REMATCH_IMBALANCE_TARGET: f64 = 1.1;
 
 /// Ceiling on multilevel's summed partition seconds at P = 1024 over P =
 /// 256 (unperturbed arm). Every collective on its path costs `O(words ·
-/// log P)`, so 4× the ranks may cost a small multiple; a `P · nparts`-word
-/// collective back on the critical path reads ≈ 1 000× and fails the run.
-pub const REMATCH_CLIFF_FACTOR: f64 = 10.0;
+/// log P)` and a refinement stage ships what it changes, so 4× the ranks
+/// cost a small multiple (4.8): a dense `nparts`-word row per stage reads
+/// 9.1 and a `P · nparts`-word collective on the critical path ≈ 1 000×;
+/// either fails the run.
+pub const REMATCH_CLIFF_FACTOR: f64 = 6.0;
 
 /// Fixed seed of the chaos arm (slow rank = seed mod P, plus the link
 /// jitter stream) — pinned so the BENCH report is deterministic.
@@ -105,6 +107,9 @@ pub struct RematchCell {
     /// End-to-end score deciding the column: `virtual_seconds +
     /// residual_seconds`, lower is better.
     pub score: f64,
+    /// Levels, stages and reductions of the cycles' partition phases
+    /// (multilevel cells only; zero elsewhere).
+    pub shape: MultilevelShape,
 }
 
 fn rematch_plum(method: Option<BalanceMethod>, nproc: usize, chaos: bool) -> Plum {
@@ -156,6 +161,7 @@ pub fn rematch_cell(method: BalanceMethod, nproc: usize, chaos: bool) -> Rematch
     let mut moved_elems = 0u64;
     let mut imbalance_after = f64::NAN;
     let mut capacity: Vec<f64> = vec![1.0; nproc];
+    let mut shape = MultilevelShape::default();
     for cycle in 0..cycles {
         let r = plum.adaption_cycle(crate::CASES[0].1, 0.1);
         virtual_seconds += assert_clean(
@@ -166,6 +172,9 @@ pub fn rematch_cell(method: BalanceMethod, nproc: usize, chaos: bool) -> Rematch
             ),
         );
         partition_seconds += r.times.partition;
+        if method == BalanceMethod::Multilevel {
+            shape.add(&r.traces.session);
+        }
         moved_elems += r.migration.as_ref().map_or(0, |m| m.elems_moved);
         imbalance_after = effective_imbalance(&plum, &r);
         capacity = r.capacity;
@@ -196,6 +205,7 @@ pub fn rematch_cell(method: BalanceMethod, nproc: usize, chaos: bool) -> Rematch
         imbalance_after,
         residual_seconds,
         score: virtual_seconds + residual_seconds,
+        shape,
     }
 }
 
@@ -248,6 +258,7 @@ pub fn rematch_bench() -> (BenchReport, String) {
             .set(&k("moved_elems"), c.moved_elems as f64)
             .set(&k("imbalance_after"), c.imbalance_after)
             .set(&k("score_seconds"), c.score);
+        c.shape.emit(&mut b, &format!(".p{}{arm}", c.nproc));
     }
 
     // Column verdicts: one winner per (P, arm).

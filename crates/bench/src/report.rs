@@ -12,6 +12,7 @@ use plum_obs::{
     critical_path, heaviest_edges, phase_critical_path, render_heaviest_edges, BenchReport,
     Registry, TraceDigest,
 };
+use plum_parsim::{CollectiveKind, TraceLog};
 
 use crate::{run_case, Scale, SweepPoint, CASES};
 
@@ -83,6 +84,56 @@ pub fn cycle_analysis(report: &CycleReport, top_k: usize) -> String {
     out
 }
 
+/// The shape of the multilevel repartitions in some cycles' partition
+/// phases, read off their per-rank collective counts: the kernel allgathers
+/// once per coarsening level it attempts, and every refinement stage pays
+/// one `exscan` (the demand) and one `allreduce` (the committed moves).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct MultilevelShape {
+    pub levels: u64,
+    pub stages: u64,
+    /// Top-level `allreduce` + `exscan` calls.
+    pub reductions: u64,
+}
+
+impl MultilevelShape {
+    /// Add the partition phase of one cycle's session (every rank makes the
+    /// same calls, so the phase totals divide exactly).
+    pub fn add(&mut self, session: &TraceLog) {
+        let phases = session.phase_rank_breakdowns();
+        let Some(partition) = phases.iter().find(|a| a.name == "partition") else {
+            return;
+        };
+        let per_rank = |kind| partition.collective(kind).calls / session.nranks() as u64;
+        self.levels += per_rank(CollectiveKind::Allgather);
+        self.stages += per_rank(CollectiveKind::Exscan);
+        self.reductions += per_rank(CollectiveKind::Allreduce) + per_rank(CollectiveKind::Exscan);
+    }
+
+    /// Emit `partition.multilevel{key}.reductions_per_stage` — gated: it
+    /// reads 2, and a dense per-stage weight row or a move count reduced on
+    /// its own reads 3 — and the `info.` level and stage counts. Nothing if
+    /// no stage ran (another method, or the gathered serial path).
+    pub fn emit(&self, b: &mut BenchReport, key: &str) {
+        if self.stages == 0 {
+            return;
+        }
+        let per_stage = self.reductions as f64 / self.stages as f64;
+        b.set(
+            &format!("partition.multilevel{key}.reductions_per_stage"),
+            per_stage,
+        )
+        .set(
+            &format!("info.partition.multilevel{key}.levels"),
+            self.levels as f64,
+        )
+        .set(
+            &format!("info.partition.multilevel{key}.stages"),
+            self.stages as f64,
+        );
+    }
+}
+
 /// The fig6 BENCH run: one instrumented remap-before Real_2 cycle at
 /// [`FIG6_BENCH_NPROC`]. Returns the report plus its critical-path text.
 pub fn fig6_bench(scale: Scale) -> (BenchReport, String) {
@@ -95,6 +146,9 @@ pub fn fig6_bench(scale: Scale) -> (BenchReport, String) {
     let mut b = cycle_bench("fig6", &r, FIG6_BENCH_NPROC, scale.elements());
     b.meta_str("scale", &format!("{scale:?}"))
         .meta_str("case", "Real_2");
+    let mut shape = MultilevelShape::default();
+    shape.add(&r.traces.session);
+    shape.emit(&mut b, "");
     (b, cycle_analysis(&r, 10))
 }
 
@@ -286,10 +340,11 @@ fn collective_probes(p: usize) -> CollectiveProbes {
         }),
         barrier: measure(|c| c.barrier()),
         exscan: measure(|c| {
-            c.exscan(1, 1u64, |a, b| a + b);
+            c.exscan(|_| 1, 1u64, |a, b| a + b);
         }),
         allreduce_wp: measure(|c| {
-            c.allreduce(c.nranks() as u64, 1u64, |a, b| a + b);
+            let p = c.nranks() as u64;
+            c.allreduce(|_| p, 1u64, |a, b| a + b);
         }),
     }
 }

@@ -140,8 +140,9 @@ impl Fnv {
 /// `summary()`, `phase_breakdowns()` and `phase_rank_breakdowns()` produce,
 /// and the serialized digest. A change here means the walk changed what it
 /// attributes or the order it accumulates in — or, as when the constants
-/// were last re-recorded (similarity rows gathered as non-zeros instead of
-/// `nparts` dense words), that the modeled protocol itself changed.
+/// were last re-recorded (a refinement stage reduces its sparse `(moves,
+/// Δw)` once where it allreduced a dense weight row and a move count), that
+/// the modeled protocol itself changed.
 #[test]
 fn trace_readers_are_pinned_to_the_bit() {
     let mut cfg = PlumConfig::new(8);
@@ -199,10 +200,10 @@ fn trace_readers_are_pinned_to_the_bit() {
     assert_eq!(
         (summary, phases, phase_ranks, digest),
         (
-            0x4dfe_25b4_b95f_9ff8,
-            0x7369_55b6_42e4_211d,
-            0x59f6_bf56_6eca_3d3b,
-            0x422a_920d_091a_c93b
+            0x457f_c65b_0927_8c9c,
+            0x30a1_7af9_e729_b390,
+            0x6c62_880a_806d_8f24,
+            0x2bbe_7c46_cd8c_158c
         ),
         "(summary, phase_breakdowns, phase_rank_breakdowns, digest JSON) FNV-1a: \
          ({summary:#018x}, {phases:#018x}, {phase_ranks:#018x}, {digest:#018x})"

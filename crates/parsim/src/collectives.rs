@@ -10,30 +10,33 @@
 //!   total; a message carries (and charges for) the raw entries of its
 //!   whole subtree, which is the contract of a gather.
 //! * `reduce` — the same tree, reduced *in the tree*: every interior rank
-//!   folds its children into its own value and sends one `words`-word
-//!   message up, `P-1` messages of exactly `words` words. Values combine in
-//!   ascending (virtual) rank order, each child's contiguous subtree
-//!   associated first — the flat left fold's value for every associative
-//!   `op`, commutative or not.
+//!   folds its children into its own value and sends one message up, `P-1`
+//!   messages, each sized by the caller's `words` function from the fold it
+//!   carries. Values combine in ascending (virtual) rank order, each child's
+//!   contiguous subtree associated first — the flat left fold's value for
+//!   every associative `op`, commutative or not.
 //! * `scatter` — binomial tree away from the root, `P-1` messages total.
 //! * `allgather` — tree gather to rank 0 plus binomial broadcast of the
 //!   `P × words` table, `2(P-1)` messages total.
 //! * `allreduce` — `reduce` to rank 0 plus binomial broadcast, `2(P-1)`
-//!   messages of exactly `words` words.
+//!   messages, the broadcast half sized from the result.
 //! * `exscan` — exclusive prefix: an up-sweep of subtree totals and a
-//!   down-sweep of prefixes on the same tree, `2(P-1)` messages of exactly
-//!   `words` words.
+//!   down-sweep of prefixes on the same tree, `2(P-1)` messages, each sized
+//!   from the total or prefix it carries.
 //! * `barrier` — dissemination, `P·ceil(log2 P)` one-word messages.
 //! * `alltoallv` / `alltoallv_sparse` — Bruck-style store-and-forward in
 //!   `ceil(log2 P)` rounds of one combined message per rank per round,
 //!   `P·ceil(log2 P)` messages total regardless of how dense the traffic
 //!   pattern is.
 //!
-//! `words` is the model; the payload is host data. A value every rank
-//! receives (`bcast`, `allgather`, `allreduce`) is stored once and handed
-//! out as an [`Arc`]: the tree forwards pointer clones, so host time and
-//! memory do not grow with `P × payload` while every declared message size,
-//! tag and timestamp is what a copying implementation would record.
+//! `words` is the model; the payload is host data. The reducing collectives
+//! take `words` as a function of the value (`|_| n` for a fixed-size one):
+//! a fold of sparse rows grows on its way up the tree and a message must
+//! declare what it carries, not what the caller started with. A value every
+//! rank receives (`bcast`, `allgather`, `allreduce`) is stored once and
+//! handed out as an [`Arc`]: the tree forwards pointer clones, so host time
+//! and memory do not grow with `P × payload` while every declared message
+//! size, tag and timestamp is what a copying implementation would record.
 
 use std::sync::Arc;
 
@@ -81,6 +84,18 @@ impl Comm {
         words: u64,
         value: Option<T>,
     ) -> Arc<T> {
+        self.tree_bcast(root, |_| words, value)
+    }
+
+    /// [`Comm::bcast`] with every forward sized from the value it carries —
+    /// the broadcast half of [`Comm::allreduce`], whose non-root ranks learn
+    /// the size only by receiving.
+    fn tree_bcast<T: Send + Sync + 'static>(
+        &mut self,
+        root: usize,
+        words: impl Fn(&T) -> u64,
+        value: Option<T>,
+    ) -> Arc<T> {
         self.collective_enter(CollectiveKind::Bcast);
         let p = self.nranks();
         let vrank = (self.rank() + p - root) % p;
@@ -101,7 +116,7 @@ impl Comm {
                 if dst_v < p {
                     let dst = (dst_v + root) % p;
                     let v = have.as_ref().expect("bcast internal: no value to forward");
-                    self.send(dst, TAG_BCAST, words, Arc::clone(v));
+                    self.send(dst, TAG_BCAST, words(v), Arc::clone(v));
                 }
             }
             mask <<= 1;
@@ -257,18 +272,19 @@ impl Comm {
     /// Generic allreduce: combine one value per rank with `op` (must be
     /// associative), result available on all ranks.
     ///
-    /// [`Comm::reduce`] to rank 0 plus [`Comm::bcast`]: `2(P-1)` messages of
-    /// exactly `words` words, in the fold order `reduce` documents — a
-    /// deterministic function of `P` alone. Every rank gets the same
+    /// [`Comm::reduce`] to rank 0 plus a broadcast: `2(P-1)` messages, each
+    /// declaring `words` of the value it carries (a partial fold on the way
+    /// up, the result on the way down), in the fold order `reduce` documents
+    /// — a deterministic function of `P` alone. Every rank gets the same
     /// allocation.
-    pub fn allreduce<T, F>(&mut self, words: u64, value: T, op: F) -> Arc<T>
+    pub fn allreduce<T, F>(&mut self, words: impl Fn(&T) -> u64, value: T, op: F) -> Arc<T>
     where
         T: Send + Sync + 'static,
         F: Fn(T, T) -> T,
     {
         self.collective_enter(CollectiveKind::Allreduce);
-        let reduced = self.reduce(0, words, value, op);
-        let out = self.bcast(0, words, reduced);
+        let reduced = self.reduce(0, &words, value, op);
+        let out = self.tree_bcast(0, &words, reduced);
         self.collective_exit(CollectiveKind::Allreduce);
         out
     }
@@ -281,8 +297,9 @@ impl Comm {
     /// subtree below that child. Down-sweep: a rank combines the prefix it
     /// received with those kept folds and hands every child its prefix,
     /// largest subtree first so the longest chain starts earliest. `2(P-1)`
-    /// messages of exactly `words` words; values are moved, never cloned.
-    pub fn exscan<T, F>(&mut self, words: u64, value: T, op: F) -> Option<T>
+    /// messages, each declaring `words` of the total or prefix it carries;
+    /// values are moved, never cloned.
+    pub fn exscan<T, F>(&mut self, words: impl Fn(&T) -> u64, value: T, op: F) -> Option<T>
     where
         T: Send + 'static,
         F: Fn(&T, &T) -> T,
@@ -306,7 +323,7 @@ impl Comm {
         }
         // `mask` is now the lowest set bit of a non-zero rank.
         let prefix: Option<T> = (rank != 0).then(|| {
-            self.send(rank - mask, TAG_EXSCAN, words, total);
+            self.send(rank - mask, TAG_EXSCAN, words(&total), total);
             self.recv(rank - mask, TAG_EXSCAN)
         });
         for (k, kept) in below.into_iter().enumerate().rev() {
@@ -314,7 +331,7 @@ impl Comm {
                 Some(before) => op(before, &kept),
                 None => kept,
             };
-            self.send(rank + (1 << k), TAG_EXSCAN, words, down);
+            self.send(rank + (1 << k), TAG_EXSCAN, words(&down), down);
         }
         self.collective_exit(CollectiveKind::Exscan);
         prefix
@@ -322,22 +339,22 @@ impl Comm {
 
     /// Allreduce with `f64` addition.
     pub fn allreduce_sum_f64(&mut self, value: f64) -> f64 {
-        *self.allreduce(1, value, |a, b| a + b)
+        *self.allreduce(|_| 1, value, |a, b| a + b)
     }
 
     /// Allreduce with `u64` addition.
     pub fn allreduce_sum_u64(&mut self, value: u64) -> u64 {
-        *self.allreduce(1, value, |a, b| a + b)
+        *self.allreduce(|_| 1, value, |a, b| a + b)
     }
 
     /// Allreduce with `u64` maximum.
     pub fn allreduce_max_u64(&mut self, value: u64) -> u64 {
-        *self.allreduce(1, value, u64::max)
+        *self.allreduce(|_| 1, value, u64::max)
     }
 
     /// Logical OR allreduce (any rank true ⇒ all ranks true).
     pub fn allreduce_or(&mut self, value: bool) -> bool {
-        *self.allreduce(1, value, |a, b| a || b)
+        *self.allreduce(|_| 1, value, |a, b| a || b)
     }
 
     /// Bruck-style store-and-forward exchange: `ceil(log2 P)` rounds; in
@@ -452,11 +469,19 @@ impl Comm {
     /// Each rank folds its children's subtree results into its own value —
     /// children in ascending virtual-rank order (`vrank = (rank - root) mod
     /// P`), so child `v + mask` contributes the already-folded contiguous
-    /// range `[v + mask, v + 2·mask)` — and sends one `words`-word message
-    /// to its parent. The result is the values in ascending virtual-rank
-    /// order, associated by subtree: for every associative `op` the value
-    /// of the flat left fold from the root. `P-1` messages.
-    pub fn reduce<T, F>(&mut self, root: usize, words: u64, value: T, op: F) -> Option<T>
+    /// range `[v + mask, v + 2·mask)` — and sends one message to its
+    /// parent, declaring `words` of the fold it carries (`|_| n` for a
+    /// fixed-size value; a sparse row sizes itself). The result is the
+    /// values in ascending virtual-rank order, associated by subtree: for
+    /// every associative `op` the value of the flat left fold from the
+    /// root. `P-1` messages.
+    pub fn reduce<T, F>(
+        &mut self,
+        root: usize,
+        words: impl Fn(&T) -> u64,
+        value: T,
+        op: F,
+    ) -> Option<T>
     where
         T: Send + 'static,
         F: Fn(T, T) -> T,
@@ -473,7 +498,7 @@ impl Comm {
             if vrank & mask != 0 {
                 // Lowest set bit of vrank: hand the subtree's fold to the parent.
                 let dst = ((vrank - mask) + root) % p;
-                self.send(dst, TAG_REDUCE, words, acc);
+                self.send(dst, TAG_REDUCE, words(&acc), acc);
                 break None;
             }
             if vrank + mask < p {
@@ -506,9 +531,11 @@ mod tests {
                 let root = comm.nranks() - 1;
                 let b = comm.bcast(root, 8, (comm.rank() == root).then(|| vec![3u64; 8]));
                 let g = comm.allgather(4, vec![comm.rank() as u64; 4]);
-                let s = comm.allreduce(2, vec![1u64, comm.rank() as u64], |a, b| {
-                    vec![a[0] + b[0], a[1].max(b[1])]
-                });
+                let s = comm.allreduce(
+                    |_| 2,
+                    vec![1u64, comm.rank() as u64],
+                    |a, b| vec![a[0] + b[0], a[1].max(b[1])],
+                );
                 (b, g, s)
             });
             let (b0, g0, s0) = &r[0].value;
@@ -539,9 +566,11 @@ mod tests {
             comm.compute(10.0 * (comm.rank() + 1) as f64);
             comm.allgather(256, vec![comm.rank() as u64; 256]);
             comm.bcast(0, 4096, (comm.rank() == 0).then(|| vec![7u64; 4096]));
-            comm.allreduce(64, vec![1u64; 64], |a, b| {
-                a.iter().zip(&b).map(|(x, y)| x + y).collect()
-            });
+            comm.allreduce(
+                |_| 64,
+                vec![1u64; 64],
+                |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect(),
+            );
         });
         let log = TraceLog::from_results(&mut results);
         let lines: Vec<String> = log
@@ -583,24 +612,46 @@ mod tests {
         assert_eq!(results[3].sent_words, 4);
     }
 
-    /// Every message rank bodies sent, as `words`, from a finished run.
-    fn sent_words<T>(results: &[RankResult<T>]) -> Vec<u64> {
-        let events = results.iter().flat_map(|r| &r.events);
-        let sends = events.filter_map(|ev| match ev {
-            TraceEvent::Send { words, .. } => Some(*words),
-            _ => None,
-        });
-        sends.collect()
+    /// Every message rank bodies sent, as `(sender, peer, words)`, from a
+    /// finished run.
+    fn sends<T>(results: &[RankResult<T>]) -> Vec<(usize, usize, u64)> {
+        let mut out = Vec::new();
+        for r in results {
+            for ev in &r.events {
+                if let TraceEvent::Send { peer, words, .. } = *ev {
+                    out.push((r.rank, peer, words));
+                }
+            }
+        }
+        out
+    }
+
+    /// Ranks in the binomial subtree of virtual rank `v > 0`: `[v, v +
+    /// lowbit(v))`, clipped to `p`.
+    fn subtree(v: usize, p: usize) -> u64 {
+        (v & v.wrapping_neg()).min(p - v) as u64
+    }
+
+    /// Sizer of the growing payload the message-size checks reduce: a list
+    /// of ranks under concatenation, so a message's length says whose
+    /// values it folds — parents declare strictly more than their leaves.
+    fn list_words<L: AsRef<[u64]>>(v: &L) -> u64 {
+        100 + v.as_ref().len() as u64
+    }
+
+    fn concat(mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
+        a.extend(b);
+        a
     }
 
     /// Every tree collective's *total* message count is exact — `P-1` for
     /// one-way trees, `2(P-1)` for the two-sweep combos — across powers of
-    /// two, non-powers of two, and non-zero roots; and the reducing ones
-    /// (`reduce`, `allreduce`, `exscan`) put exactly the declared `words`
-    /// in every message, however many ranks' values it folds.
+    /// two, non-powers of two, and non-zero roots; and every message of the
+    /// reducing ones (`reduce`, `allreduce`, `exscan`) declares the sizer
+    /// applied to the value that message carries: a subtree's fold on the
+    /// way up, the result or the receiver's prefix on the way down.
     #[test]
     fn tree_collectives_use_exact_message_counts() {
-        const W: u64 = 5;
         for &p in &[1usize, 2, 3, 5, 7, 8, 64, 100, 256] {
             for root in [0, p - 1, p / 2] {
                 // bcast: P-1 messages, every rank sees the value.
@@ -614,14 +665,24 @@ mod tests {
                 assert_eq!(r[root].sent_messages > 0, p > 1);
                 assert_eq!(total_msgs(&r), (p - 1) as u64, "bcast p={p} root={root}");
 
-                // reduce: P-1 messages of W words, root-only result.
+                // reduce: P-1 messages, root-only result; virtual rank v
+                // ships the fold of its subtree.
                 let r = spmd(p, MachineModel::sp2(), move |comm| {
-                    comm.reduce(root, W, comm.rank() as u64, |a, b| a + b)
+                    comm.reduce(root, list_words, vec![comm.rank() as u64], concat)
                 });
-                let expect: u64 = (0..p as u64).sum();
+                let expect: Vec<u64> = (0..p).map(|k| ((root + k) % p) as u64).collect();
                 assert_eq!(r[root].value, Some(expect), "reduce p={p} root={root}");
                 assert!(r.iter().all(|x| x.rank == root || x.value.is_none()));
-                assert_eq!(sent_words(&r), vec![W; p - 1], "reduce p={p} root={root}");
+                let sent = sends(&r);
+                assert_eq!(sent.len(), p - 1, "reduce p={p} root={root}");
+                for (from, _, words) in sent {
+                    let v = (from + p - root) % p;
+                    assert_eq!(
+                        words,
+                        100 + subtree(v, p),
+                        "reduce p={p} root={root} from {from}"
+                    );
+                }
 
                 // gather: P-1 messages, rank-ordered vector on the root.
                 let r = spmd(p, MachineModel::sp2(), move |comm| {
@@ -644,24 +705,45 @@ mod tests {
                 assert_eq!(total_msgs(&r), (p - 1) as u64, "scatter p={p} root={root}");
             }
 
-            // allreduce: reduce + bcast = 2(P-1) messages of W words, all
-            // ranks agree.
+            // allreduce: reduce + bcast = 2(P-1) messages, all ranks agree;
+            // up the tree a subtree's fold, down the tree the whole result.
             let r = spmd(p, MachineModel::sp2(), |comm| {
-                comm.allreduce(W, comm.rank() as u64, |a, b| a + b)
+                comm.allreduce(list_words, vec![comm.rank() as u64], concat)
             });
-            let expect: u64 = (0..p as u64).sum();
-            assert!(r.iter().all(|x| *x.value == expect), "allreduce p={p}");
-            assert_eq!(sent_words(&r), vec![W; 2 * (p - 1)], "allreduce p={p}");
+            let all: Vec<u64> = (0..p as u64).collect();
+            assert!(r.iter().all(|x| *x.value == all), "allreduce p={p}");
+            let sent = sends(&r);
+            assert_eq!(sent.len(), 2 * (p - 1), "allreduce p={p}");
+            for (from, to, words) in sent {
+                let carried = if to < from {
+                    subtree(from, p)
+                } else {
+                    p as u64
+                };
+                assert_eq!(words, 100 + carried, "allreduce p={p} {from}->{to}");
+            }
 
-            // exscan: up-sweep + down-sweep = 2(P-1) messages of W words.
+            // exscan: up-sweep + down-sweep = 2(P-1) messages; up a
+            // subtree's total, down the receiver's own prefix.
             let r = spmd(p, MachineModel::sp2(), |comm| {
-                comm.exscan(W, comm.rank() as u64, |a, b| a + b)
+                comm.exscan(list_words, vec![comm.rank() as u64], |a, b| {
+                    concat(a.clone(), b.clone())
+                })
             });
             for x in &r {
-                let below = (x.rank > 0).then(|| (0..x.rank as u64).sum::<u64>());
+                let below = (x.rank > 0).then(|| (0..x.rank as u64).collect::<Vec<_>>());
                 assert_eq!(x.value, below, "exscan p={p} rank={}", x.rank);
             }
-            assert_eq!(sent_words(&r), vec![W; 2 * (p - 1)], "exscan p={p}");
+            let sent = sends(&r);
+            assert_eq!(sent.len(), 2 * (p - 1), "exscan p={p}");
+            for (from, to, words) in sent {
+                let carried = if to < from {
+                    subtree(from, p)
+                } else {
+                    to as u64
+                };
+                assert_eq!(words, 100 + carried, "exscan p={p} {from}->{to}");
+            }
 
             // allgather: gather + bcast skeleton, raw entries on the wire.
             let r = spmd(p, MachineModel::sp2(), |comm| {
@@ -694,13 +776,13 @@ mod tests {
         for &p in &[1usize, 2, 4, 7, 13, 64] {
             for root in [0, p / 2, p - 1] {
                 let r = spmd(p, MachineModel::sp2(), move |comm| {
-                    comm.reduce(root, 1, comm.rank().to_string(), join)
+                    comm.reduce(root, |_| 1, comm.rank().to_string(), join)
                 });
                 let expect = ranks_from(root, p);
                 assert_eq!(r[root].value.as_ref(), Some(&expect), "p={p} root={root}");
             }
             let r = spmd(p, MachineModel::sp2(), |comm| {
-                comm.allreduce(1, comm.rank().to_string(), join)
+                comm.allreduce(|_| 1, comm.rank().to_string(), join)
             });
             assert!(
                 r.iter().all(|x| *x.value == ranks_from(0, p)),
@@ -710,36 +792,51 @@ mod tests {
     }
 
     /// DESIGN.md's bound, in the form it states: with all ranks entering at
-    /// the same virtual time, every rank has left an `allreduce` or `exscan`
-    /// of `W` words within `2·ceil(log2 P)·(t_setup + W·t_word)`, and no
-    /// rank has sent more than `ceil(log2 P)·W` words.
+    /// the same virtual time and `W` the largest message the call declares,
+    /// every rank has left an `allreduce` or `exscan` within
+    /// `2·ceil(log2 P)·(t_setup + W·t_word)`, and no rank has sent more than
+    /// `ceil(log2 P)·W` words — for fixed-size values (1 and `P` words) and
+    /// for one that grows on its way through the tree.
     #[test]
     fn reducing_collectives_stay_within_the_log_p_bound() {
         let model = MachineModel::sp2();
         for p in [64usize, 256, 1024] {
             let hops = p.next_power_of_two().trailing_zeros() as u64;
-            for w in [1u64, p as u64] {
+            let check = |what: &str, r: &[RankResult<f64>]| {
+                let w = sends(r).iter().map(|&(_, _, words)| words).max().unwrap();
                 let bound = (2 * hops) as f64 * model.transfer_time(w) * (1.0 + 1e-12);
-                let check = |what: &str, r: &[RankResult<f64>]| {
-                    let latest = r.iter().map(|x| x.value).fold(0.0, f64::max);
-                    assert!(
-                        latest <= bound,
-                        "{what} p={p} w={w}: {latest} s > bound {bound} s"
-                    );
-                    let most = r.iter().map(|x| x.sent_words).max().unwrap();
-                    assert!(most <= hops * w, "{what} p={p} w={w}: {most} words sent");
-                };
+                let latest = r.iter().map(|x| x.value).fold(0.0, f64::max);
+                assert!(
+                    latest <= bound,
+                    "{what} p={p} W={w}: {latest} s > bound {bound} s"
+                );
+                let most = r.iter().map(|x| x.sent_words).max().unwrap();
+                assert!(most <= hops * w, "{what} p={p} W={w}: {most} words sent");
+            };
+            for w in [1u64, p as u64] {
                 let r = spmd(p, model, move |comm| {
-                    comm.allreduce(w, comm.rank() as u64, u64::max);
+                    comm.allreduce(|_| w, comm.rank() as u64, u64::max);
                     comm.now()
                 });
                 check("allreduce", &r);
                 let r = spmd(p, model, move |comm| {
-                    comm.exscan(w, comm.rank() as u64, |a, b| *a.max(b));
+                    comm.exscan(|_| w, comm.rank() as u64, |a, b| *a.max(b));
                     comm.now()
                 });
                 check("exscan", &r);
             }
+            let r = spmd(p, model, |comm| {
+                comm.allreduce(list_words, vec![comm.rank() as u64], concat);
+                comm.now()
+            });
+            check("growing allreduce", &r);
+            let r = spmd(p, model, |comm| {
+                comm.exscan(list_words, vec![comm.rank() as u64], |a, b| {
+                    concat(a.clone(), b.clone())
+                });
+                comm.now()
+            });
+            check("growing exscan", &r);
         }
     }
 

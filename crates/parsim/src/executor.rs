@@ -658,7 +658,7 @@ mod tests {
     #[test]
     fn reduce_to_root() {
         let r = spmd(4, MachineModel::sp2(), |comm| {
-            comm.reduce(1, 1, comm.rank() as u64 + 1, |a, b| a * b)
+            comm.reduce(1, |_| 1, comm.rank() as u64 + 1, |a, b| a * b)
         });
         assert_eq!(r[1].value, Some(24));
         assert!(r[0].value.is_none());

@@ -57,7 +57,7 @@ proptest! {
         let words: Vec<String> = values.iter().map(u64::to_string).collect();
         let vals = words.clone();
         let r = spmd(n, MachineModel::sp2(), move |comm| {
-            comm.exscan(1, vals[comm.rank()].clone(), |a, b| format!("{a} {b}"))
+            comm.exscan(|_| 1, vals[comm.rank()].clone(), |a, b| format!("{a} {b}"))
         });
         prop_assert_eq!(&r[0].value, &None);
         for res in &r[1..] {
@@ -133,10 +133,10 @@ proptest! {
                         comm.alltoallv(items);
                     }
                     7 => {
-                        comm.reduce(root, 1, comm.rank() as u64, |a, b| a + b);
+                        comm.reduce(root, |_| 1, comm.rank() as u64, |a, b| a + b);
                     }
                     _ => {
-                        comm.exscan(1, comm.rank() as u64, |a, b| a + b);
+                        comm.exscan(|_| 1, comm.rank() as u64, |a, b| a + b);
                     }
                 }
             });

@@ -1241,8 +1241,8 @@ mod tests {
             let p = comm.nranks();
             let items: Vec<(u64, usize)> = (0..p).map(|d| (3, d)).collect();
             comm.alltoallv(items);
-            comm.reduce(4, 1, comm.rank() as u64, |a, b| a + b);
-            comm.exscan(2, comm.rank() as u64, |a, b| a + b);
+            comm.reduce(4, |_| 1, comm.rank() as u64, |a, b| a + b);
+            comm.exscan(|_| 2, comm.rank() as u64, |a, b| a + b);
             comm.now()
         })
     }

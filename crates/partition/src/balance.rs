@@ -358,7 +358,7 @@ fn exchange_and_check(
         .collect();
     let received = comm.alltoallv_sparse(items);
     let sum = |a: Vec<u64>, b: Vec<u64>| a.iter().zip(&b).map(|(x, y)| x + y).collect();
-    let global_w = comm.allreduce(nparts as u64, local_w, sum);
+    let global_w = comm.allreduce(|_| nparts as u64, local_w, sum);
     // Every rank holds the same allocation of the allreduce'd weights, so
     // one rank checking them against the replicated result checks them all.
     if rank == 0 {
@@ -369,7 +369,7 @@ fn exchange_and_check(
         );
     }
     if let Some(w2) = w2 {
-        let global_w2 = comm.allreduce(nparts as u64, local_w2, sum);
+        let global_w2 = comm.allreduce(|_| nparts as u64, local_w2, sum);
         if rank == 0 {
             assert_eq!(
                 *global_w2,

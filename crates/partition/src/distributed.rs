@@ -6,7 +6,11 @@
 //! simulator's typed channels, the coarsest graph is gathered to rank 0 and
 //! partitioned with the serial kernels ([`crate::kway`], [`crate::repart`]),
 //! and the result is refined in parallel during uncoarsening with
-//! boundary-greedy moves under allreduce'd part weights. All control flow
+//! boundary-greedy moves against global part weights that arrive once, with
+//! the coarsest solution, and are carried from stage to stage: a stage
+//! exchanges ghost parts, scans its sparse demand and reduces what it
+//! committed — the move count and the signed weight change per touched part
+//! — so its collectives cost what it changes, not `nparts`. All control flow
 //! branches on replicated data only, so the partition is a deterministic
 //! function of `(problem, ownership)` — independent of the
 //! machine model, chaos perturbations, and link jitter. Virtual time, by
@@ -32,6 +36,7 @@ use crate::graph::Graph;
 use crate::kway::{
     capacity_fractions, part_ceilings, partition_kway_impl, rel_lt, PartitionConfig,
 };
+use crate::metrics::part_weights;
 use crate::repart::repartition_diffuse;
 use crate::rng::Rng;
 use crate::weights::Weights;
@@ -518,14 +523,17 @@ pub(crate) fn contract_distributed(
 
 /// Gather the coarsest graph's CSR rows to rank 0 (rows concatenate in rank
 /// order because global ids are contiguous per rank), solve serially there,
-/// and broadcast the partition. Returns the owned slice of the result.
+/// and broadcast the partition together with its global part weights — the
+/// one place a rank holds every vertex weight, so the weights uncoarsening
+/// carries cost `nparts` words on this broadcast instead of a collective of
+/// their own. Returns the owned slice of the partition and the weights.
 fn coarsest_solve(
     comm: &mut Comm,
     dg: &DistGraph,
     cfg: &PartitionConfig,
     frac: Option<&[f64]>,
     vertex_units: f64,
-) -> Vec<u32> {
+) -> (Vec<u32>, Vec<u64>) {
     let rank = comm.rank();
     let bytes = 4 * (dg.xadj.len() + 2 * dg.adjncy.len() + dg.seed.len()) + 8 * dg.vwgt.len();
     let piece = (
@@ -569,12 +577,16 @@ fn coarsest_solve(
         } else {
             repartition_diffuse(&g, cfg, &seed, frac)
         };
-        Some(part)
+        let w = part_weights(&g, &part, cfg.nparts);
+        Some((part, w))
     } else {
         None
     };
-    let full = comm.bcast(0, words_for_bytes(4 * dg.global_n()), full);
-    full[dg.off[rank] as usize..dg.off[rank + 1] as usize].to_vec()
+    let words = words_for_bytes(4 * dg.global_n()) + cfg.nparts as u64;
+    let solved = comm.bcast(0, words, full);
+    let (part, w) = &*solved;
+    let mine = dg.off[rank] as usize..dg.off[rank + 1] as usize;
+    (part[mine].to_vec(), w.clone())
 }
 
 /// Project a coarse partition onto the finer level: owned coarse vertices
@@ -615,25 +627,34 @@ fn project_parts(
 /// serial `kway_balance` sweep cap.
 const MAX_BALANCE_STAGES: usize = 32;
 
-/// Distributed refinement of one level, in stages. Each stage: exchange
-/// ghost parts with neighbouring ranks, allreduce the global part weights,
-/// propose moves locally, then commit them under a per-rank inflow quota
-/// computed from an exclusive scan of the per-part demand — each part's
-/// headroom is granted in rank order, so the ceilings can never be exceeded
-/// even though ranks move vertices concurrently.
+/// Distributed refinement of one level, in stages. A stage is one neighbour
+/// exchange, one scan and one reduction: exchange ghost parts with
+/// neighbouring ranks, propose moves locally against the carried global part
+/// weights `w`, commit them under a per-rank inflow quota computed from an
+/// exclusive scan of the per-part demand — each part's headroom is granted
+/// in rank order, so the ceilings can never be exceeded even though ranks
+/// move vertices concurrently — then allreduce `(moves, Δw)`, the committed
+/// move count and the signed weight change per touched part, and apply
+/// `w += Δw`. Both collectives ship sparse rows ([`row_words`]), so a stage
+/// costs what it changes.
+///
+/// `w` must be the global weights of `part` on entry and is on exit;
+/// projection to a finer level leaves it valid (a coarse vertex weighs what
+/// its fine vertices do).
 ///
 /// When some part is over its ceiling (the coarsest solve can be forced
 /// over by vertex granularity, and the overshoot survives projection
 /// unchanged), the stage drains overweight parts toward relatively lighter
 /// ones — the distributed analogue of the serial `kway_balance` — and only
 /// then do the positive-gain stages run. The mode is decided from the
-/// allreduced weights, so every rank agrees on it. Stops early when a gain
+/// replicated weights, so every rank agrees on it. Stops early when a gain
 /// stage commits no move anywhere.
 #[allow(clippy::too_many_arguments)]
 fn refine_distributed(
     comm: &mut Comm,
     dg: &DistGraph,
     part: &mut [u32],
+    w: &mut [u64],
     max_w: &[u64],
     seed: u64,
     level: usize,
@@ -695,18 +716,6 @@ fn refine_distributed(
                 ghost[&u]
             }
         };
-
-        // Global part weights.
-        let mut local_w = vec![0u64; nparts];
-        for i in 0..nloc {
-            local_w[part[i] as usize] += dg.vwgt[i];
-        }
-        let w = comm.allreduce(nparts as u64, local_w, |mut a, b| {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-            a
-        });
 
         let balance_mode = !balance_dead && (0..nparts).any(|q| w[q] > max_w[q]);
         if !balance_mode {
@@ -819,29 +828,42 @@ fn refine_distributed(
         // ranks (in rank order), which needs only the summed demand of the
         // ranks below — an exclusive scan. Outflow is ignored, so the
         // allocation is conservative and the ceilings hold unconditionally.
-        // The modeled message is the dense `nparts`-word demand row; the
-        // host payload carries only its non-zeros.
-        let demand: Vec<(u32, u64)> = desired
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d > 0)
-            .map(|(q, &d)| (q as u32, d))
-            .collect();
-        let below = comm.exscan(nparts as u64, demand.clone(), |a, b| merge_add(a, b));
-        let mut quota = inflow_quota(below.as_deref().unwrap_or(&[]), &demand, max_w, &w);
+        let demand = nonzeros(&desired);
+        let below = comm.exscan(
+            |row| row_words(row, nparts),
+            demand.clone(),
+            |a, b| merge_add(a, b),
+        );
+        let mut quota = inflow_quota(below.as_deref().unwrap_or(&[]), &demand, max_w, w);
 
         // Commit in proposal order while quota lasts.
         let mut moves = 0u64;
+        let mut delta = vec![0i64; nparts];
         for &(iv, to) in &proposals {
             let i = iv as usize;
             let vw = dg.vwgt[i];
             if quota[to as usize] >= vw {
                 quota[to as usize] -= vw;
+                let vw = i64::try_from(vw).expect("vertex weight fits i64");
+                delta[part[i] as usize] -= vw;
+                delta[to as usize] += vw;
                 part[i] = to;
                 moves += 1;
             }
         }
-        if comm.allreduce_sum_u64(moves) == 0 {
+
+        // The stage's one reduction: how many moves were committed anywhere
+        // (the loop's exit test) and what they did to the part weights.
+        let committed = comm.allreduce(
+            |(_, d)| row_words(d, nparts),
+            (moves, nonzeros(&delta)),
+            |(m1, d1), (m2, d2)| (m1 + m2, merge_delta(&d1, &d2)),
+        );
+        let (all_moves, all_delta) = &*committed;
+        apply_delta(w, all_delta);
+        #[cfg(test)]
+        assert_stage_matches_recount(comm, dg, part, w, moves, *all_moves);
+        if *all_moves == 0 {
             if balance_mode {
                 // The drain is stuck (no vertex fits anywhere better);
                 // switch to gain stages rather than spinning.
@@ -853,9 +875,27 @@ fn refine_distributed(
     }
 }
 
-/// Saturating sum of two sparse demand rows (`(part, weight)` ascending by
-/// part): the `op` of the demand [`Comm::exscan`].
-pub fn merge_add(a: &[(u32, u64)], b: &[(u32, u64)]) -> Vec<(u32, u64)> {
+/// The non-zero entries of a dense per-part row as `(part, value)`,
+/// ascending by part — the form rows take on the wire.
+fn nonzeros<V: Copy + Default + PartialEq>(dense: &[V]) -> Vec<(u32, V)> {
+    let entries = dense.iter().enumerate();
+    let kept = entries.filter(|&(_, v)| *v != V::default());
+    kept.map(|(q, &v)| (q as u32, v)).collect()
+}
+
+/// Declared size of a sparse per-part row: one header word plus the shorter
+/// of the dense `nparts`-word row and the `(part, value)` pairs.
+pub(crate) fn row_words<V>(row: &[(u32, V)], nparts: usize) -> u64 {
+    1 + (2 * row.len()).min(nparts) as u64
+}
+
+/// Merge two sparse rows (ascending by part), combining the values of a
+/// part present in both with `add`; `None` drops the entry.
+fn merge_rows<V: Copy>(
+    a: &[(u32, V)],
+    b: &[(u32, V)],
+    add: impl Fn(V, V) -> Option<V>,
+) -> Vec<(u32, V)> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -869,7 +909,7 @@ pub fn merge_add(a: &[(u32, u64)], b: &[(u32, u64)]) -> Vec<(u32, u64)> {
                 j += 1;
             }
             Ordering::Equal => {
-                out.push((a[i].0, a[i].1.saturating_add(b[j].1)));
+                out.extend(add(a[i].1, b[j].1).map(|v| (a[i].0, v)));
                 i += 1;
                 j += 1;
             }
@@ -878,6 +918,38 @@ pub fn merge_add(a: &[(u32, u64)], b: &[(u32, u64)]) -> Vec<(u32, u64)> {
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
+}
+
+/// Saturating sum of two sparse demand rows (`(part, weight)` ascending by
+/// part): the `op` of the demand [`Comm::exscan`].
+pub fn merge_add(a: &[(u32, u64)], b: &[(u32, u64)]) -> Vec<(u32, u64)> {
+    merge_rows(a, b, |x, y| Some(x.saturating_add(y)))
+}
+
+/// Sum of two sparse signed weight-change rows (`(part, Δ)` ascending by
+/// part, no zero entries): the `op` of the per-stage move reduction. A part
+/// whose changes cancel leaves the row — a stored zero would make the sum
+/// depend on how it was associated.
+pub(crate) fn merge_delta(a: &[(u32, i64)], b: &[(u32, i64)]) -> Vec<(u32, i64)> {
+    merge_rows(a, b, |x, y| {
+        let sum = x.checked_add(y).expect("weight delta overflows i64");
+        (sum != 0).then_some(sum)
+    })
+}
+
+/// `w += delta`. A part weight leaving `u64` means the reduced delta does
+/// not describe moves made against these weights — a bug, not an input.
+pub(crate) fn apply_delta(w: &mut [u64], delta: &[(u32, i64)]) {
+    for &(q, d) in delta {
+        let q = q as usize;
+        let moved = w[q].checked_add_signed(d);
+        w[q] = moved.unwrap_or_else(|| {
+            panic!(
+                "delta / weights diverged: part {q} weighs {} and changes by {d}",
+                w[q]
+            )
+        });
+    }
 }
 
 /// This rank's share of every part's headroom `max_w[q] - w[q]` when the
@@ -929,6 +1001,37 @@ pub(crate) fn inflow_quota_greedy(
         }
     }
     quota
+}
+
+/// The stage bookkeeping as first written — recount the owned weights per
+/// part and allreduce the dense row, sum the move counts in a collective of
+/// their own — checked against what the stage carried. Test oracle for the
+/// `(moves, Δw)` reduction of [`refine_distributed`].
+#[cfg(test)]
+fn assert_stage_matches_recount(
+    comm: &mut Comm,
+    dg: &DistGraph,
+    part: &[u32],
+    w: &[u64],
+    moves: u64,
+    all_moves: u64,
+) {
+    let mut local_w = vec![0u64; w.len()];
+    for (&q, &vw) in part.iter().zip(&dg.vwgt) {
+        local_w[q as usize] += vw;
+    }
+    let recounted = comm.allreduce(
+        |row| row.len() as u64,
+        local_w,
+        |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect(),
+    );
+    assert_eq!(w, &recounted[..], "carried part weights left the recount");
+    assert_eq!(
+        all_moves,
+        comm.allreduce_sum_u64(moves),
+        "reduced move count"
+    );
+    tests::STAGES_CHECKED.with(|n| n.set(n.get() + (comm.rank() == 0) as u64));
 }
 
 // ---------------------------------------------------------------------------
@@ -1042,7 +1145,7 @@ pub(crate) fn multilevel_body(
     }
 
     // Coarsest graph to rank 0, serial kernel, broadcast back.
-    let mut part = coarsest_solve(comm, &cur, cfg, frac, vertex_units);
+    let (mut part, mut w) = coarsest_solve(comm, &cur, cfg, frac, vertex_units);
 
     // Uncoarsening with distributed refinement.
     let max_w = part_ceilings(g.total_vwgt(), cfg, frac);
@@ -1052,6 +1155,7 @@ pub(crate) fn multilevel_body(
             comm,
             &cur,
             &mut part,
+            &mut w,
             &max_w,
             cfg.seed,
             level,
@@ -1089,7 +1193,14 @@ mod tests {
     use crate::kway::{partition_kway, quality, tests::grid3d};
     use crate::metrics::{imbalance_weighted, part_weights};
     use crate::repart::repartition_kway;
-    use plum_parsim::MachineModel;
+    use plum_parsim::{CollectiveKind, MachineModel};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Stages [`assert_stage_matches_recount`] has checked in sessions
+        /// run from this thread (a session's ranks are fibers of it).
+        pub(super) static STAGES_CHECKED: Cell<u64> = const { Cell::new(0) };
+    }
 
     /// The multilevel kernel on its own `p`-rank session.
     fn dist(
@@ -1162,6 +1273,56 @@ mod tests {
             q.imbalance
         );
         assert!(a.makespan > 0.0, "partitioning must take virtual time");
+    }
+
+    /// Every stage of every level hands on the weights a from-scratch
+    /// recount gives and the move count a separate sum gives
+    /// ([`assert_stage_matches_recount`] runs inside every stage of a test
+    /// build) — through drain stages and gain stages, at two machine sizes.
+    #[test]
+    fn carried_weights_and_move_counts_match_the_recount_at_every_stage() {
+        for (p, (nx, ny, nz)) in [(8usize, (12, 12, 8)), (64, (16, 16, 8))] {
+            let mut g = grid3d(nx, ny, nz);
+            let cfg = PartitionConfig::new(p);
+            assert!(g.n() > cfg.coarsen_target(), "P={p}: must really coarsen");
+            let prev = partition_kway(&g, &cfg);
+            for v in 0..g.n() {
+                if prev[v].is_multiple_of(5) {
+                    g.vwgt.to_mut()[v] = 4;
+                }
+            }
+            STAGES_CHECKED.set(0);
+            let caps = vec![1.0; p];
+            let problem = Problem::new(&g, None, None, Some(&prev), &caps, &cfg);
+            let d = dist(&problem, &prev, p, MachineModel::sp2(), 0.5);
+            assert_ne!(d.part, prev, "P={p}: the heavy parts must shed vertices");
+            let stages = d.trace.summary().ranks[0]
+                .collective(CollectiveKind::Exscan)
+                .calls;
+            assert!(stages >= 2, "P={p}: {stages} stages");
+            assert_eq!(STAGES_CHECKED.get(), stages, "P={p}: stages checked");
+        }
+    }
+
+    /// The crossover of the sparse wire format: a row touching 3 parts
+    /// declares its header and pairs, one touching more than half the parts
+    /// declares the dense row — never more than `1 + nparts` words.
+    #[test]
+    fn sparse_rows_declare_the_shorter_of_pairs_and_dense() {
+        let nparts = 64;
+        let touching = |n: u32| (0..n).map(|q| (q, 1u64)).collect::<Vec<_>>();
+        assert_eq!(row_words(&touching(0), nparts), 1);
+        assert_eq!(row_words(&touching(3), nparts), 1 + 6);
+        assert_eq!(row_words(&touching(32), nparts), 1 + 64);
+        assert_eq!(row_words(&touching(33), nparts), 1 + 64);
+        assert_eq!(row_words(&touching(64), nparts), 1 + 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "delta / weights diverged")]
+    fn a_delta_below_zero_panics_instead_of_wrapping() {
+        let mut w = vec![10u64, 3, 7];
+        apply_delta(&mut w, &[(0, 4), (1, -4)]);
     }
 
     #[test]

@@ -97,6 +97,34 @@ fn full_session_trace_with_distributed_partitioning_passes_protocol_check() {
     assert!(has_phase, "session timeline lost the partition phase span");
 }
 
+/// A refinement stage is one neighbour exchange, one scan and one
+/// reduction, and the two collectives ship what the stage changed: per
+/// rank as many `allreduce` as `exscan` calls (a dense weight row or a move
+/// count reduced on its own would make it two or three to one), and a
+/// fifth or less of the words dense `1 + nparts`-word rows would put on
+/// the wire.
+#[test]
+fn multilevel_stage_pays_one_scan_and_one_sparse_reduction() {
+    use plum_parsim::CollectiveKind::{Allreduce, Exscan};
+    let report = multilevel_p64_report();
+    let phases = report.traces.session.phase_rank_breakdowns();
+    let partition = phases.iter().find(|a| a.name == "partition").unwrap();
+    let (scan, reduce) = (
+        partition.collective(Exscan),
+        partition.collective(Allreduce),
+    );
+    assert!(scan.calls >= 64, "no refinement stage ran: {scan:?}");
+    assert_eq!(reduce.calls, scan.calls, "one reduction per scan");
+
+    let nparts = 64;
+    let dense = (scan.msgs + reduce.msgs) * (1 + nparts);
+    let shipped = scan.words + reduce.words;
+    assert!(
+        5 * shipped <= dense,
+        "stages ship {shipped} words; dense rows would ship {dense}"
+    );
+}
+
 /// FNV-1a over a `u32` slice (the hash `plum-e2e` prints per cycle).
 fn fnv(xs: &[u32]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -117,16 +145,20 @@ fn fnv(xs: &[u32]) -> u64 {
 /// shared payloads (multilevel) and before the balancers were folded into
 /// one entry point (the rest); Σ words and makespans were re-recorded when
 /// `allreduce` moved its reduction into the tree and the refinement's
-/// demand allgather became an `exscan` (two collective markers per rank
-/// and call where the allgather nested six — the multilevel row's events).
-/// A change here is a change to the model, not to the host.
+/// demand allgather became an `exscan`, and the first multilevel row again
+/// (events, msgs, Σ words, makespan) when a refinement stage began to carry
+/// its part weights and reduce one sparse `(moves, Δw)` in place of a dense
+/// weight row and a move count: one allreduce fewer in each of 7 stages,
+/// i.e. 64 ranks × 6 markers and 126 sends with their receives. The
+/// assignments never moved. A change here is a change to the model, not to
+/// the host.
 #[test]
 fn partition_phase_virtual_footprint_is_pinned() {
     use BalanceMethod::*;
     // (method, dual, events, msgs, Σ words, makespan bits, FNV of new_proc)
     #[rustfmt::skip]
     let table: [(BalanceMethod, bool, usize, u64, u64, u64, u64); 12] = [
-        (Multilevel, false, 25_696, 8_016, 249_164, 0x3f9c_6959_0a07_6a4a, 0xae41_4218_d5da_80a4),
+        (Multilevel, false, 21_244, 7_134, 148_220, 0x3f96_b674_1ad9_f59c, 0xae41_4218_d5da_80a4),
         (Multilevel, true, 764, 126, 50_586, 0x3f8b_b813_574a_bf90, 0xea3f_6f8b_b965_6fe8),
         (SfcDiffusion, false, 3_059, 762, 15_509, 0x3f5f_11e9_0b9c_c158, 0x5c9f_72cc_10de_c84c),
         (SfcDiffusion, true, 3_695, 888, 25_903, 0x3f64_f44e_1b16_05f8, 0x8eb5_cc6c_3e2e_dc69),
