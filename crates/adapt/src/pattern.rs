@@ -87,13 +87,6 @@ pub fn upgrade(pattern: u8) -> u8 {
     FULL_MASK
 }
 
-/// True if the two local edges lie on a common face.
-pub fn edges_share_face(a: usize, b: usize) -> bool {
-    FACE_MASKS
-        .iter()
-        .any(|&m| m & (1 << a) != 0 && m & (1 << b) != 0)
-}
-
 /// The local edge connecting local vertices `i` and `j`.
 pub fn local_edge_between(i: usize, j: usize) -> usize {
     let want = (i.min(j), i.max(j));
@@ -167,7 +160,9 @@ mod tests {
     #[test]
     fn two_opposite_edges_upgrade_to_full() {
         // Edge 0=(0,1) and edge 5=(2,3) share no face.
-        assert!(!edges_share_face(0, 5));
+        assert!(!FACE_MASKS
+            .iter()
+            .any(|&m| m & (1 << 0) != 0 && m & (1 << 5) != 0));
         assert_eq!(upgrade((1 << 0) | (1 << 5)), FULL_MASK);
     }
 

@@ -1,10 +1,10 @@
 //! # plum-bench — experiment reproduction harness
 //!
 //! One entry point per table/figure of the paper's evaluation (§5). The
-//! `reproduce` binary drives them from the command line; the Criterion
+//! `reproduce` binary is their only front-end (`reproduce -- all --quick`
+//! regenerates every table and figure at reduced scale); the Criterion
 //! benches in `benches/kernels.rs` measure the underlying algorithm
-//! kernels; and the `experiments` bench target regenerates every table and
-//! figure at reduced scale under `cargo bench`.
+//! kernels.
 
 pub mod ablation;
 pub mod chaos;

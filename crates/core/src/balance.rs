@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use plum_mesh::DualGraph;
 pub use plum_partition::BalanceMethod;
-use plum_partition::{balance, imbalance, imbalance_weighted, weights_of, Graph, Problem, Weights};
+use plum_partition::{imbalance, imbalance_weighted, weights_of, Graph, Problem, Weights};
 use plum_reassign::{
     greedy_mwbg, optimal_bmcm, optimal_mwbg, remap_stats, Assignment, RemapStats, SimilarityMatrix,
 };
@@ -42,11 +42,11 @@ pub struct BalanceDecision {
     pub method: Option<BalanceMethod>,
     /// Repartitioner wall time: measured from the distributed kernel's
     /// session step on the engine path, modeled (the [`WorkModel`] model
-    /// matching [`BalanceDecision::method`]) on the reference path.
+    /// matching [`BalanceDecision::method`]) on the test-only oracle path.
     pub partition_time: f64,
     /// The [`WorkModel`]-predicted wall time of the chosen method — what the
     /// policy believed before running it (equals `partition_time` on the
-    /// reference path, where the model *is* the measurement).
+    /// test-only oracle path, where the model *is* the measurement).
     pub predicted_partition_time: f64,
     /// Real measured wall time of the reassignment algorithm (Table 2).
     pub reassign_seconds: f64,
@@ -92,8 +92,8 @@ pub fn run_mapper(sm: &SimilarityMatrix, mapper: Mapper) -> (Assignment, f64) {
 /// The evaluation step of the load balancer: measure the current balance
 /// and decide whether to repartition at all. Returns the partially filled
 /// decision plus `true` when the trigger fired (the caller then runs a
-/// repartitioner — serial on the reference path, distributed on the engine
-/// path).
+/// repartitioner — serial on the test-only oracle path, distributed on the
+/// engine path).
 ///
 /// `caps` holds one relative processor capacity per rank (observed solver
 /// rates, mean 1.0). On a homogeneous machine (`caps` uniform) the whole
@@ -334,34 +334,6 @@ pub(crate) fn with_problem<R>(
     run(method, &problem)
 }
 
-/// Stage 1 of the load balancer on the *reference* path (host side):
-/// [`evaluate_balance`], then the portfolio method [`select_method`] picked,
-/// run serially with its modeled wall time. The engine instead executes the
-/// same method's distributed body inside its session (see
-/// `engine::Cycle::balance`); the differential test battery pins the
-/// two against each other.
-pub(crate) fn evaluate_and_repartition(
-    dual: &DualGraph,
-    old_proc: &[u32],
-    cfg: &PlumConfig,
-    work: &WorkModel,
-    caps: &[f64],
-    keys: Option<&[u64]>,
-    w2: Option<&[u64]>,
-) -> (BalanceDecision, Option<Vec<u32>>) {
-    let (mut decision, go) = evaluate_balance(dual, old_proc, cfg, caps, w2);
-    if !go {
-        return (decision, None);
-    }
-    let (method, new_part) = with_problem(dual, old_proc, cfg, caps, keys, w2, |m, p| {
-        (m, balance(m, p))
-    });
-    decision.method = Some(method);
-    decision.predicted_partition_time = predicted_time(method, work, dual.n(), cfg.nproc);
-    decision.partition_time = decision.predicted_partition_time;
-    (decision, Some(new_part))
-}
-
 /// Stage 2 of the load balancer (host side): given the reassignment
 /// protocol's outputs, compose the dual vertex → partition → processor
 /// assignment and run the gain/cost acceptance test.
@@ -453,72 +425,12 @@ pub(crate) fn apply_reassignment(
     }
 }
 
-/// The full load-balancer step on the weighted dual graph.
-///
-/// * `dual` carries the (possibly predicted) `wcomp` and the `wremap` that
-///   applies at the moment data would move;
-/// * `old_proc` is the current per-dual-vertex processor assignment;
-/// * `refine_work[v]` is the number of new elements subdivision will create
-///   in tree `v` (for the refinement term of the gain);
-/// * `keys` carries one curve key per dual vertex and makes the portfolio's
-///   geometric methods eligible; with `None` the policy can only pick the
-///   multilevel kernel (or knapsack);
-/// * `w2` carries a second per-dual-vertex weight vector (e.g. particle
-///   counts): the balancer then holds *both* imbalances down
-///   (max-of-imbalances objective), reporting the second constraint in
-///   [`BalanceDecision::imbalance_old2`]/[`BalanceDecision::imbalance_new2`].
-///   `None` (or a uniform `w2`) is the single-constraint step.
-pub fn balance_step(
-    dual: &DualGraph,
-    old_proc: &[u32],
-    refine_work: &[u64],
-    cfg: &PlumConfig,
-    work: &WorkModel,
-    keys: Option<&[u64]>,
-    w2: Option<&[u64]>,
-) -> BalanceDecision {
-    let caps = vec![1.0; cfg.nproc];
-    let (mut decision, new_part) =
-        evaluate_and_repartition(dual, old_proc, cfg, work, &caps, keys, w2);
-    let Some(new_part) = new_part else {
-        return decision;
-    };
-
-    // Similarity matrix (W_remap) and processor reassignment, run as the
-    // paper's distributed protocol: per-rank rows, host gather, mapper on
-    // the host, solution scatter.
-    let par = crate::reassign_par::parallel_reassign(
-        &dual.wremap,
-        old_proc,
-        &new_part,
-        cfg.nproc,
-        cfg.nparts(),
-        cfg.mapper,
-        cfg.machine,
-    );
-    decision.reassign_seconds = par.mapper_seconds;
-    decision.reassign_comm_time = par.time;
-
-    apply_reassignment(
-        &mut decision,
-        dual,
-        old_proc,
-        refine_work,
-        cfg,
-        &new_part,
-        &par.matrix,
-        &par.assignment,
-        &caps,
-        w2,
-    );
-    decision
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::balance_step;
     use plum_mesh::generate::unit_box_mesh;
-    use plum_partition::partition_kway;
+    use plum_partition::{balance, partition_kway};
 
     fn dual_with_hotspot(n: usize, factor: u64) -> (DualGraph, Vec<u32>) {
         let mesh = unit_box_mesh(n);

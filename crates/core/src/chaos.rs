@@ -4,9 +4,9 @@
 //! ([`FaultPlan`]); the framework schedules chaos per *adaption cycle*:
 //! a persistent per-rank slowdown profile, link jitter, and transient
 //! faults keyed by cycle index, all mapped onto each cycle's
-//! [`plum_parsim::Session`] when [`crate::run_cycle`] builds it. The
-//! reference driver ([`crate::Plum::adaption_cycle_reference`]) ignores
-//! chaos entirely — it exists as the clean golden baseline.
+//! [`plum_parsim::Session`] when the engine opens the cycle. The test-only
+//! per-phase oracle (`Plum::adaption_cycle_reference`) ignores chaos
+//! entirely — it exists as the clean golden baseline.
 
 use plum_parsim::{Fault, FaultPlan, Perturbation, RankProfile};
 

@@ -10,31 +10,15 @@
 //! All processors then update their local data structures accordingly.
 //! Finally, a gather operation is performed by a host processor to
 //! concatenate the local data structures into a global mesh." Needed for
-//! post-processing (visualization) and restart snapshots.
+//! post-processing (visualization).
 
 use std::collections::HashMap;
 
-use plum_mesh::{extract_submeshes, SubMesh, TetMesh, VertId};
+use plum_mesh::{SubMesh, TetMesh, VertId};
 use plum_parsim::{makespan, spmd_with_args, MachineModel};
 
 /// Sparse alltoallv send list: `(destination, words, (gid, gid) payload)`.
 type GidPairItems = Vec<(usize, u64, Vec<(u64, u64)>)>;
-
-/// A mesh distributed over `nproc` ranks.
-pub struct DistributedMesh {
-    /// One submesh per rank, with local numbering and SPLs.
-    pub subs: Vec<SubMesh>,
-    /// Number of ranks.
-    pub nproc: usize,
-}
-
-/// The initialization phase: split `mesh` by the per-element `part` vector.
-pub fn distribute(mesh: &TetMesh, part: &[u32], nproc: usize) -> DistributedMesh {
-    DistributedMesh {
-        subs: extract_submeshes(mesh, part, nproc),
-        nproc,
-    }
-}
 
 /// Result of the finalization phase.
 pub struct FinalizedMesh {
@@ -60,12 +44,15 @@ struct OwnedVerts {
 ///    copies carry from initialization);
 /// 3. every rank renumbers its element connectivity and a host gather
 ///    concatenates vertices and elements into one global mesh.
-pub fn finalize(dm: &DistributedMesh, machine: MachineModel) -> FinalizedMesh {
-    let nproc = dm.nproc;
+///
+/// `subs` holds one submesh per rank, as the initialization phase
+/// (`plum_mesh::extract_submeshes`) produced them.
+pub fn finalize(subs: &[SubMesh], machine: MachineModel) -> FinalizedMesh {
+    let nproc = subs.len();
     let results = spmd_with_args(
         nproc,
         machine,
-        dm.subs.iter().collect::<Vec<&SubMesh>>(),
+        subs.iter().collect::<Vec<&SubMesh>>(),
         |comm, sub| {
             let rank = comm.rank() as u32;
 
@@ -183,6 +170,7 @@ pub fn finalize(dm: &DistributedMesh, machine: MachineModel) -> FinalizedMesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plum_mesh::extract_submeshes;
     use plum_mesh::generate::unit_box_mesh;
     use plum_mesh::geometry::total_volume;
 
@@ -200,8 +188,8 @@ mod tests {
         let mesh = unit_box_mesh(3);
         for nproc in [1usize, 2, 4, 7] {
             let part = slab_part(&mesh, nproc);
-            let dm = distribute(&mesh, &part, nproc);
-            let fin = finalize(&dm, MachineModel::sp2());
+            let subs = extract_submeshes(&mesh, &part, nproc);
+            let fin = finalize(&subs, MachineModel::sp2());
             fin.mesh.validate();
             let a = mesh.counts();
             let b = fin.mesh.counts();
@@ -228,13 +216,13 @@ mod tests {
         // though shared copies exist on several ranks — i.e., dedup worked.
         let mesh = unit_box_mesh(2);
         let part = slab_part(&mesh, 3);
-        let dm = distribute(&mesh, &part, 3);
-        let copies: usize = dm.subs.iter().map(|s| s.mesh.n_verts()).sum();
+        let subs = extract_submeshes(&mesh, &part, 3);
+        let copies: usize = subs.iter().map(|s| s.mesh.n_verts()).sum();
         assert!(
             copies > mesh.n_verts(),
             "slabs must share interface vertices"
         );
-        let fin = finalize(&dm, MachineModel::zero());
+        let fin = finalize(&subs, MachineModel::zero());
         assert_eq!(fin.mesh.n_verts(), mesh.n_verts());
     }
 
@@ -243,7 +231,7 @@ mod tests {
         let mesh = unit_box_mesh(3);
         let t2 = {
             let part = slab_part(&mesh, 2);
-            finalize(&distribute(&mesh, &part, 2), MachineModel::sp2()).time
+            finalize(&extract_submeshes(&mesh, &part, 2), MachineModel::sp2()).time
         };
         assert!(t2 > 0.0);
     }

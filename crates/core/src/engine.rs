@@ -1,21 +1,24 @@
 //! The session cycle engine: one long-lived SPMD [`Session`] per adaption
 //! cycle.
 //!
-//! The reference driver ([`Plum::adaption_cycle_reference`]) runs each
-//! parallel phase as an isolated `spmd` program: fresh rank clocks and
-//! fresh channels per phase. The engine threads a single [`Session`]
-//! through solver → marking → balancing → remap → subdivision, so virtual
-//! clocks flow continuously from phase to phase and the cycle produces one
-//! gap-free timeline ([`crate::CycleTraces::session`]). Both drivers derive
-//! their rank-local view of the mesh the same way: once per cycle, when it
-//! opens, from the mesh and the assignment the cycle starts from
+//! This is the product's only cycle driver: [`Plum::adaption_cycle`] and
+//! [`Plum::coarsen_cycle`] call `run_cycle` and `run_coarsen_cycle`.
+//! The engine threads a single [`Session`] through solver → marking →
+//! balancing → remap → subdivision, so virtual clocks flow continuously
+//! from phase to phase and the cycle produces one gap-free timeline
+//! ([`crate::CycleTraces::session`]). Its golden oracle — the original
+//! per-phase driver, `Plum::adaption_cycle_reference`, in the test-only
+//! `oracle` module — runs each parallel phase as an isolated `spmd`
+//! program: fresh rank clocks and fresh channels per phase. Both drivers
+//! derive their rank-local view of the mesh the same way: once per cycle,
+//! when it opens, from the mesh and the assignment the cycle starts from
 //! ([`CycleEngine::new`] here, a bare [`Ownership::build`] there). Nothing
 //! but the mesh, the solution and the assignment survives between cycles.
 //!
 //! Because the machine model is time-shift invariant (message arrivals are
 //! offsets from the send end, never absolute times), running a phase from
 //! aligned clocks at `t > 0` reproduces the fresh-clock makespan of the
-//! reference driver to floating-point rounding; the integer outputs (marks,
+//! oracle to floating-point rounding; the integer outputs (marks,
 //! assignments, migration volumes) are bit-identical. The golden tests at
 //! the bottom of this file pin that equivalence at several processor counts.
 
@@ -390,10 +393,10 @@ impl Cycle {
 }
 
 /// Run one full Fig.-1 cycle on the session engine: one [`Session`] carries
-/// the virtual clocks through every phase. Equivalent to
-/// [`Plum::adaption_cycle_reference`] up to floating-point rounding of the
-/// virtual times.
-pub fn run_cycle(p: &mut Plum, refine_frac: f64, dt: f64) -> CycleReport {
+/// the virtual clocks through every phase. Equivalent to the test-only
+/// oracle's `Plum::adaption_cycle_reference` up to floating-point rounding
+/// of the virtual times.
+pub(crate) fn run_cycle(p: &mut Plum, refine_frac: f64, dt: f64) -> CycleReport {
     let mut cycle = Cycle::open(p, dt);
 
     // --- MESH ADAPTOR: edge marking (executed, with propagation) -----------
@@ -436,7 +439,7 @@ pub fn run_cycle(p: &mut Plum, refine_frac: f64, dt: f64) -> CycleReport {
 }
 
 /// The coarse-marking phase body, shared by the session engine and the
-/// reference driver: one sweep over the rank's owned elements to test their
+/// test-only oracle: one sweep over the rank's owned elements to test their
 /// edges against the (replicated) coarse threshold, then one reduction to
 /// agree on the global marked count. Unlike refinement marking there is no
 /// propagation loop — coarse marks never force remote refinement; family
@@ -456,10 +459,10 @@ pub(crate) fn coarsen_mark_body(
 /// Run one *coarsening* cycle on the session engine: solve, mark the
 /// lowest-error edges, de-refine eligible families host-side, charge the
 /// modeled `coarsen` phase, then rebalance the shrunken mesh and remap —
-/// all on one continuous session timeline. Equivalent to
-/// [`Plum::coarsen_cycle_reference`] up to floating-point rounding of the
-/// virtual times.
-pub fn run_coarsen_cycle(p: &mut Plum, coarse_frac: f64, dt: f64) -> CycleReport {
+/// all on one continuous session timeline. Equivalent to the test-only
+/// oracle's `Plum::coarsen_cycle_reference` up to floating-point rounding
+/// of the virtual times.
+pub(crate) fn run_coarsen_cycle(p: &mut Plum, coarse_frac: f64, dt: f64) -> CycleReport {
     let nproc = p.cfg.nproc;
     let mut cycle = Cycle::open(p, dt);
 

@@ -3,19 +3,16 @@
 
 use plum_adapt::{AdaptiveMesh, EdgeMarks};
 use plum_mesh::{DualGraph, MeshCounts, TetMesh, VertexField};
-use plum_partition::{partition_kway, weights_of, Graph};
-use plum_solver::{
-    edge_error_indicator, initialize_solution, solve, CostField, SolverConfig, WaveField, NCOMP,
-};
+use plum_partition::{partition_kway, Graph};
+use plum_solver::{initialize_solution, CostField, SolverConfig, WaveField, NCOMP};
 
-use plum_parsim::{makespan, spmd, PhaseAgg, TraceLog};
+use plum_parsim::{PhaseAgg, TraceLog};
 
-use crate::balance::{balance_step, BalanceDecision};
+use crate::balance::BalanceDecision;
 use crate::chaos::ChaosConfig;
-use crate::config::{PlumConfig, RemapPolicy};
+use crate::config::PlumConfig;
 use crate::costs::CostEstimator;
-use crate::marking::{parallel_mark, Ownership};
-use crate::migrate::{parallel_migrate, MigrationOutcome};
+use crate::migrate::MigrationOutcome;
 use crate::timing::WorkModel;
 
 /// Virtual wall time spent in each phase of one adaption cycle.
@@ -25,9 +22,9 @@ pub struct PhaseTimes {
     pub solver: f64,
     /// Edge marking incl. propagation communication (parsim).
     pub marking: f64,
-    /// Repartitioner: measured from the distributed kernel's session step on
-    /// the engine path; modeled (`WorkModel::partition_time`) on the
-    /// reference path.
+    /// Repartitioner: measured from the distributed kernel's session step
+    /// (modeled, `WorkModel::partition_time`, only under the test-only
+    /// per-phase oracle).
     pub partition: f64,
     /// Processor reassignment (real measured algorithm time).
     pub reassign: f64,
@@ -59,9 +56,9 @@ impl PhaseTimes {
     }
 }
 
-/// The event log of one cycle and its per-phase aggregates (engine path
-/// only; both are empty under the reference drivers, whose phases run as
-/// isolated programs).
+/// The event log of one cycle and its per-phase aggregates (both empty
+/// under the test-only per-phase oracle, whose phases run as isolated
+/// programs).
 #[derive(Debug, Clone, Default)]
 pub struct CycleTraces {
     /// The whole cycle on one continuous virtual timeline. Event times are
@@ -213,8 +210,8 @@ pub struct Plum {
     pub proc_of_root: Vec<u32>,
     /// Physical simulation time.
     pub time: f64,
-    /// Chaos injected into engine cycles (the reference driver ignores it
-    /// and stays the clean golden baseline).
+    /// Chaos injected into every cycle's session (the test-only per-phase
+    /// oracle ignores it and stays the clean golden baseline).
     pub chaos: ChaosConfig,
     /// Capacity weights the balancer uses: observed per-rank solver rates
     /// of the latest engine cycle, normalized to mean 1.0. Starts uniform.
@@ -245,7 +242,7 @@ pub struct Plum {
     /// appends one row of that cycle's flat metrics, so multi-cycle runs
     /// keep the full time series (method flips, imbalance trajectory,
     /// phase times per cycle) for a `plum-bench/v2` report or a sparkline
-    /// dump. Reference drivers do not record.
+    /// dump. The test-only per-phase oracle does not record.
     pub timeline: plum_obs::Timeline,
     pub(crate) solver_cfg: SolverConfig,
 }
@@ -317,8 +314,8 @@ impl Plum {
 
     /// Per-rank solver load in element *units* under `proc`: leaf counts,
     /// weighted by the true per-root cost multiplier when one is present.
-    /// Shared by the session engine and the reference driver, and it
-    /// iterates `v = 0..n` in both — f64 sums are order-sensitive, so one
+    /// Shared by the session engine and the test-only per-phase oracle, and
+    /// it iterates `v = 0..n` in both — f64 sums are order-sensitive, so one
     /// shared accumulation order is what keeps the two drivers
     /// bit-identical. The unit-cost arm accumulates in u64 (order-free) and
     /// converts at the end, preserving the historical integer path exactly.
@@ -359,38 +356,13 @@ impl Plum {
         }
     }
 
-    /// Modeled solver phase time for N_adapt iterations from per-rank
-    /// element units.
-    fn solver_time_units(&self, units: &[f64], own: &Ownership) -> f64 {
-        (0..self.cfg.nproc)
-            .map(|r| {
-                (self.work.solver_compute_units_time(units[r])
-                    + self
-                        .work
-                        .solver_halo_time(own.shared_edges_of_rank(r as u32), &self.cfg.machine))
-                    * self.cfg.cost.n_adapt as f64
-            })
-            .fold(0.0, f64::max)
-    }
-
-    /// Modeled subdivision time: each rank creates the children of its own
-    /// trees and sweeps its own elements.
-    fn subdivide_time(&self, children_per_root: &[u64], wcomp: &[u64], proc: &[u32]) -> f64 {
-        let kids = weights_of(children_per_root, proc, self.cfg.nproc);
-        let sweep = weights_of(wcomp, proc, self.cfg.nproc);
-        (0..self.cfg.nproc)
-            .map(|r| self.work.subdivision_time(kids[r], sweep[r]))
-            .fold(0.0, f64::max)
-    }
-
     /// Run one full cycle of Fig. 1: solve, mark (parallel), predict,
     /// balance, remap, subdivide. `refine_frac` is the fraction of edges the
     /// error indicator targets; `dt` advances the physical time (moving the
     /// wave so successive cycles refine different regions).
     ///
-    /// Runs on the session engine ([`crate::run_cycle`]): one SPMD session
-    /// per cycle and a continuous virtual timeline in
-    /// [`CycleTraces::session`].
+    /// Runs on the session engine: one SPMD session per cycle and a
+    /// continuous virtual timeline in [`CycleTraces::session`].
     pub fn adaption_cycle(&mut self, refine_frac: f64, dt: f64) -> CycleReport {
         let report = crate::engine::run_cycle(self, refine_frac, dt);
         self.record_timeline_row(&report);
@@ -419,225 +391,6 @@ impl Plum {
         self.record_timeline_row(&report);
         report
     }
-
-    /// The per-phase golden reference for [`Plum::coarsen_cycle`], mirroring
-    /// [`Plum::adaption_cycle_reference`]: isolated `spmd` phases with fresh
-    /// clocks.
-    pub fn coarsen_cycle_reference(&mut self, coarse_frac: f64, dt: f64) -> CycleReport {
-        let mut cycle = self.open_reference(dt);
-
-        // --- coarse marking: one sweep over owned elements + one reduction -
-        let error = edge_error_indicator(&self.am.mesh, &self.field);
-        let cmarks = coarse_marks(&self.am, &error, coarse_frac);
-        let marked = cmarks.count() as u64;
-        let elems_before = self.am.mesh.n_elems();
-        let sweep = weights_of(&cycle.wcomp_now, &self.proc_of_root, self.cfg.nproc);
-        let results = spmd(self.cfg.nproc, self.cfg.machine, |comm| {
-            crate::engine::coarsen_mark_body(comm, &self.work, sweep[comm.rank()], marked)
-        });
-        cycle.times.marking = makespan(&results);
-
-        // --- host-side de-refinement -------------------------------------
-        let _stats = self
-            .am
-            .coarsen(&cmarks, std::slice::from_mut(&mut self.field));
-        let (wcomp_after, wremap_after) = self.am.weights();
-        let removed: Vec<u64> = cycle
-            .wcomp_now
-            .iter()
-            .zip(&wcomp_after)
-            .map(|(&b, &a)| b.saturating_sub(a))
-            .collect();
-        cycle.times.coarsen = self.subdivide_time(&removed, &cycle.wcomp_now, &self.proc_of_root);
-
-        // --- rebalance the shrunken mesh, remap --------------------------
-        self.dual.wcomp = self.cost_est.weights(&wcomp_after);
-        self.dual.wremap = wremap_after;
-        let outcome = self.balance_and_migrate_reference(&vec![0; self.dual.n()], &mut cycle.times);
-
-        let growth = self.am.mesh.n_elems() as f64 / elems_before as f64;
-        self.close_reference(cycle, 1, growth, outcome)
-    }
-
-    /// Open a reference cycle: advance the physical time and take the
-    /// flow-solver phase — real field update (a few iterations suffice to
-    /// track the wave), virtual time charged for the full N_adapt
-    /// iterations from this cycle's [`Ownership`] — then observe rates and
-    /// costs on the nominal (chaos-free) machine.
-    fn open_reference(&mut self, dt: f64) -> ReferenceCycle {
-        self.time += dt;
-        solve(
-            &self.am.mesh,
-            &mut self.field,
-            &self.wave,
-            self.time,
-            &self.solver_cfg,
-        );
-        let (wcomp_now, wremap_now) = self.am.weights();
-        let own = Ownership::build(&self.am, &self.proc_of_root, self.cfg.nproc);
-        let mult = self.true_cost();
-        let units = Self::solver_units(
-            &wcomp_now,
-            &self.proc_of_root,
-            self.cfg.nproc,
-            mult.as_deref(),
-        );
-        let times = PhaseTimes {
-            solver: self.solver_time_units(&units, &own),
-            ..PhaseTimes::default()
-        };
-        let nominal = vec![1.0; self.cfg.nproc];
-        let (rate, capacity) = crate::engine::observe_capacity(&units, &self.work, &nominal);
-        self.observe_costs(mult.as_deref());
-        ReferenceCycle {
-            times,
-            wcomp_now,
-            wremap_now,
-            own,
-            rate,
-            capacity,
-        }
-    }
-
-    /// Balance `self.dual` with the serial kernels; when the new mapping is
-    /// accepted, remap (as a standalone `spmd` program) and adopt it.
-    fn balance_and_migrate_reference(
-        &mut self,
-        refine_work: &[u64],
-        times: &mut PhaseTimes,
-    ) -> (BalanceDecision, Option<MigrationOutcome>) {
-        let decision = balance_step(
-            &self.dual,
-            &self.proc_of_root,
-            refine_work,
-            &self.cfg,
-            &self.work,
-            Some(&self.sfc_keys),
-            self.wcomp2.as_deref(),
-        );
-        times.partition = decision.partition_time;
-        times.reassign = decision.reassign_seconds;
-        let migration = decision.accepted.then(|| {
-            let out = parallel_migrate(
-                &self.am,
-                &self.field,
-                &self.proc_of_root,
-                &decision.new_proc,
-                self.cfg.nproc,
-                self.cfg.machine,
-            );
-            times.remap = out.time;
-            self.proc_of_root = decision.new_proc.clone();
-            out
-        });
-        (decision, migration)
-    }
-
-    /// Finish a reference cycle: Fig. 8 bookkeeping, report.
-    fn close_reference(
-        &self,
-        cycle: ReferenceCycle,
-        marking_sweeps: usize,
-        growth: f64,
-        (decision, migration): (BalanceDecision, Option<MigrationOutcome>),
-    ) -> CycleReport {
-        // Post-adaption solver load with and without the rebalance.
-        // Prediction is exact, so `decision.wmax_old` (the per-processor
-        // maximum of the post-refinement W_comp under the old assignment)
-        // is precisely the "no load balancing" workload.
-        let (wcomp_final, _) = self.am.weights();
-        let wmax_balanced = *weights_of(&wcomp_final, &self.proc_of_root, self.cfg.nproc)
-            .iter()
-            .max()
-            .unwrap();
-
-        CycleReport {
-            traces: CycleTraces::default(),
-            counts: self.am.mesh.counts(),
-            growth,
-            marking_sweeps,
-            wmax_unbalanced: decision.wmax_old,
-            wmax_balanced,
-            migration,
-            decision,
-            times: cycle.times,
-            rate: cycle.rate,
-            capacity: cycle.capacity,
-        }
-    }
-
-    /// The original per-phase driver, kept as the golden reference for the
-    /// engine: every parallel phase is its own `spmd` program with fresh
-    /// clocks. Produces the same report as [`Plum::adaption_cycle`] up to
-    /// floating-point rounding of the virtual times (and without the
-    /// session timeline).
-    pub fn adaption_cycle_reference(&mut self, refine_frac: f64, dt: f64) -> CycleReport {
-        let mut cycle = self.open_reference(dt);
-
-        // --- MESH ADAPTOR: edge marking (parallel, with propagation) -------
-        let error = edge_error_indicator(&self.am.mesh, &self.field);
-        let threshold = self.am.threshold_for_final_fraction(&error, refine_frac);
-        let mark = parallel_mark(
-            &self.am,
-            &cycle.own,
-            self.cfg.nproc,
-            self.cfg.machine,
-            &self.work,
-            &error,
-            threshold,
-        );
-        cycle.times.marking = mark.time;
-
-        // --- exact prediction of the refined mesh ---------------------------
-        let pred = self.am.predict(&mark.marks);
-        let children_per_root: Vec<u64> = (0..self.dual.n())
-            .map(|v| pred.wremap[v] - cycle.wremap_now[v])
-            .collect();
-
-        let outcome = match self.cfg.policy {
-            RemapPolicy::BeforeRefinement => {
-                // Weights as though subdivision already happened — scaled by
-                // the estimated per-root cost, so the partitioner balances
-                // measured load; the data that moves is still the small,
-                // unrefined grid.
-                self.dual.wcomp = self.cost_est.weights(&pred.wcomp);
-                self.dual.wremap = cycle.wremap_now.clone();
-                let outcome =
-                    self.balance_and_migrate_reference(&children_per_root, &mut cycle.times);
-                // Subdivide on the (re)balanced partitions.
-                self.am
-                    .refine(&mark.marks, std::slice::from_mut(&mut self.field));
-                cycle.times.subdivide =
-                    self.subdivide_time(&children_per_root, &cycle.wcomp_now, &self.proc_of_root);
-                outcome
-            }
-            RemapPolicy::AfterRefinement => {
-                // Baseline: subdivide first (unbalanced), then move the
-                // grown mesh.
-                self.am
-                    .refine(&mark.marks, std::slice::from_mut(&mut self.field));
-                cycle.times.subdivide =
-                    self.subdivide_time(&children_per_root, &cycle.wcomp_now, &self.proc_of_root);
-                let (wcomp_after, wremap_after) = self.am.weights();
-                self.dual.wcomp = self.cost_est.weights(&wcomp_after);
-                self.dual.wremap = wremap_after;
-                self.balance_and_migrate_reference(&vec![0; self.dual.n()], &mut cycle.times)
-            }
-        };
-        self.close_reference(cycle, mark.sweeps, pred.growth_factor, outcome)
-    }
-}
-
-/// What a reference cycle carries from its solver phase to its report.
-struct ReferenceCycle {
-    times: PhaseTimes,
-    /// Per-root weights of the mesh the solver ran on.
-    wcomp_now: Vec<u64>,
-    wremap_now: Vec<u64>,
-    /// Ownership under the assignment the solver ran on.
-    own: Ownership,
-    rate: Vec<f64>,
-    capacity: Vec<f64>,
 }
 
 /// Coarse marks: the roughly `frac` lowest-error live edges, marked for
@@ -670,7 +423,9 @@ pub fn coarse_marks(am: &AdaptiveMesh, error: &[f64], frac: f64) -> EdgeMarks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RemapPolicy;
     use plum_mesh::generate::unit_box_mesh;
+    use plum_partition::weights_of;
 
     fn plum(nproc: usize, n: usize) -> Plum {
         Plum::new(

@@ -138,19 +138,13 @@ impl WorkModel {
         local + sync + self.t_part_base * 0.1
     }
 
-    /// Compute-only share of one solver iteration on a rank owning `wcomp`
-    /// leaf elements (≈ 6/5·wcomp edge visits per iteration on a tet mesh).
+    /// Compute-only share of one solver iteration on a rank owning `units`
+    /// element units (≈ 6/5·units edge visits per iteration on a tet mesh).
     /// This is the part a slow processor stretches — chaos profiles multiply
     /// it, and observed per-rank rates (capacity weights) divide by it.
-    pub fn solver_compute_time(&self, wcomp: u64) -> f64 {
-        self.solver_compute_units_time(wcomp as f64)
-    }
-
-    /// Compute share for a fractional element-unit count. Measured-cost
-    /// scenarios weight each element by its cost multiplier, so per-rank
-    /// loads become f64 "element units"; with a unit cost field
-    /// `units == wcomp as f64` and this is bit-identical to
-    /// [`Self::solver_compute_time`].
+    /// Measured-cost scenarios weight each element by its cost multiplier, so
+    /// per-rank loads are f64 "element units"; with a unit cost field
+    /// `units` is the rank's leaf-element count.
     pub fn solver_compute_units_time(&self, units: f64) -> f64 {
         let edges = units * 1.2;
         edges * self.t_edge_visit
@@ -160,17 +154,6 @@ impl WorkModel {
     /// `shared_edges` partition-boundary edges.
     pub fn solver_halo_time(&self, shared_edges: u64, machine: &MachineModel) -> f64 {
         machine.transfer_time(shared_edges * 5)
-    }
-
-    /// Modeled per-iteration solver time on a rank owning `wcomp` leaf
-    /// elements, plus a halo exchange.
-    pub fn solver_iteration_time(
-        &self,
-        wcomp: u64,
-        shared_edges: u64,
-        machine: &MachineModel,
-    ) -> f64 {
-        self.solver_compute_time(wcomp) + self.solver_halo_time(shared_edges, machine)
     }
 }
 
@@ -244,8 +227,9 @@ mod tests {
     fn solver_time_has_compute_and_halo_terms() {
         let wm = WorkModel::default();
         let m = MachineModel::sp2();
-        let no_halo = wm.solver_iteration_time(10_000, 0, &m);
-        let halo = wm.solver_iteration_time(10_000, 500, &m);
+        let compute = wm.solver_compute_units_time(10_000.0);
+        let no_halo = compute + wm.solver_halo_time(0, &m);
+        let halo = compute + wm.solver_halo_time(500, &m);
         assert!(halo > no_halo);
         assert!(no_halo > 0.01 * 1e-3);
     }

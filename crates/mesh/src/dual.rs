@@ -97,16 +97,6 @@ impl DualGraph {
         }
     }
 
-    /// Total computational weight.
-    pub fn total_wcomp(&self) -> u64 {
-        self.wcomp.iter().sum()
-    }
-
-    /// Total remapping weight.
-    pub fn total_wremap(&self) -> u64 {
-        self.wremap.iter().sum()
-    }
-
     /// Consistency check: symmetric adjacency, no self-loops, weight vectors
     /// sized to the vertex count, and `wremap[v] ≥ wcomp[v]` (a tree has at
     /// least as many nodes as leaves).
@@ -176,7 +166,7 @@ mod tests {
     fn initial_weights_are_unit() {
         let m = unit_box_mesh(2);
         let d = DualGraph::build(&m);
-        assert_eq!(d.total_wcomp(), 48);
-        assert_eq!(d.total_wremap(), 48);
+        assert_eq!(d.wcomp.iter().sum::<u64>(), 48);
+        assert_eq!(d.wremap.iter().sum::<u64>(), 48);
     }
 }

@@ -66,13 +66,6 @@ impl VertexField {
         self.data[lo..lo + self.ncomp].copy_from_slice(vals);
     }
 
-    /// Set a single component at vertex `v`.
-    pub fn set_comp(&mut self, v: VertId, comp: usize, val: f64) {
-        assert!(comp < self.ncomp);
-        self.ensure(v);
-        self.data[v.idx() * self.ncomp + comp] = val;
-    }
-
     /// One component at vertex `v`.
     pub fn comp(&self, v: VertId, comp: usize) -> f64 {
         assert!(comp < self.ncomp);

@@ -110,18 +110,6 @@ impl PairMap {
         }
     }
 
-    /// Get the value for `key`, or insert the result of `make()` and return
-    /// it. The bool is `true` if the value was newly inserted.
-    pub fn get_or_insert_with(&mut self, key: u64, make: impl FnOnce() -> u32) -> (u32, bool) {
-        if let Some(v) = self.get(key) {
-            (v, false)
-        } else {
-            let v = make();
-            self.insert(key, v);
-            (v, true)
-        }
-    }
-
     /// Remove `key`, returning its value if present. Uses backward-shift
     /// deletion to keep probe chains intact.
     pub fn remove(&mut self, key: u64) -> Option<u32> {
@@ -214,17 +202,6 @@ mod tests {
                 assert_eq!(m.get(i), Some(i as u32), "key {i} should survive");
             }
         }
-    }
-
-    #[test]
-    fn get_or_insert_with_reports_freshness() {
-        let mut m = PairMap::with_capacity(4);
-        let (v, fresh) = m.get_or_insert_with(9, || 77);
-        assert!(fresh);
-        assert_eq!(v, 77);
-        let (v, fresh) = m.get_or_insert_with(9, || 88);
-        assert!(!fresh);
-        assert_eq!(v, 77);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use crate::ids::{EdgeId, ElemId, VertId};
+use crate::ids::{ElemId, VertId};
 use crate::shared::EdgeParts;
 use crate::tetmesh::TetMesh;
 
@@ -25,18 +25,6 @@ pub struct SubMesh {
     pub edge_spl: Vec<Vec<u32>>,
     /// Shared-processor list per local vertex.
     pub vert_spl: Vec<Vec<u32>>,
-}
-
-impl SubMesh {
-    /// Is this local edge shared with another processor?
-    pub fn edge_is_shared(&self, e: EdgeId) -> bool {
-        !self.edge_spl[e.idx()].is_empty()
-    }
-
-    /// Number of shared (boundary) edges.
-    pub fn n_shared_edges(&self) -> usize {
-        self.edge_spl.iter().filter(|s| !s.is_empty()).count()
-    }
 }
 
 /// Split `mesh` into `nparts` submeshes according to `part` (indexed by
@@ -158,7 +146,7 @@ mod tests {
         let mut copies: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
         for (p, s) in subs.iter().enumerate() {
             for le in s.mesh.edges() {
-                if s.edge_is_shared(le) {
+                if !s.edge_spl[le.idx()].is_empty() {
                     let [a, b] = s.mesh.edge_verts(le);
                     let ga = s.global_vert[a.idx()].0;
                     let gb = s.global_vert[b.idx()].0;
@@ -206,7 +194,7 @@ mod tests {
         let m = unit_box_mesh(2);
         let part = vec![0u32; m.elem_slots()];
         let subs = extract_submeshes(&m, &part, 1);
-        assert_eq!(subs[0].n_shared_edges(), 0);
+        assert!(subs[0].edge_spl.iter().all(|s| s.is_empty()));
         assert!(subs[0].vert_spl.iter().all(|s| s.is_empty()));
     }
 }

@@ -63,15 +63,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Mean observation (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
     /// Estimate the `q`-quantile (`0.0 ..= 1.0`) from the bucket counts.
     ///
     /// The estimate is the upper bound of the bucket holding the
@@ -121,16 +112,19 @@ impl Registry {
     }
 
     /// Current value of a counter (0 if never incremented).
+    #[cfg(test)]
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Current value of a gauge, if set.
+    #[cfg(test)]
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
     }
 
     /// The named histogram, if any observation was recorded.
+    #[cfg(test)]
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
     }
@@ -161,27 +155,6 @@ impl Registry {
                     }
                 }
             }
-        }
-        out
-    }
-
-    /// Human-readable dump, one metric per line, sorted by name.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            out.push_str(&format!("counter  {k} = {v}\n"));
-        }
-        for (k, v) in &self.gauges {
-            out.push_str(&format!("gauge    {k} = {v}\n"));
-        }
-        for (k, h) in &self.histograms {
-            out.push_str(&format!(
-                "hist     {k}: count={} mean={:.3e} min={:.3e} max={:.3e}\n",
-                h.count,
-                h.mean(),
-                if h.count > 0 { h.min } else { 0.0 },
-                if h.count > 0 { h.max } else { 0.0 },
-            ));
         }
         out
     }
@@ -251,9 +224,6 @@ mod tests {
         assert_eq!(flat["c.wait.count"], 2.0);
         assert_eq!(flat["c.wait.sum"], 4.0);
         assert_eq!(flat["c.wait.max"], 3.0);
-        let text = r.render_text();
-        assert!(text.contains("counter  a.count = 2"));
-        assert!(text.contains("hist     c.wait: count=2"));
     }
 
     #[test]

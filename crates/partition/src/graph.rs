@@ -10,7 +10,7 @@ use std::borrow::Cow;
 /// ([`Graph::from_csr`], the coarsening products) or borrow it in place from
 /// an existing structure such as `DualGraph` ([`Graph::view`]). The balance
 /// loop runs every adaption cycle; borrowing the dual CSR instead of cloning
-/// three arrays per cycle is what the [`GraphView`] alias exists for. All
+/// three arrays per cycle is what [`Graph::view`] exists for. All
 /// partitioning entry points take `&Graph`, so both forms flow through the
 /// same code; writes (only done by tests and benchmarks that perturb
 /// weights) go through [`Cow::to_mut`].
@@ -25,13 +25,6 @@ pub struct Graph<'a> {
     /// Vertex weights.
     pub vwgt: Cow<'a, [u64]>,
 }
-
-/// A [`Graph`] that borrows its CSR arrays rather than owning them.
-///
-/// This is the no-copy path for per-cycle repartitioning: build one with
-/// [`Graph::view`] over the dual graph's arrays and pass it anywhere a
-/// `&Graph` is expected.
-pub type GraphView<'a> = Graph<'a>;
 
 impl<'a> Graph<'a> {
     /// Build an owning graph from CSR arrays with unit edge weights.

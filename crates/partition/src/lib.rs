@@ -65,7 +65,7 @@ pub use bisect::{bisect, grow_bisection, refine_bisection};
 pub use coarsen::{coarsen_once, contract, heavy_edge_matching};
 pub use diffusion2::{rank_adjacency, solve_flows, FlowSolve, DIFFUSION2_MAX_ROUNDS};
 pub use distributed::{inflow_quota, merge_add};
-pub use graph::{Graph, GraphView};
+pub use graph::Graph;
 pub use kway::{partition_kway, quality, PartitionConfig, PartitionQuality};
 pub use metrics::{
     dual_uniform, edge_cut, imbalance, imbalance_dual, imbalance_weighted, migration, part_weights,

@@ -37,14 +37,6 @@ impl Packer {
         self.buf.push(v);
     }
 
-    /// Append a length-prefixed slice of `u32`s.
-    pub fn put_u32_slice(&mut self, vs: &[u32]) {
-        self.put_u32(vs.len() as u32);
-        for &v in vs {
-            self.put_u32(v);
-        }
-    }
-
     /// Append a length-prefixed slice of `f64`s.
     pub fn put_f64_slice(&mut self, vs: &[f64]) {
         self.put_u32(vs.len() as u32);
@@ -114,12 +106,6 @@ impl<'a> Unpacker<'a> {
         self.take(1)[0]
     }
 
-    /// Read a length-prefixed `u32` slice.
-    pub fn get_u32_slice(&mut self) -> Vec<u32> {
-        let n = self.get_u32() as usize;
-        (0..n).map(|_| self.get_u32()).collect()
-    }
-
     /// Read a length-prefixed `f64` slice.
     pub fn get_f64_slice(&mut self) -> Vec<f64> {
         let n = self.get_u32() as usize;
@@ -129,11 +115,6 @@ impl<'a> Unpacker<'a> {
     /// True if the whole buffer has been consumed.
     pub fn is_exhausted(&self) -> bool {
         self.pos == self.buf.len()
-    }
-
-    /// Bytes remaining.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
     }
 }
 
@@ -148,7 +129,6 @@ mod tests {
         p.put_u64(u64::MAX - 7);
         p.put_f64(std::f64::consts::PI);
         p.put_u8(9);
-        p.put_u32_slice(&[1, 2, 3]);
         p.put_f64_slice(&[0.5, -0.5]);
         let buf = p.finish();
         let mut u = Unpacker::new(&buf);
@@ -156,7 +136,6 @@ mod tests {
         assert_eq!(u.get_u64(), u64::MAX - 7);
         assert_eq!(u.get_f64(), std::f64::consts::PI);
         assert_eq!(u.get_u8(), 9);
-        assert_eq!(u.get_u32_slice(), vec![1, 2, 3]);
         assert_eq!(u.get_f64_slice(), vec![0.5, -0.5]);
         assert!(u.is_exhausted());
     }
@@ -183,11 +162,10 @@ mod tests {
     #[test]
     fn empty_slices() {
         let mut p = Packer::new();
-        p.put_u32_slice(&[]);
+        p.put_f64_slice(&[]);
         let buf = p.finish();
         let mut u = Unpacker::new(&buf);
-        assert_eq!(u.get_u32_slice(), Vec::<u32>::new());
+        assert_eq!(u.get_f64_slice(), Vec::<f64>::new());
         assert!(u.is_exhausted());
-        assert_eq!(u.remaining(), 0);
     }
 }

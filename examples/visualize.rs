@@ -11,7 +11,8 @@
 use std::fs::File;
 use std::io::BufWriter;
 
-use plum_core::{distribute, finalize, Plum, PlumConfig};
+use plum_core::{finalize, Plum, PlumConfig};
+use plum_mesh::extract_submeshes;
 use plum_mesh::generate::unit_box_mesh;
 use plum_mesh::vtk::{quality_stats, write_vtk};
 use plum_solver::WaveField;
@@ -56,15 +57,15 @@ fn main() -> std::io::Result<()> {
     println!("wrote {}", path.display());
 
     // Exercise the distributed initialization + finalization on the INITIAL
-    // mesh (the snapshot/restart path): distribute by the current partition
-    // of the dual graph, then gather back and export.
+    // mesh: distribute by the current partition of the dual graph, then
+    // gather back and export.
     let initial = unit_box_mesh(6);
     let mut part = vec![0u32; initial.elem_slots()];
     for (i, e) in initial.elems().enumerate() {
         part[e.idx()] = plum.proc_of_root[i];
     }
-    let dm = distribute(&initial, &part, 8);
-    let fin = finalize(&dm, plum.cfg.machine);
+    let subs = extract_submeshes(&initial, &part, 8);
+    let fin = finalize(&subs, plum.cfg.machine);
     fin.mesh.validate();
     println!(
         "finalization gathered {} elements from 8 ranks in {:.3} virtual ms",
