@@ -297,7 +297,8 @@ fn bench_multilevel_stage(c: &mut Criterion) {
 }
 
 /// Host cost of the replicating collectives when the payload is as large
-/// as its declared size — a full-partition broadcast, the dense
+/// as its declared size — a full-partition broadcast and the sized scatter
+/// of the same words that replaced it on the balance path, the dense
 /// `nparts`-word rows the multilevel refinement's per-stage exscan and
 /// allreduce carried at P = 256 (`w256`), the 8-entry sparse rows they
 /// carry now (`nnz8`: every rank asks for the same eight parts, so the fold
@@ -323,6 +324,16 @@ fn bench_collectives_payload(c: &mut Criterion) {
             session.run(vec![(); P], |comm, ()| {
                 let value = (comm.rank() == 0).then(|| vec![7u64; 65_536]);
                 black_box(comm.bcast(0, 65_536, value));
+            })
+        })
+    });
+    // The same 65 536 words sent the other way the balance path now sends
+    // them: each rank receives only its own 256-word block.
+    group.bench_function("scatterv_p256_w65536", |b| {
+        b.iter(|| {
+            session.run(vec![(); P], |comm, ()| {
+                let blocks = (comm.rank() == 0).then(|| vec![(256, vec![7u64; 256]); P]);
+                black_box(comm.scatterv(0, blocks));
             })
         })
     });

@@ -274,6 +274,12 @@ pub const WEAKSCALE_ELEMS_PER_RANK: usize = 16;
 /// P = 1024 (`weakscale_bench` panics beyond it).
 pub const WEAKSCALE_CYCLE_FACTOR: f64 = 2.0;
 
+/// Most words the P = 1024 cycle's reassignment phase may put on the wire
+/// (`weakscale_bench` panics beyond it): sparse rows up, each rank's
+/// answers down — ≈ 52 k. A dense `nparts`-word answer to every rank reads
+/// 1.09 M.
+const WEAKSCALE_REASSIGN_WORDS_P1024: u64 = 100_000;
+
 /// Everything measured at one weak-scaling processor count.
 #[derive(Debug, Clone)]
 pub struct WeakscalePoint {
@@ -436,7 +442,8 @@ pub fn weakscale_point(nproc: usize, elems_per_rank: usize, reps: usize) -> Weak
 /// Deterministic gates: the cycle's virtual makespan (and its P = 1024 /
 /// P = 256 ratio, asserted ≤ [`WEAKSCALE_CYCLE_FACTOR`]), the modeled
 /// partition and remap phase times, the reassignment phase's seconds and
-/// words, the 1-word collective costs per P, the
+/// words (at P = 1024 asserted ≤ 100 000), the 1-word collective costs per
+/// P, the
 /// `collective.*.logp_ratio` metrics — cost(1024)/cost(256), which sit at
 /// log₂ 1024 / log₂ 256 = 10/8 for the 1-word tree collectives (≈ 4 under
 /// flat O(P) implementations) and under 4 × 10/8 for the `words = P`
@@ -540,6 +547,18 @@ pub fn weakscale_bench(quick: bool) -> (BenchReport, String) {
     analysis.push_str(&format!(
         "cycle: virtual s(P={}) / virtual s(P={}) = {cycle_ratio:.3} (gate {WEAKSCALE_CYCLE_FACTOR})\n",
         b2.nproc, a.nproc
+    ));
+
+    // The reassignment phase: what a rank ships and receives is its row's
+    // cells, not `nparts` words.
+    assert_eq!(b2.nproc, 1024, "the reassignment gate is read at P = 1024");
+    let words = b2.reassign_words;
+    assert!(
+        words <= WEAKSCALE_REASSIGN_WORDS_P1024,
+        "the P=1024 reassignment phase shipped {words} words (> {WEAKSCALE_REASSIGN_WORDS_P1024})"
+    );
+    analysis.push_str(&format!(
+        "reassign: words(P=1024) = {words} (gate {WEAKSCALE_REASSIGN_WORDS_P1024})\n"
     ));
 
     // The collectives: the ratio of their costs must track `words · log₂ P`,

@@ -140,9 +140,10 @@ impl Fnv {
 /// `summary()`, `phase_breakdowns()` and `phase_rank_breakdowns()` produce,
 /// and the serialized digest. A change here means the walk changed what it
 /// attributes or the order it accumulates in — or, as when the constants
-/// were last re-recorded (a refinement stage reduces its sparse `(moves,
-/// Δw)` once where it allreduced a dense weight row and a move count), that
-/// the modeled protocol itself changed.
+/// were last re-recorded (the balance bodies return their rank's parts and
+/// the reassignment answers each rank with a sized scatter, where the
+/// partition was reassembled and `proc_of_part` broadcast whole), that the
+/// modeled protocol itself changed.
 #[test]
 fn trace_readers_are_pinned_to_the_bit() {
     let mut cfg = PlumConfig::new(8);
@@ -200,10 +201,10 @@ fn trace_readers_are_pinned_to_the_bit() {
     assert_eq!(
         (summary, phases, phase_ranks, digest),
         (
-            0x457f_c65b_0927_8c9c,
-            0x30a1_7af9_e729_b390,
-            0x6c62_880a_806d_8f24,
-            0x2bbe_7c46_cd8c_158c
+            0xb149_33a3_328e_1590,
+            0xe26e_1fe7_8161_8f4c,
+            0x89ea_41f8_a92b_4318,
+            0xeb67_db82_2230_eee6
         ),
         "(summary, phase_breakdowns, phase_rank_breakdowns, digest JSON) FNV-1a: \
          ({summary:#018x}, {phases:#018x}, {phase_ranks:#018x}, {digest:#018x})"

@@ -334,6 +334,20 @@ pub(crate) fn with_problem<R>(
     run(method, &problem)
 }
 
+/// Whether the partition→processor mapping is pinned to the identity
+/// instead of taken from the mapper. When the repartitioner sized partition
+/// j for processor j's capacity (the seeded heterogeneous regime of
+/// [`with_problem`]), the processors are no longer interchangeable:
+/// permuting a full-size part onto a slow processor undoes the
+/// capacity-aware sizing no matter how much data movement it saves. The
+/// similarity-matrix mapping is an optimization among equals, so it applies
+/// only on homogeneous machines (or under F > 1). The reassignment host
+/// decides this before it scatters the answer the ranks route their trees
+/// by; [`apply_reassignment`] checks the answer obeyed it.
+pub(crate) fn identity_pinned(cfg: &PlumConfig, caps: &[f64]) -> bool {
+    cfg.partitions_per_proc == 1 && !caps_uniform(caps)
+}
+
 /// Stage 2 of the load balancer (host side): given the reassignment
 /// protocol's outputs, compose the dual vertex → partition → processor
 /// assignment and run the gain/cost acceptance test.
@@ -352,21 +366,12 @@ pub(crate) fn apply_reassignment(
 ) {
     let nproc = cfg.nproc;
     let uniform = caps_uniform(caps);
-
-    // When the repartitioner sized partition j for processor j's capacity
-    // (the seeded heterogeneous regime of `partition_mode`), the processors
-    // are no longer interchangeable: permuting a full-size part onto a slow
-    // processor undoes the capacity-aware sizing no matter how much data
-    // movement it saves. The similarity-matrix mapping is an optimization
-    // among equals, so it applies only on homogeneous machines; otherwise
-    // the assignment is pinned to the identity.
-    let identity;
-    let assignment = if uniform || cfg.partitions_per_proc != 1 {
-        assignment
-    } else {
-        identity = Assignment::identity(nproc, cfg.partitions_per_proc);
-        &identity
-    };
+    // The ranks already hold their share of `assignment`, so the pin must
+    // have been applied before it was scattered, not here.
+    assert!(
+        !identity_pinned(cfg, caps) || *assignment == Assignment::identity(nproc, 1),
+        "a capacity-sized partition was mapped off its own processor"
+    );
 
     // Compose: dual vertex → new partition → processor.
     let new_proc: Vec<u32> = new_part

@@ -28,7 +28,8 @@ use plum_partition::{balance_body, weights_of, RankLists};
 use plum_solver::{edge_error_indicator, solve};
 
 use crate::balance::{
-    apply_reassignment, evaluate_balance, predicted_time, with_problem, BalanceDecision,
+    apply_reassignment, evaluate_balance, identity_pinned, predicted_time, with_problem,
+    BalanceDecision,
 };
 use crate::config::RemapPolicy;
 use crate::framework::{CycleReport, CycleTraces, PhaseTimes, Plum};
@@ -254,13 +255,17 @@ impl Cycle {
     /// The balancer on the running session: host-side evaluation, then the
     /// selected method's distributed body and the distributed reassignment
     /// protocol as real session steps (instead of a flat modeled charge and
-    /// the standalone `parallel_reassign` program).
-    fn balance(&mut self, p: &Plum, refine_work: &[u64]) -> BalanceDecision {
+    /// the standalone `parallel_reassign` program). Every step hands each
+    /// rank only what it owns: the body returns the new parts of the rank's
+    /// roots, the reassignment their new processors. Returns the decision
+    /// and those per-rank processors (none when nothing was repartitioned);
+    /// the full `new_part` and `new_proc` exist on the host only.
+    fn balance(&mut self, p: &Plum, refine_work: &[u64]) -> (BalanceDecision, Vec<Vec<u32>>) {
         let cfg = &p.cfg;
         let w2 = p.wcomp2.as_deref();
         let (mut decision, go) = evaluate_balance(&p.dual, &p.proc_of_root, cfg, &p.capacity, w2);
         if !go {
-            return decision;
+            return (decision, Vec::new());
         }
 
         // The repartitioner executes inside the session — virtual time comes
@@ -293,21 +298,21 @@ impl Cycle {
         decision.method = Some(method);
         decision.predicted_partition_time = predicted_time(method, &p.work, p.dual.n(), cfg.nproc);
         decision.partition_time = partition_time;
-        // Every rank returns the one shared partition.
-        debug_assert!(
-            parts.iter().all(|part| *part == parts[0]),
-            "ranks disagree on the distributed partition"
-        );
-        let new_part = &parts[0][..];
+        // Host bookkeeping, not modeled traffic: the ranks' slices in root
+        // order, for the host's matrix check and the acceptance test.
+        let new_part = self.engine.roots.assemble(parts.iter().map(Vec::as_slice));
 
-        // Distributed reassignment: rows, gather, host mapper, scatter.
-        let wremap = &p.dual.wremap;
+        // Distributed reassignment: rows, gather, host mapping, scatterv.
+        let (wremap, nparts, mapper) = (&p.dual.wremap, cfg.nparts(), cfg.mapper);
+        let pinned = identity_pinned(cfg, &p.capacity);
         let (values, reassign_comm_time) = self.run(|comm, engine| {
-            let mine = engine.roots.mine(comm.rank());
-            reassign_body(comm, wremap, mine, new_part, cfg.nparts(), cfg.mapper)
+            let rank = comm.rank();
+            let mine = engine.roots.mine(rank);
+            reassign_body(comm, wremap, mine, &parts[rank], nparts, mapper, pinned)
         });
         decision.reassign_comm_time = reassign_comm_time;
-        let (sm, assignment, mapper_seconds) = collect_reassign(values.into_iter());
+        let (sm, assignment, mapper_seconds, new_procs) =
+            collect_reassign(values.into_iter(), &self.engine.roots, &new_part);
         decision.reassign_seconds = mapper_seconds;
 
         apply_reassignment(
@@ -316,13 +321,13 @@ impl Cycle {
             &p.proc_of_root,
             refine_work,
             cfg,
-            new_part,
+            &new_part,
             &sm,
             &assignment,
             &p.capacity,
             w2,
         );
-        decision
+        (decision, new_procs)
     }
 
     /// Balance `p.dual` on the session; when the new mapping is accepted,
@@ -332,18 +337,18 @@ impl Cycle {
         p: &mut Plum,
         refine_work: &[u64],
     ) -> (BalanceDecision, Option<MigrationOutcome>) {
-        let decision = self.balance(p, refine_work);
+        let (decision, new_procs) = self.balance(p, refine_work);
         self.times.partition = decision.partition_time;
         self.times.reassign = decision.reassign_seconds;
         let migration = decision.accepted.then(|| {
-            let new_proc = &decision.new_proc[..];
             let (am, field) = (&p.am, &p.field);
             let (values, time) = self.run(|comm, engine| {
-                migrate_body(comm, am, field, engine.roots.mine(comm.rank()), new_proc)
+                let rank = comm.rank();
+                migrate_body(comm, am, field, engine.roots.mine(rank), &new_procs[rank])
             });
             self.times.remap = time;
-            p.proc_of_root = new_proc.to_vec();
-            migration_outcome_from(values, time)
+            let old_proc = std::mem::replace(&mut p.proc_of_root, decision.new_proc.clone());
+            migration_outcome_from(values, time, &old_proc, &decision.new_proc)
         });
         (decision, migration)
     }
@@ -885,6 +890,55 @@ mod tests {
              effective imbalance {eff_after} vs initial gap {gap_before}"
         );
         p.am.validate();
+    }
+
+    /// Satellite: on a heterogeneous machine the capacity pin is decided
+    /// before the reassignment answer is scattered, so the ranks route
+    /// their trees by the mapping the host adopts. A forced SFC repartition
+    /// numbers its capacity-sized parts along the curve, not by processor,
+    /// so the greedy mapper would permute them; every rank's returned
+    /// processors are nevertheless `decision.new_proc` on its roots, and
+    /// the full cycle's migration passes the host's routing check.
+    #[test]
+    fn capacity_pin_is_applied_before_the_ranks_route() {
+        use crate::balance::run_mapper;
+        use plum_reassign::{Assignment, SimilarityMatrix};
+        let nproc = 8;
+        let mk = || {
+            let mut p = plum(nproc, 4, RemapPolicy::BeforeRefinement);
+            p.chaos = ChaosConfig::slowdown(nproc, 7, 2.0);
+            p.cfg.force_method = Some(BalanceMethod::Sfc);
+            // A solver iteration worth far more than any movement: the
+            // reshuffle is accepted.
+            p.cfg.cost.n_adapt = 100_000;
+            p
+        };
+
+        let mut p = mk();
+        let mut cycle = Cycle::open(&mut p, 0.1);
+        let (decision, new_procs) = cycle.balance(&p, &vec![0; p.dual.n()]);
+        assert!(identity_pinned(&p.cfg, &p.capacity));
+        assert!(decision.accepted, "{decision:?}");
+        // Pinned to the identity, the adopted processors are the new parts.
+        let (old, new) = (&p.proc_of_root, &decision.new_proc);
+        let sm = SimilarityMatrix::from_assignments(&p.dual.wremap, old, new, nproc, nproc);
+        let mapped = run_mapper(&sm, p.cfg.mapper).0;
+        assert_ne!(
+            mapped,
+            Assignment::identity(nproc, 1),
+            "mapper is the identity"
+        );
+        for (r, procs) in new_procs.iter().enumerate() {
+            let want: Vec<u32> = (cycle.engine.roots.mine(r).iter())
+                .map(|&v| decision.new_proc[v as usize])
+                .collect();
+            assert_eq!(procs, &want, "rank {r}");
+        }
+
+        let mut p = mk();
+        let report = p.adaption_cycle(0.3, 0.1);
+        assert!(report.decision.accepted && report.migration.is_some());
+        assert_eq!(p.proc_of_root, report.decision.new_proc);
     }
 
     /// A transient stall scheduled for a specific cycle lands on that

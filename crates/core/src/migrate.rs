@@ -33,19 +33,22 @@ pub struct MigrationOutcome {
 }
 
 /// Per-rank value of the remap stage body: `(packed tree nodes, received
-/// tree nodes, messages, words sent)`. Word counts are deltas, so the body
-/// can run under a [`plum_parsim::Session`] step with cumulative counters.
-pub(crate) type MigrateValue = (u64, u64, u64, u64);
+/// tree nodes, messages, words sent, roots of the trees received,
+/// ascending)`. Word counts are deltas, so the body can run under a
+/// [`plum_parsim::Session`] step with cumulative counters.
+pub(crate) type MigrateValue = (u64, u64, u64, u64, Vec<u32>);
 
 /// The remap stage body for one rank, which currently owns the trees
-/// `mine`: pack my departing trees, exchange buffers, unpack and validate
-/// arrivals.
+/// `mine`, whose new processors are `my_new_proc` (the rank's answer from
+/// the reassignment step): pack my departing trees, exchange buffers,
+/// unpack and validate arrivals. Whether each tree reached the right rank
+/// is checked host-side, by [`migration_outcome_from`].
 pub(crate) fn migrate_body(
     comm: &mut Comm,
     am: &AdaptiveMesh,
     field: &VertexField,
     mine: &[u32],
-    new_proc: &[u32],
+    my_new_proc: &[u32],
 ) -> MigrateValue {
     let ncomp = field.ncomp();
     let words0 = comm.sent_words();
@@ -57,9 +60,9 @@ pub(crate) fn migrate_body(
         // so the send order stays ascending.
         let mut packers: BTreeMap<usize, Packer> = BTreeMap::new();
         let mut packed_elems = 0u64;
-        for &v in mine {
-            if new_proc[v as usize] != rank {
-                let p = packers.entry(new_proc[v as usize] as usize).or_default();
+        for (&v, &to) in mine.iter().zip(my_new_proc) {
+            if to != rank {
+                let p = packers.entry(to as usize).or_default();
                 for node_id in am.forest().subtree_of_root(v) {
                     let node = am.forest().node(node_id);
                     p.put_u32(node.root);
@@ -107,11 +110,6 @@ pub(crate) fn migrate_body(
                         "migrated record references dead vertex {vert}"
                     );
                 }
-                assert_eq!(
-                    new_proc[root as usize], rank,
-                    "rank {rank} received tree {root} destined for {}",
-                    new_proc[root as usize]
-                );
                 *received_roots.entry(root).or_insert(0) += 1;
                 received += 1;
             }
@@ -121,19 +119,30 @@ pub(crate) fn migrate_body(
             let expect = am.forest().subtree_of_root(*root).len() as u64;
             assert_eq!(*count, expect, "tree {root} arrived fragmented");
         }
+        let mut roots: Vec<u32> = received_roots.into_keys().collect();
+        roots.sort_unstable();
 
         comm.phase_end("remap");
-        (packed_elems, received, msgs, comm.sent_words() - words0)
+        (
+            packed_elems,
+            received,
+            msgs,
+            comm.sent_words() - words0,
+            roots,
+        )
     }
 }
 
-/// Assemble a [`MigrationOutcome`] (with conservation check) out of the
-/// per-rank stage values, in rank order. `time` is the caller's phase
-/// duration — the makespan under [`spmd`], or the session-step duration
-/// under the engine.
+/// Assemble a [`MigrationOutcome`] out of the per-rank stage values, in
+/// rank order, checking conservation and routing: rank `r` must have
+/// received exactly the trees `{v : new_proc[v] = r ≠ old_proc[v]}`. `time`
+/// is the caller's phase duration — the makespan under [`spmd`], or the
+/// session-step duration under the engine.
 pub(crate) fn migration_outcome_from(
     values: impl IntoIterator<Item = MigrateValue>,
     time: f64,
+    old_proc: &[u32],
+    new_proc: &[u32],
 ) -> MigrationOutcome {
     let mut outcome = MigrationOutcome {
         time,
@@ -142,12 +151,29 @@ pub(crate) fn migration_outcome_from(
         msgs: 0,
         received_per_rank: Vec::new(),
     };
-    for (packed, received, msgs, words) in values {
+    let mut arrived = 0usize;
+    for (rank, (packed, received, msgs, words, roots)) in values.into_iter().enumerate() {
         outcome.elems_moved += packed;
         outcome.received_per_rank.push(received);
         outcome.msgs += msgs;
         outcome.words_moved += words;
+        // A rank's roots are distinct, so checking each one's destination
+        // and then the count checks the set.
+        for v in roots {
+            let (from, to) = (old_proc[v as usize], new_proc[v as usize]);
+            assert!(
+                to as usize == rank && from != to,
+                "rank {rank} received tree {v} destined for {to} (was on {from})"
+            );
+            arrived += 1;
+        }
     }
+    let moved = old_proc
+        .iter()
+        .zip(new_proc)
+        .filter(|(a, b)| a != b)
+        .count();
+    assert_eq!(arrived, moved, "trees lost in flight");
     // Conservation: everything packed is received somewhere.
     let total_received: u64 = outcome.received_per_rank.iter().sum();
     assert_eq!(
@@ -170,10 +196,13 @@ pub fn parallel_migrate(
 ) -> MigrationOutcome {
     let lists = RankLists::build(old_proc, nproc);
     let results = spmd(nproc, machine, |comm| {
-        migrate_body(comm, am, field, lists.mine(comm.rank()), new_proc)
+        let mine = lists.mine(comm.rank());
+        let my_new_proc: Vec<u32> = mine.iter().map(|&v| new_proc[v as usize]).collect();
+        migrate_body(comm, am, field, mine, &my_new_proc)
     });
     let time = makespan(&results);
-    migration_outcome_from(results.into_iter().map(|r| r.value), time)
+    let values = results.into_iter().map(|r| r.value);
+    migration_outcome_from(values, time, old_proc, new_proc)
 }
 
 #[cfg(test)]
@@ -253,6 +282,43 @@ mod tests {
             "moved volume must equal the Wremap of reassigned dual vertices"
         );
         assert_eq!(out.received_per_rank, vec![0, expected]);
+    }
+
+    /// Rank 0 ships tree 0 to rank 2 although the host mapped it to rank 1:
+    /// the host-side routing check catches the stray tree.
+    #[test]
+    #[should_panic(expected = "rank 2 received tree 0 destined for 1")]
+    fn a_tree_routed_to_the_wrong_rank_panics() {
+        let (am, field) = refined_amesh();
+        let old = vec![0u32; am.n_roots()];
+        let mut new = old.clone();
+        new[0] = 1;
+        let lists = RankLists::build(&old, 3);
+        let results = spmd(3, MachineModel::sp2(), |comm| {
+            let mine = lists.mine(comm.rank());
+            let mut to: Vec<u32> = mine.iter().map(|&v| new[v as usize]).collect();
+            if comm.rank() == 0 {
+                to[0] = 2;
+            }
+            migrate_body(comm, &am, &field, mine, &to)
+        });
+        migration_outcome_from(results.into_iter().map(|r| r.value), 0.0, &old, &new);
+    }
+
+    /// A tree that never leaves its rank is as wrong as one sent astray.
+    #[test]
+    #[should_panic(expected = "trees lost in flight")]
+    fn a_tree_that_stays_behind_panics() {
+        let (am, field) = refined_amesh();
+        let old = vec![0u32; am.n_roots()];
+        let mut new = old.clone();
+        new[0] = 1;
+        let lists = RankLists::build(&old, 2);
+        let results = spmd(2, MachineModel::sp2(), |comm| {
+            let mine = lists.mine(comm.rank());
+            migrate_body(comm, &am, &field, mine, &vec![0; mine.len()])
+        });
+        migration_outcome_from(results.into_iter().map(|r| r.value), 0.0, &old, &new);
     }
 
     #[test]

@@ -8,18 +8,19 @@
 //!
 //! The gather and scatter "require a minuscule amount of time since only
 //! one row of the matrix (P×F integers) needs to be communicated". That is
-//! true at the paper's P = 64 and false at scale if the row is shipped
-//! dense: `P·nparts` words pass through the host. A rank that owns `n/P`
-//! dual vertices has at most `n/P` non-zeros in its row, so each rank ships
-//! an ascending `(part, weight)` list, `1 + 2·nnzᵣ` words, and the host
-//! receives `Σᵣ (1 + 2·nnzᵣ) ≤ P + 2·min(N, P·nparts)` words. The host's
-//! matrix is CSR and its greedy mapper walks non-zeros only, so the whole
-//! phase is `O(nnz + P·F)` in words, host memory and host work — and the
-//! paper's sentence holds at every `P` (see the tests below).
+//! true at the paper's P = 64 and false at scale if either direction is
+//! dense: `P·nparts` words of rows pass through the host, and a
+//! `nparts`-word mapping goes to every rank. A rank that owns `n/P` dual
+//! vertices touches at most `n/P` new parts, so each rank ships its row as
+//! an ascending `(part, weight)` list, `1 + 2·|rowᵣ|` words, the host
+//! receives `Σᵣ (1 + 2·|rowᵣ|) ≤ P + 2·min(N, P·nparts)` words, and it
+//! answers each rank with the processors of the parts in the row that rank
+//! sent — a `scatterv` of `⌈4·|rowᵣ|/8⌉` words per rank. The host's matrix
+//! is CSR and its greedy mapper walks non-zeros only, so the whole phase is
+//! `O(nnz + P·F)` in words, host memory and host work — and the paper's
+//! sentence holds at every `P` (see the tests below).
 
-use std::sync::Arc;
-
-use plum_parsim::{makespan, spmd, Comm, MachineModel};
+use plum_parsim::{makespan, spmd, words_for_bytes, Comm, MachineModel};
 use plum_partition::RankLists;
 use plum_reassign::{Assignment, SimilarityMatrix};
 
@@ -27,28 +28,35 @@ use crate::balance::run_mapper;
 use crate::config::Mapper;
 
 /// Per-rank value of the reassignment stage body: the host triple (only on
-/// rank 0) and the scattered partition→processor solution.
-pub(crate) type ReassignValue = (Option<(SimilarityMatrix, Assignment, f64)>, Arc<Vec<u32>>);
+/// rank 0) and the new processor of each of the rank's own dual vertices.
+pub(crate) type ReassignValue = (Option<(SimilarityMatrix, Assignment, f64)>, Vec<u32>);
 
 /// The reassignment stage body for one rank, which currently owns the dual
-/// vertices `mine`: compute my similarity row, gather on the host, run the
-/// mapper there (wall-clocked, no virtual charge), scatter the solution.
-/// Runs under [`spmd`] or a [`plum_parsim::Session`] step.
+/// vertices `mine`, whose new parts are `my_parts`: compute my similarity
+/// row, gather on the host, map partitions to processors there
+/// (wall-clocked, no virtual charge) — with the mapper, or the identity
+/// when `pinned` ([`crate::balance::identity_pinned`]) — and scatter each
+/// rank the processors of the parts its row named. Returns the new
+/// processor of each vertex in `mine`. Runs under [`spmd`] or a
+/// [`plum_parsim::Session`] step.
 pub(crate) fn reassign_body(
     comm: &mut Comm,
     wremap: &[u64],
     mine: &[u32],
-    new_part: &[u32],
+    my_parts: &[u32],
     nparts: usize,
     mapper: Mapper,
+    pinned: bool,
 ) -> ReassignValue {
     comm.phase_begin("reassignment");
-    // Local row, non-zeros only: my dual vertices' weights summed per new
-    // partition, parts ascending. Each rank touches only its own subdomain
-    // — O(n/P log n/P) work, nothing of length `nparts`.
-    let mut row: Vec<(u32, u64)> = mine
+    // Local row: my dual vertices' weights summed per new partition, parts
+    // ascending. Each rank touches only its own subdomain — O(n/P log n/P)
+    // work, nothing of length `nparts`. A cell whose weight sums to zero
+    // stays in the row: its part needs an answer like any other.
+    let mut row: Vec<(u32, u64)> = my_parts
         .iter()
-        .map(|&v| (new_part[v as usize], wremap[v as usize]))
+        .zip(mine)
+        .map(|(&q, &v)| (q, wremap[v as usize]))
         .collect();
     row.sort_unstable_by_key(|cell| cell.0);
     row.dedup_by(|later, kept| {
@@ -58,58 +66,70 @@ pub(crate) fn reassign_body(
         }
         same_part
     });
-    row.retain(|cell| cell.1 > 0);
     comm.compute(mine.len() as f64);
+    let row_parts: Vec<u32> = row.iter().map(|cell| cell.0).collect();
 
     // Gather the rows on the host (rank 0): a count and two words per
-    // non-zero, so the model charges exactly what is sent.
+    // cell, so the model charges exactly what is sent.
     let gathered = comm.gatherv(0, 1 + 2 * row.len() as u64, row);
 
-    // Host builds the matrix and runs the mapper.
-    let host = gathered.map(|rows| {
-        let sm = SimilarityMatrix::from_sparse_rows(&rows, nparts);
-        let (assignment, mapper_seconds) = run_mapper(&sm, mapper);
-        (sm, assignment, mapper_seconds)
-    });
-
-    // Scatter the solution back (each rank gets the full P·F-entry
-    // mapping — still "a minuscule amount" of data).
-    let proc_of_part = comm.bcast(
-        0,
-        nparts as u64,
-        host.as_ref().map(|(_, a, _)| a.proc_of_part.clone()),
-    );
+    // Host builds the matrix (which stores non-zeros only), maps, and
+    // answers every row with the processors of its parts.
+    let (host, answers) = gathered
+        .map(|rows| {
+            let sm = SimilarityMatrix::from_sparse_rows(&rows, nparts);
+            let (assignment, mapper_seconds) = if pinned {
+                (Assignment::identity(sm.nproc, sm.f), 0.0)
+            } else {
+                run_mapper(&sm, mapper)
+            };
+            let answers = rows.iter().map(|row| {
+                let procs: Vec<u32> = row
+                    .iter()
+                    .map(|&(q, _)| assignment.proc_of_part[q as usize])
+                    .collect();
+                (words_for_bytes(4 * procs.len()), procs)
+            });
+            let answers = answers.collect();
+            ((sm, assignment, mapper_seconds), answers)
+        })
+        .unzip();
+    let procs: Vec<u32> = comm.scatterv(0, answers);
     comm.phase_end("reassignment");
-    (host, proc_of_part)
+
+    // My row is ascending by part, and `procs` answers it cell by cell.
+    let proc_of = |q: u32| procs[row_parts.partition_point(|&p| p < q)];
+    (host, my_parts.iter().map(|&q| proc_of(q)).collect())
 }
 
-/// Collect the per-rank stage values: extract the host triple and assert
-/// every rank received the same scattered solution.
+/// Collect the per-rank stage values: extract the host triple and check
+/// that every rank's answer for its vertices `lists.mine(r)` is the host's
+/// mapping of their new parts, `proc_of_part[new_part[v]]`. Returns the
+/// triple and the ranks' answers, in rank order.
 pub(crate) fn collect_reassign(
     values: impl Iterator<Item = ReassignValue>,
-) -> (SimilarityMatrix, Assignment, f64) {
-    let mut matrix = None;
-    let mut assignment = None;
-    let mut mapper_seconds = 0.0;
-    let mut scattered: Vec<Arc<Vec<u32>>> = Vec::new();
-    for (host, proc_of_part) in values {
-        scattered.push(proc_of_part);
-        if let Some((sm, a, secs)) = host {
-            matrix = Some(sm);
-            assignment = Some(a);
-            mapper_seconds = secs;
+    lists: &RankLists,
+    new_part: &[u32],
+) -> (SimilarityMatrix, Assignment, f64, Vec<Vec<u32>>) {
+    let mut host = None;
+    let mut answers = Vec::new();
+    for (triple, procs) in values {
+        host = host.or(triple);
+        answers.push(procs);
+    }
+    let (matrix, assignment, mapper_seconds) = host.expect("host must produce the mapping");
+    for (r, procs) in answers.iter().enumerate() {
+        let mine = lists.mine(r);
+        assert_eq!(procs.len(), mine.len(), "rank {r}: one answer per vertex");
+        for (&v, &got) in mine.iter().zip(procs) {
+            let want = assignment.proc_of_part[new_part[v as usize] as usize];
+            assert_eq!(
+                got, want,
+                "rank {r} maps vertex {v} to {got}, the host to {want}"
+            );
         }
     }
-    let assignment = assignment.expect("host must produce an assignment");
-    // Every rank received the same solution.
-    for s in &scattered {
-        assert_eq!(**s, assignment.proc_of_part, "scatter diverged");
-    }
-    (
-        matrix.expect("host must produce the matrix"),
-        assignment,
-        mapper_seconds,
-    )
+    (matrix, assignment, mapper_seconds, answers)
 }
 
 /// Result of the distributed reassignment protocol.
@@ -128,8 +148,8 @@ pub struct ParallelReassign {
 
 /// Run the reassignment the way the paper does: every rank computes its own
 /// similarity row (over the dual vertices it currently owns), a host gathers
-/// the rows, maps partitions to processors, and scatters each rank its
-/// per-partition answer.
+/// the rows, maps partitions to processors, and scatters each rank the
+/// processors of the parts in its row.
 pub fn parallel_reassign(
     wremap: &[u64],
     old_proc: &[u32],
@@ -144,12 +164,13 @@ pub fn parallel_reassign(
     let lists = RankLists::build(old_proc, nproc);
     let results = spmd(nproc, machine, |comm| {
         let mine = lists.mine(comm.rank());
-        reassign_body(comm, wremap, mine, new_part, nparts, mapper)
+        let my_parts: Vec<u32> = mine.iter().map(|&v| new_part[v as usize]).collect();
+        reassign_body(comm, wremap, mine, &my_parts, nparts, mapper, false)
     });
 
     let time = makespan(&results);
-    let (matrix, assignment, mapper_seconds) =
-        collect_reassign(results.into_iter().map(|r| r.value));
+    let values = results.into_iter().map(|r| r.value);
+    let (matrix, assignment, mapper_seconds, _) = collect_reassign(values, &lists, new_part);
     ParallelReassign {
         matrix,
         assignment,
@@ -170,12 +191,27 @@ mod tests {
         (wremap, old, new)
     }
 
+    /// Every rank's answer from one SPMD run of the body under the greedy
+    /// mapper: the new processor of each vertex it owns, in `mine` order.
+    fn rank_answers(wremap: &[u64], old: &[u32], new: &[u32], nproc: usize) -> Vec<Vec<u32>> {
+        let lists = RankLists::build(old, nproc);
+        let results = spmd(nproc, MachineModel::sp2(), |comm| {
+            let mine = lists.mine(comm.rank());
+            let my_parts: Vec<u32> = mine.iter().map(|&v| new[v as usize]).collect();
+            let mapper = Mapper::GreedyMwbg;
+            reassign_body(comm, wremap, mine, &my_parts, nproc, mapper, false).1
+        });
+        results.into_iter().map(|r| r.value).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The host's matrix, assembled from the shipped non-zeros, is the
-        /// serial one — with zero weights, several vertices per cell, and
-        /// (P = 16 over N = 5) ranks whose row is empty and ships one word.
+        /// The host's matrix, assembled from the shipped rows, is the serial
+        /// one — with zero weights, several vertices per cell, and (P = 16
+        /// over N = 5) ranks whose row is empty and ships one word — and
+        /// every rank gets the mapper's processor for each vertex it owns,
+        /// including vertices whose whole cell weighs zero.
         #[test]
         fn distributed_matrix_equals_serial(
             verts in proptest::collection::vec((0u64..4, 0u32..64, 0u32..64), 200),
@@ -195,9 +231,17 @@ mod tests {
                     MachineModel::sp2(),
                 );
                 let serial = SimilarityMatrix::from_assignments(&wremap, &old, &new, nproc, nproc);
+                let greedy = plum_reassign::greedy_mwbg(&serial);
                 prop_assert_eq!(&par.matrix, &serial);
-                prop_assert_eq!(&par.assignment, &plum_reassign::greedy_mwbg(&serial));
+                prop_assert_eq!(&par.assignment, &greedy);
                 prop_assert!(par.time > 0.0);
+                let lists = RankLists::build(&old, nproc);
+                for (r, got) in rank_answers(&wremap, &old, &new, nproc).iter().enumerate() {
+                    let mine = lists.mine(r).iter();
+                    let want: Vec<u32> =
+                        mine.map(|&v| greedy.proc_of_part[new[v as usize] as usize]).collect();
+                    prop_assert_eq!(got, &want, "rank {}", r);
+                }
             }
         }
     }

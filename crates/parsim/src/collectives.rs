@@ -15,7 +15,9 @@
 //!   carries. Values combine in ascending (virtual) rank order, each child's
 //!   contiguous subtree associated first — the flat left fold's value for
 //!   every associative `op`, commutative or not.
-//! * `scatter` — binomial tree away from the root, `P-1` messages total.
+//! * `scatter` / `scatterv` — binomial tree away from the root, `P-1`
+//!   messages total; a message carries (and charges for) the blocks of its
+//!   destination's whole subtree, the mirror of a gather.
 //! * `allgather` — tree gather to rank 0 plus binomial broadcast of the
 //!   `P × words` table, `2(P-1)` messages total.
 //! * `allreduce` — `reduce` to rank 0 plus binomial broadcast, `2(P-1)`
@@ -200,29 +202,40 @@ impl Comm {
     }
 
     /// Binomial-tree scatter: root supplies one value per rank; every rank
-    /// receives its own. `P-1` messages total; each message carries (and
-    /// charges for) the blocks of the destination's whole subtree.
+    /// receives its own. [`Comm::scatterv`] with every block `words_each`
+    /// words.
     pub fn scatter<T: Send + 'static>(
         &mut self,
         root: usize,
         words_each: u64,
         values: Option<Vec<T>>,
     ) -> T {
+        let blocks = values.map(|vs| vs.into_iter().map(|v| (words_each, v)).collect());
+        self.scatterv(root, blocks)
+    }
+
+    /// Variable-size scatter ("scatterv"), the mirror of [`Comm::gatherv`]:
+    /// the root supplies one `(words, value)` block per rank, indexed by
+    /// rank, and every rank receives its own value. Binomial tree, `P-1`
+    /// messages total; each message carries the blocks of the destination's
+    /// whole subtree and charges the sum of their sizes.
+    pub fn scatterv<T: Send + 'static>(&mut self, root: usize, blocks: Option<Vec<(u64, T)>>) -> T {
         self.collective_enter(CollectiveKind::Scatter);
         let p = self.nranks();
         let rank = self.rank();
         let vrank = (rank + p - root) % p;
-        // Blocks this rank currently holds, as (vrank, value), sorted by vrank.
-        let mut held: Vec<(usize, T)> = if rank == root {
-            let values = values.expect("scatter root must supply values");
-            assert_eq!(values.len(), p, "scatter needs one value per rank");
-            let mut blocks: Vec<(usize, T)> = values
+        // Blocks this rank currently holds, as (vrank, words, value), sorted
+        // by vrank.
+        let mut held: Vec<(usize, u64, T)> = if rank == root {
+            let blocks = blocks.expect("scatter root must supply values");
+            assert_eq!(blocks.len(), p, "scatter needs one value per rank");
+            let mut held: Vec<(usize, u64, T)> = blocks
                 .into_iter()
                 .enumerate()
-                .map(|(d, v)| ((d + p - root) % p, v))
+                .map(|(d, (words, v))| ((d + p - root) % p, words, v))
                 .collect();
-            blocks.sort_unstable_by_key(|b| b.0);
-            blocks
+            held.sort_unstable_by_key(|b| b.0);
+            held
         } else {
             Vec::new()
         };
@@ -239,7 +252,8 @@ impl Comm {
                     let split = held.partition_point(|b| b.0 < dst_v);
                     let ship = held.split_off(split);
                     let dst = (dst_v + root) % p;
-                    self.send(dst, TAG_SCATTER, words_each * ship.len() as u64, ship);
+                    let words = ship.iter().map(|b| b.1).sum();
+                    self.send(dst, TAG_SCATTER, words, ship);
                 }
             } else if vrank % (2 * mask) == mask {
                 let src = ((vrank - mask) + root) % p;
@@ -248,7 +262,7 @@ impl Comm {
             mask >>= 1;
         }
         debug_assert_eq!(held.len(), 1, "scatter: block range not fully split");
-        let (vr, out) = held.pop().expect("scatter: own block never arrived");
+        let (vr, _, out) = held.pop().expect("scatter: own block never arrived");
         debug_assert_eq!(vr, vrank, "scatter: wrong block delivered");
         self.collective_exit(CollectiveKind::Scatter);
         out
@@ -753,6 +767,40 @@ mod tests {
                 .iter()
                 .all(|x| *x.value == (0..p as u64).collect::<Vec<_>>()));
             assert_eq!(total_msgs(&r), 2 * (p - 1) as u64, "allgather p={p}");
+        }
+    }
+
+    /// `scatterv` with uneven and empty blocks, at every P up to 17 and from
+    /// three roots: `P-1` messages, the one to virtual rank `v` declaring
+    /// the summed sizes of the blocks of `v`'s subtree `[v, v + lowbit(v))`,
+    /// and every rank gets its own block.
+    #[test]
+    fn scatterv_charges_each_subtree_its_blocks() {
+        // Rank d's block: `(d·7) mod 5` words (zero for d ∈ {0, 5, 10, 15}).
+        let words_of = |d: usize| (d * 7 % 5) as u64;
+        for p in 1..=17usize {
+            for root in [0, p - 1, p / 2] {
+                let r = spmd(p, MachineModel::sp2(), move |comm| {
+                    let blocks = (comm.rank() == root).then(|| {
+                        (0..comm.nranks())
+                            .map(|d| (words_of(d), vec![d as u64; words_of(d) as usize]))
+                            .collect()
+                    });
+                    comm.scatterv(root, blocks)
+                });
+                for x in &r {
+                    let own = vec![x.rank as u64; words_of(x.rank) as usize];
+                    assert_eq!(x.value, own, "p={p} root={root} rank={}", x.rank);
+                }
+                let sent = sends(&r);
+                assert_eq!(sent.len(), p - 1, "p={p} root={root}");
+                for (from, to, words) in sent {
+                    let v = (to + p - root) % p;
+                    let span = v..v + subtree(v, p) as usize;
+                    let carried: u64 = span.map(|k| words_of((k + root) % p)).sum();
+                    assert_eq!(words, carried, "p={p} root={root} {from}->{to}");
+                }
+            }
         }
     }
 

@@ -7,11 +7,12 @@
 //!
 //! Contract of the SPMD bodies: all control flow branches on replicated
 //! data only, so the partition is a deterministic function of the problem —
-//! bit-identical on every rank and under every machine model, chaos
-//! perturbation and link jitter; virtual time comes from per-vertex compute
-//! charges and real message traffic. A body finds its vertices in its
-//! rank's list of the [`RankLists`], never by scanning a replicated owner
-//! array: per-rank host work stays proportional to what the rank owns.
+//! bit-identical under every machine model, chaos perturbation and link
+//! jitter; virtual time comes from per-vertex compute charges and real
+//! message traffic. A body finds its vertices in its rank's list of the
+//! [`RankLists`], never by scanning a replicated owner array, and returns
+//! the new parts of those vertices only: per-rank host work, and what a
+//! rank receives, stay proportional to what the rank owns.
 
 use std::sync::Arc;
 
@@ -150,8 +151,9 @@ impl BalanceMethod {
     }
 
     /// The replicated partition of a replicated-arithmetic method, computed
-    /// once on the host for every rank of [`balance_body`] to share; `None`
-    /// for the multilevel kernel, which has nothing to hoist. The *virtual*
+    /// once on the host for every rank of [`balance_body`] to share (each
+    /// rank picks out its own slice); `None` for the multilevel kernel,
+    /// which has nothing to hoist. The *virtual*
     /// compute charge is taken in the body either way, so modeled times do
     /// not depend on who did the arithmetic.
     pub fn hoist(self, p: &Problem) -> Option<Arc<Vec<u32>>> {
@@ -264,6 +266,31 @@ impl RankLists {
     /// The vertices rank `rank` owns, ascending.
     pub fn mine(&self, rank: usize) -> &[u32] {
         &self.verts[self.off[rank] as usize..self.off[rank + 1] as usize]
+    }
+
+    /// The one-value-per-vertex array whose rank `r` slice is `per_rank[r]`
+    /// (`per_rank[r][k]` belongs to `mine(r)[k]`) — host bookkeeping that
+    /// puts rank-local answers back into vertex order. Panics unless every
+    /// rank supplied exactly one value per vertex it owns.
+    pub fn assemble<'a>(&self, per_rank: impl IntoIterator<Item = &'a [u32]>) -> Vec<u32> {
+        let mut out = vec![0u32; self.n()];
+        let mut ranks = 0;
+        for (rank, values) in per_rank.into_iter().enumerate() {
+            let mine = self.mine(rank);
+            assert_eq!(
+                values.len(),
+                mine.len(),
+                "rank {rank} returned {} values for the {} vertices it owns",
+                values.len(),
+                mine.len()
+            );
+            for (&v, &x) in mine.iter().zip(values) {
+                out[v as usize] = x;
+            }
+            ranks += 1;
+        }
+        assert_eq!(ranks + 1, self.off.len(), "one slice per rank");
+        out
     }
 }
 
@@ -388,8 +415,10 @@ fn exchange_and_check(
 }
 
 /// The SPMD body of `method`: call from every rank of a session (or
-/// [`spmd`] run) at the same program point; every rank returns the same
-/// shared full partition vector, equal to [`balance`]'s.
+/// [`spmd`] run) at the same program point. Every rank returns the new part
+/// of each vertex it owns, in `lists.mine(rank)` order — its slice of
+/// [`balance`]'s partition, and nothing of anyone else's
+/// ([`RankLists::assemble`] puts the slices back together host-side).
 ///
 /// * `lists` — who owns which vertex (the previous processor assignment);
 ///   a rank reads its own list.
@@ -404,23 +433,23 @@ pub fn balance_body(
     lists: &RankLists,
     vertex_units: f64,
     hoisted: Option<&Arc<Vec<u32>>>,
-) -> Arc<Vec<u32>> {
+) -> Vec<u32> {
     let Some(body) = method.replicated_body() else {
         return multilevel_body(comm, p, lists, vertex_units);
     };
-    let part = Arc::clone(hoisted.expect("replicated-arithmetic methods are hoisted"));
+    let part = hoisted.expect("replicated-arithmetic methods are hoisted");
     // One allocation is shared by all ranks, so one rank's check covers it.
     if comm.rank() == 0 {
         debug_assert_eq!(
-            *part,
+            **part,
             balance(method, p),
             "hoisted partition diverges from the replicated arithmetic"
         );
     }
     let mine = lists.mine(comm.rank());
     charge(comm, mine.len().div_ceil(body.charge_div), vertex_units);
-    exchange_and_check(comm, p, mine, &part, &body);
-    part
+    exchange_and_check(comm, p, mine, part, &body);
+    mine.iter().map(|&v| part[v as usize]).collect()
 }
 
 /// Result of a standalone [`balance_distributed`] run.
@@ -436,8 +465,8 @@ pub struct DistPartition {
 
 /// Run [`balance_body`] on its own `nranks`-rank SPMD session, vertices
 /// distributed by `owner` — the standalone harness the differential tests
-/// use. Panics if the ranks disagree on the result (they cannot, by
-/// construction — the check is the point).
+/// use. The partition is assembled host-side from the ranks' slices; panics
+/// if a slice is not its rank's list long.
 pub fn balance_distributed(
     method: BalanceMethod,
     p: &Problem,
@@ -454,10 +483,7 @@ pub fn balance_distributed(
             balance_body(method, c, p, &lists, vertex_units, hoisted.as_ref())
         })
     });
-    let part = results[0].value.to_vec();
-    for r in &results {
-        assert_eq!(*r.value, part, "rank {} disagrees on the partition", r.rank);
-    }
+    let part = lists.assemble(results.iter().map(|r| &r.value[..]));
     DistPartition {
         part,
         makespan: makespan(&results),
@@ -479,6 +505,17 @@ mod tests {
         assert_eq!(lists.mine(2), [0, 2, 5, 6]);
         assert!(lists.mine(3).is_empty());
         assert_eq!(lists.newid, [4, 0, 5, 3, 1, 6, 7, 2]);
+        // Each rank answering with its own vertex ids puts every id back
+        // in its place.
+        let answers: Vec<&[u32]> = (0..4).map(|r| lists.mine(r)).collect();
+        assert_eq!(lists.assemble(answers), [0, 1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1 returned 2 values for the 1 vertices it owns")]
+    fn assemble_rejects_a_slice_of_the_wrong_length() {
+        let lists = RankLists::build(&[1, 0, 0], 2);
+        lists.assemble([&[0u32, 0][..], &[1, 1]]);
     }
 
     /// Every method's SPMD body returns its serial kernel's partition —

@@ -16,18 +16,20 @@
 //! machine model, chaos perturbations, and link jitter. Virtual time, by
 //! contrast, comes entirely from real message traffic plus per-vertex
 //! compute charges, which is what the engine reports as the partition phase.
+//! A rank ends holding the parts of its own vertices only: the coarsest
+//! solve scatters each rank its slice, and uncoarsening ends at the level-0
+//! numbering, which is the rank's list.
 //!
 //! Graphs at or below the configured coarsening target, and every
 //! two-constraint problem, skip the multilevel machinery: the rank-local
 //! weights (and previous parts) are gathered to rank 0, which runs the
-//! serial kernel on the original vertex numbering and broadcasts the answer
-//! — bit-identical to the host-side reference, which is the determinism
-//! anchor of the differential test battery.
+//! serial kernel on the original vertex numbering and scatters every rank
+//! the parts of its vertices — bit-identical to the host-side reference,
+//! which is the determinism anchor of the differential test battery.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use plum_parsim::{words_for_bytes, Comm};
 
@@ -523,10 +525,11 @@ pub(crate) fn contract_distributed(
 
 /// Gather the coarsest graph's CSR rows to rank 0 (rows concatenate in rank
 /// order because global ids are contiguous per rank), solve serially there,
-/// and broadcast the partition together with its global part weights — the
-/// one place a rank holds every vertex weight, so the weights uncoarsening
-/// carries cost `nparts` words on this broadcast instead of a collective of
-/// their own. Returns the owned slice of the partition and the weights.
+/// scatter every rank the parts of the coarse vertices it owns, and
+/// broadcast the global part weights — rank 0 is the one place that holds
+/// every vertex weight, so the weights uncoarsening carries cost one
+/// `nparts`-word broadcast. Returns the owned slice of the partition and
+/// the weights.
 fn coarsest_solve(
     comm: &mut Comm,
     dg: &DistGraph,
@@ -578,15 +581,24 @@ fn coarsest_solve(
             repartition_diffuse(&g, cfg, &seed, frac)
         };
         let w = part_weights(&g, &part, cfg.nparts);
-        Some((part, w))
+        let slices = dg
+            .off
+            .windows(2)
+            .map(|o| part[o[0] as usize..o[1] as usize].to_vec());
+        Some((slices.map(sized_block).collect(), w))
     } else {
         None
     };
-    let words = words_for_bytes(4 * dg.global_n()) + cfg.nparts as u64;
-    let solved = comm.bcast(0, words, full);
-    let (part, w) = &*solved;
-    let mine = dg.off[rank] as usize..dg.off[rank + 1] as usize;
-    (part[mine].to_vec(), w.clone())
+    let (slices, w) = full.unzip();
+    let part = comm.scatterv(0, slices);
+    let w = comm.bcast(0, cfg.nparts as u64, w);
+    (part, w.to_vec())
+}
+
+/// A rank's slice of a partition as a [`Comm::scatterv`] block, declaring
+/// its 4-byte part ids.
+fn sized_block(slice: Vec<u32>) -> (u64, Vec<u32>) {
+    (words_for_bytes(4 * slice.len()), slice)
 }
 
 /// Project a coarse partition onto the finer level: owned coarse vertices
@@ -1039,18 +1051,14 @@ fn assert_stage_matches_recount(
 // ---------------------------------------------------------------------------
 
 /// Gather the owned `(w1, w2, seed)` rows to rank 0, run the serial
-/// multilevel kernel there on the original vertex numbering, broadcast.
-/// Bit-identical to the host-side serial reference. Serves graphs at or
-/// below the coarsening target and the whole two-constraint path: the dual
-/// graph the engine balances is the root-element graph, which is at the
-/// scale this path already serves, and the gather and broadcast cost real
+/// multilevel kernel there on the original vertex numbering, and scatter
+/// every rank the parts of the vertices it owns, in `lists.mine(rank)`
+/// order. Bit-identical to the host-side serial reference. Serves graphs at
+/// or below the coarsening target and the whole two-constraint path: the
+/// dual graph the engine balances is the root-element graph, which is at the
+/// scale this path already serves, and the gather and scatter cost real
 /// collective traffic either way.
-fn gather_solve(
-    comm: &mut Comm,
-    p: &Problem,
-    lists: &RankLists,
-    vertex_units: f64,
-) -> Arc<Vec<u32>> {
+fn gather_solve(comm: &mut Comm, p: &Problem, lists: &RankLists, vertex_units: f64) -> Vec<u32> {
     let rank = comm.rank();
     let g = p.graph;
     let n = g.n();
@@ -1065,7 +1073,7 @@ fn gather_solve(
     charge(comm, vw.len(), vertex_units);
     let bytes = 8 * (vw.len() + v2.len()) + 4 * pv.len();
     let pieces = comm.gatherv(0, words_for_bytes(bytes), (vw, v2, pv));
-    let full = pieces.map(|pieces| {
+    let slices = pieces.map(|pieces| {
         let mut vwgt = vec![0u64; n];
         let mut w2_full = p.weights().w2().map(|_| vec![0u64; n]);
         let mut prev_full = p.seed.map(|_| vec![0u32; n]);
@@ -1090,9 +1098,11 @@ fn gather_solve(
         host.vwgt = Cow::Owned(vwgt);
         charge(comm, HOST_UNITS_PER_VERTEX as usize * n, vertex_units);
         let w = Weights::new(&host.vwgt, w2_full.as_deref());
-        multilevel(&host, w, p.cfg, prev_full.as_deref(), p.caps)
+        let part = multilevel(&host, w, p.cfg, prev_full.as_deref(), p.caps);
+        let slice = |r| lists.mine(r).iter().map(|&v| part[v as usize]).collect();
+        (0..pieces.len()).map(|r| sized_block(slice(r))).collect()
     });
-    comm.bcast(0, words_for_bytes(4 * n), full)
+    comm.scatterv(0, slices)
 }
 
 // ---------------------------------------------------------------------------
@@ -1106,17 +1116,20 @@ fn gather_solve(
 /// partitions fresh (e.g. when `nparts` differs from the number of ranks);
 /// uniform capacities take the bit-exact unweighted path. `vertex_units`
 /// is charged per owned vertex per stage (matching, contraction, each
-/// refinement round).
+/// refinement round). Returns the rank's level-0 parts, which
+/// [`build_level0`] already numbers in `lists.mine(rank)` order — nothing
+/// is reassembled.
 pub(crate) fn multilevel_body(
     comm: &mut Comm,
     p: &Problem,
     lists: &RankLists,
     vertex_units: f64,
-) -> Arc<Vec<u32>> {
+) -> Vec<u32> {
     let (g, cfg) = (p.graph, p.cfg);
     let n = g.n();
+    let rank = comm.rank();
     if cfg.nparts == 1 {
-        return Arc::new(vec![0; n]);
+        return vec![0; lists.mine(rank).len()];
     }
     if p.weights().w2().is_some() || n <= cfg.coarsen_target() {
         return gather_solve(comm, p, lists, vertex_units);
@@ -1124,7 +1137,6 @@ pub(crate) fn multilevel_body(
     let frac = capacity_fractions(p.caps, cfg.nparts);
     let frac = frac.as_deref();
 
-    let rank = comm.rank();
     let mut cur = build_level0(rank, g, lists, p.seed);
     charge(comm, cur.local_n(), vertex_units);
 
@@ -1170,20 +1182,7 @@ pub(crate) fn multilevel_body(
             None => break,
         }
     }
-
-    // Reassemble in the original vertex numbering on rank 0 and broadcast.
-    let nwords = words_for_bytes(4 * part.len());
-    let pieces = comm.gatherv(0, nwords, part);
-    let full = pieces.map(|pieces| {
-        let mut out = vec![0u32; n];
-        for (r, piece) in pieces.iter().enumerate() {
-            for (&v, &q) in lists.mine(r).iter().zip(piece) {
-                out[v as usize] = q;
-            }
-        }
-        out
-    });
-    comm.bcast(0, words_for_bytes(4 * n), full)
+    part
 }
 
 #[cfg(test)]
