@@ -53,19 +53,19 @@ pub struct PlumConfig {
     pub imbalance_trigger: f64,
     /// Partitioner settings (its `nparts` is overridden to `P·F`).
     pub partition: PartitionConfig,
-    /// Portfolio policy: a triggered cycle whose effective imbalance is
-    /// below this is mild enough for SFC boundary diffusion instead of a
+    /// Portfolio policy: a triggered cycle whose effective imbalance is at
+    /// most this is mild enough for SFC boundary diffusion instead of a
     /// full repartition (Cubism's diffusion-below-threshold rule). Needs
-    /// SFC keys and a seedable previous partition; above it, methods are
-    /// scored with the gain/cost model.
+    /// SFC keys and a seedable previous partition; any other cycle takes
+    /// the multilevel kernel.
     pub sfc_threshold: f64,
     /// Which space-filling curve orders the element centroids.
     pub sfc_curve: SfcCurve,
     /// Pin the portfolio to one method (benchmarks and differential tests);
-    /// `None` lets the policy pick per cycle. Codes 1–6: multilevel, SFC
+    /// `None` lets the policy pick per cycle, and it picks only SFC
+    /// boundary diffusion or multilevel. Codes 1–6: multilevel, SFC
     /// boundary diffusion, SFC split, knapsack, second-order diffusion,
-    /// Voronoi — the last two are the `rematch` locals, which only run
-    /// when forced (the scoring tier keeps the committed baselines).
+    /// Voronoi — the last four run only when forced.
     pub force_method: Option<BalanceMethod>,
 }
 

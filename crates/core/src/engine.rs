@@ -28,8 +28,7 @@ use plum_partition::{balance_body, weights_of, RankLists};
 use plum_solver::{edge_error_indicator, solve};
 
 use crate::balance::{
-    apply_reassignment, evaluate_balance, identity_pinned, predicted_time, with_problem,
-    BalanceDecision,
+    apply_reassignment, evaluate_balance, identity_pinned, with_problem, BalanceDecision,
 };
 use crate::config::RemapPolicy;
 use crate::framework::{CycleReport, CycleTraces, PhaseTimes, Plum};
@@ -296,7 +295,6 @@ impl Cycle {
             },
         );
         decision.method = Some(method);
-        decision.predicted_partition_time = predicted_time(method, &p.work, p.dual.n(), cfg.nproc);
         decision.partition_time = partition_time;
         // Host bookkeeping, not modeled traffic: the ranks' slices in root
         // order, for the host's matrix check and the acceptance test.
@@ -769,7 +767,6 @@ mod tests {
                 assert_eq!(e.decision.method, r.decision.method, "{method:?}");
                 if e.decision.repartitioned {
                     assert_eq!(e.decision.method, Some(method), "cycle {cycle}");
-                    assert!(e.decision.predicted_partition_time > 0.0);
                 }
             }
             engine.am.validate();
@@ -795,7 +792,6 @@ mod tests {
                     assert_eq!(e.decision.method, r.decision.method, "{method:?} P={nproc}");
                     if nproc > 1 && e.decision.repartitioned {
                         assert_eq!(e.decision.method, Some(method), "P={nproc} cycle {cycle}");
-                        assert!(e.decision.predicted_partition_time > 0.0);
                     }
                 }
                 engine.am.validate();

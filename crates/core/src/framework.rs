@@ -23,8 +23,7 @@ pub struct PhaseTimes {
     /// Edge marking incl. propagation communication (parsim).
     pub marking: f64,
     /// Repartitioner: measured from the distributed kernel's session step
-    /// (modeled, `WorkModel::partition_time`, only under the test-only
-    /// per-phase oracle).
+    /// (a flat modeled charge only under the test-only per-phase oracle).
     pub partition: f64,
     /// Processor reassignment (real measured algorithm time).
     pub reassign: f64,
@@ -164,10 +163,6 @@ impl CycleReport {
             sink.set_gauge(
                 &format!("balance.partition.{}.seconds", m.name()),
                 self.times.partition,
-            );
-            sink.set_gauge(
-                "info.balance.method_predicted_seconds",
-                self.decision.predicted_partition_time,
             );
         }
         sink.set_gauge("info.balance.imbalance_old", self.decision.imbalance_old);
