@@ -68,16 +68,16 @@ pub fn ablate_f(scale: Scale, nproc: usize, fs: &[usize]) -> Vec<FRow> {
     rows
 }
 
-/// Print the F ablation.
+/// Print the F ablation. Its times are host wall-clock.
 pub fn print_ablate_f(rows: &[FRow]) {
     println!("Ablation: partitions per processor F (Real_2, optimal MWBG)");
     println!(
-        "{:>3} | {:>11} {:>10} | {:>13} {:>13}",
-        "F", "elems moved", "messages", "partition", "reassign"
+        "{:>3} | {:>11} {:>10} | {:>17} {:>16}",
+        "F", "elems moved", "messages", "partition host ms", "reassign host µs"
     );
     for r in rows {
         println!(
-            "{:>3} | {:>11} {:>10} | {:>11.1}ms {:>11.1}µs",
+            "{:>3} | {:>11} {:>10} | {:>17.1} {:>16.1}",
             r.f,
             r.total_elems,
             r.total_msgs,

@@ -68,60 +68,75 @@
 //! in-process. `hotspot --chaos <seed>` layers the 40× moving hotspot on
 //! top of the seeded 2× rank slowdown — the hotspot row of the nightly
 //! chaos matrix, with the same failure-trace artifact contract.
+//!
+//! A flag the experiment would not use — `--chaos` outside fig6, hotspot
+//! and rematch, `--trace` outside fig6 or beside `--chaos` — exits 2 with a
+//! message, like an unknown flag or experiment.
 
 use plum_bench::*;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut trace_path: Option<String> = None;
-    let mut bench_path: Option<String> = None;
-    let mut chaos_seed: Option<u64> = None;
-    let mut what: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
+/// The parsed command line.
+#[derive(Default)]
+struct Args {
+    what: String,
+    quick: bool,
+    trace_path: Option<String>,
+    bench_path: Option<String>,
+    chaos_seed: Option<u64>,
+}
+
+/// Parse the arguments after the program name. A flag that does not apply
+/// to the experiment is an error, not a silent no-op: `--chaos` runs only
+/// under fig6, hotspot and rematch, and `--trace` only under a plain fig6.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut what = None;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => parsed.quick = true,
             "--trace" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => trace_path = Some(p.clone()),
-                    None => {
-                        eprintln!("--trace needs a path argument");
-                        std::process::exit(2);
-                    }
-                }
+                let path = args.next().ok_or("--trace needs a path argument")?;
+                parsed.trace_path = Some(path.clone());
             }
             "--bench" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => bench_path = Some(p.clone()),
-                    None => {
-                        eprintln!("--bench needs a path argument");
-                        std::process::exit(2);
-                    }
-                }
+                let path = args.next().ok_or("--bench needs a path argument")?;
+                parsed.bench_path = Some(path.clone());
             }
             "--chaos" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => chaos_seed = Some(s),
-                    None => {
-                        eprintln!("--chaos needs an integer seed argument");
-                        std::process::exit(2);
-                    }
-                }
+                let seed = args.next().and_then(|s| s.parse().ok());
+                parsed.chaos_seed = Some(seed.ok_or("--chaos needs an integer seed argument")?);
             }
             a if !a.starts_with("--") && what.is_none() => what = Some(a.to_string()),
-            a => {
-                eprintln!("unknown flag '{a}'");
-                std::process::exit(2);
-            }
+            a => return Err(format!("unknown flag '{a}'")),
         }
-        i += 1;
     }
+    parsed.what = what.unwrap_or_else(|| "all".to_string());
+    let what = parsed.what.as_str();
+    if parsed.chaos_seed.is_some() && !matches!(what, "fig6" | "hotspot" | "rematch") {
+        return Err(format!(
+            "--chaos applies only to fig6, hotspot and rematch, not '{what}'"
+        ));
+    }
+    if parsed.trace_path.is_some() && (what != "fig6" || parsed.chaos_seed.is_some()) {
+        return Err("--trace applies only to fig6 without --chaos".to_string());
+    }
+    Ok(parsed)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        what,
+        quick,
+        trace_path,
+        bench_path,
+        chaos_seed,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let scale = if quick { Scale::Quick } else { Scale::Paper };
-    let what = what.unwrap_or_else(|| "all".to_string());
 
     eprintln!(
         "# scale: {scale:?} (~{} initial elements), procs {:?}",
@@ -129,8 +144,37 @@ fn main() {
         scale.procs()
     );
 
-    let needs_sweep = matches!(what.as_str(), "fig4" | "fig5" | "fig6" | "fig8" | "all")
-        && !(what == "fig6" && chaos_seed.is_some());
+    // The chaos recovery runs replace their experiment's normal run. A
+    // failed recovery writes the last cycle's session trace to the
+    // artifact the nightly job uploads and exits 1.
+    if let Some(seed) = chaos_seed {
+        eprintln!("# running the {what} chaos recovery experiment (seed {seed})…");
+        let (recovered, trace_json, tag) = match what.as_str() {
+            "rematch" => {
+                let run = rematch::rematch_chaos_recovery(seed);
+                rematch::print_rematch_chaos(&run);
+                (run.recovered, run.trace_json, "rematch-")
+            }
+            _ => {
+                let (run, tag) = if what == "fig6" {
+                    (chaos::chaos_recovery(scale, seed), "")
+                } else {
+                    (chaos::hotspot_chaos_recovery(scale, seed), "hotspot-")
+                };
+                chaos::print_chaos(&run);
+                (run.recovered, run.trace_json, tag)
+            }
+        };
+        if !recovered {
+            let artifact = format!("chaos-failure-{tag}seed-{seed}.json");
+            std::fs::write(&artifact, trace_json).expect("write failure trace");
+            eprintln!("# recovery FAILED; wrote session trace to {artifact}");
+            std::process::exit(1);
+        }
+        return;
+    }
+
+    let needs_sweep = matches!(what.as_str(), "fig4" | "fig5" | "fig6" | "fig8" | "all");
     let sw = if needs_sweep {
         eprintln!("# running the adaption-cycle sweep (3 cases × 2 policies × P)…");
         Some(sweep(scale))
@@ -149,6 +193,21 @@ fn main() {
         eprintln!("# wrote {path}");
     };
 
+    // Run on their own and as the tail of `all`.
+    let run_ablation = || {
+        use plum_bench::ablation::*;
+        print_ablate_f(&ablate_f(scale, if quick { 8 } else { 16 }, &[1, 2, 4]));
+        println!();
+        let procs: Vec<usize> = scale.procs().iter().copied().filter(|&p| p > 1).collect();
+        print_ablate_seeding(&ablate_seeding(scale, &procs));
+        println!();
+        print_ablate_metric(&ablate_metric(scale, &procs));
+    };
+    let run_multicycle = || {
+        let (nproc, cycles) = if quick { (8, 3) } else { (32, 5) };
+        multicycle::print_multicycle(&multicycle::multicycle(scale, nproc, cycles));
+    };
+
     match what.as_str() {
         "table1" => print_table1(&table1(scale)),
         "table2" => print_table2(&table2(scale)),
@@ -159,18 +218,6 @@ fn main() {
             write_bench("BENCH_fig5.json", &report::fig5_bench(sw, scale));
         }
         "fig6" => {
-            if let Some(seed) = chaos_seed {
-                eprintln!("# running the chaos recovery experiment (seed {seed})…");
-                let run = chaos::chaos_recovery(scale, seed);
-                chaos::print_chaos(&run);
-                if !run.recovered {
-                    let artifact = format!("chaos-failure-seed-{seed}.json");
-                    std::fs::write(&artifact, &run.trace_json).expect("write failure trace");
-                    eprintln!("# recovery FAILED; wrote session trace to {artifact}");
-                    std::process::exit(1);
-                }
-                return;
-            }
             print_fig6(sw.as_ref().unwrap());
             if let Some(path) = &trace_path {
                 let nproc = scale.procs().last().copied().unwrap().min(8);
@@ -227,18 +274,6 @@ fn main() {
             write_bench("BENCH_weakscale.json", &bench);
         }
         "rematch" => {
-            if let Some(seed) = chaos_seed {
-                eprintln!("# running the rematch recovery experiment (seed {seed})…");
-                let run = rematch::rematch_chaos_recovery(seed);
-                rematch::print_rematch_chaos(&run);
-                if !run.recovered {
-                    let artifact = format!("chaos-failure-rematch-seed-{seed}.json");
-                    std::fs::write(&artifact, &run.trace_json).expect("write failure trace");
-                    eprintln!("# recovery FAILED; wrote session trace to {artifact}");
-                    std::process::exit(1);
-                }
-                return;
-            }
             eprintln!(
                 "# running the global-vs-local rematch at P in {:?}…",
                 rematch::REMATCH_PROCS
@@ -248,18 +283,6 @@ fn main() {
             write_bench("BENCH_rematch.json", &bench);
         }
         "hotspot" => {
-            if let Some(seed) = chaos_seed {
-                eprintln!("# running the hotspot chaos recovery experiment (seed {seed})…");
-                let run = chaos::hotspot_chaos_recovery(scale, seed);
-                chaos::print_chaos(&run);
-                if !run.recovered {
-                    let artifact = format!("chaos-failure-hotspot-seed-{seed}.json");
-                    std::fs::write(&artifact, &run.trace_json).expect("write failure trace");
-                    eprintln!("# recovery FAILED; wrote session trace to {artifact}");
-                    std::process::exit(1);
-                }
-                return;
-            }
             eprintln!(
                 "# running the measured-cost hotspot scenario at P={}…",
                 scenarios::SCENARIO_NPROC
@@ -290,21 +313,8 @@ fn main() {
             print_fig7(&paper_growths());
         }
         "fig8" => print_fig8(sw.as_ref().unwrap()),
-        "multicycle" => {
-            use plum_bench::multicycle::*;
-            let nproc = if quick { 8 } else { 32 };
-            print_multicycle(&multicycle(scale, nproc, if quick { 3 } else { 5 }));
-        }
-        "ablation" => {
-            use plum_bench::ablation::*;
-            let p16 = if quick { 8 } else { 16 };
-            print_ablate_f(&ablate_f(scale, p16, &[1, 2, 4]));
-            println!();
-            let procs: Vec<usize> = scale.procs().iter().copied().filter(|&p| p > 1).collect();
-            print_ablate_seeding(&ablate_seeding(scale, &procs));
-            println!();
-            print_ablate_metric(&ablate_metric(scale, &procs));
-        }
+        "multicycle" => run_multicycle(),
+        "ablation" => run_ablation(),
         "all" => {
             let sw = sw.as_ref().unwrap();
             print_table1(&table1(scale));
@@ -324,32 +334,58 @@ fn main() {
             println!();
             print_fig8(sw);
             println!();
-            let procs: Vec<usize> = scale.procs().iter().copied().filter(|&p| p > 1).collect();
-            plum_bench::ablation::print_ablate_f(&plum_bench::ablation::ablate_f(
-                scale,
-                if quick { 8 } else { 16 },
-                &[1, 2, 4],
-            ));
+            run_ablation();
             println!();
-            plum_bench::ablation::print_ablate_seeding(&plum_bench::ablation::ablate_seeding(
-                scale, &procs,
-            ));
-            println!();
-            plum_bench::ablation::print_ablate_metric(&plum_bench::ablation::ablate_metric(
-                scale, &procs,
-            ));
-            println!();
-            plum_bench::multicycle::print_multicycle(&plum_bench::multicycle::multicycle(
-                scale,
-                if quick { 8 } else { 32 },
-                if quick { 3 } else { 5 },
-            ));
+            run_multicycle();
         }
         other => {
             eprintln!(
                 "unknown experiment '{other}'; use table1|table2|fig4|fig5|fig6|fig6_slow|fig6_mild|weakscale|rematch|hotspot|dual|cascade|fig7|fig8|ablation|multicycle|all"
             );
             std::process::exit(2);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    /// The flags parse where they apply and are rejected where they would
+    /// be ignored, as are unknown and incomplete flags.
+    #[test]
+    fn flags_apply_only_where_they_are_used() {
+        let fig6 = parse("fig6 --chaos 3 --quick").unwrap();
+        assert_eq!(
+            (fig6.what.as_str(), fig6.chaos_seed, fig6.quick),
+            ("fig6", Some(3), true)
+        );
+        for ok in [
+            "hotspot --chaos 0",
+            "rematch --chaos 1",
+            "fig6 --trace t.json",
+            "--quick",
+            "cascade --bench b.json",
+        ] {
+            assert!(parse(ok).is_ok(), "{ok}");
+        }
+        assert_eq!(parse("").unwrap().what, "all");
+        for bad in [
+            "cascade --chaos 3",
+            "all --chaos 3",
+            "table2 --trace t.json",
+            "fig6 --chaos 3 --trace t.json",
+            "fig6 --chaos x",
+            "fig6 --trace",
+            "fig6 --frobnicate",
+            "fig6 fig8",
+        ] {
+            assert!(parse(bad).is_err(), "{bad} must be rejected");
         }
     }
 }

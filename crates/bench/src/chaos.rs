@@ -19,8 +19,8 @@ use crate::{initial_mesh, Scale, CASES};
 pub struct ChaosRow {
     pub cycle: usize,
     /// Virtual makespan of the cycle: max over ranks of the session
-    /// timeline's accounted time. Purely virtual (the host-side mapper's
-    /// wall time is excluded), so runs are byte-reproducible.
+    /// timeline's accounted time. Purely virtual, so runs are
+    /// byte-reproducible.
     pub makespan: f64,
     /// Capacity-weighted solver imbalance after the cycle (1.0 = ideal).
     pub eff_imbalance: f64,

@@ -7,6 +7,8 @@
 //! them. That determinism is what lets CI keep a committed baseline and
 //! fail on any growth beyond tolerance.
 
+use std::collections::BTreeSet;
+
 use plum_core::{CycleReport, RemapPolicy};
 use plum_obs::{
     critical_path, heaviest_edges, phase_critical_path, render_heaviest_edges, BenchReport,
@@ -33,6 +35,37 @@ pub fn git_sha() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Panic unless `current` is the committed `benchmarks/baseline/<file>` bit
+/// for bit: every metric (`info.` ones included), the digest, the timeline
+/// and the metadata, ignoring only `meta.git_sha`. The report's JSON holds
+/// one metric or timeline series per line, so the message lists the lines
+/// that moved. Every number in a cycle report is virtual, so a run at the
+/// committed commit reproduces its file exactly.
+pub fn assert_reproduces_baseline(current: &BenchReport, file: &str) {
+    let path = format!(
+        "{}/../../benchmarks/baseline/{file}",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let committed = BenchReport::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let mut current = current.clone();
+    if let Some(sha) = committed.meta.get("git_sha") {
+        current.meta.insert("git_sha".to_string(), sha.clone());
+    }
+    let now = current.to_json();
+    if now != text {
+        let (then, now): (BTreeSet<&str>, BTreeSet<&str>) =
+            (text.lines().collect(), now.lines().collect());
+        let moved: Vec<String> = (then.symmetric_difference(&now))
+            .map(|l| format!("{} {l}", if now.contains(l) { '+' } else { '-' }))
+            .collect();
+        panic!(
+            "{file}: the run (+) differs from the committed file (-) in\n{}",
+            moved.join("\n")
+        );
+    }
 }
 
 /// Build a BENCH report from one instrumented adaption cycle: the cycle's
@@ -398,21 +431,14 @@ pub fn weakscale_point(nproc: usize, elems_per_rank: usize, reps: usize) -> Weak
     let (r, mut wall_seconds) = run_once();
     for _ in 1..reps {
         let (r2, w2) = run_once();
-        // Every virtual phase time must be bit-identical between reps
-        // (`reassign` is excluded: it is host wall-clock by design).
-        for (name, a, b) in [
-            ("solver", r2.times.solver, r.times.solver),
-            ("marking", r2.times.marking, r.times.marking),
-            ("partition", r2.times.partition, r.times.partition),
-            ("remap", r2.times.remap, r.times.remap),
-            ("subdivide", r2.times.subdivide, r.times.subdivide),
-        ] {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "weakscale cycle at P={nproc}: virtual {name} time differs between reps"
-            );
-        }
+        // Every phase time is virtual and must be bit-identical between
+        // reps. `Debug` prints each f64 in its shortest round-trip form, so
+        // equal text is equal bits.
+        assert_eq!(
+            format!("{:?}", r2.times),
+            format!("{:?}", r.times),
+            "weakscale cycle at P={nproc}: phase times differ between reps"
+        );
         wall_seconds = wall_seconds.min(w2);
     }
 

@@ -16,7 +16,7 @@
 
 use plum_core::{CostEstimator, CycleReport, Plum, PlumConfig, RemapPolicy};
 use plum_obs::BenchReport;
-use plum_partition::imbalance;
+use plum_partition::{imbalance, weights_of};
 use plum_solver::{CostField, WaveField};
 
 use crate::report::git_sha;
@@ -39,14 +39,6 @@ pub fn units_imbalance(p: &Plum) -> f64 {
     let total: f64 = per.iter().sum();
     let max = per.iter().copied().fold(0.0, f64::max);
     max / (total / p.cfg.nproc as f64)
-}
-
-fn per_proc(w: &[u64], proc: &[u32], nproc: usize) -> Vec<u64> {
-    let mut out = vec![0u64; nproc];
-    for (v, &p) in proc.iter().enumerate() {
-        out[p as usize] += w[v];
-    }
-    out
 }
 
 /// The hotspot scenario driver: a 40× moving hotspot under either the
@@ -147,8 +139,8 @@ fn dual_arm(scale: Scale, dual: bool, cycles: usize) -> (f64, f64, plum_obs::Tim
         p.adaption_cycle(0.2, 0.05);
     }
     let (wcomp, _) = p.am.weights();
-    let fluid = imbalance(&per_proc(&wcomp, &p.proc_of_root, SCENARIO_NPROC));
-    let particles = imbalance(&per_proc(&w2, &p.proc_of_root, SCENARIO_NPROC));
+    let fluid = imbalance(&weights_of(&wcomp, &p.proc_of_root, SCENARIO_NPROC));
+    let particles = imbalance(&weights_of(&w2, &p.proc_of_root, SCENARIO_NPROC));
     (fluid, particles, p.timeline)
 }
 
@@ -324,7 +316,8 @@ mod tests {
 
     /// Acceptance criteria of the cascade scenario: protocol-clean at
     /// P = 64, 1e-9 accounting on every session, element trajectory up
-    /// then down (all asserted inside `cascade_bench`).
+    /// then down (all asserted inside `cascade_bench`). The report, its
+    /// per-cycle timeline included, is the committed baseline bit for bit.
     #[test]
     fn cascade_runs_protocol_clean_at_p64() {
         let (b, analysis) = cascade_bench(Scale::Quick);
@@ -332,5 +325,6 @@ mod tests {
         assert!(b.metrics["phase.coarsen.seconds"] > 0.0);
         assert!(b.metrics["rate.cascade.elements_removed"] >= 1.0);
         assert!(analysis.contains("coarsen"));
+        crate::report::assert_reproduces_baseline(&b, "BENCH_cascade.json");
     }
 }

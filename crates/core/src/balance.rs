@@ -1,8 +1,6 @@
 //! The load balancer: evaluation, repartitioning, processor reassignment,
 //! and the gain/cost acceptance decision (the LOAD BALANCER box of Fig. 1).
 
-use std::time::Instant;
-
 use plum_mesh::DualGraph;
 pub use plum_partition::BalanceMethod;
 use plum_partition::{imbalance, imbalance_weighted, weights_of, Graph, Problem, Weights};
@@ -13,7 +11,8 @@ use plum_remap::RemapMetric;
 
 use crate::config::{Mapper, PlumConfig};
 
-/// Everything the load balancer decided and measured in one invocation.
+/// Everything the load balancer decided in one invocation. Its phases'
+/// seconds are in the cycle's [`crate::PhaseTimes`].
 #[derive(Debug, Clone)]
 pub struct BalanceDecision {
     /// Whether the evaluation step judged the mesh unbalanced enough to
@@ -39,15 +38,6 @@ pub struct BalanceDecision {
     /// Which portfolio method repartitioned (`None` when the balancer
     /// short-circuited without repartitioning).
     pub method: Option<BalanceMethod>,
-    /// Repartitioner virtual time: measured from the distributed kernel's
-    /// session step on the engine path; on the test-only oracle path a flat
-    /// modeled charge, the same for every method.
-    pub partition_time: f64,
-    /// Real measured wall time of the reassignment algorithm (Table 2).
-    pub reassign_seconds: f64,
-    /// Virtual time of the distributed row-gather/solution-scatter protocol
-    /// around the mapper (§4.3 — "a minuscule amount of time").
-    pub reassign_comm_time: f64,
     /// Movement statistics of the proposed mapping.
     pub stats: Option<RemapStats>,
     /// Computational gain and redistribution cost compared by the
@@ -81,15 +71,13 @@ fn effective_load(w: &[u64], caps: &[f64]) -> (f64, u64) {
     (imb, wmax.expect("at least one processor"))
 }
 
-/// Run the paper's reassignment for the configured mapper, timing it.
-pub fn run_mapper(sm: &SimilarityMatrix, mapper: Mapper) -> (Assignment, f64) {
-    let t0 = Instant::now();
-    let a = match mapper {
+/// Run the paper's reassignment for the configured mapper.
+pub fn run_mapper(sm: &SimilarityMatrix, mapper: Mapper) -> Assignment {
+    match mapper {
         Mapper::GreedyMwbg => greedy_mwbg(sm),
         Mapper::OptimalMwbg => optimal_mwbg(sm),
         Mapper::OptimalBmcm => optimal_bmcm(sm, 1.0, 1.0),
-    };
-    (a, t0.elapsed().as_secs_f64())
+    }
 }
 
 /// The evaluation step of the load balancer: measure the current balance
@@ -128,9 +116,6 @@ pub(crate) fn evaluate_balance(
         wmax_old,
         wmax_new: wmax_old,
         method: None,
-        partition_time: 0.0,
-        reassign_seconds: 0.0,
-        reassign_comm_time: 0.0,
         stats: None,
         gain: 0.0,
         cost: 0.0,
@@ -340,7 +325,7 @@ mod tests {
         let graph = Graph::from_csr(dual.xadj.clone(), dual.adjncy.clone(), dual.wcomp.clone());
         let part = partition_kway(&graph, &plum_partition::PartitionConfig::new(4));
         let cfg = PlumConfig::new(4);
-        let d = balance_step(
+        let (d, _) = balance_step(
             &dual,
             &part,
             &vec![0; dual.n()],
@@ -359,7 +344,7 @@ mod tests {
         let (dual, part) = dual_with_hotspot(4, 8);
         let cfg = PlumConfig::new(4);
         let refine_work: Vec<u64> = dual.wcomp.iter().map(|&w| w - 1).collect();
-        let d = balance_step(
+        let (d, _) = balance_step(
             &dual,
             &part,
             &refine_work,
@@ -389,7 +374,7 @@ mod tests {
         cfg.cost.t_refine = 0.0;
         cfg.cost.m_words = 1_000_000;
         cfg.imbalance_trigger = 1.01;
-        let d = balance_step(
+        let (d, _) = balance_step(
             &dual,
             &part,
             &vec![0; dual.n()],
@@ -619,7 +604,7 @@ mod tests {
             let mut cfg = PlumConfig::new(4);
             cfg.force_method = Some(method);
             let refine_work: Vec<u64> = dual.wcomp.iter().map(|&w| w - 1).collect();
-            let d = balance_step(
+            let (d, _) = balance_step(
                 &dual,
                 &part,
                 &refine_work,
@@ -676,7 +661,7 @@ mod tests {
         for mapper in [Mapper::GreedyMwbg, Mapper::OptimalMwbg, Mapper::OptimalBmcm] {
             let mut cfg = PlumConfig::new(4);
             cfg.mapper = mapper;
-            let d = balance_step(
+            let (d, _) = balance_step(
                 &dual,
                 &part,
                 &vec![0; dual.n()],
@@ -686,7 +671,6 @@ mod tests {
                 None,
             );
             assert!(d.repartitioned);
-            assert!(d.reassign_seconds >= 0.0);
             assert!(d.imbalance_new <= d.imbalance_old + 1e-9, "{mapper:?}");
         }
     }

@@ -19,9 +19,11 @@
 //! root→processor assignment ([`Plum`]); each cycle derives its rank-local
 //! view of them ([`CycleEngine`], [`Ownership`]) once, when it opens.
 //!
-//! Parallel execution is simulated by `plum_parsim`: every rank is a real
-//! thread exchanging real messages, with virtual time charged from an
-//! SP2-class machine model (see DESIGN.md).
+//! Parallel execution is simulated by `plum_parsim`: every rank is a
+//! cooperatively scheduled fiber exchanging real messages, with virtual time
+//! charged from an SP2-class machine model (see DESIGN.md). Every second a
+//! cycle reports is virtual, and [`PhaseTimes::total`] is the cycle's
+//! session makespan.
 //!
 //! ```
 //! use plum_core::{Plum, PlumConfig};
@@ -31,7 +33,7 @@
 //! let mut plum = Plum::new(unit_box_mesh(3), WaveField::unit_box(), PlumConfig::new(4));
 //! let report = plum.adaption_cycle(0.2, 0.1);
 //! assert!(report.growth > 1.0);
-//! assert!(report.wmax_balanced <= report.wmax_unbalanced);
+//! assert!(report.wmax_balanced <= report.decision.wmax_old);
 //! ```
 
 mod balance;

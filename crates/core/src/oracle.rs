@@ -2,7 +2,7 @@
 //! into `plum-core`'s tests.
 //!
 //! Every parallel phase runs as its own `spmd` program with fresh clocks,
-//! the balancer runs its serial kernels host-side with a modeled wall time
+//! the balancer runs its serial kernels host-side with a modeled time
 //! ([`balance_step`]), and chaos is ignored (the reference is the clean
 //! baseline). The engine's golden battery (`engine.rs`) pins
 //! [`Plum::adaption_cycle`] ≡ [`Plum::adaption_cycle_reference`] and
@@ -138,7 +138,7 @@ impl Plum {
         refine_work: &[u64],
         times: &mut PhaseTimes,
     ) -> (BalanceDecision, Option<MigrationOutcome>) {
-        let decision = balance_step(
+        let (decision, balance) = balance_step(
             &self.dual,
             &self.proc_of_root,
             refine_work,
@@ -147,8 +147,8 @@ impl Plum {
             Some(&self.sfc_keys),
             self.wcomp2.as_deref(),
         );
-        times.partition = decision.partition_time;
-        times.reassign = decision.reassign_seconds;
+        times.partition = balance.partition;
+        times.reassign = balance.reassign;
         let migration = decision.accepted.then(|| {
             let out = parallel_migrate(
                 &self.am,
@@ -188,7 +188,6 @@ impl Plum {
             counts: self.am.mesh.counts(),
             growth,
             marking_sweeps,
-            wmax_unbalanced: decision.wmax_old,
             wmax_balanced,
             migration,
             decision,
@@ -297,35 +296,15 @@ fn partition_time(work: &WorkModel, n: usize, p: usize) -> f64 {
     local + sync + T_PART_BASE
 }
 
-/// Stage 1 of the load balancer on the reference path (host side):
-/// [`evaluate_balance`], then the portfolio method `select_method` picked,
-/// run serially and charged [`partition_time`]. The engine instead
-/// executes the same method's distributed body inside its session (see
-/// `engine::Cycle::balance`); the differential test battery pins the two
-/// against each other.
-fn evaluate_and_repartition(
-    dual: &DualGraph,
-    old_proc: &[u32],
-    cfg: &PlumConfig,
-    work: &WorkModel,
-    caps: &[f64],
-    keys: Option<&[u64]>,
-    w2: Option<&[u64]>,
-) -> (BalanceDecision, Option<Vec<u32>>) {
-    let (mut decision, go) = evaluate_balance(dual, old_proc, cfg, caps, w2);
-    if !go {
-        return (decision, None);
-    }
-    let (method, new_part) = with_problem(dual, old_proc, cfg, caps, keys, w2, |m, p| {
-        (m, balance(m, p))
-    });
-    decision.method = Some(method);
-    decision.partition_time = partition_time(work, dual.n(), cfg.nproc);
-    (decision, Some(new_part))
-}
-
 /// The full load-balancer step on the weighted dual graph, serial kernels
-/// and the standalone reassignment protocol.
+/// and the standalone reassignment protocol: [`evaluate_balance`], then the
+/// portfolio method `select_method` picked, run serially and charged
+/// [`partition_time`], then [`crate::parallel_reassign`] and the acceptance
+/// test. The engine instead executes the same method's distributed body
+/// inside its session (see `engine::Cycle::balance`); the differential test
+/// battery pins the two against each other. Returns the decision and the
+/// balancer's phase times — `partition` and `reassign`, both zero when the
+/// trigger did not fire.
 ///
 /// * `dual` carries the (possibly predicted) `wcomp` and the `wremap` that
 ///   applies at the moment data would move;
@@ -348,13 +327,18 @@ pub(crate) fn balance_step(
     work: &WorkModel,
     keys: Option<&[u64]>,
     w2: Option<&[u64]>,
-) -> BalanceDecision {
+) -> (BalanceDecision, PhaseTimes) {
     let caps = vec![1.0; cfg.nproc];
-    let (mut decision, new_part) =
-        evaluate_and_repartition(dual, old_proc, cfg, work, &caps, keys, w2);
-    let Some(new_part) = new_part else {
-        return decision;
-    };
+    let mut times = PhaseTimes::default();
+    let (mut decision, go) = evaluate_balance(dual, old_proc, cfg, &caps, w2);
+    if !go {
+        return (decision, times);
+    }
+    let (method, new_part) = with_problem(dual, old_proc, cfg, &caps, keys, w2, |m, p| {
+        (m, balance(m, p))
+    });
+    decision.method = Some(method);
+    times.partition = partition_time(work, dual.n(), cfg.nproc);
 
     // Similarity matrix (W_remap) and processor reassignment, run as the
     // paper's distributed protocol: per-rank rows, host gather, mapper on
@@ -368,8 +352,7 @@ pub(crate) fn balance_step(
         cfg.mapper,
         cfg.machine,
     );
-    decision.reassign_seconds = par.mapper_seconds;
-    decision.reassign_comm_time = par.time;
+    times.reassign = par.time;
 
     apply_reassignment(
         &mut decision,
@@ -383,7 +366,7 @@ pub(crate) fn balance_step(
         &caps,
         w2,
     );
-    decision
+    (decision, times)
 }
 
 #[cfg(test)]

@@ -27,15 +27,15 @@ use plum_reassign::{Assignment, SimilarityMatrix};
 use crate::balance::run_mapper;
 use crate::config::Mapper;
 
-/// Per-rank value of the reassignment stage body: the host triple (only on
-/// rank 0) and the new processor of each of the rank's own dual vertices.
-pub(crate) type ReassignValue = (Option<(SimilarityMatrix, Assignment, f64)>, Vec<u32>);
+/// Per-rank value of the reassignment stage body: the host's matrix and
+/// mapping (only on rank 0) and the new processor of each of the rank's own
+/// dual vertices.
+pub(crate) type ReassignValue = (Option<(SimilarityMatrix, Assignment)>, Vec<u32>);
 
 /// The reassignment stage body for one rank, which currently owns the dual
 /// vertices `mine`, whose new parts are `my_parts`: compute my similarity
-/// row, gather on the host, map partitions to processors there
-/// (wall-clocked, no virtual charge) — with the mapper, or the identity
-/// when `pinned` ([`crate::balance::identity_pinned`]) — and scatter each
+/// row, gather on the host, map partitions to processors there (no
+/// virtual charge) — with the mapper, or the identity when `pinned` ([`crate::balance::identity_pinned`]) — and scatter each
 /// rank the processors of the parts its row named. Returns the new
 /// processor of each vertex in `mine`. Runs under [`spmd`] or a
 /// [`plum_parsim::Session`] step.
@@ -78,8 +78,8 @@ pub(crate) fn reassign_body(
     let (host, answers) = gathered
         .map(|rows| {
             let sm = SimilarityMatrix::from_sparse_rows(&rows, nparts);
-            let (assignment, mapper_seconds) = if pinned {
-                (Assignment::identity(sm.nproc, sm.f), 0.0)
+            let assignment = if pinned {
+                Assignment::identity(sm.nproc, sm.f)
             } else {
                 run_mapper(&sm, mapper)
             };
@@ -91,7 +91,7 @@ pub(crate) fn reassign_body(
                 (words_for_bytes(4 * procs.len()), procs)
             });
             let answers = answers.collect();
-            ((sm, assignment, mapper_seconds), answers)
+            ((sm, assignment), answers)
         })
         .unzip();
     let procs: Vec<u32> = comm.scatterv(0, answers);
@@ -102,22 +102,22 @@ pub(crate) fn reassign_body(
     (host, my_parts.iter().map(|&q| proc_of(q)).collect())
 }
 
-/// Collect the per-rank stage values: extract the host triple and check
+/// Collect the per-rank stage values: extract the host's pair and check
 /// that every rank's answer for its vertices `lists.mine(r)` is the host's
 /// mapping of their new parts, `proc_of_part[new_part[v]]`. Returns the
-/// triple and the ranks' answers, in rank order.
+/// pair and the ranks' answers, in rank order.
 pub(crate) fn collect_reassign(
     values: impl Iterator<Item = ReassignValue>,
     lists: &RankLists,
     new_part: &[u32],
-) -> (SimilarityMatrix, Assignment, f64, Vec<Vec<u32>>) {
+) -> (SimilarityMatrix, Assignment, Vec<Vec<u32>>) {
     let mut host = None;
     let mut answers = Vec::new();
-    for (triple, procs) in values {
-        host = host.or(triple);
+    for (pair, procs) in values {
+        host = host.or(pair);
         answers.push(procs);
     }
-    let (matrix, assignment, mapper_seconds) = host.expect("host must produce the mapping");
+    let (matrix, assignment) = host.expect("host must produce the mapping");
     for (r, procs) in answers.iter().enumerate() {
         let mine = lists.mine(r);
         assert_eq!(procs.len(), mine.len(), "rank {r}: one answer per vertex");
@@ -129,7 +129,7 @@ pub(crate) fn collect_reassign(
             );
         }
     }
-    (matrix, assignment, mapper_seconds, answers)
+    (matrix, assignment, answers)
 }
 
 /// Result of the distributed reassignment protocol.
@@ -138,12 +138,9 @@ pub struct ParallelReassign {
     pub matrix: SimilarityMatrix,
     /// The partition→processor assignment chosen by the host.
     pub assignment: Assignment,
-    /// Virtual time of row construction + gather + scatter (communication
-    /// and local row computation; excludes the host's mapper run, which is
-    /// measured separately in real time).
+    /// Virtual seconds of the whole protocol: local row construction,
+    /// gather and scatter. The host's mapper run is not charged.
     pub time: f64,
-    /// Real measured seconds the host spent in the mapper.
-    pub mapper_seconds: f64,
 }
 
 /// Run the reassignment the way the paper does: every rank computes its own
@@ -170,12 +167,11 @@ pub fn parallel_reassign(
 
     let time = makespan(&results);
     let values = results.into_iter().map(|r| r.value);
-    let (matrix, assignment, mapper_seconds, _) = collect_reassign(values, &lists, new_part);
+    let (matrix, assignment, _) = collect_reassign(values, &lists, new_part);
     ParallelReassign {
         matrix,
         assignment,
         time,
-        mapper_seconds,
     }
 }
 
@@ -253,7 +249,7 @@ mod tests {
         for mapper in [Mapper::GreedyMwbg, Mapper::OptimalMwbg, Mapper::OptimalBmcm] {
             let par = parallel_reassign(&wremap, &old, &new, 4, 4, mapper, MachineModel::zero());
             // Objectives must match (ties may be broken differently).
-            let serial_assign = run_mapper(&serial, mapper).0;
+            let serial_assign = run_mapper(&serial, mapper);
             assert_eq!(
                 serial.objective(&par.assignment.proc_of_part),
                 serial.objective(&serial_assign.proc_of_part),

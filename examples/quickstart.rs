@@ -55,10 +55,10 @@ fn main() {
         report.times.remap * 1e3,
         report.times.subdivide * 1e3
     );
+    let unbalanced = report.decision.wmax_old;
     println!(
-        "solver max-load without balancing: {}, with balancing: {} (gain {:.2}×)",
-        report.wmax_unbalanced,
+        "solver max-load without balancing: {unbalanced}, with balancing: {} (gain {:.2}×)",
         report.wmax_balanced,
-        report.wmax_unbalanced as f64 / report.wmax_balanced as f64
+        unbalanced as f64 / report.wmax_balanced as f64
     );
 }

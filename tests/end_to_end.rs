@@ -28,7 +28,7 @@ fn three_cycles_stay_valid_and_balanced() {
             "cycle {i}: volume drifted from {initial_volume} to {vol}"
         );
         // The adopted assignment is never worse than doing nothing.
-        assert!(r.wmax_balanced <= r.wmax_unbalanced);
+        assert!(r.wmax_balanced <= r.decision.wmax_old);
     }
 }
 
