@@ -8,6 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
+use std::sync::Arc;
 
 use plum_bench::{initial_mesh, marked_problem, Scale, CASES};
 use plum_core::{Ownership, WorkModel};
@@ -303,8 +304,13 @@ fn bench_multilevel_stage(c: &mut Criterion) {
 /// allreduce carried at P = 256 (`w256`), the 8-entry sparse rows they
 /// carry now (`nnz8`: every rank asks for the same eight parts, so the fold
 /// stays eight entries and every message declares 17 words) — beside the
-/// `P × nparts`-word allgather the exscan replaced. One call per session
-/// step; the step's own cost is `session_step/compute_step_p256`. The
+/// `P × nparts`-word allgather the exscan replaced — and the reductions a
+/// loop gets on the exchange it makes anyway: `alltoallv_sparse_join` with a
+/// one-bit share (a marking sweep's "changed") and with one 8-entry commit
+/// per rank (a refinement stage's `(moves, Δw)`), beside the pair they
+/// replace, an empty `alltoallv_sparse` plus the 8-entry `allreduce`. One
+/// call per session step; the step's own cost is
+/// `session_step/compute_step_p256`. The
 /// 1-word probes of the e2e benchmark cannot see a per-forward payload
 /// copy; these can.
 fn bench_collectives_payload(c: &mut Criterion) {
@@ -343,8 +349,17 @@ fn bench_collectives_payload(c: &mut Criterion) {
     let hot: Vec<(u32, u64)> = (100..108).map(|q| (q, 3)).collect();
     let row_words = |row: &Vec<(u32, u64)>| 1 + 2 * row.len() as u64;
     let add = |a: &Vec<u64>, b: &Vec<u64>| a.iter().zip(b).map(|(x, y)| x + y).collect();
+    type Commits = Vec<(usize, Arc<Vec<(u32, u64)>>)>;
+    let union = |mut a: Commits, b: Commits| -> Commits {
+        a.extend(b);
+        a.sort_by_key(|c| c.0);
+        a.dedup_by_key(|c| c.0);
+        a
+    };
+    let commit_words = |s: &Commits| s.iter().map(|c| 1 + row_words(&c.1)).sum::<u64>();
+    let nothing = Vec::<(usize, u64, ())>::new;
     type Probe<'a> = &'a (dyn Fn(&mut Comm) + Send + Sync);
-    let probes: [(&str, Probe); 4] = [
+    let probes: [(&str, Probe); 7] = [
         ("allreduce_p256_w256", &|comm| {
             black_box(comm.allreduce(|_| 256, vec![1u64; 256], |a, b| add(&a, &b)));
         }),
@@ -356,6 +371,18 @@ fn bench_collectives_payload(c: &mut Criterion) {
         }),
         ("exscan_p256_nnz8", &|comm| {
             black_box(comm.exscan(row_words, hot.clone(), |a, b| merge_add(a, b)));
+        }),
+        ("alltoallv_sparse_join_p256_bool", &|comm| {
+            let changed = comm.rank() == 0;
+            black_box(comm.alltoallv_sparse_join(nothing(), changed, |_| 0, |a, b| a || b));
+        }),
+        ("alltoallv_sparse_join_p256_commit8", &|comm| {
+            let mine = vec![(comm.rank(), Arc::new(hot.clone()))];
+            black_box(comm.alltoallv_sparse_join(nothing(), mine, commit_words, union));
+        }),
+        ("alltoallv_sparse_allreduce_p256_nnz8", &|comm| {
+            black_box(comm.alltoallv_sparse(nothing()));
+            black_box(comm.allreduce(row_words, hot.clone(), |a, b| merge_add(&a, &b)));
         }),
     ];
     for (name, probe) in probes {

@@ -74,7 +74,7 @@ pub const REMATCH_IMBALANCE_TARGET: f64 = 1.1;
 /// Ceiling on multilevel's summed partition seconds at P = 1024 over P =
 /// 256 (unperturbed arm). Every collective on its path costs `O(words ·
 /// log P)` and a refinement stage ships what it changes, so 4× the ranks
-/// cost a small multiple (4.8): a dense `nparts`-word row per stage reads
+/// cost a small multiple (3.9): a dense `nparts`-word row per stage reads
 /// 9.1 and a `P · nparts`-word collective on the critical path ≈ 1 000×;
 /// either fails the run.
 pub const REMATCH_CLIFF_FACTOR: f64 = 6.0;

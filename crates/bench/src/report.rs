@@ -120,7 +120,8 @@ pub fn cycle_analysis(report: &CycleReport, top_k: usize) -> String {
 /// The shape of the multilevel repartitions in some cycles' partition
 /// phases, read off their per-rank collective counts: the kernel allgathers
 /// once per coarsening level it attempts, and every refinement stage pays
-/// one `exscan` (the demand) and one `allreduce` (the committed moves).
+/// one `exscan` (the demand); its committed moves ride the next ghost
+/// exchange, so a stage calls no `allreduce`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MultilevelShape {
     pub levels: u64,
@@ -144,8 +145,9 @@ impl MultilevelShape {
     }
 
     /// Emit `partition.multilevel{key}.reductions_per_stage` — gated: it
-    /// reads 2, and a dense per-stage weight row or a move count reduced on
-    /// its own reads 3 — and the `info.` level and stage counts. Nothing if
+    /// reads 1; a stage that reduces its commit on its own reads 2, and a
+    /// dense per-stage weight row reads 3 — and the `info.` level and stage
+    /// counts. Nothing if
     /// no stage ran (another method, or the gathered serial path).
     pub fn emit(&self, b: &mut BenchReport, key: &str) {
         if self.stages == 0 {

@@ -142,8 +142,10 @@ impl Fnv {
 /// attributes or the order it accumulates in — or, as when the constants
 /// were last re-recorded (the balance bodies return their rank's parts and
 /// the reassignment answers each rank with a sized scatter, where the
-/// partition was reassembled and `proc_of_part` broadcast whole), that the
-/// modeled protocol itself changed.
+/// partition was reassembled and `proc_of_part` broadcast whole; again when
+/// a refinement stage's `(moves, Δw)` and a marking sweep's "changed" flag
+/// began to ride the exchange each loop already makes, in place of an
+/// `allreduce` of their own), that the modeled protocol itself changed.
 #[test]
 fn trace_readers_are_pinned_to_the_bit() {
     let mut cfg = PlumConfig::new(8);
@@ -201,10 +203,10 @@ fn trace_readers_are_pinned_to_the_bit() {
     assert_eq!(
         (summary, phases, phase_ranks, digest),
         (
-            0xb149_33a3_328e_1590,
-            0xe26e_1fe7_8161_8f4c,
-            0x89ea_41f8_a92b_4318,
-            0xeb67_db82_2230_eee6
+            0x7c1a_e19a_0d6b_1f9a,
+            0x4fa9_5232_e5fc_22ec,
+            0x69ba_78c3_6453_97db,
+            0x2e66_8fed_ebdc_0200
         ),
         "(summary, phase_breakdowns, phase_rank_breakdowns, digest JSON) FNV-1a: \
          ({summary:#018x}, {phases:#018x}, {phase_ranks:#018x}, {digest:#018x})"

@@ -686,6 +686,22 @@ mod tests {
         }
     }
 
+    /// A marking sweep is one exchange and nothing else: its "found a new
+    /// mark" bit rides that exchange, so a P = 64 cycle's marking phase
+    /// calls no `allreduce` and, on every rank, one `alltoallv` per sweep.
+    #[test]
+    fn a_marking_sweep_is_one_exchange() {
+        use plum_parsim::CollectiveKind::{Allreduce, Alltoallv};
+        let report = plum(64, 5, RemapPolicy::BeforeRefinement).adaption_cycle(0.3, 0.1);
+        let sweeps = report.marking_sweeps as u64;
+        assert!(sweeps >= 2, "{sweeps} sweeps: no mark crossed a rank");
+        let marking = report.traces.session.phase_slice("marking").summary();
+        for r in &marking.ranks {
+            assert_eq!(r.collective(Allreduce).calls, 0, "rank {}", r.rank);
+            assert_eq!(r.collective(Alltoallv).calls, sweeps, "rank {}", r.rank);
+        }
+    }
+
     #[test]
     fn golden_equivalence_p64() {
         // 750 dual vertices sit under the default coarsening target at

@@ -7,6 +7,13 @@
 //! edge marking changes anywhere — exactly the paper's execution-phase
 //! protocol ("the process may continue for several iterations, and edge
 //! markings could propagate back and forth across partitions").
+//!
+//! A sweep is one exchange and nothing else. Whether a rank's upgrade found
+//! a new mark rides that exchange as a bit in the header word every Bruck
+//! message already charges ([`Comm::alltoallv_sparse_join`] with `||`), and
+//! the loop stops when no rank set it. That is the fixpoint test: a rank
+//! only ever receives a mark because its owner found it in the same sweep,
+//! so "some rank found a new mark" already covers "some rank received one".
 
 use std::collections::BTreeMap;
 
@@ -146,18 +153,15 @@ pub(crate) fn mark_body(
             .into_iter()
             .map(|(dst, v)| (dst, v.len() as u64, v))
             .collect();
-        let incoming = comm.alltoallv_sparse(items);
-        let mut received_new = false;
+        let (incoming, changed) =
+            comm.alltoallv_sparse_join(items, !newly.is_empty(), |_| 0, |a, b| a || b);
         for (_src, batch) in incoming {
             for id in batch {
                 if marks.mark(EdgeId(id)) {
                     marked.push(EdgeId(id));
-                    received_new = true;
                 }
             }
         }
-
-        let changed = comm.allreduce_or(!newly.is_empty() || received_new);
         marked.extend(newly);
         sweeps += 1;
         if !changed {

@@ -30,6 +30,13 @@
 //!   `ceil(log2 P)` rounds of one combined message per rank per round,
 //!   `P·ceil(log2 P)` messages total regardless of how dense the traffic
 //!   pattern is.
+//! * `alltoallv_sparse_join` — the same exchange with a reduction riding
+//!   it: every message also carries its sender's joined share, so each rank
+//!   ends with the join over all ranks. At a non-power of two some shares
+//!   arrive twice, so the join must be associative, commutative and
+//!   idempotent. A loop that exchanges anyway pays the share's words, not a
+//!   `2·ceil(log2 P)`-hop collective of its own; `alltoallv_sparse` is its
+//!   `()`-share case.
 //!
 //! `words` is the model; the payload is host data. The reducing collectives
 //! take `words` as a function of the value (`|_| n` for a fixed-size one):
@@ -366,21 +373,26 @@ impl Comm {
         *self.allreduce(|_| 1, value, u64::max)
     }
 
-    /// Logical OR allreduce (any rank true ⇒ all ranks true).
-    pub fn allreduce_or(&mut self, value: bool) -> bool {
-        *self.allreduce(|_| 1, value, |a, b| a || b)
-    }
-
     /// Bruck-style store-and-forward exchange: `ceil(log2 P)` rounds; in
     /// round `k` every rank ships one combined message (all in-transit items
-    /// whose remaining relative distance has bit `k` set) to rank
-    /// `(rank + 2^k) % P`. A combined message charges one header word plus
-    /// the sum of its items' sizes. Returns the items addressed to this
-    /// rank as `(source, value)` sorted by source.
-    fn bruck_exchange<T: Send + 'static>(
+    /// whose remaining relative distance has bit `k` set, plus its share) to
+    /// rank `(rank + 2^k) % P`, and joins the share it receives into its
+    /// own. A combined message charges one header word plus the sum of its
+    /// items' sizes plus `words` of the share. Before round `k` a rank's
+    /// share joins the `2^k` ranks ending at itself, so after the last round
+    /// it joins every rank. Returns the items addressed to this rank as
+    /// `(source, value)` sorted by source, and the joined share.
+    fn bruck_exchange<T, S>(
         &mut self,
         items: Vec<(usize, u64, T)>,
-    ) -> Vec<(usize, T)> {
+        mut share: S,
+        words: impl Fn(&S) -> u64,
+        join: impl Fn(S, S) -> S,
+    ) -> (Vec<(usize, T)>, S)
+    where
+        T: Send + 'static,
+        S: Clone + Send + 'static,
+    {
         let p = self.nranks();
         let rank = self.rank();
         let mut out: Vec<(usize, T)> = Vec::new();
@@ -409,9 +421,11 @@ impl Comm {
                     keep.push(item);
                 }
             }
-            let ship_words: u64 = 1 + ship.iter().map(|i| i.2).sum::<u64>();
-            self.send(to, TAG_A2A + round, ship_words, ship);
-            let arrived: Vec<(usize, usize, u64, T)> = self.recv(from, TAG_A2A + round);
+            let ship_words = 1 + ship.iter().map(|i| i.2).sum::<u64>() + words(&share);
+            self.send(to, TAG_A2A + round, ship_words, (ship, share.clone()));
+            let (arrived, heard): (Vec<(usize, usize, u64, T)>, S) =
+                self.recv(from, TAG_A2A + round);
+            share = join(share, heard);
             transit = keep;
             for (dst, src, words, v) in arrived {
                 if dst == rank {
@@ -425,7 +439,7 @@ impl Comm {
         }
         debug_assert!(transit.is_empty(), "alltoallv internal: undelivered items");
         out.sort_by_key(|&(src, _)| src);
-        out
+        (out, share)
     }
 
     /// Sparse personalized all-to-all: `items` is any list of
@@ -444,8 +458,35 @@ impl Comm {
         &mut self,
         items: Vec<(usize, u64, T)>,
     ) -> Vec<(usize, T)> {
+        self.alltoallv_sparse_join(items, (), |_| 0, |_, _| {}).0
+    }
+
+    /// [`Comm::alltoallv_sparse`] with a reduction riding on it: every
+    /// round's message also carries the sender's joined `share`, declaring
+    /// `words(share)` on top of its items, and the receiver joins it into its
+    /// own with `join`. Returns the items addressed to this rank, routed
+    /// exactly as `alltoallv_sparse` routes them, and the join of every
+    /// rank's share. Same messages, peers and tags as `alltoallv_sparse`: a
+    /// loop that exchanges anyway gets its reduction for `words(share)` per
+    /// message instead of a `2·ceil(log2 P)`-hop collective of its own.
+    ///
+    /// The rounds cover `2^ceil(log2 P) ≥ P` ranks, so at a non-power of two
+    /// some share is heard twice: `join` must be associative, commutative and
+    /// idempotent (a set union, `||`, `max`). A share is cloned once per
+    /// round, so keep it cheap to clone (an [`Arc`] per entry).
+    pub fn alltoallv_sparse_join<T, S>(
+        &mut self,
+        items: Vec<(usize, u64, T)>,
+        share: S,
+        words: impl Fn(&S) -> u64,
+        join: impl Fn(S, S) -> S,
+    ) -> (Vec<(usize, T)>, S)
+    where
+        T: Send + 'static,
+        S: Clone + Send + 'static,
+    {
         self.collective_enter(CollectiveKind::Alltoallv);
-        let out = self.bruck_exchange(items);
+        let out = self.bruck_exchange(items, share, words, join);
         self.collective_exit(CollectiveKind::Alltoallv);
         out
     }
@@ -466,7 +507,7 @@ impl Comm {
             .enumerate()
             .map(|(d, (words, v))| (d, words, v))
             .collect();
-        let received = self.bruck_exchange(sparse);
+        let (received, ()) = self.bruck_exchange(sparse, (), |_| 0, |_, _| {});
         assert_eq!(received.len(), p, "alltoallv: missing contributions");
         let mut slots: Vec<Option<T>> = (0..p).map(|_| None).collect();
         for (src, v) in received {
@@ -528,9 +569,10 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
-    use crate::{spmd, MachineModel, RankResult, Session, TraceEvent, TraceLog};
+    use crate::{spmd, Comm, MachineModel, RankResult, Session, TraceEvent, TraceLog};
 
     fn total_msgs<T>(results: &[RankResult<T>]) -> u64 {
         results.iter().map(|r| r.sent_messages).sum()
@@ -957,6 +999,55 @@ mod tests {
             }
             let rounds = p.next_power_of_two().trailing_zeros() as u64;
             assert_eq!(total_msgs(&r), p as u64 * rounds, "sparse p={p}");
+        }
+    }
+
+    /// The joined exchange is the plain one plus a share: the same items
+    /// reach the same ranks over the same `P·ceil(log2 P)` messages (same
+    /// peers, same order), each declaring the plain message's `1 + items`
+    /// words plus `words` of the share it carries; and every rank ends with
+    /// every rank's share — at non-powers of two too, where the rounds
+    /// overlap and some share is heard twice.
+    #[test]
+    fn joined_exchange_routes_like_the_plain_one_and_joins_every_share() {
+        let items = |comm: &Comm| {
+            let (rank, p) = (comm.rank(), comm.nranks());
+            vec![
+                ((rank + 1) % p, 2, (rank, 'a')),
+                ((rank * 7 + 3) % p, 3, (rank, 'b')),
+                (0, 1, (rank, 'c')),
+            ]
+        };
+        // A share is a set of ranks at 1000 words per member, so a message's
+        // size says how many ranks its share covers.
+        let union = |mut a: BTreeSet<usize>, b: BTreeSet<usize>| {
+            a.extend(b);
+            a
+        };
+        for &p in &[1usize, 2, 3, 5, 7, 8, 13, 64, 100] {
+            let rounds = p.next_power_of_two().trailing_zeros() as usize;
+            let plain = spmd(p, MachineModel::sp2(), |comm| {
+                comm.alltoallv_sparse(items(comm))
+            });
+            let joined = spmd(p, MachineModel::sp2(), |comm| {
+                let mine = BTreeSet::from([comm.rank()]);
+                comm.alltoallv_sparse_join(items(comm), mine, |s| 1000 * s.len() as u64, union)
+            });
+            let everyone: BTreeSet<usize> = (0..p).collect();
+            for (a, b) in plain.iter().zip(&joined) {
+                assert_eq!(a.value, b.value.0, "p={p} rank {}: routed items", a.rank);
+                assert_eq!(b.value.1, everyone, "p={p} rank {}: joined share", a.rank);
+            }
+            let (plain, joined) = (sends(&plain), sends(&joined));
+            assert_eq!(joined.len(), p * rounds, "p={p}: messages");
+            assert_eq!(plain.len(), joined.len(), "p={p}: messages");
+            // A rank sends once per round, in round order; before round k
+            // its share covers the 2^k ranks ending at itself.
+            for (i, (a, b)) in plain.iter().zip(&joined).enumerate() {
+                let round = i % rounds;
+                assert_eq!((a.0, a.1), (b.0, b.1), "p={p} message {i}: peers");
+                assert_eq!(b.2, a.2 + (1000 << round), "p={p} message {i}: words");
+            }
         }
     }
 }

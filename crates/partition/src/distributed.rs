@@ -8,12 +8,13 @@
 //! and the result is refined in parallel during uncoarsening with
 //! boundary-greedy moves against global part weights that arrive once, with
 //! the coarsest solution, and are carried from stage to stage: a stage
-//! exchanges ghost parts, scans its sparse demand and reduces what it
-//! committed — the move count and the signed weight change per touched part
-//! — so its collectives cost what it changes, not `nparts`. All control flow
-//! branches on replicated data only, so the partition is a deterministic
-//! function of `(problem, ownership)` — independent of the
-//! machine model, chaos perturbations, and link jitter. Virtual time, by
+//! exchanges ghost parts and scans its sparse demand, and what it committed
+//! — the move count and the signed weight change per touched part — rides
+//! the next stage's exchange, so its traffic costs what it changes, not
+//! `nparts`. All control flow branches on replicated data only, so the
+//! partition is a deterministic function of `(problem, ownership)` —
+//! independent of the machine model, chaos perturbations, and link jitter.
+//! Virtual time, by
 //! contrast, comes entirely from real message traffic plus per-vertex
 //! compute charges, which is what the engine reports as the partition phase.
 //! A rank ends holding the parts of its own vertices only: the coarsest
@@ -30,6 +31,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use plum_parsim::{words_for_bytes, Comm};
 
@@ -45,6 +47,12 @@ use crate::weights::Weights;
 
 /// Sparse alltoallv send list: `(destination, words, (u32, u32) payload)`.
 type PairItems = Vec<(usize, u64, Vec<(u32, u32)>)>;
+
+/// The commits of one refinement stage, ascending by rank: `(rank, (moves,
+/// Δw))` for each rank that moved a vertex — the committed move count and
+/// the signed weight change per touched part. One [`Arc`] per commit, so the
+/// exchange rounds that join them forward pointers.
+type Commits = Vec<(u32, Arc<(u64, Vec<(u32, i64)>)>)>;
 
 /// Multiplier on `vertex_units` for the serial solve of the coarsest graph
 /// on rank 0 (one multilevel pass over a few hundred vertices).
@@ -640,15 +648,19 @@ fn project_parts(
 const MAX_BALANCE_STAGES: usize = 32;
 
 /// Distributed refinement of one level, in stages. A stage is one neighbour
-/// exchange, one scan and one reduction: exchange ghost parts with
-/// neighbouring ranks, propose moves locally against the carried global part
-/// weights `w`, commit them under a per-rank inflow quota computed from an
-/// exclusive scan of the per-part demand — each part's headroom is granted
-/// in rank order, so the ceilings can never be exceeded even though ranks
-/// move vertices concurrently — then allreduce `(moves, Δw)`, the committed
-/// move count and the signed weight change per touched part, and apply
-/// `w += Δw`. Both collectives ship sparse rows ([`row_words`]), so a stage
-/// costs what it changes.
+/// exchange and one scan: exchange ghost parts with neighbouring ranks,
+/// propose moves locally against the carried global part weights `w`, and
+/// commit them under a per-rank inflow quota computed from an exclusive scan
+/// of the per-part demand — each part's headroom is granted in rank order,
+/// so the ceilings can never be exceeded even though ranks move vertices
+/// concurrently. What a rank committed, `(moves, Δw)` — the move count and
+/// the signed weight change per touched part — rides the next stage's
+/// exchange ([`Comm::alltoallv_sparse_join`], a rank-sorted union), and every
+/// rank folds the commits in rank order and applies `w += Δw` before it
+/// reads `w` again. The exit tests read that fold, so they run just after
+/// the exchange, and a level that ends on its stage cap closes with one
+/// exchange that carries commits only. The scan and the commits ship sparse
+/// rows ([`row_words`]), so a stage costs what it changes.
 ///
 /// `w` must be the global weights of `part` on entry and is on exit;
 /// projection to a finer level leaves it valid (a coarse vertex weighs what
@@ -696,27 +708,67 @@ fn refine_distributed(
     }
 
     let gain_stages = passes.max(1);
+    let stage_cap = gain_stages + MAX_BALANCE_STAGES;
     let mut gain_done = 0usize;
     let mut balance_dead = false;
-    for stage in 0..gain_stages + MAX_BALANCE_STAGES {
-        if gain_done >= gain_stages {
+    // The previous stage's mode, and this rank's commit of it (empty when it
+    // moved nothing), which rides the next exchange.
+    let mut prev_balance = false;
+    let mut mine: Commits = Vec::new();
+    for stage in 0..=stage_cap {
+        // When no stage follows, one exchange still carries the last commits.
+        let closing = stage == stage_cap || gain_done >= gain_stages;
+
+        // Ghost part exchange, joining the previous stage's commits.
+        let items: PairItems = if closing {
+            Vec::new()
+        } else {
+            nbr_out
+                .iter()
+                .enumerate()
+                .filter(|(_, list)| !list.is_empty())
+                .map(|(dst, list)| {
+                    let vals: Vec<(u32, u32)> =
+                        list.iter().map(|&i| (base + i, part[i as usize])).collect();
+                    (dst, words_for_bytes(8 * vals.len()), vals)
+                })
+                .collect()
+        };
+        #[cfg(test)]
+        let my_moves = mine.first().map_or(0, |(_, c)| c.0);
+        let (incoming, commits) = comm.alltoallv_sparse_join(
+            items,
+            std::mem::take(&mut mine),
+            |c| commit_words(c, nparts),
+            |a, b| merge_rows(&a, &b, |x, _| Some(Arc::clone(x))),
+        );
+        if stage > 0 {
+            // The previous stage's reduction, folded in rank order: how many
+            // moves were committed anywhere (the loop's exit test) and what
+            // they did to the part weights.
+            let all_moves: u64 = commits.iter().map(|(_, c)| c.0).sum();
+            let all_delta = commits
+                .iter()
+                .fold(Vec::new(), |acc, (_, c)| merge_delta(&acc, &c.1));
+            apply_delta(w, &all_delta);
+            #[cfg(test)]
+            assert_stage_matches_recount(comm, dg, part, w, my_moves, all_moves);
+            if all_moves == 0 {
+                if prev_balance {
+                    // The drain is stuck (no vertex fits anywhere better);
+                    // switch to gain stages rather than spinning.
+                    balance_dead = true;
+                } else {
+                    break;
+                }
+            }
+        }
+        if closing {
             break;
         }
         charge(comm, nloc, vertex_units);
-
-        // Ghost part exchange.
-        let items: PairItems = nbr_out
-            .iter()
-            .enumerate()
-            .filter(|(_, list)| !list.is_empty())
-            .map(|(dst, list)| {
-                let vals: Vec<(u32, u32)> =
-                    list.iter().map(|&i| (base + i, part[i as usize])).collect();
-                (dst, words_for_bytes(8 * vals.len()), vals)
-            })
-            .collect();
         let mut ghost: HashMap<u32, u32> = HashMap::new();
-        for (_src, list) in comm.alltoallv_sparse(items) {
+        for (_src, list) in incoming {
             for (gid, pv) in list {
                 ghost.insert(gid, pv);
             }
@@ -864,27 +916,20 @@ fn refine_distributed(
             }
         }
 
-        // The stage's one reduction: how many moves were committed anywhere
-        // (the loop's exit test) and what they did to the part weights.
-        let committed = comm.allreduce(
-            |(_, d)| row_words(d, nparts),
-            (moves, nonzeros(&delta)),
-            |(m1, d1), (m2, d2)| (m1 + m2, merge_delta(&d1, &d2)),
-        );
-        let (all_moves, all_delta) = &*committed;
-        apply_delta(w, all_delta);
-        #[cfg(test)]
-        assert_stage_matches_recount(comm, dg, part, w, moves, *all_moves);
-        if *all_moves == 0 {
-            if balance_mode {
-                // The drain is stuck (no vertex fits anywhere better);
-                // switch to gain stages rather than spinning.
-                balance_dead = true;
-            } else {
-                break;
-            }
+        prev_balance = balance_mode;
+        if moves > 0 {
+            mine.push((rank as u32, Arc::new((moves, nonzeros(&delta)))));
         }
     }
+}
+
+/// Declared size of a set of stage commits: per commit one word for the rank
+/// and move count, plus its sparse row.
+fn commit_words(commits: &Commits, nparts: usize) -> u64 {
+    commits
+        .iter()
+        .map(|(_, c)| 1 + row_words(&c.1, nparts))
+        .sum()
 }
 
 /// The non-zero entries of a dense per-part row as `(part, value)`,
@@ -901,27 +946,27 @@ pub(crate) fn row_words<V>(row: &[(u32, V)], nparts: usize) -> u64 {
     1 + (2 * row.len()).min(nparts) as u64
 }
 
-/// Merge two sparse rows (ascending by part), combining the values of a
-/// part present in both with `add`; `None` drops the entry.
-fn merge_rows<V: Copy>(
+/// Merge two sparse rows (ascending by key: a part, or a rank), combining
+/// the values of a key present in both with `add`; `None` drops the entry.
+fn merge_rows<V: Clone>(
     a: &[(u32, V)],
     b: &[(u32, V)],
-    add: impl Fn(V, V) -> Option<V>,
+    add: impl Fn(&V, &V) -> Option<V>,
 ) -> Vec<(u32, V)> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].0.cmp(&b[j].0) {
             Ordering::Less => {
-                out.push(a[i]);
+                out.push(a[i].clone());
                 i += 1;
             }
             Ordering::Greater => {
-                out.push(b[j]);
+                out.push(b[j].clone());
                 j += 1;
             }
             Ordering::Equal => {
-                out.extend(add(a[i].1, b[j].1).map(|v| (a[i].0, v)));
+                out.extend(add(&a[i].1, &b[j].1).map(|v| (a[i].0, v)));
                 i += 1;
                 j += 1;
             }
@@ -935,16 +980,16 @@ fn merge_rows<V: Copy>(
 /// Saturating sum of two sparse demand rows (`(part, weight)` ascending by
 /// part): the `op` of the demand [`Comm::exscan`].
 pub fn merge_add(a: &[(u32, u64)], b: &[(u32, u64)]) -> Vec<(u32, u64)> {
-    merge_rows(a, b, |x, y| Some(x.saturating_add(y)))
+    merge_rows(a, b, |x, y| Some(x.saturating_add(*y)))
 }
 
 /// Sum of two sparse signed weight-change rows (`(part, Δ)` ascending by
-/// part, no zero entries): the `op` of the per-stage move reduction. A part
-/// whose changes cancel leaves the row — a stored zero would make the sum
-/// depend on how it was associated.
+/// part, no zero entries): folds a stage's commits. A part whose changes
+/// cancel leaves the row — a stored zero would make the sum depend on how it
+/// was associated.
 pub(crate) fn merge_delta(a: &[(u32, i64)], b: &[(u32, i64)]) -> Vec<(u32, i64)> {
     merge_rows(a, b, |x, y| {
-        let sum = x.checked_add(y).expect("weight delta overflows i64");
+        let sum = x.checked_add(*y).expect("weight delta overflows i64");
         (sum != 0).then_some(sum)
     })
 }
@@ -1018,7 +1063,7 @@ pub(crate) fn inflow_quota_greedy(
 /// The stage bookkeeping as first written — recount the owned weights per
 /// part and allreduce the dense row, sum the move counts in a collective of
 /// their own — checked against what the stage carried. Test oracle for the
-/// `(moves, Δw)` reduction of [`refine_distributed`].
+/// `(moves, Δw)` commits [`refine_distributed`] folds off its exchange.
 #[cfg(test)]
 fn assert_stage_matches_recount(
     comm: &mut Comm,
