@@ -428,6 +428,9 @@ fn bench_collectives_payload(c: &mut Criterion) {
 /// replicated owner array every rank scanned all N (P·N = 67 M reads per
 /// step); with rank lists it reads its own. Compare against
 /// `session_step/compute_step_p256` scaled by 8 for the step's own cost.
+/// The step's modeled cost — virtual seconds and declared words, one
+/// exchange whose home ranks check what lands on them — is deterministic
+/// and printed once; the timer reports the host's.
 fn bench_replicated_body(c: &mut Criterion) {
     const P: usize = 2048;
     const N: usize = 32_768;
@@ -440,21 +443,23 @@ fn bench_replicated_body(c: &mut Criterion) {
     let problem = Problem::new(&g, None, Some(&keys), Some(&prev), &caps, &cfg);
     let method = BalanceMethod::SfcDiffusion;
     let lists = RankLists::build(&prev, P);
-    let hoisted = method.hoist(&problem);
+    let hoisted = method.hoist(&problem, P);
+    let body =
+        |comm: &mut Comm| balance_body(method, comm, &problem, &lists, 16.0, hoisted.as_ref());
+    let mut fresh = Session::new(P, MachineModel::sp2());
+    let mut results = fresh.run(vec![(); P], |comm, ()| body(comm));
+    let words = TraceLog::from_results(&mut results).summary().total_words();
+    println!(
+        "  replicated_body_p2048: {:.3} virtual ms, {words} words per step",
+        fresh.now() * 1e3
+    );
     let mut session = Session::new(P, MachineModel::sp2());
     let mut group = c.benchmark_group("balance_body");
     group.sample_size(10);
     group.bench_function("replicated_body_p2048", |b| {
         b.iter(|| {
             session.run(vec![(); P], |comm, ()| {
-                black_box(balance_body(
-                    method,
-                    comm,
-                    &problem,
-                    &lists,
-                    16.0,
-                    hoisted.as_ref(),
-                ));
+                black_box(body(comm));
             })
         })
     });

@@ -315,6 +315,14 @@ pub const WEAKSCALE_CYCLE_FACTOR: f64 = 2.0;
 /// 1.09 M.
 const WEAKSCALE_REASSIGN_WORDS_P1024: u64 = 100_000;
 
+/// Most the busiest rank's words in the partition phase may grow from
+/// P = 256 to P = 1024 (`weakscale_bench` panics beyond it). A rank ships
+/// what it owns, and the Bruck exchange forwards an item over at most
+/// ⌈log₂ P⌉ hops, so the busiest rank's words grow like log P plus the
+/// spread of a maximum over 4× more ranks: 1.51 (1.49 for the moved items
+/// alone). A dense `nparts`-word row per rank grows them ≈ 4× (4.85).
+const WEAKSCALE_PARTITION_WORDS_FACTOR: f64 = 2.0;
+
 /// Everything measured at one weak-scaling processor count.
 #[derive(Debug, Clone)]
 pub struct WeakscalePoint {
@@ -332,6 +340,8 @@ pub struct WeakscalePoint {
     /// clock and the words every rank put on the wire inside it.
     pub reassign_seconds: f64,
     pub reassign_words: u64,
+    /// Words the busiest rank put on the wire in the partition phase.
+    pub partition_max_rank_words: u64,
     /// Virtual time of single collectives at this P (deterministic).
     pub collectives: CollectiveProbes,
 }
@@ -448,6 +458,10 @@ pub fn weakscale_point(nproc: usize, elems_per_rank: usize, reps: usize) -> Weak
     let virtual_seconds = audit.unwrap_or_else(|e| panic!("weakscale cycle at P={nproc}: {e}"));
     let reassign = r.traces.phases.iter().find(|a| a.name == "reassignment");
     let reassign = reassign.expect("the trigger is low enough that every cycle reassigns");
+    let phases = r.traces.session.phase_rank_breakdowns();
+    let partition = phases.iter().find(|a| a.name == "partition");
+    let partition = partition.expect("the trigger is low enough that every cycle partitions");
+    let partition_max_rank_words = partition.ranks.iter().map(|s| s.words).max().unwrap_or(0);
 
     WeakscalePoint {
         nproc,
@@ -459,6 +473,7 @@ pub fn weakscale_point(nproc: usize, elems_per_rank: usize, reps: usize) -> Weak
         remap_seconds: r.times.remap,
         reassign_seconds: reassign.elapsed(),
         reassign_words: reassign.words,
+        partition_max_rank_words,
         collectives: collective_probes(nproc),
     }
 }
@@ -469,13 +484,14 @@ pub fn weakscale_point(nproc: usize, elems_per_rank: usize, reps: usize) -> Weak
 ///
 /// Deterministic gates: the cycle's virtual makespan (and its P = 1024 /
 /// P = 256 ratio, asserted ≤ [`WEAKSCALE_CYCLE_FACTOR`]), the modeled
-/// partition and remap phase times, the reassignment phase's seconds and
-/// words (at P = 1024 asserted ≤ 100 000), the 1-word collective costs per
-/// P, the
-/// `collective.*.logp_ratio` metrics — cost(1024)/cost(256), which sit at
-/// log₂ 1024 / log₂ 256 = 10/8 for the 1-word tree collectives (≈ 4 under
-/// flat O(P) implementations) and under 4 × 10/8 for the `words = P`
-/// allreduce (see [`CollectiveProbes`]) — and `rate.sim.cycles_per_sec.p*`,
+/// partition and remap phase times, the busiest rank's partition-phase
+/// words (their P = 1024 / P = 256 ratio asserted ≤ 2), the reassignment
+/// phase's seconds and words (at P = 1024 asserted ≤ 100 000), the 1-word
+/// collective costs per P, the `collective.*.logp_ratio` metrics —
+/// cost(1024)/cost(256), which sit at log₂ 1024 / log₂ 256 = 10/8 for the
+/// 1-word tree collectives (≈ 4 under flat O(P) implementations) and under
+/// 4 × 10/8 for the `words = P` allreduce (see [`CollectiveProbes`]) — and
+/// `rate.sim.cycles_per_sec.p*`,
 /// the simulator's cycle throughput per *virtual* second (the report-wide
 /// convention: gated seconds are virtual seconds). Host wall-clock
 /// throughput goes out as `info.sim.cycles_per_sec.p*` /
@@ -534,6 +550,10 @@ pub fn weakscale_bench(quick: bool) -> (BenchReport, String) {
                 pt.reassign_words as f64,
             )
             .set(
+                &format!("phase.partition.p{p}.max_rank_words"),
+                pt.partition_max_rank_words as f64,
+            )
+            .set(
                 &format!("collective.allreduce_1word.p{p}.seconds"),
                 pt.collectives.allreduce,
             )
@@ -587,6 +607,22 @@ pub fn weakscale_bench(quick: bool) -> (BenchReport, String) {
     );
     analysis.push_str(&format!(
         "reassign: words(P=1024) = {words} (gate {WEAKSCALE_REASSIGN_WORDS_P1024})\n"
+    ));
+
+    // The partition phase: the busiest rank ships what it owns, so its
+    // words stay flat in P.
+    let (lo, hi) = (a.partition_max_rank_words, b2.partition_max_rank_words);
+    let words_ratio = hi as f64 / lo as f64;
+    assert!(
+        words_ratio <= WEAKSCALE_PARTITION_WORDS_FACTOR,
+        "the busiest rank's partition words grew {words_ratio:.2}x from P={} to P=1024 \
+         ({lo} -> {hi}; > {WEAKSCALE_PARTITION_WORDS_FACTOR}x)",
+        a.nproc
+    );
+    analysis.push_str(&format!(
+        "partition: max rank words(P=1024) / max rank words(P={}) = {hi} / {lo} = \
+         {words_ratio:.3} (gate {WEAKSCALE_PARTITION_WORDS_FACTOR})\n",
+        a.nproc
     ));
 
     // The collectives: the ratio of their costs must track `words · log₂ P`,

@@ -24,7 +24,7 @@
 
 use plum_adapt::{AdaptiveMesh, EdgeMarks};
 use plum_parsim::{Comm, RankResult, Session, TraceLog};
-use plum_partition::{balance_body, weights_of, RankLists};
+use plum_partition::{balance_body, weights_of, Hoisted, RankLists};
 use plum_solver::{edge_error_indicator, solve};
 
 use crate::balance::{
@@ -286,7 +286,7 @@ impl Cycle {
             keys,
             w2,
             |method, problem| {
-                let hoisted = method.hoist(problem);
+                let hoisted: Option<Hoisted> = method.hoist(problem, cfg.nproc);
                 let step = self.run(|comm, engine| {
                     comm.phase("partition", |c| {
                         let lists = &engine.roots;

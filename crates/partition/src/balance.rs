@@ -14,8 +14,6 @@
 //! the new parts of those vertices only: per-rank host work, and what a
 //! rank receives, stay proportional to what the rank owns.
 
-use std::sync::Arc;
-
 use plum_parsim::{makespan, spmd, words_for_bytes, Comm, MachineModel, TraceLog};
 
 use crate::diffusion2::diffusion2_balance;
@@ -77,8 +75,26 @@ struct ReplicatedBody {
     /// weight[, weight2]) tuple, or knapsack's keyless (id, weight[,
     /// weight2]).
     item_bytes: [usize; 2],
-    /// Whether the sent/received item counts are allreduced and compared.
-    conservation: bool,
+}
+
+/// Bytes of one `(part, weight[, weight2])` entry of a rank's weight row
+/// under one / two constraints.
+const ROW_ENTRY_BYTES: [usize; 2] = [12, 20];
+
+/// What a rank sends one home rank: how many items it ships there, and its
+/// row entries `(part, [w, w2])` for the parts that rank homes.
+type ToHome = (u64, Vec<(u32, [u64; 2])>);
+
+/// What [`BalanceMethod::hoist`] computes once on the host for every rank
+/// of [`balance_body`]: the replicated partition, and what each part's
+/// home rank must find in the body's one exchange.
+#[derive(Debug)]
+pub struct Hoisted {
+    part: Vec<u32>,
+    /// Per-part weight, one row per constraint.
+    part_w: Vec<Vec<u64>>,
+    /// Items each home rank receives.
+    items: Vec<u64>,
 }
 
 impl BalanceMethod {
@@ -134,7 +150,6 @@ impl BalanceMethod {
             charge_div,
             moved_only,
             item_bytes: [20, 28],
-            conservation: true,
         };
         match self {
             BalanceMethod::Multilevel => None,
@@ -142,7 +157,6 @@ impl BalanceMethod {
             BalanceMethod::Sfc => Some(row(1, false)),
             BalanceMethod::Knapsack => Some(ReplicatedBody {
                 item_bytes: [12, 20],
-                conservation: false,
                 ..row(1, false)
             }),
             BalanceMethod::Diffusion2 => Some(row(2, true)),
@@ -151,13 +165,35 @@ impl BalanceMethod {
     }
 
     /// The replicated partition of a replicated-arithmetic method, computed
-    /// once on the host for every rank of [`balance_body`] to share (each
-    /// rank picks out its own slice); `None` for the multilevel kernel,
-    /// which has nothing to hoist. The *virtual*
-    /// compute charge is taken in the body either way, so modeled times do
-    /// not depend on who did the arithmetic.
-    pub fn hoist(self, p: &Problem) -> Option<Arc<Vec<u32>>> {
-        self.replicated_body().map(|_| Arc::new(balance(self, p)))
+    /// once on the host for every rank of [`balance_body`] on `nranks`
+    /// ranks to share (each rank picks out its own slice), together with
+    /// what the body's exchange must deliver: each part's weight under
+    /// every constraint, and the number of items each part's home rank
+    /// receives — O(N + nparts + nranks) host work, once. `None` for the
+    /// multilevel kernel, which has nothing to hoist. The *virtual* compute
+    /// charge is taken in the body either way, so modeled times do not
+    /// depend on who did the arithmetic.
+    pub fn hoist(self, p: &Problem, nranks: usize) -> Option<Hoisted> {
+        let body = self.replicated_body()?;
+        let part = balance(self, p);
+        let nparts = p.cfg.nparts;
+        let w = p.weights;
+        let part_w = std::iter::once(w.w1())
+            .chain(w.w2())
+            .map(|w| weights_of(w, &part, nparts))
+            .collect();
+        let moved_only = p.seed.filter(|_| body.moved_only);
+        let mut items = vec![0u64; nranks];
+        for (v, &q) in part.iter().enumerate() {
+            if moved_only.is_none_or(|prev| prev[v] != q) {
+                items[part_home(q as usize, nparts, nranks)] += 1;
+            }
+        }
+        Some(Hoisted {
+            part,
+            part_w,
+            items,
+        })
     }
 }
 
@@ -346,72 +382,98 @@ fn part_home(p: usize, nparts: usize, nranks: usize) -> usize {
     p * nranks / nparts
 }
 
-/// Shared tail of the replicated-arithmetic bodies: ship one item per
-/// (moved) owned vertex to its destination part's home rank, then
-/// cross-check allreduce'd part weights — one allreduce per constraint —
-/// against the replicated result.
+/// The parts rank `rank` is home to under [`part_home`]: a contiguous
+/// range, found in O(1).
+fn homed_parts(rank: usize, nparts: usize, nranks: usize) -> std::ops::Range<usize> {
+    let first = |r: usize| (r * nparts).div_ceil(nranks);
+    first(rank)..first(rank + 1)
+}
+
+/// Shared tail of the replicated-arithmetic bodies, one exchange: ship one
+/// item per (moved) owned vertex to its destination part's home rank, and
+/// with them the rank's sparse weight row — one `(part, w[, w2])` entry per
+/// part its owned vertices are in, each to that part's home. Every home
+/// rank then checks what landed on it against the hoist: the rows it
+/// received sum to the replicated weights of the parts it homes, and it
+/// received exactly the expected number of items. No reduction is made; a
+/// rank sends and receives O(what it owns) words.
 fn exchange_and_check(
     comm: &mut Comm,
     p: &Problem,
     mine: &[u32],
-    part: &[u32],
+    hoisted: &Hoisted,
     body: &ReplicatedBody,
 ) {
     let rank = comm.rank();
     let nranks = comm.nranks();
     let nparts = p.cfg.nparts;
-    let (w1, w2) = (p.weights.w1(), p.weights.w2());
+    let w = p.weights;
+    let part = &hoisted.part;
     let moved_only = p.seed.filter(|_| body.moved_only);
-    let mut counts = vec![0u64; nranks];
-    let mut local_w = vec![0u64; nparts];
-    let mut local_w2 = vec![0u64; w2.map_or(0, |_| nparts)];
-    for &v in mine {
-        let v = v as usize;
-        local_w[part[v] as usize] += w1[v];
-        if let Some(w2) = w2 {
-            local_w2[part[v] as usize] += w2[v];
-        }
-        if moved_only.is_some_and(|prev| prev[v] == part[v]) {
-            continue; // unmoved vertices cost no traffic in diffusion
-        }
-        counts[part_home(part[v] as usize, nparts, nranks)] += 1;
-    }
-    let item_bytes = body.item_bytes[w2.is_some() as usize];
-    let items: Vec<(usize, u64, u64)> = counts
+    // (part, [w, w2], moved items) per owned vertex, merged per part.
+    let mut row: Vec<(u32, [u64; 2], u64)> = mine
         .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(dst, &c)| (dst, words_for_bytes(item_bytes * c as usize), c))
+        .map(|&v| {
+            let (v, q) = (v as usize, part[v as usize]);
+            let moved = moved_only.is_none_or(|prev| prev[v] != q);
+            (q, [w.w1()[v], w.second(v)], moved as u64)
+        })
         .collect();
-    let received = comm.alltoallv_sparse(items);
-    let sum = |a: Vec<u64>, b: Vec<u64>| a.iter().zip(&b).map(|(x, y)| x + y).collect();
-    let global_w = comm.allreduce(|_| nparts as u64, local_w, sum);
-    // Every rank holds the same allocation of the allreduce'd weights, so
-    // one rank checking them against the replicated result checks them all.
-    if rank == 0 {
-        assert_eq!(
-            *global_w,
-            weights_of(w1, part, nparts),
-            "allreduce'd part weights diverged"
-        );
+    row.sort_unstable_by_key(|e| e.0);
+    row.dedup_by(|e, kept| {
+        let same = e.0 == kept.0;
+        if same {
+            kept.1 = [kept.1[0] + e.1[0], kept.1[1] + e.1[1]];
+            kept.2 += e.2;
+        }
+        same
+    });
+    // One item per home: its moved-item count and its parts' row entries
+    // (`part_home` is monotone, so a home's entries are adjacent).
+    let dual = w.w2().is_some() as usize;
+    let (item_bytes, entry_bytes) = (body.item_bytes[dual], ROW_ENTRY_BYTES[dual]);
+    let mut items: Vec<(usize, u64, ToHome)> = Vec::new();
+    for (q, wq, moved) in row {
+        let home = part_home(q as usize, nparts, nranks);
+        match items.last_mut() {
+            Some((h, _, (count, entries))) if *h == home => {
+                *count += moved;
+                entries.push((q, wq));
+            }
+            _ => items.push((home, 0, (moved, vec![(q, wq)]))),
+        }
     }
-    if let Some(w2) = w2 {
-        let global_w2 = comm.allreduce(|_| nparts as u64, local_w2, sum);
-        if rank == 0 {
+    for (_, words, (count, entries)) in &mut items {
+        *words = words_for_bytes(item_bytes * *count as usize + entry_bytes * entries.len());
+    }
+    let received = comm.alltoallv_sparse(items);
+
+    let homed = homed_parts(rank, nparts, nranks);
+    let mut sums = vec![[0u64; 2]; homed.len()];
+    let mut count = 0u64;
+    for (_, (c, entries)) in received {
+        count += c;
+        for (q, wq) in entries {
+            let sum = &mut sums[q as usize - homed.start];
+            *sum = [sum[0] + wq[0], sum[1] + wq[1]];
+        }
+    }
+    for (k, expected) in hoisted.part_w.iter().enumerate() {
+        let constraint = ["weight", "second-constraint weight"][k];
+        for (q, sum) in homed.clone().zip(&sums) {
             assert_eq!(
-                *global_w2,
-                weights_of(w2, part, nparts),
-                "allreduce'd second-constraint part weights diverged"
+                sum[k], expected[q],
+                "part {q}'s {constraint} at home rank {rank}: the rows sum to {}, the \
+                 replicated partition says {}",
+                sum[k], expected[q]
             );
         }
     }
-    if body.conservation {
-        // Every item sent somewhere was received by exactly one home rank.
-        let received_total: u64 = received.iter().map(|&(_, c)| c).sum();
-        let sent_here: u64 = comm.allreduce_sum_u64(counts.iter().sum::<u64>());
-        let recv_all: u64 = comm.allreduce_sum_u64(received_total);
-        assert_eq!(sent_here, recv_all, "item exchange lost items");
-    }
+    assert_eq!(
+        count, hoisted.items[rank],
+        "home rank {rank} received {count} items, the replicated partition sends it {}",
+        hoisted.items[rank]
+    );
 }
 
 /// The SPMD body of `method`: call from every rank of a session (or
@@ -420,35 +482,40 @@ fn exchange_and_check(
 /// [`balance`]'s partition, and nothing of anyone else's
 /// ([`RankLists::assemble`] puts the slices back together host-side).
 ///
+/// A replicated-arithmetic method's body is one compute charge plus one
+/// exchange, whose home ranks check what they received against the hoist;
+/// it makes no reduction. The multilevel body is genuinely distributed.
+///
 /// * `lists` — who owns which vertex (the previous processor assignment);
 ///   a rank reads its own list.
 /// * `vertex_units` — compute units charged per owned vertex per stage;
 ///   pass 0 for free compute.
-/// * `hoisted` — [`BalanceMethod::hoist`] of the same method and problem,
-///   computed once outside the session.
+/// * `hoisted` — [`BalanceMethod::hoist`] of the same method and problem
+///   for the session's rank count, computed once outside the session.
 pub fn balance_body(
     method: BalanceMethod,
     comm: &mut Comm,
     p: &Problem,
     lists: &RankLists,
     vertex_units: f64,
-    hoisted: Option<&Arc<Vec<u32>>>,
+    hoisted: Option<&Hoisted>,
 ) -> Vec<u32> {
     let Some(body) = method.replicated_body() else {
         return multilevel_body(comm, p, lists, vertex_units);
     };
-    let part = hoisted.expect("replicated-arithmetic methods are hoisted");
+    let hoisted = hoisted.expect("replicated-arithmetic methods are hoisted");
+    let part = &hoisted.part;
     // One allocation is shared by all ranks, so one rank's check covers it.
     if comm.rank() == 0 {
         debug_assert_eq!(
-            **part,
+            *part,
             balance(method, p),
             "hoisted partition diverges from the replicated arithmetic"
         );
     }
     let mine = lists.mine(comm.rank());
     charge(comm, mine.len().div_ceil(body.charge_div), vertex_units);
-    exchange_and_check(comm, p, mine, part, &body);
+    exchange_and_check(comm, p, mine, hoisted, &body);
     mine.iter().map(|&v| part[v as usize]).collect()
 }
 
@@ -477,7 +544,7 @@ pub fn balance_distributed(
 ) -> DistPartition {
     assert_eq!(owner.len(), p.graph.n(), "need one owner per vertex");
     let lists = RankLists::build(owner, nranks);
-    let hoisted = method.hoist(p);
+    let hoisted = method.hoist(p, nranks);
     let mut results = spmd(nranks, model, |comm| {
         comm.phase("partition", |c| {
             balance_body(method, c, p, &lists, vertex_units, hoisted.as_ref())
@@ -516,6 +583,92 @@ mod tests {
     fn assemble_rejects_a_slice_of_the_wrong_length() {
         let lists = RankLists::build(&[1, 0, 0], 2);
         lists.assemble([&[0u32, 0][..], &[1, 1]]);
+    }
+
+    #[test]
+    fn homed_parts_inverts_part_home() {
+        for (nparts, nranks) in [(8, 8), (64, 8), (8, 64), (7, 3), (3, 7), (1, 5)] {
+            for rank in 0..nranks {
+                let homed: Vec<usize> = (0..nparts)
+                    .filter(|&q| part_home(q, nparts, nranks) == rank)
+                    .collect();
+                let range: Vec<usize> = homed_parts(rank, nparts, nranks).collect();
+                assert_eq!(
+                    range, homed,
+                    "nparts {nparts}, nranks {nranks}, rank {rank}"
+                );
+            }
+        }
+    }
+
+    /// An SFC-diffusion problem at P = 8 with two constraints, run from
+    /// its seed partition; `tamper` edits the hoist before the body runs.
+    fn run_tampered(tamper: impl Fn(&mut Hoisted)) {
+        let g = grid3d(8, 8, 4);
+        let n = g.n();
+        let keys: Vec<u64> = (0..n as u64).collect();
+        let w2: Vec<u64> = (0..n as u64).map(|v| 1 + v % 3).collect();
+        let seed: Vec<u32> = (0..n).map(|v| (v * 8 / n) as u32).collect();
+        let (caps, cfg) = ([1.0; 8], PartitionConfig::new(8));
+        let p = Problem::new(&g, Some(&w2), Some(&keys), Some(&seed), &caps, &cfg);
+        let method = BalanceMethod::SfcDiffusion;
+        let mut hoisted = method.hoist(&p, 8).unwrap();
+        tamper(&mut hoisted);
+        let lists = RankLists::build(&seed, 8);
+        spmd(8, MachineModel::sp2(), |comm| {
+            balance_body(method, comm, &p, &lists, 1.0, Some(&hoisted))
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "part 3's weight at home rank 3")]
+    fn a_home_rank_catches_a_part_weight_off_by_one() {
+        run_tampered(|h| h.part_w[0][3] += 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "part 6's second-constraint weight at home rank 6")]
+    fn a_home_rank_catches_a_second_constraint_weight_off_by_one() {
+        run_tampered(|h| h.part_w[1][6] -= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "home rank 5 received")]
+    fn a_home_rank_catches_an_item_count_off_by_one() {
+        run_tampered(|h| h.items[5] += 1);
+    }
+
+    /// A replicated body is one compute charge plus one exchange: at
+    /// P = 64, every rank enters exactly one `alltoallv` and no `allreduce`,
+    /// for every replicated method under one and two constraints.
+    #[test]
+    fn replicated_bodies_pay_one_exchange_and_no_reduction() {
+        use plum_parsim::CollectiveKind::{Allreduce, Alltoallv};
+        let g = grid3d(8, 8, 4);
+        let n = g.n();
+        let keys: Vec<u64> = (0..n as u64)
+            .map(|v| v.wrapping_mul(0x9E37) % 8192)
+            .collect();
+        let w2: Vec<u64> = (0..n as u64)
+            .map(|v| if v % 29 == 0 { 40 } else { 1 })
+            .collect();
+        let (caps, cfg) = ([1.0; 64], PartitionConfig::new(64));
+        let seed = sfc_partition(&keys, Weights::new(&g.vwgt, None), 64, &caps);
+        for method in BalanceMethod::ALL {
+            if method.replicated_body().is_none() {
+                continue;
+            }
+            for w2 in [None, Some(&w2[..])] {
+                let p = Problem::new(&g, w2, Some(&keys), Some(&seed), &caps, &cfg);
+                let run = balance_distributed(method, &p, &seed, 64, MachineModel::sp2(), 16.0);
+                let what = format!("{method:?} dual={}", w2.is_some());
+                for (rank, r) in run.trace.summary().ranks.iter().enumerate() {
+                    let calls = |kind| r.collective(kind).calls;
+                    assert_eq!(calls(Allreduce), 0, "{what}: rank {rank} reduced");
+                    assert_eq!(calls(Alltoallv), 1, "{what}: rank {rank}'s exchanges");
+                }
+            }
+        }
     }
 
     /// Every method's SPMD body returns its serial kernel's partition —

@@ -25,10 +25,12 @@
 //! the realized moves fail to improve the effective imbalance, which makes
 //! an already-balanced partition an exact fixed point.
 //!
-//! The load vector is replicated by the part-weight allreduce and the flow
-//! solve is local replicated arithmetic, so — unlike a real per-round
-//! implementation — one allreduce plus the moved-triple exchange is the
-//! *entire* traffic of the SPMD body.
+//! The flow solve is local replicated arithmetic on a replicated load
+//! vector, both hoisted onto the host with the partition, so — unlike a
+//! real per-round implementation — one exchange (the moved triples and each
+//! rank's weight row, checked at the parts' home ranks) is the *entire*
+//! traffic of the SPMD body. Nothing is charged for replicating the load
+//! vector.
 
 use crate::graph::Graph;
 use crate::metrics::weights_of;

@@ -8,8 +8,9 @@
 //! `plum_mesh::sfc`), the key order is cut into `nparts` contiguous ranges
 //! whose weights track the parts' capacity fractions, and mild imbalance is
 //! repaired by *shifting range boundaries* one vertex at a time instead of
-//! re-partitioning. No graph, no coarsening — cost is a local sort plus
-//! O(nparts) words of collective traffic, which is what makes it the cheap
+//! re-partitioning. No graph, no coarsening — cost is a local sort plus one
+//! exchange in which a rank ships what it owns (its moved vertices and one
+//! weight-row entry per part they are in), which is what makes it the cheap
 //! end of the partitioner portfolio.
 //!
 //! These are the serial kernels; [`crate::balance_body`] runs them as

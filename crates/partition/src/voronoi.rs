@@ -20,8 +20,8 @@
 //! fixed point.
 //!
 //! This is the serial kernel; [`crate::balance_body`] runs it as replicated
-//! arithmetic inside the simulator (the Lloyd rounds work on the
-//! allreduce-replicated part weights and centroids).
+//! arithmetic inside the simulator (the Lloyd rounds work on replicated
+//! part weights and centroids, hoisted onto the host with the partition).
 
 use crate::metrics::weights_of;
 use crate::sfc::{cap_fractions, sfc_split};
