@@ -229,7 +229,7 @@ pub fn fig6_mild_bench(scale: Scale) -> (BenchReport, String) {
     use plum_core::{select_method, BalanceMethod, PlumConfig, WorkModel};
     use plum_mesh::{DualGraph, SfcCurve};
     use plum_partition::{
-        balance_distributed, imbalance_weighted, part_weights, partition_kway, Graph,
+        balance_distributed, imbalance_weighted, partition_kway, weights_of, Graph,
         PartitionConfig, Problem, Weights,
     };
 
@@ -265,8 +265,8 @@ pub fn fig6_mild_bench(scale: Scale) -> (BenchReport, String) {
     let diff = run(method);
     let ml = run(BalanceMethod::Multilevel);
 
-    let imb_old = imbalance_weighted(&part_weights(&g, &prev, p), &caps);
-    let imb_new = imbalance_weighted(&part_weights(&g, &diff.part, p), &caps);
+    let imb_old = imbalance_weighted(&weights_of(&g.vwgt, &prev, p), &caps);
+    let imb_new = imbalance_weighted(&weights_of(&g.vwgt, &diff.part, p), &caps);
     let cp = critical_path(&diff.trace);
 
     let mut b = BenchReport::new("fig6_mild");

@@ -289,7 +289,8 @@ mod tests {
 
     /// Acceptance criterion of the hotspot scenario: measured-cost
     /// balancing cuts the steady-state true-cost imbalance ≥ 2× versus the
-    /// unit-cost assumption (asserted inside `hotspot_bench`).
+    /// unit-cost assumption (asserted inside `hotspot_bench`). The report
+    /// is the committed baseline bit for bit.
     #[test]
     fn hotspot_measured_cost_cuts_imbalance_2x() {
         let (b, analysis) = hotspot_bench(Scale::Quick);
@@ -300,11 +301,13 @@ mod tests {
                 < b.metrics["info.hotspot.unit_units_imbalance"]
         );
         assert!(analysis.contains("reduction"));
+        crate::report::assert_reproduces_baseline(&b, "BENCH_hotspot.json");
     }
 
     /// Acceptance criteria of the dual scenario (asserted inside
     /// `dual_bench`): both constraints ≤ 1.15 under dual balancing, the
-    /// particle constraint ≥ 1.5 under single-constraint balancing.
+    /// particle constraint ≥ 1.5 under single-constraint balancing. The
+    /// report is the committed baseline bit for bit.
     #[test]
     fn dual_balancing_holds_both_constraints() {
         let (b, _) = dual_bench(Scale::Quick);
@@ -312,6 +315,7 @@ mod tests {
         assert!(b.metrics["balance.dual.fluid_imbalance"] <= 1.15);
         assert!(b.metrics["balance.dual.particle_imbalance"] <= 1.15);
         assert!(b.metrics["info.dual.single_particle_imbalance"] >= 1.5);
+        crate::report::assert_reproduces_baseline(&b, "BENCH_dual.json");
     }
 
     /// Acceptance criteria of the cascade scenario: protocol-clean at

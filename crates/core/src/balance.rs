@@ -82,7 +82,7 @@ pub fn run_mapper(sm: &SimilarityMatrix, mapper: Mapper) -> Assignment {
 
 /// The evaluation step of the load balancer: measure the current balance
 /// and decide whether to repartition at all. Returns the partially filled
-/// decision plus `true` when the trigger fired (the caller then runs a
+/// decision, `repartitioned` when the trigger fired (the caller then runs a
 /// repartitioner — serial on the test-only oracle path, distributed on the
 /// engine path).
 ///
@@ -98,7 +98,7 @@ pub(crate) fn evaluate_balance(
     cfg: &PlumConfig,
     caps: &[f64],
     w2: Option<&[u64]>,
-) -> (BalanceDecision, bool) {
+) -> BalanceDecision {
     let nproc = cfg.nproc;
     assert_eq!(caps.len(), nproc, "one capacity per processor");
     let (imb_old, wmax_old) = effective_load(&weights_of(&dual.wcomp, old_proc, nproc), caps);
@@ -126,11 +126,8 @@ pub(crate) fn evaluate_balance(
     // a perfectly count-balanced mesh whose particles are piled on one rank
     // still repartitions.
     let imb_binding = imb_old2.map_or(imb_old, |i2| imb_old.max(i2));
-    if imb_binding <= cfg.imbalance_trigger || nproc == 1 {
-        return (decision, false);
-    }
-    decision.repartitioned = true;
-    (decision, true)
+    decision.repartitioned = !(imb_binding <= cfg.imbalance_trigger || nproc == 1);
+    decision
 }
 
 /// Per-cycle portfolio selection, shared verbatim by the serial reference

@@ -264,8 +264,8 @@ impl Cycle {
     fn balance(&mut self, p: &Plum, refine_work: &[u64]) -> (BalanceDecision, Vec<Vec<u32>>) {
         let cfg = &p.cfg;
         let w2 = p.wcomp2.as_deref();
-        let (mut decision, go) = evaluate_balance(&p.dual, &p.proc_of_root, cfg, &p.capacity, w2);
-        if !go {
+        let mut decision = evaluate_balance(&p.dual, &p.proc_of_root, cfg, &p.capacity, w2);
+        if !decision.repartitioned {
             return (decision, Vec::new());
         }
 

@@ -330,8 +330,8 @@ pub(crate) fn balance_step(
 ) -> (BalanceDecision, PhaseTimes) {
     let caps = vec![1.0; cfg.nproc];
     let mut times = PhaseTimes::default();
-    let (mut decision, go) = evaluate_balance(dual, old_proc, cfg, &caps, w2);
-    if !go {
+    let mut decision = evaluate_balance(dual, old_proc, cfg, &caps, w2);
+    if !decision.repartitioned {
         return (decision, times);
     }
     let (method, new_part) = with_problem(dual, old_proc, cfg, &caps, keys, w2, |m, p| {

@@ -71,7 +71,7 @@ pub(crate) fn reassign_body(
 
     // Gather the rows on the host (rank 0): a count and two words per
     // cell, so the model charges exactly what is sent.
-    let gathered = comm.gatherv(0, 1 + 2 * row.len() as u64, row);
+    let gathered = comm.gather(0, 1 + 2 * row.len() as u64, row);
 
     // Host builds the matrix (which stores non-zeros only), maps, and
     // answers every row with the processors of its parts.

@@ -22,14 +22,10 @@ use crate::json::{self, Value};
 use crate::registry::Registry;
 use crate::timeline::Timeline;
 
-/// Schema identifier embedded in every emitted BENCH file. v2 adds two
-/// optional attribution payloads — a [`TraceDigest`] and a [`Timeline`] —
-/// on top of v1; [`BenchReport::from_json`] still accepts
-/// [`BENCH_SCHEMA_V1`] files (they parse with both payloads absent).
+/// Schema identifier embedded in every emitted BENCH file, the only one
+/// [`BenchReport::from_json`] accepts. v2 carries two optional attribution
+/// payloads: a [`TraceDigest`] and a [`Timeline`].
 pub const BENCH_SCHEMA: &str = "plum-bench/v2";
-
-/// The previous schema version, still accepted on read.
-pub const BENCH_SCHEMA_V1: &str = "plum-bench/v1";
 
 /// Metrics with this prefix are informational: emitted, shown, never
 /// compared.
@@ -53,8 +49,8 @@ pub struct BenchReport {
     pub experiment: String,
     pub meta: BTreeMap<String, MetaValue>,
     pub metrics: BTreeMap<String, f64>,
-    /// Per-(phase, rank) trace digest of the instrumented run (v2; absent
-    /// in v1 files and in experiments too large to digest).
+    /// Per-(phase, rank) trace digest of the instrumented run (absent in
+    /// experiments too large to digest).
     pub digest: Option<TraceDigest>,
     /// Per-cycle metric trajectories of multi-cycle runs (v2, optional).
     pub timeline: Option<Timeline>,
@@ -213,9 +209,9 @@ impl BenchReport {
             .get("schema")
             .and_then(Value::as_str)
             .ok_or_else(|| BenchError::Schema("missing \"schema\" field".into()))?;
-        if schema != BENCH_SCHEMA && schema != BENCH_SCHEMA_V1 {
+        if schema != BENCH_SCHEMA {
             return Err(BenchError::Schema(format!(
-                "unsupported schema {schema:?} (want {BENCH_SCHEMA:?} or {BENCH_SCHEMA_V1:?})"
+                "unsupported schema {schema:?} (want {BENCH_SCHEMA:?})"
             )));
         }
         let experiment = obj
@@ -502,23 +498,6 @@ mod tests {
         assert!(cmp.render().contains("FAIL"));
         // The same slowdown passes a looser gate.
         assert!(compare(&base, &cur, 15.0).passed());
-    }
-
-    /// A v1 baseline file must keep parsing (and gating) against v2
-    /// current reports: the schema bump is read-compatible.
-    #[test]
-    fn v1_reports_still_parse_and_gate() {
-        let v1_text = sample().to_json().replace("plum-bench/v2", "plum-bench/v1");
-        let v1 = BenchReport::from_json(&v1_text).unwrap();
-        assert!(v1.digest.is_none());
-        assert!(v1.timeline.is_none());
-        let cmp = compare(&v1, &sample(), 5.0);
-        assert!(cmp.passed());
-        assert_eq!(cmp.unchanged, 3);
-        // ...and a regression against a v1 baseline still fails.
-        let mut cur = sample();
-        cur.set("comm.msgs", 1e6);
-        assert!(!compare(&v1, &cur, 5.0).passed());
     }
 
     /// v2 payloads (digest + timeline) round-trip bit-identically.

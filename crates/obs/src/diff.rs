@@ -303,8 +303,8 @@ pub fn explain(baseline: &BenchReport, current: &BenchReport) -> String {
                 _ => "the current report",
             };
             out.push_str(&format!(
-                "  no digest in {missing} (v1 file, or an experiment too large to \
-                 digest); regenerate with a plum-bench/v2 emitter for attribution\n"
+                "  no digest in {missing} (an experiment too large to digest); \
+                 no attribution\n"
             ));
         }
     }

@@ -27,7 +27,7 @@ pub mod timeline;
 
 pub use bench::{
     compare, BenchError, BenchReport, CompareReport, MetaValue, MetricDelta, BENCH_SCHEMA,
-    BENCH_SCHEMA_V1, INFO_PREFIX, RATE_PREFIX,
+    INFO_PREFIX, RATE_PREFIX,
 };
 pub use critpath::{
     critical_path, heaviest_edges, phase_critical_path, render_heaviest_edges, CriticalPath,

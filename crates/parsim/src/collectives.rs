@@ -6,7 +6,7 @@
 //! count scale as `O(log P)`:
 //!
 //! * `bcast` — binomial tree, `P-1` messages total.
-//! * `gather` / `gatherv` — binomial tree toward the root, `P-1` messages
+//! * `gather` — binomial tree toward the root, `P-1` messages
 //!   total; a message carries (and charges for) the raw entries of its
 //!   whole subtree, which is the contract of a gather.
 //! * `reduce` — the same tree, reduced *in the tree*: every interior rank
@@ -15,7 +15,7 @@
 //!   carries. Values combine in ascending (virtual) rank order, each child's
 //!   contiguous subtree associated first — the flat left fold's value for
 //!   every associative `op`, commutative or not.
-//! * `scatter` / `scatterv` — binomial tree away from the root, `P-1`
+//! * `scatterv` — binomial tree away from the root, `P-1`
 //!   messages total; a message carries (and charges for) the blocks of its
 //!   destination's whole subtree, the mirror of a gather.
 //! * `allgather` — tree gather to rank 0 plus binomial broadcast of the
@@ -172,18 +172,22 @@ impl Comm {
         Some(entries)
     }
 
-    /// Gather of one value per rank to `root` along a binomial tree. Returns
-    /// `Some(values)` (indexed by rank) on the root, `None` elsewhere.
+    /// Gather of one value per rank to `root` along a binomial tree. Each
+    /// rank declares the size of its *own* contribution in `my_words` —
+    /// CSR rows, owned vertex blocks, and other irregular payloads charge
+    /// exactly what they ship (interior tree ranks additionally charge for
+    /// the subtree entries they forward). Returns `Some(values)` (indexed by
+    /// rank) on the root, `None` elsewhere.
     pub fn gather<T: Send + 'static>(
         &mut self,
         root: usize,
-        words_each: u64,
+        my_words: u64,
         value: T,
     ) -> Option<Vec<T>> {
         self.collective_enter(CollectiveKind::Gather);
         let p = self.nranks();
         let out = self
-            .tree_gather(root, words_each, value, TAG_GATHER)
+            .tree_gather(root, my_words, value, TAG_GATHER)
             .map(|mut entries| {
                 entries.sort_unstable_by_key(|e| e.0);
                 debug_assert_eq!(entries.len(), p, "gather: missing contributions");
@@ -193,35 +197,7 @@ impl Comm {
         out
     }
 
-    /// Variable-size gather ("gatherv"): like [`Comm::gather`], but makes the
-    /// per-rank payload sizes explicit at the call site. Each rank declares
-    /// the size of its *own* contribution in `my_words` — CSR rows, owned
-    /// vertex blocks, and other irregular payloads charge exactly what they
-    /// ship (interior tree ranks additionally charge for the subtree entries
-    /// they forward). Returns `Some(values)` (indexed by rank) on the root.
-    pub fn gatherv<T: Send + 'static>(
-        &mut self,
-        root: usize,
-        my_words: u64,
-        value: T,
-    ) -> Option<Vec<T>> {
-        self.gather(root, my_words, value)
-    }
-
-    /// Binomial-tree scatter: root supplies one value per rank; every rank
-    /// receives its own. [`Comm::scatterv`] with every block `words_each`
-    /// words.
-    pub fn scatter<T: Send + 'static>(
-        &mut self,
-        root: usize,
-        words_each: u64,
-        values: Option<Vec<T>>,
-    ) -> T {
-        let blocks = values.map(|vs| vs.into_iter().map(|v| (words_each, v)).collect());
-        self.scatterv(root, blocks)
-    }
-
-    /// Variable-size scatter ("scatterv"), the mirror of [`Comm::gatherv`]:
+    /// Variable-size scatter ("scatterv"), the mirror of [`Comm::gather`]:
     /// the root supplies one `(words, value)` block per rank, indexed by
     /// rank, and every rank receives its own value. Binomial tree, `P-1`
     /// messages total; each message carries the blocks of the destination's
@@ -649,7 +625,7 @@ mod tests {
         let results = spmd(4, MachineModel::sp2(), |comm| {
             // Rank r contributes r+1 words.
             let mine: Vec<u64> = vec![comm.rank() as u64; comm.rank() + 1];
-            comm.gatherv(0, mine.len() as u64, mine)
+            comm.gather(0, mine.len() as u64, mine)
         });
         let root = results[0].value.as_ref().unwrap();
         assert_eq!(root.len(), 4);
@@ -751,8 +727,8 @@ mod tests {
                 // scatter: P-1 messages, every rank gets its own block.
                 let r = spmd(p, MachineModel::sp2(), move |comm| {
                     let blocks = (comm.rank() == root)
-                        .then(|| (0..comm.nranks() as u64).map(|d| 10 * d).collect());
-                    comm.scatter(root, 1, blocks)
+                        .then(|| (0..comm.nranks() as u64).map(|d| (1, 10 * d)).collect());
+                    comm.scatterv(root, blocks)
                 });
                 assert!(
                     r.iter().all(|x| x.value == 10 * x.rank as u64),

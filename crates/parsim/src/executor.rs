@@ -564,12 +564,12 @@ mod tests {
             let back = if comm.rank() == 2 {
                 let v = g.unwrap();
                 assert_eq!(v, vec![0, 3, 6, 9, 12, 15]);
-                Some(v.into_iter().map(|x| x + 1).collect::<Vec<u64>>())
+                Some(v.into_iter().map(|x| (1, x + 1)).collect::<Vec<_>>())
             } else {
                 assert!(g.is_none());
                 None
             };
-            comm.scatter(2, 1, back)
+            comm.scatterv(2, back)
         });
         for (i, res) in r.iter().enumerate() {
             assert_eq!(res.value, i as u64 * 3 + 1);
@@ -609,9 +609,12 @@ mod tests {
                     } else {
                         assert!(g.is_none());
                     }
-                    let vals = (comm.rank() == root)
-                        .then(|| (0..p).map(|d| (d * 10 + root) as u64).collect::<Vec<_>>());
-                    comm.scatter(root, 1, vals)
+                    let vals = (comm.rank() == root).then(|| {
+                        (0..p)
+                            .map(|d| (1, (d * 10 + root) as u64))
+                            .collect::<Vec<_>>()
+                    });
+                    comm.scatterv(root, vals)
                 });
                 for (d, res) in r.iter().enumerate() {
                     assert_eq!(

@@ -28,7 +28,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// filters it out and never re-throws it.
 pub(crate) struct FiberAbort;
 
-/// Default fiber stack size. Rank bodies run serial numeric kernels
+/// Fiber stack size. Rank bodies run serial numeric kernels
 /// (sorts, graph coarsening) with shallow recursion; 1 MiB leaves a wide
 /// margin while costing only lazily-committed virtual pages per rank.
 const DEFAULT_STACK_BYTES: usize = 1 << 20;
@@ -36,18 +36,6 @@ const DEFAULT_STACK_BYTES: usize = 1 << 20;
 /// Number of canary words at the low (overflow) end of each stack.
 const CANARY_WORDS: usize = 8;
 const CANARY: u64 = 0xDEAD_FACE_CAFE_F00D;
-
-/// Fiber stack size in bytes: `PLUM_FIBER_STACK_KB` or the default.
-pub(crate) fn stack_bytes() -> usize {
-    static BYTES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *BYTES.get_or_init(|| {
-        std::env::var("PLUM_FIBER_STACK_KB")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .map(|kb| (kb * 1024).max(64 * 1024))
-            .unwrap_or(DEFAULT_STACK_BYTES)
-    })
-}
 
 /// A reusable fiber stack. The executor pools them per thread, so every step
 /// of every session on a thread runs on the stacks earlier steps touched
@@ -68,7 +56,7 @@ impl FiberStack {
         STACKS_ALLOCATED.set(STACKS_ALLOCATED.get() + 1);
         // Uninitialized heap memory: the allocation is virtual until pages
         // are first touched, which is what makes thousands of ranks cheap.
-        let mut mem = Box::new_uninit_slice(stack_bytes());
+        let mut mem = Box::new_uninit_slice(DEFAULT_STACK_BYTES);
         // Canary at the low end — the direction stacks grow into.
         for w in 0..CANARY_WORDS {
             let bytes = CANARY.to_ne_bytes();
@@ -306,7 +294,7 @@ impl Fiber {
             // no recovery (including unwinding) is sound. Fail loudly.
             eprintln!(
                 "plum-parsim: fiber stack overflow detected \
-                 (raise PLUM_FIBER_STACK_KB); aborting"
+                 (raise DEFAULT_STACK_BYTES); aborting"
             );
             std::process::abort();
         }

@@ -118,8 +118,8 @@ proptest! {
                         comm.gather(root, 1, comm.rank() as u64);
                     }
                     3 => {
-                        let v = (comm.rank() == root).then(|| vec![1u64; comm.nranks()]);
-                        comm.scatter(root, 1, v);
+                        let v = (comm.rank() == root).then(|| vec![(1, 1u64); comm.nranks()]);
+                        comm.scatterv(root, v);
                     }
                     4 => {
                         comm.allgather(1, comm.rank() as u64);

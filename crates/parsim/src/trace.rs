@@ -1235,7 +1235,7 @@ mod tests {
             comm.barrier();
             let v = comm.bcast(2, 4, (comm.rank() == 2).then(|| vec![1u64; 4]));
             comm.gather(1, 4, v.clone());
-            let back = comm.scatter(3, 2, (comm.rank() == 3).then(|| vec![0u64; 5]));
+            let back = comm.scatterv(3, (comm.rank() == 3).then(|| vec![(2, 0u64); 5]));
             comm.allgather(1, back);
             comm.allreduce_sum_f64(comm.rank() as f64);
             let p = comm.nranks();

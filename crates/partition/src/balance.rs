@@ -671,6 +671,56 @@ mod tests {
         }
     }
 
+    /// The serial multilevel kernel's partitions, pinned to the bit: one or
+    /// two constraints × seeded or fresh × uniform or skewed capacities on
+    /// a `grid3d` whose load drifted into one corner. `sweep` says whether
+    /// a two-constraint row keeps the drain and refinement sweep's answer
+    /// (three do) or takes the knapsack fallback's.
+    #[test]
+    fn serial_multilevel_partitions_are_pinned() {
+        let fnv = |xs: &[u32]| {
+            xs.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &x| {
+                (h ^ x as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let mut g = grid3d(12, 12, 6);
+        let n = g.n();
+        for v in 0..n {
+            if v % 12 < 5 && v / 12 % 12 < 6 {
+                g.vwgt.to_mut()[v] = 3;
+            }
+        }
+        let w2: Vec<u64> = (0..n)
+            .map(|v| if v % 12 >= 8 && v / 144 >= 3 { 3 } else { 1 })
+            .collect();
+        let cfg = PartitionConfig::new(8);
+        let seed: Vec<u32> = (0..n).map(|v| (v * 8 / n) as u32).collect();
+        let skewed = [2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5];
+        // (two constraints, seeded, skewed caps, sweep, FNV-1a)
+        let pins = [
+            (false, true, false, true, 0x0a9b_a57b_b53c_fa30),
+            (false, true, true, true, 0x183f_6d64_7983_fa79),
+            (false, false, false, true, 0xc4e1_4a2f_2221_bd54),
+            (false, false, true, true, 0xf57b_55c5_26d3_8c62),
+            (true, true, false, true, 0xce3b_923c_9d13_fc0e),
+            (true, true, true, true, 0x914d_0ea2_3447_d11c),
+            (true, false, false, false, 0x418c_39d9_3b3b_404d),
+            (true, false, true, true, 0x42c2_ba02_b229_89b5),
+        ];
+        for (dual, seeded, skew, sweep, hash) in pins {
+            let caps: &[f64] = if skew { &skewed } else { &[1.0; 8] };
+            let w2 = dual.then_some(&w2[..]);
+            let p = Problem::new(&g, w2, None, seeded.then_some(&seed[..]), caps, &cfg);
+            let part = balance(BalanceMethod::Multilevel, &p);
+            let what = format!("dual={dual} seeded={seeded} skewed={skew}");
+            if dual {
+                let knap = balance(BalanceMethod::Knapsack, &p);
+                assert_eq!(part != knap, sweep, "{what}: sweep or knapsack fallback");
+            }
+            assert_eq!(fnv(&part), hash, "{what}: partition moved");
+        }
+    }
+
     /// Every method's SPMD body returns its serial kernel's partition —
     /// one or two constraints, seeded or fresh, block or scattered
     /// ownership (an empty rank included) — and only the clock depends on

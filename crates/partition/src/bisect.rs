@@ -150,7 +150,7 @@ pub fn bisect(g: &Graph, target0: u64, tol: f64, tries: usize, rng: &mut Rng) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{edge_cut, part_weights};
+    use crate::metrics::{edge_cut, weights_of};
 
     fn grid_graph(w: usize, h: usize) -> Graph<'static> {
         let n = w * h;
@@ -183,7 +183,7 @@ mod tests {
         let mut rng = Rng::new(5);
         let side = bisect(&g, total / 2, 1.05, 4, &mut rng);
         let part: Vec<u32> = side.iter().map(|&s| s as u32).collect();
-        let w = part_weights(&g, &part, 2);
+        let w = weights_of(&g.vwgt, &part, 2);
         assert!(
             w[0] as f64 <= total as f64 / 2.0 * 1.06,
             "side 0 overweight: {w:?}"
@@ -205,7 +205,7 @@ mod tests {
         let mut rng = Rng::new(9);
         let side = bisect(&g, target0, 1.1, 4, &mut rng);
         let part: Vec<u32> = side.iter().map(|&s| s as u32).collect();
-        let w = part_weights(&g, &part, 2);
+        let w = weights_of(&g.vwgt, &part, 2);
         assert!(
             (w[0] as f64) < target0 as f64 * 1.15 && (w[0] as f64) > target0 as f64 * 0.8,
             "side 0 weight {} far from target {target0}",
@@ -236,7 +236,7 @@ mod tests {
         let mut rng = Rng::new(11);
         let side = bisect(&g, total / 2, 1.1, 4, &mut rng);
         let part: Vec<u32> = side.iter().map(|&s| s as u32).collect();
-        let w = part_weights(&g, &part, 2);
+        let w = weights_of(&g.vwgt, &part, 2);
         // The two heavy vertices must be separated for any feasible balance.
         assert!(
             w[0] >= 50 && w[1] >= 50,

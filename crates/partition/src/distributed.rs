@@ -40,7 +40,7 @@ use crate::graph::Graph;
 use crate::kway::{
     capacity_fractions, part_ceilings, partition_kway_impl, rel_lt, PartitionConfig,
 };
-use crate::metrics::part_weights;
+use crate::metrics::weights_of;
 use crate::repart::repartition_diffuse;
 use crate::rng::Rng;
 use crate::weights::Weights;
@@ -554,7 +554,7 @@ fn coarsest_solve(
         dg.vwgt.clone(),
         dg.seed.clone(),
     );
-    let pieces = comm.gatherv(0, words_for_bytes(bytes), piece);
+    let pieces = comm.gather(0, words_for_bytes(bytes), piece);
     let full = if rank == 0 {
         let pieces = pieces.unwrap();
         let mut xadj = vec![0u32];
@@ -588,7 +588,7 @@ fn coarsest_solve(
         } else {
             repartition_diffuse(&g, cfg, &seed, frac)
         };
-        let w = part_weights(&g, &part, cfg.nparts);
+        let w = weights_of(&g.vwgt, &part, cfg.nparts);
         let slices = dg
             .off
             .windows(2)
@@ -1117,7 +1117,7 @@ fn gather_solve(comm: &mut Comm, p: &Problem, lists: &RankLists, vertex_units: f
     };
     charge(comm, vw.len(), vertex_units);
     let bytes = 8 * (vw.len() + v2.len()) + 4 * pv.len();
-    let pieces = comm.gatherv(0, words_for_bytes(bytes), (vw, v2, pv));
+    let pieces = comm.gather(0, words_for_bytes(bytes), (vw, v2, pv));
     let slices = pieces.map(|pieces| {
         let mut vwgt = vec![0u64; n];
         let mut w2_full = p.weights().w2().map(|_| vec![0u64; n]);
@@ -1235,7 +1235,7 @@ mod tests {
     use super::*;
     use crate::balance::{balance_distributed, BalanceMethod, DistPartition};
     use crate::kway::{partition_kway, quality, tests::grid3d};
-    use crate::metrics::{imbalance_weighted, part_weights};
+    use crate::metrics::imbalance_weighted;
     use crate::repart::repartition_kway;
     use plum_parsim::{CollectiveKind, MachineModel};
     use std::cell::Cell;
@@ -1410,7 +1410,7 @@ mod tests {
             MachineModel::zero(),
             0.0,
         );
-        let w = part_weights(&g, &d.part, 4);
+        let w = weights_of(&g.vwgt, &d.part, 4);
         let eff = imbalance_weighted(&w, &caps);
         assert!(
             eff <= cfg.imbalance_tol * 1.10 + 0.05,
@@ -1437,7 +1437,7 @@ mod tests {
         );
         assert_eq!(d.part.len(), g.n());
         assert!(d.part.iter().all(|&p| (p as usize) < 6));
-        let w = part_weights(&g, &d.part, 6);
+        let w = weights_of(&g.vwgt, &d.part, 6);
         assert!(w.iter().all(|&x| x > 0), "empty part in {w:?}");
     }
 }

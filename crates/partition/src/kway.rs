@@ -8,7 +8,7 @@ use crate::bisect::bisect;
 use crate::coarsen::coarsen_once;
 use crate::graph::Graph;
 use crate::knapsack::knapsack_partition;
-use crate::metrics::{combine_dual, imbalance_dual, part_weights, partition_imbalance, weights_of};
+use crate::metrics::{combine_dual, imbalance, imbalance_dual, weights_of};
 use crate::rng::Rng;
 use crate::weights::Weights;
 
@@ -150,20 +150,123 @@ fn recursive_bisect(
     }
 }
 
+/// How the drain and the refinement pass judge a part's fill against its
+/// ceilings. Both sweeps ask only these questions, so one sweep serves one
+/// or two constraints; it is monomorphized per judge, and under one
+/// constraint it compiles to exact integer arithmetic.
+pub(crate) trait Fill {
+    fn nparts(&self) -> usize;
+    /// Part `p` is over its ceiling.
+    fn over(&self, p: usize) -> bool;
+    /// Part `p` stays within its ceiling with vertex `v` added.
+    fn fits(&self, p: usize, v: usize) -> bool;
+    /// Part `p` with vertex `v` added is relatively lighter than part `than`.
+    fn lighter_with(&self, p: usize, v: usize, than: usize) -> bool;
+    /// Part `p` is relatively lighter than part `q`.
+    fn lighter(&self, p: usize, q: usize) -> bool;
+    /// Move vertex `v`'s weight from part `from` to part `to`.
+    fn shift(&mut self, v: usize, from: usize, to: usize);
+
+    fn all_fit(&self) -> bool {
+        (0..self.nparts()).all(|p| !self.over(p))
+    }
+}
+
+/// One constraint, judged by [`rel_lt`] and `w + v ≤ max` in integers.
+pub(crate) struct OneFill<'a> {
+    vwgt: &'a [u64],
+    w: Vec<u64>,
+    max: &'a [u64],
+}
+
+impl<'a> OneFill<'a> {
+    pub(crate) fn new(vwgt: &'a [u64], part: &[u32], max: &'a [u64]) -> Self {
+        let w = weights_of(vwgt, part, max.len());
+        OneFill { vwgt, w, max }
+    }
+}
+
+impl Fill for OneFill<'_> {
+    fn nparts(&self) -> usize {
+        self.w.len()
+    }
+    fn over(&self, p: usize) -> bool {
+        self.w[p] > self.max[p]
+    }
+    fn fits(&self, p: usize, v: usize) -> bool {
+        self.w[p] + self.vwgt[v] <= self.max[p]
+    }
+    fn lighter_with(&self, p: usize, v: usize, than: usize) -> bool {
+        rel_lt(
+            self.w[p] + self.vwgt[v],
+            self.max[p],
+            self.w[than],
+            self.max[than],
+        )
+    }
+    fn lighter(&self, p: usize, q: usize) -> bool {
+        rel_lt(self.w[p], self.max[p], self.w[q], self.max[q])
+    }
+    fn shift(&mut self, v: usize, from: usize, to: usize) {
+        self.w[from] -= self.vwgt[v];
+        self.w[to] += self.vwgt[v];
+    }
+}
+
+/// Two constraints: a part is over when either constraint exceeds its
+/// ceiling, and parts compare by the binding constraint's fill fraction.
+/// The two-constraint paths never feed the bit-exact single-constraint
+/// goldens, so f64 comparison is fine here.
+struct TwoFill<'a> {
+    vwgt: [&'a [u64]; 2],
+    w: [Vec<u64>; 2],
+    max: [Vec<u64>; 2],
+}
+
+impl TwoFill<'_> {
+    /// The binding fill fraction of part `p` with vertex `v` (if any) added.
+    fn rel(&self, p: usize, v: Option<usize>) -> f64 {
+        let fill = |c: usize| {
+            let add = v.map_or(0, |v| self.vwgt[c][v]);
+            (self.w[c][p] + add) as f64 / self.max[c][p] as f64
+        };
+        fill(0).max(fill(1))
+    }
+}
+
+impl Fill for TwoFill<'_> {
+    fn nparts(&self) -> usize {
+        self.w[0].len()
+    }
+    fn over(&self, p: usize) -> bool {
+        (0..2).any(|c| self.w[c][p] > self.max[c][p])
+    }
+    fn fits(&self, p: usize, v: usize) -> bool {
+        (0..2).all(|c| self.w[c][p] + self.vwgt[c][v] <= self.max[c][p])
+    }
+    fn lighter_with(&self, p: usize, v: usize, than: usize) -> bool {
+        self.rel(p, Some(v)) < self.rel(than, None)
+    }
+    fn lighter(&self, p: usize, q: usize) -> bool {
+        self.rel(p, None) < self.rel(q, None)
+    }
+    fn shift(&mut self, v: usize, from: usize, to: usize) {
+        for c in 0..2 {
+            self.w[c][from] -= self.vwgt[c][v];
+            self.w[c][to] += self.vwgt[c][v];
+        }
+    }
+}
+
 /// One pass of boundary-greedy k-way refinement: every vertex may move to
 /// the adjacent part maximizing its connectivity gain, subject to the
-/// balance constraint. Returns the number of moves.
-pub(crate) fn kway_refine_pass(
-    g: &Graph,
-    part: &mut [u32],
-    weights: &mut [u64],
-    max_w: &[u64],
-    rng: &mut Rng,
-) -> usize {
-    let nparts = weights.len();
+/// balance constraint (or, out of an overweight part, to the move leaving
+/// the target relatively lighter than the source). Returns the number of
+/// moves.
+fn kway_refine_pass(g: &Graph, part: &mut [u32], fill: &mut impl Fill, rng: &mut Rng) -> usize {
     let mut order: Vec<u32> = (0..g.n() as u32).collect();
     rng.shuffle(&mut order);
-    let mut conn = vec![0i64; nparts];
+    let mut conn = vec![0i64; fill.nparts()];
     let mut touched: Vec<u32> = Vec::new();
     let mut moves = 0;
     for &v in &order {
@@ -183,7 +286,7 @@ pub(crate) fn kway_refine_pass(
         }
         if is_boundary {
             let cur_conn = conn[cur];
-            let overweight_here = weights[cur] > max_w[cur];
+            let overweight_here = fill.over(cur);
             let mut best: Option<(i64, usize)> = None;
             for &p in &touched {
                 let p = p as usize;
@@ -191,19 +294,15 @@ pub(crate) fn kway_refine_pass(
                     continue;
                 }
                 let gain = conn[p] - cur_conn;
-                let fits = weights[p] + g.vwgt[v] <= max_w[p];
-                let acceptable = (gain > 0 && fits)
-                    || (gain >= 0
-                        && overweight_here
-                        && rel_lt(weights[p] + g.vwgt[v], max_w[p], weights[cur], max_w[cur]));
+                let acceptable = (gain > 0 && fill.fits(p, v))
+                    || (gain >= 0 && overweight_here && fill.lighter_with(p, v, cur));
                 if acceptable && best.is_none_or(|(bg, _)| gain > bg) {
                     best = Some((gain, p));
                 }
             }
             if let Some((_, p)) = best {
                 part[v] = p as u32;
-                weights[cur] -= g.vwgt[v];
-                weights[p] += g.vwgt[v];
+                fill.shift(v, cur, p);
                 moves += 1;
             }
         }
@@ -215,34 +314,27 @@ pub(crate) fn kway_refine_pass(
 }
 
 /// Forced balancing by boundary draining: sweep the vertices; every vertex
-/// in an overweight part moves to its best under-loaded neighbouring part
-/// (falling back to the globally lightest part so interior vertices cannot
-/// deadlock the drain). Each sweep is `O(n + m)`; overweight regions drain
-/// layer by layer, and the subsequent refinement passes repair the cut.
-pub(crate) fn kway_balance(
-    g: &Graph,
-    part: &mut [u32],
-    weights: &mut [u64],
-    max_w: &[u64],
-) -> usize {
-    let nparts = weights.len();
-    let mut moves = 0;
+/// in an overweight part moves to its best relatively-lighter neighbouring
+/// part (falling back to the relatively lightest part so interior vertices
+/// cannot deadlock the drain). Each sweep is `O(n + m)`; overweight regions
+/// drain layer by layer, and the subsequent refinement passes repair the
+/// cut.
+fn kway_balance(g: &Graph, part: &mut [u32], fill: &mut impl Fill) {
     for _sweep in 0..64 {
-        if (0..nparts).all(|p| weights[p] <= max_w[p]) {
+        if fill.all_fit() {
             break;
         }
-        let mut moved_this_sweep = 0;
+        let mut moved = false;
         for v in 0..g.n() {
             let s = part[v] as usize;
-            if weights[s] <= max_w[s] {
+            if !fill.over(s) {
                 continue;
             }
-            let vw = g.vwgt[v];
             // Best adjacent relatively-lighter part by connectivity.
             let mut best: Option<(i64, usize)> = None;
             for (u, w) in g.edges(v) {
                 let p = part[u as usize] as usize;
-                if p != s && rel_lt(weights[p] + vw, max_w[p], weights[s], max_w[s]) {
+                if p != s && fill.lighter_with(p, v, s) {
                     let gain = w as i64;
                     if best.is_none_or(|(bg, _)| gain > bg) {
                         best = Some((gain, p));
@@ -254,194 +346,45 @@ pub(crate) fn kway_balance(
                 None => {
                     // Interior vertex of an overweight region: fall back to
                     // the relatively lightest part if that still helps.
-                    let mut lightest = 0;
-                    for p in 1..nparts {
-                        if rel_lt(weights[p], max_w[p], weights[lightest], max_w[lightest]) {
-                            lightest = p;
-                        }
-                    }
-                    if !rel_lt(
-                        weights[lightest] + vw,
-                        max_w[lightest],
-                        weights[s],
-                        max_w[s],
-                    ) {
+                    let lightest =
+                        (1..fill.nparts()).fold(0, |l, p| if fill.lighter(p, l) { p } else { l });
+                    if !fill.lighter_with(lightest, v, s) {
                         continue;
                     }
                     lightest
                 }
             };
-            weights[s] -= vw;
-            weights[to] += vw;
+            fill.shift(v, s, to);
             part[v] = to as u32;
-            moved_this_sweep += 1;
+            moved = true;
         }
-        if moved_this_sweep == 0 {
+        if !moved {
             break;
         }
-        moves += moved_this_sweep;
     }
-    moves
 }
 
-/// Relative dual load of a part against its per-constraint ceilings: the
-/// binding (worse) constraint's fill fraction. The dual paths never feed
-/// the bit-exact single-constraint goldens — those delegate before reaching
-/// this code — so f64 comparison is fine here.
-#[inline]
-fn dual_rel(w1: u64, m1: u64, w2: u64, m2: u64) -> f64 {
-    (w1 as f64 / m1 as f64).max(w2 as f64 / m2 as f64)
-}
-
-/// Dual-constraint boundary drain: like [`kway_balance`], but a part is
-/// overweight when *either* constraint exceeds its ceiling, and relative
-/// comparisons use the binding constraint's fill fraction.
-pub(crate) fn kway_balance_dual(
+/// Up to `rounds` rounds of draining plus refinement passes (until one
+/// moves nothing), stopping once every part fits.
+pub(crate) fn drain_and_refine(
     g: &Graph,
-    w2: &[u64],
     part: &mut [u32],
-    wt1: &mut [u64],
-    wt2: &mut [u64],
-    max1: &[u64],
-    max2: &[u64],
-) -> usize {
-    let nparts = wt1.len();
-    let mut moves = 0;
-    for _sweep in 0..64 {
-        if (0..nparts).all(|p| wt1[p] <= max1[p] && wt2[p] <= max2[p]) {
-            break;
-        }
-        let mut moved_this_sweep = 0;
-        for v in 0..g.n() {
-            let s = part[v] as usize;
-            if wt1[s] <= max1[s] && wt2[s] <= max2[s] {
-                continue;
-            }
-            let v1 = g.vwgt[v];
-            let v2 = w2[v];
-            let src = dual_rel(wt1[s], max1[s], wt2[s], max2[s]);
-            // Best adjacent part that would still be relatively lighter.
-            let mut best: Option<(i64, usize)> = None;
-            for (u, w) in g.edges(v) {
-                let p = part[u as usize] as usize;
-                if p != s && dual_rel(wt1[p] + v1, max1[p], wt2[p] + v2, max2[p]) < src {
-                    let gain = w as i64;
-                    if best.is_none_or(|(bg, _)| gain > bg) {
-                        best = Some((gain, p));
-                    }
-                }
-            }
-            let to = match best {
-                Some((_, p)) => p,
-                None => {
-                    // Interior vertex of an overweight region: fall back to
-                    // the relatively lightest part if that still helps.
-                    let mut lightest = 0;
-                    for p in 1..nparts {
-                        if dual_rel(wt1[p], max1[p], wt2[p], max2[p])
-                            < dual_rel(wt1[lightest], max1[lightest], wt2[lightest], max2[lightest])
-                        {
-                            lightest = p;
-                        }
-                    }
-                    if dual_rel(
-                        wt1[lightest] + v1,
-                        max1[lightest],
-                        wt2[lightest] + v2,
-                        max2[lightest],
-                    ) >= src
-                    {
-                        continue;
-                    }
-                    lightest
-                }
-            };
-            wt1[s] -= v1;
-            wt2[s] -= v2;
-            wt1[to] += v1;
-            wt2[to] += v2;
-            part[v] = to as u32;
-            moved_this_sweep += 1;
-        }
-        if moved_this_sweep == 0 {
-            break;
-        }
-        moves += moved_this_sweep;
-    }
-    moves
-}
-
-/// One dual-constraint refinement pass: connectivity-gain moves that keep
-/// *both* per-constraint ceilings (or strictly improve the binding fill of
-/// an overweight source part).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn kway_refine_pass_dual(
-    g: &Graph,
-    w2: &[u64],
-    part: &mut [u32],
-    wt1: &mut [u64],
-    wt2: &mut [u64],
-    max1: &[u64],
-    max2: &[u64],
+    fill: &mut impl Fill,
+    cfg: &PartitionConfig,
+    rounds: usize,
     rng: &mut Rng,
-) -> usize {
-    let nparts = wt1.len();
-    let mut order: Vec<u32> = (0..g.n() as u32).collect();
-    rng.shuffle(&mut order);
-    let mut conn = vec![0i64; nparts];
-    let mut touched: Vec<u32> = Vec::new();
-    let mut moves = 0;
-    for &v in &order {
-        let v = v as usize;
-        let cur = part[v] as usize;
-        touched.clear();
-        let mut is_boundary = false;
-        for (u, w) in g.edges(v) {
-            let p = part[u as usize] as usize;
-            if conn[p] == 0 {
-                touched.push(p as u32);
-            }
-            conn[p] += w as i64;
-            if p != cur {
-                is_boundary = true;
+) {
+    for _ in 0..rounds {
+        kway_balance(g, part, fill);
+        for _ in 0..cfg.refine_passes {
+            if kway_refine_pass(g, part, fill, rng) == 0 {
+                break;
             }
         }
-        if is_boundary {
-            let cur_conn = conn[cur];
-            let overweight_here = wt1[cur] > max1[cur] || wt2[cur] > max2[cur];
-            let v1 = g.vwgt[v];
-            let v2 = w2[v];
-            let mut best: Option<(i64, usize)> = None;
-            for &p in &touched {
-                let p = p as usize;
-                if p == cur {
-                    continue;
-                }
-                let gain = conn[p] - cur_conn;
-                let fits = wt1[p] + v1 <= max1[p] && wt2[p] + v2 <= max2[p];
-                let acceptable = (gain > 0 && fits)
-                    || (gain >= 0
-                        && overweight_here
-                        && dual_rel(wt1[p] + v1, max1[p], wt2[p] + v2, max2[p])
-                            < dual_rel(wt1[cur], max1[cur], wt2[cur], max2[cur]));
-                if acceptable && best.is_none_or(|(bg, _)| gain > bg) {
-                    best = Some((gain, p));
-                }
-            }
-            if let Some((_, p)) = best {
-                part[v] = p as u32;
-                wt1[cur] -= v1;
-                wt2[cur] -= v2;
-                wt1[p] += v1;
-                wt2[p] += v2;
-                moves += 1;
-            }
-        }
-        for &p in &touched {
-            conn[p as usize] = 0;
+        if fill.all_fit() {
+            break;
         }
     }
-    moves
 }
 
 /// Tail of the dual multilevel kernel: balance/refine rounds
@@ -459,42 +402,23 @@ pub(crate) fn dual_repair(
     caps: &[f64],
     mut part: Vec<u32>,
 ) -> Vec<u32> {
-    let t2: u64 = w2.iter().sum();
-    let max1: Vec<u64> = part_ceilings(g.total_vwgt(), cfg, frac)
-        .iter()
-        .map(|&m| m.max(1))
-        .collect();
-    let max2: Vec<u64> = part_ceilings(t2, cfg, frac)
-        .iter()
-        .map(|&m| m.max(1))
-        .collect();
-    let mut wt1 = part_weights(g, &part, cfg.nparts);
-    let mut wt2 = weights_of(w2, &part, cfg.nparts);
+    let ceilings = |total| {
+        let max = part_ceilings(total, cfg, frac);
+        max.into_iter().map(|m| m.max(1)).collect()
+    };
+    let vwgt = [&g.vwgt[..], w2];
+    let mut fill = TwoFill {
+        vwgt,
+        w: vwgt.map(|w| weights_of(w, &part, cfg.nparts)),
+        max: [g.total_vwgt(), w2.iter().sum()].map(ceilings),
+    };
     let mut rng = Rng::new(cfg.seed ^ 0x4475_616c); // "Dual"
-    for _ in 0..4 {
-        kway_balance_dual(g, w2, &mut part, &mut wt1, &mut wt2, &max1, &max2);
-        for _ in 0..cfg.refine_passes {
-            if kway_refine_pass_dual(g, w2, &mut part, &mut wt1, &mut wt2, &max1, &max2, &mut rng)
-                == 0
-            {
-                break;
-            }
-        }
-        if wt1.iter().zip(&max1).all(|(&w, &m)| w <= m)
-            && wt2.iter().zip(&max2).all(|(&w, &m)| w <= m)
-        {
-            break;
-        }
-    }
-    let achieved = imbalance_dual(&wt1, &wt2, caps);
+    drain_and_refine(g, &mut part, &mut fill, cfg, 4, &mut rng);
+    let achieved = imbalance_dual(&fill.w[0], &fill.w[1], caps);
     if achieved > cfg.imbalance_tol * 1.10 {
-        let knap = knapsack_partition(Weights::new(&g.vwgt, Some(w2)), cfg.nparts, caps);
-        let kimb = imbalance_dual(
-            &weights_of(&g.vwgt, &knap, cfg.nparts),
-            &weights_of(w2, &knap, cfg.nparts),
-            caps,
-        );
-        if kimb < achieved {
+        let w = Weights::new(&g.vwgt, Some(w2));
+        let knap = knapsack_partition(w, cfg.nparts, caps);
+        if w.imbalance(&knap, cfg.nparts, caps) < achieved {
             return knap;
         }
     }
@@ -558,13 +482,8 @@ pub(crate) fn partition_kway_impl(
     let max_w = part_ceilings(g.total_vwgt(), cfg, frac);
     let mut graph = cur;
     loop {
-        let mut weights = part_weights(&graph, &part, cfg.nparts);
-        kway_balance(&graph, &mut part, &mut weights, &max_w);
-        for _ in 0..cfg.refine_passes {
-            if kway_refine_pass(&graph, &mut part, &mut weights, &max_w, &mut rng) == 0 {
-                break;
-            }
-        }
+        let mut fill = OneFill::new(&graph.vwgt, &part, &max_w);
+        drain_and_refine(&graph, &mut part, &mut fill, cfg, 1, &mut rng);
         match levels.pop() {
             Some((finer, cmap)) => {
                 let mut fine_part = vec![0u32; finer.n()];
@@ -590,10 +509,11 @@ pub struct PartitionQuality {
 
 /// Evaluate a partition.
 pub fn quality(g: &Graph, part: &[u32], nparts: usize) -> PartitionQuality {
+    let weights = weights_of(&g.vwgt, part, nparts);
     PartitionQuality {
         cut: crate::metrics::edge_cut(g, part),
-        imbalance: partition_imbalance(g, part, nparts),
-        weights: part_weights(g, part, nparts),
+        imbalance: imbalance(&weights),
+        weights,
     }
 }
 
@@ -720,7 +640,7 @@ pub(crate) mod tests {
         let caps = [2.0, 1.0, 1.0, 1.0];
         let cfg = PartitionConfig::new(caps.len());
         let part = ml(&g, None, &cfg, None, &caps);
-        let w = part_weights(&g, &part, caps.len());
+        let w = weights_of(&g.vwgt, &part, caps.len());
         let eff = imbalance_weighted(&w, &caps);
         assert!(
             eff <= cfg.imbalance_tol + 0.05,
@@ -770,7 +690,7 @@ pub(crate) mod tests {
         let w2_single = imbalance_weighted(&weights_of(&w2, &single, k), &caps);
         assert!(w2_single > 1.5, "corner load should skew w2: {w2_single}");
         let dual = ml(&g, Some(&w2), &cfg, None, &caps);
-        let i1 = imbalance_weighted(&part_weights(&g, &dual, k), &caps);
+        let i1 = imbalance_weighted(&weights_of(&g.vwgt, &dual, k), &caps);
         let i2 = imbalance_weighted(&weights_of(&w2, &dual, k), &caps);
         assert!(i1 <= 1.15, "dual w1 imbalance {i1}");
         assert!(i2 <= 1.15, "dual w2 imbalance {i2}");

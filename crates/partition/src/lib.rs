@@ -69,8 +69,7 @@ pub use distributed::{inflow_quota, merge_add};
 pub use graph::Graph;
 pub use kway::{partition_kway, quality, PartitionConfig, PartitionQuality};
 pub use metrics::{
-    dual_uniform, edge_cut, imbalance, imbalance_dual, imbalance_weighted, migration, part_weights,
-    partition_imbalance, weights_of,
+    dual_uniform, edge_cut, imbalance, imbalance_dual, imbalance_weighted, migration, weights_of,
 };
 pub use repart::repartition_kway;
 pub use rng::Rng;

@@ -16,15 +16,6 @@ pub fn edge_cut(g: &Graph, part: &[u32]) -> u64 {
     cut / 2
 }
 
-/// Vertex-weight totals per part.
-pub fn part_weights(g: &Graph, part: &[u32], nparts: usize) -> Vec<u64> {
-    let mut w = vec![0u64; nparts];
-    for v in 0..g.n() {
-        w[part[v] as usize] += g.vwgt[v];
-    }
-    w
-}
-
 /// Load imbalance: `max(weights) / mean(weights)`. 1.0 is perfect.
 pub fn imbalance(weights: &[u64]) -> f64 {
     let total: u64 = weights.iter().sum();
@@ -34,11 +25,6 @@ pub fn imbalance(weights: &[u64]) -> f64 {
     let avg = total as f64 / weights.len() as f64;
     let max = *weights.iter().max().unwrap() as f64;
     max / avg
-}
-
-/// Convenience: imbalance of a partition.
-pub fn partition_imbalance(g: &Graph, part: &[u32], nparts: usize) -> f64 {
-    imbalance(&part_weights(g, part, nparts))
 }
 
 /// Capacity-weighted load imbalance: `max_p(w_p / c_p) / (Σw / Σc)`.
@@ -68,9 +54,8 @@ pub fn imbalance_weighted(weights: &[u64], caps: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Per-part totals of a free-standing weight vector (no graph needed) —
-/// the dual-constraint kernels carry their second weight field outside the
-/// graph structure.
+/// Per-part totals of a per-vertex weight vector (`&g.vwgt` for a graph's
+/// own weights).
 pub fn weights_of(vwgt: &[u64], part: &[u32], nparts: usize) -> Vec<u64> {
     let mut w = vec![0u64; nparts];
     for v in 0..part.len() {
@@ -150,7 +135,7 @@ mod tests {
     #[test]
     fn weights_and_imbalance() {
         let g = path4();
-        let w = part_weights(&g, &[0, 0, 1, 1], 2);
+        let w = weights_of(&g.vwgt, &[0, 0, 1, 1], 2);
         assert_eq!(w, vec![3, 7]);
         assert!((imbalance(&w) - 1.4).abs() < 1e-12);
         assert!((imbalance(&[5, 5]) - 1.0).abs() < 1e-12);

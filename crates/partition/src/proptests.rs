@@ -16,7 +16,7 @@ use crate::distributed::{
 };
 use crate::graph::Graph;
 use crate::kway::{capacity_fractions, part_ceilings, partition_kway, PartitionConfig};
-use crate::metrics::part_weights;
+use crate::metrics::weights_of;
 use crate::weights::Weights;
 
 /// Random connected symmetric graph: a ring plus `extra` chords, with
@@ -216,7 +216,7 @@ proptest! {
         );
         prop_assert_eq!(d.part.len(), n, "partition must cover every vertex");
         prop_assert!(d.part.iter().all(|&q| (q as usize) < p), "part id out of range");
-        let w = part_weights(&g, &d.part, p);
+        let w = weights_of(&g.vwgt, &d.part, p);
         let frac = capacity_fractions(&caps[..p], p);
         let ceil = part_ceilings(g.total_vwgt(), &cfg, frac.as_deref());
         let maxv = *g.vwgt.iter().max().unwrap();
@@ -361,7 +361,7 @@ proptest! {
         let csum: f64 = caps[..p].iter().sum();
         let cmin = caps[..p].iter().cloned().fold(f64::INFINITY, f64::min);
         let bound = (cfg.imbalance_tol * 1.10).max(2.0 + s_max * csum / cmin) + 1e-6;
-        let i1 = imbalance_weighted(&part_weights(&g, &part, p), &caps[..p]);
+        let i1 = imbalance_weighted(&weights_of(&g.vwgt, &part, p), &caps[..p]);
         let i2 = imbalance_weighted(&weights_of(w2, &part, p), &caps[..p]);
         prop_assert!(i1 <= bound, "constraint 1 imbalance {} beyond ceiling {}", i1, bound);
         prop_assert!(i2 <= bound, "constraint 2 imbalance {} beyond ceiling {}", i2, bound);

@@ -9,10 +9,8 @@
 //! remapping volume small.
 
 use crate::graph::Graph;
-use crate::kway::{
-    kway_balance, kway_refine_pass, part_ceilings, partition_kway_impl, PartitionConfig,
-};
-use crate::metrics::{imbalance_weighted, part_weights, partition_imbalance};
+use crate::kway::{drain_and_refine, part_ceilings, partition_kway_impl, OneFill, PartitionConfig};
+use crate::metrics::{imbalance, imbalance_weighted, weights_of};
 use crate::rng::Rng;
 
 /// Repartition `g` starting from `prev`. Falls back to a fresh multilevel
@@ -42,20 +40,9 @@ pub(crate) fn repartition_diffuse(
     let mut rng = Rng::new(cfg.seed ^ 0x5265_7061); // "Repa"
     let mut part = prev.to_vec();
     let max_w = part_ceilings(g.total_vwgt(), cfg, frac);
-    let mut weights = part_weights(g, &part, cfg.nparts);
-
     // Diffuse: alternate forced balancing with cut refinement.
-    for _ in 0..4 {
-        kway_balance(g, &mut part, &mut weights, &max_w);
-        for _ in 0..cfg.refine_passes {
-            if kway_refine_pass(g, &mut part, &mut weights, &max_w, &mut rng) == 0 {
-                break;
-            }
-        }
-        if weights.iter().zip(&max_w).all(|(&w, &m)| w <= m) {
-            break;
-        }
-    }
+    let mut fill = OneFill::new(&g.vwgt, &part, &max_w);
+    drain_and_refine(g, &mut part, &mut fill, cfg, 4, &mut rng);
     part
 }
 
@@ -69,9 +56,10 @@ pub(crate) fn repartition_kway_impl(
     if cfg.nparts == 1 {
         return part;
     }
+    let w = weights_of(&g.vwgt, &part, cfg.nparts);
     let achieved = match frac {
-        None => partition_imbalance(g, &part, cfg.nparts),
-        Some(f) => imbalance_weighted(&part_weights(g, &part, cfg.nparts), f),
+        None => imbalance(&w),
+        Some(f) => imbalance_weighted(&w, f),
     };
     if achieved > cfg.imbalance_tol * 1.10 {
         // Diffusion failed; a fresh partition is better than an unbalanced one.
@@ -156,7 +144,7 @@ mod tests {
         // Part 0's processor just slowed to half speed; the others are fine.
         let caps = [0.5, 1.0, 1.0, 1.0];
         let next = ml(&g, None, &cfg, Some(&prev), &caps);
-        let w = part_weights(&g, &next, 4);
+        let w = weights_of(&g.vwgt, &next, 4);
         let eff = imbalance_weighted(&w, &caps);
         assert!(
             eff <= cfg.imbalance_tol * 1.10 + 0.02,
@@ -205,7 +193,7 @@ mod tests {
             .map(|v| if prev[v] == 0 { 3 } else { 1 })
             .collect();
         let next = ml(&g, Some(&w2), &cfg, Some(&prev), &caps);
-        let i1 = imbalance_weighted(&part_weights(&g, &next, 4), &caps);
+        let i1 = imbalance_weighted(&weights_of(&g.vwgt, &next, 4), &caps);
         let i2 = imbalance_weighted(&weights_of(&w2, &next, 4), &caps);
         assert!(i1 <= 1.25, "dual repartition w1 imbalance {i1}");
         assert!(i2 <= 1.25, "dual repartition w2 imbalance {i2}");

@@ -15,7 +15,7 @@ use plum_mesh::generate::{box_dims_for_elements, box_mesh};
 use plum_mesh::{DualGraph, SfcCurve};
 use plum_parsim::MachineModel;
 use plum_partition::{
-    balance, balance_distributed, imbalance_weighted, part_weights, partition_kway, quality,
+    balance, balance_distributed, imbalance_weighted, partition_kway, quality, weights_of,
     BalanceMethod, DistPartition, Graph, PartitionConfig, Problem,
 };
 
@@ -160,7 +160,7 @@ fn weighted_capacities_shift_load_and_respect_ceilings() {
     let dist = dist(BalanceMethod::Multilevel, &problem, &prev);
     assert_eq!(dist.part.len(), g.n(), "every vertex assigned exactly once");
     assert!(dist.part.iter().all(|&q| (q as usize) < p));
-    let w = part_weights(&g, &dist.part, p);
+    let w = weights_of(&g.vwgt, &dist.part, p);
     let imb = imbalance_weighted(&w, &caps);
     assert!(
         imb <= cfg.imbalance_tol * 1.10 + 0.02,
@@ -256,7 +256,7 @@ fn sfc_split_respects_capacity_shares_on_fig6() {
         let cfg = PartitionConfig::new(p);
         let problem = Problem::new(&g, None, Some(&keys), None, &caps, &cfg);
         let part = balance(BalanceMethod::Sfc, &problem);
-        let w = part_weights(&g, &part, p);
+        let w = weights_of(&g.vwgt, &part, p);
         let csum: f64 = caps.iter().sum();
         for q in 0..p {
             let share = total as f64 * caps[q] / csum;

@@ -148,7 +148,7 @@ fn fnv(xs: &[u32]) -> u64 {
 /// weight row and a move count: one allreduce fewer in each of 7 stages,
 /// i.e. 64 ranks × 6 markers and 126 sends with their receives. Both
 /// multilevel rows were re-recorded (events, msgs, Σ words, makespan) when
-/// a body began to return only its rank's parts: the trailing gatherv +
+/// a body began to return only its rank's parts: the trailing gather +
 /// `n`-word bcast and the coarsest solve's `n`-word bcast became sized
 /// scatters — 63 messages fewer, and Σ words 148 220 → 80 439 and
 /// 50 586 → 11 742. The first multilevel row again (events, msgs, Σ words,
