@@ -3,15 +3,16 @@
 //! (Fig. 6), the reassignment layer (Table 2 and the weak-scaling shape),
 //! marking propagation and subdivision (Fig. 4 / Table 1), the migration
 //! codec (Fig. 5), the simulator's own layers (session step, large-payload
-//! and sparse-row collectives), and one whole multilevel repartition at the
-//! `multilevel_p256` shape.
+//! and sparse-row collectives, store-and-forward beside direct bulk
+//! exchange), one whole multilevel repartition at the `multilevel_p256`
+//! shape, and one remap phase at the `paper_p64` shape.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
 
 use plum_bench::{initial_mesh, marked_problem, Scale, CASES};
-use plum_core::{Ownership, WorkModel};
+use plum_core::{parallel_migrate, Ownership, Plum, PlumConfig, WorkModel};
 use plum_mesh::generate::box_mesh;
 use plum_mesh::DualGraph;
 use plum_parsim::{CollectiveKind, Comm, MachineModel, Session, TraceLog};
@@ -21,6 +22,7 @@ use plum_partition::{
 };
 use plum_reassign::{greedy_mwbg, optimal_bmcm, optimal_mwbg, remap_stats, SimilarityMatrix};
 use plum_remap::{Packer, Unpacker};
+use plum_solver::WaveField;
 
 fn dual_graph_of(scale: Scale) -> (DualGraph, Graph<'static>) {
     let mesh = initial_mesh(scale);
@@ -394,6 +396,44 @@ fn bench_collectives_payload(c: &mut Criterion) {
         });
     }
 
+    // Bulk payload, migration-shaped: at P = 64 every rank ships 1 024
+    // words, 256 to each of four neighbours (±1 and ±8 around the ring),
+    // 65 536 words machine-wide — store-and-forwarded along the Bruck
+    // rounds, and sent direct behind the rounds' empty notices. The
+    // modeled cost of one call and its declared words are printed once.
+    const Q: usize = 64;
+    let bulk = |comm: &Comm| -> Vec<(usize, u64, Vec<u64>)> {
+        let rank = comm.rank();
+        [1, Q - 1, 8, Q - 8]
+            .into_iter()
+            .map(|k| ((rank + k) % Q, 256, vec![rank as u64; 256]))
+            .collect()
+    };
+    let mut session64 = Session::new(Q, MachineModel::sp2());
+    type BulkProbe<'a> = &'a (dyn Fn(&mut Comm) + Send + Sync);
+    let bulk_probes: [(&str, BulkProbe); 2] = [
+        ("alltoallv_sparse_p64_w65536", &|comm| {
+            black_box(comm.alltoallv_sparse(bulk(comm)));
+        }),
+        ("alltoallv_direct_p64_w65536", &|comm| {
+            black_box(comm.alltoallv_direct(bulk(comm)));
+        }),
+    ];
+    for (name, probe) in bulk_probes {
+        let mut fresh = Session::new(Q, MachineModel::sp2());
+        let mut results = fresh.run(vec![(); Q], |comm, ()| probe(comm));
+        let summary = TraceLog::from_results(&mut results).summary();
+        println!(
+            "  {name}: {:.1} virtual us per call, {} msgs, {} words",
+            fresh.now() * 1e6,
+            summary.total_msgs(),
+            summary.total_words()
+        );
+        group.bench_function(name, |b| {
+            b.iter(|| session64.run(vec![(); Q], |comm, ()| probe(comm)))
+        });
+    }
+
     // The inflow quota of one refinement stage, summed over all 256 ranks:
     // every rank asks for weight in the six parts around its own, and reads
     // the exclusive scan of the asks below it.
@@ -416,6 +456,37 @@ fn bench_collectives_payload(c: &mut Criterion) {
                 .map(|rank| inflow_quota(black_box(&below[rank]), &demand[rank], &max_w, &w)[rank])
                 .sum::<u64>()
         })
+    });
+    group.finish();
+}
+
+/// The remap phase of one `paper_p64`-shaped cycle on its own: the first
+/// remap-before Real_2 cycle at paper scale (≈ 61k elements, P = 64) picks
+/// a new mapping, and `parallel_migrate` ships the cycle's refined trees
+/// from the old mapping to it. The modeled remap seconds, words and
+/// messages are deterministic and printed once; the timer reports host ms
+/// per migration (packing, the exchange, unpacking and validation).
+fn bench_migrate(c: &mut Criterion) {
+    const P: usize = 64;
+    let mut plum = Plum::new(
+        initial_mesh(Scale::Paper),
+        WaveField::unit_box(),
+        PlumConfig::new(P),
+    );
+    let old = plum.proc_of_root.clone();
+    plum.adaption_cycle(CASES[1].1, 0.1);
+    let new = plum.proc_of_root.clone();
+    let model = MachineModel::sp2();
+    let run = || parallel_migrate(&plum.am, &plum.field, &old, &new, P, model);
+    let out = run();
+    println!(
+        "  migrate_p64_paper: {:.6} virtual s, {} elements, {} words, {} msgs",
+        out.time, out.elems_moved, out.words_moved, out.msgs
+    );
+    let mut group = c.benchmark_group("migrate");
+    group.sample_size(10);
+    group.bench_function("parallel_migrate_p64_paper", |b| {
+        b.iter(|| black_box(run()))
     });
     group.finish();
 }
@@ -499,6 +570,7 @@ criterion_group!(
     bench_multilevel_stage,
     bench_collectives_payload,
     bench_replicated_body,
+    bench_migrate,
     bench_trace_aggregation
 );
 criterion_main!(benches);

@@ -313,10 +313,15 @@ pub struct SweepPoint {
 
 /// Run the full sweep behind Figs. 4/5/6/8.
 pub fn sweep(scale: Scale) -> Vec<SweepPoint> {
+    sweep_over(scale, scale.procs())
+}
+
+/// The sweep at the processor counts `procs`.
+fn sweep_over(scale: Scale, procs: &[usize]) -> Vec<SweepPoint> {
     let mut out = Vec::new();
     for (case, frac) in CASES {
         for policy in [RemapPolicy::AfterRefinement, RemapPolicy::BeforeRefinement] {
-            for &p in scale.procs() {
+            for &p in procs {
                 let r = run_case(scale, frac, p, policy);
                 out.push(SweepPoint {
                     case,

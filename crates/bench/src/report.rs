@@ -658,8 +658,11 @@ pub fn weakscale_bench(quick: bool) -> (BenchReport, String) {
 }
 
 /// The fig5 BENCH report, from the already-run sweep: per-case remap times
-/// under both policies at every swept P.
+/// under both policies at every swept P. Asserts the figure's claim first:
+/// in every cell where both policies remap, remapping before refinement
+/// takes strictly less virtual time than remapping after it.
 pub fn fig5_bench(sw: &[SweepPoint], scale: Scale) -> BenchReport {
+    assert_remap_before_beats_after(sw);
     let mut b = BenchReport::new("fig5");
     b.meta_str("git_sha", &git_sha())
         .meta_str("scale", &format!("{scale:?}"))
@@ -680,9 +683,54 @@ pub fn fig5_bench(sw: &[SweepPoint], scale: Scale) -> BenchReport {
     b
 }
 
+/// Fig. 5's claim, per `(case, P)` cell of the sweep in which both
+/// policies remap: the remap-before cycle remaps in strictly less virtual
+/// time than the remap-after one.
+fn assert_remap_before_beats_after(sw: &[SweepPoint]) {
+    let of = |policy| sw.iter().filter(move |p| p.policy == policy);
+    for after in of(RemapPolicy::AfterRefinement) {
+        let cell = |p: &&SweepPoint| p.case == after.case && p.nproc == after.nproc;
+        let Some(before) = of(RemapPolicy::BeforeRefinement).find(cell) else {
+            continue;
+        };
+        let (b, a) = (before.remap_time, after.remap_time);
+        // A policy whose cost test declined to remap here has no remap
+        // time to compare (paper scale: Real_3 after refinement at P = 64).
+        if b == 0.0 || a == 0.0 {
+            continue;
+        }
+        assert!(
+            b < a,
+            "Fig. 5: {} at P={} remaps in {b} s before refinement, not less than {a} s after",
+            after.case,
+            after.nproc,
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fig. 5's gate at quick scale, P ∈ {2, 4, 8}: every case has a cell
+    /// where both policies remap (Real_3 first at P = 8), and Real_1 at
+    /// P = 8 is the figure's narrowest cell.
+    #[test]
+    fn remap_before_refinement_beats_remap_after() {
+        let sw = crate::sweep_over(Scale::Quick, &[2, 4, 8]);
+        for (case, _) in CASES {
+            let both_remap = |nproc| {
+                sw.iter()
+                    .filter(|p| p.case == case && p.nproc == nproc)
+                    .all(|p| p.remap_time > 0.0)
+            };
+            assert!(
+                [2, 4, 8].into_iter().any(both_remap),
+                "{case}: no cell where both policies remap"
+            );
+        }
+        fig5_bench(&sw, Scale::Quick);
+    }
 
     #[test]
     fn git_sha_is_short_and_nonempty() {

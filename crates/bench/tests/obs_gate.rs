@@ -145,7 +145,11 @@ impl Fnv {
 /// partition was reassembled and `proc_of_part` broadcast whole; again when
 /// a refinement stage's `(moves, Δw)` and a marking sweep's "changed" flag
 /// began to ride the exchange each loop already makes, in place of an
-/// `allreduce` of their own), that the modeled protocol itself changed.
+/// `allreduce` of their own; again when the remap buffers — a vertex table
+/// plus node records — went direct to their destinations behind one empty
+/// Bruck exchange of notices, and a multilevel level's last commits began
+/// to ride the next level's first exchange), that the modeled protocol
+/// itself changed.
 #[test]
 fn trace_readers_are_pinned_to_the_bit() {
     let mut cfg = PlumConfig::new(8);
@@ -203,10 +207,10 @@ fn trace_readers_are_pinned_to_the_bit() {
     assert_eq!(
         (summary, phases, phase_ranks, digest),
         (
-            0x7c1a_e19a_0d6b_1f9a,
-            0x4fa9_5232_e5fc_22ec,
-            0x69ba_78c3_6453_97db,
-            0x2e66_8fed_ebdc_0200
+            0x3d5b_72d4_37f1_8060,
+            0x5d98_3e9d_29fd_b959,
+            0xcce9_e882_6ad2_5736,
+            0xb943_bfc3_a8a5_577a
         ),
         "(summary, phase_breakdowns, phase_rank_breakdowns, digest JSON) FNV-1a: \
          ({summary:#018x}, {phases:#018x}, {phase_ranks:#018x}, {digest:#018x})"

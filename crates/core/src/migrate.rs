@@ -3,14 +3,19 @@
 //!
 //! When a dual-graph vertex (an initial element with its whole refinement
 //! tree) is reassigned, everything in the tree moves with it — that is why
-//! the remapping weight is the total tree size. The record format per tree
-//! node is: root id, level, subdivision pattern, the four vertex ids, and
-//! the four vertices' solution vectors.
+//! the remapping weight is the total tree size. A rank packs one buffer per
+//! destination: a vertex table — the count, then every vertex the departing
+//! tree nodes reference, once, strictly ascending by id, with its solution
+//! vector — followed by one record per tree node: root id, level,
+//! subdivision pattern and the four vertex ids. Each buffer travels as one
+//! direct message ([`Comm::alltoallv_direct`]), so a word crosses the wire
+//! once, in one message per (source, destination) pair — the structure the
+//! paper's `M·C·T_lat + N·T_setup` prices.
 
 use std::collections::{BTreeMap, HashMap};
 
-use plum_adapt::AdaptiveMesh;
-use plum_mesh::VertexField;
+use plum_adapt::{AdaptiveMesh, NodeId};
+use plum_mesh::{VertId, VertexField};
 use plum_parsim::{makespan, spmd, Comm, MachineModel};
 use plum_partition::RankLists;
 use plum_remap::{Packer, Unpacker};
@@ -23,9 +28,12 @@ pub struct MigrationOutcome {
     /// Tree nodes (elements incl. interior tree nodes) actually packed and
     /// shipped.
     pub elems_moved: u64,
-    /// Words on the wire.
+    /// Words on the wire: each buffer's vertex table (a vertex's id and
+    /// solution once per destination) and its 22-byte node records, sent
+    /// once, plus the exchange's one-word destination notices.
     pub words_moved: u64,
-    /// Messages sent (non-empty destination buffers).
+    /// Messages sent with payload: one per (source, destination) pair, the
+    /// paper's `N`.
     pub msgs: u64,
     /// Elements received per rank (for auditing against the similarity
     /// matrix).
@@ -38,11 +46,87 @@ pub struct MigrationOutcome {
 /// [`plum_parsim::Session`] step with cumulative counters.
 pub(crate) type MigrateValue = (u64, u64, u64, u64, Vec<u32>);
 
+/// Pack the tree nodes `nodes` bound for one destination: the vertex table
+/// (sorted and deduplicated ids, each with its solution), then the node
+/// records.
+fn pack_buffer(am: &AdaptiveMesh, field: &VertexField, nodes: &[NodeId]) -> Packer {
+    let forest = am.forest();
+    let mut verts: Vec<u32> = nodes
+        .iter()
+        .flat_map(|&id| forest.node(id).verts.map(|v| v.0))
+        .collect();
+    verts.sort_unstable();
+    verts.dedup();
+    let mut p = Packer::new();
+    p.put_u32(verts.len() as u32);
+    for &v in &verts {
+        p.put_u32(v);
+        p.put_f64_slice(field.get(VertId(v)));
+    }
+    for &id in nodes {
+        let node = forest.node(id);
+        p.put_u32(node.root);
+        p.put_u8(node.level);
+        p.put_u8(node.pattern);
+        for &v in &node.verts {
+            p.put_u32(v.0);
+        }
+    }
+    p
+}
+
+/// Unpack and validate one received buffer, counting its tree nodes per
+/// root into `roots`. Every table solution has `ncomp` components and
+/// names a live vertex, the table is strictly ascending, and every vertex
+/// a node references is in the table. Returns the number of nodes.
+fn unpack_buffer(
+    am: &AdaptiveMesh,
+    ncomp: usize,
+    buf: &[u8],
+    roots: &mut HashMap<u32, u64>,
+) -> u64 {
+    let mut u = Unpacker::new(buf);
+    let nverts = u.get_u32() as usize;
+    let mut table: Vec<u32> = Vec::with_capacity(nverts);
+    for _ in 0..nverts {
+        let vert = u.get_u32();
+        if let Some(&prev) = table.last() {
+            assert!(
+                prev < vert,
+                "vertex table not strictly ascending: vertex {vert} after {prev}"
+            );
+        }
+        let sol = u.get_f64_slice();
+        assert_eq!(sol.len(), ncomp, "solution record corrupt");
+        assert!(
+            am.mesh.vert_alive(VertId(vert)),
+            "migrated record references dead vertex {vert}"
+        );
+        table.push(vert);
+    }
+    let mut received = 0;
+    while !u.is_exhausted() {
+        let root = u.get_u32();
+        let _level = u.get_u8();
+        let _pattern = u.get_u8();
+        for _ in 0..4 {
+            let vert = u.get_u32();
+            assert!(
+                table.binary_search(&vert).is_ok(),
+                "tree {root} references vertex {vert}, which is not in the vertex table"
+            );
+        }
+        *roots.entry(root).or_insert(0) += 1;
+        received += 1;
+    }
+    received
+}
+
 /// The remap stage body for one rank, which currently owns the trees
 /// `mine`, whose new processors are `my_new_proc` (the rank's answer from
-/// the reassignment step): pack my departing trees, exchange buffers,
-/// unpack and validate arrivals. Whether each tree reached the right rank
-/// is checked host-side, by [`migration_outcome_from`].
+/// the reassignment step): pack my departing trees, send each destination
+/// its buffer, unpack and validate arrivals. Whether each tree reached the
+/// right rank is checked host-side, by [`migration_outcome_from`].
 pub(crate) fn migrate_body(
     comm: &mut Comm,
     am: &AdaptiveMesh,
@@ -52,85 +136,50 @@ pub(crate) fn migrate_body(
 ) -> MigrateValue {
     let ncomp = field.ncomp();
     let words0 = comm.sent_words();
-    {
-        comm.phase_begin("remap");
-        let rank = comm.rank() as u32;
+    comm.phase_begin("remap");
+    let rank = comm.rank() as u32;
 
-        // Pack: one buffer per destination rank that gets anything, keyed
-        // so the send order stays ascending.
-        let mut packers: BTreeMap<usize, Packer> = BTreeMap::new();
-        let mut packed_elems = 0u64;
-        for (&v, &to) in mine.iter().zip(my_new_proc) {
-            if to != rank {
-                let p = packers.entry(to as usize).or_default();
-                for node_id in am.forest().subtree_of_root(v) {
-                    let node = am.forest().node(node_id);
-                    p.put_u32(node.root);
-                    p.put_u8(node.level);
-                    p.put_u8(node.pattern);
-                    for &vert in &node.verts {
-                        p.put_u32(vert.0);
-                        p.put_f64_slice(field.get(vert));
-                    }
-                    packed_elems += 1;
-                }
-            }
+    // The departing tree nodes per destination rank, ascending by
+    // destination.
+    let mut departing: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
+    for (&v, &to) in mine.iter().zip(my_new_proc) {
+        if to != rank {
+            let nodes = departing.entry(to as usize).or_default();
+            nodes.extend(am.forest().subtree_of_root(v));
         }
-
-        let mut msgs = 0u64;
-        let items: Vec<(usize, u64, Vec<u8>)> = packers
-            .into_iter()
-            .filter_map(|(dst, p)| {
-                let words = p.words().max(1);
-                let buf = p.finish();
-                if buf.is_empty() {
-                    return None;
-                }
-                msgs += 1;
-                Some((dst, words, buf))
-            })
-            .collect();
-        let incoming = comm.alltoallv_sparse(items);
-
-        // Unpack and validate every received record.
-        let mut received = 0u64;
-        let mut received_roots: HashMap<u32, u64> = HashMap::new();
-        for (_src, buf) in incoming {
-            let mut u = Unpacker::new(&buf);
-            while !u.is_exhausted() {
-                let root = u.get_u32();
-                let _level = u.get_u8();
-                let _pattern = u.get_u8();
-                for _ in 0..4 {
-                    let vert = u.get_u32();
-                    let sol = u.get_f64_slice();
-                    assert_eq!(sol.len(), ncomp, "solution record corrupt");
-                    assert!(
-                        am.mesh.vert_alive(plum_mesh::VertId(vert)),
-                        "migrated record references dead vertex {vert}"
-                    );
-                }
-                *received_roots.entry(root).or_insert(0) += 1;
-                received += 1;
-            }
-        }
-        // Each received tree must arrive whole.
-        for (root, count) in &received_roots {
-            let expect = am.forest().subtree_of_root(*root).len() as u64;
-            assert_eq!(*count, expect, "tree {root} arrived fragmented");
-        }
-        let mut roots: Vec<u32> = received_roots.into_keys().collect();
-        roots.sort_unstable();
-
-        comm.phase_end("remap");
-        (
-            packed_elems,
-            received,
-            msgs,
-            comm.sent_words() - words0,
-            roots,
-        )
     }
+    let packed_elems = departing.values().map(|nodes| nodes.len() as u64).sum();
+    let msgs = departing.len() as u64;
+    let items: Vec<(usize, u64, Vec<u8>)> = departing
+        .into_iter()
+        .map(|(dst, nodes)| {
+            let p = pack_buffer(am, field, &nodes);
+            (dst, p.words(), p.finish())
+        })
+        .collect();
+    let incoming = comm.alltoallv_direct(items);
+
+    let mut received = 0u64;
+    let mut received_roots: HashMap<u32, u64> = HashMap::new();
+    for (_src, buf) in incoming {
+        received += unpack_buffer(am, ncomp, &buf, &mut received_roots);
+    }
+    // Each received tree must arrive whole.
+    for (root, count) in &received_roots {
+        let expect = am.forest().subtree_of_root(*root).len() as u64;
+        assert_eq!(*count, expect, "tree {root} arrived fragmented");
+    }
+    let mut roots: Vec<u32> = received_roots.into_keys().collect();
+    roots.sort_unstable();
+
+    comm.phase_end("remap");
+    (
+        packed_elems,
+        received,
+        msgs,
+        comm.sent_words() - words0,
+        roots,
+    )
 }
 
 /// Assemble a [`MigrationOutcome`] out of the per-rank stage values, in
@@ -319,6 +368,66 @@ mod tests {
             migrate_body(comm, &am, &field, mine, &vec![0; mine.len()])
         });
         migration_outcome_from(results.into_iter().map(|r| r.value), 0.0, &old, &new);
+    }
+
+    /// A buffer with the vertex table `table` (ids as given, each with its
+    /// solution) and one tree-0 node record referencing `refs`.
+    fn hand_packed(field: &VertexField, table: &[u32], refs: [u32; 4]) -> Vec<u8> {
+        let mut p = Packer::new();
+        p.put_u32(table.len() as u32);
+        for &v in table {
+            p.put_u32(v);
+            p.put_f64_slice(field.get(VertId(v)));
+        }
+        p.put_u32(0);
+        p.put_u8(0);
+        p.put_u8(0);
+        for v in refs {
+            p.put_u32(v);
+        }
+        p.finish()
+    }
+
+    #[test]
+    #[should_panic(expected = "tree 0 references vertex 7, which is not in the vertex table")]
+    fn a_node_vertex_missing_from_the_table_panics() {
+        let (am, field) = refined_amesh();
+        let buf = hand_packed(&field, &[0, 1, 2, 3], [0, 1, 2, 7]);
+        unpack_buffer(&am, field.ncomp(), &buf, &mut HashMap::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex table not strictly ascending: vertex 1 after 2")]
+    fn a_vertex_table_out_of_order_panics() {
+        let (am, field) = refined_amesh();
+        let buf = hand_packed(&field, &[0, 2, 1, 3], [0, 1, 2, 3]);
+        unpack_buffer(&am, field.ncomp(), &buf, &mut HashMap::new());
+    }
+
+    /// The vertex table lists each referenced vertex once: a full swap
+    /// ships each rank's buffer as its distinct vertices' ids and solutions
+    /// plus 22 bytes per tree node.
+    #[test]
+    fn each_vertex_travels_once_per_destination() {
+        let (am, field) = refined_amesh();
+        let nodes: Vec<NodeId> = (0..am.n_roots() as u32)
+            .flat_map(|r| am.forest().subtree_of_root(r))
+            .collect();
+        let mut verts: Vec<u32> = nodes
+            .iter()
+            .flat_map(|&id| am.forest().node(id).verts.map(|v| v.0))
+            .collect();
+        let references = verts.len();
+        verts.sort_unstable();
+        verts.dedup();
+        assert!(verts.len() < references, "nodes share vertices");
+        let buf = pack_buffer(&am, &field, &nodes).finish();
+        let per_vert = 4 + 4 + 8 * field.ncomp();
+        assert_eq!(buf.len(), 4 + verts.len() * per_vert + nodes.len() * 22);
+        let mut roots = HashMap::new();
+        let got = unpack_buffer(&am, field.ncomp(), &buf, &mut roots);
+        assert_eq!(got, nodes.len() as u64);
+        assert_eq!(roots.len(), am.n_roots());
     }
 
     #[test]

@@ -30,6 +30,11 @@
 //!   `ceil(log2 P)` rounds of one combined message per rank per round,
 //!   `P·ceil(log2 P)` messages total regardless of how dense the traffic
 //!   pattern is.
+//! * `alltoallv_direct` — the bulk-payload exchange: one empty Bruck
+//!   exchange of zero-word notices tells each rank its sources, then one
+//!   direct message per (source, destination) pair carries the payload, so
+//!   every payload word crosses the wire once instead of once per hop.
+//!   `P·ceil(log2 P)` one-word notices plus one message per pair.
 //! * `alltoallv_sparse_join` — the same exchange with a reduction riding
 //!   it: every message also carries its sender's joined share, so each rank
 //!   ends with the join over all ranks. At a non-power of two some shares
@@ -47,6 +52,7 @@
 //! and memory do not grow with `P × payload` while every declared message
 //! size, tag and timestamp is what a copying implementation would record.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::comm::{Comm, Tag};
@@ -61,6 +67,7 @@ const TAG_REDUCE: Tag = (1 << 60) + 4;
 const TAG_A2A: Tag = (1 << 60) + 5;
 // Above every Bruck round tag.
 const TAG_EXSCAN: Tag = (1 << 60) + (1 << 32);
+const TAG_DIRECT: Tag = (1 << 60) + (1 << 32) + 1;
 
 impl Comm {
     /// Dissemination barrier: `ceil(log2 P)` rounds of one-word messages.
@@ -437,6 +444,55 @@ impl Comm {
         self.alltoallv_sparse_join(items, (), |_| 0, |_, _| {}).0
     }
 
+    /// [`Comm::alltoallv_sparse`] for bulk payload: the same contract
+    /// (`(destination, words, value)` items in, `(source, value)` out sorted
+    /// by source and stable for equal sources, self-items free), but every
+    /// payload word crosses the wire once. A zero-word notice per
+    /// destination rides one Bruck exchange, which costs what an empty
+    /// `alltoallv_sparse` does and tells each rank its sources; then each
+    /// rank sends one direct message per destination, in ascending order,
+    /// declaring the sum of that destination's item words, and receives one
+    /// per notified source. `P·ceil(log2 P)` one-word notices plus one
+    /// message per (source, destination) pair.
+    ///
+    /// Store-and-forward charges an item at each of its up to `ceil(log2 P)`
+    /// hops; a direct message charges it once but pays a startup per
+    /// destination. Bulk payload is cheaper direct; latency-bound control
+    /// traffic to more than `ceil(log2 P)` peers is cheaper on the Bruck
+    /// exchange.
+    pub fn alltoallv_direct<T: Send + 'static>(
+        &mut self,
+        items: Vec<(usize, u64, T)>,
+    ) -> Vec<(usize, T)> {
+        self.collective_enter(CollectiveKind::Alltoallv);
+        let (p, rank) = (self.nranks(), self.rank());
+        let mut out: Vec<(usize, T)> = Vec::new();
+        // Per destination, ascending: declared words and values in order.
+        let mut outgoing: BTreeMap<usize, (u64, Vec<T>)> = BTreeMap::new();
+        for (dst, words, v) in items {
+            assert!(dst < p, "alltoallv destination {dst} out of range");
+            if dst == rank {
+                out.push((rank, v));
+            } else {
+                let (total, vals) = outgoing.entry(dst).or_default();
+                *total += words;
+                vals.push(v);
+            }
+        }
+        let notices = outgoing.keys().map(|&dst| (dst, 0, ())).collect();
+        let (sources, ()) = self.bruck_exchange(notices, (), |_| 0, |_, _| {});
+        for (dst, (words, vals)) in outgoing {
+            self.send(dst, TAG_DIRECT, words, vals);
+        }
+        for (src, ()) in sources {
+            let vals: Vec<T> = self.recv(src, TAG_DIRECT);
+            out.extend(vals.into_iter().map(|v| (src, v)));
+        }
+        out.sort_by_key(|&(src, _)| src);
+        self.collective_exit(CollectiveKind::Alltoallv);
+        out
+    }
+
     /// [`Comm::alltoallv_sparse`] with a reduction riding on it: every
     /// round's message also carries the sender's joined `share`, declaring
     /// `words(share)` on top of its items, and the receiver joins it into its
@@ -545,7 +601,7 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
 
     use crate::{spmd, Comm, MachineModel, RankResult, Session, TraceEvent, TraceLog};
@@ -975,6 +1031,65 @@ mod tests {
             }
             let rounds = p.next_power_of_two().trailing_zeros() as u64;
             assert_eq!(total_msgs(&r), p as u64 * rounds, "sparse p={p}");
+        }
+    }
+
+    /// The direct exchange declares every non-self payload word exactly
+    /// once, on one message per (source, destination) pair whose size is the
+    /// sum of that pair's items, behind the `P·ceil(log2 P)` one-word
+    /// notices of an empty Bruck exchange.
+    #[test]
+    fn direct_exchange_declares_each_payload_word_once() {
+        let items = |rank: usize, p: usize| {
+            vec![
+                ((rank + 1) % p, 5, 'a'),
+                ((rank + 1) % p, 7, 'b'),
+                ((rank * 3 + 2) % p, 11, 'c'),
+                (rank, 13, 's'),
+                (0, 2, 'z'),
+            ]
+        };
+        for &p in &[1usize, 2, 3, 5, 8, 13, 64] {
+            let rounds = p.next_power_of_two().trailing_zeros() as usize;
+            let r = spmd(p, MachineModel::sp2(), |comm| {
+                comm.alltoallv_direct(items(comm.rank(), p))
+            });
+            let mut pairs: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+            for rank in 0..p {
+                for (dst, words, _) in items(rank, p) {
+                    if dst != rank {
+                        *pairs.entry((rank, dst)).or_default() += words;
+                    }
+                }
+            }
+            let mut direct: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+            let mut notices = 0;
+            for x in &r {
+                for ev in &x.events {
+                    if let TraceEvent::Send {
+                        peer, tag, words, ..
+                    } = *ev
+                    {
+                        if tag == super::TAG_DIRECT {
+                            let old = direct.insert((x.rank, peer), words);
+                            assert!(old.is_none(), "p={p}: two messages {} -> {peer}", x.rank);
+                        } else {
+                            assert_eq!(words, 1, "p={p}: a notice is one header word");
+                            notices += 1;
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                direct, pairs,
+                "p={p}: one message per pair, its items' words"
+            );
+            assert_eq!(notices, p * rounds, "p={p}: notices");
+            assert_eq!(
+                total_msgs(&r),
+                (p * rounds + pairs.len()) as u64,
+                "p={p}: messages"
+            );
         }
     }
 

@@ -80,6 +80,32 @@ proptest! {
         }
     }
 
+    /// The direct exchange delivers exactly what the Bruck exchange does —
+    /// same items, same sources, same order — for sparse random traffic
+    /// with self-items and ranks that send or receive nothing.
+    #[test]
+    fn alltoallv_direct_delivers_what_sparse_delivers(
+        nranks in 1usize..18,
+        raw in proptest::collection::vec((0usize..17, 0usize..17, 0u64..50), 0..60),
+    ) {
+        let items = |rank: usize| -> Vec<(usize, u64, (usize, usize))> {
+            raw.iter()
+                .enumerate()
+                .filter(|(_, (src, _, _))| src % nranks == rank)
+                .map(|(i, &(_, dst, words))| (dst % nranks, words, (rank, i)))
+                .collect()
+        };
+        let sparse = spmd(nranks, MachineModel::sp2(), |comm| {
+            comm.alltoallv_sparse(items(comm.rank()))
+        });
+        let direct = spmd(nranks, MachineModel::sp2(), |comm| {
+            comm.alltoallv_direct(items(comm.rank()))
+        });
+        for (a, b) in sparse.iter().zip(&direct) {
+            prop_assert_eq!(&a.value, &b.value, "rank {}", a.rank);
+        }
+    }
+
     #[test]
     fn gather_preserves_rank_order(nranks in 1usize..10, root_sel in 0usize..10) {
         let root = root_sel % nranks;
