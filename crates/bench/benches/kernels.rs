@@ -17,8 +17,8 @@ use plum_mesh::generate::box_mesh;
 use plum_mesh::DualGraph;
 use plum_parsim::{CollectiveKind, Comm, MachineModel, Session, TraceLog};
 use plum_partition::{
-    balance_body, balance_distributed, inflow_quota, merge_add, partition_kway, repartition_kway,
-    BalanceMethod, Graph, PartitionConfig, Problem, RankLists,
+    balance_body, balance_distributed, hierarchy_sizes, inflow_quota, merge_add, partition_kway,
+    repartition_kway, BalanceMethod, DistPartition, Graph, PartitionConfig, Problem, RankLists,
 };
 use plum_reassign::{greedy_mwbg, optimal_bmcm, optimal_mwbg, remap_stats, SimilarityMatrix};
 use plum_remap::{Packer, Unpacker};
@@ -258,13 +258,59 @@ fn bench_session_step(c: &mut Criterion) {
     group.finish();
 }
 
-/// One forced-multilevel repartition at the `multilevel_p256` shape — 11³
-/// cells = 7 986 dual vertices over P = 256 ranks (31 per rank), every
-/// fifth part grown 8× heavier — on its own session: coarsening, the
-/// coarsest solve, and the refinement stages whose per-stage collectives
+/// One distributed multilevel repartition's modeled cost, deterministic and
+/// printed once: virtual partition seconds, stages (one `Exscan` each),
+/// messages and words, the rank-0 round trip's `Gather` and `Scatter` calls,
+/// and the hierarchy's coarsest size — above the coarsening target when
+/// matching stalled, which on a seeded problem skips the round trip.
+fn print_multilevel(name: &str, problem: &Problem, owner: &[u32], nranks: usize) {
+    let d = multilevel_run(problem, owner, nranks);
+    let summary = d.trace.summary();
+    let rank0 = &summary.ranks[0];
+    let sizes = hierarchy_sizes(problem, owner, nranks);
+    let coarsest = *sizes.last().unwrap();
+    let target = problem.cfg.coarsen_target();
+    println!(
+        "multilevel_stage: {name}: virtual partition {:.6} s, {} stages, {} msgs, {} words, \
+         {} gathers, {} scatters, coarsest {coarsest} after {} contractions (target {target}), \
+         stalled {}",
+        d.makespan,
+        rank0.collective(CollectiveKind::Exscan).calls,
+        summary.total_msgs(),
+        summary.total_words(),
+        rank0.collective(CollectiveKind::Gather).calls,
+        rank0.collective(CollectiveKind::Scatter).calls,
+        sizes.len() - 1,
+        problem.seed.is_some() && coarsest > target,
+    );
+}
+
+/// One multilevel repartition of `problem` over `nranks` ranks on its own
+/// session, charged per vertex as the engine charges it.
+fn multilevel_run(problem: &Problem, owner: &[u32], nranks: usize) -> DistPartition {
+    let model = MachineModel::sp2();
+    let vertex_units = WorkModel::default().t_part_vertex / model.t_flop / 4.0;
+    balance_distributed(
+        BalanceMethod::Multilevel,
+        problem,
+        owner,
+        nranks,
+        model,
+        vertex_units,
+    )
+}
+
+/// One whole multilevel repartition on its own session, twice over. At the
+/// `multilevel_p256` shape — 11³ cells = 7 986 dual vertices over P = 256
+/// ranks (31 per rank), every fifth part grown 8× heavier, forced — the
+/// hierarchy reaches its target, so the coarsest graph is solved on rank 0
+/// and scattered. At the `paper_p64` shape — the paper-scale dual graph
+/// (≈ 61k vertices) weighted by one remap-before Real_2 cycle, seeded with
+/// the mapping before it, P = 64 — matching stalls above the target, and
+/// the coarse seed is diffused in parallel. Each covers coarsening, the
+/// coarsest partition and the refinement stages whose per-stage collectives
 /// `collectives_payload` prices one call at a time. The timer reports host
-/// µs per repartition; the modeled partition seconds, stages and words are
-/// deterministic and printed once.
+/// µs per repartition; the modeled numbers are printed once.
 fn bench_multilevel_stage(c: &mut Criterion) {
     const P: usize = 256;
     let dual = DualGraph::build(&box_mesh(11, 11, 11, [0.0; 3], [1.0; 3]));
@@ -276,25 +322,25 @@ fn bench_multilevel_stage(c: &mut Criterion) {
     let g = Graph::from_csr(dual.xadj.clone(), dual.adjncy.clone(), vwgt.collect());
     let caps = vec![1.0; P];
     let problem = Problem::new(&g, None, None, Some(&prev), &caps, &cfg);
-    let model = MachineModel::sp2();
-    let vertex_units = WorkModel::default().t_part_vertex / model.t_flop / 4.0;
-    let run = || {
-        let method = BalanceMethod::Multilevel;
-        balance_distributed(method, &problem, &prev, P, model, vertex_units)
-    };
-    let d = run();
-    let summary = d.trace.summary();
-    println!(
-        "multilevel_stage: N={n} P={P}: virtual partition {:.6} s, {} stages, {} msgs, {} words",
-        d.makespan,
-        summary.ranks[0].collective(CollectiveKind::Exscan).calls,
-        summary.total_msgs(),
-        summary.total_words(),
-    );
+    print_multilevel(&format!("N={n} P={P}"), &problem, &prev, P);
+
+    const PAPER_P: usize = 64;
+    let (plum, before) = paper_cycle(PAPER_P);
+    let dual = &plum.dual;
+    let paper_g = Graph::view(&dual.xadj, &dual.adjncy, &dual.wcomp);
+    let paper_cfg = PartitionConfig::new(PAPER_P);
+    let paper_caps = vec![1.0; PAPER_P];
+    let paper = Problem::new(&paper_g, None, None, Some(&before), &paper_caps, &paper_cfg);
+    let name = format!("N={} P={PAPER_P} paper", dual.n());
+    print_multilevel(&name, &paper, &before, PAPER_P);
+
     let mut group = c.benchmark_group("multilevel_stage");
     group.sample_size(10);
     group.bench_function("balance_distributed_p256_n8k", |b| {
-        b.iter(|| black_box(run()))
+        b.iter(|| black_box(multilevel_run(&problem, &prev, P)))
+    });
+    group.bench_function("balance_distributed_p64_paper", |b| {
+        b.iter(|| black_box(multilevel_run(&paper, &before, PAPER_P)))
     });
     group.finish();
 }
@@ -460,6 +506,20 @@ fn bench_collectives_payload(c: &mut Criterion) {
     group.finish();
 }
 
+/// The paper-scale framework (≈ 61k elements) over `nproc` ranks after its
+/// first remap-before Real_2 cycle, and the mapping before that cycle. The
+/// dual graph's weights are the ones the cycle balanced.
+fn paper_cycle(nproc: usize) -> (Plum, Vec<u32>) {
+    let mut plum = Plum::new(
+        initial_mesh(Scale::Paper),
+        WaveField::unit_box(),
+        PlumConfig::new(nproc),
+    );
+    let before = plum.proc_of_root.clone();
+    plum.adaption_cycle(CASES[1].1, 0.1);
+    (plum, before)
+}
+
 /// The remap phase of one `paper_p64`-shaped cycle on its own: the first
 /// remap-before Real_2 cycle at paper scale (≈ 61k elements, P = 64) picks
 /// a new mapping, and `parallel_migrate` ships the cycle's refined trees
@@ -468,13 +528,7 @@ fn bench_collectives_payload(c: &mut Criterion) {
 /// per migration (packing, the exchange, unpacking and validation).
 fn bench_migrate(c: &mut Criterion) {
     const P: usize = 64;
-    let mut plum = Plum::new(
-        initial_mesh(Scale::Paper),
-        WaveField::unit_box(),
-        PlumConfig::new(P),
-    );
-    let old = plum.proc_of_root.clone();
-    plum.adaption_cycle(CASES[1].1, 0.1);
+    let (plum, old) = paper_cycle(P);
     let new = plum.proc_of_root.clone();
     let model = MachineModel::sp2();
     let run = || parallel_migrate(&plum.am, &plum.field, &old, &new, P, model);

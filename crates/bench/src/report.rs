@@ -714,7 +714,7 @@ mod tests {
 
     /// Fig. 5's gate at quick scale, P ∈ {2, 4, 8}: every case has a cell
     /// where both policies remap (Real_3 first at P = 8), and Real_1 at
-    /// P = 8 is the figure's narrowest cell.
+    /// P = 4 is the narrowest of these cells.
     #[test]
     fn remap_before_refinement_beats_remap_after() {
         let sw = crate::sweep_over(Scale::Quick, &[2, 4, 8]);
@@ -730,6 +730,14 @@ mod tests {
             );
         }
         fig5_bench(&sw, Scale::Quick);
+    }
+
+    /// `reproduce fig5 --quick`'s report, in-process, is the committed
+    /// `BENCH_fig5.json` bit for bit, apart from `meta.git_sha`.
+    #[test]
+    fn fig5_bench_reproduces_the_committed_baseline_exactly() {
+        let sw = crate::sweep(Scale::Quick);
+        assert_reproduces_baseline(&fig5_bench(&sw, Scale::Quick), "BENCH_fig5.json");
     }
 
     #[test]
@@ -848,7 +856,9 @@ mod tests {
     /// Acceptance criteria of the portfolio's mild branch: the mild fig6
     /// cycle selects SFC diffusion (asserted inside `fig6_mild_bench`),
     /// lands under the 1.1 threshold afterwards, and its partition phase
-    /// costs at most a fifth of the multilevel repartitioner's.
+    /// costs at most a fifth of the multilevel repartitioner's. The report
+    /// is the committed `BENCH_fig6_mild.json` bit for bit, apart from
+    /// `meta.git_sha`.
     #[test]
     fn fig6_mild_selects_diffusion_and_saves_5x() {
         let (b, analysis) = fig6_mild_bench(Scale::Quick);
@@ -868,5 +878,6 @@ mod tests {
         );
         assert!(b.metrics["critical_path.partition.seconds"] > 0.0);
         assert!(analysis.contains("sfc_diffusion"));
+        assert_reproduces_baseline(&b, "BENCH_fig6_mild.json");
     }
 }

@@ -3,11 +3,10 @@
 //! This is the "parallel MeTiS" of §4.2 run for real: every rank owns a
 //! contiguous block of dual-graph rows, coarsening proceeds by rounds of
 //! parallel heavy-edge matching with cross-rank match negotiation over the
-//! simulator's typed channels, the coarsest graph is gathered to rank 0 and
-//! partitioned with the serial kernels ([`crate::kway`], [`crate::repart`]),
-//! and the result is refined in parallel during uncoarsening with
-//! boundary-greedy moves against global part weights that arrive once, with
-//! the coarsest solution, and are carried from stage to stage: a stage
+//! simulator's typed channels, the coarsest graph gets a partition, and the
+//! result is refined in parallel during uncoarsening with boundary-greedy
+//! moves against global part weights that arrive once, with the coarsest
+//! partition, and are carried from stage to stage: a stage
 //! exchanges ghost parts and scans its sparse demand, and what it committed
 //! — the move count and the signed weight change per touched part — rides
 //! the next stage's exchange, so its traffic costs what it changes, not
@@ -18,8 +17,19 @@
 //! contrast, comes entirely from real message traffic plus per-vertex
 //! compute charges, which is what the engine reports as the partition phase.
 //! A rank ends holding the parts of its own vertices only: the coarsest
-//! solve scatters each rank its slice, and uncoarsening ends at the level-0
-//! numbering, which is the rank's list.
+//! partition starts from each rank's slice, and uncoarsening ends at the
+//! level-0 numbering, which is the rank's list.
+//!
+//! The coarsest partition comes from rank 0 only where the hierarchy needs
+//! it. A fresh problem, or a seeded one whose matching reached the
+//! coarsening target (`max(128, 16·nparts)` vertices by default), is
+//! gathered to rank 0, partitioned with the serial kernels ([`crate::kway`],
+//! [`crate::repart`]) and scattered back with its part weights broadcast.
+//! A seeded problem whose matching stalled above the target still has many
+//! coarse vertices per part, and rank 0's serial solve would cost in
+//! proportion to all of them while every other rank waits: its coarsest
+//! partition is the coarse seed, and the refinement stages diffuse it in
+//! parallel, with no gather, scatter or broadcast.
 //!
 //! Graphs at or below the configured coarsening target, and every
 //! two-constraint problem, skip the multilevel machinery: the rank-local
@@ -33,7 +43,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use plum_parsim::{words_for_bytes, Comm};
+use plum_parsim::{spmd, words_for_bytes, Comm, MachineModel};
 
 use crate::balance::{multilevel, Problem, RankLists};
 use crate::graph::Graph;
@@ -54,8 +64,11 @@ type PairItems = Vec<(usize, u64, Vec<(u32, u32)>)>;
 /// exchange rounds that join them forward pointers.
 type Commits = Vec<(u32, Arc<(u64, Vec<(u32, i64)>)>)>;
 
-/// Multiplier on `vertex_units` for the serial solve of the coarsest graph
-/// on rank 0 (one multilevel pass over a few hundred vertices).
+/// Multiplier on `vertex_units` for a serial solve on rank 0: one
+/// multilevel pass over each vertex of the graph it holds — a completed
+/// hierarchy's coarsest graph (at most the coarsening target), or the whole
+/// input on the gather-solve path. A stalled seeded hierarchy (4 169 coarse
+/// vertices on the paper-scale dual graph at P = 64) is not solved there.
 const HOST_UNITS_PER_VERTEX: f64 = 8.0;
 
 /// Per-stage, per-rank RNG: deterministic in `(seed, level, stage, rank)` and
@@ -603,6 +616,23 @@ fn coarsest_solve(
     (part, w.to_vec())
 }
 
+/// This rank's seed weights as a zero-move commit: what the coarse seed puts
+/// in each part from the owned vertices, for the coarsest level's first
+/// exchange to sum into the global weights in place of a broadcast. Empty
+/// when the rank owns no weight.
+fn seed_commit(rank: usize, dg: &DistGraph, nparts: usize) -> Commits {
+    let w = weights_of(&dg.vwgt, &dg.seed, nparts);
+    let w: Vec<i64> = w
+        .into_iter()
+        .map(|x| i64::try_from(x).expect("part weight fits i64"))
+        .collect();
+    let row = nonzeros(&w);
+    if row.is_empty() {
+        return Commits::new();
+    }
+    vec![(rank as u32, Arc::new((0, row)))]
+}
+
 /// A rank's slice of a partition as a [`Comm::scatterv`] block, declaring
 /// its 4-byte part ids.
 fn sized_block(slice: Vec<u32>) -> (u64, Vec<u32>) {
@@ -671,7 +701,8 @@ const MAX_BALANCE_STAGES: usize = 32;
 /// vertices do).
 ///
 /// When some part is over its ceiling (the coarsest solve can be forced
-/// over by vertex granularity, and the overshoot survives projection
+/// over by vertex granularity, a stalled hierarchy's coarse seed is the
+/// imbalanced input itself, and the overshoot survives projection
 /// unchanged), the stage drains overweight parts toward relatively lighter
 /// ones — the distributed analogue of the serial `kway_balance` — and only
 /// then do the positive-gain stages run. The mode is decided from the
@@ -1152,6 +1183,57 @@ fn gather_solve(comm: &mut Comm, p: &Problem, lists: &RankLists, vertex_units: f
 // Entry point
 // ---------------------------------------------------------------------------
 
+/// Whether [`multilevel_body`] hands the whole problem to rank 0's serial
+/// kernel: two constraints, or a graph already at the coarsening target.
+fn solves_whole(p: &Problem) -> bool {
+    p.weights().w2().is_some() || p.graph.n() <= p.cfg.coarsen_target()
+}
+
+/// Coarsening: parallel HEM plus negotiated contraction, level by level,
+/// until the graph is at the target or matching stalls. Returns every finer
+/// level, finest first, with its link to the next, and the coarsest graph.
+fn coarsen(
+    comm: &mut Comm,
+    mut cur: DistGraph,
+    cfg: &PartitionConfig,
+    vertex_units: f64,
+) -> (Vec<(DistGraph, LevelLink)>, DistGraph) {
+    let mut levels = Vec::new();
+    while cur.global_n() > cfg.coarsen_target() {
+        charge(comm, cur.local_n(), vertex_units);
+        let partner = parallel_hem(comm, &cur, cfg.seed, levels.len());
+        charge(comm, cur.local_n(), vertex_units);
+        match contract_distributed(comm, &cur, &partner) {
+            Some((coarse, link)) => {
+                levels.push((cur, link));
+                cur = coarse;
+            }
+            None => break,
+        }
+    }
+    (levels, cur)
+}
+
+/// The global vertex count of every level the distributed multilevel body
+/// works on for `p` over `nranks` ranks, vertices distributed by `owner`:
+/// finest first, one entry when the body solves the whole problem on rank
+/// 0. A last entry above [`PartitionConfig::coarsen_target`] means matching
+/// stalled. The hierarchy does not depend on the machine model, so it is
+/// built on a zero-cost session of its own.
+pub fn hierarchy_sizes(p: &Problem, owner: &[u32], nranks: usize) -> Vec<usize> {
+    if p.cfg.nparts == 1 || solves_whole(p) {
+        return vec![p.graph.n()];
+    }
+    let lists = RankLists::build(owner, nranks);
+    let mut results = spmd(nranks, MachineModel::zero(), |comm| {
+        let level0 = build_level0(comm.rank(), p.graph, &lists, p.seed);
+        let (levels, coarsest) = coarsen(comm, level0, p.cfg, 0.0);
+        let sizes = levels.iter().map(|(g, _)| g.global_n());
+        sizes.chain([coarsest.global_n()]).collect::<Vec<_>>()
+    });
+    results.swap_remove(0).value
+}
+
 /// The SPMD body of the distributed multilevel repartitioner (see
 /// [`crate::balance_body`] for the calling contract). Each rank reads only
 /// its owned rows of the replicated graph plus the replicated
@@ -1169,44 +1251,45 @@ pub(crate) fn multilevel_body(
     vertex_units: f64,
 ) -> Vec<u32> {
     let (g, cfg) = (p.graph, p.cfg);
-    let n = g.n();
     let rank = comm.rank();
     if cfg.nparts == 1 {
         return vec![0; lists.mine(rank).len()];
     }
-    if p.weights().w2().is_some() || n <= cfg.coarsen_target() {
+    if solves_whole(p) {
         return gather_solve(comm, p, lists, vertex_units);
     }
     let frac = capacity_fractions(p.caps, cfg.nparts);
     let frac = frac.as_deref();
 
-    let mut cur = build_level0(rank, g, lists, p.seed);
-    charge(comm, cur.local_n(), vertex_units);
+    let level0 = build_level0(rank, g, lists, p.seed);
+    charge(comm, level0.local_n(), vertex_units);
+    let (mut levels, mut cur) = coarsen(comm, level0, cfg, vertex_units);
 
-    // Coarsening: parallel HEM + negotiated contraction per level.
-    let mut levels: Vec<(DistGraph, LevelLink)> = Vec::new();
-    while cur.global_n() > cfg.coarsen_target() {
-        let level = levels.len();
+    // A seeded hierarchy that stalled above the target still has many
+    // vertices per part, enough for the parallel drain: the coarse seed is
+    // the coarsest partition, and each rank's seed weights (one visit per
+    // owned coarse vertex) ride the first stage exchange as a zero-move
+    // commit, folded into `w = 0` before stage 0 reads it. Every other
+    // hierarchy goes to rank 0 for the serial kernel and is scattered back.
+    // Both inputs of the branch are replicated, so every rank takes the
+    // same arm, empty ranks included.
+    let stalled = p.seed.is_some() && cur.global_n() > cfg.coarsen_target();
+    let (mut part, mut w, mut pending) = if stalled {
         charge(comm, cur.local_n(), vertex_units);
-        let partner = parallel_hem(comm, &cur, cfg.seed, level);
-        charge(comm, cur.local_n(), vertex_units);
-        match contract_distributed(comm, &cur, &partner) {
-            Some((coarse, link)) => {
-                levels.push((cur, link));
-                cur = coarse;
-            }
-            None => break,
-        }
-    }
-
-    // Coarsest graph to rank 0, serial kernel, broadcast back.
-    let (mut part, mut w) = coarsest_solve(comm, &cur, cfg, frac, vertex_units);
+        (
+            cur.seed.clone(),
+            vec![0; cfg.nparts],
+            seed_commit(rank, &cur, cfg.nparts),
+        )
+    } else {
+        let (part, w) = coarsest_solve(comm, &cur, cfg, frac, vertex_units);
+        (part, w, Commits::new())
+    };
 
     // Uncoarsening with distributed refinement.
     let max_w = part_ceilings(g.total_vwgt(), cfg, frac);
     // A level's last commits ride the next level's first exchange; level
     // 0's are dropped, since nothing reads `w` after it.
-    let mut pending = Commits::new();
     loop {
         let level = levels.len();
         pending = refine_distributed(
@@ -1239,7 +1322,7 @@ mod tests {
     use crate::kway::{partition_kway, quality, tests::grid3d};
     use crate::metrics::imbalance_weighted;
     use crate::repart::repartition_kway;
-    use plum_parsim::{CollectiveKind, MachineModel};
+    use plum_parsim::CollectiveKind;
     use std::cell::Cell;
 
     thread_local! {
@@ -1433,6 +1516,54 @@ mod tests {
             (share - 0.4).abs() < 0.07,
             "double-capacity part carries {share:.3}, expected ≈0.4"
         );
+    }
+
+    /// The collective census of the rank-0 round trip. A seeded body whose
+    /// hierarchy stalls above the target (`coarsen_to = 1`, which no
+    /// matching reaches) issues no gather, scatter or broadcast at all;
+    /// a fresh body that stalls the same way, and a seeded body whose
+    /// hierarchy reaches the target, each gather the coarsest graph once,
+    /// scatter its parts once and broadcast its weights once.
+    #[test]
+    fn only_a_stalled_seeded_hierarchy_skips_the_rank0_solve() {
+        let p = 8;
+        let mut g = grid3d(12, 12, 8);
+        let prev = partition_kway(&g, &PartitionConfig::new(p));
+        for v in 0..g.n() {
+            if prev[v].is_multiple_of(3) {
+                g.vwgt.to_mut()[v] = 4;
+            }
+        }
+        let reaches = PartitionConfig::new(p);
+        let mut stalls = reaches;
+        stalls.coarsen_to = 1;
+        let caps = vec![1.0; p];
+        let seeded = Some(&prev[..]);
+        for (cfg, seed, calls) in [(stalls, seeded, 0), (stalls, None, 1), (reaches, seeded, 1)] {
+            let problem = Problem::new(&g, None, None, seed, &caps, &cfg);
+            let sizes = hierarchy_sizes(&problem, &prev, p);
+            let what = format!("hierarchy {sizes:?}, seeded {}", seed.is_some());
+            let stalled = *sizes.last().unwrap() > cfg.coarsen_target();
+            assert_eq!(stalled, cfg.coarsen_to == 1, "{what}");
+            let d = dist(&problem, &prev, p, MachineModel::sp2(), 0.5);
+            let summary = d.trace.summary();
+            for kind in [
+                CollectiveKind::Gather,
+                CollectiveKind::Scatter,
+                CollectiveKind::Bcast,
+            ] {
+                for (r, stats) in summary.ranks.iter().enumerate() {
+                    let got = stats.collective(kind).calls;
+                    assert_eq!(got, calls, "{what}: rank {r} made {got} {kind:?} calls");
+                }
+            }
+            let w = weights_of(&g.vwgt, &d.part, p);
+            let imb = imbalance_weighted(&w, &caps);
+            assert!(
+                imb <= cfg.imbalance_tol * 1.10 + 0.02,
+                "{what}: imbalance {imb}"
+            );
+        }
     }
 
     #[test]

@@ -83,7 +83,9 @@ impl PartitionConfig {
         }
     }
 
-    pub(crate) fn coarsen_target(&self) -> usize {
+    /// The coarsening target: [`PartitionConfig::coarsen_to`], or its auto
+    /// value when that is 0.
+    pub fn coarsen_target(&self) -> usize {
         if self.coarsen_to > 0 {
             self.coarsen_to
         } else {

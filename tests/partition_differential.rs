@@ -9,14 +9,16 @@
 //! genuinely multilevel path the two kernels take discretely different
 //! matching/refinement decisions, so the contract is qualitative: edge cut
 //! within 10% of the serial result and imbalance no worse than the serial
-//! result plus a small epsilon.
+//! result plus a small epsilon. The same bounds hold a seeded hierarchy that
+//! stalls above the coarsening target, which diffuses its coarse seed in
+//! parallel instead of solving on rank 0.
 
 use plum_mesh::generate::{box_dims_for_elements, box_mesh};
 use plum_mesh::{DualGraph, SfcCurve};
 use plum_parsim::MachineModel;
 use plum_partition::{
-    balance, balance_distributed, imbalance_weighted, partition_kway, quality, weights_of,
-    BalanceMethod, DistPartition, Graph, PartitionConfig, Problem,
+    balance, balance_distributed, hierarchy_sizes, imbalance_weighted, partition_kway, quality,
+    weights_of, BalanceMethod, DistPartition, Graph, PartitionConfig, Problem,
 };
 
 const PROC_COUNTS: [usize; 3] = [2, 8, 64];
@@ -129,6 +131,45 @@ fn multilevel_cut_and_balance_track_the_serial_reference() {
             qs.imbalance,
             cfg.imbalance_tol
         );
+    }
+}
+
+/// A seeded hierarchy that stalls above the coarsening target (forced here
+/// with `coarsen_to = 1`, which no matching reaches) skips the rank-0 solve
+/// and diffuses its coarse seed in parallel. Held to the multilevel path's
+/// bounds against the serial kernel, under uniform and skewed capacities.
+#[test]
+fn stalled_seeded_path_tracks_the_serial_reference() {
+    let g = fig6_quick_graph();
+    for p in [8, 64] {
+        let mut cfg = PartitionConfig::new(p);
+        cfg.coarsen_to = 1;
+        let prev = seed_partition(&g, p);
+        let skewed: Vec<f64> = (0..p).map(|r| if r < 2 { 2.0 } else { 1.0 }).collect();
+        for caps in [vec![1.0; p], skewed] {
+            let what = format!("P={p} skewed={}", caps[0] != 1.0);
+            let problem = Problem::new(&g, None, None, Some(&prev), &caps, &cfg);
+            let sizes = hierarchy_sizes(&problem, &prev, p);
+            let stalled = *sizes.last().unwrap() > cfg.coarsen_target();
+            assert!(stalled, "{what}: hierarchy {sizes:?} reached the target");
+            let serial = balance(BalanceMethod::Multilevel, &problem);
+            let dist = dist(BalanceMethod::Multilevel, &problem, &prev);
+            let cut = |part: &[u32]| quality(&g, part, p).cut;
+            let imb = |part: &[u32]| imbalance_weighted(&weights_of(&g.vwgt, part, p), &caps);
+            let (cs, cd) = (cut(&serial), cut(&dist.part));
+            let (is, id) = (imb(&serial), imb(&dist.part));
+            eprintln!(
+                "{what}: hierarchy {sizes:?}: serial cut {cs} imb {is:.4} | distributed cut {cd} imb {id:.4}"
+            );
+            assert!(
+                cd as f64 <= cs as f64 * 1.10,
+                "{what}: distributed cut {cd} exceeds serial {cs} by more than 10%"
+            );
+            assert!(
+                id <= is.max(cfg.imbalance_tol) + 0.05,
+                "{what}: distributed imbalance {id:.4} vs serial {is:.4}"
+            );
+        }
     }
 }
 
