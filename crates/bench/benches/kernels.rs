@@ -17,8 +17,8 @@ use plum_mesh::generate::box_mesh;
 use plum_mesh::DualGraph;
 use plum_parsim::{CollectiveKind, Comm, MachineModel, Session, TraceLog};
 use plum_partition::{
-    balance_body, balance_distributed, hierarchy_sizes, inflow_quota, merge_add, partition_kway,
-    repartition_kway, BalanceMethod, DistPartition, Graph, PartitionConfig, Problem, RankLists,
+    balance_body, balance_distributed, inflow_quota, merge_add, partition_kway, repartition_kway,
+    stage_census, BalanceMethod, DistPartition, Graph, PartitionConfig, Problem, RankLists,
 };
 use plum_reassign::{greedy_mwbg, optimal_bmcm, optimal_mwbg, remap_stats, SimilarityMatrix};
 use plum_remap::{Packer, Unpacker};
@@ -259,28 +259,30 @@ fn bench_session_step(c: &mut Criterion) {
 }
 
 /// One distributed multilevel repartition's modeled cost, deterministic and
-/// printed once: virtual partition seconds, stages (one `Exscan` each),
-/// messages and words, the rank-0 round trip's `Gather` and `Scatter` calls,
-/// and the hierarchy's coarsest size — above the coarsening target when
-/// matching stalled, which on a seeded problem skips the round trip.
+/// printed once: virtual partition seconds, stages (one `Exscan` each) and
+/// how many of them were gain stages, messages and words, the rank-0 round
+/// trip's `Gather` and `Scatter` calls, and the hierarchy's coarsest size —
+/// above the coarsening target when matching stalled, which on a seeded
+/// problem skips the round trip.
 fn print_multilevel(name: &str, problem: &Problem, owner: &[u32], nranks: usize) {
     let d = multilevel_run(problem, owner, nranks);
     let summary = d.trace.summary();
     let rank0 = &summary.ranks[0];
-    let sizes = hierarchy_sizes(problem, owner, nranks);
-    let coarsest = *sizes.last().unwrap();
+    let census = stage_census(problem, owner, nranks);
+    let coarsest = census.last().unwrap().n;
     let target = problem.cfg.coarsen_target();
+    let gain_stages: usize = census.iter().map(|level| level.gain.len()).sum();
     println!(
-        "multilevel_stage: {name}: virtual partition {:.6} s, {} stages, {} msgs, {} words, \
-         {} gathers, {} scatters, coarsest {coarsest} after {} contractions (target {target}), \
-         stalled {}",
+        "multilevel_stage: {name}: virtual partition {:.6} s, {} stages ({gain_stages} gain), \
+         {} msgs, {} words, {} gathers, {} scatters, coarsest {coarsest} after {} contractions \
+         (target {target}), stalled {}",
         d.makespan,
         rank0.collective(CollectiveKind::Exscan).calls,
         summary.total_msgs(),
         summary.total_words(),
         rank0.collective(CollectiveKind::Gather).calls,
         rank0.collective(CollectiveKind::Scatter).calls,
-        sizes.len() - 1,
+        census.len() - 1,
         problem.seed.is_some() && coarsest > target,
     );
 }

@@ -148,8 +148,9 @@ impl Fnv {
 /// `allreduce` of their own; again when the remap buffers — a vertex table
 /// plus node records — went direct to their destinations behind one empty
 /// Bruck exchange of notices, and a multilevel level's last commits began
-/// to ride the next level's first exchange), that the modeled protocol
-/// itself changed.
+/// to ride the next level's first exchange; again when a level's gain
+/// stages began to end at the first one that commits under 1 % of the
+/// level's vertices), that the modeled protocol itself changed.
 #[test]
 fn trace_readers_are_pinned_to_the_bit() {
     let mut cfg = PlumConfig::new(8);
@@ -207,10 +208,10 @@ fn trace_readers_are_pinned_to_the_bit() {
     assert_eq!(
         (summary, phases, phase_ranks, digest),
         (
-            0x3d5b_72d4_37f1_8060,
-            0x5d98_3e9d_29fd_b959,
-            0xcce9_e882_6ad2_5736,
-            0xb943_bfc3_a8a5_577a
+            0xe37d_4e33_1fb8_fe53,
+            0xea23_7a28_7756_73a3,
+            0x94ff_d77e_87d1_4418,
+            0x5bc5_e10e_0dcd_c8e5
         ),
         "(summary, phase_breakdowns, phase_rank_breakdowns, digest JSON) FNV-1a: \
          ({summary:#018x}, {phases:#018x}, {phase_ranks:#018x}, {digest:#018x})"

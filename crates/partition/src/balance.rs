@@ -501,7 +501,7 @@ pub fn balance_body(
     hoisted: Option<&Hoisted>,
 ) -> Vec<u32> {
     let Some(body) = method.replicated_body() else {
-        return multilevel_body(comm, p, lists, vertex_units);
+        return multilevel_body(comm, p, lists, vertex_units, None);
     };
     let hoisted = hoisted.expect("replicated-arithmetic methods are hoisted");
     let part = &hoisted.part;

@@ -10,7 +10,11 @@
 //! exchanges ghost parts and scans its sparse demand, and what it committed
 //! — the move count and the signed weight change per touched part — rides
 //! the next stage's exchange, so its traffic costs what it changes, not
-//! `nparts`. All control flow branches on replicated data only, so the
+//! `nparts`. Since a stage costs an exchange and a scan however little it
+//! moves, a level's gain stages stop at the first one that commits fewer
+//! than one move per 100 of the level's vertices machine-wide, with the
+//! configured pass count as the cap. All control flow branches on
+//! replicated data only, so the
 //! partition is a deterministic function of `(problem, ownership)` —
 //! independent of the machine model, chaos perturbations, and link jitter.
 //! Virtual time, by
@@ -677,6 +681,15 @@ fn project_parts(
 /// serial `kway_balance` sweep cap.
 const MAX_BALANCE_STAGES: usize = 32;
 
+/// A gain stage that commits fewer than one move per `GAIN_EXIT_VERTICES`
+/// vertices of its level, machine-wide — under 1 % — ends the level. A
+/// stage costs one exchange and one scan however few vertices it moves, and
+/// past the first stage or two of a fine level the moves fall to a few
+/// dozen (level 0 of the paper-scale dual graph at P = 64, 60 984 vertices:
+/// 230, 65, 21, 10, 6); a level of fewer than 100 vertices ends only on a
+/// stage that moved nothing.
+const GAIN_EXIT_VERTICES: u64 = 100;
+
 /// Distributed refinement of one level, in stages. A stage is one neighbour
 /// exchange and one scan: exchange ghost parts with neighbouring ranks,
 /// propose moves locally against the carried global part weights `w`, and
@@ -706,8 +719,13 @@ const MAX_BALANCE_STAGES: usize = 32;
 /// unchanged), the stage drains overweight parts toward relatively lighter
 /// ones — the distributed analogue of the serial `kway_balance` — and only
 /// then do the positive-gain stages run. The mode is decided from the
-/// replicated weights, so every rank agrees on it. Stops early when a gain
-/// stage commits no move anywhere.
+/// replicated weights, so every rank agrees on it. The `passes` gain stages
+/// are a cap: the level ends at the first gain stage that commits fewer than
+/// one move per [`GAIN_EXIT_VERTICES`] of its vertices machine-wide — a
+/// replicated count, so every rank ends at the same stage.
+///
+/// With a `census`, each stage appends this rank's committed moves to its
+/// drain or gain list.
 #[allow(clippy::too_many_arguments)]
 fn refine_distributed(
     comm: &mut Comm,
@@ -720,6 +738,7 @@ fn refine_distributed(
     passes: usize,
     vertex_units: f64,
     pending: Commits,
+    mut census: Option<&mut LevelStages>,
 ) -> Commits {
     let p = comm.nranks();
     let rank = comm.rank();
@@ -728,11 +747,12 @@ fn refine_distributed(
     let nparts = max_w.len();
 
     // Boundary send lists: owned vertices adjacent to each other rank.
+    let owned = |u: u32| u >= base && u < base + nloc as u32;
     let mut nbr_out: Vec<Vec<u32>> = vec![Vec::new(); p];
     let mut mark = vec![u32::MAX; p];
     for i in 0..nloc {
         for (u, _) in dg.row(i) {
-            if u >= base && u < base + nloc as u32 {
+            if owned(u) {
                 continue;
             }
             let o = dg.owner_of(u);
@@ -742,6 +762,26 @@ fn refine_distributed(
             }
         }
     }
+    // The level's slot table: its ghosts (non-owned neighbours, ascending by
+    // gid) and the adjacency translated to slots — `i` for owned vertex `i`,
+    // `nloc + k` for ghost `k` — so a stage reads a neighbour's part from
+    // `part` or from the dense `ghost_part` it fills off its exchange.
+    let mut ghosts: Vec<u32> = dg.adjncy.iter().copied().filter(|&u| !owned(u)).collect();
+    ghosts.sort_unstable();
+    ghosts.dedup();
+    let ghost_slot = |u: u32| ghosts.binary_search(&u).expect("a ghost of this level");
+    let slots: Vec<u32> = dg
+        .adjncy
+        .iter()
+        .map(|&u| {
+            if owned(u) {
+                u - base
+            } else {
+                (nloc + ghost_slot(u)) as u32
+            }
+        })
+        .collect();
+    let mut ghost_part = vec![u32::MAX; ghosts.len()];
 
     let gain_stages = passes.max(1);
     let stage_cap = gain_stages + MAX_BALANCE_STAGES;
@@ -785,28 +825,31 @@ fn refine_distributed(
         apply_delta(w, &all_delta);
         #[cfg(test)]
         assert_stage_matches_recount(comm, dg, part, w, my_moves, all_moves);
-        if stage > 0 && all_moves == 0 {
+        if stage > 0 {
             if prev_balance {
                 // The drain is stuck (no vertex fits anywhere better);
                 // switch to gain stages rather than spinning.
-                balance_dead = true;
-            } else {
+                balance_dead |= all_moves == 0;
+            } else if GAIN_EXIT_VERTICES * all_moves < dg.global_n() as u64 {
                 break;
             }
         }
         charge(comm, nloc, vertex_units);
-        let mut ghost: HashMap<u32, u32> = HashMap::new();
-        for (_src, list) in incoming {
-            for (gid, pv) in list {
-                ghost.insert(gid, pv);
-            }
+        for (gid, pv) in incoming.into_iter().flat_map(|(_, list)| list) {
+            ghost_part[ghost_slot(gid)] = pv;
         }
-        let part_of = |u: u32, part: &[u32]| -> u32 {
-            if u >= base && u < base + nloc as u32 {
-                part[(u - base) as usize]
-            } else {
-                ghost[&u]
+        let part_of = |s: u32, part: &[u32]| -> u32 {
+            match s.checked_sub(nloc as u32) {
+                None => part[s as usize],
+                Some(k) => ghost_part[k as usize],
             }
+        };
+        let row = |i: usize| {
+            let (lo, hi) = (dg.xadj[i] as usize, dg.xadj[i + 1] as usize);
+            slots[lo..hi]
+                .iter()
+                .copied()
+                .zip(dg.adjwgt[lo..hi].iter().copied())
         };
 
         let balance_mode = !balance_dead && (0..nparts).any(|q| w[q] > max_w[q]);
@@ -834,7 +877,7 @@ fn refine_distributed(
                 }
                 let vw = dg.vwgt[i];
                 let mut best: Option<(i64, usize)> = None;
-                for (u, ew) in dg.row(i) {
+                for (u, ew) in row(i) {
                     let q = part_of(u, part) as usize;
                     if q != cur
                         && wt[q] + vw <= max_w[q]
@@ -876,7 +919,7 @@ fn refine_distributed(
                 let cur = part[i] as usize;
                 touched.clear();
                 let mut boundary = false;
-                for (u, ew) in dg.row(i) {
+                for (u, ew) in row(i) {
                     let q = part_of(u, part) as usize;
                     if conn[q] == 0 {
                         touched.push(q as u32);
@@ -944,6 +987,14 @@ fn refine_distributed(
             }
         }
 
+        if let Some(c) = census.as_deref_mut() {
+            let list = if balance_mode {
+                &mut c.drain
+            } else {
+                &mut c.gain
+            };
+            list.push(moves);
+        }
         prev_balance = balance_mode;
         if moves > 0 {
             mine.push((rank as u32, Arc::new((moves, nonzeros(&delta)))));
@@ -1218,20 +1269,57 @@ fn coarsen(
 /// works on for `p` over `nranks` ranks, vertices distributed by `owner`:
 /// finest first, one entry when the body solves the whole problem on rank
 /// 0. A last entry above [`PartitionConfig::coarsen_target`] means matching
-/// stalled. The hierarchy does not depend on the machine model, so it is
-/// built on a zero-cost session of its own.
+/// stalled. The levels of [`stage_census`].
 pub fn hierarchy_sizes(p: &Problem, owner: &[u32], nranks: usize) -> Vec<usize> {
+    let census = stage_census(p, owner, nranks);
+    census.iter().map(|level| level.n).collect()
+}
+
+/// One refinement level of the distributed multilevel body, as
+/// [`stage_census`] reports it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LevelStages {
+    /// The level's global vertex count.
+    pub n: usize,
+    /// Moves committed machine-wide by each drain stage, in stage order.
+    pub drain: Vec<u64>,
+    /// Moves committed machine-wide by each gain stage, in stage order.
+    pub gain: Vec<u64>,
+}
+
+/// The refinement stages of the distributed multilevel body for `p` over
+/// `nranks` ranks, vertices distributed by `owner`: per level, finest
+/// first, its vertex count and what each drain and gain stage committed.
+/// One level without stages when the body solves the whole problem on rank
+/// 0. The partition does not depend on the machine model, so the body runs
+/// on a zero-cost session of its own.
+pub fn stage_census(p: &Problem, owner: &[u32], nranks: usize) -> Vec<LevelStages> {
     if p.cfg.nparts == 1 || solves_whole(p) {
-        return vec![p.graph.n()];
+        let n = p.graph.n();
+        return vec![LevelStages {
+            n,
+            ..LevelStages::default()
+        }];
     }
     let lists = RankLists::build(owner, nranks);
-    let mut results = spmd(nranks, MachineModel::zero(), |comm| {
-        let level0 = build_level0(comm.rank(), p.graph, &lists, p.seed);
-        let (levels, coarsest) = coarsen(comm, level0, p.cfg, 0.0);
-        let sizes = levels.iter().map(|(g, _)| g.global_n());
-        sizes.chain([coarsest.global_n()]).collect::<Vec<_>>()
+    let results = spmd(nranks, MachineModel::zero(), |comm| {
+        let mut census = Vec::new();
+        multilevel_body(comm, p, &lists, 0.0, Some(&mut census));
+        census
     });
-    results.swap_remove(0).value
+    // Every rank runs the same stages (they branch on replicated data), so
+    // the machine-wide count of a stage is the sum of the ranks' entries.
+    let add = |to: &mut Vec<u64>, from: &[u64]| to.iter_mut().zip(from).for_each(|(t, f)| *t += f);
+    let mut ranks = results.into_iter().map(|r| r.value);
+    let mut total = ranks.next().expect("at least one rank");
+    for census in ranks {
+        for (t, level) in total.iter_mut().zip(&census) {
+            add(&mut t.drain, &level.drain);
+            add(&mut t.gain, &level.gain);
+        }
+    }
+    total.reverse();
+    total
 }
 
 /// The SPMD body of the distributed multilevel repartitioner (see
@@ -1243,12 +1331,14 @@ pub fn hierarchy_sizes(p: &Problem, owner: &[u32], nranks: usize) -> Vec<usize> 
 /// is charged per owned vertex per stage (matching, contraction, each
 /// refinement round). Returns the rank's level-0 parts, which
 /// [`build_level0`] already numbers in `lists.mine(rank)` order — nothing
-/// is reassembled.
+/// is reassembled. A `census` gets the rank's [`LevelStages`] of every
+/// refinement level, coarsest first.
 pub(crate) fn multilevel_body(
     comm: &mut Comm,
     p: &Problem,
     lists: &RankLists,
     vertex_units: f64,
+    mut census: Option<&mut Vec<LevelStages>>,
 ) -> Vec<u32> {
     let (g, cfg) = (p.graph, p.cfg);
     let rank = comm.rank();
@@ -1292,6 +1382,10 @@ pub(crate) fn multilevel_body(
     // 0's are dropped, since nothing reads `w` after it.
     loop {
         let level = levels.len();
+        let mut stages = LevelStages {
+            n: cur.global_n(),
+            ..LevelStages::default()
+        };
         pending = refine_distributed(
             comm,
             &cur,
@@ -1303,7 +1397,11 @@ pub(crate) fn multilevel_body(
             cfg.refine_passes,
             vertex_units,
             pending,
+            census.is_some().then_some(&mut stages),
         );
+        if let Some(c) = census.as_deref_mut() {
+            c.push(stages);
+        }
         match levels.pop() {
             Some((finer, link)) => {
                 part = project_parts(comm, &link, &part, finer.local_n());
@@ -1564,6 +1662,53 @@ mod tests {
                 "{what}: imbalance {imb}"
             );
         }
+    }
+
+    /// The gain-stage exit, on a stalled seeded hierarchy and on a completed
+    /// one: every level's gain stages end either at the `refine_passes`
+    /// budget or at the first stage that commits fewer than one move per
+    /// [`GAIN_EXIT_VERTICES`] of the level's vertices machine-wide, and no
+    /// earlier gain stage fell below that. Some level must end early, so
+    /// the rule is seen to fire.
+    #[test]
+    fn a_level_ends_at_its_first_gain_stage_under_one_percent() {
+        let p = 8;
+        let mut g = grid3d(12, 12, 8);
+        let prev = partition_kway(&g, &PartitionConfig::new(p));
+        for v in 0..g.n() {
+            if prev[v].is_multiple_of(3) {
+                g.vwgt.to_mut()[v] = 4;
+            }
+        }
+        let completed = PartitionConfig::new(p);
+        let mut stalled = completed;
+        stalled.coarsen_to = 1;
+        let caps = vec![1.0; p];
+        let mut early = 0;
+        for cfg in [stalled, completed] {
+            let problem = Problem::new(&g, None, None, Some(&prev), &caps, &cfg);
+            let census = stage_census(&problem, &prev, p);
+            let sizes: Vec<usize> = census.iter().map(|level| level.n).collect();
+            let stalls = *sizes.last().unwrap() > cfg.coarsen_target();
+            assert_eq!(stalls, cfg.coarsen_to == 1, "hierarchy {sizes:?}");
+            for level in &census {
+                let under = |&moves: &u64| GAIN_EXIT_VERTICES * moves < level.n as u64;
+                let what = format!("hierarchy {sizes:?}, level {level:?}");
+                let (last, before) = level.gain.split_last().expect("a gain stage");
+                assert!(
+                    !before.iter().any(under),
+                    "{what}: ran past a stalled stage"
+                );
+                let budget = cfg.refine_passes.max(1);
+                assert!(level.gain.len() <= budget, "{what}: over the budget");
+                assert!(
+                    level.gain.len() == budget || under(last),
+                    "{what}: ended early"
+                );
+                early += (level.gain.len() < budget) as usize;
+            }
+        }
+        assert!(early > 0, "no level ended before its budget");
     }
 
     #[test]

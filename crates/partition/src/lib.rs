@@ -65,7 +65,7 @@ pub use balance::{
 pub use bisect::{bisect, grow_bisection, refine_bisection};
 pub use coarsen::{coarsen_once, contract, heavy_edge_matching};
 pub use diffusion2::{rank_adjacency, solve_flows, FlowSolve, DIFFUSION2_MAX_ROUNDS};
-pub use distributed::{hierarchy_sizes, inflow_quota, merge_add};
+pub use distributed::{hierarchy_sizes, inflow_quota, merge_add, stage_census, LevelStages};
 pub use graph::Graph;
 pub use kway::{partition_kway, quality, PartitionConfig, PartitionQuality};
 pub use metrics::{

@@ -20,7 +20,7 @@
 //! prints the whole table as it now reads, ready to re-record.
 //!
 //! The tier-1 table runs the `--smoke` shapes plus one P = 256 multi-cycle
-//! multilevel row and one row at the policy's mild/severe boundary. The full shapes (P = 2048 / 256 / 64) run in release:
+//! multilevel row and two rows at the policy's mild/severe boundary. The full shapes (P = 2048 / 256 / 64) run in release:
 //! `cargo test --release --test decisions -- --ignored`.
 
 use plum_core::{BalanceMethod, CycleReport, Plum, PlumConfig, RemapPolicy};
@@ -48,11 +48,13 @@ const R33: Op = Op::Refine(0.33, 0.1);
 const R05: Op = Op::Refine(0.05, 0.1);
 const R30: Op = Op::Refine(0.3, 0.15);
 const R005: Op = Op::Refine(0.005, 0.1);
+const R002: Op = Op::Refine(0.002, 0.1);
 const C60: Op = Op::Coarsen(0.6, 0.3);
 const PAPER: &[Op] = &[R33, R33];
 const WEAK: &[Op] = &[R05, R05, R05];
 const CASCADE: &[Op] = &[R30, R30, C60, C60, R30, R30, C60, C60];
 const MILD: &[Op] = &[R005, R005, R005];
+const MILDER: &[Op] = &[R002, R002, R002];
 
 const fn shape(
     name: &'static str,
@@ -96,11 +98,15 @@ const FULL: [Shape; 4] = [
 /// within 0.1 of `sfc_threshold` (their triggered imbalances are 1.21 to
 /// 3.39), so none of them can tell 1.1 from 1.2. At the `paper_p64` smoke
 /// mesh with an eager trigger and 0.5 % refinement, the policy sees 1.244,
-/// 1.150 and 1.184 and picks multilevel each time: this row pins the
-/// severe side of the boundary. The mild side, an SFC diffusion decision
-/// between 1.02 and 1.1, is pinned end to end by the fig6_mild report's
-/// bit-for-bit check in `plum-bench`.
+/// 1.169 and 1.085: multilevel twice, then SFC diffusion, so this row
+/// crosses the boundary from the severe side — where it lands in its last
+/// cycle depends on how well multilevel balanced the first two.
 const MILD_P8: Shape = shape("mild_p8", 1_500, 8, None, EAGER, MILD);
+
+/// The mild side on its own: the same mesh over P = 4 with 0.2 %
+/// refinement, where the policy sees 1.034, 1.015 and 1.024 and picks SFC
+/// diffusion every cycle.
+const MILD_P4: Shape = shape("mild_p4", 1_500, 4, None, EAGER, MILDER);
 
 const SEEDS: [u64; 4] = [0, 3, 5, 7];
 
@@ -213,20 +219,20 @@ fn rows(shapes: &[Shape]) -> Vec<(&Shape, u64)> {
 #[rustfmt::skip]
 const PINNED_SMOKE: &[(&str, u64, &[Cycle])] = &[
     ("paper_p64", 0, &[
-        (0xb26467a6f44fed17, 5505, 0x3ff0cf9716bd7436, 1, 537),
-        (0x00331a666a0887e3, 18711, 0x3ff0c45c6f269fab, 1, 1975),
+        (0xb2e8b0a3f5baaf16, 5505, 0x3ff09410ed5a2b6f, 1, 520),
+        (0xc02162517055d191, 18711, 0x3ff0cd1e0f13cc2c, 1, 2735),
     ]),
     ("paper_p64", 3, &[
-        (0xb26467a6f44fed17, 5505, 0x3ff0cf9716bd7436, 1, 537),
-        (0x00331a666a0887e3, 18711, 0x3ff0c45c6f269fab, 1, 1975),
+        (0xb2e8b0a3f5baaf16, 5505, 0x3ff09410ed5a2b6f, 1, 520),
+        (0xc02162517055d191, 18711, 0x3ff0cd1e0f13cc2c, 1, 2735),
     ]),
     ("paper_p64", 5, &[
-        (0xb26467a6f44fed17, 5505, 0x3ff0cf9716bd7436, 1, 537),
-        (0x2690f7fa21fb3830, 18719, 0x3ff098839e06897f, 1, 2216),
+        (0xb2e8b0a3f5baaf16, 5505, 0x3ff09410ed5a2b6f, 1, 520),
+        (0x4c657802d8e9d174, 18719, 0x3ff0cd079e148a91, 1, 2751),
     ]),
     ("paper_p64", 7, &[
-        (0xb26467a6f44fed17, 5505, 0x3ff0cf9716bd7436, 1, 537),
-        (0x00331a666a0887e3, 18711, 0x3ff0c45c6f269fab, 1, 1975),
+        (0xb2e8b0a3f5baaf16, 5505, 0x3ff09410ed5a2b6f, 1, 520),
+        (0xc02162517055d191, 18711, 0x3ff0cd1e0f13cc2c, 1, 2735),
     ]),
     ("weak_p2048", 0, &[
         (0x5656bdf158b8f439, 366, 0x3ff17c80b30f6353, 2, 61),
@@ -249,64 +255,64 @@ const PINNED_SMOKE: &[(&str, u64, &[Cycle])] = &[
         (0x41f231bff85fe954, 736, 0x3ff642c8590b2164, 2, 192),
     ]),
     ("multilevel_p256", 0, &[
-        (0xbfdab76a22c8de86, 661, 0x3ff10a74f65154d1, 1, 108),
-        (0x983c12ce8681bb73, 909, 0x3ff0e5ceff27b5a6, 1, 271),
-        (0x92460fbd7965b74f, 1248, 0x3ff0d20d20d20d21, 1, 324),
+        (0xc4a9324ae736e9e6, 661, 0x3ff10a74f65154d1, 1, 107),
+        (0xe9dd4c855af890fb, 909, 0x3ff0e5ceff27b5a6, 1, 276),
+        (0x8d6ac992184328a6, 1248, 0x3ff0d20d20d20d21, 1, 404),
     ]),
     ("multilevel_p256", 3, &[
-        (0xbfdab76a22c8de86, 661, 0x3ff10a74f65154d1, 1, 108),
-        (0x983c12ce8681bb73, 909, 0x3ff0e5ceff27b5a6, 1, 271),
-        (0x92460fbd7965b74f, 1248, 0x3ff0d20d20d20d21, 1, 324),
+        (0xc4a9324ae736e9e6, 661, 0x3ff10a74f65154d1, 1, 107),
+        (0xe9dd4c855af890fb, 909, 0x3ff0e5ceff27b5a6, 1, 276),
+        (0x8d6ac992184328a6, 1248, 0x3ff0d20d20d20d21, 1, 404),
     ]),
     ("multilevel_p256", 5, &[
-        (0xbfdab76a22c8de86, 661, 0x3ff10a74f65154d1, 1, 108),
-        (0x983c12ce8681bb73, 909, 0x3ff0e5ceff27b5a6, 1, 271),
-        (0x92460fbd7965b74f, 1248, 0x3ff0d20d20d20d21, 1, 324),
+        (0xc4a9324ae736e9e6, 661, 0x3ff10a74f65154d1, 1, 107),
+        (0xe9dd4c855af890fb, 909, 0x3ff0e5ceff27b5a6, 1, 276),
+        (0x8d6ac992184328a6, 1248, 0x3ff0d20d20d20d21, 1, 404),
     ]),
     ("multilevel_p256", 7, &[
-        (0xbfdab76a22c8de86, 661, 0x3ff10a74f65154d1, 1, 108),
-        (0x983c12ce8681bb73, 909, 0x3ff0e5ceff27b5a6, 1, 271),
-        (0x92460fbd7965b74f, 1248, 0x3ff0d20d20d20d21, 1, 324),
+        (0xc4a9324ae736e9e6, 661, 0x3ff10a74f65154d1, 1, 107),
+        (0xe9dd4c855af890fb, 909, 0x3ff0e5ceff27b5a6, 1, 276),
+        (0x8d6ac992184328a6, 1248, 0x3ff0d20d20d20d21, 1, 404),
     ]),
     ("cascade_p64", 0, &[
-        (0xaa10b01f69b92060, 3735, 0x3ff0b08fa95d48b9, 1, 409),
-        (0xc92d04e50316a8f6, 11948, 0x3ff0ae26e8f207b7, 1, 1784),
-        (0xeb3e926d93a01905, 2294, 0x3ff0d9d597fe36e8, 1, 1145),
-        (0x06d4729bc23816a5, 1146, 0x3ff0dd993e19e9a9, 1, 398),
-        (0xc0d8a488922fd953, 3798, 0x3ff0c898102d4ba1, 1, 427),
-        (0x2ed30f407d25b630, 11842, 0x3ff08f328af5d6ed, 1, 1615),
-        (0x734b820ea6756151, 2235, 0x3ff0d66be5e272c5, 1, 1159),
-        (0x60c65b586ce76137, 1102, 0x3ff0d79435e50d79, 1, 266),
+        (0x1e0f6f5751980990, 3735, 0x3ff0cae17fd42245, 1, 418),
+        (0x3dd709a46aca3411, 11948, 0x3ff0c993d7345d97, 1, 1687),
+        (0xc7535ba5562cef32, 2294, 0x3ff09269cae16c3f, 1, 924),
+        (0xa2118b5620bdca15, 1146, 0x3ff0dd993e19e9a9, 1, 464),
+        (0x17c870f862380843, 3798, 0x3ff0c898102d4ba1, 1, 451),
+        (0x096bb04daab13d31, 11842, 0x3ff0bb7895c4f091, 1, 1491),
+        (0xd3e2e80140ca5cd7, 2235, 0x3ff0c7c29b16cb32, 1, 1113),
+        (0x3b5efe3fb3469086, 1102, 0x3ff0d79435e50d79, 1, 542),
     ]),
     ("cascade_p64", 3, &[
-        (0xaa10b01f69b92060, 3735, 0x3ff0b08fa95d48b9, 1, 409),
-        (0x7d69b76f010676e7, 11973, 0x3ff0bb21605dbc7a, 1, 1784),
-        (0xf0fede2af1b21632, 2294, 0x3ff0bd4412bf7f71, 1, 1294),
-        (0x188213dbb02a65e7, 1146, 0x3ff0dd993e19e9a9, 1, 497),
-        (0xba99b3f5dc0ef975, 3798, 0x3ff0c898102d4ba1, 1, 394),
-        (0x36ecf08ff8b58162, 11765, 0x3ff0c139560f0397, 1, 2152),
-        (0x580bc01ad775f550, 2375, 0x3ff0d0ae3012f890, 1, 1622),
-        (0x476007207236a3e1, 1102, 0x3ff0d79435e50d79, 1, 527),
+        (0x1e0f6f5751980990, 3735, 0x3ff0cae17fd42245, 1, 418),
+        (0x359b6d82cae0eb87, 11973, 0x3ff0bb21605dbc7a, 1, 1912),
+        (0xad3977e61ba40d75, 2294, 0x3ff0a0b28d80c7fb, 1, 1428),
+        (0x2bf2f1dc603daa86, 1146, 0x3ff0dd993e19e9a9, 1, 394),
+        (0x783fddb80ed9dc70, 3798, 0x3ff0aeb5fd92ce42, 1, 438),
+        (0x76932dde59a8ee56, 11765, 0x3ff094a91d4f5b53, 1, 2321),
+        (0x55084a95332008d0, 2375, 0x3ff0d0ae3012f890, 1, 1074),
+        (0x15f2be6d31331de2, 1102, 0x3ff0d79435e50d79, 1, 321),
     ]),
     ("cascade_p64", 5, &[
-        (0xaa10b01f69b92060, 3735, 0x3ff0b08fa95d48b9, 1, 409),
-        (0x7d69b76f010676e7, 11973, 0x3ff0bb21605dbc7a, 1, 1784),
-        (0xf0fede2af1b21632, 2294, 0x3ff0bd4412bf7f71, 1, 1294),
-        (0x188213dbb02a65e7, 1146, 0x3ff0dd993e19e9a9, 1, 497),
-        (0xfb6164d1b62dbf31, 3790, 0x3ff0c05f1ae22504, 1, 446),
-        (0xcb5185a66a268ef7, 11804, 0x3ff0c67c0d887549, 1, 1345),
-        (0xcd0ba9d0295a9da1, 2424, 0x3ff0d84a598ec915, 1, 995),
-        (0xb795a816e2a9b775, 1102, 0x3ff0d79435e50d79, 1, 381),
+        (0x1e0f6f5751980990, 3735, 0x3ff0cae17fd42245, 1, 418),
+        (0x359b6d82cae0eb87, 11973, 0x3ff0bb21605dbc7a, 1, 1912),
+        (0xad3977e61ba40d75, 2294, 0x3ff0a0b28d80c7fb, 1, 1428),
+        (0x2bf2f1dc603daa86, 1146, 0x3ff0dd993e19e9a9, 1, 394),
+        (0x38b9f7e20b752fd7, 3790, 0x3ff0c904754299bc, 1, 425),
+        (0x10964db3dcac63e2, 11804, 0x3ff0ad80214fe5a1, 1, 1970),
+        (0x887292d160057973, 2424, 0x3ff0d84a598ec915, 1, 1384),
+        (0x75ab5cd436569b85, 1102, 0x3ff0b9d80b269007, 1, 442),
     ]),
     ("cascade_p64", 7, &[
-        (0xaa10b01f69b92060, 3735, 0x3ff0b08fa95d48b9, 1, 409),
-        (0xc92d04e50316a8f6, 11948, 0x3ff0ae26e8f207b7, 1, 1784),
-        (0xeb3e926d93a01905, 2294, 0x3ff0d9d597fe36e8, 1, 1145),
-        (0x06d4729bc23816a5, 1146, 0x3ff0dd993e19e9a9, 1, 398),
-        (0xc0d8a488922fd953, 3798, 0x3ff0c898102d4ba1, 1, 427),
-        (0xa6599adf8e17d862, 11765, 0x3ff0cc5d643eeda8, 1, 1596),
-        (0x08f39359abb99717, 2305, 0x3ff0d376b9eb57a1, 1, 1387),
-        (0x83f5d417a69a3522, 1102, 0x3ff0d79435e50d79, 1, 439),
+        (0x1e0f6f5751980990, 3735, 0x3ff0cae17fd42245, 1, 418),
+        (0x3dd709a46aca3411, 11948, 0x3ff0c993d7345d97, 1, 1687),
+        (0xc7535ba5562cef32, 2294, 0x3ff09269cae16c3f, 1, 924),
+        (0xa2118b5620bdca15, 1146, 0x3ff0dd993e19e9a9, 1, 464),
+        (0x17c870f862380843, 3798, 0x3ff0c898102d4ba1, 1, 451),
+        (0x8ee31e8aae5304c7, 11765, 0x3ff0c99460b2f324, 1, 1507),
+        (0xcf674d09d54cf940, 2305, 0x3ff0b7081b8b296d, 1, 977),
+        (0x21f21dbc3e54b591, 1102, 0x3ff0d79435e50d79, 1, 503),
     ]),
 ];
 
@@ -314,19 +320,24 @@ const PINNED_SMOKE: &[(&str, u64, &[Cycle])] = &[
 #[rustfmt::skip]
 const PINNED_P256: &[(&str, u64, &[Cycle])] = &[
     ("multilevel_p256", 0, &[
-        (0xf6345d17ac7b1972, 10958, 0x3ff0d21209107e57, 1, 2727),
-        (0xf6345d17ac7b1972, 14969, 0x40143fb01972a281, 1, 0),
-        (0xbecb9e632e766a48, 20393, 0x400d39619a246e04, 1, 7487),
+        (0x4632f52400b0c99c, 10958, 0x3ff0d21209107e57, 1, 2731),
+        (0x4632f52400b0c99c, 14969, 0x40143fb01972a281, 1, 0),
+        (0x6f7c53929edee31b, 20393, 0x400d39619a246e04, 1, 7536),
     ]),
 ];
 
-/// The policy's tier boundary, seed 0.
+/// The policy's tier boundary from both sides, seed 0.
 #[rustfmt::skip]
 const PINNED_MILD: &[(&str, u64, &[Cycle])] = &[
     ("mild_p8", 0, &[
-        (0x8df19f264a9f4e93, 1576, 0x3ff0cfeb354778da, 1, 262),
-        (0xe5808951280be981, 1635, 0x3ff0d4f120190d4f, 1, 456),
-        (0x17e65f98c0ff6bf4, 1689, 0x3ff0d2fbe85af0ff, 1, 561),
+        (0xfda21988de544b13, 1576, 0x3ff0cfeb354778da, 1, 264),
+        (0x007cdc515b1a1cf4, 1635, 0x3ff0d4f120190d4f, 1, 471),
+        (0x6ee53eaded7af694, 1689, 0x3ff010f9c921ccc5, 2, 103),
+    ]),
+    ("mild_p4", 0, &[
+        (0xc015214f8a57a275, 1536, 0x3ff0000000000000, 2, 35),
+        (0xf31cf00cef805805, 1560, 0x3ff0000000000000, 2, 15),
+        (0x41cdb8a9bb1e3047, 1578, 0x3ff00530fe60b082, 2, 17),
     ]),
 ];
 
@@ -334,20 +345,20 @@ const PINNED_MILD: &[(&str, u64, &[Cycle])] = &[
 #[rustfmt::skip]
 const PINNED_FULL: &[(&str, u64, &[Cycle])] = &[
     ("paper_p64", 0, &[
-        (0x10f686f40328d2a2, 207715, 0x3ff0cd0597772355, 1, 18884),
-        (0xe2507e35b9f774d5, 693597, 0x3ff0cd0e08af4853, 1, 75500),
+        (0xe5fa54ee91a817d6, 207715, 0x3ff0cd0597772355, 1, 18901),
+        (0x4faba71b7ad772a9, 693597, 0x3ff0cb8b03bb8c6a, 1, 75529),
     ]),
     ("paper_p64", 3, &[
-        (0x6d1796c29222c320, 207707, 0x3ff0cd2ffffaf3a0, 1, 19417),
-        (0x9d255ee1dc6e02d7, 693560, 0x3ff0cce8038513d6, 1, 85083),
+        (0xf6b53d12070b222a, 207707, 0x3ff0cbece7f1568f, 1, 19166),
+        (0x6d57f64c9e2697ef, 693560, 0x3ff0c67b18028715, 1, 75877),
     ]),
     ("paper_p64", 5, &[
-        (0xb45de4537e253885, 207691, 0x3ff0cd84d384e715, 1, 18799),
-        (0x09c02f7c613da1bb, 693512, 0x3ff0ccd373e4d1df, 1, 77122),
+        (0x9690eaa3b4e6d846, 207691, 0x3ff0c36be03e47e5, 1, 18673),
+        (0x09064c888195868e, 693512, 0x3ff0c84a409b8b7f, 1, 77885),
     ]),
     ("paper_p64", 7, &[
-        (0x6d1796c29222c320, 207707, 0x3ff0cd2ffffaf3a0, 1, 19417),
-        (0xe49e41fd7071d27b, 693547, 0x3ff0ccfca6d866f9, 1, 85984),
+        (0xf6b53d12070b222a, 207707, 0x3ff0cbece7f1568f, 1, 19166),
+        (0xb219a2811f01b7f7, 693547, 0x3ff0c751397d56d7, 1, 75892),
     ]),
     ("weak_p2048", 0, &[
         (0x713551bf2d69e589, 45085, 0x4018b61c2ccfe390, 2, 0),
@@ -370,64 +381,64 @@ const PINNED_FULL: &[(&str, u64, &[Cycle])] = &[
         (0x713551bf2d69e589, 82637, 0x403dfccf26417bad, 2, 0),
     ]),
     ("multilevel_p256", 0, &[
-        (0xf6345d17ac7b1972, 10958, 0x3ff0d21209107e57, 1, 2727),
-        (0xf6345d17ac7b1972, 14969, 0x40143fb01972a281, 1, 0),
-        (0xbecb9e632e766a48, 20393, 0x400d39619a246e04, 1, 7487),
+        (0x4632f52400b0c99c, 10958, 0x3ff0d21209107e57, 1, 2731),
+        (0x4632f52400b0c99c, 14969, 0x40143fb01972a281, 1, 0),
+        (0x6f7c53929edee31b, 20393, 0x400d39619a246e04, 1, 7536),
     ]),
     ("multilevel_p256", 3, &[
-        (0xf6345d17ac7b1972, 10958, 0x3ff0d21209107e57, 1, 2727),
-        (0xf6345d17ac7b1972, 14969, 0x40143fb01972a281, 1, 0),
-        (0xbecb9e632e766a48, 20393, 0x400d39619a246e04, 1, 7487),
+        (0x4632f52400b0c99c, 10958, 0x3ff0d21209107e57, 1, 2731),
+        (0x4632f52400b0c99c, 14969, 0x40143fb01972a281, 1, 0),
+        (0x6f7c53929edee31b, 20393, 0x400d39619a246e04, 1, 7536),
     ]),
     ("multilevel_p256", 5, &[
-        (0xf6345d17ac7b1972, 10958, 0x3ff0d21209107e57, 1, 2727),
-        (0xf6345d17ac7b1972, 14962, 0x4014421cf33c65fa, 1, 0),
-        (0x52be2e859a00eff9, 20376, 0x400d3f9f829021c6, 1, 7487),
+        (0x4632f52400b0c99c, 10958, 0x3ff0d21209107e57, 1, 2731),
+        (0x4632f52400b0c99c, 14962, 0x4014421cf33c65fa, 1, 0),
+        (0x936045bddeb23605, 20376, 0x400d3f9f829021c6, 1, 7517),
     ]),
     ("multilevel_p256", 7, &[
-        (0xf6345d17ac7b1972, 10958, 0x3ff0d21209107e57, 1, 2727),
-        (0xf6345d17ac7b1972, 14969, 0x40143fb01972a281, 1, 0),
-        (0xbecb9e632e766a48, 20393, 0x400d39619a246e04, 1, 7487),
+        (0x4632f52400b0c99c, 10958, 0x3ff0d21209107e57, 1, 2731),
+        (0x4632f52400b0c99c, 14969, 0x40143fb01972a281, 1, 0),
+        (0x6f7c53929edee31b, 20393, 0x400d39619a246e04, 1, 7536),
     ]),
     ("cascade_p64", 0, &[
-        (0x8b61193e9ec65aa8, 65395, 0x3ff0cd410cd410cd, 1, 7348),
-        (0xe2208ed6f387bfd7, 205499, 0x3ff0cd7a8b020fcc, 1, 29273),
-        (0x4dc765f7d0d10e8a, 42349, 0x3ff0ce1c4d7f3ab1, 1, 17661),
-        (0xbdd575ca302ab1cc, 21779, 0x3ff0d515a3d25883, 1, 8829),
-        (0x8160d87eb1be02cc, 70008, 0x3ff0ce6a30f88a50, 1, 8884),
-        (0x9f058820c835ebee, 216291, 0x3ff0cd606bd4706b, 1, 30908),
-        (0xcd614edf5cba349d, 49125, 0x3ff0cd077fb8a0a1, 1, 21151),
-        (0x2c13c65f4decc79e, 20838, 0x3ff0ce646521d565, 1, 7155),
+        (0xfc23dd1ce789d110, 65395, 0x3ff0c93ed79cc156, 1, 7488),
+        (0xcefcee4dc99d0c49, 205499, 0x3ff0caed698566a4, 1, 32662),
+        (0xfc9beabbe4acc47d, 42349, 0x3ff0ce1c4d7f3ab1, 1, 19447),
+        (0x36cf017909308b2e, 21779, 0x3ff0d515a3d25883, 1, 9416),
+        (0xf1c9fda2d12b4a1c, 70008, 0x3ff0caab9a5054b8, 1, 8330),
+        (0xcccae8fafa1e6061, 216291, 0x3ff0cd606bd4706b, 1, 26918),
+        (0x539552df95bdeeef, 49125, 0x3ff0cd077fb8a0a1, 1, 20300),
+        (0x857025dd5a1dd349, 20838, 0x3ff0ce646521d565, 1, 7928),
     ]),
     ("cascade_p64", 3, &[
-        (0x8b61193e9ec65aa8, 65395, 0x3ff0cd410cd410cd, 1, 7348),
-        (0x1b540642724c1350, 205480, 0x3ff0cde05d7320b4, 1, 29096),
-        (0x59c67c0ffdb9178e, 42445, 0x3ff0d0bb808bbbe5, 1, 19335),
-        (0x7627aceb50caa560, 21870, 0x3ff0cf241f8ee0b3, 1, 8981),
-        (0xdb27fecbf2364951, 70355, 0x3ff0cf8d047517d1, 1, 9159),
-        (0xb2c98e9b94b8a1d5, 217346, 0x3ff0cd006bf27a74, 1, 27276),
-        (0x457576b1b49f7c07, 49525, 0x3ff0cf57dbfb4e74, 1, 20480),
-        (0xda6f10eeac41909f, 20833, 0x3ff0cf6cbcfe121d, 1, 8138),
+        (0xfc23dd1ce789d110, 65395, 0x3ff0c93ed79cc156, 1, 7488),
+        (0xe377fea3fe4ae964, 205480, 0x3ff0c8c5fb8e04b9, 1, 32763),
+        (0x32ebe0c16ad2b84a, 42445, 0x3ff0d0bb808bbbe5, 1, 18762),
+        (0x145661e47951934a, 21870, 0x3ff0cf241f8ee0b3, 1, 9914),
+        (0x8e29df4478ebe9c6, 70355, 0x3ff0c8194bd1c271, 1, 8958),
+        (0x6d88f82eacd61af5, 217346, 0x3ff0ca96e434882b, 1, 28104),
+        (0xa6795a621c9f399a, 49525, 0x3ff0cf57dbfb4e74, 1, 20424),
+        (0x59f56680fc66eee1, 20833, 0x3ff0cf6cbcfe121d, 1, 7809),
     ]),
     ("cascade_p64", 5, &[
-        (0x8b61193e9ec65aa8, 65395, 0x3ff0cd410cd410cd, 1, 7348),
-        (0xd18324154da2e2c6, 205490, 0x3ff0cdaac5ab453d, 1, 30108),
-        (0x988c360cd2f3cf7d, 42445, 0x3ff0d0bb808bbbe5, 1, 17463),
-        (0x088360000444a883, 21828, 0x3ff0d76bc1e36230, 1, 9166),
-        (0x5d296608cb2f9dd9, 70159, 0x3ff0d05d3c4c1d78, 1, 8886),
-        (0x3d9af8fc7fc7ebe7, 216654, 0x3ff0cd6df7ad3fea, 1, 28213),
-        (0xad34bbaffa6ad283, 49397, 0x3ff0cfe1670b2dbc, 1, 19462),
-        (0x8e7d51c23fb2dbc0, 20782, 0x3ff0cd5f1f503146, 1, 7155),
+        (0xfc23dd1ce789d110, 65395, 0x3ff0c93ed79cc156, 1, 7488),
+        (0x9f3e1105568e1098, 205490, 0x3ff0c9d708743a79, 1, 32499),
+        (0xf6cc63425aa70610, 42445, 0x3ff0d0bb808bbbe5, 1, 21388),
+        (0x3833953aefa49500, 21828, 0x3ff0d76bc1e36230, 1, 8927),
+        (0x931411f131fc5156, 70159, 0x3ff0d05d3c4c1d78, 1, 9252),
+        (0x8a6ef93fc6c46f55, 216654, 0x3ff0cd6df7ad3fea, 1, 29857),
+        (0xd496b9878f965013, 49397, 0x3ff0cfe1670b2dbc, 1, 21159),
+        (0xd36673d784b41b6d, 20782, 0x3ff0cd5f1f503146, 1, 8142),
     ]),
     ("cascade_p64", 7, &[
-        (0x8b61193e9ec65aa8, 65395, 0x3ff0cd410cd410cd, 1, 7348),
-        (0x9fc62b28fc22db09, 205496, 0x3ff0cd8a9e71092e, 1, 29067),
-        (0x02dafa117db835b8, 42439, 0x3ff0d1574dc8f971, 1, 18066),
-        (0x5efe6705700131b5, 21870, 0x3ff0cf241f8ee0b3, 1, 9519),
-        (0x5ceee7dc79f35912, 70355, 0x3ff0cf8d047517d1, 1, 8220),
-        (0xbab3d1de34ed867a, 217322, 0x3ff0cc4537c4892a, 1, 29629),
-        (0x5b92195c6502bdf2, 49548, 0x3ff0cd5879855cf0, 1, 20772),
-        (0xde9737b8a4952976, 20839, 0x3ff0ce2f8aa82d4e, 1, 7400),
+        (0xfc23dd1ce789d110, 65395, 0x3ff0c93ed79cc156, 1, 7488),
+        (0x6ea0f144b75aabaa, 205496, 0x3ff0cafd7a837e3e, 1, 32993),
+        (0xa1b7f12173678177, 42439, 0x3ff0cb2a008afb4a, 1, 19294),
+        (0x6ecbd0ffea8d57ee, 21870, 0x3ff0cf241f8ee0b3, 1, 9302),
+        (0x453f1bd7edc0d872, 70355, 0x3ff0cbd328236d21, 1, 9308),
+        (0xc97e26dc2c0b3c65, 217322, 0x3ff0cd7a045e30e0, 1, 26475),
+        (0xe3b3d4413b97f396, 49548, 0x3ff0cd5879855cf0, 1, 19435),
+        (0xc0d2652f5f6e6313, 20839, 0x3ff0ce2f8aa82d4e, 1, 7278),
     ]),
 ];
 
@@ -443,7 +454,7 @@ fn multilevel_p256_decides_as_pinned_over_three_cycles() {
 
 #[test]
 fn policy_tier_boundary_decides_as_pinned() {
-    check(&[(&MILD_P8, 0)], PINNED_MILD);
+    check(&[(&MILD_P8, 0), (&MILD_P4, 0)], PINNED_MILD);
 }
 
 /// The hand-run "16/16 identical" of `plum-e2e child verify` (4 workloads
