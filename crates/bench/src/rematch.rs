@@ -494,4 +494,14 @@ mod tests {
         assert!(!run.trace_json.is_empty());
         assert!(run.recovered, "{:?}", run.rows);
     }
+
+    /// The whole grid against its committed file, bit for bit:
+    /// `compare --tolerance 0` fails only on increases, so a drop in any
+    /// cell's words or seconds would pass it. ~15 s in release.
+    #[test]
+    #[ignore = "the full P = 64/256/1024 grid: run in release with --ignored"]
+    fn rematch_bench_reproduces_the_committed_baseline_exactly() {
+        let (b, _) = rematch_bench();
+        crate::report::assert_reproduces_baseline(&b, "BENCH_rematch.json");
+    }
 }

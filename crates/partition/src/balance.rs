@@ -273,10 +273,16 @@ pub struct RankLists {
 }
 
 impl RankLists {
-    /// One O(N + P) counting sort of the replicated `owner` array.
+    /// One O(N + P) counting sort of the replicated `owner` array. Panics
+    /// when there is no rank, or a vertex's owner is not one of the ranks.
     pub fn build(owner: &[u32], nranks: usize) -> Self {
+        assert!(nranks > 0, "rank lists need at least one rank");
         let mut off = vec![0u32; nranks + 1];
-        for &o in owner {
+        for (v, &o) in owner.iter().enumerate() {
+            assert!(
+                (o as usize) < nranks,
+                "vertex {v} is owned by rank {o}, but there are {nranks} ranks"
+            );
             off[o as usize + 1] += 1;
         }
         for r in 0..nranks {
@@ -583,6 +589,30 @@ mod tests {
     fn assemble_rejects_a_slice_of_the_wrong_length() {
         let lists = RankLists::build(&[1, 0, 0], 2);
         lists.assemble([&[0u32, 0][..], &[1, 1]]);
+    }
+
+    /// An owner outside the ranks, reached through the public harness.
+    #[test]
+    #[should_panic(expected = "vertex 5 is owned by rank 2, but there are 2 ranks")]
+    fn rank_lists_reject_an_owner_outside_the_ranks() {
+        let g = grid3d(4, 2, 1);
+        let cfg = PartitionConfig::new(2);
+        let p = Problem::new(&g, None, None, None, &[1.0; 2], &cfg);
+        let owner = [0, 0, 0, 1, 1, 2, 1, 1];
+        balance_distributed(
+            BalanceMethod::Multilevel,
+            &p,
+            &owner,
+            2,
+            MachineModel::zero(),
+            0.0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "rank lists need at least one rank")]
+    fn rank_lists_reject_zero_ranks() {
+        RankLists::build(&[], 0);
     }
 
     #[test]

@@ -6,23 +6,27 @@
 //! simulator's typed channels, the coarsest graph gets a partition, and the
 //! result is refined in parallel during uncoarsening with boundary-greedy
 //! moves against global part weights that arrive once, with the coarsest
-//! partition, and are carried from stage to stage: a stage
-//! exchanges ghost parts and scans its sparse demand, and what it committed
-//! — the move count and the signed weight change per touched part — rides
-//! the next stage's exchange, so its traffic costs what it changes, not
-//! `nparts`. Since a stage costs an exchange and a scan however little it
-//! moves, a level's gain stages stop at the first one that commits fewer
-//! than one move per 100 of the level's vertices machine-wide, with the
-//! configured pass count as the cap. All control flow branches on
-//! replicated data only, so the
-//! partition is a deterministic function of `(problem, ownership)` —
-//! independent of the machine model, chaos perturbations, and link jitter.
-//! Virtual time, by
-//! contrast, comes entirely from real message traffic plus per-vertex
-//! compute charges, which is what the engine reports as the partition phase.
-//! A rank ends holding the parts of its own vertices only: the coarsest
-//! partition starts from each rank's slice, and uncoarsening ends at the
-//! level-0 numbering, which is the rank's list.
+//! partition, and are carried from stage to stage: a stage exchanges ghost
+//! parts and scans its sparse demand, and what it committed — the move
+//! count and the signed weight change per touched part — rides the next
+//! stage's exchange, so its traffic costs what it changes, not `nparts`.
+//! Since a stage costs an exchange and a scan however little it moves, a
+//! level's gain stages stop at the first one that commits fewer than one
+//! move per 100 of the level's vertices machine-wide, with the configured
+//! pass count as the cap. All control flow branches on replicated data
+//! only, so the partition is a deterministic function of `(problem,
+//! ownership)` — independent of the machine model, chaos perturbations, and
+//! link jitter. Virtual time, by contrast, comes entirely from real message
+//! traffic plus per-vertex compute charges, which is what the engine
+//! reports as the partition phase. A rank ends holding the parts of its own
+//! vertices only: the coarsest partition starts from each rank's slice, and
+//! uncoarsening ends at the level-0 numbering, which is the rank's list.
+//!
+//! Each level is held in ParMETIS's local numbering ([`DistGraph`]): a row
+//! names its neighbours by slot, owned vertices first and then the ghosts,
+//! and the level's sorted ghost ids and per-rank send lists are built once,
+//! with the level. Matching, contraction and refinement read them; a global
+//! id appears only on the wire and in the gather to rank 0.
 //!
 //! The coarsest partition comes from rank 0 only where the hierarchy needs
 //! it. A fresh problem, or a seeded one whose matching reached the
@@ -44,7 +48,6 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use plum_parsim::{spmd, words_for_bytes, Comm, MachineModel};
@@ -58,9 +61,6 @@ use crate::metrics::weights_of;
 use crate::repart::repartition_diffuse;
 use crate::rng::Rng;
 use crate::weights::Weights;
-
-/// Sparse alltoallv send list: `(destination, words, (u32, u32) payload)`.
-type PairItems = Vec<(usize, u64, Vec<(u32, u32)>)>;
 
 /// The commits of one refinement stage, ascending by rank: `(rank, (moves,
 /// Δw))` for each rank that moved a vertex — the committed move count and
@@ -97,17 +97,40 @@ pub(crate) fn charge(comm: &mut Comm, vertices: usize, vertex_units: f64) {
 // Distributed graph representation
 // ---------------------------------------------------------------------------
 
-/// One level of the distributed graph: rank `r` owns the contiguous global
-/// ids `off[r]..off[r+1]` and stores their CSR rows with *global* neighbour
-/// ids. Replicating only the `P+1`-entry `off` array is enough to route any
-/// vertex to its owner.
+/// A sparse `alltoallv` send list: `(destination, words, payload)`.
+pub(crate) type Items<T> = Vec<(usize, u64, Vec<T>)>;
+
+/// One [`Items`] entry per non-empty bucket, bucket `d` addressed to rank
+/// `d` and declaring `bytes(bucket)`.
+pub(crate) fn sized_items<T>(
+    buckets: impl IntoIterator<Item = Vec<T>>,
+    bytes: impl Fn(&[T]) -> usize,
+) -> Items<T> {
+    let full = buckets
+        .into_iter()
+        .enumerate()
+        .filter(|(_, v)| !v.is_empty());
+    full.map(|(dst, v)| (dst, words_for_bytes(bytes(&v)), v))
+        .collect()
+}
+
+/// One level of the distributed graph, in the local numbering of parallel
+/// MeTiS: rank `r` owns the contiguous global ids `off[r]..off[r+1]`, and
+/// its CSR rows name neighbours by *slot* — `i` for owned vertex `i` (global
+/// id `off[r] + i`), `local_n + k` for ghost `k`, the `k`-th smallest global
+/// id among the neighbours it does not own. The ghosts and the boundary send
+/// lists are built once, with the level; a global id leaves the slots only
+/// to go on the wire. Replicating only the `P+1`-entry `off` array is enough
+/// to route any vertex to its owner.
 #[derive(Debug, Clone)]
 pub(crate) struct DistGraph {
     /// Ownership offsets, `P + 1` entries, replicated on every rank.
     pub(crate) off: Vec<u32>,
+    /// The global id of owned vertex 0, `off[rank]`.
+    base: u32,
     /// Local row offsets (`local_n + 1` entries).
     pub(crate) xadj: Vec<u32>,
-    /// Neighbour ids (global numbering).
+    /// Neighbour slots.
     pub(crate) adjncy: Vec<u32>,
     /// Edge weights, parallel to `adjncy`.
     pub(crate) adjwgt: Vec<u32>,
@@ -115,9 +138,68 @@ pub(crate) struct DistGraph {
     pub(crate) vwgt: Vec<u64>,
     /// Seed part of each owned vertex (empty when partitioning fresh).
     pub(crate) seed: Vec<u32>,
+    /// Global ids of the ghosts, ascending.
+    ghosts: Vec<u32>,
+    /// The ranks that own a ghost, ascending, each with the owned vertices
+    /// bordering it, ascending. Read as global ids, the list to rank `d` is
+    /// `d`'s ghosts owned here, in `d`'s ghost order.
+    send: Vec<(usize, Vec<u32>)>,
 }
 
 impl DistGraph {
+    /// Number a level's rows, given with global neighbour ids: the ghosts
+    /// are the non-owned neighbours, ascending by global id, and each entry
+    /// becomes its slot, so a ghost exchange reads a neighbour's value from
+    /// the owned array or from the dense per-ghost array it fills.
+    fn new(
+        rank: usize,
+        off: Vec<u32>,
+        xadj: Vec<u32>,
+        mut adjncy: Vec<u32>,
+        adjwgt: Vec<u32>,
+        vwgt: Vec<u64>,
+        seed: Vec<u32>,
+    ) -> Self {
+        let mut dg = DistGraph {
+            base: off[rank],
+            off,
+            xadj,
+            adjncy: Vec::new(),
+            adjwgt,
+            vwgt,
+            seed,
+            ghosts: Vec::new(),
+            send: Vec::new(),
+        };
+        let remote = adjncy.iter().copied().filter(|&u| dg.local(u).is_none());
+        let mut ghosts: Vec<u32> = remote.collect();
+        ghosts.sort_unstable();
+        ghosts.dedup();
+        let nloc = dg.local_n();
+        let mut send = vec![Vec::new(); dg.off.len() - 1];
+        for i in 0..nloc {
+            let (lo, hi) = (dg.xadj[i] as usize, dg.xadj[i + 1] as usize);
+            for u in &mut adjncy[lo..hi] {
+                *u = match dg.local(*u) {
+                    Some(j) => j as u32,
+                    None => {
+                        let to: &mut Vec<u32> = &mut send[dg.owner_of(*u)];
+                        if to.last() != Some(&(i as u32)) {
+                            to.push(i as u32);
+                        }
+                        let k = ghosts.binary_search(u).expect("a ghost of this level");
+                        (nloc + k) as u32
+                    }
+                };
+            }
+        }
+        dg.adjncy = adjncy;
+        dg.ghosts = ghosts;
+        let borders = |(_, list): &(usize, Vec<u32>)| !list.is_empty();
+        dg.send = send.into_iter().enumerate().filter(borders).collect();
+        dg
+    }
+
     pub(crate) fn local_n(&self) -> usize {
         self.vwgt.len()
     }
@@ -132,7 +214,21 @@ impl DistGraph {
         self.off[1..].partition_point(|&o| o <= gid)
     }
 
-    /// Neighbours of local vertex `i` as `(global id, edge weight)`.
+    /// The owned index of a global id, or `None` when another rank owns it.
+    fn local(&self, gid: u32) -> Option<usize> {
+        let i = gid.wrapping_sub(self.base) as usize;
+        (i < self.local_n()).then_some(i)
+    }
+
+    /// The global id of a slot.
+    pub(crate) fn gid(&self, slot: u32) -> u32 {
+        match (slot as usize).checked_sub(self.local_n()) {
+            None => self.base + slot,
+            Some(k) => self.ghosts[k],
+        }
+    }
+
+    /// Neighbours of local vertex `i` as `(slot, edge weight)`.
     pub(crate) fn row(&self, i: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
         let lo = self.xadj[i] as usize;
         let hi = self.xadj[i + 1] as usize;
@@ -140,6 +236,26 @@ impl DistGraph {
             .iter()
             .copied()
             .zip(self.adjwgt[lo..hi].iter().copied())
+    }
+
+    /// A ghost exchange's send list: to each rank, `(global id, value(i))`
+    /// of every owned vertex `i` on its list.
+    fn ghost_items(&self, value: impl Fn(usize) -> u32) -> Items<(u32, u32)> {
+        let entry = |&i: &u32| (self.base + i, value(i as usize));
+        let item = |(d, list): &(usize, Vec<u32>)| {
+            let vals: Vec<(u32, u32)> = list.iter().map(entry).collect();
+            (*d, words_for_bytes(8 * vals.len()), vals)
+        };
+        self.send.iter().map(item).collect()
+    }
+
+    /// The values a ghost exchange delivered, one per ghost: the senders'
+    /// lists, concatenated in rank order, name this rank's ghosts in order.
+    fn ghost_values(&self, incoming: Vec<(usize, Vec<(u32, u32)>)>) -> Vec<u32> {
+        let entries = incoming.into_iter().flat_map(|(_, list)| list);
+        let (gids, values): (Vec<u32>, Vec<u32>) = entries.unzip();
+        debug_assert_eq!(gids, self.ghosts, "ghost exchange out of order");
+        values
     }
 }
 
@@ -187,14 +303,7 @@ pub(crate) fn build_level0(
             seed.push(p[v]);
         }
     }
-    DistGraph {
-        off: lists.off.clone(),
-        xadj,
-        adjncy,
-        adjwgt,
-        vwgt,
-        seed,
-    }
+    DistGraph::new(rank, lists.off.clone(), xadj, adjncy, adjwgt, vwgt, seed)
 }
 
 // ---------------------------------------------------------------------------
@@ -215,7 +324,7 @@ const PENDING: u8 = 2;
 pub(crate) fn parallel_hem(comm: &mut Comm, dg: &DistGraph, seed: u64, level: usize) -> Vec<u32> {
     let p = comm.nranks();
     let rank = comm.rank();
-    let base = dg.off[rank];
+    let base = dg.base;
     let nloc = dg.local_n();
 
     let mut partner: Vec<u32> = (0..nloc as u32).map(|i| base + i).collect();
@@ -233,43 +342,31 @@ pub(crate) fn parallel_hem(comm: &mut Comm, dg: &DistGraph, seed: u64, level: us
             continue;
         }
         let gid = base + i as u32;
-        let mut best: Option<(u32, u32)> = None; // (weight, neighbour gid)
-        for (u, w) in dg.row(i) {
-            let local = u >= base && u < base + nloc as u32;
-            if local && state[(u - base) as usize] != FREE {
+        let mut best: Option<(u32, u32)> = None; // (weight, neighbour slot)
+        for (s, w) in dg.row(i) {
+            if (s as usize) < nloc && state[s as usize] != FREE {
                 continue;
             }
             if best.is_none_or(|(bw, _)| w > bw) {
-                best = Some((w, u));
+                best = Some((w, s));
             }
         }
-        match best {
-            None => {}
-            Some((w, u)) => {
-                if u >= base && u < base + nloc as u32 {
-                    let j = (u - base) as usize;
-                    partner[i] = u;
-                    partner[j] = gid;
-                    state[i] = MATCHED;
-                    state[j] = MATCHED;
-                } else {
-                    state[i] = PENDING;
-                    my_prop[i] = u;
-                    props[dg.owner_of(u)].push((u, gid, w));
-                }
-            }
+        let Some((w, s)) = best else { continue };
+        let (u, j) = (dg.gid(s), s as usize);
+        if j < nloc {
+            partner[i] = u;
+            partner[j] = gid;
+            state[i] = MATCHED;
+            state[j] = MATCHED;
+        } else {
+            state[i] = PENDING;
+            my_prop[i] = u;
+            props[dg.owner_of(u)].push((u, gid, w));
         }
     }
 
     // Negotiate: proposals out, grants computed at the target's owner.
-    #[allow(clippy::type_complexity)]
-    let items: Vec<(usize, u64, Vec<(u32, u32, u32)>)> = props
-        .into_iter()
-        .enumerate()
-        .filter(|(_, v)| !v.is_empty())
-        .map(|(dst, v)| (dst, words_for_bytes(12 * v.len()), v))
-        .collect();
-    let incoming = comm.alltoallv_sparse(items);
+    let incoming = comm.alltoallv_sparse(sized_items(props, |v| 12 * v.len()));
     let mut all: Vec<(u32, u32, u32)> = incoming.into_iter().flat_map(|(_, v)| v).collect();
     all.sort_unstable_by_key(|&(t, f, w)| (t, std::cmp::Reverse(w), f));
     let mut resp: Vec<Vec<(u32, u32)>> = vec![Vec::new(); p]; // (from, accepted)
@@ -286,13 +383,7 @@ pub(crate) fn parallel_hem(comm: &mut Comm, dg: &DistGraph, seed: u64, level: us
         }
         resp[dg.owner_of(f)].push((f, accept as u32));
     }
-    let items: PairItems = resp
-        .into_iter()
-        .enumerate()
-        .filter(|(_, v)| !v.is_empty())
-        .map(|(dst, v)| (dst, words_for_bytes(8 * v.len()), v))
-        .collect();
-    for (_src, list) in comm.alltoallv_sparse(items) {
+    for (_src, list) in comm.alltoallv_sparse(sized_items(resp, |v| 8 * v.len())) {
         for (f, accepted) in list {
             let i = (f - base) as usize;
             if accepted == 1 {
@@ -313,11 +404,11 @@ pub(crate) fn parallel_hem(comm: &mut Comm, dg: &DistGraph, seed: u64, level: us
 /// Contract a matching into the next-coarser distributed graph. The smaller
 /// gid of each pair is the representative; its owner hosts the coarse
 /// vertex. Three negotiation rounds: coarse ids to cross-rank partners,
-/// ghost coarse-map entries to neighbouring ranks, and relabelled rows of
-/// cross-rank non-representatives to the representative's owner. Returns
-/// `None` when matching stalled (< 5% global reduction), mirroring the
-/// serial stall guard; the decision replicates on every rank because it is
-/// made from the allgathered coarse counts.
+/// ghost coarse-map entries along the level's send lists, and relabelled
+/// rows of cross-rank non-representatives to the representative's owner.
+/// Returns `None` when matching stalled (< 5% global reduction), mirroring
+/// the serial stall guard; the decision replicates on every rank because it
+/// is made from the allgathered coarse counts.
 pub(crate) fn contract_distributed(
     comm: &mut Comm,
     dg: &DistGraph,
@@ -325,24 +416,23 @@ pub(crate) fn contract_distributed(
 ) -> Option<(DistGraph, LevelLink)> {
     let p = comm.nranks();
     let rank = comm.rank();
-    let base = dg.off[rank];
+    let base = dg.base;
     let nloc = dg.local_n();
 
-    // Representatives, in increasing fine gid order.
+    // Representatives (singletons and the smaller gid of each pair), in
+    // increasing fine gid order.
     let mut cmap_local = vec![u32::MAX; nloc];
     let mut reps: Vec<u32> = Vec::new();
     for i in 0..nloc {
-        let gid = base + i as u32;
-        if partner[i] == gid || gid < partner[i] {
+        if partner[i] >= base + i as u32 {
             cmap_local[i] = reps.len() as u32;
             reps.push(i as u32);
         }
     }
     for &ri in &reps {
         let i = ri as usize;
-        let m = partner[i];
-        if m != base + i as u32 && m >= base && m < base + nloc as u32 {
-            cmap_local[(m - base) as usize] = cmap_local[i];
+        if let Some(j) = dg.local(partner[i]).filter(|&j| j != i) {
+            cmap_local[j] = cmap_local[i];
         }
     }
 
@@ -360,9 +450,8 @@ pub(crate) fn contract_distributed(
     // Round A: representatives tell cross-rank partners their coarse gid.
     let mut a_out: Vec<Vec<(u32, u32)>> = vec![Vec::new(); p]; // (partner gid, coarse gid)
     for (c, &ri) in reps.iter().enumerate() {
-        let i = ri as usize;
-        let m = partner[i];
-        if m != base + i as u32 && !(m >= base && m < base + nloc as u32) {
+        let m = partner[ri as usize];
+        if dg.local(m).is_none() {
             a_out[dg.owner_of(m)].push((m, cbase + c as u32));
         }
     }
@@ -373,15 +462,9 @@ pub(crate) fn contract_distributed(
         .iter()
         .map(|b| b.iter().map(|&(_, cg)| cg - cbase).collect())
         .collect();
-    let items: PairItems = a_out
-        .into_iter()
-        .enumerate()
-        .filter(|(_, v)| !v.is_empty())
-        .map(|(dst, v)| (dst, words_for_bytes(8 * v.len()), v))
-        .collect();
-    let a_in = comm.alltoallv_sparse(items);
+    let a_in = comm.alltoallv_sparse(sized_items(a_out, |v| 8 * v.len()));
 
-    // Global coarse gid of every owned fine vertex.
+    // Global coarse gid of every slot: owned vertices first, ...
     let mut coarse_of = vec![u32::MAX; nloc];
     for i in 0..nloc {
         if cmap_local[i] != u32::MAX {
@@ -396,49 +479,19 @@ pub(crate) fn contract_distributed(
             proj_in[*s].push(i as u32);
         }
     }
-
-    // Round B: ghost coarse-map exchange — each rank sends (fine gid, coarse
-    // gid) of its owned vertices bordering rank d, to d.
-    let mut b_out: Vec<Vec<(u32, u32)>> = vec![Vec::new(); p];
-    let mut mark = vec![u32::MAX; p];
-    for i in 0..nloc {
-        for (u, _) in dg.row(i) {
-            if u >= base && u < base + nloc as u32 {
-                continue;
-            }
-            let o = dg.owner_of(u);
-            if mark[o] != i as u32 {
-                mark[o] = i as u32;
-                b_out[o].push((base + i as u32, coarse_of[i]));
-            }
-        }
-    }
-    let items: PairItems = b_out
-        .into_iter()
-        .enumerate()
-        .filter(|(_, v)| !v.is_empty())
-        .map(|(dst, v)| (dst, words_for_bytes(8 * v.len()), v))
-        .collect();
-    let b_in = comm.alltoallv_sparse(items);
-    let mut ghost: HashMap<u32, u32> = HashMap::new();
-    for (_src, list) in &b_in {
-        for &(gid, cg) in list {
-            ghost.insert(gid, cg);
-        }
-    }
-    let coarse_gid_of = |u: u32, coarse_of: &[u32]| -> u32 {
-        if u >= base && u < base + nloc as u32 {
-            coarse_of[(u - base) as usize]
-        } else {
-            ghost[&u]
-        }
+    // ... then the ghosts' (round B: each rank sends `(fine gid, coarse
+    // gid)` of its owned vertices bordering rank d, to d).
+    let b_in = comm.alltoallv_sparse(dg.ghost_items(|i| coarse_of[i]));
+    coarse_of.extend(dg.ghost_values(b_in));
+    let relabel = |i: usize, cg: u32, row: &mut Vec<(u32, u32)>| {
+        let coarse = dg.row(i).map(|(s, w)| (coarse_of[s as usize], w));
+        row.extend(coarse.filter(|&(cu, _)| cu != cg));
     };
 
     // Round C: cross-rank non-representatives ship their relabelled rows
     // (plus vertex weight) to the representative's owner.
     type RowMsg = (u32, u64, Vec<(u32, u32)>); // (coarse gid, vwgt, entries)
     let mut c_out: Vec<Vec<RowMsg>> = vec![Vec::new(); p];
-    let mut c_bytes = vec![0usize; p];
     for i in 0..nloc {
         if cmap_local[i] != u32::MAX {
             continue; // representative or locally paired
@@ -446,23 +499,11 @@ pub(crate) fn contract_distributed(
         let cg = coarse_of[i];
         let dest = coff[1..].partition_point(|&o| o <= cg);
         let mut row: Vec<(u32, u32)> = Vec::new();
-        for (u, w) in dg.row(i) {
-            let cu = coarse_gid_of(u, &coarse_of);
-            if cu != cg {
-                row.push((cu, w));
-            }
-        }
-        c_bytes[dest] += 12 + 8 * row.len();
+        relabel(i, cg, &mut row);
         c_out[dest].push((cg, dg.vwgt[i], row));
     }
-    let items: Vec<(usize, u64, Vec<RowMsg>)> = c_out
-        .into_iter()
-        .zip(&c_bytes)
-        .enumerate()
-        .filter(|(_, (v, _))| !v.is_empty())
-        .map(|(dst, (v, &b))| (dst, words_for_bytes(b), v))
-        .collect();
-    let c_in = comm.alltoallv_sparse(items);
+    let row_bytes = |rows: &[RowMsg]| rows.iter().map(|(_, _, r)| 12 + 8 * r.len()).sum();
+    let c_in = comm.alltoallv_sparse(sized_items(c_out, row_bytes));
     let ncoarse = reps.len();
     let mut shipped: Vec<Vec<(u32, u32)>> = vec![Vec::new(); ncoarse];
     let mut shipped_w = vec![0u64; ncoarse];
@@ -475,7 +516,7 @@ pub(crate) fn contract_distributed(
     }
 
     // Assemble the coarse CSR: representative row + partner row (local or
-    // shipped), relabelled, sorted, duplicate entries merged.
+    // shipped), relabelled, sorted by coarse gid, duplicate entries merged.
     let mut cxadj = vec![0u32];
     let mut cadjncy = Vec::new();
     let mut cadjwgt = Vec::new();
@@ -486,25 +527,15 @@ pub(crate) fn contract_distributed(
         let i = ri as usize;
         let cg = cbase + c as u32;
         buf.clear();
-        for (u, w) in dg.row(i) {
-            let cu = coarse_gid_of(u, &coarse_of);
-            if cu != cg {
-                buf.push((cu, w));
-            }
-        }
+        relabel(i, cg, &mut buf);
         let mut vw = dg.vwgt[i];
-        let m = partner[i];
-        if m != base + i as u32 {
-            if m >= base && m < base + nloc as u32 {
-                let j = (m - base) as usize;
-                for (u, w) in dg.row(j) {
-                    let cu = coarse_gid_of(u, &coarse_of);
-                    if cu != cg {
-                        buf.push((cu, w));
-                    }
-                }
+        match dg.local(partner[i]) {
+            Some(j) if j == i => {}
+            Some(j) => {
+                relabel(j, cg, &mut buf);
                 vw += dg.vwgt[j];
-            } else {
+            }
+            None => {
                 buf.extend(shipped[c].iter().copied());
                 vw += shipped_w[c];
             }
@@ -528,14 +559,7 @@ pub(crate) fn contract_distributed(
         }
     }
 
-    let coarse = DistGraph {
-        off: coff,
-        xadj: cxadj,
-        adjncy: cadjncy,
-        adjwgt: cadjwgt,
-        vwgt: cvwgt,
-        seed: cseed,
-    };
+    let coarse = DistGraph::new(rank, coff, cxadj, cadjncy, cadjwgt, cvwgt, cseed);
     let link = LevelLink {
         cmap_local,
         proj_out,
@@ -548,8 +572,9 @@ pub(crate) fn contract_distributed(
 // Coarsest solve, projection, distributed refinement
 // ---------------------------------------------------------------------------
 
-/// Gather the coarsest graph's CSR rows to rank 0 (rows concatenate in rank
-/// order because global ids are contiguous per rank), solve serially there,
+/// Gather the coarsest graph's CSR rows to rank 0, neighbours as global ids
+/// (rows concatenate in rank order because global ids are contiguous per
+/// rank), solve serially there,
 /// scatter every rank the parts of the coarse vertices it owns, and
 /// broadcast the global part weights — rank 0 is the one place that holds
 /// every vertex weight, so the weights uncoarsening carries cost one
@@ -566,7 +591,7 @@ fn coarsest_solve(
     let bytes = 4 * (dg.xadj.len() + 2 * dg.adjncy.len() + dg.seed.len()) + 8 * dg.vwgt.len();
     let piece = (
         dg.xadj.clone(),
-        dg.adjncy.clone(),
+        dg.adjncy.iter().map(|&s| dg.gid(s)).collect::<Vec<u32>>(),
         dg.adjwgt.clone(),
         dg.vwgt.clone(),
         dg.seed.clone(),
@@ -652,17 +677,9 @@ fn project_parts(
     coarse_part: &[u32],
     fine_nloc: usize,
 ) -> Vec<u32> {
-    let items: Vec<(usize, u64, Vec<u32>)> = link
-        .proj_out
-        .iter()
-        .enumerate()
-        .filter(|(_, list)| !list.is_empty())
-        .map(|(dst, list)| {
-            let vals: Vec<u32> = list.iter().map(|&c| coarse_part[c as usize]).collect();
-            (dst, words_for_bytes(4 * vals.len()), vals)
-        })
-        .collect();
-    let incoming = comm.alltoallv_sparse(items);
+    let lists = link.proj_out.iter();
+    let vals = lists.map(|list| list.iter().map(|&c| coarse_part[c as usize]).collect());
+    let incoming = comm.alltoallv_sparse(sized_items(vals, |v| 4 * v.len()));
     let mut part = vec![0u32; fine_nloc];
     for (i, &c) in link.cmap_local.iter().enumerate() {
         if c != u32::MAX {
@@ -691,8 +708,11 @@ const MAX_BALANCE_STAGES: usize = 32;
 const GAIN_EXIT_VERTICES: u64 = 100;
 
 /// Distributed refinement of one level, in stages. A stage is one neighbour
-/// exchange and one scan: exchange ghost parts with neighbouring ranks,
-/// propose moves locally against the carried global part weights `w`, and
+/// exchange and one scan: send the parts of the level's boundary vertices
+/// along its send lists (the ghosts' parts arrive in slot order, and `part`
+/// holds them past the owned entries for the stage, so a neighbour's part is
+/// `part[slot]`), propose moves locally against the carried global part
+/// weights `w`, and
 /// commit them under a per-rank inflow quota computed from an exclusive scan
 /// of the per-part demand — each part's headroom is granted in rank order,
 /// so the ceilings can never be exceeded even though ranks move vertices
@@ -730,7 +750,7 @@ const GAIN_EXIT_VERTICES: u64 = 100;
 fn refine_distributed(
     comm: &mut Comm,
     dg: &DistGraph,
-    part: &mut [u32],
+    part: &mut Vec<u32>,
     w: &mut [u64],
     max_w: &[u64],
     seed: u64,
@@ -740,48 +760,9 @@ fn refine_distributed(
     pending: Commits,
     mut census: Option<&mut LevelStages>,
 ) -> Commits {
-    let p = comm.nranks();
     let rank = comm.rank();
-    let base = dg.off[rank];
     let nloc = dg.local_n();
     let nparts = max_w.len();
-
-    // Boundary send lists: owned vertices adjacent to each other rank.
-    let owned = |u: u32| u >= base && u < base + nloc as u32;
-    let mut nbr_out: Vec<Vec<u32>> = vec![Vec::new(); p];
-    let mut mark = vec![u32::MAX; p];
-    for i in 0..nloc {
-        for (u, _) in dg.row(i) {
-            if owned(u) {
-                continue;
-            }
-            let o = dg.owner_of(u);
-            if mark[o] != i as u32 {
-                mark[o] = i as u32;
-                nbr_out[o].push(i as u32);
-            }
-        }
-    }
-    // The level's slot table: its ghosts (non-owned neighbours, ascending by
-    // gid) and the adjacency translated to slots — `i` for owned vertex `i`,
-    // `nloc + k` for ghost `k` — so a stage reads a neighbour's part from
-    // `part` or from the dense `ghost_part` it fills off its exchange.
-    let mut ghosts: Vec<u32> = dg.adjncy.iter().copied().filter(|&u| !owned(u)).collect();
-    ghosts.sort_unstable();
-    ghosts.dedup();
-    let ghost_slot = |u: u32| ghosts.binary_search(&u).expect("a ghost of this level");
-    let slots: Vec<u32> = dg
-        .adjncy
-        .iter()
-        .map(|&u| {
-            if owned(u) {
-                u - base
-            } else {
-                (nloc + ghost_slot(u)) as u32
-            }
-        })
-        .collect();
-    let mut ghost_part = vec![u32::MAX; ghosts.len()];
 
     let gain_stages = passes.max(1);
     let stage_cap = gain_stages + MAX_BALANCE_STAGES;
@@ -797,16 +778,7 @@ fn refine_distributed(
         }
 
         // Ghost part exchange, joining the previous stage's commits.
-        let items: PairItems = nbr_out
-            .iter()
-            .enumerate()
-            .filter(|(_, list)| !list.is_empty())
-            .map(|(dst, list)| {
-                let vals: Vec<(u32, u32)> =
-                    list.iter().map(|&i| (base + i, part[i as usize])).collect();
-                (dst, words_for_bytes(8 * vals.len()), vals)
-            })
-            .collect();
+        let items = dg.ghost_items(|i| part[i]);
         #[cfg(test)]
         let my_moves = mine.first().map_or(0, |(_, c)| c.0);
         let (incoming, commits) = comm.alltoallv_sparse_join(
@@ -835,22 +807,8 @@ fn refine_distributed(
             }
         }
         charge(comm, nloc, vertex_units);
-        for (gid, pv) in incoming.into_iter().flat_map(|(_, list)| list) {
-            ghost_part[ghost_slot(gid)] = pv;
-        }
-        let part_of = |s: u32, part: &[u32]| -> u32 {
-            match s.checked_sub(nloc as u32) {
-                None => part[s as usize],
-                Some(k) => ghost_part[k as usize],
-            }
-        };
-        let row = |i: usize| {
-            let (lo, hi) = (dg.xadj[i] as usize, dg.xadj[i + 1] as usize);
-            slots[lo..hi]
-                .iter()
-                .copied()
-                .zip(dg.adjwgt[lo..hi].iter().copied())
-        };
+        part.truncate(nloc);
+        part.extend(dg.ghost_values(incoming));
 
         let balance_mode = !balance_dead && (0..nparts).any(|q| w[q] > max_w[q]);
         if !balance_mode {
@@ -877,8 +835,8 @@ fn refine_distributed(
                 }
                 let vw = dg.vwgt[i];
                 let mut best: Option<(i64, usize)> = None;
-                for (u, ew) in row(i) {
-                    let q = part_of(u, part) as usize;
+                for (u, ew) in dg.row(i) {
+                    let q = part[u as usize] as usize;
                     if q != cur
                         && wt[q] + vw <= max_w[q]
                         && rel_lt(wt[q] + vw, max_w[q], wt[cur], max_w[cur])
@@ -919,8 +877,8 @@ fn refine_distributed(
                 let cur = part[i] as usize;
                 touched.clear();
                 let mut boundary = false;
-                for (u, ew) in row(i) {
-                    let q = part_of(u, part) as usize;
+                for (u, ew) in dg.row(i) {
+                    let q = part[u as usize] as usize;
                     if conn[q] == 0 {
                         touched.push(q as u32);
                     }
@@ -1000,6 +958,7 @@ fn refine_distributed(
             mine.push((rank as u32, Arc::new((moves, nonzeros(&delta)))));
         }
     }
+    part.truncate(nloc);
     mine
 }
 
@@ -1263,16 +1222,6 @@ fn coarsen(
         }
     }
     (levels, cur)
-}
-
-/// The global vertex count of every level the distributed multilevel body
-/// works on for `p` over `nranks` ranks, vertices distributed by `owner`:
-/// finest first, one entry when the body solves the whole problem on rank
-/// 0. A last entry above [`PartitionConfig::coarsen_target`] means matching
-/// stalled. The levels of [`stage_census`].
-pub fn hierarchy_sizes(p: &Problem, owner: &[u32], nranks: usize) -> Vec<usize> {
-    let census = stage_census(p, owner, nranks);
-    census.iter().map(|level| level.n).collect()
 }
 
 /// One refinement level of the distributed multilevel body, as
@@ -1616,6 +1565,71 @@ mod tests {
         );
     }
 
+    /// The local numbering of every level, on a stalled seeded hierarchy and
+    /// a completed one at P ∈ {2, 8, 64} (rank 1 owning no vertex when
+    /// P > 2): each slot round-trips through its global id, the ghosts are
+    /// sorted, unique and never owned, and the send list from rank r to rank
+    /// d, read as global ids, is d's ghosts owned by r in d's order — the
+    /// order [`DistGraph::ghost_values`] reads an exchange in.
+    #[test]
+    fn every_level_numbers_its_ghosts_once() {
+        let g = &grid3d(12, 12, 8);
+        for p in [2usize, 8, 64] {
+            let prev = partition_kway(g, &PartitionConfig::new(p));
+            let owner: Vec<u32> = prev
+                .iter()
+                .map(|&q| if p > 2 && q == 1 { 0 } else { q })
+                .collect();
+            let lists = &RankLists::build(&owner, p);
+            let completed = PartitionConfig::new(p);
+            let mut stalled = completed;
+            stalled.coarsen_to = 1;
+            for (cfg, seed) in [(stalled, Some(&prev[..])), (completed, None)] {
+                let results = spmd(p, MachineModel::zero(), move |comm| {
+                    let level0 = build_level0(comm.rank(), g, lists, seed);
+                    let (levels, coarsest) = coarsen(comm, level0, &cfg, 0.0);
+                    let mut all: Vec<DistGraph> = levels.into_iter().map(|(dg, _)| dg).collect();
+                    all.push(coarsest);
+                    all
+                });
+                let ranks: Vec<Vec<DistGraph>> = results.into_iter().map(|r| r.value).collect();
+                let sizes: Vec<usize> = ranks[0].iter().map(DistGraph::global_n).collect();
+                let what = format!("P={p}, hierarchy {sizes:?}");
+                let stalls = *sizes.last().unwrap() > cfg.coarsen_target();
+                assert_eq!(stalls, cfg.coarsen_to == 1, "{what}");
+                assert_eq!(
+                    ranks[1][0].local_n() == 0,
+                    p > 2,
+                    "{what}: rank 1's vertices"
+                );
+                for level in 0..sizes.len() {
+                    for (r, dg) in ranks.iter().map(|levels| &levels[level]).enumerate() {
+                        let what = format!("{what}, level {level}, rank {r}");
+                        let nloc = dg.local_n();
+                        let ghosts = &dg.ghosts;
+                        assert!(ghosts.windows(2).all(|w| w[0] < w[1]), "{what}: ghosts");
+                        assert!(ghosts.iter().all(|&u| dg.local(u).is_none()), "{what}");
+                        for s in 0..(nloc + ghosts.len()) as u32 {
+                            let gid = dg.gid(s);
+                            let ghost = || nloc + ghosts.binary_search(&gid).expect("a ghost");
+                            let back = dg.local(gid).unwrap_or_else(ghost);
+                            assert_eq!(back, s as usize, "{what}: slot {s} (gid {gid})");
+                        }
+                        for d in 0..p {
+                            let list = dg.send.iter().find(|&&(to, _)| to == d);
+                            let list = list.map_or(&[][..], |(_, list)| &list[..]);
+                            let sent: Vec<u32> = list.iter().map(|&i| dg.gid(i)).collect();
+                            let theirs = ranks[d][level].ghosts.iter().copied();
+                            let mine: Vec<u32> =
+                                theirs.filter(|&u| dg.local(u).is_some()).collect();
+                            assert_eq!(sent, mine, "{what}: send list to rank {d}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The collective census of the rank-0 round trip. A seeded body whose
     /// hierarchy stalls above the target (`coarsen_to = 1`, which no
     /// matching reaches) issues no gather, scatter or broadcast at all;
@@ -1639,7 +1653,8 @@ mod tests {
         let seeded = Some(&prev[..]);
         for (cfg, seed, calls) in [(stalls, seeded, 0), (stalls, None, 1), (reaches, seeded, 1)] {
             let problem = Problem::new(&g, None, None, seed, &caps, &cfg);
-            let sizes = hierarchy_sizes(&problem, &prev, p);
+            let census = stage_census(&problem, &prev, p);
+            let sizes: Vec<usize> = census.iter().map(|level| level.n).collect();
             let what = format!("hierarchy {sizes:?}, seeded {}", seed.is_some());
             let stalled = *sizes.last().unwrap() > cfg.coarsen_target();
             assert_eq!(stalled, cfg.coarsen_to == 1, "{what}");

@@ -63,7 +63,7 @@ fn random_graph(n: usize, extra: &[(u32, u32)]) -> Graph<'static> {
 /// Global edge weight between owned local vertex `i` and global id `m`.
 fn row_weight_to(dg: &DistGraph, i: usize, m: u32) -> u64 {
     dg.row(i)
-        .filter(|&(u, _)| u == m)
+        .filter(|&(s, _)| dg.gid(s) == m)
         .map(|(_, w)| w as u64)
         .sum()
 }

@@ -17,7 +17,7 @@ use plum_mesh::generate::{box_dims_for_elements, box_mesh};
 use plum_mesh::{DualGraph, SfcCurve};
 use plum_parsim::MachineModel;
 use plum_partition::{
-    balance, balance_distributed, hierarchy_sizes, imbalance_weighted, partition_kway, quality,
+    balance, balance_distributed, imbalance_weighted, partition_kway, quality, stage_census,
     weights_of, BalanceMethod, DistPartition, Graph, PartitionConfig, Problem,
 };
 
@@ -149,7 +149,8 @@ fn stalled_seeded_path_tracks_the_serial_reference() {
         for caps in [vec![1.0; p], skewed] {
             let what = format!("P={p} skewed={}", caps[0] != 1.0);
             let problem = Problem::new(&g, None, None, Some(&prev), &caps, &cfg);
-            let sizes = hierarchy_sizes(&problem, &prev, p);
+            let census = stage_census(&problem, &prev, p);
+            let sizes: Vec<usize> = census.iter().map(|level| level.n).collect();
             let stalled = *sizes.last().unwrap() > cfg.coarsen_target();
             assert!(stalled, "{what}: hierarchy {sizes:?} reached the target");
             let serial = balance(BalanceMethod::Multilevel, &problem);
