@@ -45,7 +45,9 @@
 //! effective-imbalance gap within three adaption cycles. On failure the
 //! last cycle's session trace is written to
 //! `chaos-failure-seed-<seed>.json` and the process exits nonzero — this is
-//! the nightly CI seed matrix.
+//! the nightly CI seed matrix. The fig6, hotspot and rematch recovery runs
+//! share one driver (`plum_bench::chaos`) and print the same per-cycle
+//! table.
 //!
 //! `rematch` is the global-vs-local balancer comparison at P = 64 / 256 /
 //! 1024 (see `plum_bench::rematch`): multilevel vs SFC diffusion vs
@@ -149,25 +151,15 @@ fn main() {
     // artifact the nightly job uploads and exits 1.
     if let Some(seed) = chaos_seed {
         eprintln!("# running the {what} chaos recovery experiment (seed {seed})…");
-        let (recovered, trace_json, tag) = match what.as_str() {
-            "rematch" => {
-                let run = rematch::rematch_chaos_recovery(seed);
-                rematch::print_rematch_chaos(&run);
-                (run.recovered, run.trace_json, "rematch-")
-            }
-            _ => {
-                let (run, tag) = if what == "fig6" {
-                    (chaos::chaos_recovery(scale, seed), "")
-                } else {
-                    (chaos::hotspot_chaos_recovery(scale, seed), "hotspot-")
-                };
-                chaos::print_chaos(&run);
-                (run.recovered, run.trace_json, tag)
-            }
+        let (run, tag) = match what.as_str() {
+            "rematch" => (rematch::rematch_chaos_recovery(seed), "rematch-"),
+            "hotspot" => (chaos::hotspot_chaos_recovery(scale, seed), "hotspot-"),
+            _ => (chaos::chaos_recovery(scale, seed), ""),
         };
-        if !recovered {
+        chaos::print_chaos(&what, &run);
+        if !run.recovered {
             let artifact = format!("chaos-failure-{tag}seed-{seed}.json");
-            std::fs::write(&artifact, trace_json).expect("write failure trace");
+            std::fs::write(&artifact, run.trace_json).expect("write failure trace");
             eprintln!("# recovery FAILED; wrote session trace to {artifact}");
             std::process::exit(1);
         }

@@ -34,17 +34,18 @@
 //! only to the chaos-recovery variant below, whose mesh grows.)
 //!
 //! `reproduce -- rematch --chaos <seed>` runs the recovery variant for the
-//! nightly matrix instead: P = 64, *no* forced method (the policy picks),
-//! one rank slowed 2×; the selected method must bring the effective
-//! imbalance to ≤ 1.1 within three cycles or the run fails and CI uploads
-//! the last session trace.
+//! nightly matrix instead ([`crate::chaos`]'s driver): P = 64, *no* forced
+//! method (the policy picks), one rank slowed 2×; the selected method must
+//! bring the effective imbalance to ≤ 1.1 within three cycles or the run
+//! fails and CI uploads the last session trace.
 
-use plum_core::{BalanceMethod, ChaosConfig, Plum, PlumConfig, RemapPolicy};
+use plum_core::{BalanceMethod, Plum, PlumConfig, RemapPolicy};
 use plum_mesh::generate::{box_dims_for_elements, box_mesh};
 use plum_obs::BenchReport;
 use plum_partition::weights_of;
 use plum_solver::WaveField;
 
+use crate::chaos::{capacity_imbalance, recover, seeded_chaos, ChaosRun, Recovery};
 use crate::report::{git_sha, MultilevelShape};
 
 /// Processor counts of the rematch grid.
@@ -128,27 +129,9 @@ fn rematch_plum(method: Option<BalanceMethod>, nproc: usize, chaos: bool) -> Plu
         cfg,
     );
     if chaos {
-        let slow_rank = (REMATCH_CHAOS_SEED % nproc as u64) as usize;
-        plum.chaos = ChaosConfig::slowdown(nproc, slow_rank, 2.0);
-        plum.chaos.seed = REMATCH_CHAOS_SEED;
-        plum.chaos.link_jitter = 0.1;
+        plum.chaos = seeded_chaos(nproc, REMATCH_CHAOS_SEED).1;
     }
     plum
-}
-
-/// Capacity-weighted effective imbalance of the adopted assignment.
-fn effective_imbalance(plum: &Plum, r: &plum_core::CycleReport) -> f64 {
-    let (wcomp, _) = plum.am.weights();
-    let load = weights_of(&wcomp, &plum.proc_of_root, plum.cfg.nproc);
-    r.effective_imbalance(&load)
-}
-
-/// The cycle's virtual makespan, asserting its session timeline passes the
-/// trace audit (protocol-clean, phase accounting closed to 1e-9) — every
-/// rematch cycle runs under the same discipline as the weak-scaling sweep.
-fn assert_clean(r: &plum_core::CycleReport, what: &str) -> f64 {
-    let audit = r.traces.session.audit();
-    audit.unwrap_or_else(|e| panic!("{what}: {e}"))
 }
 
 /// Run one cell: [`REMATCH_CYCLES`] full adaption cycles with the method
@@ -164,19 +147,17 @@ pub fn rematch_cell(method: BalanceMethod, nproc: usize, chaos: bool) -> Rematch
     let mut shape = MultilevelShape::default();
     for cycle in 0..cycles {
         let r = plum.adaption_cycle(crate::CASES[0].1, 0.1);
-        virtual_seconds += assert_clean(
-            &r,
-            &format!(
-                "rematch {} P={nproc} chaos={chaos} cycle {cycle}",
-                method.name()
-            ),
-        );
+        // Every cycle's session passes the trace audit (protocol-clean,
+        // phase accounting closed to 1e-9), as in the weak-scaling sweep.
+        let m = method.name();
+        virtual_seconds += (r.traces.session.audit())
+            .unwrap_or_else(|e| panic!("rematch {m} P={nproc} chaos={chaos} cycle {cycle}: {e}"));
         partition_seconds += r.times.partition;
         if method == BalanceMethod::Multilevel {
             shape.add(&r.traces.session);
         }
         moved_elems += r.migration.as_ref().map_or(0, |m| m.elems_moved);
-        imbalance_after = effective_imbalance(&plum, &r);
+        imbalance_after = capacity_imbalance(&plum, &r);
         capacity = r.capacity;
     }
     // Price the leftover imbalance with the gain/cost model's own solver
@@ -352,113 +333,19 @@ pub fn rematch_bench() -> (BenchReport, String) {
     (b, analysis)
 }
 
-/// One adaption cycle of a rematch chaos-recovery run.
-#[derive(Debug, Clone)]
-pub struct RematchChaosRow {
-    pub cycle: usize,
-    /// Virtual makespan of the cycle.
-    pub makespan: f64,
-    /// Capacity-weighted effective imbalance after the cycle.
-    pub eff_imbalance: f64,
-    /// Which method the policy selected (`None`: no repartition ran).
-    pub method: Option<BalanceMethod>,
-    /// Whether the balancer adopted a new mapping this cycle.
-    pub accepted: bool,
-}
-
-/// Full record of one seeded rematch recovery run.
-#[derive(Debug, Clone)]
-pub struct RematchChaosRun {
-    pub seed: u64,
-    pub nproc: usize,
-    pub slow_rank: usize,
-    pub rows: Vec<RematchChaosRow>,
-    /// True when some cycle reached effective imbalance ≤
-    /// [`REMATCH_IMBALANCE_TARGET`].
-    pub recovered: bool,
-    /// Chrome-trace JSON of the last cycle's session timeline (the failure
-    /// artifact CI uploads).
-    pub trace_json: String,
-}
-
 /// The nightly-matrix recovery variant: P = 64 with one rank slowed 2×
 /// (rank = seed mod P), method chosen by the policy per cycle; the
 /// balancer must reach effective imbalance ≤ [`REMATCH_IMBALANCE_TARGET`]
 /// within three cycles. Unlike the fig6 chaos criterion (a relative
 /// gap-closure fraction), this is an absolute bound — the level where
-/// every rank finishes its solver share within 10% of ideal.
-pub fn rematch_chaos_recovery(seed: u64) -> RematchChaosRun {
-    let nproc = REMATCH_PROCS[0];
-    let slow_rank = (seed % nproc as u64) as usize;
-    let mut plum = rematch_plum(None, nproc, false);
-    plum.chaos = ChaosConfig::slowdown(nproc, slow_rank, 2.0);
-    plum.chaos.seed = seed;
-    plum.chaos.link_jitter = 0.1;
-
-    let mut rows = Vec::new();
-    let mut recovered = false;
-    let mut trace_json = String::new();
-    for cycle in 0..3 {
-        // The Real_2 refine fraction: the mesh must grow so the per-rank
-        // granularity becomes fine enough to hit the absolute 1.1 target
-        // (at a frozen ~16 elems/rank one element is >6% of a rank's load).
-        let r = plum.adaption_cycle(crate::CASES[1].1, 0.1);
-        let makespan = assert_clean(&r, &format!("rematch chaos seed {seed} cycle {cycle}"));
-        let eff = effective_imbalance(&plum, &r);
-        rows.push(RematchChaosRow {
-            cycle,
-            makespan,
-            eff_imbalance: eff,
-            method: r.decision.method,
-            accepted: r.decision.accepted,
-        });
-        trace_json = r.traces.session.chrome_json();
-        if eff <= REMATCH_IMBALANCE_TARGET {
-            recovered = true;
-            break;
-        }
-    }
-
-    RematchChaosRun {
-        seed,
-        nproc,
-        slow_rank,
-        rows,
-        recovered,
-        trace_json,
-    }
-}
-
-/// Print a rematch recovery run as a per-cycle table.
-pub fn print_rematch_chaos(run: &RematchChaosRun) {
-    println!(
-        "Rematch recovery: seed {}, P={}, rank {} slowed 2×, policy-selected method",
-        run.seed, run.nproc, run.slow_rank
-    );
-    println!(
-        "{:>6} {:>12} {:>9} {:>13} {:>9}",
-        "cycle", "makespan", "eff_imb", "method", "accepted"
-    );
-    for row in &run.rows {
-        println!(
-            "{:>6} {:>12.6} {:>9.3} {:>13} {:>9}",
-            row.cycle,
-            row.makespan,
-            row.eff_imbalance,
-            row.method.map_or("-", |m| m.name()),
-            row.accepted
-        );
-    }
-    let last = run.rows.last().expect("at least one cycle");
-    println!(
-        "=> {} (effective imbalance {:.3}, target ≤ {REMATCH_IMBALANCE_TARGET})",
-        if run.recovered {
-            "RECOVERED"
-        } else {
-            "NOT RECOVERED"
-        },
-        last.eff_imbalance,
-    );
+/// every rank finishes its solver share within 10% of ideal. The cycles
+/// refine at Real_2, so the mesh grows until the per-rank granularity is
+/// fine enough to reach it (at a frozen ~16 elems/rank one element is >6%
+/// of a rank's load).
+pub fn rematch_chaos_recovery(seed: u64) -> ChaosRun {
+    let plum = rematch_plum(None, REMATCH_PROCS[0], false);
+    let criterion = Recovery::AtMost(REMATCH_IMBALANCE_TARGET);
+    recover(plum, seed, capacity_imbalance, criterion)
 }
 
 #[cfg(test)]
@@ -488,6 +375,12 @@ mod tests {
     #[test]
     fn rematch_chaos_run_reports_rows_and_trace() {
         let run = rematch_chaos_recovery(3);
+        // Pinned: row count, each row's makespan and effective-imbalance
+        // bits, and whether it adopted a new mapping.
+        let rows: Vec<_> = (run.rows.iter())
+            .map(|r| (r.makespan.to_bits(), r.eff_imbalance.to_bits(), r.accepted))
+            .collect();
+        assert_eq!(rows, [(0x3f96_b4c4_cb53_aa25, 0x3ff0_f11f_b159_a535, true)]);
         assert_eq!(run.nproc, REMATCH_PROCS[0]);
         assert_eq!(run.slow_rank, 3);
         assert!(!run.rows.is_empty());

@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 use plum_core::{CycleReport, RemapPolicy};
 use plum_obs::{
     critical_path, heaviest_edges, phase_critical_path, render_heaviest_edges, BenchReport,
-    Registry, TraceDigest,
+    Registry, Timeline, TraceDigest,
 };
 use plum_parsim::{CollectiveKind, TraceLog};
 
@@ -39,9 +39,10 @@ pub fn git_sha() -> String {
 
 /// Panic unless `current` is the committed `benchmarks/baseline/<file>` bit
 /// for bit: every metric (`info.` ones included), the digest, the timeline
-/// and the metadata, ignoring only `meta.git_sha`. The report's JSON holds
-/// one metric or timeline series per line, so the message lists the lines
-/// that moved. Every number in a cycle report is virtual, so a run at the
+/// and the metadata, ignoring only `meta.git_sha` and the host-clock
+/// `info.sim.*` metrics (weakscale's wall throughput). The report's JSON
+/// holds one metric or timeline series per line, so the message lists the
+/// lines that moved. Every other number is virtual, so a run at the
 /// committed commit reproduces its file exactly.
 pub fn assert_reproduces_baseline(current: &BenchReport, file: &str) {
     let path = format!(
@@ -53,6 +54,11 @@ pub fn assert_reproduces_baseline(current: &BenchReport, file: &str) {
     let mut current = current.clone();
     if let Some(sha) = committed.meta.get("git_sha") {
         current.meta.insert("git_sha".to_string(), sha.clone());
+    }
+    for (name, &value) in &committed.metrics {
+        if name.starts_with("info.sim.") {
+            current.metrics.insert(name.clone(), value);
+        }
     }
     let now = current.to_json();
     if now != text {
@@ -66,6 +72,15 @@ pub fn assert_reproduces_baseline(current: &BenchReport, file: &str) {
             moved.join("\n")
         );
     }
+}
+
+/// Append one row of `report`'s flat metrics to `timeline`. A fresh
+/// registry per cycle makes counters per-cycle deltas, not running totals.
+pub fn record_timeline_row(timeline: &mut Timeline, report: &CycleReport) {
+    let mut reg = Registry::new();
+    report.emit_metrics(&mut reg);
+    let flat = reg.flat_metrics();
+    timeline.record_cycle(flat.iter().map(|(k, &v)| (k.as_str(), v)));
 }
 
 /// Build a BENCH report from one instrumented adaption cycle: the cycle's
@@ -197,14 +212,15 @@ pub const FIG6_SLOW_FACTOR: f64 = 2.0;
 /// explain` must attribute the makespan delta to the slowed rank's
 /// compute; EXPERIMENTS.md walks through exactly that.
 pub fn fig6_slow_bench(scale: Scale) -> (BenchReport, String) {
-    use plum_core::{ChaosConfig, Plum, PlumConfig};
+    use plum_core::{Plum, PlumConfig};
+    use plum_parsim::Perturbation;
     use plum_solver::WaveField;
 
     let p = FIG6_BENCH_NPROC;
     let mut cfg = PlumConfig::new(p);
     cfg.policy = RemapPolicy::BeforeRefinement;
     let mut plum = Plum::new(crate::initial_mesh(scale), WaveField::unit_box(), cfg);
-    plum.chaos = ChaosConfig::slowdown(p, FIG6_SLOW_RANK, FIG6_SLOW_FACTOR);
+    plum.chaos = Perturbation::slowdown(p, FIG6_SLOW_RANK, FIG6_SLOW_FACTOR);
     let r = plum.adaption_cycle(crate::CASES[1].1, 0.1);
     let mut b = cycle_bench("fig6_slow", &r, p, scale.elements());
     b.meta_str("scale", &format!("{scale:?}"))
@@ -762,6 +778,42 @@ mod tests {
         assert!(pt.collectives.allreduce > 0.0 && pt.collectives.barrier > 0.0);
     }
 
+    /// The quick sweep (P = 256 / 1024) against its committed file, bit
+    /// for bit apart from the host-clock `info.sim.*` values:
+    /// `compare --tolerance 0` fails only on increases, so a drop in any
+    /// virtual metric would pass it.
+    #[test]
+    #[ignore = "one P = 256 and one P = 1024 cycle: run in release with --ignored"]
+    fn weakscale_bench_reproduces_the_committed_baseline_exactly() {
+        let (b, _) = weakscale_bench(true);
+        assert_reproduces_baseline(&b, "BENCH_weakscale.json");
+    }
+
+    #[test]
+    fn timeline_records_one_row_per_cycle() {
+        use plum_core::{Plum, PlumConfig};
+        use plum_mesh::generate::unit_box_mesh;
+        use plum_solver::WaveField;
+
+        let mut p = Plum::new(unit_box_mesh(4), WaveField::unit_box(), PlumConfig::new(4));
+        let mut timeline = Timeline::new();
+        assert!(timeline.is_empty());
+        let first = p.adaption_cycle(0.33, 0.1);
+        record_timeline_row(&mut timeline, &first);
+        record_timeline_row(&mut timeline, &p.adaption_cycle(0.33, 0.1));
+        assert_eq!(timeline.cycles(), 2);
+        // Gauges land as per-cycle slots...
+        let solver = timeline.get("phase.solver.seconds").unwrap();
+        assert_eq!(solver[0], Some(first.times.solver));
+        assert!(solver[1].is_some());
+        // ...and counters are per-cycle deltas, not running totals.
+        assert_eq!(timeline.get("cycle.count").unwrap(), &[Some(1.0); 2]);
+        assert!(timeline.get("balance.method").is_some());
+        // Coarsening cycles append to the same timeline.
+        record_timeline_row(&mut timeline, &p.coarsen_cycle(0.3, 0.1));
+        assert_eq!(timeline.cycles(), 3);
+    }
+
     /// Collective costs grow like `words · log₂ P` from 256 to 1024 ranks:
     /// the 1-word probes by ≈ 10/8 — `allreduce` and `exscan` exactly so,
     /// since none of their messages grows with P — and the `words = P`
@@ -797,7 +849,8 @@ mod tests {
     /// (legitimate) response to it.
     #[test]
     fn explain_attributes_injected_slowdown_to_the_right_bucket() {
-        use plum_core::{ChaosConfig, Plum, PlumConfig, RemapPolicy};
+        use plum_core::{Plum, PlumConfig, RemapPolicy};
+        use plum_parsim::Perturbation;
         use plum_solver::WaveField;
 
         let p = FIG6_BENCH_NPROC;
@@ -811,7 +864,7 @@ mod tests {
                 cfg,
             );
             if slow {
-                plum.chaos = ChaosConfig::slowdown(p, FIG6_SLOW_RANK, FIG6_SLOW_FACTOR);
+                plum.chaos = Perturbation::slowdown(p, FIG6_SLOW_RANK, FIG6_SLOW_FACTOR);
             }
             let r = plum.adaption_cycle(crate::CASES[1].1, 0.1);
             cycle_bench("fig6", &r, p, Scale::Quick.elements())

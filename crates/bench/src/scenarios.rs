@@ -15,11 +15,11 @@
 //!   1e-9 phase-accounting invariant on every session timeline.
 
 use plum_core::{CostEstimator, CycleReport, Plum, PlumConfig, RemapPolicy};
-use plum_obs::BenchReport;
+use plum_obs::{BenchReport, Timeline};
 use plum_partition::{imbalance, weights_of};
 use plum_solver::{CostField, WaveField};
 
-use crate::report::git_sha;
+use crate::report::{git_sha, record_timeline_row};
 use crate::{initial_mesh, Scale};
 
 /// Processor count of the hotspot and dual scenario cycles.
@@ -63,15 +63,16 @@ fn hotspot_plum(scale: Scale, measured: bool) -> Plum {
 
 /// Per-cycle true-cost imbalances of one hotspot arm, plus the arm's
 /// recorded per-cycle timeline.
-fn hotspot_arm(scale: Scale, measured: bool, cycles: usize) -> (Vec<f64>, plum_obs::Timeline) {
+fn hotspot_arm(scale: Scale, measured: bool, cycles: usize) -> (Vec<f64>, Timeline) {
     let mut p = hotspot_plum(scale, measured);
+    let mut timeline = Timeline::new();
     let imbalances = (0..cycles)
         .map(|_| {
-            p.adaption_cycle(0.2, 0.05);
+            record_timeline_row(&mut timeline, &p.adaption_cycle(0.2, 0.05));
             units_imbalance(&p)
         })
         .collect();
-    (imbalances, p.timeline)
+    (imbalances, timeline)
 }
 
 /// The hotspot BENCH run. Asserts the ≥ 2× steady-state reduction the
@@ -127,7 +128,7 @@ fn particle_band(p: &Plum) -> Vec<u64> {
 /// Run the dual scenario with or without the second constraint and return
 /// the final `(fluid, particle)` per-processor imbalances plus the arm's
 /// recorded per-cycle timeline.
-fn dual_arm(scale: Scale, dual: bool, cycles: usize) -> (f64, f64, plum_obs::Timeline) {
+fn dual_arm(scale: Scale, dual: bool, cycles: usize) -> (f64, f64, Timeline) {
     let mut cfg = PlumConfig::new(SCENARIO_NPROC);
     cfg.policy = RemapPolicy::BeforeRefinement;
     let mut p = Plum::new(initial_mesh(scale), WaveField::unit_box(), cfg);
@@ -135,13 +136,14 @@ fn dual_arm(scale: Scale, dual: bool, cycles: usize) -> (f64, f64, plum_obs::Tim
     if dual {
         p.wcomp2 = Some(w2.clone());
     }
+    let mut timeline = Timeline::new();
     for _ in 0..cycles {
-        p.adaption_cycle(0.2, 0.05);
+        record_timeline_row(&mut timeline, &p.adaption_cycle(0.2, 0.05));
     }
     let (wcomp, _) = p.am.weights();
     let fluid = imbalance(&weights_of(&wcomp, &p.proc_of_root, SCENARIO_NPROC));
     let particles = imbalance(&weights_of(&w2, &p.proc_of_root, SCENARIO_NPROC));
-    (fluid, particles, p.timeline)
+    (fluid, particles, timeline)
 }
 
 /// The dual BENCH run. Asserts the scenario's acceptance criteria: both
@@ -219,6 +221,7 @@ pub fn cascade_bench(scale: Scale) -> (BenchReport, String) {
     let initial = p.am.mesh.n_elems();
 
     let mut elems = vec![initial];
+    let mut timeline = Timeline::new();
     let mut virtual_seconds = 0.0;
     let mut coarsen_seconds = 0.0;
     let mut analysis = format!(
@@ -229,6 +232,7 @@ pub fn cascade_bench(scale: Scale) -> (BenchReport, String) {
     for i in 0..2 {
         let r = p.adaption_cycle(0.3, 0.15);
         virtual_seconds += check_session(&r, &format!("refine cycle {i}"));
+        record_timeline_row(&mut timeline, &r);
         elems.push(r.counts.elements);
         analysis.push_str(&format!(
             "{:>8} {:>10} {:>9.3} {:>12.4} {:>12.4}\n",
@@ -243,6 +247,7 @@ pub fn cascade_bench(scale: Scale) -> (BenchReport, String) {
     for i in 0..2 {
         let r = p.coarsen_cycle(0.6, 0.3);
         virtual_seconds += check_session(&r, &format!("coarsen cycle {i}"));
+        record_timeline_row(&mut timeline, &r);
         assert!(r.growth <= 1.0, "coarsen cycle {i} grew: {}", r.growth);
         coarsen_seconds += r.times.coarsen;
         elems.push(r.counts.elements);
@@ -274,7 +279,7 @@ pub fn cascade_bench(scale: Scale) -> (BenchReport, String) {
         .set("cascade.final_elements", final_elems as f64)
         .set("rate.cascade.elements_removed", (peak - final_elems) as f64);
     // The refine-refine-coarsen-coarsen trajectory, one row per cycle.
-    b.timeline = Some(p.timeline.clone());
+    b.timeline = Some(timeline);
 
     analysis.push_str(&format!(
         "=> {initial} -> {peak} -> {final_elems} elements; \

@@ -23,7 +23,7 @@
 //! the bottom of this file pin that equivalence at several processor counts.
 
 use plum_adapt::{AdaptiveMesh, EdgeMarks};
-use plum_parsim::{Comm, RankResult, Session, TraceLog};
+use plum_parsim::{Comm, FaultPlan, RankResult, Session, TraceLog};
 use plum_partition::{balance_body, weights_of, Hoisted, RankLists};
 use plum_solver::{edge_error_indicator, solve};
 
@@ -161,12 +161,14 @@ impl Cycle {
         let (wcomp_now, wremap_now) = p.am.weights();
         let engine = CycleEngine::new(&p.am, &p.proc_of_root, nproc);
 
-        // The cycle's SPMD session runs on the (possibly) perturbed machine:
-        // per-rank compute multipliers and link jitter from the chaos
-        // profile, plus any transient faults scheduled for this cycle. A
-        // `ChaosConfig::none` profile makes this identical to `Session::new`.
-        let perturb = p.chaos.perturbation();
-        let plan = p.chaos.plan_for_cycle(p.cycles_run);
+        // The cycle's SPMD session runs on the (possibly) perturbed machine,
+        // under the transient faults scheduled for this cycle. A
+        // `Perturbation::none` machine and no faults make this identical to
+        // `Session::new`.
+        let mut plan = FaultPlan::none();
+        for &(_, fault) in p.cycle_faults.iter().filter(|(c, _)| *c == p.cycles_run) {
+            plan.push(fault);
+        }
         p.cycles_run += 1;
 
         // Loads are element units: leaf counts weighted by the true cost
@@ -179,7 +181,7 @@ impl Cycle {
         let units = Plum::solver_units(&wcomp_now, &p.proc_of_root, nproc, mult.as_deref());
         let (rate, capacity) = observe_capacity(&units, &p.work, &p.chaos.profile);
         let mut cycle = Cycle {
-            session: Session::with_chaos(nproc, p.cfg.machine, &perturb, plan),
+            session: Session::with_chaos(nproc, p.cfg.machine, &p.chaos, plan),
             slog: TraceLog {
                 events: vec![Vec::new(); nproc],
             },
@@ -500,10 +502,9 @@ pub(crate) fn run_coarsen_cycle(p: &mut Plum, coarse_frac: f64, dt: f64) -> Cycl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::ChaosConfig;
     use crate::{BalanceMethod, PlumConfig};
     use plum_mesh::generate::unit_box_mesh;
-    use plum_parsim::{Fault, FaultAction, TraceEvent};
+    use plum_parsim::{Fault, FaultAction, Perturbation, TraceEvent};
     use plum_solver::{CostField, WaveField};
 
     const TOL: f64 = 1e-9;
@@ -830,14 +831,14 @@ mod tests {
         );
     }
 
-    /// Satellite: an *explicitly* zero-chaos engine — `ChaosConfig::none`
-    /// (uniform rank profile, no jitter, empty fault plan) — reproduces the
+    /// Satellite: an *explicitly* zero-chaos engine — `Perturbation::none`
+    /// (uniform rank profile, no jitter) and no cycle faults — reproduces the
     /// default-constructed engine bit-exactly, measured partition times
     /// included, on the multilevel path.
     #[test]
     fn explicit_zero_chaos_reproduces_golden() {
         let mut engine = plum(8, 4, RemapPolicy::BeforeRefinement);
-        engine.chaos = ChaosConfig::none(8);
+        engine.chaos = Perturbation::none(8);
         assert!(engine.chaos.is_none());
         let mut reference = plum(8, 4, RemapPolicy::BeforeRefinement);
         for cycle in 0..2 {
@@ -856,7 +857,7 @@ mod tests {
         let nproc = 64;
         let slow = 7;
         let mut p = plum(nproc, 5, RemapPolicy::BeforeRefinement);
-        p.chaos = ChaosConfig::slowdown(nproc, slow, 2.0);
+        p.chaos = Perturbation::slowdown(nproc, slow, 2.0);
 
         let mut gap_before = None;
         let mut eff_after = f64::INFINITY;
@@ -911,7 +912,7 @@ mod tests {
         let nproc = 8;
         let mk = || {
             let mut p = plum(nproc, 4, RemapPolicy::BeforeRefinement);
-            p.chaos = ChaosConfig::slowdown(nproc, 7, 2.0);
+            p.chaos = Perturbation::slowdown(nproc, 7, 2.0);
             p.cfg.force_method = Some(BalanceMethod::Sfc);
             // A solver iteration worth far more than any movement: the
             // reshuffle is accepted.
@@ -947,18 +948,17 @@ mod tests {
     }
 
     /// A transient stall scheduled for a specific cycle lands on that
-    /// cycle's session timeline as a `Fault` event and stretches the cycle.
+    /// cycle's session timeline as a `Fault` event and stretches the cycle;
+    /// a fault keyed to cycle 1 fires in cycle 1 only.
     #[test]
     fn cycle_fault_lands_on_session_timeline() {
         let mut chaotic = plum(4, 3, RemapPolicy::BeforeRefinement);
-        chaotic.chaos.cycle_faults.push((
-            0,
-            Fault {
-                rank: 2,
-                step: 0,
-                action: FaultAction::Stall { seconds: 0.25 },
-            },
-        ));
+        let stall = |rank, step| Fault {
+            rank,
+            step,
+            action: FaultAction::Stall { seconds: 0.25 },
+        };
+        chaotic.cycle_faults = vec![(1, stall(1, 1)), (0, stall(2, 0))];
         let mut clean = plum(4, 3, RemapPolicy::BeforeRefinement);
 
         let rc = chaotic.adaption_cycle(0.3, 0.1);
@@ -988,15 +988,18 @@ mod tests {
             rc.times.total(),
             rr.times.total()
         );
-        // The fault was one-shot: the next cycle runs clean.
-        let rc2 = chaotic.adaption_cycle(0.3, 0.1);
-        assert!(rc2
-            .traces
-            .session
-            .events
-            .iter()
-            .flatten()
-            .all(|e| !matches!(e, TraceEvent::Fault { .. })));
+        // Each fault fires in its own cycle only: cycle 1 carries the one
+        // keyed to it, and cycle 2 runs clean.
+        let fault_ranks = |r: &CycleReport| -> Vec<usize> {
+            (r.traces.session.events.iter().enumerate())
+                .flat_map(|(rank, es)| es.iter().map(move |e| (rank, e)))
+                .filter(|(_, e)| matches!(e, TraceEvent::Fault { .. }))
+                .map(|(rank, _)| rank)
+                .collect()
+        };
+        assert_eq!(fault_ranks(&rc), [2]);
+        assert_eq!(fault_ranks(&chaotic.adaption_cycle(0.3, 0.1)), [1]);
+        assert!(fault_ranks(&chaotic.adaption_cycle(0.3, 0.1)).is_empty());
     }
 
     #[test]

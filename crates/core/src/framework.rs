@@ -6,10 +6,9 @@ use plum_mesh::{DualGraph, MeshCounts, TetMesh, VertexField};
 use plum_partition::{partition_kway, Graph};
 use plum_solver::{initialize_solution, CostField, SolverConfig, WaveField, NCOMP};
 
-use plum_parsim::{PhaseAgg, TraceLog};
+use plum_parsim::{Fault, Perturbation, PhaseAgg, TraceLog};
 
 use crate::balance::BalanceDecision;
-use crate::chaos::ChaosConfig;
 use crate::config::PlumConfig;
 use crate::costs::CostEstimator;
 use crate::migrate::MigrationOutcome;
@@ -204,13 +203,19 @@ pub struct Plum {
     pub proc_of_root: Vec<u32>,
     /// Physical simulation time.
     pub time: f64,
-    /// Chaos injected into every cycle's session (the test-only per-phase
-    /// oracle ignores it and stays the clean golden baseline).
-    pub chaos: ChaosConfig,
+    /// The machine every cycle's session runs on: per-rank compute
+    /// multipliers, which also stretch the modeled solver and subdivision
+    /// seconds, and link jitter. The test-only per-phase oracle ignores it
+    /// and stays the clean golden baseline.
+    pub chaos: Perturbation,
+    /// Transient faults, `(cycle, fault)`: each is injected into the
+    /// session of engine cycle `cycle`, where its `step` counts that
+    /// session's steps.
+    pub cycle_faults: Vec<(u64, Fault)>,
     /// Capacity weights the balancer uses: observed per-rank solver rates
     /// of the latest engine cycle, normalized to mean 1.0. Starts uniform.
     pub capacity: Vec<f64>,
-    /// Engine cycles run so far (indexes [`ChaosConfig::cycle_faults`]).
+    /// Engine cycles run so far (indexes [`Plum::cycle_faults`]).
     pub cycles_run: u64,
     /// True per-element cost profile of the scenario — what the
     /// pseudo-solver's per-element times actually follow. The balancer
@@ -231,13 +236,6 @@ pub struct Plum {
     /// present the balancer holds *both* constraint imbalances down
     /// simultaneously (max-of-imbalances objective).
     pub wcomp2: Option<Vec<u64>>,
-    /// Per-cycle metric trajectories, recorded automatically by
-    /// [`Plum::adaption_cycle`] and [`Plum::coarsen_cycle`]: every cycle
-    /// appends one row of that cycle's flat metrics, so multi-cycle runs
-    /// keep the full time series (method flips, imbalance trajectory,
-    /// phase times per cycle) for a `plum-bench/v2` report or a sparkline
-    /// dump. The test-only per-phase oracle does not record.
-    pub timeline: plum_obs::Timeline,
     pub(crate) solver_cfg: SolverConfig,
 }
 
@@ -264,7 +262,8 @@ impl Plum {
         let mut field = VertexField::new(NCOMP, am.mesh.vert_slots());
         initialize_solution(&am.mesh, &mut field, &wave, 0.0);
         Plum {
-            chaos: ChaosConfig::none(cfg.nproc),
+            chaos: Perturbation::none(cfg.nproc),
+            cycle_faults: Vec::new(),
             capacity: vec![1.0; cfg.nproc],
             cycles_run: 0,
             cost_field: CostField::Uniform,
@@ -272,7 +271,6 @@ impl Plum {
             root_centroid,
             observed_cost_override: None,
             wcomp2: None,
-            timeline: plum_obs::Timeline::new(),
             cfg,
             work: WorkModel::default(),
             am,
@@ -358,20 +356,7 @@ impl Plum {
     /// Runs on the session engine: one SPMD session per cycle and a
     /// continuous virtual timeline in [`CycleTraces::session`].
     pub fn adaption_cycle(&mut self, refine_frac: f64, dt: f64) -> CycleReport {
-        let report = crate::engine::run_cycle(self, refine_frac, dt);
-        self.record_timeline_row(&report);
-        report
-    }
-
-    /// Append one row of `report`'s flat metrics to [`Plum::timeline`].
-    /// Uses a fresh registry per cycle so counters are per-cycle deltas,
-    /// not running totals.
-    fn record_timeline_row(&mut self, report: &CycleReport) {
-        let mut reg = plum_obs::Registry::new();
-        report.emit_metrics(&mut reg);
-        let flat = reg.flat_metrics();
-        self.timeline
-            .record_cycle(flat.iter().map(|(k, &v)| (k.as_str(), v)));
+        crate::engine::run_cycle(self, refine_frac, dt)
     }
 
     /// Run one *coarsening* cycle: solve, mark the lowest-error edges,
@@ -381,9 +366,7 @@ impl Plum {
     /// mesh shrinks (`growth < 1.0`) instead of growing. `coarse_frac` is
     /// the fraction of live edges targeted for de-refinement.
     pub fn coarsen_cycle(&mut self, coarse_frac: f64, dt: f64) -> CycleReport {
-        let report = crate::engine::run_coarsen_cycle(self, coarse_frac, dt);
-        self.record_timeline_row(&report);
-        report
+        crate::engine::run_coarsen_cycle(self, coarse_frac, dt)
     }
 }
 
@@ -597,25 +580,6 @@ mod tests {
         second.emit_metrics(&mut s);
         assert_eq!(s.counters["cycle.count"], 2);
         assert_eq!(s.gauges["phase.marking.seconds"], second.times.marking);
-    }
-
-    #[test]
-    fn timeline_records_one_row_per_cycle() {
-        let mut p = plum(4, 4);
-        assert!(p.timeline.is_empty());
-        let first = p.adaption_cycle(0.33, 0.1);
-        p.adaption_cycle(0.33, 0.1);
-        assert_eq!(p.timeline.cycles(), 2);
-        // Gauges land as per-cycle slots...
-        let solver = p.timeline.get("phase.solver.seconds").unwrap();
-        assert_eq!(solver[0], Some(first.times.solver));
-        assert!(solver[1].is_some());
-        // ...and counters are per-cycle deltas, not running totals.
-        assert_eq!(p.timeline.get("cycle.count").unwrap(), &[Some(1.0); 2]);
-        assert!(p.timeline.get("balance.method").is_some());
-        // Coarsening cycles append to the same timeline.
-        p.coarsen_cycle(0.3, 0.1);
-        assert_eq!(p.timeline.cycles(), 3);
     }
 
     #[test]

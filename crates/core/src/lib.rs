@@ -37,7 +37,6 @@
 //! ```
 
 mod balance;
-mod chaos;
 mod config;
 mod costs;
 mod dmesh;
@@ -53,7 +52,6 @@ mod reassign_par;
 mod timing;
 
 pub use balance::{run_mapper, select_method, BalanceDecision, BalanceMethod};
-pub use chaos::ChaosConfig;
 pub use config::{Mapper, PlumConfig, RemapPolicy};
 pub use costs::CostEstimator;
 pub use dmesh::{finalize, FinalizedMesh};

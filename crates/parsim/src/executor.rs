@@ -120,6 +120,11 @@ impl Session {
     /// Like [`Session::new`], but on a perturbed machine under a fault
     /// plan. `Perturbation::none(nranks)` + `FaultPlan::none()` reproduces
     /// the unperturbed session bit-exactly.
+    ///
+    /// Panics, naming the rank (and the step, for a fault), on a compute
+    /// multiplier that is not finite and positive, a stall or delay whose
+    /// seconds are not finite and non-negative, or a slowdown factor that
+    /// is not finite and positive.
     pub fn with_chaos(
         nranks: usize,
         model: MachineModel,
@@ -127,12 +132,34 @@ impl Session {
         plan: FaultPlan,
     ) -> Self {
         assert!(nranks >= 1, "need at least one rank");
-        assert_eq!(perturb.profile.nranks(), nranks, "one multiplier per rank");
+        assert_eq!(perturb.profile.len(), nranks, "one multiplier per rank");
+        for (rank, &m) in perturb.profile.iter().enumerate() {
+            assert!(
+                m.is_finite() && m > 0.0,
+                "rank {rank}: compute multiplier {m} must be finite and > 0"
+            );
+        }
+        for f in plan.faults() {
+            let (what, value, ok, bound) = match f.action {
+                FaultAction::Stall { seconds } => ("stall seconds", seconds, seconds >= 0.0, "≥ 0"),
+                FaultAction::Slowdown { factor } => {
+                    ("slowdown factor", factor, factor > 0.0, "> 0")
+                }
+                FaultAction::DelaySpike { extra, .. } => {
+                    ("delay seconds", extra, extra >= 0.0, "≥ 0")
+                }
+            };
+            assert!(
+                ok && value.is_finite(),
+                "fault on rank {} at step {}: {what} {value} must be finite and {bound}",
+                f.rank,
+                f.step
+            );
+        }
         let sched = Rc::new(RefCell::new(SchedState::new(nranks)));
         let mut comms: Vec<Comm> = Vec::with_capacity(nranks);
-        for rank in 0..nranks {
+        for (rank, &mult) in perturb.profile.iter().enumerate() {
             let mut comm = Comm::new(rank, nranks, model, sched.clone());
-            let mult = perturb.profile.mult(rank);
             if mult != 1.0 {
                 comm.scale_flop_mult(mult);
             }
@@ -462,7 +489,7 @@ pub fn makespan<T>(results: &[RankResult<T>]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{FaultPlan, Perturbation, RankProfile};
+    use crate::chaos::{Fault, FaultPlan, Perturbation};
     use crate::deadlock::RankActivity;
     use crate::TraceLog;
 
@@ -855,11 +882,7 @@ mod tests {
 
     #[test]
     fn rank_profile_scales_compute_per_rank() {
-        let perturb = Perturbation {
-            profile: RankProfile::slowdown(2, 1, 3.0),
-            link_jitter: 0.0,
-            seed: 0,
-        };
+        let perturb = Perturbation::slowdown(2, 1, 3.0);
         let mut sess = Session::with_chaos(2, MachineModel::sp2(), &perturb, FaultPlan::none());
         let r = sess.run(vec![(), ()], |comm, ()| {
             let start = comm.now();
@@ -867,6 +890,37 @@ mod tests {
             comm.now() - start
         });
         assert!((r[1].value - 3.0 * r[0].value).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1: compute multiplier inf must be finite and > 0")]
+    fn an_infinite_multiplier_is_rejected() {
+        let mut perturb = Perturbation::none(2);
+        perturb.profile[1] = f64::INFINITY;
+        Session::with_chaos(2, MachineModel::sp2(), &perturb, FaultPlan::none());
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0: compute multiplier 0 must be finite and > 0")]
+    fn a_zero_multiplier_is_rejected() {
+        let mut perturb = Perturbation::none(2);
+        perturb.profile[0] = 0.0;
+        Session::with_chaos(2, MachineModel::sp2(), &perturb, FaultPlan::none());
+    }
+
+    /// A fault added with `push` skips no check the builders would make.
+    #[test]
+    #[should_panic(
+        expected = "fault on rank 1 at step 2: stall seconds NaN must be finite and ≥ 0"
+    )]
+    fn a_nan_stall_is_rejected() {
+        let mut plan = FaultPlan::none();
+        plan.push(Fault {
+            rank: 1,
+            step: 2,
+            action: FaultAction::Stall { seconds: f64::NAN },
+        });
+        Session::with_chaos(2, MachineModel::sp2(), &Perturbation::none(2), plan);
     }
 
     #[test]
@@ -902,9 +956,9 @@ mod tests {
     fn link_jitter_is_seeded_and_result_invariant() {
         let run = |seed: u64| {
             let perturb = Perturbation {
-                profile: RankProfile::uniform(4),
                 link_jitter: 0.3,
                 seed,
+                ..Perturbation::none(4)
             };
             let mut sess = Session::with_chaos(4, MachineModel::sp2(), &perturb, FaultPlan::none());
             let r = sess.run(vec![(); 4], |comm, ()| {

@@ -45,7 +45,7 @@ mod proptests;
 mod sched;
 pub mod trace;
 
-pub use chaos::{ChaosRng, Fault, FaultAction, FaultKind, FaultPlan, Perturbation, RankProfile};
+pub use chaos::{ChaosRng, Fault, FaultAction, FaultKind, FaultPlan, Perturbation};
 pub use clock::VirtualClock;
 pub use comm::{Comm, Tag};
 pub use deadlock::{DeadlockError, RankActivity};

@@ -5,7 +5,16 @@
 
 use proptest::prelude::*;
 
-use crate::{spmd, FaultPlan, MachineModel, Perturbation, RankProfile, Session, TraceLog};
+use crate::{spmd, ChaosRng, FaultPlan, MachineModel, Perturbation, Session, TraceLog};
+
+/// Random compute multipliers in `[1, max_factor]`, one independent draw
+/// per rank from the seeded splittable RNG.
+pub(crate) fn seeded_profile(nranks: usize, seed: u64, max_factor: f64) -> Vec<f64> {
+    let root = ChaosRng::new(seed);
+    (0..nranks)
+        .map(|r| 1.0 + root.split(r as u64).next_f64() * (max_factor - 1.0))
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -182,7 +191,7 @@ proptest! {
         jitter in 0.0f64..0.5,
     ) {
         let perturb = Perturbation {
-            profile: RankProfile::seeded(nranks, seed, 3.0),
+            profile: seeded_profile(nranks, seed, 3.0),
             link_jitter: jitter,
             seed,
         };
@@ -215,7 +224,7 @@ proptest! {
         let run = || {
             let nranks = 4;
             let perturb = Perturbation {
-                profile: RankProfile::seeded(nranks, seed, 2.0),
+                profile: seeded_profile(nranks, seed, 2.0),
                 link_jitter: 0.2,
                 seed,
             };
@@ -267,7 +276,7 @@ proptest! {
         };
         let clean = run(&Perturbation::none(nranks));
         let chaotic = run(&Perturbation {
-            profile: RankProfile::seeded(nranks, seed, 4.0),
+            profile: seeded_profile(nranks, seed, 4.0),
             link_jitter: jitter,
             seed,
         });
