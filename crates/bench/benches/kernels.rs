@@ -261,21 +261,24 @@ fn bench_session_step(c: &mut Criterion) {
 /// One distributed multilevel repartition's modeled cost, deterministic and
 /// printed once: virtual partition seconds, stages (one `Exscan` each) and
 /// how many of them were gain stages, messages and words, the rank-0 round
-/// trip's `Gather` and `Scatter` calls, and the hierarchy's coarsest size —
-/// above the coarsening target when matching stalled, which on a seeded
-/// problem skips the round trip.
+/// trip's `Gather` and `Scatter` calls, the hierarchy's coarsest size —
+/// above the coarsening target when coarsening stopped early — whether the
+/// coarse seed was diffused instead (a seeded problem that stopped early
+/// skips the round trip), and every level's size, finest first, so each
+/// contraction's shrink shows.
 fn print_multilevel(name: &str, problem: &Problem, owner: &[u32], nranks: usize) {
     let d = multilevel_run(problem, owner, nranks);
     let summary = d.trace.summary();
     let rank0 = &summary.ranks[0];
     let census = stage_census(problem, owner, nranks);
-    let coarsest = census.last().unwrap().n;
+    let sizes: Vec<usize> = census.iter().map(|level| level.n).collect();
+    let coarsest = *sizes.last().unwrap();
     let target = problem.cfg.coarsen_target();
     let gain_stages: usize = census.iter().map(|level| level.gain.len()).sum();
     println!(
         "multilevel_stage: {name}: virtual partition {:.6} s, {} stages ({gain_stages} gain), \
          {} msgs, {} words, {} gathers, {} scatters, coarsest {coarsest} after {} contractions \
-         (target {target}), stalled {}",
+         (target {target}), seed diffused {}, levels {sizes:?}",
         d.makespan,
         rank0.collective(CollectiveKind::Exscan).calls,
         summary.total_msgs(),
@@ -308,9 +311,13 @@ fn multilevel_run(problem: &Problem, owner: &[u32], nranks: usize) -> DistPartit
 /// hierarchy reaches its target, so the coarsest graph is solved on rank 0
 /// and scattered. At the `paper_p64` shape — the paper-scale dual graph
 /// (≈ 61k vertices) weighted by one remap-before Real_2 cycle, seeded with
-/// the mapping before it, P = 64 — matching stalls above the target, and
-/// the coarse seed is diffused in parallel. Each covers coarsening, the
-/// coarsest partition and the refinement stages whose per-stage collectives
+/// the mapping before it, P = 64 — the hierarchy stops above the target,
+/// at its first contraction that would keep more than three quarters of a
+/// level, and the coarse seed is diffused in parallel. The same graph with
+/// no seed is the fresh side of that rule: a fresh hierarchy coarsens on
+/// while a contraction keeps at most 95 % of its level, and its coarsest
+/// graph is solved on rank 0. Each covers coarsening, the coarsest
+/// partition and the refinement stages whose per-stage collectives
 /// `collectives_payload` prices one call at a time. The timer reports host
 /// µs per repartition; the modeled numbers are printed once.
 fn bench_multilevel_stage(c: &mut Criterion) {
@@ -335,6 +342,8 @@ fn bench_multilevel_stage(c: &mut Criterion) {
     let paper = Problem::new(&paper_g, None, None, Some(&before), &paper_caps, &paper_cfg);
     let name = format!("N={} P={PAPER_P} paper", dual.n());
     print_multilevel(&name, &paper, &before, PAPER_P);
+    let fresh = Problem::new(&paper_g, None, None, None, &paper_caps, &paper_cfg);
+    print_multilevel(&format!("{name} fresh"), &fresh, &before, PAPER_P);
 
     let mut group = c.benchmark_group("multilevel_stage");
     group.sample_size(10);
@@ -343,6 +352,9 @@ fn bench_multilevel_stage(c: &mut Criterion) {
     });
     group.bench_function("balance_distributed_p64_paper", |b| {
         b.iter(|| black_box(multilevel_run(&paper, &before, PAPER_P)))
+    });
+    group.bench_function("balance_distributed_p64_paper_fresh", |b| {
+        b.iter(|| black_box(multilevel_run(&fresh, &before, PAPER_P)))
     });
     group.finish();
 }

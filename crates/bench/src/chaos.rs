@@ -254,7 +254,7 @@ mod tests {
         let rows: Vec<_> = (run.rows.iter())
             .map(|r| (r.makespan.to_bits(), r.eff_imbalance.to_bits(), r.accepted))
             .collect();
-        assert_eq!(rows, [(0x3fc0_5898_7f97_5587, 0x3ff0_caaa_aaaa_aaac, true)]);
+        assert_eq!(rows, [(0x3fbb_1562_a42b_7be2, 0x3ff0_c7a9_1d7a_91d9, true)]);
         assert_eq!(run.nproc, 16);
         assert_eq!(run.slow_rank, 11);
         assert!(run.gap_before > 0.5, "gap {}", run.gap_before);
@@ -273,7 +273,7 @@ mod tests {
         let rows: Vec<_> = (run.rows.iter())
             .map(|r| (r.makespan.to_bits(), r.eff_imbalance.to_bits(), r.accepted))
             .collect();
-        assert_eq!(rows, [(0x3fe1_6e0c_b9b3_e47c, 0x3ff1_e4e7_b2bf_66d8, true)]);
+        assert_eq!(rows, [(0x3fe0_9a4c_3780_7de4, 0x3ff1_4f96_6b7f_ccaa, true)]);
         assert_eq!(run.nproc, 16);
         assert_eq!(run.slow_rank, 3);
         assert!(run.gap_before > 0.0, "gap {}", run.gap_before);
@@ -293,7 +293,7 @@ mod tests {
         let rows: Vec<_> = (run.rows.iter())
             .map(|r| (r.makespan.to_bits(), r.eff_imbalance.to_bits(), r.accepted))
             .collect();
-        assert_eq!(rows, [(0x3fbb_0ce6_64a6_ce32, 0x3ff0_bea4_75ea_4760, true)]);
+        assert_eq!(rows, [(0x3fb6_85a1_de59_f018, 0x3ff0_cdac_37da_c37f, true)]);
         assert_eq!(run.slow_rank, 7);
         assert!(run.recovered, "{run:?}");
         assert_eq!(run.rows.len(), 1, "must recover in the first cycle");

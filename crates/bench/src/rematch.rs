@@ -380,7 +380,7 @@ mod tests {
         let rows: Vec<_> = (run.rows.iter())
             .map(|r| (r.makespan.to_bits(), r.eff_imbalance.to_bits(), r.accepted))
             .collect();
-        assert_eq!(rows, [(0x3f96_b4c4_cb53_aa25, 0x3ff0_f11f_b159_a535, true)]);
+        assert_eq!(rows, [(0x3f96_af2d_81bb_bd58, 0x3ff0_f11f_b159_a535, true)]);
         assert_eq!(run.nproc, REMATCH_PROCS[0]);
         assert_eq!(run.slow_rank, 3);
         assert!(!run.rows.is_empty());

@@ -150,7 +150,10 @@ impl Fnv {
 /// Bruck exchange of notices, and a multilevel level's last commits began
 /// to ride the next level's first exchange; again when a level's gain
 /// stages began to end at the first one that commits under 1 % of the
-/// level's vertices), that the modeled protocol itself changed.
+/// level's vertices; again when a seeded hierarchy began to end at the
+/// first contraction keeping more than three quarters of its level, and a
+/// ghost exchange to ship values without their global ids), that the
+/// modeled protocol itself changed.
 #[test]
 fn trace_readers_are_pinned_to_the_bit() {
     let mut cfg = PlumConfig::new(8);
@@ -208,10 +211,10 @@ fn trace_readers_are_pinned_to_the_bit() {
     assert_eq!(
         (summary, phases, phase_ranks, digest),
         (
-            0xe37d_4e33_1fb8_fe53,
-            0xea23_7a28_7756_73a3,
-            0x94ff_d77e_87d1_4418,
-            0x5bc5_e10e_0dcd_c8e5
+            0x5ca1_3084_cbd3_92e5,
+            0xbe91_3c64_8310_96a9,
+            0x9b6b_28c7_16d3_2a8e,
+            0x3139_a922_372b_5b35
         ),
         "(summary, phase_breakdowns, phase_rank_breakdowns, digest JSON) FNV-1a: \
          ({summary:#018x}, {phases:#018x}, {phase_ranks:#018x}, {digest:#018x})"

@@ -28,16 +28,22 @@
 //! with the level. Matching, contraction and refinement read them; a global
 //! id appears only on the wire and in the gather to rank 0.
 //!
-//! The coarsest partition comes from rank 0 only where the hierarchy needs
-//! it. A fresh problem, or a seeded one whose matching reached the
-//! coarsening target (`max(128, 16·nparts)` vertices by default), is
-//! gathered to rank 0, partitioned with the serial kernels ([`crate::kway`],
-//! [`crate::repart`]) and scattered back with its part weights broadcast.
-//! A seeded problem whose matching stalled above the target still has many
-//! coarse vertices per part, and rank 0's serial solve would cost in
-//! proportion to all of them while every other rank waits: its coarsest
-//! partition is the coarse seed, and the refinement stages diffuse it in
-//! parallel, with no gather, scatter or broadcast.
+//! Coarsening stops at the coarsening target (`max(128, 16·nparts)`
+//! vertices by default) or at the first contraction that would keep too
+//! much of its level: more than three quarters on a seeded problem, more
+//! than 95 % on a fresh one. The coarsest partition comes from rank 0 only
+//! where the hierarchy needs it. A fresh problem, or a seeded one whose
+//! hierarchy reached the target, is gathered to rank 0, partitioned with
+//! the serial kernels ([`crate::kway`], [`crate::repart`]) and scattered
+//! back with its part weights broadcast. A seeded hierarchy that stopped
+//! above the target skips that round trip: rank 0's serial solve would
+//! cost in proportion to every coarse vertex while every other rank waits,
+//! so its coarsest partition is the coarse seed, and the refinement stages
+//! diffuse it in parallel, with no gather, scatter or broadcast. It may
+//! stop just above the target, at about 16 coarse vertices per part. That
+//! is why a seeded level must remove a quarter of its vertices to be worth
+//! its collectives, while a fresh one, whose coarsest graph rank 0 pays for
+//! vertex by vertex, coarsens on.
 //!
 //! Graphs at or below the configured coarsening target, and every
 //! two-constraint problem, skip the multilevel machinery: the rank-local
@@ -71,8 +77,9 @@ type Commits = Vec<(u32, Arc<(u64, Vec<(u32, i64)>)>)>;
 /// Multiplier on `vertex_units` for a serial solve on rank 0: one
 /// multilevel pass over each vertex of the graph it holds — a completed
 /// hierarchy's coarsest graph (at most the coarsening target), or the whole
-/// input on the gather-solve path. A stalled seeded hierarchy (4 169 coarse
-/// vertices on the paper-scale dual graph at P = 64) is not solved there.
+/// input on the gather-solve path. A seeded hierarchy that stopped above
+/// the target (9 702 coarse vertices on the paper-scale dual graph at
+/// P = 64) is not solved there.
 const HOST_UNITS_PER_VERTEX: f64 = 8.0;
 
 /// Per-stage, per-rank RNG: deterministic in `(seed, level, stage, rank)` and
@@ -238,25 +245,43 @@ impl DistGraph {
             .zip(self.adjwgt[lo..hi].iter().copied())
     }
 
-    /// A ghost exchange's send list: to each rank, `(global id, value(i))`
-    /// of every owned vertex `i` on its list.
-    fn ghost_items(&self, value: impl Fn(usize) -> u32) -> Items<(u32, u32)> {
-        let entry = |&i: &u32| (self.base + i, value(i as usize));
+    /// A ghost exchange's send list: to each rank, `value(i)` of every owned
+    /// vertex `i` on its list, in list order, declaring 4 bytes an entry.
+    /// The receiver knows which ghost each position names, so no id travels.
+    fn ghost_items(&self, value: impl Fn(usize) -> u32) -> Items<GhostEntry> {
+        let entry = |&i: &u32| GhostEntry {
+            value: value(i as usize),
+            #[cfg(debug_assertions)]
+            gid: self.base + i,
+        };
         let item = |(d, list): &(usize, Vec<u32>)| {
-            let vals: Vec<(u32, u32)> = list.iter().map(entry).collect();
-            (*d, words_for_bytes(8 * vals.len()), vals)
+            let vals: Vec<GhostEntry> = list.iter().map(entry).collect();
+            (*d, words_for_bytes(4 * vals.len()), vals)
         };
         self.send.iter().map(item).collect()
     }
 
     /// The values a ghost exchange delivered, one per ghost: the senders'
     /// lists, concatenated in rank order, name this rank's ghosts in order.
-    fn ghost_values(&self, incoming: Vec<(usize, Vec<(u32, u32)>)>) -> Vec<u32> {
-        let entries = incoming.into_iter().flat_map(|(_, list)| list);
-        let (gids, values): (Vec<u32>, Vec<u32>) = entries.unzip();
-        debug_assert_eq!(gids, self.ghosts, "ghost exchange out of order");
-        values
+    fn ghost_values(&self, incoming: Vec<(usize, Vec<GhostEntry>)>) -> Vec<u32> {
+        let entries = || incoming.iter().flat_map(|(_, list)| list);
+        #[cfg(debug_assertions)]
+        assert!(
+            entries().map(|e| e.gid).eq(self.ghosts.iter().copied()),
+            "ghost exchange out of order"
+        );
+        entries().map(|e| e.value).collect()
     }
+}
+
+/// One entry of a ghost exchange: the value its receiver reads by position.
+/// Debug builds also carry the sender's global id as undeclared host data,
+/// so a misordered send list fails [`DistGraph::ghost_values`]; virtual time
+/// reads only the declared words, which are the same in every build.
+struct GhostEntry {
+    value: u32,
+    #[cfg(debug_assertions)]
+    gid: u32,
 }
 
 /// Per-level data linking a coarse graph back to its finer parent, kept for
@@ -406,13 +431,15 @@ pub(crate) fn parallel_hem(comm: &mut Comm, dg: &DistGraph, seed: u64, level: us
 /// vertex. Three negotiation rounds: coarse ids to cross-rank partners,
 /// ghost coarse-map entries along the level's send lists, and relabelled
 /// rows of cross-rank non-representatives to the representative's owner.
-/// Returns `None` when matching stalled (< 5% global reduction), mirroring
-/// the serial stall guard; the decision replicates on every rank because it
-/// is made from the allgathered coarse counts.
+/// Returns `None` when the contraction would keep more than `keep` of the
+/// level's vertices ([`SEEDED_KEEP`] or [`FRESH_KEEP`]); the decision
+/// replicates on every rank because it is made from the allgathered coarse
+/// counts.
 pub(crate) fn contract_distributed(
     comm: &mut Comm,
     dg: &DistGraph,
     partner: &[u32],
+    keep: f64,
 ) -> Option<(DistGraph, LevelLink)> {
     let p = comm.nranks();
     let rank = comm.rank();
@@ -442,8 +469,8 @@ pub(crate) fn contract_distributed(
     for r in 0..p {
         coff[r + 1] = coff[r] + counts[r] as u32;
     }
-    if coff[p] as f64 > dg.global_n() as f64 * 0.95 {
-        return None; // matching stalled; keep the current level as coarsest
+    if coff[p] as f64 > dg.global_n() as f64 * keep {
+        return None; // the level would not pay; keep the current one as coarsest
     }
     let cbase = coff[rank];
 
@@ -479,8 +506,8 @@ pub(crate) fn contract_distributed(
             proj_in[*s].push(i as u32);
         }
     }
-    // ... then the ghosts' (round B: each rank sends `(fine gid, coarse
-    // gid)` of its owned vertices bordering rank d, to d).
+    // ... then the ghosts' (round B: each rank sends the coarse gids of its
+    // owned vertices bordering rank d, to d, in d's ghost order).
     let b_in = comm.alltoallv_sparse(dg.ghost_items(|i| coarse_of[i]));
     coarse_of.extend(dg.ghost_values(b_in));
     let relabel = |i: usize, cg: u32, row: &mut Vec<(u32, u32)>| {
@@ -1199,21 +1226,70 @@ fn solves_whole(p: &Problem) -> bool {
     p.weights().w2().is_some() || p.graph.n() <= p.cfg.coarsen_target()
 }
 
+/// A fresh hierarchy ends at the first contraction that would keep more than
+/// this share of its level — the serial kernel's stall guard. Its coarsest
+/// graph goes to rank 0, whose serial solve pays for every vertex it holds,
+/// so even a level that removes one vertex in twenty pays for its
+/// collectives: at 0.75 instead, a fresh partition of the paper-scale dual
+/// graph into 64 parts on 64 ranks (the layer bench's `paper fresh` line)
+/// stops at 9 702 coarse vertices, not 4 169, and takes 0.136 virtual s,
+/// not 0.108. Into 256 parts it tips the other way (0.161 s at 0.95,
+/// 0.142 s at 0.75): six more levels, each refined for 256 parts, cost
+/// more than the larger rank-0 solve they spare.
+pub(crate) const FRESH_KEEP: f64 = 0.95;
+
+/// A seeded hierarchy ends at the first contraction that would keep more
+/// than three quarters of its level (ParMETIS's `COARSEN_FRACTION`). A
+/// seeded hierarchy that stops above the target diffuses its coarse seed in
+/// parallel with no rank-0 solve, so a level that removes fewer than a
+/// quarter of the vertices buys little for its fixed cost: two matching
+/// exchanges, an `allgather`, three contraction exchanges, a projection and
+/// at least one refinement stage (on the paper-scale dual graph at P = 64,
+/// 10 contractions became 4).
+///
+/// The share sits close to a cliff. A hierarchy that stops above the
+/// target can stop just above it, at about 16 coarse vertices per part,
+/// where the parallel drain needs many stages to do what rank 0's serial
+/// solve does in one. `multilevel_p256`'s second contraction keeps 72.2 %
+/// of its level, 2.8 points under this share, so it reaches its target and
+/// is solved on rank 0. At 0.70 its layer-bench graph (7 986 vertices,
+/// P = 256) stops at 5 007 vertices, 20 per part, and refines in 20 stages
+/// instead of 4, which doubles the host time of a repartition; the
+/// workload's host cycle time rose 83 %. A change to matching that keeps
+/// more per contraction moves that workload across.
+const SEEDED_KEEP: f64 = 0.75;
+
+/// The share of its level a contraction may keep before the hierarchy
+/// ends there: [`SEEDED_KEEP`] for a seeded problem, [`FRESH_KEEP`] for a
+/// fresh one.
+fn keep_share(seeded: bool) -> f64 {
+    if seeded {
+        SEEDED_KEEP
+    } else {
+        FRESH_KEEP
+    }
+}
+
 /// Coarsening: parallel HEM plus negotiated contraction, level by level,
-/// until the graph is at the target or matching stalls. Returns every finer
-/// level, finest first, with its link to the next, and the coarsest graph.
+/// until the graph is at the target or a contraction would keep more than
+/// [`keep_share`] of its level. `seeded` must be replicated — whether the
+/// problem has a seed, not whether this rank's seed row is empty (an empty
+/// rank's always is). Returns every finer level, finest first, with its
+/// link to the next, and the coarsest graph.
 fn coarsen(
     comm: &mut Comm,
     mut cur: DistGraph,
     cfg: &PartitionConfig,
+    seeded: bool,
     vertex_units: f64,
 ) -> (Vec<(DistGraph, LevelLink)>, DistGraph) {
+    let keep = keep_share(seeded);
     let mut levels = Vec::new();
     while cur.global_n() > cfg.coarsen_target() {
         charge(comm, cur.local_n(), vertex_units);
         let partner = parallel_hem(comm, &cur, cfg.seed, levels.len());
         charge(comm, cur.local_n(), vertex_units);
-        match contract_distributed(comm, &cur, &partner) {
+        match contract_distributed(comm, &cur, &partner, keep) {
             Some((coarse, link)) => {
                 levels.push((cur, link));
                 cur = coarse;
@@ -1302,18 +1378,20 @@ pub(crate) fn multilevel_body(
 
     let level0 = build_level0(rank, g, lists, p.seed);
     charge(comm, level0.local_n(), vertex_units);
-    let (mut levels, mut cur) = coarsen(comm, level0, cfg, vertex_units);
+    let seeded = p.seed.is_some();
+    let (mut levels, mut cur) = coarsen(comm, level0, cfg, seeded, vertex_units);
 
-    // A seeded hierarchy that stalled above the target still has many
-    // vertices per part, enough for the parallel drain: the coarse seed is
-    // the coarsest partition, and each rank's seed weights (one visit per
+    // A seeded hierarchy that stopped above the target (where a contraction
+    // would keep more than `SEEDED_KEEP`, possibly just above the target)
+    // diffuses its seed in parallel: the coarse seed is the coarsest
+    // partition, and each rank's seed weights (one visit per
     // owned coarse vertex) ride the first stage exchange as a zero-move
     // commit, folded into `w = 0` before stage 0 reads it. Every other
     // hierarchy goes to rank 0 for the serial kernel and is scattered back.
     // Both inputs of the branch are replicated, so every rank takes the
     // same arm, empty ranks included.
-    let stalled = p.seed.is_some() && cur.global_n() > cfg.coarsen_target();
-    let (mut part, mut w, mut pending) = if stalled {
+    let stopped_above_target = seeded && cur.global_n() > cfg.coarsen_target();
+    let (mut part, mut w, mut pending) = if stopped_above_target {
         charge(comm, cur.local_n(), vertex_units);
         (
             cur.seed.clone(),
@@ -1570,7 +1648,8 @@ mod tests {
     /// P > 2): each slot round-trips through its global id, the ghosts are
     /// sorted, unique and never owned, and the send list from rank r to rank
     /// d, read as global ids, is d's ghosts owned by r in d's order — the
-    /// order [`DistGraph::ghost_values`] reads an exchange in.
+    /// order [`DistGraph::ghost_values`] reads an exchange in — and an
+    /// exchange declares 4 bytes per entry, the value alone.
     #[test]
     fn every_level_numbers_its_ghosts_once() {
         let g = &grid3d(12, 12, 8);
@@ -1587,7 +1666,7 @@ mod tests {
             for (cfg, seed) in [(stalled, Some(&prev[..])), (completed, None)] {
                 let results = spmd(p, MachineModel::zero(), move |comm| {
                     let level0 = build_level0(comm.rank(), g, lists, seed);
-                    let (levels, coarsest) = coarsen(comm, level0, &cfg, 0.0);
+                    let (levels, coarsest) = coarsen(comm, level0, &cfg, seed.is_some(), 0.0);
                     let mut all: Vec<DistGraph> = levels.into_iter().map(|(dg, _)| dg).collect();
                     all.push(coarsest);
                     all
@@ -1624,8 +1703,71 @@ mod tests {
                                 theirs.filter(|&u| dg.local(u).is_some()).collect();
                             assert_eq!(sent, mine, "{what}: send list to rank {d}");
                         }
+                        // An exchange ships one 4-byte value per list entry.
+                        let items = dg.ghost_items(|i| i as u32);
+                        let declared: Vec<(usize, u64)> =
+                            items.iter().map(|&(d, words, _)| (d, words)).collect();
+                        let lists = dg.send.iter();
+                        let expected: Vec<(usize, u64)> = lists
+                            .map(|(d, list)| (*d, words_for_bytes(4 * list.len())))
+                            .collect();
+                        assert_eq!(declared, expected, "{what}: declared words");
                     }
                 }
+            }
+        }
+    }
+
+    /// The coarsening rule on the P = 8 fixture. A seeded hierarchy keeps at
+    /// most [`SEEDED_KEEP`] of a level at every contraction, and ends at the
+    /// target or where the next contraction, tried without a stop, would
+    /// keep more — under the default target and under one (256) it reaches
+    /// first. Under the default target its levels are pinned: it stops at
+    /// 208 vertices, above the target, because 208 → 163 keeps 78 %. A
+    /// fresh hierarchy keeps the serial stall guard, [`FRESH_KEEP`]: with no
+    /// target (`coarsen_to = 1`) its levels are pinned too.
+    #[test]
+    fn a_seeded_hierarchy_ends_at_its_first_contraction_keeping_over_three_quarters() {
+        let p = 8;
+        let g = &grid3d(12, 12, 8);
+        let prev = partition_kway(g, &PartitionConfig::new(p));
+        let lists = &RankLists::build(&prev, p);
+        let caps = vec![1.0; p];
+        let default = PartitionConfig::new(p);
+        let (mut reaches, mut untargeted) = (default, default);
+        reaches.coarsen_to = 256;
+        untargeted.coarsen_to = 1;
+        let seeded = Some(&prev[..]);
+        for (cfg, seed) in [(default, seeded), (reaches, seeded), (untargeted, None)] {
+            let problem = Problem::new(g, None, None, seed, &caps, &cfg);
+            let census = stage_census(&problem, &prev, p);
+            let sizes: Vec<usize> = census.iter().map(|level| level.n).collect();
+            let results = spmd(p, MachineModel::zero(), move |comm| {
+                let level0 = build_level0(comm.rank(), g, lists, seed);
+                let (levels, coarsest) = coarsen(comm, level0, &cfg, seed.is_some(), 0.0);
+                let partner = parallel_hem(comm, &coarsest, cfg.seed, levels.len());
+                let trial = contract_distributed(comm, &coarsest, &partner, 1.0);
+                trial
+                    .expect("a contraction keeps at most its level")
+                    .0
+                    .global_n()
+            });
+            let trial = results[0].value;
+            let what = format!(
+                "hierarchy {sizes:?}, then {trial}, seeded {}",
+                seed.is_some()
+            );
+            let keep = keep_share(seed.is_some());
+            let kept = |fine: usize, coarse: usize| coarse as f64 <= keep * fine as f64;
+            assert!(sizes.windows(2).all(|l| kept(l[0], l[1])), "{what}");
+            let last = *sizes.last().unwrap();
+            assert!(last <= cfg.coarsen_target() || !kept(last, trial), "{what}");
+            if cfg.coarsen_to == 0 {
+                assert_eq!(sizes, [1152, 635, 403, 280, 208], "{what}");
+            }
+            if seed.is_none() {
+                let parent = [1152, 635, 403, 280, 208, 163, 135, 116, 105];
+                assert_eq!(sizes, parent, "{what}");
             }
         }
     }
@@ -1634,8 +1776,11 @@ mod tests {
     /// hierarchy stalls above the target (`coarsen_to = 1`, which no
     /// matching reaches) issues no gather, scatter or broadcast at all;
     /// a fresh body that stalls the same way, and a seeded body whose
-    /// hierarchy reaches the target, each gather the coarsest graph once,
-    /// scatter its parts once and broadcast its weights once.
+    /// hierarchy reaches the target (`coarsen_to = 256`: under the default
+    /// 128 the seeded hierarchy stops at 208 vertices, where its next
+    /// contraction would keep more than [`SEEDED_KEEP`]), each gather the
+    /// coarsest graph once, scatter its parts once and broadcast its
+    /// weights once.
     #[test]
     fn only_a_stalled_seeded_hierarchy_skips_the_rank0_solve() {
         let p = 8;
@@ -1646,7 +1791,8 @@ mod tests {
                 g.vwgt.to_mut()[v] = 4;
             }
         }
-        let reaches = PartitionConfig::new(p);
+        let mut reaches = PartitionConfig::new(p);
+        reaches.coarsen_to = 256;
         let mut stalls = reaches;
         stalls.coarsen_to = 1;
         let caps = vec![1.0; p];
@@ -1680,11 +1826,12 @@ mod tests {
     }
 
     /// The gain-stage exit, on a stalled seeded hierarchy and on a completed
-    /// one: every level's gain stages end either at the `refine_passes`
-    /// budget or at the first stage that commits fewer than one move per
-    /// [`GAIN_EXIT_VERTICES`] of the level's vertices machine-wide, and no
-    /// earlier gain stage fell below that. Some level must end early, so
-    /// the rule is seen to fire.
+    /// one (`coarsen_to = 256`, a target the seeded hierarchy reaches before
+    /// [`SEEDED_KEEP`] stops it): every level's gain stages end either at
+    /// the `refine_passes` budget or at the first stage that commits fewer
+    /// than one move per [`GAIN_EXIT_VERTICES`] of the level's vertices
+    /// machine-wide, and no earlier gain stage fell below that. Some level
+    /// must end early, so the rule is seen to fire.
     #[test]
     fn a_level_ends_at_its_first_gain_stage_under_one_percent() {
         let p = 8;
@@ -1695,7 +1842,8 @@ mod tests {
                 g.vwgt.to_mut()[v] = 4;
             }
         }
-        let completed = PartitionConfig::new(p);
+        let mut completed = PartitionConfig::new(p);
+        completed.coarsen_to = 256;
         let mut stalled = completed;
         stalled.coarsen_to = 1;
         let caps = vec![1.0; p];

@@ -460,7 +460,7 @@ pub(crate) fn partition_kway_impl(
     let mut cur = g.clone();
     while cur.n() > cfg.coarsen_target() {
         let (coarse, cmap) = coarsen_once(&cur, &mut rng);
-        // Stop if coarsening stalls (< 10% reduction).
+        // Stop if coarsening stalls (< 5% reduction).
         if coarse.n() as f64 > cur.n() as f64 * 0.95 {
             break;
         }

@@ -12,7 +12,7 @@ use plum_parsim::{spmd, MachineModel};
 use crate::balance::{balance, balance_distributed, multilevel, BalanceMethod, Problem, RankLists};
 use crate::distributed::{
     apply_delta, build_level0, contract_distributed, inflow_quota, inflow_quota_greedy, merge_add,
-    merge_delta, parallel_hem, row_words, DistGraph,
+    merge_delta, parallel_hem, row_words, DistGraph, FRESH_KEEP,
 };
 use crate::graph::Graph;
 use crate::kway::{capacity_fractions, part_ceilings, partition_kway, PartitionConfig};
@@ -158,7 +158,7 @@ proptest! {
                     }
                 }
                 let internal2 = comm.allreduce_sum_u64(internal2);
-                match contract_distributed(comm, &cur, &partner) {
+                match contract_distributed(comm, &cur, &partner, FRESH_KEEP) {
                     Some((coarse, _)) => {
                         cur = coarse;
                         let (v, e) = vtot(comm, &cur);

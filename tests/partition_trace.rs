@@ -174,15 +174,20 @@ fn fnv(xs: &[u32]) -> u64 {
 /// stages began to end at the first one that commits fewer than one move
 /// per 100 of the level's vertices: events 17 434 → 12 970, msgs
 /// 6 573 → 4 917, Σ words 86 944 → 68 606, makespan 17.1 → 14.3 ms, and
-/// the partition changed with the stages it no longer runs. A change here
-/// is a change to the model, not to the host.
+/// the partition changed with the stages it no longer runs. The first
+/// multilevel row again (Σ words, makespan) when a ghost exchange began to
+/// ship values only, 4 bytes an entry in place of an 8-byte `(global id,
+/// value)` pair: Σ words 68 606 → 58 222, makespan 14.327 → 14.280 ms.
+/// Its hierarchy reaches the target before any contraction keeps more than
+/// three quarters of a level, so nothing else moved. A change here is a
+/// change to the model, not to the host.
 #[test]
 fn partition_phase_virtual_footprint_is_pinned() {
     use BalanceMethod::*;
     // (method, dual, events, msgs, Σ words, makespan bits, FNV of new_proc)
     #[rustfmt::skip]
     let table: [(BalanceMethod, bool, usize, u64, u64, u64, u64); 12] = [
-        (Multilevel, false, 12_970, 4_917, 68_606, 0x3f8d_5767_f0d5_147a, 0x31d5_8846_f2f4_c843),
+        (Multilevel, false, 12_970, 4_917, 58_222, 0x3f8d_3f0c_2f63_44aa, 0x31d5_8846_f2f4_c843),
         (Multilevel, true, 764, 126, 11_742, 0x3f8a_3141_6b85_342c, 0xea3f_6f8b_b965_6fe8),
         (SfcDiffusion, false, 1_151, 384, 8_229, 0x3f35_425c_70ef_2b70, 0x5c9f_72cc_10de_c84c),
         (SfcDiffusion, true, 1_151, 384, 11_414, 0x3f39_355b_2b9f_c0f0, 0x8eb5_cc6c_3e2e_dc69),
