@@ -219,17 +219,21 @@ impl AdaptiveMesh {
         };
         let (mut lo, mut hi) = (0usize, target);
         // Invariant: count_for(lo) ≤ target (lo=0 trivially); shrink hi until
-        // the bracket is tight.
+        // the bracket is tight. Both ends keep the count their probe found.
+        let (mut at_lo, mut at_hi) = (0, None);
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
-            if count_for(mid) > target {
-                hi = mid;
+            let count = count_for(mid);
+            if count > target {
+                (hi, at_hi) = (mid, Some(count));
             } else {
-                lo = mid;
+                (lo, at_lo) = (mid, count);
             }
         }
-        // Choose whichever bracket end lands closer to the target.
-        let k = if target.abs_diff(count_for(lo)) <= target.abs_diff(count_for(hi)) {
+        // Choose whichever bracket end lands closer to the target; `hi` is
+        // probed here only if the search never moved it.
+        let at_hi = at_hi.unwrap_or_else(|| count_for(hi));
+        let k = if target.abs_diff(at_lo) <= target.abs_diff(at_hi) {
             lo
         } else {
             hi
@@ -499,6 +503,62 @@ mod tests {
         assert_eq!(seen, ids, "ascending, nothing else set");
         assert!(!marks.is_marked(EdgeId::from_idx(62)));
         assert!(!marks.is_marked(EdgeId::from_idx(100_000)), "past the end");
+    }
+
+    /// The threshold search as it was before its bracket ends kept their
+    /// counts: it probes both ends again after the loop.
+    fn threshold_reprobing_the_bracket(am: &AdaptiveMesh, error: &[f64], frac: f64) -> f64 {
+        let mut vals: Vec<f64> = am.mesh.edges().map(|e| error[e.idx()]).collect();
+        vals.sort_unstable_by(f64::total_cmp);
+        let n = vals.len();
+        let target = (n as f64 * frac).round() as usize;
+        let value = |k: usize| match k {
+            0 => f64::INFINITY,
+            k if k >= n => f64::NEG_INFINITY,
+            k => vals[n - k - 1],
+        };
+        if target == 0 {
+            return f64::INFINITY;
+        }
+        let count_for = |k: usize| {
+            if k == 0 {
+                return 0;
+            }
+            let mut marks = am.mark_above(error, value(k));
+            am.upgrade_to_fixpoint(&mut marks);
+            marks.count()
+        };
+        let (mut lo, mut hi) = (0usize, target);
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            if count_for(mid) > target {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        let closer = target.abs_diff(count_for(lo)) <= target.abs_diff(count_for(hi));
+        value(if closer { lo } else { hi })
+    }
+
+    /// The search reuses the counts its bracket ends were probed at and
+    /// returns, to the bit, what re-probing them returned — on a 3×3×3 box
+    /// with a scrambled error field, at fractions from none to all.
+    #[test]
+    fn threshold_search_is_pinned_on_a_fixture() {
+        let am = AdaptiveMesh::new(unit_box_mesh(3));
+        let error: Vec<f64> = (0..am.mesh.edge_slots() as u64)
+            .map(|i| (i.wrapping_mul(2_654_435_761) % 1_000) as f64 / 1_000.0)
+            .collect();
+        for frac in [0.0, 0.004, 0.01, 0.05, 0.2, 0.33, 0.6, 0.9, 1.0] {
+            let got = am.threshold_for_final_fraction(&error, frac);
+            let want = threshold_reprobing_the_bracket(&am, &error, frac);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "frac {frac}: {got} vs {want}"
+            );
+        }
     }
 
     #[test]

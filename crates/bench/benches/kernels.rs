@@ -5,7 +5,8 @@
 //! codec (Fig. 5), the simulator's own layers (session step, large-payload
 //! and sparse-row collectives, store-and-forward beside direct bulk
 //! exchange), one whole multilevel repartition at the `multilevel_p256`
-//! shape, and one remap phase at the `paper_p64` shape.
+//! shape, the SFC-diffusion body at the `weak_p2048` and fig6_mild shapes,
+//! and one remap phase at the `paper_p64` shape.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
@@ -559,49 +560,122 @@ fn bench_migrate(c: &mut Criterion) {
     group.finish();
 }
 
-/// One replicated-arithmetic balancer body — SFC boundary diffusion, the
-/// `weak_p2048` workload's method — as a session step at P = 2048 over
-/// N = 32 768 vertices (16 per rank), partition hoisted outside the timed
-/// region. Each rank's host work is the step itself plus what it does to
-/// find its 16 vertices, which is what this case puts a number on: with a
-/// replicated owner array every rank scanned all N (P·N = 67 M reads per
-/// step); with rank lists it reads its own. Compare against
-/// `session_step/compute_step_p256` scaled by 8 for the step's own cost.
-/// The step's modeled cost — virtual seconds and declared words, one
-/// exchange whose home ranks check what lands on them — is deterministic
-/// and printed once; the timer reports the host's.
-fn bench_replicated_body(c: &mut Criterion) {
+/// The balancing problem `weak_p2048` hands its second cycle at seed 0:
+/// 16 elements per rank at P = 2048 (the `plum-e2e` recipe), one cycle run,
+/// then the next cycle's solve, marking and exact prediction as the engine
+/// makes them. Returns the graph, keys, seed partition and configuration.
+fn weak_cycle1() -> (Graph<'static>, Vec<u64>, Vec<u32>, PartitionConfig) {
+    use plum_core::RemapPolicy;
+    use plum_mesh::generate::box_dims_for_elements;
+    use plum_solver::{edge_error_indicator, solve, SolverConfig};
     const P: usize = 2048;
-    const N: usize = 32_768;
-    let vwgt: Vec<u64> = (0..N).map(|v| if v < N / 5 { 17 } else { 16 }).collect();
-    let g = Graph::from_csr(vec![0; N + 1], Vec::new(), vwgt);
-    let keys: Vec<u64> = (0..N as u64).collect();
-    let prev: Vec<u32> = (0..N).map(|v| (v * P / N) as u32).collect();
-    let caps = vec![1.0; P];
-    let cfg = PartitionConfig::new(P);
-    let problem = Problem::new(&g, None, Some(&keys), Some(&prev), &caps, &cfg);
-    let method = BalanceMethod::SfcDiffusion;
-    let lists = RankLists::build(&prev, P);
-    let hoisted = method.hoist(&problem, P);
-    let body =
-        |comm: &mut Comm| balance_body(method, comm, &problem, &lists, 16.0, hoisted.as_ref());
-    let mut fresh = Session::new(P, MachineModel::sp2());
-    let mut results = fresh.run(vec![(); P], |comm, ()| body(comm));
-    let words = TraceLog::from_results(&mut results).summary().total_words();
-    println!(
-        "  replicated_body_p2048: {:.3} virtual ms, {words} words per step",
-        fresh.now() * 1e3
+    let (nx, ny, nz) = box_dims_for_elements(16 * P);
+    let mut cfg = PlumConfig::new(P);
+    cfg.policy = RemapPolicy::BeforeRefinement;
+    cfg.force_method = Some(BalanceMethod::SfcDiffusion);
+    cfg.imbalance_trigger = 1.01;
+    let mesh = box_mesh(nx, ny, nz, [0.0; 3], [1.0; 3]);
+    let mut plum = Plum::new(mesh, WaveField::unit_box(), cfg);
+    plum.adaption_cycle(0.05, 0.1);
+    let mut field = plum.field.clone();
+    solve(
+        &plum.am.mesh,
+        &mut field,
+        &plum.wave,
+        plum.time + 0.1,
+        &SolverConfig::default(),
     );
-    let mut session = Session::new(P, MachineModel::sp2());
-    let mut group = c.benchmark_group("balance_body");
+    let error = edge_error_indicator(&plum.am.mesh, &field);
+    let threshold = plum.am.threshold_for_final_fraction(&error, 0.05);
+    let mut marks = plum.am.mark_above(&error, threshold);
+    plum.am.upgrade_to_fixpoint(&mut marks);
+    let wcomp = plum.cost_est.weights(&plum.am.predict(&marks).wcomp);
+    let g = Graph::from_csr(plum.dual.xadj.clone(), plum.dual.adjncy.clone(), wcomp);
+    let mut pcfg = plum.cfg.partition;
+    pcfg.nparts = P;
+    (g, plum.sfc_keys.clone(), plum.proc_of_root.clone(), pcfg)
+}
+
+/// fig6_mild's problem at P = 64 (the quick fig6 mesh, a fifth of it at
+/// weight 17 against 16, seeded by a count-balanced k-way partition).
+fn mild_p64() -> (Graph<'static>, Vec<u64>, Vec<u32>, PartitionConfig) {
+    use plum_mesh::SfcCurve;
+    const P: usize = 64;
+    let mesh = initial_mesh(Scale::Quick);
+    let dual = DualGraph::build(&mesh);
+    let keys = plum_mesh::sfc::element_keys(&mesh, &dual.elem_of, SfcCurve::Hilbert);
+    let n = dual.n();
+    let vwgt: Vec<u64> = (0..n).map(|v| if v < n / 5 { 17 } else { 16 }).collect();
+    let uniform = Graph::from_csr(dual.xadj.clone(), dual.adjncy.clone(), vec![1; n]);
+    let seed = partition_kway(&uniform, &PartitionConfig::new(P));
+    let g = Graph::from_csr(dual.xadj.clone(), dual.adjncy.clone(), vwgt);
+    (g, keys, seed, PartitionConfig::new(P))
+}
+
+/// The SFC-diffusion body — the granularity-aware transport, a distributed
+/// body — on the `weak_p2048` cycle-1 problem at P = 2048 and on fig6_mild's
+/// at P = 64, vertices owned by their seed parts as in the engine. The
+/// modeled cost is deterministic and printed once per problem: virtual
+/// partition seconds, calls per collective kind (gather, allgather, bcast
+/// and scatter read 0: no rank touches O(N) or O(P) data), messages, words,
+/// and the binding imbalance before and after beside the granularity bound
+/// `(avg + w_max) / avg`. The timer reports host µs per call.
+fn bench_sfc_diffusion_body(c: &mut Criterion) {
+    use plum_parsim::CollectiveKind::*;
+    let mut group = c.benchmark_group("sfc_diffusion_body");
     group.sample_size(10);
-    group.bench_function("replicated_body_p2048", |b| {
-        b.iter(|| {
-            session.run(vec![(); P], |comm, ()| {
-                black_box(body(comm));
+    for (name, (g, keys, seed, cfg)) in [
+        ("weak_p2048_cycle1", weak_cycle1()),
+        ("fig6_mild_p64", mild_p64()),
+    ] {
+        let p = cfg.nparts;
+        let caps = vec![1.0; p];
+        let problem = Problem::new(&g, None, Some(&keys), Some(&seed), &caps, &cfg);
+        let method = BalanceMethod::SfcDiffusion;
+        let lists = RankLists::build(&seed, p);
+        let body = |comm: &mut Comm| balance_body(method, comm, &problem, &lists, 16.0, None);
+        let mut fresh = Session::new(p, MachineModel::sp2());
+        let mut results = fresh.run(vec![(); p], |comm, ()| body(comm));
+        let part = lists.assemble(results.iter().map(|r| &r.value[..]));
+        let summary = TraceLog::from_results(&mut results).summary();
+        let calls = |kind| {
+            summary
+                .ranks
+                .iter()
+                .map(|r| r.collective(kind).calls)
+                .max()
+                .unwrap_or(0)
+        };
+        let imbalance = |part: &[u32]| problem.weights().imbalance(part, p, &caps);
+        let total: u64 = g.vwgt.iter().sum();
+        let avg = total as f64 / p as f64;
+        let bound = (avg + *g.vwgt.iter().max().unwrap() as f64) / avg;
+        println!(
+            "  sfc_diffusion_body {name}: {:.3} virtual ms; calls gather {} allgather {} \
+             bcast {} scatter {} allreduce {} exscan {} alltoallv {}; {} msgs, {} words; \
+             imbalance {:.3} -> {:.3} (bound {bound:.3})",
+            fresh.now() * 1e3,
+            calls(Gather),
+            calls(Allgather),
+            calls(Bcast),
+            calls(Scatter),
+            calls(Allreduce),
+            calls(Exscan),
+            calls(Alltoallv),
+            summary.total_msgs(),
+            summary.total_words(),
+            imbalance(&seed),
+            imbalance(&part),
+        );
+        let mut session = Session::new(p, MachineModel::sp2());
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                session.run(vec![(); p], |comm, ()| {
+                    black_box(body(comm));
+                })
             })
-        })
-    });
+        });
+    }
     group.finish();
 }
 
@@ -637,7 +711,7 @@ criterion_group!(
     bench_session_step,
     bench_multilevel_stage,
     bench_collectives_payload,
-    bench_replicated_body,
+    bench_sfc_diffusion_body,
     bench_migrate,
     bench_trace_aggregation
 );

@@ -35,7 +35,7 @@
 //! analysis.
 //!
 //! `fig6_mild` emits `BENCH_fig6_mild.json`: the portfolio's mild-imbalance
-//! regime, where the policy must select SFC boundary diffusion and its
+//! regime, where the policy must select SFC diffusion and its
 //! partition phase must stay a small fraction of the multilevel kernel's —
 //! the companion regression gate to the heavy fig6 cycle.
 //!

@@ -58,6 +58,17 @@ impl Scale {
 /// The three refinement strategies of §5: fraction of edges targeted.
 pub const CASES: [(&str, f64); 3] = [("Real_1", 0.05), ("Real_2", 0.33), ("Real_3", 0.60)];
 
+/// The granularity bound `(avg + w_max) / avg` of `weights` spread over
+/// `nparts` parts: the imbalance of a part holding its average share plus
+/// the heaviest vertex. An imbalance divided by it (`imbalance_norm`) reads
+/// about 1 where no balancer can do better — 16 elements per rank — and
+/// well above 1 where a balancer stopped short.
+pub fn granularity_bound(weights: &[u64], nparts: usize) -> f64 {
+    let avg = weights.iter().sum::<u64>() as f64 / nparts as f64;
+    let w_max = weights.iter().copied().max().unwrap_or(0) as f64;
+    (avg + w_max) / avg
+}
+
 /// Build the synthetic stand-in for the paper's initial rotor mesh.
 pub fn initial_mesh(scale: Scale) -> TetMesh {
     let (nx, ny, nz) = box_dims_for_elements(scale.elements());

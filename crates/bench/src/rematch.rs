@@ -5,7 +5,9 @@
 //! and without an injected 2× rank slowdown. Contenders:
 //!
 //! * **multilevel** — PLUM's global repartitioner (the paper's position),
-//! * **sfc_diffusion** — first-order SFC boundary diffusion (PR 6),
+//! * **sfc_diffusion** — the SFC transport: each part's excess over its
+//!   share, matched to the room below the other parts' shares by prefix
+//!   sums,
 //! * **diffusion2** — second-order (Chebyshev) diffusion over the
 //!   rank-adjacency graph,
 //! * **voronoi** — Voronoi / centroid-shift balancing in SFC key space.
@@ -101,6 +103,9 @@ pub struct RematchCell {
     /// Capacity-weighted effective imbalance after the last cycle
     /// (equals the raw imbalance when no rank is slowed).
     pub imbalance_after: f64,
+    /// `imbalance_after` over the final weights' granularity bound
+    /// ([`crate::granularity_bound`]).
+    pub imbalance_norm: f64,
     /// Residual-imbalance penalty in virtual seconds: what the leftover
     /// imbalance costs in solver time over the next adaption epoch,
     /// `T_iter · N_adapt · (Ŵ_max − Ŵ_avg)` on effective loads.
@@ -173,6 +178,7 @@ pub fn rematch_cell(method: BalanceMethod, nproc: usize, chaos: bool) -> Rematch
         .map(|(&w, &c)| w as f64 / c)
         .fold(0.0f64, f64::max);
     let eff_avg = load.iter().map(|&w| w as f64).sum::<f64>() / capacity.iter().sum::<f64>();
+    let imbalance_norm = imbalance_after / crate::granularity_bound(&wcomp, plum.cfg.nproc);
     let cost = &plum.cfg.cost;
     let residual_seconds = cost.t_iter * cost.n_adapt as f64 * (eff_max - eff_avg).max(0.0);
     RematchCell {
@@ -184,6 +190,7 @@ pub fn rematch_cell(method: BalanceMethod, nproc: usize, chaos: bool) -> Rematch
         partition_seconds,
         moved_elems,
         imbalance_after,
+        imbalance_norm,
         residual_seconds,
         score: virtual_seconds + residual_seconds,
         shape,
@@ -238,6 +245,7 @@ pub fn rematch_bench() -> (BenchReport, String) {
             .set(&k("partition_seconds"), c.partition_seconds)
             .set(&k("moved_elems"), c.moved_elems as f64)
             .set(&k("imbalance_after"), c.imbalance_after)
+            .set(&format!("info.{}", k("imbalance_norm")), c.imbalance_norm)
             .set(&k("score_seconds"), c.score);
         c.shape.emit(&mut b, &format!(".p{}{arm}", c.nproc));
     }

@@ -297,6 +297,10 @@ pub fn fig6_mild_bench(scale: Scale) -> (BenchReport, String) {
         .set("partition.sfc_diffusion.seconds", diff.makespan)
         .set("partition.ratio_vs_multilevel", diff.makespan / ml.makespan)
         .set("info.balance.imbalance_old", imb_old)
+        .set(
+            "info.balance.imbalance_norm",
+            imb_new / crate::granularity_bound(&vwgt, p),
+        )
         .set("info.partition.multilevel.seconds", ml.makespan);
 
     let analysis = format!(
@@ -358,6 +362,10 @@ pub struct WeakscalePoint {
     pub reassign_words: u64,
     /// Words the busiest rank put on the wire in the partition phase.
     pub partition_max_rank_words: u64,
+    /// Capacity-weighted imbalance after the cycle, and the same over the
+    /// final weights' granularity bound ([`crate::granularity_bound`]).
+    pub imbalance_after: f64,
+    pub imbalance_norm: f64,
     /// Virtual time of single collectives at this P (deterministic).
     pub collectives: CollectiveProbes,
 }
@@ -418,7 +426,7 @@ fn collective_probes(p: usize) -> CollectiveProbes {
 
 /// Run `reps` full adaption cycles at `nproc` ranks on a mesh of
 /// `nproc * elems_per_rank` initial elements, with the balancer pinned to
-/// SFC boundary diffusion (the O(log P) path — the multilevel kernel's
+/// SFC diffusion (the O(log P) path — the multilevel kernel's
 /// coarsest-graph gather would dominate at these P) and a trigger low
 /// enough that balancing always runs.
 ///
@@ -453,12 +461,15 @@ pub fn weakscale_point(nproc: usize, elems_per_rank: usize, reps: usize) -> Weak
         );
         let t0 = Instant::now();
         let r = plum.adaption_cycle(0.05, 0.1);
-        (r, t0.elapsed().as_secs_f64())
+        let wall = t0.elapsed().as_secs_f64();
+        let imbalance = crate::chaos::capacity_imbalance(&plum, &r);
+        let bound = crate::granularity_bound(&plum.am.weights().0, nproc);
+        (r, wall, (imbalance, imbalance / bound))
     };
 
-    let (r, mut wall_seconds) = run_once();
+    let (r, mut wall_seconds, (imbalance_after, imbalance_norm)) = run_once();
     for _ in 1..reps {
-        let (r2, w2) = run_once();
+        let (r2, w2, _) = run_once();
         // Every phase time is virtual and must be bit-identical between
         // reps. `Debug` prints each f64 in its shortest round-trip form, so
         // equal text is equal bits.
@@ -490,6 +501,8 @@ pub fn weakscale_point(nproc: usize, elems_per_rank: usize, reps: usize) -> Weak
         reassign_seconds: reassign.elapsed(),
         reassign_words: reassign.words,
         partition_max_rank_words,
+        imbalance_after,
+        imbalance_norm,
         collectives: collective_probes(nproc),
     }
 }
@@ -584,6 +597,14 @@ pub fn weakscale_bench(quick: bool) -> (BenchReport, String) {
             .set(
                 &format!("rate.sim.cycles_per_sec.p{p}"),
                 1.0 / pt.virtual_seconds,
+            )
+            .set(
+                &format!("info.balance.p{p}.imbalance_after"),
+                pt.imbalance_after,
+            )
+            .set(
+                &format!("info.balance.p{p}.imbalance_norm"),
+                pt.imbalance_norm,
             )
             .set(
                 &format!("info.sim.wall_seconds_per_cycle.p{p}"),

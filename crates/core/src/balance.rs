@@ -138,8 +138,9 @@ pub(crate) fn evaluate_balance(
 ///    nearest runnable method when the pinned one needs keys or a seed that
 ///    is absent.
 /// 2. **Mild:** SFC keys present, previous partition seedable, and the
-///    effective imbalance ≤ `cfg.sfc_threshold` — shift curve-range
-///    boundaries instead of repartitioning ([`BalanceMethod::SfcDiffusion`]).
+///    effective imbalance ≤ `cfg.sfc_threshold` — transport the parts'
+///    excess from the seed instead of repartitioning
+///    ([`BalanceMethod::SfcDiffusion`]).
 ///    Under two constraints the *binding* one (whichever is further from
 ///    balance) is measured.
 /// 3. **Otherwise** the multilevel kernel, [`BalanceMethod::Multilevel`]

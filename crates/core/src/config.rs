@@ -54,7 +54,7 @@ pub struct PlumConfig {
     /// Partitioner settings (its `nparts` is overridden to `P·F`).
     pub partition: PartitionConfig,
     /// Portfolio policy: a triggered cycle whose effective imbalance is at
-    /// most this is mild enough for SFC boundary diffusion instead of a
+    /// most this is mild enough for SFC diffusion instead of a
     /// full repartition (Cubism's diffusion-below-threshold rule). Needs
     /// SFC keys and a seedable previous partition; any other cycle takes
     /// the multilevel kernel.
@@ -63,8 +63,8 @@ pub struct PlumConfig {
     pub sfc_curve: SfcCurve,
     /// Pin the portfolio to one method (benchmarks and differential tests);
     /// `None` lets the policy pick per cycle, and it picks only SFC
-    /// boundary diffusion or multilevel. Codes 1–6: multilevel, SFC
-    /// boundary diffusion, SFC split, knapsack, second-order diffusion,
+    /// diffusion or multilevel. Codes 1–6: multilevel, SFC diffusion, SFC
+    /// split, knapsack, second-order diffusion,
     /// Voronoi — the last four run only when forced.
     pub force_method: Option<BalanceMethod>,
 }

@@ -810,7 +810,7 @@ mod tests {
     }
 
     /// Acceptance criterion: on the same mesh and cycle, the measured SFC
-    /// boundary-diffusion partition phase undercuts the multilevel phase by
+    /// diffusion partition phase undercuts the multilevel phase by
     /// at least 5× — the saving the portfolio's mild branch banks.
     #[test]
     fn diffusion_partition_phase_is_5x_cheaper_than_multilevel() {

@@ -24,7 +24,8 @@
 //!   messages, the broadcast half sized from the result.
 //! * `exscan` — exclusive prefix: an up-sweep of subtree totals and a
 //!   down-sweep of prefixes on the same tree, `2(P-1)` messages, each sized
-//!   from the total or prefix it carries.
+//!   from the total or prefix it carries; `exscan_total` also carries the
+//!   root's total down, so every rank learns it with its prefix.
 //! * `barrier` — dissemination, `P·ceil(log2 P)` one-word messages.
 //! * `alltoallv` / `alltoallv_sparse` — Bruck-style store-and-forward in
 //!   `ceil(log2 P)` rounds of one combined message per rank per round,
@@ -339,6 +340,53 @@ impl Comm {
         }
         self.collective_exit(CollectiveKind::Exscan);
         prefix
+    }
+
+    /// [`Comm::exscan`] that also hands every rank the fold of all ranks:
+    /// the root's up-sweep total rides down beside each prefix, so the same
+    /// `2(P-1)` messages deliver both, a down message declaring `words` of
+    /// its prefix plus `words` of the total. Returns `(prefix, total)`.
+    pub fn exscan_total<T, F>(
+        &mut self,
+        words: impl Fn(&T) -> u64,
+        value: T,
+        op: F,
+    ) -> (Option<T>, T)
+    where
+        T: Clone + Send + 'static,
+        F: Fn(&T, &T) -> T,
+    {
+        self.collective_enter(CollectiveKind::Exscan);
+        let p = self.nranks();
+        let rank = self.rank();
+        let mut below: Vec<T> = Vec::new();
+        let mut total = value;
+        let mut mask = 1;
+        while mask < p && rank & mask == 0 {
+            if rank + mask < p {
+                let child: T = self.recv(rank + mask, TAG_EXSCAN);
+                let with_child = op(&total, &child);
+                below.push(std::mem::replace(&mut total, with_child));
+            }
+            mask <<= 1;
+        }
+        let (prefix, all) = if rank != 0 {
+            self.send(rank - mask, TAG_EXSCAN, words(&total), total);
+            let (prefix, all): (T, T) = self.recv(rank - mask, TAG_EXSCAN);
+            (Some(prefix), all)
+        } else {
+            (None, total)
+        };
+        for (k, kept) in below.into_iter().enumerate().rev() {
+            let down = match &prefix {
+                Some(before) => op(before, &kept),
+                None => kept,
+            };
+            let size = words(&down) + words(&all);
+            self.send(rank + (1 << k), TAG_EXSCAN, size, (down, all.clone()));
+        }
+        self.collective_exit(CollectiveKind::Exscan);
+        (prefix, all)
     }
 
     /// Allreduce with `f64` addition.
@@ -831,6 +879,29 @@ mod tests {
                     to as u64
                 };
                 assert_eq!(words, 100 + carried, "exscan p={p} {from}->{to}");
+            }
+
+            // exscan_total: the same messages, each down message also
+            // carrying the total.
+            let r = spmd(p, MachineModel::sp2(), |comm| {
+                comm.exscan_total(list_words, vec![comm.rank() as u64], |a, b| {
+                    concat(a.clone(), b.clone())
+                })
+            });
+            for x in &r {
+                let below = (x.rank > 0).then(|| (0..x.rank as u64).collect::<Vec<_>>());
+                assert_eq!(x.value.0, below, "exscan_total p={p} rank={}", x.rank);
+                assert_eq!(x.value.1, all, "exscan_total p={p} rank={}", x.rank);
+            }
+            let sent = sends(&r);
+            assert_eq!(sent.len(), 2 * (p - 1), "exscan_total p={p}");
+            for (from, to, words) in sent {
+                let carried = if to < from {
+                    subtree(from, p)
+                } else {
+                    to as u64 + 100 + p as u64
+                };
+                assert_eq!(words, 100 + carried, "exscan_total p={p} {from}->{to}");
             }
 
             // allgather: gather + bcast skeleton, raw entries on the wire.

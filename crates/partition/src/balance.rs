@@ -25,7 +25,7 @@ use crate::kway::{
 };
 use crate::metrics::weights_of;
 use crate::repart::{repartition_diffuse, repartition_kway_impl};
-use crate::sfc::{sfc_diffuse, sfc_partition};
+use crate::sfc::{sfc_partition, sfc_transport, transport_body, Shares};
 use crate::voronoi::voronoi;
 use crate::weights::Weights;
 
@@ -33,20 +33,23 @@ use crate::weights::Weights;
 ///
 /// They span the spectrum production AMR stacks use: the paper's multilevel
 /// diffusive repartitioner for heavy, locality-sensitive rebalances; a full
-/// SFC split when geometry suffices; SFC boundary diffusion when the
-/// imbalance is mild enough that shifting a few range boundaries repairs it
-/// (Cubism's rule); LPT knapsack packing for the extreme-imbalance,
-/// locality-insensitive regime (AMReX's `makeKnapSack`); plus the two
+/// SFC split when geometry suffices; SFC diffusion — a prefix-sum
+/// transport of each part's excess over its share — when the imbalance is
+/// mild enough to repair from the seed (Cubism's rule); LPT knapsack
+/// packing for the extreme-imbalance, locality-insensitive regime (AMReX's
+/// `makeKnapSack`); plus the two
 /// classical local schemes the paper rematches against: second-order
 /// diffusion over the rank-adjacency graph and Voronoi cell-growth on the
 /// SFC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BalanceMethod {
     /// Multilevel diffusive graph repartitioning (the paper's §4.2 kernel);
-    /// partitions fresh without a seed. The one genuinely distributed body.
+    /// partitions fresh without a seed. A distributed body.
     Multilevel,
-    /// 1D-SFC boundary diffusion from the seed partition. Needs keys and a
-    /// seed.
+    /// Granularity-aware SFC transport from the seed partition: parts above
+    /// their share shed the excess to parts below theirs, matched by prefix
+    /// sums, and every part ends at or below its share plus one vertex. A
+    /// distributed body. Needs keys and a seed.
     SfcDiffusion,
     /// Full SFC key-sort/split into capacity-weighted contiguous ranges.
     /// Needs keys.
@@ -61,7 +64,7 @@ pub enum BalanceMethod {
     Voronoi,
 }
 
-/// What distinguishes the SPMD bodies of the five methods whose arithmetic
+/// What distinguishes the SPMD bodies of the four methods whose arithmetic
 /// is replicated: the partition itself is computed once on the host, and
 /// every rank charges its local share and runs the exchange tail.
 struct ReplicatedBody {
@@ -152,8 +155,7 @@ impl BalanceMethod {
             item_bytes: [20, 28],
         };
         match self {
-            BalanceMethod::Multilevel => None,
-            BalanceMethod::SfcDiffusion => Some(row(4, true)),
+            BalanceMethod::Multilevel | BalanceMethod::SfcDiffusion => None,
             BalanceMethod::Sfc => Some(row(1, false)),
             BalanceMethod::Knapsack => Some(ReplicatedBody {
                 item_bytes: [12, 20],
@@ -170,9 +172,10 @@ impl BalanceMethod {
     /// what the body's exchange must deliver: each part's weight under
     /// every constraint, and the number of items each part's home rank
     /// receives — O(N + nparts + nranks) host work, once. `None` for the
-    /// multilevel kernel, which has nothing to hoist. The *virtual* compute
-    /// charge is taken in the body either way, so modeled times do not
-    /// depend on who did the arithmetic.
+    /// two distributed bodies (multilevel and SFC diffusion), which have
+    /// nothing to hoist. The *virtual* compute charge is taken in the body
+    /// either way, so modeled times do not depend on who did the
+    /// arithmetic.
     pub fn hoist(self, p: &Problem, nranks: usize) -> Option<Hoisted> {
         let body = self.replicated_body()?;
         let part = balance(self, p);
@@ -208,6 +211,8 @@ pub struct Problem<'a> {
     /// `graph.vwgt`, plus the second constraint if it is one; private so
     /// the two cannot be set apart.
     weights: Weights<'a>,
+    /// `caps` as fractions, summed once here.
+    shares: Shares<'a>,
     /// One space-filling-curve key per vertex.
     pub keys: Option<&'a [u64]>,
     /// The partition to diffuse from.
@@ -238,6 +243,7 @@ impl<'a> Problem<'a> {
         Problem {
             graph,
             weights: Weights::new(&graph.vwgt, w2),
+            shares: Shares::new(caps),
             keys,
             seed,
             caps,
@@ -250,11 +256,15 @@ impl<'a> Problem<'a> {
         self.weights
     }
 
-    fn keys(&self) -> &'a [u64] {
+    pub(crate) fn shares(&self) -> Shares<'a> {
+        self.shares
+    }
+
+    pub(crate) fn keys(&self) -> &'a [u64] {
         self.keys.expect("method needs SFC keys")
     }
 
-    fn seed(&self) -> &'a [u32] {
+    pub(crate) fn seed(&self) -> &'a [u32] {
         self.seed.expect("method needs a seed partition")
     }
 }
@@ -341,8 +351,8 @@ pub fn balance(method: BalanceMethod, p: &Problem) -> Vec<u32> {
     let (w, nparts, caps) = (p.weights, p.cfg.nparts, p.caps);
     match method {
         BalanceMethod::Multilevel => multilevel(p.graph, w, p.cfg, p.seed, caps),
-        BalanceMethod::SfcDiffusion => sfc_diffuse(p.keys(), w, p.seed(), nparts, caps),
-        BalanceMethod::Sfc => sfc_partition(p.keys(), w, nparts, caps),
+        BalanceMethod::SfcDiffusion => sfc_transport(p.keys(), w, p.seed(), &p.shares),
+        BalanceMethod::Sfc => sfc_partition(p.keys(), w, &p.shares),
         BalanceMethod::Knapsack => knapsack_partition(w, nparts, caps),
         BalanceMethod::Diffusion2 => diffusion2_balance(p.graph, w, p.seed(), nparts, caps),
         BalanceMethod::Voronoi => voronoi(p.keys(), w, p.seed, nparts, caps),
@@ -384,13 +394,13 @@ pub(crate) fn multilevel(
 
 /// Rank that owns part `p` when `nparts` parts are folded onto `nranks`
 /// ranks (block mapping, the same fold the engine uses).
-fn part_home(p: usize, nparts: usize, nranks: usize) -> usize {
+pub(crate) fn part_home(p: usize, nparts: usize, nranks: usize) -> usize {
     p * nranks / nparts
 }
 
 /// The parts rank `rank` is home to under [`part_home`]: a contiguous
 /// range, found in O(1).
-fn homed_parts(rank: usize, nparts: usize, nranks: usize) -> std::ops::Range<usize> {
+pub(crate) fn homed_parts(rank: usize, nparts: usize, nranks: usize) -> std::ops::Range<usize> {
     let first = |r: usize| (r * nparts).div_ceil(nranks);
     first(rank)..first(rank + 1)
 }
@@ -490,7 +500,9 @@ fn exchange_and_check(
 ///
 /// A replicated-arithmetic method's body is one compute charge plus one
 /// exchange, whose home ranks check what they received against the hoist;
-/// it makes no reduction. The multilevel body is genuinely distributed.
+/// it makes no reduction. The multilevel and SFC-diffusion bodies are
+/// distributed: each rank computes from what it owns and what it is sent,
+/// and the SFC transport's cost is a constant number of collectives.
 ///
 /// * `lists` — who owns which vertex (the previous processor assignment);
 ///   a rank reads its own list.
@@ -507,7 +519,10 @@ pub fn balance_body(
     hoisted: Option<&Hoisted>,
 ) -> Vec<u32> {
     let Some(body) = method.replicated_body() else {
-        return multilevel_body(comm, p, lists, vertex_units, None);
+        return match method {
+            BalanceMethod::SfcDiffusion => transport_body(comm, p, lists, vertex_units),
+            _ => multilevel_body(comm, p, lists, vertex_units, None),
+        };
     };
     let hoisted = hoisted.expect("replicated-arithmetic methods are hoisted");
     let part = &hoisted.part;
@@ -631,8 +646,8 @@ mod tests {
         }
     }
 
-    /// An SFC-diffusion problem at P = 8 with two constraints, run from
-    /// its seed partition; `tamper` edits the hoist before the body runs.
+    /// A full-SFC problem at P = 8 with two constraints, owned by its seed
+    /// partition; `tamper` edits the hoist before the body runs.
     fn run_tampered(tamper: impl Fn(&mut Hoisted)) {
         let g = grid3d(8, 8, 4);
         let n = g.n();
@@ -641,7 +656,7 @@ mod tests {
         let seed: Vec<u32> = (0..n).map(|v| (v * 8 / n) as u32).collect();
         let (caps, cfg) = ([1.0; 8], PartitionConfig::new(8));
         let p = Problem::new(&g, Some(&w2), Some(&keys), Some(&seed), &caps, &cfg);
-        let method = BalanceMethod::SfcDiffusion;
+        let method = BalanceMethod::Sfc;
         let mut hoisted = method.hoist(&p, 8).unwrap();
         tamper(&mut hoisted);
         let lists = RankLists::build(&seed, 8);
@@ -683,7 +698,7 @@ mod tests {
             .map(|v| if v % 29 == 0 { 40 } else { 1 })
             .collect();
         let (caps, cfg) = ([1.0; 64], PartitionConfig::new(64));
-        let seed = sfc_partition(&keys, Weights::new(&g.vwgt, None), 64, &caps);
+        let seed = sfc_partition(&keys, Weights::new(&g.vwgt, None), &Shares::new(&caps));
         for method in BalanceMethod::ALL {
             if method.replicated_body().is_none() {
                 continue;
@@ -697,6 +712,40 @@ mod tests {
                     assert_eq!(calls(Allreduce), 0, "{what}: rank {rank} reduced");
                     assert_eq!(calls(Alltoallv), 1, "{what}: rank {rank}'s exchanges");
                 }
+            }
+        }
+    }
+
+    /// The SFC-diffusion body on vertices owned by ranks other than their
+    /// seed parts' homes — scattered owners, and fewer or more ranks than
+    /// parts: every vertex travels to its seed part's home and its answer
+    /// travels back, and the partition is the serial kernel's, under one
+    /// and two constraints.
+    #[test]
+    fn sfc_diffusion_body_matches_the_kernel_when_owner_is_not_seed() {
+        let mut g = grid3d(8, 8, 4);
+        let n = g.n();
+        for v in 0..n / 3 {
+            g.vwgt.to_mut()[v] = 9;
+        }
+        let keys: Vec<u64> = (0..n as u64)
+            .map(|v| v.wrapping_mul(0x9E37) % 8192)
+            .collect();
+        let w2: Vec<u64> = (0..n as u64).map(|v| 1 + v % 7).collect();
+        for (nparts, nranks) in [(8, 8), (8, 5), (3, 8)] {
+            let cfg = PartitionConfig::new(nparts);
+            let caps = vec![1.0; nparts];
+            let seed: Vec<u32> = (0..n).map(|v| (v * nparts / n) as u32).collect();
+            let owner: Vec<u32> = (0..n).map(|v| ((v * 7 + 3) % nranks) as u32).collect();
+            for w2 in [None, Some(&w2[..])] {
+                let p = Problem::new(&g, w2, Some(&keys), Some(&seed), &caps, &cfg);
+                let serial = balance(BalanceMethod::SfcDiffusion, &p);
+                assert_ne!(serial, seed, "the seed is imbalanced: the transport moves");
+                let method = BalanceMethod::SfcDiffusion;
+                let run = balance_distributed(method, &p, &owner, nranks, MachineModel::sp2(), 1.0);
+                let what = format!("{nparts} parts on {nranks} ranks, dual={}", w2.is_some());
+                assert_eq!(run.part, serial, "{what}");
+                run.trace.audit().unwrap_or_else(|e| panic!("{what}: {e}"));
             }
         }
     }
@@ -770,7 +819,8 @@ mod tests {
             .collect();
         let mut cfg = PartitionConfig::new(4);
         cfg.coarsen_to = 64; // 256 vertices: the multilevel body really coarsens
-        let prev = sfc_partition(&keys, Weights::new(&g.vwgt, None), 4, &[2.0, 1.0, 1.0, 1.0]);
+        let skewed = Shares::new(&[2.0, 1.0, 1.0, 1.0]);
+        let prev = sfc_partition(&keys, Weights::new(&g.vwgt, None), &skewed);
         let caps = [1.0; 4];
         let owners: [Vec<u32>; 2] = [
             (0..n).map(|v| (v * 4 / n) as u32).collect(),

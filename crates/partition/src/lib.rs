@@ -29,7 +29,8 @@
 //! use plum_partition::{balance, BalanceMethod, Graph, PartitionConfig, Problem};
 //!
 //! // The same ring, vertices 0–3 four times heavier, rebalanced from the
-//! // half/half split by shifting the boundary along the curve 0..8.
+//! // half/half split: part 0 sheds its excess from the end of the curve
+//! // 0..8 that faces part 1.
 //! let xadj = vec![0, 2, 4, 6, 8, 10, 12, 14, 16];
 //! let adjncy = vec![7, 1, 0, 2, 1, 3, 2, 4, 3, 5, 4, 6, 5, 7, 6, 0];
 //! let g = Graph::from_csr(xadj, adjncy, vec![4, 4, 4, 4, 1, 1, 1, 1]);

@@ -87,15 +87,26 @@ pub fn imbalance_dual(w1: &[u64], w2: &[u64], caps: &[f64]) -> f64 {
 /// then chase the max.
 pub(crate) fn combine_dual(w1: &[u64], w2: &[u64]) -> Vec<u64> {
     assert_eq!(w1.len(), w2.len(), "one second weight per vertex");
-    let scale = (1u64 << 20) as f64;
-    let t1: u64 = w1.iter().sum();
-    let t2: u64 = w2.iter().sum();
-    let n1 = if t1 == 0 { 1.0 } else { t1 as f64 };
-    let n2 = if t2 == 0 { 1.0 } else { t2 as f64 };
+    let norm = (dual_norm(w1), dual_norm(w2));
     w1.iter()
         .zip(w2)
-        .map(|(&a, &b)| ((a as f64 / n1 + b as f64 / n2) * scale).round() as u64)
+        .map(|(&a, &b)| combined(a, b, norm))
         .collect()
+}
+
+/// A constraint's total as the normalizer [`combine_dual`] divides by (1.0
+/// for an all-zero vector).
+pub(crate) fn dual_norm(w: &[u64]) -> f64 {
+    match w.iter().sum::<u64>() {
+        0 => 1.0,
+        t => t as f64,
+    }
+}
+
+/// One vertex's combined weight under the normalizers `norm`.
+pub(crate) fn combined(a: u64, b: u64, norm: (f64, f64)) -> u64 {
+    let scale = (1u64 << 20) as f64;
+    ((a as f64 / norm.0 + b as f64 / norm.1) * scale).round() as u64
 }
 
 /// Number of vertices whose assignment differs between two partitions, and

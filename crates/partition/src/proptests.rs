@@ -263,7 +263,7 @@ proptest! {
         }
     }
 
-    /// (e) Boundary diffusion is monotone: from an *arbitrary* previous
+    /// (e) SFC diffusion is monotone: from an *arbitrary* previous
     /// labelling it never increases the effective (capacity-weighted)
     /// imbalance, never invents part ids, and touches nothing when the
     /// input is already a single part.
@@ -280,7 +280,7 @@ proptest! {
         let vwgt = &wseed[..n];
         let prev: Vec<u32> = (0..n).map(|v| prevseed[v] % p as u32).collect();
         let w = Weights::new(vwgt, None);
-        let out = crate::sfc::sfc_diffuse(keys, w, &prev, p, &caps[..p]);
+        let out = crate::sfc::sfc_transport(keys, w, &prev, &crate::sfc::Shares::new(&caps[..p]));
         prop_assert_eq!(out.len(), n);
         prop_assert!(out.iter().all(|&q| (q as usize) < p));
         let before = w.imbalance(&prev, p, &caps[..p]);
@@ -403,7 +403,7 @@ proptest! {
         }
     }
 
-    /// (j) Dual boundary diffusion is monotone in the *binding* constraint:
+    /// (j) Dual SFC diffusion is monotone in the *binding* constraint:
     /// from an arbitrary previous labelling it never increases the
     /// max-of-imbalances objective and never invents part ids.
     #[test]
@@ -421,7 +421,7 @@ proptest! {
         let w2 = &w2seed[..n];
         let prev: Vec<u32> = (0..n).map(|v| prevseed[v] % p as u32).collect();
         let w = Weights::new(w1, Some(w2));
-        let out = crate::sfc::sfc_diffuse(keys, w, &prev, p, &caps[..p]);
+        let out = crate::sfc::sfc_transport(keys, w, &prev, &crate::sfc::Shares::new(&caps[..p]));
         prop_assert_eq!(out.len(), n);
         prop_assert!(out.iter().all(|&q| (q as usize) < p));
         let before = w.imbalance(&prev, p, &caps[..p]);
@@ -704,5 +704,91 @@ proptest! {
             apply_delta(&mut in_turn, part);
         }
         prop_assert_eq!(at_once, in_turn);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// (q) The SFC transport's granularity contract, on random weights with
+    /// heavy vertices (about one in eight weighs 20–100× the rest), random
+    /// capacities (or equal ones), one or two constraints, and k-way seeds
+    /// of a ring — a hotspot folded into part 0 half the time.
+    ///
+    /// * It never worsens the binding imbalance.
+    /// * Unless its guard refused the transport — which only two
+    ///   constraints or unequal capacities can make it do — every part's
+    ///   [`Weights::drive`] load ends at or below its ceiling
+    ///   `⌈total · f_q⌉ + w_max` whenever the room below the shares covers
+    ///   the excess above them.
+    /// * Under one constraint, from a seed above 1.5× the granularity bound
+    ///   `max_q (T_q + w_max) / T_q` it ends at or below 1.5× that bound:
+    ///   not a no-op.
+    #[test]
+    fn sfc_transport_holds_the_granularity_contract(
+        keyseed in proptest::collection::vec(any::<u64>(), 200),
+        wseed in proptest::collection::vec(1u64..6, 200),
+        heavy in proptest::collection::vec(0u64..40, 200),
+        w2seed in proptest::collection::vec(1u64..9, 200),
+        n in 40usize..200,
+        p in 2usize..9,
+        caps in proptest::collection::vec(0.5f64..2.0, 8),
+        equal_caps in any::<bool>(),
+        dual in any::<bool>(),
+        hotspot in any::<bool>(),
+    ) {
+        use crate::sfc::{sfc_transport, Shares};
+        let keys = &keyseed[..n];
+        let w1: Vec<u64> = (0..n)
+            .map(|v| if heavy[v] < 5 { wseed[v] * (20 + heavy[v] * 20) } else { wseed[v] })
+            .collect();
+        let w = Weights::new(&w1, dual.then_some(&w2seed[..n]));
+        let caps: Vec<f64> = if equal_caps { vec![1.0; p] } else { caps[..p].to_vec() };
+        let mut seed = partition_kway(&random_graph(n, &[]), &PartitionConfig::new(p));
+        if hotspot {
+            for (v, q) in seed.iter_mut().enumerate() {
+                if v % 3 == 0 {
+                    *q = 0;
+                }
+            }
+        }
+        let shares = Shares::new(&caps);
+        let out = sfc_transport(keys, w, &seed, &shares);
+        prop_assert_eq!(out.len(), n);
+        prop_assert!(out.iter().all(|&q| (q as usize) < p));
+        let before = w.imbalance(&seed, p, &caps);
+        let after = w.imbalance(&out, p, &caps);
+        prop_assert!(after <= before + 1e-9, "worsened {} -> {}", before, after);
+
+        let drive = w.drive();
+        let total: u64 = drive.iter().sum();
+        let w_max = *drive.iter().max().unwrap();
+        let share = |q: usize| (total as f64 * shares.frac(q)).ceil() as u64;
+        let (old, new) = (weights_of(&drive, &seed, p), weights_of(&drive, &out, p));
+        let excess: u64 = (0..p).map(|q| old[q].saturating_sub(share(q))).sum();
+        let room: u64 = (0..p).map(|q| share(q).saturating_sub(old[q])).sum();
+        // A part above its ceiling can always ship: its excess over its
+        // share exceeds every vertex.
+        let refused = out == seed && (0..p).any(|q| old[q] > share(q) + w_max);
+        prop_assert!(!refused || dual || !equal_caps, "refused under one constraint and equal caps");
+        if !refused && room >= excess {
+            for q in 0..p {
+                prop_assert!(
+                    new[q] <= share(q) + w_max,
+                    "part {} ends at {} > ceiling {} + {}", q, new[q], share(q), w_max
+                );
+            }
+        }
+        if !dual {
+            let bound = (0..p)
+                .map(|q| {
+                    let t = total as f64 * shares.frac(q);
+                    (t + w_max as f64) / t
+                })
+                .fold(0.0, f64::max);
+            if before > 1.5 * bound {
+                prop_assert!(after <= 1.5 * bound, "{} -> {} against bound {}", before, after, bound);
+            }
+        }
     }
 }

@@ -2,7 +2,9 @@
 
 use std::borrow::Cow;
 
-use crate::metrics::{combine_dual, dual_uniform, imbalance_dual, imbalance_weighted, weights_of};
+use crate::metrics::{
+    combine_dual, combined, dual_norm, dual_uniform, imbalance_dual, imbalance_weighted, weights_of,
+};
 
 /// The per-vertex weights a balancer holds down: one constraint, or two
 /// (e.g. fluid work and particle work) under the max-of-imbalances
@@ -25,11 +27,7 @@ impl<'a> Weights<'a> {
         let mut norm = (1.0, 1.0);
         if let Some(w2) = w2 {
             assert_eq!(w1.len(), w2.len(), "one second weight per vertex");
-            let total = |w: &[u64]| match w.iter().sum::<u64>() {
-                0 => 1.0,
-                t => t as f64,
-            };
-            norm = (total(w1), total(w2));
+            norm = (dual_norm(w1), dual_norm(w2));
         }
         Weights { w1, w2, norm }
     }
@@ -73,6 +71,16 @@ impl<'a> Weights<'a> {
         match self.w2 {
             None => Cow::Borrowed(self.w1),
             Some(w2) => Cow::Owned(combine_dual(self.w1, w2)),
+        }
+    }
+
+    /// The [`Weights::drive`] weight of one vertex holding `(x1, x2)`, from
+    /// its own weights alone — what a rank computes for the vertices it
+    /// holds without the whole field.
+    pub(crate) fn drive_of(&self, x1: u64, x2: u64) -> u64 {
+        match self.w2 {
+            None => x1,
+            Some(_) => combined(x1, x2, self.norm),
         }
     }
 
