@@ -398,11 +398,26 @@ mod tests {
 
     /// The whole grid against its committed file, bit for bit:
     /// `compare --tolerance 0` fails only on increases, so a drop in any
-    /// cell's words or seconds would pass it. ~15 s in release.
+    /// cell's words or seconds would pass it. First, no cell may end above
+    /// 1.5× its granularity bound without having moved an element: a
+    /// balancer whose every proposal was discarded is a no-op, not a
+    /// result. ~15 s in release.
     #[test]
     #[ignore = "the full P = 64/256/1024 grid: run in release with --ignored"]
     fn rematch_bench_reproduces_the_committed_baseline_exactly() {
         let (b, _) = rematch_bench();
+        for (key, &norm) in &b.metrics {
+            let cell = key
+                .strip_prefix("info.")
+                .and_then(|k| k.strip_suffix(".imbalance_norm"));
+            if let Some(cell) = cell.filter(|_| norm > 1.5) {
+                let moved = b.metrics[&format!("{cell}.moved_elems")];
+                assert!(
+                    moved > 0.0,
+                    "{cell} ends at {norm:.3}x its granularity bound and moved nothing"
+                );
+            }
+        }
         crate::report::assert_reproduces_baseline(&b, "BENCH_rematch.json");
     }
 }

@@ -7,7 +7,6 @@ use plum_partition::{imbalance, imbalance_weighted, weights_of, Graph, Problem, 
 use plum_reassign::{
     greedy_mwbg, optimal_bmcm, optimal_mwbg, remap_stats, Assignment, RemapStats, SimilarityMatrix,
 };
-use plum_remap::RemapMetric;
 
 use crate::config::{Mapper, PlumConfig};
 
@@ -268,17 +267,17 @@ pub(crate) fn apply_reassignment(
 
     // Gain/cost acceptance test. On a heterogeneous machine the refinement
     // term also stretches with processor speed, so it uses effective
-    // weights too.
+    // weights too. The remap is a parallel direct exchange that ends when
+    // its busiest rank does, so the cost charges the bottleneck flow (the
+    // paper's MaxV `C_max`, `N_max`), not the machine-wide sum.
     let rmax_of = |proc: &[u32]| effective_load(&weights_of(refine_work, proc, nproc), caps).1;
     let (rmax_old, rmax_new) = (rmax_of(old_proc), rmax_of(&new_proc));
     decision.gain =
         cfg.cost
             .computational_gain(decision.wmax_old, decision.wmax_new, rmax_old, rmax_new);
-    let (c, n) = match cfg.cost.metric {
-        RemapMetric::TotalV => (stats.total_elems, stats.total_msgs),
-        RemapMetric::MaxV => (stats.max_elems, stats.max_msgs),
-    };
-    decision.cost = cfg.cost.redistribution_cost(c, n);
+    decision.cost = cfg
+        .cost
+        .redistribution_cost(stats.max_elems, stats.max_msgs);
     decision.accepted = cfg.cost.should_accept(decision.gain, decision.cost);
     decision.stats = Some(stats);
     if decision.accepted {
@@ -359,6 +358,36 @@ mod tests {
         assert!(d.stats.as_ref().unwrap().total_elems > 0);
         // The new assignment is a valid processor labelling.
         assert!(d.new_proc.iter().all(|&p| (p as usize) < 4));
+    }
+
+    #[test]
+    fn a_remap_is_priced_by_its_busiest_rank() {
+        let (dual, part) = dual_with_hotspot(4, 8);
+        let run = |cfg: &PlumConfig| {
+            let zero = vec![0; dual.n()];
+            balance_step(&dual, &part, &zero, cfg, &WorkModel::default(), None, None).0
+        };
+        let mut cfg = PlumConfig::new(4);
+        cfg.cost.t_refine = 0.0;
+        let probe = run(&cfg);
+        let s = probe.stats.clone().expect("the hotspot repartitions");
+        let summed = cfg.cost.redistribution_cost(s.total_elems, s.total_msgs);
+        let busiest = cfg.cost.redistribution_cost(s.max_elems, s.max_msgs);
+        assert!(busiest < summed, "fixture must spread its flow: {s:?}");
+
+        // Scale the solver so the gain lands halfway between the two prices:
+        // the summed volume costs more than the gain, the busiest rank less.
+        // The proposal itself does not depend on the cost model.
+        cfg.cost.t_iter *= (busiest + summed) / 2.0 / probe.gain;
+        let d = run(&cfg);
+        assert_eq!(d.stats.as_ref(), Some(&s));
+        assert!(busiest < d.gain && d.gain < summed, "{d:?}");
+        assert_eq!(d.cost, busiest);
+        assert!(
+            d.accepted,
+            "the exchange's critical path costs less than the gain"
+        );
+        assert!(d.imbalance_new < d.imbalance_old);
     }
 
     #[test]

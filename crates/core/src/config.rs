@@ -3,7 +3,7 @@
 use plum_mesh::SfcCurve;
 use plum_parsim::MachineModel;
 use plum_partition::PartitionConfig;
-use plum_remap::{CostModel, RemapMetric};
+use plum_remap::CostModel;
 
 use crate::balance::BalanceMethod;
 
@@ -96,11 +96,6 @@ impl PlumConfig {
     pub fn nparts(&self) -> usize {
         self.nproc * self.partitions_per_proc
     }
-
-    /// Metric used by the cost model.
-    pub fn metric(&self) -> RemapMetric {
-        self.cost.metric
-    }
 }
 
 #[cfg(test)]
@@ -115,7 +110,6 @@ mod tests {
         assert_eq!(c.mapper, Mapper::GreedyMwbg);
         assert_eq!(c.policy, RemapPolicy::BeforeRefinement);
         assert!(c.imbalance_trigger > 1.0);
-        assert_eq!(c.metric(), RemapMetric::TotalV);
         assert!(c.sfc_threshold > 1.0 && c.sfc_threshold < c.imbalance_trigger + 0.5);
         assert_eq!(c.sfc_curve, SfcCurve::Hilbert);
         assert_eq!(c.force_method, None);

@@ -63,6 +63,16 @@ impl Ownership {
         self.edges.parts_of(edge).iter().copied()
     }
 
+    /// `edge`'s number among the rank's own edges, which it numbers from 0
+    /// ascending by id. A peer sends a mark only
+    /// to the ranks owning a copy of its edge, so every edge looked up here
+    /// is one of the rank's.
+    fn local_of(&self, rank: usize, edge: EdgeId) -> u32 {
+        self.edges
+            .local_of(edge, rank as u32)
+            .unwrap_or_else(|| panic!("{edge} is not one of rank {rank}'s edges"))
+    }
+
     /// Number of shared edges a rank touches (for halo-cost modeling).
     pub fn shared_edges_of_rank(&self, rank: u32) -> u64 {
         self.edges.shared_edges_of_part(rank)
@@ -87,6 +97,11 @@ pub struct MarkResult {
 /// sent during propagation.
 pub(crate) type MarkValue = (Vec<EdgeId>, usize, u64);
 
+/// Mark a local slot; true if it was newly marked.
+fn mark(marks: &mut [bool], slot: u32) -> bool {
+    !std::mem::replace(&mut marks[slot as usize], true)
+}
+
 /// The marking stage body for one rank. Runs under either [`spmd`] (the
 /// standalone [`parallel_mark`] wrapper) or a [`plum_parsim::Session`] step
 /// of the cycle engine — the sent-word count is a delta, since session
@@ -103,18 +118,23 @@ pub(crate) fn mark_body(
     comm.phase_begin("marking");
     let rank = comm.rank();
     let my_elems = &own.elems_of_rank[rank];
-    // Dense working set for the pattern lookups; what the rank reports is
-    // the list of edges it set.
-    let mut marks = EdgeMarks::new(&am.mesh);
+    // Working set over the rank's own edges, as the ownership map numbers
+    // them: one flag each, and each element's six edges as those numbers.
+    // What the rank reports is the list of edges it set.
+    let slots: Vec<[u32; 6]> = my_elems
+        .iter()
+        .map(|&e| am.mesh.elem_edges(e).map(|ed| own.local_of(rank, ed)))
+        .collect();
+    let mut marks = vec![false; own.edges.edges_of_part(rank as u32)];
     let mut marked: Vec<EdgeId> = Vec::new();
 
     // Initial marking: my elements' edges above threshold. Shared edges
     // get the same decision on all owners because the error values are
     // identical ("shared edges have the same flow and geometry
     // information regardless of their processor number").
-    for &e in my_elems {
-        for ed in am.mesh.elem_edges(e) {
-            if error.get(ed.idx()).copied().unwrap_or(0.0) > threshold && marks.mark(ed) {
+    for (&e, s) in my_elems.iter().zip(&slots) {
+        for (ed, &s) in am.mesh.elem_edges(e).into_iter().zip(s) {
+            if error.get(ed.idx()).copied().unwrap_or(0.0) > threshold && mark(&mut marks, s) {
                 marked.push(ed);
             }
         }
@@ -125,13 +145,16 @@ pub(crate) fn mark_body(
     loop {
         // One local upgrade sweep over my elements.
         let mut newly: Vec<EdgeId> = Vec::new();
-        for &e in my_elems {
-            let p = am.elem_pattern(e, &marks);
+        for (&e, s) in my_elems.iter().zip(&slots) {
+            let p = s
+                .iter()
+                .enumerate()
+                .fold(0u8, |p, (k, &s)| p | (u8::from(marks[s as usize]) << k));
             let up = plum_adapt::upgrade(p);
             if up != p {
-                let edges = am.mesh.elem_edges(e);
-                for (k, &ed) in edges.iter().enumerate() {
-                    if up & (1 << k) != 0 && marks.mark(ed) {
+                let edges = am.mesh.elem_edges(e).into_iter().zip(s);
+                for (k, (ed, &s)) in edges.enumerate() {
+                    if up & (1 << k) != 0 && mark(&mut marks, s) {
                         newly.push(ed);
                     }
                 }
@@ -157,7 +180,7 @@ pub(crate) fn mark_body(
             comm.alltoallv_sparse_join(items, !newly.is_empty(), |_| 0, |a, b| a || b);
         for (_src, batch) in incoming {
             for id in batch {
-                if marks.mark(EdgeId(id)) {
+                if mark(&mut marks, own.local_of(rank, EdgeId(id))) {
                     marked.push(EdgeId(id));
                 }
             }
@@ -262,8 +285,7 @@ mod tests {
 
     #[test]
     fn parallel_marking_matches_serial_fixpoint() {
-        let (am, proc) = setup(3, 4);
-        let own = Ownership::build(&am, &proc, 4);
+        let (am, slabs) = setup(3, 4);
         // Error field: distance-based blob so marking crosses rank borders.
         let mut error = vec![0.0f64; am.mesh.edge_slots()];
         for e in am.mesh.edges() {
@@ -273,34 +295,39 @@ mod tests {
         }
         let threshold = 4.0;
 
-        let par = parallel_mark(
-            &am,
-            &own,
-            4,
-            MachineModel::sp2(),
-            &WorkModel::default(),
-            &error,
-            threshold,
-        );
-
         // Serial reference.
         let mut serial = am.mark_above(&error, threshold);
         am.upgrade_to_fixpoint(&mut serial);
 
-        assert_eq!(
-            par.marks.count(),
-            serial.count(),
-            "parallel ≠ serial marking"
-        );
-        for e in am.mesh.edges() {
-            assert_eq!(
-                par.marks.is_marked(e),
-                serial.is_marked(e),
-                "differs at {e}"
+        // Four slabs on four ranks, then on five with rank 2 owning nothing.
+        let gapped: Vec<u32> = slabs.iter().map(|&p| p + u32::from(p >= 2)).collect();
+        for (proc, nproc) in [(slabs, 4), (gapped, 5)] {
+            let own = Ownership::build(&am, &proc, nproc);
+            assert_eq!(own.elems_of_rank.iter().any(Vec::is_empty), nproc == 5);
+            let par = parallel_mark(
+                &am,
+                &own,
+                nproc,
+                MachineModel::sp2(),
+                &WorkModel::default(),
+                &error,
+                threshold,
             );
+            assert_eq!(
+                par.marks.count(),
+                serial.count(),
+                "parallel ≠ serial marking on {nproc} ranks"
+            );
+            for e in am.mesh.edges() {
+                assert_eq!(
+                    par.marks.is_marked(e),
+                    serial.is_marked(e),
+                    "differs at {e} on {nproc} ranks"
+                );
+            }
+            assert!(par.sweeps >= 1);
+            assert!(par.time > 0.0);
         }
-        assert!(par.sweeps >= 1);
-        assert!(par.time > 0.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::ids::EdgeId;
 use crate::tetmesh::TetMesh;
 
 /// Per edge slot, the distinct parts whose elements touch the edge, plus
-/// each part's number of shared edges.
+/// each part's number of shared edges and its own numbering of its edges.
 ///
 /// An edge is *shared* when elements of more than one part touch it.
 #[derive(Debug)]
@@ -19,6 +19,11 @@ pub struct EdgeParts {
     /// Edge slot `e`'s parts are `parts[start[e]..start[e + 1]]`, ascending.
     start: Vec<usize>,
     parts: Vec<u32>,
+    /// Aligned with `parts`: the edge's number among its part's edges,
+    /// which each part numbers from 0 ascending by edge id.
+    local: Vec<u32>,
+    /// Per part: number of edge slots it touches.
+    edges_per_part: Vec<u32>,
     /// Per part: number of edge slots with more than one part, this one
     /// among them.
     shared_per_part: Vec<u64>,
@@ -53,9 +58,22 @@ impl EdgeParts {
             }
             start.push(parts.len());
         }
+        // `parts` runs in edge order, so counting each part's entries as
+        // they come numbers its edges ascending by id.
+        let mut edges_per_part = vec![0u32; nparts];
+        let local = parts
+            .iter()
+            .map(|&p| {
+                let n = &mut edges_per_part[p as usize];
+                *n += 1;
+                *n - 1
+            })
+            .collect();
         EdgeParts {
             start,
             parts,
+            local,
+            edges_per_part,
             shared_per_part,
         }
     }
@@ -65,6 +83,22 @@ impl EdgeParts {
     #[inline]
     pub fn parts_of(&self, edge: EdgeId) -> &[u32] {
         &self.parts[self.start[edge.idx()]..self.start[edge.idx() + 1]]
+    }
+
+    /// Number of edges `part` owns a copy of; it numbers them
+    /// `0..edges_of_part(part)`, ascending by id.
+    #[inline]
+    pub fn edges_of_part(&self, part: u32) -> usize {
+        self.edges_per_part[part as usize] as usize
+    }
+
+    /// `edge`'s number among `part`'s edges, or `None` when `part` owns no
+    /// copy of it.
+    #[inline]
+    pub fn local_of(&self, edge: EdgeId, part: u32) -> Option<u32> {
+        let first = self.start[edge.idx()];
+        let k = self.parts_of(edge).binary_search(&part).ok()?;
+        Some(self.local[first + k])
     }
 
     /// Number of shared edges `part` owns a copy of.
@@ -106,5 +140,14 @@ mod tests {
         assert_eq!(two.parts_of(face), [0, 2]);
         let apex = m.edge_between(v[0], v[1]).unwrap();
         assert_eq!(two.parts_of(apex), [2]);
+
+        // Each part numbers the edges it touches 0.. ascending by id.
+        for p in 0..3 {
+            let numbers: Vec<u32> = m.edges().filter_map(|e| two.local_of(e, p)).collect();
+            let want: Vec<u32> = (0..two.edges_of_part(p) as u32).collect();
+            assert_eq!(numbers, want, "part {p}");
+        }
+        assert_eq!([0, 1, 2].map(|p| two.edges_of_part(p)), [6, 0, 6]);
+        assert_eq!(two.local_of(apex, 0), None);
     }
 }

@@ -742,13 +742,13 @@ const GAIN_EXIT_VERTICES: u64 = 100;
 /// weights `w`, and
 /// commit them under a per-rank inflow quota computed from an exclusive scan
 /// of the per-part demand — each part's headroom is granted in rank order,
-/// so the ceilings can never be exceeded even though ranks move vertices
-/// concurrently. What a rank committed, `(moves, Δw)` — the move count and
-/// the signed weight change per touched part — rides the next stage's
-/// exchange ([`Comm::alltoallv_sparse_join`], a rank-sorted union), and every
-/// rank folds the commits in rank order and applies `w += Δw` before it
-/// reads `w` again. The exit tests read that fold, so they run just after
-/// the exchange. A level that ends on its stage cap or its gain budget
+/// so no ceiling is exceeded but by a spill (below), even though ranks move
+/// vertices concurrently. What a rank committed, `(moves, Δw)` — the move
+/// count and the signed weight change per touched part — rides the next
+/// stage's exchange ([`Comm::alltoallv_sparse_join`], a rank-sorted union),
+/// and every rank folds the commits in rank order and applies `w += Δw`
+/// before it reads `w` again. The exit tests read that fold, so they run
+/// just after the exchange. A level that ends on its stage cap or its gain budget
 /// returns its last commits instead of exchanging them on their own: the
 /// next level's first exchange carries them as `pending`, and its stage 0
 /// folds them before it reads `w` (its exit test ignores them — they are
@@ -765,11 +765,16 @@ const GAIN_EXIT_VERTICES: u64 = 100;
 /// imbalanced input itself, and the overshoot survives projection
 /// unchanged), the stage drains overweight parts toward relatively lighter
 /// ones — the distributed analogue of the serial `kway_balance` — and only
-/// then do the positive-gain stages run. The mode is decided from the
-/// replicated weights, so every rank agrees on it. The `passes` gain stages
-/// are a cap: the level ends at the first gain stage that commits fewer than
-/// one move per [`GAIN_EXIT_VERTICES`] of its vertices machine-wide — a
-/// replicated count, so every rank ends at the same stage.
+/// then do the positive-gain stages run. On level 0, whose vertices no finer
+/// level can split, a vertex that fits under no lighter part's ceiling
+/// spills past one, as the serial drain lets it. The drain ends at the
+/// first stage that does not lower the parts' summed excess over their
+/// ceilings (without spills: the first that moves nothing) or, once a spill
+/// has landed on the level, the largest excess. The mode is decided from
+/// the replicated weights, so every rank agrees on it. The `passes` gain
+/// stages are a cap: the level ends at the first gain stage that commits
+/// fewer than one move per [`GAIN_EXIT_VERTICES`] of its vertices
+/// machine-wide — a replicated count, so every rank ends at the same stage.
 ///
 /// With a `census`, each stage appends this rank's committed moves to its
 /// drain or gain list.
@@ -795,9 +800,12 @@ fn refine_distributed(
     let stage_cap = gain_stages + MAX_BALANCE_STAGES;
     let mut gain_done = 0usize;
     let mut balance_dead = false;
-    // The previous stage's mode, and this rank's commit of it (empty when it
-    // moved nothing), which rides the next exchange.
+    // The previous stage's mode and the ceiling excess it started from, and
+    // this rank's commit of it (empty when it moved nothing), which rides
+    // the next exchange.
     let mut prev_balance = false;
+    let mut prev_excess = (0u64, (0u64, 0usize));
+    let mut spilled = false;
     let mut mine: Commits = pending;
     for stage in 0..stage_cap {
         if gain_done >= gain_stages {
@@ -821,14 +829,26 @@ fn refine_distributed(
         let all_delta = commits
             .iter()
             .fold(Vec::new(), |acc, (_, c)| merge_delta(&acc, &c.1));
+        // A part the fold takes over its ceiling took a spill: no other
+        // move crosses a ceiling (stage 0 folds the coarser level's moves).
+        spilled |= stage > 0
+            && all_delta.iter().any(|&(q, d)| {
+                let q = q as usize;
+                w[q] <= max_w[q] && w[q].saturating_add_signed(d) > max_w[q]
+            });
         apply_delta(w, &all_delta);
         #[cfg(test)]
         assert_stage_matches_recount(comm, dg, part, w, my_moves, all_moves);
+        let excess = ceiling_excess(w, max_w);
         if stage > 0 {
             if prev_balance {
-                // The drain is stuck (no vertex fits anywhere better);
-                // switch to gain stages rather than spinning.
-                balance_dead |= all_moves == 0;
+                // The drain is stuck (no vertex fits anywhere better, or
+                // its spills added as much excess as it drained); switch
+                // to gain stages rather than spinning. Once it spills, it
+                // also ends when the worst part stops improving: the tail
+                // that polishes the other parts costs a stage per handful
+                // of moves and leaves the heaviest part where it is.
+                balance_dead |= excess.0 >= prev_excess.0 || (spilled && excess.1 >= prev_excess.1);
             } else if GAIN_EXIT_VERTICES * all_moves < dg.global_n() as u64 {
                 break;
             }
@@ -848,12 +868,15 @@ fn refine_distributed(
         let mut wt = w.to_vec();
         let mut conn = vec![0i64; nparts];
         let mut touched: Vec<u32> = Vec::new();
-        let mut proposals: Vec<(u32, u32)> = Vec::new(); // (local idx, to)
+        let mut proposals: Vec<(u32, u32, bool)> = Vec::new(); // (local idx, to, spill)
         let mut desired = vec![0u64; nparts];
+        // Per part: the weight of this rank's spills out of it.
+        let mut spilled_from = vec![0u64; nparts];
         if balance_mode {
             // Drain overweight parts: best relatively-lighter neighbouring
             // part by connectivity, falling back to the relatively lightest
             // part overall so interior vertices cannot deadlock the drain.
+            let mut stuck: Vec<u32> = Vec::new();
             for &iv in &order {
                 let i = iv as usize;
                 let cur = part[i] as usize;
@@ -887,6 +910,7 @@ fn refine_distributed(
                             || wt[lightest] + vw > max_w[lightest]
                             || !rel_lt(wt[lightest] + vw, max_w[lightest], wt[cur], max_w[cur])
                         {
+                            stuck.push(iv);
                             continue;
                         }
                         lightest
@@ -895,7 +919,61 @@ fn refine_distributed(
                 wt[cur] -= vw;
                 wt[to] += vw;
                 desired[to] += vw;
-                proposals.push((i as u32, to as u32));
+                proposals.push((i as u32, to as u32, false));
+            }
+
+            // On level 0, whose vertices no finer level can split, a vertex
+            // that fits nowhere spills instead, as the serial `kway_balance`
+            // would move it: past the ceiling of a part under it that stays
+            // relatively lighter than the vertex's own. A vertex spills only
+            // while its part stays at or over its ceiling without it, so no
+            // part ends a drain over its ceiling by more than its heaviest
+            // vertex. Lightest first, and a part stops spilling at its first
+            // vertex with nowhere to go, so a part holding one heavy vertex
+            // sheds the light ones around it rather than hand the heavy one
+            // on. A spill claims its destination's whole headroom, so it
+            // lands there alone.
+            if level == 0 {
+                stuck.sort_by_key(|&iv| dg.vwgt[iv as usize]);
+                let mut blocked = vec![false; nparts];
+                for iv in stuck {
+                    let i = iv as usize;
+                    let (cur, vw) = (part[i] as usize, dg.vwgt[i]);
+                    if wt[cur] < max_w[cur] + vw || blocked[cur] {
+                        continue;
+                    }
+                    let open = |q: usize| {
+                        q != cur
+                            && w[q] < max_w[q]
+                            && desired[q] == 0
+                            && rel_lt(wt[q] + vw, max_w[q], wt[cur], max_w[cur])
+                    };
+                    let mut best: Option<(u32, usize)> = None;
+                    for (u, ew) in dg.row(i) {
+                        let q = part[u as usize] as usize;
+                        if open(q) && best.is_none_or(|(bg, _)| ew > bg) {
+                            best = Some((ew, q));
+                        }
+                    }
+                    let lightest = || {
+                        (0..nparts).filter(|&q| open(q)).reduce(|l, q| {
+                            if rel_lt(wt[q], max_w[q], wt[l], max_w[l]) {
+                                q
+                            } else {
+                                l
+                            }
+                        })
+                    };
+                    let Some(to) = best.map(|(_, q)| q).or_else(lightest) else {
+                        blocked[cur] = true;
+                        continue;
+                    };
+                    wt[cur] -= vw;
+                    wt[to] += vw;
+                    desired[to] = max_w[to] - w[to];
+                    spilled_from[cur] += vw;
+                    proposals.push((iv, to as u32, true));
+                }
             }
         } else {
             // Positive-gain boundary moves.
@@ -935,7 +1013,7 @@ fn refine_distributed(
                         wt[cur] -= vw;
                         wt[q] += vw;
                         desired[q] += vw;
-                        proposals.push((i as u32, q as u32));
+                        proposals.push((i as u32, q as u32, false));
                     }
                 }
                 for &q in &touched {
@@ -947,29 +1025,53 @@ fn refine_distributed(
         // Inflow quota: each part's headroom is allocated greedily across
         // ranks (in rank order), which needs only the summed demand of the
         // ranks below — an exclusive scan. Outflow is ignored, so the
-        // allocation is conservative and the ceilings hold unconditionally.
-        let demand = nonzeros(&desired);
+        // allocation is conservative and the ceilings hold unconditionally,
+        // spills apart. A spill is granted only the whole headroom of its
+        // destination, and a part's spills draw on a second headroom, its
+        // excess over its ceiling, under key `nparts + q`: the first of a
+        // stage's spills out of it to pass that excess is the last one
+        // granted. A row with spills declares the dense size of both ranges.
+        let demand = nonzeros(&[desired, spilled_from].concat());
+        let spills = |row: &Vec<(u32, u64)>| row.last().is_some_and(|&(q, _)| q as usize >= nparts);
         let below = comm.exscan(
-            |row| row_words(row, nparts),
+            |row| row_words(row, nparts << usize::from(spills(row))),
             demand.clone(),
             |a, b| merge_add(a, b),
         );
-        let mut quota = inflow_quota(below.as_deref().unwrap_or(&[]), &demand, max_w, w);
+        let below = below.as_deref().unwrap_or(&[]);
+        let mut quota = if spills(&demand) {
+            let over_by = (0..nparts).map(|q| w[q].saturating_sub(max_w[q]));
+            let w = [&*w, &vec![0; nparts]].concat();
+            let max_w: Vec<u64> = max_w.iter().copied().chain(over_by).collect();
+            inflow_quota(below, &demand, &max_w, &w)
+        } else {
+            inflow_quota(below, &demand, max_w, w)
+        };
 
         // Commit in proposal order while quota lasts.
         let mut moves = 0u64;
         let mut delta = vec![0i64; nparts];
-        for &(iv, to) in &proposals {
+        for &(iv, to, spilled) in &proposals {
             let i = iv as usize;
+            let (from, to) = (part[i] as usize, to as usize);
             let vw = dg.vwgt[i];
-            if quota[to as usize] >= vw {
-                quota[to as usize] -= vw;
-                let vw = i64::try_from(vw).expect("vertex weight fits i64");
-                delta[part[i] as usize] -= vw;
-                delta[to as usize] += vw;
-                part[i] = to;
-                moves += 1;
+            if spilled {
+                let out = nparts + from;
+                if quota[to] < max_w[to] - w[to] || quota[out] == 0 {
+                    continue;
+                }
+                quota[to] = 0;
+                quota[out] = quota[out].saturating_sub(vw);
+            } else if quota[to] >= vw {
+                quota[to] -= vw;
+            } else {
+                continue;
             }
+            let vw = i64::try_from(vw).expect("vertex weight fits i64");
+            delta[from] -= vw;
+            delta[to] += vw;
+            part[i] = to as u32;
+            moves += 1;
         }
 
         if let Some(c) = census.as_deref_mut() {
@@ -981,12 +1083,27 @@ fn refine_distributed(
             list.push(moves);
         }
         prev_balance = balance_mode;
+        prev_excess = excess;
         if moves > 0 {
             mine.push((rank as u32, Arc::new((moves, nonzeros(&delta)))));
         }
     }
     part.truncate(nloc);
     mine
+}
+
+/// The parts' summed excess over their ceilings, and the largest excess with
+/// the number of parts at it.
+fn ceiling_excess(w: &[u64], max_w: &[u64]) -> (u64, (u64, usize)) {
+    let over = w.iter().zip(max_w).map(|(&wq, &m)| wq.saturating_sub(m));
+    over.fold((0, (0, 0)), |(sum, (worst, n)), e| {
+        let at = match e.cmp(&worst) {
+            Ordering::Greater => (e, 1),
+            Ordering::Equal => (worst, n + 1),
+            Ordering::Less => (worst, n),
+        };
+        (sum + e, at)
+    })
 }
 
 /// Declared size of a set of stage commits: per commit one word for the rank
@@ -1449,6 +1566,7 @@ mod tests {
     use crate::repart::repartition_kway;
     use plum_parsim::CollectiveKind;
     use std::cell::Cell;
+    use std::collections::BTreeSet;
 
     thread_local! {
         /// Stages [`assert_stage_matches_recount`] has checked in sessions
@@ -1823,6 +1941,40 @@ mod tests {
                 "{what}: imbalance {imb}"
             );
         }
+    }
+
+    /// Four vertices, each heavier than any other part's headroom, seeded
+    /// into one part of a stalled hierarchy: the level-0 drain spills them
+    /// until their part is over its ceiling by less than one of them,
+    /// instead of stalling with all four there at three times its ceiling.
+    #[test]
+    fn a_level0_drain_spills_vertices_heavier_than_every_headroom() {
+        let p = 8;
+        let mut g = grid3d(12, 12, 8);
+        let prev = partition_kway(&g, &PartitionConfig::new(p));
+        let heavy: Vec<usize> = (0..g.n()).filter(|&v| prev[v] == 0).take(4).collect();
+        for &v in &heavy {
+            g.vwgt.to_mut()[v] = 200;
+        }
+        let mut cfg = PartitionConfig::new(p);
+        cfg.coarsen_to = 1;
+        let caps = vec![1.0; p];
+        let problem = Problem::new(&g, None, None, Some(&prev), &caps, &cfg);
+        let ceiling = part_ceilings(g.total_vwgt(), &cfg, None)[0];
+        let w = weights_of(&g.vwgt, &prev, p);
+        assert!(
+            w[1..].iter().all(|&wq| wq + 200 > ceiling),
+            "{w:?} vs {ceiling}"
+        );
+
+        let d = dist(&problem, &prev, p, MachineModel::sp2(), 0.5);
+        let homes: BTreeSet<u32> = heavy.iter().map(|&v| d.part[v]).collect();
+        assert_eq!(homes.len(), 3, "heavy vertices in parts {homes:?}");
+        let w = weights_of(&g.vwgt, &d.part, p);
+        assert!(
+            w.iter().all(|&wq| wq < ceiling + 200),
+            "{w:?} against ceiling {ceiling}"
+        );
     }
 
     /// The gain-stage exit, on a stalled seeded hierarchy and on a completed

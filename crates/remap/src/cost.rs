@@ -8,20 +8,12 @@
 //!     >  M · C · T_lat + N · T_setup
 //! ```
 //!
-//! with `C, N = C_total, N_total` under the TotalV metric and `C_max, N_max`
-//! under MaxV.
+//! `C` and `N` are what the caller charges. The paper allows machine-wide
+//! totals (TotalV) or the bottleneck processor's flow (MaxV); `plum-core`'s
+//! acceptance test charges MaxV, the busiest rank's elements and transfers,
+//! since a parallel direct exchange finishes when its busiest rank does.
 
 use plum_parsim::MachineModel;
-
-/// Which redistribution metric the cost calculation uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RemapMetric {
-    /// Minimize total volume of data moved (`C_total`, `N_total`).
-    #[default]
-    TotalV,
-    /// Minimize the bottleneck processor's flow (`C_max`, `N_max`).
-    MaxV,
-}
 
 /// All constants of the gain/cost model.
 #[derive(Debug, Clone, Copy)]
@@ -37,8 +29,6 @@ pub struct CostModel {
     pub m_words: u64,
     /// Machine constants (`T_setup`, `T_lat`).
     pub machine: MachineModel,
-    /// Metric used when accepting/rejecting.
-    pub metric: RemapMetric,
 }
 
 impl Default for CostModel {
@@ -49,7 +39,6 @@ impl Default for CostModel {
             t_refine: 1.0e-5,
             m_words: 48,
             machine: MachineModel::sp2(),
-            metric: RemapMetric::TotalV,
         }
     }
 }

@@ -11,7 +11,9 @@
 //!
 //! let model = CostModel::default();
 //! let gain = model.computational_gain(10_000, 6_000, 3_000, 1_500);
-//! let cost = model.redistribution_cost(20_000, 64);
+//! // The busiest rank's flow: it sends or receives 2 500 elements in 9
+//! // transfers (`C_max`, `N_max`), however many the machine moves in all.
+//! let cost = model.redistribution_cost(2_500, 9);
 //! if model.should_accept(gain, cost) {
 //!     // migrate, then subdivide
 //! }
@@ -22,4 +24,4 @@ mod codec;
 mod cost;
 
 pub use codec::{Packer, Unpacker};
-pub use cost::{max_balancing_improvement, CostModel, RemapMetric};
+pub use cost::{max_balancing_improvement, CostModel};

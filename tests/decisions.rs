@@ -321,8 +321,8 @@ const PINNED_SMOKE: &[(&str, u64, &[Cycle])] = &[
 const PINNED_P256: &[(&str, u64, &[Cycle])] = &[
     ("multilevel_p256", 0, &[
         (0x4632f52400b0c99c, 10958, 0x3ff0d21209107e57, 1, 2731),
-        (0x4632f52400b0c99c, 14969, 0x40143fb01972a281, 1, 0),
-        (0x6f7c53929edee31b, 20393, 0x400d39619a246e04, 1, 7536),
+        (0x5fc5e7eae4914424, 14969, 0x3fffbdc7f08a2f2b, 1, 4009),
+        (0x0d9d0c68ffe29030, 20393, 0x4001acd257f2d818, 1, 5555),
     ]),
 ];
 
@@ -361,44 +361,44 @@ const PINNED_FULL: &[(&str, u64, &[Cycle])] = &[
         (0x5829b109f54e647d, 693547, 0x3ff0cbda5dc6308c, 1, 55330),
     ]),
     ("weak_p2048", 0, &[
-        (0x713551bf2d69e589, 45085, 0x4018b61c2ccfe390, 2, 0),
-        (0x64fd070b0876c18b, 61118, 0x4006c93ced7a597c, 2, 12392),
-        (0x64fd070b0876c18b, 82642, 0x4019605838f2b5fc, 2, 0),
+        (0x1681862a2f445712, 45085, 0x3ff5cddca002b9bc, 2, 1931),
+        (0x82b2759b7ab92800, 61118, 0x4007dbbe49f893e9, 2, 5209),
+        (0x3c8359346647c9d3, 82642, 0x4016ff4ff39bf4ec, 2, 6012),
     ]),
     ("weak_p2048", 3, &[
-        (0x713551bf2d69e589, 45085, 0x4018b61c2ccfe390, 2, 0),
-        (0x68e31d76cfee550f, 61102, 0x4006cac3f61cbdd0, 2, 12424),
-        (0x68e31d76cfee550f, 82635, 0x401960e519b42b09, 2, 0),
+        (0x1681862a2f445712, 45085, 0x3ff5cddca002b9bc, 2, 1931),
+        (0x150462de4a0f2042, 61102, 0x4007dd57b969635b, 2, 5214),
+        (0x9ba6a24211fe6621, 82635, 0x4016ffcf9f4b4701, 2, 6088),
     ]),
     ("weak_p2048", 5, &[
-        (0x713551bf2d69e589, 45085, 0x4018b61c2ccfe390, 2, 0),
-        (0x3ca587d7c5da9194, 61198, 0x4008a15e726f1efb, 2, 12353),
-        (0x3ca587d7c5da9194, 82791, 0x401b0346497cc6c6, 2, 0),
+        (0x7be575f152ed2221, 45085, 0x3ff5cddca002b9bc, 2, 1926),
+        (0x6efa5eb4016bd012, 61198, 0x4008184bb2ba9e4f, 2, 5267),
+        (0x47027bf75330eae0, 82791, 0x401954a72f57efd9, 2, 6110),
     ]),
     ("weak_p2048", 7, &[
-        (0x713551bf2d69e589, 45085, 0x4018b61c2ccfe390, 2, 0),
-        (0x68e31d76cfee550f, 61102, 0x4006cac3f61cbdd0, 2, 12424),
-        (0x68e31d76cfee550f, 82637, 0x401960bcd8dd49c7, 2, 0),
+        (0x1681862a2f445712, 45085, 0x3ff5cddca002b9bc, 2, 1931),
+        (0x150462de4a0f2042, 61102, 0x4007dd57b969635b, 2, 5214),
+        (0x0cc98249601bafcb, 82637, 0x4016ffab24888adc, 2, 6088),
     ]),
     ("multilevel_p256", 0, &[
         (0x4632f52400b0c99c, 10958, 0x3ff0d21209107e57, 1, 2731),
-        (0x4632f52400b0c99c, 14969, 0x40143fb01972a281, 1, 0),
-        (0x6f7c53929edee31b, 20393, 0x400d39619a246e04, 1, 7536),
+        (0x5fc5e7eae4914424, 14969, 0x3fffbdc7f08a2f2b, 1, 4009),
+        (0x0d9d0c68ffe29030, 20393, 0x4001acd257f2d818, 1, 5555),
     ]),
     ("multilevel_p256", 3, &[
         (0x4632f52400b0c99c, 10958, 0x3ff0d21209107e57, 1, 2731),
-        (0x4632f52400b0c99c, 14969, 0x40143fb01972a281, 1, 0),
-        (0x6f7c53929edee31b, 20393, 0x400d39619a246e04, 1, 7536),
+        (0x5fc5e7eae4914424, 14969, 0x3fffbdc7f08a2f2b, 1, 4009),
+        (0x0d9d0c68ffe29030, 20393, 0x4001acd257f2d818, 1, 5555),
     ]),
     ("multilevel_p256", 5, &[
         (0x4632f52400b0c99c, 10958, 0x3ff0d21209107e57, 1, 2731),
-        (0x4632f52400b0c99c, 14962, 0x4014421cf33c65fa, 1, 0),
-        (0x936045bddeb23605, 20376, 0x400d3f9f829021c6, 1, 7517),
+        (0xf8a28eaa72ad1961, 14962, 0x3fffc1952a4300b8, 1, 3971),
+        (0x92150503484e52a1, 20376, 0x4001b098c69bca87, 1, 5655),
     ]),
     ("multilevel_p256", 7, &[
         (0x4632f52400b0c99c, 10958, 0x3ff0d21209107e57, 1, 2731),
-        (0x4632f52400b0c99c, 14969, 0x40143fb01972a281, 1, 0),
-        (0x6f7c53929edee31b, 20393, 0x400d39619a246e04, 1, 7536),
+        (0x5fc5e7eae4914424, 14969, 0x3fffbdc7f08a2f2b, 1, 4009),
+        (0x0d9d0c68ffe29030, 20393, 0x4001acd257f2d818, 1, 5555),
     ]),
     ("cascade_p64", 0, &[
         (0xb92e45ac60fd07d1, 65395, 0x3ff0cd410cd410cd, 1, 4236),

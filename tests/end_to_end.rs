@@ -85,7 +85,6 @@ fn all_mappers_work_in_the_full_pipeline() {
 #[test]
 fn maxv_metric_pipeline() {
     let mut cfg = PlumConfig::new(4);
-    cfg.cost.metric = plum_remap::RemapMetric::MaxV;
     cfg.mapper = Mapper::OptimalBmcm;
     let mut p = Plum::new(unit_box_mesh(4), WaveField::unit_box(), cfg);
     let r = p.adaption_cycle(0.3, 0.1);
