@@ -22,9 +22,10 @@
 //!
 //! Cells are scored end-to-end in virtual seconds: the summed makespan of
 //! the measured cycles *plus* the residual-imbalance penalty the gain/cost
-//! model itself prices — `T_iter · N_adapt · (Ŵ_max − Ŵ_avg)` over the
-//! final effective per-rank loads, i.e. the solver time the leftover
-//! imbalance costs across the next adaption epoch. This keeps a method
+//! test itself prices — `WorkModel::solver_interval_time(Ŵ_max − Ŵ_avg)`
+//! over the final effective per-rank loads, i.e. the solver seconds the
+//! session would charge the leftover imbalance across the next `N_adapt`
+//! iterations. This keeps a method
 //! honest in both directions: a cheap balancer that leaves the mesh
 //! lopsided pays for it in the penalty term, and an expensive global
 //! repartition pays its own partition-phase makespan. The per-column
@@ -108,7 +109,7 @@ pub struct RematchCell {
     pub imbalance_norm: f64,
     /// Residual-imbalance penalty in virtual seconds: what the leftover
     /// imbalance costs in solver time over the next adaption epoch,
-    /// `T_iter · N_adapt · (Ŵ_max − Ŵ_avg)` on effective loads.
+    /// `WorkModel::solver_interval_time(Ŵ_max − Ŵ_avg)` on effective loads.
     pub residual_seconds: f64,
     /// End-to-end score deciding the column: `virtual_seconds +
     /// residual_seconds`, lower is better.
@@ -165,7 +166,7 @@ pub fn rematch_cell(method: BalanceMethod, nproc: usize, chaos: bool) -> Rematch
         imbalance_after = capacity_imbalance(&plum, &r);
         capacity = r.capacity;
     }
-    // Price the leftover imbalance with the gain/cost model's own solver
+    // Price the leftover imbalance with the acceptance test's own solver
     // term: the effective-load gap Ŵ_max − Ŵ_avg is exactly what a perfect
     // balancer would recover per iteration, over the next N_adapt
     // iterations. Uses the final observed capacities, so a slowed rank's
@@ -179,8 +180,7 @@ pub fn rematch_cell(method: BalanceMethod, nproc: usize, chaos: bool) -> Rematch
         .fold(0.0f64, f64::max);
     let eff_avg = load.iter().map(|&w| w as f64).sum::<f64>() / capacity.iter().sum::<f64>();
     let imbalance_norm = imbalance_after / crate::granularity_bound(&wcomp, plum.cfg.nproc);
-    let cost = &plum.cfg.cost;
-    let residual_seconds = cost.t_iter * cost.n_adapt as f64 * (eff_max - eff_avg).max(0.0);
+    let residual_seconds = plum.work.solver_interval_time((eff_max - eff_avg).max(0.0));
     RematchCell {
         method,
         nproc,
@@ -336,7 +336,7 @@ pub fn rematch_bench() -> (BenchReport, String) {
     }
     analysis.push_str(&format!(
         "=> verdict: {verdict} (score = summed cycle makespan + residual \
-         imbalance priced at T_iter*N_adapt; lower wins the column)\n"
+         imbalance priced over N_adapt solver iterations; lower wins the column)\n"
     ));
     (b, analysis)
 }

@@ -9,6 +9,7 @@ use plum_reassign::{
 };
 
 use crate::config::{Mapper, PlumConfig};
+use crate::timing::WorkModel;
 
 /// Everything the load balancer decided in one invocation. Its phases'
 /// seconds are in the cycle's [`crate::PhaseTimes`].
@@ -230,7 +231,8 @@ pub(crate) fn identity_pinned(cfg: &PlumConfig, caps: &[f64]) -> bool {
 
 /// Stage 2 of the load balancer (host side): given the reassignment
 /// protocol's outputs, compose the dual vertex → partition → processor
-/// assignment and run the gain/cost acceptance test.
+/// assignment and run the gain/cost acceptance test, priced by `work` on
+/// `cfg.machine` — the constants the cycle's clock charges.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_reassignment(
     decision: &mut BalanceDecision,
@@ -238,6 +240,7 @@ pub(crate) fn apply_reassignment(
     old_proc: &[u32],
     refine_work: &[u64],
     cfg: &PlumConfig,
+    work: &WorkModel,
     new_part: &[u32],
     sm: &SimilarityMatrix,
     assignment: &Assignment,
@@ -272,13 +275,9 @@ pub(crate) fn apply_reassignment(
     // paper's MaxV `C_max`, `N_max`), not the machine-wide sum.
     let rmax_of = |proc: &[u32]| effective_load(&weights_of(refine_work, proc, nproc), caps).1;
     let (rmax_old, rmax_new) = (rmax_of(old_proc), rmax_of(&new_proc));
-    decision.gain =
-        cfg.cost
-            .computational_gain(decision.wmax_old, decision.wmax_new, rmax_old, rmax_new);
-    decision.cost = cfg
-        .cost
-        .redistribution_cost(stats.max_elems, stats.max_msgs);
-    decision.accepted = cfg.cost.should_accept(decision.gain, decision.cost);
+    decision.gain = work.gain(decision.wmax_old, decision.wmax_new, rmax_old, rmax_new);
+    decision.cost = work.remap_cost(&cfg.machine, stats.max_elems, stats.max_msgs);
+    decision.accepted = decision.gain > decision.cost;
     decision.stats = Some(stats);
     if decision.accepted {
         decision.new_proc = new_proc;
@@ -294,9 +293,8 @@ pub(crate) fn apply_reassignment(
 mod tests {
     use super::*;
     use crate::oracle::balance_step;
-    use crate::timing::WorkModel;
     use plum_mesh::generate::unit_box_mesh;
-    use plum_parsim::ChaosRng;
+    use plum_parsim::{ChaosRng, MachineModel};
     use plum_partition::{balance, partition_kway};
 
     fn dual_with_hotspot(n: usize, factor: u64) -> (DualGraph, Vec<u32>) {
@@ -360,26 +358,77 @@ mod tests {
         assert!(d.new_proc.iter().all(|&p| (p as usize) < 4));
     }
 
+    /// The acceptance test prices with the constants the cycle's clock
+    /// charges: its gain is `N_adapt` solver iterations of the busiest
+    /// rank's load reduction plus `t_child` per new element the busiest
+    /// refiner sheds, both read from the `WorkModel`, and its cost is the
+    /// remap on `cfg.machine`.
+    #[test]
+    fn the_acceptance_test_prices_the_machine_the_cycle_runs_on() {
+        let (dual, part) = dual_with_hotspot(4, 8);
+        let refine_work: Vec<u64> = dual.wcomp.iter().map(|&w| w - 1).collect();
+        let run = |cfg: &PlumConfig, work: &WorkModel| {
+            balance_step(&dual, &part, &refine_work, cfg, work, None, None).0
+        };
+        let mut cfg = PlumConfig::new(4);
+        let mut work = WorkModel::default();
+        let d = run(&cfg, &work);
+        assert!(d.accepted, "{d:?}");
+        let rmax = |proc: &[u32]| *weights_of(&refine_work, proc, 4).iter().max().unwrap();
+        let (dw, dr) = (
+            (d.wmax_old - d.wmax_new) as f64,
+            (rmax(&part) - rmax(&d.new_proc)) as f64,
+        );
+        assert!(dw > 0.0 && dr > 0.0, "{d:?}");
+        let solver = work.n_adapt as f64 * work.solver_compute_units_time(dw);
+        assert_eq!(d.gain, solver + work.t_child * dr);
+        let s = d.stats.as_ref().expect("the hotspot repartitions");
+        assert_eq!(
+            d.cost,
+            work.remap_cost(&cfg.machine, s.max_elems, s.max_msgs)
+        );
+
+        // A twice-as-slow solver doubles the solver term; the proposal does
+        // not move.
+        work.t_edge_visit *= 2.0;
+        let slow = run(&cfg, &work);
+        assert_eq!(slow.new_proc, d.new_proc);
+        let slow_solver = slow.gain - work.t_child * dr;
+        assert!(
+            (slow_solver - 2.0 * solver).abs() <= 1e-12 * solver,
+            "{slow:?}"
+        );
+
+        // On a free machine the remap costs nothing.
+        cfg.machine = MachineModel::zero();
+        let free = run(&cfg, &WorkModel::default());
+        assert_eq!(free.cost, 0.0);
+        assert!(free.accepted);
+    }
+
     #[test]
     fn a_remap_is_priced_by_its_busiest_rank() {
         let (dual, part) = dual_with_hotspot(4, 8);
-        let run = |cfg: &PlumConfig| {
+        let cfg = PlumConfig::new(4);
+        let run = |work: &WorkModel| {
             let zero = vec![0; dual.n()];
-            balance_step(&dual, &part, &zero, cfg, &WorkModel::default(), None, None).0
+            balance_step(&dual, &part, &zero, &cfg, work, None, None).0
         };
-        let mut cfg = PlumConfig::new(4);
-        cfg.cost.t_refine = 0.0;
-        let probe = run(&cfg);
+        let mut work = WorkModel {
+            t_child: 0.0,
+            ..WorkModel::default()
+        };
+        let probe = run(&work);
         let s = probe.stats.clone().expect("the hotspot repartitions");
-        let summed = cfg.cost.redistribution_cost(s.total_elems, s.total_msgs);
-        let busiest = cfg.cost.redistribution_cost(s.max_elems, s.max_msgs);
+        let summed = work.remap_cost(&cfg.machine, s.total_elems, s.total_msgs);
+        let busiest = work.remap_cost(&cfg.machine, s.max_elems, s.max_msgs);
         assert!(busiest < summed, "fixture must spread its flow: {s:?}");
 
         // Scale the solver so the gain lands halfway between the two prices:
         // the summed volume costs more than the gain, the busiest rank less.
-        // The proposal itself does not depend on the cost model.
-        cfg.cost.t_iter *= (busiest + summed) / 2.0 / probe.gain;
-        let d = run(&cfg);
+        // The proposal itself does not depend on the work constants.
+        work.t_edge_visit *= (busiest + summed) / 2.0 / probe.gain;
+        let d = run(&work);
         assert_eq!(d.stats.as_ref(), Some(&s));
         assert!(busiest < d.gain && d.gain < summed, "{d:?}");
         assert_eq!(d.cost, busiest);
@@ -396,20 +445,15 @@ mod tests {
         let mut cfg = PlumConfig::new(4);
         // Make movement prohibitively expensive and the solver almost free:
         // the new partitioning must be discarded.
-        cfg.cost.t_iter = 1e-12;
-        cfg.cost.n_adapt = 1;
-        cfg.cost.t_refine = 0.0;
-        cfg.cost.m_words = 1_000_000;
+        let work = WorkModel {
+            t_edge_visit: 1e-12,
+            n_adapt: 1,
+            t_child: 0.0,
+            m_words: 1_000_000,
+            ..WorkModel::default()
+        };
         cfg.imbalance_trigger = 1.01;
-        let (d, _) = balance_step(
-            &dual,
-            &part,
-            &vec![0; dual.n()],
-            &cfg,
-            &WorkModel::default(),
-            None,
-            None,
-        );
+        let (d, _) = balance_step(&dual, &part, &vec![0; dual.n()], &cfg, &work, None, None);
         assert!(d.repartitioned);
         assert!(
             !d.accepted,
@@ -475,8 +519,9 @@ mod tests {
     /// The selection rule over random inputs: unforced, `select_method`
     /// picks SFC diffusion exactly when keys and a seed are present and the
     /// binding constraint's effective imbalance is within `sfc_threshold`,
-    /// and multilevel otherwise — whatever the weights, capacities, second
-    /// constraint or cost model.
+    /// and multilevel otherwise — whatever the weights, capacities or
+    /// second constraint. It reads no price: the work constants are not
+    /// among its inputs.
     #[test]
     fn unforced_selection_is_mild_diffusion_or_multilevel() {
         const CASES: usize = 20_000;
@@ -507,9 +552,6 @@ mod tests {
             };
             let mut cfg = PlumConfig::new(nproc);
             cfg.sfc_threshold = 0.9 + 2.5 * rng.next_f64();
-            cfg.cost.t_iter = 1e-3 * rng.next_f64();
-            cfg.cost.n_adapt = rng.next_u64() % 101;
-            cfg.cost.m_words = 1 + rng.next_u64() % 1000;
             let has_keys = rng.next_u64().is_multiple_of(2);
             let seeded = rng.next_u64().is_multiple_of(2);
 

@@ -3,7 +3,6 @@
 use plum_mesh::SfcCurve;
 use plum_parsim::MachineModel;
 use plum_partition::PartitionConfig;
-use plum_remap::CostModel;
 
 use crate::balance::BalanceMethod;
 
@@ -40,10 +39,10 @@ pub struct PlumConfig {
     pub nproc: usize,
     /// Partitions per processor `F` (1 for all experiments in the paper).
     pub partitions_per_proc: usize,
-    /// Machine cost constants.
+    /// Machine cost constants: the session's clock, and the machine the
+    /// gain/cost acceptance test prices a remap on (with the work constants
+    /// of [`crate::WorkModel`]).
     pub machine: MachineModel,
-    /// Gain/cost acceptance model.
-    pub cost: CostModel,
     /// Reassignment algorithm.
     pub mapper: Mapper,
     /// Remap-before vs remap-after refinement.
@@ -78,10 +77,6 @@ impl PlumConfig {
             nproc,
             partitions_per_proc: 1,
             machine: MachineModel::sp2(),
-            cost: CostModel {
-                machine: MachineModel::sp2(),
-                ..CostModel::default()
-            },
             mapper: Mapper::GreedyMwbg,
             policy: RemapPolicy::BeforeRefinement,
             imbalance_trigger: 1.15,

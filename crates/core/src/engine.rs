@@ -203,7 +203,7 @@ impl Cycle {
                         cycle.engine.own.shared_edges_of_rank(r as u32),
                         &p.cfg.machine,
                     );
-                iter * p.cfg.cost.n_adapt as f64
+                iter * p.work.n_adapt as f64
             })
             .collect();
         cycle.times.solver = cycle.modeled_phase("solver", &solver_secs);
@@ -322,6 +322,7 @@ impl Cycle {
             &p.proc_of_root,
             refine_work,
             cfg,
+            &p.work,
             &new_part,
             &sm,
             &assignment,
@@ -916,7 +917,7 @@ mod tests {
             p.cfg.force_method = Some(BalanceMethod::Sfc);
             // A solver iteration worth far more than any movement: the
             // reshuffle is accepted.
-            p.cfg.cost.n_adapt = 100_000;
+            p.work.n_adapt = 100_000;
             p
         };
 

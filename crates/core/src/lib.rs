@@ -10,8 +10,8 @@
 //! 3. the new mesh is **predicted exactly** before subdivision;
 //! 4. the **load balancer** repartitions the dual graph
 //!    (`plum_partition`), reassigns partitions to processors
-//!    (`plum_reassign`), and accepts/rejects via the gain/cost model
-//!    (`plum_remap`);
+//!    (`plum_reassign`), and accepts/rejects via the gain/cost test,
+//!    priced by [`WorkModel`] on the session's machine;
 //! 5. accepted mappings **remap** the still-unrefined data
 //!    ([`parallel_migrate`]) and only then does subdivision grow the mesh.
 //!

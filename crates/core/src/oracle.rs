@@ -37,7 +37,7 @@ impl Plum {
                     + self
                         .work
                         .solver_halo_time(own.shared_edges_of_rank(r as u32), &self.cfg.machine))
-                    * self.cfg.cost.n_adapt as f64
+                    * self.work.n_adapt as f64
             })
             .fold(0.0, f64::max)
     }
@@ -360,6 +360,7 @@ pub(crate) fn balance_step(
         old_proc,
         refine_work,
         cfg,
+        work,
         &new_part,
         &par.matrix,
         &par.assignment,

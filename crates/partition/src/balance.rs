@@ -20,9 +20,7 @@ use crate::diffusion2::diffusion2_balance;
 use crate::distributed::{charge, multilevel_body};
 use crate::graph::Graph;
 use crate::knapsack::knapsack_partition;
-use crate::kway::{
-    capacity_fractions, combined_view, dual_repair, partition_kway_impl, PartitionConfig,
-};
+use crate::kway::{combined_view, dual_repair, partition_kway_impl, PartitionConfig};
 use crate::metrics::weights_of;
 use crate::repart::{repartition_diffuse, repartition_kway_impl};
 use crate::sfc::{sfc_partition, sfc_transport, transport_body, Shares};
@@ -373,7 +371,7 @@ pub(crate) fn multilevel(
     seed: Option<&[u32]>,
     caps: &[f64],
 ) -> Vec<u32> {
-    let frac = capacity_fractions(caps, cfg.nparts);
+    let frac = Shares::new(caps).weighted(cfg.nparts);
     let frac = frac.as_deref();
     let Some(w2) = w.w2() else {
         return match seed {
@@ -583,6 +581,30 @@ pub fn balance_distributed(
 mod tests {
     use super::*;
     use crate::kway::tests::grid3d;
+
+    /// A zero capacity is a part meant to hold (almost) nothing, not a
+    /// degenerate input: the multilevel kernel returns a valid labelling,
+    /// seeded or fresh, on the input the core selector's zero-capacity test
+    /// lets through.
+    #[test]
+    fn a_zero_capacity_part_gets_a_valid_multilevel_partition() {
+        let xadj = vec![0, 1, 3, 5, 7, 9, 10];
+        let adjncy = vec![1, 0, 2, 1, 3, 2, 4, 3, 5, 4];
+        let g = Graph::from_csr(xadj, adjncy, vec![5, 3, 7, 2, 4, 6]);
+        let seed = [0, 0, 1, 1, 2, 2];
+        let caps = [1.12, 2.0, 0.0];
+        let cfg = PartitionConfig::new(3);
+        for seed in [None, Some(&seed[..])] {
+            let p = Problem::new(&g, None, None, seed, &caps, &cfg);
+            let part = balance(BalanceMethod::Multilevel, &p);
+            assert_eq!(part.len(), g.n());
+            assert!(
+                part.iter().all(|&q| q < 3),
+                "seeded={}: {part:?}",
+                seed.is_some()
+            );
+        }
+    }
 
     #[test]
     fn rank_lists_are_ascending_and_invert_to_the_rank_major_numbering() {

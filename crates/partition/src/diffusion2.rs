@@ -34,7 +34,7 @@
 
 use crate::graph::Graph;
 use crate::metrics::weights_of;
-use crate::sfc::cap_fractions;
+use crate::sfc::Shares;
 use crate::weights::Weights;
 
 /// Cap on flow-solve rounds. The Chebyshev recurrence converges in
@@ -276,7 +276,7 @@ fn diffusion2_core(
     if nparts <= 1 || g.n() == 0 {
         return prev.to_vec();
     }
-    let frac = cap_fractions(caps, nparts);
+    let frac = Shares::new(caps).fracs(nparts);
     let w_parts = weights_of(w_flow, prev, nparts);
     let total: u64 = w_parts.iter().sum();
     if total == 0 {

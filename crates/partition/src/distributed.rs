@@ -60,9 +60,7 @@ use plum_parsim::{spmd, words_for_bytes, Comm, MachineModel};
 
 use crate::balance::{multilevel, Problem, RankLists};
 use crate::graph::Graph;
-use crate::kway::{
-    capacity_fractions, part_ceilings, partition_kway_impl, rel_lt, PartitionConfig,
-};
+use crate::kway::{part_ceilings, partition_kway_impl, rel_lt, PartitionConfig};
 use crate::metrics::weights_of;
 use crate::repart::repartition_diffuse;
 use crate::rng::Rng;
@@ -1490,7 +1488,7 @@ pub(crate) fn multilevel_body(
     if solves_whole(p) {
         return gather_solve(comm, p, lists, vertex_units);
     }
-    let frac = capacity_fractions(p.caps, cfg.nparts);
+    let frac = p.shares().weighted(cfg.nparts);
     let frac = frac.as_deref();
 
     let level0 = build_level0(rank, g, lists, p.seed);

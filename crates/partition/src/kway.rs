@@ -38,22 +38,6 @@ pub(crate) fn part_ceilings(total: u64, cfg: &PartitionConfig, frac: Option<&[f6
     }
 }
 
-/// Normalized capacity fractions, or `None` when the capacities are uniform —
-/// in which case callers must take the unweighted integer path, which the
-/// zero-chaos golden tests require to stay bit-exact.
-pub(crate) fn capacity_fractions(caps: &[f64], nparts: usize) -> Option<Vec<f64>> {
-    assert_eq!(caps.len(), nparts, "need one capacity per part");
-    assert!(
-        caps.iter().all(|c| c.is_finite() && *c > 0.0),
-        "capacities must be finite and positive: {caps:?}"
-    );
-    if caps.iter().all(|&c| c == caps[0]) {
-        return None;
-    }
-    let sum: f64 = caps.iter().sum();
-    Some(caps.iter().map(|c| c / sum).collect())
-}
-
 /// Configuration for [`partition_kway`] and
 /// [`crate::repart::repartition_kway`].
 #[derive(Debug, Clone, Copy)]
@@ -698,11 +682,20 @@ pub(crate) mod tests {
         assert!(i2 <= 1.15, "dual w2 imbalance {i2}");
     }
 
+    /// A zero capacity sizes its part at nothing (a one-vertex ceiling); a
+    /// negative or non-finite one is degenerate and partitions as uniform.
     #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn weighted_partition_rejects_nonpositive_capacity() {
+    fn weighted_partition_takes_a_zero_capacity_and_degrades_a_negative_one() {
         let g = grid3d(4, 4, 1);
-        ml(&g, None, &PartitionConfig::new(2), None, &[1.0, 0.0]);
+        let cfg = PartitionConfig::new(2);
+        let part = ml(&g, None, &cfg, None, &[1.0, 0.0]);
+        assert_eq!(part.len(), g.n());
+        assert!(part.iter().all(|&q| q < 2), "{part:?}");
+        assert!(weights_of(&g.vwgt, &part, 2)[1] <= 1, "{part:?}");
+        let uniform = ml(&g, None, &cfg, None, &[1.0, 1.0]);
+        for caps in [[1.0, -1.0], [2.0, -1.0], [f64::NAN, 1.0]] {
+            assert_eq!(ml(&g, None, &cfg, None, &caps), uniform, "{caps:?}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::distributed::{
     merge_delta, parallel_hem, row_words, DistGraph, FRESH_KEEP,
 };
 use crate::graph::Graph;
-use crate::kway::{capacity_fractions, part_ceilings, partition_kway, PartitionConfig};
+use crate::kway::{part_ceilings, partition_kway, PartitionConfig};
 use crate::metrics::weights_of;
 use crate::weights::Weights;
 
@@ -217,7 +217,7 @@ proptest! {
         prop_assert_eq!(d.part.len(), n, "partition must cover every vertex");
         prop_assert!(d.part.iter().all(|&q| (q as usize) < p), "part id out of range");
         let w = weights_of(&g.vwgt, &d.part, p);
-        let frac = capacity_fractions(&caps[..p], p);
+        let frac = crate::sfc::Shares::new(&caps[..p]).weighted(p);
         let ceil = part_ceilings(g.total_vwgt(), &cfg, frac.as_deref());
         let maxv = *g.vwgt.iter().max().unwrap();
         for q in 0..p {

@@ -58,22 +58,17 @@ pub fn sfc_order(keys: &[u64]) -> Vec<u32> {
     order
 }
 
-/// Per-part capacity fractions (summing to 1). A degenerate capacity vector
-/// falls back to uniform — the same defined-result policy as
-/// [`crate::imbalance_weighted`].
-pub(crate) fn cap_fractions(caps: &[f64], nparts: usize) -> Vec<f64> {
-    assert_eq!(caps.len(), nparts, "one capacity per part");
-    let shares = Shares::new(caps);
-    (0..nparts).map(|q| shares.frac(q)).collect()
-}
-
-/// The parts' capacity fractions without materializing them: the one O(P)
-/// pass over the capacities happens once, on the host, when the problem is
-/// built, so a rank reads the fractions of the parts it homes in O(1).
+/// The parts' capacity fractions (summing to 1) without materializing them:
+/// the one O(P) pass over the capacities happens once, on the host, when the
+/// problem is built, so a rank reads the fractions of the parts it homes in
+/// O(1). A degenerate capacity vector — one with a negative or non-finite
+/// capacity, or all zero — falls back to uniform, a defined result like
+/// [`crate::imbalance_weighted`]'s. A zero capacity alone is not
+/// degenerate: its part's fraction is 0.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Shares<'a> {
     caps: &'a [f64],
-    /// The capacities' sum; `None` when it is not positive and finite
+    /// The capacities' sum; `None` when the capacities are degenerate
     /// (every part then gets `1 / nparts`).
     sum: Option<f64>,
     /// All fractions are equal.
@@ -83,7 +78,8 @@ pub(crate) struct Shares<'a> {
 impl<'a> Shares<'a> {
     pub(crate) fn new(caps: &'a [f64]) -> Self {
         let sum: f64 = caps.iter().sum();
-        let sum = (sum > 0.0 && sum.is_finite()).then_some(sum);
+        let valid = caps.iter().all(|c| c.is_finite() && *c >= 0.0);
+        let sum = (valid && sum > 0.0 && sum.is_finite()).then_some(sum);
         let uniform = sum.is_none() || caps.windows(2).all(|c| c[0] == c[1]);
         Shares { caps, sum, uniform }
     }
@@ -100,6 +96,20 @@ impl<'a> Shares<'a> {
         }
     }
 
+    /// Every part's fraction; panics unless there is one capacity per part.
+    pub(crate) fn fracs(&self, nparts: usize) -> Vec<f64> {
+        assert_eq!(self.caps.len(), nparts, "one capacity per part");
+        (0..nparts).map(|q| self.frac(q)).collect()
+    }
+
+    /// The fractions, or `None` when they are all equal — callers then take
+    /// the unweighted integer path, which the zero-chaos golden tests
+    /// require to stay bit-exact.
+    pub(crate) fn weighted(&self, nparts: usize) -> Option<Vec<f64>> {
+        assert_eq!(self.caps.len(), nparts, "one capacity per part");
+        (!self.uniform).then(|| self.fracs(nparts))
+    }
+
     /// Part `q`'s share of `total`, rounded up.
     fn share(&self, total: u64, q: usize) -> u64 {
         (total as f64 * self.frac(q)).ceil() as u64
@@ -113,7 +123,7 @@ impl<'a> Shares<'a> {
 /// at most one vertex weight.
 pub(crate) fn sfc_split(keys: &[u64], vwgt: &[u64], nparts: usize, caps: &[f64]) -> Vec<u32> {
     assert_eq!(keys.len(), vwgt.len(), "one weight per vertex");
-    let frac = cap_fractions(caps, nparts);
+    let frac = Shares::new(caps).fracs(nparts);
     let total: u64 = vwgt.iter().sum();
     let mut targets = Vec::with_capacity(nparts);
     let mut cum_frac = 0.0;
@@ -662,13 +672,31 @@ mod tests {
         }
         let total: u64 = vwgt.iter().sum();
         let wmax = *vwgt.iter().max().unwrap();
-        for (p, f) in cap_fractions(&caps, 4).iter().enumerate() {
+        for (p, f) in Shares::new(&caps).fracs(4).iter().enumerate() {
             assert!(
                 w[p] as f64 <= total as f64 * f + wmax as f64,
                 "part {p} weight {} exceeds share {} + one vertex",
                 w[p],
                 total as f64 * f
             );
+        }
+    }
+
+    #[test]
+    fn shares_fall_back_to_uniform_only_on_degenerate_capacities() {
+        assert_eq!(Shares::new(&[2.0; 3]).weighted(3), None);
+        assert_eq!(Shares::new(&[1.0, 3.0]).weighted(2), Some(vec![0.25, 0.75]));
+        // A zero capacity is a part sized at nothing, not a degenerate input.
+        assert_eq!(Shares::new(&[1.0, 0.0]).weighted(2), Some(vec![1.0, 0.0]));
+        for caps in [
+            [0.0, 0.0],
+            [f64::NAN, 1.0],
+            [f64::INFINITY, 1.0],
+            [-1.0, 2.0],
+        ] {
+            let shares = Shares::new(&caps);
+            assert_eq!(shares.weighted(2), None, "{caps:?}");
+            assert_eq!(shares.fracs(2), [0.5, 0.5], "{caps:?}");
         }
     }
 

@@ -24,7 +24,7 @@
 //! part weights and centroids, hoisted onto the host with the partition).
 
 use crate::metrics::weights_of;
-use crate::sfc::{cap_fractions, sfc_split};
+use crate::sfc::{sfc_split, Shares};
 use crate::weights::Weights;
 
 /// Lloyd rounds. Generators converge geometrically on the 1D curve; the
@@ -104,7 +104,7 @@ fn voronoi_core(
     if nparts <= 1 || n == 0 {
         return seed.map(<[u32]>::to_vec).unwrap_or_else(|| vec![0; n]);
     }
-    let frac = cap_fractions(caps, nparts);
+    let frac = Shares::new(caps).fracs(nparts);
     let total: u64 = w_drive.iter().sum();
     if total == 0 {
         return seed.map(<[u32]>::to_vec).unwrap_or_else(|| vec![0; n]);

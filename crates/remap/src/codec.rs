@@ -2,8 +2,8 @@
 //!
 //! When an element moves between processors its refinement tree and solution
 //! data are serialized into a send buffer and rebuilt on the receiving side.
-//! The codec is hand-rolled (no serde) so the word counts the cost model
-//! charges are exactly the words on the wire.
+//! The codec is hand-rolled (no serde) so the words a migration declares to
+//! the session clock are exactly the bytes on the wire.
 
 /// An append-only binary message builder.
 #[derive(Debug, Default, Clone)]
@@ -55,7 +55,7 @@ impl Packer {
         self.buf.is_empty()
     }
 
-    /// Size in 8-byte words (what the cost model charges).
+    /// Size in 8-byte words (what the session clock charges).
     pub fn words(&self) -> u64 {
         (self.buf.len() as u64).div_ceil(8)
     }

@@ -1,22 +1,24 @@
-//! # plum-remap — redistribution cost model and migration codec
+//! # plum-remap — migration codec and Fig. 7's balancing bound
 //!
-//! The acceptance logic of the load balancer (§4.5–4.6): the analytic
-//! gain/cost comparison that decides whether a new partitioning is worth its
-//! data movement, the Fig.-7 bound on what balancing can buy, and the binary
-//! pack/unpack machinery used to physically migrate element trees and
-//! solution data between ranks.
+//! The binary pack/unpack machinery used to physically migrate element
+//! trees and solution data between ranks, and the Fig.-7 bound on what
+//! balancing can buy. The gain/cost acceptance test that decides whether a
+//! new partitioning is worth its data movement (§4.5–4.6) prices with the
+//! session's own constants: `plum_core::WorkModel::gain` and
+//! `plum_core::WorkModel::remap_cost`.
 //!
 //! ```
-//! use plum_remap::{CostModel, max_balancing_improvement};
+//! use plum_remap::{max_balancing_improvement, Packer, Unpacker};
 //!
-//! let model = CostModel::default();
-//! let gain = model.computational_gain(10_000, 6_000, 3_000, 1_500);
-//! // The busiest rank's flow: it sends or receives 2 500 elements in 9
-//! // transfers (`C_max`, `N_max`), however many the machine moves in all.
-//! let cost = model.redistribution_cost(2_500, 9);
-//! if model.should_accept(gain, cost) {
-//!     // migrate, then subdivide
-//! }
+//! // One element's state crosses the wire as words and comes back intact.
+//! let mut out = Packer::new();
+//! out.put_u32(7);
+//! out.put_f64(0.25);
+//! let buf = out.finish();
+//! let mut inp = Unpacker::new(&buf);
+//! assert_eq!((inp.get_u32(), inp.get_f64()), (7, 0.25));
+//! // Refinement with growth factor G = 1.353 on P ≥ 20 processors: balancing
+//! // buys at most 8 / G.
 //! assert!((max_balancing_improvement(64, 1.353) - 5.91).abs() < 0.01);
 //! ```
 
@@ -24,4 +26,4 @@ mod codec;
 mod cost;
 
 pub use codec::{Packer, Unpacker};
-pub use cost::{max_balancing_improvement, CostModel};
+pub use cost::max_balancing_improvement;

@@ -115,12 +115,11 @@ fn rotor_geometry_full_pipeline() {
 
 #[test]
 fn rejected_remap_keeps_everything_in_place() {
-    let mut cfg = PlumConfig::new(4);
+    let mut p = Plum::new(unit_box_mesh(4), WaveField::unit_box(), PlumConfig::new(4));
     // Movement is absurdly expensive: every proposal must be rejected.
-    cfg.cost.m_words = u64::MAX / 1_000_000;
-    cfg.cost.t_iter = 1e-15;
-    cfg.cost.t_refine = 0.0;
-    let mut p = Plum::new(unit_box_mesh(4), WaveField::unit_box(), cfg);
+    p.work.m_words = u64::MAX / 1_000_000;
+    p.work.t_edge_visit = 1e-15;
+    p.work.t_child = 0.0;
     let before = p.proc_of_root.clone();
     let r = p.adaption_cycle(0.3, 0.1);
     assert!(!r.decision.accepted);
