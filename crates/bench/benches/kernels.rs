@@ -11,6 +11,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Instant;
 
 use plum_bench::{initial_mesh, marked_problem, Scale, CASES};
 use plum_core::{parallel_migrate, Ownership, Plum, PlumConfig, WorkModel};
@@ -375,7 +376,8 @@ fn bench_multilevel_stage(c: &mut Criterion) {
 /// call per session step; the step's own cost is
 /// `session_step/compute_step_p256`. The
 /// 1-word probes of the e2e benchmark cannot see a per-forward payload
-/// copy; these can.
+/// copy; these can. Last, the host cost of the latency-bound collectives
+/// at P = 64, 256 and 2048 (see [`control_collective`]).
 fn bench_collectives_payload(c: &mut Criterion) {
     const P: usize = 256;
     let mut group = c.benchmark_group("collectives_payload");
@@ -518,7 +520,59 @@ fn bench_collectives_payload(c: &mut Criterion) {
                 .sum::<u64>()
         })
     });
+
+    // The latency-bound collectives of a marking sweep, an SFC transport
+    // and a refinement stage, up to the `weak_p2048` shape.
+    type Control<'a> = &'a (dyn Fn(&mut Comm) + Send + Sync);
+    let control: [(&str, Control); 5] = [
+        ("barrier", &|comm| comm.barrier()),
+        ("allreduce_w1", &|comm| {
+            black_box(comm.allreduce_sum_u64(1));
+        }),
+        ("exscan_w1", &|comm| {
+            black_box(comm.exscan(|_| 1, 1u64, |a, b| a + b));
+        }),
+        ("alltoallv_sparse_join_bool", &|comm| {
+            let changed = comm.rank() == 0;
+            black_box(comm.alltoallv_sparse_join(nothing(), changed, |_| 0, |a, b| a || b));
+        }),
+        ("alltoallv_direct_empty", &|comm| {
+            black_box(comm.alltoallv_direct(nothing()));
+        }),
+    ];
+    for nranks in [64usize, 256, 2048] {
+        let mut session = Session::new(nranks, MachineModel::sp2());
+        for (name, probe) in control {
+            let us = control_collective(&mut session, probe) * 1e6;
+            println!("  collectives_payload/{name}_p{nranks}: {us:.1} host us per call");
+        }
+    }
     group.finish();
+}
+
+/// Median host seconds per call of `probe` on every rank, over ten samples
+/// on a session whose fibers are warm. A sample runs eight calls in one
+/// step and is charged that step's time less an empty step's, run right
+/// after it, so the step's own spawn and teardown drop out (and a step's
+/// trace stays small at P = 2048).
+fn control_collective(session: &mut Session, probe: &(dyn Fn(&mut Comm) + Send + Sync)) -> f64 {
+    const CALLS: usize = 8;
+    let nranks = session.nranks();
+    let mut timed = |body: &(dyn Fn(&mut Comm) + Send + Sync)| {
+        let start = Instant::now();
+        session.run(vec![(); nranks], |comm, ()| body(comm));
+        start.elapsed().as_secs_f64()
+    };
+    let empty = |comm: &mut Comm| comm.compute(1.0);
+    timed(&empty);
+    let mut samples: Vec<f64> = (0..10)
+        .map(|_| {
+            let full = timed(&|comm| (0..CALLS).for_each(|_| probe(comm)));
+            (full - timed(&empty)).max(0.0) / CALLS as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// The paper-scale framework (≈ 61k elements) over `nproc` ranks after its

@@ -1,9 +1,9 @@
-//! Collective operations built on point-to-point messaging.
+//! Collective operations, each executed in one host pass at a rendezvous.
 //!
 //! All collectives must be called at the same program point by every rank
-//! (standard SPMD discipline). Every collective is tree-shaped or
-//! log-round so both the modeled virtual time *and* the per-rank message
-//! count scale as `O(log P)`:
+//! (standard SPMD discipline). Every collective is modeled as a tree-shaped
+//! or log-round message schedule, so both the modeled virtual time *and*
+//! the per-rank message count scale as `O(log P)`:
 //!
 //! * `bcast` — binomial tree, `P-1` messages total.
 //! * `gather` — binomial tree toward the root, `P-1` messages
@@ -44,20 +44,46 @@
 //!   `2·ceil(log2 P)`-hop collective of its own; `alltoallv_sparse` is its
 //!   `()`-share case.
 //!
+//! ## Execution model
+//!
+//! A collective does not run message by message on the ranks' fibers.
+//! Every rank meets the others at a rendezvous (see [`crate::sched`]),
+//! depositing its ledger — clock, trace, send counters, chaos link state —
+//! and its contribution, and the last rank to arrive runs the schedule
+//! above for all `P` ranks as one host loop: the same peers, tags and
+//! declared words, folds in the same order, and every clock charge made by
+//! [`Ledger::send`](crate::comm::Ledger) / `Ledger::recv`, the functions
+//! that price a point-to-point message. Each rank's events are charged in
+//! its own program order, so its trace equals, bit for bit, the one the
+//! message-by-message execution records (the test-only `reference` module
+//! keeps that execution, and a differential test holds every collective to
+//! it). The payload never travels: a gather's root receives the values, a
+//! scatter's ranks their blocks, and an exchange's items go straight to
+//! their destinations, while the trace declares the words each hop of the
+//! schedule would have carried. A value every rank receives (`bcast`,
+//! `allgather`, `allreduce`) is stored once and handed out as an [`Arc`].
+//!
+//! ## The SPMD contract
+//!
 //! `words` is the model; the payload is host data. The reducing collectives
 //! take `words` as a function of the value (`|_| n` for a fixed-size one):
 //! a fold of sparse rows grows on its way up the tree and a message must
-//! declare what it carries, not what the caller started with. A value every
-//! rank receives (`bcast`, `allgather`, `allreduce`) is stored once and
-//! handed out as an [`Arc`]: the tree forwards pointer clones, so host time
-//! and memory do not grow with `P × payload` while every declared message
-//! size, tag and timestamp is what a copying implementation would record.
+//! declare what it carries, not what the caller started with. One rank's
+//! `words`, `op` and `join` closures fold and size every rank's values in
+//! the host pass, so they must be the same pure function on every rank:
+//! they may capture configuration every rank shares (`nparts`), never
+//! rank-local state. A rank's *contributions* — its value, its items, its
+//! own `my_words`, `words_each` or `bcast` size — are its own.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::comm::{Comm, Tag};
+use crate::sched::{Op, Pass};
 use crate::trace::CollectiveKind;
+
+#[cfg(test)]
+mod reference;
 
 const TAG_BARRIER: Tag = 1 << 60;
 const TAG_BCAST: Tag = (1 << 60) + 1;
@@ -70,6 +96,26 @@ const TAG_A2A: Tag = (1 << 60) + 5;
 const TAG_EXSCAN: Tag = (1 << 60) + (1 << 32);
 const TAG_DIRECT: Tag = (1 << 60) + (1 << 32) + 1;
 
+/// A direct message of `alltoallv_direct` at its destination: source,
+/// declared words, arrival and values.
+type Direct<T> = (usize, u64, f64, Vec<T>);
+
+const fn op(name: &'static str, tag: Tag) -> Op {
+    Op {
+        name,
+        root: None,
+        tag,
+    }
+}
+
+const fn rooted(name: &'static str, tag: Tag, root: usize) -> Op {
+    Op {
+        name,
+        root: Some(root),
+        tag,
+    }
+}
+
 impl Comm {
     /// Dissemination barrier: `ceil(log2 P)` rounds of one-word messages.
     ///
@@ -77,18 +123,17 @@ impl Comm {
     /// the latest participating rank's clock at entry (plus the barrier's own
     /// message costs).
     pub fn barrier(&mut self) {
-        self.collective_enter(CollectiveKind::Barrier);
-        let p = self.nranks();
-        let rank = self.rank();
-        let mut step = 1;
-        while step < p {
-            let to = (rank + step) % p;
-            let from = (rank + p - step) % p;
-            self.send(to, TAG_BARRIER, 1, ());
-            self.recv::<()>(from, TAG_BARRIER);
-            step <<= 1;
-        }
-        self.collective_exit(CollectiveKind::Barrier);
+        self.meet(op("barrier", TAG_BARRIER), (), |pass, _: Vec<()>| {
+            let p = pass.nranks();
+            enter_all(pass, CollectiveKind::Barrier);
+            let mut step = 1;
+            while step < p {
+                exchange_round(pass, step, TAG_BARRIER, |_| 1);
+                step <<= 1;
+            }
+            exit_all(pass, CollectiveKind::Barrier);
+            vec![(); p]
+        })
     }
 
     /// Binomial-tree broadcast of `value` (size `words`) from `root`.
@@ -101,83 +146,20 @@ impl Comm {
         words: u64,
         value: Option<T>,
     ) -> Arc<T> {
-        self.tree_bcast(root, |_| words, value)
-    }
-
-    /// [`Comm::bcast`] with every forward sized from the value it carries —
-    /// the broadcast half of [`Comm::allreduce`], whose non-root ranks learn
-    /// the size only by receiving.
-    fn tree_bcast<T: Send + Sync + 'static>(
-        &mut self,
-        root: usize,
-        words: impl Fn(&T) -> u64,
-        value: Option<T>,
-    ) -> Arc<T> {
-        self.collective_enter(CollectiveKind::Bcast);
-        let p = self.nranks();
-        let vrank = (self.rank() + p - root) % p;
-        let mut have: Option<Arc<T>> = if vrank == 0 {
-            Some(Arc::new(value.expect("bcast root must supply a value")))
-        } else {
-            None
-        };
-        let mut mask = 1;
-        // Find the round in which this rank receives.
-        while mask < p {
-            if vrank >= mask && vrank < 2 * mask && have.is_none() {
-                let src = ((vrank - mask) + root) % p;
-                have = Some(self.recv::<Arc<T>>(src, TAG_BCAST));
-            }
-            if vrank < mask {
-                let dst_v = vrank + mask;
-                if dst_v < p {
-                    let dst = (dst_v + root) % p;
-                    let v = have.as_ref().expect("bcast internal: no value to forward");
-                    self.send(dst, TAG_BCAST, words(v), Arc::clone(v));
-                }
-            }
-            mask <<= 1;
+        assert!(root < self.nranks(), "bcast root {root} out of range");
+        if self.rank() == root {
+            assert!(value.is_some(), "bcast root must supply a value");
         }
-        let out = have.expect("bcast: value never arrived");
-        self.collective_exit(CollectiveKind::Bcast);
-        out
-    }
-
-    /// Binomial-tree gather of `(rank, words, value)` entries toward `root`.
-    ///
-    /// Each interior rank absorbs its subtree's entries and forwards the
-    /// whole batch in one message whose charge is the sum of the carried
-    /// entry sizes, so a rank's `sent_words` is exactly the payload it put
-    /// on the wire. Returns the (unsorted) entries on the root, `None`
-    /// elsewhere. `P-1` messages total.
-    fn tree_gather<T: Send + 'static>(
-        &mut self,
-        root: usize,
-        my_words: u64,
-        value: T,
-        tag: Tag,
-    ) -> Option<Vec<(usize, u64, T)>> {
-        let p = self.nranks();
-        let rank = self.rank();
-        let vrank = (rank + p - root) % p;
-        let mut entries: Vec<(usize, u64, T)> = vec![(rank, my_words, value)];
-        let mut mask = 1;
-        while mask < p {
-            if vrank & mask != 0 {
-                // Lowest set bit of vrank: forward the subtree to the parent.
-                let dst = ((vrank - mask) + root) % p;
-                let words: u64 = entries.iter().map(|e| e.1).sum();
-                self.send(dst, tag, words, entries);
-                return None;
-            }
-            if vrank + mask < p {
-                let src = ((vrank + mask) + root) % p;
-                let mut got: Vec<(usize, u64, T)> = self.recv(src, tag);
-                entries.append(&mut got);
-            }
-            mask <<= 1;
-        }
-        Some(entries)
+        let op = rooted("bcast", TAG_BCAST, root);
+        self.meet(
+            op,
+            (words, value),
+            |pass, mut inputs: Vec<(u64, Option<T>)>| {
+                let value = Arc::new(inputs[root].1.take().expect("root value"));
+                let out = tree_bcast(pass, root, value, |rank, _| inputs[rank].0);
+                vec![out; pass.nranks()]
+            },
+        )
     }
 
     /// Gather of one value per rank to `root` along a binomial tree. Each
@@ -192,17 +174,13 @@ impl Comm {
         my_words: u64,
         value: T,
     ) -> Option<Vec<T>> {
-        self.collective_enter(CollectiveKind::Gather);
-        let p = self.nranks();
-        let out = self
-            .tree_gather(root, my_words, value, TAG_GATHER)
-            .map(|mut entries| {
-                entries.sort_unstable_by_key(|e| e.0);
-                debug_assert_eq!(entries.len(), p, "gather: missing contributions");
-                entries.into_iter().map(|(_, _, v)| v).collect()
-            });
-        self.collective_exit(CollectiveKind::Gather);
-        out
+        assert!(root < self.nranks(), "gather root {root} out of range");
+        let op = rooted("gather", TAG_GATHER, root);
+        self.meet(op, (my_words, value), |pass, inputs: Vec<(u64, T)>| {
+            let mut out: Vec<Option<Vec<T>>> = (0..pass.nranks()).map(|_| None).collect();
+            out[root] = Some(tree_gather(pass, root, inputs));
+            out
+        })
     }
 
     /// Variable-size scatter ("scatterv"), the mirror of [`Comm::gather`]:
@@ -211,52 +189,21 @@ impl Comm {
     /// messages total; each message carries the blocks of the destination's
     /// whole subtree and charges the sum of their sizes.
     pub fn scatterv<T: Send + 'static>(&mut self, root: usize, blocks: Option<Vec<(u64, T)>>) -> T {
-        self.collective_enter(CollectiveKind::Scatter);
         let p = self.nranks();
-        let rank = self.rank();
-        let vrank = (rank + p - root) % p;
-        // Blocks this rank currently holds, as (vrank, words, value), sorted
-        // by vrank.
-        let mut held: Vec<(usize, u64, T)> = if rank == root {
-            let blocks = blocks.expect("scatter root must supply values");
+        assert!(root < p, "scatter root {root} out of range");
+        if self.rank() == root {
+            let blocks = blocks.as_ref().expect("scatter root must supply values");
             assert_eq!(blocks.len(), p, "scatter needs one value per rank");
-            let mut held: Vec<(usize, u64, T)> = blocks
-                .into_iter()
-                .enumerate()
-                .map(|(d, (words, v))| ((d + p - root) % p, words, v))
-                .collect();
-            held.sort_unstable_by_key(|b| b.0);
-            held
-        } else {
-            Vec::new()
-        };
-        let mut top = 1;
-        while top < p {
-            top <<= 1;
         }
-        let mut mask = top >> 1;
-        while mask >= 1 {
-            if vrank.is_multiple_of(2 * mask) {
-                // Holder: hand the upper half of the block range to vrank+mask.
-                let dst_v = vrank + mask;
-                if dst_v < p {
-                    let split = held.partition_point(|b| b.0 < dst_v);
-                    let ship = held.split_off(split);
-                    let dst = (dst_v + root) % p;
-                    let words = ship.iter().map(|b| b.1).sum();
-                    self.send(dst, TAG_SCATTER, words, ship);
-                }
-            } else if vrank % (2 * mask) == mask {
-                let src = ((vrank - mask) + root) % p;
-                held = self.recv(src, TAG_SCATTER);
-            }
-            mask >>= 1;
-        }
-        debug_assert_eq!(held.len(), 1, "scatter: block range not fully split");
-        let (vr, _, out) = held.pop().expect("scatter: own block never arrived");
-        debug_assert_eq!(vr, vrank, "scatter: wrong block delivered");
-        self.collective_exit(CollectiveKind::Scatter);
-        out
+        let op = rooted("scatterv", TAG_SCATTER, root);
+        self.meet(
+            op,
+            blocks,
+            |pass, mut inputs: Vec<Option<Vec<(u64, T)>>>| {
+                let blocks = inputs[root].take().expect("root blocks");
+                tree_scatter(pass, root, blocks)
+            },
+        )
     }
 
     /// Allgather (tree gather to rank 0, broadcast the vector). Every rank
@@ -266,12 +213,16 @@ impl Comm {
         words_each: u64,
         value: T,
     ) -> Arc<Vec<T>> {
-        self.collective_enter(CollectiveKind::Allgather);
-        let gathered = self.gather(0, words_each, value);
-        let total_words = words_each * self.nranks() as u64;
-        let out = self.bcast(0, total_words, gathered);
-        self.collective_exit(CollectiveKind::Allgather);
-        out
+        let op = op("allgather", TAG_GATHER);
+        self.meet(op, (words_each, value), |pass, inputs: Vec<(u64, T)>| {
+            let p = pass.nranks();
+            let total: Vec<u64> = inputs.iter().map(|&(words, _)| words * p as u64).collect();
+            enter_all(pass, CollectiveKind::Allgather);
+            let gathered = Arc::new(tree_gather(pass, 0, inputs));
+            let out = tree_bcast(pass, 0, gathered, |rank, _| total[rank]);
+            exit_all(pass, CollectiveKind::Allgather);
+            vec![out; p]
+        })
     }
 
     /// Generic allreduce: combine one value per rank with `op` (must be
@@ -287,11 +238,14 @@ impl Comm {
         T: Send + Sync + 'static,
         F: Fn(T, T) -> T,
     {
-        self.collective_enter(CollectiveKind::Allreduce);
-        let reduced = self.reduce(0, &words, value, op);
-        let out = self.tree_bcast(0, &words, reduced);
-        self.collective_exit(CollectiveKind::Allreduce);
-        out
+        let name = self::op("allreduce", TAG_REDUCE);
+        self.meet(name, value, |pass, values: Vec<T>| {
+            enter_all(pass, CollectiveKind::Allreduce);
+            let reduced = Arc::new(tree_reduce(pass, 0, values, &words, op));
+            let out = tree_bcast(pass, 0, reduced, |_, v| words(v));
+            exit_all(pass, CollectiveKind::Allreduce);
+            vec![out; pass.nranks()]
+        })
     }
 
     /// Exclusive prefix scan: rank `r` gets `v0 op v1 op … op v(r-1)` (`op`
@@ -309,37 +263,11 @@ impl Comm {
         T: Send + 'static,
         F: Fn(&T, &T) -> T,
     {
-        self.collective_enter(CollectiveKind::Exscan);
-        let p = self.nranks();
-        let rank = self.rank();
-        // `below[k]` folds ranks `rank .. rank + 2^k`: what precedes child
-        // `rank + 2^k` inside this subtree. Children are `k = 0, 1, …` while
-        // `rank + 2^k < p`, so the vector index is the child index.
-        let mut below: Vec<T> = Vec::new();
-        let mut total = value;
-        let mut mask = 1;
-        while mask < p && rank & mask == 0 {
-            if rank + mask < p {
-                let child: T = self.recv(rank + mask, TAG_EXSCAN);
-                let with_child = op(&total, &child);
-                below.push(std::mem::replace(&mut total, with_child));
-            }
-            mask <<= 1;
-        }
-        // `mask` is now the lowest set bit of a non-zero rank.
-        let prefix: Option<T> = (rank != 0).then(|| {
-            self.send(rank - mask, TAG_EXSCAN, words(&total), total);
-            self.recv(rank - mask, TAG_EXSCAN)
-        });
-        for (k, kept) in below.into_iter().enumerate().rev() {
-            let down = match &prefix {
-                Some(before) => op(before, &kept),
-                None => kept,
-            };
-            self.send(rank + (1 << k), TAG_EXSCAN, words(&down), down);
-        }
-        self.collective_exit(CollectiveKind::Exscan);
-        prefix
+        let name = self::op("exscan", TAG_EXSCAN);
+        self.meet(name, value, |pass, values: Vec<T>| {
+            let (prefixes, _) = tree_scan(pass, values, &words, &op, |_| 0);
+            prefixes
+        })
     }
 
     /// [`Comm::exscan`] that also hands every rank the fold of all ranks:
@@ -356,37 +284,11 @@ impl Comm {
         T: Clone + Send + 'static,
         F: Fn(&T, &T) -> T,
     {
-        self.collective_enter(CollectiveKind::Exscan);
-        let p = self.nranks();
-        let rank = self.rank();
-        let mut below: Vec<T> = Vec::new();
-        let mut total = value;
-        let mut mask = 1;
-        while mask < p && rank & mask == 0 {
-            if rank + mask < p {
-                let child: T = self.recv(rank + mask, TAG_EXSCAN);
-                let with_child = op(&total, &child);
-                below.push(std::mem::replace(&mut total, with_child));
-            }
-            mask <<= 1;
-        }
-        let (prefix, all) = if rank != 0 {
-            self.send(rank - mask, TAG_EXSCAN, words(&total), total);
-            let (prefix, all): (T, T) = self.recv(rank - mask, TAG_EXSCAN);
-            (Some(prefix), all)
-        } else {
-            (None, total)
-        };
-        for (k, kept) in below.into_iter().enumerate().rev() {
-            let down = match &prefix {
-                Some(before) => op(before, &kept),
-                None => kept,
-            };
-            let size = words(&down) + words(&all);
-            self.send(rank + (1 << k), TAG_EXSCAN, size, (down, all.clone()));
-        }
-        self.collective_exit(CollectiveKind::Exscan);
-        (prefix, all)
+        let name = self::op("exscan_total", TAG_EXSCAN);
+        self.meet(name, value, |pass, values: Vec<T>| {
+            let (prefixes, total) = tree_scan(pass, values, &words, &op, |total| words(total));
+            prefixes.into_iter().map(|x| (x, total.clone())).collect()
+        })
     }
 
     /// Allreduce with `f64` addition.
@@ -402,75 +304,6 @@ impl Comm {
     /// Allreduce with `u64` maximum.
     pub fn allreduce_max_u64(&mut self, value: u64) -> u64 {
         *self.allreduce(|_| 1, value, u64::max)
-    }
-
-    /// Bruck-style store-and-forward exchange: `ceil(log2 P)` rounds; in
-    /// round `k` every rank ships one combined message (all in-transit items
-    /// whose remaining relative distance has bit `k` set, plus its share) to
-    /// rank `(rank + 2^k) % P`, and joins the share it receives into its
-    /// own. A combined message charges one header word plus the sum of its
-    /// items' sizes plus `words` of the share. Before round `k` a rank's
-    /// share joins the `2^k` ranks ending at itself, so after the last round
-    /// it joins every rank. Returns the items addressed to this rank as
-    /// `(source, value)` sorted by source, and the joined share.
-    fn bruck_exchange<T, S>(
-        &mut self,
-        items: Vec<(usize, u64, T)>,
-        mut share: S,
-        words: impl Fn(&S) -> u64,
-        join: impl Fn(S, S) -> S,
-    ) -> (Vec<(usize, T)>, S)
-    where
-        T: Send + 'static,
-        S: Clone + Send + 'static,
-    {
-        let p = self.nranks();
-        let rank = self.rank();
-        let mut out: Vec<(usize, T)> = Vec::new();
-        // In-transit items: (destination, source, words, value).
-        let mut transit: Vec<(usize, usize, u64, T)> = Vec::with_capacity(items.len());
-        for (dst, words, v) in items {
-            assert!(dst < p, "alltoallv destination {dst} out of range");
-            if dst == rank {
-                out.push((rank, v));
-            } else {
-                transit.push((dst, rank, words, v));
-            }
-        }
-        let mut round: Tag = 0;
-        let mut step = 1;
-        while step < p {
-            let to = (rank + step) % p;
-            let from = (rank + p - step) % p;
-            let mut keep = Vec::with_capacity(transit.len());
-            let mut ship = Vec::new();
-            for item in transit {
-                let dist = (item.0 + p - rank) % p;
-                if dist & step != 0 {
-                    ship.push(item);
-                } else {
-                    keep.push(item);
-                }
-            }
-            let ship_words = 1 + ship.iter().map(|i| i.2).sum::<u64>() + words(&share);
-            self.send(to, TAG_A2A + round, ship_words, (ship, share.clone()));
-            let (arrived, heard): (Vec<(usize, usize, u64, T)>, S) =
-                self.recv(from, TAG_A2A + round);
-            share = join(share, heard);
-            transit = keep;
-            for (dst, src, words, v) in arrived {
-                if dst == rank {
-                    out.push((src, v));
-                } else {
-                    transit.push((dst, src, words, v));
-                }
-            }
-            step <<= 1;
-            round += 1;
-        }
-        debug_assert!(transit.is_empty(), "alltoallv internal: undelivered items");
-        out.sort_by_key(|&(src, _)| src);
-        (out, share)
     }
 
     /// Sparse personalized all-to-all: `items` is any list of
@@ -512,33 +345,50 @@ impl Comm {
         &mut self,
         items: Vec<(usize, u64, T)>,
     ) -> Vec<(usize, T)> {
-        self.collective_enter(CollectiveKind::Alltoallv);
         let (p, rank) = (self.nranks(), self.rank());
-        let mut out: Vec<(usize, T)> = Vec::new();
+        let mut own: Vec<T> = Vec::new();
         // Per destination, ascending: declared words and values in order.
         let mut outgoing: BTreeMap<usize, (u64, Vec<T>)> = BTreeMap::new();
         for (dst, words, v) in items {
             assert!(dst < p, "alltoallv destination {dst} out of range");
             if dst == rank {
-                out.push((rank, v));
+                own.push(v);
             } else {
                 let (total, vals) = outgoing.entry(dst).or_default();
                 *total += words;
                 vals.push(v);
             }
         }
-        let notices = outgoing.keys().map(|&dst| (dst, 0, ())).collect();
-        let (sources, ()) = self.bruck_exchange(notices, (), |_| 0, |_, _| {});
-        for (dst, (words, vals)) in outgoing {
-            self.send(dst, TAG_DIRECT, words, vals);
-        }
-        for (src, ()) in sources {
-            let vals: Vec<T> = self.recv(src, TAG_DIRECT);
-            out.extend(vals.into_iter().map(|v| (src, v)));
-        }
-        out.sort_by_key(|&(src, _)| src);
-        self.collective_exit(CollectiveKind::Alltoallv);
-        out
+        let op = op("alltoallv_direct", TAG_A2A);
+        self.meet(op, (own, outgoing), |pass, inputs: Vec<(Vec<T>, _)>| {
+            enter_all(pass, CollectiveKind::Alltoallv);
+            // The notices' Bruck exchange: every message is its header word.
+            let mut step = 1;
+            let mut round: Tag = 0;
+            while step < p {
+                exchange_round(pass, step, TAG_A2A + round, |_| 1);
+                step <<= 1;
+                round += 1;
+            }
+            let mut out: Vec<Vec<(usize, T)>> = Vec::with_capacity(p);
+            let mut inbound: Vec<Vec<Direct<T>>> = (0..p).map(|_| Vec::new()).collect();
+            for (src, (own, outgoing)) in inputs.into_iter().enumerate() {
+                out.push(own.into_iter().map(|v| (src, v)).collect());
+                for (dst, (words, vals)) in outgoing {
+                    let arrival = pass.send(src, dst, TAG_DIRECT, words);
+                    inbound[dst].push((src, words, arrival, vals));
+                }
+            }
+            for (dst, (got, inbound)) in out.iter_mut().zip(inbound).enumerate() {
+                for (src, words, arrival, vals) in inbound {
+                    pass.recv(dst, src, TAG_DIRECT, words, arrival);
+                    got.extend(vals.into_iter().map(|v| (src, v)));
+                }
+                got.sort_by_key(|&(src, _)| src);
+            }
+            exit_all(pass, CollectiveKind::Alltoallv);
+            out
+        })
     }
 
     /// [`Comm::alltoallv_sparse`] with a reduction riding on it: every
@@ -565,10 +415,18 @@ impl Comm {
         T: Send + 'static,
         S: Clone + Send + 'static,
     {
-        self.collective_enter(CollectiveKind::Alltoallv);
-        let out = self.bruck_exchange(items, share, words, join);
-        self.collective_exit(CollectiveKind::Alltoallv);
-        out
+        let p = self.nranks();
+        for &(dst, _, _) in &items {
+            assert!(dst < p, "alltoallv destination {dst} out of range");
+        }
+        let op = op("alltoallv_sparse_join", TAG_A2A);
+        self.meet(op, (items, share), |pass, inputs: Vec<(Vec<_>, S)>| {
+            enter_all(pass, CollectiveKind::Alltoallv);
+            let (items, shares) = inputs.into_iter().unzip();
+            let out = bruck_exchange(pass, items, shares, words, join);
+            exit_all(pass, CollectiveKind::Alltoallv);
+            out
+        })
     }
 
     /// Dense personalized all-to-all: `items[d]` is `(words, value)` destined
@@ -579,24 +437,26 @@ impl Comm {
     /// [`Comm::alltoallv_sparse`], so the per-rank message count is
     /// `ceil(log2 P)` rather than `P-1`.
     pub fn alltoallv<T: Send + 'static>(&mut self, items: Vec<(u64, T)>) -> Vec<T> {
-        self.collective_enter(CollectiveKind::Alltoallv);
         let p = self.nranks();
         assert_eq!(items.len(), p, "alltoallv needs one item per rank");
-        let sparse: Vec<(usize, u64, T)> = items
-            .into_iter()
-            .enumerate()
-            .map(|(d, (words, v))| (d, words, v))
-            .collect();
-        let (received, ()) = self.bruck_exchange(sparse, (), |_| 0, |_, _| {});
-        assert_eq!(received.len(), p, "alltoallv: missing contributions");
-        let mut slots: Vec<Option<T>> = (0..p).map(|_| None).collect();
-        for (src, v) in received {
-            debug_assert!(slots[src].is_none(), "alltoallv: duplicate source {src}");
-            slots[src] = Some(v);
-        }
-        let out = slots.into_iter().map(|v| v.unwrap()).collect();
-        self.collective_exit(CollectiveKind::Alltoallv);
-        out
+        let op = op("alltoallv", TAG_A2A);
+        self.meet(op, items, |pass, inputs: Vec<Vec<(u64, T)>>| {
+            enter_all(pass, CollectiveKind::Alltoallv);
+            let sparse = inputs
+                .into_iter()
+                .map(|row| {
+                    row.into_iter()
+                        .enumerate()
+                        .map(|(d, (words, v))| (d, words, v))
+                        .collect()
+                })
+                .collect();
+            let out = bruck_exchange(pass, sparse, vec![(); p], |_| 0, |_, _| {});
+            exit_all(pass, CollectiveKind::Alltoallv);
+            out.into_iter()
+                .map(|(received, ())| received.into_iter().map(|(_, v)| v).collect())
+                .collect()
+        })
     }
 
     /// Reduce to root only (others get `None`), in the tree.
@@ -621,30 +481,316 @@ impl Comm {
         T: Send + 'static,
         F: Fn(T, T) -> T,
     {
-        self.collective_enter(CollectiveKind::Reduce);
-        let p = self.nranks();
-        let vrank = (self.rank() + p - root) % p;
-        let mut acc = value;
+        assert!(root < self.nranks(), "reduce root {root} out of range");
+        let name = rooted("reduce", TAG_REDUCE, root);
+        self.meet(name, value, |pass, values: Vec<T>| {
+            let mut out: Vec<Option<T>> = (0..pass.nranks()).map(|_| None).collect();
+            out[root] = Some(tree_reduce(pass, root, values, &words, op));
+            out
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Host passes: each charges every rank's ledger in that rank's program order.
+// A tree visits ranks parent-first (a broadcast, a down-sweep) or
+// children-first (a gather, a reduction, an up-sweep), so a receive always
+// finds the arrival its sender has already stamped; a round-based exchange
+// charges every send of a round before any of its receives.
+
+fn enter_all(pass: &mut Pass<'_>, kind: CollectiveKind) {
+    pass.ledgers.iter_mut().for_each(|l| l.enter(kind));
+}
+
+fn exit_all(pass: &mut Pass<'_>, kind: CollectiveKind) {
+    pass.ledgers.iter_mut().for_each(|l| l.exit(kind));
+}
+
+/// One dissemination round at distance `step`: every rank `r` sends
+/// `words(r)` words to `r + step` and receives from `r - step` (mod P).
+fn exchange_round(pass: &mut Pass<'_>, step: usize, tag: Tag, words: impl Fn(usize) -> u64) {
+    let p = pass.nranks();
+    let sent: Vec<(u64, f64)> = (0..p)
+        .map(|r| {
+            let w = words(r);
+            (w, pass.send(r, (r + step) % p, tag, w))
+        })
+        .collect();
+    for r in 0..p {
+        let from = (r + p - step) % p;
+        let (w, arrival) = sent[from];
+        pass.recv(r, from, tag, w, arrival);
+    }
+}
+
+/// The binomial broadcast of `value` from `root`; a forward from rank `r`
+/// declares `words(r, value)`. Virtual rank `v > 0` receives from `v` less
+/// its highest bit, then forwards to `v + 2^k` for every `2^k > v`.
+fn tree_bcast<T>(
+    pass: &mut Pass<'_>,
+    root: usize,
+    value: Arc<T>,
+    words: impl Fn(usize, &T) -> u64,
+) -> Arc<T> {
+    let p = pass.nranks();
+    enter_all(pass, CollectiveKind::Bcast);
+    // The message to each virtual rank: (words, arrival).
+    let mut down = vec![(0u64, 0.0f64); p];
+    for v in 0..p {
+        let rank = (v + root) % p;
         let mut mask = 1;
-        let out = loop {
-            if mask >= p {
-                break Some(acc);
-            }
-            if vrank & mask != 0 {
-                // Lowest set bit of vrank: hand the subtree's fold to the parent.
-                let dst = ((vrank - mask) + root) % p;
-                self.send(dst, TAG_REDUCE, words(&acc), acc);
-                break None;
-            }
-            if vrank + mask < p {
-                let src = ((vrank + mask) + root) % p;
-                acc = op(acc, self.recv(src, TAG_REDUCE));
+        if v > 0 {
+            let high = 1 << v.ilog2();
+            let (w, arrival) = down[v];
+            pass.recv(rank, (v - high + root) % p, TAG_BCAST, w, arrival);
+            mask = high << 1;
+        }
+        while v + mask < p {
+            let w = words(rank, &value);
+            down[v + mask] = (w, pass.send(rank, (v + mask + root) % p, TAG_BCAST, w));
+            mask <<= 1;
+        }
+    }
+    exit_all(pass, CollectiveKind::Bcast);
+    value
+}
+
+/// The binomial gather to `root` of `(words, value)` per rank: virtual rank
+/// `v` receives its children `v + 2^k` (`2^k` below its lowest bit) in
+/// ascending order, then forwards to its parent a message declaring its
+/// subtree's words. Returns the values in rank order.
+fn tree_gather<T>(pass: &mut Pass<'_>, root: usize, inputs: Vec<(u64, T)>) -> Vec<T> {
+    let p = pass.nranks();
+    enter_all(pass, CollectiveKind::Gather);
+    let (mine, values): (Vec<u64>, Vec<T>) = inputs.into_iter().unzip();
+    // The message from each virtual rank to its parent: (words, arrival).
+    let mut up = vec![(0u64, 0.0f64); p];
+    for v in (0..p).rev() {
+        let rank = (v + root) % p;
+        let mut total = mine[rank];
+        let mut mask = 1;
+        while mask < p && v & mask == 0 {
+            if v + mask < p {
+                let (w, arrival) = up[v + mask];
+                pass.recv(rank, (v + mask + root) % p, TAG_GATHER, w, arrival);
+                total += w;
             }
             mask <<= 1;
-        };
-        self.collective_exit(CollectiveKind::Reduce);
-        out
+        }
+        if v > 0 {
+            up[v] = (
+                total,
+                pass.send(rank, (v - mask + root) % p, TAG_GATHER, total),
+            );
+        }
     }
+    exit_all(pass, CollectiveKind::Gather);
+    values
+}
+
+/// The binomial reduction to `root`, folded in the tree: virtual rank `v`
+/// folds its children's subtree results in ascending order, then sends its
+/// fold to its parent declaring `words(fold)`. Returns the root's fold.
+fn tree_reduce<T>(
+    pass: &mut Pass<'_>,
+    root: usize,
+    values: Vec<T>,
+    words: impl Fn(&T) -> u64,
+    op: impl Fn(T, T) -> T,
+) -> T {
+    let p = pass.nranks();
+    enter_all(pass, CollectiveKind::Reduce);
+    let mut values: Vec<Option<T>> = values.into_iter().map(Some).collect();
+    // The fold each virtual rank sent up: (fold, words, arrival).
+    let mut up: Vec<Option<(T, u64, f64)>> = (0..p).map(|_| None).collect();
+    let mut result = None;
+    for v in (0..p).rev() {
+        let rank = (v + root) % p;
+        let mut acc = values[rank].take().expect("one value per rank");
+        let mut mask = 1;
+        while mask < p && v & mask == 0 {
+            if v + mask < p {
+                let (child, w, arrival) = up[v + mask].take().expect("child folded first");
+                pass.recv(rank, (v + mask + root) % p, TAG_REDUCE, w, arrival);
+                acc = op(acc, child);
+            }
+            mask <<= 1;
+        }
+        if v > 0 {
+            let w = words(&acc);
+            let arrival = pass.send(rank, (v - mask + root) % p, TAG_REDUCE, w);
+            up[v] = Some((acc, w, arrival));
+        } else {
+            result = Some(acc);
+        }
+    }
+    exit_all(pass, CollectiveKind::Reduce);
+    result.expect("the root folds last")
+}
+
+/// The binomial scatter from `root`: virtual rank `v > 0` receives the
+/// blocks of `[v, v + lowbit(v))` from its parent, then hands the upper
+/// half of what it holds to `v + 2^k` for every `2^k` below its lowest bit,
+/// largest first, each message declaring the words of the blocks it ships.
+fn tree_scatter<T>(pass: &mut Pass<'_>, root: usize, blocks: Vec<(u64, T)>) -> Vec<T> {
+    let p = pass.nranks();
+    enter_all(pass, CollectiveKind::Scatter);
+    // `before[k]`: the words of the blocks of virtual ranks below `k`.
+    let mut before = Vec::with_capacity(p + 1);
+    before.push(0u64);
+    for k in 0..p {
+        before.push(before[k] + blocks[(k + root) % p].0);
+    }
+    let mut down = vec![(0u64, 0.0f64); p];
+    for v in 0..p {
+        let rank = (v + root) % p;
+        let mut mask = p.next_power_of_two() >> 1;
+        if v > 0 {
+            let low = v & v.wrapping_neg();
+            let (w, arrival) = down[v];
+            pass.recv(rank, (v - low + root) % p, TAG_SCATTER, w, arrival);
+            mask = low >> 1;
+        }
+        while mask >= 1 {
+            let dst = v + mask;
+            if dst < p {
+                let w = before[(dst + mask).min(p)] - before[dst];
+                down[dst] = (w, pass.send(rank, (dst + root) % p, TAG_SCATTER, w));
+            }
+            mask >>= 1;
+        }
+    }
+    exit_all(pass, CollectiveKind::Scatter);
+    blocks.into_iter().map(|(_, v)| v).collect()
+}
+
+/// The exclusive scan's two sweeps over the binomial tree rooted at rank 0.
+/// Up, children first: rank `r` folds its children `r + 2^k` in ascending
+/// order, keeping for each the fold of what precedes it, then sends its
+/// subtree's total to its parent. Down, parents first: rank `r` receives
+/// its prefix and sends each child, largest first, the prefix of that
+/// child, declaring `words(prefix) + extra(total)`. Returns every rank's
+/// prefix (rank 0's is `None`) and the total.
+fn tree_scan<T>(
+    pass: &mut Pass<'_>,
+    values: Vec<T>,
+    words: impl Fn(&T) -> u64,
+    op: impl Fn(&T, &T) -> T,
+    extra: impl Fn(&T) -> u64,
+) -> (Vec<Option<T>>, T) {
+    let p = pass.nranks();
+    enter_all(pass, CollectiveKind::Exscan);
+    let mut totals: Vec<Option<T>> = values.into_iter().map(Some).collect();
+    // `kept[c]`: the fold of the part of c's parent's subtree preceding c.
+    let mut kept: Vec<Option<T>> = (0..p).map(|_| None).collect();
+    // The message each rank sent its parent, then the one it received from
+    // it: (words, arrival).
+    let mut wire = vec![(0u64, 0.0f64); p];
+    for r in (0..p).rev() {
+        let mut total = totals[r].take().expect("one value per rank");
+        let mut mask = 1;
+        while mask < p && r & mask == 0 {
+            if r + mask < p {
+                let child = totals[r + mask].take().expect("child summed first");
+                let (w, arrival) = wire[r + mask];
+                pass.recv(r, r + mask, TAG_EXSCAN, w, arrival);
+                let with_child = op(&total, &child);
+                kept[r + mask] = Some(std::mem::replace(&mut total, with_child));
+            }
+            mask <<= 1;
+        }
+        if r > 0 {
+            let w = words(&total);
+            wire[r] = (w, pass.send(r, r - mask, TAG_EXSCAN, w));
+        }
+        totals[r] = Some(total);
+    }
+    let total = totals[0].take().expect("rank 0 holds the total");
+    let extra = extra(&total);
+    // `totals` now carries each rank's prefix down.
+    for r in 0..p {
+        let low = if r == 0 {
+            p.next_power_of_two()
+        } else {
+            r & r.wrapping_neg()
+        };
+        if r > 0 {
+            let (w, arrival) = wire[r];
+            pass.recv(r, r - low, TAG_EXSCAN, w, arrival);
+        }
+        let mut mask = low >> 1;
+        while mask >= 1 {
+            let child = r + mask;
+            if child < p {
+                let kept = kept[child].take().expect("kept on the way up");
+                let down = match &totals[r] {
+                    Some(before) => op(before, &kept),
+                    None => kept,
+                };
+                let w = words(&down) + extra;
+                wire[child] = (w, pass.send(r, child, TAG_EXSCAN, w));
+                totals[child] = Some(down);
+            }
+            mask >>= 1;
+        }
+    }
+    exit_all(pass, CollectiveKind::Exscan);
+    (totals, total)
+}
+
+/// Bruck-style store-and-forward exchange: `ceil(log2 P)` rounds; in
+/// round `k` every rank ships one combined message (all in-transit items
+/// whose remaining relative distance has bit `k` set, plus its share) to
+/// rank `(rank + 2^k) % P`, and joins the share it receives into its
+/// own. A combined message charges one header word plus the sum of its
+/// items' sizes plus `words` of the share. Before round `k` a rank's
+/// share joins the `2^k` ranks ending at itself, so after the last round
+/// it joins every rank.
+///
+/// An item from `s` to `d` at distance `δ = (d - s) mod P` sits, before
+/// round `k`, at `s + (δ mod 2^k)` and is shipped in round `k` when bit `k`
+/// of `δ` is set, so each message's words follow from the items alone; the
+/// items themselves go straight to their destinations, in source order and
+/// stable within a source, which is where the rounds deliver them. Returns
+/// every rank's `(source, value)` items and joined share.
+fn bruck_exchange<T, S: Clone>(
+    pass: &mut Pass<'_>,
+    items: Vec<Vec<(usize, u64, T)>>,
+    mut shares: Vec<S>,
+    words: impl Fn(&S) -> u64,
+    join: impl Fn(S, S) -> S,
+) -> Vec<(Vec<(usize, T)>, S)> {
+    let p = pass.nranks();
+    let rounds = p.next_power_of_two().trailing_zeros() as usize;
+    // `load[k * P + r]`: the item words rank `r` ships in round `k`.
+    let mut load = vec![0u64; rounds * p];
+    let mut out: Vec<Vec<(usize, T)>> = (0..p).map(|_| Vec::new()).collect();
+    for (src, row) in items.into_iter().enumerate() {
+        for (dst, w, v) in row {
+            let dist = (dst + p - src) % p;
+            let mut bits = dist;
+            while bits != 0 {
+                let k = bits.trailing_zeros() as usize;
+                load[k * p + (src + (dist & ((1 << k) - 1))) % p] += w;
+                bits &= bits - 1;
+            }
+            out[dst].push((src, v));
+        }
+    }
+    for k in 0..rounds {
+        let step = 1 << k;
+        let size: Vec<u64> = (0..p)
+            .map(|r| 1 + load[k * p + r] + words(&shares[r]))
+            .collect();
+        exchange_round(pass, step, TAG_A2A + k as Tag, |r| size[r]);
+        let heard: Vec<S> = (0..p).map(|r| shares[(r + p - step) % p].clone()).collect();
+        shares = shares
+            .into_iter()
+            .zip(heard)
+            .map(|(s, h)| join(s, h))
+            .collect();
+    }
+    out.into_iter().zip(shares).collect()
 }
 
 #[cfg(test)]
@@ -652,7 +798,11 @@ mod tests {
     use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
 
-    use crate::{spmd, Comm, MachineModel, RankResult, Session, TraceEvent, TraceLog};
+    use super::reference;
+    use crate::{
+        spmd, Comm, FaultPlan, MachineModel, Perturbation, RankResult, Session, TraceEvent,
+        TraceLog,
+    };
 
     fn total_msgs<T>(results: &[RankResult<T>]) -> u64 {
         results.iter().map(|r| r.sent_messages).sum()
@@ -1211,5 +1361,164 @@ mod tests {
                 assert_eq!(b.2, a.2 + (1000 << round), "p={p} message {i}: words");
             }
         }
+    }
+
+    /// Calls the collective on the host pass, or on the message-by-message
+    /// reference when `$reference` holds.
+    macro_rules! call {
+        ($reference:expr, $comm:ident . $f:ident ( $($arg:expr),* $(,)? )) => {
+            if $reference {
+                reference::$f($comm, $($arg),*)
+            } else {
+                $comm.$f($($arg),*)
+            }
+        };
+    }
+
+    /// Every collective, each entered at a rank-dependent clock: the rooted
+    /// ones from roots 0, P-1 and P/2, the reducing ones on the growing
+    /// `list_words` payload, the exchanges with mixed self, repeated and
+    /// far items. Returns every result, printed.
+    fn every_collective(comm: &mut Comm, reference: bool) -> Vec<String> {
+        let (rank, p) = (comm.rank(), comm.nranks());
+        let mut out = Vec::new();
+        let mut call = 0;
+        let mut stagger = |comm: &mut Comm| {
+            call += 1;
+            comm.compute(((rank * 7 + call * 3) % 11) as f64 * 40.0);
+        };
+        stagger(comm);
+        call!(reference, comm.barrier());
+        for root in [0, p - 1, p / 2] {
+            stagger(comm);
+            let value = (rank == root).then(|| vec![root as u64; 3]);
+            let got = call!(reference, comm.bcast(root, 3 + rank as u64 % 2, value));
+            out.push(format!("{got:?}"));
+            stagger(comm);
+            let got = call!(reference, comm.gather(root, 1 + rank as u64 % 3, rank));
+            out.push(format!("{got:?}"));
+            stagger(comm);
+            let blocks = (rank == root).then(|| (0..p).map(|d| ((d * 7 % 5) as u64, d)).collect());
+            let got = call!(reference, comm.scatterv(root, blocks));
+            out.push(format!("{got:?}"));
+            stagger(comm);
+            let got = call!(
+                reference,
+                comm.reduce(root, list_words, vec![rank as u64], concat)
+            );
+            out.push(format!("{got:?}"));
+        }
+        stagger(comm);
+        let got = call!(reference, comm.allgather(2 + rank as u64 % 2, rank));
+        out.push(format!("{got:?}"));
+        stagger(comm);
+        let got = call!(
+            reference,
+            comm.allreduce(list_words, vec![rank as u64], concat)
+        );
+        out.push(format!("{got:?}"));
+        let cat = |a: &Vec<u64>, b: &Vec<u64>| concat(a.clone(), b.clone());
+        stagger(comm);
+        let got = call!(reference, comm.exscan(list_words, vec![rank as u64], cat));
+        out.push(format!("{got:?}"));
+        stagger(comm);
+        let got = call!(
+            reference,
+            comm.exscan_total(list_words, vec![rank as u64], cat)
+        );
+        out.push(format!("{got:?}"));
+        stagger(comm);
+        let dense = (0..p)
+            .map(|d| (1 + ((rank + d) % 3) as u64, rank * p + d))
+            .collect();
+        let got = call!(reference, comm.alltoallv(dense));
+        out.push(format!("{got:?}"));
+        let items = || {
+            vec![
+                ((rank + 1) % p, 2, (rank, 'a')),
+                (rank, 9, (rank, 's')),
+                ((rank * 7 + 3) % p, 3, (rank, 'b')),
+                ((rank + 1) % p, 4, (rank, 'c')),
+                (0, 1, (rank, 'z')),
+            ]
+        };
+        stagger(comm);
+        let got = call!(reference, comm.alltoallv_sparse(items()));
+        out.push(format!("{got:?}"));
+        stagger(comm);
+        let union = |mut a: BTreeSet<usize>, b: BTreeSet<usize>| {
+            a.extend(b);
+            a
+        };
+        let share = BTreeSet::from([rank]);
+        let got = call!(
+            reference,
+            comm.alltoallv_sparse_join(items(), share, |s| 3 * s.len() as u64, union)
+        );
+        out.push(format!("{got:?}"));
+        stagger(comm);
+        let got = call!(reference, comm.alltoallv_direct(items()));
+        out.push(format!("{got:?}"));
+        stagger(comm);
+        call!(reference, comm.barrier());
+        out
+    }
+
+    /// Runs `every_collective` for two steps on the host passes and on the
+    /// reference, each on a session from `session`, and requires the same
+    /// results, counters, clocks and trace — every event, every f64 bit.
+    fn assert_matches_reference(p: usize, session: impl Fn() -> Session) {
+        let run = |reference: bool| {
+            let mut sess = session();
+            let mut results = Vec::new();
+            for _ in 0..2 {
+                results.extend(sess.run(vec![(); p], |comm, ()| every_collective(comm, reference)));
+            }
+            results
+        };
+        let (host, message) = (run(false), run(true));
+        for (a, b) in host.iter().zip(&message) {
+            let at = format!("p={p} rank {}", a.rank);
+            assert_eq!(a.value, b.value, "{at}: results");
+            assert_eq!(a.elapsed.to_bits(), b.elapsed.to_bits(), "{at}: clock");
+            assert_eq!(a.sent_messages, b.sent_messages, "{at}: messages");
+            assert_eq!(a.sent_words, b.sent_words, "{at}: words");
+            assert_eq!(a.events.len(), b.events.len(), "{at}: event count");
+            for (i, (x, y)) in a.events.iter().zip(&b.events).enumerate() {
+                assert_eq!(format!("{x:?}"), format!("{y:?}"), "{at}: event {i}");
+            }
+        }
+    }
+
+    /// A perturbed machine: every link jittered, one rank computing at half
+    /// speed, and a delay spike on another rank's sends over both steps.
+    fn chaos_session(p: usize) -> Session {
+        let perturb = Perturbation {
+            link_jitter: 0.3,
+            seed: 17,
+            ..Perturbation::slowdown(p, p / 3, 2.0)
+        };
+        let plan = FaultPlan::none().delay_spike(p - 1, 0, 2, 2.5e-4);
+        Session::with_chaos(p, MachineModel::sp2(), &perturb, plan)
+    }
+
+    /// Every collective's host pass records what the message-by-message
+    /// execution records, on the plain machine and under chaos.
+    #[test]
+    fn host_executed_collectives_match_the_message_reference() {
+        for p in [1usize, 2, 3, 5, 7, 8, 13, 64, 100] {
+            assert_matches_reference(p, || Session::new(p, MachineModel::sp2()));
+            assert_matches_reference(p, || chaos_session(p));
+        }
+    }
+
+    /// The largest P an end-to-end workload runs (`weak_p2048`); ignored in
+    /// tier-1 for time, run in release by CI.
+    #[test]
+    #[ignore]
+    fn host_executed_collectives_match_the_message_reference_at_p2048() {
+        let p = 2048;
+        assert_matches_reference(p, || Session::new(p, MachineModel::sp2()));
+        assert_matches_reference(p, || chaos_session(p));
     }
 }

@@ -22,6 +22,100 @@ pub(crate) struct Envelope {
     pub payload: Box<dyn Any + Send>,
 }
 
+/// A rank's side of every message: its virtual clock, trace, send counters
+/// and chaos link state. [`Comm::send`] and [`Comm::recv`] charge one
+/// message to it; a collective's host pass (see `collectives.rs`) charges
+/// every rank's ledger through the same two functions, so a message costs
+/// the same bits whichever path prices it.
+#[derive(Default)]
+pub(crate) struct Ledger {
+    rank: usize,
+    pub(crate) clock: VirtualClock,
+    sent_messages: u64,
+    sent_words: u64,
+    /// Structured event stream (see [`crate::trace`]); every clock charge
+    /// records exactly one event, so the trace reconstructs `now()` exactly.
+    events: Vec<TraceEvent>,
+    /// Current collective nesting depth (allgather runs gather + bcast).
+    coll_depth: u32,
+    /// Extra arrival delay on every message this rank sends (active
+    /// delay-spike faults; 0.0 = none).
+    send_delay: f64,
+    /// Per-link latency jitter, if enabled: `(amplitude, seed, sent[dst])`.
+    /// The per-destination counters make each draw a pure function of the
+    /// communication pattern, independent of execution order.
+    jitter: Option<(f64, u64, Vec<u64>)>,
+}
+
+impl Ledger {
+    /// Charge the startup of a `words`-word message to `to` and record it;
+    /// returns the virtual time it arrives at `to`.
+    pub(crate) fn send(&mut self, model: &MachineModel, to: usize, tag: Tag, words: u64) -> f64 {
+        // With jitter enabled, this message's startup and wire time are both
+        // scaled by a factor drawn from (seed, src, dst, link message index).
+        // The unperturbed path stays bit-exact (no multiplication at all).
+        let (setup, flight) = match &mut self.jitter {
+            Some((amplitude, seed, sent)) => {
+                let f = jitter_factor(*seed, self.rank, to, sent[to], *amplitude);
+                sent[to] += 1;
+                (model.t_setup * f, words as f64 * model.t_word * f)
+            }
+            None => (model.t_setup, words as f64 * model.t_word),
+        };
+        let start = self.clock.now();
+        self.clock.advance(setup);
+        let end = self.clock.now();
+        let arrival = end + flight + self.send_delay;
+        self.sent_messages += 1;
+        self.sent_words += words;
+        self.events.push(TraceEvent::Send {
+            start,
+            end,
+            peer: to,
+            tag,
+            words,
+            arrival,
+        });
+        arrival
+    }
+
+    /// Complete the receive of a `words`-word message from `from` that
+    /// arrives at `arrival`: wait for it if it is still in flight.
+    pub(crate) fn recv(&mut self, from: usize, tag: Tag, words: u64, arrival: f64) {
+        let posted = self.clock.now();
+        self.clock.advance_to(arrival);
+        let completed = self.clock.now();
+        self.events.push(TraceEvent::Recv {
+            posted,
+            completed,
+            peer: from,
+            tag,
+            words,
+            wait: completed - posted,
+        });
+    }
+
+    /// Mark entry into a collective.
+    pub(crate) fn enter(&mut self, kind: CollectiveKind) {
+        self.events.push(TraceEvent::CollectiveEnter {
+            kind,
+            depth: self.coll_depth,
+            start: self.clock.now(),
+        });
+        self.coll_depth += 1;
+    }
+
+    /// Mark exit from the innermost open collective.
+    pub(crate) fn exit(&mut self, kind: CollectiveKind) {
+        self.coll_depth -= 1;
+        self.events.push(TraceEvent::CollectiveExit {
+            kind,
+            depth: self.coll_depth,
+            end: self.clock.now(),
+        });
+    }
+}
+
 /// The per-rank communication context: rank identity, typed point-to-point
 /// messaging, collectives (see `collectives.rs`), and the virtual clock.
 ///
@@ -31,28 +125,16 @@ pub struct Comm {
     rank: usize,
     nranks: usize,
     model: MachineModel,
-    pub(crate) clock: VirtualClock,
+    /// Clock, trace and counters; lent to the scheduler while this rank
+    /// waits at a collective.
+    pub(crate) ledger: Ledger,
     /// The shared cooperative scheduler (run queue + mailboxes); sends
-    /// deliver through it and blocking receives suspend into it.
-    sched: Rc<RefCell<SchedState>>,
-    sent_messages: u64,
-    sent_words: u64,
-    /// Structured event stream (see [`crate::trace`]); every clock charge
-    /// records exactly one event, so the trace reconstructs `now()` exactly.
-    events: Vec<TraceEvent>,
-    /// Current collective nesting depth (allgather calls gather + bcast).
-    coll_depth: u32,
+    /// deliver through it, blocking receives and collectives suspend into it.
+    pub(crate) sched: Rc<RefCell<SchedState>>,
     /// Compute-rate multiplier from the chaos profile (1.0 = nominal);
     /// scales every [`Comm::compute`] charge. Permanent slowdown faults
     /// compound onto it.
     flop_mult: f64,
-    /// Extra arrival delay on every message this rank sends (active
-    /// delay-spike faults; 0.0 = none).
-    send_delay: f64,
-    /// Per-link latency jitter, if enabled: `(amplitude, seed, sent[dst])`.
-    /// The per-destination counters make each draw a pure function of the
-    /// communication pattern, independent of thread interleaving.
-    jitter: Option<(f64, u64, Vec<u64>)>,
 }
 
 impl Comm {
@@ -66,15 +148,12 @@ impl Comm {
             rank,
             nranks,
             model,
-            clock: VirtualClock::new(),
+            ledger: Ledger {
+                rank,
+                ..Ledger::default()
+            },
             sched,
-            sent_messages: 0,
-            sent_words: 0,
-            events: Vec::new(),
-            coll_depth: 0,
             flop_mult: 1.0,
-            send_delay: 0.0,
-            jitter: None,
         }
     }
 
@@ -99,19 +178,19 @@ impl Comm {
     /// Current virtual time on this rank, in seconds.
     #[inline]
     pub fn now(&self) -> f64 {
-        self.clock.now()
+        self.ledger.clock.now()
     }
 
     /// Total messages sent by this rank so far.
     #[inline]
     pub fn sent_messages(&self) -> u64 {
-        self.sent_messages
+        self.ledger.sent_messages
     }
 
     /// Total words sent by this rank so far.
     #[inline]
     pub fn sent_words(&self) -> u64 {
-        self.sent_words
+        self.ledger.sent_words
     }
 
     /// Charge `units` units of local computation to the virtual clock.
@@ -132,17 +211,18 @@ impl Comm {
     /// Negative charges are blocked (the clock saturates) and recorded as
     /// [`TraceEvent::RewindBlocked`] so the protocol checker can flag them.
     fn charge(&mut self, seconds: f64) {
-        let start = self.clock.now();
-        self.clock.advance(seconds);
+        let ledger = &mut self.ledger;
+        let start = ledger.clock.now();
+        ledger.clock.advance(seconds);
         if seconds < 0.0 || seconds.is_nan() {
-            self.events.push(TraceEvent::RewindBlocked {
+            ledger.events.push(TraceEvent::RewindBlocked {
                 at: start,
                 dt: seconds,
             });
         } else if seconds > 0.0 {
-            self.events.push(TraceEvent::Compute {
+            ledger.events.push(TraceEvent::Compute {
                 start,
-                end: self.clock.now(),
+                end: ledger.clock.now(),
             });
         }
     }
@@ -153,32 +233,7 @@ impl Comm {
     /// the receiver at `send_completion + words * t_word`.
     pub fn send<T: Send + 'static>(&mut self, to: usize, tag: Tag, words: u64, value: T) {
         assert!(to < self.nranks, "send to rank {to} of {}", self.nranks);
-        // With jitter enabled, this message's startup and wire time are both
-        // scaled by a factor drawn from (seed, src, dst, link message index)
-        // — deterministic under any thread interleaving. The unperturbed
-        // path stays bit-exact (no multiplication at all).
-        let (setup, flight) = match &mut self.jitter {
-            Some((amplitude, seed, sent)) => {
-                let f = jitter_factor(*seed, self.rank, to, sent[to], *amplitude);
-                sent[to] += 1;
-                (self.model.t_setup * f, words as f64 * self.model.t_word * f)
-            }
-            None => (self.model.t_setup, words as f64 * self.model.t_word),
-        };
-        let start = self.clock.now();
-        self.clock.advance(setup);
-        let end = self.clock.now();
-        let arrival = end + flight + self.send_delay;
-        self.sent_messages += 1;
-        self.sent_words += words;
-        self.events.push(TraceEvent::Send {
-            start,
-            end,
-            peer: to,
-            tag,
-            words,
-            arrival,
-        });
+        let arrival = self.ledger.send(&self.model, to, tag, words);
         // Deliver through the scheduler: the envelope lands in the
         // receiver's mailbox, and a receiver blocked on this source becomes
         // runnable again.
@@ -227,23 +282,13 @@ impl Comm {
             "recv from rank {from} of {}",
             self.nranks
         );
-        let posted = self.clock.now();
         let env = self.blocking_recv(from, tag);
         assert_eq!(
             env.tag, tag,
             "rank {}: tag mismatch receiving from {from}: expected {tag}, got {}",
             self.rank, env.tag
         );
-        self.clock.advance_to(env.arrival);
-        let completed = self.clock.now();
-        self.events.push(TraceEvent::Recv {
-            posted,
-            completed,
-            peer: from,
-            tag,
-            words: env.words,
-            wait: completed - posted,
-        });
+        self.ledger.recv(from, tag, env.words, env.arrival);
         env
     }
 
@@ -262,7 +307,7 @@ impl Comm {
                     sched.mark_running(self.rank);
                     return env;
                 }
-                sched.mark_blocked(self.rank, from, tag, self.clock.now());
+                sched.mark_blocked(self.rank, from, tag, self.now());
             }
             // The borrow is released before suspending: other ranks run and
             // deliver while this fiber is parked.
@@ -287,7 +332,7 @@ impl Comm {
     /// Set the extra arrival delay added to every message this rank sends
     /// (the sum of its active delay-spike faults).
     pub(crate) fn set_send_delay(&mut self, extra: f64) {
-        self.send_delay = extra;
+        self.ledger.send_delay = extra;
     }
 
     /// Enable per-link latency jitter with the given amplitude and seed.
@@ -297,7 +342,7 @@ impl Comm {
             "jitter amplitude must be in [0, 1)"
         );
         if amplitude > 0.0 {
-            self.jitter = Some((amplitude, seed, vec![0; self.nranks]));
+            self.ledger.jitter = Some((amplitude, seed, vec![0; self.nranks]));
         }
     }
 
@@ -305,51 +350,45 @@ impl Comm {
     /// [`TraceEvent::Fault`] (zero-length spans mark instantaneous faults
     /// like a slowdown taking effect).
     pub(crate) fn inject_fault(&mut self, kind: FaultKind, seconds: f64) {
-        let start = self.clock.now();
-        self.clock.advance(seconds);
-        self.events.push(TraceEvent::Fault {
+        let ledger = &mut self.ledger;
+        let start = ledger.clock.now();
+        ledger.clock.advance(seconds);
+        ledger.events.push(TraceEvent::Fault {
             kind,
             start,
-            end: self.clock.now(),
+            end: ledger.clock.now(),
         });
     }
 
     // --- tracing hooks -----------------------------------------------------
 
-    /// Mark entry into a collective (called by the collective impls).
+    /// Mark entry into a collective (the message-by-message reference
+    /// collectives).
+    #[cfg(test)]
     pub(crate) fn collective_enter(&mut self, kind: CollectiveKind) {
-        self.events.push(TraceEvent::CollectiveEnter {
-            kind,
-            depth: self.coll_depth,
-            start: self.clock.now(),
-        });
-        self.coll_depth += 1;
+        self.ledger.enter(kind);
     }
 
     /// Mark exit from the innermost open collective.
+    #[cfg(test)]
     pub(crate) fn collective_exit(&mut self, kind: CollectiveKind) {
-        self.coll_depth -= 1;
-        self.events.push(TraceEvent::CollectiveExit {
-            kind,
-            depth: self.coll_depth,
-            end: self.clock.now(),
-        });
+        self.ledger.exit(kind);
     }
 
     /// Open a named phase span (pair with [`Comm::phase_end`], or use
     /// [`Comm::phase`] for scoped spans). Phases nest.
     pub fn phase_begin(&mut self, name: &str) {
-        self.events.push(TraceEvent::PhaseBegin {
+        self.ledger.events.push(TraceEvent::PhaseBegin {
             name: name.to_string(),
-            start: self.clock.now(),
+            start: self.ledger.clock.now(),
         });
     }
 
     /// Close the innermost open phase span.
     pub fn phase_end(&mut self, name: &str) {
-        self.events.push(TraceEvent::PhaseEnd {
+        self.ledger.events.push(TraceEvent::PhaseEnd {
             name: name.to_string(),
-            end: self.clock.now(),
+            end: self.ledger.clock.now(),
         });
     }
 
@@ -365,16 +404,17 @@ impl Comm {
     /// this rank's clock to `t`, recording the idle as [`TraceEvent::Sync`].
     /// A no-op for the slowest rank (no event, no charge).
     pub(crate) fn sync_to(&mut self, t: f64) {
-        let start = self.clock.now();
+        let ledger = &mut self.ledger;
+        let start = ledger.clock.now();
         if t > start {
-            self.clock.advance_to(t);
-            self.events.push(TraceEvent::Sync { start, end: t });
+            ledger.clock.advance_to(t);
+            ledger.events.push(TraceEvent::Sync { start, end: t });
         }
     }
 
     /// Move the recorded event stream out (called by the executor once the
     /// rank body returns).
     pub(crate) fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
+        std::mem::take(&mut self.ledger.events)
     }
 }

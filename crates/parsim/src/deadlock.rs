@@ -1,19 +1,22 @@
 //! Deadlock diagnosis types for the SPMD executor.
 //!
-//! Every blocking operation in the simulator bottoms out in one place —
-//! [`Comm::recv`](crate::Comm::recv)'s envelope loop (all collectives are
-//! built from point-to-point sends and receives) — and blocking is
-//! cooperative: a rank that cannot make progress suspends its fiber into
-//! the scheduler (see [`crate::sched`]). Detection is therefore *exact*:
-//! when the run queue empties while unfinished ranks remain, every one of
-//! them is blocked on a message that provably cannot arrive, and the
-//! scheduler reports a [`DeadlockError`] immediately and deterministically
-//! — no timeouts, no heuristics, no real-time dependence.
+//! A rank blocks in one of two places: [`Comm::recv`](crate::Comm::recv)'s
+//! envelope loop, waiting for a point-to-point message, or a collective's
+//! rendezvous, waiting for every rank to arrive (see [`crate::sched`]).
+//! Blocking is cooperative: a rank that cannot make progress suspends its
+//! fiber into the scheduler. Detection is therefore *exact*: when the run
+//! queue empties while unfinished ranks remain, every one of them is
+//! blocked on a message that provably cannot arrive or on a rank that
+//! never reaches the collective, and the scheduler reports a
+//! [`DeadlockError`] immediately and deterministically — no timeouts, no
+//! heuristics, no real-time dependence.
 //!
 //! The report carries the full per-rank activity table ([`RankActivity`])
 //! and the blocked-on chain walked from the lowest blocked rank: the chain
 //! either revisits a rank (a cycle of mutual waits) or dead-ends in a
-//! finished rank (which can never send again this step).
+//! finished rank (which can never send again this step). A rank waiting at
+//! a rendezvous is shown blocked on the lowest rank that has not arrived,
+//! under the collective's tag.
 
 use std::fmt;
 
@@ -24,7 +27,8 @@ use crate::comm::Tag;
 pub enum RankActivity {
     /// Executing its body (or between steps).
     Running,
-    /// Blocked in a receive, waiting for a message from `on` with `tag`.
+    /// Blocked in a receive, waiting for a message from `on` with `tag` —
+    /// or at a collective's rendezvous, waiting for rank `on` to arrive.
     Blocked { on: usize, tag: Tag },
     /// Its body returned for the current step; it will not send again.
     Done,

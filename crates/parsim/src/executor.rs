@@ -60,10 +60,12 @@ pub struct RankResult<T> {
 /// Each rank body runs as a stackful fiber (see `fiber.rs`) on the
 /// calling thread; a central run queue keyed by virtual time (ties broken
 /// by rank id) dispatches whichever rank is runnable next, and a blocking
-/// receive suspends the fiber instead of parking an OS thread. Memory and
-/// scheduling cost are O(ranks + messages), so four-digit rank counts run
-/// on a laptop. Fiber stacks are pooled per thread and reused across steps
-/// and sessions.
+/// receive suspends the fiber instead of parking an OS thread. A
+/// collective suspends each rank once, at a rendezvous whose last arrival
+/// prices the whole schedule (see `sched.rs`). Memory and scheduling cost
+/// are O(ranks + messages), so four-digit rank counts run on a laptop.
+/// Fiber stacks are pooled per thread and reused across steps and
+/// sessions.
 ///
 /// ## Chaos
 ///
@@ -77,7 +79,8 @@ pub struct RankResult<T> {
 /// ## Deadlock detection
 ///
 /// Blocking is cooperative, so detection is exact: when the run queue
-/// empties while unfinished ranks remain, the step is provably stuck and
+/// empties while unfinished ranks remain (blocked in a receive, or waiting
+/// at a collective some rank never reaches), the step is provably stuck and
 /// [`Session::try_run`] returns a structured [`DeadlockError`] naming the
 /// blocked-on cycle — immediately and deterministically, with no timeouts
 /// or heuristics. [`Session::run`] panics with the same diagnosis. After a
@@ -105,9 +108,8 @@ pub struct Session {
 }
 
 impl Session {
-    /// Build the rank contexts and the `nranks × nranks` channel matrix
-    /// (`chan[s][d]` carries messages from `s` to `d`). All clocks start at
-    /// zero. The machine is unperturbed.
+    /// Build the rank contexts and the scheduler with one (empty) mailbox
+    /// per rank. All clocks start at zero. The machine is unperturbed.
     pub fn new(nranks: usize, model: MachineModel) -> Self {
         Self::with_chaos(
             nranks,
@@ -1005,6 +1007,40 @@ mod tests {
         assert!(msg.contains("deadlock detected"), "{msg}");
         assert!(msg.contains("blocked on rank"), "{msg}");
         assert!(msg.contains("rank 3: done"), "{msg}");
+    }
+
+    /// Ranks that enter different collectives fail at once, the error
+    /// naming both ranks and both collectives.
+    #[test]
+    fn mismatched_collective_kinds_name_both_ranks_and_both_kinds() {
+        let caught = std::panic::catch_unwind(|| {
+            spmd(4, MachineModel::sp2(), |comm| {
+                if comm.rank() == 0 {
+                    comm.allreduce_sum_u64(1);
+                } else {
+                    comm.barrier();
+                }
+            })
+        });
+        let payload = caught.expect_err("mismatched collectives must fail");
+        let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+        for needle in ["rank 0", "allreduce", "rank 1", "barrier"] {
+            assert!(msg.contains(needle), "{needle:?} missing from {msg:?}");
+        }
+    }
+
+    /// Point-to-point mail a schedule peer left undelivered is what a
+    /// collective's receive from that peer would get: the FIFO check fails
+    /// as it does on a blocking receive.
+    #[test]
+    #[should_panic(expected = "tag mismatch receiving from 1")]
+    fn undelivered_mail_from_a_schedule_peer_fails_the_collective() {
+        spmd(2, MachineModel::sp2(), |comm| {
+            if comm.rank() == 1 {
+                comm.send(0, 5, 1, 0u8);
+            }
+            comm.barrier();
+        });
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! virtual times, which is what all of the paper's speedup/anatomy curves
 //! are made of. Because a blocked rank costs a suspended fiber rather than
 //! a parked OS thread, sessions scale to thousands of ranks on one
-//! machine.
+//! machine. A collective is one rendezvous of all ranks: the last to arrive
+//! prices the whole message schedule for every rank in one host loop, so
+//! it costs one suspension per rank, not one per message.
 //!
 //! ## Quick example
 //!
