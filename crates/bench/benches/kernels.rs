@@ -687,7 +687,7 @@ fn bench_sfc_diffusion_body(c: &mut Criterion) {
         let problem = Problem::new(&g, None, Some(&keys), Some(&seed), &caps, &cfg);
         let method = BalanceMethod::SfcDiffusion;
         let lists = RankLists::build(&seed, p);
-        let body = |comm: &mut Comm| balance_body(method, comm, &problem, &lists, 16.0, None);
+        let body = |comm: &mut Comm| balance_body(method, comm, &problem, &lists, 16.0);
         let mut fresh = Session::new(p, MachineModel::sp2());
         let mut results = fresh.run(vec![(); p], |comm, ()| body(comm));
         let part = lists.assemble(results.iter().map(|r| &r.value[..]));

@@ -12,6 +12,12 @@
 //!   rank-adjacency graph,
 //! * **voronoi** — Voronoi / centroid-shift balancing in SFC key space.
 //!
+//! The last two exist only as serial kernels, so their cells run them on
+//! rank 0: the owned weights are gathered, rank 0 pays for every vertex,
+//! and the parts are scattered back. Their partition seconds grow with
+//! the whole mesh, not a rank's share of it, until the kernels are deleted
+//! from the portfolio.
+//!
 //! Each `(method, P, chaos)` cell runs a per-rank-sized mesh
 //! (~[`REMATCH_ELEMS_PER_RANK`] initial elements per rank, like the
 //! weak-scaling sweep) for [`REMATCH_CYCLES`] adaption cycles with the
@@ -334,6 +340,9 @@ pub fn rematch_bench() -> (BenchReport, String) {
             }
         }
     }
+    analysis.push_str(
+        "diffusion2 and voronoi are serial kernels run on rank 0 (gather, solve, scatter)\n",
+    );
     analysis.push_str(&format!(
         "=> verdict: {verdict} (score = summed cycle makespan + residual \
          imbalance priced over N_adapt solver iterations; lower wins the column)\n"

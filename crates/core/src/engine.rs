@@ -24,7 +24,7 @@
 
 use plum_adapt::{AdaptiveMesh, EdgeMarks};
 use plum_parsim::{Comm, FaultPlan, RankResult, Session, TraceLog};
-use plum_partition::{balance_body, weights_of, Hoisted, RankLists};
+use plum_partition::{balance_body, weights_of, RankLists};
 use plum_solver::{edge_error_indicator, solve};
 
 use crate::balance::{
@@ -276,8 +276,8 @@ impl Cycle {
         // is deterministic in the problem (independent of the machine model
         // and any chaos perturbation), so the discrete outputs match
         // run-to-run even though the measured times vary. Method selection
-        // and the hoist of replicated arithmetic run host-side on replicated
-        // inputs, through the same call the serial reference makes.
+        // runs host-side on replicated inputs, through the same call the
+        // serial reference makes.
         let vertex_units = partition_vertex_units(&p.work, &cfg.machine);
         let keys = (!p.sfc_keys.is_empty()).then_some(&p.sfc_keys[..]);
         let (method, (parts, partition)) = with_problem(
@@ -288,11 +288,9 @@ impl Cycle {
             keys,
             w2,
             |method, problem| {
-                let hoisted: Option<Hoisted> = method.hoist(problem, cfg.nproc);
                 let step = self.run(|comm, engine| {
                     comm.phase("partition", |c| {
-                        let lists = &engine.roots;
-                        balance_body(method, c, problem, lists, vertex_units, hoisted.as_ref())
+                        balance_body(method, c, problem, &engine.roots, vertex_units)
                     })
                 });
                 (method, step)

@@ -1,9 +1,9 @@
 //! The balancer portfolio behind one call shape: a borrowed [`Problem`] in,
-//! a partition out — serially ([`balance`]: reference path, host hoist, test
-//! oracle), as an SPMD body inside a running session ([`balance_body`]), or
-//! on a session of its own ([`balance_distributed`]). The method is a value
-//! ([`BalanceMethod`]), and [`balance`] is the one place that maps it to a
-//! kernel.
+//! a partition out — serially ([`balance`]: reference path, rank 0's
+//! solve, test oracle), as an SPMD body inside a running session
+//! ([`balance_body`]), or on a session of its own ([`balance_distributed`]).
+//! The method is a value ([`BalanceMethod`]), and [`balance`] is the one
+//! place that maps it to a kernel.
 //!
 //! Contract of the SPMD bodies: all control flow branches on replicated
 //! data only, so the partition is a deterministic function of the problem —
@@ -12,16 +12,16 @@
 //! message traffic. A body finds its vertices in its rank's list of the
 //! [`RankLists`], never by scanning a replicated owner array, and returns
 //! the new parts of those vertices only: per-rank host work, and what a
-//! rank receives, stay proportional to what the rank owns.
+//! rank receives, stay proportional to what the rank owns — except on rank
+//! 0 when a method without a distributed body runs its serial kernel there.
 
-use plum_parsim::{makespan, spmd, words_for_bytes, Comm, MachineModel, TraceLog};
+use plum_parsim::{makespan, spmd, Comm, MachineModel, TraceLog};
 
 use crate::diffusion2::diffusion2_balance;
-use crate::distributed::{charge, multilevel_body};
+use crate::distributed::{gather_solve, multilevel_body};
 use crate::graph::Graph;
 use crate::knapsack::knapsack_partition;
 use crate::kway::{combined_view, dual_repair, partition_kway_impl, PartitionConfig};
-use crate::metrics::weights_of;
 use crate::repart::{repartition_diffuse, repartition_kway_impl};
 use crate::sfc::{sfc_partition, sfc_transport, transport_body, Shares};
 use crate::voronoi::voronoi;
@@ -60,42 +60,6 @@ pub enum BalanceMethod {
     /// Voronoi / centroid-shift balancing in SFC key space, from the seed
     /// when there is one. Needs keys.
     Voronoi,
-}
-
-/// What distinguishes the SPMD bodies of the four methods whose arithmetic
-/// is replicated: the partition itself is computed once on the host, and
-/// every rank charges its local share and runs the exchange tail.
-struct ReplicatedBody {
-    /// A rank charges `ceil(owned / charge_div)` vertex visits: a full key
-    /// sort or assignment scan visits every vertex, boundary sweeps a
-    /// fraction.
-    charge_div: usize,
-    /// Only vertices that left their seed part cost wire traffic.
-    moved_only: bool,
-    /// Bytes per shipped item under one / two constraints: a (key, id,
-    /// weight[, weight2]) tuple, or knapsack's keyless (id, weight[,
-    /// weight2]).
-    item_bytes: [usize; 2],
-}
-
-/// Bytes of one `(part, weight[, weight2])` entry of a rank's weight row
-/// under one / two constraints.
-const ROW_ENTRY_BYTES: [usize; 2] = [12, 20];
-
-/// What a rank sends one home rank: how many items it ships there, and its
-/// row entries `(part, [w, w2])` for the parts that rank homes.
-type ToHome = (u64, Vec<(u32, [u64; 2])>);
-
-/// What [`BalanceMethod::hoist`] computes once on the host for every rank
-/// of [`balance_body`]: the replicated partition, and what each part's
-/// home rank must find in the body's one exchange.
-#[derive(Debug)]
-pub struct Hoisted {
-    part: Vec<u32>,
-    /// Per-part weight, one row per constraint.
-    part_w: Vec<Vec<u64>>,
-    /// Items each home rank receives.
-    items: Vec<u64>,
 }
 
 impl BalanceMethod {
@@ -144,57 +108,6 @@ impl BalanceMethod {
             self,
             BalanceMethod::SfcDiffusion | BalanceMethod::Diffusion2
         )
-    }
-
-    fn replicated_body(self) -> Option<ReplicatedBody> {
-        let row = |charge_div, moved_only| ReplicatedBody {
-            charge_div,
-            moved_only,
-            item_bytes: [20, 28],
-        };
-        match self {
-            BalanceMethod::Multilevel | BalanceMethod::SfcDiffusion => None,
-            BalanceMethod::Sfc => Some(row(1, false)),
-            BalanceMethod::Knapsack => Some(ReplicatedBody {
-                item_bytes: [12, 20],
-                ..row(1, false)
-            }),
-            BalanceMethod::Diffusion2 => Some(row(2, true)),
-            BalanceMethod::Voronoi => Some(row(1, true)),
-        }
-    }
-
-    /// The replicated partition of a replicated-arithmetic method, computed
-    /// once on the host for every rank of [`balance_body`] on `nranks`
-    /// ranks to share (each rank picks out its own slice), together with
-    /// what the body's exchange must deliver: each part's weight under
-    /// every constraint, and the number of items each part's home rank
-    /// receives — O(N + nparts + nranks) host work, once. `None` for the
-    /// two distributed bodies (multilevel and SFC diffusion), which have
-    /// nothing to hoist. The *virtual* compute charge is taken in the body
-    /// either way, so modeled times do not depend on who did the
-    /// arithmetic.
-    pub fn hoist(self, p: &Problem, nranks: usize) -> Option<Hoisted> {
-        let body = self.replicated_body()?;
-        let part = balance(self, p);
-        let nparts = p.cfg.nparts;
-        let w = p.weights;
-        let part_w = std::iter::once(w.w1())
-            .chain(w.w2())
-            .map(|w| weights_of(w, &part, nparts))
-            .collect();
-        let moved_only = p.seed.filter(|_| body.moved_only);
-        let mut items = vec![0u64; nranks];
-        for (v, &q) in part.iter().enumerate() {
-            if moved_only.is_none_or(|prev| prev[v] != q) {
-                items[part_home(q as usize, nparts, nranks)] += 1;
-            }
-        }
-        Some(Hoisted {
-            part,
-            part_w,
-            items,
-        })
     }
 }
 
@@ -403,139 +316,36 @@ pub(crate) fn homed_parts(rank: usize, nparts: usize, nranks: usize) -> std::ops
     first(rank)..first(rank + 1)
 }
 
-/// Shared tail of the replicated-arithmetic bodies, one exchange: ship one
-/// item per (moved) owned vertex to its destination part's home rank, and
-/// with them the rank's sparse weight row — one `(part, w[, w2])` entry per
-/// part its owned vertices are in, each to that part's home. Every home
-/// rank then checks what landed on it against the hoist: the rows it
-/// received sum to the replicated weights of the parts it homes, and it
-/// received exactly the expected number of items. No reduction is made; a
-/// rank sends and receives O(what it owns) words.
-fn exchange_and_check(
-    comm: &mut Comm,
-    p: &Problem,
-    mine: &[u32],
-    hoisted: &Hoisted,
-    body: &ReplicatedBody,
-) {
-    let rank = comm.rank();
-    let nranks = comm.nranks();
-    let nparts = p.cfg.nparts;
-    let w = p.weights;
-    let part = &hoisted.part;
-    let moved_only = p.seed.filter(|_| body.moved_only);
-    // (part, [w, w2], moved items) per owned vertex, merged per part.
-    let mut row: Vec<(u32, [u64; 2], u64)> = mine
-        .iter()
-        .map(|&v| {
-            let (v, q) = (v as usize, part[v as usize]);
-            let moved = moved_only.is_none_or(|prev| prev[v] != q);
-            (q, [w.w1()[v], w.second(v)], moved as u64)
-        })
-        .collect();
-    row.sort_unstable_by_key(|e| e.0);
-    row.dedup_by(|e, kept| {
-        let same = e.0 == kept.0;
-        if same {
-            kept.1 = [kept.1[0] + e.1[0], kept.1[1] + e.1[1]];
-            kept.2 += e.2;
-        }
-        same
-    });
-    // One item per home: its moved-item count and its parts' row entries
-    // (`part_home` is monotone, so a home's entries are adjacent).
-    let dual = w.w2().is_some() as usize;
-    let (item_bytes, entry_bytes) = (body.item_bytes[dual], ROW_ENTRY_BYTES[dual]);
-    let mut items: Vec<(usize, u64, ToHome)> = Vec::new();
-    for (q, wq, moved) in row {
-        let home = part_home(q as usize, nparts, nranks);
-        match items.last_mut() {
-            Some((h, _, (count, entries))) if *h == home => {
-                *count += moved;
-                entries.push((q, wq));
-            }
-            _ => items.push((home, 0, (moved, vec![(q, wq)]))),
-        }
-    }
-    for (_, words, (count, entries)) in &mut items {
-        *words = words_for_bytes(item_bytes * *count as usize + entry_bytes * entries.len());
-    }
-    let received = comm.alltoallv_sparse(items);
-
-    let homed = homed_parts(rank, nparts, nranks);
-    let mut sums = vec![[0u64; 2]; homed.len()];
-    let mut count = 0u64;
-    for (_, (c, entries)) in received {
-        count += c;
-        for (q, wq) in entries {
-            let sum = &mut sums[q as usize - homed.start];
-            *sum = [sum[0] + wq[0], sum[1] + wq[1]];
-        }
-    }
-    for (k, expected) in hoisted.part_w.iter().enumerate() {
-        let constraint = ["weight", "second-constraint weight"][k];
-        for (q, sum) in homed.clone().zip(&sums) {
-            assert_eq!(
-                sum[k], expected[q],
-                "part {q}'s {constraint} at home rank {rank}: the rows sum to {}, the \
-                 replicated partition says {}",
-                sum[k], expected[q]
-            );
-        }
-    }
-    assert_eq!(
-        count, hoisted.items[rank],
-        "home rank {rank} received {count} items, the replicated partition sends it {}",
-        hoisted.items[rank]
-    );
-}
-
 /// The SPMD body of `method`: call from every rank of a session (or
 /// [`spmd`] run) at the same program point. Every rank returns the new part
 /// of each vertex it owns, in `lists.mine(rank)` order — its slice of
 /// [`balance`]'s partition, and nothing of anyone else's
 /// ([`RankLists::assemble`] puts the slices back together host-side).
 ///
-/// A replicated-arithmetic method's body is one compute charge plus one
-/// exchange, whose home ranks check what they received against the hoist;
-/// it makes no reduction. The multilevel and SFC-diffusion bodies are
-/// distributed: each rank computes from what it owns and what it is sent,
-/// and the SFC transport's cost is a constant number of collectives.
+/// The multilevel and SFC-diffusion bodies are distributed: each rank
+/// computes from what it owns and what it is sent, and the SFC transport's
+/// cost is a constant number of collectives. Every other method exists
+/// only as a serial kernel and runs as one: its body gathers the owned
+/// weights and seed parts to rank 0, which runs [`balance`] and pays for
+/// every vertex, and scatters each rank its parts back — the path
+/// multilevel takes on a two-constraint or already-small problem.
 ///
 /// * `lists` — who owns which vertex (the previous processor assignment);
 ///   a rank reads its own list.
 /// * `vertex_units` — compute units charged per owned vertex per stage;
 ///   pass 0 for free compute.
-/// * `hoisted` — [`BalanceMethod::hoist`] of the same method and problem
-///   for the session's rank count, computed once outside the session.
 pub fn balance_body(
     method: BalanceMethod,
     comm: &mut Comm,
     p: &Problem,
     lists: &RankLists,
     vertex_units: f64,
-    hoisted: Option<&Hoisted>,
 ) -> Vec<u32> {
-    let Some(body) = method.replicated_body() else {
-        return match method {
-            BalanceMethod::SfcDiffusion => transport_body(comm, p, lists, vertex_units),
-            _ => multilevel_body(comm, p, lists, vertex_units, None),
-        };
-    };
-    let hoisted = hoisted.expect("replicated-arithmetic methods are hoisted");
-    let part = &hoisted.part;
-    // One allocation is shared by all ranks, so one rank's check covers it.
-    if comm.rank() == 0 {
-        debug_assert_eq!(
-            *part,
-            balance(method, p),
-            "hoisted partition diverges from the replicated arithmetic"
-        );
+    match method {
+        BalanceMethod::SfcDiffusion => transport_body(comm, p, lists, vertex_units),
+        BalanceMethod::Multilevel => multilevel_body(comm, p, lists, vertex_units, None),
+        _ => gather_solve(comm, method, p, lists, vertex_units),
     }
-    let mine = lists.mine(comm.rank());
-    charge(comm, mine.len().div_ceil(body.charge_div), vertex_units);
-    exchange_and_check(comm, p, mine, hoisted, &body);
-    mine.iter().map(|&v| part[v as usize]).collect()
 }
 
 /// Result of a standalone [`balance_distributed`] run.
@@ -563,10 +373,9 @@ pub fn balance_distributed(
 ) -> DistPartition {
     assert_eq!(owner.len(), p.graph.n(), "need one owner per vertex");
     let lists = RankLists::build(owner, nranks);
-    let hoisted = method.hoist(p, nranks);
     let mut results = spmd(nranks, model, |comm| {
         comm.phase("partition", |c| {
-            balance_body(method, c, p, &lists, vertex_units, hoisted.as_ref())
+            balance_body(method, c, p, &lists, vertex_units)
         })
     });
     let part = lists.assemble(results.iter().map(|r| &r.value[..]));
@@ -668,49 +477,15 @@ mod tests {
         }
     }
 
-    /// A full-SFC problem at P = 8 with two constraints, owned by its seed
-    /// partition; `tamper` edits the hoist before the body runs.
-    fn run_tampered(tamper: impl Fn(&mut Hoisted)) {
-        let g = grid3d(8, 8, 4);
-        let n = g.n();
-        let keys: Vec<u64> = (0..n as u64).collect();
-        let w2: Vec<u64> = (0..n as u64).map(|v| 1 + v % 3).collect();
-        let seed: Vec<u32> = (0..n).map(|v| (v * 8 / n) as u32).collect();
-        let (caps, cfg) = ([1.0; 8], PartitionConfig::new(8));
-        let p = Problem::new(&g, Some(&w2), Some(&keys), Some(&seed), &caps, &cfg);
-        let method = BalanceMethod::Sfc;
-        let mut hoisted = method.hoist(&p, 8).unwrap();
-        tamper(&mut hoisted);
-        let lists = RankLists::build(&seed, 8);
-        spmd(8, MachineModel::sp2(), |comm| {
-            balance_body(method, comm, &p, &lists, 1.0, Some(&hoisted))
-        });
-    }
-
+    /// A method without a distributed body runs its serial kernel on rank 0:
+    /// at P = 1, 3, 8 and 64, under one and two constraints, with vertices
+    /// owned away from their seed parts and rank 0 owning none, every rank
+    /// enters exactly one gather and one scatter and no other collective,
+    /// and the assembled partition is the serial kernel's.
     #[test]
-    #[should_panic(expected = "part 3's weight at home rank 3")]
-    fn a_home_rank_catches_a_part_weight_off_by_one() {
-        run_tampered(|h| h.part_w[0][3] += 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "part 6's second-constraint weight at home rank 6")]
-    fn a_home_rank_catches_a_second_constraint_weight_off_by_one() {
-        run_tampered(|h| h.part_w[1][6] -= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "home rank 5 received")]
-    fn a_home_rank_catches_an_item_count_off_by_one() {
-        run_tampered(|h| h.items[5] += 1);
-    }
-
-    /// A replicated body is one compute charge plus one exchange: at
-    /// P = 64, every rank enters exactly one `alltoallv` and no `allreduce`,
-    /// for every replicated method under one and two constraints.
-    #[test]
-    fn replicated_bodies_pay_one_exchange_and_no_reduction() {
-        use plum_parsim::CollectiveKind::{Allreduce, Alltoallv};
+    fn a_serial_kernel_body_is_one_gather_and_one_scatter() {
+        use plum_parsim::CollectiveKind::{Gather, Scatter};
+        use plum_parsim::COLLECTIVE_KINDS;
         let g = grid3d(8, 8, 4);
         let n = g.n();
         let keys: Vec<u64> = (0..n as u64)
@@ -719,20 +494,40 @@ mod tests {
         let w2: Vec<u64> = (0..n as u64)
             .map(|v| if v % 29 == 0 { 40 } else { 1 })
             .collect();
-        let (caps, cfg) = ([1.0; 64], PartitionConfig::new(64));
-        let seed = sfc_partition(&keys, Weights::new(&g.vwgt, None), &Shares::new(&caps));
-        for method in BalanceMethod::ALL {
-            if method.replicated_body().is_none() {
-                continue;
-            }
-            for w2 in [None, Some(&w2[..])] {
-                let p = Problem::new(&g, w2, Some(&keys), Some(&seed), &caps, &cfg);
-                let run = balance_distributed(method, &p, &seed, 64, MachineModel::sp2(), 16.0);
-                let what = format!("{method:?} dual={}", w2.is_some());
-                for (rank, r) in run.trace.summary().ranks.iter().enumerate() {
-                    let calls = |kind| r.collective(kind).calls;
-                    assert_eq!(calls(Allreduce), 0, "{what}: rank {rank} reduced");
-                    assert_eq!(calls(Alltoallv), 1, "{what}: rank {rank}'s exchanges");
+        for nranks in [1, 3, 8, 64] {
+            let cfg = PartitionConfig::new(nranks);
+            let caps = vec![1.0; nranks];
+            let seed: Vec<u32> = (0..n).map(|v| (v * nranks / n) as u32).collect();
+            let owner: Vec<u32> = match nranks {
+                1 => vec![0; n],
+                _ => (0..n)
+                    .map(|v| 1 + ((v * 7 + 3) % (nranks - 1)) as u32)
+                    .collect(),
+            };
+            assert!(nranks == 1 || owner != seed);
+            for method in [
+                BalanceMethod::Sfc,
+                BalanceMethod::Knapsack,
+                BalanceMethod::Diffusion2,
+                BalanceMethod::Voronoi,
+            ] {
+                for w2 in [None, Some(&w2[..])] {
+                    let p = Problem::new(&g, w2, Some(&keys), Some(&seed), &caps, &cfg);
+                    let run =
+                        balance_distributed(method, &p, &owner, nranks, MachineModel::sp2(), 16.0);
+                    let what = format!("{method:?} P={nranks} dual={}", w2.is_some());
+                    assert_eq!(
+                        run.part,
+                        balance(method, &p),
+                        "{what}: body diverged from serial"
+                    );
+                    for (rank, r) in run.trace.summary().ranks.iter().enumerate() {
+                        for kind in COLLECTIVE_KINDS {
+                            let want = matches!(kind, Gather | Scatter) as u64;
+                            let calls = r.collective(kind).calls;
+                            assert_eq!(calls, want, "{what}: rank {rank}'s {kind:?} calls");
+                        }
+                    }
                 }
             }
         }

@@ -1,8 +1,8 @@
 //! Second-order (Chebyshev-accelerated) diffusion over the rank-adjacency
 //! graph: the classical local balancer the paper positions PLUM against, in
 //! the second-order scheme (SOS) of the diffusive load-balancing
-//! literature, run by [`crate::balance_body`] as a bit-identical SPMD body
-//! so it competes inside the simulator on equal footing.
+//! literature. [`crate::balance_body`] runs it inside the simulator as a
+//! serial kernel on rank 0, so it competes there bit-identically.
 //!
 //! The scheme has two stages. The *flow solve* works on the replicated
 //! per-part load vector: with `L` the Laplacian of the rank-adjacency
@@ -25,12 +25,11 @@
 //! the realized moves fail to improve the effective imbalance, which makes
 //! an already-balanced partition an exact fixed point.
 //!
-//! The flow solve is local replicated arithmetic on a replicated load
-//! vector, both hoisted onto the host with the partition, so — unlike a
-//! real per-round implementation — one exchange (the moved triples and each
-//! rank's weight row, checked at the parts' home ranks) is the *entire*
-//! traffic of the SPMD body. Nothing is charged for replicating the load
-//! vector.
+//! There is no per-round implementation: the SPMD body gathers the owned
+//! weights and seed parts to rank 0, which runs this whole kernel, flow
+//! solve and element selection, and scatters the parts back — one gather
+//! and one scatter are its entire traffic, and rank 0 pays for every
+//! vertex.
 
 use crate::graph::Graph;
 use crate::metrics::weights_of;
@@ -39,7 +38,7 @@ use crate::weights::Weights;
 
 /// Cap on flow-solve rounds. The Chebyshev recurrence converges in
 /// O(diam·√cond) rounds on the graphs we see; 64 is comfortably past that
-/// for P ≤ 4096 rank graphs while bounding the replicated arithmetic.
+/// for P ≤ 4096 rank graphs while bounding the serial solve.
 pub const DIFFUSION2_MAX_ROUNDS: usize = 64;
 
 /// Element-selection sweeps realizing the flow plan. Each sweep walks the

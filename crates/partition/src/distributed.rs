@@ -58,13 +58,12 @@ use std::sync::Arc;
 
 use plum_parsim::{spmd, words_for_bytes, Comm, MachineModel};
 
-use crate::balance::{multilevel, Problem, RankLists};
+use crate::balance::{balance, BalanceMethod, Problem, RankLists};
 use crate::graph::Graph;
 use crate::kway::{part_ceilings, partition_kway_impl, rel_lt, PartitionConfig};
 use crate::metrics::weights_of;
 use crate::repart::repartition_diffuse;
 use crate::rng::Rng;
-use crate::weights::Weights;
 
 /// The commits of one refinement stage, ascending by rank: `(rank, (moves,
 /// Δw))` for each rank that moved a vertex — the committed move count and
@@ -72,12 +71,13 @@ use crate::weights::Weights;
 /// exchange rounds that join them forward pointers.
 type Commits = Vec<(u32, Arc<(u64, Vec<(u32, i64)>)>)>;
 
-/// Multiplier on `vertex_units` for a serial solve on rank 0: one
-/// multilevel pass over each vertex of the graph it holds — a completed
-/// hierarchy's coarsest graph (at most the coarsening target), or the whole
-/// input on the gather-solve path. A seeded hierarchy that stopped above
-/// the target (9 702 coarse vertices on the paper-scale dual graph at
-/// P = 64) is not solved there.
+/// Multiplier on `vertex_units` for a serial solve on rank 0, one constant
+/// for every serial kernel: one multilevel pass over each vertex of the
+/// graph it holds — a completed hierarchy's coarsest graph (at most the
+/// coarsening target), or the whole input on the gather-solve path, which
+/// every method without a distributed body takes. A seeded hierarchy that
+/// stopped above the target (9 702 coarse vertices on the paper-scale dual
+/// graph at P = 64) is not solved there.
 const HOST_UNITS_PER_VERTEX: f64 = 8.0;
 
 /// Per-stage, per-rank RNG: deterministic in `(seed, level, stage, rank)` and
@@ -1276,15 +1276,24 @@ fn assert_stage_matches_recount(
 // Gather-solve-broadcast path
 // ---------------------------------------------------------------------------
 
-/// Gather the owned `(w1, w2, seed)` rows to rank 0, run the serial
-/// multilevel kernel there on the original vertex numbering, and scatter
-/// every rank the parts of the vertices it owns, in `lists.mine(rank)`
-/// order. Bit-identical to the host-side serial reference. Serves graphs at
-/// or below the coarsening target and the whole two-constraint path: the
-/// dual graph the engine balances is the root-element graph, which is at the
-/// scale this path already serves, and the gather and scatter cost real
-/// collective traffic either way.
-fn gather_solve(comm: &mut Comm, p: &Problem, lists: &RankLists, vertex_units: f64) -> Vec<u32> {
+/// Gather the owned `(w1, w2, seed)` rows to rank 0, run `method`'s serial
+/// kernel there on the original vertex numbering, and scatter every rank
+/// the parts of the vertices it owns, in `lists.mine(rank)` order. Rank 0
+/// calls [`balance`] on the gathered problem, so the partition is
+/// bit-identical to the host-side serial reference. Serves every method
+/// without a distributed body, and multilevel on graphs at or below the
+/// coarsening target and on every two-constraint problem: the dual graph
+/// the engine balances is the root-element graph, which is at the scale
+/// this path already serves, and the gather and scatter cost real
+/// collective traffic either way. The graph's adjacency and the SFC keys
+/// are the replicated, static part of the problem and are not gathered.
+pub(crate) fn gather_solve(
+    comm: &mut Comm,
+    method: BalanceMethod,
+    p: &Problem,
+    lists: &RankLists,
+    vertex_units: f64,
+) -> Vec<u32> {
     let rank = comm.rank();
     let g = p.graph;
     let n = g.n();
@@ -1323,8 +1332,11 @@ fn gather_solve(comm: &mut Comm, p: &Problem, lists: &RankLists, vertex_units: f
         let mut host = g.clone();
         host.vwgt = Cow::Owned(vwgt);
         charge(comm, HOST_UNITS_PER_VERTEX as usize * n, vertex_units);
-        let w = Weights::new(&host.vwgt, w2_full.as_deref());
-        let part = multilevel(&host, w, p.cfg, prev_full.as_deref(), p.caps);
+        let (w2, seed) = (w2_full.as_deref(), prev_full.as_deref());
+        let part = balance(
+            method,
+            &Problem::new(&host, w2, p.keys, seed, p.caps, p.cfg),
+        );
         let slice = |r| lists.mine(r).iter().map(|&v| part[v as usize]).collect();
         (0..pieces.len()).map(|r| sized_block(slice(r))).collect()
     });
@@ -1486,7 +1498,7 @@ pub(crate) fn multilevel_body(
         return vec![0; lists.mine(rank).len()];
     }
     if solves_whole(p) {
-        return gather_solve(comm, p, lists, vertex_units);
+        return gather_solve(comm, BalanceMethod::Multilevel, p, lists, vertex_units);
     }
     let frac = p.shares().weighted(cfg.nparts);
     let frac = frac.as_deref();

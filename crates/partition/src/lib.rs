@@ -60,8 +60,7 @@ mod voronoi;
 mod weights;
 
 pub use balance::{
-    balance, balance_body, balance_distributed, BalanceMethod, DistPartition, Hoisted, Problem,
-    RankLists,
+    balance, balance_body, balance_distributed, BalanceMethod, DistPartition, Problem, RankLists,
 };
 pub use bisect::{bisect, grow_bisection, refine_bisection};
 pub use coarsen::{coarsen_once, contract, heavy_edge_matching};

@@ -19,9 +19,10 @@
 //! imbalance than the seed and an already-balanced partition is an exact
 //! fixed point.
 //!
-//! This is the serial kernel; [`crate::balance_body`] runs it as replicated
-//! arithmetic inside the simulator (the Lloyd rounds work on replicated
-//! part weights and centroids, hoisted onto the host with the partition).
+//! This is the serial kernel, and the only implementation:
+//! [`crate::balance_body`] runs it on rank 0 inside the simulator, the
+//! owned weights and seed parts gathered there and the parts scattered
+//! back.
 
 use crate::metrics::weights_of;
 use crate::sfc::{sfc_split, Shares};

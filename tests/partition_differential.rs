@@ -2,8 +2,9 @@
 //! versus its retained serial kernel ([`balance`]), at P ∈ {2, 8, 64} on a
 //! quick-scale Fig-6 mesh, under one and two weight constraints.
 //!
-//! The five replicated-arithmetic methods must match their kernels bit for
-//! bit. For the multilevel repartitioner two regimes are pinned. On the exact-serial path (coarsest graph = input
+//! SFC diffusion, a distributed body, and the four methods that run their
+//! serial kernel on rank 0 must match their kernels bit for bit. For the
+//! multilevel repartitioner two regimes are pinned. On the exact-serial path (coarsest graph = input
 //! graph) the distributed kernel gathers the problem to rank 0 and runs the
 //! very same serial kernel, so the result must be *bit-identical*. On the
 //! genuinely multilevel path the two kernels take discretely different
@@ -265,8 +266,9 @@ fn weighted_capacities_shift_load_and_respect_ceilings() {
 }
 
 // ---------------------------------------------------------------------------
-// Replicated-arithmetic battery: the geometric, packing and diffusive
-// methods against their serial kernels — serial ≡ SPMD at every P, under one
+// Serial-kernel battery: the geometric, packing and diffusive methods (SFC
+// diffusion's distributed body, the rest run on rank 0) against their serial
+// kernels — serial ≡ SPMD at every P, under one
 // and two constraints, seeded and fresh; machine-model invariance.
 // ---------------------------------------------------------------------------
 

@@ -131,65 +131,19 @@ fn fnv(xs: &[u32]) -> u64 {
     h
 }
 
-/// "Virtual unchanged" under the tier-1 command, per method: host-side
-/// changes to the simulator or the balancers (shared collective payloads,
-/// the rescan-free inflow quota, rank-local root lists, the single
-/// `balance_body`) must leave the modeled machine's view of the partition
-/// phase exactly as it was — same events, same declared words, same phase
-/// time to the bit, same adopted assignment. One P = 64 cycle per method,
-/// with and without a non-uniform second weight (a particle band near the
-/// x = 0 face). Events, messages and assignments are those recorded before
-/// shared payloads (multilevel) and before the balancers were folded into
-/// one entry point (the rest); Σ words and makespans were re-recorded when
-/// `allreduce` moved its reduction into the tree and the refinement's
-/// demand allgather became an `exscan`, and the first multilevel row again
-/// (events, msgs, Σ words, makespan) when a refinement stage began to carry
-/// its part weights and reduce one sparse `(moves, Δw)` in place of a dense
-/// weight row and a move count: one allreduce fewer in each of 7 stages,
-/// i.e. 64 ranks × 6 markers and 126 sends with their receives. Both
-/// multilevel rows were re-recorded (events, msgs, Σ words, makespan) when
-/// a body began to return only its rank's parts: the trailing gather +
-/// `n`-word bcast and the coarsest solve's `n`-word bcast became sized
-/// scatters — 63 messages fewer, and Σ words 148 220 → 80 439 and
-/// 50 586 → 11 742. The first multilevel row again (events, msgs, Σ words,
-/// makespan) when a stage's `(moves, Δw)` began to ride the next ghost
-/// exchange in place of an `allreduce` of its own: events 20 990 → 18 330,
-/// msgs 7 071 → 6 957, Σ words 80 439 → 88 084 (the commit rows). With it
-/// the other ten rows' makespans moved in their last bits only: a marking
-/// sweep stopped paying an `allreduce`, so the phase starts at an earlier
-/// session time, and its duration is a difference of two clock readings.
-/// The ten replicated rows again (events, msgs, Σ words, makespan) when a
-/// replicated body's part-weight and item-count checks began to ride its one
-/// exchange to each part's home rank, in place of one `nparts`-word
-/// `allreduce` per constraint and two 1-word conservation `allreduce`s: every
-/// row is one exchange of 6 Bruck rounds, 384 messages, and 1 151 events
-/// (1 127 for the dual Voronoi row, which moves nothing: every rank's row
-/// stays home, and each round carries its 1-word header only). The first
-/// multilevel row again (events, msgs, Σ words, makespan) when a level's
-/// last commits began to ride the next level's first ghost exchange in
-/// place of a closing exchange of their own: events 18 330 → 17 434, msgs
-/// 6 957 → 6 573 (one closing exchange: 64 ranks × 6 rounds), Σ words
-/// 88 084 → 86 944. The assignments never moved until the first multilevel
-/// row was re-recorded once more (all five columns) when a level's gain
-/// stages began to end at the first one that commits fewer than one move
-/// per 100 of the level's vertices: events 17 434 → 12 970, msgs
-/// 6 573 → 4 917, Σ words 86 944 → 68 606, makespan 17.1 → 14.3 ms, and
-/// the partition changed with the stages it no longer runs. The first
-/// multilevel row again (Σ words, makespan) when a ghost exchange began to
-/// ship values only, 4 bytes an entry in place of an 8-byte `(global id,
-/// value)` pair: Σ words 68 606 → 58 222, makespan 14.327 → 14.280 ms.
-/// Its hierarchy reaches the target before any contraction keeps more than
-/// three quarters of a level, so nothing else moved. The two SFC-diffusion
-/// rows were re-recorded (all five columns) when the method became the
-/// granularity-aware transport, a distributed body: one `allreduce`, one
-/// `exscan`, one exchange and direct answers in place of one exchange
-/// (events 1 151 → 2 342, msgs 384 → 714, Σ words 8 229 → 3 207, makespan
-/// 0.33 → 1.33 ms; under two constraints the guard adds an exchange and an
-/// `allreduce`: 3 911 events, 1 237 msgs, 2.10 ms). The two SFC rows moved
-/// with them (Σ words and assignment; the one-constraint row's makespan in
-/// its last bits): the transport, not boundary shifts, now shaves the
-/// split's one-vertex overshoot. A change here is a change to the model,
-/// not to the host.
+/// The modeled machine's view of the partition phase, per method: one
+/// P = 64 cycle each, with and without a non-uniform second weight (a
+/// particle band near the x = 0 face), pinned to its trace events,
+/// messages, declared words, phase time to the bit and the FNV of the
+/// adopted assignment. A host-side change to the simulator or the
+/// balancers passes it unedited; a change to what the model charges moves
+/// the first four columns, and a change to a partition moves the last.
+/// Multilevel and SFC diffusion run their distributed bodies. Every other
+/// method, and multilevel under two constraints, gathers the owned weights
+/// to rank 0, runs the serial kernel there and scatters the parts back, so
+/// those rows share one shape: 764 events and 126 messages, and the same
+/// words and phase time for each constraint count. The history of each
+/// re-recording is in CHANGES.md and EXPERIMENTS.md.
 #[test]
 fn partition_phase_virtual_footprint_is_pinned() {
     use BalanceMethod::*;
@@ -200,14 +154,14 @@ fn partition_phase_virtual_footprint_is_pinned() {
         (Multilevel, true, 764, 126, 11_742, 0x3f8a_3141_6b85_342c, 0xea3f_6f8b_b965_6fe8),
         (SfcDiffusion, false, 2_342, 714, 3_207, 0x3f55_de38_aff4_d024, 0x2f62_8bab_907d_f51f),
         (SfcDiffusion, true, 3_911, 1_237, 4_398, 0x3f61_34a0_9b96_7436, 0x7667_c0d8_5bf1_8006),
-        (Sfc, false, 1_151, 384, 11_989, 0x3f39_3b3a_68b1_9a30, 0xea50_9483_de14_8b57),
-        (Sfc, true, 1_151, 384, 18_195, 0x3f40_1520_f974_cb78, 0xa5a7_d50c_19aa_c9eb),
-        (Knapsack, false, 1_151, 384, 11_583, 0x3f34_9e72_9c54_b4d0, 0x57cb_cf43_ea29_fcff),
-        (Knapsack, true, 1_151, 384, 18_971, 0x3f36_d0fc_dd35_d0b0, 0xea3f_6f8b_b965_6fe8),
-        (Diffusion2, false, 1_151, 384, 7_850, 0x3f36_02f6_aa6b_ced0, 0xc06d_033b_6536_d07f),
-        (Diffusion2, true, 1_151, 384, 11_969, 0x3f3b_07ee_35fe_13d0, 0x982e_3686_dbd7_d2c4),
-        (Voronoi, false, 1_151, 384, 10_478, 0x3f3a_77a5_7dfe_5d90, 0x7a6b_c4f1_7b9f_7546),
-        (Voronoi, true, 1_127, 384, 384, 0x3f31_67b1_6a1a_d110, 0xb2d6_cc51_3eac_cad0),
+        (Sfc, false, 764, 126, 7_851, 0x3f89_983b_4aae_cfdc, 0xea50_9483_de14_8b57),
+        (Sfc, true, 764, 126, 11_742, 0x3f8a_3141_6b85_342c, 0xa5a7_d50c_19aa_c9eb),
+        (Knapsack, false, 764, 126, 7_851, 0x3f89_983b_4aae_cfdc, 0x57cb_cf43_ea29_fcff),
+        (Knapsack, true, 764, 126, 11_742, 0x3f8a_3141_6b85_342c, 0xea3f_6f8b_b965_6fe8),
+        (Diffusion2, false, 764, 126, 7_851, 0x3f89_983b_4aae_cfdc, 0xc06d_033b_6536_d07f),
+        (Diffusion2, true, 764, 126, 11_742, 0x3f8a_3141_6b85_342c, 0x982e_3686_dbd7_d2c4),
+        (Voronoi, false, 764, 126, 7_851, 0x3f89_983b_4aae_cfdc, 0x7a6b_c4f1_7b9f_7546),
+        (Voronoi, true, 764, 126, 11_742, 0x3f8a_3141_6b85_342c, 0xb2d6_cc51_3eac_cad0),
     ];
     for (method, dual, events, msgs, words, bits, hash) in table {
         let mut cfg = PlumConfig::new(64);
