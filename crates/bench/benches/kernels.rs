@@ -17,7 +17,9 @@ use plum_bench::{initial_mesh, marked_problem, Scale, CASES};
 use plum_core::{parallel_migrate, Ownership, Plum, PlumConfig, WorkModel};
 use plum_mesh::generate::box_mesh;
 use plum_mesh::DualGraph;
-use plum_parsim::{CollectiveKind, Comm, MachineModel, Session, TraceLog};
+use plum_parsim::{
+    CollectiveKind, Comm, Hop, MachineModel, RankResult, Session, TraceEvent, TraceLog,
+};
 use plum_partition::{
     balance_body, balance_distributed, inflow_quota, merge_add, partition_kway, repartition_kway,
     stage_census, BalanceMethod, DistPartition, Graph, PartitionConfig, Problem, RankLists,
@@ -377,7 +379,8 @@ fn bench_multilevel_stage(c: &mut Criterion) {
 /// `session_step/compute_step_p256`. The
 /// 1-word probes of the e2e benchmark cannot see a per-forward payload
 /// copy; these can. Last, the host cost of the latency-bound collectives
-/// at P = 64, 256 and 2048 (see [`control_collective`]).
+/// at P = 64, 256 and 2048 (see [`control_collective`]), beside the trace
+/// bytes a call leaves (see [`control_trace_bytes`]).
 fn bench_collectives_payload(c: &mut Criterion) {
     const P: usize = 256;
     let mut group = c.benchmark_group("collectives_payload");
@@ -544,7 +547,11 @@ fn bench_collectives_payload(c: &mut Criterion) {
         let mut session = Session::new(nranks, MachineModel::sp2());
         for (name, probe) in control {
             let us = control_collective(&mut session, probe) * 1e6;
-            println!("  collectives_payload/{name}_p{nranks}: {us:.1} host us per call");
+            let bytes = control_trace_bytes(&mut session, probe);
+            println!(
+                "  collectives_payload/{name}_p{nranks}: {us:.1} host us per call, \
+                 {bytes} trace bytes per call"
+            );
         }
     }
     group.finish();
@@ -573,6 +580,30 @@ fn control_collective(session: &mut Session, probe: &(dyn Fn(&mut Comm) + Send +
         .collect();
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
+}
+
+/// Trace bytes one call of `probe` on every rank leaves: the events' and
+/// hops' counts times their sizes, over a step of eight calls less an empty
+/// step's.
+fn control_trace_bytes(session: &mut Session, probe: &(dyn Fn(&mut Comm) + Send + Sync)) -> usize {
+    const CALLS: usize = 8;
+    let nranks = session.nranks();
+    let bytes = |results: Vec<RankResult<()>>| -> usize {
+        let events = results.iter().flat_map(|r| &r.events);
+        let hops: usize = events
+            .clone()
+            .map(|ev| match ev {
+                TraceEvent::Collective { hops, .. } => hops.len(),
+                _ => 0,
+            })
+            .sum();
+        events.count() * size_of::<TraceEvent>() + hops * size_of::<Hop>()
+    };
+    let full = bytes(session.run(vec![(); nranks], |comm, ()| {
+        (0..CALLS).for_each(|_| probe(comm))
+    }));
+    let empty = bytes(session.run(vec![(); nranks], |comm, ()| comm.compute(1.0)));
+    (full - empty) / CALLS
 }
 
 /// The paper-scale framework (≈ 61k elements) over `nproc` ranks after its

@@ -23,11 +23,16 @@
 //!   sync ends (rank clocks are aligned by `advance_to`, so the match is
 //!   exact; unmatched syncs degrade to local wait).
 //!
-//! Because every clock charge records exactly one event (the 1e-9
-//! accounting invariant), the walked segments tile the timeline and the
-//! path length equals the log's makespan.
+//! A collective's record is walked hop by hop: each hop is the send or
+//! receive it replaced, spanning from the clock the hop before it left (the
+//! record's start for the first), and a receive hop that waited jumps to
+//! its matching send hop on the sender, as a receive event does.
+//!
+//! Because every clock charge records exactly one event or one hop (the
+//! 1e-9 accounting invariant), the walked segments tile the timeline and
+//! the path length equals the log's makespan.
 
-use plum_parsim::{MessageEdge, TraceEvent, TraceLog};
+use plum_parsim::{MessageEdge, TraceEvent, TraceLog, Via};
 use std::collections::HashMap;
 
 /// Exact-alignment slack for cross-rank time matching. Clock alignment
@@ -123,39 +128,126 @@ impl CriticalPath {
     }
 }
 
-/// True for events that occupy clock time (positive-length spans).
-fn is_span(ev: &TraceEvent) -> bool {
-    matches!(
-        ev,
-        TraceEvent::Compute { .. }
-            | TraceEvent::Send { .. }
-            | TraceEvent::Recv { .. }
-            | TraceEvent::Sync { .. }
-            | TraceEvent::Fault { .. }
-    ) && ev.end_time() - ev.time() > 0.0
+/// A position on a rank's timeline: an event of its stream, and in a
+/// collective's record one of its hops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Pos {
+    event: usize,
+    hop: Option<usize>,
 }
 
-/// Find the event on some rank `!= skip_rank` that ends at `target` and is
+/// The clock charge a position stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Charge {
+    Compute,
+    Send,
+    Recv,
+    Sync,
+    Fault,
+}
+
+/// The charge at `pos` and its span, if it occupies clock time (a
+/// positive-length span): a record's own position and markers do not.
+fn charge_at(stream: &[TraceEvent], pos: Pos) -> Option<(Charge, f64, f64)> {
+    let (charge, start, end) = match (&stream[pos.event], pos.hop) {
+        (TraceEvent::Collective { start, hops, .. }, Some(h)) => {
+            let from = if h == 0 { *start } else { hops[h - 1].at };
+            let charge = if hops[h].is_send() {
+                Charge::Send
+            } else {
+                Charge::Recv
+            };
+            (charge, from, hops[h].at)
+        }
+        (TraceEvent::Compute { start, end }, _) => (Charge::Compute, *start, *end),
+        (TraceEvent::Send { start, end, .. }, _) => (Charge::Send, *start, *end),
+        (
+            TraceEvent::Recv {
+                posted, completed, ..
+            },
+            _,
+        ) => (Charge::Recv, *posted, *completed),
+        (TraceEvent::Sync { start, end }, _) => (Charge::Sync, *start, *end),
+        (TraceEvent::Fault { start, end, .. }, _) => (Charge::Fault, *start, *end),
+        _ => return None,
+    };
+    (end - start > 0.0).then_some((charge, start, end))
+}
+
+/// When the charge at `pos` ends (a marker: its instant).
+fn end_at(stream: &[TraceEvent], pos: Pos) -> f64 {
+    match (&stream[pos.event], pos.hop) {
+        (TraceEvent::Collective { hops, .. }, Some(h)) => hops[h].at,
+        (ev, _) => ev.end_time(),
+    }
+}
+
+/// The last position of event `event`: a record's last hop, or the event.
+fn last_of(stream: &[TraceEvent], event: usize) -> Pos {
+    let hop = match &stream[event] {
+        TraceEvent::Collective { hops, .. } => hops.len().checked_sub(1),
+        _ => None,
+    };
+    Pos { event, hop }
+}
+
+/// The position before `pos` on its rank's timeline.
+fn prev(stream: &[TraceEvent], pos: Pos) -> Option<Pos> {
+    match pos.hop {
+        Some(h) if h > 0 => Some(Pos {
+            event: pos.event,
+            hop: Some(h - 1),
+        }),
+        _ => Some(last_of(stream, pos.event.checked_sub(1)?)),
+    }
+}
+
+/// Every position of a rank's timeline, in order.
+fn positions(stream: &[TraceEvent]) -> impl Iterator<Item = Pos> + '_ {
+    stream.iter().enumerate().flat_map(|(event, ev)| {
+        let hops = match ev {
+            TraceEvent::Collective { hops, .. } => hops.len(),
+            _ => 0,
+        };
+        let own = (hops == 0).then_some(Pos { event, hop: None });
+        own.into_iter().chain((0..hops).map(move |h| Pos {
+            event,
+            hop: Some(h),
+        }))
+    })
+}
+
+/// Find the charge on some rank `!= skip_rank` that ends at `target` and is
 /// a real span (not a sync — a sync's own end was imposed by someone
-/// else). Returns `(rank, event_index)`.
-fn donor_at(log: &TraceLog, target: f64, skip_rank: usize) -> Option<(usize, usize)> {
+/// else). Returns `(rank, position)`.
+fn donor_at(log: &TraceLog, target: f64, skip_rank: usize) -> Option<(usize, Pos)> {
     for (rank, stream) in log.events.iter().enumerate() {
         if rank == skip_rank {
             continue;
         }
         // Per-stream end times are nondecreasing (the clock is monotone),
-        // so binary search for the window ending near `target`.
+        // so binary search for the window ending near `target`, hop by hop
+        // inside a record that straddles its edge.
         let hi = stream.partition_point(|e| e.end_time() <= target + EPS);
-        let mut i = hi;
-        while i > 0 {
-            i -= 1;
-            let ev = &stream[i];
-            if ev.end_time() < target - EPS {
+        let straddling = match stream.get(hi) {
+            Some(TraceEvent::Collective { hops, .. }) => {
+                let h = hops.partition_point(|h| h.at <= target + EPS);
+                h.checked_sub(1).map(|h| Pos {
+                    event: hi,
+                    hop: Some(h),
+                })
+            }
+            _ => None,
+        };
+        let mut pos = straddling.or_else(|| Some(last_of(stream, hi.checked_sub(1)?)));
+        while let Some(p) = pos {
+            if end_at(stream, p) < target - EPS {
                 break;
             }
-            if is_span(ev) && !matches!(ev, TraceEvent::Sync { .. }) {
-                return Some((rank, i));
+            if matches!(charge_at(stream, p), Some((c, ..)) if c != Charge::Sync) {
+                return Some((rank, p));
             }
+            pos = prev(stream, p);
         }
     }
     None
@@ -165,42 +257,49 @@ fn donor_at(log: &TraceLog, target: f64, skip_rank: usize) -> Option<(usize, usi
 /// the critical path. See the module docs for the walk rules.
 pub fn critical_path(log: &TraceLog) -> CriticalPath {
     let mut path = CriticalPath::default();
-    // Start point: the globally latest span event. Ties prefer a non-sync
-    // event (the rank that actually ran until the end), then lower rank.
-    let mut start: Option<(usize, usize)> = None;
+    // Start point: the globally latest span. Ties prefer a non-sync charge
+    // (the rank that actually ran until the end), then lower rank.
+    let mut start: Option<(usize, Pos, Charge)> = None;
     let mut best_end = f64::NEG_INFINITY;
     for (rank, stream) in log.events.iter().enumerate() {
-        for (i, ev) in stream.iter().enumerate() {
-            if !is_span(ev) {
+        for pos in positions(stream) {
+            let Some((charge, _, end)) = charge_at(stream, pos) else {
                 continue;
-            }
-            let end = ev.end_time();
+            };
             let better = end > best_end + EPS
                 || ((end - best_end).abs() <= EPS
-                    && !matches!(ev, TraceEvent::Sync { .. })
-                    && start
-                        .map(|(r, j)| matches!(log.events[r][j], TraceEvent::Sync { .. }))
-                        .unwrap_or(false));
+                    && charge != Charge::Sync
+                    && start.is_some_and(|(.., c)| c == Charge::Sync));
             if better {
                 best_end = end;
-                start = Some((rank, i));
+                start = Some((rank, pos, charge));
             }
         }
     }
-    let Some((mut rank, mut idx)) = start else {
+    let Some((mut rank, mut pos, _)) = start else {
         return path;
     };
     path.end = best_end;
 
     // Matched message edges, addressable by the receive they end at.
-    let edges: HashMap<(usize, usize), MessageEdge> = log
+    let edges: HashMap<(usize, Pos), MessageEdge> = log
         .message_edges()
         .into_iter()
-        .map(|e| ((e.dst, e.recv_event), e))
+        .map(|e| {
+            let hop = match e.via {
+                Via::Tag(_) => None,
+                Via::Collective { recv_hop, .. } => Some(recv_hop),
+            };
+            let at = Pos {
+                event: e.recv_event,
+                hop,
+            };
+            ((e.dst, at), e)
+        })
         .collect();
 
-    let total_events: usize = log.events.iter().map(|s| s.len()).sum();
-    let mut fuel = total_events * 2 + 64;
+    let total: usize = log.events.iter().map(|s| positions(s).count()).sum();
+    let mut fuel = total * 2 + 64;
     let mut cur_t = best_end;
     let mut segments: Vec<PathSegment> = Vec::new();
     let push = |segments: &mut Vec<PathSegment>, seg: PathSegment, bucket: &mut f64| {
@@ -216,73 +315,48 @@ pub fn critical_path(log: &TraceLog) -> CriticalPath {
             break;
         }
         fuel -= 1;
-        let Some(ev) = log.events[rank].get(idx) else {
-            break;
-        };
-        if !is_span(ev) {
-            if idx == 0 {
-                break;
+        let stream = &log.events[rank];
+        let Some((charge, start, end)) = charge_at(stream, pos) else {
+            match prev(stream, pos) {
+                Some(p) => pos = p,
+                None => break,
             }
-            idx -= 1;
             continue;
-        }
-        // A gap between the accounted-down-to time and this event's end
+        };
+        // A gap between the accounted-down-to time and this charge's end
         // can only come from dropped events; track it so length() still
         // reconciles (0.0 on gap-free logs).
-        let end = ev.end_time();
         if end < cur_t - EPS {
             path.unattributed += cur_t - end;
         }
         cur_t = cur_t.min(end);
-        match ev {
-            TraceEvent::Compute { start, .. } => {
-                push(
-                    &mut segments,
-                    PathSegment {
-                        rank,
-                        kind: SegmentKind::Compute,
-                        start: *start,
-                        end: cur_t,
-                    },
-                    &mut path.compute,
-                );
-                cur_t = *start;
-            }
-            TraceEvent::Send { start, .. } => {
-                push(
-                    &mut segments,
-                    PathSegment {
-                        rank,
-                        kind: SegmentKind::Wire,
-                        start: *start,
-                        end: cur_t,
-                    },
-                    &mut path.wire,
-                );
-                cur_t = *start;
-            }
-            TraceEvent::Fault { start, .. } => {
-                push(
-                    &mut segments,
-                    PathSegment {
-                        rank,
-                        kind: SegmentKind::Injected,
-                        start: *start,
-                        end: cur_t,
-                    },
-                    &mut path.injected,
-                );
-                cur_t = *start;
-            }
-            TraceEvent::Recv { posted, .. } => {
-                if let Some(edge) = edges.get(&(rank, idx)) {
+        let local = |kind| PathSegment {
+            rank,
+            kind,
+            start,
+            end: cur_t,
+        };
+        match charge {
+            Charge::Compute => push(
+                &mut segments,
+                local(SegmentKind::Compute),
+                &mut path.compute,
+            ),
+            Charge::Send => push(&mut segments, local(SegmentKind::Wire), &mut path.wire),
+            Charge::Fault => push(
+                &mut segments,
+                local(SegmentKind::Injected),
+                &mut path.injected,
+            ),
+            Charge::Recv => {
+                if let Some(edge) = edges.get(&(rank, pos)) {
                     // The sender was binding. The span from the sender's
                     // send-end to the receive completion splits in two:
                     // the receiver sat blocked from max(send_end, posted)
                     // onward (wait, charged to the receiver), and anything
                     // before that is flight time (wire, charged to the
                     // sender). Segments are pushed latest-first.
-                    let wait_start = edge.send_end.max(*posted).min(cur_t);
+                    let wait_start = edge.send_end.max(start).min(cur_t);
                     push(
                         &mut segments,
                         PathSegment {
@@ -305,48 +379,34 @@ pub fn critical_path(log: &TraceLog) -> CriticalPath {
                     );
                     cur_t = cur_t.min(edge.send_end);
                     rank = edge.src;
-                    idx = edge.send_event;
+                    pos = Pos {
+                        event: edge.send_event,
+                        hop: match edge.via {
+                            Via::Tag(_) => None,
+                            Via::Collective { send_hop, .. } => Some(send_hop),
+                        },
+                    };
                     continue 'walk;
                 }
                 // Unmatched receive (cross-phase message or truncated log):
                 // degrade to local wait.
-                push(
-                    &mut segments,
-                    PathSegment {
-                        rank,
-                        kind: SegmentKind::Wait,
-                        start: *posted,
-                        end: cur_t,
-                    },
-                    &mut path.wait,
-                );
-                cur_t = *posted;
+                push(&mut segments, local(SegmentKind::Wait), &mut path.wait);
             }
-            TraceEvent::Sync { start, end } => {
-                if let Some((donor, di)) = donor_at(log, *end, rank) {
+            Charge::Sync => {
+                if let Some((donor, at)) = donor_at(log, end, rank) {
                     // The slowest rank of the step was binding.
                     rank = donor;
-                    idx = di;
+                    pos = at;
                     continue 'walk;
                 }
-                push(
-                    &mut segments,
-                    PathSegment {
-                        rank,
-                        kind: SegmentKind::Wait,
-                        start: *start,
-                        end: cur_t,
-                    },
-                    &mut path.wait,
-                );
-                cur_t = *start;
+                push(&mut segments, local(SegmentKind::Wait), &mut path.wait);
             }
-            _ => unreachable!("is_span admits only clock-charging events"),
         }
-        if idx == 0 {
-            break;
+        cur_t = start;
+        match prev(stream, pos) {
+            Some(p) => pos = p,
+            None => break,
         }
-        idx -= 1;
     }
     path.start = cur_t;
     segments.reverse();
@@ -389,11 +449,15 @@ pub fn render_heaviest_edges(edges: &[MessageEdge]) -> String {
         return out;
     }
     for e in edges {
+        let via = match e.via {
+            Via::Tag(tag) => format!("tag={tag}"),
+            Via::Collective { kind, .. } => kind.name().to_string(),
+        };
         out.push_str(&format!(
-            "  {:>3} -> {:<3} tag={:<6} words={:<8} wait {:>10.3}us  (phase {})\n",
+            "  {:>3} -> {:<3} {:<10} words={:<8} wait {:>10.3}us  (phase {})\n",
             e.src,
             e.dst,
-            e.tag,
+            via,
             e.words,
             e.wait * 1e6,
             e.phase,
@@ -682,7 +746,7 @@ mod tests {
         };
         let edges = heaviest_edges(&log, 5);
         assert_eq!(edges.len(), 1, "zero-wait edges are dropped");
-        assert_eq!(edges[0].tag, 1);
+        assert_eq!(edges[0].via, Via::Tag(1));
         assert!((edges[0].wait - 3.0).abs() < 1e-12);
         let text = render_heaviest_edges(&edges);
         assert!(text.contains("0 -> 1"), "{text}");
@@ -708,7 +772,10 @@ mod tests {
             ],
         };
         let edges = heaviest_edges(&log, 5);
-        assert_eq!(edges.iter().map(|e| e.tag).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(
+            edges.iter().map(|e| e.via).collect::<Vec<_>>(),
+            [Via::Tag(1), Via::Tag(2)]
+        );
     }
 
     #[test]

@@ -51,13 +51,15 @@
 //! depositing its ledger — clock, trace, send counters, chaos link state —
 //! and its contribution, and the last rank to arrive runs the schedule
 //! above for all `P` ranks as one host loop: the same peers, tags and
-//! declared words, folds in the same order, and every clock charge made by
-//! [`Ledger::send`](crate::comm::Ledger) / `Ledger::recv`, the functions
-//! that price a point-to-point message. Each rank's events are charged in
-//! its own program order, so its trace equals, bit for bit, the one the
-//! message-by-message execution records (the test-only `reference` module
-//! keeps that execution, and a differential test holds every collective to
-//! it). The payload never travels: a gather's root receives the values, a
+//! declared words, folds in the same order, and every clock charge priced
+//! as a point-to-point message's is. Each rank's charges are made in its
+//! own program order and kept as the hops of its one
+//! [`TraceEvent::Collective`](crate::TraceEvent) record of the call, so
+//! every hop's clock, peer, direction and words equal, bit for bit, the
+//! send and receive events the message-by-message execution records (the
+//! test-only `reference` module keeps that execution, and a differential
+//! test holds every collective to it, folded into records). The payload
+//! never travels: a gather's root receives the values, a
 //! scatter's ranks their blocks, and an exchange's items go straight to
 //! their destinations, while the trace declares the words each hop of the
 //! schedule would have carried. A value every rank receives (`bcast`,
@@ -74,8 +76,13 @@
 //! they may capture configuration every rank shares (`nparts`), never
 //! rank-local state. A rank's *contributions* — its value, its items, its
 //! own `my_words`, `words_each` or `bcast` size — are its own.
+//!
+//! Every collective is `#[track_caller]`, as are its thin wrappers, so the
+//! rendezvous sees the line of the rank body that called it: ranks that
+//! reach one collective from two lines are a mismatch.
 
 use std::collections::BTreeMap;
+use std::panic::Location;
 use std::sync::Arc;
 
 use crate::comm::{Comm, Tag};
@@ -83,7 +90,7 @@ use crate::sched::{Op, Pass};
 use crate::trace::CollectiveKind;
 
 #[cfg(test)]
-mod reference;
+pub(crate) mod reference;
 
 const TAG_BARRIER: Tag = 1 << 60;
 const TAG_BCAST: Tag = (1 << 60) + 1;
@@ -100,19 +107,22 @@ const TAG_DIRECT: Tag = (1 << 60) + (1 << 32) + 1;
 /// declared words, arrival and values.
 type Direct<T> = (usize, u64, f64, Vec<T>);
 
-const fn op(name: &'static str, tag: Tag) -> Op {
+#[track_caller]
+fn op(name: &'static str, kind: CollectiveKind, tag: Tag) -> Op {
     Op {
         name,
+        kind,
         root: None,
         tag,
+        site: Location::caller(),
     }
 }
 
-const fn rooted(name: &'static str, tag: Tag, root: usize) -> Op {
+#[track_caller]
+fn rooted(name: &'static str, kind: CollectiveKind, tag: Tag, root: usize) -> Op {
     Op {
-        name,
         root: Some(root),
-        tag,
+        ..op(name, kind, tag)
     }
 }
 
@@ -122,16 +132,16 @@ impl Comm {
     /// After the barrier every rank's virtual clock is at least as late as
     /// the latest participating rank's clock at entry (plus the barrier's own
     /// message costs).
+    #[track_caller]
     pub fn barrier(&mut self) {
-        self.meet(op("barrier", TAG_BARRIER), (), |pass, _: Vec<()>| {
+        let op = op("barrier", CollectiveKind::Barrier, TAG_BARRIER);
+        self.meet(op, (), |pass, _: Vec<()>| {
             let p = pass.nranks();
-            enter_all(pass, CollectiveKind::Barrier);
             let mut step = 1;
             while step < p {
                 exchange_round(pass, step, TAG_BARRIER, |_| 1);
                 step <<= 1;
             }
-            exit_all(pass, CollectiveKind::Barrier);
             vec![(); p]
         })
     }
@@ -140,6 +150,7 @@ impl Comm {
     ///
     /// Non-root ranks pass `None` and receive the broadcast value; the root
     /// passes `Some(value)`. Every rank gets the same allocation.
+    #[track_caller]
     pub fn bcast<T: Send + Sync + 'static>(
         &mut self,
         root: usize,
@@ -150,7 +161,7 @@ impl Comm {
         if self.rank() == root {
             assert!(value.is_some(), "bcast root must supply a value");
         }
-        let op = rooted("bcast", TAG_BCAST, root);
+        let op = rooted("bcast", CollectiveKind::Bcast, TAG_BCAST, root);
         self.meet(
             op,
             (words, value),
@@ -168,6 +179,7 @@ impl Comm {
     /// exactly what they ship (interior tree ranks additionally charge for
     /// the subtree entries they forward). Returns `Some(values)` (indexed by
     /// rank) on the root, `None` elsewhere.
+    #[track_caller]
     pub fn gather<T: Send + 'static>(
         &mut self,
         root: usize,
@@ -175,7 +187,7 @@ impl Comm {
         value: T,
     ) -> Option<Vec<T>> {
         assert!(root < self.nranks(), "gather root {root} out of range");
-        let op = rooted("gather", TAG_GATHER, root);
+        let op = rooted("gather", CollectiveKind::Gather, TAG_GATHER, root);
         self.meet(op, (my_words, value), |pass, inputs: Vec<(u64, T)>| {
             let mut out: Vec<Option<Vec<T>>> = (0..pass.nranks()).map(|_| None).collect();
             out[root] = Some(tree_gather(pass, root, inputs));
@@ -188,6 +200,7 @@ impl Comm {
     /// rank, and every rank receives its own value. Binomial tree, `P-1`
     /// messages total; each message carries the blocks of the destination's
     /// whole subtree and charges the sum of their sizes.
+    #[track_caller]
     pub fn scatterv<T: Send + 'static>(&mut self, root: usize, blocks: Option<Vec<(u64, T)>>) -> T {
         let p = self.nranks();
         assert!(root < p, "scatter root {root} out of range");
@@ -195,7 +208,7 @@ impl Comm {
             let blocks = blocks.as_ref().expect("scatter root must supply values");
             assert_eq!(blocks.len(), p, "scatter needs one value per rank");
         }
-        let op = rooted("scatterv", TAG_SCATTER, root);
+        let op = rooted("scatterv", CollectiveKind::Scatter, TAG_SCATTER, root);
         self.meet(
             op,
             blocks,
@@ -208,19 +221,18 @@ impl Comm {
 
     /// Allgather (tree gather to rank 0, broadcast the vector). Every rank
     /// gets the same allocation.
+    #[track_caller]
     pub fn allgather<T: Send + Sync + 'static>(
         &mut self,
         words_each: u64,
         value: T,
     ) -> Arc<Vec<T>> {
-        let op = op("allgather", TAG_GATHER);
+        let op = op("allgather", CollectiveKind::Allgather, TAG_GATHER);
         self.meet(op, (words_each, value), |pass, inputs: Vec<(u64, T)>| {
             let p = pass.nranks();
             let total: Vec<u64> = inputs.iter().map(|&(words, _)| words * p as u64).collect();
-            enter_all(pass, CollectiveKind::Allgather);
             let gathered = Arc::new(tree_gather(pass, 0, inputs));
             let out = tree_bcast(pass, 0, gathered, |rank, _| total[rank]);
-            exit_all(pass, CollectiveKind::Allgather);
             vec![out; p]
         })
     }
@@ -233,17 +245,16 @@ impl Comm {
     /// up, the result on the way down), in the fold order `reduce` documents
     /// — a deterministic function of `P` alone. Every rank gets the same
     /// allocation.
+    #[track_caller]
     pub fn allreduce<T, F>(&mut self, words: impl Fn(&T) -> u64, value: T, op: F) -> Arc<T>
     where
         T: Send + Sync + 'static,
         F: Fn(T, T) -> T,
     {
-        let name = self::op("allreduce", TAG_REDUCE);
+        let name = self::op("allreduce", CollectiveKind::Allreduce, TAG_REDUCE);
         self.meet(name, value, |pass, values: Vec<T>| {
-            enter_all(pass, CollectiveKind::Allreduce);
             let reduced = Arc::new(tree_reduce(pass, 0, values, &words, op));
             let out = tree_bcast(pass, 0, reduced, |_, v| words(v));
-            exit_all(pass, CollectiveKind::Allreduce);
             vec![out; pass.nranks()]
         })
     }
@@ -258,12 +269,13 @@ impl Comm {
     /// largest subtree first so the longest chain starts earliest. `2(P-1)`
     /// messages, each declaring `words` of the total or prefix it carries;
     /// values are moved, never cloned.
+    #[track_caller]
     pub fn exscan<T, F>(&mut self, words: impl Fn(&T) -> u64, value: T, op: F) -> Option<T>
     where
         T: Send + 'static,
         F: Fn(&T, &T) -> T,
     {
-        let name = self::op("exscan", TAG_EXSCAN);
+        let name = self::op("exscan", CollectiveKind::Exscan, TAG_EXSCAN);
         self.meet(name, value, |pass, values: Vec<T>| {
             let (prefixes, _) = tree_scan(pass, values, &words, &op, |_| 0);
             prefixes
@@ -274,6 +286,7 @@ impl Comm {
     /// the root's up-sweep total rides down beside each prefix, so the same
     /// `2(P-1)` messages deliver both, a down message declaring `words` of
     /// its prefix plus `words` of the total. Returns `(prefix, total)`.
+    #[track_caller]
     pub fn exscan_total<T, F>(
         &mut self,
         words: impl Fn(&T) -> u64,
@@ -284,7 +297,7 @@ impl Comm {
         T: Clone + Send + 'static,
         F: Fn(&T, &T) -> T,
     {
-        let name = self::op("exscan_total", TAG_EXSCAN);
+        let name = self::op("exscan_total", CollectiveKind::Exscan, TAG_EXSCAN);
         self.meet(name, value, |pass, values: Vec<T>| {
             let (prefixes, total) = tree_scan(pass, values, &words, &op, |total| words(total));
             prefixes.into_iter().map(|x| (x, total.clone())).collect()
@@ -292,16 +305,19 @@ impl Comm {
     }
 
     /// Allreduce with `f64` addition.
+    #[track_caller]
     pub fn allreduce_sum_f64(&mut self, value: f64) -> f64 {
         *self.allreduce(|_| 1, value, |a, b| a + b)
     }
 
     /// Allreduce with `u64` addition.
+    #[track_caller]
     pub fn allreduce_sum_u64(&mut self, value: u64) -> u64 {
         *self.allreduce(|_| 1, value, |a, b| a + b)
     }
 
     /// Allreduce with `u64` maximum.
+    #[track_caller]
     pub fn allreduce_max_u64(&mut self, value: u64) -> u64 {
         *self.allreduce(|_| 1, value, u64::max)
     }
@@ -318,6 +334,7 @@ impl Comm {
     /// are combined and store-and-forwarded along a Bruck exchange, so a
     /// migration step touching only a few neighbors no longer pays `P-1`
     /// message startups per rank.
+    #[track_caller]
     pub fn alltoallv_sparse<T: Send + 'static>(
         &mut self,
         items: Vec<(usize, u64, T)>,
@@ -341,6 +358,7 @@ impl Comm {
     /// destination. Bulk payload is cheaper direct; latency-bound control
     /// traffic to more than `ceil(log2 P)` peers is cheaper on the Bruck
     /// exchange.
+    #[track_caller]
     pub fn alltoallv_direct<T: Send + 'static>(
         &mut self,
         items: Vec<(usize, u64, T)>,
@@ -359,9 +377,8 @@ impl Comm {
                 vals.push(v);
             }
         }
-        let op = op("alltoallv_direct", TAG_A2A);
+        let op = op("alltoallv_direct", CollectiveKind::Alltoallv, TAG_A2A);
         self.meet(op, (own, outgoing), |pass, inputs: Vec<(Vec<T>, _)>| {
-            enter_all(pass, CollectiveKind::Alltoallv);
             // The notices' Bruck exchange: every message is its header word.
             let mut step = 1;
             let mut round: Tag = 0;
@@ -375,7 +392,7 @@ impl Comm {
             for (src, (own, outgoing)) in inputs.into_iter().enumerate() {
                 out.push(own.into_iter().map(|v| (src, v)).collect());
                 for (dst, (words, vals)) in outgoing {
-                    let arrival = pass.send(src, dst, TAG_DIRECT, words);
+                    let arrival = pass.send(src, dst, words);
                     inbound[dst].push((src, words, arrival, vals));
                 }
             }
@@ -386,7 +403,6 @@ impl Comm {
                 }
                 got.sort_by_key(|&(src, _)| src);
             }
-            exit_all(pass, CollectiveKind::Alltoallv);
             out
         })
     }
@@ -404,6 +420,7 @@ impl Comm {
     /// some share is heard twice: `join` must be associative, commutative and
     /// idempotent (a set union, `||`, `max`). A share is cloned once per
     /// round, so keep it cheap to clone (an [`Arc`] per entry).
+    #[track_caller]
     pub fn alltoallv_sparse_join<T, S>(
         &mut self,
         items: Vec<(usize, u64, T)>,
@@ -419,13 +436,10 @@ impl Comm {
         for &(dst, _, _) in &items {
             assert!(dst < p, "alltoallv destination {dst} out of range");
         }
-        let op = op("alltoallv_sparse_join", TAG_A2A);
+        let op = op("alltoallv_sparse_join", CollectiveKind::Alltoallv, TAG_A2A);
         self.meet(op, (items, share), |pass, inputs: Vec<(Vec<_>, S)>| {
-            enter_all(pass, CollectiveKind::Alltoallv);
             let (items, shares) = inputs.into_iter().unzip();
-            let out = bruck_exchange(pass, items, shares, words, join);
-            exit_all(pass, CollectiveKind::Alltoallv);
-            out
+            bruck_exchange(pass, items, shares, words, join)
         })
     }
 
@@ -436,12 +450,12 @@ impl Comm {
     /// Implemented on the same Bruck exchange as
     /// [`Comm::alltoallv_sparse`], so the per-rank message count is
     /// `ceil(log2 P)` rather than `P-1`.
+    #[track_caller]
     pub fn alltoallv<T: Send + 'static>(&mut self, items: Vec<(u64, T)>) -> Vec<T> {
         let p = self.nranks();
         assert_eq!(items.len(), p, "alltoallv needs one item per rank");
-        let op = op("alltoallv", TAG_A2A);
+        let op = op("alltoallv", CollectiveKind::Alltoallv, TAG_A2A);
         self.meet(op, items, |pass, inputs: Vec<Vec<(u64, T)>>| {
-            enter_all(pass, CollectiveKind::Alltoallv);
             let sparse = inputs
                 .into_iter()
                 .map(|row| {
@@ -452,7 +466,6 @@ impl Comm {
                 })
                 .collect();
             let out = bruck_exchange(pass, sparse, vec![(); p], |_| 0, |_, _| {});
-            exit_all(pass, CollectiveKind::Alltoallv);
             out.into_iter()
                 .map(|(received, ())| received.into_iter().map(|(_, v)| v).collect())
                 .collect()
@@ -470,6 +483,7 @@ impl Comm {
     /// values in ascending virtual-rank order, associated by subtree: for
     /// every associative `op` the value of the flat left fold from the
     /// root. `P-1` messages.
+    #[track_caller]
     pub fn reduce<T, F>(
         &mut self,
         root: usize,
@@ -482,7 +496,7 @@ impl Comm {
         F: Fn(T, T) -> T,
     {
         assert!(root < self.nranks(), "reduce root {root} out of range");
-        let name = rooted("reduce", TAG_REDUCE, root);
+        let name = rooted("reduce", CollectiveKind::Reduce, TAG_REDUCE, root);
         self.meet(name, value, |pass, values: Vec<T>| {
             let mut out: Vec<Option<T>> = (0..pass.nranks()).map(|_| None).collect();
             out[root] = Some(tree_reduce(pass, root, values, &words, op));
@@ -498,14 +512,6 @@ impl Comm {
 // finds the arrival its sender has already stamped; a round-based exchange
 // charges every send of a round before any of its receives.
 
-fn enter_all(pass: &mut Pass<'_>, kind: CollectiveKind) {
-    pass.ledgers.iter_mut().for_each(|l| l.enter(kind));
-}
-
-fn exit_all(pass: &mut Pass<'_>, kind: CollectiveKind) {
-    pass.ledgers.iter_mut().for_each(|l| l.exit(kind));
-}
-
 /// One dissemination round at distance `step`: every rank `r` sends
 /// `words(r)` words to `r + step` and receives from `r - step` (mod P).
 fn exchange_round(pass: &mut Pass<'_>, step: usize, tag: Tag, words: impl Fn(usize) -> u64) {
@@ -513,7 +519,7 @@ fn exchange_round(pass: &mut Pass<'_>, step: usize, tag: Tag, words: impl Fn(usi
     let sent: Vec<(u64, f64)> = (0..p)
         .map(|r| {
             let w = words(r);
-            (w, pass.send(r, (r + step) % p, tag, w))
+            (w, pass.send(r, (r + step) % p, w))
         })
         .collect();
     for r in 0..p {
@@ -533,7 +539,6 @@ fn tree_bcast<T>(
     words: impl Fn(usize, &T) -> u64,
 ) -> Arc<T> {
     let p = pass.nranks();
-    enter_all(pass, CollectiveKind::Bcast);
     // The message to each virtual rank: (words, arrival).
     let mut down = vec![(0u64, 0.0f64); p];
     for v in 0..p {
@@ -547,11 +552,10 @@ fn tree_bcast<T>(
         }
         while v + mask < p {
             let w = words(rank, &value);
-            down[v + mask] = (w, pass.send(rank, (v + mask + root) % p, TAG_BCAST, w));
+            down[v + mask] = (w, pass.send(rank, (v + mask + root) % p, w));
             mask <<= 1;
         }
     }
-    exit_all(pass, CollectiveKind::Bcast);
     value
 }
 
@@ -561,7 +565,6 @@ fn tree_bcast<T>(
 /// subtree's words. Returns the values in rank order.
 fn tree_gather<T>(pass: &mut Pass<'_>, root: usize, inputs: Vec<(u64, T)>) -> Vec<T> {
     let p = pass.nranks();
-    enter_all(pass, CollectiveKind::Gather);
     let (mine, values): (Vec<u64>, Vec<T>) = inputs.into_iter().unzip();
     // The message from each virtual rank to its parent: (words, arrival).
     let mut up = vec![(0u64, 0.0f64); p];
@@ -578,13 +581,9 @@ fn tree_gather<T>(pass: &mut Pass<'_>, root: usize, inputs: Vec<(u64, T)>) -> Ve
             mask <<= 1;
         }
         if v > 0 {
-            up[v] = (
-                total,
-                pass.send(rank, (v - mask + root) % p, TAG_GATHER, total),
-            );
+            up[v] = (total, pass.send(rank, (v - mask + root) % p, total));
         }
     }
-    exit_all(pass, CollectiveKind::Gather);
     values
 }
 
@@ -599,7 +598,6 @@ fn tree_reduce<T>(
     op: impl Fn(T, T) -> T,
 ) -> T {
     let p = pass.nranks();
-    enter_all(pass, CollectiveKind::Reduce);
     let mut values: Vec<Option<T>> = values.into_iter().map(Some).collect();
     // The fold each virtual rank sent up: (fold, words, arrival).
     let mut up: Vec<Option<(T, u64, f64)>> = (0..p).map(|_| None).collect();
@@ -618,13 +616,12 @@ fn tree_reduce<T>(
         }
         if v > 0 {
             let w = words(&acc);
-            let arrival = pass.send(rank, (v - mask + root) % p, TAG_REDUCE, w);
+            let arrival = pass.send(rank, (v - mask + root) % p, w);
             up[v] = Some((acc, w, arrival));
         } else {
             result = Some(acc);
         }
     }
-    exit_all(pass, CollectiveKind::Reduce);
     result.expect("the root folds last")
 }
 
@@ -634,7 +631,6 @@ fn tree_reduce<T>(
 /// largest first, each message declaring the words of the blocks it ships.
 fn tree_scatter<T>(pass: &mut Pass<'_>, root: usize, blocks: Vec<(u64, T)>) -> Vec<T> {
     let p = pass.nranks();
-    enter_all(pass, CollectiveKind::Scatter);
     // `before[k]`: the words of the blocks of virtual ranks below `k`.
     let mut before = Vec::with_capacity(p + 1);
     before.push(0u64);
@@ -655,12 +651,11 @@ fn tree_scatter<T>(pass: &mut Pass<'_>, root: usize, blocks: Vec<(u64, T)>) -> V
             let dst = v + mask;
             if dst < p {
                 let w = before[(dst + mask).min(p)] - before[dst];
-                down[dst] = (w, pass.send(rank, (dst + root) % p, TAG_SCATTER, w));
+                down[dst] = (w, pass.send(rank, (dst + root) % p, w));
             }
             mask >>= 1;
         }
     }
-    exit_all(pass, CollectiveKind::Scatter);
     blocks.into_iter().map(|(_, v)| v).collect()
 }
 
@@ -679,7 +674,6 @@ fn tree_scan<T>(
     extra: impl Fn(&T) -> u64,
 ) -> (Vec<Option<T>>, T) {
     let p = pass.nranks();
-    enter_all(pass, CollectiveKind::Exscan);
     let mut totals: Vec<Option<T>> = values.into_iter().map(Some).collect();
     // `kept[c]`: the fold of the part of c's parent's subtree preceding c.
     let mut kept: Vec<Option<T>> = (0..p).map(|_| None).collect();
@@ -701,7 +695,7 @@ fn tree_scan<T>(
         }
         if r > 0 {
             let w = words(&total);
-            wire[r] = (w, pass.send(r, r - mask, TAG_EXSCAN, w));
+            wire[r] = (w, pass.send(r, r - mask, w));
         }
         totals[r] = Some(total);
     }
@@ -728,13 +722,12 @@ fn tree_scan<T>(
                     None => kept,
                 };
                 let w = words(&down) + extra;
-                wire[child] = (w, pass.send(r, child, TAG_EXSCAN, w));
+                wire[child] = (w, pass.send(r, child, w));
                 totals[child] = Some(down);
             }
             mask >>= 1;
         }
     }
-    exit_all(pass, CollectiveKind::Exscan);
     (totals, total)
 }
 
@@ -799,9 +792,10 @@ mod tests {
     use std::sync::Arc;
 
     use super::reference;
+    use crate::trace::Hop;
     use crate::{
         spmd, Comm, FaultPlan, MachineModel, Perturbation, RankResult, Session, TraceEvent,
-        TraceLog,
+        TraceLog, COLLECTIVE_KINDS,
     };
 
     fn total_msgs<T>(results: &[RankResult<T>]) -> u64 {
@@ -838,12 +832,85 @@ mod tests {
         }
     }
 
+    /// The fields of one line of a message-level trace as `{rank}
+    /// {event:?}` printed it: the rank, the event's name and its fields.
+    fn parse_line(line: &str) -> (usize, &str, BTreeMap<&str, &str>) {
+        let (rank, event) = line.split_once(' ').expect("rank, then event");
+        let (name, fields) = event.split_once(" { ").expect("a struct variant");
+        let fields = fields.strip_suffix(" }").expect("one line per event");
+        let fields = fields
+            .split(", ")
+            .map(|f| f.split_once(": ").expect("key: value"));
+        (rank.parse().expect("a rank"), name, fields.collect())
+    }
+
+    /// A message-level trace as it was recorded before a collective became
+    /// one record — enter and exit markers around its sends and receives —
+    /// with each top-level call folded by [`reference::fold`].
+    fn fold_message_trace(text: &str, p: usize) -> Vec<Vec<TraceEvent>> {
+        let mut out: Vec<Vec<TraceEvent>> = vec![Vec::new(); p];
+        // Per rank: the open top-level call's start and events.
+        let mut open: Vec<Option<(f64, Vec<TraceEvent>)>> = vec![None; p];
+        for line in text.lines() {
+            let (rank, name, f) = parse_line(line);
+            let num = |key: &str| f[key].parse::<f64>().expect("an f64");
+            let int = |key: &str| f[key].parse::<u64>().expect("an integer");
+            let ev = match name {
+                "CollectiveEnter" | "CollectiveExit" if f["depth"] != "0" => continue,
+                "CollectiveEnter" => {
+                    open[rank] = Some((num("start"), Vec::new()));
+                    continue;
+                }
+                "CollectiveExit" => {
+                    let kind = COLLECTIVE_KINDS
+                        .into_iter()
+                        .find(|k| format!("{k:?}") == f["kind"]);
+                    let (start, messages) = open[rank].take().expect("an open call");
+                    let kind = kind.expect("a collective kind");
+                    out[rank].push(reference::fold(kind, start, num("end"), &messages));
+                    continue;
+                }
+                "Compute" => TraceEvent::Compute {
+                    start: num("start"),
+                    end: num("end"),
+                },
+                "Sync" => TraceEvent::Sync {
+                    start: num("start"),
+                    end: num("end"),
+                },
+                "Send" => TraceEvent::Send {
+                    start: num("start"),
+                    end: num("end"),
+                    peer: int("peer") as usize,
+                    tag: int("tag"),
+                    words: int("words"),
+                    arrival: num("arrival"),
+                },
+                "Recv" => TraceEvent::Recv {
+                    posted: num("posted"),
+                    completed: num("completed"),
+                    peer: int("peer") as usize,
+                    tag: int("tag"),
+                    words: int("words"),
+                    wait: num("wait"),
+                },
+                other => panic!("unexpected event {other}"),
+            };
+            match &mut open[rank] {
+                Some((_, messages)) => messages.push(ev),
+                None => out[rank].push(ev),
+            }
+        }
+        out
+    }
+
     /// Sharing the payload is invisible to the modeled machine: the trace of
     /// a session running the three replicating collectives with large
-    /// declared sizes equals, event for event (peer, tag, words and every
-    /// timestamp bit), the trace recorded when each forward deep-copied. (The
-    /// allreduce lines were re-recorded when the reduction moved into the
-    /// tree; the allgather and bcast lines are the originals.)
+    /// declared sizes equals, record for record (every hop's peer,
+    /// direction, words and clock bit), the message-level trace recorded
+    /// when each forward deep-copied, folded into records. (The allreduce
+    /// lines of that trace were re-recorded when the reduction moved into
+    /// the tree; the allgather and bcast lines are the originals.)
     #[test]
     fn shared_payload_trace_matches_copying_golden() {
         let p = 7;
@@ -858,16 +925,17 @@ mod tests {
                 |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect(),
             );
         });
-        let log = TraceLog::from_results(&mut results);
-        let lines: Vec<String> = log
-            .events
-            .iter()
-            .enumerate()
-            .flat_map(|(rank, events)| events.iter().map(move |ev| format!("{rank} {ev:?}")))
-            .collect();
-        let golden: Vec<&str> = include_str!("../testdata/collectives_p7.trace")
-            .lines()
-            .collect();
+        let print = |events: &[Vec<TraceEvent>]| -> Vec<String> {
+            let ranks = events.iter().enumerate();
+            ranks
+                .flat_map(|(rank, events)| events.iter().map(move |ev| format!("{rank} {ev:?}")))
+                .collect()
+        };
+        let lines = print(&TraceLog::from_results(&mut results).events);
+        let golden = print(&fold_message_trace(
+            include_str!("../testdata/collectives_p7.trace"),
+            p,
+        ));
         assert_eq!(lines.len(), golden.len(), "event count");
         for (i, (got, want)) in lines.iter().zip(&golden).enumerate() {
             assert_eq!(got, want, "event {i}");
@@ -898,15 +966,22 @@ mod tests {
         assert_eq!(results[3].sent_words, 4);
     }
 
-    /// Every message rank bodies sent, as `(sender, peer, words)`, from a
-    /// finished run.
+    /// The send hops of a collective record.
+    fn send_hops(ev: &TraceEvent) -> impl Iterator<Item = &Hop> {
+        let hops: &[Hop] = match ev {
+            TraceEvent::Collective { hops, .. } => hops,
+            _ => &[],
+        };
+        hops.iter().filter(|h| h.is_send())
+    }
+
+    /// Every message rank bodies sent in collectives, as `(sender, peer,
+    /// words)`, from a finished run.
     fn sends<T>(results: &[RankResult<T>]) -> Vec<(usize, usize, u64)> {
         let mut out = Vec::new();
         for r in results {
             for ev in &r.events {
-                if let TraceEvent::Send { peer, words, .. } = *ev {
-                    out.push((r.rank, peer, words));
-                }
+                out.extend(send_hops(ev).map(|h| (r.rank, h.peer(), h.words())));
             }
         }
         out
@@ -1286,18 +1361,20 @@ mod tests {
             let mut direct: BTreeMap<(usize, usize), u64> = BTreeMap::new();
             let mut notices = 0;
             for x in &r {
-                for ev in &x.events {
-                    if let TraceEvent::Send {
-                        peer, tag, words, ..
-                    } = *ev
-                    {
-                        if tag == super::TAG_DIRECT {
-                            let old = direct.insert((x.rank, peer), words);
-                            assert!(old.is_none(), "p={p}: two messages {} -> {peer}", x.rank);
-                        } else {
-                            assert_eq!(words, 1, "p={p}: a notice is one header word");
-                            notices += 1;
-                        }
+                // A rank sends its notice of each round first, then its
+                // direct messages.
+                for (i, h) in x.events.iter().flat_map(send_hops).enumerate() {
+                    if i >= rounds {
+                        let old = direct.insert((x.rank, h.peer()), h.words());
+                        assert!(
+                            old.is_none(),
+                            "p={p}: two messages {} -> {}",
+                            x.rank,
+                            h.peer()
+                        );
+                    } else {
+                        assert_eq!(h.words(), 1, "p={p}: a notice is one header word");
+                        notices += 1;
                     }
                 }
             }
@@ -1361,6 +1438,58 @@ mod tests {
                 assert_eq!(b.2, a.2 + (1000 << round), "p={p} message {i}: words");
             }
         }
+    }
+
+    /// Each of the 13 collectives, called once at P = 64, leaves one trace
+    /// event per rank: its record, whose hops are the rank's ends of the
+    /// call's messages, 16 bytes each, two per message. A collective that
+    /// recorded its messages as events of their own again fails the count.
+    #[test]
+    fn a_collective_call_leaves_one_record_per_rank() {
+        let p = 64;
+        let r = spmd(p, MachineModel::sp2(), |comm| {
+            let (rank, p) = (comm.rank(), comm.nranks());
+            let items = || vec![((rank + 1) % p, 2, rank), ((rank * 7 + 3) % p, 3, rank)];
+            comm.barrier();
+            comm.bcast(1, 4, (rank == 1).then_some(rank));
+            comm.gather(2, 1, rank);
+            comm.scatterv(3, (rank == 3).then(|| vec![(1, 0u8); p]));
+            comm.allgather(1, rank);
+            comm.allreduce(|_| 1, rank, usize::max);
+            comm.exscan(|_| 1, rank, |a, b| a + b);
+            comm.exscan_total(|_| 1, rank, |a, b| a + b);
+            comm.reduce(4, |_| 1, rank, usize::max);
+            comm.alltoallv((0..p).map(|d| (1, d)).collect());
+            comm.alltoallv_sparse(items());
+            comm.alltoallv_sparse_join(items(), rank, |_| 1, usize::max);
+            comm.alltoallv_direct(items());
+        });
+        for x in &r {
+            // The step-boundary sync aside.
+            let events = x
+                .events
+                .iter()
+                .filter(|ev| !matches!(ev, TraceEvent::Sync { .. }));
+            assert!(
+                events
+                    .clone()
+                    .all(|ev| matches!(ev, TraceEvent::Collective { .. })),
+                "rank {}: {:?}",
+                x.rank,
+                x.events
+            );
+            assert_eq!(events.count(), 13, "rank {}", x.rank);
+        }
+        let hops: usize = (r.iter().flat_map(|x| &x.events))
+            .map(|ev| match ev {
+                TraceEvent::Collective { hops, .. } => hops.len(),
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(hops as u64, 2 * total_msgs(&r));
+        assert_eq!(hops, 5_604);
+        assert_eq!(std::mem::size_of::<Hop>(), 16);
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 56);
     }
 
     /// Calls the collective on the host pass, or on the message-by-message
@@ -1466,7 +1595,9 @@ mod tests {
 
     /// Runs `every_collective` for two steps on the host passes and on the
     /// reference, each on a session from `session`, and requires the same
-    /// results, counters, clocks and trace — every event, every f64 bit.
+    /// results, counters, clocks and trace — every event, and every record
+    /// against the reference's message events folded into one, down to
+    /// each hop's peer, direction, words and f64 bit.
     fn assert_matches_reference(p: usize, session: impl Fn() -> Session) {
         let run = |reference: bool| {
             let mut sess = session();

@@ -1,6 +1,8 @@
 //! The message-by-message collectives the host passes replaced, kept as
 //! the reference the differential test holds every pass to: each rank runs
-//! its own side of the schedule through [`Comm::send`] and [`Comm::recv`].
+//! its own side of the schedule through [`Comm::send`] and [`Comm::recv`],
+//! and [`fold`] turns the send and receive events of each top-level call
+//! into the one record a host pass leaves.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -9,10 +11,62 @@ use super::{
     TAG_A2A, TAG_BARRIER, TAG_BCAST, TAG_DIRECT, TAG_EXSCAN, TAG_GATHER, TAG_REDUCE, TAG_SCATTER,
 };
 use crate::comm::{Comm, Tag};
-use crate::trace::CollectiveKind;
+use crate::trace::{CollectiveKind, Hop, TraceEvent};
+
+/// Fold the message-level events of one collective call — its sends and
+/// receives in program order, the clock running `start..end` — into one
+/// record: a hop per message end at the clock the event left, and the
+/// messages and words sent. Panics unless each event starts where the one
+/// before it ended, the premise that lets a hop keep only its end.
+pub(crate) fn fold(
+    kind: CollectiveKind,
+    start: f64,
+    end: f64,
+    messages: &[TraceEvent],
+) -> TraceEvent {
+    let (mut msgs, mut words, mut clock) = (0, 0, start);
+    let hops = messages
+        .iter()
+        .map(|ev| {
+            assert_eq!(
+                ev.time().to_bits(),
+                clock.to_bits(),
+                "{kind:?}: {ev:?} starts off the clock"
+            );
+            clock = ev.end_time();
+            match *ev {
+                TraceEvent::Send {
+                    end,
+                    peer,
+                    words: w,
+                    ..
+                } => {
+                    msgs += 1;
+                    words += w;
+                    Hop::new(end, peer, true, w)
+                }
+                TraceEvent::Recv {
+                    completed,
+                    peer,
+                    words,
+                    ..
+                } => Hop::new(completed, peer, false, words),
+                ref other => panic!("{kind:?} recorded {other:?}"),
+            }
+        })
+        .collect();
+    TraceEvent::Collective {
+        kind,
+        start,
+        end,
+        msgs,
+        words,
+        hops,
+    }
+}
 
 pub(crate) fn barrier(comm: &mut Comm) {
-    comm.collective_enter(CollectiveKind::Barrier);
+    comm.collective_enter();
     let p = comm.nranks();
     let rank = comm.rank();
     let mut step = 1;
@@ -41,7 +95,7 @@ fn tree_bcast<T: Send + Sync + 'static>(
     words: impl Fn(&T) -> u64,
     value: Option<T>,
 ) -> Arc<T> {
-    comm.collective_enter(CollectiveKind::Bcast);
+    comm.collective_enter();
     let p = comm.nranks();
     let vrank = (comm.rank() + p - root) % p;
     let mut have: Option<Arc<T>> = if vrank == 0 {
@@ -107,7 +161,7 @@ pub(crate) fn gather<T: Send + 'static>(
     my_words: u64,
     value: T,
 ) -> Option<Vec<T>> {
-    comm.collective_enter(CollectiveKind::Gather);
+    comm.collective_enter();
     let p = comm.nranks();
     let out = tree_gather(comm, root, my_words, value, TAG_GATHER).map(|mut entries| {
         entries.sort_unstable_by_key(|e| e.0);
@@ -123,7 +177,7 @@ pub(crate) fn scatterv<T: Send + 'static>(
     root: usize,
     blocks: Option<Vec<(u64, T)>>,
 ) -> T {
-    comm.collective_enter(CollectiveKind::Scatter);
+    comm.collective_enter();
     let p = comm.nranks();
     let rank = comm.rank();
     let vrank = (rank + p - root) % p;
@@ -176,7 +230,7 @@ pub(crate) fn allgather<T: Send + Sync + 'static>(
     words_each: u64,
     value: T,
 ) -> Arc<Vec<T>> {
-    comm.collective_enter(CollectiveKind::Allgather);
+    comm.collective_enter();
     let gathered = gather(comm, 0, words_each, value);
     let total_words = words_each * comm.nranks() as u64;
     let out = bcast(comm, 0, total_words, gathered);
@@ -189,7 +243,7 @@ where
     T: Send + Sync + 'static,
     F: Fn(T, T) -> T,
 {
-    comm.collective_enter(CollectiveKind::Allreduce);
+    comm.collective_enter();
     let reduced = reduce(comm, 0, &words, value, op);
     let out = tree_bcast(comm, 0, &words, reduced);
     comm.collective_exit(CollectiveKind::Allreduce);
@@ -201,7 +255,7 @@ where
     T: Send + 'static,
     F: Fn(&T, &T) -> T,
 {
-    comm.collective_enter(CollectiveKind::Exscan);
+    comm.collective_enter();
     let p = comm.nranks();
     let rank = comm.rank();
     // `below[k]` folds ranks `rank .. rank + 2^k`: what precedes child
@@ -244,7 +298,7 @@ where
     T: Clone + Send + 'static,
     F: Fn(&T, &T) -> T,
 {
-    comm.collective_enter(CollectiveKind::Exscan);
+    comm.collective_enter();
     let p = comm.nranks();
     let rank = comm.rank();
     let mut below: Vec<T> = Vec::new();
@@ -347,7 +401,7 @@ pub(crate) fn alltoallv_direct<T: Send + 'static>(
     comm: &mut Comm,
     items: Vec<(usize, u64, T)>,
 ) -> Vec<(usize, T)> {
-    comm.collective_enter(CollectiveKind::Alltoallv);
+    comm.collective_enter();
     let (p, rank) = (comm.nranks(), comm.rank());
     let mut out: Vec<(usize, T)> = Vec::new();
     // Per destination, ascending: declared words and values in order.
@@ -387,14 +441,14 @@ where
     T: Send + 'static,
     S: Clone + Send + 'static,
 {
-    comm.collective_enter(CollectiveKind::Alltoallv);
+    comm.collective_enter();
     let out = bruck_exchange(comm, items, share, words, join);
     comm.collective_exit(CollectiveKind::Alltoallv);
     out
 }
 
 pub(crate) fn alltoallv<T: Send + 'static>(comm: &mut Comm, items: Vec<(u64, T)>) -> Vec<T> {
-    comm.collective_enter(CollectiveKind::Alltoallv);
+    comm.collective_enter();
     let p = comm.nranks();
     assert_eq!(items.len(), p, "alltoallv needs one item per rank");
     let sparse: Vec<(usize, u64, T)> = items
@@ -425,7 +479,7 @@ where
     T: Send + 'static,
     F: Fn(T, T) -> T,
 {
-    comm.collective_enter(CollectiveKind::Reduce);
+    comm.collective_enter();
     let p = comm.nranks();
     let vrank = (comm.rank() + p - root) % p;
     let mut acc = value;

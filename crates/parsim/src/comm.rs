@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use crate::chaos::{jitter_factor, FaultKind};
 use crate::sched::SchedState;
-use crate::trace::{CollectiveKind, TraceEvent};
+use crate::trace::{CollectiveKind, Hop, TraceEvent};
 use crate::{MachineModel, VirtualClock};
 
 /// Message tag. Matching is FIFO per (source, destination) pair: a receive
@@ -24,9 +24,11 @@ pub(crate) struct Envelope {
 
 /// A rank's side of every message: its virtual clock, trace, send counters
 /// and chaos link state. [`Comm::send`] and [`Comm::recv`] charge one
-/// message to it; a collective's host pass (see `collectives.rs`) charges
-/// every rank's ledger through the same two functions, so a message costs
-/// the same bits whichever path prices it.
+/// point-to-point message to it and record it as an event; a collective's
+/// host pass (see `collectives.rs`) charges every rank's ledger through
+/// [`Ledger::hop_send`] and [`Ledger::hop_recv`], which make the same clock
+/// charges and record each as a hop of the rank's one record of the call,
+/// so a message costs the same bits whichever path prices it.
 #[derive(Default)]
 pub(crate) struct Ledger {
     rank: usize,
@@ -34,10 +36,18 @@ pub(crate) struct Ledger {
     sent_messages: u64,
     sent_words: u64,
     /// Structured event stream (see [`crate::trace`]); every clock charge
-    /// records exactly one event, so the trace reconstructs `now()` exactly.
+    /// records exactly one event or one hop of a collective's record, so
+    /// the trace reconstructs `now()` exactly.
     events: Vec<TraceEvent>,
-    /// Current collective nesting depth (allgather runs gather + bcast).
-    coll_depth: u32,
+    /// The open collective's start clock and the send counters then.
+    opened: (f64, u64, u64),
+    /// The open collective's hops so far; the buffer is reused call to
+    /// call, and each record keeps an exact-size copy.
+    hops: Vec<Hop>,
+    /// The message-by-message reference collectives: nesting depth, and
+    /// where the open top-level call's events begin.
+    #[cfg(test)]
+    reference: (u32, usize),
     /// Extra arrival delay on every message this rank sends (active
     /// delay-spike faults; 0.0 = none).
     send_delay: f64,
@@ -48,9 +58,10 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
-    /// Charge the startup of a `words`-word message to `to` and record it;
-    /// returns the virtual time it arrives at `to`.
-    pub(crate) fn send(&mut self, model: &MachineModel, to: usize, tag: Tag, words: u64) -> f64 {
+    /// Charge the startup of a `words`-word message to `to`; returns the
+    /// clock before and after the charge and the virtual time the message
+    /// arrives at `to`.
+    fn charge_send(&mut self, model: &MachineModel, to: usize, words: u64) -> (f64, f64, f64) {
         // With jitter enabled, this message's startup and wire time are both
         // scaled by a factor drawn from (seed, src, dst, link message index).
         // The unperturbed path stays bit-exact (no multiplication at all).
@@ -68,6 +79,13 @@ impl Ledger {
         let arrival = end + flight + self.send_delay;
         self.sent_messages += 1;
         self.sent_words += words;
+        (start, end, arrival)
+    }
+
+    /// Charge the startup of a `words`-word message to `to` and record it;
+    /// returns the virtual time it arrives at `to`.
+    pub(crate) fn send(&mut self, model: &MachineModel, to: usize, tag: Tag, words: u64) -> f64 {
+        let (start, end, arrival) = self.charge_send(model, to, words);
         self.events.push(TraceEvent::Send {
             start,
             end,
@@ -95,24 +113,63 @@ impl Ledger {
         });
     }
 
-    /// Mark entry into a collective.
-    pub(crate) fn enter(&mut self, kind: CollectiveKind) {
-        self.events.push(TraceEvent::CollectiveEnter {
-            kind,
-            depth: self.coll_depth,
-            start: self.clock.now(),
-        });
-        self.coll_depth += 1;
+    /// Open this rank's record of a collective call.
+    pub(crate) fn open(&mut self) {
+        self.opened = (self.clock.now(), self.sent_messages, self.sent_words);
+        self.hops.clear();
     }
 
-    /// Mark exit from the innermost open collective.
-    pub(crate) fn exit(&mut self, kind: CollectiveKind) {
-        self.coll_depth -= 1;
-        self.events.push(TraceEvent::CollectiveExit {
+    /// A send of the open collective: charged as [`Ledger::send`] charges
+    /// one, recorded as a hop. Returns the arrival at `to`.
+    pub(crate) fn hop_send(&mut self, model: &MachineModel, to: usize, words: u64) -> f64 {
+        let (_, end, arrival) = self.charge_send(model, to, words);
+        self.hops.push(Hop::new(end, to, true, words));
+        arrival
+    }
+
+    /// A receive of the open collective: the wait for `arrival`, charged as
+    /// [`Ledger::recv`] charges one, recorded as a hop.
+    pub(crate) fn hop_recv(&mut self, from: usize, words: u64, arrival: f64) {
+        self.clock.advance_to(arrival);
+        self.hops
+            .push(Hop::new(self.clock.now(), from, false, words));
+    }
+
+    /// Close the open collective: record it as one event.
+    pub(crate) fn close(&mut self, kind: CollectiveKind) {
+        let (start, msgs, words) = self.opened;
+        self.events.push(TraceEvent::Collective {
             kind,
-            depth: self.coll_depth,
+            start,
             end: self.clock.now(),
+            msgs: self.sent_messages - msgs,
+            words: self.sent_words - words,
+            hops: self.hops.as_slice().into(),
         });
+    }
+
+    /// Mark entry into a message-by-message reference collective.
+    #[cfg(test)]
+    fn enter(&mut self) {
+        let (depth, mark) = &mut self.reference;
+        if *depth == 0 {
+            *mark = self.events.len();
+            self.opened = (self.clock.now(), self.sent_messages, self.sent_words);
+        }
+        *depth += 1;
+    }
+
+    /// Mark exit from the innermost open reference collective; leaving the
+    /// top-level one folds its send and receive events into one record.
+    #[cfg(test)]
+    fn exit(&mut self, kind: CollectiveKind) {
+        self.reference.0 -= 1;
+        if self.reference.0 == 0 {
+            let messages: Vec<TraceEvent> = self.events.drain(self.reference.1..).collect();
+            let (start, end) = (self.opened.0, self.clock.now());
+            let record = crate::collectives::reference::fold(kind, start, end, &messages);
+            self.events.push(record);
+        }
     }
 }
 
@@ -365,8 +422,8 @@ impl Comm {
     /// Mark entry into a collective (the message-by-message reference
     /// collectives).
     #[cfg(test)]
-    pub(crate) fn collective_enter(&mut self, kind: CollectiveKind) {
-        self.ledger.enter(kind);
+    pub(crate) fn collective_enter(&mut self) {
+        self.ledger.enter();
     }
 
     /// Mark exit from the innermost open collective.

@@ -1029,6 +1029,35 @@ mod tests {
         }
     }
 
+    /// Ranks that reach one collective from two lines of the body do not
+    /// meet: the panic names both ranks and both call sites.
+    #[test]
+    #[allow(clippy::if_same_then_else)] // the two lines are the point
+    fn one_collective_reached_from_two_sites_names_both_sites() {
+        let line = line!();
+        let caught = std::panic::catch_unwind(|| {
+            spmd(4, MachineModel::sp2(), |comm| {
+                if comm.rank() == 0 {
+                    comm.barrier();
+                } else {
+                    comm.barrier();
+                }
+            })
+        });
+        let payload = caught.expect_err("two call sites must not meet");
+        let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+        let site = |at: u32| format!("{}:{at}:", file!());
+        let needles = [
+            "rank 0".to_string(),
+            "rank 1".into(),
+            site(line + 4),
+            site(line + 6),
+        ];
+        for needle in needles {
+            assert!(msg.contains(&needle), "{needle:?} missing from {msg:?}");
+        }
+    }
+
     /// Point-to-point mail a schedule peer left undelivered is what a
     /// collective's receive from that peer would get: the FIFO check fails
     /// as it does on a blocking receive.

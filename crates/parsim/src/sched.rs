@@ -32,19 +32,22 @@
 //! arrive runs the collective's message schedule for all `P` ranks as a
 //! plain host loop over the ledgers (a [`Pass`]), leaves every rank its
 //! output, and makes the others runnable at their new clocks. The host pass
-//! charges each ledger through the same [`Ledger::send`] / [`Ledger::recv`]
-//! that price a point-to-point message, in each rank's program order, so
-//! the trace is the one the message-by-message execution records, bit for
-//! bit. A collective costs `P` suspensions plus one loop over its messages
-//! instead of a mailbox delivery and a blocking receive per message.
+//! charges each ledger through [`Ledger::hop_send`] / [`Ledger::hop_recv`],
+//! which price a message as a point-to-point one is priced, in each rank's
+//! program order, so every clock bit is the one the message-by-message
+//! execution charges. Each rank's charges become the hops of its one
+//! `Collective` trace record of the call. A collective costs `P`
+//! suspensions plus one loop over its messages instead of a mailbox
+//! delivery and a blocking receive per message.
 //!
 //! A collective is therefore a synchronization point of all ranks: no rank
 //! leaves it before every rank has entered it, so a rank must not wait in
 //! a receive for mail its sender sends only after a collective the waiting
 //! rank has yet to enter (message by message, an early leaver of a tree
-//! could have sent it). Every rank must call the same collective with the
-//! same root: a rank that arrives at a different one panics, naming both
-//! ranks and both calls. A
+//! could have sent it). Every rank must call the same collective, with the
+//! same root, from the same line of the program (the collectives and their
+//! thin wrappers are `#[track_caller]`): a rank that arrives at a
+//! different one panics, naming both ranks, both calls and both sites. A
 //! schedule message from a peer whose point-to-point mail to the receiver
 //! is still undelivered would, message by message, be received in that
 //! mail's place; the pass panics with the same "tag mismatch receiving
@@ -69,10 +72,12 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::panic::Location;
 use std::rc::Rc;
 
 use crate::comm::{Comm, Envelope, Ledger, Tag};
 use crate::deadlock::{DeadlockError, RankActivity};
+use crate::trace::CollectiveKind;
 use crate::MachineModel;
 
 /// Hashes a rank id with one multiplication (Fibonacci hashing): the key
@@ -98,16 +103,20 @@ impl Hasher for RankHasher {
 
 type Mailbox = HashMap<usize, VecDeque<Envelope>, BuildHasherDefault<RankHasher>>;
 
-/// Which collective a rank called, as the rendezvous matches it.
+/// Which collective a rank called, and where, as the rendezvous matches it.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Op {
     /// The `Comm` method.
     pub name: &'static str,
+    /// The kind its trace record carries.
+    pub kind: CollectiveKind,
     /// The root of a rooted collective.
     pub root: Option<usize>,
     /// The tag of the collective's first message, under which waiting ranks
     /// are reported blocked.
     pub tag: Tag,
+    /// The call site in the rank body.
+    pub site: &'static Location<'static>,
 }
 
 impl fmt::Display for Op {
@@ -141,7 +150,7 @@ struct Meeting {
 /// ledger, charged message by message in each rank's program order.
 pub(crate) struct Pass<'a> {
     model: MachineModel,
-    pub ledgers: &'a mut [Ledger],
+    ledgers: &'a mut [Ledger],
     /// The scheduler, when some point-to-point mail is undelivered: a
     /// schedule message must not overtake it.
     mail: Option<&'a SchedState>,
@@ -155,17 +164,18 @@ impl Pass<'_> {
 
     /// `from` sends `words` words to `to`; returns the arrival time.
     #[inline]
-    pub fn send(&mut self, from: usize, to: usize, tag: Tag, words: u64) -> f64 {
-        self.ledgers[from].send(&self.model, to, tag, words)
+    pub fn send(&mut self, from: usize, to: usize, words: u64) -> f64 {
+        self.ledgers[from].hop_send(&self.model, to, words)
     }
 
-    /// `to` receives the message `from` sent it, stamped `arrival`.
+    /// `to` receives the `words`-word message `from` sent it under `tag`,
+    /// stamped `arrival`.
     #[inline]
     pub fn recv(&mut self, to: usize, from: usize, tag: Tag, words: u64, arrival: f64) {
         if let Some(sched) = self.mail {
             sched.check_no_mail_ahead(to, from, tag);
         }
-        self.ledgers[to].recv(from, tag, words, arrival);
+        self.ledgers[to].hop_recv(from, words, arrival);
     }
 }
 
@@ -360,8 +370,8 @@ impl SchedState {
         });
         if meeting.op != op {
             panic!(
-                "collective mismatch: rank {rank} entered {op} while rank {} entered {}",
-                meeting.opener, meeting.op
+                "collective mismatch: rank {rank} entered {op} at {} while rank {} entered {} at {}",
+                op.site, meeting.opener, meeting.op, meeting.op.site
             );
         }
         meeting.arrived += 1;
@@ -394,7 +404,8 @@ impl Comm {
     /// Meet every rank at collective `op`: deposit this rank's ledger and
     /// `input`, suspend until the last rank has run `pass` over every
     /// rank's ledger and input (or run it, if this rank is the last), and
-    /// return this rank's output.
+    /// return this rank's output. Every rank's ledger records the call as
+    /// one `Collective` event of `op.kind`.
     ///
     /// `pass` gets the inputs indexed by rank and returns the outputs
     /// indexed by rank. One rank's `pass` (and the closures it captures)
@@ -425,6 +436,7 @@ impl Comm {
             let outputs = {
                 let sched = self.sched.borrow();
                 let mail = sched.inbox.iter().any(|&n| n > 0);
+                ledgers.iter_mut().for_each(Ledger::open);
                 let mut host = Pass {
                     model: self.model(),
                     ledgers: &mut ledgers,
@@ -432,6 +444,7 @@ impl Comm {
                 };
                 pass(&mut host, inputs.collect())
             };
+            ledgers.iter_mut().for_each(|l| l.close(op.kind));
             debug_assert_eq!(outputs.len(), p, "{op}: one output per rank");
             table.borrow_mut().outputs = outputs.into_iter().map(Some).collect();
             let mut sched = self.sched.borrow_mut();

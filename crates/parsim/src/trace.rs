@@ -1,27 +1,33 @@
 //! Structured event tracing for SPMD runs.
 //!
 //! Every [`Comm`](crate::Comm) records a typed event for each virtual-clock
-//! charge it makes: local computation, sends (with wire size and arrival
-//! stamp), receives (with the wait the receiver paid), collective
-//! enter/exit markers, user-defined phase spans, and blocked clock-rewind
-//! attempts. After [`spmd`](crate::spmd) returns, the per-rank event
-//! streams are gathered into a [`TraceLog`], which supports:
+//! charge it makes outside a collective: local computation, point-to-point
+//! sends (with wire size and arrival stamp) and receives (with the wait the
+//! receiver paid), user-defined phase spans, step-boundary syncs, injected
+//! faults and blocked clock-rewind attempts. A collective call leaves one
+//! [`TraceEvent::Collective`] record per rank instead, which keeps each of
+//! its clock charges on that rank as a 16-byte [`Hop`] (the clock after the
+//! charge, the peer, the direction and the declared words), so every clock
+//! charge is one event or one hop. After [`spmd`](crate::spmd) returns, the
+//! per-rank event streams are gathered into a [`TraceLog`], which supports:
 //!
 //! * **aggregation** ([`TraceLog::summary`]): per-rank wait / compute /
 //!   wire / injected split (which reconstructs each rank's elapsed virtual
 //!   time exactly: `compute + wire + wait + injected == elapsed`) and
 //!   message/word counters per collective kind; the same split per phase
 //!   ([`TraceLog::phase_breakdowns`] and friends), all accumulated over
-//!   one walk that owns the phase-attribution rule;
+//!   one walk that owns the phase-attribution rule. Every reader takes a
+//!   collective's wire and wait hop by hop, in the order the charges were
+//!   made, so its float sums are the ones a message-by-message trace gives;
 //! * **export**: Chrome-trace JSON ([`TraceLog::chrome_json`], loadable in
 //!   `chrome://tracing` or Perfetto) and a plain-text timeline
-//!   ([`TraceLog::text_timeline`]);
+//!   ([`TraceLog::text_timeline`]), where a collective is one span;
 //! * **protocol checking** ([`check_protocol`]): replaying the log to flag
 //!   SPMD discipline violations — mismatched collective sequences across
-//!   ranks, tag-order inconsistencies on a channel, and clock-rewind
-//!   attempts — before they surface as opaque cross-rank panics;
-//!   [`TraceLog::audit`] adds the accounting invariant and returns the
-//!   makespan.
+//!   ranks, tag-order inconsistencies on a point-to-point channel, and
+//!   clock-rewind attempts — before they surface as opaque cross-rank
+//!   panics; [`TraceLog::audit`] adds the accounting invariant and returns
+//!   the makespan.
 //!
 //! Virtual timestamps are deterministic, so two runs of the same program
 //! produce byte-identical exports.
@@ -82,14 +88,87 @@ impl CollectiveKind {
     }
 }
 
+/// One message end of a collective, kept inside its rank's
+/// [`TraceEvent::Collective`] record: the clock after the charge, the other
+/// rank, the direction and the declared words, in 16 bytes. A hop starts
+/// where the one before it ended (the first at the record's `start`): a
+/// send spans its startup charge (wire), a receive its wait for the
+/// arrival.
+#[derive(Clone, Copy, PartialEq)]
+pub struct Hop {
+    /// The clock after the charge: a send's startup end, a receive's
+    /// completion.
+    pub at: f64,
+    /// `words << 24 | recv << 23 | peer`.
+    bits: u64,
+}
+
+impl Hop {
+    const PEER_BITS: u32 = 23;
+    const RECV: u64 = 1 << Self::PEER_BITS;
+    const WORDS_SHIFT: u32 = Self::PEER_BITS + 1;
+
+    /// A send (`send`) or receive of `words` words to or from `peer`,
+    /// ending at `at`. Panics on a peer of 2^23 or more, or on 2^40 words
+    /// or more.
+    pub(crate) fn new(at: f64, peer: usize, send: bool, words: u64) -> Hop {
+        assert!(
+            peer < 1 << Self::PEER_BITS,
+            "rank {peer} does not fit a hop's 23-bit peer"
+        );
+        assert!(
+            words < 1 << (64 - Self::WORDS_SHIFT),
+            "{words} words do not fit a hop's 40-bit count"
+        );
+        let dir = if send { 0 } else { Self::RECV };
+        Hop {
+            at,
+            bits: words << Self::WORDS_SHIFT | dir | peer as u64,
+        }
+    }
+
+    /// The rank at the other end.
+    pub fn peer(&self) -> usize {
+        (self.bits & (Self::RECV - 1)) as usize
+    }
+
+    /// Whether this end sent the message (else it received it).
+    pub fn is_send(&self) -> bool {
+        self.bits & Self::RECV == 0
+    }
+
+    /// The message's declared size in words.
+    pub fn words(&self) -> u64 {
+        self.bits >> Self::WORDS_SHIFT
+    }
+}
+
+impl fmt::Debug for Hop {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct(if self.is_send() { "Send" } else { "Recv" })
+            .field("at", &self.at)
+            .field("peer", &self.peer())
+            .field("words", &self.words())
+            .finish()
+    }
+}
+
+/// Each hop of a collective record that started at `start`, with the clock
+/// it started from.
+pub(crate) fn hop_spans(start: f64, hops: &[Hop]) -> impl Iterator<Item = (f64, &Hop)> {
+    let froms = std::iter::once(start).chain(hops.iter().map(|h| h.at));
+    froms.zip(hops)
+}
+
 /// One typed event on one rank's virtual timeline. All times are virtual
 /// seconds on that rank's clock.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// Local work charged via `compute` or `advance`.
     Compute { start: f64, end: f64 },
-    /// A send: the local clock ran `start..end` (the startup charge); the
-    /// payload of `words` words arrives at `peer` at `arrival`.
+    /// A point-to-point send: the local clock ran `start..end` (the startup
+    /// charge); the payload of `words` words arrives at `peer` at
+    /// `arrival`.
     Send {
         start: f64,
         end: f64,
@@ -98,9 +177,10 @@ pub enum TraceEvent {
         words: u64,
         arrival: f64,
     },
-    /// A receive: posted at `posted`, satisfied at `completed` (the clock
-    /// after advancing to the arrival stamp). `wait = completed - posted`
-    /// is the time the receiver idled for in-flight data.
+    /// A point-to-point receive: posted at `posted`, satisfied at
+    /// `completed` (the clock after advancing to the arrival stamp).
+    /// `wait = completed - posted` is the time the receiver idled for
+    /// in-flight data.
     Recv {
         posted: f64,
         completed: f64,
@@ -109,19 +189,18 @@ pub enum TraceEvent {
         words: u64,
         wait: f64,
     },
-    /// Entry into a collective. `depth` is the nesting level (allgather
-    /// calls gather + bcast, allreduce calls reduce + bcast, so those
-    /// appear at depth 1).
-    CollectiveEnter {
+    /// One collective call on this rank, whole: the clock ran
+    /// `start..end` through `hops`, this rank's message ends of the
+    /// collective's schedule in the order it was charged them. `msgs` and
+    /// `words` count what the rank sent (a nested step of the schedule —
+    /// allgather's gather and broadcast — is part of its call).
+    Collective {
         kind: CollectiveKind,
-        depth: u32,
         start: f64,
-    },
-    /// Exit from a collective (matches the most recent unmatched enter).
-    CollectiveExit {
-        kind: CollectiveKind,
-        depth: u32,
         end: f64,
+        msgs: u64,
+        words: u64,
+        hops: Box<[Hop]>,
     },
     /// Begin of a user-defined phase span (see `Comm::phase`).
     PhaseBegin { name: String, start: f64 },
@@ -152,8 +231,7 @@ impl TraceEvent {
             TraceEvent::Compute { start, .. } => start,
             TraceEvent::Send { start, .. } => start,
             TraceEvent::Recv { posted, .. } => posted,
-            TraceEvent::CollectiveEnter { start, .. } => start,
-            TraceEvent::CollectiveExit { end, .. } => end,
+            TraceEvent::Collective { start, .. } => start,
             TraceEvent::PhaseBegin { start, .. } => start,
             TraceEvent::PhaseEnd { end, .. } => end,
             TraceEvent::RewindBlocked { at, .. } => at,
@@ -168,8 +246,7 @@ impl TraceEvent {
             TraceEvent::Compute { end, .. } => end,
             TraceEvent::Send { end, .. } => end,
             TraceEvent::Recv { completed, .. } => completed,
-            TraceEvent::CollectiveEnter { start, .. } => start,
-            TraceEvent::CollectiveExit { end, .. } => end,
+            TraceEvent::Collective { end, .. } => end,
             TraceEvent::PhaseBegin { start, .. } => start,
             TraceEvent::PhaseEnd { end, .. } => end,
             TraceEvent::RewindBlocked { at, .. } => at,
@@ -227,8 +304,9 @@ impl RankSummary {
     }
 
     /// The rank's total accounted virtual time. Equal (to rounding) to the
-    /// rank's final clock: every clock charge generates exactly one event,
-    /// so `compute + wire + wait + injected == elapsed`.
+    /// rank's final clock: every clock charge is exactly one event or one
+    /// hop of a collective's record, so `compute + wire + wait + injected
+    /// == elapsed`.
     pub fn total(&self) -> f64 {
         self.compute + self.wire + self.wait + self.injected
     }
@@ -306,7 +384,7 @@ impl TraceLog {
         self.walk(|v| {
             splits[v.rank].charge(v.ev);
             let s = &mut ranks[v.rank];
-            tally_collective(&mut s.collectives, &v);
+            tally_collective(&mut s.collectives, v.ev);
             if let TraceEvent::RewindBlocked { .. } = v.ev {
                 s.rewinds_blocked += 1;
             }
@@ -347,9 +425,8 @@ impl TraceLog {
             );
         }
         for (rank, stream) in self.events.iter().enumerate() {
-            // Stacks matching begin/end markers to complete ("X") events.
+            // A stack matching begin/end markers to complete ("X") events.
             let mut phase_stack: Vec<(&str, f64)> = Vec::new();
-            let mut coll_stack: Vec<(CollectiveKind, f64)> = Vec::new();
             for ev in stream {
                 match ev {
                     TraceEvent::Compute { start, end } => push(
@@ -406,19 +483,28 @@ impl TraceLog {
                             );
                         }
                     }
-                    TraceEvent::CollectiveEnter { kind, start, .. } => {
-                        coll_stack.push((*kind, *start));
-                    }
-                    TraceEvent::CollectiveExit { kind, end, .. } => {
-                        if let Some((k, start)) = coll_stack.pop() {
-                            debug_assert_eq!(k, *kind);
-                            push(
-                                &mut out,
-                                &mut first,
-                                chrome_span(rank, kind.name(), "collective", start, *end, ""),
-                            );
-                        }
-                    }
+                    TraceEvent::Collective {
+                        kind,
+                        start,
+                        end,
+                        msgs,
+                        words,
+                        hops,
+                    } => push(
+                        &mut out,
+                        &mut first,
+                        chrome_span(
+                            rank,
+                            kind.name(),
+                            "collective",
+                            *start,
+                            *end,
+                            &format!(
+                                ",\"args\":{{\"msgs\":{msgs},\"words\":{words},\"hops\":{}}}",
+                                hops.len()
+                            ),
+                        ),
+                    ),
                     TraceEvent::PhaseBegin { name, start } => phase_stack.push((name, *start)),
                     TraceEvent::PhaseEnd { name, end } => {
                         if let Some((n, start)) = phase_stack.pop() {
@@ -503,17 +589,18 @@ impl TraceLog {
                         span(*posted, *completed),
                         us_f(*wait)
                     ),
-                    TraceEvent::CollectiveEnter { kind, depth, start } => format!(
-                        "{:>14}  {}enter {}",
-                        ts(*start),
-                        "  ".repeat(*depth as usize),
-                        kind.name()
-                    ),
-                    TraceEvent::CollectiveExit { kind, depth, end } => format!(
-                        "{:>14}  {}exit  {}",
-                        ts(*end),
-                        "  ".repeat(*depth as usize),
-                        kind.name()
+                    TraceEvent::Collective {
+                        kind,
+                        start,
+                        end,
+                        msgs,
+                        words,
+                        hops,
+                    } => format!(
+                        "{:>14}  {} msgs={msgs} words={words} hops={}",
+                        span(*start, *end),
+                        kind.name(),
+                        hops.len()
                     ),
                     TraceEvent::PhaseBegin { name, start } => {
                         format!("{:>14}  === phase {name} begin ===", ts(*start))
@@ -640,13 +727,16 @@ impl fmt::Display for ProtocolViolation {
 ///
 /// 1. **Collective sequences**: every rank must issue the same collectives
 ///    in the same order (rank 0 is the reference).
-/// 2. **Tag order**: per `src → dst` channel, the sender's tag sequence
-///    must equal the receiver's expected-tag sequence (channels are FIFO).
+/// 2. **Tag order**: per `src → dst` channel, the sender's tag sequence of
+///    point-to-point messages must equal the receiver's expected-tag
+///    sequence (channels are FIFO). A collective's hops carry no tags: its
+///    schedule is fixed by its kind, root and rank count, and the
+///    rendezvous runs it for every rank at once.
 /// 3. **Clock rewinds**: any blocked negative clock charge.
 pub fn check_protocol(log: &TraceLog) -> Vec<ProtocolViolation> {
     let mut out = Vec::new();
 
-    // 1. Collective call sequences (all nesting levels, in order).
+    // 1. Collective call sequences, in order.
     let seqs: Vec<Vec<CollectiveKind>> = log
         .events
         .iter()
@@ -654,7 +744,7 @@ pub fn check_protocol(log: &TraceLog) -> Vec<ProtocolViolation> {
             stream
                 .iter()
                 .filter_map(|ev| match ev {
-                    TraceEvent::CollectiveEnter { kind, .. } => Some(*kind),
+                    TraceEvent::Collective { kind, .. } => Some(*kind),
                     _ => None,
                 })
                 .collect()
@@ -679,10 +769,10 @@ pub fn check_protocol(log: &TraceLog) -> Vec<ProtocolViolation> {
         }
     }
 
-    // 2. Tag order per channel. One pass over each rank's stream builds the
-    // per-(src, dst) tag sequences for both sides; only channels that carried
-    // traffic are materialized, so the cost is O(events), not O(P²) channel
-    // scans over the full streams.
+    // 2. Tag order per point-to-point channel. One pass over each rank's
+    // stream builds the per-(src, dst) tag sequences for both sides; only
+    // channels that carried traffic are materialized, so the cost is
+    // O(events), not O(P²) channel scans over the full streams.
     let mut sent_tags: HashMap<(usize, usize), Vec<Tag>> = HashMap::new();
     let mut recd_tags: HashMap<(usize, usize), Vec<Tag>> = HashMap::new();
     for (rank, stream) in log.events.iter().enumerate() {
@@ -771,26 +861,47 @@ pub const OUTSIDE_PHASE: &str = "-";
 /// One matched send/recv pair: the cross-rank happens-before edge induced by
 /// a message. Channels are FIFO per `(src, dst)` pair, so the `i`-th send on
 /// a channel pairs with the `i`-th receive on it (the same rule
-/// [`check_protocol`] enforces on tag sequences).
+/// [`check_protocol`] enforces on tag sequences); point-to-point mail and
+/// collective hops pair apart, which in a protocol-clean log is the same
+/// pairing (a collective's schedule message never overtakes undelivered
+/// mail on its channel).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MessageEdge {
     pub src: usize,
     pub dst: usize,
-    /// Tag as recorded on the receive side.
-    pub tag: Tag,
+    /// What carried the message.
+    pub via: Via,
+    /// Declared words, as recorded on the receive side.
     pub words: u64,
-    /// Index of the `Send` event in `events[src]`.
+    /// Index in `events[src]` of the `Send` event, or of the `Collective`
+    /// record holding the send hop.
     pub send_event: usize,
-    /// Index of the `Recv` event in `events[dst]`.
+    /// Index in `events[dst]` of the `Recv` event, or of the `Collective`
+    /// record holding the receive hop.
     pub recv_event: usize,
     pub send_start: f64,
     pub send_end: f64,
     pub recv_posted: f64,
     pub recv_completed: f64,
-    /// Receiver idle time paid on this edge (`Recv::wait`).
+    /// Receiver idle time paid on this edge (`Recv::wait`, or the receive
+    /// hop's span).
     pub wait: f64,
     /// Phase the receive is attributed to on the receiver.
     pub phase: String,
+}
+
+/// What carried a [`MessageEdge`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Via {
+    /// A point-to-point message, under the tag the receiver expected.
+    Tag(Tag),
+    /// A hop of a collective: its index in the sender's and in the
+    /// receiver's record.
+    Collective {
+        kind: CollectiveKind,
+        send_hop: usize,
+        recv_hop: usize,
+    },
 }
 
 /// Per-phase aggregate built in a single pass over a [`TraceLog`]
@@ -852,7 +963,9 @@ impl RankPhaseSplit {
     }
 
     /// Account one event: every clock charge is exactly one of compute,
-    /// wire, wait or injected, so the four sums reconstruct elapsed time.
+    /// wire, wait or injected, so the four sums reconstruct elapsed time. A
+    /// collective's hops are charged one by one, in the order they were
+    /// made, as a send or receive event of their own would be.
     fn charge(&mut self, ev: &TraceEvent) {
         match *ev {
             TraceEvent::Compute { start, end } => self.compute += end - start,
@@ -864,6 +977,23 @@ impl RankPhaseSplit {
                 self.words += words;
             }
             TraceEvent::Recv { wait, .. } => self.wait += wait,
+            TraceEvent::Collective {
+                start,
+                msgs,
+                words,
+                ref hops,
+                ..
+            } => {
+                for (from, hop) in hop_spans(start, hops) {
+                    if hop.is_send() {
+                        self.wire += hop.at - from;
+                    } else {
+                        self.wait += hop.at - from;
+                    }
+                }
+                self.msgs += msgs;
+                self.words += words;
+            }
             TraceEvent::Sync { start, end } => self.wait += end - start,
             TraceEvent::Fault { start, end, .. } => self.injected += end - start,
             _ => {}
@@ -873,7 +1003,7 @@ impl RankPhaseSplit {
 
 /// Per-(phase, rank) aggregation: the same attribution as
 /// [`TraceLog::phase_breakdowns`], but split per rank and extended with the
-/// phase's top-level collective counters.
+/// phase's collective counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseRankAgg {
     pub name: String,
@@ -883,9 +1013,8 @@ pub struct PhaseRankAgg {
     pub end: f64,
     /// One entry per rank (length == `TraceLog::nranks`).
     pub ranks: Vec<RankPhaseSplit>,
-    /// Top-level collective stats summed over ranks, indexed by
-    /// `CollectiveKind::index`. A collective is attributed to the phase
-    /// that was current on the rank when it was *entered*.
+    /// Collective stats summed over ranks, indexed by
+    /// `CollectiveKind::index`.
     pub collectives: [CollectiveStats; COLLECTIVE_KINDS.len()],
 }
 
@@ -940,37 +1069,33 @@ struct Visit<'a> {
     /// in the walk's phase table (appearance order) and its name.
     phase: usize,
     name: &'a str,
-    /// The top-level collective enclosing `ev` (its own markers included)
-    /// and the phase that owns it: the one current when it was entered.
-    coll: Option<(CollectiveKind, usize)>,
-    /// `ev` is that top-level collective's own enter or exit marker.
-    top: bool,
 }
 
-/// Count `v` towards its enclosing top-level collective: one call and the
-/// enter-to-exit seconds per top-level invocation, every message sent
-/// inside it (nested sub-collectives included).
-fn tally_collective(stats: &mut [CollectiveStats; COLLECTIVE_KINDS.len()], v: &Visit) {
-    let Some((kind, _)) = v.coll else { return };
-    let c = &mut stats[kind.index()];
-    match *v.ev {
-        TraceEvent::CollectiveEnter { start, .. } if v.top => {
-            c.calls += 1;
-            c.seconds -= start; // paired with += end at the exit
-        }
-        TraceEvent::CollectiveExit { end, .. } if v.top => c.seconds += end,
-        TraceEvent::Send { words, .. } => {
-            c.msgs += 1;
-            c.words += words;
-        }
-        _ => {}
+/// Count a collective record towards its kind: one call, its start-to-end
+/// seconds and every message it sent.
+fn tally_collective(stats: &mut [CollectiveStats; COLLECTIVE_KINDS.len()], ev: &TraceEvent) {
+    if let TraceEvent::Collective {
+        kind,
+        start,
+        end,
+        msgs,
+        words,
+        ..
+    } = *ev
+    {
+        let c = &mut stats[kind.index()];
+        c.calls += 1;
+        c.seconds -= start;
+        c.seconds += end;
+        c.msgs += msgs;
+        c.words += words;
     }
 }
 
 impl TraceLog {
     /// The one walk every aggregate of this module accumulates over: visit
-    /// each event, rank by rank in stream order, with the phase and the
-    /// top-level collective it belongs to. The attribution rule:
+    /// each event, rank by rank in stream order, with the phase it belongs
+    /// to. The attribution rule:
     ///
     /// 1. an event belongs to the innermost phase open on its rank (a
     ///    marker to the phase it opens or closes);
@@ -1001,8 +1126,6 @@ impl TraceLog {
             // (rule 2) and is `None` before the first phase (rule 3).
             let mut stack: Vec<usize> = Vec::new();
             let mut current: Option<usize> = None;
-            // The open top-level collective and its owner.
-            let mut coll: Option<(CollectiveKind, usize)> = None;
             for (index, ev) in stream.iter().enumerate() {
                 if let TraceEvent::PhaseBegin { name, start } = ev {
                     let id = intern(name, &mut spans);
@@ -1016,42 +1139,24 @@ impl TraceLog {
                     spans[id].end = spans[id].end.max(ev.end_time());
                     id
                 });
-                let top = match ev {
-                    TraceEvent::CollectiveEnter { kind, depth: 0, .. } => {
-                        coll = Some((*kind, phase));
-                        true
-                    }
-                    TraceEvent::CollectiveExit { kind, depth: 0, .. } => {
-                        let open = coll.map(|(open, _)| open);
-                        debug_assert_eq!(open, Some(*kind), "unbalanced collective markers");
-                        true
-                    }
-                    _ => false,
-                };
                 visit(Visit {
                     rank,
                     index,
                     ev,
                     phase,
                     name: spans[phase].name,
-                    coll,
-                    top,
                 });
-                match ev {
-                    TraceEvent::PhaseEnd { name, end } => {
-                        let popped = stack.pop();
-                        debug_assert_eq!(
-                            popped.map(|id| spans[id].name),
-                            Some(name.as_str()),
-                            "unbalanced phase markers"
-                        );
-                        if let Some(id) = popped {
-                            spans[id].end = spans[id].end.max(*end);
-                            current = stack.last().copied().or(Some(id));
-                        }
+                if let TraceEvent::PhaseEnd { name, end } = ev {
+                    let popped = stack.pop();
+                    debug_assert_eq!(
+                        popped.map(|id| spans[id].name),
+                        Some(name.as_str()),
+                        "unbalanced phase markers"
+                    );
+                    if let Some(id) = popped {
+                        spans[id].end = spans[id].end.max(*end);
+                        current = stack.last().copied().or(Some(id));
                     }
-                    TraceEvent::CollectiveExit { depth: 0, .. } => coll = None,
-                    _ => {}
                 }
             }
         }
@@ -1064,67 +1169,116 @@ impl TraceLog {
         spans
     }
 
-    /// Match every `Send` to its `Recv` by FIFO channel order and return
+    /// Match every send to its receive by FIFO channel order — `Send` to
+    /// `Recv` events, a collective's send hops to receive hops — and return
     /// the resulting happens-before edges, grouped by receiver rank in
     /// stream order (deterministic). Unmatched sends or receives (a
     /// protocol violation) produce no edge.
     pub fn message_edges(&self) -> Vec<MessageEdge> {
         use std::collections::VecDeque;
-        // Per (src, dst) channel: queued sends in send order.
+        // Per (src, dst, is a hop) channel: queued sends in send order.
         struct PendingSend {
             event: usize,
+            hop: usize,
             start: f64,
             end: f64,
         }
-        let mut channels: HashMap<(usize, usize), VecDeque<PendingSend>> = HashMap::new();
+        let mut channels: HashMap<(usize, usize, bool), VecDeque<PendingSend>> = HashMap::new();
         for (src, stream) in self.events.iter().enumerate() {
-            for (i, ev) in stream.iter().enumerate() {
-                if let TraceEvent::Send {
-                    start, end, peer, ..
-                } = *ev
-                {
-                    channels
-                        .entry((src, peer))
-                        .or_default()
-                        .push_back(PendingSend {
-                            event: i,
+            for (event, ev) in stream.iter().enumerate() {
+                match *ev {
+                    TraceEvent::Send {
+                        start, end, peer, ..
+                    } => {
+                        let send = PendingSend {
+                            event,
+                            hop: 0,
                             start,
                             end,
-                        });
+                        };
+                        channels
+                            .entry((src, peer, false))
+                            .or_default()
+                            .push_back(send);
+                    }
+                    TraceEvent::Collective {
+                        start, ref hops, ..
+                    } => {
+                        let sends = hop_spans(start, hops).enumerate();
+                        for (hop, (from, h)) in sends.filter(|(_, (_, h))| h.is_send()) {
+                            let send = PendingSend {
+                                event,
+                                hop,
+                                start: from,
+                                end: h.at,
+                            };
+                            channels
+                                .entry((src, h.peer(), true))
+                                .or_default()
+                                .push_back(send);
+                        }
+                    }
+                    _ => {}
                 }
             }
         }
         let mut edges = Vec::new();
         self.walk(|v| {
-            let TraceEvent::Recv {
-                posted,
-                completed,
-                peer,
-                tag,
-                words,
-                wait,
-            } = *v.ev
-            else {
-                return;
+            let mut sent = |peer: usize, hop: bool| {
+                channels
+                    .get_mut(&(peer, v.rank, hop))
+                    .and_then(VecDeque::pop_front)
             };
-            if let Some(send) = channels
-                .get_mut(&(peer, v.rank))
-                .and_then(|q| q.pop_front())
-            {
-                edges.push(MessageEdge {
-                    src: peer,
-                    dst: v.rank,
+            let mut push =
+                |src: usize, send: PendingSend, via: Via, words: u64, recv: (f64, f64, f64)| {
+                    let (posted, completed, wait) = recv;
+                    edges.push(MessageEdge {
+                        src,
+                        dst: v.rank,
+                        via,
+                        words,
+                        send_event: send.event,
+                        recv_event: v.index,
+                        send_start: send.start,
+                        send_end: send.end,
+                        recv_posted: posted,
+                        recv_completed: completed,
+                        wait,
+                        phase: v.name.to_string(),
+                    });
+                };
+            match *v.ev {
+                TraceEvent::Recv {
+                    posted,
+                    completed,
+                    peer,
                     tag,
                     words,
-                    send_event: send.event,
-                    recv_event: v.index,
-                    send_start: send.start,
-                    send_end: send.end,
-                    recv_posted: posted,
-                    recv_completed: completed,
                     wait,
-                    phase: v.name.to_string(),
-                });
+                } => {
+                    if let Some(send) = sent(peer, false) {
+                        push(peer, send, Via::Tag(tag), words, (posted, completed, wait));
+                    }
+                }
+                TraceEvent::Collective {
+                    kind,
+                    start,
+                    ref hops,
+                    ..
+                } => {
+                    let recvs = hop_spans(start, hops).enumerate();
+                    for (recv_hop, (from, h)) in recvs.filter(|(_, (_, h))| !h.is_send()) {
+                        if let Some(send) = sent(h.peer(), true) {
+                            let via = Via::Collective {
+                                kind,
+                                send_hop: send.hop,
+                                recv_hop,
+                            };
+                            push(h.peer(), send, via, h.words(), (from, h.at, h.at - from));
+                        }
+                    }
+                }
+                _ => {}
             }
         });
         edges
@@ -1161,8 +1315,8 @@ impl TraceLog {
 
     /// The per-(phase, rank) refinement of [`TraceLog::phase_breakdowns`]:
     /// identical attribution, but the accounted split is kept per rank, and
-    /// each phase additionally collects the top-level collective counters
-    /// of calls entered while it was current. Summing a phase's rank splits
+    /// each phase additionally collects the counters of its collective
+    /// calls. Summing a phase's rank splits
     /// reproduces the corresponding [`PhaseAgg`] fields (up to float
     /// reassociation — the counters match exactly).
     pub fn phase_rank_breakdowns(&self) -> Vec<PhaseRankAgg> {
@@ -1179,9 +1333,7 @@ impl TraceLog {
                 });
             }
             aggs[v.phase].ranks[v.rank].charge(v.ev);
-            if let Some((_, owner)) = v.coll {
-                tally_collective(&mut aggs[owner].collectives, &v);
-            }
+            tally_collective(&mut aggs[v.phase].collectives, v.ev);
         });
         for (agg, span) in aggs.iter_mut().zip(spans) {
             agg.start = span.start;
@@ -1228,10 +1380,14 @@ mod tests {
     use super::*;
     use crate::{spmd, MachineModel};
 
-    /// A small but communication-heavy program touching every collective.
+    /// A small but communication-heavy program touching every collective,
+    /// and a point-to-point ring exchange.
     fn run_workload() -> Vec<RankResult<f64>> {
         spmd(5, MachineModel::sp2(), |comm| {
             comm.phase("setup", |c| c.compute(50.0 + c.rank() as f64));
+            let (rank, p) = (comm.rank(), comm.nranks());
+            comm.send((rank + 1) % p, 9, 3, rank);
+            comm.recv::<usize>((rank + p - 1) % p, 9);
             comm.barrier();
             let v = comm.bcast(2, 4, (comm.rank() == 2).then(|| vec![1u64; 4]));
             comm.gather(1, 4, v.clone());
@@ -1326,22 +1482,15 @@ mod tests {
         let mut log = TraceLog::from_results(&mut run_workload());
         // Corrupt rank 3: swap its barrier for a bcast, as if one rank took
         // a different branch and called a different collective.
-        let stream = &mut log.events[3];
-        let pos = stream
-            .iter()
-            .position(|ev| {
-                matches!(
-                    ev,
-                    TraceEvent::CollectiveEnter {
-                        kind: CollectiveKind::Barrier,
-                        ..
-                    }
-                )
+        let record = log.events[3]
+            .iter_mut()
+            .find_map(|ev| match ev {
+                TraceEvent::Collective { kind, .. } => Some(kind),
+                _ => None,
             })
             .unwrap();
-        if let TraceEvent::CollectiveEnter { kind, .. } = &mut stream[pos] {
-            *kind = CollectiveKind::Bcast;
-        }
+        assert_eq!(*record, CollectiveKind::Barrier);
+        *record = CollectiveKind::Bcast;
         let violations = check_protocol(&log);
         assert!(
             violations.iter().any(|v| matches!(
@@ -1434,16 +1583,41 @@ mod tests {
                 "edge {e:?} violates causality"
             );
             assert!(e.wait >= 0.0);
-            // The edge indices really point at a Send / Recv pair.
-            assert!(matches!(
-                log.events[e.src][e.send_event],
-                TraceEvent::Send { peer, .. } if peer == e.dst
-            ));
-            assert!(matches!(
-                log.events[e.dst][e.recv_event],
-                TraceEvent::Recv { peer, .. } if peer == e.src
-            ));
+            // The edge indices really point at a send / receive pair: the
+            // events, or the hops of two records of one kind.
+            let (send, recv) = (
+                &log.events[e.src][e.send_event],
+                &log.events[e.dst][e.recv_event],
+            );
+            match e.via {
+                Via::Tag(_) => {
+                    assert!(matches!(send, TraceEvent::Send { peer, .. } if *peer == e.dst));
+                    assert!(matches!(recv, TraceEvent::Recv { peer, .. } if *peer == e.src));
+                }
+                Via::Collective {
+                    kind,
+                    send_hop,
+                    recv_hop,
+                } => {
+                    let hop = |ev: &TraceEvent, i: usize| match ev {
+                        TraceEvent::Collective { kind: k, hops, .. } if *k == kind => hops[i],
+                        other => panic!("edge {e:?} points at {other:?}"),
+                    };
+                    let (s, r) = (hop(send, send_hop), hop(recv, recv_hop));
+                    assert!(s.is_send() && s.peer() == e.dst && s.at == e.send_end);
+                    assert!(!r.is_send() && r.peer() == e.src && r.at == e.recv_completed);
+                    assert_eq!((s.words(), r.words()), (e.words, e.words));
+                }
+            }
         }
+        assert_eq!(
+            edges
+                .iter()
+                .filter(|e| matches!(e.via, Via::Tag(9)))
+                .count(),
+            5,
+            "the ring's mail"
+        );
         // The setup phase sends nothing itself, but it is the only phase:
         // everything after it closes is carried into it.
         assert!(edges.iter().all(|e| e.phase == "setup"));

@@ -696,6 +696,7 @@ fn sized_block(slice: Vec<u32>) -> (u64, Vec<u32>) {
 /// Project a coarse partition onto the finer level: owned coarse vertices
 /// project locally; cross-rank pairs receive their part from the
 /// representative's owner over one `alltoallv`.
+#[track_caller]
 fn project_parts(
     comm: &mut Comm,
     link: &LevelLink,
