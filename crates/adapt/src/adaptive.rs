@@ -1,8 +1,6 @@
 //! The adaptive mesh: a computational mesh plus its refinement forest,
 //! bisection records, and the marking / prediction machinery.
 
-use std::collections::HashMap;
-
 use plum_mesh::{EdgeId, ElemId, PairMap, TetMesh, VertId, LOCAL_EDGE_VERTS};
 
 use crate::forest::{Forest, NodeId};
@@ -106,8 +104,9 @@ pub struct AdaptiveMesh {
     pub(crate) node_of_elem: Vec<u32>,
     /// Live bisections: normalized vertex pair → midpoint vertex.
     pub(crate) bisect_mid: PairMap,
-    /// Midpoint vertex → the pair it bisects.
-    pub(crate) mid_parent: HashMap<VertId, (VertId, VertId)>,
+    /// Vertex slot → the normalized pair its vertex bisects (`None` for a
+    /// vertex that is not a live midpoint).
+    pub(crate) mid_parent: Vec<Option<(VertId, VertId)>>,
 }
 
 impl AdaptiveMesh {
@@ -122,7 +121,7 @@ impl AdaptiveMesh {
         }
         AdaptiveMesh {
             bisect_mid: PairMap::with_capacity(mesh.n_edges() / 4 + 16),
-            mid_parent: HashMap::new(),
+            mid_parent: Vec::new(),
             mesh,
             forest,
             node_of_elem,
@@ -189,6 +188,12 @@ impl AdaptiveMesh {
     /// paper's Real_1/2/3 strategies are defined ("subdivided 5%, 33%, and
     /// 60% of the 78,343 edges"). Binary search over the initial threshold,
     /// running the upgrade fixpoint at each probe.
+    ///
+    /// Marking the top `k` edges is monotone in `k`, and so is its upgrade
+    /// fixpoint (the least legal marking containing it, which no sweep order
+    /// changes). Every probe lies above the bracket's low end, so it starts
+    /// from the low end's fixpoint and propagates only from the edges it
+    /// adds, through the elements on each newly marked edge.
     pub fn threshold_for_final_fraction(&self, error: &[f64], frac: f64) -> f64 {
         assert!((0.0..=1.0).contains(&frac));
         let mut vals: Vec<f64> = self
@@ -204,35 +209,36 @@ impl AdaptiveMesh {
         }
         // Binary search on the *rank* of the threshold value: marking the
         // top-k edges initially yields ≥ k after upgrades, monotonically in k.
-        let count_for = |k: usize| -> usize {
-            if k == 0 {
-                return 0;
-            }
-            let threshold = if k >= n {
+        let value = |k: usize| {
+            if k >= n {
                 f64::NEG_INFINITY
             } else {
                 vals[n - k - 1]
-            };
-            let mut marks = self.mark_above(error, threshold);
-            self.upgrade_to_fixpoint(&mut marks);
-            marks.count()
+            }
+        };
+        let incident = self.mesh.edge_rows(ElemId(0), |e| e);
+        let probe = |k: usize, lo_fixpoint: &EdgeMarks| {
+            self.extend_fixpoint(lo_fixpoint, &incident, error, value(k))
         };
         let (mut lo, mut hi) = (0usize, target);
-        // Invariant: count_for(lo) ≤ target (lo=0 trivially); shrink hi until
-        // the bracket is tight. Both ends keep the count their probe found.
+        // Invariant: the count at lo is ≤ target (lo=0 trivially); shrink hi
+        // until the bracket is tight. Both ends keep the count their probe
+        // found, and `lo` its fixpoint.
+        let mut lo_fixpoint = EdgeMarks::new(&self.mesh);
         let (mut at_lo, mut at_hi) = (0, None);
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
-            let count = count_for(mid);
+            let marks = probe(mid, &lo_fixpoint);
+            let count = marks.count();
             if count > target {
                 (hi, at_hi) = (mid, Some(count));
             } else {
-                (lo, at_lo) = (mid, count);
+                (lo, at_lo, lo_fixpoint) = (mid, count, marks);
             }
         }
         // Choose whichever bracket end lands closer to the target; `hi` is
         // probed here only if the search never moved it.
-        let at_hi = at_hi.unwrap_or_else(|| count_for(hi));
+        let at_hi = at_hi.unwrap_or_else(|| probe(hi, &lo_fixpoint).count());
         let k = if target.abs_diff(at_lo) <= target.abs_diff(at_hi) {
             lo
         } else {
@@ -240,11 +246,40 @@ impl AdaptiveMesh {
         };
         if k == 0 {
             f64::INFINITY
-        } else if k >= n {
-            f64::NEG_INFINITY
         } else {
-            vals[n - k - 1]
+            value(k)
         }
+    }
+
+    /// The upgrade fixpoint of `fixpoint` (itself one) with every edge above
+    /// `threshold` marked: [`AdaptiveMesh::mark_above`] then
+    /// [`AdaptiveMesh::upgrade_to_fixpoint`], visiting only the elements on
+    /// edges it marks.
+    fn extend_fixpoint(
+        &self,
+        fixpoint: &EdgeMarks,
+        (start, elems): &(Vec<usize>, Vec<ElemId>),
+        error: &[f64],
+        threshold: f64,
+    ) -> EdgeMarks {
+        let incident = |e: EdgeId| &elems[start[e.idx()]..start[e.idx() + 1]];
+        let mut marks = fixpoint.clone();
+        let mut work: Vec<ElemId> = Vec::new();
+        for e in self.mesh.edges() {
+            if error.get(e.idx()).copied().unwrap_or(0.0) > threshold && marks.mark(e) {
+                work.extend_from_slice(incident(e));
+            }
+        }
+        while let Some(el) = work.pop() {
+            let p = self.elem_pattern(el, &marks);
+            let up = upgrade(p);
+            for (k, &ed) in self.mesh.elem_edges(el).iter().enumerate() {
+                if (up & !p) & (1 << k) != 0 && marks.mark(ed) {
+                    work.extend_from_slice(incident(ed));
+                }
+            }
+        }
+        marks
     }
 
     /// The current 6-bit marking pattern of a live element.
@@ -353,8 +388,10 @@ impl AdaptiveMesh {
             f.interpolate_midpoint(m, a, b);
         }
         self.bisect_mid.insert(key, m.0);
-        let norm = if a.0 < b.0 { (a, b) } else { (b, a) };
-        self.mid_parent.insert(m, norm);
+        if m.idx() >= self.mid_parent.len() {
+            self.mid_parent.resize(m.idx() + 1, None);
+        }
+        self.mid_parent[m.idx()] = Some(if a.0 < b.0 { (a, b) } else { (b, a) });
         stats.verts_created += 1;
         stats.edges_bisected += 1;
         m
@@ -369,23 +406,23 @@ impl AdaptiveMesh {
 
     /// Compute the child vertex quadruples for subdividing `verts` by
     /// `kind`, with `mid[k]` the midpoint of local edge `k` (present for
-    /// every marked edge).
+    /// every marked edge): the first `n` of the returned eight, where `n` is
+    /// the second value.
     pub(crate) fn child_tets(
         &self,
         kind: SubdivKind,
         verts: [VertId; 4],
         mid: [Option<VertId>; 6],
-    ) -> Vec<[VertId; 4]> {
-        match kind {
-            SubdivKind::None => vec![],
+    ) -> ([[VertId; 4]; 8], usize) {
+        let mut out = [verts; 8];
+        let n = match kind {
+            SubdivKind::None => 0,
             SubdivKind::OneToTwo { edge } => {
                 let (i, j) = LOCAL_EDGE_VERTS[edge];
                 let m = mid[edge].expect("missing midpoint");
-                let mut a = verts;
-                let mut b = verts;
-                a[j] = m;
-                b[i] = m;
-                vec![a, b]
+                out[0][j] = m;
+                out[1][i] = m;
+                2
             }
             SubdivKind::OneToFour { face } => {
                 let (a, b, c) = plum_mesh::LOCAL_FACE_VERTS[face];
@@ -395,23 +432,24 @@ impl AdaptiveMesh {
                 };
                 let (va, vb, vc, vd) = (verts[a], verts[b], verts[c], verts[d]);
                 let (mab, mac, mbc) = (m(a, b), m(a, c), m(b, c));
-                vec![
+                out[..4].copy_from_slice(&[
                     [va, mab, mac, vd],
                     [mab, vb, mbc, vd],
                     [mac, mbc, vc, vd],
                     [mab, mbc, mac, vd],
-                ]
+                ]);
+                4
             }
             SubdivKind::OneToEight => {
                 let m = |k: usize| mid[k].expect("missing midpoint");
                 // Local edges: 0=(0,1) 1=(0,2) 2=(0,3) 3=(1,2) 4=(1,3) 5=(2,3)
                 let (m01, m02, m03, m12, m13, m23) = (m(0), m(1), m(2), m(3), m(4), m(5));
-                let mut out = vec![
+                out[..4].copy_from_slice(&[
                     [verts[0], m01, m02, m03],
                     [m01, verts[1], m12, m13],
                     [m02, m12, verts[2], m23],
                     [m03, m13, m23, verts[3]],
-                ];
+                ]);
                 // Split the inner octahedron along its shortest diagonal for
                 // better element quality. The three candidate diagonals pair
                 // opposite midpoints.
@@ -433,11 +471,12 @@ impl AdaptiveMesh {
                     .min_by(|(d1, _), (d2, _)| len2(d1.0, d1.1).total_cmp(&len2(d2.0, d2.1)))
                     .unwrap();
                 for k in 0..4 {
-                    out.push([p, q, cycle[k], cycle[(k + 1) % 4]]);
+                    out[4 + k] = [p, q, cycle[k], cycle[(k + 1) % 4]];
                 }
-                out
+                8
             }
-        }
+        };
+        (out, n)
     }
 
     /// Validate everything: mesh incidence, forest structure, leaf↔element
@@ -476,7 +515,10 @@ impl AdaptiveMesh {
                 self.mesh.edge_between(a, b).is_none(),
                 "hanging node: edge ({a},{b}) live but bisected by vertex {m}"
             );
-            assert_eq!(self.mid_parent.get(&VertId(m)), Some(&(a, b)));
+            assert_eq!(
+                self.mid_parent.get(m as usize).copied().flatten(),
+                Some((a, b))
+            );
         }
     }
 }
@@ -559,6 +601,51 @@ mod tests {
                 "frac {frac}: {got} vs {want}"
             );
         }
+    }
+
+    /// Extending a lower threshold's fixpoint reaches, edge for edge, what
+    /// the full sweeps reach from scratch — on a mesh refined near one
+    /// corner, so element sizes and patterns vary.
+    #[test]
+    fn extended_fixpoint_equals_the_swept_fixpoint() {
+        let mut am = AdaptiveMesh::new(unit_box_mesh(3));
+        let mut marks = EdgeMarks::new(&am.mesh);
+        for e in am.mesh.edges().collect::<Vec<_>>() {
+            let mp = am.mesh.edge_midpoint(e);
+            if mp[0] + mp[1] < 0.7 {
+                marks.mark(e);
+            }
+        }
+        am.upgrade_to_fixpoint(&mut marks);
+        am.refine(&marks, &mut []);
+        let error: Vec<f64> = (0..am.mesh.edge_slots() as u64)
+            .map(|i| (i.wrapping_mul(2_654_435_761) % 1_000) as f64 / 1_000.0)
+            .collect();
+        let incident = am.mesh.edge_rows(ElemId(0), |e| e);
+        let mut below = EdgeMarks::new(&am.mesh);
+        for threshold in [0.999, 0.99, 0.97, 0.9, 0.8, 0.5, 0.2, -1.0] {
+            let mut swept = am.mark_above(&error, threshold);
+            am.upgrade_to_fixpoint(&mut swept);
+            let want: Vec<EdgeId> = swept.iter().collect();
+            let fresh = am.extend_fixpoint(&EdgeMarks::new(&am.mesh), &incident, &error, threshold);
+            assert_eq!(
+                fresh.iter().collect::<Vec<_>>(),
+                want,
+                "from none at {threshold}"
+            );
+            let chained = am.extend_fixpoint(&below, &incident, &error, threshold);
+            assert_eq!(
+                chained.iter().collect::<Vec<_>>(),
+                want,
+                "chained at {threshold}"
+            );
+            below = chained;
+        }
+        assert_eq!(
+            below.count(),
+            am.mesh.n_edges(),
+            "the last threshold marks all"
+        );
     }
 
     #[test]

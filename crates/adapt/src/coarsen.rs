@@ -76,16 +76,17 @@ impl AdaptiveMesh {
 
         // Phase 2: purge orphaned edges, then orphaned midpoint vertices.
         for e in self.mesh.edges().collect::<Vec<_>>() {
-            if self.mesh.edge_elems(e).is_empty() {
+            if self.mesh.edge_degree(e) == 0 {
                 self.mesh.remove_edge(e);
                 stats.edges_purged += 1;
             }
         }
         for v in self.mesh.verts().collect::<Vec<_>>() {
-            if self.mesh.vert_edges(v).is_empty() {
+            if self.mesh.vert_degree(v) == 0 {
                 let (a, b) = self
                     .mid_parent
-                    .remove(&v)
+                    .get_mut(v.idx())
+                    .and_then(Option::take)
                     .expect("only midpoint vertices can be orphaned");
                 let removed = self.bisect_mid.remove(PairMap::pair_key(a.0, b.0));
                 debug_assert_eq!(removed, Some(v.0));

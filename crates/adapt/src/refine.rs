@@ -91,8 +91,8 @@ impl AdaptiveMesh {
                 }
             }
 
-            let children = self.child_tets(kind, verts, mid);
-            debug_assert_eq!(children.len(), kind.n_children());
+            let (children, n_children) = self.child_tets(kind, verts, mid);
+            debug_assert_eq!(n_children, kind.n_children());
 
             // Retire the parent from the computational mesh; keep it in the
             // forest as an interior node.
@@ -105,7 +105,7 @@ impl AdaptiveMesh {
                 n.pattern = pattern;
             }
 
-            for cv in children {
+            for &cv in &children[..n_children] {
                 let ce = self.mesh.add_elem(cv);
                 let cnode = self.forest.add_child(node, cv, ce);
                 self.set_node_of_elem(ce, cnode);
@@ -119,7 +119,7 @@ impl AdaptiveMesh {
         // loop marks it for the next round.
         for (a, b) in bisected_pairs {
             if let Some(e) = self.mesh.edge_between(a, b) {
-                if self.mesh.edge_elems(e).is_empty() {
+                if self.mesh.edge_degree(e) == 0 {
                     self.mesh.remove_edge(e);
                 }
             }

@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use plum_bench::{initial_mesh, marked_problem, Scale, CASES};
 use plum_core::{parallel_migrate, Ownership, Plum, PlumConfig, WorkModel};
@@ -140,12 +140,33 @@ fn bench_adaption(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // Refinement alone at the paper's shape: Real_2 on the ≈ 61k-element
+    // grid, the first refinement of a `paper_p64` cycle. The marking, the
+    // clone before each sample and the drop after it stay outside the timer.
+    let p = marked_problem(Scale::Paper, CASES[1].1);
+    let mut samples: Vec<Duration> = (0..5)
+        .map(|_| {
+            let (mut am, mut field) = (p.am.clone(), p.field.clone());
+            let start = Instant::now();
+            am.refine(&p.marks, std::slice::from_mut(&mut field));
+            let elapsed = start.elapsed();
+            black_box(&am);
+            elapsed
+        })
+        .collect();
+    samples.sort();
+    println!(
+        "  adaption/refine_only: median {:?}",
+        samples[samples.len() / 2]
+    );
 }
 
 fn bench_ownership(c: &mut Criterion) {
     // Ownership construction on a refined mesh: what every cycle, on either
     // driver, pays once when it opens (one pass over the elements for the
-    // per-rank lists, one over the edge slots for the shared-edge lists).
+    // per-rank lists, and the shared-edge lists' counting pass over every
+    // element's six edges).
     let mut group = c.benchmark_group("ownership");
     let mut p = marked_problem(Scale::Quick, CASES[1].1);
     p.am.refine(&p.marks, std::slice::from_mut(&mut p.field));

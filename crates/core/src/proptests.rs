@@ -18,8 +18,8 @@ use crate::PlumConfig;
 
 /// Assert that [`Ownership::build`] and `extract_submeshes`' edge SPLs both
 /// equal a naive oracle: one rank set per edge slot, filled by the
-/// element × edge walk (it never reads the `edge_elems` incidence the
-/// builder works from).
+/// element × edge walk into a set per edge (it never reads the edge
+/// degrees the builder sizes its rows by).
 fn assert_matches_oracle(am: &AdaptiveMesh, proc: &[u32], nproc: usize) {
     let mesh = &am.mesh;
     let mut ranks: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); mesh.edge_slots()];

@@ -3,9 +3,11 @@
 //! The paper's parallel framework keeps, for every mesh edge, the list of
 //! processors owning a copy — the shared-processor list — initialized "by
 //! searching for elements on partition boundaries". [`EdgeParts`] is that
-//! search: one pass over the edge slots, reading each edge's incident
-//! elements. It is a value, built where it is needed and never updated; a
-//! mesh or assignment change means building a new one.
+//! search: each edge's elements, derived by one counting pass over every
+//! element's six edges (`TetMesh::edge_rows`; the mesh keeps edge degrees,
+//! not edge → element lists), each held as its part. It is a value,
+//! built where it is needed and never updated; a mesh or assignment change
+//! means building a new one.
 
 use crate::ids::EdgeId;
 use crate::tetmesh::TetMesh;
@@ -36,28 +38,36 @@ impl EdgeParts {
     /// Panics if a live element's part is not below `nparts`.
     pub fn build(mesh: &TetMesh, part: &[u32], nparts: usize) -> Self {
         let slots = mesh.edge_slots();
-        let mut start = Vec::with_capacity(slots + 1);
-        let mut parts = Vec::with_capacity(slots);
+        // Each edge's row holds the parts of its elements.
+        let (mut start, mut parts) = mesh.edge_rows(0, |e| {
+            let p = part[e.idx()];
+            assert!((p as usize) < nparts, "element {e} has part {p} ≥ {nparts}");
+            p
+        });
+        // Keep each row's distinct parts, ascending, compacting in place: the
+        // write cursor `len` never passes the entry being read.
         let mut shared_per_part = vec![0u64; nparts];
-        start.push(0);
+        let mut len = 0;
         for slot in 0..slots {
-            let first = parts.len();
-            for &e in mesh.edge_elems(EdgeId::from_idx(slot)) {
-                let p = part[e.idx()];
-                assert!((p as usize) < nparts, "element {e} has part {p} ≥ {nparts}");
-                if !parts[first..].contains(&p) {
-                    parts.push(p);
+            let (lo, hi) = (start[slot], start[slot + 1]);
+            start[slot] = len;
+            let first = len;
+            for i in lo..hi {
+                let p = parts[i];
+                if !parts[first..len].contains(&p) {
+                    parts[len] = p;
+                    len += 1;
                 }
             }
-            let touching = &mut parts[first..];
-            touching.sort_unstable();
-            if touching.len() > 1 {
-                for &p in touching.iter() {
+            parts[first..len].sort_unstable();
+            if len - first > 1 {
+                for &p in &parts[first..len] {
                     shared_per_part[p as usize] += 1;
                 }
             }
-            start.push(parts.len());
         }
+        start[slots] = len;
+        parts.truncate(len);
         // `parts` runs in edge order, so counting each part's entries as
         // they come numbers its edges ascending by id.
         let mut edges_per_part = vec![0u32; nparts];

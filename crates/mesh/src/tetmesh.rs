@@ -1,11 +1,17 @@
 //! Edge-based tetrahedral mesh.
 //!
 //! Following 3D_TAG, elements are defined by their six edges as well as their
-//! four vertices; every vertex keeps the list of edges incident on it and
-//! every edge keeps the list of elements sharing it. These lists are what
-//! make marking propagation and subdivision local operations ("these lists
-//! eliminate extensive searches and are crucial to the efficiency of the
-//! overall adaption scheme").
+//! four vertices, so marking propagation and subdivision are local
+//! operations: an element reaches its edges, and an edge its endpoints,
+//! without a search. 3D_TAG also keeps the reverse lists, vertex → edges and
+//! edge → elements. Here they are kept as degrees only: how many live edges
+//! touch a vertex and how many live elements share an edge. Refinement and
+//! coarsening only ask whether a list is empty (is the entity orphaned?), and
+//! nothing walks one, so a per-entity heap list would cost an allocation and
+//! a search per update for a count. Where a consumer does need an edge's
+//! elements — the shared-processor lists (`EdgeParts::build`, `shared.rs`)
+//! and the refinement threshold search — [`TetMesh::edge_rows`] derives
+//! them in one counting pass over the elements' edges.
 
 use crate::ids::{EdgeId, ElemId, VertId};
 use crate::pairmap::PairMap;
@@ -31,16 +37,16 @@ pub const LOCAL_FACE_EDGES: [[usize; 3]; 4] = [
 #[derive(Debug, Clone)]
 struct Vertex {
     pos: [f64; 3],
-    /// Edges incident on this vertex. Empty ⇒ slot is dead.
-    edges: Vec<EdgeId>,
+    /// Number of live edges incident on this vertex.
+    degree: u32,
     alive: bool,
 }
 
 #[derive(Debug, Clone)]
 struct Edge {
     v: [VertId; 2],
-    /// Elements sharing this edge.
-    elems: Vec<ElemId>,
+    /// Number of live elements sharing this edge.
+    degree: u32,
     alive: bool,
 }
 
@@ -60,7 +66,8 @@ pub struct MeshCounts {
     pub edges: usize,
 }
 
-/// A mutable tetrahedral mesh with full vertex/edge/element incidence.
+/// A mutable tetrahedral mesh: element → edge → vertex incidence, with
+/// vertex and edge degrees.
 #[derive(Debug, Clone)]
 pub struct TetMesh {
     verts: Vec<Vertex>,
@@ -208,10 +215,10 @@ impl TetMesh {
         self.verts[v.idx()].pos = pos;
     }
 
-    /// Edges incident on a vertex.
+    /// Number of live edges incident on a vertex (0 for a dead slot).
     #[inline]
-    pub fn vert_edges(&self, v: VertId) -> &[EdgeId] {
-        &self.verts[v.idx()].edges
+    pub fn vert_degree(&self, v: VertId) -> u32 {
+        self.verts[v.idx()].degree
     }
 
     /// The two endpoints of an edge.
@@ -221,10 +228,10 @@ impl TetMesh {
         self.edges[e.idx()].v
     }
 
-    /// Elements sharing an edge.
+    /// Number of live elements sharing an edge (0 for a dead slot).
     #[inline]
-    pub fn edge_elems(&self, e: EdgeId) -> &[ElemId] {
-        &self.edges[e.idx()].elems
+    pub fn edge_degree(&self, e: EdgeId) -> u32 {
+        self.edges[e.idx()].degree
     }
 
     /// The four vertices of an element.
@@ -280,12 +287,12 @@ impl TetMesh {
             let v = &mut self.verts[slot as usize];
             v.pos = pos;
             v.alive = true;
-            debug_assert!(v.edges.is_empty());
+            debug_assert_eq!(v.degree, 0);
             VertId(slot)
         } else {
             self.verts.push(Vertex {
                 pos,
-                edges: Vec::new(),
+                degree: 0,
                 alive: true,
             });
             VertId::from_idx(self.verts.len() - 1)
@@ -303,25 +310,25 @@ impl TetMesh {
             let e = &mut self.edges[slot as usize];
             e.v = [a, b];
             e.alive = true;
-            debug_assert!(e.elems.is_empty());
+            debug_assert_eq!(e.degree, 0);
             EdgeId(slot)
         } else {
             self.edges.push(Edge {
                 v: [a, b],
-                elems: Vec::new(),
+                degree: 0,
                 alive: true,
             });
             EdgeId::from_idx(self.edges.len() - 1)
         };
         self.n_edges += 1;
         self.edge_lookup.insert(key, id.0);
-        self.verts[a.idx()].edges.push(id);
-        self.verts[b.idx()].edges.push(id);
+        self.verts[a.idx()].degree += 1;
+        self.verts[b.idx()].degree += 1;
         id
     }
 
     /// Add a tetrahedral element on four vertices, creating any missing
-    /// edges and updating all incidence lists.
+    /// edges and counting it in the degree of each of its six edges.
     pub fn add_elem(&mut self, verts: [VertId; 4]) -> ElemId {
         debug_assert!(
             verts.iter().all(|&v| self.verts[v.idx()].alive),
@@ -347,7 +354,7 @@ impl TetMesh {
         };
         self.n_elems += 1;
         for &e in &edges {
-            self.edges[e.idx()].elems.push(id);
+            self.edges[e.idx()].degree += 1;
         }
         id
     }
@@ -362,12 +369,7 @@ impl TetMesh {
             e.edges
         };
         for &eid in &edges {
-            let list = &mut self.edges[eid.idx()].elems;
-            let pos = list
-                .iter()
-                .position(|&x| x == id)
-                .expect("incidence broken");
-            list.swap_remove(pos);
+            self.edges[eid.idx()].degree -= 1;
         }
         self.n_elems -= 1;
         self.free_elems.push(id.0);
@@ -378,21 +380,15 @@ impl TetMesh {
         let e = &mut self.edges[id.idx()];
         assert!(e.alive, "double remove of {id}");
         assert!(
-            e.elems.is_empty(),
+            e.degree == 0,
             "cannot remove {id}: still used by {} elements",
-            e.elems.len()
+            e.degree
         );
         e.alive = false;
         let [a, b] = e.v;
         self.edge_lookup.remove(PairMap::pair_key(a.0, b.0));
-        for v in [a, b] {
-            let list = &mut self.verts[v.idx()].edges;
-            let pos = list
-                .iter()
-                .position(|&x| x == id)
-                .expect("incidence broken");
-            list.swap_remove(pos);
-        }
+        self.verts[a.idx()].degree -= 1;
+        self.verts[b.idx()].degree -= 1;
         self.n_edges -= 1;
         self.free_edges.push(id.0);
     }
@@ -402,9 +398,9 @@ impl TetMesh {
         let v = &mut self.verts[id.idx()];
         assert!(v.alive, "double remove of {id}");
         assert!(
-            v.edges.is_empty(),
+            v.degree == 0,
             "cannot remove {id}: still used by {} edges",
-            v.edges.len()
+            v.degree
         );
         v.alive = false;
         self.n_verts -= 1;
@@ -414,6 +410,35 @@ impl TetMesh {
     // ------------------------------------------------------------------
     // derived structure
     // ------------------------------------------------------------------
+
+    /// Every edge slot's live elements as one CSR, each element stored as
+    /// `value(element)`: slot `e`'s row is `rows[start[e]..start[e + 1]]`,
+    /// ascending by element slot, and a dead slot's row is empty. Rows are
+    /// sized by the edge degrees and filled in one pass over the elements'
+    /// six edges, calling `value` once per element; `blank` only fills the
+    /// array before that pass.
+    pub fn edge_rows<T: Copy>(
+        &self,
+        blank: T,
+        mut value: impl FnMut(ElemId) -> T,
+    ) -> (Vec<usize>, Vec<T>) {
+        let slots = self.edges.len();
+        let mut start = Vec::with_capacity(slots + 1);
+        start.push(0);
+        for (slot, edge) in self.edges.iter().enumerate() {
+            start.push(start[slot] + edge.degree as usize);
+        }
+        let mut next = start[..slots].to_vec();
+        let mut rows = vec![blank; start[slots]];
+        for id in self.elems() {
+            let v = value(id);
+            for edge in self.elems[id.idx()].edges {
+                rows[next[edge.idx()]] = v;
+                next[edge.idx()] += 1;
+            }
+        }
+        (start, rows)
+    }
 
     /// All boundary faces: triangles belonging to exactly one element.
     /// Each is returned as `(sorted vertex triple, owning element)`.
@@ -442,7 +467,12 @@ impl TetMesh {
 
     /// Exhaustive consistency check of all incidence structure. Panics with a
     /// description on the first violation. Intended for tests and debug runs.
+    ///
+    /// Every degree is recomputed from the live elements and edges and held
+    /// to the maintained one, dead slots (degree 0) included.
     pub fn validate(&self) {
+        let mut edge_degree = vec![0u32; self.edges.len()];
+        let mut vert_degree = vec![0u32; self.verts.len()];
         // Element ↔ edge ↔ vertex consistency.
         for id in self.elems() {
             let el = &self.elems[id.idx()];
@@ -460,10 +490,7 @@ impl TetMesh {
                 let mut got = self.edges[e.idx()].v;
                 got.sort_unstable();
                 assert_eq!(got, want, "{id} local edge {k} endpoints mismatch");
-                assert!(
-                    self.edges[e.idx()].elems.contains(&id),
-                    "{e} missing back-reference to {id}"
-                );
+                edge_degree[e.idx()] += 1;
             }
         }
         // Edge side.
@@ -472,17 +499,7 @@ impl TetMesh {
             assert_ne!(ed.v[0], ed.v[1], "{id} degenerate");
             for &v in &ed.v {
                 assert!(self.verts[v.idx()].alive, "{id} on dead {v}");
-                assert!(
-                    self.verts[v.idx()].edges.contains(&id),
-                    "{v} missing back-reference to {id}"
-                );
-            }
-            for &el in &ed.elems {
-                assert!(self.elems[el.idx()].alive, "{id} lists dead {el}");
-                assert!(
-                    self.elems[el.idx()].edges.contains(&id),
-                    "{el} does not list {id}"
-                );
+                vert_degree[v.idx()] += 1;
             }
             assert_eq!(
                 self.edge_lookup
@@ -491,15 +508,26 @@ impl TetMesh {
                 "lookup table misses {id}"
             );
         }
-        // Vertex side.
-        for id in self.verts() {
-            for &e in &self.verts[id.idx()].edges {
-                assert!(self.edges[e.idx()].alive, "{id} lists dead {e}");
-                assert!(
-                    self.edges[e.idx()].v.contains(&id),
-                    "{e} does not contain {id}"
-                );
-            }
+        // Degrees, recounted.
+        for (i, ed) in self.edges.iter().enumerate() {
+            assert_eq!(
+                ed.degree,
+                edge_degree[i],
+                "{} has degree {} but {} elements use it",
+                EdgeId::from_idx(i),
+                ed.degree,
+                edge_degree[i]
+            );
+        }
+        for (i, v) in self.verts.iter().enumerate() {
+            assert_eq!(
+                v.degree,
+                vert_degree[i],
+                "{} has degree {} but {} edges touch it",
+                VertId::from_idx(i),
+                v.degree,
+                vert_degree[i]
+            );
         }
         // Count bookkeeping.
         assert_eq!(self.n_elems, self.elems.iter().filter(|e| e.alive).count());
@@ -556,9 +584,9 @@ mod tests {
 
     #[test]
     fn two_tets_share_a_face() {
-        let (mut m, v, _) = single_tet();
+        let (mut m, v, e0) = single_tet();
         let v4 = m.add_vertex([1.0, 1.0, 1.0]);
-        m.add_elem([v[1], v[2], v[3], v4]);
+        let e1 = m.add_elem([v[1], v[2], v[3], v4]);
         let c = m.counts();
         assert_eq!(c.vertices, 5);
         assert_eq!(c.elements, 2);
@@ -566,9 +594,16 @@ mod tests {
         assert_eq!(c.edges, 9);
         assert_eq!(m.boundary_faces().len(), 6);
         m.validate();
-        // The shared edges list both elements.
+        // The shared edges count both elements.
         let shared = m.edge_between(v[1], v[2]).unwrap();
-        assert_eq!(m.edge_elems(shared).len(), 2);
+        assert_eq!(m.edge_degree(shared), 2);
+        // The derived rows hold each edge's elements, as many as its degree.
+        let (start, elems) = m.edge_rows(e0, |e| e);
+        let row = |e: EdgeId| &elems[start[e.idx()]..start[e.idx() + 1]];
+        assert_eq!(row(shared), [e0, e1]);
+        assert_eq!(row(m.edge_between(v[0], v[1]).unwrap()), [e0]);
+        assert_eq!(row(m.edge_between(v[1], v4).unwrap()), [e1]);
+        assert!(m.edges().all(|e| row(e).len() == m.edge_degree(e) as usize));
     }
 
     #[test]
@@ -579,7 +614,7 @@ mod tests {
         for k in 0..6 {
             let (i, j) = LOCAL_EDGE_VERTS[k];
             let eid = m.edge_between(v[i], v[j]).unwrap();
-            assert!(m.edge_elems(eid).is_empty());
+            assert_eq!(m.edge_degree(eid), 0);
             m.remove_edge(eid);
         }
         for &vid in &v {
@@ -600,11 +635,85 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "still used")]
+    #[should_panic(expected = "still used by 1 elements")]
     fn cannot_remove_live_edge() {
         let (mut m, v, _) = single_tet();
         let e = m.edge_between(v[0], v[1]).unwrap();
         m.remove_edge(e);
+    }
+
+    #[test]
+    #[should_panic(expected = "still used by 3 edges")]
+    fn cannot_remove_live_vertex() {
+        let (mut m, v, e) = single_tet();
+        m.remove_elem(e);
+        m.remove_vertex(v[0]);
+    }
+
+    #[test]
+    fn degrees_follow_add_remove_and_slot_reuse() {
+        let (mut m, v, e) = single_tet();
+        let v4 = m.add_vertex([1.0, 1.0, 1.0]);
+        assert_eq!(m.vert_degree(v4), 0, "a new vertex touches no edge");
+        let e2 = m.add_elem([v[1], v[2], v[3], v4]);
+        let degrees = |m: &TetMesh| {
+            let verts: Vec<u32> = m.verts().map(|x| m.vert_degree(x)).collect();
+            let edges: Vec<u32> = m.edges().map(|x| m.edge_degree(x)).collect();
+            (verts, edges)
+        };
+        // v1..v3 each lie on the shared face's two edges plus one edge to
+        // each apex; the face's three edges carry both elements.
+        assert_eq!(degrees(&m).0, [3, 4, 4, 4, 3]);
+        let face = |m: &TetMesh| {
+            [(1, 2), (1, 3), (2, 3)]
+                .map(|(i, j)| m.edge_degree(m.edge_between(v[i], v[j]).unwrap()))
+        };
+        assert_eq!(face(&m), [2, 2, 2]);
+        m.validate();
+
+        // Removing the second element leaves its three private edges
+        // orphaned; removing them releases the fifth vertex.
+        m.remove_elem(e2);
+        assert_eq!(face(&m), [1, 1, 1]);
+        let private: Vec<EdgeId> = m.edges().filter(|&x| m.edge_degree(x) == 0).collect();
+        assert_eq!(private.len(), 3);
+        for x in private {
+            m.remove_edge(x);
+        }
+        assert_eq!(m.vert_degree(v4), 0);
+        assert_eq!(degrees(&m), (vec![3, 3, 3, 3, 0], vec![1; 6]));
+        m.remove_vertex(v4);
+        m.validate();
+
+        // Freed slots come back with fresh degrees. The first element's
+        // edges stay live at degree 0 until removed.
+        m.remove_elem(e);
+        assert_eq!(degrees(&m).1, [0; 6]);
+        let v5 = m.add_vertex([1.0, 1.0, 1.0]);
+        assert_eq!(v5, v4, "the vertex slot is reused");
+        assert_eq!(m.vert_degree(v5), 0);
+        let e3 = m.add_elem([v[1], v[2], v[3], v5]);
+        assert_eq!(e3, e, "the element slot is reused");
+        assert_eq!(face(&m), [1, 1, 1]);
+        assert_eq!(degrees(&m).0, [3, 4, 4, 4, 3]);
+        m.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "has degree 2 but 1 elements use it")]
+    fn validate_catches_a_corrupted_edge_degree() {
+        let (mut m, v, _) = single_tet();
+        let e = m.edge_between(v[0], v[1]).unwrap();
+        m.edges[e.idx()].degree += 1;
+        m.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "has degree 2 but 3 edges touch it")]
+    fn validate_catches_a_corrupted_vertex_degree() {
+        let (mut m, v, _) = single_tet();
+        m.verts[v[2].idx()].degree -= 1;
+        m.validate();
     }
 
     #[test]

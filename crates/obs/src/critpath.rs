@@ -282,7 +282,7 @@ pub fn critical_path(log: &TraceLog) -> CriticalPath {
     path.end = best_end;
 
     // Matched message edges, addressable by the receive they end at.
-    let edges: HashMap<(usize, Pos), MessageEdge> = log
+    let edges: HashMap<(usize, Pos), MessageEdge<'_>> = log
         .message_edges()
         .into_iter()
         .map(|e| {
@@ -424,8 +424,8 @@ pub fn phase_critical_path(log: &TraceLog, name: &str) -> CriticalPath {
 /// The `k` message edges with the largest receiver wait, heaviest first.
 /// Deterministic tie-breaking by completion time, then source, then
 /// destination.
-pub fn heaviest_edges(log: &TraceLog, k: usize) -> Vec<MessageEdge> {
-    let mut edges: Vec<MessageEdge> = log
+pub fn heaviest_edges(log: &TraceLog, k: usize) -> Vec<MessageEdge<'_>> {
+    let mut edges: Vec<MessageEdge<'_>> = log
         .message_edges()
         .into_iter()
         .filter(|e| e.wait > 0.0)
@@ -442,7 +442,7 @@ pub fn heaviest_edges(log: &TraceLog, k: usize) -> Vec<MessageEdge> {
 }
 
 /// Text report of [`heaviest_edges`].
-pub fn render_heaviest_edges(edges: &[MessageEdge]) -> String {
+pub fn render_heaviest_edges(edges: &[MessageEdge<'_>]) -> String {
     let mut out = String::from("heaviest message waits:\n");
     if edges.is_empty() {
         out.push_str("  (none — no receive waited)\n");

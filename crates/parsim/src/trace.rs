@@ -866,7 +866,7 @@ pub const OUTSIDE_PHASE: &str = "-";
 /// pairing (a collective's schedule message never overtakes undelivered
 /// mail on its channel).
 #[derive(Debug, Clone, PartialEq)]
-pub struct MessageEdge {
+pub struct MessageEdge<'a> {
     pub src: usize,
     pub dst: usize,
     /// What carried the message.
@@ -886,8 +886,9 @@ pub struct MessageEdge {
     /// Receiver idle time paid on this edge (`Recv::wait`, or the receive
     /// hop's span).
     pub wait: f64,
-    /// Phase the receive is attributed to on the receiver.
-    pub phase: String,
+    /// Phase the receive is attributed to on the receiver (a name in the
+    /// log, borrowed: building an edge allocates nothing).
+    pub phase: &'a str,
 }
 
 /// What carried a [`MessageEdge`].
@@ -1174,7 +1175,7 @@ impl TraceLog {
     /// the resulting happens-before edges, grouped by receiver rank in
     /// stream order (deterministic). Unmatched sends or receives (a
     /// protocol violation) produce no edge.
-    pub fn message_edges(&self) -> Vec<MessageEdge> {
+    pub fn message_edges(&self) -> Vec<MessageEdge<'_>> {
         use std::collections::VecDeque;
         // Per (src, dst, is a hop) channel: queued sends in send order.
         struct PendingSend {
@@ -1244,7 +1245,7 @@ impl TraceLog {
                         recv_posted: posted,
                         recv_completed: completed,
                         wait,
-                        phase: v.name.to_string(),
+                        phase: v.name,
                     });
                 };
             match *v.ev {
@@ -1634,7 +1635,8 @@ mod tests {
                 }
             });
         });
-        let edges = TraceLog::from_results(&mut results).message_edges();
+        let log = TraceLog::from_results(&mut results);
+        let edges = log.message_edges();
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].phase, "exchange");
         assert_eq!((edges[0].src, edges[0].dst), (0, 1));
