@@ -8,8 +8,6 @@
 //! parents have their patterns adjusted and are re-subdivided by invoking
 //! the refinement procedure.
 
-use std::collections::HashSet;
-
 use plum_mesh::{PairMap, VertId, VertexField};
 
 use crate::adaptive::{AdaptiveMesh, EdgeMarks, RefineStats};
@@ -42,17 +40,14 @@ impl AdaptiveMesh {
     ) -> CoarsenStats {
         let mut stats = CoarsenStats::default();
 
-        // Snapshot the marked edges as vertex pairs: edge slots get recycled
-        // during this pass, so slot-indexed marks would go stale.
-        let marked_pairs: HashSet<u64> = coarse_marks
-            .iter()
-            .filter(|&e| self.mesh.edge_alive(e))
-            .map(|e| {
-                let [a, b] = self.mesh.edge_verts(e);
-                PairMap::pair_key(a.0, b.0)
-            })
-            .collect();
-        if marked_pairs.is_empty() {
+        // The marked edges live at entry. Phase 1 frees no edge slot, so a
+        // marked slot keeps its edge throughout, and a slot that a
+        // reinstated parent's new edge takes was dead at entry: unmarked.
+        let mut marked = EdgeMarks::new(&self.mesh);
+        for e in coarse_marks.iter().filter(|&e| self.mesh.edge_alive(e)) {
+            marked.mark(e);
+        }
+        if marked.count() == 0 {
             return stats;
         }
 
@@ -61,14 +56,14 @@ impl AdaptiveMesh {
             let candidates: Vec<NodeId> = self
                 .forest
                 .iter()
-                .filter(|&id| self.family_is_coarsenable(id, &marked_pairs))
+                .filter(|&id| self.family_is_coarsenable(id, &marked))
                 .collect();
             if candidates.is_empty() {
                 break;
             }
             for node in candidates {
                 // A cascade in this round may have altered the family; recheck.
-                if self.family_is_coarsenable(node, &marked_pairs) {
+                if self.family_is_coarsenable(node, &marked) {
                     self.delete_family(node, &mut stats);
                 }
             }
@@ -116,7 +111,7 @@ impl AdaptiveMesh {
     /// deeper refinement coarsens first) and any child element carries a
     /// marked edge. Roots themselves are never deleted, so the initial mesh
     /// is the coarsening floor.
-    fn family_is_coarsenable(&self, id: NodeId, marked_pairs: &HashSet<u64>) -> bool {
+    fn family_is_coarsenable(&self, id: NodeId, marked: &EdgeMarks) -> bool {
         let n = self.forest.node(id);
         if n.children.is_empty() {
             return false;
@@ -126,10 +121,10 @@ impl AdaptiveMesh {
         }
         n.children.iter().any(|&c| {
             let elem = self.forest.node(c).mesh_elem.expect("leaf without element");
-            self.mesh.elem_edges(elem).iter().any(|&e| {
-                let [a, b] = self.mesh.edge_verts(e);
-                marked_pairs.contains(&PairMap::pair_key(a.0, b.0))
-            })
+            self.mesh
+                .elem_edges(elem)
+                .iter()
+                .any(|&e| marked.is_marked(e))
         })
     }
 

@@ -1,7 +1,8 @@
 //! Criterion benchmarks of the algorithm kernels underlying each
 //! experiment: the multilevel partitioner and diffusive repartitioner
 //! (Fig. 6), the reassignment layer (Table 2 and the weak-scaling shape),
-//! marking propagation and subdivision (Fig. 4 / Table 1), the migration
+//! marking propagation and subdivision (Fig. 4 / Table 1), one solver sweep
+//! on the refined paper-scale mesh, the migration
 //! codec (Fig. 5), the simulator's own layers (session step, large-payload
 //! and sparse-row collectives, store-and-forward beside direct bulk
 //! exchange), one whole multilevel repartition at the `multilevel_p256`
@@ -26,7 +27,7 @@ use plum_partition::{
 };
 use plum_reassign::{greedy_mwbg, optimal_bmcm, optimal_mwbg, remap_stats, SimilarityMatrix};
 use plum_remap::{Packer, Unpacker};
-use plum_solver::WaveField;
+use plum_solver::{solve, SolverConfig, WaveField};
 
 fn dual_graph_of(scale: Scale) -> (DualGraph, Graph<'static>) {
     let mesh = initial_mesh(scale);
@@ -159,6 +160,29 @@ fn bench_adaption(c: &mut Criterion) {
     println!(
         "  adaption/refine_only: median {:?}",
         samples[samples.len() / 2]
+    );
+
+    // One solve on that refined mesh (the solver phase of a `paper_p64`
+    // cycle after its first refinement), median of 5: the field's clone
+    // stays outside the timer.
+    let (mut am, mut field) = (p.am.clone(), p.field.clone());
+    am.refine(&p.marks, std::slice::from_mut(&mut field));
+    let wave = WaveField::unit_box();
+    let mut samples: Vec<Duration> = (0..5)
+        .map(|_| {
+            let mut f = field.clone();
+            let start = Instant::now();
+            solve(&am.mesh, &mut f, &wave, 0.3, &SolverConfig::default());
+            let elapsed = start.elapsed();
+            black_box(&f);
+            elapsed
+        })
+        .collect();
+    samples.sort();
+    println!(
+        "  solver/solve: median {:?} ({} edges)",
+        samples[samples.len() / 2],
+        am.mesh.n_edges()
     );
 }
 

@@ -387,8 +387,8 @@ pub fn coarse_marks(am: &AdaptiveMesh, error: &[f64], frac: f64) -> EdgeMarks {
     if k == 0 {
         return marks;
     }
-    vals.sort_unstable_by(f64::total_cmp);
-    let th = vals[(k - 1).min(n - 1)];
+    // The k-th smallest error: the value a total-order sort puts at k - 1.
+    let th = *vals.select_nth_unstable_by(k - 1, f64::total_cmp).1;
     for e in am.mesh.edges() {
         if error.get(e.idx()).copied().unwrap_or(0.0) <= th {
             marks.mark(e);

@@ -72,6 +72,17 @@ impl VertexField {
         self.get(v)[comp]
     }
 
+    /// The components of vertex slots `0..verts` and any slots after them
+    /// already backed, as one slice: slot `v`'s are
+    /// `[v * ncomp, (v + 1) * ncomp)`. Slots not yet backed are backed with
+    /// zeros, the value [`VertexField::get`] reads for them.
+    pub fn slots_mut(&mut self, verts: usize) -> &mut [f64] {
+        if verts > 0 {
+            self.ensure(VertId::from_idx(verts - 1));
+        }
+        &mut self.data
+    }
+
     /// Linear interpolation: write the average of the values at `a` and `b`
     /// into `mid` (the bisection rule from the paper).
     pub fn interpolate_midpoint(&mut self, mid: VertId, a: VertId, b: VertId) {

@@ -1,8 +1,9 @@
 //! # plum-mesh — edge-based tetrahedral meshes
 //!
 //! The mesh substrate for the PLUM reproduction: an edge-based tetrahedral
-//! mesh in the style of 3D_TAG (elements are defined by their six edges;
-//! vertices know their incident edges; edges know their sharing elements),
+//! mesh in the style of 3D_TAG (elements are defined by their six edges and
+//! four vertices; vertices and edges keep their degrees, and a vertex pair
+//! finds its edge in a table bucketed by the pair's higher vertex),
 //! synthetic initial-mesh generators standing in for the paper's rotor grid,
 //! the dual graph of the initial mesh with the paper's two weight systems
 //! (`wcomp`/`wremap`), geometric utilities, and submesh extraction with
@@ -18,6 +19,7 @@
 //! ```
 
 mod dual;
+mod edge_table;
 mod field;
 pub mod generate;
 pub mod geometry;

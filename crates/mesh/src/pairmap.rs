@@ -1,9 +1,16 @@
 //! A small open-addressing hash map from `u64` keys to `u32` values.
 //!
-//! Used on the hot paths that look up an edge by its (normalized) vertex pair
-//! and a face by its vertex triple. The standard library map with SipHash is
-//! measurably slower for these dense integer keys, and pulling in an external
-//! hasher crate is avoided; this is ~100 lines and fully tested instead.
+//! It keys a normalized vertex pair, and serves two maps. The adaptor's
+//! `bisect_mid` (a bisected pair → its midpoint vertex) is one: it holds
+//! only the live bisections, a small fraction of the pairs, so a
+//! per-vertex bucketed table like the mesh's edge lookup would pay a bucket
+//! per vertex slot for it (a trial read +1.7 % / +5.8 % peak RSS on
+//! `paper_p64` / `cascade_p64` for −8.7 % / +0.6 % cycle time). The other is
+//! that edge table's overflow, the pairs whose bucket is full. (Faces are
+//! looked up in a `std` `HashMap` of vertex triples.) The standard library
+//! map with SipHash is measurably slower for these dense integer keys, and
+//! pulling in an external hasher crate is avoided; this is ~100 lines and
+//! fully tested instead.
 
 const EMPTY: u64 = u64::MAX;
 

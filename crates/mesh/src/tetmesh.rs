@@ -12,9 +12,14 @@
 //! elements — the shared-processor lists (`EdgeParts::build`, `shared.rs`)
 //! and the refinement threshold search — [`TetMesh::edge_rows`] derives
 //! them in one counting pass over the elements' edges.
+//!
+//! An edge is found from its two vertices in a table bucketed by the higher
+//! vertex (`edge_table.rs`): refinement's child edges mostly end at a fresh
+//! midpoint, so their lookups read one bucket instead of missing all over a
+//! hashed table.
 
+use crate::edge_table::EdgeTable;
 use crate::ids::{EdgeId, ElemId, VertId};
-use crate::pairmap::PairMap;
 
 /// Local edge `k` of an element connects local vertices
 /// `LOCAL_EDGE_VERTS[k]`. The ordering is canonical so a 6-bit edge-marking
@@ -73,8 +78,8 @@ pub struct TetMesh {
     verts: Vec<Vertex>,
     edges: Vec<Edge>,
     elems: Vec<Elem>,
-    /// Normalized vertex pair → edge id.
-    edge_lookup: PairMap,
+    /// Vertex pair → edge id, bucketed by the higher vertex.
+    edge_lookup: EdgeTable,
     n_verts: usize,
     n_edges: usize,
     n_elems: usize,
@@ -101,7 +106,7 @@ impl TetMesh {
             verts: Vec::with_capacity(verts),
             edges: Vec::with_capacity(edges),
             elems: Vec::with_capacity(elems),
-            edge_lookup: PairMap::with_capacity(edges),
+            edge_lookup: EdgeTable::with_capacity(verts),
             n_verts: 0,
             n_edges: 0,
             n_elems: 0,
@@ -250,9 +255,7 @@ impl TetMesh {
 
     /// The edge between two vertices, if it exists.
     pub fn edge_between(&self, a: VertId, b: VertId) -> Option<EdgeId> {
-        self.edge_lookup
-            .get(PairMap::pair_key(a.0, b.0))
-            .map(EdgeId)
+        self.edge_lookup.get(a.0, b.0).map(EdgeId)
     }
 
     /// Midpoint of an edge.
@@ -302,8 +305,7 @@ impl TetMesh {
     /// Find the edge `(a, b)`, creating it if necessary.
     pub fn find_or_add_edge(&mut self, a: VertId, b: VertId) -> EdgeId {
         assert_ne!(a, b, "degenerate edge");
-        let key = PairMap::pair_key(a.0, b.0);
-        if let Some(e) = self.edge_lookup.get(key) {
+        if let Some(e) = self.edge_lookup.get(a.0, b.0) {
             return EdgeId(e);
         }
         let id = if let Some(slot) = self.free_edges.pop() {
@@ -321,7 +323,7 @@ impl TetMesh {
             EdgeId::from_idx(self.edges.len() - 1)
         };
         self.n_edges += 1;
-        self.edge_lookup.insert(key, id.0);
+        self.edge_lookup.insert(a.0, b.0, id.0);
         self.verts[a.idx()].degree += 1;
         self.verts[b.idx()].degree += 1;
         id
@@ -386,7 +388,7 @@ impl TetMesh {
         );
         e.alive = false;
         let [a, b] = e.v;
-        self.edge_lookup.remove(PairMap::pair_key(a.0, b.0));
+        self.edge_lookup.remove(a.0, b.0);
         self.verts[a.idx()].degree -= 1;
         self.verts[b.idx()].degree -= 1;
         self.n_edges -= 1;
@@ -502,8 +504,7 @@ impl TetMesh {
                 vert_degree[v.idx()] += 1;
             }
             assert_eq!(
-                self.edge_lookup
-                    .get(PairMap::pair_key(ed.v[0].0, ed.v[1].0)),
+                self.edge_lookup.get(ed.v[0].0, ed.v[1].0),
                 Some(id.0),
                 "lookup table misses {id}"
             );
@@ -534,6 +535,7 @@ impl TetMesh {
         assert_eq!(self.n_edges, self.edges.iter().filter(|e| e.alive).count());
         assert_eq!(self.n_verts, self.verts.iter().filter(|v| v.alive).count());
         assert_eq!(self.edge_lookup.len(), self.n_edges);
+        self.edge_lookup.validate(|v| self.verts[v].alive);
     }
 }
 
@@ -713,6 +715,55 @@ mod tests {
     fn validate_catches_a_corrupted_vertex_degree() {
         let (mut m, v, _) = single_tet();
         m.verts[v[2].idx()].degree -= 1;
+        m.validate();
+    }
+
+    #[test]
+    fn a_hub_with_more_than_a_bucket_of_lower_neighbours_spills() {
+        // A fan of 20 tets around the z axis: the hub, added last, is the
+        // higher endpoint of 21 edges (20 rim vertices and the apex), which
+        // is more than one bucket holds.
+        let mut m = TetMesh::new();
+        let rim: Vec<VertId> = (0..20)
+            .map(|i| {
+                let a = i as f64 * std::f64::consts::TAU / 20.0;
+                m.add_vertex([a.cos(), a.sin(), 0.0])
+            })
+            .collect();
+        let apex = m.add_vertex([0.0, 0.0, 1.0]);
+        let hub = m.add_vertex([0.0, 0.0, 0.0]);
+        let fan: Vec<ElemId> = (0..20)
+            .map(|i| m.add_elem([rim[i], rim[(i + 1) % 20], apex, hub]))
+            .collect();
+        assert_eq!(m.vert_degree(hub), 21);
+        assert!(m.edge_lookup.spills() > 0, "the hub's bucket must spill");
+        m.validate();
+
+        // Removing one tet and its orphaned rim edge, then the hub's spokes
+        // to two rim vertices, frees entries in front of the spilled ones:
+        // every remaining spoke is still found.
+        m.remove_elem(fan[0]);
+        m.remove_elem(fan[1]);
+        for x in m.edges().collect::<Vec<_>>() {
+            if m.edge_degree(x) == 0 {
+                m.remove_edge(x);
+            }
+        }
+        m.remove_vertex(rim[1]);
+        m.validate();
+        for (i, &r) in rim.iter().enumerate() {
+            assert_eq!(m.edge_between(hub, r).is_some(), i != 1, "spoke to rim {i}");
+        }
+
+        // Taking the fan apart leaves no entry and no spill behind.
+        for &e in &fan[2..] {
+            m.remove_elem(e);
+        }
+        for x in m.edges().collect::<Vec<_>>() {
+            m.remove_edge(x);
+        }
+        assert_eq!(m.edge_lookup.len(), 0);
+        assert_eq!(m.edge_lookup.spills(), 0);
         m.validate();
     }
 

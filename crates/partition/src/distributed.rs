@@ -821,13 +821,20 @@ fn refine_distributed(
             |c| commit_words(c, nparts),
             |a, b| merge_rows(&a, &b, |x, _| Some(Arc::clone(x))),
         );
-        // The previous stage's reduction, folded in rank order: how many
-        // moves were committed anywhere (the loop's exit test) and what they
-        // did to the part weights.
+        // The previous stage's reduction: how many moves were committed
+        // anywhere (the loop's exit test) and what they did to the part
+        // weights, summed into one dense row whose non-zero entries are the
+        // change. The row is dropped here, before the stage's scan suspends
+        // every rank.
         let all_moves: u64 = commits.iter().map(|(_, c)| c.0).sum();
-        let all_delta = commits
-            .iter()
-            .fold(Vec::new(), |acc, (_, c)| merge_delta(&acc, &c.1));
+        let all_delta = {
+            let mut sum = vec![0i64; nparts];
+            for (q, d) in commits.iter().flat_map(|(_, c)| &c.1) {
+                let q = *q as usize;
+                sum[q] = sum[q].checked_add(*d).expect("weight delta overflows i64");
+            }
+            nonzeros(&sum)
+        };
         // A part the fold takes over its ceiling took a spill: no other
         // move crosses a ceiling (stage 0 folds the coarser level's moves).
         spilled |= stage > 0
@@ -1163,17 +1170,6 @@ fn merge_rows<V: Clone>(
 /// part): the `op` of the demand [`Comm::exscan`].
 pub fn merge_add(a: &[(u32, u64)], b: &[(u32, u64)]) -> Vec<(u32, u64)> {
     merge_rows(a, b, |x, y| Some(x.saturating_add(*y)))
-}
-
-/// Sum of two sparse signed weight-change rows (`(part, Δ)` ascending by
-/// part, no zero entries): folds a stage's commits. A part whose changes
-/// cancel leaves the row — a stored zero would make the sum depend on how it
-/// was associated.
-pub(crate) fn merge_delta(a: &[(u32, i64)], b: &[(u32, i64)]) -> Vec<(u32, i64)> {
-    merge_rows(a, b, |x, y| {
-        let sum = x.checked_add(*y).expect("weight delta overflows i64");
-        (sum != 0).then_some(sum)
-    })
 }
 
 /// `w += delta`. A part weight leaving `u64` means the reduced delta does

@@ -11,8 +11,8 @@ use plum_parsim::{spmd, MachineModel};
 
 use crate::balance::{balance, balance_distributed, multilevel, BalanceMethod, Problem, RankLists};
 use crate::distributed::{
-    apply_delta, build_level0, contract_distributed, inflow_quota, inflow_quota_greedy, merge_add,
-    merge_delta, parallel_hem, row_words, DistGraph, FRESH_KEEP,
+    build_level0, contract_distributed, inflow_quota, inflow_quota_greedy, merge_add, parallel_hem,
+    row_words, DistGraph, FRESH_KEEP,
 };
 use crate::graph::Graph;
 use crate::kway::{part_ceilings, partition_kway, PartitionConfig};
@@ -668,42 +668,6 @@ proptest! {
                 "rank {} of {}", r.rank, p
             );
         }
-    }
-
-    /// (h) The per-stage weight-change rows under `merge_delta`:
-    /// associative (the reduction tree groups them by subtree), a part whose
-    /// changes cancel is absent from the sum — never a stored zero — and
-    /// applying the merged row is applying its parts one after another.
-    #[test]
-    fn merge_delta_is_associative_and_cancels_to_an_absent_entry(
-        nparts in 1usize..40,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = crate::rng::Rng::new(seed);
-        let mut row = || -> Vec<(u32, i64)> {
-            // A third of the parts, each changed by a non-zero −9..=9.
-            (0..nparts as u32)
-                .map(|q| (q, rng.below(57) as i64))
-                .filter(|&(_, x)| x < 19 && x != 9)
-                .map(|(q, x)| (q, x - 9))
-                .collect()
-        };
-        let (a, b, c) = (row(), row(), row());
-        let left = merge_delta(&merge_delta(&a, &b), &c);
-        prop_assert_eq!(&left, &merge_delta(&a, &merge_delta(&b, &c)));
-        prop_assert!(left.iter().all(|&(_, d)| d != 0), "stored zero in {:?}", left);
-        prop_assert!(left.windows(2).all(|w| w[0].0 < w[1].0), "not ascending: {:?}", left);
-
-        let undo: Vec<(u32, i64)> = a.iter().map(|&(q, d)| (q, -d)).collect();
-        prop_assert_eq!(merge_delta(&a, &undo), vec![]);
-
-        let mut at_once = vec![1000u64; nparts];
-        apply_delta(&mut at_once, &left);
-        let mut in_turn = vec![1000u64; nparts];
-        for part in [&a, &b, &c] {
-            apply_delta(&mut in_turn, part);
-        }
-        prop_assert_eq!(at_once, in_turn);
     }
 }
 
