@@ -116,7 +116,7 @@ impl AdaptiveMesh {
         let mut forest = Forest::new();
         let mut node_of_elem = vec![u32::MAX; mesh.elem_slots()];
         for (i, e) in mesh.elems().enumerate() {
-            let id = forest.add_root(mesh.elem_verts(e), e, i as u32);
+            let id = forest.add_root(e, i as u32);
             node_of_elem[e.idx()] = id;
         }
         AdaptiveMesh {
@@ -130,7 +130,7 @@ impl AdaptiveMesh {
 
     /// Number of refinement trees (initial elements / dual vertices).
     pub fn n_roots(&self) -> usize {
-        self.forest.roots.len()
+        self.forest.n_roots()
     }
 
     /// Read access to the refinement forest (for migration/packing).
@@ -138,18 +138,27 @@ impl AdaptiveMesh {
         &self.forest
     }
 
+    /// The four vertices of a forest node: a leaf's are its live
+    /// element's, an interior node's were kept when it was subdivided.
+    pub fn node_verts(&self, id: NodeId) -> [VertId; 4] {
+        match self.forest.elem(id) {
+            Some(e) => self.mesh.elem_verts(e),
+            None => self.forest.interior_verts(id),
+        }
+    }
+
     /// Refinement level of a live element (roots are level 0).
     pub fn level_of_elem(&self, e: ElemId) -> u8 {
         let node = self.node_of_elem[e.idx()];
         debug_assert_ne!(node, u32::MAX);
-        self.forest.node(node).level
+        self.forest.level(node)
     }
 
     /// The dual-graph vertex (root index) a live element belongs to.
     pub fn root_of_elem(&self, e: ElemId) -> u32 {
         let node = self.node_of_elem[e.idx()];
         debug_assert_ne!(node, u32::MAX);
-        self.forest.node(node).root
+        self.forest.root(node)
     }
 
     /// Current per-root weights: `(wcomp, wremap)`.
@@ -480,27 +489,33 @@ impl AdaptiveMesh {
     }
 
     /// Validate everything: mesh incidence, forest structure, leaf↔element
-    /// mapping, and conformity (no live edge is also recorded as bisected;
-    /// every bisection record's midpoint is live).
+    /// mapping (a leaf's vertices are its element's), an interior node's
+    /// kept vertices live, and conformity (no live edge is also recorded as
+    /// bisected; every bisection record's midpoint is live).
     pub fn validate(&self) {
         self.mesh.validate();
         self.forest.validate();
         for id in self.forest.iter() {
-            let n = self.forest.node(id);
-            if let Some(e) = n.mesh_elem {
-                assert!(self.mesh.elem_alive(e), "leaf node {id} points at dead {e}");
-                assert_eq!(
-                    self.node_of_elem[e.idx()],
-                    id,
-                    "node_of_elem out of sync at {e}"
-                );
-                assert_eq!(self.mesh.elem_verts(e), n.verts, "vertex mismatch at {e}");
+            match self.forest.elem(id) {
+                Some(e) => {
+                    assert!(self.mesh.elem_alive(e), "leaf node {id} points at dead {e}");
+                    assert_eq!(
+                        self.node_of_elem[e.idx()],
+                        id,
+                        "node_of_elem out of sync at {e}"
+                    );
+                }
+                None => {
+                    for v in self.forest.interior_verts(id) {
+                        assert!(self.mesh.vert_alive(v), "interior {id} keeps dead {v}");
+                    }
+                }
             }
         }
         for e in self.mesh.elems() {
             let node = self.node_of_elem[e.idx()];
             assert_ne!(node, u32::MAX, "live element {e} has no forest node");
-            assert_eq!(self.forest.node(node).mesh_elem, Some(e));
+            assert_eq!(self.forest.elem(node), Some(e));
         }
         // Conformity: a pair recorded as bisected must not be a live edge,
         // and its midpoint must be live.

@@ -112,15 +112,12 @@ impl AdaptiveMesh {
     /// marked edge. Roots themselves are never deleted, so the initial mesh
     /// is the coarsening floor.
     fn family_is_coarsenable(&self, id: NodeId, marked: &EdgeMarks) -> bool {
-        let n = self.forest.node(id);
-        if n.children.is_empty() {
+        let forest = &self.forest;
+        if forest.is_leaf(id) || !forest.children(id).all(|c| forest.is_leaf(c)) {
             return false;
         }
-        if !n.children.iter().all(|&c| self.forest.is_leaf(c)) {
-            return false;
-        }
-        n.children.iter().any(|&c| {
-            let elem = self.forest.node(c).mesh_elem.expect("leaf without element");
+        forest.children(id).any(|c| {
+            let elem = forest.elem(c).expect("leaf without element");
             self.mesh
                 .elem_edges(elem)
                 .iter()
@@ -129,27 +126,20 @@ impl AdaptiveMesh {
     }
 
     fn delete_family(&mut self, node: NodeId, stats: &mut CoarsenStats) {
-        let children = self.forest.node(node).children.clone();
-        for c in children {
+        for c in self.forest.children(node) {
             let elem = self
                 .forest
-                .node(c)
-                .mesh_elem
+                .elem(c)
                 .expect("coarsenable family child must be a leaf");
             self.mesh.remove_elem(elem);
             self.node_of_elem[elem.idx()] = u32::MAX;
-            self.forest.node_mut(c).mesh_elem = None;
-            self.forest.delete(c);
             stats.elems_removed += 1;
         }
         // Reinstate the parent as a leaf of the computational mesh.
-        let verts = self.forest.node(node).verts;
-        let e = self.mesh.add_elem(verts);
-        {
-            let n = self.forest.node_mut(node);
-            n.mesh_elem = Some(e);
-            n.pattern = 0;
-        }
+        let mesh = &mut self.mesh;
+        let e = self
+            .forest
+            .remove_family(node, |verts| mesh.add_elem(verts));
         self.set_node_of_elem(e, node);
         stats.families_removed += 1;
         stats.elems_reinstated += 1;

@@ -34,5 +34,5 @@ mod refine;
 
 pub use adaptive::{AdaptiveMesh, EdgeMarks, Prediction, RefineStats};
 pub use coarsen::CoarsenStats;
-pub use forest::{Forest, Node, NodeId};
+pub use forest::{Forest, NodeId};
 pub use pattern::{classify, upgrade, SubdivKind, FACE_MASKS, FULL_MASK};

@@ -1,7 +1,7 @@
 //! Mesh refinement: subdivide every leaf element according to its (legal)
 //! marking pattern.
 
-use plum_mesh::{VertId, VertexField};
+use plum_mesh::{ElemId, VertId, VertexField};
 
 use crate::adaptive::{AdaptiveMesh, EdgeMarks, RefineStats};
 use crate::pattern::classify;
@@ -60,7 +60,7 @@ impl AdaptiveMesh {
         let mut stats = RefineStats::default();
 
         // Snapshot the work list: live elements with non-empty patterns.
-        let work: Vec<(plum_mesh::ElemId, u8)> = self
+        let work: Vec<(ElemId, u8)> = self
             .mesh
             .elems()
             .map(|e| (e, self.elem_pattern(e, marks)))
@@ -99,18 +99,17 @@ impl AdaptiveMesh {
             let node = self.node_of_elem[elem.idx()];
             self.mesh.remove_elem(elem);
             self.node_of_elem[elem.idx()] = u32::MAX;
-            {
-                let n = self.forest.node_mut(node);
-                n.mesh_elem = None;
-                n.pattern = pattern;
-            }
 
-            for &cv in &children[..n_children] {
-                let ce = self.mesh.add_elem(cv);
-                let cnode = self.forest.add_child(node, cv, ce);
-                self.set_node_of_elem(ce, cnode);
-                stats.elems_created += 1;
+            let mut elems = [ElemId(0); 8];
+            for (ce, &cv) in elems.iter_mut().zip(&children[..n_children]) {
+                *ce = self.mesh.add_elem(cv);
             }
+            let elems = &elems[..n_children];
+            let nodes = self.forest.add_family(node, pattern, verts, elems);
+            for (&ce, &cnode) in elems.iter().zip(&nodes) {
+                self.set_node_of_elem(ce, cnode);
+            }
+            stats.elems_created += n_children;
             stats.elems_subdivided += 1;
         }
 

@@ -1,7 +1,8 @@
 //! Criterion benchmarks of the algorithm kernels underlying each
 //! experiment: the multilevel partitioner and diffusive repartitioner
 //! (Fig. 6), the reassignment layer (Table 2 and the weak-scaling shape),
-//! marking propagation and subdivision (Fig. 4 / Table 1), one solver sweep
+//! marking propagation and subdivision (Fig. 4 / Table 1) with the
+//! refinement forest's heap per node after it, one solver sweep
 //! on the refined paper-scale mesh, the migration
 //! codec (Fig. 5), the simulator's own layers (session step, large-payload
 //! and sparse-row collectives, store-and-forward beside direct bulk
@@ -167,6 +168,14 @@ fn bench_adaption(c: &mut Criterion) {
     // stays outside the timer.
     let (mut am, mut field) = (p.am.clone(), p.field.clone());
     am.refine(&p.marks, std::slice::from_mut(&mut field));
+    // What the refinement forest holds on the heap after that refinement,
+    // per live tree node (vector capacities, allocator headers left out).
+    let forest = am.forest();
+    println!(
+        "  adaption/forest_heap: {:.1} bytes per live node ({} nodes)",
+        forest.heap_bytes() as f64 / forest.n_nodes() as f64,
+        forest.n_nodes()
+    );
     let wave = WaveField::unit_box();
     let mut samples: Vec<Duration> = (0..5)
         .map(|_| {

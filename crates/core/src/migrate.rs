@@ -53,7 +53,7 @@ fn pack_buffer(am: &AdaptiveMesh, field: &VertexField, nodes: &[NodeId]) -> Pack
     let forest = am.forest();
     let mut verts: Vec<u32> = nodes
         .iter()
-        .flat_map(|&id| forest.node(id).verts.map(|v| v.0))
+        .flat_map(|&id| am.node_verts(id).map(|v| v.0))
         .collect();
     verts.sort_unstable();
     verts.dedup();
@@ -64,11 +64,10 @@ fn pack_buffer(am: &AdaptiveMesh, field: &VertexField, nodes: &[NodeId]) -> Pack
         p.put_f64_slice(field.get(VertId(v)));
     }
     for &id in nodes {
-        let node = forest.node(id);
-        p.put_u32(node.root);
-        p.put_u8(node.level);
-        p.put_u8(node.pattern);
-        for &v in &node.verts {
+        p.put_u32(forest.root(id));
+        p.put_u8(forest.level(id));
+        p.put_u8(forest.pattern(id));
+        for v in am.node_verts(id) {
             p.put_u32(v.0);
         }
     }
@@ -415,7 +414,7 @@ mod tests {
             .collect();
         let mut verts: Vec<u32> = nodes
             .iter()
-            .flat_map(|&id| am.forest().node(id).verts.map(|v| v.0))
+            .flat_map(|&id| am.node_verts(id).map(|v| v.0))
             .collect();
         let references = verts.len();
         verts.sort_unstable();
@@ -428,6 +427,48 @@ mod tests {
         let got = unpack_buffer(&am, field.ncomp(), &buf, &mut roots);
         assert_eq!(got, nodes.len() as u64);
         assert_eq!(roots.len(), am.n_roots());
+    }
+
+    /// The bytes of every buffer `pack_buffer` makes, on a mesh refined,
+    /// coarsened and re-refined, are pinned by one FNV-1a: root `v` bound
+    /// for destination `v % 3`, each destination's trees in root order as
+    /// `migrate_body` gathers them. It moves if a node's vertices, or the
+    /// order of the nodes or of the vertex table, change.
+    #[test]
+    fn packed_buffers_after_refine_coarsen_refine_are_pinned() {
+        let (mut am, field) = refined_amesh();
+        let mut fields = [field];
+        let mut cmarks = EdgeMarks::new(&am.mesh);
+        for e in am.mesh.edges().collect::<Vec<_>>() {
+            let mp = am.mesh.edge_midpoint(e);
+            if mp[0] < 0.3 && mp[1] < 0.6 {
+                cmarks.mark(e);
+            }
+        }
+        assert!(am.coarsen(&cmarks, &mut fields).families_removed > 0);
+        let mut marks = EdgeMarks::new(&am.mesh);
+        for e in am.mesh.edges().collect::<Vec<_>>() {
+            let mp = am.mesh.edge_midpoint(e);
+            if mp[1] + mp[2] < 0.6 {
+                marks.mark(e);
+            }
+        }
+        am.upgrade_to_fixpoint(&mut marks);
+        am.refine(&marks, &mut fields);
+        am.validate();
+        let [field] = fields;
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for dst in 0..3u32 {
+            let nodes: Vec<NodeId> = (0..am.n_roots() as u32)
+                .filter(|v| v % 3 == dst)
+                .flat_map(|v| am.forest().subtree_of_root(v))
+                .collect();
+            for byte in pack_buffer(&am, &field, &nodes).finish() {
+                hash = (hash ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(am.n_tree_nodes(), 612, "nodes");
+        assert_eq!(hash, 0xd88e_24e9_bb13_9cfd, "FNV-1a of the packed buffers");
     }
 
     #[test]
