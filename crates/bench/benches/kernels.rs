@@ -647,7 +647,7 @@ fn control_trace_bytes(session: &mut Session, probe: &(dyn Fn(&mut Comm) + Send 
         let hops: usize = events
             .clone()
             .map(|ev| match ev {
-                TraceEvent::Collective { hops, .. } => hops.len(),
+                TraceEvent::Call { hops, .. } => hops.len(),
                 _ => 0,
             })
             .sum();

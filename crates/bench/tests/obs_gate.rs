@@ -7,10 +7,12 @@
 
 use plum_bench::report::{assert_reproduces_baseline, cycle_bench, fig6_bench};
 use plum_bench::Scale;
-use plum_core::{CycleReport, Plum, PlumConfig, RemapPolicy};
+use plum_core::{BalanceMethod, CycleReport, Plum, PlumConfig, RemapPolicy};
 use plum_mesh::generate::unit_box_mesh;
-use plum_obs::{compare, critical_path, phase_critical_path, BenchReport, TraceDigest};
-use plum_parsim::CollectiveStats;
+use plum_obs::{
+    compare, critical_path, heaviest_edges, phase_critical_path, BenchReport, TraceDigest,
+};
+use plum_parsim::{CollectiveStats, TraceLog};
 use plum_solver::WaveField;
 
 const TOL: f64 = 1e-9;
@@ -160,8 +162,24 @@ fn trace_readers_are_pinned_to_the_bit() {
     cfg.policy = RemapPolicy::BeforeRefinement;
     let mut p = Plum::new(unit_box_mesh(4), WaveField::unit_box(), cfg);
     let r = p.adaption_cycle(0.33, 0.1);
-    let log = &r.traces.session;
+    let (summary, phases, phase_ranks, digest) = reader_hashes(&r.traces.session);
+    assert_eq!(
+        (summary, phases, phase_ranks, digest),
+        (
+            0x5ca1_3084_cbd3_92e5,
+            0xbe91_3c64_8310_96a9,
+            0x9b6b_28c7_16d3_2a8e,
+            0x3139_a922_372b_5b35
+        ),
+        "(summary, phase_breakdowns, phase_rank_breakdowns, digest JSON) FNV-1a: \
+         ({summary:#018x}, {phases:#018x}, {phase_ranks:#018x}, {digest:#018x})"
+    );
+}
 
+/// FNV-1a of each f64 (`to_bits`) and counter that `summary()`,
+/// `phase_breakdowns()` and `phase_rank_breakdowns()` produce, and of the
+/// serialized digest.
+fn reader_hashes(log: &TraceLog) -> (u64, u64, u64, u64) {
     let mut h = Fnv::new();
     for s in &log.summary().ranks {
         h.u(s.rank as u64);
@@ -206,18 +224,98 @@ fn trace_readers_are_pinned_to_the_bit() {
     TraceDigest::from_log(log).write_json(&mut json);
     let mut h = Fnv::new();
     h.bytes(json.as_bytes());
-    let digest = h.0;
+    (summary, phases, phase_ranks, h.0)
+}
+
+/// The same readers pinned on a session that holds point-to-point mail —
+/// one remap-before P = 8 cycle forced to SFC diffusion, whose transport
+/// ships the slices a part sheds by `Comm::send` — plus every field of
+/// every matched message edge, the critical path's segments and totals,
+/// and the ten heaviest waits.
+#[test]
+fn point_to_point_readers_are_pinned_to_the_bit() {
+    let mut cfg = PlumConfig::new(8);
+    cfg.policy = RemapPolicy::BeforeRefinement;
+    cfg.force_method = Some(BalanceMethod::SfcDiffusion);
+    let mut p = Plum::new(unit_box_mesh(4), WaveField::unit_box(), cfg);
+    let r = p.adaption_cycle(0.33, 0.1);
+    let log = &r.traces.session;
+
+    // Mail is every message a collective did not carry: some was sent, and
+    // some was matched to its receive.
+    let summary = log.summary();
+    let collective_msgs: u64 = (summary.ranks.iter().flat_map(|s| &s.collectives))
+        .map(|c| c.msgs)
+        .sum();
+    let edges = log.message_edges();
+    assert!(summary.total_msgs() > collective_msgs, "no mail was sent");
+    assert!(edges.len() as u64 > collective_msgs, "no mail was received");
+
+    let (summary, phases, phase_ranks, digest) = reader_hashes(log);
+
+    let mut h = Fnv::new();
+    for e in &edges {
+        for x in [e.src, e.dst, e.send_event, e.recv_event] {
+            h.u(x as u64);
+        }
+        h.u(e.words);
+        for x in [
+            e.send_start,
+            e.send_end,
+            e.recv_posted,
+            e.recv_completed,
+            e.wait,
+        ] {
+            h.f(x);
+        }
+        h.bytes(e.phase.as_bytes());
+    }
+    let edges = h.0;
+
+    let mut h = Fnv::new();
+    let path = critical_path(log);
+    for s in &path.segments {
+        h.u(s.rank as u64);
+        h.bytes(s.kind.name().as_bytes());
+        h.f(s.start);
+        h.f(s.end);
+    }
+    for x in [
+        path.start,
+        path.end,
+        path.compute,
+        path.wire,
+        path.wait,
+        path.injected,
+        path.unattributed,
+    ] {
+        h.f(x);
+    }
+    let path = h.0;
+
+    let mut h = Fnv::new();
+    for e in heaviest_edges(log, 10) {
+        h.u(e.src as u64);
+        h.u(e.dst as u64);
+        h.u(e.words);
+        h.f(e.wait);
+    }
+    let heaviest = h.0;
 
     assert_eq!(
-        (summary, phases, phase_ranks, digest),
+        (summary, phases, phase_ranks, digest, edges, path, heaviest),
         (
-            0x5ca1_3084_cbd3_92e5,
-            0xbe91_3c64_8310_96a9,
-            0x9b6b_28c7_16d3_2a8e,
-            0x3139_a922_372b_5b35
+            0x1a21_963f_bbed_44b4,
+            0x3fbb_79ee_2123_87d4,
+            0x875b_3b4c_fdd0_5ef9,
+            0xd635_3c1c_11d5_d9b1,
+            0xfd36_0022_9673_0ea7,
+            0xdd88_37c2_cd66_d63d,
+            0xe27d_cf86_5336_30c2
         ),
-        "(summary, phase_breakdowns, phase_rank_breakdowns, digest JSON) FNV-1a: \
-         ({summary:#018x}, {phases:#018x}, {phase_ranks:#018x}, {digest:#018x})"
+        "(summary, phase_breakdowns, phase_rank_breakdowns, digest JSON, message_edges, \
+         critical_path, heaviest_edges) FNV-1a: ({summary:#018x}, {phases:#018x}, \
+         {phase_ranks:#018x}, {digest:#018x}, {edges:#018x}, {path:#018x}, {heaviest:#018x})"
     );
 }
 

@@ -9,30 +9,29 @@
 //! names which rank the makespan was spent on, and whether that time was
 //! compute, wire, injected faults, or unattributable idle.
 //!
-//! The walk is backward from the global end:
+//! The walk is backward from the global end, over positions: an event, or
+//! one hop of a record (a point-to-point send or receive is a record of one
+//! hop, a collective call a record of all its hops on the rank). A hop
+//! spans from the clock the hop before it left (the record's start for the
+//! first) to its own.
 //!
-//! * a compute / send / fault span was binding on its own rank — account it
-//!   and step to the previous event;
-//! * a receive that *waited* was bound by the sender: the blocked span past
-//!   the sender's send-end is charged as wait on the receiver, the flight
-//!   time before it as wire on the sender, and the walk jumps to the
-//!   matching send (FIFO channel pairing, see
+//! * a compute / send-hop / fault span was binding on its own rank —
+//!   account it and step to the previous position;
+//! * a receive hop that *waited* was bound by the sender: the blocked span
+//!   past the sender's send-end is charged as wait on the receiver, the
+//!   flight time before it as wire on the sender, and the walk jumps to the
+//!   matching send hop (FIFO channel pairing, see
 //!   [`TraceLog::message_edges`](plum_parsim::TraceLog::message_edges));
 //! * a step-boundary sync was bound by the slowest rank of the step: the
-//!   walk jumps to the event on another rank that ends exactly where the
+//!   walk jumps to the position on another rank that ends exactly where the
 //!   sync ends (rank clocks are aligned by `advance_to`, so the match is
 //!   exact; unmatched syncs degrade to local wait).
-//!
-//! A collective's record is walked hop by hop: each hop is the send or
-//! receive it replaced, spanning from the clock the hop before it left (the
-//! record's start for the first), and a receive hop that waited jumps to
-//! its matching send hop on the sender, as a receive event does.
 //!
 //! Because every clock charge records exactly one event or one hop (the
 //! 1e-9 accounting invariant), the walked segments tile the timeline and
 //! the path length equals the log's makespan.
 
-use plum_parsim::{MessageEdge, TraceEvent, TraceLog, Via};
+use plum_parsim::{MessageEdge, TraceEvent, TraceLog};
 use std::collections::HashMap;
 
 /// Exact-alignment slack for cross-rank time matching. Clock alignment
@@ -129,7 +128,7 @@ impl CriticalPath {
 }
 
 /// A position on a rank's timeline: an event of its stream, and in a
-/// collective's record one of its hops.
+/// record one of its hops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Pos {
     event: usize,
@@ -150,7 +149,7 @@ enum Charge {
 /// positive-length span): a record's own position and markers do not.
 fn charge_at(stream: &[TraceEvent], pos: Pos) -> Option<(Charge, f64, f64)> {
     let (charge, start, end) = match (&stream[pos.event], pos.hop) {
-        (TraceEvent::Collective { start, hops, .. }, Some(h)) => {
+        (TraceEvent::Call { start, hops, .. }, Some(h)) => {
             let from = if h == 0 { *start } else { hops[h - 1].at };
             let charge = if hops[h].is_send() {
                 Charge::Send
@@ -160,13 +159,6 @@ fn charge_at(stream: &[TraceEvent], pos: Pos) -> Option<(Charge, f64, f64)> {
             (charge, from, hops[h].at)
         }
         (TraceEvent::Compute { start, end }, _) => (Charge::Compute, *start, *end),
-        (TraceEvent::Send { start, end, .. }, _) => (Charge::Send, *start, *end),
-        (
-            TraceEvent::Recv {
-                posted, completed, ..
-            },
-            _,
-        ) => (Charge::Recv, *posted, *completed),
         (TraceEvent::Sync { start, end }, _) => (Charge::Sync, *start, *end),
         (TraceEvent::Fault { start, end, .. }, _) => (Charge::Fault, *start, *end),
         _ => return None,
@@ -177,7 +169,7 @@ fn charge_at(stream: &[TraceEvent], pos: Pos) -> Option<(Charge, f64, f64)> {
 /// When the charge at `pos` ends (a marker: its instant).
 fn end_at(stream: &[TraceEvent], pos: Pos) -> f64 {
     match (&stream[pos.event], pos.hop) {
-        (TraceEvent::Collective { hops, .. }, Some(h)) => hops[h].at,
+        (TraceEvent::Call { hops, .. }, Some(h)) => hops[h].at,
         (ev, _) => ev.end_time(),
     }
 }
@@ -185,7 +177,7 @@ fn end_at(stream: &[TraceEvent], pos: Pos) -> f64 {
 /// The last position of event `event`: a record's last hop, or the event.
 fn last_of(stream: &[TraceEvent], event: usize) -> Pos {
     let hop = match &stream[event] {
-        TraceEvent::Collective { hops, .. } => hops.len().checked_sub(1),
+        TraceEvent::Call { hops, .. } => hops.len().checked_sub(1),
         _ => None,
     };
     Pos { event, hop }
@@ -206,7 +198,7 @@ fn prev(stream: &[TraceEvent], pos: Pos) -> Option<Pos> {
 fn positions(stream: &[TraceEvent]) -> impl Iterator<Item = Pos> + '_ {
     stream.iter().enumerate().flat_map(|(event, ev)| {
         let hops = match ev {
-            TraceEvent::Collective { hops, .. } => hops.len(),
+            TraceEvent::Call { hops, .. } => hops.len(),
             _ => 0,
         };
         let own = (hops == 0).then_some(Pos { event, hop: None });
@@ -230,7 +222,7 @@ fn donor_at(log: &TraceLog, target: f64, skip_rank: usize) -> Option<(usize, Pos
         // inside a record that straddles its edge.
         let hi = stream.partition_point(|e| e.end_time() <= target + EPS);
         let straddling = match stream.get(hi) {
-            Some(TraceEvent::Collective { hops, .. }) => {
+            Some(TraceEvent::Call { hops, .. }) => {
                 let h = hops.partition_point(|h| h.at <= target + EPS);
                 h.checked_sub(1).map(|h| Pos {
                     event: hi,
@@ -281,18 +273,14 @@ pub fn critical_path(log: &TraceLog) -> CriticalPath {
     };
     path.end = best_end;
 
-    // Matched message edges, addressable by the receive they end at.
+    // Matched message edges, addressable by the receive hop they end at.
     let edges: HashMap<(usize, Pos), MessageEdge<'_>> = log
         .message_edges()
         .into_iter()
         .map(|e| {
-            let hop = match e.via {
-                Via::Tag(_) => None,
-                Via::Collective { recv_hop, .. } => Some(recv_hop),
-            };
             let at = Pos {
                 event: e.recv_event,
-                hop,
+                hop: Some(e.recv_hop),
             };
             ((e.dst, at), e)
         })
@@ -381,10 +369,7 @@ pub fn critical_path(log: &TraceLog) -> CriticalPath {
                     rank = edge.src;
                     pos = Pos {
                         event: edge.send_event,
-                        hop: match edge.via {
-                            Via::Tag(_) => None,
-                            Via::Collective { send_hop, .. } => Some(send_hop),
-                        },
+                        hop: Some(edge.send_hop),
                     };
                     continue 'walk;
                 }
@@ -449,15 +434,11 @@ pub fn render_heaviest_edges(edges: &[MessageEdge<'_>]) -> String {
         return out;
     }
     for e in edges {
-        let via = match e.via {
-            Via::Tag(tag) => format!("tag={tag}"),
-            Via::Collective { kind, .. } => kind.name().to_string(),
-        };
         out.push_str(&format!(
             "  {:>3} -> {:<3} {:<10} words={:<8} wait {:>10.3}us  (phase {})\n",
             e.src,
             e.dst,
-            via,
+            e.call,
             e.words,
             e.wait * 1e6,
             e.phase,
@@ -469,32 +450,30 @@ pub fn render_heaviest_edges(edges: &[MessageEdge<'_>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plum_parsim::{spmd, MachineModel, Session};
+    use plum_parsim::{spmd, Call, Hop, MachineModel, Session};
 
     fn compute(start: f64, end: f64) -> TraceEvent {
         TraceEvent::Compute { start, end }
     }
 
-    fn send(start: f64, end: f64, peer: usize, tag: u64, arrival: f64) -> TraceEvent {
-        TraceEvent::Send {
+    /// A point-to-point record of one 10-word hop.
+    fn mail(start: f64, end: f64, peer: usize, tag: u64, send: bool) -> TraceEvent {
+        TraceEvent::Call {
+            call: Call::Mail(tag),
             start,
             end,
-            peer,
-            tag,
-            words: 10,
-            arrival,
+            hops: [Hop::new(end, peer, send, 10)].into(),
         }
     }
 
+    /// A send whose startup charge ran `start..end`.
+    fn send(start: f64, end: f64, peer: usize, tag: u64) -> TraceEvent {
+        mail(start, end, peer, tag, true)
+    }
+
+    /// A receive posted at `posted` and completed at `completed`.
     fn recv(posted: f64, completed: f64, peer: usize, tag: u64) -> TraceEvent {
-        TraceEvent::Recv {
-            posted,
-            completed,
-            peer,
-            tag,
-            words: 10,
-            wait: completed - posted,
-        }
+        mail(posted, completed, peer, tag, false)
     }
 
     fn seg(rank: usize, kind: SegmentKind, start: f64, end: f64) -> PathSegment {
@@ -511,11 +490,11 @@ mod tests {
     fn serial_chain_exact_membership() {
         let log = TraceLog {
             events: vec![
-                vec![compute(0.0, 1.0), send(1.0, 1.5, 1, 1, 2.0)],
+                vec![compute(0.0, 1.0), send(1.0, 1.5, 1, 1)],
                 vec![
                     recv(0.0, 2.0, 0, 1),
                     compute(2.0, 3.0),
-                    send(3.0, 3.5, 2, 2, 4.0),
+                    send(3.0, 3.5, 2, 2),
                 ],
                 vec![recv(0.0, 4.0, 1, 2), compute(4.0, 5.0)],
             ],
@@ -550,8 +529,8 @@ mod tests {
             events: vec![
                 vec![
                     compute(0.0, 1.0),
-                    send(1.0, 1.2, 1, 1, 1.3),
-                    send(1.2, 1.4, 2, 2, 1.4),
+                    send(1.0, 1.2, 1, 1),
+                    send(1.2, 1.4, 2, 2),
                     recv(1.4, 2.0, 1, 3),
                     recv(2.0, 3.6, 2, 4),
                     compute(3.6, 4.0),
@@ -559,12 +538,12 @@ mod tests {
                 vec![
                     recv(0.0, 1.3, 0, 1),
                     compute(1.3, 1.8),
-                    send(1.8, 1.9, 0, 3, 2.0),
+                    send(1.8, 1.9, 0, 3),
                 ],
                 vec![
                     recv(0.0, 1.4, 0, 2),
                     compute(1.4, 3.4),
-                    send(3.4, 3.5, 0, 4, 3.6),
+                    send(3.4, 3.5, 0, 4),
                 ],
             ],
         };
@@ -593,7 +572,7 @@ mod tests {
     fn blocked_recv_pins_nonzero_receiver_wait() {
         let log = TraceLog {
             events: vec![
-                vec![compute(0.0, 3.0), send(3.0, 3.5, 1, 1, 4.0)],
+                vec![compute(0.0, 3.0), send(3.0, 3.5, 1, 1)],
                 vec![recv(0.0, 4.0, 0, 1)],
             ],
         };
@@ -620,7 +599,7 @@ mod tests {
     fn late_posted_recv_splits_wire_before_wait() {
         let log = TraceLog {
             events: vec![
-                vec![compute(0.0, 3.0), send(3.0, 3.5, 1, 1, 4.0)],
+                vec![compute(0.0, 3.0), send(3.0, 3.5, 1, 1)],
                 vec![compute(0.0, 3.8), recv(3.8, 4.0, 0, 1)],
             ],
         };
@@ -738,15 +717,15 @@ mod tests {
             events: vec![
                 vec![
                     compute(0.0, 1.0),
-                    send(1.0, 1.1, 1, 1, 3.0),
-                    send(1.1, 1.2, 1, 2, 1.5),
+                    send(1.0, 1.1, 1, 1),
+                    send(1.1, 1.2, 1, 2),
                 ],
                 vec![recv(0.0, 3.0, 0, 1), recv(3.0, 3.0, 0, 2)],
             ],
         };
         let edges = heaviest_edges(&log, 5);
         assert_eq!(edges.len(), 1, "zero-wait edges are dropped");
-        assert_eq!(edges[0].via, Via::Tag(1));
+        assert_eq!(edges[0].call, Call::Mail(1));
         assert!((edges[0].wait - 3.0).abs() < 1e-12);
         let text = render_heaviest_edges(&edges);
         assert!(text.contains("0 -> 1"), "{text}");
@@ -754,27 +733,21 @@ mod tests {
         assert!(empty.contains("none"));
     }
 
-    /// A NaN timestamp (a corrupted log) is ordered, not a panic.
+    /// A NaN timestamp (a corrupted log) is not a panic: its receive's
+    /// wait is NaN, which is not a wait, so its edge is paired but dropped.
     #[test]
     fn heaviest_edges_tolerate_nan_times() {
-        let nan_recv = TraceEvent::Recv {
-            posted: 1.0,
-            completed: f64::NAN,
-            peer: 0,
-            tag: 2,
-            words: 10,
-            wait: 1.0,
-        };
         let log = TraceLog {
             events: vec![
-                vec![send(0.0, 0.1, 1, 1, 1.0), send(0.1, 0.2, 1, 2, 2.0)],
-                vec![recv(0.0, 1.0, 0, 1), nan_recv],
+                vec![send(0.0, 0.1, 1, 1), send(0.1, 0.2, 1, 2)],
+                vec![recv(0.0, 1.0, 0, 1), recv(1.0, f64::NAN, 0, 2)],
             ],
         };
+        assert_eq!(log.message_edges().len(), 2);
         let edges = heaviest_edges(&log, 5);
         assert_eq!(
-            edges.iter().map(|e| e.via).collect::<Vec<_>>(),
-            [Via::Tag(1), Via::Tag(2)]
+            edges.iter().map(|e| e.call).collect::<Vec<_>>(),
+            [Call::Mail(1)]
         );
     }
 

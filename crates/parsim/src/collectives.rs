@@ -54,11 +54,12 @@
 //! declared words, folds in the same order, and every clock charge priced
 //! as a point-to-point message's is. Each rank's charges are made in its
 //! own program order and kept as the hops of its one
-//! [`TraceEvent::Collective`](crate::TraceEvent) record of the call, so
-//! every hop's clock, peer, direction and words equal, bit for bit, the
-//! send and receive events the message-by-message execution records (the
+//! [`TraceEvent::Call`](crate::TraceEvent) record of the call, so every
+//! hop's clock, peer, direction and words equal, bit for bit, the hops of
+//! the sends and receives the message-by-message execution records (the
 //! test-only `reference` module keeps that execution, and a differential
-//! test holds every collective to it, folded into records). The payload
+//! test holds every collective to it, each call's hops joined into one
+//! record). The payload
 //! never travels: a gather's root receives the values, a
 //! scatter's ranks their blocks, and an exchange's items go straight to
 //! their destinations, while the trace declares the words each hop of the
@@ -792,7 +793,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::reference;
-    use crate::trace::Hop;
+    use crate::trace::{Call, Hop};
     use crate::{
         spmd, Comm, FaultPlan, MachineModel, Perturbation, RankResult, Session, TraceEvent,
         TraceLog, COLLECTIVE_KINDS,
@@ -846,15 +847,17 @@ mod tests {
 
     /// A message-level trace as it was recorded before a collective became
     /// one record — enter and exit markers around its sends and receives —
-    /// with each top-level call folded by [`reference::fold`].
+    /// with each send and receive a hop of its top-level call's record.
     fn fold_message_trace(text: &str, p: usize) -> Vec<Vec<TraceEvent>> {
         let mut out: Vec<Vec<TraceEvent>> = vec![Vec::new(); p];
-        // Per rank: the open top-level call's start and events.
-        let mut open: Vec<Option<(f64, Vec<TraceEvent>)>> = vec![None; p];
+        // Per rank: the open top-level call's start and hops.
+        let mut open: Vec<Option<(f64, Vec<Hop>)>> = vec![None; p];
         for line in text.lines() {
             let (rank, name, f) = parse_line(line);
             let num = |key: &str| f[key].parse::<f64>().expect("an f64");
             let int = |key: &str| f[key].parse::<u64>().expect("an integer");
+            let hop =
+                |at: &str, send: bool| Hop::new(num(at), int("peer") as usize, send, int("words"));
             let ev = match name {
                 "CollectiveEnter" | "CollectiveExit" if f["depth"] != "0" => continue,
                 "CollectiveEnter" => {
@@ -865,9 +868,20 @@ mod tests {
                     let kind = COLLECTIVE_KINDS
                         .into_iter()
                         .find(|k| format!("{k:?}") == f["kind"]);
-                    let (start, messages) = open[rank].take().expect("an open call");
-                    let kind = kind.expect("a collective kind");
-                    out[rank].push(reference::fold(kind, start, num("end"), &messages));
+                    let (start, hops) = open[rank].take().expect("an open call");
+                    TraceEvent::Call {
+                        call: Call::Collective(kind.expect("a collective kind")),
+                        start,
+                        end: num("end"),
+                        hops: hops.into(),
+                    }
+                }
+                "Send" | "Recv" => {
+                    let (_, hops) = open[rank].as_mut().expect("an open call");
+                    hops.push(match name {
+                        "Send" => hop("end", true),
+                        _ => hop("completed", false),
+                    });
                     continue;
                 }
                 "Compute" => TraceEvent::Compute {
@@ -878,28 +892,9 @@ mod tests {
                     start: num("start"),
                     end: num("end"),
                 },
-                "Send" => TraceEvent::Send {
-                    start: num("start"),
-                    end: num("end"),
-                    peer: int("peer") as usize,
-                    tag: int("tag"),
-                    words: int("words"),
-                    arrival: num("arrival"),
-                },
-                "Recv" => TraceEvent::Recv {
-                    posted: num("posted"),
-                    completed: num("completed"),
-                    peer: int("peer") as usize,
-                    tag: int("tag"),
-                    words: int("words"),
-                    wait: num("wait"),
-                },
                 other => panic!("unexpected event {other}"),
             };
-            match &mut open[rank] {
-                Some((_, messages)) => messages.push(ev),
-                None => out[rank].push(ev),
-            }
+            out[rank].push(ev);
         }
         out
     }
@@ -969,7 +964,11 @@ mod tests {
     /// The send hops of a collective record.
     fn send_hops(ev: &TraceEvent) -> impl Iterator<Item = &Hop> {
         let hops: &[Hop] = match ev {
-            TraceEvent::Collective { hops, .. } => hops,
+            TraceEvent::Call {
+                call: Call::Collective(_),
+                hops,
+                ..
+            } => hops,
             _ => &[],
         };
         hops.iter().filter(|h| h.is_send())
@@ -1471,9 +1470,13 @@ mod tests {
                 .iter()
                 .filter(|ev| !matches!(ev, TraceEvent::Sync { .. }));
             assert!(
-                events
-                    .clone()
-                    .all(|ev| matches!(ev, TraceEvent::Collective { .. })),
+                events.clone().all(|ev| matches!(
+                    ev,
+                    TraceEvent::Call {
+                        call: Call::Collective(_),
+                        ..
+                    }
+                )),
                 "rank {}: {:?}",
                 x.rank,
                 x.events
@@ -1482,14 +1485,14 @@ mod tests {
         }
         let hops: usize = (r.iter().flat_map(|x| &x.events))
             .map(|ev| match ev {
-                TraceEvent::Collective { hops, .. } => hops.len(),
+                TraceEvent::Call { hops, .. } => hops.len(),
                 _ => 0,
             })
             .sum();
         assert_eq!(hops as u64, 2 * total_msgs(&r));
         assert_eq!(hops, 5_604);
         assert_eq!(std::mem::size_of::<Hop>(), 16);
-        assert_eq!(std::mem::size_of::<TraceEvent>(), 56);
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 48);
     }
 
     /// Calls the collective on the host pass, or on the message-by-message
@@ -1596,8 +1599,9 @@ mod tests {
     /// Runs `every_collective` for two steps on the host passes and on the
     /// reference, each on a session from `session`, and requires the same
     /// results, counters, clocks and trace — every event, and every record
-    /// against the reference's message events folded into one, down to
-    /// each hop's peer, direction, words and f64 bit.
+    /// against the reference's one-hop mail records joined into one, down
+    /// to each hop's peer, direction, words and f64 bit (so also the
+    /// messages and words each record sent, which are its send hops').
     fn assert_matches_reference(p: usize, session: impl Fn() -> Session) {
         let run = |reference: bool| {
             let mut sess = session();

@@ -1,8 +1,8 @@
 //! The message-by-message collectives the host passes replaced, kept as
 //! the reference the differential test holds every pass to: each rank runs
 //! its own side of the schedule through [`Comm::send`] and [`Comm::recv`],
-//! and [`fold`] turns the send and receive events of each top-level call
-//! into the one record a host pass leaves.
+//! whose one-hop records each top-level call joins, in order, into the one
+//! record a host pass leaves.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -11,59 +11,7 @@ use super::{
     TAG_A2A, TAG_BARRIER, TAG_BCAST, TAG_DIRECT, TAG_EXSCAN, TAG_GATHER, TAG_REDUCE, TAG_SCATTER,
 };
 use crate::comm::{Comm, Tag};
-use crate::trace::{CollectiveKind, Hop, TraceEvent};
-
-/// Fold the message-level events of one collective call — its sends and
-/// receives in program order, the clock running `start..end` — into one
-/// record: a hop per message end at the clock the event left, and the
-/// messages and words sent. Panics unless each event starts where the one
-/// before it ended, the premise that lets a hop keep only its end.
-pub(crate) fn fold(
-    kind: CollectiveKind,
-    start: f64,
-    end: f64,
-    messages: &[TraceEvent],
-) -> TraceEvent {
-    let (mut msgs, mut words, mut clock) = (0, 0, start);
-    let hops = messages
-        .iter()
-        .map(|ev| {
-            assert_eq!(
-                ev.time().to_bits(),
-                clock.to_bits(),
-                "{kind:?}: {ev:?} starts off the clock"
-            );
-            clock = ev.end_time();
-            match *ev {
-                TraceEvent::Send {
-                    end,
-                    peer,
-                    words: w,
-                    ..
-                } => {
-                    msgs += 1;
-                    words += w;
-                    Hop::new(end, peer, true, w)
-                }
-                TraceEvent::Recv {
-                    completed,
-                    peer,
-                    words,
-                    ..
-                } => Hop::new(completed, peer, false, words),
-                ref other => panic!("{kind:?} recorded {other:?}"),
-            }
-        })
-        .collect();
-    TraceEvent::Collective {
-        kind,
-        start,
-        end,
-        msgs,
-        words,
-        hops,
-    }
-}
+use crate::trace::CollectiveKind;
 
 pub(crate) fn barrier(comm: &mut Comm) {
     comm.collective_enter();

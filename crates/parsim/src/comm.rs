@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use crate::chaos::{jitter_factor, FaultKind};
 use crate::sched::SchedState;
-use crate::trace::{CollectiveKind, Hop, TraceEvent};
+use crate::trace::{Call, Hop, TraceEvent};
 use crate::{MachineModel, VirtualClock};
 
 /// Message tag. Matching is FIFO per (source, destination) pair: a receive
@@ -23,12 +23,13 @@ pub(crate) struct Envelope {
 }
 
 /// A rank's side of every message: its virtual clock, trace, send counters
-/// and chaos link state. [`Comm::send`] and [`Comm::recv`] charge one
-/// point-to-point message to it and record it as an event; a collective's
-/// host pass (see `collectives.rs`) charges every rank's ledger through
-/// [`Ledger::hop_send`] and [`Ledger::hop_recv`], which make the same clock
-/// charges and record each as a hop of the rank's one record of the call,
-/// so a message costs the same bits whichever path prices it.
+/// and chaos link state. Every message end is charged by
+/// [`Ledger::hop_send`] or [`Ledger::hop_recv`] and recorded as a hop of
+/// the record of its call, between [`Ledger::open`] and [`Ledger::close`]:
+/// [`Comm::send`] and [`Comm::recv`] make a record of one hop, and a
+/// collective's host pass (see `collectives.rs`) one record per rank of
+/// every charge the call made on it. A message therefore costs and records
+/// the same bits whichever path prices it.
 #[derive(Default)]
 pub(crate) struct Ledger {
     rank: usize,
@@ -36,18 +37,18 @@ pub(crate) struct Ledger {
     sent_messages: u64,
     sent_words: u64,
     /// Structured event stream (see [`crate::trace`]); every clock charge
-    /// records exactly one event or one hop of a collective's record, so
-    /// the trace reconstructs `now()` exactly.
+    /// records exactly one event or one hop of a record, so the trace
+    /// reconstructs `now()` exactly.
     events: Vec<TraceEvent>,
-    /// The open collective's start clock and the send counters then.
-    opened: (f64, u64, u64),
-    /// The open collective's hops so far; the buffer is reused call to
-    /// call, and each record keeps an exact-size copy.
+    /// The open record's start clock.
+    opened: f64,
+    /// The open record's hops so far; the buffer is reused call to call,
+    /// and each record keeps an exact-size copy.
     hops: Vec<Hop>,
     /// The message-by-message reference collectives: nesting depth, and
-    /// where the open top-level call's events begin.
+    /// where the open top-level call's events begin and its start clock.
     #[cfg(test)]
-    reference: (u32, usize),
+    reference: (u32, (usize, f64)),
     /// Extra arrival delay on every message this rank sends (active
     /// delay-spike faults; 0.0 = none).
     send_delay: f64,
@@ -59,9 +60,9 @@ pub(crate) struct Ledger {
 
 impl Ledger {
     /// Charge the startup of a `words`-word message to `to`; returns the
-    /// clock before and after the charge and the virtual time the message
-    /// arrives at `to`.
-    fn charge_send(&mut self, model: &MachineModel, to: usize, words: u64) -> (f64, f64, f64) {
+    /// clock after the charge and the virtual time the message arrives at
+    /// `to`.
+    fn charge_send(&mut self, model: &MachineModel, to: usize, words: u64) -> (f64, f64) {
         // With jitter enabled, this message's startup and wire time are both
         // scaled by a factor drawn from (seed, src, dst, link message index).
         // The unperturbed path stays bit-exact (no multiplication at all).
@@ -73,77 +74,60 @@ impl Ledger {
             }
             None => (model.t_setup, words as f64 * model.t_word),
         };
-        let start = self.clock.now();
         self.clock.advance(setup);
         let end = self.clock.now();
         let arrival = end + flight + self.send_delay;
         self.sent_messages += 1;
         self.sent_words += words;
-        (start, end, arrival)
+        (end, arrival)
     }
 
-    /// Charge the startup of a `words`-word message to `to` and record it;
-    /// returns the virtual time it arrives at `to`.
+    /// Charge the startup of a `words`-word message to `to` and record it
+    /// as a record of one hop; returns the virtual time it arrives at `to`.
     pub(crate) fn send(&mut self, model: &MachineModel, to: usize, tag: Tag, words: u64) -> f64 {
-        let (start, end, arrival) = self.charge_send(model, to, words);
-        self.events.push(TraceEvent::Send {
-            start,
-            end,
-            peer: to,
-            tag,
-            words,
-            arrival,
-        });
+        self.open();
+        let arrival = self.hop_send(model, to, words);
+        self.close(Call::Mail(tag));
         arrival
     }
 
     /// Complete the receive of a `words`-word message from `from` that
-    /// arrives at `arrival`: wait for it if it is still in flight.
+    /// arrives at `arrival`: wait for it if it is still in flight, and
+    /// record the wait as a record of one hop.
     pub(crate) fn recv(&mut self, from: usize, tag: Tag, words: u64, arrival: f64) {
-        let posted = self.clock.now();
-        self.clock.advance_to(arrival);
-        let completed = self.clock.now();
-        self.events.push(TraceEvent::Recv {
-            posted,
-            completed,
-            peer: from,
-            tag,
-            words,
-            wait: completed - posted,
-        });
+        self.open();
+        self.hop_recv(from, words, arrival);
+        self.close(Call::Mail(tag));
     }
 
-    /// Open this rank's record of a collective call.
+    /// Open this rank's record of a call.
     pub(crate) fn open(&mut self) {
-        self.opened = (self.clock.now(), self.sent_messages, self.sent_words);
+        self.opened = self.clock.now();
         self.hops.clear();
     }
 
-    /// A send of the open collective: charged as [`Ledger::send`] charges
-    /// one, recorded as a hop. Returns the arrival at `to`.
+    /// A send of the open call: the startup charge, recorded as a hop ending
+    /// at its end. Returns the arrival at `to`.
     pub(crate) fn hop_send(&mut self, model: &MachineModel, to: usize, words: u64) -> f64 {
-        let (_, end, arrival) = self.charge_send(model, to, words);
+        let (end, arrival) = self.charge_send(model, to, words);
         self.hops.push(Hop::new(end, to, true, words));
         arrival
     }
 
-    /// A receive of the open collective: the wait for `arrival`, charged as
-    /// [`Ledger::recv`] charges one, recorded as a hop.
+    /// A receive of the open call: the wait for `arrival`, recorded as a hop
+    /// ending at the completion.
     pub(crate) fn hop_recv(&mut self, from: usize, words: u64, arrival: f64) {
         self.clock.advance_to(arrival);
         self.hops
             .push(Hop::new(self.clock.now(), from, false, words));
     }
 
-    /// Close the open collective: record it as one event.
-    pub(crate) fn close(&mut self, kind: CollectiveKind) {
-        let (start, msgs, words) = self.opened;
-        self.events.push(TraceEvent::Collective {
-            kind,
-            start,
+    /// Close the open call: record it as one event.
+    pub(crate) fn close(&mut self, call: Call) {
+        self.events.push(TraceEvent::Call {
+            call,
+            start: self.opened,
             end: self.clock.now(),
-            msgs: self.sent_messages - msgs,
-            words: self.sent_words - words,
             hops: self.hops.as_slice().into(),
         });
     }
@@ -153,22 +137,29 @@ impl Ledger {
     fn enter(&mut self) {
         let (depth, mark) = &mut self.reference;
         if *depth == 0 {
-            *mark = self.events.len();
-            self.opened = (self.clock.now(), self.sent_messages, self.sent_words);
+            *mark = (self.events.len(), self.clock.now());
         }
         *depth += 1;
     }
 
     /// Mark exit from the innermost open reference collective; leaving the
-    /// top-level one folds its send and receive events into one record.
+    /// top-level one joins the hops of its mail into one record.
     #[cfg(test)]
-    fn exit(&mut self, kind: CollectiveKind) {
+    fn exit(&mut self, kind: crate::CollectiveKind) {
         self.reference.0 -= 1;
         if self.reference.0 == 0 {
-            let messages: Vec<TraceEvent> = self.events.drain(self.reference.1..).collect();
-            let (start, end) = (self.opened.0, self.clock.now());
-            let record = crate::collectives::reference::fold(kind, start, end, &messages);
-            self.events.push(record);
+            let (mark, start) = self.reference.1;
+            let hops = self.events.drain(mark..).flat_map(|ev| match ev {
+                TraceEvent::Call { hops, .. } => hops.into_vec(),
+                other => panic!("{kind:?} recorded {other:?}"),
+            });
+            let hops = hops.collect();
+            self.events.push(TraceEvent::Call {
+                call: Call::Collective(kind),
+                start,
+                end: self.clock.now(),
+                hops,
+            });
         }
     }
 }
@@ -311,29 +302,8 @@ impl Comm {
     ///
     /// Blocks (in real time) until the message is available; in virtual time
     /// the receiver's clock advances to the message arrival time if it was
-    /// still in flight.
+    /// still in flight. All diagnostics carry rank, peer, and expected tag.
     pub fn recv<T: 'static>(&mut self, from: usize, tag: Tag) -> T {
-        self.recv_counted::<T>(from, tag).0
-    }
-
-    /// Receive a message of unknown size from `from`, returning `(value,
-    /// words)`.
-    pub fn recv_counted<T: 'static>(&mut self, from: usize, tag: Tag) -> (T, u64) {
-        let env = self.recv_envelope(from, tag);
-        let words = env.words;
-        let value = *env.payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "rank {}: payload type mismatch from {from} tag {tag}",
-                self.rank
-            )
-        });
-        (value, words)
-    }
-
-    /// Shared receive path: block for the next envelope from `from`, verify
-    /// the tag, charge any wait time, and record the trace event. All
-    /// diagnostics carry rank, peer, and expected tag.
-    fn recv_envelope(&mut self, from: usize, tag: Tag) -> Envelope {
         assert!(
             from < self.nranks,
             "recv from rank {from} of {}",
@@ -346,7 +316,12 @@ impl Comm {
             self.rank, env.tag
         );
         self.ledger.recv(from, tag, env.words, env.arrival);
-        env
+        *env.payload.downcast::<T>().unwrap_or_else(|_| {
+            panic!(
+                "rank {}: payload type mismatch from {from} tag {tag}",
+                self.rank
+            )
+        })
     }
 
     /// The one blocking path in the simulator: take the next envelope from
@@ -428,7 +403,7 @@ impl Comm {
 
     /// Mark exit from the innermost open collective.
     #[cfg(test)]
-    pub(crate) fn collective_exit(&mut self, kind: CollectiveKind) {
+    pub(crate) fn collective_exit(&mut self, kind: crate::CollectiveKind) {
         self.ledger.exit(kind);
     }
 

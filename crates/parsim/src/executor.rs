@@ -732,16 +732,19 @@ mod tests {
     #[test]
     fn recv_counted_reports_wire_size() {
         let r = spmd(2, MachineModel::sp2(), |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 3, 17, vec![1u8; 100]);
-                0
-            } else {
-                let (v, words) = comm.recv_counted::<Vec<u8>>(0, 3);
+            if comm.rank() == 1 {
+                let v = comm.recv::<Vec<u8>>(0, 3);
                 assert_eq!(v.len(), 100);
-                words
+            } else {
+                comm.send(1, 3, 17, vec![1u8; 100]);
             }
         });
-        assert_eq!(r[1].value, 17);
+        // The receive's record is one hop of the declared words.
+        let words = match &r[1].events[..] {
+            [TraceEvent::Call { hops, .. }] => hops[0].words(),
+            other => panic!("rank 1 recorded {other:?}"),
+        };
+        assert_eq!(words, 17);
     }
 
     #[test]

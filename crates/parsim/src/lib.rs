@@ -55,9 +55,9 @@ pub use executor::{makespan, spmd, spmd_with_args, try_spmd, RankResult, Session
 pub use metrics::MetricsSink;
 pub use model::MachineModel;
 pub use trace::{
-    check_protocol, CollectiveKind, CollectiveStats, Hop, MessageEdge, PhaseAgg, PhaseRankAgg,
-    PhaseTimeline, ProtocolViolation, RankPhaseSplit, RankSummary, TraceEvent, TraceLog,
-    TraceSummary, Via, COLLECTIVE_KINDS, OUTSIDE_PHASE,
+    check_protocol, Call, CollectiveKind, CollectiveStats, Hop, MessageEdge, PhaseAgg,
+    PhaseRankAgg, PhaseTimeline, ProtocolViolation, RankPhaseSplit, RankSummary, TraceEvent,
+    TraceLog, TraceSummary, COLLECTIVE_KINDS, OUTSIDE_PHASE,
 };
 
 /// Convenience: number of 8-byte words needed to hold `bytes` bytes.

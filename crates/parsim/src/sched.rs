@@ -77,7 +77,7 @@ use std::rc::Rc;
 
 use crate::comm::{Comm, Envelope, Ledger, Tag};
 use crate::deadlock::{DeadlockError, RankActivity};
-use crate::trace::CollectiveKind;
+use crate::trace::{Call, CollectiveKind};
 use crate::MachineModel;
 
 /// Hashes a rank id with one multiplication (Fibonacci hashing): the key
@@ -444,7 +444,9 @@ impl Comm {
                 };
                 pass(&mut host, inputs.collect())
             };
-            ledgers.iter_mut().for_each(|l| l.close(op.kind));
+            ledgers
+                .iter_mut()
+                .for_each(|l| l.close(Call::Collective(op.kind)));
             debug_assert_eq!(outputs.len(), p, "{op}: one output per rank");
             table.borrow_mut().outputs = outputs.into_iter().map(Some).collect();
             let mut sched = self.sched.borrow_mut();

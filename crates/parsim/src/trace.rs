@@ -1,15 +1,15 @@
 //! Structured event tracing for SPMD runs.
 //!
 //! Every [`Comm`](crate::Comm) records a typed event for each virtual-clock
-//! charge it makes outside a collective: local computation, point-to-point
-//! sends (with wire size and arrival stamp) and receives (with the wait the
-//! receiver paid), user-defined phase spans, step-boundary syncs, injected
-//! faults and blocked clock-rewind attempts. A collective call leaves one
-//! [`TraceEvent::Collective`] record per rank instead, which keeps each of
-//! its clock charges on that rank as a 16-byte [`Hop`] (the clock after the
-//! charge, the peer, the direction and the declared words), so every clock
-//! charge is one event or one hop. After [`spmd`](crate::spmd) returns, the
-//! per-rank event streams are gathered into a [`TraceLog`], which supports:
+//! charge it makes: local computation, user-defined phase spans,
+//! step-boundary syncs, injected faults and blocked clock-rewind attempts.
+//! A message end is a 16-byte [`Hop`] (the clock after the charge, the
+//! peer, the direction and the declared words) inside one
+//! [`TraceEvent::Call`] record per call: a point-to-point send or receive
+//! is a record of one hop, a collective call one record per rank holding
+//! every charge the call made on it. Every clock charge is therefore one
+//! event or one hop. After [`spmd`](crate::spmd) returns, the per-rank
+//! event streams are gathered into a [`TraceLog`], which supports:
 //!
 //! * **aggregation** ([`TraceLog::summary`]): per-rank wait / compute /
 //!   wire / injected split (which reconstructs each rank's elapsed virtual
@@ -17,11 +17,11 @@
 //!   message/word counters per collective kind; the same split per phase
 //!   ([`TraceLog::phase_breakdowns`] and friends), all accumulated over
 //!   one walk that owns the phase-attribution rule. Every reader takes a
-//!   collective's wire and wait hop by hop, in the order the charges were
-//!   made, so its float sums are the ones a message-by-message trace gives;
+//!   record's wire and wait hop by hop, in the order the charges were made,
+//!   so its float sums are the ones a message-by-message trace gives;
 //! * **export**: Chrome-trace JSON ([`TraceLog::chrome_json`], loadable in
 //!   `chrome://tracing` or Perfetto) and a plain-text timeline
-//!   ([`TraceLog::text_timeline`]), where a collective is one span;
+//!   ([`TraceLog::text_timeline`]), where a record is one span;
 //! * **protocol checking** ([`check_protocol`]): replaying the log to flag
 //!   SPMD discipline violations — mismatched collective sequences across
 //!   ranks, tag-order inconsistencies on a point-to-point channel, and
@@ -88,12 +88,11 @@ impl CollectiveKind {
     }
 }
 
-/// One message end of a collective, kept inside its rank's
-/// [`TraceEvent::Collective`] record: the clock after the charge, the other
-/// rank, the direction and the declared words, in 16 bytes. A hop starts
-/// where the one before it ended (the first at the record's `start`): a
-/// send spans its startup charge (wire), a receive its wait for the
-/// arrival.
+/// One message end, kept inside its rank's [`TraceEvent::Call`] record:
+/// the clock after the charge, the other rank, the direction and the
+/// declared words, in 16 bytes. A hop starts where the one before it ended
+/// (the first at the record's `start`): a send spans its startup charge
+/// (wire), a receive its wait for the arrival.
 #[derive(Clone, Copy, PartialEq)]
 pub struct Hop {
     /// The clock after the charge: a send's startup end, a receive's
@@ -111,7 +110,7 @@ impl Hop {
     /// A send (`send`) or receive of `words` words to or from `peer`,
     /// ending at `at`. Panics on a peer of 2^23 or more, or on 2^40 words
     /// or more.
-    pub(crate) fn new(at: f64, peer: usize, send: bool, words: u64) -> Hop {
+    pub fn new(at: f64, peer: usize, send: bool, words: u64) -> Hop {
         assert!(
             peer < 1 << Self::PEER_BITS,
             "rank {peer} does not fit a hop's 23-bit peer"
@@ -153,11 +152,31 @@ impl fmt::Debug for Hop {
     }
 }
 
-/// Each hop of a collective record that started at `start`, with the clock
-/// it started from.
+/// Each hop of a record that started at `start`, with the clock it started
+/// from.
 pub(crate) fn hop_spans(start: f64, hops: &[Hop]) -> impl Iterator<Item = (f64, &Hop)> {
     let froms = std::iter::once(start).chain(hops.iter().map(|h| h.at));
     froms.zip(hops)
+}
+
+/// What a [`TraceEvent::Call`] record was called for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Call {
+    /// A collective call of this kind (a nested step of its schedule —
+    /// allgather's gather and broadcast — is part of it).
+    Collective(CollectiveKind),
+    /// One point-to-point `Comm::send` or `Comm::recv` under this tag; its
+    /// one hop says which.
+    Mail(Tag),
+}
+
+impl fmt::Display for Call {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Call::Collective(kind) => f.pad(kind.name()),
+            Call::Mail(tag) => f.pad(&format!("tag={tag}")),
+        }
+    }
 }
 
 /// One typed event on one rank's virtual timeline. All times are virtual
@@ -166,40 +185,16 @@ pub(crate) fn hop_spans(start: f64, hops: &[Hop]) -> impl Iterator<Item = (f64, 
 pub enum TraceEvent {
     /// Local work charged via `compute` or `advance`.
     Compute { start: f64, end: f64 },
-    /// A point-to-point send: the local clock ran `start..end` (the startup
-    /// charge); the payload of `words` words arrives at `peer` at
-    /// `arrival`.
-    Send {
+    /// One call that sent or received messages, whole: the clock ran
+    /// `start..end` through `hops`, this rank's message ends of the call
+    /// in the order it was charged them. A send hop ends at its startup
+    /// charge's end; a receive hop spans the wait from posting to
+    /// completion. The rank sent exactly the messages and words of the
+    /// send hops.
+    Call {
+        call: Call,
         start: f64,
         end: f64,
-        peer: usize,
-        tag: Tag,
-        words: u64,
-        arrival: f64,
-    },
-    /// A point-to-point receive: posted at `posted`, satisfied at
-    /// `completed` (the clock after advancing to the arrival stamp).
-    /// `wait = completed - posted` is the time the receiver idled for
-    /// in-flight data.
-    Recv {
-        posted: f64,
-        completed: f64,
-        peer: usize,
-        tag: Tag,
-        words: u64,
-        wait: f64,
-    },
-    /// One collective call on this rank, whole: the clock ran
-    /// `start..end` through `hops`, this rank's message ends of the
-    /// collective's schedule in the order it was charged them. `msgs` and
-    /// `words` count what the rank sent (a nested step of the schedule —
-    /// allgather's gather and broadcast — is part of its call).
-    Collective {
-        kind: CollectiveKind,
-        start: f64,
-        end: f64,
-        msgs: u64,
-        words: u64,
         hops: Box<[Hop]>,
     },
     /// Begin of a user-defined phase span (see `Comm::phase`).
@@ -229,9 +224,7 @@ impl TraceEvent {
     pub fn time(&self) -> f64 {
         match *self {
             TraceEvent::Compute { start, .. } => start,
-            TraceEvent::Send { start, .. } => start,
-            TraceEvent::Recv { posted, .. } => posted,
-            TraceEvent::Collective { start, .. } => start,
+            TraceEvent::Call { start, .. } => start,
             TraceEvent::PhaseBegin { start, .. } => start,
             TraceEvent::PhaseEnd { end, .. } => end,
             TraceEvent::RewindBlocked { at, .. } => at,
@@ -244,9 +237,7 @@ impl TraceEvent {
     pub fn end_time(&self) -> f64 {
         match *self {
             TraceEvent::Compute { end, .. } => end,
-            TraceEvent::Send { end, .. } => end,
-            TraceEvent::Recv { completed, .. } => completed,
-            TraceEvent::Collective { end, .. } => end,
+            TraceEvent::Call { end, .. } => end,
             TraceEvent::PhaseBegin { start, .. } => start,
             TraceEvent::PhaseEnd { end, .. } => end,
             TraceEvent::RewindBlocked { at, .. } => at,
@@ -305,7 +296,7 @@ impl RankSummary {
 
     /// The rank's total accounted virtual time. Equal (to rounding) to the
     /// rank's final clock: every clock charge is exactly one event or one
-    /// hop of a collective's record, so `compute + wire + wait + injected
+    /// hop of a record, so `compute + wire + wait + injected
     /// == elapsed`.
     pub fn total(&self) -> f64 {
         self.compute + self.wire + self.wait + self.injected
@@ -434,77 +425,29 @@ impl TraceLog {
                         &mut first,
                         chrome_span(rank, "compute", "compute", *start, *end, ""),
                     ),
-                    TraceEvent::Send {
+                    TraceEvent::Call {
+                        call,
                         start,
                         end,
-                        peer,
-                        tag,
-                        words,
-                        arrival,
-                    } => push(
-                        &mut out,
-                        &mut first,
-                        chrome_span(
-                            rank,
-                            &format!("send\\u2192{peer}"),
-                            "comm",
-                            *start,
-                            *end,
-                            &format!(
-                                ",\"args\":{{\"peer\":{peer},\"tag\":{tag},\"words\":{words},\
-                                 \"arrival_us\":{}}}",
-                                us(*arrival)
-                            ),
-                        ),
-                    ),
-                    TraceEvent::Recv {
-                        posted,
-                        completed,
-                        peer,
-                        tag,
-                        words,
-                        wait,
-                    } => {
-                        if *wait > 0.0 {
-                            push(
-                                &mut out,
-                                &mut first,
-                                chrome_span(
-                                    rank,
-                                    &format!("wait\\u2190{peer}"),
-                                    "wait",
-                                    *posted,
-                                    *completed,
-                                    &format!(
-                                        ",\"args\":{{\"peer\":{peer},\"tag\":{tag},\
-                                         \"words\":{words}}}"
-                                    ),
-                                ),
-                            );
-                        }
-                    }
-                    TraceEvent::Collective {
-                        kind,
-                        start,
-                        end,
-                        msgs,
-                        words,
                         hops,
-                    } => push(
-                        &mut out,
-                        &mut first,
-                        chrome_span(
-                            rank,
-                            kind.name(),
-                            "collective",
-                            *start,
-                            *end,
-                            &format!(
-                                ",\"args\":{{\"msgs\":{msgs},\"words\":{words},\"hops\":{}}}",
-                                hops.len()
+                    } => {
+                        let (msgs, words) = sent(hops);
+                        push(
+                            &mut out,
+                            &mut first,
+                            chrome_span(
+                                rank,
+                                &call.to_string(),
+                                "comm",
+                                *start,
+                                *end,
+                                &format!(
+                                    ",\"args\":{{\"msgs\":{msgs},\"words\":{words},\"hops\":\"{}\"}}",
+                                    hop_list(hops)
+                                ),
                             ),
-                        ),
-                    ),
+                        )
+                    }
                     TraceEvent::PhaseBegin { name, start } => phase_stack.push((name, *start)),
                     TraceEvent::PhaseEnd { name, end } => {
                         if let Some((n, start)) = phase_stack.pop() {
@@ -565,43 +508,19 @@ impl TraceLog {
                             us_f(*end - *start)
                         )
                     }
-                    TraceEvent::Send {
+                    TraceEvent::Call {
+                        call,
                         start,
                         end,
-                        peer,
-                        tag,
-                        words,
-                        arrival,
-                    } => format!(
-                        "{:>14}  send -> {peer} tag={tag} words={words} arrives@{}",
-                        span(*start, *end),
-                        ts(*arrival)
-                    ),
-                    TraceEvent::Recv {
-                        posted,
-                        completed,
-                        peer,
-                        tag,
-                        words,
-                        wait,
-                    } => format!(
-                        "{:>14}  recv <- {peer} tag={tag} words={words} wait={:.3}us",
-                        span(*posted, *completed),
-                        us_f(*wait)
-                    ),
-                    TraceEvent::Collective {
-                        kind,
-                        start,
-                        end,
-                        msgs,
-                        words,
                         hops,
-                    } => format!(
-                        "{:>14}  {} msgs={msgs} words={words} hops={}",
-                        span(*start, *end),
-                        kind.name(),
-                        hops.len()
-                    ),
+                    } => {
+                        let (msgs, words) = sent(hops);
+                        format!(
+                            "{:>14}  {call} msgs={msgs} words={words} hops: {}",
+                            span(*start, *end),
+                            hop_list(hops)
+                        )
+                    }
                     TraceEvent::PhaseBegin { name, start } => {
                         format!("{:>14}  === phase {name} begin ===", ts(*start))
                     }
@@ -648,6 +567,22 @@ fn ts(seconds: f64) -> String {
 
 fn span(start: f64, end: f64) -> String {
     format!("{:.3}..{:.3}us", start * 1e6, end * 1e6)
+}
+
+/// The messages and words a record's send hops sent.
+fn sent(hops: &[Hop]) -> (u64, u64) {
+    let sends = hops.iter().filter(|h| h.is_send());
+    sends.fold((0, 0), |(msgs, words), h| (msgs + 1, words + h.words()))
+}
+
+/// A record's hops for the exports: `->peer` for a send, `<-peer` for a
+/// receive, each with its words.
+fn hop_list(hops: &[Hop]) -> String {
+    let ends = hops.iter().map(|h| {
+        let dir = if h.is_send() { "->" } else { "<-" };
+        format!("{dir}{}:{}", h.peer(), h.words())
+    });
+    ends.collect::<Vec<_>>().join(" ")
 }
 
 fn chrome_span(rank: usize, name: &str, cat: &str, start: f64, end: f64, args: &str) -> String {
@@ -728,10 +663,10 @@ impl fmt::Display for ProtocolViolation {
 /// 1. **Collective sequences**: every rank must issue the same collectives
 ///    in the same order (rank 0 is the reference).
 /// 2. **Tag order**: per `src → dst` channel, the sender's tag sequence of
-///    point-to-point messages must equal the receiver's expected-tag
-///    sequence (channels are FIFO). A collective's hops carry no tags: its
-///    schedule is fixed by its kind, root and rank count, and the
-///    rendezvous runs it for every rank at once.
+///    point-to-point mail must equal the receiver's expected-tag sequence
+///    (channels are FIFO). A collective's hops carry no tags: its schedule
+///    is fixed by its kind, root and rank count, and the rendezvous runs
+///    it for every rank at once.
 /// 3. **Clock rewinds**: any blocked negative clock charge.
 pub fn check_protocol(log: &TraceLog) -> Vec<ProtocolViolation> {
     let mut out = Vec::new();
@@ -744,7 +679,10 @@ pub fn check_protocol(log: &TraceLog) -> Vec<ProtocolViolation> {
             stream
                 .iter()
                 .filter_map(|ev| match ev {
-                    TraceEvent::Collective { kind, .. } => Some(*kind),
+                    TraceEvent::Call {
+                        call: Call::Collective(kind),
+                        ..
+                    } => Some(*kind),
                     _ => None,
                 })
                 .collect()
@@ -777,14 +715,20 @@ pub fn check_protocol(log: &TraceLog) -> Vec<ProtocolViolation> {
     let mut recd_tags: HashMap<(usize, usize), Vec<Tag>> = HashMap::new();
     for (rank, stream) in log.events.iter().enumerate() {
         for ev in stream {
-            match ev {
-                TraceEvent::Send { peer, tag, .. } => {
-                    sent_tags.entry((rank, *peer)).or_default().push(*tag);
+            let TraceEvent::Call {
+                call: Call::Mail(tag),
+                hops,
+                ..
+            } = ev
+            else {
+                continue;
+            };
+            for hop in hops.iter() {
+                if hop.is_send() {
+                    sent_tags.entry((rank, hop.peer())).or_default().push(*tag);
+                } else {
+                    recd_tags.entry((hop.peer(), rank)).or_default().push(*tag);
                 }
-                TraceEvent::Recv { peer, tag, .. } => {
-                    recd_tags.entry((*peer, rank)).or_default().push(*tag);
-                }
-                _ => {}
             }
         }
     }
@@ -863,46 +807,32 @@ pub const OUTSIDE_PHASE: &str = "-";
 /// a channel pairs with the `i`-th receive on it (the same rule
 /// [`check_protocol`] enforces on tag sequences); point-to-point mail and
 /// collective hops pair apart, which in a protocol-clean log is the same
-/// pairing (a collective's schedule message never overtakes undelivered
-/// mail on its channel).
+/// pairing (a collective's messages are all received inside its call).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MessageEdge<'a> {
     pub src: usize,
     pub dst: usize,
     /// What carried the message.
-    pub via: Via,
+    pub call: Call,
     /// Declared words, as recorded on the receive side.
     pub words: u64,
-    /// Index in `events[src]` of the `Send` event, or of the `Collective`
-    /// record holding the send hop.
+    /// Index in `events[src]` of the record holding the send hop, and the
+    /// hop's index in it.
     pub send_event: usize,
-    /// Index in `events[dst]` of the `Recv` event, or of the `Collective`
-    /// record holding the receive hop.
+    pub send_hop: usize,
+    /// Index in `events[dst]` of the record holding the receive hop, and
+    /// the hop's index in it.
     pub recv_event: usize,
+    pub recv_hop: usize,
     pub send_start: f64,
     pub send_end: f64,
     pub recv_posted: f64,
     pub recv_completed: f64,
-    /// Receiver idle time paid on this edge (`Recv::wait`, or the receive
-    /// hop's span).
+    /// Receiver idle time paid on this edge: the receive hop's span.
     pub wait: f64,
     /// Phase the receive is attributed to on the receiver (a name in the
     /// log, borrowed: building an edge allocates nothing).
     pub phase: &'a str,
-}
-
-/// What carried a [`MessageEdge`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Via {
-    /// A point-to-point message, under the tag the receiver expected.
-    Tag(Tag),
-    /// A hop of a collective: its index in the sender's and in the
-    /// receiver's record.
-    Collective {
-        kind: CollectiveKind,
-        send_hop: usize,
-        recv_hop: usize,
-    },
 }
 
 /// Per-phase aggregate built in a single pass over a [`TraceLog`]
@@ -965,35 +895,24 @@ impl RankPhaseSplit {
 
     /// Account one event: every clock charge is exactly one of compute,
     /// wire, wait or injected, so the four sums reconstruct elapsed time. A
-    /// collective's hops are charged one by one, in the order they were
-    /// made, as a send or receive event of their own would be.
+    /// record's hops are charged one by one, in the order they were made: a
+    /// send hop's span is wire and sends its words, a receive hop's is
+    /// wait.
     fn charge(&mut self, ev: &TraceEvent) {
         match *ev {
             TraceEvent::Compute { start, end } => self.compute += end - start,
-            TraceEvent::Send {
-                start, end, words, ..
-            } => {
-                self.wire += end - start;
-                self.msgs += 1;
-                self.words += words;
-            }
-            TraceEvent::Recv { wait, .. } => self.wait += wait,
-            TraceEvent::Collective {
-                start,
-                msgs,
-                words,
-                ref hops,
-                ..
+            TraceEvent::Call {
+                start, ref hops, ..
             } => {
                 for (from, hop) in hop_spans(start, hops) {
                     if hop.is_send() {
                         self.wire += hop.at - from;
+                        self.msgs += 1;
+                        self.words += hop.words();
                     } else {
                         self.wait += hop.at - from;
                     }
                 }
-                self.msgs += msgs;
-                self.words += words;
             }
             TraceEvent::Sync { start, end } => self.wait += end - start,
             TraceEvent::Fault { start, end, .. } => self.injected += end - start,
@@ -1075,16 +994,15 @@ struct Visit<'a> {
 /// Count a collective record towards its kind: one call, its start-to-end
 /// seconds and every message it sent.
 fn tally_collective(stats: &mut [CollectiveStats; COLLECTIVE_KINDS.len()], ev: &TraceEvent) {
-    if let TraceEvent::Collective {
-        kind,
+    if let TraceEvent::Call {
+        call: Call::Collective(kind),
         start,
         end,
-        msgs,
-        words,
-        ..
+        ref hops,
     } = *ev
     {
         let c = &mut stats[kind.index()];
+        let (msgs, words) = sent(hops);
         c.calls += 1;
         c.seconds -= start;
         c.seconds += end;
@@ -1170,14 +1088,13 @@ impl TraceLog {
         spans
     }
 
-    /// Match every send to its receive by FIFO channel order — `Send` to
-    /// `Recv` events, a collective's send hops to receive hops — and return
-    /// the resulting happens-before edges, grouped by receiver rank in
-    /// stream order (deterministic). Unmatched sends or receives (a
-    /// protocol violation) produce no edge.
+    /// Match every send hop to its receive hop by FIFO channel order (see
+    /// [`MessageEdge`]) and return the resulting happens-before edges, grouped by receiver rank in stream order
+    /// (deterministic). Unmatched sends or receives (a protocol violation)
+    /// produce no edge.
     pub fn message_edges(&self) -> Vec<MessageEdge<'_>> {
         use std::collections::VecDeque;
-        // Per (src, dst, is a hop) channel: queued sends in send order.
+        // Per (src, dst, is mail) channel: queued send hops in send order.
         struct PendingSend {
             event: usize,
             hop: usize,
@@ -1187,99 +1104,64 @@ impl TraceLog {
         let mut channels: HashMap<(usize, usize, bool), VecDeque<PendingSend>> = HashMap::new();
         for (src, stream) in self.events.iter().enumerate() {
             for (event, ev) in stream.iter().enumerate() {
-                match *ev {
-                    TraceEvent::Send {
-                        start, end, peer, ..
-                    } => {
-                        let send = PendingSend {
-                            event,
-                            hop: 0,
-                            start,
-                            end,
-                        };
-                        channels
-                            .entry((src, peer, false))
-                            .or_default()
-                            .push_back(send);
-                    }
-                    TraceEvent::Collective {
-                        start, ref hops, ..
-                    } => {
-                        let sends = hop_spans(start, hops).enumerate();
-                        for (hop, (from, h)) in sends.filter(|(_, (_, h))| h.is_send()) {
-                            let send = PendingSend {
-                                event,
-                                hop,
-                                start: from,
-                                end: h.at,
-                            };
-                            channels
-                                .entry((src, h.peer(), true))
-                                .or_default()
-                                .push_back(send);
-                        }
-                    }
-                    _ => {}
+                let TraceEvent::Call {
+                    call,
+                    start,
+                    ref hops,
+                    ..
+                } = *ev
+                else {
+                    continue;
+                };
+                let mail = matches!(call, Call::Mail(_));
+                let sends = hop_spans(start, hops).enumerate();
+                for (hop, (from, h)) in sends.filter(|(_, (_, h))| h.is_send()) {
+                    let send = PendingSend {
+                        event,
+                        hop,
+                        start: from,
+                        end: h.at,
+                    };
+                    channels
+                        .entry((src, h.peer(), mail))
+                        .or_default()
+                        .push_back(send);
                 }
             }
         }
         let mut edges = Vec::new();
         self.walk(|v| {
-            let mut sent = |peer: usize, hop: bool| {
-                channels
-                    .get_mut(&(peer, v.rank, hop))
-                    .and_then(VecDeque::pop_front)
+            let TraceEvent::Call {
+                call,
+                start,
+                ref hops,
+                ..
+            } = *v.ev
+            else {
+                return;
             };
-            let mut push =
-                |src: usize, send: PendingSend, via: Via, words: u64, recv: (f64, f64, f64)| {
-                    let (posted, completed, wait) = recv;
+            let mail = matches!(call, Call::Mail(_));
+            let recvs = hop_spans(start, hops).enumerate();
+            for (recv_hop, (from, h)) in recvs.filter(|(_, (_, h))| !h.is_send()) {
+                let channel = channels.get_mut(&(h.peer(), v.rank, mail));
+                if let Some(send) = channel.and_then(VecDeque::pop_front) {
                     edges.push(MessageEdge {
-                        src,
+                        src: h.peer(),
                         dst: v.rank,
-                        via,
-                        words,
+                        call,
+                        words: h.words(),
                         send_event: send.event,
+                        send_hop: send.hop,
                         recv_event: v.index,
+                        recv_hop,
                         send_start: send.start,
                         send_end: send.end,
-                        recv_posted: posted,
-                        recv_completed: completed,
-                        wait,
+                        recv_posted: from,
+                        recv_completed: h.at,
+                        wait: h.at - from,
                         phase: v.name,
                     });
-                };
-            match *v.ev {
-                TraceEvent::Recv {
-                    posted,
-                    completed,
-                    peer,
-                    tag,
-                    words,
-                    wait,
-                } => {
-                    if let Some(send) = sent(peer, false) {
-                        push(peer, send, Via::Tag(tag), words, (posted, completed, wait));
-                    }
                 }
-                TraceEvent::Collective {
-                    kind,
-                    start,
-                    ref hops,
-                    ..
-                } => {
-                    let recvs = hop_spans(start, hops).enumerate();
-                    for (recv_hop, (from, h)) in recvs.filter(|(_, (_, h))| !h.is_send()) {
-                        if let Some(send) = sent(h.peer(), true) {
-                            let via = Via::Collective {
-                                kind,
-                                send_hop: send.hop,
-                                recv_hop,
-                            };
-                            push(h.peer(), send, via, h.words(), (from, h.at, h.at - from));
-                        }
-                    }
-                }
-                _ => {}
             }
         });
         edges
@@ -1486,7 +1368,10 @@ mod tests {
         let record = log.events[3]
             .iter_mut()
             .find_map(|ev| match ev {
-                TraceEvent::Collective { kind, .. } => Some(kind),
+                TraceEvent::Call {
+                    call: Call::Collective(kind),
+                    ..
+                } => Some(kind),
                 _ => None,
             })
             .unwrap();
@@ -1515,7 +1400,11 @@ mod tests {
         let ev = log.events[0]
             .iter_mut()
             .find_map(|ev| match ev {
-                TraceEvent::Send { tag, .. } => Some(tag),
+                TraceEvent::Call {
+                    call: Call::Mail(tag),
+                    hops,
+                    ..
+                } if hops[0].is_send() => Some(tag),
                 _ => None,
             })
             .unwrap();
@@ -1585,37 +1474,19 @@ mod tests {
             );
             assert!(e.wait >= 0.0);
             // The edge indices really point at a send / receive pair: the
-            // events, or the hops of two records of one kind.
-            let (send, recv) = (
-                &log.events[e.src][e.send_event],
-                &log.events[e.dst][e.recv_event],
-            );
-            match e.via {
-                Via::Tag(_) => {
-                    assert!(matches!(send, TraceEvent::Send { peer, .. } if *peer == e.dst));
-                    assert!(matches!(recv, TraceEvent::Recv { peer, .. } if *peer == e.src));
-                }
-                Via::Collective {
-                    kind,
-                    send_hop,
-                    recv_hop,
-                } => {
-                    let hop = |ev: &TraceEvent, i: usize| match ev {
-                        TraceEvent::Collective { kind: k, hops, .. } if *k == kind => hops[i],
-                        other => panic!("edge {e:?} points at {other:?}"),
-                    };
-                    let (s, r) = (hop(send, send_hop), hop(recv, recv_hop));
-                    assert!(s.is_send() && s.peer() == e.dst && s.at == e.send_end);
-                    assert!(!r.is_send() && r.peer() == e.src && r.at == e.recv_completed);
-                    assert_eq!((s.words(), r.words()), (e.words, e.words));
-                }
-            }
+            // hops of two records of one call.
+            let hop = |ev: &TraceEvent, i: usize| match ev {
+                TraceEvent::Call { call, hops, .. } if *call == e.call => hops[i],
+                other => panic!("edge {e:?} points at {other:?}"),
+            };
+            let s = hop(&log.events[e.src][e.send_event], e.send_hop);
+            let r = hop(&log.events[e.dst][e.recv_event], e.recv_hop);
+            assert!(s.is_send() && s.peer() == e.dst && s.at == e.send_end);
+            assert!(!r.is_send() && r.peer() == e.src && r.at == e.recv_completed);
+            assert_eq!((s.words(), r.words()), (e.words, e.words));
         }
         assert_eq!(
-            edges
-                .iter()
-                .filter(|e| matches!(e.via, Via::Tag(9)))
-                .count(),
+            edges.iter().filter(|e| e.call == Call::Mail(9)).count(),
             5,
             "the ring's mail"
         );

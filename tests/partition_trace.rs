@@ -8,7 +8,7 @@
 
 use plum_core::{BalanceMethod, Plum, PlumConfig};
 use plum_mesh::generate::unit_box_mesh;
-use plum_parsim::{check_protocol, TraceEvent};
+use plum_parsim::{check_protocol, Call, TraceEvent};
 use plum_solver::WaveField;
 
 /// A P=64 cycle on a mesh big enough (1296 dual vertices > the default
@@ -40,8 +40,8 @@ fn partition_phase_trace_carries_real_traffic_and_accounts_exactly() {
     let trace = &report.traces.session.phase_slice("partition");
     assert_eq!(trace.nranks(), 64);
 
-    // Real per-rank message traffic: sends and receives (point-to-point
-    // events or the hops of collective records), collectives, and the
+    // Real per-rank message traffic: sends and receives (the hops of
+    // point-to-point and collective records), collectives, and the
     // step-boundary syncs all show up in the raw event streams.
     let mut sends = 0u64;
     let mut recvs = 0u64;
@@ -50,10 +50,8 @@ fn partition_phase_trace_carries_real_traffic_and_accounts_exactly() {
     for stream in &trace.events {
         for ev in stream {
             match ev {
-                TraceEvent::Send { .. } => sends += 1,
-                TraceEvent::Recv { .. } => recvs += 1,
-                TraceEvent::Collective { hops, .. } => {
-                    colls += 1;
+                TraceEvent::Call { call, hops, .. } => {
+                    colls += matches!(call, Call::Collective(_)) as u64;
                     let sent = hops.iter().filter(|h| h.is_send()).count() as u64;
                     sends += sent;
                     recvs += hops.len() as u64 - sent;
