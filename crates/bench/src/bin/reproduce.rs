@@ -73,9 +73,17 @@
 //!
 //! A flag the experiment would not use — `--chaos` outside fig6, hotspot
 //! and rematch, `--trace` outside fig6 or beside `--chaos` — exits 2 with a
-//! message, like an unknown flag or experiment.
+//! message, like an unknown flag or experiment. So does a report or trace
+//! path that cannot be written: every output is checked before the
+//! experiment starts, and an existing file is left as it is until the run
+//! has its contents.
 
 use plum_bench::*;
+
+/// Experiments that write a BENCH report, `BENCH_<experiment>.json` unless
+/// `--bench` names another path (none under `--chaos`).
+const BENCH_EXPERIMENTS: &str =
+    "fig5 fig6 fig6_slow fig6_mild weakscale rematch hotspot dual cascade";
 
 /// The parsed command line.
 #[derive(Default)]
@@ -83,8 +91,45 @@ struct Args {
     what: String,
     quick: bool,
     trace_path: Option<String>,
+    /// The BENCH report this run writes, if any.
     bench_path: Option<String>,
     chaos_seed: Option<u64>,
+}
+
+impl Args {
+    /// Every file the run writes (a chaos failure's artifact aside).
+    fn outputs(&self) -> Vec<String> {
+        let trace = self
+            .trace_path
+            .iter()
+            .flat_map(|p| [p.clone(), text_path(p)]);
+        self.bench_path.iter().cloned().chain(trace).collect()
+    }
+}
+
+/// The plain-text timeline written next to a Chrome trace: `foo.json` →
+/// `foo.txt`, any other name gains `.txt`.
+fn text_path(trace_path: &str) -> String {
+    match trace_path.strip_suffix(".json") {
+        Some(stem) => format!("{stem}.txt"),
+        None => format!("{trace_path}.txt"),
+    }
+}
+
+/// `args`, once every file the run writes is known to be writable. Each
+/// is opened for appending, so an existing file keeps its contents, and one
+/// the check created is removed again.
+fn check_outputs(args: Args) -> Result<Args, String> {
+    for path in args.outputs() {
+        let fail = |e| format!("cannot write {path}: {e}");
+        let existed = std::path::Path::new(&path).exists();
+        let mut open = std::fs::OpenOptions::new();
+        open.append(true).create(true).open(&path).map_err(fail)?;
+        if !existed {
+            std::fs::remove_file(&path).map_err(fail)?;
+        }
+    }
+    Ok(args)
 }
 
 /// Parse the arguments after the program name. A flag that does not apply
@@ -123,6 +168,10 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     if parsed.trace_path.is_some() && (what != "fig6" || parsed.chaos_seed.is_some()) {
         return Err("--trace applies only to fig6 without --chaos".to_string());
     }
+    let writes_bench = BENCH_EXPERIMENTS.split(' ').any(|e| e == what);
+    let bench_path = parsed.bench_path.take();
+    parsed.bench_path = (writes_bench && parsed.chaos_seed.is_none())
+        .then(|| bench_path.unwrap_or_else(|| format!("BENCH_{what}.json")));
     Ok(parsed)
 }
 
@@ -134,10 +183,12 @@ fn main() {
         trace_path,
         bench_path,
         chaos_seed,
-    } = parse_args(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    } = parse_args(&args)
+        .and_then(check_outputs)
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
     let scale = if quick { Scale::Quick } else { Scale::Paper };
 
     eprintln!(
@@ -174,14 +225,14 @@ fn main() {
         None
     };
 
-    let write_bench = |default_name: &str, report: &plum_obs::BenchReport| {
+    let write_bench = |report: &plum_obs::BenchReport| {
         let path = bench_path
-            .clone()
-            .unwrap_or_else(|| default_name.to_string());
+            .as_deref()
+            .expect("the experiment writes a BENCH report");
         report
             .validate()
             .expect("BENCH report must be schema-valid");
-        std::fs::write(&path, report.to_json()).expect("write BENCH report");
+        std::fs::write(path, report.to_json()).expect("write BENCH report");
         eprintln!("# wrote {path}");
     };
 
@@ -207,7 +258,7 @@ fn main() {
         "fig5" => {
             let sw = sw.as_ref().unwrap();
             print_fig5(sw);
-            write_bench("BENCH_fig5.json", &report::fig5_bench(sw, scale));
+            write_bench(&report::fig5_bench(sw, scale));
         }
         "fig6" => {
             print_fig6(sw.as_ref().unwrap());
@@ -216,10 +267,7 @@ fn main() {
                 eprintln!("# building the per-rank cycle trace at P={nproc}…");
                 let (json, text) = fig6_trace(scale, nproc);
                 std::fs::write(path, json).expect("write chrome trace");
-                let text_path = match path.strip_suffix(".json") {
-                    Some(stem) => format!("{stem}.txt"),
-                    None => format!("{path}.txt"),
-                };
+                let text_path = text_path(path);
                 std::fs::write(&text_path, text).expect("write text timeline");
                 eprintln!("# wrote {path} (Perfetto/chrome://tracing) and {text_path}");
             }
@@ -230,7 +278,7 @@ fn main() {
             let (bench, analysis) = report::fig6_bench(scale);
             println!();
             print!("{analysis}");
-            write_bench("BENCH_fig6.json", &bench);
+            write_bench(&bench);
         }
         "fig6_slow" => {
             eprintln!(
@@ -241,7 +289,7 @@ fn main() {
             );
             let (bench, analysis) = report::fig6_slow_bench(scale);
             print!("{analysis}");
-            write_bench("BENCH_fig6_slow.json", &bench);
+            write_bench(&bench);
         }
         "fig6_mild" => {
             eprintln!(
@@ -250,7 +298,7 @@ fn main() {
             );
             let (bench, analysis) = report::fig6_mild_bench(scale);
             print!("{analysis}");
-            write_bench("BENCH_fig6_mild.json", &bench);
+            write_bench(&bench);
         }
         "weakscale" => {
             let procs: &[usize] = if quick {
@@ -263,7 +311,7 @@ fn main() {
             );
             let (bench, analysis) = report::weakscale_bench(quick);
             print!("{analysis}");
-            write_bench("BENCH_weakscale.json", &bench);
+            write_bench(&bench);
         }
         "rematch" => {
             eprintln!(
@@ -272,7 +320,7 @@ fn main() {
             );
             let (bench, analysis) = rematch::rematch_bench();
             print!("{analysis}");
-            write_bench("BENCH_rematch.json", &bench);
+            write_bench(&bench);
         }
         "hotspot" => {
             eprintln!(
@@ -281,7 +329,7 @@ fn main() {
             );
             let (bench, analysis) = scenarios::hotspot_bench(scale);
             print!("{analysis}");
-            write_bench("BENCH_hotspot.json", &bench);
+            write_bench(&bench);
         }
         "dual" => {
             eprintln!(
@@ -290,7 +338,7 @@ fn main() {
             );
             let (bench, analysis) = scenarios::dual_bench(scale);
             print!("{analysis}");
-            write_bench("BENCH_dual.json", &bench);
+            write_bench(&bench);
         }
         "cascade" => {
             eprintln!(
@@ -299,7 +347,7 @@ fn main() {
             );
             let (bench, analysis) = scenarios::cascade_bench(scale);
             print!("{analysis}");
-            write_bench("BENCH_cascade.json", &bench);
+            write_bench(&bench);
         }
         "fig7" => {
             print_fig7(&paper_growths());
@@ -379,5 +427,54 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad} must be rejected");
         }
+    }
+
+    /// Every path the run writes is known after parsing, and one that
+    /// cannot be written is refused before the experiment starts, with no
+    /// file created or truncated.
+    #[test]
+    fn outputs_are_checked_before_the_run() {
+        let outputs = |line: &str| parse(line).unwrap().outputs();
+        assert_eq!(
+            outputs("fig6 --quick --bench b.json --trace t.json"),
+            ["b.json", "t.json", "t.txt"]
+        );
+        assert_eq!(outputs("cascade"), ["BENCH_cascade.json"]);
+        assert_eq!(outputs("fig6 --trace t"), ["BENCH_fig6.json", "t", "t.txt"]);
+        for none in [
+            "all",
+            "table1 --bench b.json",
+            "fig6 --chaos 3",
+            "rematch --chaos 0",
+        ] {
+            assert!(outputs(none).is_empty(), "{none}");
+        }
+
+        let dir = std::env::temp_dir().join(format!("reproduce-outputs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let check = |line: String| check_outputs(parse(&line).unwrap()).map(|_| ());
+        let missing = path("no-such-dir/b.json");
+        let err = check(format!("fig6 --quick --bench {missing}")).unwrap_err();
+        assert!(
+            err.starts_with(&format!("cannot write {missing}: ")),
+            "{err}"
+        );
+        let err = check(format!("fig6 --trace {}", path("no-such-dir/t.json"))).unwrap_err();
+        assert!(err.contains("no-such-dir/t.json"), "{err}");
+        let err = check(format!("dual --bench {}", path(""))).unwrap_err();
+        assert!(err.starts_with("cannot write"), "a directory: {err}");
+
+        let fresh = path("fresh.json");
+        check(format!("dual --bench {fresh}")).unwrap();
+        assert!(
+            !std::path::Path::new(&fresh).exists(),
+            "the check leaves no file"
+        );
+        let kept = path("kept.json");
+        std::fs::write(&kept, "committed").unwrap();
+        check(format!("dual --bench {kept}")).unwrap();
+        assert_eq!(std::fs::read_to_string(&kept).unwrap(), "committed");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 use plum_core::{CycleReport, RemapPolicy};
 use plum_obs::{
     critical_path, heaviest_edges, phase_critical_path, render_heaviest_edges, BenchReport,
-    Registry, Timeline, TraceDigest,
+    Timeline, TraceDigest,
 };
 use plum_parsim::{CollectiveKind, TraceLog};
 
@@ -74,33 +74,31 @@ pub fn assert_reproduces_baseline(current: &BenchReport, file: &str) {
     }
 }
 
-/// Append one row of `report`'s flat metrics to `timeline`. A fresh
-/// registry per cycle makes counters per-cycle deltas, not running totals.
+/// Append one row of `report`'s metrics ([`CycleReport::metrics`]) to
+/// `timeline`.
 pub fn record_timeline_row(timeline: &mut Timeline, report: &CycleReport) {
-    let mut reg = Registry::new();
-    report.emit_metrics(&mut reg);
-    let flat = reg.flat_metrics();
-    timeline.record_cycle(flat.iter().map(|(k, &v)| (k.as_str(), v)));
+    let metrics = report.metrics();
+    timeline.record_cycle(metrics.iter().map(|(k, &v)| (k.as_str(), v)));
 }
 
 /// Build a BENCH report from one instrumented adaption cycle: the cycle's
-/// counters and gauges (via [`CycleReport::emit_metrics`]), plus the
-/// cross-rank critical path of the whole session and of every phase.
+/// metrics ([`CycleReport::metrics`]), plus the cross-rank critical path of
+/// the whole session and of every phase.
 pub fn cycle_bench(
     experiment: &str,
     report: &CycleReport,
     nproc: usize,
     initial_elements: usize,
 ) -> BenchReport {
-    let mut reg = Registry::new();
-    report.emit_metrics(&mut reg);
     let mut bench = BenchReport::new(experiment);
     bench
         .meta_str("git_sha", &git_sha())
         .meta_num("nproc", nproc as f64)
         .meta_num("initial_elements", initial_elements as f64)
-        .meta_num("final_elements", report.counts.elements as f64)
-        .absorb_registry(&reg);
+        .meta_num("final_elements", report.counts.elements as f64);
+    for (name, value) in report.metrics() {
+        bench.set(&name, value);
+    }
 
     let session = &report.traces.session;
     if !session.events.is_empty() {

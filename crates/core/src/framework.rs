@@ -1,12 +1,14 @@
 //! The top-level PLUM driver: the solution → adaption → load-balancing
 //! cycle of Fig. 1.
 
+use std::collections::BTreeMap;
+
 use plum_adapt::{AdaptiveMesh, EdgeMarks};
 use plum_mesh::{DualGraph, MeshCounts, TetMesh, VertexField};
 use plum_partition::{partition_kway, Graph};
 use plum_solver::{initialize_solution, CostField, SolverConfig, WaveField, NCOMP};
 
-use plum_parsim::{Fault, Perturbation, PhaseAgg, TraceLog};
+use plum_parsim::{Fault, Perturbation, PhaseAgg, TraceLog, COLLECTIVE_KINDS};
 
 use crate::balance::BalanceDecision;
 use crate::config::PlumConfig;
@@ -120,67 +122,135 @@ impl CycleReport {
         plum_partition::imbalance_weighted(load_of_rank, &self.capacity)
     }
 
-    /// Emit this cycle's counters and gauges into a metrics sink (e.g. the
-    /// `plum-obs` registry). Counters accumulate across cycles; gauges
-    /// report the latest cycle. Every value is deterministic; names under
-    /// the `info.` prefix are informational — higher-is-better values the
-    /// benchmark regression gate must never treat as regressions.
-    pub fn emit_metrics(&self, sink: &mut dyn plum_parsim::MetricsSink) {
-        sink.inc_by("cycle.count", 1);
-        sink.inc_by("marking.sweeps", self.marking_sweeps as u64);
-        sink.inc_by("balance.repartitioned", self.decision.repartitioned as u64);
-        sink.inc_by("balance.accepted", self.decision.accepted as u64);
-        if let Some(m) = &self.migration {
-            sink.inc_by("migration.elems_moved", m.elems_moved);
-            sink.inc_by("migration.words_moved", m.words_moved);
-            sink.inc_by("migration.msgs", m.msgs);
+    /// This cycle's metrics as one name → value map: what a BENCH report
+    /// and a timeline row store. Every value is deterministic; `info.`
+    /// names are informational (higher-is-better values the regression
+    /// gate never compares). Counts are this cycle's own; a time of the
+    /// same name as a count replaces it.
+    ///
+    /// With a session log, `session.` keys add its totals, every called
+    /// collective kind's calls, msgs, words and seconds, and the per-rank
+    /// series `session.rank_wait_seconds` and `session.rank_elapsed_seconds`
+    /// as `.count`, `.sum` (in rank order), `.max` and `info.<series>.p50`,
+    /// `.p90`, `.p99`. Quantile q is the upper bound `1e-6 · 2^i` s of the
+    /// first bucket `i < 40` holding the ⌈q·n⌉-th smallest value (`max`
+    /// above the last bound), clamped to the series' `[min, max]`.
+    pub fn metrics(&self) -> BTreeMap<String, f64> {
+        let (t, d) = (&self.times, &self.decision);
+        let mut counts = vec![
+            ("cycle.count".to_string(), 1),
+            ("marking.sweeps".into(), self.marking_sweeps as u64),
+            ("balance.repartitioned".into(), d.repartitioned as u64),
+            ("balance.accepted".into(), d.accepted as u64),
+        ];
+        let mut times = vec![
+            ("phase.solver.seconds".to_string(), t.solver),
+            ("phase.marking.seconds".into(), t.marking),
+            ("phase.partition.seconds".into(), t.partition),
+            ("phase.reassignment.seconds".into(), t.reassign),
+            ("phase.remap.seconds".into(), t.remap),
+            ("phase.subdivide.seconds".into(), t.subdivide),
+            ("cycle.virtual_seconds".into(), t.total()),
+            ("balance.imbalance_new".into(), d.imbalance_new),
+            ("balance.wmax_balanced".into(), self.wmax_balanced as f64),
+            // Which portfolio method ran (0 = no repartition this cycle).
+            (
+                "balance.method".into(),
+                d.method.map_or(0.0, |m| m.code() as f64),
+            ),
+            ("info.balance.imbalance_old".into(), d.imbalance_old),
+            ("info.balance.gain".into(), d.gain),
+            ("info.balance.cost".into(), d.cost),
+            ("info.balance.wmax_unbalanced".into(), d.wmax_old as f64),
+            ("info.cycle.growth".into(), self.growth),
+        ];
+        // The method's seconds again under its own name, so the gate
+        // tracks each method's cost independently.
+        if let Some(m) = d.method {
+            times.push((
+                format!("balance.partition.{}.seconds", m.name()),
+                t.partition,
+            ));
         }
-
-        let t = &self.times;
-        sink.set_gauge("phase.solver.seconds", t.solver);
-        sink.set_gauge("phase.marking.seconds", t.marking);
-        sink.set_gauge("phase.partition.seconds", t.partition);
-        sink.set_gauge("phase.reassignment.seconds", t.reassign);
-        sink.set_gauge("phase.remap.seconds", t.remap);
-        sink.set_gauge("phase.subdivide.seconds", t.subdivide);
-        sink.set_gauge("cycle.virtual_seconds", t.total());
-
-        sink.set_gauge("balance.imbalance_new", self.decision.imbalance_new);
-        sink.set_gauge("balance.wmax_balanced", self.wmax_balanced as f64);
-        // Which portfolio method ran (0 = no repartition this cycle), plus
-        // its measured partition seconds under a method-specific name so the
-        // regression gate tracks each method's cost independently.
-        sink.set_gauge(
-            "balance.method",
-            self.decision.method.map_or(0.0, |m| m.code() as f64),
-        );
-        if let Some(m) = self.decision.method {
-            sink.set_gauge(
-                &format!("balance.partition.{}.seconds", m.name()),
-                self.times.partition,
-            );
+        if let Some(mig) = &self.migration {
+            counts.push(("migration.elems_moved".into(), mig.elems_moved));
+            counts.push(("migration.words_moved".into(), mig.words_moved));
+            counts.push(("migration.msgs".into(), mig.msgs));
         }
-        sink.set_gauge("info.balance.imbalance_old", self.decision.imbalance_old);
-        sink.set_gauge("info.balance.gain", self.decision.gain);
-        sink.set_gauge("info.balance.cost", self.decision.cost);
-        sink.set_gauge(
-            "info.balance.wmax_unbalanced",
-            self.decision.wmax_old as f64,
-        );
-        sink.set_gauge("info.cycle.growth", self.growth);
-
         for agg in &self.traces.phases {
             let name = &agg.name;
-            sink.set_gauge(&format!("phase.{name}.compute_seconds"), agg.compute);
-            sink.set_gauge(&format!("phase.{name}.wire_seconds"), agg.wire);
-            sink.set_gauge(&format!("phase.{name}.wait_seconds"), agg.wait);
-            sink.inc_by(&format!("phase.{name}.msgs"), agg.msgs);
-            sink.inc_by(&format!("phase.{name}.words"), agg.words);
+            counts.push((format!("phase.{name}.msgs"), agg.msgs));
+            counts.push((format!("phase.{name}.words"), agg.words));
+            times.push((format!("phase.{name}.compute_seconds"), agg.compute));
+            times.push((format!("phase.{name}.wire_seconds"), agg.wire));
+            times.push((format!("phase.{name}.wait_seconds"), agg.wait));
         }
         if !self.traces.session.events.is_empty() {
-            self.traces.session.summary().emit_metrics("session", sink);
+            let s = self.traces.session.summary();
+            counts.push(("session.msgs".into(), s.total_msgs()));
+            counts.push(("session.words".into(), s.total_words()));
+            times.push(("session.compute_seconds".into(), s.total_compute()));
+            times.push(("session.wire_seconds".into(), s.total_wire()));
+            times.push(("session.wait_seconds".into(), s.total_wait()));
+            for kind in COLLECTIVE_KINDS {
+                let (mut calls, mut msgs, mut words, mut seconds) = (0, 0, 0, 0.0);
+                for c in s.ranks.iter().map(|r| r.collective(kind)) {
+                    (calls, msgs, words) = (calls + c.calls, msgs + c.msgs, words + c.words);
+                    seconds += c.seconds;
+                }
+                if calls > 0 {
+                    let key = format!("session.collective.{}", kind.name());
+                    counts.push((format!("{key}.calls"), calls));
+                    counts.push((format!("{key}.msgs"), msgs));
+                    counts.push((format!("{key}.words"), words));
+                    times.push((format!("{key}.seconds"), seconds));
+                }
+            }
+            let wait = s.ranks.iter().map(|r| r.wait).collect();
+            times.extend(series("session.rank_wait_seconds", wait));
+            let elapsed = s.ranks.iter().map(|r| r.total()).collect();
+            times.extend(series("session.rank_elapsed_seconds", elapsed));
         }
+        let counts = counts.into_iter().map(|(k, n)| (k, n as f64));
+        counts.chain(times).collect()
     }
+}
+
+/// Upper bound of quantile bucket `i`, in seconds.
+fn bucket_bound(i: usize) -> f64 {
+    1e-6 * (1u64 << i) as f64
+}
+
+/// The `q`-quantile of ascending `sorted` by [`CycleReport::metrics`]'
+/// bucket rule, exact at q = 0 and q = 1; `None` for an empty series.
+fn bucket_quantile(sorted: &[f64], q: f64) -> Option<f64> {
+    let (&min, &max) = (sorted.first()?, sorted.last()?);
+    if q <= 0.0 || q >= 1.0 {
+        return Some(if q <= 0.0 { min } else { max });
+    }
+    let n = sorted.len();
+    let value = sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+    let bound = (0..40).map(bucket_bound).find(|&b| value <= b);
+    Some(bound.unwrap_or(max).clamp(min, max))
+}
+
+/// A per-rank series' `.count`, `.sum` and `.max`, and its p50 / p90 / p99
+/// under `info.`; nothing for an empty series.
+fn series(name: &str, mut values: Vec<f64>) -> Vec<(String, f64)> {
+    let sum = values.iter().fold(0.0, |sum, v| sum + v);
+    values.sort_by(f64::total_cmp);
+    let Some(&max) = values.last() else {
+        return Vec::new();
+    };
+    let mut keys = vec![
+        (format!("{name}.count"), values.len() as f64),
+        (format!("{name}.sum"), sum),
+        (format!("{name}.max"), max),
+    ];
+    for (label, q) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
+        keys.extend(bucket_quantile(&values, q).map(|v| (format!("info.{name}.{label}"), v)));
+    }
+    keys
 }
 
 /// The PLUM framework state.
@@ -542,44 +612,135 @@ mod tests {
 
     #[test]
     fn cycle_report_emits_metrics() {
-        #[derive(Default)]
-        struct Sink {
-            counters: std::collections::BTreeMap<String, u64>,
-            gauges: std::collections::BTreeMap<String, f64>,
-            observations: usize,
-        }
-        impl plum_parsim::MetricsSink for Sink {
-            fn inc_by(&mut self, name: &str, delta: u64) {
-                *self.counters.entry(name.to_string()).or_default() += delta;
-            }
-            fn set_gauge(&mut self, name: &str, value: f64) {
-                self.gauges.insert(name.to_string(), value);
-            }
-            fn observe(&mut self, _name: &str, _value: f64) {
-                self.observations += 1;
-            }
-        }
-
         let mut p = plum(4, 4);
         let report = p.adaption_cycle(0.33, 0.1);
-        let mut s = Sink::default();
-        report.emit_metrics(&mut s);
+        let m = report.metrics();
 
-        assert_eq!(s.counters["cycle.count"], 1);
-        assert!(s.counters["phase.marking.msgs"] > 0);
-        assert_eq!(s.gauges["phase.marking.seconds"], report.times.marking);
-        assert!(s.gauges["cycle.virtual_seconds"] > 0.0);
-        assert!(
-            s.gauges.contains_key("info.balance.gain"),
-            "higher-is-better values go out under the info. prefix"
+        assert_eq!(m["cycle.count"], 1.0);
+        assert!(m["phase.marking.msgs"] > 0.0);
+        assert_eq!(m["phase.marking.seconds"], report.times.marking);
+        assert!(m["cycle.virtual_seconds"] > 0.0);
+        for key in [
+            "info.balance.gain",
+            "info.session.rank_wait_seconds.p50",
+            "info.session.rank_elapsed_seconds.p99",
+        ] {
+            assert!(
+                m.contains_key(key),
+                "{key}: informational values carry info."
+            );
+        }
+        assert!(m.values().all(|v| v.is_finite()), "{m:?}");
+    }
+
+    #[test]
+    fn cycle_metrics_emit_session_totals_and_collectives() {
+        let report = plum(4, 4).adaption_cycle(0.33, 0.1);
+        let m = report.metrics();
+        let summary = report.traces.session.summary();
+        assert_eq!(m["session.msgs"], summary.total_msgs() as f64);
+        assert_eq!(m["session.words"], summary.total_words() as f64);
+        assert!((m["session.compute_seconds"] - summary.total_compute()).abs() < 1e-12);
+        // Every collective kind called has its keys; one never called has
+        // none.
+        for kind in COLLECTIVE_KINDS {
+            let calls: u64 = summary.ranks.iter().map(|r| r.collective(kind).calls).sum();
+            let key = format!("session.collective.{}.calls", kind.name());
+            assert_eq!(
+                m.get(&key).copied(),
+                (calls > 0).then_some(calls as f64),
+                "{key}"
+            );
+        }
+        assert!(COLLECTIVE_KINDS
+            .into_iter()
+            .any(|kind| !m.contains_key(&format!("session.collective.{}.calls", kind.name()))));
+        // One value per rank in each per-rank series.
+        assert_eq!(m["session.rank_wait_seconds.count"], 4.0);
+        assert_eq!(m["session.rank_elapsed_seconds.count"], 4.0);
+    }
+
+    #[test]
+    fn quantiles_estimate_from_hand_computed_bucket_fills() {
+        // 10 values: 5 in bucket 3 (bound 8 µs), 4 in bucket 10 (bound
+        // 1024 µs), 1 past the last bound.
+        let mut values = vec![6e-6; 5];
+        values.extend([1e-3; 4]);
+        values.push(1e9);
+        let q = |q| bucket_quantile(&values, q);
+        // p50: the 5th value closes bucket 3 → its bound, 8 µs.
+        assert_eq!(q(0.5), Some(bucket_bound(3)));
+        assert_eq!(q(0.5), Some(8e-6));
+        // p90: the 9th value closes bucket 10 → 1024 µs.
+        assert_eq!(q(0.9), Some(bucket_bound(10)));
+        // p99: the 10th value lies past the last bound → max.
+        assert_eq!(q(0.99), Some(1e9));
+        // Extremes are exact.
+        assert_eq!(q(0.0), Some(6e-6));
+        assert_eq!(q(1.0), Some(1e9));
+        assert_eq!(bucket_quantile(&[], 0.5), None);
+
+        // A bucket bound above the only value clamps down to it.
+        assert_eq!(bucket_quantile(&[5e-7], 0.5), Some(5e-7));
+    }
+
+    #[test]
+    fn series_buckets_and_stats() {
+        let m: BTreeMap<_, _> = series("h.wait", vec![2.0, 1e-7, 1e9, 1e-6, 5e-3])
+            .into_iter()
+            .collect();
+        assert_eq!(m["h.wait.count"], 5.0);
+        assert_eq!(m["h.wait.max"], 1e9);
+        assert_eq!(m["h.wait.sum"], (((2.0 + 1e-7) + 1e9) + 1e-6) + 5e-3);
+        // Sub-microsecond values and the exact 1 µs bound share bucket 0:
+        // the 2nd smallest reads its bound.
+        assert_eq!(
+            bucket_quantile(&[1e-7, 1e-6, 1.0], 0.5),
+            Some(bucket_bound(0))
         );
-        assert!(s.observations > 0, "session summary emits histograms");
+        // A value exactly on a bound falls in that bucket, not the next.
+        assert_eq!(
+            bucket_quantile(&[bucket_bound(3), 1.0], 0.5),
+            Some(bucket_bound(3))
+        );
+        // Past the last finite bound (≈ 152 h) a value reads max.
+        assert_eq!(bucket_quantile(&[6e5, 1e9], 0.5), Some(1e9));
+        assert_eq!(
+            bucket_quantile(&[bucket_bound(39), 1e9], 0.5),
+            Some(bucket_bound(39))
+        );
+    }
 
-        // Counters accumulate across cycles; gauges report the latest.
-        let second = p.adaption_cycle(0.33, 0.1);
-        second.emit_metrics(&mut s);
-        assert_eq!(s.counters["cycle.count"], 2);
-        assert_eq!(s.gauges["phase.marking.seconds"], second.times.marking);
+    #[test]
+    fn series_stats_are_deterministic() {
+        let m: BTreeMap<_, _> = series("c.wait", vec![1.0, 3.0]).into_iter().collect();
+        assert_eq!(m["c.wait.count"], 2.0);
+        assert_eq!(m["c.wait.sum"], 4.0);
+        assert_eq!(m["c.wait.max"], 3.0);
+        // The same values in another order give the same keys and values.
+        assert_eq!(
+            series("c.wait", vec![3.0, 1.0]),
+            series("c.wait", vec![1.0, 3.0])
+        );
+    }
+
+    #[test]
+    fn series_quantiles_are_info() {
+        let mut values = vec![6e-6; 9];
+        values.push(1e-3);
+        let m: BTreeMap<_, _> = series("c.wait", values).into_iter().collect();
+        // 9 of 10 values are 6 µs (bucket bound 8 µs): the 9th value
+        // covers p50 and p90; only p99 reaches the 1 ms tail.
+        assert_eq!(m["info.c.wait.p50"], 8e-6);
+        assert_eq!(m["info.c.wait.p90"], 8e-6);
+        assert_eq!(m["info.c.wait.p99"], 1e-3);
+        // Quantile keys all carry the info. prefix (warn-only in compare).
+        assert!(m
+            .keys()
+            .filter(|k| k.contains(".p5") || k.contains(".p9"))
+            .all(|k| k.starts_with("info.")));
+        // An empty series inserts nothing.
+        assert!(series("c.wait", Vec::new()).is_empty());
     }
 
     #[test]

@@ -19,7 +19,6 @@ use std::fmt;
 
 use crate::digest::TraceDigest;
 use crate::json::{self, Value};
-use crate::registry::Registry;
 use crate::timeline::Timeline;
 
 /// Schema identifier embedded in every emitted BENCH file, the only one
@@ -102,15 +101,6 @@ impl BenchReport {
             "metric {name} must be finite, got {value}"
         );
         self.metrics.insert(name.to_string(), value);
-        self
-    }
-
-    /// Absorb every metric of a [`Registry`] (see
-    /// [`Registry::flat_metrics`]).
-    pub fn absorb_registry(&mut self, registry: &Registry) -> &mut Self {
-        for (name, value) in registry.flat_metrics() {
-            self.set(&name, value);
-        }
         self
     }
 
@@ -656,17 +646,5 @@ mod tests {
         assert!(cmp.regressions[0].ratio.is_infinite());
         // Zero stays zero: fine.
         assert!(compare(&base, &base, 5.0).passed());
-    }
-
-    #[test]
-    fn absorbs_registry_metrics() {
-        let mut reg = Registry::new();
-        use plum_parsim::MetricsSink;
-        reg.inc_by("comm.msgs", 7);
-        reg.set_gauge("phase.solver.seconds", 2.0);
-        let mut r = BenchReport::new("t");
-        r.absorb_registry(&reg);
-        assert_eq!(r.metrics["comm.msgs"], 7.0);
-        assert_eq!(r.metrics["phase.solver.seconds"], 2.0);
     }
 }

@@ -1,11 +1,10 @@
 //! # plum-obs — observability for PLUM simulations
 //!
-//! Turns the `plum-parsim` trace stream into actionable numbers:
+//! Turns the `plum-parsim` trace stream into actionable numbers. It keeps
+//! no metric store: a cycle's metrics are one name → value map
+//! (`plum_core::CycleReport::metrics`), which a [`BenchReport`] stores and
+//! a [`Timeline`] records cycle by cycle.
 //!
-//! * [`Registry`] — a typed metrics registry (counters, gauges,
-//!   virtual-time histograms) implementing
-//!   [`MetricsSink`](plum_parsim::MetricsSink), the hook interface the
-//!   simulator and the cycle engine emit into;
 //! * [`critical_path`] / [`phase_critical_path`] — a cross-rank
 //!   critical-path analyzer that walks the happens-before graph induced by
 //!   matched send/recv pairs in a [`TraceLog`](plum_parsim::TraceLog) and
@@ -22,7 +21,6 @@ pub mod critpath;
 pub mod diff;
 pub mod digest;
 pub mod json;
-pub mod registry;
 pub mod timeline;
 
 pub use bench::{
@@ -38,5 +36,4 @@ pub use digest::{
     CollectiveDigest, PathBucket, PhaseDigest, TraceDigest, DIGEST_SCHEMA, OUTSIDE_PHASE,
     SLACK_KIND,
 };
-pub use registry::{Histogram, Registry};
 pub use timeline::Timeline;

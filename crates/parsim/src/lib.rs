@@ -19,6 +19,10 @@
 //! prices the whole message schedule for every rank in one host loop, so
 //! it costs one suspension per rank, not one per message.
 //!
+//! The simulator emits no metrics: a run leaves a [`TraceLog`], and every
+//! number downstream (a [`TraceSummary`], the [`PhaseAgg`] breakdowns, a
+//! cycle's metric map) is read from it afterwards.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -40,7 +44,6 @@ mod comm;
 mod deadlock;
 mod executor;
 mod fiber;
-pub mod metrics;
 mod model;
 #[cfg(test)]
 mod proptests;
@@ -52,7 +55,6 @@ pub use clock::VirtualClock;
 pub use comm::{Comm, Tag};
 pub use deadlock::{DeadlockError, RankActivity};
 pub use executor::{makespan, spmd, spmd_with_args, try_spmd, RankResult, Session};
-pub use metrics::MetricsSink;
 pub use model::MachineModel;
 pub use trace::{
     check_protocol, Call, CollectiveKind, CollectiveStats, Hop, MessageEdge, PhaseAgg,
