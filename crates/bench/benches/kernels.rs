@@ -9,9 +9,14 @@
 //! exchange), one whole multilevel repartition at the `multilevel_p256`
 //! shape, the SFC-diffusion body at the `weak_p2048` and fig6_mild shapes,
 //! and one remap phase at the `paper_p64` shape.
+//!
+//! The process counts its heap allocations ([`Counting`]), so the
+//! multilevel lines also print what one repartition allocates.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -20,7 +25,7 @@ use plum_core::{parallel_migrate, Ownership, Plum, PlumConfig, WorkModel};
 use plum_mesh::generate::box_mesh;
 use plum_mesh::DualGraph;
 use plum_parsim::{
-    CollectiveKind, Comm, Hop, MachineModel, RankResult, Session, TraceEvent, TraceLog,
+    CollectiveKind, Comm, Hop, MachineModel, Outbox, RankResult, Session, TraceEvent, TraceLog,
 };
 use plum_partition::{
     balance_body, balance_distributed, inflow_quota, merge_add, partition_kway, repartition_kway,
@@ -316,6 +321,51 @@ fn bench_session_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// The system allocator, counting this process's allocations (a
+/// reallocation is one) and the bytes they request.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+impl Counting {
+    fn count(size: usize) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    }
+
+    /// `(allocations, bytes)` so far.
+    fn so_far() -> (u64, u64) {
+        let n = ALLOCATIONS.load(Ordering::Relaxed);
+        (n, ALLOCATED_BYTES.load(Ordering::Relaxed))
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Counting::count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Counting::count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Counting::count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
 /// One distributed multilevel repartition's modeled cost, deterministic and
 /// printed once: virtual partition seconds, stages (one `Exscan` each) and
 /// how many of them were gain stages, messages and words, the rank-0 round
@@ -323,9 +373,14 @@ fn bench_session_step(c: &mut Criterion) {
 /// above the coarsening target when coarsening stopped early — whether the
 /// coarse seed was diffused instead (a seeded problem that stopped early
 /// skips the round trip), and every level's size, finest first, so each
-/// contraction's shrink shows.
+/// contraction's shrink shows, then the heap allocations the repartition
+/// made and the bytes they requested.
 fn print_multilevel(name: &str, problem: &Problem, owner: &[u32], nranks: usize) {
+    // A first run fills the thread's pool of fiber stacks.
+    black_box(multilevel_run(problem, owner, nranks));
+    let (n0, bytes0) = Counting::so_far();
     let d = multilevel_run(problem, owner, nranks);
+    let (n1, bytes1) = Counting::so_far();
     let summary = d.trace.summary();
     let rank0 = &summary.ranks[0];
     let census = stage_census(problem, owner, nranks);
@@ -336,7 +391,8 @@ fn print_multilevel(name: &str, problem: &Problem, owner: &[u32], nranks: usize)
     println!(
         "multilevel_stage: {name}: virtual partition {:.6} s, {} stages ({gain_stages} gain), \
          {} msgs, {} words, {} gathers, {} scatters, coarsest {coarsest} after {} contractions \
-         (target {target}), seed diffused {}, levels {sizes:?}",
+         (target {target}), seed diffused {}, levels {sizes:?}, {} allocations, {:.1} MB \
+         allocated",
         d.makespan,
         rank0.collective(CollectiveKind::Exscan).calls,
         summary.total_msgs(),
@@ -345,6 +401,8 @@ fn print_multilevel(name: &str, problem: &Problem, owner: &[u32], nranks: usize)
         rank0.collective(CollectiveKind::Scatter).calls,
         census.len() - 1,
         problem.seed.is_some() && coarsest > target,
+        n1 - n0,
+        (bytes1 - bytes0) as f64 / 1e6,
     );
 }
 
@@ -472,14 +530,14 @@ fn bench_collectives_payload(c: &mut Criterion) {
     let row_words = |row: &Vec<(u32, u64)>| 1 + 2 * row.len() as u64;
     let add = |a: &Vec<u64>, b: &Vec<u64>| a.iter().zip(b).map(|(x, y)| x + y).collect();
     type Commits = Vec<(usize, Arc<Vec<(u32, u64)>>)>;
-    let union = |mut a: Commits, b: Commits| -> Commits {
-        a.extend(b);
-        a.sort_by_key(|c| c.0);
-        a.dedup_by_key(|c| c.0);
-        a
+    let union = |a: &Commits, b: &Commits| -> Commits {
+        let mut u: Commits = a.iter().chain(b).cloned().collect();
+        u.sort_by_key(|c| c.0);
+        u.dedup_by_key(|c| c.0);
+        u
     };
     let commit_words = |s: &Commits| s.iter().map(|c| 1 + row_words(&c.1)).sum::<u64>();
-    let nothing = Vec::<(usize, u64, ())>::new;
+    let nothing = Outbox::<()>::default;
     type Probe<'a> = &'a (dyn Fn(&mut Comm) + Send + Sync);
     let probes: [(&str, Probe); 7] = [
         ("allreduce_p256_w256", &|comm| {
@@ -496,14 +554,14 @@ fn bench_collectives_payload(c: &mut Criterion) {
         }),
         ("alltoallv_sparse_join_p256_bool", &|comm| {
             let changed = comm.rank() == 0;
-            black_box(comm.alltoallv_sparse_join(nothing(), changed, |_| 0, |a, b| a || b));
+            black_box(comm.alltoallv_sparse_join(&mut nothing(), changed, |_| 0, |a, b| *a || *b));
         }),
         ("alltoallv_sparse_join_p256_commit8", &|comm| {
             let mine = vec![(comm.rank(), Arc::new(hot.clone()))];
-            black_box(comm.alltoallv_sparse_join(nothing(), mine, commit_words, union));
+            black_box(comm.alltoallv_sparse_join(&mut nothing(), mine, commit_words, union));
         }),
         ("alltoallv_sparse_allreduce_p256_nnz8", &|comm| {
-            black_box(comm.alltoallv_sparse(nothing()));
+            black_box(comm.alltoallv_sparse(&mut nothing()));
             black_box(comm.allreduce(row_words, hot.clone(), |a, b| merge_add(&a, &b)));
         }),
     ];
@@ -529,11 +587,19 @@ fn bench_collectives_payload(c: &mut Criterion) {
             .map(|k| ((rank + k) % Q, 256, vec![rank as u64; 256]))
             .collect()
     };
+    // The same runs as one flat payload.
+    let bulk_outbox = |comm: &Comm| {
+        let mut out = Outbox::with_capacity(1_024, 4);
+        for (dst, words, vals) in bulk(comm) {
+            out.run(dst, words, vals);
+        }
+        out
+    };
     let mut session64 = Session::new(Q, MachineModel::sp2());
     type BulkProbe<'a> = &'a (dyn Fn(&mut Comm) + Send + Sync);
     let bulk_probes: [(&str, BulkProbe); 2] = [
         ("alltoallv_sparse_p64_w65536", &|comm| {
-            black_box(comm.alltoallv_sparse(bulk(comm)));
+            black_box(comm.alltoallv_sparse(&mut bulk_outbox(comm)));
         }),
         ("alltoallv_direct_p64_w65536", &|comm| {
             black_box(comm.alltoallv_direct(bulk(comm)));
@@ -591,10 +657,10 @@ fn bench_collectives_payload(c: &mut Criterion) {
         }),
         ("alltoallv_sparse_join_bool", &|comm| {
             let changed = comm.rank() == 0;
-            black_box(comm.alltoallv_sparse_join(nothing(), changed, |_| 0, |a, b| a || b));
+            black_box(comm.alltoallv_sparse_join(&mut nothing(), changed, |_| 0, |a, b| *a || *b));
         }),
         ("alltoallv_direct_empty", &|comm| {
-            black_box(comm.alltoallv_direct(nothing()));
+            black_box(comm.alltoallv_direct(Vec::<(usize, u64, ())>::new()));
         }),
     ];
     for nranks in [64usize, 256, 2048] {

@@ -134,7 +134,9 @@ fn check_outputs(args: Args) -> Result<Args, String> {
 
 /// Parse the arguments after the program name. A flag that does not apply
 /// to the experiment is an error, not a silent no-op: `--chaos` runs only
-/// under fig6, hotspot and rematch, and `--trace` only under a plain fig6.
+/// under fig6, hotspot and rematch, `--trace` only under a plain fig6, and
+/// `--bench` only under an experiment that writes a BENCH report, without
+/// `--chaos`.
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args::default();
     let mut what = None;
@@ -168,10 +170,17 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     if parsed.trace_path.is_some() && (what != "fig6" || parsed.chaos_seed.is_some()) {
         return Err("--trace applies only to fig6 without --chaos".to_string());
     }
-    let writes_bench = BENCH_EXPERIMENTS.split(' ').any(|e| e == what);
+    let writes_bench =
+        BENCH_EXPERIMENTS.split(' ').any(|e| e == what) && parsed.chaos_seed.is_none();
+    if parsed.bench_path.is_some() && !writes_bench {
+        return Err(format!(
+            "--bench applies only to a run writing a BENCH report ({BENCH_EXPERIMENTS}), \
+             without --chaos"
+        ));
+    }
     let bench_path = parsed.bench_path.take();
-    parsed.bench_path = (writes_bench && parsed.chaos_seed.is_none())
-        .then(|| bench_path.unwrap_or_else(|| format!("BENCH_{what}.json")));
+    parsed.bench_path =
+        writes_bench.then(|| bench_path.unwrap_or_else(|| format!("BENCH_{what}.json")));
     Ok(parsed)
 }
 
@@ -420,6 +429,9 @@ mod tests {
             "all --chaos 3",
             "table2 --trace t.json",
             "fig6 --chaos 3 --trace t.json",
+            "table1 --bench b.json",
+            "all --bench b.json",
+            "fig6 --chaos 3 --bench b.json",
             "fig6 --chaos x",
             "fig6 --trace",
             "fig6 --frobnicate",
@@ -441,12 +453,7 @@ mod tests {
         );
         assert_eq!(outputs("cascade"), ["BENCH_cascade.json"]);
         assert_eq!(outputs("fig6 --trace t"), ["BENCH_fig6.json", "t", "t.txt"]);
-        for none in [
-            "all",
-            "table1 --bench b.json",
-            "fig6 --chaos 3",
-            "rematch --chaos 0",
-        ] {
+        for none in ["all", "table1", "fig6 --chaos 3", "rematch --chaos 0"] {
             assert!(outputs(none).is_empty(), "{none}");
         }
 

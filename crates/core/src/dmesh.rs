@@ -15,10 +15,7 @@
 use std::collections::HashMap;
 
 use plum_mesh::{SubMesh, TetMesh, VertId};
-use plum_parsim::{makespan, spmd_with_args, MachineModel};
-
-/// Sparse alltoallv send list: `(destination, words, (gid, gid) payload)`.
-type GidPairItems = Vec<(usize, u64, Vec<(u64, u64)>)>;
+use plum_parsim::{makespan, spmd_with_args, MachineModel, Outbox};
 
 /// Result of the finalization phase.
 pub struct FinalizedMesh {
@@ -73,27 +70,22 @@ pub fn finalize(subs: &[SubMesh], machine: MachineModel) -> FinalizedMesh {
 
             // --- step 2: owners tell SPL peers the ids of shared verts --
             // Keyed by the original global vertex id from initialization.
-            let mut outgoing: Vec<Vec<(u64, u64)>> = vec![Vec::new(); nproc];
+            // One run per peer, two words per (original id, new id) pair.
+            let mut outgoing: Vec<(usize, (u64, u64))> = Vec::new();
             for &v in &owned {
-                for &q in &sub.vert_spl[v.idx()] {
-                    outgoing[q as usize].push((sub.global_vert[v.idx()].0 as u64, new_gid[&v]));
-                }
+                let pair = (sub.global_vert[v.idx()].0 as u64, new_gid[&v]);
+                outgoing.extend(sub.vert_spl[v.idx()].iter().map(|&q| (q as usize, pair)));
             }
-            let items: GidPairItems = outgoing
-                .into_iter()
-                .enumerate()
-                .filter(|(_, v)| !v.is_empty())
-                .map(|(dst, v)| (dst, 2 * v.len() as u64, v))
-                .collect();
-            let incoming = comm.alltoallv_sparse(items);
+            outgoing.sort_by_key(|&(q, _)| q);
+            let mut sends = Outbox::with_capacity(outgoing.len(), 0);
+            sends.extend_grouped(outgoing, |run| 2 * run.len() as u64);
+            let incoming = comm.alltoallv_sparse(&mut sends);
             let by_orig: HashMap<VertId, VertId> =
                 sub.local_vert.iter().map(|(&g, &l)| (g, l)).collect();
-            for (_src, batch) in incoming {
-                for (orig, gid) in batch {
-                    let local = by_orig[&VertId(orig as u32)];
-                    let prev = new_gid.insert(local, gid);
-                    debug_assert!(prev.is_none(), "vertex numbered twice");
-                }
+            for &(orig, gid) in incoming.items() {
+                let local = by_orig[&VertId(orig as u32)];
+                let prev = new_gid.insert(local, gid);
+                debug_assert!(prev.is_none(), "vertex numbered twice");
             }
             assert_eq!(
                 new_gid.len(),

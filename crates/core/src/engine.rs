@@ -213,7 +213,7 @@ impl Cycle {
     }
 
     /// Charge a modeled phase on the session timeline; returns its duration.
-    fn modeled_phase(&mut self, name: &str, secs: &[f64]) -> f64 {
+    fn modeled_phase(&mut self, name: &'static str, secs: &[f64]) -> f64 {
         let t0 = self.session.now();
         let results = self.session.modeled_phase(name, secs);
         absorb(&mut self.slog, results);
@@ -238,7 +238,7 @@ impl Cycle {
     /// `changed_per_root` elements of its own trees and sweeps the elements
     /// it held when the solver ran — "its own" under the assignment in
     /// force now, which a migration may have changed since the cycle opened.
-    fn tree_work_phase(&mut self, p: &Plum, name: &str, changed_per_root: &[u64]) -> f64 {
+    fn tree_work_phase(&mut self, p: &Plum, name: &'static str, changed_per_root: &[u64]) -> f64 {
         let changed = weights_of(changed_per_root, &p.proc_of_root, p.cfg.nproc);
         let sweep = weights_of(&self.wcomp_now, &p.proc_of_root, p.cfg.nproc);
         let secs: Vec<f64> = (0..p.cfg.nproc)
@@ -1033,7 +1033,7 @@ mod tests {
             let phases: Vec<&str> = stream
                 .iter()
                 .filter_map(|ev| match ev {
-                    TraceEvent::PhaseBegin { name, .. } => Some(name.as_str()),
+                    TraceEvent::PhaseBegin { name, .. } => Some(*name),
                     _ => None,
                 })
                 .collect();
@@ -1142,7 +1142,7 @@ mod tests {
             let phases: Vec<&str> = stream
                 .iter()
                 .filter_map(|ev| match ev {
-                    TraceEvent::PhaseBegin { name, .. } => Some(name.as_str()),
+                    TraceEvent::PhaseBegin { name, .. } => Some(*name),
                     _ => None,
                 })
                 .collect();

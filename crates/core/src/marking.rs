@@ -15,11 +15,9 @@
 //! only ever receives a mark because its owner found it in the same sweep,
 //! so "some rank found a new mark" already covers "some rank received one".
 
-use std::collections::BTreeMap;
-
 use plum_adapt::{AdaptiveMesh, EdgeMarks};
 use plum_mesh::{EdgeId, EdgeParts, ElemId};
-use plum_parsim::{makespan, spmd, Comm, MachineModel};
+use plum_parsim::{makespan, spmd, Comm, MachineModel, Outbox};
 
 use crate::timing::WorkModel;
 
@@ -142,6 +140,9 @@ pub(crate) fn mark_body(
     comm.advance(my_elems.len() as f64 * work.t_mark_elem);
 
     let mut sweeps = 0usize;
+    // Every sweep's `(destination, edge)` pairs and its send side, refilled.
+    let mut outgoing: Vec<(usize, u32)> = Vec::new();
+    let mut sends = Outbox::default();
     loop {
         // One local upgrade sweep over my elements.
         let mut newly: Vec<EdgeId> = Vec::new();
@@ -162,27 +163,21 @@ pub(crate) fn mark_body(
         }
         comm.advance(my_elems.len() as f64 * work.t_mark_elem);
 
-        // Ship newly marked *shared* edges to their other owners (keyed by
-        // destination: a rank borders a handful of others, not all P).
-        let mut outgoing: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
+        // Ship newly marked *shared* edges to their other owners, one run
+        // per destination (a rank borders a handful of others, not all P),
+        // a word per edge.
+        outgoing.clear();
         for &ed in &newly {
-            for r in own.ranks_of(ed) {
-                if r as usize != rank {
-                    outgoing.entry(r as usize).or_default().push(ed.0);
-                }
-            }
+            let others = own.ranks_of(ed).filter(|&r| r as usize != rank);
+            outgoing.extend(others.map(|r| (r as usize, ed.0)));
         }
-        let items: Vec<(usize, u64, Vec<u32>)> = outgoing
-            .into_iter()
-            .map(|(dst, v)| (dst, v.len() as u64, v))
-            .collect();
+        outgoing.sort_by_key(|&(dst, _)| dst);
+        sends.extend_grouped(outgoing.drain(..), |run| run.len() as u64);
         let (incoming, changed) =
-            comm.alltoallv_sparse_join(items, !newly.is_empty(), |_| 0, |a, b| a || b);
-        for (_src, batch) in incoming {
-            for id in batch {
-                if mark(&mut marks, own.local_of(rank, EdgeId(id))) {
-                    marked.push(EdgeId(id));
-                }
+            comm.alltoallv_sparse_join(&mut sends, !newly.is_empty(), |_| 0, |a, b| *a || *b);
+        for &id in incoming.items() {
+            if mark(&mut marks, own.local_of(rank, EdgeId(id))) {
+                marked.push(EdgeId(id));
             }
         }
         marked.extend(newly);

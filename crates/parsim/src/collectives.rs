@@ -108,6 +108,110 @@ const TAG_DIRECT: Tag = (1 << 60) + (1 << 32) + 1;
 /// declared words, arrival and values.
 type Direct<T> = (usize, u64, f64, Vec<T>);
 
+/// One rank's side of a sparse exchange ([`Comm::alltoallv_sparse`]): every
+/// item it sends, in one flat buffer cut into consecutive runs `(destination,
+/// words, len)`, a run declaring `words` for its `len` items. Zero or more
+/// runs may go to one destination; one run never names two. The exchange
+/// drains the outbox and leaves its capacity, so a buffer refilled every
+/// round allocates once.
+#[derive(Debug)]
+pub struct Outbox<T> {
+    items: Vec<T>,
+    runs: Vec<(usize, u64, usize)>,
+}
+
+impl<T> Default for Outbox<T> {
+    fn default() -> Self {
+        Self::with_capacity(0, 0)
+    }
+}
+
+impl<T> Outbox<T> {
+    /// An empty outbox with room for `items` items in `runs` runs.
+    pub fn with_capacity(items: usize, runs: usize) -> Self {
+        Outbox {
+            items: Vec::with_capacity(items),
+            runs: Vec::with_capacity(runs),
+        }
+    }
+
+    /// Appends `values` as one run to `dst` declaring `words`. An empty run
+    /// sends nothing.
+    pub fn run(&mut self, dst: usize, words: u64, values: impl IntoIterator<Item = T>) {
+        let start = self.items.len();
+        self.items.extend(values);
+        let len = self.items.len() - start;
+        if len > 0 {
+            self.runs.push((dst, words, len));
+        }
+    }
+
+    /// Appends `(destination, value)` pairs as one run per stretch of equal
+    /// destinations, in order, each declaring `words` of its items: sorted
+    /// by destination, one run per destination.
+    pub fn extend_grouped(
+        &mut self,
+        pairs: impl IntoIterator<Item = (usize, T)>,
+        words: impl Fn(&[T]) -> u64,
+    ) {
+        let (mut open, mut start) = (None, self.items.len());
+        for (dst, v) in pairs {
+            if let Some(d) = open.filter(|&d| d != dst) {
+                self.close(d, start, &words);
+                start = self.items.len();
+            }
+            open = Some(dst);
+            self.items.push(v);
+        }
+        if let Some(d) = open {
+            self.close(d, start, &words);
+        }
+    }
+
+    /// Each run with its items, in send order: `(destination, words, items)`.
+    pub fn runs(&self) -> impl Iterator<Item = (usize, u64, &[T])> + '_ {
+        let mut at = 0;
+        self.runs.iter().map(move |&(dst, words, len)| {
+            at += len;
+            (dst, words, &self.items[at - len..at])
+        })
+    }
+
+    /// Closes the run to `dst` holding the items from `start` on.
+    fn close(&mut self, dst: usize, start: usize, words: impl Fn(&[T]) -> u64) {
+        let run = &self.items[start..];
+        self.runs.push((dst, words(run), run.len()));
+    }
+}
+
+/// What a sparse exchange delivered to one rank: the items in one flat
+/// buffer, ascending by source and in send order within a source, cut into
+/// runs `(source, len)`, one per source that sent anything.
+#[derive(Debug, PartialEq)]
+pub struct Inbox<T> {
+    items: Vec<T>,
+    runs: Vec<(usize, usize)>,
+}
+
+impl<T> Inbox<T> {
+    /// Every item, ascending by source.
+    pub fn items(&self) -> &[T] {
+        &self.items
+    }
+
+    /// Every item, ascending by source, as the buffer they arrived in.
+    pub fn into_items(self) -> Vec<T> {
+        self.items
+    }
+
+    /// Every item with its source, ascending by source.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> + '_ {
+        let sources = self.runs.iter();
+        let sources = sources.flat_map(|&(src, len)| std::iter::repeat_n(src, len));
+        sources.zip(&self.items)
+    }
+}
+
 #[track_caller]
 fn op(name: &'static str, kind: CollectiveKind, tag: Tag) -> Op {
     Op {
@@ -323,24 +427,21 @@ impl Comm {
         *self.allreduce(|_| 1, value, u64::max)
     }
 
-    /// Sparse personalized all-to-all: `items` is any list of
-    /// `(destination, words, value)` triples (zero or more per destination;
-    /// an item addressed to this rank itself is returned as-is, free of
-    /// charge). Returns the items addressed to this rank as
-    /// `(source, value)` pairs sorted by source rank (stable for equal
-    /// sources).
+    /// Sparse personalized all-to-all: every run of `out` goes to its
+    /// destination (a run addressed to this rank itself is delivered as-is,
+    /// free of charge), and `out` is left empty with its capacity. Returns
+    /// the items addressed to this rank, ascending by source and in send
+    /// order within a source.
     ///
     /// Unlike the dense [`Comm::alltoallv`], the message count is
-    /// `ceil(log2 P)` per rank *regardless of the traffic pattern*: items
+    /// `ceil(log2 P)` per rank *regardless of the traffic pattern*: runs
     /// are combined and store-and-forwarded along a Bruck exchange, so a
     /// migration step touching only a few neighbors no longer pays `P-1`
-    /// message startups per rank.
+    /// message startups per rank. The host allocates per rank, not per
+    /// neighbour: one buffer of items and one of runs for each receiver.
     #[track_caller]
-    pub fn alltoallv_sparse<T: Send + 'static>(
-        &mut self,
-        items: Vec<(usize, u64, T)>,
-    ) -> Vec<(usize, T)> {
-        self.alltoallv_sparse_join(items, (), |_| 0, |_, _| {}).0
+    pub fn alltoallv_sparse<T: Send + 'static>(&mut self, out: &mut Outbox<T>) -> Inbox<T> {
+        self.alltoallv_sparse_join(out, (), |_| 0, |_, _| {}).0
     }
 
     /// [`Comm::alltoallv_sparse`] for bulk payload: the same contract
@@ -410,38 +511,42 @@ impl Comm {
 
     /// [`Comm::alltoallv_sparse`] with a reduction riding on it: every
     /// round's message also carries the sender's joined `share`, declaring
-    /// `words(share)` on top of its items, and the receiver joins it into its
-    /// own with `join`. Returns the items addressed to this rank, routed
-    /// exactly as `alltoallv_sparse` routes them, and the join of every
-    /// rank's share. Same messages, peers and tags as `alltoallv_sparse`: a
-    /// loop that exchanges anyway gets its reduction for `words(share)` per
-    /// message instead of a `2·ceil(log2 P)`-hop collective of its own.
+    /// `words(share)` on top of its items, and the receiver joins the share
+    /// it hears into its own with `join`. Returns the items addressed to
+    /// this rank, routed exactly as `alltoallv_sparse` routes them, and the
+    /// join of every rank's share. Same messages, peers and tags as
+    /// `alltoallv_sparse`: a loop that exchanges anyway gets its reduction
+    /// for `words(share)` per message instead of a `2·ceil(log2 P)`-hop
+    /// collective of its own.
     ///
     /// The rounds cover `2^ceil(log2 P) ≥ P` ranks, so at a non-power of two
     /// some share is heard twice: `join` must be associative, commutative and
-    /// idempotent (a set union, `||`, `max`). A share is cloned once per
-    /// round, so keep it cheap to clone (an [`Arc`] per entry).
+    /// idempotent (a set union, `||`, `max`). It reads both shares in place,
+    /// so no round clones one.
     #[track_caller]
     pub fn alltoallv_sparse_join<T, S>(
         &mut self,
-        items: Vec<(usize, u64, T)>,
+        out: &mut Outbox<T>,
         share: S,
         words: impl Fn(&S) -> u64,
-        join: impl Fn(S, S) -> S,
-    ) -> (Vec<(usize, T)>, S)
+        join: impl Fn(&S, &S) -> S,
+    ) -> (Inbox<T>, S)
     where
         T: Send + 'static,
-        S: Clone + Send + 'static,
+        S: Send + 'static,
     {
         let p = self.nranks();
-        for &(dst, _, _) in &items {
+        for &(dst, _, _) in &out.runs {
             assert!(dst < p, "alltoallv destination {dst} out of range");
         }
         let op = op("alltoallv_sparse_join", CollectiveKind::Alltoallv, TAG_A2A);
-        self.meet(op, (items, share), |pass, inputs: Vec<(Vec<_>, S)>| {
-            let (items, shares) = inputs.into_iter().unzip();
-            bruck_exchange(pass, items, shares, words, join)
-        })
+        let input = (std::mem::take(out), share);
+        let (inbox, share, drained) = self.meet(op, input, |pass, inputs: Vec<(_, S)>| {
+            let (sends, shares) = inputs.into_iter().unzip();
+            bruck_exchange(pass, sends, shares, words, join)
+        });
+        *out = drained;
+        (inbox, share)
     }
 
     /// Dense personalized all-to-all: `items[d]` is `(words, value)` destined
@@ -457,18 +562,19 @@ impl Comm {
         assert_eq!(items.len(), p, "alltoallv needs one item per rank");
         let op = op("alltoallv", CollectiveKind::Alltoallv, TAG_A2A);
         self.meet(op, items, |pass, inputs: Vec<Vec<(u64, T)>>| {
-            let sparse = inputs
+            let sends = inputs
                 .into_iter()
                 .map(|row| {
-                    row.into_iter()
-                        .enumerate()
-                        .map(|(d, (words, v))| (d, words, v))
-                        .collect()
+                    let mut out = Outbox::with_capacity(p, p);
+                    for (d, (words, v)) in row.into_iter().enumerate() {
+                        out.run(d, words, [v]);
+                    }
+                    out
                 })
                 .collect();
-            let out = bruck_exchange(pass, sparse, vec![(); p], |_| 0, |_, _| {});
+            let out = bruck_exchange(pass, sends, vec![(); p], |_| 0, |_, _| {});
             out.into_iter()
-                .map(|(received, ())| received.into_iter().map(|(_, v)| v).collect())
+                .map(|(got, (), _)| got.into_items())
                 .collect()
         })
     }
@@ -736,31 +842,34 @@ fn tree_scan<T>(
 /// round `k` every rank ships one combined message (all in-transit items
 /// whose remaining relative distance has bit `k` set, plus its share) to
 /// rank `(rank + 2^k) % P`, and joins the share it receives into its
-/// own. A combined message charges one header word plus the sum of its
-/// items' sizes plus `words` of the share. Before round `k` a rank's
-/// share joins the `2^k` ranks ending at itself, so after the last round
-/// it joins every rank.
+/// own. A combined message charges one header word plus the words of its
+/// runs plus `words` of the share. Before round `k` a rank's share joins
+/// the `2^k` ranks ending at itself, so after the last round it joins
+/// every rank.
 ///
-/// An item from `s` to `d` at distance `δ = (d - s) mod P` sits, before
+/// A run from `s` to `d` at distance `δ = (d - s) mod P` sits, before
 /// round `k`, at `s + (δ mod 2^k)` and is shipped in round `k` when bit `k`
-/// of `δ` is set, so each message's words follow from the items alone; the
+/// of `δ` is set, so each message's words follow from the runs alone; the
 /// items themselves go straight to their destinations, in source order and
-/// stable within a source, which is where the rounds deliver them. Returns
-/// every rank's `(source, value)` items and joined share.
-fn bruck_exchange<T, S: Clone>(
+/// stable within a source, which is where the rounds deliver them. They
+/// are counted first and then moved, so each receiver's items and runs
+/// fill one exact-capacity buffer each. Returns every rank's inbox, joined
+/// share and drained outbox.
+fn bruck_exchange<T, S>(
     pass: &mut Pass<'_>,
-    items: Vec<Vec<(usize, u64, T)>>,
+    mut sends: Vec<Outbox<T>>,
     mut shares: Vec<S>,
     words: impl Fn(&S) -> u64,
-    join: impl Fn(S, S) -> S,
-) -> Vec<(Vec<(usize, T)>, S)> {
+    join: impl Fn(&S, &S) -> S,
+) -> Vec<(Inbox<T>, S, Outbox<T>)> {
     let p = pass.nranks();
     let rounds = p.next_power_of_two().trailing_zeros() as usize;
     // `load[k * P + r]`: the item words rank `r` ships in round `k`.
     let mut load = vec![0u64; rounds * p];
-    let mut out: Vec<Vec<(usize, T)>> = (0..p).map(|_| Vec::new()).collect();
-    for (src, row) in items.into_iter().enumerate() {
-        for (dst, w, v) in row {
+    // Per receiver: its items, its runs and the source of its last run.
+    let mut count = vec![(0usize, 0usize, usize::MAX); p];
+    for (src, out) in sends.iter().enumerate() {
+        for &(dst, w, len) in &out.runs {
             let dist = (dst + p - src) % p;
             let mut bits = dist;
             while bits != 0 {
@@ -768,8 +877,31 @@ fn bruck_exchange<T, S: Clone>(
                 load[k * p + (src + (dist & ((1 << k) - 1))) % p] += w;
                 bits &= bits - 1;
             }
-            out[dst].push((src, v));
+            let (items, runs, last) = &mut count[dst];
+            *items += len;
+            *runs += usize::from(*last != src);
+            *last = src;
         }
+    }
+    let mut inboxes: Vec<Inbox<T>> = count
+        .iter()
+        .map(|&(items, runs, _)| Inbox {
+            items: Vec::with_capacity(items),
+            runs: Vec::with_capacity(runs),
+        })
+        .collect();
+    for (src, out) in sends.iter_mut().enumerate() {
+        let mut items = out.items.drain(..);
+        for &(dst, _, len) in &out.runs {
+            let inbox = &mut inboxes[dst];
+            inbox.items.extend(items.by_ref().take(len));
+            match inbox.runs.last_mut() {
+                Some((s, n)) if *s == src => *n += len,
+                _ => inbox.runs.push((src, len)),
+            }
+        }
+        drop(items);
+        out.runs.clear();
     }
     for k in 0..rounds {
         let step = 1 << k;
@@ -777,14 +909,13 @@ fn bruck_exchange<T, S: Clone>(
             .map(|r| 1 + load[k * p + r] + words(&shares[r]))
             .collect();
         exchange_round(pass, step, TAG_A2A + k as Tag, |r| size[r]);
-        let heard: Vec<S> = (0..p).map(|r| shares[(r + p - step) % p].clone()).collect();
-        shares = shares
-            .into_iter()
-            .zip(heard)
-            .map(|(s, h)| join(s, h))
+        shares = (0..p)
+            .map(|r| join(&shares[r], &shares[(r + p - step) % p]))
             .collect();
     }
-    out.into_iter().zip(shares).collect()
+    let out = inboxes.into_iter().zip(shares).zip(sends);
+    out.map(|((inbox, share), sent)| (inbox, share, sent))
+        .collect()
 }
 
 #[cfg(test)]
@@ -792,12 +923,21 @@ mod tests {
     use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
 
-    use super::reference;
+    use super::{reference, Outbox};
     use crate::trace::{Call, Hop};
     use crate::{
         spmd, Comm, FaultPlan, MachineModel, Perturbation, RankResult, Session, TraceEvent,
         TraceLog, COLLECTIVE_KINDS,
     };
+
+    /// An outbox of one run per `(destination, words, value)` item.
+    fn outbox<T>(items: Vec<(usize, u64, T)>) -> Outbox<T> {
+        let mut out = Outbox::default();
+        for (dst, words, v) in items {
+            out.run(dst, words, [v]);
+        }
+        out
+    }
 
     fn total_msgs<T>(results: &[RankResult<T>]) -> u64 {
         results.iter().map(|r| r.sent_messages).sum()
@@ -1299,12 +1439,13 @@ mod tests {
                     (succ, 1, (rank, 'b')),
                     (0, 1, (rank, 'c')),
                 ];
-                comm.alltoallv_sparse(items)
+                comm.alltoallv_sparse(&mut outbox(items))
             });
             for x in &r {
+                let got: Vec<(usize, (usize, char))> =
+                    x.value.iter().map(|(s, &v)| (s, v)).collect();
                 let pred = (x.rank + p - 1) % p;
-                let from_pred: Vec<_> = x
-                    .value
+                let from_pred: Vec<_> = got
                     .iter()
                     .filter(|(s, _)| *s == pred)
                     .map(|(_, v)| *v)
@@ -1315,14 +1456,11 @@ mod tests {
                 if x.rank == 0 {
                     expect.push((pred, 'c'));
                     // Rank 0 receives a 'c' from every rank (its own for free).
-                    let cs = x.value.iter().filter(|(_, v)| v.1 == 'c').count();
+                    let cs = got.iter().filter(|(_, v)| v.1 == 'c').count();
                     assert_eq!(cs, p, "rank 0 'c' count, p={p}");
                 }
                 assert_eq!(from_pred, expect, "p={p} rank={}", x.rank);
-                assert!(
-                    x.value.windows(2).all(|w| w[0].0 <= w[1].0),
-                    "sorted by source"
-                );
+                assert!(got.windows(2).all(|w| w[0].0 <= w[1].0), "sorted by source");
             }
             let rounds = p.next_power_of_two().trailing_zeros() as u64;
             assert_eq!(total_msgs(&r), p as u64 * rounds, "sparse p={p}");
@@ -1408,18 +1546,16 @@ mod tests {
         };
         // A share is a set of ranks at 1000 words per member, so a message's
         // size says how many ranks its share covers.
-        let union = |mut a: BTreeSet<usize>, b: BTreeSet<usize>| {
-            a.extend(b);
-            a
-        };
+        let union = |a: &BTreeSet<usize>, b: &BTreeSet<usize>| a | b;
         for &p in &[1usize, 2, 3, 5, 7, 8, 13, 64, 100] {
             let rounds = p.next_power_of_two().trailing_zeros() as usize;
             let plain = spmd(p, MachineModel::sp2(), |comm| {
-                comm.alltoallv_sparse(items(comm))
+                comm.alltoallv_sparse(&mut outbox(items(comm)))
             });
             let joined = spmd(p, MachineModel::sp2(), |comm| {
                 let mine = BTreeSet::from([comm.rank()]);
-                comm.alltoallv_sparse_join(items(comm), mine, |s| 1000 * s.len() as u64, union)
+                let mut out = outbox(items(comm));
+                comm.alltoallv_sparse_join(&mut out, mine, |s| 1000 * s.len() as u64, union)
             });
             let everyone: BTreeSet<usize> = (0..p).collect();
             for (a, b) in plain.iter().zip(&joined) {
@@ -1459,8 +1595,8 @@ mod tests {
             comm.exscan_total(|_| 1, rank, |a, b| a + b);
             comm.reduce(4, |_| 1, rank, usize::max);
             comm.alltoallv((0..p).map(|d| (1, d)).collect());
-            comm.alltoallv_sparse(items());
-            comm.alltoallv_sparse_join(items(), rank, |_| 1, usize::max);
+            comm.alltoallv_sparse(&mut outbox(items()));
+            comm.alltoallv_sparse_join(&mut outbox(items()), rank, |_| 1, |a, b| *a.max(b));
             comm.alltoallv_direct(items());
         });
         for x in &r {
@@ -1575,17 +1711,14 @@ mod tests {
             ]
         };
         stagger(comm);
-        let got = call!(reference, comm.alltoallv_sparse(items()));
+        let got = call!(reference, comm.alltoallv_sparse(&mut outbox(items())));
         out.push(format!("{got:?}"));
         stagger(comm);
-        let union = |mut a: BTreeSet<usize>, b: BTreeSet<usize>| {
-            a.extend(b);
-            a
-        };
+        let union = |a: &BTreeSet<usize>, b: &BTreeSet<usize>| a | b;
         let share = BTreeSet::from([rank]);
         let got = call!(
             reference,
-            comm.alltoallv_sparse_join(items(), share, |s| 3 * s.len() as u64, union)
+            comm.alltoallv_sparse_join(&mut outbox(items()), share, |s| 3 * s.len() as u64, union)
         );
         out.push(format!("{got:?}"));
         stagger(comm);

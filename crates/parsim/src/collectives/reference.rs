@@ -8,7 +8,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use super::{
-    TAG_A2A, TAG_BARRIER, TAG_BCAST, TAG_DIRECT, TAG_EXSCAN, TAG_GATHER, TAG_REDUCE, TAG_SCATTER,
+    Inbox, Outbox, TAG_A2A, TAG_BARRIER, TAG_BCAST, TAG_DIRECT, TAG_EXSCAN, TAG_GATHER, TAG_REDUCE,
+    TAG_SCATTER,
 };
 use crate::comm::{Comm, Tag};
 use crate::trace::CollectiveKind;
@@ -279,12 +280,18 @@ where
     (prefix, all)
 }
 
+/// A run in transit: destination, source, words and values.
+type Transit<T> = (usize, usize, u64, Vec<T>);
+
+/// The Bruck exchange of `runs`, `(destination, words, values)` each:
+/// returns the `(source, value)` items that reached this rank, sorted by
+/// source and stable within one, and the joined share.
 fn bruck_exchange<T, S>(
     comm: &mut Comm,
-    items: Vec<(usize, u64, T)>,
+    runs: Vec<(usize, u64, Vec<T>)>,
     mut share: S,
     words: impl Fn(&S) -> u64,
-    join: impl Fn(S, S) -> S,
+    join: impl Fn(&S, &S) -> S,
 ) -> (Vec<(usize, T)>, S)
 where
     T: Send + 'static,
@@ -293,14 +300,13 @@ where
     let p = comm.nranks();
     let rank = comm.rank();
     let mut out: Vec<(usize, T)> = Vec::new();
-    // In-transit items: (destination, source, words, value).
-    let mut transit: Vec<(usize, usize, u64, T)> = Vec::with_capacity(items.len());
-    for (dst, words, v) in items {
+    let mut transit: Vec<Transit<T>> = Vec::with_capacity(runs.len());
+    for (dst, words, vs) in runs {
         assert!(dst < p, "alltoallv destination {dst} out of range");
         if dst == rank {
-            out.push((rank, v));
+            out.extend(vs.into_iter().map(|v| (rank, v)));
         } else {
-            transit.push((dst, rank, words, v));
+            transit.push((dst, rank, words, vs));
         }
     }
     let mut round: Tag = 0;
@@ -320,14 +326,14 @@ where
         }
         let ship_words = 1 + ship.iter().map(|i| i.2).sum::<u64>() + words(&share);
         comm.send(to, TAG_A2A + round, ship_words, (ship, share.clone()));
-        let (arrived, heard): (Vec<(usize, usize, u64, T)>, S) = comm.recv(from, TAG_A2A + round);
-        share = join(share, heard);
+        let (arrived, heard): (Vec<Transit<T>>, S) = comm.recv(from, TAG_A2A + round);
+        share = join(&share, &heard);
         transit = keep;
-        for (dst, src, words, v) in arrived {
+        for (dst, src, words, vs) in arrived {
             if dst == rank {
-                out.push((src, v));
+                out.extend(vs.into_iter().map(|v| (src, v)));
             } else {
-                transit.push((dst, src, words, v));
+                transit.push((dst, src, words, vs));
             }
         }
         step <<= 1;
@@ -340,9 +346,9 @@ where
 
 pub(crate) fn alltoallv_sparse<T: Send + 'static>(
     comm: &mut Comm,
-    items: Vec<(usize, u64, T)>,
-) -> Vec<(usize, T)> {
-    alltoallv_sparse_join(comm, items, (), |_| 0, |_, _| {}).0
+    out: &mut Outbox<T>,
+) -> Inbox<T> {
+    alltoallv_sparse_join(comm, out, (), |_| 0, |_, _| {}).0
 }
 
 pub(crate) fn alltoallv_direct<T: Send + 'static>(
@@ -364,7 +370,7 @@ pub(crate) fn alltoallv_direct<T: Send + 'static>(
             vals.push(v);
         }
     }
-    let notices = outgoing.keys().map(|&dst| (dst, 0, ())).collect();
+    let notices = outgoing.keys().map(|&dst| (dst, 0, vec![()])).collect();
     let (sources, ()) = bruck_exchange(comm, notices, (), |_| 0, |_, _| {});
     for (dst, (words, vals)) in outgoing {
         comm.send(dst, TAG_DIRECT, words, vals);
@@ -380,29 +386,47 @@ pub(crate) fn alltoallv_direct<T: Send + 'static>(
 
 pub(crate) fn alltoallv_sparse_join<T, S>(
     comm: &mut Comm,
-    items: Vec<(usize, u64, T)>,
+    out: &mut Outbox<T>,
     share: S,
     words: impl Fn(&S) -> u64,
-    join: impl Fn(S, S) -> S,
-) -> (Vec<(usize, T)>, S)
+    join: impl Fn(&S, &S) -> S,
+) -> (Inbox<T>, S)
 where
     T: Send + 'static,
     S: Clone + Send + 'static,
 {
     comm.collective_enter();
-    let out = bruck_exchange(comm, items, share, words, join);
+    let mut items = out.items.drain(..);
+    let runs = out
+        .runs
+        .drain(..)
+        .map(|(dst, words, len)| (dst, words, items.by_ref().take(len).collect()));
+    let runs = runs.collect();
+    drop(items);
+    let (got, share) = bruck_exchange(comm, runs, share, words, join);
+    let mut inbox = Inbox {
+        items: Vec::new(),
+        runs: Vec::new(),
+    };
+    for (src, v) in got {
+        match inbox.runs.last_mut() {
+            Some((s, n)) if *s == src => *n += 1,
+            _ => inbox.runs.push((src, 1)),
+        }
+        inbox.items.push(v);
+    }
     comm.collective_exit(CollectiveKind::Alltoallv);
-    out
+    (inbox, share)
 }
 
 pub(crate) fn alltoallv<T: Send + 'static>(comm: &mut Comm, items: Vec<(u64, T)>) -> Vec<T> {
     comm.collective_enter();
     let p = comm.nranks();
     assert_eq!(items.len(), p, "alltoallv needs one item per rank");
-    let sparse: Vec<(usize, u64, T)> = items
+    let sparse: Vec<(usize, u64, Vec<T>)> = items
         .into_iter()
         .enumerate()
-        .map(|(d, (words, v))| (d, words, v))
+        .map(|(d, (words, v))| (d, words, vec![v]))
         .collect();
     let (received, ()) = bruck_exchange(comm, sparse, (), |_| 0, |_, _| {});
     assert_eq!(received.len(), p, "alltoallv: missing contributions");

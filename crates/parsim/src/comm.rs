@@ -409,23 +409,23 @@ impl Comm {
 
     /// Open a named phase span (pair with [`Comm::phase_end`], or use
     /// [`Comm::phase`] for scoped spans). Phases nest.
-    pub fn phase_begin(&mut self, name: &str) {
+    pub fn phase_begin(&mut self, name: &'static str) {
         self.ledger.events.push(TraceEvent::PhaseBegin {
-            name: name.to_string(),
+            name,
             start: self.ledger.clock.now(),
         });
     }
 
     /// Close the innermost open phase span.
-    pub fn phase_end(&mut self, name: &str) {
+    pub fn phase_end(&mut self, name: &'static str) {
         self.ledger.events.push(TraceEvent::PhaseEnd {
-            name: name.to_string(),
+            name,
             end: self.ledger.clock.now(),
         });
     }
 
     /// Run `f` inside a named phase span on this rank's timeline.
-    pub fn phase<T>(&mut self, name: &str, f: impl FnOnce(&mut Self) -> T) -> T {
+    pub fn phase<T>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> T) -> T {
         self.phase_begin(name);
         let out = f(self);
         self.phase_end(name);

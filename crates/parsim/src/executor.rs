@@ -265,7 +265,7 @@ impl Session {
     /// span, so the span covers the same interval on every rank). Returns
     /// per-rank results exactly like [`Session::run`] — the phase duration
     /// is `max(seconds)` and each `elapsed` is the aligned session time.
-    pub fn modeled_phase(&mut self, name: &str, seconds: &[f64]) -> Vec<RankResult<()>> {
+    pub fn modeled_phase(&mut self, name: &'static str, seconds: &[f64]) -> Vec<RankResult<()>> {
         assert_eq!(seconds.len(), self.nranks, "one cost per rank");
         self.apply_step_faults();
         for (c, &s) in self.comms.iter_mut().zip(seconds) {

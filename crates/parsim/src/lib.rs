@@ -52,6 +52,7 @@ pub mod trace;
 
 pub use chaos::{ChaosRng, Fault, FaultAction, FaultKind, FaultPlan, Perturbation};
 pub use clock::VirtualClock;
+pub use collectives::{Inbox, Outbox};
 pub use comm::{Comm, Tag};
 pub use deadlock::{DeadlockError, RankActivity};
 pub use executor::{makespan, spmd, spmd_with_args, try_spmd, RankResult, Session};

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use crate::{spmd, ChaosRng, FaultPlan, MachineModel, Perturbation, Session, TraceLog};
+use crate::{spmd, ChaosRng, FaultPlan, MachineModel, Outbox, Perturbation, Session, TraceLog};
 
 /// Random compute multipliers in `[1, max_factor]`, one independent draw
 /// per rank from the seeded splittable RNG.
@@ -105,7 +105,12 @@ proptest! {
                 .collect()
         };
         let sparse = spmd(nranks, MachineModel::sp2(), |comm| {
-            comm.alltoallv_sparse(items(comm.rank()))
+            let mut out = Outbox::default();
+            for (dst, words, v) in items(comm.rank()) {
+                out.run(dst, words, [v]);
+            }
+            let got = comm.alltoallv_sparse(&mut out);
+            got.iter().map(|(src, &v)| (src, v)).collect::<Vec<_>>()
         });
         let direct = spmd(nranks, MachineModel::sp2(), |comm| {
             comm.alltoallv_direct(items(comm.rank()))

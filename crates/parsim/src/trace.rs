@@ -198,9 +198,9 @@ pub enum TraceEvent {
         hops: Box<[Hop]>,
     },
     /// Begin of a user-defined phase span (see `Comm::phase`).
-    PhaseBegin { name: String, start: f64 },
+    PhaseBegin { name: &'static str, start: f64 },
     /// End of a user-defined phase span.
-    PhaseEnd { name: String, end: f64 },
+    PhaseEnd { name: &'static str, end: f64 },
     /// A negative-duration clock charge was requested and blocked (the
     /// clock saturated instead of rewinding). Always a protocol violation.
     RewindBlocked { at: f64, dt: f64 },
@@ -448,10 +448,10 @@ impl TraceLog {
                             ),
                         )
                     }
-                    TraceEvent::PhaseBegin { name, start } => phase_stack.push((name, *start)),
+                    TraceEvent::PhaseBegin { name, start } => phase_stack.push((*name, *start)),
                     TraceEvent::PhaseEnd { name, end } => {
                         if let Some((n, start)) = phase_stack.pop() {
-                            debug_assert_eq!(n, name);
+                            debug_assert_eq!(n, *name);
                             push(
                                 &mut out,
                                 &mut first,
@@ -1069,7 +1069,7 @@ impl TraceLog {
                     let popped = stack.pop();
                     debug_assert_eq!(
                         popped.map(|id| spans[id].name),
-                        Some(name.as_str()),
+                        Some(*name),
                         "unbalanced phase markers"
                     );
                     if let Some(id) = popped {

@@ -26,7 +26,10 @@
 //! names its neighbours by slot, owned vertices first and then the ghosts,
 //! and the level's sorted ghost ids and per-rank send lists are built once,
 //! with the level. Matching, contraction and refinement read them; a global
-//! id appears only on the wire and in the gather to rank 0.
+//! id appears only on the wire and in the gather to rank 0. Every exchange
+//! sends one flat [`Outbox`] and reads one flat [`Inbox`]: a round's
+//! per-destination lists are sorted flat pairs cut into runs, never a
+//! buffer per neighbour.
 //!
 //! Coarsening stops at the coarsening target (`max(128, 16·nparts)`
 //! vertices by default) or at the first contraction that would keep too
@@ -56,7 +59,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use plum_parsim::{spmd, words_for_bytes, Comm, MachineModel};
+use plum_parsim::{spmd, words_for_bytes, Comm, Inbox, MachineModel, Outbox};
 
 use crate::balance::{balance, BalanceMethod, Problem, RankLists};
 use crate::graph::Graph;
@@ -102,21 +105,66 @@ pub(crate) fn charge(comm: &mut Comm, vertices: usize, vertex_units: f64) {
 // Distributed graph representation
 // ---------------------------------------------------------------------------
 
-/// A sparse `alltoallv` send list: `(destination, words, payload)`.
-pub(crate) type Items<T> = Vec<(usize, u64, Vec<T>)>;
+/// Per-rank lists in compressed rows, as ParMETIS keeps its `sendptr` /
+/// `sendind`: `idx[ptr[k]..ptr[k + 1]]` is the list of rank `peers[k]`,
+/// the ranks ascending and each with a non-empty list.
+#[derive(Debug, Clone, Default)]
+struct SendLists {
+    peers: Vec<u32>,
+    ptr: Vec<u32>,
+    idx: Vec<u32>,
+}
 
-/// One [`Items`] entry per non-empty bucket, bucket `d` addressed to rank
-/// `d` and declaring `bytes(bucket)`.
-pub(crate) fn sized_items<T>(
-    buckets: impl IntoIterator<Item = Vec<T>>,
-    bytes: impl Fn(&[T]) -> usize,
-) -> Items<T> {
-    let full = buckets
-        .into_iter()
-        .enumerate()
-        .filter(|(_, v)| !v.is_empty());
-    full.map(|(dst, v)| (dst, words_for_bytes(bytes(&v)), v))
-        .collect()
+impl SendLists {
+    /// The lists of `(rank, entry)` pairs sorted by rank, entries in order.
+    fn from_sorted(pairs: impl Iterator<Item = (u32, u32)> + Clone) -> Self {
+        let (mut len, mut peers, mut last) = (0, 0, None);
+        for (r, _) in pairs.clone() {
+            len += 1;
+            peers += usize::from(last != Some(r));
+            last = Some(r);
+        }
+        let mut lists = SendLists {
+            peers: Vec::with_capacity(peers),
+            ptr: Vec::with_capacity(peers + 1),
+            idx: Vec::with_capacity(len),
+        };
+        for (r, x) in pairs {
+            if lists.peers.last() != Some(&r) {
+                lists.peers.push(r);
+                lists.ptr.push(lists.idx.len() as u32);
+            }
+            lists.idx.push(x);
+        }
+        lists.ptr.push(lists.idx.len() as u32);
+        lists
+    }
+
+    /// Each rank with its list, ascending by rank.
+    fn lists(&self) -> impl Iterator<Item = (usize, &[u32])> + '_ {
+        let spans = self.ptr.windows(2);
+        let lists = spans.map(|w| &self.idx[w[0] as usize..w[1] as usize]);
+        self.peers.iter().map(|&r| r as usize).zip(lists)
+    }
+
+    /// A send buffer with room for every list.
+    fn outbox<T>(&self) -> Outbox<T> {
+        Outbox::with_capacity(self.idx.len(), self.peers.len())
+    }
+
+    /// Fills `out` with `value(x)` of every entry `x`, a run per list
+    /// declaring `bytes` per entry.
+    fn fill<T>(&self, out: &mut Outbox<T>, bytes: usize, value: impl Fn(u32) -> T) {
+        for (d, list) in self.lists() {
+            let words = words_for_bytes(bytes * list.len());
+            out.run(d, words, list.iter().map(|&x| value(x)));
+        }
+    }
+}
+
+/// The words of a run of `bytes`-byte items.
+fn sized<T>(bytes: usize) -> impl Fn(&[T]) -> u64 {
+    move |run| words_for_bytes(bytes * run.len())
 }
 
 /// One level of the distributed graph, in the local numbering of parallel
@@ -124,9 +172,12 @@ pub(crate) fn sized_items<T>(
 /// its CSR rows name neighbours by *slot* — `i` for owned vertex `i` (global
 /// id `off[r] + i`), `local_n + k` for ghost `k`, the `k`-th smallest global
 /// id among the neighbours it does not own. The ghosts and the boundary send
-/// lists are built once, with the level; a global id leaves the slots only
-/// to go on the wire. Replicating only the `P+1`-entry `off` array is enough
-/// to route any vertex to its owner.
+/// lists are built once, with the level, the send lists in compressed rows
+/// ([`SendLists`]); a ghost exchange fills a send buffer the level holds
+/// from them ([`DistGraph::fill_ghosts`]) and reads its ghosts in place
+/// from the delivered buffer, so it allocates per rank, not per neighbour.
+/// A global id leaves the slots only to go on the wire. Replicating only
+/// the `P+1`-entry `off` array is enough to route any vertex to its owner.
 #[derive(Debug, Clone)]
 pub(crate) struct DistGraph {
     /// Ownership offsets, `P + 1` entries, replicated on every rank.
@@ -145,10 +196,10 @@ pub(crate) struct DistGraph {
     pub(crate) seed: Vec<u32>,
     /// Global ids of the ghosts, ascending.
     ghosts: Vec<u32>,
-    /// The ranks that own a ghost, ascending, each with the owned vertices
-    /// bordering it, ascending. Read as global ids, the list to rank `d` is
-    /// `d`'s ghosts owned here, in `d`'s ghost order.
-    send: Vec<(usize, Vec<u32>)>,
+    /// The send lists: every rank that owns a ghost of this one's with the
+    /// owned vertices bordering it, ascending. Read as global ids, the list
+    /// to rank `d` is `d`'s ghosts owned here, in `d`'s ghost order.
+    send: SendLists,
 }
 
 impl DistGraph {
@@ -174,34 +225,35 @@ impl DistGraph {
             vwgt,
             seed,
             ghosts: Vec::new(),
-            send: Vec::new(),
+            send: SendLists::default(),
         };
         let remote = adjncy.iter().copied().filter(|&u| dg.local(u).is_none());
-        let mut ghosts: Vec<u32> = remote.collect();
+        let cut = remote.clone().count();
+        let mut ghosts: Vec<u32> = Vec::with_capacity(cut);
+        ghosts.extend(remote);
         ghosts.sort_unstable();
         ghosts.dedup();
         let nloc = dg.local_n();
-        let mut send = vec![Vec::new(); dg.off.len() - 1];
+        // (owner, owned vertex) for every cut edge, then sorted and unique.
+        let mut borders: Vec<(u32, u32)> = Vec::with_capacity(cut);
         for i in 0..nloc {
             let (lo, hi) = (dg.xadj[i] as usize, dg.xadj[i + 1] as usize);
             for u in &mut adjncy[lo..hi] {
                 *u = match dg.local(*u) {
                     Some(j) => j as u32,
                     None => {
-                        let to: &mut Vec<u32> = &mut send[dg.owner_of(*u)];
-                        if to.last() != Some(&(i as u32)) {
-                            to.push(i as u32);
-                        }
+                        borders.push((dg.owner_of(*u) as u32, i as u32));
                         let k = ghosts.binary_search(u).expect("a ghost of this level");
                         (nloc + k) as u32
                     }
                 };
             }
         }
+        borders.sort_unstable();
+        borders.dedup();
         dg.adjncy = adjncy;
         dg.ghosts = ghosts;
-        let borders = |(_, list): &(usize, Vec<u32>)| !list.is_empty();
-        dg.send = send.into_iter().enumerate().filter(borders).collect();
+        dg.send = SendLists::from_sorted(borders.iter().copied());
         dg
     }
 
@@ -243,32 +295,33 @@ impl DistGraph {
             .zip(self.adjwgt[lo..hi].iter().copied())
     }
 
-    /// A ghost exchange's send list: to each rank, `value(i)` of every owned
-    /// vertex `i` on its list, in list order, declaring 4 bytes an entry.
-    /// The receiver knows which ghost each position names, so no id travels.
-    fn ghost_items(&self, value: impl Fn(usize) -> u32) -> Items<GhostEntry> {
-        let entry = |&i: &u32| GhostEntry {
+    /// Fills a ghost exchange's send side (a level holds one,
+    /// `self.send.outbox()`, for all its exchanges): to each rank, `value(i)`
+    /// of every owned vertex `i` on its list, in list order, declaring 4
+    /// bytes an entry. The receiver knows which ghost each position names,
+    /// so no id travels.
+    fn fill_ghosts(&self, out: &mut Outbox<GhostEntry>, value: impl Fn(usize) -> u32) {
+        self.send.fill(out, 4, |i| GhostEntry {
             value: value(i as usize),
             #[cfg(debug_assertions)]
             gid: self.base + i,
-        };
-        let item = |(d, list): &(usize, Vec<u32>)| {
-            let vals: Vec<GhostEntry> = list.iter().map(entry).collect();
-            (*d, words_for_bytes(4 * vals.len()), vals)
-        };
-        self.send.iter().map(item).collect()
+        });
     }
 
-    /// The values a ghost exchange delivered, one per ghost: the senders'
-    /// lists, concatenated in rank order, name this rank's ghosts in order.
-    fn ghost_values(&self, incoming: Vec<(usize, Vec<GhostEntry>)>) -> Vec<u32> {
-        let entries = || incoming.iter().flat_map(|(_, list)| list);
+    /// The values a ghost exchange delivered, one per ghost, read in place:
+    /// the senders' lists, concatenated in rank order, name this rank's
+    /// ghosts in order.
+    fn ghost_values<'a>(&self, incoming: &'a Inbox<GhostEntry>) -> impl Iterator<Item = u32> + 'a {
+        let entries = incoming.items();
         #[cfg(debug_assertions)]
         assert!(
-            entries().map(|e| e.gid).eq(self.ghosts.iter().copied()),
+            entries
+                .iter()
+                .map(|e| e.gid)
+                .eq(self.ghosts.iter().copied()),
             "ghost exchange out of order"
         );
-        entries().map(|e| e.value).collect()
+        entries.iter().map(|e| e.value)
     }
 }
 
@@ -282,6 +335,32 @@ struct GhostEntry {
     gid: u32,
 }
 
+/// One piece of a contraction's row exchange: a row's head, `(coarse gid,
+/// vertex weight)` on 12 declared bytes, then its `(coarse neighbour,
+/// edge weight)` entries on 8 each.
+#[derive(Debug, Clone, Copy)]
+enum RowPiece {
+    Head(u32, u64),
+    Entry(u32, u32),
+}
+
+impl RowPiece {
+    fn bytes(&self) -> usize {
+        match self {
+            RowPiece::Head(..) => 12,
+            RowPiece::Entry(..) => 8,
+        }
+    }
+
+    /// An entry's `(coarse neighbour, edge weight)`.
+    fn entry(&self) -> (u32, u32) {
+        match *self {
+            RowPiece::Entry(u, w) => (u, w),
+            RowPiece::Head(..) => unreachable!("a row's span holds its entries only"),
+        }
+    }
+}
+
 /// Per-level data linking a coarse graph back to its finer parent, kept for
 /// the projection step of uncoarsening.
 #[derive(Debug, Clone)]
@@ -293,10 +372,11 @@ pub(crate) struct LevelLink {
     /// Per destination rank: local coarse indices whose part is shipped
     /// during projection (representative side of cross-rank pairs), ordered
     /// by partner gid.
-    proj_out: Vec<Vec<u32>>,
-    /// Per source rank: local fine indices receiving those parts, in the
-    /// matching order.
-    proj_in: Vec<Vec<u32>>,
+    proj_out: SendLists,
+    /// The local fine indices receiving those parts, in the order a
+    /// projection delivers them: ascending by source rank, each source's in
+    /// its list's order.
+    proj_in: Vec<u32>,
 }
 
 /// Build the level-0 distributed graph from this rank's vertex list and
@@ -309,12 +389,16 @@ pub(crate) fn build_level0(
     prev: Option<&[u32]>,
 ) -> DistGraph {
     assert_eq!(lists.n(), g.n(), "need one owner per vertex");
-    let mut xadj = vec![0u32];
-    let mut adjncy = Vec::new();
-    let mut adjwgt = Vec::new();
-    let mut vwgt = Vec::new();
-    let mut seed = Vec::new();
-    for &v in lists.mine(rank) {
+    let mine = lists.mine(rank);
+    let degree = |&v: &u32| (g.xadj[v as usize + 1] - g.xadj[v as usize]) as usize;
+    let entries = mine.iter().map(degree).sum();
+    let mut xadj = Vec::with_capacity(mine.len() + 1);
+    xadj.push(0u32);
+    let mut adjncy = Vec::with_capacity(entries);
+    let mut adjwgt = Vec::with_capacity(entries);
+    let mut vwgt = Vec::with_capacity(mine.len());
+    let mut seed = Vec::with_capacity(if prev.is_some() { mine.len() } else { 0 });
+    for &v in mine {
         let v = v as usize;
         for (u, w) in g.edges(v) {
             adjncy.push(lists.newid[u as usize]);
@@ -345,7 +429,6 @@ const PENDING: u8 = 2;
 /// involutive by construction. Returns the partner gid of every owned vertex
 /// (its own gid when it stays a singleton).
 pub(crate) fn parallel_hem(comm: &mut Comm, dg: &DistGraph, seed: u64, level: usize) -> Vec<u32> {
-    let p = comm.nranks();
     let rank = comm.rank();
     let base = dg.base;
     let nloc = dg.local_n();
@@ -358,7 +441,7 @@ pub(crate) fn parallel_hem(comm: &mut Comm, dg: &DistGraph, seed: u64, level: us
     stage_rng(seed, level, 0, rank).shuffle(&mut order);
 
     // Local pass: match local pairs, queue proposals for remote best mates.
-    let mut props: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); p]; // (target, from, w)
+    let mut props: Vec<(usize, (u32, u32, u32))> = Vec::with_capacity(nloc); // (owner, (target, from, w))
     for &iv in &order {
         let i = iv as usize;
         if state[i] != FREE {
@@ -384,16 +467,19 @@ pub(crate) fn parallel_hem(comm: &mut Comm, dg: &DistGraph, seed: u64, level: us
         } else {
             state[i] = PENDING;
             my_prop[i] = u;
-            props[dg.owner_of(u)].push((u, gid, w));
+            props.push((dg.owner_of(u), (u, gid, w)));
         }
     }
 
-    // Negotiate: proposals out, grants computed at the target's owner.
-    let incoming = comm.alltoallv_sparse(sized_items(props, |v| 12 * v.len()));
-    let mut all: Vec<(u32, u32, u32)> = incoming.into_iter().flat_map(|(_, v)| v).collect();
+    // Negotiate: proposals out, grants computed at the target's owner. A
+    // proposer proposes once, so ordering by (owner, proposer) is total.
+    props.sort_unstable_by_key(|&(d, (_, f, _))| (d, f));
+    let mut out = Outbox::with_capacity(props.len(), 0);
+    out.extend_grouped(props, sized(12));
+    let mut all = comm.alltoallv_sparse(&mut out).into_items();
     all.sort_unstable_by_key(|&(t, f, w)| (t, std::cmp::Reverse(w), f));
-    let mut resp: Vec<Vec<(u32, u32)>> = vec![Vec::new(); p]; // (from, accepted)
-    for (t, f, _w) in all {
+    let mut resp: Vec<(usize, (u32, u32))> = Vec::with_capacity(all.len()); // (owner, (from, accepted))
+    for &(t, f, _w) in &all {
         let i = (t - base) as usize;
         let accept = match state[i] {
             FREE => true,
@@ -404,17 +490,18 @@ pub(crate) fn parallel_hem(comm: &mut Comm, dg: &DistGraph, seed: u64, level: us
             partner[i] = f;
             state[i] = MATCHED;
         }
-        resp[dg.owner_of(f)].push((f, accept as u32));
+        resp.push((dg.owner_of(f), (f, accept as u32)));
     }
-    for (_src, list) in comm.alltoallv_sparse(sized_items(resp, |v| 8 * v.len())) {
-        for (f, accepted) in list {
-            let i = (f - base) as usize;
-            if accepted == 1 {
-                partner[i] = my_prop[i];
-                state[i] = MATCHED;
-            } else if state[i] == PENDING {
-                state[i] = FREE; // singleton this level
-            }
+    resp.sort_unstable_by_key(|&(d, (f, _))| (d, f));
+    let mut out = Outbox::with_capacity(resp.len(), 0);
+    out.extend_grouped(resp, sized(8));
+    for &(f, accepted) in comm.alltoallv_sparse(&mut out).items() {
+        let i = (f - base) as usize;
+        if accepted == 1 {
+            partner[i] = my_prop[i];
+            state[i] = MATCHED;
+        } else if state[i] == PENDING {
+            state[i] = FREE; // singleton this level
         }
     }
     partner
@@ -447,7 +534,7 @@ pub(crate) fn contract_distributed(
     // Representatives (singletons and the smaller gid of each pair), in
     // increasing fine gid order.
     let mut cmap_local = vec![u32::MAX; nloc];
-    let mut reps: Vec<u32> = Vec::new();
+    let mut reps: Vec<u32> = Vec::with_capacity(nloc);
     for i in 0..nloc {
         if partner[i] >= base + i as u32 {
             cmap_local[i] = reps.len() as u32;
@@ -473,21 +560,21 @@ pub(crate) fn contract_distributed(
     let cbase = coff[rank];
 
     // Round A: representatives tell cross-rank partners their coarse gid.
-    let mut a_out: Vec<Vec<(u32, u32)>> = vec![Vec::new(); p]; // (partner gid, coarse gid)
+    // Owners ascend with gids, so sorting by partner gid groups the pairs by
+    // owner, in each receiver's own gid order.
+    let mut a_out: Vec<(u32, u32)> = Vec::with_capacity(reps.len()); // (partner gid, coarse gid)
     for (c, &ri) in reps.iter().enumerate() {
         let m = partner[ri as usize];
         if dg.local(m).is_none() {
-            a_out[dg.owner_of(m)].push((m, cbase + c as u32));
+            a_out.push((m, cbase + c as u32));
         }
     }
-    for bucket in &mut a_out {
-        bucket.sort_unstable(); // sender order == receiver's own gid order
-    }
-    let proj_out: Vec<Vec<u32>> = a_out
-        .iter()
-        .map(|b| b.iter().map(|&(_, cg)| cg - cbase).collect())
-        .collect();
-    let a_in = comm.alltoallv_sparse(sized_items(a_out, |v| 8 * v.len()));
+    a_out.sort_unstable();
+    let owned = |&(m, cg): &(u32, u32)| (dg.owner_of(m) as u32, cg - cbase);
+    let proj_out = SendLists::from_sorted(a_out.iter().map(owned));
+    let mut out = Outbox::with_capacity(a_out.len(), proj_out.peers.len());
+    out.extend_grouped(a_out.into_iter().map(|e| (dg.owner_of(e.0), e)), sized(8));
+    let a_in = comm.alltoallv_sparse(&mut out);
 
     // Global coarse gid of every slot: owned vertices first, ...
     let mut coarse_of = vec![u32::MAX; nloc];
@@ -496,73 +583,98 @@ pub(crate) fn contract_distributed(
             coarse_of[i] = cbase + cmap_local[i];
         }
     }
-    let mut proj_in: Vec<Vec<u32>> = vec![Vec::new(); p];
-    for (s, list) in &a_in {
-        for &(gid, cg) in list {
-            let i = (gid - base) as usize;
-            coarse_of[i] = cg;
-            proj_in[*s].push(i as u32);
-        }
+    let mut proj_in: Vec<u32> = Vec::with_capacity(a_in.items().len());
+    for &(gid, cg) in a_in.items() {
+        let i = (gid - base) as usize;
+        coarse_of[i] = cg;
+        proj_in.push(i as u32);
     }
     // ... then the ghosts' (round B: each rank sends the coarse gids of its
     // owned vertices bordering rank d, to d, in d's ghost order).
-    let b_in = comm.alltoallv_sparse(dg.ghost_items(|i| coarse_of[i]));
-    coarse_of.extend(dg.ghost_values(b_in));
-    let relabel = |i: usize, cg: u32, row: &mut Vec<(u32, u32)>| {
+    let mut out = dg.send.outbox();
+    dg.fill_ghosts(&mut out, |i| coarse_of[i]);
+    let b_in = comm.alltoallv_sparse(&mut out);
+    coarse_of.extend(dg.ghost_values(&b_in));
+    let relabelled = |i: usize, cg: u32| {
         let coarse = dg.row(i).map(|(s, w)| (coarse_of[s as usize], w));
-        row.extend(coarse.filter(|&(cu, _)| cu != cg));
+        coarse.filter(move |&(cu, _)| cu != cg)
     };
 
     // Round C: cross-rank non-representatives ship their relabelled rows
-    // (plus vertex weight) to the representative's owner.
-    type RowMsg = (u32, u64, Vec<(u32, u32)>); // (coarse gid, vwgt, entries)
-    let mut c_out: Vec<Vec<RowMsg>> = vec![Vec::new(); p];
+    // (plus vertex weight) to the representative's owner, each row a head
+    // and its entries; coarse owners ascend with coarse gids.
+    let mut rows: Vec<(u32, u32)> = Vec::with_capacity(a_in.items().len()); // (coarse gid, fine index)
+    let mut pieces_len = 0;
     for i in 0..nloc {
-        if cmap_local[i] != u32::MAX {
-            continue; // representative or locally paired
+        if cmap_local[i] == u32::MAX {
+            rows.push((coarse_of[i], i as u32)); // neither a representative nor locally paired
+            pieces_len += 1 + (dg.xadj[i + 1] - dg.xadj[i]) as usize;
         }
-        let cg = coarse_of[i];
-        let dest = coff[1..].partition_point(|&o| o <= cg);
-        let mut row: Vec<(u32, u32)> = Vec::new();
-        relabel(i, cg, &mut row);
-        c_out[dest].push((cg, dg.vwgt[i], row));
     }
-    let row_bytes = |rows: &[RowMsg]| rows.iter().map(|(_, _, r)| 12 + 8 * r.len()).sum();
-    let c_in = comm.alltoallv_sparse(sized_items(c_out, row_bytes));
+    rows.sort_unstable();
+    let coarse_owner = |cg: u32| coff[1..].partition_point(|&o| o <= cg);
+    let pieces = rows.iter().flat_map(|&(cg, i)| {
+        let head = RowPiece::Head(cg, dg.vwgt[i as usize]);
+        let entries = relabelled(i as usize, cg).map(|(u, w)| RowPiece::Entry(u, w));
+        std::iter::once(head)
+            .chain(entries)
+            .map(move |x| (coarse_owner(cg), x))
+    });
+    let mut out = Outbox::with_capacity(pieces_len, 0);
+    out.extend_grouped(pieces, |run| {
+        words_for_bytes(run.iter().map(RowPiece::bytes).sum())
+    });
+    let c_in = comm.alltoallv_sparse(&mut out);
+    // Per coarse vertex: the shipped row's weight and its entries' span
+    // of `c_in`. A pair has one non-representative, so a coarse vertex
+    // receives at most one row.
     let ncoarse = reps.len();
-    let mut shipped: Vec<Vec<(u32, u32)>> = vec![Vec::new(); ncoarse];
-    let mut shipped_w = vec![0u64; ncoarse];
-    for (_src, list) in c_in {
-        for (cg, vw, row) in list {
-            let c = (cg - cbase) as usize;
-            shipped_w[c] += vw;
-            shipped[c].extend(row);
+    let mut shipped = vec![(0u64, 0u32, 0u32); ncoarse];
+    let mut at = None;
+    for (k, piece) in c_in.items().iter().enumerate() {
+        match *piece {
+            RowPiece::Head(cg, vw) => {
+                let c = (cg - cbase) as usize;
+                debug_assert_eq!(
+                    shipped[c],
+                    (0, 0, 0),
+                    "two rows shipped to one coarse vertex"
+                );
+                shipped[c] = (vw, k as u32 + 1, k as u32 + 1);
+                at = Some(c);
+            }
+            RowPiece::Entry(..) => shipped[at.expect("a row's head first")].2 += 1,
         }
     }
 
     // Assemble the coarse CSR: representative row + partner row (local or
     // shipped), relabelled, sorted by coarse gid, duplicate entries merged.
-    let mut cxadj = vec![0u32];
-    let mut cadjncy = Vec::new();
-    let mut cadjwgt = Vec::new();
+    // Every coarse entry comes from an owned or a shipped fine entry.
+    let entries = dg.adjncy.len() + c_in.items().len();
+    let mut cxadj = Vec::with_capacity(ncoarse + 1);
+    cxadj.push(0u32);
+    let mut cadjncy = Vec::with_capacity(entries);
+    let mut cadjwgt = Vec::with_capacity(entries);
     let mut cvwgt = Vec::with_capacity(ncoarse);
-    let mut cseed = Vec::new();
+    let mut cseed = Vec::with_capacity(if dg.seed.is_empty() { 0 } else { ncoarse });
     let mut buf: Vec<(u32, u32)> = Vec::new();
     for (c, &ri) in reps.iter().enumerate() {
         let i = ri as usize;
         let cg = cbase + c as u32;
         buf.clear();
-        relabel(i, cg, &mut buf);
+        buf.extend(relabelled(i, cg));
         let mut vw = dg.vwgt[i];
         match dg.local(partner[i]) {
             Some(j) if j == i => {}
             Some(j) => {
-                relabel(j, cg, &mut buf);
+                buf.extend(relabelled(j, cg));
                 vw += dg.vwgt[j];
             }
             None => {
-                buf.extend(shipped[c].iter().copied());
-                vw += shipped_w[c];
+                let (w, lo, hi) = shipped[c];
+                let row = &c_in.items()[lo as usize..hi as usize];
+                buf.extend(row.iter().map(RowPiece::entry));
+                vw += w;
             }
         }
         buf.sort_unstable_by_key(|e| e.0);
@@ -583,6 +695,9 @@ pub(crate) fn contract_distributed(
             cseed.push(dg.seed[i]);
         }
     }
+    // The level lives until uncoarsening reaches it: keep only its rows.
+    cadjncy.shrink_to_fit();
+    cadjwgt.shrink_to_fit();
 
     let coarse = DistGraph::new(rank, coff, cxadj, cadjncy, cadjwgt, cvwgt, cseed);
     let link = LevelLink {
@@ -680,7 +795,7 @@ fn seed_commit(rank: usize, dg: &DistGraph, nparts: usize) -> Commits {
         .into_iter()
         .map(|x| i64::try_from(x).expect("part weight fits i64"))
         .collect();
-    let row = nonzeros(&w);
+    let row = nonzeros(w.iter().copied());
     if row.is_empty() {
         return Commits::new();
     }
@@ -703,19 +818,22 @@ fn project_parts(
     coarse_part: &[u32],
     fine_nloc: usize,
 ) -> Vec<u32> {
-    let lists = link.proj_out.iter();
-    let vals = lists.map(|list| list.iter().map(|&c| coarse_part[c as usize]).collect());
-    let incoming = comm.alltoallv_sparse(sized_items(vals, |v| 4 * v.len()));
+    let mut out = link.proj_out.outbox();
+    link.proj_out.fill(&mut out, 4, |c| coarse_part[c as usize]);
+    let incoming = comm.alltoallv_sparse(&mut out);
     let mut part = vec![0u32; fine_nloc];
     for (i, &c) in link.cmap_local.iter().enumerate() {
         if c != u32::MAX {
             part[i] = coarse_part[c as usize];
         }
     }
-    for (s, vals) in &incoming {
-        for (k, &pv) in vals.iter().enumerate() {
-            part[link.proj_in[*s][k] as usize] = pv;
-        }
+    debug_assert_eq!(
+        incoming.items().len(),
+        link.proj_in.len(),
+        "one part per pair"
+    );
+    for (&i, &pv) in link.proj_in.iter().zip(incoming.items()) {
+        part[i as usize] = pv;
     }
     part
 }
@@ -806,34 +924,37 @@ fn refine_distributed(
     let mut prev_excess = (0u64, (0u64, 0usize));
     let mut spilled = false;
     let mut mine: Commits = pending;
+    // Buffers of the level, refilled by every stage: the ghost send buffer,
+    // the visiting order and the parts a vertex's neighbours touch.
+    let mut ghosts_out = dg.send.outbox();
+    let mut order: Vec<u32> = Vec::with_capacity(nloc);
+    let degrees = dg.xadj.windows(2).map(|x| (x[1] - x[0]) as usize);
+    let mut touched: Vec<u32> = Vec::with_capacity(degrees.max().unwrap_or(0));
     for stage in 0..stage_cap {
         if gain_done >= gain_stages {
             break;
         }
 
         // Ghost part exchange, joining the previous stage's commits.
-        let items = dg.ghost_items(|i| part[i]);
+        dg.fill_ghosts(&mut ghosts_out, |i| part[i]);
         #[cfg(test)]
         let my_moves = mine.first().map_or(0, |(_, c)| c.0);
         let (incoming, commits) = comm.alltoallv_sparse_join(
-            items,
+            &mut ghosts_out,
             std::mem::take(&mut mine),
             |c| commit_words(c, nparts),
-            |a, b| merge_rows(&a, &b, |x, _| Some(Arc::clone(x))),
+            |a, b| merge_rows(a, b, |x, _| Some(Arc::clone(x))),
         );
         // The previous stage's reduction: how many moves were committed
         // anywhere (the loop's exit test) and what they did to the part
-        // weights, summed into one dense row whose non-zero entries are the
-        // change. The row is dropped here, before the stage's scan suspends
-        // every rank.
+        // weights, summed per part into the sparse row of the non-zero
+        // changes, ascending by part.
         let all_moves: u64 = commits.iter().map(|(_, c)| c.0).sum();
         let all_delta = {
-            let mut sum = vec![0i64; nparts];
-            for (q, d) in commits.iter().flat_map(|(_, c)| &c.1) {
-                let q = *q as usize;
-                sum[q] = sum[q].checked_add(*d).expect("weight delta overflows i64");
-            }
-            nonzeros(&sum)
+            let entries = commits.iter().flat_map(|(_, c)| c.1.iter().copied());
+            let mut all = Vec::with_capacity(entries.clone().count());
+            all.extend(entries);
+            summed_by_part(all)
         };
         // A part the fold takes over its ceiling took a spill: no other
         // move crosses a ceiling (stage 0 folds the coarser level's moves).
@@ -861,7 +982,7 @@ fn refine_distributed(
         }
         charge(comm, nloc, vertex_units);
         part.truncate(nloc);
-        part.extend(dg.ghost_values(incoming));
+        part.extend(dg.ghost_values(&incoming));
 
         let balance_mode = !balance_dead && (0..nparts).any(|q| w[q] > max_w[q]);
         if !balance_mode {
@@ -869,15 +990,15 @@ fn refine_distributed(
         }
 
         // Propose moves against tentative weights.
-        let mut order: Vec<u32> = (0..nloc as u32).collect();
+        order.clear();
+        order.extend(0..nloc as u32);
         stage_rng(seed, level, 16 + stage as u64, rank).shuffle(&mut order);
         let mut wt = w.to_vec();
         let mut conn = vec![0i64; nparts];
-        let mut touched: Vec<u32> = Vec::new();
         let mut proposals: Vec<(u32, u32, bool)> = Vec::new(); // (local idx, to, spill)
-        let mut desired = vec![0u64; nparts];
-        // Per part: the weight of this rank's spills out of it.
-        let mut spilled_from = vec![0u64; nparts];
+                                                               // Per part `q`: the weight this rank asks to move into it and, at
+                                                               // `nparts + q`, the weight of its spills out of it.
+        let mut desired = vec![0u64; 2 * nparts];
         if balance_mode {
             // Drain overweight parts: best relatively-lighter neighbouring
             // part by connectivity, falling back to the relatively lightest
@@ -977,7 +1098,7 @@ fn refine_distributed(
                     wt[cur] -= vw;
                     wt[to] += vw;
                     desired[to] = max_w[to] - w[to];
-                    spilled_from[cur] += vw;
+                    desired[nparts + cur] += vw;
                     proposals.push((iv, to as u32, true));
                 }
             }
@@ -1037,7 +1158,7 @@ fn refine_distributed(
         // excess over its ceiling, under key `nparts + q`: the first of a
         // stage's spills out of it to pass that excess is the last one
         // granted. A row with spills declares the dense size of both ranges.
-        let demand = nonzeros(&[desired, spilled_from].concat());
+        let demand = nonzeros(desired.iter().copied());
         let spills = |row: &Vec<(u32, u64)>| row.last().is_some_and(|&(q, _)| q as usize >= nparts);
         let below = comm.exscan(
             |row| row_words(row, nparts << usize::from(spills(row))),
@@ -1056,7 +1177,7 @@ fn refine_distributed(
 
         // Commit in proposal order while quota lasts.
         let mut moves = 0u64;
-        let mut delta = vec![0i64; nparts];
+        let mut delta: Vec<(u32, i64)> = Vec::with_capacity(2 * proposals.len());
         for &(iv, to, spilled) in &proposals {
             let i = iv as usize;
             let (from, to) = (part[i] as usize, to as usize);
@@ -1074,8 +1195,7 @@ fn refine_distributed(
                 continue;
             }
             let vw = i64::try_from(vw).expect("vertex weight fits i64");
-            delta[from] -= vw;
-            delta[to] += vw;
+            delta.extend([(from as u32, -vw), (to as u32, vw)]);
             part[i] = to as u32;
             moves += 1;
         }
@@ -1091,7 +1211,7 @@ fn refine_distributed(
         prev_balance = balance_mode;
         prev_excess = excess;
         if moves > 0 {
-            mine.push((rank as u32, Arc::new((moves, nonzeros(&delta)))));
+            mine.push((rank as u32, Arc::new((moves, summed_by_part(delta)))));
         }
     }
     part.truncate(nloc);
@@ -1123,10 +1243,28 @@ fn commit_words(commits: &Commits, nparts: usize) -> u64 {
 
 /// The non-zero entries of a dense per-part row as `(part, value)`,
 /// ascending by part — the form rows take on the wire.
-fn nonzeros<V: Copy + Default + PartialEq>(dense: &[V]) -> Vec<(u32, V)> {
-    let entries = dense.iter().enumerate();
-    let kept = entries.filter(|&(_, v)| *v != V::default());
-    kept.map(|(q, &v)| (q as u32, v)).collect()
+fn nonzeros<V: Copy + Default + PartialEq>(
+    dense: impl Iterator<Item = V> + Clone,
+) -> Vec<(u32, V)> {
+    let kept = dense.enumerate().filter(|&(_, v)| v != V::default());
+    let mut row = Vec::with_capacity(kept.clone().count());
+    row.extend(kept.map(|(q, v)| (q as u32, v)));
+    row
+}
+
+/// `(part, Δ)` entries summed per part: the non-zero sums, ascending by
+/// part, in the entries' buffer.
+fn summed_by_part(mut entries: Vec<(u32, i64)>) -> Vec<(u32, i64)> {
+    entries.sort_unstable_by_key(|&(q, _)| q);
+    entries.dedup_by(|(q, d), (kept_q, kept)| {
+        let same = q == kept_q;
+        if same {
+            *kept = kept.checked_add(*d).expect("weight delta overflows i64");
+        }
+        same
+    });
+    entries.retain(|&(_, d)| d != 0);
+    entries
 }
 
 /// Declared size of a sparse per-part row: one header word plus the shorter
@@ -1572,6 +1710,7 @@ mod tests {
     use crate::metrics::imbalance_weighted;
     use crate::repart::repartition_kway;
     use plum_parsim::CollectiveKind;
+    use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
     use std::collections::BTreeSet;
 
@@ -1579,7 +1718,39 @@ mod tests {
         /// Stages [`assert_stage_matches_recount`] has checked in sessions
         /// run from this thread (a session's ranks are fibers of it).
         pub(super) static STAGES_CHECKED: Cell<u64> = const { Cell::new(0) };
+        /// Heap allocations made on this thread, for counting what a
+        /// session's ranks allocate.
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     }
+
+    /// The system allocator, counting every allocation and reallocation in
+    /// [`ALLOCATIONS`] of the thread that makes it.
+    struct Counting;
+
+    // SAFETY: every call is forwarded unchanged to `System`.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
 
     /// The multilevel kernel on its own `p`-rank session.
     fn dist(
@@ -1820,8 +1991,8 @@ mod tests {
                             assert_eq!(back, s as usize, "{what}: slot {s} (gid {gid})");
                         }
                         for d in 0..p {
-                            let list = dg.send.iter().find(|&&(to, _)| to == d);
-                            let list = list.map_or(&[][..], |(_, list)| &list[..]);
+                            let list = dg.send.lists().find(|&(to, _)| to == d);
+                            let list = list.map_or(&[][..], |(_, list)| list);
                             let sent: Vec<u32> = list.iter().map(|&i| dg.gid(i)).collect();
                             let theirs = ranks[d][level].ghosts.iter().copied();
                             let mine: Vec<u32> =
@@ -1829,18 +2000,110 @@ mod tests {
                             assert_eq!(sent, mine, "{what}: send list to rank {d}");
                         }
                         // An exchange ships one 4-byte value per list entry.
-                        let items = dg.ghost_items(|i| i as u32);
+                        let mut out = dg.send.outbox();
+                        dg.fill_ghosts(&mut out, |i| i as u32);
                         let declared: Vec<(usize, u64)> =
-                            items.iter().map(|&(d, words, _)| (d, words)).collect();
-                        let lists = dg.send.iter();
+                            out.runs().map(|(d, words, _)| (d, words)).collect();
+                        let lists = dg.send.lists();
                         let expected: Vec<(usize, u64)> = lists
-                            .map(|(d, list)| (*d, words_for_bytes(4 * list.len())))
+                            .map(|(d, list)| (d, words_for_bytes(4 * list.len())))
                             .collect();
                         assert_eq!(declared, expected, "{what}: declared words");
                     }
                 }
             }
         }
+    }
+
+    /// A ring of `p` ranks owning two vertices each (rank r: `2r`, `2r + 1`),
+    /// rank r's second vertex joined to rank r + 1's first, plus `hub`
+    /// edges from vertex 0 to the second vertex of ranks 1..=hub, so rank 0
+    /// borders those ranks and the last one.
+    fn ring_with_hub(p: usize, hub: usize) -> (Graph<'static>, RankLists) {
+        let n = 2 * p;
+        let mut edges = BTreeSet::new();
+        for r in 0..p {
+            let (a, b) = (2 * r + 1, (2 * r + 2) % n);
+            edges.extend([(a, b), (b, a)]);
+        }
+        for d in 1..=hub {
+            edges.extend([(0, 2 * d + 1), (2 * d + 1, 0)]);
+        }
+        let mut xadj = vec![0u32];
+        let mut adjncy = Vec::new();
+        for v in 0..n {
+            adjncy.extend(edges.range((v, 0)..(v + 1, 0)).map(|&(_, u)| u as u32));
+            xadj.push(adjncy.len() as u32);
+        }
+        let owner: Vec<u32> = (0..n).map(|v| (v / 2) as u32).collect();
+        (
+            Graph::from_csr(xadj, adjncy, vec![1; n]),
+            RankLists::build(&owner, p),
+        )
+    }
+
+    /// A ghost exchange at P = 16 allocates per rank, not per neighbour:
+    /// from the first rank leaving a barrier to the last one reading its
+    /// ghosts — every rank filling its level's send buffer, the exchange
+    /// and the reads — the session allocates the same number of times
+    /// whether rank 0 borders 8 ranks or all 15 others, and at most a few
+    /// times per rank. (One buffer per destination grew with the hub.)
+    #[test]
+    fn a_ghost_exchange_allocates_per_rank_not_per_neighbour() {
+        const P: usize = 16;
+        let window = |hub: usize| {
+            let (g, lists) = ring_with_hub(P, hub);
+            let (g, lists) = (&g, &lists);
+            let results = spmd(P, MachineModel::zero(), move |comm| {
+                let dg = build_level0(comm.rank(), g, lists, None);
+                let mut out = dg.send.outbox();
+                let mut values: Vec<u32> = Vec::with_capacity(dg.ghosts.len());
+                comm.barrier();
+                let before = ALLOCATIONS.get();
+                dg.fill_ghosts(&mut out, |i| i as u32);
+                let got = comm.alltoallv_sparse(&mut out);
+                values.extend(dg.ghost_values(&got));
+                let after = ALLOCATIONS.get();
+                (dg.send.peers.len(), before, after)
+            });
+            let borders = results[0].value.0;
+            let ring = usize::from(hub < P - 1);
+            assert_eq!(
+                borders,
+                hub + ring,
+                "rank 0 borders the hub and its ring neighbour"
+            );
+            let first = results.iter().map(|r| r.value.1).min().unwrap();
+            let last = results.iter().map(|r| r.value.2).max().unwrap();
+            last - first
+        };
+        let (fan8, fan15) = (window(8), window(15));
+        assert!(fan8 <= 6 * P as u64, "{fan8} allocations at P = {P}");
+        assert_eq!(fan8, fan15, "allocations grew with the neighbour count");
+    }
+
+    /// The debug build's ghost-order check reads the flat delivered buffer:
+    /// a send list with two entries swapped delivers its receiver's ghosts
+    /// out of order, and the receiver panics.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "ghost exchange out of order")]
+    fn a_swapped_send_list_fails_the_ghost_order_check() {
+        let p = 4;
+        let g = &grid3d(8, 8, 4);
+        let lists = &RankLists::build(&block_owner(g.n(), p), p);
+        spmd(p, MachineModel::zero(), move |comm| {
+            let mut dg = build_level0(comm.rank(), g, lists, None);
+            if comm.rank() == 0 {
+                let (_, list) = dg.send.lists().next().expect("rank 0 borders a rank");
+                assert!(list.len() >= 2, "two entries to swap");
+                dg.send.idx.swap(0, 1);
+            }
+            let mut out = dg.send.outbox();
+            dg.fill_ghosts(&mut out, |i| i as u32);
+            let got = comm.alltoallv_sparse(&mut out);
+            dg.ghost_values(&got).count()
+        });
     }
 
     /// The coarsening rule on the P = 8 fixture. A seeded hierarchy keeps at

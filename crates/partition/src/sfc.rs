@@ -42,7 +42,7 @@
 //! shedding part's home with its `(target, span)` slices. The guard, when
 //! it runs, adds one exchange of inflows and one `allreduce`.
 
-use plum_parsim::{words_for_bytes, Comm, Tag};
+use plum_parsim::{words_for_bytes, Comm, Outbox, Tag};
 
 use crate::balance::{homed_parts, part_home, Problem, RankLists};
 use crate::distributed::charge;
@@ -397,21 +397,13 @@ struct Held {
     owner: u32,
 }
 
-/// One sparse-exchange item per destination of `(destination, value)`
-/// pairs, declaring `bytes` per value.
-fn by_rank<T>(mut pairs: Vec<(usize, T)>, bytes: usize) -> Vec<(usize, u64, Vec<T>)> {
+/// A sparse exchange's send side of `(destination, value)` pairs: one run
+/// per destination, values in pair order, declaring `bytes` per value.
+fn by_rank<T>(mut pairs: Vec<(usize, T)>, bytes: usize) -> Outbox<T> {
     pairs.sort_by_key(|p| p.0);
-    let mut items: Vec<(usize, u64, Vec<T>)> = Vec::new();
-    for (dst, x) in pairs {
-        match items.last_mut() {
-            Some((d, _, xs)) if *d == dst => xs.push(x),
-            _ => items.push((dst, 0, vec![x])),
-        }
-    }
-    for (_, words, xs) in &mut items {
-        *words = words_for_bytes(bytes * xs.len());
-    }
-    items
+    let mut out = Outbox::with_capacity(pairs.len(), 0);
+    out.extend_grouped(pairs, |run| words_for_bytes(bytes * run.len()));
+    out
 }
 
 /// The transport as an SPMD body: every part is held by its home rank
@@ -462,14 +454,13 @@ pub(crate) fn transport_body(
         own
     } else {
         let home = |h: Held| (part_home(h.part as usize, nparts, nranks), h);
-        let sent = by_rank(own.into_iter().map(home).collect(), HELD_BYTES[dual]);
-        let got = comm.alltoallv_sparse(sent).into_iter();
+        let mut sent = by_rank(own.into_iter().map(home).collect(), HELD_BYTES[dual]);
+        let got = comm.alltoallv_sparse(&mut sent);
         let held: Vec<Held> = got
-            .flat_map(|(src, hs)| {
-                hs.into_iter().map(move |h| Held {
-                    owner: src as u32,
-                    ..h
-                })
+            .iter()
+            .map(|(src, h)| Held {
+                owner: src as u32,
+                ..*h
             })
             .collect();
         charge(comm, held.len().div_ceil(LOAD_PASS_DIV), vertex_units);
@@ -524,9 +515,8 @@ pub(crate) fn transport_body(
     // ranks that answer it, so the answers are direct messages.
     let mut asked: Vec<usize> = pieces.iter().filter(|p| p.1 .0).map(|p| p.0).collect();
     asked.dedup();
-    let met = comm.alltoallv_sparse(by_rank(pieces, SPAN_BYTES));
-    let (mut ex, mut rm): (Vec<_>, Vec<_>) =
-        met.into_iter().flat_map(|(_, ps)| ps).partition(|p| p.0);
+    let met = comm.alltoallv_sparse(&mut by_rank(pieces, SPAN_BYTES));
+    let (mut ex, mut rm): (Vec<_>, Vec<_>) = met.into_items().into_iter().partition(|p| p.0);
     ex.sort_unstable_by_key(|p| p.1.lo);
     rm.sort_unstable_by_key(|p| p.1.lo);
     let ex: Vec<Span> = ex.into_iter().map(|p| p.1).collect();
@@ -598,8 +588,8 @@ pub(crate) fn transport_body(
             same
         });
         let home = |(t, x): (u32, [u64; 2])| (part_home(t as usize, nparts, nranks), (t, x));
-        let sent = by_rank(inflow.into_iter().map(home).collect(), INFLOW_BYTES[dual]);
-        let got = comm.alltoallv_sparse(sent);
+        let mut sent = by_rank(inflow.into_iter().map(home).collect(), INFLOW_BYTES[dual]);
+        let got = comm.alltoallv_sparse(&mut sent);
         let add = |x: [u64; 2], y: [u64; 2]| [x[0] + y[0], x[1] + y[1]];
         let old: Vec<[u64; 2]> = runs
             .iter()
@@ -610,7 +600,7 @@ pub(crate) fn transport_body(
             let x = &mut new[held[i].part as usize - homed.start];
             *x = [x[0] - held[i].w[0], x[1] - held[i].w[1]];
         }
-        for (t, x) in got.into_iter().flat_map(|(_, xs)| xs) {
+        for &(t, x) in got.items() {
             let y = &mut new[t as usize - homed.start];
             *y = add(*y, x);
         }
@@ -639,8 +629,8 @@ pub(crate) fn transport_body(
     let answers: Vec<(u32, u32)> = if aligned {
         answers.map(|a| a.1).collect()
     } else {
-        let got = comm.alltoallv_sparse(by_rank(answers.collect(), ANSWER_BYTES));
-        got.into_iter().flat_map(|(_, a)| a).collect()
+        let got = comm.alltoallv_sparse(&mut by_rank(answers.collect(), ANSWER_BYTES));
+        got.into_items()
     };
     let mut out = vec![0u32; mine.len()];
     for (v, q) in answers {

@@ -97,7 +97,7 @@ fn full_session_trace_with_distributed_partitioning_passes_protocol_check() {
     // from the executed kernel.
     let has_phase = log.events[0]
         .iter()
-        .any(|ev| matches!(ev, TraceEvent::PhaseBegin { name, .. } if name == "partition"));
+        .any(|ev| matches!(ev, TraceEvent::PhaseBegin { name, .. } if *name == "partition"));
     assert!(has_phase, "session timeline lost the partition phase span");
 }
 
