@@ -26,7 +26,8 @@
 //!   `NONE`, a dead slot root `NONE`.
 //! - **Counters**: the per-root leaf and node counts are kept up to date as
 //!   families are added and removed, so [`Forest::weights`] copies one entry
-//!   per root and [`Forest::n_nodes`] reads one counter.
+//!   per root, [`Forest::wremap`] lends the node counts, and
+//!   [`Forest::n_nodes`] reads one counter.
 //!
 //! # Why node ids stay LIFO
 //!
@@ -312,6 +313,12 @@ impl Forest {
     /// tree.
     pub fn weights(&self) -> (Vec<u64>, Vec<u64>) {
         (self.wcomp.clone(), self.wremap.clone())
+    }
+
+    /// Per-root total node count (`wremap`) of each tree, by reference:
+    /// [`Forest::subtree_of_root`]`(root).len()` without walking the tree.
+    pub fn wremap(&self) -> &[u64] {
+        &self.wremap
     }
 
     /// All live nodes of the tree rooted at dual vertex `root`, in preorder
@@ -691,6 +698,7 @@ pub(crate) mod tests {
                 assert_eq!(f.subtree_of_root(r), self.subtree_of_root(r), "tree {r}");
             }
             assert_eq!(f.weights(), self.weights(), "weights");
+            assert_eq!(f.wremap(), self.weights().1, "lent node counts");
             assert_eq!(f.n_nodes(), live.len());
         }
     }

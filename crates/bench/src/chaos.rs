@@ -244,7 +244,6 @@ pub fn print_chaos(what: &str, run: &ChaosRun) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plum_parsim::{Fault, FaultAction, TraceEvent};
 
     #[test]
     fn quick_chaos_run_recovers() {
@@ -300,41 +299,15 @@ mod tests {
         assert!(run.rows[0].eff_imbalance < 1.10, "{run:?}");
     }
 
-    /// Injected faults on every rank's stream of one cycle's session.
-    fn fault_events(r: &CycleReport) -> usize {
-        (r.traces.session.events.iter().flatten())
-            .filter(|e| matches!(e, TraceEvent::Fault { .. }))
-            .count()
-    }
-
     /// A `Plum` nobody perturbs runs on the unperturbed machine: one
-    /// multiplier per rank, no jitter, no faults in its cycles.
+    /// multiplier per rank, no jitter, and a cycle's session accounts for
+    /// every rank's time.
     #[test]
     fn none_is_none() {
         let mut plum = fig6_plum(Scale::Quick);
         assert!(plum.chaos.is_none());
         assert_eq!(plum.chaos.profile.len(), plum.cfg.nproc);
-        assert!(plum.cycle_faults.is_empty());
         let r = plum.adaption_cycle(CASES[1].1, 0.1);
         r.traces.session.audit().unwrap();
-        assert_eq!(fault_events(&r), 0);
-    }
-
-    /// A fault keyed to cycle 1 fires in cycle 1's session only.
-    #[test]
-    fn cycle_faults_route_to_their_cycle() {
-        let mut plum = fig6_plum(Scale::Quick);
-        plum.cycle_faults.push((
-            1,
-            Fault {
-                rank: 0,
-                step: 0,
-                action: FaultAction::Stall { seconds: 0.5 },
-            },
-        ));
-        let per_cycle: Vec<usize> = (0..3)
-            .map(|_| fault_events(&plum.adaption_cycle(CASES[1].1, 0.1)))
-            .collect();
-        assert_eq!(per_cycle, [0, 1, 0]);
     }
 }

@@ -23,7 +23,7 @@
 //! the bottom of this file pin that equivalence at several processor counts.
 
 use plum_adapt::{AdaptiveMesh, EdgeMarks};
-use plum_parsim::{Comm, FaultPlan, RankResult, Session, TraceLog};
+use plum_parsim::{Comm, RankResult, Session, TraceLog};
 use plum_partition::{balance_body, weights_of, RankLists};
 use plum_solver::{edge_error_indicator, solve};
 
@@ -161,16 +161,6 @@ impl Cycle {
         let (wcomp_now, wremap_now) = p.am.weights();
         let engine = CycleEngine::new(&p.am, &p.proc_of_root, nproc);
 
-        // The cycle's SPMD session runs on the (possibly) perturbed machine,
-        // under the transient faults scheduled for this cycle. A
-        // `Perturbation::none` machine and no faults make this identical to
-        // `Session::new`.
-        let mut plan = FaultPlan::none();
-        for &(_, fault) in p.cycle_faults.iter().filter(|(c, _)| *c == p.cycles_run) {
-            plan.push(fault);
-        }
-        p.cycles_run += 1;
-
         // Loads are element units: leaf counts weighted by the true cost
         // field, via the v-ordered accumulator shared with the reference
         // driver. The derived capacity weights feed the balancer (and the
@@ -181,7 +171,9 @@ impl Cycle {
         let units = Plum::solver_units(&wcomp_now, &p.proc_of_root, nproc, mult.as_deref());
         let (rate, capacity) = observe_capacity(&units, &p.work, &p.chaos.profile);
         let mut cycle = Cycle {
-            session: Session::with_chaos(nproc, p.cfg.machine, &p.chaos, plan),
+            // The (possibly) perturbed machine; `Perturbation::none` makes
+            // this identical to `Session::new`.
+            session: Session::with_chaos(nproc, p.cfg.machine, &p.chaos),
             slog: TraceLog {
                 events: vec![Vec::new(); nproc],
             },
@@ -503,7 +495,7 @@ mod tests {
     use super::*;
     use crate::{BalanceMethod, PlumConfig};
     use plum_mesh::generate::unit_box_mesh;
-    use plum_parsim::{Fault, FaultAction, Perturbation, TraceEvent};
+    use plum_parsim::{Perturbation, TraceEvent};
     use plum_solver::{CostField, WaveField};
 
     const TOL: f64 = 1e-9;
@@ -830,10 +822,10 @@ mod tests {
         );
     }
 
-    /// Satellite: an *explicitly* zero-chaos engine — `Perturbation::none`
-    /// (uniform rank profile, no jitter) and no cycle faults — reproduces the
-    /// default-constructed engine bit-exactly, measured partition times
-    /// included, on the multilevel path.
+    /// An *explicitly* zero-chaos engine — `Perturbation::none` (uniform
+    /// rank profile, no jitter) — reproduces the default-constructed engine
+    /// bit-exactly, measured partition times included, on the multilevel
+    /// path.
     #[test]
     fn explicit_zero_chaos_reproduces_golden() {
         let mut engine = plum(8, 4, RemapPolicy::BeforeRefinement);
@@ -944,61 +936,6 @@ mod tests {
         let report = p.adaption_cycle(0.3, 0.1);
         assert!(report.decision.accepted && report.migration.is_some());
         assert_eq!(p.proc_of_root, report.decision.new_proc);
-    }
-
-    /// A transient stall scheduled for a specific cycle lands on that
-    /// cycle's session timeline as a `Fault` event and stretches the cycle;
-    /// a fault keyed to cycle 1 fires in cycle 1 only.
-    #[test]
-    fn cycle_fault_lands_on_session_timeline() {
-        let mut chaotic = plum(4, 3, RemapPolicy::BeforeRefinement);
-        let stall = |rank, step| Fault {
-            rank,
-            step,
-            action: FaultAction::Stall { seconds: 0.25 },
-        };
-        chaotic.cycle_faults = vec![(1, stall(1, 1)), (0, stall(2, 0))];
-        let mut clean = plum(4, 3, RemapPolicy::BeforeRefinement);
-
-        let rc = chaotic.adaption_cycle(0.3, 0.1);
-        let rr = clean.adaption_cycle(0.3, 0.1);
-        let faults: Vec<_> = rc.traces.session.events[2]
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Fault { .. }))
-            .collect();
-        assert_eq!(faults.len(), 1, "exactly one injected fault on rank 2");
-        // A step-0 fault fires before the first phase opens: its seconds
-        // belong to the outside-phase row, so the phases still account for
-        // every rank's time.
-        let outside = rc.traces.session.phase_rank_breakdowns();
-        let outside = outside
-            .iter()
-            .find(|a| a.name == plum_parsim::OUTSIDE_PHASE)
-            .expect("pre-phase stall must have a row");
-        assert_eq!(outside.ranks[2].injected, 0.25);
-        assert_eq!(outside.total(), 0.25);
-        rc.traces.session.audit().unwrap();
-        assert!(rr.traces.phase(plum_parsim::OUTSIDE_PHASE).is_none());
-        // The stalled rank need not have been the phase's slowest, so part
-        // of the stall hides in the sync spread — but the bulk must show.
-        assert!(
-            rc.times.total() >= rr.times.total() + 0.2,
-            "stall must stretch the cycle: {} vs {}",
-            rc.times.total(),
-            rr.times.total()
-        );
-        // Each fault fires in its own cycle only: cycle 1 carries the one
-        // keyed to it, and cycle 2 runs clean.
-        let fault_ranks = |r: &CycleReport| -> Vec<usize> {
-            (r.traces.session.events.iter().enumerate())
-                .flat_map(|(rank, es)| es.iter().map(move |e| (rank, e)))
-                .filter(|(_, e)| matches!(e, TraceEvent::Fault { .. }))
-                .map(|(rank, _)| rank)
-                .collect()
-        };
-        assert_eq!(fault_ranks(&rc), [2]);
-        assert_eq!(fault_ranks(&chaotic.adaption_cycle(0.3, 0.1)), [1]);
-        assert!(fault_ranks(&chaotic.adaption_cycle(0.3, 0.1)).is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use plum_mesh::{DualGraph, MeshCounts, TetMesh, VertexField};
 use plum_partition::{partition_kway, Graph};
 use plum_solver::{initialize_solution, CostField, SolverConfig, WaveField, NCOMP};
 
-use plum_parsim::{Fault, Perturbation, PhaseAgg, TraceLog, COLLECTIVE_KINDS};
+use plum_parsim::{Perturbation, PhaseAgg, TraceLog, COLLECTIVE_KINDS};
 
 use crate::balance::BalanceDecision;
 use crate::config::PlumConfig;
@@ -278,15 +278,9 @@ pub struct Plum {
     /// seconds, and link jitter. The test-only per-phase oracle ignores it
     /// and stays the clean golden baseline.
     pub chaos: Perturbation,
-    /// Transient faults, `(cycle, fault)`: each is injected into the
-    /// session of engine cycle `cycle`, where its `step` counts that
-    /// session's steps.
-    pub cycle_faults: Vec<(u64, Fault)>,
     /// Capacity weights the balancer uses: observed per-rank solver rates
     /// of the latest engine cycle, normalized to mean 1.0. Starts uniform.
     pub capacity: Vec<f64>,
-    /// Engine cycles run so far (indexes [`Plum::cycle_faults`]).
-    pub cycles_run: u64,
     /// True per-element cost profile of the scenario — what the
     /// pseudo-solver's per-element times actually follow. The balancer
     /// never reads it; it only sees [`Plum::cost_est`]'s smoothed estimate
@@ -333,9 +327,7 @@ impl Plum {
         initialize_solution(&am.mesh, &mut field, &wave, 0.0);
         Plum {
             chaos: Perturbation::none(cfg.nproc),
-            cycle_faults: Vec::new(),
             capacity: vec![1.0; cfg.nproc],
-            cycles_run: 0,
             cost_field: CostField::Uniform,
             cost_est: CostEstimator::new(dual.n()),
             root_centroid,

@@ -163,9 +163,11 @@ pub(crate) fn migrate_body(
     for (_src, buf) in incoming {
         received += unpack_buffer(am, ncomp, &buf, &mut received_roots);
     }
-    // Each received tree must arrive whole.
+    // Each received tree must arrive whole: as many nodes as the forest
+    // counts under its root.
+    let wremap = am.forest().wremap();
     for (root, count) in &received_roots {
-        let expect = am.forest().subtree_of_root(*root).len() as u64;
+        let expect = wremap[*root as usize];
         assert_eq!(*count, expect, "tree {root} arrived fragmented");
     }
     let mut roots: Vec<u32> = received_roots.into_keys().collect();

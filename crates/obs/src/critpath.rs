@@ -7,7 +7,7 @@
 //! the longest dependency chain ending at the latest event in the log —
 //! the simulator-exact analogue of the paper's bottleneck analysis: it
 //! names which rank the makespan was spent on, and whether that time was
-//! compute, wire, injected faults, or unattributable idle.
+//! compute, wire, or unattributable idle.
 //!
 //! The walk is backward from the global end, over positions: an event, or
 //! one hop of a record (a point-to-point send or receive is a record of one
@@ -15,7 +15,7 @@
 //! spans from the clock the hop before it left (the record's start for the
 //! first) to its own.
 //!
-//! * a compute / send-hop / fault span was binding on its own rank —
+//! * a compute / send-hop span was binding on its own rank —
 //!   account it and step to the previous position;
 //! * a receive hop that *waited* was bound by the sender: the blocked span
 //!   past the sender's send-end is charged as wait on the receiver, the
@@ -47,8 +47,6 @@ pub enum SegmentKind {
     Wire,
     /// Idle with no identifiable upstream dependency.
     Wait,
-    /// Injected fault time (chaos stalls).
-    Injected,
 }
 
 impl SegmentKind {
@@ -57,7 +55,6 @@ impl SegmentKind {
             SegmentKind::Compute => "compute",
             SegmentKind::Wire => "wire",
             SegmentKind::Wait => "wait",
-            SegmentKind::Injected => "injected",
         }
     }
 }
@@ -89,7 +86,6 @@ pub struct CriticalPath {
     pub compute: f64,
     pub wire: f64,
     pub wait: f64,
-    pub injected: f64,
     /// Timeline not covered by any segment (0.0 on gap-free logs).
     pub unattributed: f64,
 }
@@ -98,20 +94,19 @@ impl CriticalPath {
     /// Total path length. On a gap-free log this equals `end - start`
     /// (and, for a full log, the makespan) to the accounting tolerance.
     pub fn length(&self) -> f64 {
-        self.compute + self.wire + self.wait + self.injected + self.unattributed
+        self.compute + self.wire + self.wait + self.unattributed
     }
 
     /// Plain-text report: the split, then the chain.
     pub fn render(&self) -> String {
         let mut out = format!(
             "critical path: {:.3}us over {} segments \
-             (compute {:.3}us, wire {:.3}us, wait {:.3}us, injected {:.3}us)\n",
+             (compute {:.3}us, wire {:.3}us, wait {:.3}us)\n",
             self.length() * 1e6,
             self.segments.len(),
             self.compute * 1e6,
             self.wire * 1e6,
             self.wait * 1e6,
-            self.injected * 1e6,
         );
         for s in &self.segments {
             out.push_str(&format!(
@@ -142,7 +137,6 @@ enum Charge {
     Send,
     Recv,
     Sync,
-    Fault,
 }
 
 /// The charge at `pos` and its span, if it occupies clock time (a
@@ -160,7 +154,6 @@ fn charge_at(stream: &[TraceEvent], pos: Pos) -> Option<(Charge, f64, f64)> {
         }
         (TraceEvent::Compute { start, end }, _) => (Charge::Compute, *start, *end),
         (TraceEvent::Sync { start, end }, _) => (Charge::Sync, *start, *end),
-        (TraceEvent::Fault { start, end, .. }, _) => (Charge::Fault, *start, *end),
         _ => return None,
     };
     (end - start > 0.0).then_some((charge, start, end))
@@ -331,11 +324,6 @@ pub fn critical_path(log: &TraceLog) -> CriticalPath {
                 &mut path.compute,
             ),
             Charge::Send => push(&mut segments, local(SegmentKind::Wire), &mut path.wire),
-            Charge::Fault => push(
-                &mut segments,
-                local(SegmentKind::Injected),
-                &mut path.injected,
-            ),
             Charge::Recv => {
                 if let Some(edge) = edges.get(&(rank, pos)) {
                     // The sender was binding. The span from the sender's

@@ -20,7 +20,7 @@ use crate::json::fmt_f64;
 pub struct AttributionBucket {
     pub phase: String,
     pub rank: usize,
-    /// `"compute" | "wire" | "wait" | "injected" | "slack"`.
+    /// `"compute" | "wire" | "wait" | "slack"`.
     pub kind: String,
     /// Critical-path seconds in the baseline digest (0 when absent).
     pub baseline: f64,

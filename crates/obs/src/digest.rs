@@ -4,7 +4,7 @@
 //!
 //! A digest keeps three things:
 //!
-//! 1. **Per-(phase, rank) breakdowns** — compute/wire/wait/injected seconds
+//! 1. **Per-(phase, rank) breakdowns** — compute/wire/wait seconds
 //!    and message counters for every rank of every phase, plus the phase's
 //!    top-level collective counters (from
 //!    [`TraceLog::phase_rank_breakdowns`]).
@@ -57,7 +57,6 @@ pub struct PhaseDigest {
     pub compute: Vec<f64>,
     pub wire: Vec<f64>,
     pub wait: Vec<f64>,
-    pub injected: Vec<f64>,
     /// Per-rank messages/words sent inside the phase.
     pub msgs: Vec<u64>,
     pub words: Vec<u64>,
@@ -70,7 +69,7 @@ pub struct PhaseDigest {
 pub struct PathBucket {
     pub phase: String,
     pub rank: usize,
-    /// `"compute" | "wire" | "wait" | "injected" | "slack"`.
+    /// `"compute" | "wire" | "wait" | "slack"`.
     pub kind: String,
     pub seconds: f64,
 }
@@ -128,7 +127,6 @@ impl TraceDigest {
                     compute: agg.ranks.iter().map(|r| r.compute).collect(),
                     wire: agg.ranks.iter().map(|r| r.wire).collect(),
                     wait: agg.ranks.iter().map(|r| r.wait).collect(),
-                    injected: agg.ranks.iter().map(|r| r.injected).collect(),
                     msgs: agg.ranks.iter().map(|r| r.msgs).collect(),
                     words: agg.ranks.iter().map(|r| r.words).collect(),
                     collectives,
@@ -227,7 +225,6 @@ impl TraceDigest {
             floats(out, "compute", &p.compute);
             floats(out, "wire", &p.wire);
             floats(out, "wait", &p.wait);
-            floats(out, "injected", &p.injected);
             ints(out, "msgs", &p.msgs);
             ints(out, "words", &p.words);
             out.push_str(", \"collectives\": [");
@@ -336,7 +333,6 @@ impl TraceDigest {
                 compute: floats("compute")?,
                 wire: floats("wire")?,
                 wait: floats("wait")?,
-                injected: floats("injected")?,
                 msgs: ints("msgs")?,
                 words: ints("words")?,
                 collectives,
@@ -417,7 +413,7 @@ mod tests {
                 "{b:?}"
             );
             assert!(
-                ["compute", "wire", "wait", "injected", SLACK_KIND].contains(&b.kind.as_str()),
+                ["compute", "wire", "wait", SLACK_KIND].contains(&b.kind.as_str()),
                 "{b:?}"
             );
             assert!(b.rank < 4, "{b:?}");
@@ -498,7 +494,7 @@ mod tests {
         let accounted: f64 = d
             .phases
             .iter()
-            .map(|p| p.compute[0] + p.wire[0] + p.wait[0] + p.injected[0])
+            .map(|p| p.compute[0] + p.wire[0] + p.wait[0])
             .sum();
         assert!((accounted - d.makespan).abs() <= 1e-9);
     }

@@ -1,21 +1,16 @@
-//! Deterministic fault injection and machine heterogeneity.
+//! Deterministic machine heterogeneity.
 //!
 //! The paper's machine model is perfectly homogeneous, so the balancer is
 //! only ever exercised by *mesh*-induced imbalance. This module adds the
-//! harder regime — *machine*-induced inhomogeneity — as a seeded, fully
-//! reproducible perturbation layer:
+//! harder regime — *machine*-induced inhomogeneity — as one seeded, fully
+//! reproducible description, [`Perturbation`]: per-rank compute-rate
+//! multipliers (a rank with multiplier 2.0 pays twice the `t_flop` cost
+//! for the same work) plus per-link latency jitter drawn from a seeded
+//! splittable RNG ([`ChaosRng`]), so two runs with the same seed produce
+//! bit-identical virtual times regardless of rank interleaving.
 //!
-//! * [`Perturbation`]: per-rank compute-rate multipliers (a rank with
-//!   multiplier 2.0 pays twice the `t_flop` cost for the same work) plus
-//!   per-link latency jitter drawn from a seeded splittable RNG
-//!   ([`ChaosRng`]), so two runs with the same seed produce bit-identical
-//!   virtual times regardless of rank interleaving;
-//! * [`FaultPlan`]: discrete faults ([`FaultAction`]) that a
-//!   [`Session`](crate::Session) applies at step boundaries — transient
-//!   rank stalls, message-delay spikes, and permanent compute slowdowns.
-//!
-//! Jitter and faults perturb only *virtual time* (arrival stamps, clock
-//! charges); they never reorder or alter message payloads, so algorithmic
+//! A perturbation touches only *virtual time* (arrival stamps, clock
+//! charges); it never reorders or alters message payloads, so algorithmic
 //! results are invariant under any perturbation seed (tested in
 //! `proptests.rs`).
 
@@ -122,149 +117,6 @@ pub(crate) fn jitter_factor(seed: u64, src: usize, dst: usize, k: u64, amplitude
     1.0 + amplitude * (2.0 * u - 1.0)
 }
 
-/// The kind of an injected fault (used in [`crate::TraceEvent::Fault`]
-/// records and exports).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultKind {
-    Stall,
-    Slowdown,
-    DelaySpike,
-}
-
-impl FaultKind {
-    /// Stable lowercase name (used in exports).
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::Stall => "stall",
-            FaultKind::Slowdown => "slowdown",
-            FaultKind::DelaySpike => "delay-spike",
-        }
-    }
-}
-
-/// What an injected fault does to its rank.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultAction {
-    /// Transient stall: the rank is frozen for `seconds` of virtual time at
-    /// the step boundary (e.g. an OS hiccup or a checkpoint write).
-    Stall { seconds: f64 },
-    /// Permanent compute slowdown: from this step on, the rank's compute
-    /// multiplier is scaled by `factor` (compounding with the profile).
-    Slowdown { factor: f64 },
-    /// Message-delay spike: for the next `steps` steps, every message this
-    /// rank sends takes `extra` additional seconds to arrive.
-    DelaySpike { steps: u64, extra: f64 },
-}
-
-impl FaultAction {
-    /// The trace-event kind of this action.
-    pub fn kind(&self) -> FaultKind {
-        match self {
-            FaultAction::Stall { .. } => FaultKind::Stall,
-            FaultAction::Slowdown { .. } => FaultKind::Slowdown,
-            FaultAction::DelaySpike { .. } => FaultKind::DelaySpike,
-        }
-    }
-}
-
-/// One scheduled fault: `action` hits `rank` at the boundary of step
-/// `step` (steps are counted per [`Session`](crate::Session), starting at
-/// zero; both `run` and `modeled_phase` advance the counter).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fault {
-    pub rank: usize,
-    pub step: u64,
-    pub action: FaultAction,
-}
-
-/// A deterministic schedule of faults, applied by the session at step
-/// boundaries. [`Session::with_chaos`](crate::Session::with_chaos) checks
-/// every fault's seconds and factor, however it was added.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultPlan {
-    faults: Vec<Fault>,
-}
-
-impl FaultPlan {
-    /// The empty plan (no faults ever).
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
-    /// True when the plan contains no faults.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// All scheduled faults.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
-    /// Add a fault.
-    pub fn push(&mut self, fault: Fault) {
-        self.faults.push(fault);
-    }
-
-    /// Builder: stall `rank` for `seconds` at step `step`.
-    pub fn stall(mut self, rank: usize, step: u64, seconds: f64) -> Self {
-        self.push(Fault {
-            rank,
-            step,
-            action: FaultAction::Stall { seconds },
-        });
-        self
-    }
-
-    /// Builder: permanently slow `rank` by `factor` from step `step` on.
-    pub fn slowdown(mut self, rank: usize, step: u64, factor: f64) -> Self {
-        self.push(Fault {
-            rank,
-            step,
-            action: FaultAction::Slowdown { factor },
-        });
-        self
-    }
-
-    /// Builder: delay every message `rank` sends during steps
-    /// `step..step+steps` by `extra` seconds.
-    pub fn delay_spike(mut self, rank: usize, step: u64, steps: u64, extra: f64) -> Self {
-        self.push(Fault {
-            rank,
-            step,
-            action: FaultAction::DelaySpike { steps, extra },
-        });
-        self
-    }
-
-    /// A small random plan: 1–3 faults over `nsteps` steps of an
-    /// `nranks`-rank session, drawn from the seeded splittable RNG.
-    pub fn seeded(seed: u64, nranks: usize, nsteps: u64) -> Self {
-        let mut rng = ChaosRng::new(seed).split(0x70_6c_61_6e); // "plan"
-        let n = 1 + (rng.next_u64() % 3) as usize;
-        let mut plan = FaultPlan::none();
-        for i in 0..n {
-            let mut r = rng.split(i as u64);
-            let rank = (r.next_u64() % nranks as u64) as usize;
-            let step = r.next_u64() % nsteps.max(1);
-            let action = match r.next_u64() % 3 {
-                0 => FaultAction::Stall {
-                    seconds: 0.5 + r.next_f64(),
-                },
-                1 => FaultAction::Slowdown {
-                    factor: 1.25 + r.next_f64(),
-                },
-                _ => FaultAction::DelaySpike {
-                    steps: 1 + r.next_u64() % 3,
-                    extra: 1e-3 * (1.0 + r.next_f64()),
-                },
-            };
-            plan.push(Fault { rank, step, action });
-        }
-        plan
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,17 +179,5 @@ mod tests {
         let mut p = Perturbation::none(4);
         p.link_jitter = 0.1;
         assert!(!p.is_none());
-    }
-
-    #[test]
-    fn seeded_plans_replay() {
-        let a = FaultPlan::seeded(5, 8, 6);
-        let b = FaultPlan::seeded(5, 8, 6);
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-        for f in a.faults() {
-            assert!(f.rank < 8);
-            assert!(f.step < 6);
-        }
     }
 }

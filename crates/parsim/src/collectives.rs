@@ -926,8 +926,8 @@ mod tests {
     use super::{reference, Outbox};
     use crate::trace::{Call, Hop};
     use crate::{
-        spmd, Comm, FaultPlan, MachineModel, Perturbation, RankResult, Session, TraceEvent,
-        TraceLog, COLLECTIVE_KINDS,
+        spmd, Comm, MachineModel, Perturbation, RankResult, Session, TraceEvent, TraceLog,
+        COLLECTIVE_KINDS,
     };
 
     /// An outbox of one run per `(destination, words, value)` item.
@@ -1758,16 +1758,15 @@ mod tests {
         }
     }
 
-    /// A perturbed machine: every link jittered, one rank computing at half
-    /// speed, and a delay spike on another rank's sends over both steps.
+    /// A perturbed machine: every link jittered, and one rank computing at
+    /// half speed.
     fn chaos_session(p: usize) -> Session {
         let perturb = Perturbation {
             link_jitter: 0.3,
             seed: 17,
             ..Perturbation::slowdown(p, p / 3, 2.0)
         };
-        let plan = FaultPlan::none().delay_spike(p - 1, 0, 2, 2.5e-4);
-        Session::with_chaos(p, MachineModel::sp2(), &perturb, plan)
+        Session::with_chaos(p, MachineModel::sp2(), &perturb)
     }
 
     /// Every collective's host pass records what the message-by-message

@@ -4,7 +4,7 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::chaos::{jitter_factor, FaultKind};
+use crate::chaos::{jitter_factor, Perturbation};
 use crate::sched::SchedState;
 use crate::trace::{Call, Hop, TraceEvent};
 use crate::{MachineModel, VirtualClock};
@@ -49,9 +49,6 @@ pub(crate) struct Ledger {
     /// where the open top-level call's events begin and its start clock.
     #[cfg(test)]
     reference: (u32, (usize, f64)),
-    /// Extra arrival delay on every message this rank sends (active
-    /// delay-spike faults; 0.0 = none).
-    send_delay: f64,
     /// Per-link latency jitter, if enabled: `(amplitude, seed, sent[dst])`.
     /// The per-destination counters make each draw a pure function of the
     /// communication pattern, independent of execution order.
@@ -76,7 +73,7 @@ impl Ledger {
         };
         self.clock.advance(setup);
         let end = self.clock.now();
-        let arrival = end + flight + self.send_delay;
+        let arrival = end + flight;
         self.sent_messages += 1;
         self.sent_words += words;
         (end, arrival)
@@ -180,28 +177,37 @@ pub struct Comm {
     /// deliver through it, blocking receives and collectives suspend into it.
     pub(crate) sched: Rc<RefCell<SchedState>>,
     /// Compute-rate multiplier from the chaos profile (1.0 = nominal);
-    /// scales every [`Comm::compute`] charge. Permanent slowdown faults
-    /// compound onto it.
+    /// scales every [`Comm::compute`] charge.
     flop_mult: f64,
 }
 
 impl Comm {
+    /// Rank `rank` of a machine perturbed by `perturb`: its compute
+    /// multiplier is `perturb.profile[rank]`, and every link it sends on is
+    /// jittered when `perturb.link_jitter` is positive.
     pub(crate) fn new(
         rank: usize,
-        nranks: usize,
         model: MachineModel,
         sched: Rc<RefCell<SchedState>>,
+        perturb: &Perturbation,
     ) -> Self {
+        let nranks = perturb.profile.len();
+        let amplitude = perturb.link_jitter;
+        let jitter = (amplitude > 0.0).then(|| {
+            assert!(amplitude < 1.0, "jitter amplitude must be in [0, 1)");
+            (amplitude, perturb.seed, vec![0; nranks])
+        });
         Comm {
             rank,
             nranks,
             model,
             ledger: Ledger {
                 rank,
+                jitter,
                 ..Ledger::default()
             },
             sched,
-            flop_mult: 1.0,
+            flop_mult: perturb.profile[rank],
         }
     }
 
@@ -345,51 +351,6 @@ impl Comm {
             // deliver while this fiber is parked.
             crate::fiber::suspend();
         }
-    }
-
-    // --- chaos hooks (driven by the session at step boundaries) ------------
-
-    /// Scale this rank's compute multiplier (permanent slowdown faults
-    /// compound onto the profile).
-    pub(crate) fn scale_flop_mult(&mut self, factor: f64) {
-        self.flop_mult *= factor;
-    }
-
-    /// This rank's current compute multiplier.
-    #[inline]
-    pub fn flop_mult(&self) -> f64 {
-        self.flop_mult
-    }
-
-    /// Set the extra arrival delay added to every message this rank sends
-    /// (the sum of its active delay-spike faults).
-    pub(crate) fn set_send_delay(&mut self, extra: f64) {
-        self.ledger.send_delay = extra;
-    }
-
-    /// Enable per-link latency jitter with the given amplitude and seed.
-    pub(crate) fn set_jitter(&mut self, amplitude: f64, seed: u64) {
-        assert!(
-            (0.0..1.0).contains(&amplitude),
-            "jitter amplitude must be in [0, 1)"
-        );
-        if amplitude > 0.0 {
-            self.ledger.jitter = Some((amplitude, seed, vec![0; self.nranks]));
-        }
-    }
-
-    /// Charge an injected-fault span to the clock and record it as a
-    /// [`TraceEvent::Fault`] (zero-length spans mark instantaneous faults
-    /// like a slowdown taking effect).
-    pub(crate) fn inject_fault(&mut self, kind: FaultKind, seconds: f64) {
-        let ledger = &mut self.ledger;
-        let start = ledger.clock.now();
-        ledger.clock.advance(seconds);
-        ledger.events.push(TraceEvent::Fault {
-            kind,
-            start,
-            end: ledger.clock.now(),
-        });
     }
 
     // --- tracing hooks -----------------------------------------------------

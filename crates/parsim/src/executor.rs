@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::chaos::{Fault, FaultAction, FaultPlan, Perturbation};
+use crate::chaos::Perturbation;
 use crate::comm::Comm;
 use crate::deadlock::DeadlockError;
 use crate::fiber::{Fiber, FiberStack};
@@ -70,11 +70,9 @@ pub struct RankResult<T> {
 /// ## Chaos
 ///
 /// [`Session::with_chaos`] builds a perturbed machine: per-rank compute
-/// multipliers and per-link latency jitter from a [`Perturbation`], plus a
-/// [`FaultPlan`] applied at step boundaries (both [`Session::run`] and
-/// [`Session::modeled_phase`] count as one step). All perturbations touch
-/// only virtual time — message contents and ordering are untouched, so
-/// algorithmic results are invariant under any seed.
+/// multipliers and per-link latency jitter from a [`Perturbation`]. A
+/// perturbation touches only virtual time — message contents and ordering
+/// are untouched, so algorithmic results are invariant under any seed.
 ///
 /// ## Deadlock detection
 ///
@@ -93,15 +91,6 @@ pub struct Session {
     comms: Vec<Comm>,
     /// The cooperative scheduler (also held by every `Comm`).
     sched: Rc<RefCell<SchedState>>,
-    /// Completed step count == the step index the next `run` /
-    /// `modeled_phase` executes at (faults with this step fire first).
-    step: u64,
-    plan: FaultPlan,
-    /// Active delay spikes: `(expires_at_step, rank, extra_seconds)`.
-    active_delays: Vec<(u64, usize, f64)>,
-    /// Reused per-step buffer of summed send delays (avoids an O(P)
-    /// allocation at every step boundary).
-    delay_buf: Vec<f64>,
     /// Set after a deadlock or a rank panic: rank state is mid-protocol,
     /// so no further steps can run.
     poisoned: bool,
@@ -111,28 +100,16 @@ impl Session {
     /// Build the rank contexts and the scheduler with one (empty) mailbox
     /// per rank. All clocks start at zero. The machine is unperturbed.
     pub fn new(nranks: usize, model: MachineModel) -> Self {
-        Self::with_chaos(
-            nranks,
-            model,
-            &Perturbation::none(nranks),
-            FaultPlan::none(),
-        )
+        Self::with_chaos(nranks, model, &Perturbation::none(nranks))
     }
 
-    /// Like [`Session::new`], but on a perturbed machine under a fault
-    /// plan. `Perturbation::none(nranks)` + `FaultPlan::none()` reproduces
-    /// the unperturbed session bit-exactly.
+    /// Like [`Session::new`], but on a perturbed machine.
+    /// `Perturbation::none(nranks)` reproduces the unperturbed session
+    /// bit-exactly.
     ///
-    /// Panics, naming the rank (and the step, for a fault), on a compute
-    /// multiplier that is not finite and positive, a stall or delay whose
-    /// seconds are not finite and non-negative, or a slowdown factor that
-    /// is not finite and positive.
-    pub fn with_chaos(
-        nranks: usize,
-        model: MachineModel,
-        perturb: &Perturbation,
-        plan: FaultPlan,
-    ) -> Self {
+    /// Panics, naming the rank, on a compute multiplier that is not finite
+    /// and positive.
+    pub fn with_chaos(nranks: usize, model: MachineModel, perturb: &Perturbation) -> Self {
         assert!(nranks >= 1, "need at least one rank");
         assert_eq!(perturb.profile.len(), nranks, "one multiplier per rank");
         for (rank, &m) in perturb.profile.iter().enumerate() {
@@ -141,97 +118,16 @@ impl Session {
                 "rank {rank}: compute multiplier {m} must be finite and > 0"
             );
         }
-        for f in plan.faults() {
-            let (what, value, ok, bound) = match f.action {
-                FaultAction::Stall { seconds } => ("stall seconds", seconds, seconds >= 0.0, "≥ 0"),
-                FaultAction::Slowdown { factor } => {
-                    ("slowdown factor", factor, factor > 0.0, "> 0")
-                }
-                FaultAction::DelaySpike { extra, .. } => {
-                    ("delay seconds", extra, extra >= 0.0, "≥ 0")
-                }
-            };
-            assert!(
-                ok && value.is_finite(),
-                "fault on rank {} at step {}: {what} {value} must be finite and {bound}",
-                f.rank,
-                f.step
-            );
-        }
         let sched = Rc::new(RefCell::new(SchedState::new(nranks)));
-        let mut comms: Vec<Comm> = Vec::with_capacity(nranks);
-        for (rank, &mult) in perturb.profile.iter().enumerate() {
-            let mut comm = Comm::new(rank, nranks, model, sched.clone());
-            if mult != 1.0 {
-                comm.scale_flop_mult(mult);
-            }
-            if perturb.link_jitter > 0.0 {
-                comm.set_jitter(perturb.link_jitter, perturb.seed);
-            }
-            comms.push(comm);
-        }
+        let comms = (0..nranks)
+            .map(|rank| Comm::new(rank, model, sched.clone(), perturb))
+            .collect();
         Session {
             nranks,
             model,
             comms,
             sched,
-            step: 0,
-            plan,
-            active_delays: Vec::new(),
-            delay_buf: vec![0.0; nranks],
             poisoned: false,
-        }
-    }
-
-    /// Apply every fault due at the current step boundary, refresh active
-    /// delay spikes, and advance the step counter.
-    fn apply_step_faults(&mut self) {
-        assert!(
-            !self.poisoned,
-            "session was poisoned by a deadlock or rank panic"
-        );
-        let step = self.step;
-        self.step += 1;
-        if self.plan.is_empty() && self.active_delays.is_empty() {
-            return;
-        }
-        let due: Vec<Fault> = self
-            .plan
-            .faults()
-            .iter()
-            .filter(|f| f.step == step)
-            .copied()
-            .collect();
-        for f in due {
-            assert!(
-                f.rank < self.nranks,
-                "fault on rank {} of {}",
-                f.rank,
-                self.nranks
-            );
-            match f.action {
-                FaultAction::Stall { seconds } => {
-                    self.comms[f.rank].inject_fault(f.action.kind(), seconds);
-                }
-                FaultAction::Slowdown { factor } => {
-                    self.comms[f.rank].scale_flop_mult(factor);
-                    self.comms[f.rank].inject_fault(f.action.kind(), 0.0);
-                }
-                FaultAction::DelaySpike { steps, extra } => {
-                    self.active_delays
-                        .push((step.saturating_add(steps), f.rank, extra));
-                    self.comms[f.rank].inject_fault(f.action.kind(), 0.0);
-                }
-            }
-        }
-        self.active_delays.retain(|&(until, _, _)| until > step);
-        // Reused buffer: no per-step allocation even while faults are live.
-        self.delay_buf.iter_mut().for_each(|d| *d = 0.0);
-        for &(_, rank, extra) in &self.active_delays {
-            self.delay_buf[rank] += extra;
-        }
-        for (comm, &d) in self.comms.iter_mut().zip(&self.delay_buf) {
-            comm.set_send_delay(d);
         }
     }
 
@@ -253,12 +149,6 @@ impl Session {
         self.comms.iter().map(|c| c.now()).fold(0.0, f64::max)
     }
 
-    /// Number of completed steps (`run` / `try_run` / `modeled_phase`).
-    #[inline]
-    pub fn steps(&self) -> u64 {
-        self.step
-    }
-
     /// Run a *modeled* phase without spawning threads: rank `r`'s clock is
     /// charged `seconds[r]` inside a phase span named `name`, then all
     /// clocks align to the slowest rank (the sync idle lands inside the
@@ -267,7 +157,10 @@ impl Session {
     /// is `max(seconds)` and each `elapsed` is the aligned session time.
     pub fn modeled_phase(&mut self, name: &'static str, seconds: &[f64]) -> Vec<RankResult<()>> {
         assert_eq!(seconds.len(), self.nranks, "one cost per rank");
-        self.apply_step_faults();
+        assert!(
+            !self.poisoned,
+            "session was poisoned by a deadlock or rank panic"
+        );
         for (c, &s) in self.comms.iter_mut().zip(seconds) {
             c.phase_begin(name);
             c.advance(s);
@@ -324,7 +217,10 @@ impl Session {
         F: Fn(&mut Comm, A) -> T + Send + Sync,
     {
         assert_eq!(args.len(), self.nranks, "one argument per rank");
-        self.apply_step_faults();
+        assert!(
+            !self.poisoned,
+            "session was poisoned by a deadlock or rank panic"
+        );
         self.sched.borrow_mut().reset_for_step();
 
         // Per-rank output slots. The vector is sized once and never grows,
@@ -491,9 +387,8 @@ pub fn makespan<T>(results: &[RankResult<T>]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{Fault, FaultPlan, Perturbation};
+    use crate::chaos::Perturbation;
     use crate::deadlock::RankActivity;
-    use crate::TraceLog;
 
     #[test]
     fn single_rank_runs() {
@@ -844,51 +739,14 @@ mod tests {
             4,
             MachineModel::sp2(),
             &Perturbation::none(4),
-            FaultPlan::none(),
         ));
         assert_eq!(plain, chaos, "empty perturbation must be bit-exact");
     }
 
     #[test]
-    fn stall_fault_charges_injected_time() {
-        let plan = FaultPlan::none().stall(1, 0, 2.5);
-        let mut sess = Session::with_chaos(2, MachineModel::sp2(), &Perturbation::none(2), plan);
-        let mut r = sess.run(vec![(), ()], |comm, ()| comm.barrier());
-        let summary = TraceLog::from_results(&mut r).summary();
-        assert!((summary.ranks[1].injected - 2.5).abs() < 1e-12);
-        assert_eq!(summary.ranks[0].injected, 0.0);
-        assert!(makespan(&r) >= 2.5, "the stall delays the whole step");
-        // The extended invariant: compute + wire + wait + injected == elapsed.
-        for (res, s) in r.iter().zip(&summary.ranks) {
-            assert!((s.total() - res.elapsed).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn slowdown_fault_scales_compute_from_its_step() {
-        let plan = FaultPlan::none().slowdown(0, 1, 2.0);
-        let mut sess = Session::with_chaos(1, MachineModel::sp2(), &Perturbation::none(1), plan);
-        let r0 = sess.run(vec![()], |comm, ()| {
-            comm.compute(1000.0);
-            comm.now()
-        });
-        let r1 = sess.run(vec![()], |comm, ()| {
-            let start = comm.now();
-            comm.compute(1000.0);
-            comm.now() - start
-        });
-        assert!(
-            (r1[0].value - 2.0 * r0[0].value).abs() < 1e-12,
-            "after the fault the same work costs twice as much: {} vs {}",
-            r1[0].value,
-            r0[0].value
-        );
-    }
-
-    #[test]
     fn rank_profile_scales_compute_per_rank() {
         let perturb = Perturbation::slowdown(2, 1, 3.0);
-        let mut sess = Session::with_chaos(2, MachineModel::sp2(), &perturb, FaultPlan::none());
+        let mut sess = Session::with_chaos(2, MachineModel::sp2(), &perturb);
         let r = sess.run(vec![(), ()], |comm, ()| {
             let start = comm.now();
             comm.compute(500.0);
@@ -902,7 +760,7 @@ mod tests {
     fn an_infinite_multiplier_is_rejected() {
         let mut perturb = Perturbation::none(2);
         perturb.profile[1] = f64::INFINITY;
-        Session::with_chaos(2, MachineModel::sp2(), &perturb, FaultPlan::none());
+        Session::with_chaos(2, MachineModel::sp2(), &perturb);
     }
 
     #[test]
@@ -910,51 +768,7 @@ mod tests {
     fn a_zero_multiplier_is_rejected() {
         let mut perturb = Perturbation::none(2);
         perturb.profile[0] = 0.0;
-        Session::with_chaos(2, MachineModel::sp2(), &perturb, FaultPlan::none());
-    }
-
-    /// A fault added with `push` skips no check the builders would make.
-    #[test]
-    #[should_panic(
-        expected = "fault on rank 1 at step 2: stall seconds NaN must be finite and ≥ 0"
-    )]
-    fn a_nan_stall_is_rejected() {
-        let mut plan = FaultPlan::none();
-        plan.push(Fault {
-            rank: 1,
-            step: 2,
-            action: FaultAction::Stall { seconds: f64::NAN },
-        });
-        Session::with_chaos(2, MachineModel::sp2(), &Perturbation::none(2), plan);
-    }
-
-    #[test]
-    fn delay_spike_delays_arrivals_then_expires() {
-        let plan = FaultPlan::none().delay_spike(0, 0, 1, 3.0);
-        let mut sess = Session::with_chaos(2, MachineModel::zero(), &Perturbation::none(2), plan);
-        let r = sess.run(vec![(), ()], |comm, ()| {
-            if comm.rank() == 0 {
-                comm.send(1, 1, 1, 9u8);
-            } else {
-                comm.recv::<u8>(0, 1);
-            }
-            comm.now()
-        });
-        assert!(
-            (r[1].value - 3.0).abs() < 1e-12,
-            "spiked message arrives 3s late on the zero model, got {}",
-            r[1].value
-        );
-        // One step later the spike has expired: no extra delay on top of
-        // the aligned t=3 clocks.
-        let r2 = sess.run(vec![(), ()], |comm, ()| {
-            if comm.rank() == 0 {
-                comm.send(1, 2, 1, 9u8);
-            } else {
-                comm.recv::<u8>(0, 2);
-            }
-        });
-        assert!((makespan(&r2) - 3.0).abs() < 1e-12);
+        Session::with_chaos(2, MachineModel::sp2(), &perturb);
     }
 
     #[test]
@@ -965,7 +779,7 @@ mod tests {
                 seed,
                 ..Perturbation::none(4)
             };
-            let mut sess = Session::with_chaos(4, MachineModel::sp2(), &perturb, FaultPlan::none());
+            let mut sess = Session::with_chaos(4, MachineModel::sp2(), &perturb);
             let r = sess.run(vec![(); 4], |comm, ()| {
                 comm.allreduce_sum_u64(comm.rank() as u64)
             });

@@ -50,7 +50,7 @@ mod proptests;
 mod sched;
 pub mod trace;
 
-pub use chaos::{ChaosRng, Fault, FaultAction, FaultKind, FaultPlan, Perturbation};
+pub use chaos::{ChaosRng, Perturbation};
 pub use clock::VirtualClock;
 pub use collectives::{Inbox, Outbox};
 pub use comm::{Comm, Tag};

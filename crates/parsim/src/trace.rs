@@ -2,7 +2,7 @@
 //!
 //! Every [`Comm`](crate::Comm) records a typed event for each virtual-clock
 //! charge it makes: local computation, user-defined phase spans,
-//! step-boundary syncs, injected faults and blocked clock-rewind attempts.
+//! step-boundary syncs and blocked clock-rewind attempts.
 //! A message end is a 16-byte [`Hop`] (the clock after the charge, the
 //! peer, the direction and the declared words) inside one
 //! [`TraceEvent::Call`] record per call: a point-to-point send or receive
@@ -12,8 +12,8 @@
 //! event streams are gathered into a [`TraceLog`], which supports:
 //!
 //! * **aggregation** ([`TraceLog::summary`]): per-rank wait / compute /
-//!   wire / injected split (which reconstructs each rank's elapsed virtual
-//!   time exactly: `compute + wire + wait + injected == elapsed`) and
+//!   wire split (which reconstructs each rank's elapsed virtual time
+//!   exactly: `compute + wire + wait == elapsed`) and
 //!   message/word counters per collective kind; the same split per phase
 //!   ([`TraceLog::phase_breakdowns`] and friends), all accumulated over
 //!   one walk that owns the phase-attribution rule. Every reader takes a
@@ -35,7 +35,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::chaos::FaultKind;
 use crate::comm::Tag;
 use crate::executor::RankResult;
 
@@ -208,15 +207,6 @@ pub enum TraceEvent {
     /// aligned this rank's clock to the slowest rank before the next step.
     /// Accounted as wait (it is synchronization idle, like a recv wait).
     Sync { start: f64, end: f64 },
-    /// An injected fault span (see [`crate::FaultPlan`]): a transient stall
-    /// charges `end - start` seconds; instantaneous faults (a slowdown or
-    /// delay spike taking effect) are zero-length markers. Accounted in
-    /// [`RankSummary::injected`].
-    Fault {
-        kind: FaultKind,
-        start: f64,
-        end: f64,
-    },
 }
 
 impl TraceEvent {
@@ -229,7 +219,6 @@ impl TraceEvent {
             TraceEvent::PhaseEnd { end, .. } => end,
             TraceEvent::RewindBlocked { at, .. } => at,
             TraceEvent::Sync { start, .. } => start,
-            TraceEvent::Fault { start, .. } => start,
         }
     }
 
@@ -242,7 +231,6 @@ impl TraceEvent {
             TraceEvent::PhaseEnd { end, .. } => end,
             TraceEvent::RewindBlocked { at, .. } => at,
             TraceEvent::Sync { end, .. } => end,
-            TraceEvent::Fault { end, .. } => end,
         }
     }
 }
@@ -277,8 +265,6 @@ pub struct RankSummary {
     pub wire: f64,
     /// Seconds idled in receives waiting for in-flight data.
     pub wait: f64,
-    /// Seconds charged by injected faults (chaos stalls).
-    pub injected: f64,
     /// Messages / words this rank sent.
     pub msgs_sent: u64,
     pub words_sent: u64,
@@ -296,10 +282,9 @@ impl RankSummary {
 
     /// The rank's total accounted virtual time. Equal (to rounding) to the
     /// rank's final clock: every clock charge is exactly one event or one
-    /// hop of a record, so `compute + wire + wait + injected
-    /// == elapsed`.
+    /// hop of a record, so `compute + wire + wait == elapsed`.
     pub fn total(&self) -> f64 {
-        self.compute + self.wire + self.wait + self.injected
+        self.compute + self.wire + self.wait
     }
 }
 
@@ -384,7 +369,6 @@ impl TraceLog {
             s.compute = split.compute;
             s.wire = split.wire;
             s.wait = split.wait;
-            s.injected = split.injected;
             s.msgs_sent = split.msgs;
             s.words_sent = split.words;
         }
@@ -475,18 +459,6 @@ impl TraceLog {
                         &mut first,
                         chrome_span(rank, "sync", "wait", *start, *end, ""),
                     ),
-                    TraceEvent::Fault { kind, start, end } => push(
-                        &mut out,
-                        &mut first,
-                        chrome_span(
-                            rank,
-                            &format!("fault:{}", kind.name()),
-                            "fault",
-                            *start,
-                            *end,
-                            "",
-                        ),
-                    ),
                 }
             }
         }
@@ -535,12 +507,6 @@ impl TraceLog {
                     TraceEvent::Sync { start, end } => format!(
                         "{:>14}  sync (idle {:.3}us)",
                         span(*start, *end),
-                        us_f(*end - *start)
-                    ),
-                    TraceEvent::Fault { kind, start, end } => format!(
-                        "{:>14}  !! fault {} (injected {:.3}us)",
-                        span(*start, *end),
-                        kind.name(),
                         us_f(*end - *start)
                     ),
                 };
@@ -846,8 +812,6 @@ pub struct PhaseAgg {
     pub wire: f64,
     /// Recv + sync idle seconds, summed over ranks.
     pub wait: f64,
-    /// Injected fault seconds, summed over ranks.
-    pub injected: f64,
     /// Messages / words sent inside the phase, over all ranks.
     pub msgs: u64,
     pub words: u64,
@@ -865,7 +829,7 @@ impl PhaseAgg {
 
     /// Total accounted seconds over all ranks.
     pub fn total(&self) -> f64 {
-        self.compute + self.wire + self.wait + self.injected
+        self.compute + self.wire + self.wait
     }
 }
 
@@ -880,8 +844,6 @@ pub struct RankPhaseSplit {
     pub wire: f64,
     /// Recv + sync idle seconds.
     pub wait: f64,
-    /// Injected fault seconds.
-    pub injected: f64,
     /// Messages / words sent inside the phase by this rank.
     pub msgs: u64,
     pub words: u64,
@@ -890,11 +852,11 @@ pub struct RankPhaseSplit {
 impl RankPhaseSplit {
     /// Total accounted seconds of this rank inside the phase.
     pub fn total(&self) -> f64 {
-        self.compute + self.wire + self.wait + self.injected
+        self.compute + self.wire + self.wait
     }
 
     /// Account one event: every clock charge is exactly one of compute,
-    /// wire, wait or injected, so the four sums reconstruct elapsed time. A
+    /// wire or wait, so the three sums reconstruct elapsed time. A
     /// record's hops are charged one by one, in the order they were made: a
     /// send hop's span is wire and sends its words, a receive hop's is
     /// wait.
@@ -915,7 +877,6 @@ impl RankPhaseSplit {
                 }
             }
             TraceEvent::Sync { start, end } => self.wait += end - start,
-            TraceEvent::Fault { start, end, .. } => self.injected += end - start,
             _ => {}
         }
     }
@@ -1187,7 +1148,6 @@ impl TraceLog {
                 compute: split.compute,
                 wire: split.wire,
                 wait: split.wait,
-                injected: split.injected,
                 msgs: split.msgs,
                 words: split.words,
                 start: span.start,
@@ -1575,7 +1535,6 @@ mod tests {
             assert!((f.compute - sum(|r| r.compute)).abs() < 1e-12, "{s:?}");
             assert!((f.wire - sum(|r| r.wire)).abs() < 1e-12, "{s:?}");
             assert!((f.wait - sum(|r| r.wait)).abs() < 1e-12, "{s:?}");
-            assert!((f.injected - sum(|r| r.injected)).abs() < 1e-12, "{s:?}");
             assert_eq!(f.msgs, s.ranks.iter().map(|r| r.msgs).sum::<u64>());
             assert_eq!(f.words, s.ranks.iter().map(|r| r.words).sum::<u64>());
         }

@@ -2,7 +2,7 @@
 //!
 //! The engine charges the partition phase from real session traffic, so the
 //! phase's trace must carry real point-to-point and collective events, every
-//! rank's accounted virtual time (compute + wire + wait + injected) must
+//! rank's accounted virtual time (compute + wire + wait) must
 //! reconstruct the measured phase time exactly, and the protocol checker
 //! must accept both the partition trace and the full session timeline.
 
@@ -66,9 +66,9 @@ fn partition_phase_trace_carries_real_traffic_and_accounts_exactly() {
     assert!(colls > 0, "no collective events in the partition trace");
     assert!(syncs > 0, "no Sync events in the partition trace");
 
-    // Widened accounting invariant: every rank's compute + wire + wait +
-    // injected equals the measured partition phase time (the session aligns
-    // all clocks at the step boundary, so the phase time is common).
+    // Accounting invariant: every rank's compute + wire + wait equals the
+    // measured partition phase time (the session aligns all clocks at the
+    // step boundary, so the phase time is common).
     let summary = trace.summary();
     for r in &summary.ranks {
         assert!(

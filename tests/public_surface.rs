@@ -8,7 +8,10 @@
 //! identifier in code: `//` comments and string and char literals are
 //! blanked first (the tree has no block comments or raw strings), `pub use`
 //! re-exports and `mod` declarations do not count, and neither does the
-//! name at any definition site. Methods are audited by name, so a
+//! name at any definition site. Nor is a field a use of a `pub fn` of the
+//! same name: a field access (`.name` not followed by `(` or `::`) and a
+//! field declaration, initializer or pattern (`name:` not followed by `:`)
+//! do not count for functions. Methods are audited by name, so a
 //! common name (`new`, `len`) always finds a use; the audit catches the
 //! specific names, which is where caller-less code accumulates.
 //!
@@ -25,6 +28,12 @@ const ALLOW: &[(&str, &str, &str)] = &[
         "mesh/src/sfc.rs",
         "hilbert_decode",
         "inverse of `hilbert_key`: the SFC proptests prove the curve a bijection through it",
+    ),
+    (
+        "parsim/src/clock.rs",
+        "rewinds_blocked",
+        "the clock's own count of blocked rewinds, beside the `RewindBlocked` trace record: \
+         a detection counter the clock tests read",
     ),
     (
         "parsim/src/executor.rs",
@@ -136,6 +145,8 @@ struct Source {
     /// Token indices that are not uses: definition names, `pub use`
     /// statements, `mod` declarations.
     not_uses: BTreeSet<usize>,
+    /// Token indices that name a field, so are not uses of a function.
+    field_uses: BTreeSet<usize>,
 }
 
 impl Source {
@@ -148,9 +159,11 @@ impl Source {
             test_ranges: Vec::new(),
             test_mods: Vec::new(),
             not_uses: BTreeSet::new(),
+            field_uses: BTreeSet::new(),
         };
         src.find_test_items();
         src.not_uses = src.non_uses();
+        src.field_uses = src.field_uses();
         src
     }
 
@@ -239,12 +252,28 @@ impl Source {
         out
     }
 
+    /// Identifiers that name a field: a field access (`.name` not followed
+    /// by `(` or `::`), or a field declaration, initializer or pattern
+    /// (`name:` not followed by `:`).
+    fn field_uses(&self) -> BTreeSet<usize> {
+        let path = |j: usize| self.is(j, ":") && self.is(j + 1, ":");
+        (0..self.toks.len())
+            .filter(|&k| self.ident(k).is_some())
+            .filter(|&k| {
+                let after_dot = k > 0 && self.is(k - 1, ".");
+                let access = after_dot && !self.is(k + 1, "(") && !path(k + 1);
+                access || (self.is(k + 1, ":") && !path(k + 1))
+            })
+            .collect()
+    }
+
     fn in_test(&self, byte: usize) -> bool {
         self.test_ranges.iter().any(|&(a, b)| a <= byte && byte < b)
     }
 
-    /// Names of the audited `pub` items defined outside `#[cfg(test)]` code.
-    fn public_items(&self) -> Vec<&str> {
+    /// `(kind, name)` of the audited `pub` items defined outside
+    /// `#[cfg(test)]` code.
+    fn public_items(&self) -> Vec<(&str, &str)> {
         let mut out = Vec::new();
         for k in 0..self.toks.len() {
             if !self.is(k, "pub") || self.in_test(self.toks[k].0) {
@@ -258,7 +287,7 @@ impl Source {
             }
             if KINDS.contains(&self.text(j)) {
                 if let Some(name) = self.ident(j + 1) {
-                    out.push(name);
+                    out.push((self.text(j), name));
                 }
             }
         }
@@ -312,12 +341,13 @@ fn orphans(root: &Path) -> BTreeSet<(String, String)> {
         }
     }
 
-    // name → every (source, byte) where it is used.
-    let mut uses: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
+    // name → every (source, byte, names a field) where it is used.
+    let mut uses: BTreeMap<&str, Vec<(usize, usize, bool)>> = BTreeMap::new();
     for (f, s) in sources.iter().enumerate() {
         for k in 0..s.toks.len() {
             if let Some(name) = s.ident(k).filter(|_| !s.not_uses.contains(&k)) {
-                uses.entry(name).or_default().push((f, s.toks[k].0));
+                let field = s.field_uses.contains(&k);
+                uses.entry(name).or_default().push((f, s.toks[k].0, field));
             }
         }
     }
@@ -330,12 +360,13 @@ fn orphans(root: &Path) -> BTreeSet<(String, String)> {
         if !file.contains("/src/") || test_files.contains(&s.rel) {
             continue;
         }
-        for name in s.public_items() {
+        for (kind, name) in s.public_items() {
             let used = uses
                 .get(name)
                 .into_iter()
                 .flatten()
-                .any(|&(g, byte)| g != f || !s.in_test(byte));
+                .filter(|&&(.., field)| !(field && kind == "fn"))
+                .any(|&(g, byte, _)| g != f || !s.in_test(byte));
             if !used {
                 out.insert((file.to_string(), name.to_string()));
             }
@@ -374,7 +405,8 @@ fn every_public_item_has_a_caller_outside_its_own_tests() {
 }
 
 /// The audit's own machinery: comments, strings and char literals never
-/// count as uses, and a `#[cfg(test)]` item is found with its exact extent.
+/// count as uses, a `#[cfg(test)]` item is found with its exact extent, and
+/// a field is told from a function.
 #[test]
 fn blanking_and_test_regions_are_exact() {
     let src = "pub fn a() {} // b\nfn c() { let _ = \"d{\"; let _ = '}'; }\n\
@@ -394,7 +426,18 @@ fn blanking_and_test_regions_are_exact() {
     let (a, b) = s.test_ranges[0];
     assert!(src[a..b].starts_with("#[cfg(test)]") && src[a..b].ends_with("{} }"));
     assert!(!s.in_test(src.find("pub use").unwrap()));
-    assert_eq!(s.public_items(), ["a"]);
+    assert_eq!(s.public_items(), [("fn", "a")]);
     let k = (0..s.toks.len()).find(|&k| s.is(k, "k")).unwrap();
     assert!(s.not_uses.contains(&k), "a re-export is not a use");
+
+    // A field access, declaration, initializer or pattern names a field;
+    // a method call, a turbofish call and a path do not.
+    let src = "struct S { m: u8 }\nfn f(s: S) { s.m; S { m: 1 }; let S { m: _ } = s; \
+               s.m(); s.m::<u8>(); S::m(); }\n";
+    let s = Source::new("y.rs".to_string(), src);
+    let field: Vec<bool> = (0..s.toks.len())
+        .filter(|&k| s.is(k, "m"))
+        .map(|k| s.field_uses.contains(&k))
+        .collect();
+    assert_eq!(field, [true, true, true, true, false, false, false]);
 }
