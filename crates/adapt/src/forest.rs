@@ -21,7 +21,7 @@
 //!   parent and frees the record. A node is a leaf iff its `pattern` is 0.
 //! - **Families** are linked lists in creation order: the record names the
 //!   first child and each child its `next_sibling`. That is the order
-//!   [`Forest::subtree_of_root`] serializes a tree in for migration.
+//!   [`Forest::extend_with_tree`] serializes a tree in for migration.
 //! - **Sentinels**: a root has parent [`NONE`], a last child next sibling
 //!   `NONE`, a dead slot root `NONE`.
 //! - **Counters**: the per-root leaf and node counts are kept up to date as
@@ -316,22 +316,39 @@ impl Forest {
     }
 
     /// Per-root total node count (`wremap`) of each tree, by reference:
-    /// [`Forest::subtree_of_root`]`(root).len()` without walking the tree.
+    /// the nodes [`Forest::extend_with_tree`] appends, without walking the tree.
     pub fn wremap(&self) -> &[u64] {
         &self.wremap
     }
 
-    /// All live nodes of the tree rooted at dual vertex `root`, in preorder
-    /// (parents before children, a family's last child first) — the
-    /// serialization order for migration.
-    pub fn subtree_of_root(&self, root: u32) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.wremap[root as usize] as usize);
-        let mut stack = vec![self.roots[root as usize]];
-        while let Some(id) = stack.pop() {
-            out.push(id);
-            stack.extend(self.children(id));
+    /// Append the live nodes of the tree rooted at dual vertex `root` to
+    /// `out`, in preorder (parents before children, a family's last child
+    /// first) — the serialization order for migration. The walk keeps no
+    /// stack: it appends the tree's postorder (first child first) along the
+    /// sibling and parent links, whose reverse is that preorder.
+    pub fn extend_with_tree(&self, root: u32, out: &mut Vec<NodeId>) {
+        out.reserve(self.wremap[root as usize] as usize);
+        let first = out.len();
+        let top = self.roots[root as usize];
+        let mut id = top;
+        loop {
+            while let Some(family) = self.family(id) {
+                id = family.first_child;
+            }
+            loop {
+                out.push(id);
+                if id == top {
+                    out[first..].reverse();
+                    return;
+                }
+                let n = self.node(id);
+                if n.next_sibling != NONE {
+                    id = n.next_sibling;
+                    break;
+                }
+                id = n.parent;
+            }
         }
-        out
     }
 
     /// Maximum refinement level over live nodes.
@@ -695,7 +712,9 @@ pub(crate) mod tests {
                 assert_eq!(f.elem(id), n.mesh_elem, "element of {id}");
             }
             for r in 0..self.roots.len() as u32 {
-                assert_eq!(f.subtree_of_root(r), self.subtree_of_root(r), "tree {r}");
+                let mut tree = vec![NONE];
+                f.extend_with_tree(r, &mut tree);
+                assert_eq!(tree[1..], self.subtree_of_root(r), "tree {r}");
             }
             assert_eq!(f.weights(), self.weights(), "weights");
             assert_eq!(f.wremap(), self.weights().1, "lent node counts");

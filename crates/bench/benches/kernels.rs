@@ -263,11 +263,9 @@ fn bench_codec(c: &mut Criterion) {
 /// exchange, and a barrier — the event mix of a real cycle log.
 fn synthetic_session(nranks: usize) -> TraceLog {
     let mut session = Session::new(nranks, MachineModel::sp2());
-    let mut log = TraceLog {
-        events: vec![Vec::new(); nranks],
-    };
+    let mut log = TraceLog::new(nranks);
     for (p, phase) in ["alpha", "beta", "gamma"].into_iter().enumerate() {
-        let results = session.run(vec![(); nranks], move |comm, ()| {
+        let mut results = session.run(vec![(); nranks], move |comm, ()| {
             comm.phase(phase, |c| {
                 c.compute(5_000.0 * (1.0 + c.rank() as f64 / 10.0));
                 let next = (c.rank() + 1) % c.nranks();
@@ -280,9 +278,7 @@ fn synthetic_session(nranks: usize) -> TraceLog {
                 c.barrier();
             });
         });
-        for mut r in results {
-            log.events[r.rank].append(&mut r.events);
-        }
+        log.absorb(&mut results);
     }
     log
 }
@@ -709,15 +705,9 @@ fn control_trace_bytes(session: &mut Session, probe: &(dyn Fn(&mut Comm) + Send 
     const CALLS: usize = 8;
     let nranks = session.nranks();
     let bytes = |results: Vec<RankResult<()>>| -> usize {
-        let events = results.iter().flat_map(|r| &r.events);
-        let hops: usize = events
-            .clone()
-            .map(|ev| match ev {
-                TraceEvent::Call { hops, .. } => hops.len(),
-                _ => 0,
-            })
-            .sum();
-        events.count() * size_of::<TraceEvent>() + hops * size_of::<Hop>()
+        let events: usize = results.iter().map(|r| r.events.len()).sum();
+        let hops: usize = results.iter().map(|r| r.hops.len()).sum();
+        events * size_of::<TraceEvent>() + hops * size_of::<Hop>()
     };
     let full = bytes(session.run(vec![(); nranks], |comm, ()| {
         (0..CALLS).for_each(|_| probe(comm))

@@ -59,16 +59,11 @@ impl CycleEngine {
     }
 }
 
-/// Move each rank's step events onto the session-wide timeline and hand
-/// back the rank values (in rank order).
-fn absorb<T>(slog: &mut TraceLog, results: Vec<RankResult<T>>) -> Vec<T> {
-    results
-        .into_iter()
-        .map(|mut r| {
-            slog.events[r.rank].append(&mut r.events);
-            r.value
-        })
-        .collect()
+/// Move each rank's step events and hops onto the session-wide timeline
+/// and hand back the rank values (in rank order).
+fn absorb<T>(slog: &mut TraceLog, mut results: Vec<RankResult<T>>) -> Vec<T> {
+    slog.absorb(&mut results);
+    results.into_iter().map(|r| r.value).collect()
 }
 
 /// Observed per-rank solver rates and the capacity weights derived from
@@ -174,9 +169,7 @@ impl Cycle {
             // The (possibly) perturbed machine; `Perturbation::none` makes
             // this identical to `Session::new`.
             session: Session::with_chaos(nproc, p.cfg.machine, &p.chaos),
-            slog: TraceLog {
-                events: vec![Vec::new(); nproc],
-            },
+            slog: TraceLog::new(nproc),
             engine,
             times: PhaseTimes::default(),
             wcomp_now,

@@ -12,7 +12,7 @@
 //! once, in one message per (source, destination) pair — the structure the
 //! paper's `M·C·T_lat + N·T_setup` prices.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use plum_adapt::{AdaptiveMesh, NodeId};
 use plum_mesh::{VertId, VertexField};
@@ -48,7 +48,7 @@ pub(crate) type MigrateValue = (u64, u64, u64, u64, Vec<u32>);
 
 /// Pack the tree nodes `nodes` bound for one destination: the vertex table
 /// (sorted and deduplicated ids, each with its solution), then the node
-/// records.
+/// records, into a buffer of exactly their size.
 fn pack_buffer(am: &AdaptiveMesh, field: &VertexField, nodes: &[NodeId]) -> Packer {
     let forest = am.forest();
     let mut verts: Vec<u32> = nodes
@@ -57,7 +57,10 @@ fn pack_buffer(am: &AdaptiveMesh, field: &VertexField, nodes: &[NodeId]) -> Pack
         .collect();
     verts.sort_unstable();
     verts.dedup();
-    let mut p = Packer::new();
+    // The table's count; per vertex its id, slice length and components;
+    // per node its root, level, pattern and four vertex ids.
+    let bytes = 4 + verts.len() * (4 + 4 + 8 * field.ncomp()) + nodes.len() * (4 + 1 + 1 + 16);
+    let mut p = Packer::with_capacity(bytes);
     p.put_u32(verts.len() as u32);
     for &v in &verts {
         p.put_u32(v);
@@ -71,6 +74,7 @@ fn pack_buffer(am: &AdaptiveMesh, field: &VertexField, nodes: &[NodeId]) -> Pack
             p.put_u32(v.0);
         }
     }
+    debug_assert_eq!(p.len(), bytes, "a buffer is its exact size");
     p
 }
 
@@ -95,8 +99,7 @@ fn unpack_buffer(
                 "vertex table not strictly ascending: vertex {vert} after {prev}"
             );
         }
-        let sol = u.get_f64_slice();
-        assert_eq!(sol.len(), ncomp, "solution record corrupt");
+        assert_eq!(u.skip_f64_slice(), ncomp, "solution record corrupt");
         assert!(
             am.mesh.vert_alive(VertId(vert)),
             "migrated record references dead vertex {vert}"
@@ -138,24 +141,27 @@ pub(crate) fn migrate_body(
     comm.phase_begin("remap");
     let rank = comm.rank() as u32;
 
-    // The departing tree nodes per destination rank, ascending by
-    // destination.
-    let mut departing: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
-    for (&v, &to) in mine.iter().zip(my_new_proc) {
-        if to != rank {
-            let nodes = departing.entry(to as usize).or_default();
-            nodes.extend(am.forest().subtree_of_root(v));
-        }
-    }
-    let packed_elems = departing.values().map(|nodes| nodes.len() as u64).sum();
-    let msgs = departing.len() as u64;
+    // The departing trees by destination rank, ascending (a stable sort
+    // keeps each destination's trees in root order), and one buffer per
+    // destination, its trees walked into one reused node list.
+    let pairs = my_new_proc.iter().copied().zip(mine.iter().copied());
+    let mut departing: Vec<(u32, u32)> = pairs.filter(|&(to, _)| to != rank).collect();
+    departing.sort_by_key(|&(to, _)| to);
+    let mut nodes: Vec<NodeId> = Vec::new();
+    let mut packed_elems = 0;
     let items: Vec<(usize, u64, Vec<u8>)> = departing
-        .into_iter()
-        .map(|(dst, nodes)| {
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|trees| {
+            nodes.clear();
+            for &(_, v) in trees {
+                am.forest().extend_with_tree(v, &mut nodes);
+            }
+            packed_elems += nodes.len() as u64;
             let p = pack_buffer(am, field, &nodes);
-            (dst, p.words(), p.finish())
+            (trees[0].0 as usize, p.words(), p.finish())
         })
         .collect();
+    let msgs = items.len() as u64;
     let incoming = comm.alltoallv_direct(items);
 
     let mut received = 0u64;
@@ -411,9 +417,10 @@ mod tests {
     #[test]
     fn each_vertex_travels_once_per_destination() {
         let (am, field) = refined_amesh();
-        let nodes: Vec<NodeId> = (0..am.n_roots() as u32)
-            .flat_map(|r| am.forest().subtree_of_root(r))
-            .collect();
+        let mut nodes: Vec<NodeId> = Vec::new();
+        for r in 0..am.n_roots() as u32 {
+            am.forest().extend_with_tree(r, &mut nodes);
+        }
         let mut verts: Vec<u32> = nodes
             .iter()
             .flat_map(|&id| am.node_verts(id).map(|v| v.0))
@@ -461,10 +468,10 @@ mod tests {
         let [field] = fields;
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for dst in 0..3u32 {
-            let nodes: Vec<NodeId> = (0..am.n_roots() as u32)
-                .filter(|v| v % 3 == dst)
-                .flat_map(|v| am.forest().subtree_of_root(v))
-                .collect();
+            let mut nodes: Vec<NodeId> = Vec::new();
+            for v in (0..am.n_roots() as u32).filter(|v| v % 3 == dst) {
+                am.forest().extend_with_tree(v, &mut nodes);
+            }
             for byte in pack_buffer(&am, &field, &nodes).finish() {
                 hash = (hash ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
             }

@@ -31,7 +31,7 @@
 //! 1e-9 accounting invariant), the walked segments tile the timeline and
 //! the path length equals the log's makespan.
 
-use plum_parsim::{MessageEdge, TraceEvent, TraceLog};
+use plum_parsim::{Hop, MessageEdge, TraceEvent, TraceLog};
 use std::collections::HashMap;
 
 /// Exact-alignment slack for cross-rank time matching. Clock alignment
@@ -139,11 +139,31 @@ enum Charge {
     Sync,
 }
 
+/// One rank's timeline: its events, and the log holding their hops.
+#[derive(Clone, Copy)]
+struct Stream<'a> {
+    log: &'a TraceLog,
+    events: &'a [TraceEvent],
+}
+
+impl<'a> Stream<'a> {
+    fn of(log: &'a TraceLog, rank: usize) -> Self {
+        let events = &log.events[rank];
+        Stream { log, events }
+    }
+
+    /// The hops of event `event` (none unless a record).
+    fn hops(self, event: usize) -> &'a [Hop] {
+        self.log.hops(&self.events[event])
+    }
+}
+
 /// The charge at `pos` and its span, if it occupies clock time (a
 /// positive-length span): a record's own position and markers do not.
-fn charge_at(stream: &[TraceEvent], pos: Pos) -> Option<(Charge, f64, f64)> {
-    let (charge, start, end) = match (&stream[pos.event], pos.hop) {
-        (TraceEvent::Call { start, hops, .. }, Some(h)) => {
+fn charge_at(stream: Stream, pos: Pos) -> Option<(Charge, f64, f64)> {
+    let (charge, start, end) = match (&stream.events[pos.event], pos.hop) {
+        (TraceEvent::Call { start, .. }, Some(h)) => {
+            let hops = stream.hops(pos.event);
             let from = if h == 0 { *start } else { hops[h - 1].at };
             let charge = if hops[h].is_send() {
                 Charge::Send
@@ -160,24 +180,21 @@ fn charge_at(stream: &[TraceEvent], pos: Pos) -> Option<(Charge, f64, f64)> {
 }
 
 /// When the charge at `pos` ends (a marker: its instant).
-fn end_at(stream: &[TraceEvent], pos: Pos) -> f64 {
-    match (&stream[pos.event], pos.hop) {
-        (TraceEvent::Call { hops, .. }, Some(h)) => hops[h].at,
-        (ev, _) => ev.end_time(),
+fn end_at(stream: Stream, pos: Pos) -> f64 {
+    match pos.hop {
+        Some(h) => stream.hops(pos.event)[h].at,
+        None => stream.events[pos.event].end_time(),
     }
 }
 
 /// The last position of event `event`: a record's last hop, or the event.
-fn last_of(stream: &[TraceEvent], event: usize) -> Pos {
-    let hop = match &stream[event] {
-        TraceEvent::Call { hops, .. } => hops.len().checked_sub(1),
-        _ => None,
-    };
+fn last_of(stream: Stream, event: usize) -> Pos {
+    let hop = stream.hops(event).len().checked_sub(1);
     Pos { event, hop }
 }
 
 /// The position before `pos` on its rank's timeline.
-fn prev(stream: &[TraceEvent], pos: Pos) -> Option<Pos> {
+fn prev(stream: Stream, pos: Pos) -> Option<Pos> {
     match pos.hop {
         Some(h) if h > 0 => Some(Pos {
             event: pos.event,
@@ -188,12 +205,9 @@ fn prev(stream: &[TraceEvent], pos: Pos) -> Option<Pos> {
 }
 
 /// Every position of a rank's timeline, in order.
-fn positions(stream: &[TraceEvent]) -> impl Iterator<Item = Pos> + '_ {
-    stream.iter().enumerate().flat_map(|(event, ev)| {
-        let hops = match ev {
-            TraceEvent::Call { hops, .. } => hops.len(),
-            _ => 0,
-        };
+fn positions(stream: Stream<'_>) -> impl Iterator<Item = Pos> + '_ {
+    (0..stream.events.len()).flat_map(move |event| {
+        let hops = stream.hops(event).len();
         let own = (hops == 0).then_some(Pos { event, hop: None });
         own.into_iter().chain((0..hops).map(move |h| Pos {
             event,
@@ -206,24 +220,20 @@ fn positions(stream: &[TraceEvent]) -> impl Iterator<Item = Pos> + '_ {
 /// a real span (not a sync — a sync's own end was imposed by someone
 /// else). Returns `(rank, position)`.
 fn donor_at(log: &TraceLog, target: f64, skip_rank: usize) -> Option<(usize, Pos)> {
-    for (rank, stream) in log.events.iter().enumerate() {
-        if rank == skip_rank {
-            continue;
-        }
+    for rank in (0..log.nranks()).filter(|&rank| rank != skip_rank) {
+        let stream = Stream::of(log, rank);
         // Per-stream end times are nondecreasing (the clock is monotone),
         // so binary search for the window ending near `target`, hop by hop
         // inside a record that straddles its edge.
-        let hi = stream.partition_point(|e| e.end_time() <= target + EPS);
-        let straddling = match stream.get(hi) {
-            Some(TraceEvent::Call { hops, .. }) => {
-                let h = hops.partition_point(|h| h.at <= target + EPS);
-                h.checked_sub(1).map(|h| Pos {
-                    event: hi,
-                    hop: Some(h),
-                })
-            }
-            _ => None,
-        };
+        let hi = (stream.events).partition_point(|e| e.end_time() <= target + EPS);
+        let straddling = (hi < stream.events.len()).then(|| {
+            let h = stream.hops(hi).partition_point(|h| h.at <= target + EPS);
+            h.checked_sub(1).map(|h| Pos {
+                event: hi,
+                hop: Some(h),
+            })
+        });
+        let straddling = straddling.flatten();
         let mut pos = straddling.or_else(|| Some(last_of(stream, hi.checked_sub(1)?)));
         while let Some(p) = pos {
             if end_at(stream, p) < target - EPS {
@@ -246,7 +256,8 @@ pub fn critical_path(log: &TraceLog) -> CriticalPath {
     // (the rank that actually ran until the end), then lower rank.
     let mut start: Option<(usize, Pos, Charge)> = None;
     let mut best_end = f64::NEG_INFINITY;
-    for (rank, stream) in log.events.iter().enumerate() {
+    for rank in 0..log.nranks() {
+        let stream = Stream::of(log, rank);
         for pos in positions(stream) {
             let Some((charge, _, end)) = charge_at(stream, pos) else {
                 continue;
@@ -279,7 +290,9 @@ pub fn critical_path(log: &TraceLog) -> CriticalPath {
         })
         .collect();
 
-    let total: usize = log.events.iter().map(|s| positions(s).count()).sum();
+    let total: usize = (0..log.nranks())
+        .map(|rank| positions(Stream::of(log, rank)).count())
+        .sum();
     let mut fuel = total * 2 + 64;
     let mut cur_t = best_end;
     let mut segments: Vec<PathSegment> = Vec::new();
@@ -296,7 +309,7 @@ pub fn critical_path(log: &TraceLog) -> CriticalPath {
             break;
         }
         fuel -= 1;
-        let stream = &log.events[rank];
+        let stream = Stream::of(log, rank);
         let Some((charge, start, end)) = charge_at(stream, pos) else {
             match prev(stream, pos) {
                 Some(p) => pos = p,
@@ -440,28 +453,47 @@ mod tests {
     use super::*;
     use plum_parsim::{spmd, Call, Hop, MachineModel, Session};
 
-    fn compute(start: f64, end: f64) -> TraceEvent {
-        TraceEvent::Compute { start, end }
+    /// A hand-written event: compute, or a point-to-point record of one
+    /// 10-word hop.
+    enum Ev {
+        Compute(f64, f64),
+        Mail(Call, f64, f64, Hop),
     }
 
-    /// A point-to-point record of one 10-word hop.
-    fn mail(start: f64, end: f64, peer: usize, tag: u64, send: bool) -> TraceEvent {
-        TraceEvent::Call {
-            call: Call::Mail(tag),
-            start,
-            end,
-            hops: [Hop::new(end, peer, send, 10)].into(),
-        }
+    fn compute(start: f64, end: f64) -> Ev {
+        Ev::Compute(start, end)
+    }
+
+    fn mail(start: f64, end: f64, peer: usize, tag: u64, send: bool) -> Ev {
+        Ev::Mail(Call::Mail(tag), start, end, Hop::new(end, peer, send, 10))
     }
 
     /// A send whose startup charge ran `start..end`.
-    fn send(start: f64, end: f64, peer: usize, tag: u64) -> TraceEvent {
+    fn send(start: f64, end: f64, peer: usize, tag: u64) -> Ev {
         mail(start, end, peer, tag, true)
     }
 
     /// A receive posted at `posted` and completed at `completed`.
-    fn recv(posted: f64, completed: f64, peer: usize, tag: u64) -> TraceEvent {
+    fn recv(posted: f64, completed: f64, peer: usize, tag: u64) -> Ev {
         mail(posted, completed, peer, tag, false)
+    }
+
+    /// The log of hand-written streams, one per rank.
+    fn log(streams: Vec<Vec<Ev>>) -> TraceLog {
+        let mut log = TraceLog::new(streams.len());
+        for (rank, stream) in streams.into_iter().enumerate() {
+            for ev in stream {
+                match ev {
+                    Ev::Compute(start, end) => {
+                        log.events[rank].push(TraceEvent::Compute { start, end })
+                    }
+                    Ev::Mail(call, start, end, hop) => {
+                        log.push_call(rank, call, start, end, &[hop])
+                    }
+                }
+            }
+        }
+        log
     }
 
     fn seg(rank: usize, kind: SegmentKind, start: f64, end: f64) -> PathSegment {
@@ -476,17 +508,15 @@ mod tests {
     /// Serial chain 0 → 1 → 2: every segment is on the path, in order.
     #[test]
     fn serial_chain_exact_membership() {
-        let log = TraceLog {
-            events: vec![
-                vec![compute(0.0, 1.0), send(1.0, 1.5, 1, 1)],
-                vec![
-                    recv(0.0, 2.0, 0, 1),
-                    compute(2.0, 3.0),
-                    send(3.0, 3.5, 2, 2),
-                ],
-                vec![recv(0.0, 4.0, 1, 2), compute(4.0, 5.0)],
+        let log = log(vec![
+            vec![compute(0.0, 1.0), send(1.0, 1.5, 1, 1)],
+            vec![
+                recv(0.0, 2.0, 0, 1),
+                compute(2.0, 3.0),
+                send(3.0, 3.5, 2, 2),
             ],
-        };
+            vec![recv(0.0, 4.0, 1, 2), compute(4.0, 5.0)],
+        ]);
         let path = critical_path(&log);
         use SegmentKind::*;
         assert_eq!(
@@ -513,28 +543,26 @@ mod tests {
     /// joins. The path must run through rank 2 and never touch rank 1.
     #[test]
     fn fork_join_follows_long_branch() {
-        let log = TraceLog {
-            events: vec![
-                vec![
-                    compute(0.0, 1.0),
-                    send(1.0, 1.2, 1, 1),
-                    send(1.2, 1.4, 2, 2),
-                    recv(1.4, 2.0, 1, 3),
-                    recv(2.0, 3.6, 2, 4),
-                    compute(3.6, 4.0),
-                ],
-                vec![
-                    recv(0.0, 1.3, 0, 1),
-                    compute(1.3, 1.8),
-                    send(1.8, 1.9, 0, 3),
-                ],
-                vec![
-                    recv(0.0, 1.4, 0, 2),
-                    compute(1.4, 3.4),
-                    send(3.4, 3.5, 0, 4),
-                ],
+        let log = log(vec![
+            vec![
+                compute(0.0, 1.0),
+                send(1.0, 1.2, 1, 1),
+                send(1.2, 1.4, 2, 2),
+                recv(1.4, 2.0, 1, 3),
+                recv(2.0, 3.6, 2, 4),
+                compute(3.6, 4.0),
             ],
-        };
+            vec![
+                recv(0.0, 1.3, 0, 1),
+                compute(1.3, 1.8),
+                send(1.8, 1.9, 0, 3),
+            ],
+            vec![
+                recv(0.0, 1.4, 0, 2),
+                compute(1.4, 3.4),
+                send(3.4, 3.5, 0, 4),
+            ],
+        ]);
         let path = critical_path(&log);
         assert!(
             path.segments.iter().all(|s| s.rank != 1),
@@ -558,12 +586,10 @@ mod tests {
     /// swallowed into wire.
     #[test]
     fn blocked_recv_pins_nonzero_receiver_wait() {
-        let log = TraceLog {
-            events: vec![
-                vec![compute(0.0, 3.0), send(3.0, 3.5, 1, 1)],
-                vec![recv(0.0, 4.0, 0, 1)],
-            ],
-        };
+        let log = log(vec![
+            vec![compute(0.0, 3.0), send(3.0, 3.5, 1, 1)],
+            vec![recv(0.0, 4.0, 0, 1)],
+        ]);
         let path = critical_path(&log);
         use SegmentKind::*;
         assert_eq!(
@@ -585,12 +611,10 @@ mod tests {
     /// the span past the post is receiver wait.
     #[test]
     fn late_posted_recv_splits_wire_before_wait() {
-        let log = TraceLog {
-            events: vec![
-                vec![compute(0.0, 3.0), send(3.0, 3.5, 1, 1)],
-                vec![compute(0.0, 3.8), recv(3.8, 4.0, 0, 1)],
-            ],
-        };
+        let log = log(vec![
+            vec![compute(0.0, 3.0), send(3.0, 3.5, 1, 1)],
+            vec![compute(0.0, 3.8), recv(3.8, 4.0, 0, 1)],
+        ]);
         let path = critical_path(&log);
         use SegmentKind::*;
         assert_eq!(
@@ -610,9 +634,7 @@ mod tests {
     /// An unmatched receive (no send in the log) degrades to local wait.
     #[test]
     fn unmatched_recv_falls_back_to_wait() {
-        let log = TraceLog {
-            events: vec![vec![recv(0.0, 2.0, 0, 9), compute(2.0, 2.5)]],
-        };
+        let log = log(vec![vec![recv(0.0, 2.0, 0, 9), compute(2.0, 2.5)]]);
         let path = critical_path(&log);
         assert!((path.length() - 2.5).abs() < 1e-12);
         assert!((path.wait - 2.0).abs() < 1e-12);
@@ -651,21 +673,17 @@ mod tests {
     fn sync_jumps_to_step_bottleneck_rank() {
         let mut sess = Session::new(2, MachineModel::sp2());
         // Step 1: rank 1 is the bottleneck, rank 0 gets a Sync(1..3).
-        let s1 = sess.run(vec![(), ()], |comm, ()| {
+        let mut s1 = sess.run(vec![(), ()], |comm, ()| {
             comm.advance(if comm.rank() == 1 { 3.0 } else { 1.0 });
         });
         // Step 2: both ranks work one more second.
-        let s2 = sess.run(vec![(), ()], |comm, ()| {
+        let mut s2 = sess.run(vec![(), ()], |comm, ()| {
             comm.advance(1.0);
         });
         // Merge both steps' event streams per rank into one log.
-        let mut log = TraceLog {
-            events: vec![Vec::new(); 2],
-        };
-        for res in s1.into_iter().chain(s2) {
-            let rank = res.rank;
-            log.events[rank].extend(res.events);
-        }
+        let mut log = TraceLog::new(2);
+        log.absorb(&mut s1);
+        log.absorb(&mut s2);
         let path = critical_path(&log);
         assert!((path.length() - 4.0).abs() < 1e-12, "{path:?}");
         // Rank 0's sync (1..3) must resolve to rank 1's compute, so the
@@ -701,16 +719,14 @@ mod tests {
 
     #[test]
     fn heaviest_edges_sorted_and_rendered() {
-        let log = TraceLog {
-            events: vec![
-                vec![
-                    compute(0.0, 1.0),
-                    send(1.0, 1.1, 1, 1),
-                    send(1.1, 1.2, 1, 2),
-                ],
-                vec![recv(0.0, 3.0, 0, 1), recv(3.0, 3.0, 0, 2)],
+        let log = log(vec![
+            vec![
+                compute(0.0, 1.0),
+                send(1.0, 1.1, 1, 1),
+                send(1.1, 1.2, 1, 2),
             ],
-        };
+            vec![recv(0.0, 3.0, 0, 1), recv(3.0, 3.0, 0, 2)],
+        ]);
         let edges = heaviest_edges(&log, 5);
         assert_eq!(edges.len(), 1, "zero-wait edges are dropped");
         assert_eq!(edges[0].call, Call::Mail(1));
@@ -725,12 +741,10 @@ mod tests {
     /// wait is NaN, which is not a wait, so its edge is paired but dropped.
     #[test]
     fn heaviest_edges_tolerate_nan_times() {
-        let log = TraceLog {
-            events: vec![
-                vec![send(0.0, 0.1, 1, 1), send(0.1, 0.2, 1, 2)],
-                vec![recv(0.0, 1.0, 0, 1), recv(1.0, f64::NAN, 0, 2)],
-            ],
-        };
+        let log = log(vec![
+            vec![send(0.0, 0.1, 1, 1), send(0.1, 0.2, 1, 2)],
+            vec![recv(0.0, 1.0, 0, 1), recv(1.0, f64::NAN, 0, 2)],
+        ]);
         assert_eq!(log.message_edges().len(), 2);
         let edges = heaviest_edges(&log, 5);
         assert_eq!(
@@ -741,9 +755,7 @@ mod tests {
 
     #[test]
     fn render_names_every_bucket() {
-        let log = TraceLog {
-            events: vec![vec![compute(0.0, 1.0)]],
-        };
+        let log = log(vec![vec![compute(0.0, 1.0)]]);
         let path = critical_path(&log);
         let text = path.render();
         assert!(text.contains("critical path"));

@@ -988,8 +988,8 @@ mod tests {
     /// A message-level trace as it was recorded before a collective became
     /// one record — enter and exit markers around its sends and receives —
     /// with each send and receive a hop of its top-level call's record.
-    fn fold_message_trace(text: &str, p: usize) -> Vec<Vec<TraceEvent>> {
-        let mut out: Vec<Vec<TraceEvent>> = vec![Vec::new(); p];
+    fn fold_message_trace(text: &str, p: usize) -> TraceLog {
+        let mut log = TraceLog::new(p);
         // Per rank: the open top-level call's start and hops.
         let mut open: Vec<Option<(f64, Vec<Hop>)>> = vec![None; p];
         for line in text.lines() {
@@ -1009,12 +1009,9 @@ mod tests {
                         .into_iter()
                         .find(|k| format!("{k:?}") == f["kind"]);
                     let (start, hops) = open[rank].take().expect("an open call");
-                    TraceEvent::Call {
-                        call: Call::Collective(kind.expect("a collective kind")),
-                        start,
-                        end: num("end"),
-                        hops: hops.into(),
-                    }
+                    let call = Call::Collective(kind.expect("a collective kind"));
+                    log.push_call(rank, call, start, num("end"), &hops);
+                    continue;
                 }
                 "Send" | "Recv" => {
                     let (_, hops) = open[rank].as_mut().expect("an open call");
@@ -1034,9 +1031,27 @@ mod tests {
                 },
                 other => panic!("unexpected event {other}"),
             };
-            out[rank].push(ev);
+            log.events[rank].push(ev);
         }
-        out
+        log
+    }
+
+    /// Every event of `log`, rank by rank, as `{rank} {event:?}` with a
+    /// record's hops in place of their range.
+    fn print(log: &TraceLog) -> Vec<String> {
+        let events = log.events.iter().enumerate();
+        let events = events.flat_map(|(rank, events)| events.iter().map(move |ev| (rank, ev)));
+        events
+            .map(|(rank, ev)| match *ev {
+                TraceEvent::Call {
+                    call, start, end, ..
+                } => format!(
+                    "{rank} Call {{ call: {call:?}, start: {start:?}, end: {end:?}, hops: {:?} }}",
+                    log.hops(ev)
+                ),
+                _ => format!("{rank} {ev:?}"),
+            })
+            .collect()
     }
 
     /// Sharing the payload is invisible to the modeled machine: the trace of
@@ -1060,13 +1075,7 @@ mod tests {
                 |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect(),
             );
         });
-        let print = |events: &[Vec<TraceEvent>]| -> Vec<String> {
-            let ranks = events.iter().enumerate();
-            ranks
-                .flat_map(|(rank, events)| events.iter().map(move |ev| format!("{rank} {ev:?}")))
-                .collect()
-        };
-        let lines = print(&TraceLog::from_results(&mut results).events);
+        let lines = print(&TraceLog::from_results(&mut results));
         let golden = print(&fold_message_trace(
             include_str!("../testdata/collectives_p7.trace"),
             p,
@@ -1101,26 +1110,27 @@ mod tests {
         assert_eq!(results[3].sent_words, 4);
     }
 
-    /// The send hops of a collective record.
-    fn send_hops(ev: &TraceEvent) -> impl Iterator<Item = &Hop> {
-        let hops: &[Hop] = match ev {
+    /// The send hops of a collective record of `log`.
+    fn send_hops<'a>(log: &'a TraceLog, ev: &TraceEvent) -> impl Iterator<Item = &'a Hop> {
+        let collective = matches!(
+            ev,
             TraceEvent::Call {
                 call: Call::Collective(_),
-                hops,
                 ..
-            } => hops,
-            _ => &[],
-        };
+            }
+        );
+        let hops = if collective { log.hops(ev) } else { &[] };
         hops.iter().filter(|h| h.is_send())
     }
 
     /// Every message rank bodies sent in collectives, as `(sender, peer,
     /// words)`, from a finished run.
-    fn sends<T>(results: &[RankResult<T>]) -> Vec<(usize, usize, u64)> {
+    fn sends<T>(results: &mut [RankResult<T>]) -> Vec<(usize, usize, u64)> {
+        let log = TraceLog::from_results(results);
         let mut out = Vec::new();
-        for r in results {
-            for ev in &r.events {
-                out.extend(send_hops(ev).map(|h| (r.rank, h.peer(), h.words())));
+        for (rank, stream) in log.events.iter().enumerate() {
+            for ev in stream {
+                out.extend(send_hops(&log, ev).map(|h| (rank, h.peer(), h.words())));
             }
         }
         out
@@ -1167,13 +1177,13 @@ mod tests {
 
                 // reduce: P-1 messages, root-only result; virtual rank v
                 // ships the fold of its subtree.
-                let r = spmd(p, MachineModel::sp2(), move |comm| {
+                let mut r = spmd(p, MachineModel::sp2(), move |comm| {
                     comm.reduce(root, list_words, vec![comm.rank() as u64], concat)
                 });
                 let expect: Vec<u64> = (0..p).map(|k| ((root + k) % p) as u64).collect();
                 assert_eq!(r[root].value, Some(expect), "reduce p={p} root={root}");
                 assert!(r.iter().all(|x| x.rank == root || x.value.is_none()));
-                let sent = sends(&r);
+                let sent = sends(&mut r);
                 assert_eq!(sent.len(), p - 1, "reduce p={p} root={root}");
                 for (from, _, words) in sent {
                     let v = (from + p - root) % p;
@@ -1207,12 +1217,12 @@ mod tests {
 
             // allreduce: reduce + bcast = 2(P-1) messages, all ranks agree;
             // up the tree a subtree's fold, down the tree the whole result.
-            let r = spmd(p, MachineModel::sp2(), |comm| {
+            let mut r = spmd(p, MachineModel::sp2(), |comm| {
                 comm.allreduce(list_words, vec![comm.rank() as u64], concat)
             });
             let all: Vec<u64> = (0..p as u64).collect();
             assert!(r.iter().all(|x| *x.value == all), "allreduce p={p}");
-            let sent = sends(&r);
+            let sent = sends(&mut r);
             assert_eq!(sent.len(), 2 * (p - 1), "allreduce p={p}");
             for (from, to, words) in sent {
                 let carried = if to < from {
@@ -1225,7 +1235,7 @@ mod tests {
 
             // exscan: up-sweep + down-sweep = 2(P-1) messages; up a
             // subtree's total, down the receiver's own prefix.
-            let r = spmd(p, MachineModel::sp2(), |comm| {
+            let mut r = spmd(p, MachineModel::sp2(), |comm| {
                 comm.exscan(list_words, vec![comm.rank() as u64], |a, b| {
                     concat(a.clone(), b.clone())
                 })
@@ -1234,7 +1244,7 @@ mod tests {
                 let below = (x.rank > 0).then(|| (0..x.rank as u64).collect::<Vec<_>>());
                 assert_eq!(x.value, below, "exscan p={p} rank={}", x.rank);
             }
-            let sent = sends(&r);
+            let sent = sends(&mut r);
             assert_eq!(sent.len(), 2 * (p - 1), "exscan p={p}");
             for (from, to, words) in sent {
                 let carried = if to < from {
@@ -1247,7 +1257,7 @@ mod tests {
 
             // exscan_total: the same messages, each down message also
             // carrying the total.
-            let r = spmd(p, MachineModel::sp2(), |comm| {
+            let mut r = spmd(p, MachineModel::sp2(), |comm| {
                 comm.exscan_total(list_words, vec![comm.rank() as u64], |a, b| {
                     concat(a.clone(), b.clone())
                 })
@@ -1257,7 +1267,7 @@ mod tests {
                 assert_eq!(x.value.0, below, "exscan_total p={p} rank={}", x.rank);
                 assert_eq!(x.value.1, all, "exscan_total p={p} rank={}", x.rank);
             }
-            let sent = sends(&r);
+            let sent = sends(&mut r);
             assert_eq!(sent.len(), 2 * (p - 1), "exscan_total p={p}");
             for (from, to, words) in sent {
                 let carried = if to < from {
@@ -1289,7 +1299,7 @@ mod tests {
         let words_of = |d: usize| (d * 7 % 5) as u64;
         for p in 1..=17usize {
             for root in [0, p - 1, p / 2] {
-                let r = spmd(p, MachineModel::sp2(), move |comm| {
+                let mut r = spmd(p, MachineModel::sp2(), move |comm| {
                     let blocks = (comm.rank() == root).then(|| {
                         (0..comm.nranks())
                             .map(|d| (words_of(d), vec![d as u64; words_of(d) as usize]))
@@ -1301,7 +1311,7 @@ mod tests {
                     let own = vec![x.rank as u64; words_of(x.rank) as usize];
                     assert_eq!(x.value, own, "p={p} root={root} rank={}", x.rank);
                 }
-                let sent = sends(&r);
+                let sent = sends(&mut r);
                 assert_eq!(sent.len(), p - 1, "p={p} root={root}");
                 for (from, to, words) in sent {
                     let v = (to + p - root) % p;
@@ -1359,7 +1369,7 @@ mod tests {
         let model = MachineModel::sp2();
         for p in [64usize, 256, 1024] {
             let hops = p.next_power_of_two().trailing_zeros() as u64;
-            let check = |what: &str, r: &[RankResult<f64>]| {
+            let check = |what: &str, r: &mut [RankResult<f64>]| {
                 let w = sends(r).iter().map(|&(_, _, words)| words).max().unwrap();
                 let bound = (2 * hops) as f64 * model.transfer_time(w) * (1.0 + 1e-12);
                 let latest = r.iter().map(|x| x.value).fold(0.0, f64::max);
@@ -1371,29 +1381,29 @@ mod tests {
                 assert!(most <= hops * w, "{what} p={p} W={w}: {most} words sent");
             };
             for w in [1u64, p as u64] {
-                let r = spmd(p, model, move |comm| {
+                let mut r = spmd(p, model, move |comm| {
                     comm.allreduce(|_| w, comm.rank() as u64, u64::max);
                     comm.now()
                 });
-                check("allreduce", &r);
-                let r = spmd(p, model, move |comm| {
+                check("allreduce", &mut r);
+                let mut r = spmd(p, model, move |comm| {
                     comm.exscan(|_| w, comm.rank() as u64, |a, b| *a.max(b));
                     comm.now()
                 });
-                check("exscan", &r);
+                check("exscan", &mut r);
             }
-            let r = spmd(p, model, |comm| {
+            let mut r = spmd(p, model, |comm| {
                 comm.allreduce(list_words, vec![comm.rank() as u64], concat);
                 comm.now()
             });
-            check("growing allreduce", &r);
-            let r = spmd(p, model, |comm| {
+            check("growing allreduce", &mut r);
+            let mut r = spmd(p, model, |comm| {
                 comm.exscan(list_words, vec![comm.rank() as u64], |a, b| {
                     concat(a.clone(), b.clone())
                 });
                 comm.now()
             });
-            check("growing exscan", &r);
+            check("growing exscan", &mut r);
         }
     }
 
@@ -1484,7 +1494,7 @@ mod tests {
         };
         for &p in &[1usize, 2, 3, 5, 8, 13, 64] {
             let rounds = p.next_power_of_two().trailing_zeros() as usize;
-            let r = spmd(p, MachineModel::sp2(), |comm| {
+            let mut r = spmd(p, MachineModel::sp2(), |comm| {
                 comm.alltoallv_direct(items(comm.rank(), p))
             });
             let mut pairs: BTreeMap<(usize, usize), u64> = BTreeMap::new();
@@ -1497,18 +1507,15 @@ mod tests {
             }
             let mut direct: BTreeMap<(usize, usize), u64> = BTreeMap::new();
             let mut notices = 0;
-            for x in &r {
+            let log = TraceLog::from_results(&mut r);
+            for (rank, stream) in log.events.iter().enumerate() {
                 // A rank sends its notice of each round first, then its
                 // direct messages.
-                for (i, h) in x.events.iter().flat_map(send_hops).enumerate() {
+                let hops = stream.iter().flat_map(|ev| send_hops(&log, ev));
+                for (i, h) in hops.enumerate() {
                     if i >= rounds {
-                        let old = direct.insert((x.rank, h.peer()), h.words());
-                        assert!(
-                            old.is_none(),
-                            "p={p}: two messages {} -> {}",
-                            x.rank,
-                            h.peer()
-                        );
+                        let old = direct.insert((rank, h.peer()), h.words());
+                        assert!(old.is_none(), "p={p}: two messages {rank} -> {}", h.peer());
                     } else {
                         assert_eq!(h.words(), 1, "p={p}: a notice is one header word");
                         notices += 1;
@@ -1549,10 +1556,10 @@ mod tests {
         let union = |a: &BTreeSet<usize>, b: &BTreeSet<usize>| a | b;
         for &p in &[1usize, 2, 3, 5, 7, 8, 13, 64, 100] {
             let rounds = p.next_power_of_two().trailing_zeros() as usize;
-            let plain = spmd(p, MachineModel::sp2(), |comm| {
+            let mut plain = spmd(p, MachineModel::sp2(), |comm| {
                 comm.alltoallv_sparse(&mut outbox(items(comm)))
             });
-            let joined = spmd(p, MachineModel::sp2(), |comm| {
+            let mut joined = spmd(p, MachineModel::sp2(), |comm| {
                 let mine = BTreeSet::from([comm.rank()]);
                 let mut out = outbox(items(comm));
                 comm.alltoallv_sparse_join(&mut out, mine, |s| 1000 * s.len() as u64, union)
@@ -1562,7 +1569,7 @@ mod tests {
                 assert_eq!(a.value, b.value.0, "p={p} rank {}: routed items", a.rank);
                 assert_eq!(b.value.1, everyone, "p={p} rank {}: joined share", a.rank);
             }
-            let (plain, joined) = (sends(&plain), sends(&joined));
+            let (plain, joined) = (sends(&mut plain), sends(&mut joined));
             assert_eq!(joined.len(), p * rounds, "p={p}: messages");
             assert_eq!(plain.len(), joined.len(), "p={p}: messages");
             // A rank sends once per round, in round order; before round k
@@ -1619,16 +1626,11 @@ mod tests {
             );
             assert_eq!(events.count(), 13, "rank {}", x.rank);
         }
-        let hops: usize = (r.iter().flat_map(|x| &x.events))
-            .map(|ev| match ev {
-                TraceEvent::Call { hops, .. } => hops.len(),
-                _ => 0,
-            })
-            .sum();
+        let hops: usize = r.iter().map(|x| x.hops.len()).sum();
         assert_eq!(hops as u64, 2 * total_msgs(&r));
         assert_eq!(hops, 5_604);
         assert_eq!(std::mem::size_of::<Hop>(), 16);
-        assert_eq!(std::mem::size_of::<TraceEvent>(), 48);
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 40);
     }
 
     /// Calls the collective on the host pass, or on the message-by-message
@@ -1744,17 +1746,21 @@ mod tests {
             }
             results
         };
-        let (host, message) = (run(false), run(true));
+        let (mut host, mut message) = (run(false), run(true));
         for (a, b) in host.iter().zip(&message) {
             let at = format!("p={p} rank {}", a.rank);
             assert_eq!(a.value, b.value, "{at}: results");
             assert_eq!(a.elapsed.to_bits(), b.elapsed.to_bits(), "{at}: clock");
             assert_eq!(a.sent_messages, b.sent_messages, "{at}: messages");
             assert_eq!(a.sent_words, b.sent_words, "{at}: words");
-            assert_eq!(a.events.len(), b.events.len(), "{at}: event count");
-            for (i, (x, y)) in a.events.iter().zip(&b.events).enumerate() {
-                assert_eq!(format!("{x:?}"), format!("{y:?}"), "{at}: event {i}");
-            }
+        }
+        let (mut a, mut b) = (TraceLog::new(p), TraceLog::new(p));
+        a.absorb(&mut host);
+        b.absorb(&mut message);
+        let (a, b) = (print(&a), print(&b));
+        assert_eq!(a.len(), b.len(), "p={p}: event count");
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x, y, "p={p}");
         }
     }
 

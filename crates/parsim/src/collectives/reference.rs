@@ -15,7 +15,7 @@ use crate::comm::{Comm, Tag};
 use crate::trace::CollectiveKind;
 
 pub(crate) fn barrier(comm: &mut Comm) {
-    comm.collective_enter();
+    comm.ledger.enter();
     let p = comm.nranks();
     let rank = comm.rank();
     let mut step = 1;
@@ -26,7 +26,7 @@ pub(crate) fn barrier(comm: &mut Comm) {
         comm.recv::<()>(from, TAG_BARRIER);
         step <<= 1;
     }
-    comm.collective_exit(CollectiveKind::Barrier);
+    comm.ledger.exit(CollectiveKind::Barrier);
 }
 
 pub(crate) fn bcast<T: Send + Sync + 'static>(
@@ -44,7 +44,7 @@ fn tree_bcast<T: Send + Sync + 'static>(
     words: impl Fn(&T) -> u64,
     value: Option<T>,
 ) -> Arc<T> {
-    comm.collective_enter();
+    comm.ledger.enter();
     let p = comm.nranks();
     let vrank = (comm.rank() + p - root) % p;
     let mut have: Option<Arc<T>> = if vrank == 0 {
@@ -70,7 +70,7 @@ fn tree_bcast<T: Send + Sync + 'static>(
         mask <<= 1;
     }
     let out = have.expect("bcast: value never arrived");
-    comm.collective_exit(CollectiveKind::Bcast);
+    comm.ledger.exit(CollectiveKind::Bcast);
     out
 }
 
@@ -110,14 +110,14 @@ pub(crate) fn gather<T: Send + 'static>(
     my_words: u64,
     value: T,
 ) -> Option<Vec<T>> {
-    comm.collective_enter();
+    comm.ledger.enter();
     let p = comm.nranks();
     let out = tree_gather(comm, root, my_words, value, TAG_GATHER).map(|mut entries| {
         entries.sort_unstable_by_key(|e| e.0);
         debug_assert_eq!(entries.len(), p, "gather: missing contributions");
         entries.into_iter().map(|(_, _, v)| v).collect()
     });
-    comm.collective_exit(CollectiveKind::Gather);
+    comm.ledger.exit(CollectiveKind::Gather);
     out
 }
 
@@ -126,7 +126,7 @@ pub(crate) fn scatterv<T: Send + 'static>(
     root: usize,
     blocks: Option<Vec<(u64, T)>>,
 ) -> T {
-    comm.collective_enter();
+    comm.ledger.enter();
     let p = comm.nranks();
     let rank = comm.rank();
     let vrank = (rank + p - root) % p;
@@ -170,7 +170,7 @@ pub(crate) fn scatterv<T: Send + 'static>(
     debug_assert_eq!(held.len(), 1, "scatter: block range not fully split");
     let (vr, _, out) = held.pop().expect("scatter: own block never arrived");
     debug_assert_eq!(vr, vrank, "scatter: wrong block delivered");
-    comm.collective_exit(CollectiveKind::Scatter);
+    comm.ledger.exit(CollectiveKind::Scatter);
     out
 }
 
@@ -179,11 +179,11 @@ pub(crate) fn allgather<T: Send + Sync + 'static>(
     words_each: u64,
     value: T,
 ) -> Arc<Vec<T>> {
-    comm.collective_enter();
+    comm.ledger.enter();
     let gathered = gather(comm, 0, words_each, value);
     let total_words = words_each * comm.nranks() as u64;
     let out = bcast(comm, 0, total_words, gathered);
-    comm.collective_exit(CollectiveKind::Allgather);
+    comm.ledger.exit(CollectiveKind::Allgather);
     out
 }
 
@@ -192,10 +192,10 @@ where
     T: Send + Sync + 'static,
     F: Fn(T, T) -> T,
 {
-    comm.collective_enter();
+    comm.ledger.enter();
     let reduced = reduce(comm, 0, &words, value, op);
     let out = tree_bcast(comm, 0, &words, reduced);
-    comm.collective_exit(CollectiveKind::Allreduce);
+    comm.ledger.exit(CollectiveKind::Allreduce);
     out
 }
 
@@ -204,7 +204,7 @@ where
     T: Send + 'static,
     F: Fn(&T, &T) -> T,
 {
-    comm.collective_enter();
+    comm.ledger.enter();
     let p = comm.nranks();
     let rank = comm.rank();
     // `below[k]` folds ranks `rank .. rank + 2^k`: what precedes child
@@ -233,7 +233,7 @@ where
         };
         comm.send(rank + (1 << k), TAG_EXSCAN, words(&down), down);
     }
-    comm.collective_exit(CollectiveKind::Exscan);
+    comm.ledger.exit(CollectiveKind::Exscan);
     prefix
 }
 
@@ -247,7 +247,7 @@ where
     T: Clone + Send + 'static,
     F: Fn(&T, &T) -> T,
 {
-    comm.collective_enter();
+    comm.ledger.enter();
     let p = comm.nranks();
     let rank = comm.rank();
     let mut below: Vec<T> = Vec::new();
@@ -276,7 +276,7 @@ where
         let size = words(&down) + words(&all);
         comm.send(rank + (1 << k), TAG_EXSCAN, size, (down, all.clone()));
     }
-    comm.collective_exit(CollectiveKind::Exscan);
+    comm.ledger.exit(CollectiveKind::Exscan);
     (prefix, all)
 }
 
@@ -355,7 +355,7 @@ pub(crate) fn alltoallv_direct<T: Send + 'static>(
     comm: &mut Comm,
     items: Vec<(usize, u64, T)>,
 ) -> Vec<(usize, T)> {
-    comm.collective_enter();
+    comm.ledger.enter();
     let (p, rank) = (comm.nranks(), comm.rank());
     let mut out: Vec<(usize, T)> = Vec::new();
     // Per destination, ascending: declared words and values in order.
@@ -380,7 +380,7 @@ pub(crate) fn alltoallv_direct<T: Send + 'static>(
         out.extend(vals.into_iter().map(|v| (src, v)));
     }
     out.sort_by_key(|&(src, _)| src);
-    comm.collective_exit(CollectiveKind::Alltoallv);
+    comm.ledger.exit(CollectiveKind::Alltoallv);
     out
 }
 
@@ -395,7 +395,7 @@ where
     T: Send + 'static,
     S: Clone + Send + 'static,
 {
-    comm.collective_enter();
+    comm.ledger.enter();
     let mut items = out.items.drain(..);
     let runs = out
         .runs
@@ -415,12 +415,12 @@ where
         }
         inbox.items.push(v);
     }
-    comm.collective_exit(CollectiveKind::Alltoallv);
+    comm.ledger.exit(CollectiveKind::Alltoallv);
     (inbox, share)
 }
 
 pub(crate) fn alltoallv<T: Send + 'static>(comm: &mut Comm, items: Vec<(u64, T)>) -> Vec<T> {
-    comm.collective_enter();
+    comm.ledger.enter();
     let p = comm.nranks();
     assert_eq!(items.len(), p, "alltoallv needs one item per rank");
     let sparse: Vec<(usize, u64, Vec<T>)> = items
@@ -436,7 +436,7 @@ pub(crate) fn alltoallv<T: Send + 'static>(comm: &mut Comm, items: Vec<(u64, T)>
         slots[src] = Some(v);
     }
     let out = slots.into_iter().map(|v| v.unwrap()).collect();
-    comm.collective_exit(CollectiveKind::Alltoallv);
+    comm.ledger.exit(CollectiveKind::Alltoallv);
     out
 }
 
@@ -451,7 +451,7 @@ where
     T: Send + 'static,
     F: Fn(T, T) -> T,
 {
-    comm.collective_enter();
+    comm.ledger.enter();
     let p = comm.nranks();
     let vrank = (comm.rank() + p - root) % p;
     let mut acc = value;
@@ -472,6 +472,6 @@ where
         }
         mask <<= 1;
     };
-    comm.collective_exit(CollectiveKind::Reduce);
+    comm.ledger.exit(CollectiveKind::Reduce);
     out
 }

@@ -6,8 +6,8 @@ use std::rc::Rc;
 
 use crate::chaos::{jitter_factor, Perturbation};
 use crate::sched::SchedState;
-use crate::trace::{Call, Hop, TraceEvent};
-use crate::{MachineModel, VirtualClock};
+use crate::trace::{Call, Hop, HopRange, TraceEvent};
+use crate::{MachineModel, RankResult, VirtualClock};
 
 /// Message tag. Matching is FIFO per (source, destination) pair: a receive
 /// must ask for the tag of the *next* message in that pair's queue, otherwise
@@ -24,12 +24,12 @@ pub(crate) struct Envelope {
 
 /// A rank's side of every message: its virtual clock, trace, send counters
 /// and chaos link state. Every message end is charged by
-/// [`Ledger::hop_send`] or [`Ledger::hop_recv`] and recorded as a hop of
-/// the record of its call, between [`Ledger::open`] and [`Ledger::close`]:
-/// [`Comm::send`] and [`Comm::recv`] make a record of one hop, and a
-/// collective's host pass (see `collectives.rs`) one record per rank of
-/// every charge the call made on it. A message therefore costs and records
-/// the same bits whichever path prices it.
+/// [`Ledger::hop_send`] or [`Ledger::hop_recv`] and appended to the rank's
+/// hop arena; [`Ledger::close`] records the call as one event naming its
+/// hops there by position: [`Comm::send`] and [`Comm::recv`] make a record
+/// of one hop, and a collective's host pass (see `collectives.rs`) one
+/// record per rank of every charge the call made on it. A message therefore
+/// costs and records the same bits whichever path prices it.
 #[derive(Default)]
 pub(crate) struct Ledger {
     rank: usize,
@@ -40,15 +40,14 @@ pub(crate) struct Ledger {
     /// records exactly one event or one hop of a record, so the trace
     /// reconstructs `now()` exactly.
     events: Vec<TraceEvent>,
-    /// The open record's start clock.
-    opened: f64,
-    /// The open record's hops so far; the buffer is reused call to call,
-    /// and each record keeps an exact-size copy.
+    /// The hop arena: this step's hops, in charge order.
     hops: Vec<Hop>,
+    /// The open record's start clock and first hop.
+    opened: (f64, usize),
     /// The message-by-message reference collectives: nesting depth, and
-    /// where the open top-level call's events begin and its start clock.
+    /// where the open top-level call's events begin and how it opened.
     #[cfg(test)]
-    reference: (u32, (usize, f64)),
+    reference: (u32, usize, (f64, usize)),
     /// Per-link latency jitter, if enabled: `(amplitude, seed, sent[dst])`.
     /// The per-destination counters make each draw a pure function of the
     /// communication pattern, independent of execution order.
@@ -99,8 +98,7 @@ impl Ledger {
 
     /// Open this rank's record of a call.
     pub(crate) fn open(&mut self) {
-        self.opened = self.clock.now();
-        self.hops.clear();
+        self.opened = (self.clock.now(), self.hops.len());
     }
 
     /// A send of the open call: the startup charge, recorded as a hop ending
@@ -121,42 +119,42 @@ impl Ledger {
 
     /// Close the open call: record it as one event.
     pub(crate) fn close(&mut self, call: Call) {
+        let (start, first) = self.opened;
+        let hops = HopRange::new(first, self.hops.len());
+        let end = self.clock.now();
         self.events.push(TraceEvent::Call {
             call,
-            start: self.opened,
-            end: self.clock.now(),
-            hops: self.hops.as_slice().into(),
+            start,
+            end,
+            hops,
         });
     }
 
     /// Mark entry into a message-by-message reference collective.
     #[cfg(test)]
-    fn enter(&mut self) {
-        let (depth, mark) = &mut self.reference;
-        if *depth == 0 {
-            *mark = (self.events.len(), self.clock.now());
+    pub(crate) fn enter(&mut self) {
+        if self.reference.0 == 0 {
+            self.open();
+            self.reference.1 = self.events.len();
+            self.reference.2 = self.opened;
         }
-        *depth += 1;
+        self.reference.0 += 1;
     }
 
     /// Mark exit from the innermost open reference collective; leaving the
-    /// top-level one joins the hops of its mail into one record.
+    /// top-level one joins its mail records into one record of their hops.
     #[cfg(test)]
-    fn exit(&mut self, kind: crate::CollectiveKind) {
+    pub(crate) fn exit(&mut self, kind: crate::CollectiveKind) {
         self.reference.0 -= 1;
         if self.reference.0 == 0 {
-            let (mark, start) = self.reference.1;
-            let hops = self.events.drain(mark..).flat_map(|ev| match ev {
-                TraceEvent::Call { hops, .. } => hops.into_vec(),
-                other => panic!("{kind:?} recorded {other:?}"),
-            });
-            let hops = hops.collect();
-            self.events.push(TraceEvent::Call {
-                call: Call::Collective(kind),
-                start,
-                end: self.clock.now(),
-                hops,
-            });
+            for ev in self.events.drain(self.reference.1..) {
+                assert!(
+                    matches!(ev, TraceEvent::Call { .. }),
+                    "{kind:?} recorded {ev:?}"
+                );
+            }
+            self.opened = self.reference.2;
+            self.close(Call::Collective(kind));
         }
     }
 }
@@ -266,18 +264,15 @@ impl Comm {
     /// [`TraceEvent::RewindBlocked`] so the protocol checker can flag them.
     fn charge(&mut self, seconds: f64) {
         let ledger = &mut self.ledger;
-        let start = ledger.clock.now();
-        ledger.clock.advance(seconds);
-        if seconds < 0.0 || seconds.is_nan() {
-            ledger.events.push(TraceEvent::RewindBlocked {
-                at: start,
-                dt: seconds,
-            });
-        } else if seconds > 0.0 {
-            ledger.events.push(TraceEvent::Compute {
-                start,
-                end: ledger.clock.now(),
-            });
+        let (start, dt) = (ledger.clock.now(), seconds);
+        ledger.clock.advance(dt);
+        let end = ledger.clock.now();
+        if dt < 0.0 || dt.is_nan() {
+            ledger
+                .events
+                .push(TraceEvent::RewindBlocked { at: start, dt });
+        } else if dt > 0.0 {
+            ledger.events.push(TraceEvent::Compute { start, end });
         }
     }
 
@@ -355,34 +350,19 @@ impl Comm {
 
     // --- tracing hooks -----------------------------------------------------
 
-    /// Mark entry into a collective (the message-by-message reference
-    /// collectives).
-    #[cfg(test)]
-    pub(crate) fn collective_enter(&mut self) {
-        self.ledger.enter();
-    }
-
-    /// Mark exit from the innermost open collective.
-    #[cfg(test)]
-    pub(crate) fn collective_exit(&mut self, kind: crate::CollectiveKind) {
-        self.ledger.exit(kind);
-    }
-
     /// Open a named phase span (pair with [`Comm::phase_end`], or use
     /// [`Comm::phase`] for scoped spans). Phases nest.
     pub fn phase_begin(&mut self, name: &'static str) {
-        self.ledger.events.push(TraceEvent::PhaseBegin {
-            name,
-            start: self.ledger.clock.now(),
-        });
+        let start = self.now();
+        self.ledger
+            .events
+            .push(TraceEvent::PhaseBegin { name, start });
     }
 
     /// Close the innermost open phase span.
     pub fn phase_end(&mut self, name: &'static str) {
-        self.ledger.events.push(TraceEvent::PhaseEnd {
-            name,
-            end: self.ledger.clock.now(),
-        });
+        let end = self.now();
+        self.ledger.events.push(TraceEvent::PhaseEnd { name, end });
     }
 
     /// Run `f` inside a named phase span on this rank's timeline.
@@ -405,9 +385,17 @@ impl Comm {
         }
     }
 
-    /// Move the recorded event stream out (called by the executor once the
-    /// rank body returns).
-    pub(crate) fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.ledger.events)
+    /// This rank's result of a step that returned `value`: its clock and
+    /// counters, and the step's events and hops, moved out.
+    pub(crate) fn result<T>(&mut self, value: T) -> RankResult<T> {
+        RankResult {
+            rank: self.rank,
+            value,
+            elapsed: self.now(),
+            sent_messages: self.sent_messages(),
+            sent_words: self.sent_words(),
+            events: std::mem::take(&mut self.ledger.events),
+            hops: std::mem::take(&mut self.ledger.hops),
+        }
     }
 }

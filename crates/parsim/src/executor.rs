@@ -8,16 +8,17 @@ use crate::comm::Comm;
 use crate::deadlock::DeadlockError;
 use crate::fiber::{Fiber, FiberStack};
 use crate::sched::SchedState;
-use crate::trace::TraceEvent;
+use crate::trace::{Hop, TraceEvent};
 use crate::MachineModel;
 
 thread_local! {
     /// Fiber stacks of finished steps, reused by every later step on this
-    /// thread, whichever session runs it. Pooled per thread, not per
-    /// session: a session lives for one cycle, and stacks freed with it keep
-    /// their touched pages resident (glibc's raised mmap threshold puts
-    /// 1 MiB blocks on the heap, which `free` does not unmap) while the next
-    /// session's fibers fault in fresh ones.
+    /// thread, whichever session runs it: a session lives for one cycle,
+    /// and its ranks run on the stacks whose top pages earlier sessions
+    /// already faulted in instead of touching fresh ones. A step short of
+    /// stacks carves the shortfall as one slab; the pool owns its slabs
+    /// through its stacks, and clearing it (or the thread ending) frees
+    /// them.
     static STACK_POOL: RefCell<Vec<FiberStack>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -39,6 +40,8 @@ pub struct RankResult<T> {
     /// The rank's structured event stream (see [`crate::trace`]); gather the
     /// streams of a whole run with [`crate::TraceLog::from_results`].
     pub events: Vec<TraceEvent>,
+    /// The hops the stream's records name by position, in charge order.
+    pub hops: Vec<Hop>,
 }
 
 /// A persistent SPMD machine: `nranks` communication contexts whose virtual
@@ -170,14 +173,7 @@ impl Session {
         for c in &mut self.comms {
             c.sync_to(t_max);
             c.phase_end(name);
-            results.push(RankResult {
-                rank: c.rank(),
-                value: (),
-                elapsed: c.now(),
-                sent_messages: c.sent_messages(),
-                sent_words: c.sent_words(),
-                events: c.take_events(),
-            });
+            results.push(c.result(()));
         }
         results
     }
@@ -223,40 +219,46 @@ impl Session {
         );
         self.sched.borrow_mut().reset_for_step();
 
-        // Per-rank output slots. The vector is sized once and never grows,
-        // so the element addresses handed to the fibers stay stable.
-        let mut values: Vec<Option<T>> = (0..self.nranks).map(|_| None).collect();
+        // Per-rank argument and output slots, sized once: the addresses the
+        // fibers reach them through stay stable.
+        let n = self.nranks;
+        let mut args: Vec<Option<A>> = args.into_iter().map(Some).collect();
+        let mut values: Vec<Option<T>> = (0..n).map(|_| None).collect();
         let start_times: Vec<f64> = self.comms.iter().map(|c| c.now()).collect();
 
-        // Build one fiber per rank. Each fiber body touches exactly its own
-        // `Comm` and its own output slot through raw pointers; the fibers
-        // all finish (normally or by abort-unwind) before this frame
+        // One body for every rank's fiber, handed its rank: it touches
+        // exactly that rank's `Comm` and slots, through raw pointers. The
+        // fibers all finish (normally or by abort-unwind) before this frame
         // returns, which is what makes the borrow erasure in `Fiber::new`
         // sound — the same containment argument as `std::thread::scope`.
-        // `fibers` is declared after `values`/`body` so an unwind drops
-        // (and thereby aborts) the fibers first.
-        let body_ref = &body;
-        let mut fibers: Vec<Fiber> = Vec::with_capacity(self.nranks);
-        for (rank, (comm, arg)) in self.comms.iter_mut().zip(args).enumerate() {
-            let comm_ptr: *mut Comm = comm;
-            let out_ptr: *mut Option<T> = &mut values[rank];
-            let stack = STACK_POOL
-                .with_borrow_mut(Vec::pop)
-                .unwrap_or_else(FiberStack::new);
-            let fiber = unsafe {
-                Fiber::new(
-                    stack,
-                    Box::new(move || {
-                        // SAFETY: this fiber is the only accessor of its
-                        // rank's `Comm` and output slot while it runs, and
-                        // both outlive the fiber (containment above).
-                        let value = body_ref(&mut *comm_ptr, arg);
-                        *out_ptr = Some(value);
-                    }),
-                )
-            };
-            fibers.push(fiber);
-        }
+        // `fibers` is declared after the slots and `rank_body`, so an unwind
+        // drops (and thereby aborts) the fibers first.
+        let (comms, arg_slots, out_slots) = (
+            self.comms.as_mut_ptr(),
+            args.as_mut_ptr(),
+            values.as_mut_ptr(),
+        );
+        let rank_body = |rank: usize| {
+            // SAFETY: this fiber is the only accessor of its rank's `Comm`
+            // and slots while it runs, and all three outlive the fiber.
+            unsafe {
+                let arg = (*arg_slots.add(rank))
+                    .take()
+                    .expect("a rank runs once a step");
+                *out_slots.add(rank) = Some(body(&mut *comms.add(rank), arg));
+            }
+        };
+        let mut fibers: Vec<Fiber> = STACK_POOL.with_borrow_mut(|pool| {
+            if pool.len() < n {
+                pool.extend(FiberStack::slab(n - pool.len()));
+            }
+            let stacks = pool.drain(pool.len() - n..).enumerate();
+            // SAFETY: `rank_body` and all it borrows outlive the fibers,
+            // which finish before this frame returns (containment above).
+            stacks
+                .map(|(rank, stack)| unsafe { Fiber::new(stack, &rank_body, rank) })
+                .collect()
+        });
 
         // Seed the run queue with every rank at its current virtual time,
         // then dispatch until nobody is runnable: either all ranks
@@ -277,42 +279,31 @@ impl Session {
             }
         }
 
-        // A real panic beats a deadlock verdict: propagate the first one in
-        // rank order (dropping `fibers` aborts any still-suspended ranks
-        // before the unwind leaves this frame).
-        if let Some(payload) = fibers.iter_mut().find_map(|f| f.take_panic()) {
+        // A real panic beats a deadlock verdict: the first one in rank order
+        // propagates. Run queue empty + unfinished ranks is an exact
+        // deadlock, reported from the activity table. Either poisons the
+        // session; then the stuck fibers unwind quietly, and every stack
+        // goes back to the pool.
+        let panic = fibers.iter_mut().find_map(|f| f.take_panic());
+        let stuck = panic.is_none() && fibers.iter().any(|f| !f.is_done());
+        let deadlock = stuck.then(|| self.sched.borrow().deadlock_report());
+        if panic.is_some() || stuck {
             self.poison();
-            drop(fibers);
+        }
+        fibers.iter_mut().for_each(Fiber::abort);
+        STACK_POOL.with_borrow_mut(|pool| pool.extend(fibers.into_iter().map(Fiber::into_stack)));
+        if let Some(payload) = panic {
             std::panic::resume_unwind(payload);
         }
-
-        if fibers.iter().any(|f| !f.is_done()) {
-            // Run queue empty + unfinished ranks: an exact deadlock. Build
-            // the report from the activity table, then unwind the stuck
-            // fibers quietly.
-            let err = self.sched.borrow().deadlock_report();
-            self.poison();
-            for f in fibers.iter_mut() {
-                f.abort();
-            }
+        if let Some(err) = deadlock {
             return Err(err);
         }
 
-        // All fibers completed: return their stacks to the pool.
-        STACK_POOL.with_borrow_mut(|pool| pool.extend(fibers.into_iter().map(Fiber::into_stack)));
-
         let t_max = self.comms.iter().map(|c| c.now()).fold(0.0, f64::max);
-        let mut results = Vec::with_capacity(self.nranks);
+        let mut results = Vec::with_capacity(n);
         for (comm, value) in self.comms.iter_mut().zip(values) {
             comm.sync_to(t_max);
-            results.push(RankResult {
-                rank: comm.rank(),
-                value: value.expect("every completed rank wrote its value"),
-                elapsed: comm.now(),
-                sent_messages: comm.sent_messages(),
-                sent_words: comm.sent_words(),
-                events: comm.take_events(),
-            });
+            results.push(comm.result(value.expect("every completed rank wrote its value")));
         }
         Ok(results)
     }
@@ -635,11 +626,8 @@ mod tests {
             }
         });
         // The receive's record is one hop of the declared words.
-        let words = match &r[1].events[..] {
-            [TraceEvent::Call { hops, .. }] => hops[0].words(),
-            other => panic!("rank 1 recorded {other:?}"),
-        };
-        assert_eq!(words, 17);
+        assert!(matches!(r[1].events[..], [TraceEvent::Call { .. }]));
+        assert_eq!(r[1].hops.iter().map(Hop::words).collect::<Vec<_>>(), [17]);
     }
 
     #[test]

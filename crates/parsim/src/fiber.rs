@@ -1,14 +1,22 @@
 //! Minimal stackful fibers for the cooperative rank scheduler.
 //!
-//! Each virtual rank runs as a fiber: a heap-allocated stack plus a saved
-//! register context, switched to and from the scheduler with a hand-rolled
-//! context switch ([`fiber_switch`]) that saves exactly the callee-saved
-//! registers of the platform ABI. Blocking (an empty receive queue) calls
+//! Each virtual rank runs as a fiber: a pooled stack plus a saved register
+//! context, switched to and from the scheduler with a hand-rolled context
+//! switch ([`fiber_switch`]) that saves exactly the callee-saved registers
+//! of the platform ABI. Blocking (an empty receive queue) calls
 //! [`suspend`], which switches back to the scheduler without parking an OS
 //! thread — the whole machine is single-threaded and deterministic.
 //!
+//! Stacks are carved from slabs: one allocation of 1 MiB slots laid end to
+//! end above a leading page. A stack's overflow canary (eight `u64` words)
+//! is the last 64 bytes of the slot below it, in the page whose top frames
+//! the stack below touches anyway, and its control block ([`FiberData`])
+//! sits at the top of its own slot, under the canary of the stack above. A
+//! fiber that has run therefore costs the host its top page, and starting
+//! one allocates nothing.
+//!
 //! Safety containment: fibers may borrow data owned by the caller's stack
-//! frame (the executor transmutes the closure lifetime away, exactly like
+//! frame (the executor erases the body's lifetime, exactly like
 //! `std::thread::scope` does behind the scenes). The executor guarantees
 //! every fiber has finished — normally or by [`Fiber::abort`]-driven unwind
 //! — before its `run` frame returns, so no borrow outlives its owner.
@@ -18,72 +26,113 @@
 //! switch frame. The payload is parked in the fiber and re-thrown by the
 //! scheduler on the original stack.
 
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::any::Any;
-use std::cell::{Cell, RefCell};
-use std::mem::MaybeUninit;
+use std::cell::Cell;
+use std::mem::{size_of, ManuallyDrop};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::ptr::{self, NonNull};
+use std::rc::Rc;
 
 /// Quiet-unwind payload used to tear a suspended fiber down (deadlock
 /// poisoning, sibling-panic cleanup). Not a real error: the scheduler
 /// filters it out and never re-throws it.
 pub(crate) struct FiberAbort;
 
-/// Fiber stack size. Rank bodies run serial numeric kernels
+/// Bytes of one stack slot. Rank bodies run serial numeric kernels
 /// (sorts, graph coarsening) with shallow recursion; 1 MiB leaves a wide
 /// margin while costing only lazily-committed virtual pages per rank.
-const DEFAULT_STACK_BYTES: usize = 1 << 20;
+const STACK_BYTES: usize = 1 << 20;
 
-/// Number of canary words at the low (overflow) end of each stack.
+/// A slab's leading page, which holds its first stack's canary.
+const PAGE: usize = 4096;
+
+/// Canary words below each stack's low (overflow) end.
 const CANARY_WORDS: usize = 8;
 const CANARY: u64 = 0xDEAD_FACE_CAFE_F00D;
 
-/// A reusable fiber stack. The executor pools them per thread, so every step
-/// of every session on a thread runs on the stacks earlier steps touched
-/// instead of faulting in fresh pages.
+/// One allocation of stack slots laid end to end, freed with the last of
+/// its stacks.
+struct Slab {
+    mem: NonNull<u8>,
+    layout: Layout,
+}
+
+impl Drop for Slab {
+    fn drop(&mut self) {
+        // SAFETY: `mem` was allocated with `layout` in `FiberStack::slab`.
+        unsafe { dealloc(self.mem.as_ptr(), self.layout) }
+    }
+}
+
+/// One stack: the slot `[base, base + STACK_BYTES)` of a slab. The executor
+/// pools them per thread, so every step of every session on a thread runs
+/// on the stacks earlier steps touched instead of faulting in fresh pages.
 pub(crate) struct FiberStack {
-    mem: Box<[MaybeUninit<u8>]>,
+    /// Keeps the slab alive while this stack is pooled or in use.
+    _slab: Rc<Slab>,
+    base: NonNull<u8>,
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Stacks [`FiberStack::new`] has allocated on this thread.
+    /// Stacks [`FiberStack::slab`] has carved on this thread.
     pub(crate) static STACKS_ALLOCATED: Cell<usize> = const { Cell::new(0) };
 }
 
 impl FiberStack {
-    pub(crate) fn new() -> Self {
+    /// Carve `count` stacks, in address order, from one new slab, writing
+    /// each stack's canary.
+    pub(crate) fn slab(count: usize) -> impl Iterator<Item = FiberStack> {
         #[cfg(test)]
-        STACKS_ALLOCATED.set(STACKS_ALLOCATED.get() + 1);
-        // Uninitialized heap memory: the allocation is virtual until pages
-        // are first touched, which is what makes thousands of ranks cheap.
-        let mut mem = Box::new_uninit_slice(DEFAULT_STACK_BYTES);
-        // Canary at the low end — the direction stacks grow into.
-        for w in 0..CANARY_WORDS {
-            let bytes = CANARY.to_ne_bytes();
-            for (i, &b) in bytes.iter().enumerate() {
-                mem[w * 8 + i] = MaybeUninit::new(b);
-            }
-        }
-        FiberStack { mem }
-    }
-
-    fn canary_intact(&self) -> bool {
-        (0..CANARY_WORDS).all(|w| {
-            let mut bytes = [0u8; 8];
-            for i in 0..8 {
-                // SAFETY: canary bytes were initialized in `new` and are
-                // only ever overwritten by a stack overflow.
-                bytes[i] = unsafe { self.mem[w * 8 + i].assume_init() };
-            }
-            u64::from_ne_bytes(bytes) == CANARY
+        STACKS_ALLOCATED.set(STACKS_ALLOCATED.get() + count);
+        let layout = Layout::from_size_align(PAGE + count * STACK_BYTES, PAGE).expect("slab size");
+        // Uninitialized memory: the allocation is virtual until pages are
+        // first touched, which is what makes thousands of ranks cheap.
+        // SAFETY: the layout is nonzero.
+        let mem =
+            NonNull::new(unsafe { alloc(layout) }).unwrap_or_else(|| handle_alloc_error(layout));
+        let slab = Rc::new(Slab { mem, layout });
+        (0..count).map(move |k| {
+            // SAFETY: slot k lies inside the slab.
+            let base = unsafe { mem.add(PAGE + k * STACK_BYTES) };
+            let stack = FiberStack {
+                _slab: slab.clone(),
+                base,
+            };
+            // SAFETY: the canary is the 64 bytes below the slot, in the slab.
+            unsafe { stack.canary().write([CANARY; CANARY_WORDS]) };
+            stack
         })
     }
 
-    /// Top of the stack, aligned down to 16 bytes.
+    /// The canary: the last bytes of the slot below (of the leading page
+    /// for a slab's first stack), which an overflow of this stack hits
+    /// first.
+    fn canary(&self) -> *mut [u64; CANARY_WORDS] {
+        self.base
+            .as_ptr()
+            .wrapping_sub(size_of::<[u64; CANARY_WORDS]>())
+            .cast()
+    }
+
+    fn canary_intact(&self) -> bool {
+        // SAFETY: written in `slab`, and only ever overwritten by a stack
+        // overflow.
+        unsafe { self.canary().read() == [CANARY; CANARY_WORDS] }
+    }
+
+    /// Where the stack's control block lives: the top of the slot, under
+    /// the canary of the stack above, 16-byte aligned.
+    fn control(&self) -> *mut FiberData {
+        let canary_above =
+            self.base.as_ptr() as usize + STACK_BYTES - size_of::<[u64; CANARY_WORDS]>();
+        ((canary_above - size_of::<FiberData>()) & !15usize) as *mut FiberData
+    }
+
+    /// Top of the stack: just under its control block, 16-byte aligned.
     fn top(&self) -> *mut u8 {
-        let base = self.mem.as_ptr() as usize;
-        let top = (base + self.mem.len()) & !15usize;
-        top as *mut u8
+        self.control().cast()
     }
 }
 
@@ -187,8 +236,9 @@ extern "C" {
 // Fiber state
 // ---------------------------------------------------------------------------
 
-/// Shared mutable state of one fiber, boxed so its address is stable across
-/// switches (the raw pointer is planted in the fiber's initial registers).
+/// Shared mutable state of one fiber, kept at the top of its stack (see
+/// [`FiberStack::control`]) so its address is stable across switches (the
+/// raw pointer is planted in the fiber's initial registers).
 struct FiberData {
     /// Saved scheduler context while the fiber runs.
     sched_sp: Cell<*mut u8>,
@@ -197,11 +247,13 @@ struct FiberData {
     done: Cell<bool>,
     /// Set by [`Fiber::abort`]: the next resume unwinds with [`FiberAbort`].
     abort: Cell<bool>,
-    /// The rank body, consumed on first activation. Lifetime-erased; the
-    /// executor guarantees the borrow containment (see module docs).
-    entry: RefCell<Option<Box<dyn FnOnce()>>>,
+    /// The body, consumed on first activation, and its argument. The
+    /// body's lifetime is erased; the executor guarantees the borrow
+    /// containment (see module docs).
+    body: Cell<Option<*const dyn Fn(usize)>>,
+    arg: usize,
     /// A real panic payload ([`FiberAbort`] teardowns are filtered out).
-    panic: RefCell<Option<Box<dyn Any + Send>>>,
+    panic: Cell<Option<Box<dyn Any + Send>>>,
 }
 
 thread_local! {
@@ -209,46 +261,55 @@ thread_local! {
     static CURRENT: Cell<*const FiberData> = const { Cell::new(std::ptr::null()) };
 }
 
-/// One suspended or running fiber plus its stack.
+/// One suspended or running fiber on its stack.
 pub(crate) struct Fiber {
-    data: Box<FiberData>,
-    /// `Some` until reclaimed by [`Fiber::into_stack`].
-    stack: Option<FiberStack>,
+    stack: FiberStack,
+    /// The control block, at the top of `stack`.
+    data: NonNull<FiberData>,
     started: bool,
 }
 
 impl Fiber {
-    /// Prepare a fiber that will run `body` on `stack` when first resumed.
+    /// Prepare a fiber that will run `body(arg)` on `stack` when first
+    /// resumed.
     ///
     /// # Safety
-    /// The caller must ensure every borrow captured by `body` outlives the
-    /// fiber, and that the fiber is driven to completion (normal return,
-    /// panic, or [`Fiber::abort`]) before any of those borrows expire.
-    pub(crate) unsafe fn new(stack: FiberStack, body: Box<dyn FnOnce() + '_>) -> Self {
-        let body: Box<dyn FnOnce() + 'static> = std::mem::transmute(body);
-        let data = Box::new(FiberData {
-            sched_sp: Cell::new(std::ptr::null_mut()),
-            fiber_sp: Cell::new(std::ptr::null_mut()),
+    /// The caller must ensure `body` and every borrow it captures outlive
+    /// the fiber, and that the fiber is driven to completion (normal
+    /// return, panic, or [`Fiber::abort`]) before any of them expire.
+    pub(crate) unsafe fn new(stack: FiberStack, body: &dyn Fn(usize), arg: usize) -> Self {
+        let body: *const (dyn Fn(usize) + '_) = body;
+        let body: *const dyn Fn(usize) = std::mem::transmute(body);
+        let data = stack.control();
+        data.write(FiberData {
+            sched_sp: Cell::new(ptr::null_mut()),
+            fiber_sp: Cell::new(ptr::null_mut()),
             done: Cell::new(false),
             abort: Cell::new(false),
-            entry: RefCell::new(Some(body)),
-            panic: RefCell::new(None),
+            body: Cell::new(Some(body)),
+            arg,
+            panic: Cell::new(None),
         });
         let mut fiber = Fiber {
-            data,
-            stack: Some(stack),
+            stack,
+            data: NonNull::new_unchecked(data),
             started: false,
         };
         fiber.prepare_stack();
         fiber
     }
 
+    fn data(&self) -> &FiberData {
+        // SAFETY: written in `new`, dropped only when the fiber goes.
+        unsafe { self.data.as_ref() }
+    }
+
     /// Lay out the initial stack frame so the first `plum_fiber_switch`
     /// into this fiber "returns" into `plum_fiber_trampoline` with the
     /// [`FiberData`] pointer in the ABI's first preserved register.
     fn prepare_stack(&mut self) {
-        let top = self.stack.as_ref().expect("stack present").top();
-        let data_ptr = &*self.data as *const FiberData as u64;
+        let top = self.stack.top();
+        let data_ptr = self.data.as_ptr() as u64;
         #[cfg(target_arch = "x86_64")]
         unsafe {
             // Slots below `top` (descending): return address at top-16 (so
@@ -262,7 +323,7 @@ impl Fiber {
             ret.sub(4).write(0); // r13
             ret.sub(5).write(0); // r14
             ret.sub(6).write(0); // r15
-            self.data.fiber_sp.set(ret.sub(6) as *mut u8);
+            self.data().fiber_sp.set(ret.sub(6) as *mut u8);
         }
         #[cfg(target_arch = "aarch64")]
         unsafe {
@@ -273,75 +334,82 @@ impl Fiber {
             }
             frame.write(data_ptr); // x19
             frame.add(11).write(plum_fiber_trampoline as usize as u64); // x30
-            self.data.fiber_sp.set(frame as *mut u8);
+            self.data().fiber_sp.set(frame as *mut u8);
         }
     }
 
     /// Switch into the fiber until it suspends or finishes. Returns `true`
     /// when the fiber has finished (its body returned or unwound).
     pub(crate) fn resume(&mut self) -> bool {
-        if self.data.done.get() {
+        if self.is_done() {
             return true;
         }
         self.started = true;
-        let prev = CURRENT.with(|c| c.replace(&*self.data));
+        let data = self.data();
+        let prev = CURRENT.with(|c| c.replace(self.data.as_ptr()));
         unsafe {
-            plum_fiber_switch(self.data.sched_sp.as_ptr(), self.data.fiber_sp.as_ptr());
+            plum_fiber_switch(data.sched_sp.as_ptr(), data.fiber_sp.as_ptr());
         }
         CURRENT.with(|c| c.set(prev));
-        if !self.stack.as_ref().expect("stack present").canary_intact() {
+        if !self.stack.canary_intact() {
             // The stack overflowed into the canary: memory is corrupt and
             // no recovery (including unwinding) is sound. Fail loudly.
             eprintln!(
                 "plum-parsim: fiber stack overflow detected \
-                 (raise DEFAULT_STACK_BYTES); aborting"
+                 (raise STACK_BYTES); aborting"
             );
             std::process::abort();
         }
-        self.data.done.get()
+        self.data().done.get()
     }
 
     /// Tear down a suspended fiber: its suspension point unwinds with
     /// [`FiberAbort`], running destructors down to the fiber entry. No-op
-    /// on finished or never-started fibers (the latter just drop the body).
+    /// on finished fibers; a never-started one just forgets its body.
     pub(crate) fn abort(&mut self) {
-        if self.data.done.get() {
+        let data = self.data();
+        if data.done.get() {
             return;
         }
         if !self.started {
-            self.data.entry.borrow_mut().take();
-            self.data.done.set(true);
+            data.body.set(None);
+            data.done.set(true);
             return;
         }
-        self.data.abort.set(true);
+        data.abort.set(true);
         let finished = self.resume();
         debug_assert!(finished, "aborted fiber must unwind to completion");
     }
 
     pub(crate) fn is_done(&self) -> bool {
-        self.data.done.get()
+        self.data().done.get()
     }
 
     /// The fiber's real panic payload, if its body panicked.
     pub(crate) fn take_panic(&mut self) -> Option<Box<dyn Any + Send>> {
-        self.data.panic.borrow_mut().take()
+        self.data().panic.take()
     }
 
     /// Reclaim the stack for the pool. The fiber must be done.
-    pub(crate) fn into_stack(mut self) -> FiberStack {
-        assert!(self.data.done.get(), "cannot reclaim a live fiber's stack");
-        self.stack.take().expect("stack present")
+    pub(crate) fn into_stack(self) -> FiberStack {
+        assert!(self.is_done(), "cannot reclaim a live fiber's stack");
+        let fiber = ManuallyDrop::new(self);
+        // SAFETY: the fiber is done and never touched again; its stack is
+        // moved out exactly once.
+        unsafe {
+            ptr::drop_in_place(fiber.data.as_ptr());
+            ptr::read(&fiber.stack)
+        }
     }
 }
 
 impl Drop for Fiber {
     fn drop(&mut self) {
         // Dropping a live fiber would leak its stack frame with live
-        // borrows; the executor's teardown path aborts first, this is the
-        // backstop.
-        if !self.data.done.get() {
-            self.abort();
-        }
+        // borrows; the executor aborts first, this is the backstop.
+        self.abort();
+        // SAFETY: the fiber is done; its control block goes with it.
+        unsafe { ptr::drop_in_place(self.data.as_ptr()) }
     }
 }
 
@@ -370,15 +438,12 @@ pub(crate) fn suspend() {
 extern "C" fn plum_fiber_entry(data: *const FiberData) -> ! {
     // SAFETY: the trampoline passes the pointer planted by `prepare_stack`.
     let data = unsafe { &*data };
-    let body = data
-        .entry
-        .borrow_mut()
-        .take()
-        .expect("fiber activated twice");
-    let result = catch_unwind(AssertUnwindSafe(body));
+    let body = data.body.take().expect("fiber activated twice");
+    // SAFETY: the executor keeps the body alive until the fiber finishes.
+    let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*body)(data.arg) }));
     if let Err(payload) = result {
         if !payload.is::<FiberAbort>() {
-            *data.panic.borrow_mut() = Some(payload);
+            data.panic.set(Some(payload));
         }
     }
     data.done.set(true);
@@ -395,19 +460,18 @@ extern "C" fn plum_fiber_entry(data: *const FiberData) -> ! {
 mod tests {
     use super::*;
 
+    /// A stack of its own slab.
+    fn stack() -> FiberStack {
+        FiberStack::slab(1).next().expect("one stack")
+    }
+
     #[test]
     fn fiber_runs_to_completion() {
         let mut hits = 0u32;
         {
             let hits_ptr: *mut u32 = &mut hits;
-            let mut f = unsafe {
-                Fiber::new(
-                    FiberStack::new(),
-                    Box::new(move || {
-                        *hits_ptr += 1;
-                    }),
-                )
-            };
+            let body = move |_| unsafe { *hits_ptr += 1 };
+            let mut f = unsafe { Fiber::new(stack(), &body, 0) };
             assert!(f.resume());
             assert!(f.is_done());
             assert!(f.take_panic().is_none());
@@ -417,21 +481,17 @@ mod tests {
 
     #[test]
     fn fiber_suspends_and_resumes() {
-        let mut trace: Vec<u32> = Vec::new();
+        let mut trace: Vec<usize> = Vec::new();
         {
-            let t: *mut Vec<u32> = &mut trace;
-            let mut f = unsafe {
-                Fiber::new(
-                    FiberStack::new(),
-                    Box::new(move || {
-                        (*t).push(1);
-                        suspend();
-                        (*t).push(3);
-                        suspend();
-                        (*t).push(5);
-                    }),
-                )
+            let t: *mut Vec<usize> = &mut trace;
+            let body = move |arg| unsafe {
+                (*t).push(arg);
+                suspend();
+                (*t).push(arg + 2);
+                suspend();
+                (*t).push(arg + 4);
             };
+            let mut f = unsafe { Fiber::new(stack(), &body, 1) };
             assert!(!f.resume());
             unsafe { (*t).push(2) };
             assert!(!f.resume());
@@ -443,7 +503,7 @@ mod tests {
 
     #[test]
     fn fiber_panic_is_captured_not_propagated() {
-        let mut f = unsafe { Fiber::new(FiberStack::new(), Box::new(|| panic!("boom in fiber"))) };
+        let mut f = unsafe { Fiber::new(stack(), &|_| panic!("boom in fiber"), 0) };
         assert!(f.resume(), "panicked fiber is done");
         let payload = f.take_panic().expect("panic captured");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
@@ -461,17 +521,13 @@ mod tests {
         let mut dropped = false;
         {
             let flag: *mut bool = &mut dropped;
-            let mut f = unsafe {
-                Fiber::new(
-                    FiberStack::new(),
-                    Box::new(move || {
-                        let _guard = SetOnDrop(flag);
-                        loop {
-                            suspend();
-                        }
-                    }),
-                )
+            let body = move |_| {
+                let _guard = SetOnDrop(flag);
+                loop {
+                    suspend();
+                }
             };
+            let mut f = unsafe { Fiber::new(stack(), &body, 0) };
             assert!(!f.resume());
             assert!(!dropped);
             f.abort();
@@ -483,21 +539,49 @@ mod tests {
 
     #[test]
     fn never_started_fiber_aborts_by_dropping_the_body() {
-        let mut f = unsafe { Fiber::new(FiberStack::new(), Box::new(|| panic!("must not run"))) };
+        let mut f = unsafe { Fiber::new(stack(), &|_| panic!("must not run"), 0) };
         f.abort();
         assert!(f.is_done());
     }
 
     #[test]
     fn stacks_are_reused_through_the_pool_path() {
-        let stack = FiberStack::new();
-        let mut f = unsafe { Fiber::new(stack, Box::new(|| {})) };
+        let mut f = unsafe { Fiber::new(stack(), &|_| {}, 0) };
         assert!(f.resume());
         let stack = f.into_stack();
         assert!(stack.canary_intact());
-        let mut g = unsafe { Fiber::new(stack, Box::new(suspend)) };
+        let mut g = unsafe { Fiber::new(stack, &|_| suspend(), 0) };
         assert!(!g.resume());
         assert!(g.resume());
+    }
+
+    /// Stack k's canary is the last bytes of stack k − 1's slot: in the
+    /// 4 KiB page of that stack's top, above its control block. Overwriting
+    /// any one canary word, of a slab's first stack or an inner one, fails
+    /// the check.
+    #[test]
+    fn each_canary_lies_in_the_top_page_of_the_stack_below() {
+        let stacks: Vec<FiberStack> = FiberStack::slab(3).collect();
+        let page = |p: *const u8| p as usize / 4096;
+        for k in 1..stacks.len() {
+            let (canary, below) = (stacks[k].canary() as *const u8, &stacks[k - 1]);
+            assert_eq!(page(canary), page(below.top()), "stack {k}");
+            let control_end = below.control() as usize + size_of::<FiberData>();
+            assert!(control_end <= canary as usize, "stack {k}");
+        }
+        for k in [0, 1] {
+            assert!(stacks[k].canary_intact());
+            let words = stacks[k].canary().cast::<u64>();
+            for w in 0..CANARY_WORDS {
+                unsafe {
+                    let word = words.add(w);
+                    word.write(!CANARY);
+                    assert!(!stacks[k].canary_intact(), "stack {k} word {w}");
+                    word.write(CANARY);
+                }
+                assert!(stacks[k].canary_intact(), "stack {k} word {w}");
+            }
+        }
     }
 
     #[test]
@@ -505,18 +589,15 @@ mod tests {
         let mut sum = 0u64;
         {
             let sum_ptr: *mut u64 = &mut sum;
-            let mut fibers: Vec<Fiber> = (0..32u64)
-                .map(|i| unsafe {
-                    Fiber::new(
-                        FiberStack::new(),
-                        Box::new(move || {
-                            for _ in 0..3 {
-                                *sum_ptr += i;
-                                suspend();
-                            }
-                        }),
-                    )
-                })
+            let body = move |i: usize| {
+                for _ in 0..3 {
+                    unsafe { *sum_ptr += i as u64 };
+                    suspend();
+                }
+            };
+            let mut fibers: Vec<Fiber> = FiberStack::slab(32)
+                .enumerate()
+                .map(|(i, stack)| unsafe { Fiber::new(stack, &body, i) })
                 .collect();
             let mut live = fibers.len();
             while live > 0 {

@@ -233,14 +233,12 @@ proptest! {
                 seed,
             };
             let mut sess = Session::with_chaos(nranks, MachineModel::sp2(), &perturb);
-            let mut log = TraceLog { events: vec![Vec::new(); nranks] };
+            let mut log = TraceLog::new(nranks);
             for _ in 0..2 {
-                let r = sess.run(vec![(); nranks], |comm, ()| {
+                let mut r = sess.run(vec![(); nranks], |comm, ()| {
                     comm.allgather(1, comm.rank() as u64);
                 });
-                for (stream, res) in log.events.iter_mut().zip(&r) {
-                    stream.extend(res.events.iter().cloned());
-                }
+                log.absorb(&mut r);
             }
             (log.chrome_json(), log.text_timeline())
         };

@@ -4,12 +4,15 @@
 //! charge it makes: local computation, user-defined phase spans,
 //! step-boundary syncs and blocked clock-rewind attempts.
 //! A message end is a 16-byte [`Hop`] (the clock after the charge, the
-//! peer, the direction and the declared words) inside one
-//! [`TraceEvent::Call`] record per call: a point-to-point send or receive
-//! is a record of one hop, a collective call one record per rank holding
-//! every charge the call made on it. Every clock charge is therefore one
-//! event or one hop. After [`spmd`](crate::spmd) returns, the per-rank
-//! event streams are gathered into a [`TraceLog`], which supports:
+//! peer, the direction and the declared words) of one [`TraceEvent::Call`]
+//! record per call: a point-to-point send or receive is a record of one
+//! hop, a collective call one record per rank holding every charge the call
+//! made on it. Every clock charge is therefore one event or one hop. Events
+//! are `Copy` and own no heap: a record names its hops by a `u32` start and
+//! length in a hop arena — its rank's during a step, its log's once
+//! gathered — and readers take them through [`TraceLog::hops`]. After
+//! [`spmd`](crate::spmd) returns, the per-rank event streams and hops are
+//! gathered into a [`TraceLog`], which supports:
 //!
 //! * **aggregation** ([`TraceLog::summary`]): per-rank wait / compute /
 //!   wire split (which reconstructs each rank's elapsed virtual time
@@ -32,7 +35,7 @@
 //! Virtual timestamps are deterministic, so two runs of the same program
 //! produce byte-identical exports.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use crate::comm::Tag;
@@ -151,6 +154,30 @@ impl fmt::Debug for Hop {
     }
 }
 
+/// Where a [`TraceEvent::Call`] record's hops lie in its hop arena: a
+/// `u32` start and length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HopRange {
+    start: u32,
+    len: u32,
+}
+
+/// A hop's number in its arena. Panics past `u32`.
+fn hop_index(i: usize) -> u32 {
+    u32::try_from(i).expect("an arena holds under 2^32 hops")
+}
+
+impl HopRange {
+    /// The arena's hops `first..end`.
+    pub(crate) fn new(first: usize, end: usize) -> HopRange {
+        let start = hop_index(first);
+        HopRange {
+            start,
+            len: hop_index(end) - start,
+        }
+    }
+}
+
 /// Each hop of a record that started at `start`, with the clock it started
 /// from.
 pub(crate) fn hop_spans(start: f64, hops: &[Hop]) -> impl Iterator<Item = (f64, &Hop)> {
@@ -180,7 +207,7 @@ impl fmt::Display for Call {
 
 /// One typed event on one rank's virtual timeline. All times are virtual
 /// seconds on that rank's clock.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEvent {
     /// Local work charged via `compute` or `advance`.
     Compute { start: f64, end: f64 },
@@ -189,12 +216,12 @@ pub enum TraceEvent {
     /// in the order it was charged them. A send hop ends at its startup
     /// charge's end; a receive hop spans the wait from posting to
     /// completion. The rank sent exactly the messages and words of the
-    /// send hops.
+    /// send hops. Read the hops with [`TraceLog::hops`].
     Call {
         call: Call,
         start: f64,
         end: f64,
-        hops: Box<[Hop]>,
+        hops: HopRange,
     },
     /// Begin of a user-defined phase span (see `Comm::phase`).
     PhaseBegin { name: &'static str, start: f64 },
@@ -213,24 +240,24 @@ impl TraceEvent {
     /// The event's position on the timeline (its start time).
     pub fn time(&self) -> f64 {
         match *self {
-            TraceEvent::Compute { start, .. } => start,
-            TraceEvent::Call { start, .. } => start,
-            TraceEvent::PhaseBegin { start, .. } => start,
+            TraceEvent::Compute { start, .. }
+            | TraceEvent::Call { start, .. }
+            | TraceEvent::Sync { start, .. }
+            | TraceEvent::PhaseBegin { start, .. } => start,
             TraceEvent::PhaseEnd { end, .. } => end,
             TraceEvent::RewindBlocked { at, .. } => at,
-            TraceEvent::Sync { start, .. } => start,
         }
     }
 
     /// When the event's local clock effect ends.
     pub fn end_time(&self) -> f64 {
         match *self {
-            TraceEvent::Compute { end, .. } => end,
-            TraceEvent::Call { end, .. } => end,
+            TraceEvent::Compute { end, .. }
+            | TraceEvent::Call { end, .. }
+            | TraceEvent::Sync { end, .. }
+            | TraceEvent::PhaseEnd { end, .. } => end,
             TraceEvent::PhaseBegin { start, .. } => start,
-            TraceEvent::PhaseEnd { end, .. } => end,
             TraceEvent::RewindBlocked { at, .. } => at,
-            TraceEvent::Sync { end, .. } => end,
         }
     }
 }
@@ -240,7 +267,13 @@ impl TraceEvent {
 pub struct TraceLog {
     /// `events[r]` is rank `r`'s stream, in program (= virtual-time) order.
     pub events: Vec<Vec<TraceEvent>>,
+    /// Every record's hops, numbered log-wide: one exact-size block per
+    /// gathered step, each with the number of its first hop.
+    hops: Vec<(u32, Vec<Hop>)>,
 }
+
+/// Counters per collective kind, indexed like [`COLLECTIVE_KINDS`].
+type Counters = [CollectiveStats; COLLECTIVE_KINDS.len()];
 
 /// Per-collective counters on one rank.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -271,7 +304,7 @@ pub struct RankSummary {
     /// Blocked clock-rewind attempts.
     pub rewinds_blocked: u64,
     /// Counters per collective kind, indexed like [`COLLECTIVE_KINDS`].
-    pub collectives: [CollectiveStats; COLLECTIVE_KINDS.len()],
+    pub collectives: Counters,
 }
 
 impl RankSummary {
@@ -332,15 +365,77 @@ impl TraceSummary {
 }
 
 impl TraceLog {
-    /// Gather the per-rank event streams out of `spmd` results. The streams
-    /// move: each result's `events` is left empty, nothing is copied.
-    pub fn from_results<T>(results: &mut [RankResult<T>]) -> Self {
+    /// An empty log of `nranks` streams.
+    pub fn new(nranks: usize) -> Self {
         TraceLog {
-            events: results
-                .iter_mut()
-                .map(|r| std::mem::take(&mut r.events))
-                .collect(),
+            events: vec![Vec::new(); nranks],
+            hops: Vec::new(),
         }
+    }
+
+    /// Gather the per-rank event streams and hops out of `spmd` results.
+    pub fn from_results<T>(results: &mut [RankResult<T>]) -> Self {
+        let mut log = TraceLog::new(results.len());
+        log.absorb(results);
+        log
+    }
+
+    /// Append each result's events to its rank's stream and its hops to
+    /// one new block of exactly their count, leaving both empty. A block is
+    /// never reallocated: growing one log-wide array step by step would
+    /// copy it, and the heap keeps the copies' pages.
+    pub fn absorb<T>(&mut self, results: &mut [RankResult<T>]) {
+        let first = self.hop_count();
+        let mut block = Vec::with_capacity(results.iter().map(|r| r.hops.len()).sum());
+        for r in results {
+            let base = hop_index(first + block.len());
+            block.append(&mut r.hops);
+            for mut ev in r.events.drain(..) {
+                if let TraceEvent::Call { hops, .. } = &mut ev {
+                    hops.start += base;
+                }
+                self.events[r.rank].push(ev);
+            }
+        }
+        if !block.is_empty() {
+            self.hops.push((hop_index(first), block));
+        }
+    }
+
+    /// Number of hops in the log.
+    fn hop_count(&self) -> usize {
+        let last = self.hops.last();
+        last.map_or(0, |(first, block)| *first as usize + block.len())
+    }
+
+    /// A record's hops, in the order it was charged them (none for any
+    /// other event).
+    pub fn hops(&self, ev: &TraceEvent) -> &[Hop] {
+        match *ev {
+            TraceEvent::Call { hops, .. } if hops.len > 0 => {
+                let b = self.hops.partition_point(|&(first, _)| first <= hops.start);
+                let (first, block) = &self.hops[b - 1];
+                &block[(hops.start - first) as usize..][..hops.len as usize]
+            }
+            _ => &[],
+        }
+    }
+
+    /// Append a record of `call` to `rank`'s stream, its hops copied onto
+    /// the last block.
+    pub fn push_call(&mut self, rank: usize, call: Call, start: f64, end: f64, hops: &[Hop]) {
+        let first = self.hop_count();
+        match self.hops.last_mut() {
+            Some((_, block)) => block.extend_from_slice(hops),
+            None => self.hops.push((0, hops.to_vec())),
+        }
+        let hops = HopRange::new(first, first + hops.len());
+        self.events[rank].push(TraceEvent::Call {
+            call,
+            start,
+            end,
+            hops,
+        });
     }
 
     /// Number of ranks.
@@ -358,9 +453,9 @@ impl TraceLog {
             })
             .collect();
         self.walk(|v| {
-            splits[v.rank].charge(v.ev);
+            splits[v.rank].charge(v.ev, v.hops);
             let s = &mut ranks[v.rank];
-            tally_collective(&mut s.collectives, v.ev);
+            tally_collective(&mut s.collectives, v.ev, v.hops);
             if let TraceEvent::RewindBlocked { .. } = v.ev {
                 s.rewinds_blocked += 1;
             }
@@ -380,90 +475,65 @@ impl TraceLog {
     /// microseconds of virtual time. Deterministic: identical logs
     /// serialize to identical bytes.
     pub fn chrome_json(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        let mut first = true;
-        let push = |out: &mut String, first: &mut bool, line: String| {
-            if !*first {
-                out.push_str(",\n");
-            }
-            *first = false;
-            out.push_str(&line);
-        };
-        for rank in 0..self.events.len() {
-            push(
-                &mut out,
-                &mut first,
+        let mut lines: Vec<String> = (0..self.nranks())
+            .map(|rank| {
                 format!(
                     "{{\"ph\":\"M\",\"pid\":0,\"tid\":{rank},\"name\":\"thread_name\",\
                      \"args\":{{\"name\":\"rank {rank}\"}}}}"
-                ),
-            );
-        }
+                )
+            })
+            .collect();
         for (rank, stream) in self.events.iter().enumerate() {
             // A stack matching begin/end markers to complete ("X") events.
             let mut phase_stack: Vec<(&str, f64)> = Vec::new();
+            let span = |name: &str, cat, start, end, args: &str| {
+                format!(
+                    "{{\"ph\":\"X\",\"pid\":0,\"tid\":{rank},\"ts\":{},\"dur\":{},\
+                     \"name\":\"{name}\",\"cat\":\"{cat}\"{args}}}",
+                    us(start),
+                    us(end - start)
+                )
+            };
             for ev in stream {
-                match ev {
-                    TraceEvent::Compute { start, end } => push(
-                        &mut out,
-                        &mut first,
-                        chrome_span(rank, "compute", "compute", *start, *end, ""),
-                    ),
+                lines.push(match *ev {
+                    TraceEvent::Compute { start, end } => {
+                        span("compute", "compute", start, end, "")
+                    }
                     TraceEvent::Call {
-                        call,
-                        start,
-                        end,
-                        hops,
+                        call, start, end, ..
                     } => {
+                        let hops = self.hops(ev);
                         let (msgs, words) = sent(hops);
-                        push(
-                            &mut out,
-                            &mut first,
-                            chrome_span(
-                                rank,
-                                &call.to_string(),
-                                "comm",
-                                *start,
-                                *end,
-                                &format!(
-                                    ",\"args\":{{\"msgs\":{msgs},\"words\":{words},\"hops\":\"{}\"}}",
-                                    hop_list(hops)
-                                ),
-                            ),
-                        )
+                        let list = hop_list(hops);
+                        let args = format!(
+                            ",\"args\":{{\"msgs\":{msgs},\"words\":{words},\"hops\":\"{list}\"}}"
+                        );
+                        span(&call.to_string(), "comm", start, end, &args)
                     }
-                    TraceEvent::PhaseBegin { name, start } => phase_stack.push((*name, *start)),
+                    TraceEvent::PhaseBegin { name, start } => {
+                        phase_stack.push((name, start));
+                        continue;
+                    }
                     TraceEvent::PhaseEnd { name, end } => {
-                        if let Some((n, start)) = phase_stack.pop() {
-                            debug_assert_eq!(n, *name);
-                            push(
-                                &mut out,
-                                &mut first,
-                                chrome_span(rank, n, "phase", start, *end, ""),
-                            );
-                        }
+                        let Some((n, start)) = phase_stack.pop() else {
+                            continue;
+                        };
+                        debug_assert_eq!(n, name);
+                        span(n, "phase", start, end, "")
                     }
-                    TraceEvent::RewindBlocked { at, dt } => push(
-                        &mut out,
-                        &mut first,
-                        format!(
-                            "{{\"ph\":\"i\",\"pid\":0,\"tid\":{rank},\"ts\":{},\"s\":\"t\",\
-                             \"name\":\"clock-rewind-blocked\",\"cat\":\"violation\",\
-                             \"args\":{{\"dt_us\":{}}}}}",
-                            us(*at),
-                            us(*dt)
-                        ),
+                    TraceEvent::RewindBlocked { at, dt } => format!(
+                        "{{\"ph\":\"i\",\"pid\":0,\"tid\":{rank},\"ts\":{},\"s\":\"t\",\
+                         \"name\":\"clock-rewind-blocked\",\"cat\":\"violation\",\
+                         \"args\":{{\"dt_us\":{}}}}}",
+                        us(at),
+                        us(dt)
                     ),
-                    TraceEvent::Sync { start, end } => push(
-                        &mut out,
-                        &mut first,
-                        chrome_span(rank, "sync", "wait", *start, *end, ""),
-                    ),
-                }
+                    TraceEvent::Sync { start, end } => span("sync", "wait", start, end, ""),
+                });
             }
         }
-        out.push_str("\n]}\n");
-        out
+        let events = lines.join(",\n");
+        format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{events}\n]}}\n")
     }
 
     /// Plain-text per-rank timeline (chronological within each rank).
@@ -472,43 +542,36 @@ impl TraceLog {
         for (rank, stream) in self.events.iter().enumerate() {
             out.push_str(&format!("== rank {rank} ==\n"));
             for ev in stream {
-                let line = match ev {
+                let line = match *ev {
                     TraceEvent::Compute { start, end } => {
-                        format!(
-                            "{:>14}  compute {:.3}us",
-                            span(*start, *end),
-                            us_f(*end - *start)
-                        )
+                        let us = (end - start) * 1e6;
+                        format!("{:>14}  compute {us:.3}us", span(start, end))
                     }
                     TraceEvent::Call {
-                        call,
-                        start,
-                        end,
-                        hops,
+                        call, start, end, ..
                     } => {
+                        let hops = self.hops(ev);
                         let (msgs, words) = sent(hops);
                         format!(
                             "{:>14}  {call} msgs={msgs} words={words} hops: {}",
-                            span(*start, *end),
+                            span(start, end),
                             hop_list(hops)
                         )
                     }
                     TraceEvent::PhaseBegin { name, start } => {
-                        format!("{:>14}  === phase {name} begin ===", ts(*start))
+                        format!("{:>14}  === phase {name} begin ===", ts(start))
                     }
                     TraceEvent::PhaseEnd { name, end } => {
-                        format!("{:>14}  === phase {name} end ===", ts(*end))
+                        format!("{:>14}  === phase {name} end ===", ts(end))
                     }
-                    TraceEvent::RewindBlocked { at, dt } => format!(
-                        "{:>14}  !! clock rewind blocked (dt={:.3}us)",
-                        ts(*at),
-                        us_f(*dt)
-                    ),
-                    TraceEvent::Sync { start, end } => format!(
-                        "{:>14}  sync (idle {:.3}us)",
-                        span(*start, *end),
-                        us_f(*end - *start)
-                    ),
+                    TraceEvent::RewindBlocked { at, dt } => {
+                        let us = dt * 1e6;
+                        format!("{:>14}  !! clock rewind blocked (dt={us:.3}us)", ts(at))
+                    }
+                    TraceEvent::Sync { start, end } => {
+                        let us = (end - start) * 1e6;
+                        format!("{:>14}  sync (idle {us:.3}us)", span(start, end))
+                    }
                 };
                 out.push_str(&line);
                 out.push('\n');
@@ -521,10 +584,6 @@ impl TraceLog {
 /// Microseconds string with fixed precision (deterministic formatting).
 fn us(seconds: f64) -> String {
     format!("{:.6}", seconds * 1e6)
-}
-
-fn us_f(seconds: f64) -> f64 {
-    seconds * 1e6
 }
 
 fn ts(seconds: f64) -> String {
@@ -549,15 +608,6 @@ fn hop_list(hops: &[Hop]) -> String {
         format!("{dir}{}:{}", h.peer(), h.words())
     });
     ends.collect::<Vec<_>>().join(" ")
-}
-
-fn chrome_span(rank: usize, name: &str, cat: &str, start: f64, end: f64, args: &str) -> String {
-    format!(
-        "{{\"ph\":\"X\",\"pid\":0,\"tid\":{rank},\"ts\":{},\"dur\":{},\
-         \"name\":\"{name}\",\"cat\":\"{cat}\"{args}}}",
-        us(start),
-        us(end - start)
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -642,101 +692,82 @@ pub fn check_protocol(log: &TraceLog) -> Vec<ProtocolViolation> {
         .events
         .iter()
         .map(|stream| {
-            stream
-                .iter()
-                .filter_map(|ev| match ev {
-                    TraceEvent::Call {
-                        call: Call::Collective(kind),
-                        ..
-                    } => Some(*kind),
-                    _ => None,
-                })
-                .collect()
+            let kinds = stream.iter().filter_map(|ev| match ev {
+                TraceEvent::Call {
+                    call: Call::Collective(kind),
+                    ..
+                } => Some(*kind),
+                _ => None,
+            });
+            kinds.collect()
         })
         .collect();
     if let Some(reference) = seqs.first() {
         for (rank, seq) in seqs.iter().enumerate().skip(1) {
-            let n = reference.len().max(seq.len());
-            for i in 0..n {
-                let a = reference.get(i).copied();
-                let b = seq.get(i).copied();
-                if a != b {
-                    out.push(ProtocolViolation::CollectiveSequenceMismatch {
-                        rank,
-                        index: i,
-                        reference: a,
-                        got: b,
-                    });
-                    break; // one desynchronization point per rank
-                }
+            // One desynchronization point per rank.
+            if let Some((index, reference, got)) = first_mismatch(reference, seq) {
+                out.push(ProtocolViolation::CollectiveSequenceMismatch {
+                    rank,
+                    index,
+                    reference,
+                    got,
+                });
             }
         }
     }
 
     // 2. Tag order per point-to-point channel. One pass over each rank's
-    // stream builds the per-(src, dst) tag sequences for both sides; only
-    // channels that carried traffic are materialized, so the cost is
-    // O(events), not O(P²) channel scans over the full streams.
-    let mut sent_tags: HashMap<(usize, usize), Vec<Tag>> = HashMap::new();
-    let mut recd_tags: HashMap<(usize, usize), Vec<Tag>> = HashMap::new();
+    // stream builds the sent and received tag sequences of each (src, dst)
+    // channel; only channels that carried mail are materialized, so the
+    // cost is O(events), not O(P²) channel scans over the full streams.
+    let mut channels: BTreeMap<(usize, usize), [Vec<Tag>; 2]> = BTreeMap::new();
     for (rank, stream) in log.events.iter().enumerate() {
         for ev in stream {
             let TraceEvent::Call {
                 call: Call::Mail(tag),
-                hops,
                 ..
-            } = ev
+            } = *ev
             else {
                 continue;
             };
-            for hop in hops.iter() {
-                if hop.is_send() {
-                    sent_tags.entry((rank, hop.peer())).or_default().push(*tag);
-                } else {
-                    recd_tags.entry((hop.peer(), rank)).or_default().push(*tag);
-                }
+            for hop in log.hops(ev) {
+                let (channel, side) = match hop.is_send() {
+                    true => ((rank, hop.peer()), 0),
+                    false => ((hop.peer(), rank), 1),
+                };
+                channels.entry(channel).or_default()[side].push(tag);
             }
         }
     }
-    let mut channels: Vec<(usize, usize)> =
-        sent_tags.keys().chain(recd_tags.keys()).copied().collect();
-    channels.sort_unstable();
-    channels.dedup();
-    const NO_TAGS: &[Tag] = &[];
-    for (src, dst) in channels {
-        let sent = sent_tags.get(&(src, dst)).map_or(NO_TAGS, |v| v);
-        let recd = recd_tags.get(&(src, dst)).map_or(NO_TAGS, |v| v);
-        let n = sent.len().max(recd.len());
-        for i in 0..n {
-            let a = sent.get(i).copied();
-            let b = recd.get(i).copied();
-            if a != b {
-                out.push(ProtocolViolation::TagOrderMismatch {
-                    src,
-                    dst,
-                    index: i,
-                    sent: a,
-                    received: b,
-                });
-                break;
-            }
+    for ((src, dst), [sent, recd]) in channels {
+        if let Some((index, sent, received)) = first_mismatch(&sent, &recd) {
+            out.push(ProtocolViolation::TagOrderMismatch {
+                src,
+                dst,
+                index,
+                sent,
+                received,
+            });
         }
     }
 
     // 3. Clock rewinds.
     for (rank, stream) in log.events.iter().enumerate() {
         for ev in stream {
-            if let TraceEvent::RewindBlocked { at, dt } = ev {
-                out.push(ProtocolViolation::ClockRewind {
-                    rank,
-                    at: *at,
-                    dt: *dt,
-                });
+            if let TraceEvent::RewindBlocked { at, dt } = *ev {
+                out.push(ProtocolViolation::ClockRewind { rank, at, dt });
             }
         }
     }
 
     out
+}
+
+/// The first position where two sequences differ (`None` on the side that
+/// ended early), with both sides' items there.
+fn first_mismatch<T: Copy + PartialEq>(a: &[T], b: &[T]) -> Option<(usize, Option<T>, Option<T>)> {
+    let at = |i| (i, a.get(i).copied(), b.get(i).copied());
+    (0..a.len().max(b.len())).map(at).find(|(_, x, y)| x != y)
 }
 
 impl TraceLog {
@@ -860,12 +891,10 @@ impl RankPhaseSplit {
     /// record's hops are charged one by one, in the order they were made: a
     /// send hop's span is wire and sends its words, a receive hop's is
     /// wait.
-    fn charge(&mut self, ev: &TraceEvent) {
+    fn charge(&mut self, ev: &TraceEvent, hops: &[Hop]) {
         match *ev {
             TraceEvent::Compute { start, end } => self.compute += end - start,
-            TraceEvent::Call {
-                start, ref hops, ..
-            } => {
+            TraceEvent::Call { start, .. } => {
                 for (from, hop) in hop_spans(start, hops) {
                     if hop.is_send() {
                         self.wire += hop.at - from;
@@ -896,7 +925,7 @@ pub struct PhaseRankAgg {
     pub ranks: Vec<RankPhaseSplit>,
     /// Collective stats summed over ranks, indexed by
     /// `CollectiveKind::index`.
-    pub collectives: [CollectiveStats; COLLECTIVE_KINDS.len()],
+    pub collectives: Counters,
 }
 
 impl PhaseRankAgg {
@@ -946,6 +975,8 @@ struct Visit<'a> {
     /// Position of `ev` in its rank's stream.
     index: usize,
     ev: &'a TraceEvent,
+    /// Its hops, if a record.
+    hops: &'a [Hop],
     /// The phase `ev` is attributed to (a marker to its own): its position
     /// in the walk's phase table (appearance order) and its name.
     phase: usize,
@@ -954,12 +985,12 @@ struct Visit<'a> {
 
 /// Count a collective record towards its kind: one call, its start-to-end
 /// seconds and every message it sent.
-fn tally_collective(stats: &mut [CollectiveStats; COLLECTIVE_KINDS.len()], ev: &TraceEvent) {
+fn tally_collective(stats: &mut Counters, ev: &TraceEvent, hops: &[Hop]) {
     if let TraceEvent::Call {
         call: Call::Collective(kind),
         start,
         end,
-        ref hops,
+        ..
     } = *ev
     {
         let c = &mut stats[kind.index()];
@@ -1023,6 +1054,7 @@ impl TraceLog {
                     rank,
                     index,
                     ev,
+                    hops: self.hops(ev),
                     phase,
                     name: spans[phase].name,
                 });
@@ -1050,73 +1082,50 @@ impl TraceLog {
     }
 
     /// Match every send hop to its receive hop by FIFO channel order (see
-    /// [`MessageEdge`]) and return the resulting happens-before edges, grouped by receiver rank in stream order
-    /// (deterministic). Unmatched sends or receives (a protocol violation)
-    /// produce no edge.
+    /// [`MessageEdge`]) and return the resulting happens-before edges,
+    /// grouped by receiver rank in stream order (deterministic). Unmatched
+    /// sends or receives (a protocol violation) produce no edge.
     pub fn message_edges(&self) -> Vec<MessageEdge<'_>> {
         use std::collections::VecDeque;
-        // Per (src, dst, is mail) channel: queued send hops in send order.
-        struct PendingSend {
-            event: usize,
-            hop: usize,
-            start: f64,
-            end: f64,
-        }
-        let mut channels: HashMap<(usize, usize, bool), VecDeque<PendingSend>> = HashMap::new();
+        // Per (src, dst, is mail) channel: the queued send hops, in send
+        // order, as (event, hop, start, end).
+        let mut channels: HashMap<_, VecDeque<(usize, usize, f64, f64)>> = HashMap::new();
         for (src, stream) in self.events.iter().enumerate() {
             for (event, ev) in stream.iter().enumerate() {
-                let TraceEvent::Call {
-                    call,
-                    start,
-                    ref hops,
-                    ..
-                } = *ev
-                else {
+                let TraceEvent::Call { call, start, .. } = *ev else {
                     continue;
                 };
                 let mail = matches!(call, Call::Mail(_));
-                let sends = hop_spans(start, hops).enumerate();
+                let sends = hop_spans(start, self.hops(ev)).enumerate();
                 for (hop, (from, h)) in sends.filter(|(_, (_, h))| h.is_send()) {
-                    let send = PendingSend {
-                        event,
-                        hop,
-                        start: from,
-                        end: h.at,
-                    };
-                    channels
-                        .entry((src, h.peer(), mail))
-                        .or_default()
-                        .push_back(send);
+                    let channel = channels.entry((src, h.peer(), mail)).or_default();
+                    channel.push_back((event, hop, from, h.at));
                 }
             }
         }
         let mut edges = Vec::new();
         self.walk(|v| {
-            let TraceEvent::Call {
-                call,
-                start,
-                ref hops,
-                ..
-            } = *v.ev
-            else {
+            let TraceEvent::Call { call, start, .. } = *v.ev else {
                 return;
             };
             let mail = matches!(call, Call::Mail(_));
-            let recvs = hop_spans(start, hops).enumerate();
+            let recvs = hop_spans(start, v.hops).enumerate();
             for (recv_hop, (from, h)) in recvs.filter(|(_, (_, h))| !h.is_send()) {
                 let channel = channels.get_mut(&(h.peer(), v.rank, mail));
-                if let Some(send) = channel.and_then(VecDeque::pop_front) {
+                if let Some((send_event, send_hop, send_start, send_end)) =
+                    channel.and_then(VecDeque::pop_front)
+                {
                     edges.push(MessageEdge {
                         src: h.peer(),
                         dst: v.rank,
                         call,
                         words: h.words(),
-                        send_event: send.event,
-                        send_hop: send.hop,
+                        send_event,
+                        send_hop,
                         recv_event: v.index,
                         recv_hop,
-                        send_start: send.start,
-                        send_end: send.end,
+                        send_start,
+                        send_end,
                         recv_posted: from,
                         recv_completed: h.at,
                         wait: h.at - from,
@@ -1138,7 +1147,7 @@ impl TraceLog {
             if v.phase == splits.len() {
                 splits.push(RankPhaseSplit::default());
             }
-            splits[v.phase].charge(v.ev);
+            splits[v.phase].charge(v.ev, v.hops);
         });
         spans
             .into_iter()
@@ -1175,8 +1184,8 @@ impl TraceLog {
                     collectives: Default::default(),
                 });
             }
-            aggs[v.phase].ranks[v.rank].charge(v.ev);
-            tally_collective(&mut aggs[v.phase].collectives, v.ev);
+            aggs[v.phase].ranks[v.rank].charge(v.ev, v.hops);
+            tally_collective(&mut aggs[v.phase].collectives, v.ev, v.hops);
         });
         for (agg, span) in aggs.iter_mut().zip(spans) {
             agg.start = span.start;
@@ -1189,13 +1198,13 @@ impl TraceLog {
     /// (so `phase_slice(name).summary()` totals equal the phase's
     /// aggregate), as a log of the same rank count.
     pub fn phase_slice(&self, name: &str) -> TraceLog {
-        let mut out = TraceLog {
-            events: vec![Vec::new(); self.nranks()],
-        };
-        self.walk(|v| {
-            if v.name == name {
-                out.events[v.rank].push(v.ev.clone());
-            }
+        let mut out = TraceLog::new(self.nranks());
+        self.walk(|v| match *v.ev {
+            _ if v.name != name => {}
+            TraceEvent::Call {
+                call, start, end, ..
+            } => out.push_call(v.rank, call, start, end, v.hops),
+            ev => out.events[v.rank].push(ev),
         });
         out
     }
@@ -1357,18 +1366,16 @@ mod tests {
         let mut log = TraceLog::from_results(&mut run_workload());
         // Corrupt one send tag on rank 0 so the sender/receiver tag
         // sequences on that channel disagree.
-        let ev = log.events[0]
-            .iter_mut()
-            .find_map(|ev| match ev {
-                TraceEvent::Call {
-                    call: Call::Mail(tag),
-                    hops,
-                    ..
-                } if hops[0].is_send() => Some(tag),
-                _ => None,
-            })
-            .unwrap();
-        *ev += 1;
+        let send = |ev: &TraceEvent| log.hops(ev).first().is_some_and(Hop::is_send);
+        let at = log.events[0].iter().position(send).unwrap();
+        let TraceEvent::Call {
+            call: Call::Mail(tag),
+            ..
+        } = &mut log.events[0][at]
+        else {
+            panic!("the ring's send is mail");
+        };
+        *tag += 1;
         let violations = check_protocol(&log);
         assert!(
             violations
@@ -1436,7 +1443,7 @@ mod tests {
             // The edge indices really point at a send / receive pair: the
             // hops of two records of one call.
             let hop = |ev: &TraceEvent, i: usize| match ev {
-                TraceEvent::Call { call, hops, .. } if *call == e.call => hops[i],
+                TraceEvent::Call { call, .. } if *call == e.call => log.hops(ev)[i],
                 other => panic!("edge {e:?} points at {other:?}"),
             };
             let s = hop(&log.events[e.src][e.send_event], e.send_hop);

@@ -17,6 +17,13 @@ impl Packer {
         Self::default()
     }
 
+    /// An empty buffer with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Packer {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Append a `u32`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -110,6 +117,13 @@ impl<'a> Unpacker<'a> {
     pub fn get_f64_slice(&mut self) -> Vec<f64> {
         let n = self.get_u32() as usize;
         (0..n).map(|_| self.get_f64()).collect()
+    }
+
+    /// Step over a length-prefixed `f64` slice, returning its length.
+    pub fn skip_f64_slice(&mut self) -> usize {
+        let n = self.get_u32() as usize;
+        self.take(n * 8);
+        n
     }
 
     /// True if the whole buffer has been consumed.

@@ -50,8 +50,9 @@ fn partition_phase_trace_carries_real_traffic_and_accounts_exactly() {
     for stream in &trace.events {
         for ev in stream {
             match ev {
-                TraceEvent::Call { call, hops, .. } => {
+                TraceEvent::Call { call, .. } => {
                     colls += matches!(call, Call::Collective(_)) as u64;
+                    let hops = trace.hops(ev);
                     let sent = hops.iter().filter(|h| h.is_send()).count() as u64;
                     sends += sent;
                     recvs += hops.len() as u64 - sent;
